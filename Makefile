@@ -9,7 +9,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # concurrent mirror rebuild).
 RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./internal/obs/... ./internal/core/... ./internal/pdt/... ./internal/shard/... ./internal/wire/...
 
-.PHONY: check vet build test race bench bench-read bench-pwb bench-check \
+.PHONY: check vet build test race bench bench-read bench-check bench-e2e-smoke \
 	bench-recovery bench-recovery-ci bench-lockfree bench-shard microbench \
 	lint fmt-check staticcheck crashmc-smoke coverage binaries scenarios \
 	scenario-smoke
@@ -45,26 +45,33 @@ race:
 bench:
 	$(GO) run ./cmd/baseline -out results/BENCH_baseline.json
 
-# Read-path allocation gate (DESIGN.md §14): runs the MapGet/GridRead
-# benchmarks with -benchmem and fails if the zero-copy and proxy-cached
-# fast paths report any allocs/op, or the fallback regimes exceed their
-# ceilings. CI runs this on every push.
+# Allocation gate (DESIGN.md §14, §18): runs the MapGet/GridRead and
+# ServerWindow benchmarks with -benchmem and fails if the zero-copy and
+# proxy-cached fast paths report any allocs/op, the fallback regimes
+# exceed their ceilings, or a wire request allocates per field again.
+# CI runs this on every push.
 bench-read:
 	./scripts/check_allocs.sh
 
-# Flush-rate gate (DESIGN.md §15): re-runs the baseline passes and fails
-# if pwb/op or pfence/op regressed beyond tolerance vs the committed
-# BENCH_baseline.json, or if group commit stops combining fences at 8+
-# committers. CI runs this on every push.
-bench-pwb:
-	./scripts/check_pwb.sh
-
-# Full benchmark gate (DESIGN.md §15, §17): everything bench-pwb checks,
-# plus Kops/s for rows whose committed counterpart ran on a host with the
-# same CPU count, plus the in-run sharding head-to-head. CI runs this on
-# every push.
+# Full benchmark gate (DESIGN.md §15, §17): re-runs the baseline passes
+# and fails if pwb/op, pfence/op or allocs/op regressed beyond tolerance
+# vs the committed BENCH_baseline.json, if group commit stops combining
+# fences at 8+ committers, if Kops/s fell on a row whose committed
+# counterpart ran on a host with the same CPU count, or if the in-run
+# sharding head-to-head or the recovery work counters moved. CI runs
+# this on every push.
 bench-check:
 	./scripts/check_bench.sh
+
+# Smoke of the repo's benchmark (BENCHMARK.json, benchmarks/): its unit
+# tests plus every workload once in -quick shape, then one quick net-a
+# through run.sh the way the benchmark driver invokes it. The benchmark
+# is its own module, so `go test ./...` does not see it; this target is
+# what fails when a refactor breaks one of the entry points pinned at
+# the top of benchmarks/harness/stack.go. CI runs this on every push.
+bench-e2e-smoke:
+	cd benchmarks && $(GO) test ./...
+	bash benchmarks/run.sh --workload net-a --quick
 
 # Recovery-time scaling: load a large heap, crash it, re-open the image
 # once per worker count. workers=1 is the paper's serial §4.1.3 procedure;

@@ -193,7 +193,7 @@ func (e *Env) Snapshot() *obs.StackSnapshot {
 		sh := e.Set.Snapshot()
 		s.Shard = &sh
 		// The global layer gauges are the element-wise sums of the
-		// per-pool breakdown, so existing tooling (check_pwb.sh, the
+		// per-pool breakdown, so existing tooling (check_bench.sh, the
 		// report printer) reads a sharded stack unchanged.
 		var nv obs.NVMSnapshot
 		var hp obs.HeapSnapshot

@@ -45,7 +45,7 @@ func TestShardEnv(t *testing.T) {
 // TestShardSnapshotSums is the satellite check that the per-pool obs
 // breakdown is complete: summing every pool's NVM/heap/FA counters must
 // reproduce the global layer gauges the snapshot reports (which is also
-// what keeps check_pwb.sh honest on sharded runs).
+// what keeps check_bench.sh honest on sharded runs).
 func TestShardSnapshotSums(t *testing.T) {
 	env, err := NewEnv(GridConfig{Backend: JPFA, Records: 300, FieldCount: 10, FieldLen: 100, FenceNs: 1, Pools: 4})
 	if err != nil {

@@ -29,17 +29,18 @@ type BatchOp struct {
 
 // BatchResult is the outcome of one batch operation. Read results are
 // deep copies: unlike the streaming Read, a batch result outlives the
-// backend call (the wire server encodes it after the whole batch ran),
-// so it must not alias NVMM views.
+// backend call, so it must not alias NVMM views.
 type BatchResult struct {
 	Err    error
 	Fields []Field
 }
 
-// ApplyBatch executes ops in order, one result per op, and is the
-// network server's entry point (DESIGN.md §18): a pipeline window
-// arrives as one batch, and under the async commit pipeline the caller
-// fences the whole window once instead of per op.
+// Apply executes one operation and is the network server's entry point
+// (DESIGN.md §18): the server calls it request by request over a pipeline
+// window and, under the async commit pipeline, fences the whole window
+// once instead of per op. A read streams its fields to consume exactly
+// like Grid.Read — views that are live only inside the callback, under
+// the key's stripe lock — and no other kind calls consume.
 //
 // Concurrency: per-key reads, updates and RMWs ride the grid's stripe
 // locks exactly like the direct methods. Inserts and deletes additionally
@@ -47,43 +48,43 @@ type BatchResult struct {
 // linearizable — structural map operations touch shared slot blocks that
 // the stripe locks do not cover, which is why the embedded benchmarks
 // load single-threaded; a server fed by concurrent connections cannot.
-func (g *Grid) ApplyBatch(ops []BatchOp, res []BatchResult) {
-	for i := range ops {
-		op := &ops[i]
-		r := &res[i]
-		r.Err, r.Fields = nil, nil
-		switch op.Kind {
-		case BatchInsert:
-			rec := &Record{Fields: op.Fields}
-			if g.lockFree {
-				r.Err = g.Insert(op.Key, rec)
-				break
-			}
+func (g *Grid) Apply(op *BatchOp, consume func(name string, value []byte)) error {
+	switch op.Kind {
+	case BatchInsert:
+		if !g.lockFree {
 			g.structMu.Lock()
-			r.Err = g.Insert(op.Key, rec)
-			g.structMu.Unlock()
-		case BatchRead:
-			r.Err = g.Read(op.Key, func(name string, value []byte) {
-				r.Fields = append(r.Fields,
-					Field{Name: strings.Clone(name), Value: append([]byte(nil), value...)})
-			})
-		case BatchUpdate:
-			r.Err = g.Update(op.Key, op.Fields)
-		case BatchDelete:
-			if g.lockFree {
-				r.Err = g.Delete(op.Key)
-				break
-			}
-			g.structMu.Lock()
-			r.Err = g.Delete(op.Key)
-			g.structMu.Unlock()
-		case BatchRMW:
-			fields := op.Fields
-			r.Err = g.ReadModifyWrite(op.Key, func(*Record) []Field { return fields })
-		case BatchAddDelta:
-			r.Err = g.AddDelta(op.Key, op.Field, op.Delta)
-		default:
-			r.Err = ErrNotFound
+			defer g.structMu.Unlock()
 		}
+		return g.Insert(op.Key, &Record{Fields: op.Fields})
+	case BatchRead:
+		return g.Read(op.Key, consume)
+	case BatchUpdate:
+		return g.Update(op.Key, op.Fields)
+	case BatchDelete:
+		if !g.lockFree {
+			g.structMu.Lock()
+			defer g.structMu.Unlock()
+		}
+		return g.Delete(op.Key)
+	case BatchRMW:
+		return g.ReadModifyWrite(op.Key, func(*Record) []Field { return op.Fields })
+	case BatchAddDelta:
+		return g.AddDelta(op.Key, op.Field, op.Delta)
+	}
+	return ErrNotFound
+}
+
+// ApplyBatch executes ops in order through Apply, one result per op, with
+// a consumer that deep-copies every field a read streams.
+func (g *Grid) ApplyBatch(ops []BatchOp, res []BatchResult) {
+	var r *BatchResult
+	keep := func(name string, value []byte) {
+		r.Fields = append(r.Fields,
+			Field{Name: strings.Clone(name), Value: append([]byte(nil), value...)})
+	}
+	for i := range ops {
+		r = &res[i]
+		r.Fields = nil
+		r.Err = g.Apply(&ops[i], keep)
 	}
 }

@@ -161,3 +161,34 @@ func TestApplyBatchConcurrent(t *testing.T) {
 		t.Fatalf("%d records left after delete-all", n)
 	}
 }
+
+// Apply streams a read to the caller's consumer (no copy of its own) and
+// never calls it for any other kind.
+func TestApplyStreamsReadOnly(t *testing.T) {
+	g := NewGrid(newMemBackend(), Options{})
+	calls := 0
+	consume := func(name string, value []byte) {
+		calls++
+		if name != "f" || string(value) != "2" {
+			t.Errorf("streamed field %q=%q, want f=2", name, value)
+		}
+	}
+	for _, op := range []BatchOp{
+		{Kind: BatchInsert, Key: "a", Fields: []Field{{Name: "f", Value: []byte("1")}}},
+		{Kind: BatchUpdate, Key: "a", Fields: []Field{{Name: "f", Value: []byte("2")}}},
+		{Kind: BatchRMW, Key: "a", Fields: []Field{{Name: "f", Value: []byte("2")}}},
+	} {
+		if err := g.Apply(&op, consume); err != nil {
+			t.Fatalf("kind %d: %v", op.Kind, err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("consume called %d times by non-read kinds", calls)
+	}
+	if err := g.Apply(&BatchOp{Kind: BatchRead, Key: "a"}, consume); err != nil || calls != 1 {
+		t.Fatalf("read: err %v, %d consume calls, want 1", err, calls)
+	}
+	if err := g.Apply(&BatchOp{Kind: BatchRead, Key: "nope"}, consume); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read of missing key: %v, want ErrNotFound", err)
+	}
+}

@@ -85,16 +85,19 @@ func (g *Grid) AddDelta(key, field string, delta int64) error {
 // counterBlock reports whether the value object at vref is a foldable
 // counter: a mutable single-block blob whose stored length is exactly
 // counterLen. Pooled slots are immutable and chained blobs span lines,
-// so both take the upgrade path instead.
+// so both take the upgrade path instead. The header and length words are
+// loaded atomically: an epoch drain on another goroutine may be applying
+// an earlier fold to this very block, rewriting its first line word by
+// word (with the same header and length) while we look.
 func counterBlock(h *core.Heap, vref core.Ref) (core.Ref, bool) {
-	mem := h.Mem()
-	if vref == 0 || !mem.IsBlockRef(vref) {
+	pool := h.Pool()
+	if vref == 0 || !h.Mem().IsBlockRef(vref) {
 		return 0, false
 	}
-	if _, _, next := heap.UnpackHeader(mem.Header(vref)); next != 0 {
+	if _, _, next := heap.UnpackHeader(pool.ReadUint64Atomic(vref)); next != 0 {
 		return 0, false
 	}
-	if h.Pool().ReadUint32(vref+heap.HeaderSize) != counterLen {
+	if uint32(pool.ReadUint64Atomic(vref+heap.HeaderSize)) != counterLen {
 		return 0, false
 	}
 	return vref, true
@@ -110,21 +113,15 @@ func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 	if b.mgr.CommitMode() != fa.CommitAsync {
 		return b.addDeltaTx(key, field, delta)
 	}
-	po, err := b.get(key)
-	if err != nil || po == nil {
+	r, err := b.get(key)
+	if err != nil || r == nil {
 		return false, err
 	}
-	r := po.(*pRecord)
 	i := r.fieldIndex(b.h, field)
 	if i < 0 {
 		return false, fmt.Errorf("store: record %q has no field %q", key, field)
 	}
-	// A queued update epoch may be about to swing this value ref; settle
-	// the record block before trusting the raw read. The grid's stripe
-	// lock excludes same-key writers from here on.
-	off := fieldValOff(i)
-	b.mgr.Settle(r.BlockRefs()[off/heap.Payload])
-	vref := r.ReadRef(off)
+	vref := r.ReadRef(fieldValOff(i))
 	blk, ok := counterBlock(b.h, vref)
 	if !ok {
 		return b.addDeltaTx(key, field, delta)
@@ -144,11 +141,10 @@ func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 // value a plain Insert created, or a wrong-sized blob) is upgraded to a
 // block-resident counter carrying the summed value.
 func (b *JPFABackend) addDeltaTx(key, field string, delta int64) (bool, error) {
-	po, err := b.get(key)
-	if err != nil || po == nil {
+	r, err := b.get(key)
+	if err != nil || r == nil {
 		return false, err
 	}
-	r := po.(*pRecord)
 	i := r.fieldIndex(b.h, field)
 	if i < 0 {
 		return false, fmt.Errorf("store: record %q has no field %q", key, field)
@@ -191,14 +187,16 @@ func (b *JPFABackend) addDeltaTx(key, field string, delta int64) (bool, error) {
 	return err == nil, err
 }
 
-// settleDeltas drains any pending ledger delta on the record's value
-// blocks so a raw read observes every acknowledged increment
-// (reads-see-acknowledged-writes). The no-deltas common case is one
-// atomic load per field.
+// settleDeltas waits out any ledger delta on the record's value blocks —
+// pending, or being applied by an epoch in flight — so a raw read
+// observes every acknowledged increment whole
+// (reads-see-acknowledged-writes). Only a block-resident value can carry
+// a delta; pooled values, the shape of every plain field, cost nothing.
 func (b *JPFABackend) settleDeltas(r *pRecord) {
+	mem := b.h.Mem()
 	n := r.fieldCount()
 	for i := 0; i < n; i++ {
-		if vref := r.ReadRef(fieldValOff(i)); vref != 0 && b.mgr.DeltaPending(vref) {
+		if vref := r.ReadRef(fieldValOff(i)); mem.IsBlockRef(vref) {
 			b.mgr.Settle(vref)
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -235,5 +236,63 @@ func TestGridAddDeltaCrashRecovers(t *testing.T) {
 	g2 := NewGrid(b2, Options{})
 	if v := readCounter(t, g2, "k", "score"); v != 1250 {
 		t.Fatalf("recovered score = %d, want 1250", v)
+	}
+}
+
+// A read under the async pipeline must not hand out a view of a value
+// block that a queued update of the same record is about to free. Before
+// the fix JPFABackend.Read looked at the record raw: it saw the pre-epoch
+// value ref, and a drain running while the consumer still held the view —
+// here the consumer's own, on the server another connection's — freed the
+// block under it; the next allocation of that size recycled it and the
+// reader saw another record's bytes.
+func TestAsyncReadViewSurvivesDrainAndReuse(t *testing.T) {
+	h, mgr, _ := openStoreHeap(t, 1<<23, false)
+	b, err := NewJPFABackend(h, mgr, "kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGrid(b, Options{})
+	val := func(c byte) []byte { return bytes.Repeat([]byte{c}, 100) }
+	// Two keys on different stripes: the consumer updates the second one
+	// while the read holds the first one's lock.
+	k, other := "k", "other"
+	if fnv32(k)%gridStripes == fnv32(other)%gridStripes {
+		t.Fatal("test keys share a stripe")
+	}
+	for _, key := range []string{k, other} {
+		if err := g.Insert(key, &Record{Fields: []Field{{Name: "f", Value: val('a')}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Queue, do not drain, an update of k.
+	if err := g.Update(k, []Field{{Name: "f", Value: val('b')}}); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	err = g.Read(k, func(name string, value []byte) {
+		calls++
+		seen := append([]byte(nil), value...)
+		// Everything queued becomes durable — freeing whatever the update
+		// of k replaced — and a same-sized value is allocated right after,
+		// which is where the allocator hands the freed slot out again.
+		mgr.DrainDurable()
+		if err := g.Update(other, []Field{{Name: "f", Value: val('z')}}); err != nil {
+			t.Error(err)
+		}
+		mgr.DrainDurable()
+		if !bytes.Equal(value, seen) {
+			t.Errorf("view changed under the reader: %q... became %q...", seen[:4], value[:4])
+		}
+		if !bytes.Equal(seen, val('b')) {
+			t.Errorf("read saw %q..., want the queued update's %q...", seen[:4], "bbbb")
+		}
+	})
+	if err != nil || calls != 1 {
+		t.Fatalf("read: err %v, %d fields", err, calls)
 	}
 }

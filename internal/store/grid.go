@@ -14,6 +14,13 @@ import (
 // Backend is a persistence plug for the grid, at field granularity so the
 // J-NVM backends never marshal whole records (the decisive property the
 // evaluation measures).
+//
+// Ownership: field values handed to Insert and Update are borrowed for the
+// call — the wire server passes sub-slices of a connection buffer it
+// reuses for the next window — so an implementation copies every value it
+// keeps. The key and field names of an Insert are owned strings: the
+// volatile mirrors retain them as they are, so callers never modify them
+// afterwards. The keys of the other operations are only looked at.
 type Backend interface {
 	Name() string
 	// Insert stores a new record.

@@ -185,33 +185,51 @@ func (b *JPFABackend) Insert(key string, rec *Record) error {
 	})
 }
 
-// get resolves key through the map. In async commit mode an acknowledged
-// insert may still sit in the epoch queue — its map write and mirror
-// update only land at drain — so a miss drains once and retries before
-// reporting not-found. That keeps read-your-acknowledged-writes for
-// existence; a pending *update* of a present key stays visible as the
-// pre-epoch value, the documented bounded staleness (DESIGN.md §15).
-func (b *JPFABackend) get(key string) (core.PObject, error) {
+// get resolves key to its record, ready for raw reads. In async commit
+// mode two things stand between the map and a trustworthy raw image:
+//
+//   - An acknowledged insert may still sit in the epoch queue — its map
+//     write and mirror update only land at drain — so a miss drains once
+//     and retries before reporting not-found (read-your-acknowledged-
+//     writes for existence).
+//   - A queued update of the record swings a value ref and frees the old
+//     value block when its epoch drains, and any goroutine's drain may run
+//     at any time: the grid's stripe lock keeps new writers of the key
+//     out, not the drain of one already queued. So the record's blocks are
+//     settled before anyone looks at them raw; afterwards the refs are
+//     current and nothing queued can free what they point to for as long
+//     as the caller holds the stripe lock.
+//
+// Outside async mode the settle is one atomic load per block.
+func (b *JPFABackend) get(key string) (*pRecord, error) {
 	po, err := b.m.Get(key)
-	if err != nil || po != nil {
-		return po, err
-	}
-	if b.mgr.CommitMode() == fa.CommitAsync {
+	if err == nil && po == nil && b.mgr.CommitMode() == fa.CommitAsync {
 		b.mgr.DrainDurable()
-		return b.m.Get(key)
+		po, err = b.m.Get(key)
 	}
-	return nil, nil
+	if err != nil || po == nil {
+		return nil, err
+	}
+	r := po.(*pRecord)
+	b.settle(r)
+	return r, nil
+}
+
+// settle waits until no queued or in-flight commit holds r's blocks.
+func (b *JPFABackend) settle(r *pRecord) {
+	for _, blk := range r.BlockRefs() {
+		b.mgr.Settle(blk)
+	}
 }
 
 // Read implements Backend (reads need no block, as in the paper). Value
 // blocks with a pending ledger delta are settled first, so a read after
 // an acknowledged AddDelta always observes the folded word.
 func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, error) {
-	po, err := b.get(key)
-	if err != nil || po == nil {
+	r, err := b.get(key)
+	if err != nil || r == nil {
 		return false, err
 	}
-	r := po.(*pRecord)
 	b.settleDeltas(r)
 	r.read(b.h, consume)
 	return true, nil
@@ -219,11 +237,10 @@ func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, erro
 
 // Update implements Backend.
 func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
-	po, err := b.get(key)
-	if err != nil || po == nil {
+	r, err := b.get(key)
+	if err != nil || r == nil {
 		return false, err
 	}
-	r := po.(*pRecord)
 	err = b.mgr.Run(func(tx *fa.Tx) error {
 		for _, f := range fields {
 			i := r.fieldIndex(b.h, f.Name)
@@ -274,6 +291,7 @@ func (b *JPFABackend) Delete(key string) (bool, error) {
 			return err
 		}
 		r := po.(*pRecord)
+		b.settle(r)
 		n := r.fieldCount()
 		for i := 0; i < n; i++ {
 			for _, off := range []uint64{fieldNameOff(i), fieldValOff(i)} {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/store"
@@ -37,10 +38,23 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, s := range seed {
 		f.Add(s)
 	}
+	names := make(nameTable)
+	var inPlace Request // one slot reused across inputs, like a server connection's
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req Request
-		if err := DecodeRequest(body, &req); err != nil {
+		err := DecodeRequest(body, &req)
+		// The server's in-place mode must accept exactly the same frames
+		// and decode them to the same request.
+		errInPlace := decodeRequest(body, &inPlace, names)
+		if (err == nil) != (errInPlace == nil) {
+			t.Fatalf("copying decode: %v, in-place decode: %v", err, errInPlace)
+		}
+		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(normalize(req.Fields), normalize(inPlace.Fields)) || req.Op != inPlace.Op ||
+			req.Key != inPlace.Key || req.Field != inPlace.Field || req.Delta != inPlace.Delta {
+			t.Fatalf("in-place decode differs:\n copying  %+v\n in-place %+v", req, inPlace)
 		}
 		// A decoded request must survive re-encode + decode unchanged.
 		frame := AppendRequest(nil, &req)

@@ -162,8 +162,120 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// handle runs one connection: read a pipeline window, execute it as one
-// grid batch, fence once, respond in order, repeat.
+// Per-connection buffer sizing. A buffer that one window grew beyond
+// retainFactor times its default is dropped back to the default after the
+// window, so a single 16 MB frame does not pin 16 MB for the connection's
+// lifetime (times MaxConns).
+const (
+	inDefault    = 16 << 10
+	outDefault   = 32 << 10
+	retainFactor = 16
+	retainFields = 64 // Request.Fields capacity kept across windows
+)
+
+// window is one connection's reusable state. A pipeline window is a
+// single pass with no per-field allocation: request frames are appended
+// to in and decoded in place (field values are sub-slices of in, borrowed
+// by the grid for the call; keys and names are owned strings), and every
+// response frame is appended to out as its request executes — a READ
+// reply streams the record's NVMM views straight into out from inside the
+// grid's consume callback, under the key's stripe lock.
+type window struct {
+	in    []byte
+	reqs  []Request
+	names nameTable
+	out   []byte
+
+	// nfields counts the fields streamed into the READ reply under
+	// construction; consume is w.field bound once per connection.
+	nfields int
+	consume func(name string, value []byte)
+}
+
+func newWindow(maxBatch int) *window {
+	w := &window{
+		in:    make([]byte, 0, inDefault),
+		reqs:  make([]Request, 0, maxBatch),
+		names: make(nameTable),
+		out:   make([]byte, 0, outDefault),
+	}
+	w.consume = w.field
+	return w
+}
+
+func (w *window) field(name string, value []byte) {
+	w.out = appendField(w.out, name, value)
+	w.nfields++
+}
+
+// read appends the next frame of br to the window and decodes it in place
+// into the next request slot; n is the frame body's length.
+func (w *window) read(br *bufio.Reader) (n int, err error) {
+	in, frame, err := appendFrame(br, w.in)
+	if err != nil {
+		return 0, err
+	}
+	w.in = in
+	w.reqs = w.reqs[:len(w.reqs)+1]
+	return len(frame), decodeRequest(frame, &w.reqs[len(w.reqs)-1], w.names)
+}
+
+// reset empties the window for the next one and bounds what it pins.
+func (w *window) reset() {
+	if cap(w.in) > retainFactor*inDefault {
+		w.in = make([]byte, 0, inDefault)
+		// Stale request slots still alias the dropped buffer.
+		clear(w.reqs[:cap(w.reqs)])
+	}
+	if cap(w.out) > retainFactor*outDefault {
+		w.out = make([]byte, 0, outDefault)
+	}
+	for i := range w.reqs {
+		if cap(w.reqs[i].Fields) > retainFields {
+			w.reqs[i].Fields = nil
+		}
+	}
+	w.in, w.reqs, w.out = w.in[:0], w.reqs[:0], w.out[:0]
+}
+
+// batchKinds maps a grid-bound wire op onto its batch kind.
+var batchKinds = [opMax]store.BatchOpKind{
+	OpInsert:   store.BatchInsert,
+	OpRead:     store.BatchRead,
+	OpUpdate:   store.BatchUpdate,
+	OpDelete:   store.BatchDelete,
+	OpRMW:      store.BatchRMW,
+	OpAddDelta: store.BatchAddDelta,
+}
+
+// apply executes one grid-bound request and appends its response frame.
+func (w *window) apply(g *store.Grid, req *Request) {
+	op := store.BatchOp{Kind: batchKinds[req.Op], Key: req.Key, Fields: req.Fields,
+		Field: req.Field, Delta: req.Delta}
+	start := len(w.out)
+	if req.Op == OpRead {
+		w.out = beginReadReply(w.out)
+		w.nfields = 0
+	}
+	resp := Response{Op: req.Op, Status: StatusOK}
+	switch err := g.Apply(&op, w.consume); {
+	case err == nil:
+		if req.Op == OpRead {
+			w.out = endReadReply(w.out, start, w.nfields)
+			return
+		}
+	case errors.Is(err, store.ErrNotFound):
+		resp.Status = StatusNotFound
+	default:
+		resp.Status = StatusErr
+		resp.Msg = err.Error()
+	}
+	// Anything a failed READ streamed before the error is dropped.
+	w.out = AppendResponse(w.out[:start], &resp)
+}
+
+// handle runs one connection: read a pipeline window, execute it request
+// by request, fence once, flush the responses in one write, repeat.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.stats.ConnsClosed.Inc()
@@ -177,81 +289,55 @@ func (s *Server) handle(conn net.Conn) {
 
 	maxBatch := s.cfg.MaxBatch
 	br := bufio.NewReaderSize(conn, 64<<10)
-	frameBuf := make([]byte, 0, 4<<10)
-	reqs := make([]Request, 0, maxBatch)
-	ops := make([]store.BatchOp, 0, maxBatch)
-	opIdx := make([]int, 0, maxBatch) // request index -> ops index, -1 for ping/stats
-	results := make([]store.BatchResult, maxBatch)
-	out := make([]byte, 0, 32<<10)
+	w := newWindow(maxBatch)
 
 	for {
-		reqs, ops, opIdx = reqs[:0], ops[:0], opIdx[:0]
-
 		// Block for the window's first frame, then extend the window with
 		// whatever complete frames are already buffered — never waiting on
 		// the network for a deeper batch.
-		for len(reqs) < maxBatch {
-			if len(reqs) > 0 && !BufferedFrame(br) {
+		for len(w.reqs) < maxBatch {
+			if len(w.reqs) > 0 && !BufferedFrame(br) {
 				break
 			}
-			frame, err := ReadFrame(br, frameBuf[:0])
+			n, err := w.read(br)
 			if err != nil {
-				if len(reqs) > 0 {
-					break // execute what we have; the error resurfaces next read
-				}
-				if !errors.Is(err, io.EOF) && !s.isDraining() {
+				// A malformed frame drops the connection, unexecuted
+				// requests of the window included: framing state past it
+				// is unknowable. Anything else is the peer or a drain
+				// ending the stream between windows (a buffered frame
+				// cannot fail to read).
+				switch {
+				case errors.Is(err, ErrMalformed):
 					s.stats.ConnErrors.Inc()
-				} else if s.isDraining() {
+				case s.isDraining():
 					s.stats.Drains.Inc()
+				case !errors.Is(err, io.EOF):
+					s.stats.ConnErrors.Inc()
 				}
 				return
 			}
-			frameBuf = frame[:0]
-			s.stats.BytesIn.Add(uint64(headerLen + len(frame)))
-			reqs = reqs[:len(reqs)+1]
-			if err := DecodeRequest(frame, &reqs[len(reqs)-1]); err != nil {
-				// Framing state past a malformed frame is unknowable;
-				// drop the connection.
-				s.stats.ConnErrors.Inc()
-				return
-			}
+			s.stats.BytesIn.Add(uint64(headerLen + n))
 		}
 
 		s.stats.Batches.Inc()
-		s.stats.Requests.Add(uint64(len(reqs)))
-		s.stats.BatchSize.ObserveNs(uint64(len(reqs)))
+		s.stats.Requests.Add(uint64(len(w.reqs)))
+		s.stats.BatchSize.ObserveNs(uint64(len(w.reqs)))
 		if s.cfg.InjectDelay > 0 {
-			time.Sleep(s.cfg.InjectDelay * time.Duration(len(reqs)))
+			time.Sleep(s.cfg.InjectDelay * time.Duration(len(w.reqs)))
 		}
 
-		// Map the window onto one grid batch, preserving request order.
 		wrote := false
-		for i := range reqs {
-			req := &reqs[i]
-			var kind store.BatchOpKind
+		for i := range w.reqs {
+			req := &w.reqs[i]
 			switch req.Op {
-			case OpPing, OpStats:
-				opIdx = append(opIdx, -1)
-				continue
-			case OpInsert:
-				kind, wrote = store.BatchInsert, true
-			case OpRead:
-				kind = store.BatchRead
-			case OpUpdate:
-				kind, wrote = store.BatchUpdate, true
-			case OpDelete:
-				kind, wrote = store.BatchDelete, true
-			case OpRMW:
-				kind, wrote = store.BatchRMW, true
-			case OpAddDelta:
-				kind, wrote = store.BatchAddDelta, true
+			case OpPing:
+				w.out = AppendResponse(w.out, &Response{Op: OpPing})
+			case OpStats:
+				w.out = AppendResponse(w.out, &Response{Op: OpStats, Blob: s.cfg.StatsJSON()})
+			default:
+				wrote = wrote || req.Op != OpRead
+				w.apply(s.cfg.Grid, req)
 			}
-			opIdx = append(opIdx, len(ops))
-			ops = append(ops, store.BatchOp{Kind: kind, Key: req.Key, Fields: req.Fields,
-				Field: req.Field, Delta: req.Delta})
-		}
-		if len(ops) > 0 {
-			s.cfg.Grid.ApplyBatch(ops, results[:len(ops)])
 		}
 		if wrote && s.cfg.AwaitDurable != nil {
 			// One durability wait for the whole window: every write above
@@ -261,30 +347,12 @@ func (s *Server) handle(conn net.Conn) {
 			s.stats.WriteFences.Inc()
 		}
 
-		out = out[:0]
-		for i := range reqs {
-			resp := Response{Op: reqs[i].Op, Status: StatusOK}
-			if j := opIdx[i]; j >= 0 {
-				r := &results[j]
-				switch {
-				case r.Err == nil:
-					resp.Fields = r.Fields
-				case errors.Is(r.Err, store.ErrNotFound):
-					resp.Status = StatusNotFound
-				default:
-					resp.Status = StatusErr
-					resp.Msg = r.Err.Error()
-				}
-			} else if reqs[i].Op == OpStats {
-				resp.Blob = s.cfg.StatsJSON()
-			}
-			out = AppendResponse(out, &resp)
-		}
-		if _, err := conn.Write(out); err != nil {
+		if _, err := conn.Write(w.out); err != nil {
 			s.stats.ConnErrors.Inc()
 			return
 		}
-		s.stats.BytesOut.Add(uint64(len(out)))
+		s.stats.BytesOut.Add(uint64(len(w.out)))
+		w.reset()
 
 		if s.isDraining() {
 			// Graceful drain: the in-flight window is answered, durable,

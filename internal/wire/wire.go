@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/store"
 )
@@ -135,10 +136,36 @@ func appendBytes(dst, b []byte) []byte {
 }
 
 // decoder walks a frame payload with bounds checks; every read error
-// collapses into ErrMalformed.
+// collapses into ErrMalformed. With a names table it decodes in place
+// (the server's mode): field values are sub-slices of buf and field names
+// come out of the table. Without one every decoded field is a copy.
 type decoder struct {
-	buf []byte
-	off int
+	buf   []byte
+	off   int
+	names nameTable
+}
+
+// nameTable interns the field names of one connection: a workload names
+// the same few fields in every request, so after the first window a
+// decoded name costs a map probe, not an allocation. Names are owned
+// strings either way (DESIGN.md §18); the table only saves the copy. It
+// is bounded — once full, or for a long name, a name is a fresh string.
+type nameTable map[string]string
+
+const (
+	maxInternedNames = 64
+	maxInternedLen   = 64
+)
+
+func (t nameTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	s := string(b)
+	if len(t) < maxInternedNames && len(b) <= maxInternedLen {
+		t[s] = s
+	}
+	return s
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -177,7 +204,18 @@ func (d *decoder) str(limit int) (string, error) {
 	return string(b), err
 }
 
-func (d *decoder) fields() ([]store.Field, error) {
+// name decodes a field name: interned in in-place mode, else a fresh string.
+func (d *decoder) name() (string, error) {
+	b, err := d.bytes(MaxFieldName)
+	if err != nil || d.names == nil {
+		return string(b), err
+	}
+	return d.names.intern(b), nil
+}
+
+// fields decodes a field list onto the empty dst (in-place mode, reusing
+// its capacity) or into a fresh slice (copying mode).
+func (d *decoder) fields(dst []store.Field) ([]store.Field, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -185,9 +223,11 @@ func (d *decoder) fields() ([]store.Field, error) {
 	if n > MaxFields {
 		return nil, ErrMalformed
 	}
-	fs := make([]store.Field, 0, n)
+	if d.names == nil {
+		dst = make([]store.Field, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
-		name, err := d.str(MaxFieldName)
+		name, err := d.name()
 		if err != nil {
 			return nil, err
 		}
@@ -195,11 +235,12 @@ func (d *decoder) fields() ([]store.Field, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Copy the value out of the frame buffer: the buffer is reused
-		// for the next frame while batch results may still be alive.
-		fs = append(fs, store.Field{Name: name, Value: append([]byte(nil), val...)})
+		if d.names == nil {
+			val = append([]byte(nil), val...)
+		}
+		dst = append(dst, store.Field{Name: name, Value: val})
 	}
-	return fs, nil
+	return dst, nil
 }
 
 func (d *decoder) done() error {
@@ -209,11 +250,14 @@ func (d *decoder) done() error {
 	return nil
 }
 
+func appendField(dst []byte, name string, value []byte) []byte {
+	return appendBytes(appendString(dst, name), value)
+}
+
 func appendFields(dst []byte, fs []store.Field) []byte {
 	dst = appendUvarint(dst, uint64(len(fs)))
 	for _, f := range fs {
-		dst = appendString(dst, f.Name)
-		dst = appendBytes(dst, f.Value)
+		dst = appendField(dst, f.Name, f.Value)
 	}
 	return dst
 }
@@ -245,7 +289,17 @@ func AppendRequest(dst []byte, req *Request) []byte {
 // Field values are copied out of the frame buffer; names and keys are
 // freshly allocated strings.
 func DecodeRequest(frame []byte, req *Request) error {
-	*req = Request{}
+	req.Fields = nil
+	return decodeRequest(frame, req, nil)
+}
+
+// decodeRequest is DecodeRequest with the decoding mode made explicit. A
+// non-nil names table selects the server's in-place mode: field values
+// alias frame, req.Fields reuses the capacity it arrives with, and field
+// names (Request.Field included) are interned. Keys are owned strings in
+// both modes — the volatile mirrors and the record cache retain them.
+func decodeRequest(frame []byte, req *Request, names nameTable) error {
+	*req = Request{Fields: req.Fields[:0]}
 	if len(frame) < 1 {
 		return ErrMalformed
 	}
@@ -254,7 +308,7 @@ func DecodeRequest(frame []byte, req *Request) error {
 		return fmt.Errorf("%w: unknown op %d", ErrMalformed, frame[0])
 	}
 	req.Op = op
-	d := decoder{buf: frame, off: 1}
+	d := decoder{buf: frame, off: 1, names: names}
 	switch op {
 	case OpPing, OpStats:
 		return d.done()
@@ -266,22 +320,16 @@ func DecodeRequest(frame []byte, req *Request) error {
 	req.Key = key
 	switch op {
 	case OpInsert, OpUpdate, OpRMW:
-		fs, err := d.fields()
-		if err != nil {
+		if req.Fields, err = d.fields(req.Fields); err != nil {
 			return err
 		}
-		req.Fields = fs
 	case OpAddDelta:
-		field, err := d.str(MaxFieldName)
-		if err != nil {
+		if req.Field, err = d.name(); err != nil {
 			return err
 		}
-		req.Field = field
-		delta, err := d.varint()
-		if err != nil {
+		if req.Delta, err = d.varint(); err != nil {
 			return err
 		}
-		req.Delta = delta
 	}
 	return d.done()
 }
@@ -300,6 +348,34 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 		dst = appendFields(dst, resp.Fields)
 	case resp.Status == StatusOK && resp.Op == OpStats:
 		dst = appendBytes(dst, resp.Blob)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-headerLen))
+	return dst
+}
+
+// A READ reply can also be streamed, for a producer that learns the field
+// count only by walking the record: beginReadReply appends the frame up to
+// a one-byte count placeholder, the caller appends (name, value) pairs
+// with appendField, and endReadReply back-patches count and length. The
+// result is byte-identical to AppendResponse of the same fields.
+func beginReadReply(dst []byte) []byte {
+	return append(dst, 0, 0, 0, 0, byte(OpRead), byte(StatusOK), 0)
+}
+
+// endReadReply finishes the reply begun at dst[start:] with n streamed
+// fields. A count of 128 or more does not fit the placeholder byte; the
+// pairs then shift right to make room for the longer uvarint.
+func endReadReply(dst []byte, start, n int) []byte {
+	cnt := start + headerLen + 2
+	if n < 0x80 {
+		dst[cnt] = byte(n)
+	} else {
+		var uv [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(uv[:], uint64(n))
+		end := len(dst)
+		dst = append(dst, uv[:k-1]...)
+		copy(dst[cnt+k:], dst[cnt+1:end])
+		copy(dst[cnt:], uv[:k])
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-headerLen))
 	return dst
@@ -329,7 +405,7 @@ func DecodeResponse(frame []byte, resp *Response) error {
 		}
 		resp.Msg = msg
 	case st == StatusOK && op == OpRead:
-		fs, err := d.fields()
+		fs, err := d.fields(nil)
 		if err != nil {
 			return err
 		}
@@ -350,22 +426,34 @@ func DecodeResponse(frame []byte, resp *Response) error {
 // buf when it is large enough. The returned slice is only valid until the
 // next ReadFrame on the same buf.
 func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
+	_, frame, err := appendFrame(br, buf[:0])
+	return frame, err
+}
+
+// appendFrame reads one frame body onto the end of buf and returns the
+// grown buffer and the body, a sub-slice of it. Growing may move the
+// buffer; sub-slices handed out earlier keep pointing at the old array,
+// which stays intact, so a window's frames can be appended one after the
+// other while requests decoded in place still reference the earlier ones.
+func appendFrame(br *bufio.Reader, buf []byte) (grown, frame []byte, err error) {
+	hdr, err := br.Peek(headerLen)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	br.Discard(headerLen) // cannot fail: Peek just buffered these bytes
 	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("%w: frame length %d", ErrMalformed, n)
+		return buf, nil, fmt.Errorf("%w: frame length %d", ErrMalformed, n)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
+	off := len(buf)
+	buf = slices.Grow(buf, int(n))[:off+int(n)]
+	if _, err := io.ReadFull(br, buf[off:]); err != nil {
+		return buf[:off], nil, err
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return buf, buf[off:], nil
 }
 
 // BufferedFrame reports whether a complete frame is already sitting in

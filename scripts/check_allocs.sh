@@ -1,9 +1,10 @@
 #!/bin/sh
 # Gate the allocation-free read paths (DESIGN.md §14): the zero-copy grid
 # read and the map GetRef/cached-Get fast paths must stay at 0 allocs/op,
-# and every other grid read regime must stay within a small ceiling. Runs
-# the read benchmarks once and parses the -benchmem column, so a stray
-# allocation in the hot loop fails CI instead of silently costing GC.
+# and every other grid read regime must stay within a small ceiling; and
+# gate the wire server's per-request allocations (DESIGN.md §18). Runs the
+# benchmarks once and parses the -benchmem column, so a stray allocation
+# in a hot loop fails CI instead of silently costing GC.
 #
 # Usage: scripts/check_allocs.sh [bench output file]
 # Without an argument the benchmarks are run here (short benchtime: the
@@ -16,6 +17,11 @@ if [ -z "$out" ]; then
     trap 'rm -f "$out"' EXIT
     go test -run '^$' -bench 'MapGet|GridRead' -benchtime 100x -benchmem \
         ./internal/bench/ | tee "$out"
+    # The server path (DESIGN.md §18): one op is one request of a 16-deep
+    # pipeline window; enough iterations that one-off growth of a
+    # connection's buffers rounds to nothing.
+    go test -run '^$' -bench 'ServerWindow' -benchtime 4000x -benchmem \
+        ./internal/wire/ | tee -a "$out"
 fi
 
 # ceiling <pattern> <max allocs/op>: every matching benchmark row must
@@ -64,7 +70,21 @@ ceiling 'GridRead/copyfallback' 48
 ceiling 'GridRead/cachehit' 4
 ceiling 'GridRead/cachemiss' 40
 
+# The server's pipeline window is a single pass with no per-field
+# allocation: a READ request costs the key string plus Grid.Read's own
+# few allocations however many fields the record has (the deep-copying
+# window it replaced cost 33), and an UPDATE request at most two more than
+# the same update through Grid.Update directly (the grid-update row).
+if grep -qE '^Benchmark.*ServerWindow/grid-update' "$out"; then
+    base=$(grep -E '^Benchmark.*ServerWindow/grid-update' "$out" | awk '{ print $7; exit }')
+    ceiling 'ServerWindow/read' 5
+    ceiling 'ServerWindow/update' $((base + 2))
+    ceiling 'ServerWindow/adddelta' 5
+else
+    echo "check_allocs: note: no ServerWindow rows (old bench output?); skipping" >&2
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "check_allocs: all read-path allocation ceilings hold"
+echo "check_allocs: all allocation ceilings hold"

@@ -2,8 +2,9 @@
 # Gate the full benchmark columns (DESIGN.md §14, §15, §17): re-run the
 # baseline at the committed scale and fail if any row's pwb/op,
 # pfence/op or allocs/op regressed beyond tolerance against
-# results/BENCH_baseline.json — and, beyond what check_pwb.sh gates,
-# also compare throughput (Kops/s) for rows whose committed counterpart
+# results/BENCH_baseline.json, or if the shared-barrier group-commit
+# rows stop beating per-Tx on fences at 8+ concurrent committers. Also
+# compare throughput (Kops/s) for rows whose committed counterpart
 # ran on a host with the same CPU count (num_cpu is recorded per row, so
 # cross-host runs skip the throughput half instead of failing
 # spuriously). The in-run sharding head-to-head (4 pools vs 1 at 8
