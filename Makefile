@@ -94,15 +94,12 @@ bench-shard:
 	$(GO) run ./cmd/shardbench -out results/BENCH_shard.json
 
 # Lock-free J-PDT smoke (DESIGN.md §16): the EBR-pinned grid read must
-# stay allocation-free next to the seqlock path, the lock-free suites must
-# hold under the race detector, and the pdtlockfree crash workload must
-# survive CI-depth exploration with the serial-vs-parallel recovery
-# cross-check. CI runs this on every push (crashmc-smoke re-covers the
-# workload at the same depth via -workload all).
+# stay allocation-free next to the seqlock path, and the lock-free suites
+# must hold under the race detector. CI runs this on every push; the
+# pdtlockfree crash workload is explored by crashmc-smoke (-workload all).
 bench-lockfree:
 	$(GO) test -run '^$$' -bench 'GridRead/(zerocopy|lockfree)' -benchtime 100x -benchmem ./internal/bench/
 	$(GO) test -race -run 'TestLF|TestMapHotCache|TestMirrorSkipAscend' ./internal/pdt/
-	$(GO) run ./cmd/crashmc -workload pdtlockfree -points 200 -samples 4 -seed 1
 
 microbench:
 	$(GO) test -bench=. -benchmem .

@@ -195,15 +195,11 @@ func (e *Env) Snapshot() *obs.StackSnapshot {
 		// The global layer gauges are the element-wise sums of the
 		// per-pool breakdown, so existing tooling (check_bench.sh, the
 		// report printer) reads a sharded stack unchanged.
-		var nv obs.NVMSnapshot
-		var hp obs.HeapSnapshot
-		var fs obs.FASnapshot
+		var total obs.PoolSnapshot
 		for _, p := range sh.PerPool {
-			nv = nv.Add(p.NVM)
-			hp = hp.Add(p.Heap)
-			fs = fs.Add(p.FA)
+			total = total.Add(p)
 		}
-		s.NVM, s.Heap, s.FA = &nv, &hp, &fs
+		s.NVM, s.Heap, s.FA = &total.NVM, &total.Heap, &total.FA
 	}
 	s.Finalize()
 	return s

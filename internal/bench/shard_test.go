@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/ycsb"
 )
 
@@ -65,28 +66,21 @@ func TestShardSnapshotSums(t *testing.T) {
 	if s.Shard == nil || len(s.Shard.PerPool) != 4 {
 		t.Fatalf("missing per-pool breakdown: %+v", s.Shard)
 	}
-	var pwb, fences, objAllocs, objFrees, bump, commits uint64
+	var nvm obs.NVMSnapshot
+	var heap obs.HeapSnapshot
+	var fa obs.FASnapshot
 	active := 0
 	for _, p := range s.Shard.PerPool {
-		pwb += p.NVM.PWBs
-		fences += p.NVM.PFences
-		objAllocs += p.Heap.ObjAllocs
-		objFrees += p.Heap.ObjFrees
-		bump += p.Heap.Bump
-		commits += p.FA.Committed
+		nvm, heap, fa = nvm.Add(p.NVM), heap.Add(p.Heap), fa.Add(p.FA)
 		if p.Heap.ObjAllocs > 0 {
 			active++
 		}
 	}
-	if s.NVM.PWBs != pwb || s.NVM.PFences != fences {
-		t.Errorf("NVM sums: global pwb=%d pfence=%d, per-pool %d/%d", s.NVM.PWBs, s.NVM.PFences, pwb, fences)
+	if *s.NVM != nvm || *s.Heap != heap || *s.FA != fa {
+		t.Errorf("global layers\n%+v %+v %+v\nare not the per-pool sums\n%+v %+v %+v", *s.NVM, *s.Heap, *s.FA, nvm, heap, fa)
 	}
-	if s.Heap.ObjAllocs != objAllocs || s.Heap.ObjFrees != objFrees || s.Heap.Bump != bump {
-		t.Errorf("heap sums: global allocs=%d frees=%d bump=%d, per-pool %d/%d/%d",
-			s.Heap.ObjAllocs, s.Heap.ObjFrees, s.Heap.Bump, objAllocs, objFrees, bump)
-	}
-	if s.FA.Committed != commits {
-		t.Errorf("fa sums: global commits=%d, per-pool %d", s.FA.Committed, commits)
+	if nvm.PWBs == 0 || heap.Bump == 0 || fa.Committed == 0 {
+		t.Errorf("sums are empty: %+v %+v %+v", nvm, heap, fa)
 	}
 	// Jump hashing must actually spread the dataset: every pool allocated.
 	if active != 4 {

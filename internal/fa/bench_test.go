@@ -1,6 +1,8 @@
 package fa
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -26,45 +28,82 @@ func BenchmarkCommitSingleField(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitParallel exercises the lock-free Begin/End path from
-// every P: each worker commits against its own account, so the measured
-// contention is purely the manager's (slot freelist + warm-Tx cache).
+// BenchmarkCommitParallel prices the three commit protocols against each
+// other under concurrent committers: per-Tx, CommitGroup (the fence
+// combiner) and CommitAsync with AwaitDurable(ticket) straight after each
+// commit — the pairing ROADMAP's "one commit pipeline" item supposes
+// equivalent to CommitGroup. Every committer moves money between its own
+// two accounts (two dirty blocks per transfer, disjoint write sets), on a
+// pool with the repo's default 120 ns fence. ns/op is wall time per
+// transfer across all committers; pfence/op is the column to compare
+// (EXPERIMENTS.md, "Commit protocols under concurrent committers").
 func BenchmarkCommitParallel(b *testing.B) {
-	pool := nvm.New(1<<24, nvm.Options{})
+	protocols := []struct {
+		name string
+		opts GroupOptions
+	}{
+		{"per-tx", GroupOptions{Mode: CommitPerTx}},
+		{"group", GroupOptions{Mode: CommitGroup}},
+		{"async-await", GroupOptions{Mode: CommitAsync}},
+	}
+	for _, proto := range protocols {
+		for _, committers := range []int{2, 8, 64} {
+			b.Run(fmt.Sprintf("%s/committers=%d", proto.name, committers), func(b *testing.B) {
+				benchCommitProtocol(b, proto.opts, committers)
+			})
+		}
+	}
+}
+
+func benchCommitProtocol(b *testing.B, opts GroupOptions, committers int) {
+	pool := nvm.New(1<<24, nvm.Options{FenceLatency: 120})
 	cls := accountClass()
 	mgr := NewManager()
 	h, err := core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: 64, LogSlotSize: 1 << 14},
+		HeapOptions: heap.Options{LogSlots: 256, LogSlotSize: 1 << 14},
 		Classes:     []*core.Class{cls},
 		LogHandler:  mgr,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var failed atomic.Bool
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		po, err := h.Alloc(cls, accLen)
-		if err != nil {
-			b.Error(err)
-			failed.Store(true)
-			return
-		}
-		acc := po.(*account)
-		acc.Core().Validate()
-		i := uint64(0)
-		for pb.Next() {
-			i++
-			if err := mgr.Run(func(tx *Tx) error {
-				return tx.WriteUint64(acc.Core(), accA, i)
-			}); err != nil {
-				b.Error(err)
-				failed.Store(true)
-				return
-			}
-		}
-	})
-	if failed.Load() {
-		b.Fatal("parallel commit worker failed")
+	if err := mgr.SetGroupCommit(opts); err != nil {
+		b.Fatal(err)
 	}
+	accounts := make([]*account, 2*committers)
+	for i := range accounts {
+		accounts[i] = newAccount(b, h, cls, 1<<40, 0, fmt.Sprintf("acc%d", i))
+	}
+	before := pool.Obs().Snapshot()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(from, to *account) {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				tx, err := mgr.Begin()
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if err := transfer(tx, from, to, 1); err != nil {
+					tx.Abort()
+					b.Error(err)
+					return
+				}
+				ticket, err := tx.CommitTicket()
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				mgr.AwaitDurable(ticket) // zero ticket, immediate return, outside async mode
+			}
+		}(accounts[2*c], accounts[2*c+1])
+	}
+	wg.Wait()
+	b.StopTimer()
+	fences := pool.Obs().Snapshot().Sub(before).Fences()
+	b.ReportMetric(float64(fences)/float64(b.N), "pfence/op")
 }

@@ -139,19 +139,6 @@ func (m *Manager) AddDelta(orig core.Ref, off uint64, delta int64) (uint64, erro
 	return ticket, nil
 }
 
-// DeltaPending reports whether block orig has an unmaterialized delta.
-// The common no-deltas case is one atomic load; readers that get true
-// call Settle before trusting the raw block image.
-func (m *Manager) DeltaPending(orig core.Ref) bool {
-	g := m.group.Load()
-	if g == nil || g.mode != CommitAsync || g.backlog.Load() == 0 {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.deltaBlocks[orig] > 0
-}
-
 // Settle drains until block orig is held by no queued commit and has no
 // pending delta, making its raw NVMM image current. No-op outside async
 // mode.

@@ -101,6 +101,15 @@ func TestDeltaSignedFold(t *testing.T) {
 	}
 }
 
+// deltaPending reports whether block orig has an unmaterialized delta in
+// the async ledger.
+func deltaPending(m *Manager, orig core.Ref) bool {
+	g := m.group.Load()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.deltaBlocks[orig] > 0
+}
+
 // TestDeltaDrainOnMiss: a transactional read of a block with a pending
 // delta must settle it first (reads-see-acknowledged-writes), the same
 // waitClear discipline queued commits get.
@@ -115,8 +124,8 @@ func TestDeltaDrainOnMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mgr.DeltaPending(blk) {
-		t.Fatal("DeltaPending = false with a ledger entry on the block")
+	if !deltaPending(mgr, blk) {
+		t.Fatal("deltaPending = false with a ledger entry on the block")
 	}
 	var seen uint64
 	if err := mgr.Run(func(tx *Tx) error {
@@ -132,8 +141,8 @@ func TestDeltaDrainOnMiss(t *testing.T) {
 	if mgr.DurableWatermark() < ticket {
 		t.Fatal("settling drain did not advance the watermark past the delta ticket")
 	}
-	if mgr.DeltaPending(blk) {
-		t.Fatal("DeltaPending = true after settle")
+	if deltaPending(mgr, blk) {
+		t.Fatal("deltaPending = true after settle")
 	}
 }
 
@@ -314,6 +323,12 @@ func TestDeltaMixedWithCommitsConcurrent(t *testing.T) {
 	blk, off := blockOf(acc)
 	const workers = 4
 	const perWorker = 100
+	// The application's lock on the record, held across Commit as fa
+	// requires (the grid's stripe lock plays this part): a read-modify-
+	// write excludes everything else on the word from its read to its
+	// commit, deltas commute and share. Without it the increments race by
+	// design and the sum comes up short.
+	var recordLock sync.RWMutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -322,6 +337,7 @@ func TestDeltaMixedWithCommitsConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				if (w+i)%3 == 0 {
 					// Transactional increment of the same word.
+					recordLock.Lock()
 					err := mgr.Run(func(tx *Tx) error {
 						v, err := tx.ReadUint64(acc.Core(), accA)
 						if err != nil {
@@ -329,11 +345,17 @@ func TestDeltaMixedWithCommitsConcurrent(t *testing.T) {
 						}
 						return tx.WriteUint64(acc.Core(), accA, v+1)
 					})
+					recordLock.Unlock()
 					if err != nil {
 						t.Error(err)
 						return
 					}
-				} else if _, err := mgr.AddDelta(blk, off, 1); err != nil {
+					continue
+				}
+				recordLock.RLock()
+				_, err := mgr.AddDelta(blk, off, 1)
+				recordLock.RUnlock()
+				if err != nil {
 					t.Error(err)
 					return
 				}

@@ -102,7 +102,7 @@ type groupState struct {
 	// Delta ledger (delta.go): pending net deltas folded by AddDelta,
 	// materialized into the next epoch. order preserves first-fold order;
 	// deltaBlocks counts pending entries per block for waitClear; backlog
-	// mirrors len(ledger) for the lock-free DeltaPending fast path.
+	// mirrors len(ledger) so a metrics snapshot reads it without the lock.
 	ledger      map[deltaKey]*deltaEntry
 	order       []deltaKey
 	deltaBlocks map[core.Ref]int

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -189,6 +191,68 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if _, ok := read["p99_ns"]; !ok {
 		t.Fatalf("json missing p99_ns: %s", b)
+	}
+
+	// The keys the repo's benchmark reads out of a stats document
+	// (pinnedKeys and pinnedServerKeys of benchmarks/harness/stack.go,
+	// copied because that module may not be imported): a renamed JSON tag
+	// fails here rather than first in `make bench-e2e-smoke`.
+	doc, err := json.Marshal(map[string]any{
+		"stack":    filled[StackSnapshot](0, 4),
+		"recovery": []RecoverySnapshot{filled[RecoverySnapshot](0, 0)},
+		"server":   filled[ServerSnapshot](0, 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top any
+	if err := json.Unmarshal(doc, &top); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{
+		"stack.nvm.stores", "stack.nvm.pwbs", "stack.nvm.pfences", "stack.nvm.psyncs",
+		"stack.heap.obj_allocs", "stack.heap.obj_frees", "stack.heap.small_allocs", "stack.heap.small_frees",
+		"stack.heap.bump_allocs", "stack.heap.reuse_allocs", "stack.heap.transient_reuse",
+		"stack.heap.bump_high_water", "stack.heap.free_list_depth",
+		"stack.fa.begun", "stack.fa.committed", "stack.fa.log_entries", "stack.fa.tx_slot_reuse",
+		"stack.fa.flushed_lines", "stack.fa.coalesced_lines_saved", "stack.fa.group_epochs",
+		"stack.fa.group_epoch_txs", "stack.fa.async_commits", "stack.fa.delta_ops", "stack.fa.delta_entries",
+		"stack.fa.delta_flushes_saved", "stack.fa.watermark_lag",
+		"stack.grid.zero_copy_hits", "stack.grid.copy_fallbacks", "stack.grid.seqlock_retries",
+		"stack.grid.mirror_shard_lock_waits",
+		"recovery.0.replay_ns", "recovery.0.mark_ns", "recovery.0.sweep_ns", "recovery.0.rebuild_ns",
+		"recovery.0.live_objects", "recovery.0.swept_blocks", "recovery.0.replayed_tx",
+		"server.requests", "server.batches", "server.write_fences", "server.bytes_in", "server.bytes_out",
+	} {
+		at := top
+		for _, part := range strings.Split(key, ".") {
+			switch x := at.(type) {
+			case map[string]any:
+				at = x[part]
+			case []any:
+				i, _ := strconv.Atoi(part)
+				at = x[i]
+			}
+		}
+		if _, ok := at.(float64); !ok {
+			t.Errorf("stats document lacks pinned key %q", key)
+		}
+	}
+}
+
+// TestReportNamesEveryLayer: the pretty-printer gives every layer of a
+// full stack its line, the per-pool breakdown included.
+func TestReportNamesEveryLayer(t *testing.T) {
+	var buf strings.Builder
+	filled[StackSnapshot](0, 4).Report(&buf)
+	for _, want := range []string{
+		"read", "cache:", "read path:", "lockfree:", "persistence per op:", "nvm:", "heap:",
+		"fa:", "fa commit pipeline:", "fa group commit:", "fa delta ledger:",
+		"shard:", "  pool ", "recovery (",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

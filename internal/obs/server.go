@@ -38,35 +38,7 @@ type ServerSnapshot struct {
 }
 
 // Snapshot captures the current values.
-func (s *ServerStats) Snapshot() ServerSnapshot {
-	return ServerSnapshot{
-		ConnsAccepted: s.ConnsAccepted.Load(),
-		ConnsClosed:   s.ConnsClosed.Load(),
-		ConnErrors:    s.ConnErrors.Load(),
-
-		Requests:    s.Requests.Load(),
-		Batches:     s.Batches.Load(),
-		BatchSize:   s.BatchSize.Snapshot(),
-		WriteFences: s.WriteFences.Load(),
-		Drains:      s.Drains.Load(),
-
-		BytesIn:  s.BytesIn.Load(),
-		BytesOut: s.BytesOut.Load(),
-	}
-}
+func (s *ServerStats) Snapshot() ServerSnapshot { return load[ServerSnapshot](s) }
 
 // Sub returns the delta since prev.
-func (s ServerSnapshot) Sub(prev ServerSnapshot) ServerSnapshot {
-	out := s
-	out.ConnsAccepted -= prev.ConnsAccepted
-	out.ConnsClosed -= prev.ConnsClosed
-	out.ConnErrors -= prev.ConnErrors
-	out.Requests -= prev.Requests
-	out.Batches -= prev.Batches
-	out.BatchSize = s.BatchSize.Sub(prev.BatchSize)
-	out.WriteFences -= prev.WriteFences
-	out.Drains -= prev.Drains
-	out.BytesIn -= prev.BytesIn
-	out.BytesOut -= prev.BytesOut
-	return out
-}
+func (s ServerSnapshot) Sub(prev ServerSnapshot) ServerSnapshot { return sub(s, prev) }

@@ -31,24 +31,10 @@ type NVMSnapshot struct {
 }
 
 // Snapshot captures the current counter values.
-func (s *NVMStats) Snapshot() NVMSnapshot {
-	return NVMSnapshot{
-		Stores:  s.Stores.Load(),
-		PWBs:    s.PWBs.Load(),
-		PFences: s.PFences.Load(),
-		PSyncs:  s.PSyncs.Load(),
-	}
-}
+func (s *NVMStats) Snapshot() NVMSnapshot { return load[NVMSnapshot](s) }
 
 // Sub returns the delta since prev.
-func (s NVMSnapshot) Sub(prev NVMSnapshot) NVMSnapshot {
-	return NVMSnapshot{
-		Stores:  s.Stores - prev.Stores,
-		PWBs:    s.PWBs - prev.PWBs,
-		PFences: s.PFences - prev.PFences,
-		PSyncs:  s.PSyncs - prev.PSyncs,
-	}
-}
+func (s NVMSnapshot) Sub(prev NVMSnapshot) NVMSnapshot { return sub(s, prev) }
 
 // Fences returns ordering plus durability fences — the paper's combined
 // "pfence" column (both map to sfence on x86).
@@ -56,14 +42,7 @@ func (s NVMSnapshot) Fences() uint64 { return s.PFences + s.PSyncs }
 
 // Add returns the element-wise sum — used to aggregate per-pool snapshots
 // into the global view of a sharded stack.
-func (s NVMSnapshot) Add(o NVMSnapshot) NVMSnapshot {
-	return NVMSnapshot{
-		Stores:  s.Stores + o.Stores,
-		PWBs:    s.PWBs + o.PWBs,
-		PFences: s.PFences + o.PFences,
-		PSyncs:  s.PSyncs + o.PSyncs,
-	}
-}
+func (s NVMSnapshot) Add(o NVMSnapshot) NVMSnapshot { return add(s, o) }
 
 // ---- Block heap (internal/heap) ----
 
@@ -95,64 +74,24 @@ type HeapSnapshot struct {
 
 	TransientReuse uint64 `json:"transient_reuse"`
 
-	// Gauges (not deltaed by Sub).
-	Bump        uint64 `json:"bump_high_water"`
-	FreeBlocks  uint64 `json:"free_list_depth"`
-	TotalBlocks uint64 `json:"total_blocks"`
+	Bump        uint64 `json:"bump_high_water" obs:"gauge"`
+	FreeBlocks  uint64 `json:"free_list_depth" obs:"gauge"`
+	TotalBlocks uint64 `json:"total_blocks" obs:"gauge"`
 }
 
 // Snapshot captures the counters plus the supplied allocator gauges.
 func (s *HeapStats) Snapshot(bump, freeBlocks, totalBlocks uint64) HeapSnapshot {
-	return HeapSnapshot{
-		ObjAllocs:   s.ObjAllocs.Load(),
-		ObjFrees:    s.ObjFrees.Load(),
-		SmallAllocs: s.SmallAllocs.Load(),
-		SmallFrees:  s.SmallFrees.Load(),
-		Carves:      s.Carves.Load(),
-		BumpAllocs:  s.BumpAllocs.Load(),
-		ReuseAllocs: s.ReuseAllocs.Load(),
-
-		TransientReuse: s.TransientReuse.Load(),
-
-		Bump:        bump,
-		FreeBlocks:  freeBlocks,
-		TotalBlocks: totalBlocks,
-	}
-}
-
-// Sub returns the delta since prev; gauges keep their current values.
-func (s HeapSnapshot) Sub(prev HeapSnapshot) HeapSnapshot {
-	out := s
-	out.ObjAllocs -= prev.ObjAllocs
-	out.ObjFrees -= prev.ObjFrees
-	out.SmallAllocs -= prev.SmallAllocs
-	out.SmallFrees -= prev.SmallFrees
-	out.Carves -= prev.Carves
-	out.BumpAllocs -= prev.BumpAllocs
-	out.ReuseAllocs -= prev.ReuseAllocs
-	out.TransientReuse -= prev.TransientReuse
+	out := load[HeapSnapshot](s)
+	out.Bump, out.FreeBlocks, out.TotalBlocks = bump, freeBlocks, totalBlocks
 	return out
 }
 
+// Sub returns the delta since prev; gauges keep their current values.
+func (s HeapSnapshot) Sub(prev HeapSnapshot) HeapSnapshot { return sub(s, prev) }
+
 // Add returns the element-wise sum; gauges sum too (per-pool bump
 // high-waters and free-list depths add up to set-wide capacity figures).
-func (s HeapSnapshot) Add(o HeapSnapshot) HeapSnapshot {
-	return HeapSnapshot{
-		ObjAllocs:   s.ObjAllocs + o.ObjAllocs,
-		ObjFrees:    s.ObjFrees + o.ObjFrees,
-		SmallAllocs: s.SmallAllocs + o.SmallAllocs,
-		SmallFrees:  s.SmallFrees + o.SmallFrees,
-		Carves:      s.Carves + o.Carves,
-		BumpAllocs:  s.BumpAllocs + o.BumpAllocs,
-		ReuseAllocs: s.ReuseAllocs + o.ReuseAllocs,
-
-		TransientReuse: s.TransientReuse + o.TransientReuse,
-
-		Bump:        s.Bump + o.Bump,
-		FreeBlocks:  s.FreeBlocks + o.FreeBlocks,
-		TotalBlocks: s.TotalBlocks + o.TotalBlocks,
-	}
-}
+func (s HeapSnapshot) Add(o HeapSnapshot) HeapSnapshot { return add(s, o) }
 
 // ---- Failure-atomic blocks (internal/fa) ----
 
@@ -195,7 +134,7 @@ type FASnapshot struct {
 	// CombinedFences counts fence requests satisfied by a barrier another
 	// committer issued (sync-mode combining) plus the barriers an epoch
 	// drain amortized away vs the per-Tx protocol. Filled by the manager.
-	CombinedFences uint64 `json:"combined_fences"`
+	CombinedFences uint64 `json:"combined_fences" obs:"filled"`
 
 	DeltaOps     uint64 `json:"delta_ops"`
 	DeltasFolded uint64 `json:"deltas_folded"`
@@ -203,93 +142,28 @@ type FASnapshot struct {
 	// DeltaFlushesSaved is the redo-log writes (and their line flushes)
 	// that folding avoided: ops minus materialized entries minus the
 	// still-pending backlog. Filled by the manager.
-	DeltaFlushesSaved uint64 `json:"delta_flushes_saved"`
+	DeltaFlushesSaved uint64 `json:"delta_flushes_saved" obs:"filled"`
 
-	// Gauges.
-	SlotsTotal uint64 `json:"log_slots_total"`
-	SlotsInUse uint64 `json:"log_slots_in_use"`
+	SlotsTotal uint64 `json:"log_slots_total" obs:"gauge"`
+	SlotsInUse uint64 `json:"log_slots_in_use" obs:"gauge"`
 	// WatermarkLag is async commits acknowledged but not yet durable
 	// (tickets issued minus the durability watermark) at snapshot time.
-	WatermarkLag uint64 `json:"watermark_lag"`
+	WatermarkLag uint64 `json:"watermark_lag" obs:"gauge"`
 }
 
 // Snapshot captures the counters plus the supplied occupancy gauges.
 func (s *FAStats) Snapshot(slotsTotal, slotsInUse uint64) FASnapshot {
-	return FASnapshot{
-		Begun:      s.Begun.Load(),
-		Committed:  s.Committed.Load(),
-		Aborted:    s.Aborted.Load(),
-		LogEntries: s.LogEntries.Load(),
-		Replays:    s.Replays.Load(),
-
-		TxReuse:      s.TxReuse.Load(),
-		FlushedLines: s.FlushedLines.Load(),
-		SavedLines:   s.SavedLines.Load(),
-
-		Epochs:       s.Epochs.Load(),
-		EpochTxs:     s.EpochTxs.Load(),
-		AsyncCommits: s.AsyncCommits.Load(),
-
-		DeltaOps:     s.DeltaOps.Load(),
-		DeltasFolded: s.DeltasFolded.Load(),
-		DeltaEntries: s.DeltaEntries.Load(),
-
-		SlotsTotal: slotsTotal,
-		SlotsInUse: slotsInUse,
-	}
-}
-
-// Sub returns the delta since prev; gauges keep their current values.
-func (s FASnapshot) Sub(prev FASnapshot) FASnapshot {
-	out := s
-	out.Begun -= prev.Begun
-	out.Committed -= prev.Committed
-	out.Aborted -= prev.Aborted
-	out.LogEntries -= prev.LogEntries
-	out.Replays -= prev.Replays
-	out.TxReuse -= prev.TxReuse
-	out.FlushedLines -= prev.FlushedLines
-	out.SavedLines -= prev.SavedLines
-	out.Epochs -= prev.Epochs
-	out.EpochTxs -= prev.EpochTxs
-	out.AsyncCommits -= prev.AsyncCommits
-	out.CombinedFences -= prev.CombinedFences
-	out.DeltaOps -= prev.DeltaOps
-	out.DeltasFolded -= prev.DeltasFolded
-	out.DeltaEntries -= prev.DeltaEntries
-	out.DeltaFlushesSaved -= prev.DeltaFlushesSaved
+	out := load[FASnapshot](s)
+	out.SlotsTotal, out.SlotsInUse = slotsTotal, slotsInUse
 	return out
 }
 
+// Sub returns the delta since prev; gauges keep their current values.
+func (s FASnapshot) Sub(prev FASnapshot) FASnapshot { return sub(s, prev) }
+
 // Add returns the element-wise sum; gauges sum too (slot capacity and
 // occupancy across the per-pool redo-log managers).
-func (s FASnapshot) Add(o FASnapshot) FASnapshot {
-	return FASnapshot{
-		Begun:      s.Begun + o.Begun,
-		Committed:  s.Committed + o.Committed,
-		Aborted:    s.Aborted + o.Aborted,
-		LogEntries: s.LogEntries + o.LogEntries,
-		Replays:    s.Replays + o.Replays,
-
-		TxReuse:      s.TxReuse + o.TxReuse,
-		FlushedLines: s.FlushedLines + o.FlushedLines,
-		SavedLines:   s.SavedLines + o.SavedLines,
-
-		Epochs:         s.Epochs + o.Epochs,
-		EpochTxs:       s.EpochTxs + o.EpochTxs,
-		AsyncCommits:   s.AsyncCommits + o.AsyncCommits,
-		CombinedFences: s.CombinedFences + o.CombinedFences,
-
-		DeltaOps:          s.DeltaOps + o.DeltaOps,
-		DeltasFolded:      s.DeltasFolded + o.DeltasFolded,
-		DeltaEntries:      s.DeltaEntries + o.DeltaEntries,
-		DeltaFlushesSaved: s.DeltaFlushesSaved + o.DeltaFlushesSaved,
-
-		SlotsTotal:   s.SlotsTotal + o.SlotsTotal,
-		SlotsInUse:   s.SlotsInUse + o.SlotsInUse,
-		WatermarkLag: s.WatermarkLag + o.WatermarkLag,
-	}
-}
+func (s FASnapshot) Add(o FASnapshot) FASnapshot { return add(s, o) }
 
 // ---- Multi-pool sharding (internal/shard) ----
 
@@ -308,14 +182,20 @@ type ShardStats struct {
 // PoolSnapshot is one pool's slice of the stack: its NVM primitive
 // counters, allocator state, redo-log manager, and derived occupancy.
 type PoolSnapshot struct {
-	Index int          `json:"index"`
+	Index int          `json:"index" obs:"gauge"`
 	NVM   NVMSnapshot  `json:"nvm"`
 	Heap  HeapSnapshot `json:"heap"`
 	FA    FASnapshot   `json:"fa"`
 	// OccupancyPct is allocated blocks (bump high-water minus free-list
-	// depth) over total blocks, in percent.
-	OccupancyPct float64 `json:"occupancy_pct"`
+	// depth) over total blocks, in percent. The shard set fills it in; Sub
+	// and Add leave the receiver's value alone.
+	OccupancyPct float64 `json:"occupancy_pct" obs:"derived"`
 }
+
+// Add returns the element-wise sum of the three layers: folding a set's
+// per-pool breakdown gives the global layer view of a sharded stack
+// (Index sums too and means nothing on a total).
+func (p PoolSnapshot) Add(o PoolSnapshot) PoolSnapshot { return add(p, o) }
 
 // ShardSnapshot combines the counters with topology gauges and the
 // per-pool breakdown.
@@ -328,52 +208,21 @@ type ShardSnapshot struct {
 	MigrationResumes uint64 `json:"migration_resumes"`
 	PacerWaits       uint64 `json:"pacer_waits"`
 
-	// Gauges.
-	Pools     int    `json:"pools"`
-	Epoch     uint64 `json:"epoch"`
-	Migrating bool   `json:"migrating"`
+	Pools     int    `json:"pools" obs:"gauge"`
+	Epoch     uint64 `json:"epoch" obs:"gauge"`
+	Migrating bool   `json:"migrating" obs:"gauge"`
 
 	PerPool []PoolSnapshot `json:"per_pool,omitempty"`
 }
 
 // Snapshot captures the counters; the caller fills topology gauges and
 // the per-pool breakdown.
-func (s *ShardStats) Snapshot() ShardSnapshot {
-	return ShardSnapshot{
-		MigratedRecords:  s.MigratedRecords.Load(),
-		MigratedBytes:    s.MigratedBytes.Load(),
-		FallbackInserts:  s.FallbackInserts.Load(),
-		ProbeMisses:      s.ProbeMisses.Load(),
-		PoolAdds:         s.PoolAdds.Load(),
-		MigrationResumes: s.MigrationResumes.Load(),
-		PacerWaits:       s.PacerWaits.Load(),
-	}
-}
+func (s *ShardStats) Snapshot() ShardSnapshot { return load[ShardSnapshot](s) }
 
-// Sub returns the delta since prev; topology gauges and the per-pool
-// breakdown keep their current values (per-pool entries delta by index
-// when both sides carry the same pool count).
-func (s ShardSnapshot) Sub(prev ShardSnapshot) ShardSnapshot {
-	out := s
-	out.MigratedRecords -= prev.MigratedRecords
-	out.MigratedBytes -= prev.MigratedBytes
-	out.FallbackInserts -= prev.FallbackInserts
-	out.ProbeMisses -= prev.ProbeMisses
-	out.PoolAdds -= prev.PoolAdds
-	out.MigrationResumes -= prev.MigrationResumes
-	out.PacerWaits -= prev.PacerWaits
-	if len(s.PerPool) == len(prev.PerPool) {
-		out.PerPool = make([]PoolSnapshot, len(s.PerPool))
-		for i := range s.PerPool {
-			p := s.PerPool[i]
-			p.NVM = p.NVM.Sub(prev.PerPool[i].NVM)
-			p.Heap = p.Heap.Sub(prev.PerPool[i].Heap)
-			p.FA = p.FA.Sub(prev.PerPool[i].FA)
-			out.PerPool[i] = p
-		}
-	}
-	return out
-}
+// Sub returns the delta since prev; topology gauges keep their current
+// values, and so does the per-pool breakdown unless both sides carry the
+// same pool count, in which case its entries delta by index.
+func (s ShardSnapshot) Sub(prev ShardSnapshot) ShardSnapshot { return sub(s, prev) }
 
 // ---- Data grid (internal/store) ----
 
@@ -448,40 +297,26 @@ type GridSnapshot struct {
 	LFPersists     uint64 `json:"lf_persists"`
 	// LFPersistPerOp is LFPersists over the lock-free op count — the
 	// structure-level persist-at-destination cost (excludes value flushes).
-	LFPersistPerOp float64 `json:"lf_persist_per_op"`
+	LFPersistPerOp float64 `json:"lf_persist_per_op" obs:"derived"`
 
 	PerOp map[string]HistogramSnapshot `json:"per_op"`
 }
 
 // Snapshot captures the counters and every per-op histogram.
 func (s *GridStats) Snapshot() GridSnapshot {
-	out := GridSnapshot{
-		CacheHits:   s.CacheHits.Load(),
-		CacheMisses: s.CacheMisses.Load(),
-
-		ZeroCopyHits:   s.ReadPath.ZeroCopyHits.Load(),
-		CopyFallbacks:  s.ReadPath.CopyFallbacks.Load(),
-		SeqlockRetries: s.ReadPath.SeqlockRetries.Load(),
-		ShardLockWaits: s.ReadPath.ShardLockWaits.Load(),
-
-		LockFreeReads:  s.ReadPath.LockFreeReads.Load(),
-		LockFreeWrites: s.ReadPath.LockFreeWrites.Load(),
-		CASRetries:     s.ReadPath.CASRetries.Load(),
-		LFPersists:     s.ReadPath.LFPersists.Load(),
-
-		PerOp: make(map[string]HistogramSnapshot, len(GridOps)),
-	}
-	out.finalizeLF()
+	out := load[GridSnapshot](s)
+	out.PerOp = make(map[string]HistogramSnapshot, len(GridOps))
 	for _, op := range GridOps {
 		if h := s.Op(op); h.Count() > 0 {
 			out.PerOp[op] = h.Snapshot()
 		}
 	}
+	out.Finalize()
 	return out
 }
 
-// finalizeLF recomputes the derived lock-free persist rate.
-func (s *GridSnapshot) finalizeLF() {
+// Finalize recomputes the derived lock-free persist rate.
+func (s *GridSnapshot) Finalize() {
 	s.LFPersistPerOp = 0
 	if ops := s.LockFreeReads + s.LockFreeWrites; ops > 0 {
 		s.LFPersistPerOp = float64(s.LFPersists) / float64(ops)
@@ -497,36 +332,9 @@ func (s GridSnapshot) Ops() uint64 {
 	return n
 }
 
-// Sub returns the delta since prev; gauge-less, so everything subtracts.
-func (s GridSnapshot) Sub(prev GridSnapshot) GridSnapshot {
-	out := GridSnapshot{
-		CacheHits:   s.CacheHits - prev.CacheHits,
-		CacheMisses: s.CacheMisses - prev.CacheMisses,
-
-		ZeroCopyHits:   s.ZeroCopyHits - prev.ZeroCopyHits,
-		CopyFallbacks:  s.CopyFallbacks - prev.CopyFallbacks,
-		SeqlockRetries: s.SeqlockRetries - prev.SeqlockRetries,
-		ShardLockWaits: s.ShardLockWaits - prev.ShardLockWaits,
-
-		LockFreeReads:  s.LockFreeReads - prev.LockFreeReads,
-		LockFreeWrites: s.LockFreeWrites - prev.LockFreeWrites,
-		CASRetries:     s.CASRetries - prev.CASRetries,
-		LFPersists:     s.LFPersists - prev.LFPersists,
-
-		PerOp: make(map[string]HistogramSnapshot, len(s.PerOp)),
-	}
-	out.finalizeLF()
-	for op, h := range s.PerOp {
-		d := h.Sub(prev.PerOp[op])
-		if d.Count == 0 {
-			// Min/max are not interval-subtractable; a zero-count delta
-			// would leak the cumulative extremes, so drop the op entirely.
-			continue
-		}
-		out.PerOp[op] = d
-	}
-	return out
-}
+// Sub returns the delta since prev; gauge-less, so everything subtracts
+// (an operation with no samples in the interval drops out of PerOp).
+func (s GridSnapshot) Sub(prev GridSnapshot) GridSnapshot { return sub(s, prev) }
 
 // ---- Recovery pipeline (restart path: §4.2 replay, §4.1.3 GC, §4.3.2
 // mirror rebuild) ----
@@ -567,29 +375,11 @@ type RecoverySnapshot struct {
 	NullifiedRefs   uint64 `json:"nullified_refs"`
 	RebuildEntries  uint64 `json:"rebuild_entries"`
 
-	// Gauge (not deltaed by Sub).
-	Workers uint64 `json:"workers"`
+	Workers uint64 `json:"workers" obs:"max"`
 }
 
 // Snapshot captures the current counter values.
-func (s *RecoveryStats) Snapshot() RecoverySnapshot {
-	return RecoverySnapshot{
-		ReplayNs:  s.ReplayNs.Load(),
-		MarkNs:    s.MarkNs.Load(),
-		SweepNs:   s.SweepNs.Load(),
-		RebuildNs: s.RebuildNs.Load(),
-
-		ReplayedTx:      s.ReplayedTx.Load(),
-		MarkedBlocks:    s.MarkedBlocks.Load(),
-		SweptBlocks:     s.SweptBlocks.Load(),
-		ScrubbedHeaders: s.ScrubbedHeaders.Load(),
-		LiveObjects:     s.LiveObjects.Load(),
-		NullifiedRefs:   s.NullifiedRefs.Load(),
-		RebuildEntries:  s.RebuildEntries.Load(),
-
-		Workers: s.Workers.Load(),
-	}
-}
+func (s *RecoveryStats) Snapshot() RecoverySnapshot { return load[RecoverySnapshot](s) }
 
 // TotalNs returns the summed wall time of all recovery phases.
 func (s RecoverySnapshot) TotalNs() uint64 {
@@ -598,43 +388,12 @@ func (s RecoverySnapshot) TotalNs() uint64 {
 
 // Sub returns the delta since prev; the Workers gauge keeps its current
 // value.
-func (s RecoverySnapshot) Sub(prev RecoverySnapshot) RecoverySnapshot {
-	out := s
-	out.ReplayNs -= prev.ReplayNs
-	out.MarkNs -= prev.MarkNs
-	out.SweepNs -= prev.SweepNs
-	out.RebuildNs -= prev.RebuildNs
-	out.ReplayedTx -= prev.ReplayedTx
-	out.MarkedBlocks -= prev.MarkedBlocks
-	out.SweptBlocks -= prev.SweptBlocks
-	out.ScrubbedHeaders -= prev.ScrubbedHeaders
-	out.LiveObjects -= prev.LiveObjects
-	out.NullifiedRefs -= prev.NullifiedRefs
-	out.RebuildEntries -= prev.RebuildEntries
-	return out
-}
+func (s RecoverySnapshot) Sub(prev RecoverySnapshot) RecoverySnapshot { return sub(s, prev) }
 
 // Add returns the element-wise sum — aggregation across the pools of a
 // sharded heap, which recover concurrently. The Workers gauge takes the
 // maximum (it is a per-pool budget, not additive work).
-func (s RecoverySnapshot) Add(o RecoverySnapshot) RecoverySnapshot {
-	out := s
-	out.ReplayNs += o.ReplayNs
-	out.MarkNs += o.MarkNs
-	out.SweepNs += o.SweepNs
-	out.RebuildNs += o.RebuildNs
-	out.ReplayedTx += o.ReplayedTx
-	out.MarkedBlocks += o.MarkedBlocks
-	out.SweptBlocks += o.SweptBlocks
-	out.ScrubbedHeaders += o.ScrubbedHeaders
-	out.LiveObjects += o.LiveObjects
-	out.NullifiedRefs += o.NullifiedRefs
-	out.RebuildEntries += o.RebuildEntries
-	if o.Workers > out.Workers {
-		out.Workers = o.Workers
-	}
-	return out
-}
+func (s RecoverySnapshot) Add(o RecoverySnapshot) RecoverySnapshot { return add(s, o) }
 
 // ---- The whole stack ----
 
@@ -650,10 +409,10 @@ type StackSnapshot struct {
 
 	// Derived: persistence primitives per grid operation — the columns
 	// the paper's Table 3 reports per data-structure operation.
-	Ops         uint64  `json:"ops"`
-	PWBPerOp    float64 `json:"pwb_per_op"`
-	PFencePerOp float64 `json:"pfence_per_op"`
-	StoresPerOp float64 `json:"stores_per_op"`
+	Ops         uint64  `json:"ops" obs:"derived"`
+	PWBPerOp    float64 `json:"pwb_per_op" obs:"derived"`
+	PFencePerOp float64 `json:"pfence_per_op" obs:"derived"`
+	StoresPerOp float64 `json:"stores_per_op" obs:"derived"`
 }
 
 // Finalize recomputes the derived per-op columns from the layer
@@ -672,54 +431,9 @@ func (s *StackSnapshot) Finalize() {
 }
 
 // Sub returns the interval delta since prev, with derived columns
-// recomputed over the interval.
-func (s StackSnapshot) Sub(prev StackSnapshot) StackSnapshot {
-	var out StackSnapshot
-	if s.NVM != nil {
-		d := *s.NVM
-		if prev.NVM != nil {
-			d = d.Sub(*prev.NVM)
-		}
-		out.NVM = &d
-	}
-	if s.Heap != nil {
-		d := *s.Heap
-		if prev.Heap != nil {
-			d = d.Sub(*prev.Heap)
-		}
-		out.Heap = &d
-	}
-	if s.FA != nil {
-		d := *s.FA
-		if prev.FA != nil {
-			d = d.Sub(*prev.FA)
-		}
-		out.FA = &d
-	}
-	if s.Grid != nil {
-		d := s.Grid.Sub(GridSnapshot{})
-		if prev.Grid != nil {
-			d = s.Grid.Sub(*prev.Grid)
-		}
-		out.Grid = &d
-	}
-	if s.Recovery != nil {
-		d := *s.Recovery
-		if prev.Recovery != nil {
-			d = d.Sub(*prev.Recovery)
-		}
-		out.Recovery = &d
-	}
-	if s.Shard != nil {
-		d := *s.Shard
-		if prev.Shard != nil {
-			d = d.Sub(*prev.Shard)
-		}
-		out.Shard = &d
-	}
-	out.Finalize()
-	return out
-}
+// recomputed over the interval. A layer absent from s stays absent; one
+// absent from prev deltas against zero.
+func (s StackSnapshot) Sub(prev StackSnapshot) StackSnapshot { return sub(s, prev) }
 
 // Report pretty-prints the snapshot: per-op latency distribution first
 // (the figures), then the per-op primitive rates (Table 3), then raw

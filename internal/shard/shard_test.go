@@ -10,6 +10,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/heap"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 	"repro/internal/pdt"
 	"repro/internal/store"
 )
@@ -521,22 +522,23 @@ func TestSnapshotPerPoolSums(t *testing.T) {
 	if len(snap.PerPool) != 4 {
 		t.Fatalf("per-pool entries %d", len(snap.PerPool))
 	}
-	var sumAllocs, sumPWBs, sumBump uint64
-	for _, p := range snap.PerPool {
-		sumAllocs += p.Heap.ObjAllocs
-		sumPWBs += p.NVM.PWBs
-		sumBump += p.Heap.Bump
+	// Fold the breakdown and, independently, the live layers it was taken
+	// from (the set is quiescent, so the two reads agree).
+	var got, want obs.PoolSnapshot
+	for i, p := range snap.PerPool {
+		got = got.Add(p)
+		want = want.Add(obs.PoolSnapshot{
+			Index: i,
+			NVM:   pools[i].Obs().Snapshot(),
+			Heap:  s.Heap(i).Mem().ObsSnapshot(),
+			FA:    s.Manager(i).ObsSnapshot(),
+		})
 	}
-	var wantAllocs, wantPWBs, wantBump uint64
-	for i := 0; i < 4; i++ {
-		wantAllocs += s.Heap(i).Mem().Obs().ObjAllocs.Load()
-		wantPWBs += s.topo.Load().pools[i].Obs().PWBs.Load()
-		bump, _, _ := s.Heap(i).Mem().Stats()
-		wantBump += bump
+	if got != want {
+		t.Fatalf("per-pool sums %+v != layer totals %+v", got, want)
 	}
-	if sumAllocs != wantAllocs || sumPWBs != wantPWBs || sumBump != wantBump {
-		t.Fatalf("per-pool sums (%d,%d,%d) != layer totals (%d,%d,%d)",
-			sumAllocs, sumPWBs, sumBump, wantAllocs, wantPWBs, wantBump)
+	if got.Heap.ObjAllocs == 0 || got.NVM.PWBs == 0 || got.Heap.Bump == 0 || got.FA.SlotsTotal == 0 {
+		t.Fatalf("sums are empty: %+v", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package ycsb
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,8 +68,14 @@ func Run(db DB, cfg Config) (*Result, error) {
 		}
 	}
 
-	inserted := &atomic.Int64{}
+	// Keys [0, inserted) exist: the latest and uniform choosers draw from
+	// that range. Insert indices come from nextInsert, and inserted moves
+	// past an index only after its Insert has returned and every lower
+	// index has been published (the acked-prefix rule of loadgen
+	// -insert-seq), so no thread is handed a key that is not there yet.
+	inserted, nextInsert := &atomic.Int64{}, &atomic.Int64{}
 	inserted.Store(int64(cfg.RecordCount))
+	nextInsert.Store(int64(cfg.RecordCount))
 	chooser, err := newChooser(cfg, inserted)
 	if err != nil {
 		return nil, err
@@ -116,6 +123,7 @@ func Run(db DB, cfg Config) (*Result, error) {
 				op := chooseOp(cfg, rng)
 				t0 := time.Now()
 				var err error
+				var idx int64 // OpInsert: the index this operation inserts
 				switch op {
 				case OpRead:
 					err = db.Read(key(chooser.Next(rng)), noopConsume)
@@ -124,8 +132,8 @@ func Run(db DB, cfg Config) (*Result, error) {
 					fields := cfg.updateFieldsInto(rng, rec, i+1, updSlot[:], updVal)
 					err = db.Update(key(rec), fields)
 				case OpInsert:
-					idx := int(inserted.Add(1)) - 1
-					err = db.Insert(Key(idx), cfg.BuildRecord(idx))
+					idx = nextInsert.Add(1) - 1
+					err = db.Insert(Key(int(idx)), cfg.BuildRecord(int(idx)))
 				case OpRMW:
 					rec := chooser.Next(rng)
 					rmwFields = cfg.updateFieldsInto(rng, rec, i+1, updSlot[:], updVal)
@@ -138,6 +146,13 @@ func Run(db DB, cfg Config) (*Result, error) {
 				hist(op).Record(time.Since(t0))
 				if err != nil {
 					st.errs++
+				}
+				if op == OpInsert {
+					// Outside the timed section: waits out the inserts of
+					// lower indices still in flight on other threads.
+					for !inserted.CompareAndSwap(idx, idx+1) {
+						runtime.Gosched()
+					}
 				}
 			}
 			stats[t] = st

@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -278,6 +279,42 @@ func TestWorkloadDInsertsGrow(t *testing.T) {
 	}
 	if g.Count() <= 300 {
 		t.Fatal("workload D inserted nothing")
+	}
+}
+
+// slowInsertDB widens the window between an insert being handed its index
+// and the record existing: Insert yields before it delegates.
+type slowInsertDB struct{ DB }
+
+func (d slowInsertDB) Insert(key string, rec *store.Record) error {
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched()
+	}
+	return d.DB.Insert(key, rec)
+}
+
+// TestInsertedKeysPublishedAfterInsert: the latest chooser favours the
+// newest key, so a key published before its Insert returns is read by the
+// other thread while it does not exist yet, and counted as an error.
+func TestInsertedKeysPublishedAfterInsert(t *testing.T) {
+	g := store.NewGrid(store.NewVolatileBackend(), store.Options{})
+	cfg := MustWorkload("D")
+	cfg.RecordCount = 300
+	cfg.Operations = 4000
+	cfg.Threads = 4
+	cfg = cfg.Defaults()
+	if err := Load(g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(slowInsertDB{g}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("%d reads of keys whose insert had not returned", res.Errors)
+	}
+	if inserts := res.PerOp[OpInsert].Count(); g.Count() != 300+int(inserts) {
+		t.Fatalf("%d records after %d inserts over 300", g.Count(), inserts)
 	}
 }
 
