@@ -7,22 +7,32 @@ STATICCHECK_VERSION ?= 2024.1.1
 # a race-detector pass in addition to the plain suite. core and pdt joined
 # when recovery went parallel (work-stealing traversal, segment sweep,
 # concurrent mirror rebuild).
-RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./internal/obs/... ./internal/core/... ./internal/pdt/... ./internal/shard/... ./internal/wire/...
+RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./internal/obs/... ./internal/core/... ./internal/pdt/... ./internal/shard/... ./internal/stack/... ./internal/wire/...
+
+# internal/bench is too slow to race wholesale; its tests that run
+# goroutines over a sharded env (the wire server on two connections) are.
+RACE_BENCH_TESTS = TestShardedDelta|TestShardEnv|TestEnvCommitModes
 
 .PHONY: check vet build test race bench bench-read bench-check bench-e2e-smoke \
 	bench-recovery bench-recovery-ci bench-lockfree bench-shard microbench \
-	lint fmt-check staticcheck crashmc-smoke coverage binaries scenarios \
-	scenario-smoke
+	lint fmt-check structure-check staticcheck crashmc-smoke coverage binaries \
+	scenarios scenario-smoke
 
 check: vet build test race
 
 # Full static gate as CI runs it. staticcheck downloads the pinned tool on
 # first use, so this target needs network access once per version.
-lint: fmt-check vet staticcheck
+lint: fmt-check structure-check vet staticcheck
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# One stack constructor, one capability descriptor: fails with file:line
+# on a hand-assembled core.Open/fa.NewManager stack or a type assertion to
+# a store capability interface.
+structure-check:
+	./scripts/check_structure.sh
 
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
@@ -38,6 +48,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run '$(RACE_BENCH_TESTS)' ./internal/bench/
 
 # Record the performance baseline: short YCSB-A/B and TPC-B passes with
 # throughput and pwb/pfence-per-op columns. Perf PRs re-run this and diff

@@ -23,10 +23,10 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/fa"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/stack"
 	"repro/internal/tpcb"
 	"repro/internal/ycsb"
 )
@@ -422,15 +422,14 @@ func runYCSB(wl string, bk bench.BackendKind, records, ops, threads int, commit 
 
 func runTPCB(accounts, transfers, clients int, commit string) (Row, error) {
 	pool := nvm.New(accounts*512+(32<<20), nvm.Options{FenceLatency: bench.DefaultFenceNs})
-	bank, err := tpcb.OpenJNVMBank(pool, accounts, false)
+	sc := tpcb.StackConfig(false)
+	sc.Commit = commit
+	st, err := stack.Open([]*nvm.Pool{pool}, sc)
 	if err != nil {
 		return Row{}, err
 	}
-	mode, err := bench.ParseCommitMode(commit)
+	bank, err := tpcb.NewJNVMBank(st, accounts)
 	if err != nil {
-		return Row{}, err
-	}
-	if err := bank.Manager().SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
 		return Row{}, err
 	}
 	nvmBefore := pool.Obs().Snapshot()

@@ -57,16 +57,12 @@ func main() {
 		})
 	}
 
-	commitMode := *commit
-	if commitMode == "per-tx" {
-		commitMode = ""
-	}
 	env, err := bench.NewEnv(bench.GridConfig{
 		Backend:    bench.BackendKind(*backend),
 		Records:    *records * 2,
 		FieldCount: *fields,
 		FieldLen:   *fieldLen,
-		Commit:     commitMode,
+		Commit:     *commit,
 		Pools:      *pools,
 		DataDir:    *dataDir,
 	})
@@ -86,23 +82,11 @@ func main() {
 	}
 
 	start := time.Now()
-	recoverySnaps := func() []obs.RecoverySnapshot {
-		var out []obs.RecoverySnapshot
-		if env.Heap != nil {
-			out = append(out, env.Heap.RecoveryObs().Snapshot())
-		}
-		if env.Set != nil {
-			for i := 0; i < env.Set.Pools(); i++ {
-				out = append(out, env.Set.Heap(i).RecoveryObs().Snapshot())
-			}
-		}
-		return out
-	}
 
 	// Only the async pipeline defers durability past the grid call; the
 	// per-window wait is what makes an acknowledged write durable.
 	var await func()
-	if commitMode == "async" {
+	if *commit == "async" {
 		await = env.AwaitDurable
 	}
 	var srv *wire.Server
@@ -121,7 +105,7 @@ func main() {
 				UptimeS:  time.Since(start).Seconds(),
 				Server:   srv.Stats().Snapshot(),
 				Stack:    env.Snapshot(),
-				Recovery: recoverySnaps(),
+				Recovery: env.Recovery(),
 			}
 			buf, err := json.Marshal(p)
 			if err != nil {

@@ -27,14 +27,11 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/fa"
-	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pdt"
 	"repro/internal/results"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -359,21 +356,15 @@ func recoverOnce(snapshot []byte, workers, wantEntries int, structure string) (R
 	}, nil
 }
 
-// shardCfg builds the shard set configuration for the sharded benchmark
-// variants: a J-PDT backend per pool ("hash") or its lock-free sibling
+// shardCfg is the stack configuration of the sharded benchmark variants:
+// a J-PDT backend per pool ("hash") or its lock-free sibling
 // ("lockfree"), with the recovery worker budget split across pools.
-func shardCfg(structure string, workers int) shard.Config {
-	return shard.Config{
-		HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 15},
-		Classes:     func() []*core.Class { return append(pdt.Classes(), store.Classes()...) },
-		Parallelism: workers,
-		NewBackend: func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-			if structure == "lockfree" {
-				return store.NewJPDTLFBackend(h, "kv")
-			}
-			return store.NewJPDTBackend(h, "kv")
-		},
+func shardCfg(structure string, workers int) stack.Config {
+	cfg := stack.Config{Backend: stack.JPDT, LogSlots: 16, LogSlotSize: 1 << 15, Parallelism: workers}
+	if structure == "lockfree" {
+		cfg.Backend = stack.JPDTLF
 	}
+	return cfg
 }
 
 // buildShardCrashImages loads the dataset through the sharded heap's
@@ -388,11 +379,11 @@ func buildShardCrashImages(entries, valueBytes, poolMB, deleteEvery int, structu
 	for i := range pools {
 		pools[i] = nvm.New(per<<20, nvm.Options{})
 	}
-	set, err := shard.Open(pools, shardCfg(structure, 0))
+	st, err := stack.Open(pools, shardCfg(structure, 0))
 	if err != nil {
 		return nil, 0, err
 	}
-	b := set.Backend()
+	b := st.Backend
 	payload := make([]byte, valueBytes)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -416,14 +407,14 @@ func buildShardCrashImages(entries, valueBytes, poolMB, deleteEvery int, structu
 			}
 		}
 	}
-	set.DrainDurable()
+	st.DrainDurable()
 	snapshots := make([][]byte, npools)
 	for i, p := range pools {
 		p.PSync()
 		snapshots[i] = p.ReadBytes(0, p.Size())
 	}
 	fmt.Printf("loaded in %.1f s (%d live entries across %d pools)\n", time.Since(start).Seconds(), live, npools)
-	return snapshots, live, set.Close()
+	return snapshots, live, st.Close()
 }
 
 // recoverOnceShard restores every pool image and re-opens the set: pools
@@ -438,14 +429,14 @@ func recoverOnceShard(snapshots [][]byte, workers, wantEntries int, structure st
 		pools[i].WriteBytes(0, sn)
 	}
 	openStart := time.Now()
-	set, err := shard.Open(pools, shardCfg(structure, workers))
+	st, err := stack.Open(pools, shardCfg(structure, workers))
 	if err != nil {
 		return Row{}, err
 	}
 	openDur := time.Since(openStart)
 
 	rebuildStart := time.Now()
-	got := set.Backend().Count()
+	got := st.Backend.Count()
 	rebuildDur := time.Since(rebuildStart)
 	if got != wantEntries {
 		return Row{}, fmt.Errorf("recovered set has %d entries, want %d", got, wantEntries)
@@ -456,10 +447,9 @@ func recoverOnceShard(snapshots [][]byte, workers, wantEntries int, structure st
 		RebuildMs: float64(rebuildDur.Nanoseconds()) / 1e6,
 		TotalMs:   float64((openDur + rebuildDur).Nanoseconds()) / 1e6,
 	}
-	for i := 0; i < set.Pools(); i++ {
-		snap := set.Heap(i).RecoveryObs().Snapshot()
-		row.PerPool = append(row.PerPool, snap)
+	row.PerPool = st.Recovery()
+	for _, snap := range row.PerPool {
 		row.Recovery = row.Recovery.Add(snap)
 	}
-	return row, set.Close()
+	return row, st.Close()
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/pdt"
+	"repro/internal/stack"
 )
 
 // Ablations isolate the design choices DESIGN.md calls out: the deferred
@@ -26,17 +27,20 @@ type AblationRow struct {
 	NsPerOp    float64
 	Aux        float64 // experiment-specific (blocks used, Kops/s, ...)
 	AuxName    string
+	// Fences counts the pfence/psync primitives the measured loop issued
+	// (validation-batching and fence-cost): the cause of the NsPerOp
+	// differences, and what the tests assert instead of wall clocks.
+	Fences uint64
 }
 
-func ablationHeap(fenceNs int, bytes int) (*core.Heap, *fa.Manager, error) {
+// ablationHeap opens a bare stack with logSlots redo-log slots of 16 KiB.
+func ablationHeap(fenceNs, bytes, logSlots int) (*core.Heap, *fa.Manager, error) {
 	pool := nvm.New(bytes, nvm.Options{FenceLatency: fenceNs})
-	mgr := fa.NewManager()
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: 64, LogSlotSize: 1 << 14},
-		Classes:     pdt.Classes(),
-		LogHandler:  mgr,
-	})
-	return h, mgr, err
+	st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{LogSlots: logSlots, LogSlotSize: 1 << 14})
+	if err != nil {
+		return nil, nil, err
+	}
+	return st.Pools[0].Heap, st.Pools[0].Mgr, nil
 }
 
 // AblationValidation compares publishing n fresh objects with one fence
@@ -49,24 +53,25 @@ func AblationValidation(n int, fenceNs int) ([]AblationRow, error) {
 	if fenceNs == 0 {
 		fenceNs = DefaultFenceNs
 	}
-	run := func(batch int) (time.Duration, error) {
-		h, _, err := ablationHeap(fenceNs, n*320+(16<<20))
+	run := func(batch int) (time.Duration, uint64, error) {
+		h, _, err := ablationHeap(fenceNs, n*320+(16<<20), 64)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		arr, err := pdt.NewRefArray(h, n)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		arr.Validate()
 		h.PSync()
 		cls := h.MustClass(pdt.ClassBytes)
+		fences := h.Pool().Obs().Snapshot().Fences()
 		start := time.Now()
 		for i := 0; i < n; i += batch {
 			for j := i; j < i+batch && j < n; j++ {
 				po, err := h.Alloc(cls, 64)
 				if err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 				po.Core().WriteUint32(0, 60)
 				po.Core().PWB()
@@ -76,11 +81,11 @@ func AblationValidation(n int, fenceNs int) ([]AblationRow, error) {
 			arr.PWB()
 			h.PFence() // one fence publishes the whole batch (Figure 5)
 		}
-		return time.Since(start), nil
+		return time.Since(start), h.Pool().Obs().Snapshot().Fences() - fences, nil
 	}
 	var rows []AblationRow
 	for _, batch := range []int{1, 8, 64, 512} {
-		d, err := run(batch)
+		d, fences, err := run(batch)
 		if err != nil {
 			return nil, err
 		}
@@ -90,6 +95,7 @@ func AblationValidation(n int, fenceNs int) ([]AblationRow, error) {
 			NsPerOp:    float64(d.Nanoseconds()) / float64(n),
 			Aux:        float64(n) / d.Seconds() / 1000,
 			AuxName:    "Kpub/s",
+			Fences:     fences,
 		})
 	}
 	return rows, nil
@@ -106,7 +112,7 @@ func AblationSmallPool(n int, payload int) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, pooled := range []bool{true, false} {
-		h, _, err := ablationHeap(0, n*heap.BlockSize*2+(16<<20))
+		h, _, err := ablationHeap(0, n*heap.BlockSize*2+(16<<20), 64)
 		if err != nil {
 			return nil, err
 		}
@@ -155,13 +161,7 @@ func AblationLogSlots(opsPerWorker, workers int) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, slots := range []int{1, 2, 8, 64} {
-		pool := nvm.New(64<<20, nvm.Options{FenceLatency: DefaultFenceNs})
-		mgr := fa.NewManager()
-		h, err := core.Open(pool, core.Config{
-			HeapOptions: heap.Options{LogSlots: slots, LogSlotSize: 1 << 14},
-			Classes:     pdt.Classes(),
-			LogHandler:  mgr,
-		})
+		h, mgr, err := ablationHeap(DefaultFenceNs, 64<<20, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +239,7 @@ func AblationFenceCost(n int) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, fenceNs := range []int{0, 60, 120, 500, 2000} {
-		h, _, err := ablationHeap(fenceNs, n*640+(32<<20))
+		h, _, err := ablationHeap(fenceNs, n*640+(32<<20), 64)
 		if err != nil {
 			return nil, err
 		}
@@ -264,6 +264,7 @@ func AblationFenceCost(n int) ([]AblationRow, error) {
 				return nil, err
 			}
 		}
+		fences := h.Pool().Obs().Snapshot().Fences()
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			b, err := pdt.NewBytes(h, val)
@@ -281,6 +282,7 @@ func AblationFenceCost(n int) ([]AblationRow, error) {
 			NsPerOp:    float64(d.Nanoseconds()) / float64(n),
 			Aux:        float64(n) / d.Seconds() / 1000,
 			AuxName:    "Kupd/s",
+			Fences:     h.Pool().Obs().Snapshot().Fences() - fences,
 		})
 	}
 	return rows, nil

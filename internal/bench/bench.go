@@ -16,7 +16,7 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pdt"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -74,7 +74,8 @@ type GridConfig struct {
 // CommitModeName folds the -group-commit/-durability flag pair of the cmd
 // tools into a GridConfig.Commit value. Async implies grouping (the epoch
 // pipeline is what amortizes the fences); sync without -group-commit is
-// the per-Tx default.
+// the per-Tx default. Commit values themselves are parsed in one place,
+// stack.ParseCommit.
 func CommitModeName(groupCommit bool, durability string) (string, error) {
 	switch durability {
 	case "", "sync":
@@ -86,20 +87,6 @@ func CommitModeName(groupCommit bool, durability string) (string, error) {
 		return "async", nil
 	}
 	return "", fmt.Errorf("bench: unknown durability %q (want sync or async)", durability)
-}
-
-// ParseCommitMode maps the -group-commit/-durability flag vocabulary to a
-// commit mode.
-func ParseCommitMode(s string) (fa.CommitMode, error) {
-	switch s {
-	case "", "per-tx":
-		return fa.CommitPerTx, nil
-	case "group", "sync":
-		return fa.CommitGroup, nil
-	case "async":
-		return fa.CommitAsync, nil
-	}
-	return 0, fmt.Errorf("bench: unknown commit mode %q (want per-tx, group or async)", s)
 }
 
 // DefaultFenceNs approximates the sfence+ADR cost the paper pays on
@@ -120,89 +107,37 @@ func EstimatePoolBytes(records, fieldCount, fieldLen int) int {
 	return total
 }
 
-// Env is one ready-to-run grid with its lifecycle.
+// Env is one ready-to-run grid with its lifecycle. The embedded stack
+// carries the uniform per-pool list (empty for the non-J-NVM backends)
+// that DrainDurable, AwaitDurable, Snapshot and Recovery walk; Heap, Pool
+// and Mgr are pool 0's layers, nil for non-J-NVM backends.
 type Env struct {
+	*stack.Stack
 	Grid    *store.Grid
-	Heap    *core.Heap  // nil for non-J-NVM backends and sharded envs
-	Pool    *nvm.Pool   // nil for non-J-NVM backends and sharded envs
-	Mgr     *fa.Manager // nil for non-J-NVM backends and sharded envs
-	Set     *shard.Set  // non-nil when GridConfig.Pools > 1
+	Heap    *core.Heap
+	Pool    *nvm.Pool
+	Mgr     *fa.Manager
 	cleanup func()
-}
-
-// DrainDurable forces every queued async commit out to NVMM — all pools
-// of a sharded env, the single manager otherwise.
-func (e *Env) DrainDurable() {
-	if e.Set != nil {
-		e.Set.DrainDurable()
-	}
-	if e.Mgr != nil {
-		e.Mgr.DrainDurable()
-	}
-}
-
-// AwaitDurable blocks until everything committed so far is durable,
-// without forcing an early epoch drain the way DrainDurable does: each
-// manager waits for its watermark to cover the tickets already issued,
-// so concurrent callers' windows combine into shared epochs. No-op in
-// the synchronous commit modes. This is the wire server's per-window
-// durability wait (DESIGN.md §18).
-func (e *Env) AwaitDurable() {
-	if e.Set != nil {
-		for i := 0; i < e.Set.Pools(); i++ {
-			m := e.Set.Manager(i)
-			m.AwaitDurable(m.IssuedTickets())
-		}
-	}
-	if e.Mgr != nil {
-		e.Mgr.AwaitDurable(e.Mgr.IssuedTickets())
-	}
-}
-
-// Close releases resources. Queued async commits are drained first so no
-// acknowledged ticket is abandoned short of durability.
-func (e *Env) Close() {
-	e.DrainDurable()
-	if e.cleanup != nil {
-		e.cleanup()
-	}
 }
 
 // Snapshot assembles one coherent metrics view across every layer the
 // environment owns (grid always; nvm/heap/fa for the J-NVM backends).
 // Experiments diff two snapshots to report interval metrics.
 func (e *Env) Snapshot() *obs.StackSnapshot {
-	s := &obs.StackSnapshot{}
-	if e.Grid != nil {
-		g := e.Grid.ObsSnapshot()
-		s.Grid = &g
-	}
-	if e.Pool != nil {
-		n := e.Pool.Obs().Snapshot()
-		s.NVM = &n
-	}
-	if e.Heap != nil {
-		hs := e.Heap.Mem().ObsSnapshot()
-		s.Heap = &hs
-	}
-	if e.Mgr != nil {
-		f := e.Mgr.ObsSnapshot()
-		s.FA = &f
-	}
-	if e.Set != nil {
-		sh := e.Set.Snapshot()
-		s.Shard = &sh
-		// The global layer gauges are the element-wise sums of the
-		// per-pool breakdown, so existing tooling (check_bench.sh, the
-		// report printer) reads a sharded stack unchanged.
-		var total obs.PoolSnapshot
-		for _, p := range sh.PerPool {
-			total = total.Add(p)
-		}
-		s.NVM, s.Heap, s.FA = &total.NVM, &total.Heap, &total.FA
-	}
+	s := e.Stack.Snapshot()
+	g := e.Grid.ObsSnapshot()
+	s.Grid = &g
 	s.Finalize()
 	return s
+}
+
+// Close drains queued async commits, releases the pools and removes
+// what the environment created on disk.
+func (e *Env) Close() {
+	e.Stack.Close()
+	if e.cleanup != nil {
+		e.cleanup()
+	}
 }
 
 // publish exposes the environment on the default metrics registry (the
@@ -213,29 +148,22 @@ func (e *Env) publish() *Env {
 	return e
 }
 
-// NewEnv builds a grid over the requested backend, with a freshly
-// formatted heap for the J-NVM backends.
+// NewEnv builds a grid over the requested backend, with freshly
+// formatted (or, under DataDir, recovered) heaps for the J-NVM backends.
 func NewEnv(cfg GridConfig) (*Env, error) {
-	if cfg.FenceNs == 0 {
-		cfg.FenceNs = DefaultFenceNs
-	}
-	if cfg.Pools > 1 {
-		switch cfg.Backend {
-		case JPDT, JPDTLF, JPFA, PCJ:
-		default:
-			return nil, fmt.Errorf("bench: backend %q cannot be sharded across %d pools", cfg.Backend, cfg.Pools)
-		}
-	}
+	var b store.Backend
+	var cleanup func()
 	switch cfg.Backend {
+	case JPDT, JPDTLF, JPFA, PCJ:
+		return newNVMEnv(cfg)
 	case Volatile:
-		return (&Env{Grid: store.NewGrid(store.NewVolatileBackend(), store.Options{CacheEntries: cfg.CacheEntries})}).publish(), nil
+		b = store.NewVolatileBackend()
 	case TmpFS:
-		return (&Env{Grid: store.NewGrid(store.NewTmpFSBackend(), store.Options{CacheEntries: cfg.CacheEntries})}).publish(), nil
+		b = store.NewTmpFSBackend()
 	case NullFS:
-		return (&Env{Grid: store.NewGrid(store.NewNullFSBackend(), store.Options{CacheEntries: cfg.CacheEntries})}).publish(), nil
+		b = store.NewNullFSBackend()
 	case FS:
 		dir := cfg.Dir
-		var cleanup func()
 		if dir == "" {
 			var err error
 			dir, err = os.MkdirTemp("", "jnvm-fs-*")
@@ -244,79 +172,63 @@ func NewEnv(cfg GridConfig) (*Env, error) {
 			}
 			cleanup = func() { os.RemoveAll(dir) }
 		}
-		b, err := store.NewFSBackend(dir, false)
+		fsb, err := store.NewFSBackend(dir, false)
 		if err != nil {
 			return nil, err
 		}
-		return (&Env{Grid: store.NewGrid(b, store.Options{CacheEntries: cfg.CacheEntries}), cleanup: cleanup}).publish(), nil
-	case JPDT, JPDTLF, JPFA, PCJ:
-		if cfg.Pools > 1 {
-			return newShardEnv(cfg)
-		}
-		pool, err := newPool(cfg, 0, EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen))
-		if err != nil {
-			return nil, err
-		}
-		mgr := fa.NewManager()
-		classes := append(pdt.Classes(), store.Classes()...)
-		h, err := core.Open(pool, core.Config{
-			HeapOptions: heap.Options{LogSlots: 64, LogSlotSize: 1 << 15},
-			Classes:     classes,
-			LogHandler:  mgr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var backend store.Backend
-		switch cfg.Backend {
-		case JPDT:
-			b, err := store.NewJPDTBackend(h, "kv")
-			if err != nil {
-				return nil, err
-			}
-			if cfg.ProxyCache != pdt.CacheNone {
-				if err := b.SetProxyCache(cfg.ProxyCache); err != nil {
-					return nil, err
-				}
-			}
-			backend = b
-		case JPDTLF:
-			b, err := store.NewJPDTLFBackend(h, "kv")
-			if err != nil {
-				return nil, err
-			}
-			backend = b
-		case JPFA:
-			b, err := store.NewJPFABackend(h, mgr, "kv")
-			if err != nil {
-				return nil, err
-			}
-			backend = b
-		case PCJ:
-			b, err := store.NewPCJBackend(h, "kv")
-			if err != nil {
-				return nil, err
-			}
-			backend = b
-		}
-		if cfg.Commit != "" {
-			mode, err := ParseCommitMode(cfg.Commit)
-			if err != nil {
-				return nil, err
-			}
-			if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
-				return nil, err
-			}
-		}
-		// The paper disables record caching for the J-NVM backends
-		// (§5.3.1: "caching brings almost no performance benefits").
-		env := &Env{Grid: store.NewGrid(backend, store.Options{}), Heap: h, Pool: pool, Mgr: mgr}
-		if cfg.DataDir != "" {
-			env.cleanup = func() { pool.Close() }
-		}
-		return env.publish(), nil
+		b = fsb
+	default:
+		return nil, fmt.Errorf("bench: unknown backend %q", cfg.Backend)
 	}
-	return nil, fmt.Errorf("bench: unknown backend %q", cfg.Backend)
+	if cfg.Pools > 1 {
+		if cleanup != nil {
+			cleanup()
+		}
+		return nil, fmt.Errorf("bench: backend %q cannot be sharded across %d pools", cfg.Backend, cfg.Pools)
+	}
+	// These backends own no NVMM pool: the stack under the grid is empty.
+	g := store.NewGrid(b, store.Options{CacheEntries: cfg.CacheEntries})
+	return (&Env{Stack: &stack.Stack{}, Grid: g, cleanup: cleanup}).publish(), nil
+}
+
+// newNVMEnv opens the J-NVM stack of cfg. A single pool holds the whole
+// dataset budget; several split it evenly with 50% per-pool headroom
+// (jump hashing balances within a few percent, and the headroom keeps
+// skew off the fallback path).
+func newNVMEnv(cfg GridConfig) (*Env, error) {
+	if cfg.FenceNs == 0 {
+		cfg.FenceNs = DefaultFenceNs
+	}
+	size := EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen)
+	pools := make([]*nvm.Pool, max(cfg.Pools, 1))
+	if n := len(pools); n > 1 {
+		size = max(size/n+size/(2*n), 8<<20)
+	}
+	for i := range pools {
+		p, err := newPool(cfg, i, size)
+		if err != nil {
+			return nil, err
+		}
+		pools[i] = p
+	}
+	st, err := stack.Open(pools, stack.Config{
+		Backend: stack.Kind(cfg.Backend), Commit: cfg.Commit,
+		LogSlots: 64, LogSlotSize: 1 << 15,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Backend == JPDT && cfg.ProxyCache != pdt.CacheNone {
+		for _, m := range st.Pools {
+			if err := m.Backend.(*store.JPDTBackend).SetProxyCache(cfg.ProxyCache); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// The paper disables record caching for the J-NVM backends (§5.3.1:
+	// "caching brings almost no performance benefits").
+	g, p0 := store.NewGrid(st.Backend, store.Options{}), st.Pools[0]
+	return (&Env{Stack: st, Grid: g, Heap: p0.Heap, Pool: p0.Pool, Mgr: p0.Mgr}).publish(), nil
 }
 
 // newPool builds pool i of an environment: anonymous memory by default,
@@ -330,90 +242,4 @@ func newPool(cfg GridConfig, i, size int) (*nvm.Pool, error) {
 		return nil, err
 	}
 	return nvm.OpenFile(filepath.Join(cfg.DataDir, fmt.Sprintf("pool-%d.nvm", i)), size, opts)
-}
-
-// shardBackendCtor maps a backend kind to the per-pool constructor the
-// shard set invokes once per pool.
-func shardBackendCtor(cfg GridConfig) (func(h *core.Heap, mgr *fa.Manager) (store.Backend, error), error) {
-	switch cfg.Backend {
-	case JPDT:
-		return func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-			b, err := store.NewJPDTBackend(h, "kv")
-			if err != nil {
-				return nil, err
-			}
-			if cfg.ProxyCache != pdt.CacheNone {
-				if err := b.SetProxyCache(cfg.ProxyCache); err != nil {
-					return nil, err
-				}
-			}
-			return b, nil
-		}, nil
-	case JPDTLF:
-		return func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-			return store.NewJPDTLFBackend(h, "kv")
-		}, nil
-	case JPFA:
-		return func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-			return store.NewJPFABackend(h, mgr, "kv")
-		}, nil
-	case PCJ:
-		return func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-			return store.NewPCJBackend(h, "kv")
-		}, nil
-	}
-	return nil, fmt.Errorf("bench: backend %q cannot be sharded", cfg.Backend)
-}
-
-// newShardEnv builds a multi-pool J-NVM environment: the dataset's pool
-// budget split evenly with 50% per-pool headroom (jump hashing balances
-// within a few percent, and the headroom keeps skew off the fallback
-// path), one backend per pool, and the set's routing backend under the
-// grid.
-func newShardEnv(cfg GridConfig) (*Env, error) {
-	ctor, err := shardBackendCtor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	total := EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen)
-	per := total/cfg.Pools + total/(2*cfg.Pools)
-	if per < 8<<20 {
-		per = 8 << 20
-	}
-	pools := make([]*nvm.Pool, cfg.Pools)
-	for i := range pools {
-		p, err := newPool(cfg, i, per)
-		if err != nil {
-			return nil, err
-		}
-		pools[i] = p
-	}
-	s, err := shard.Open(pools, shard.Config{
-		HeapOptions: heap.Options{LogSlots: 64, LogSlotSize: 1 << 15},
-		Classes:     func() []*core.Class { return append(pdt.Classes(), store.Classes()...) },
-		NewBackend:  ctor,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Commit != "" {
-		mode, err := ParseCommitMode(cfg.Commit)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < s.Pools(); i++ {
-			if err := s.Manager(i).SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	env := &Env{Grid: store.NewGrid(s.Backend(), store.Options{}), Set: s}
-	if cfg.DataDir != "" {
-		env.cleanup = func() {
-			for _, p := range pools {
-				p.Close()
-			}
-		}
-	}
-	return env.publish(), nil
 }

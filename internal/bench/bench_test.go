@@ -204,10 +204,12 @@ func TestFig1Fig2Run(t *testing.T) {
 	if len(rows1) != 2 {
 		t.Fatalf("fig1 rows = %d", len(rows1))
 	}
-	// More cache => more GC time (the Figure 1 mechanism).
-	if rows1[1].GCCPUTime < rows1[0].GCCPUTime {
-		t.Errorf("GC time did not grow with cache ratio: %v -> %v",
-			rows1[0].GCCPUTime, rows1[1].GCCPUTime)
+	// More cache => a larger managed live set => more objects marked per
+	// collection (the Figure 1 mechanism). The wall-clock consequence,
+	// GCCPUTime, is load-sensitive and left to -bench.
+	if rows1[1].LiveObjects <= rows1[0].LiveObjects || rows1[1].MarkedObjects <= rows1[0].MarkedObjects {
+		t.Errorf("GC work did not grow with cache ratio: live %d -> %d, marked %d -> %d",
+			rows1[0].LiveObjects, rows1[1].LiveObjects, rows1[0].MarkedObjects, rows1[1].MarkedObjects)
 	}
 	var buf bytes.Buffer
 	PrintFig1(&buf, rows1)
@@ -219,9 +221,9 @@ func TestFig1Fig2Run(t *testing.T) {
 	if len(rows2) != 2 {
 		t.Fatalf("fig2 rows = %d", len(rows2))
 	}
-	if rows2[1].GCCPUTime <= rows2[0].GCCPUTime {
-		t.Errorf("GC time did not grow with dataset: %v -> %v",
-			rows2[0].GCCPUTime, rows2[1].GCCPUTime)
+	if rows2[1].MarkedObjects <= rows2[0].MarkedObjects {
+		t.Errorf("GC work did not grow with dataset: marked %d -> %d",
+			rows2[0].MarkedObjects, rows2[1].MarkedObjects)
 	}
 	if rows2[1].LiveObjects <= rows2[0].LiveObjects {
 		t.Error("live set did not grow")
@@ -293,14 +295,17 @@ func TestFig12Runs(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	rowsV, err := AblationValidation(2000, 120)
+	const nV = 2000
+	rowsV, err := AblationValidation(nV, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batched validation must beat fence-per-object.
-	if rowsV[len(rowsV)-1].NsPerOp >= rowsV[0].NsPerOp {
-		t.Errorf("batching did not pay: batch=1 %.0fns vs batch=512 %.0fns",
-			rowsV[0].NsPerOp, rowsV[len(rowsV)-1].NsPerOp)
+	// Batched validation pays by issuing one fence per batch instead of
+	// one per object; the ns/op that follows is left to -bench.
+	for i, batch := range []uint64{1, 8, 64, 512} {
+		if want := (nV + batch - 1) / batch; rowsV[i].Fences != want {
+			t.Errorf("validation batch=%d issued %d fences, want %d", batch, rowsV[i].Fences, want)
+		}
 	}
 	rowsP, err := AblationSmallPool(5000, 100)
 	if err != nil {
@@ -328,9 +333,13 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Update cost must grow with the fence latency.
-	if rowsF[len(rowsF)-1].NsPerOp <= rowsF[0].NsPerOp {
-		t.Errorf("fence cost had no effect: %v vs %v", rowsF[0].NsPerOp, rowsF[len(rowsF)-1].NsPerOp)
+	// Every latency runs the same fences, at least one per update, so the
+	// modeled cost differs by exactly Fences × Δlatency.
+	for _, r := range rowsF {
+		if r.Fences < 2000 || r.Fences != rowsF[0].Fences {
+			t.Errorf("fence-cost %s issued %d fences, want the same >= 2000 as %s (%d)",
+				r.Variant, r.Fences, rowsF[0].Variant, rowsF[0].Fences)
+		}
 	}
 	var buf bytes.Buffer
 	PrintAblation(&buf, append(append(append(rowsV, rowsP...), rowsL...), rowsF...))

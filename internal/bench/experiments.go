@@ -6,13 +6,11 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/fa"
 	"repro/internal/gcsim"
-	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pdt"
+	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/tpcb"
 	"repro/internal/ycsb"
@@ -81,11 +79,9 @@ func Fig7(sc Scale, backends []BackendKind) ([]Fig7Row, error) {
 			}
 			before := env.Snapshot()
 			res, err := ycsb.Run(env.Grid, cfg)
-			if env.Mgr != nil {
-				// Async mode: charge the run's own epochs to the run
-				// interval before diffing snapshots.
-				env.Mgr.DrainDurable()
-			}
+			// Async mode: charge the run's own epochs to the run interval
+			// before diffing snapshots.
+			env.DrainDurable()
 			stack := env.Snapshot().Sub(*before)
 			env.Close()
 			if err != nil {
@@ -385,22 +381,17 @@ func Fig11(cfg Fig11Config) ([]*tpcb.Timeline, error) {
 		cfg.Bucket = 100 * time.Millisecond
 	}
 	poolBytes := cfg.Accounts*512 + (32 << 20)
-	commitMode, err := ParseCommitMode(cfg.Commit)
-	if err != nil {
-		return nil, err
-	}
-	// openJNVM opens (or re-opens) a bank on pool and applies the
-	// configured commit protocol; recovery itself always runs before the
-	// mode takes effect, so the restart path is mode-independent.
+	// openJNVM opens (or re-opens) a bank on pool under the configured
+	// commit protocol; recovery itself always runs before the mode takes
+	// effect, so the restart path is mode-independent.
 	openJNVM := func(pool *nvm.Pool, accounts int, nogc bool) (tpcb.Bank, error) {
-		b, err := tpcb.OpenJNVMBank(pool, accounts, nogc)
+		sc := tpcb.StackConfig(nogc)
+		sc.Commit = cfg.Commit
+		st, err := stack.Open([]*nvm.Pool{pool}, sc)
 		if err != nil {
 			return nil, err
 		}
-		if err := b.Manager().SetGroupCommit(fa.GroupOptions{Mode: commitMode}); err != nil {
-			return nil, err
-		}
-		return b, nil
+		return tpcb.NewJNVMBank(st, accounts)
 	}
 
 	var systems []tpcb.System
@@ -481,6 +472,9 @@ type Fig2Row struct {
 	GCShare     float64
 	Collections int
 	LiveObjects int
+	// MarkedObjects counts the objects the run's collections visited: the
+	// work GCCPUTime is the wall-clock price of.
+	MarkedObjects uint64
 }
 
 // Fig2 grows the persistent dataset of the RedisLike store while running a
@@ -531,13 +525,14 @@ func Fig2(datasetsMB []int, ops int, gcEveryMB int) ([]Fig2Row, error) {
 		st := h.Stats()
 		gcTime := st.GCTime - base.GCTime
 		rows = append(rows, Fig2Row{
-			DatasetMB:   mb,
-			Completion:  completion,
-			GCCPUTime:   gcTime,
-			ComputeTime: completion - gcTime,
-			GCShare:     float64(gcTime) / float64(completion),
-			Collections: st.Collections - base.Collections,
-			LiveObjects: st.LiveObjects,
+			DatasetMB:     mb,
+			Completion:    completion,
+			GCCPUTime:     gcTime,
+			ComputeTime:   completion - gcTime,
+			GCShare:       float64(gcTime) / float64(completion),
+			Collections:   st.Collections - base.Collections,
+			LiveObjects:   st.LiveObjects,
+			MarkedObjects: st.MarkedObjects - base.MarkedObjects,
 		})
 	}
 	return rows, nil
@@ -552,6 +547,10 @@ type Fig1Row struct {
 	GCShare     float64
 	P9999       time.Duration
 	P50         time.Duration
+	// LiveObjects is the managed live set after the run; MarkedObjects the
+	// objects the run's collections visited — the work GCCPUTime prices.
+	LiveObjects   int
+	MarkedObjects uint64
 }
 
 // Fig1 runs YCSB-F over a TmpFS-backed grid whose volatile cache lives in
@@ -620,13 +619,15 @@ func Fig1(records, ops int, ratios []int, gcEveryMB int) ([]Fig1Row, error) {
 		st := mh.Stats()
 		gcTime := st.GCTime - base.GCTime
 		rows = append(rows, Fig1Row{
-			CacheRatio:  ratio,
-			Completion:  completion,
-			GCCPUTime:   gcTime,
-			ComputeTime: completion - gcTime,
-			GCShare:     float64(gcTime) / float64(completion),
-			P9999:       hist.Percentile(0.9999),
-			P50:         hist.Percentile(0.50),
+			CacheRatio:    ratio,
+			Completion:    completion,
+			GCCPUTime:     gcTime,
+			ComputeTime:   completion - gcTime,
+			GCShare:       float64(gcTime) / float64(completion),
+			P9999:         hist.Percentile(0.9999),
+			P50:           hist.Percentile(0.50),
+			LiveObjects:   st.LiveObjects,
+			MarkedObjects: st.MarkedObjects - base.MarkedObjects,
 		})
 	}
 	return rows, nil
@@ -685,25 +686,23 @@ func ExtE(sc Scale, maxScanLen int) ([]ExtERow, error) {
 		cfg = cfg.Defaults()
 
 		var env *Env
+		var err error
 		if bk == JPDT {
+			// The one ordered J-PDT grid in the repo: a bare stack, with the
+			// tree-mirrored backend and its grid put on top here.
 			pool := nvm.New(EstimatePoolBytes(cfg.RecordCount*2, cfg.FieldCount, cfg.FieldLen),
 				nvm.Options{FenceLatency: DefaultFenceNs})
-			mgr := fa.NewManager()
-			h, err := core.Open(pool, core.Config{
-				HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 15},
-				Classes:     append(pdt.Classes(), store.Classes()...),
-				LogHandler:  mgr,
-			})
+			st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{LogSlots: 16, LogSlotSize: 1 << 15})
 			if err != nil {
 				return nil, err
 			}
-			b, err := store.NewJPDTBackendKind(h, "kv", pdt.MirrorTree)
+			b, err := store.NewJPDTBackendKind(st.Pools[0].Heap, "kv", pdt.MirrorTree)
 			if err != nil {
 				return nil, err
 			}
-			env = &Env{Grid: store.NewGrid(b, store.Options{}), Heap: h, Pool: pool}
-		} else {
-			env = &Env{Grid: store.NewGrid(store.NewVolatileBackend(), store.Options{})}
+			env = &Env{Stack: st, Grid: store.NewGrid(b, store.Options{})}
+		} else if env, err = NewEnv(GridConfig{Backend: bk}); err != nil {
+			return nil, err
 		}
 		if err := ycsb.Load(env.Grid, cfg); err != nil {
 			env.Close()

@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/core"
-	"repro/internal/fa"
-	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/pdt"
+	"repro/internal/stack"
 	"repro/internal/ycsb"
 )
 
@@ -106,14 +105,11 @@ func Fig12(records, ops, valLen int) ([]Fig12Row, error) {
 	newPDT := func(kind pdt.MirrorKind) (kvType, error) {
 		pool := nvm.New(EstimatePoolBytes(records, 1, valLen)+records*512,
 			nvm.Options{FenceLatency: DefaultFenceNs})
-		h, err := core.Open(pool, core.Config{
-			HeapOptions: heap.Options{LogSlots: 4, LogSlotSize: 1 << 14},
-			Classes:     pdt.Classes(),
-			LogHandler:  fa.NewManager(),
-		})
+		st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{LogSlots: 4, LogSlotSize: 1 << 14})
 		if err != nil {
 			return nil, err
 		}
+		h := st.Pools[0].Heap
 		m, err := pdt.NewMap(h, kind)
 		if err != nil {
 			return nil, err

@@ -2,10 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/wire"
 	"repro/internal/ycsb"
 )
 
@@ -127,5 +133,161 @@ func TestShardSweepRuns(t *testing.T) {
 	PrintShard(&buf, rows)
 	if !strings.Contains(buf.String(), "pools") {
 		t.Fatal("print broken")
+	}
+}
+
+// counterEnv opens a two-pool async J-PFA env holding one 8-byte counter
+// that a first delta has already upgraded to its foldable block-resident
+// shape, so every later AddDelta is a ledger op.
+func counterEnv(t *testing.T) *Env {
+	t.Helper()
+	env, err := NewEnv(GridConfig{Backend: JPFA, Commit: "async", Pools: 2, Records: 64, FieldCount: 1, FieldLen: 8, FenceNs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Grid.Insert("hot", &store.Record{Fields: []store.Field{{Name: "n", Value: make([]byte, 8)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Grid.AddDelta("hot", "n", 1); err != nil {
+		t.Fatal(err)
+	}
+	env.AwaitDurable()
+	return env
+}
+
+func counterValue(t *testing.T, env *Env) int64 {
+	t.Helper()
+	var v int64
+	if err := env.Grid.Read("hot", func(_ string, b []byte) { v = int64(binary.LittleEndian.Uint64(b)) }); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestShardedDeltaFolds is the regression for the capability the shard
+// wrapper used to drop: under -pools N every ADDDELTA must reach the fa
+// ledger of the pool that holds the key (delta_ops, summed over pools,
+// counts every op) and fold there (fewer log entries than ops) instead of
+// degrading to a stripe-locked read-modify-write.
+func TestShardedDeltaFolds(t *testing.T) {
+	env := counterEnv(t)
+	defer env.Close()
+	const n = 200
+	before := env.Snapshot()
+	for i := 0; i < n; i++ {
+		if err := env.Grid.AddDelta("hot", "n", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.AwaitDurable()
+	d := env.Snapshot().Sub(*before)
+	if d.FA.DeltaOps != n || d.FA.DeltaEntries == 0 || d.FA.DeltaEntries >= n {
+		t.Fatalf("sharded ADDDELTA did not fold: delta_ops %d (want %d), delta_entries %d (want 1..%d)",
+			d.FA.DeltaOps, n, d.FA.DeltaEntries, n-1)
+	}
+	if got := counterValue(t, env); got != n+1 {
+		t.Fatalf("counter = %d after %d increments", got, n+1)
+	}
+}
+
+// TestShardedDeltaOverWire repeats it through the server: pipelined
+// OpAddDelta windows on two connections, one durability wait per window,
+// and the counter exact once everything is acknowledged.
+func TestShardedDeltaOverWire(t *testing.T) {
+	env := counterEnv(t)
+	defer env.Close()
+	srv := wire.NewServer(wire.ServerConfig{Grid: env.Grid, AwaitDurable: env.AwaitDurable})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	defer func() {
+		srv.Shutdown(5 * time.Second)
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	const conns, windows, depth = 2, 10, 16
+	before := env.Snapshot()
+	errs := make(chan error, conns)
+	for c := 0; c < conns; c++ {
+		go func() {
+			errs <- func() error {
+				cl, err := wire.DialTimeout(l.Addr().String(), time.Second)
+				if err != nil {
+					return err
+				}
+				defer cl.Close()
+				req := wire.Request{Op: wire.OpAddDelta, Key: "hot", Field: "n", Delta: 1}
+				var resp wire.Response
+				for w := 0; w < windows; w++ {
+					for i := 0; i < depth; i++ {
+						if err := cl.Send(&req); err != nil {
+							return err
+						}
+					}
+					if err := cl.Flush(); err != nil {
+						return err
+					}
+					for i := 0; i < depth; i++ {
+						if err := cl.Recv(&resp); err != nil {
+							return err
+						}
+						if resp.Status != wire.StatusOK {
+							return fmt.Errorf("ADDDELTA status %d", resp.Status)
+						}
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for c := 0; c < conns; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = conns * windows * depth
+	d := env.Snapshot().Sub(*before)
+	if d.FA.DeltaOps != n || d.FA.DeltaEntries >= n {
+		t.Fatalf("wire ADDDELTA did not fold: delta_ops %d (want %d), delta_entries %d", d.FA.DeltaOps, n, d.FA.DeltaEntries)
+	}
+	if got := counterValue(t, env); got != n+1 {
+		t.Fatalf("counter = %d after %d acknowledged increments", got, n+1)
+	}
+}
+
+// TestCapabilityTable pins what each J-NVM backend offers, and that a
+// sharded env offers the same minus Scan, against one literal table; the
+// grid must adopt the same read path over one pool and over three.
+func TestCapabilityTable(t *testing.T) {
+	for _, tc := range []struct {
+		kind       BackendKind
+		caps, path string
+	}{
+		{JPDT, "keys,view", "view"},
+		{JPDTLF, "keys,lockfree", "lockfree"},
+		{JPFA, "keys,delta", "locked"},
+		{PCJ, "keys", "locked"},
+	} {
+		for _, pools := range []int{1, 3} {
+			env, err := NewEnv(GridConfig{Backend: tc.kind, Records: 100, FieldCount: 1, FieldLen: 8, FenceNs: 1, Pools: pools})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := env.Backend.Caps().String(); got != tc.caps {
+				t.Errorf("%s over %d pools offers [%s], want [%s]", tc.kind, pools, got, tc.caps)
+			}
+			if got := env.Grid.ReadPath(); got != tc.path {
+				t.Errorf("%s over %d pools: grid read path %q, want %q", tc.kind, pools, got, tc.path)
+			}
+			if (env.Set != nil) != (pools > 1) {
+				t.Errorf("%s over %d pools: set = %v (one pool must stay the direct backend)", tc.kind, pools, env.Set != nil)
+			}
+			env.Close()
+		}
 	}
 }

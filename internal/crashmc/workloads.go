@@ -13,6 +13,7 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/pdt"
 	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/tpcb"
 )
@@ -25,7 +26,14 @@ import (
 // of the J-PDT types (pdt), and the lock-free persist-at-destination
 // map/set (pdtlockfree).
 func Workloads() []*Workload {
-	return []*Workload{bankWorkload(), gridWorkload(), gridGroupWorkload(), gridDeltaWorkload(), gridReadWorkload(), poolWorkload(), pdtWorkload(), pdtLockFreeWorkload(), poolMigrateWorkload()}
+	var ws []*Workload
+	for _, e := range []entry{
+		bankEntry(), gridEntry(), gridGroupEntry(), gridDeltaEntry(), gridReadEntry(),
+		poolEntry(), pdtEntry(), pdtLockFreeEntry(), poolMigrateEntry(),
+	} {
+		ws = append(ws, e.workload())
+	}
+	return ws
 }
 
 // ByName resolves a workload; "all" is handled by callers.
@@ -36,6 +44,184 @@ func ByName(name string) (*Workload, bool) {
 		}
 	}
 	return nil, false
+}
+
+// entry is one row of the workload table: the stack every open of the
+// workload's pools goes through, what the harness does around each
+// reopen, and the workload's own scenario. The harness turns it into a
+// Workload: Setup opens the stack and hands it to the scenario; every
+// Check reopens the crash images at the requested recovery parallelism,
+// fscks each pool, and only then consults the scenario's oracle.
+type entry struct {
+	name      string
+	poolBytes int
+	pools     int // pools handed to the run (0 or 1 = single pool)
+	// setupPools is how many of them Setup's stack opens (0 = all); the
+	// rest are spares the scenario adds online.
+	setupPools int
+	// cfg is the stack configuration; the harness fills in Parallelism.
+	cfg stack.Config
+	// compare makes every parallel check prove the §4.1.3 equivalence on
+	// top of the oracle: each pool image recovered serially and
+	// concurrently must match bit for bit, and a full serial check of the
+	// same images must report the same observable state.
+	compare bool
+	// auditSlots runs fa.AuditCommittedSlots over tear-free images
+	// (Run.Audit): only sound for scenarios that never commit empty blocks.
+	auditSlots bool
+	new        func(seed int64) *scenario
+}
+
+// scenario is the workload-specific part of an entry: volatile closures
+// sharing an application-level oracle that exec maintains and check
+// consults (the contracts are Run's).
+type scenario struct {
+	// setup creates the persistent structures over the fresh stack.
+	setup func(st *stack.Stack) error
+	// exec is the explored mutation sequence.
+	exec func(pools []*nvm.Pool) error
+	// check verifies the oracle over a recovered, fsck-clean stack and
+	// probes that it still accepts operations. What it writes to obs is
+	// the observable state compared between recoveries (entry.compare).
+	check func(st *stack.Stack, obs *strings.Builder) error
+}
+
+// stackCfg is the explorer's stack shape: 16 log slots of 16 KiB (the
+// geometry the workloads' ordering-point counts were recorded with), the
+// given backend kind ("" = bare heap) under the given root name.
+func stackCfg(kind stack.Kind, root string) stack.Config {
+	return stack.Config{Backend: kind, Root: root, LogSlots: 16, LogSlotSize: 1 << 14}
+}
+
+func (e entry) workload() *Workload {
+	return &Workload{Name: e.name, PoolBytes: e.poolBytes, Pools: e.pools, New: func(seed int64) *Run {
+		sc := e.new(seed)
+		run := &Run{
+			SetupN: func(pools []*nvm.Pool) error {
+				if e.setupPools > 0 {
+					pools = pools[:e.setupPools]
+				}
+				st, err := e.open(pools, 1, false)
+				if err != nil {
+					return err
+				}
+				return sc.setup(st)
+			},
+			ExecN:  sc.exec,
+			CheckN: func(imgs []*nvm.Pool, parallelism int) error { return e.check(sc, imgs, parallelism) },
+		}
+		if e.auditSlots {
+			run.Audit = func(imgs []*nvm.Pool) error {
+				mem, err := heap.Open(imgs[0])
+				if err != nil {
+					return err
+				}
+				return fa.AuditCommittedSlots(mem)
+			}
+		}
+		return run
+	}}
+}
+
+// open opens pools through the entry's stack; bare leaves the backend
+// off, so nothing above the heap touches the image.
+func (e entry) open(pools []*nvm.Pool, parallelism int, bare bool) (*stack.Stack, error) {
+	cfg := e.cfg
+	cfg.Parallelism = parallelism
+	if bare {
+		cfg.Backend = ""
+	}
+	return stack.Open(pools, cfg)
+}
+
+// check is every scenario's Check: what an operator restart does, then
+// the oracle. A multi-pool run first reads the epoch table off the pool-0
+// image to learn which pools are durable members.
+func (e entry) check(sc *scenario, imgs []*nvm.Pool, parallelism int) error {
+	if len(imgs) > 1 {
+		n, err := e.durableMembers(imgs)
+		if err != nil {
+			return err
+		}
+		imgs = imgs[:n]
+	}
+	if !e.compare || parallelism == 1 {
+		_, err := e.checkOne(sc, imgs, parallelism)
+		return err
+	}
+	// §4.1.3 equivalence, per pool and bit for bit: recover each image
+	// serially and concurrently, bare, and compare the raw pool bytes —
+	// before anything above the heap (a mirror rebuild, a set's migration
+	// resume) can write.
+	clones := make([]*nvm.Pool, len(imgs))
+	for i, img := range imgs {
+		clones[i] = clonePool(img)
+		a, c := clonePool(img), clonePool(img)
+		if _, err := e.open([]*nvm.Pool{a}, 1, true); err != nil {
+			return fmt.Errorf("pool %d serial recovery: %w", i, err)
+		}
+		if _, err := e.open([]*nvm.Pool{c}, parallelism, true); err != nil {
+			return fmt.Errorf("pool %d parallel recovery: %w", i, err)
+		}
+		if !bytes.Equal(a.ReadBytes(0, a.Size()), c.ReadBytes(0, c.Size())) {
+			return fmt.Errorf("pool %d: serial and parallel recovery images differ", i)
+		}
+	}
+	obs, err := e.checkOne(sc, imgs, parallelism)
+	if err != nil {
+		return err
+	}
+	sobs, err := e.checkOne(sc, clones, 1)
+	if err != nil {
+		return fmt.Errorf("serial replay of parallel image: %w", err)
+	}
+	if obs != sobs {
+		return fmt.Errorf("serial/parallel divergence:\n  par:    %s\n  serial: %s", obs, sobs)
+	}
+	return nil
+}
+
+// checkOne reopens the images (replaying any interrupted migration
+// synchronously), fscks every pool and runs the scenario's oracle.
+func (e entry) checkOne(sc *scenario, imgs []*nvm.Pool, parallelism int) (string, error) {
+	st, err := e.open(imgs, parallelism, false)
+	if err != nil {
+		return "", fmt.Errorf("reopen (%d pools): %w", len(imgs), err)
+	}
+	if st.Set != nil && st.Set.Migrating() {
+		return "", fmt.Errorf("still migrating after open")
+	}
+	for i, m := range st.Pools {
+		if err := fsckClean(m.Heap); err != nil {
+			return "", fmt.Errorf("pool %d: %w", i, err)
+		}
+	}
+	var obs strings.Builder
+	err = sc.check(st, &obs)
+	return obs.String(), err
+}
+
+// durableMembers reads the durable pool roster off the pool-0 image (on
+// a scratch clone, so the real open starts from a pristine image).
+func (e entry) durableMembers(imgs []*nvm.Pool) (int, error) {
+	probe, err := e.open([]*nvm.Pool{clonePool(imgs[0])}, 1, true)
+	if err != nil {
+		return 0, fmt.Errorf("pool 0 reopen: %w", err)
+	}
+	_, _, targetN, _, _, err := shard.ReadTopology(probe.Pools[0].Heap)
+	if err != nil {
+		return 0, err
+	}
+	if targetN < 2 || targetN > len(imgs) {
+		return 0, fmt.Errorf("epoch table names %d pools", targetN)
+	}
+	return targetN, nil
+}
+
+func clonePool(p *nvm.Pool) *nvm.Pool {
+	c := nvm.New(int(p.Size()), nvm.Options{})
+	c.WriteBytes(0, p.ReadBytes(0, p.Size()))
+	return c
 }
 
 func fsckClean(h *core.Heap) error {
@@ -51,36 +237,84 @@ func fsckClean(h *core.Heap) error {
 	return nil
 }
 
-func openCheckHeap(img *nvm.Pool, classes []*core.Class, mgr *fa.Manager, parallelism int) (*core.Heap, error) {
-	return core.Open(img, core.Config{
-		HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 14},
-		Classes:     classes,
-		LogHandler:  mgr,
-		Recover:     core.RecoverOptions{Parallelism: parallelism},
-	})
-}
+// recordReader is the read half of a grid or a backend.
+type recordReader func(key string, consume func(name string, value []byte)) (bool, error)
 
-// auditLogHandler audits the crash image before delegating replay: a log
-// slot durably marked committed with a zero entry count replays as an
-// empty transaction, silently dropping a commit — the signature of a
-// commit mark that outran its stage-1 persist (the delta-materialization
-// regression). Only sound for workloads that never commit empty blocks.
-type auditLogHandler struct{ mgr *fa.Manager }
-
-func (a auditLogHandler) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
-	if err := fa.AuditCommittedSlots(h); err != nil {
-		return err
+// gridReader adapts a grid, whose Read reports absence as ErrNotFound.
+func gridReader(g *store.Grid) recordReader {
+	return func(key string, consume func(name string, value []byte)) (bool, error) {
+		err := g.Read(key, consume)
+		if err == store.ErrNotFound {
+			return false, nil
+		}
+		return err == nil, err
 	}
-	return a.mgr.RecoverLogs(h, opts)
 }
 
-func openAuditHeap(img *nvm.Pool, classes []*core.Class, mgr *fa.Manager, parallelism int) (*core.Heap, error) {
-	return core.Open(img, core.Config{
-		HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 14},
-		Classes:     classes,
-		LogHandler:  auditLogHandler{mgr},
-		Recover:     core.RecoverOptions{Parallelism: parallelism},
+// field reads one field of the record under key, copied out of NVMM.
+// found is false when the key is absent; a present record without the
+// field is an error.
+func (read recordReader) field(key, name string) (val []byte, found bool, err error) {
+	has := false
+	found, err = read(key, func(n string, v []byte) {
+		if n == name {
+			val = append([]byte(nil), v...)
+			has = true
+		}
 	})
+	if err != nil {
+		return nil, false, err
+	}
+	if found && !has {
+		return nil, false, fmt.Errorf("record %s has no field %s", key, name)
+	}
+	return val, found, nil
+}
+
+// rootAs resurrects the root object bound to name as a T; a root that
+// recovered as anything else is a finding, not a panic.
+func rootAs[T core.PObject](h *core.Heap, name string) (T, error) {
+	po, err := h.Root().Get(name)
+	if err != nil {
+		var none T
+		return none, fmt.Errorf("root %s: %w", name, err)
+	}
+	v, ok := po.(T)
+	if !ok {
+		return v, fmt.Errorf("root %s is %T, not %T", name, po, v)
+	}
+	return v, nil
+}
+
+// keyNames renders the working key set of a scenario.
+func keyNames(format string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf(format, i)
+	}
+	return keys
+}
+
+// letters is an n-byte value recognizable per op i, so a torn or
+// misattributed record shows up as a mismatch, not as equal filler.
+func letters(i, n int) []byte {
+	v := make([]byte, n)
+	for j := range v {
+		v[j] = byte('a' + (i+j)%26)
+	}
+	return v
+}
+
+// probeInsert is the grid workloads' writability probe: the recovered
+// grid must accept a new record and read it back.
+func probeInsert(g *store.Grid) error {
+	if err := g.Insert("probe", &store.Record{Fields: []store.Field{{Name: "v", Value: []byte("ok")}}}); err != nil {
+		return fmt.Errorf("post-recovery insert: %w", err)
+	}
+	if v, _, err := gridReader(g).field("probe", "v"); err != nil || string(v) != "ok" {
+		return fmt.Errorf("post-recovery readback: %q, %v", v, err)
+	}
+	return nil
 }
 
 // ---- bank: J-PFA failure-atomic transfers (§5.3.3) ----
@@ -89,25 +323,24 @@ func openAuditHeap(img *nvm.Pool, classes []*core.Class, mgr *fa.Manager, parall
 // any point, every balance vector must equal the committed oracle with
 // the in-flight transfer either fully applied or fully absent, the total
 // must be conserved, and the recovered bank must accept new transfers.
-func bankWorkload() *Workload {
+func bankEntry() entry {
 	const accounts = 8
 	const transfers = 12
 	type xfer struct {
 		from, to int
 		amount   int64
 	}
-	return &Workload{Name: "bank", PoolBytes: 1 << 22, New: func(seed int64) *Run {
+	return entry{name: "bank", poolBytes: 1 << 22, cfg: tpcb.StackConfig(false), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		committed := make([]int64, accounts)
 		var inflight *xfer
 		var bank *tpcb.JNVMBank
-		return &Run{
-			Setup: func(pool *nvm.Pool) error {
-				b, err := tpcb.OpenJNVMBank(pool, accounts, false)
-				bank = b
+		return &scenario{
+			setup: func(st *stack.Stack) (err error) {
+				bank, err = tpcb.NewJNVMBank(st, accounts)
 				return err
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for i := 0; i < transfers; i++ {
 					from := rng.Intn(accounts)
 					to := (from + 1 + rng.Intn(accounts-1)) % accounts
@@ -122,13 +355,10 @@ func bankWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				b, err := tpcb.OpenJNVMBankRec(img, accounts, false, core.RecoverOptions{Parallelism: parallelism})
+			check: func(st *stack.Stack, _ *strings.Builder) error {
+				b, err := tpcb.NewJNVMBank(st, accounts)
 				if err != nil {
-					return fmt.Errorf("reopen: %w", err)
-				}
-				if err := fsckClean(b.Heap()); err != nil {
-					return err
+					return fmt.Errorf("reattach: %w", err)
 				}
 				readAll := func() ([]int64, int64, error) {
 					got := make([]int64, accounts)
@@ -193,45 +423,24 @@ type gridOp struct {
 	pre, post []byte // nil = absent
 }
 
-func gridClasses() []*core.Class {
-	return append(pdt.Classes(), store.Classes()...)
-}
-
-func gridWorkload() *Workload {
+func gridEntry() entry {
 	const nkeys = 10
 	const ops = 30
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%02d", i)
-	}
-	return &Workload{Name: "grid", PoolBytes: 1 << 21, New: func(seed int64) *Run {
+	keys := keyNames("k%02d", nkeys)
+	return entry{name: "grid", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA, "grid.map"), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string][]byte) // committed value per key; nil/missing = absent
 		var inflight *gridOp
 		var g *store.Grid
 		mkval := func(i int) []byte {
-			n := 8 + rng.Intn(72) // up to two cache lines of payload
-			v := make([]byte, n)
-			for j := range v {
-				v[j] = byte('a' + (i+j)%26)
-			}
-			return v
+			return letters(i, 8+rng.Intn(72)) // up to two cache lines of payload
 		}
-		return &Run{
-			Setup: func(pool *nvm.Pool) error {
-				mgr := fa.NewManager()
-				h, err := openCheckHeap(pool, gridClasses(), mgr, 1)
-				if err != nil {
-					return err
-				}
-				backend, err := store.NewJPFABackend(h, mgr, "grid.map")
-				if err != nil {
-					return err
-				}
-				g = store.NewGrid(backend, store.Options{CacheEntries: 4})
+		return &scenario{
+			setup: func(st *stack.Stack) error {
+				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				return nil
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
 					pre := model[key]
@@ -268,42 +477,10 @@ func gridWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				mgr := fa.NewManager()
-				h, err := openCheckHeap(img, gridClasses(), mgr, parallelism)
-				if err != nil {
-					return fmt.Errorf("reopen: %w", err)
-				}
-				if err := fsckClean(h); err != nil {
-					return err
-				}
-				backend, err := store.NewJPFABackend(h, mgr, "grid.map")
-				if err != nil {
-					return fmt.Errorf("reopen backend: %w", err)
-				}
-				g := store.NewGrid(backend, store.Options{})
-				read := func(key string) ([]byte, error) {
-					var val []byte
-					found := false
-					err := g.Read(key, func(name string, v []byte) {
-						if name == "v" {
-							val = append([]byte(nil), v...)
-							found = true
-						}
-					})
-					if err == store.ErrNotFound {
-						return nil, nil
-					}
-					if err != nil {
-						return nil, err
-					}
-					if !found {
-						return nil, fmt.Errorf("record %s has no field v", key)
-					}
-					return val, nil
-				}
+			check: func(st *stack.Stack, _ *strings.Builder) error {
+				g := store.NewGrid(st.Backend, store.Options{})
 				for _, key := range keys {
-					got, err := read(key)
+					got, _, err := gridReader(g).field(key, "v")
 					if err != nil {
 						return fmt.Errorf("read %s: %w", key, err)
 					}
@@ -323,14 +500,7 @@ func gridWorkload() *Workload {
 					}
 					return fmt.Errorf("key %s: got %q, want %q", key, got, want)
 				}
-				// Writability probe.
-				if err := g.Insert("probe", &store.Record{Fields: []store.Field{{Name: "v", Value: []byte("ok")}}}); err != nil {
-					return fmt.Errorf("post-recovery insert: %w", err)
-				}
-				if v, err := read("probe"); err != nil || string(v) != "ok" {
-					return fmt.Errorf("post-recovery readback: %q, %v", v, err)
-				}
-				return nil
+				return probeInsert(g)
 			},
 		}
 	}}
@@ -348,40 +518,24 @@ func gridWorkload() *Workload {
 // from a later epoch while an earlier one is missing (epochs touch every
 // key round-robin, so a skipped epoch would surface as a stale durable
 // read after a collapse).
-func gridGroupWorkload() *Workload {
+func gridGroupEntry() entry {
 	const nkeys = 8
 	const epochs = 5
 	const opsPerEpoch = 3 // < nkeys: round-robin keeps keys distinct per epoch
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("g%02d", i)
-	}
-	return &Workload{Name: "gridgroup", PoolBytes: 1 << 21, New: func(seed int64) *Run {
+	keys := keyNames("g%02d", nkeys)
+	return entry{name: "gridgroup", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA, "gridgroup.map"), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		durable := make(map[string][]byte) // value proven durable by a returned drain
 		pending := make(map[string][]byte) // queued in the in-flight epoch, nil = none
 		var g *store.Grid
 		var mgr *fa.Manager
 		mkval := func(i int) []byte {
-			n := 8 + rng.Intn(16)
-			v := make([]byte, n)
-			for j := range v {
-				v[j] = byte('a' + (i+j)%26)
-			}
-			return v
+			return letters(i, 8+rng.Intn(16))
 		}
-		return &Run{
-			Setup: func(pool *nvm.Pool) error {
-				mgr = fa.NewManager()
-				h, err := openCheckHeap(pool, gridClasses(), mgr, 1)
-				if err != nil {
-					return err
-				}
-				backend, err := store.NewJPFABackend(h, mgr, "gridgroup.map")
-				if err != nil {
-					return err
-				}
-				g = store.NewGrid(backend, store.Options{CacheEntries: 4})
+		return &scenario{
+			setup: func(st *stack.Stack) error {
+				mgr = st.Pools[0].Mgr
+				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				// Seed every key in the default per-Tx mode, then switch to
 				// the async pipeline for the explored phase.
 				for i, key := range keys {
@@ -393,7 +547,7 @@ func gridGroupWorkload() *Workload {
 				}
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for e := 0; e < epochs; e++ {
 					batch := make([]string, 0, opsPerEpoch)
 					for j := 0; j < opsPerEpoch; j++ {
@@ -419,27 +573,13 @@ func gridGroupWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				mgr2 := fa.NewManager()
-				h, err := openCheckHeap(img, gridClasses(), mgr2, parallelism)
-				if err != nil {
-					return fmt.Errorf("reopen: %w", err)
-				}
-				if err := fsckClean(h); err != nil {
-					return err
-				}
-				backend, err := store.NewJPFABackend(h, mgr2, "gridgroup.map")
-				if err != nil {
-					return fmt.Errorf("reopen backend: %w", err)
-				}
-				g2 := store.NewGrid(backend, store.Options{})
+			check: func(st *stack.Stack, _ *strings.Builder) error {
+				g2 := store.NewGrid(st.Backend, store.Options{})
 				for _, key := range keys {
-					var val []byte
-					err := g2.Read(key, func(name string, v []byte) {
-						if name == "v" {
-							val = append([]byte(nil), v...)
-						}
-					})
+					val, found, err := gridReader(g2).field(key, "v")
+					if err == nil && !found {
+						err = store.ErrNotFound
+					}
 					if err != nil {
 						return fmt.Errorf("read %s: %w", key, err)
 					}
@@ -453,10 +593,7 @@ func gridGroupWorkload() *Workload {
 						key, val, durable[key], pending[key])
 				}
 				// Writability probe: the recovered heap commits per-Tx again.
-				if err := g2.Insert("probe", &store.Record{Fields: []store.Field{{Name: "v", Value: []byte("ok")}}}); err != nil {
-					return fmt.Errorf("post-recovery insert: %w", err)
-				}
-				return nil
+				return probeInsert(g2)
 			},
 		}
 	}}
@@ -472,18 +609,14 @@ func gridGroupWorkload() *Workload {
 // (base+sum: a fold materializes atomically, so a partial sum must never
 // surface) plus the set of values any internal drain may have made
 // durable; each returned drain collapses the set to exactly the current
-// value — a lost or double-applied folded delta fails there. Parallel
-// recovery additionally replays the identical image serially and demands
-// bit-identical pool bytes: a folded entry is one ordinary redo-log write,
-// so both recovery paths must land on the same image.
-func gridDeltaWorkload() *Workload {
+// value — a lost or double-applied folded delta fails there. The entry
+// compares recoveries: a folded entry is one ordinary redo-log write, so
+// the serial and the parallel path must land on the same image.
+func gridDeltaEntry() entry {
 	const nkeys = 6
 	const epochs = 4
 	const opsPerEpoch = 6
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("c%02d", i)
-	}
+	keys := keyNames("c%02d", nkeys)
 	counterBytes := func(v int64) []byte {
 		b := make([]byte, 8)
 		for i := 0; i < 8; i++ {
@@ -491,7 +624,13 @@ func gridDeltaWorkload() *Workload {
 		}
 		return b
 	}
-	return &Workload{Name: "griddelta", PoolBytes: 1 << 21, New: func(seed int64) *Run {
+	e := entry{name: "griddelta", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA, "griddelta.map")}
+	// On tear-free images a committed log slot with a zero entry count
+	// means a commit mark outran its stage-1 persist — the signature of a
+	// delta materialization whose fold would silently drop at replay
+	// (fa.epochStage1's regression).
+	e.compare, e.auditSlots = true, true
+	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		base := make([]int64, nkeys) // value with every drained write applied
 		sum := make([]int64, nkeys)  // in-flight folded delta on top of base
@@ -515,26 +654,10 @@ func gridDeltaWorkload() *Workload {
 		}
 		var g *store.Grid
 		var mgr *fa.Manager
-		return &Run{
-			// On tear-free images a committed log slot with a zero entry
-			// count means a commit mark outran its stage-1 persist — the
-			// signature of a delta materialization whose fold would
-			// silently drop at replay (fa.epochStage1's regression).
-			Audit: func(imgs []*nvm.Pool) error {
-				_, err := openAuditHeap(imgs[0], gridClasses(), fa.NewManager(), 1)
-				return err
-			},
-			Setup: func(pool *nvm.Pool) error {
-				mgr = fa.NewManager()
-				h, err := openCheckHeap(pool, gridClasses(), mgr, 1)
-				if err != nil {
-					return err
-				}
-				backend, err := store.NewJPFABackend(h, mgr, "griddelta.map")
-				if err != nil {
-					return err
-				}
-				g = store.NewGrid(backend, store.Options{CacheEntries: 4})
+		return &scenario{
+			setup: func(st *stack.Stack) error {
+				mgr = st.Pools[0].Mgr
+				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				// Seed per-Tx: insert each counter, then one delta to
 				// upgrade the pooled value to a block-resident counter so
 				// the async phase folds in the ledger from the first op.
@@ -552,7 +675,7 @@ func gridDeltaWorkload() *Workload {
 				}
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for e := 0; e < epochs; e++ {
 					for i := 0; i < opsPerEpoch; i++ {
 						k := rng.Intn(nkeys)
@@ -609,44 +732,13 @@ func gridDeltaWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				var snapshot []byte
-				if parallelism > 1 {
-					// A folded entry is an ordinary redo-log write, so
-					// serial and parallel replay of the same image must be
-					// bit-identical before either serves reads.
-					snapshot = img.ReadBytes(0, img.Size())
-				}
-				mgr2 := fa.NewManager()
-				h, err := openCheckHeap(img, gridClasses(), mgr2, parallelism)
-				if err != nil {
-					return fmt.Errorf("reopen: %w", err)
-				}
-				if parallelism > 1 {
-					img2 := nvm.New(len(snapshot), nvm.Options{})
-					img2.WriteBytes(0, snapshot)
-					if _, err := openCheckHeap(img2, gridClasses(), fa.NewManager(), 1); err != nil {
-						return fmt.Errorf("serial replay: %w", err)
-					}
-					if !bytes.Equal(img.ReadBytes(0, img.Size()), img2.ReadBytes(0, img2.Size())) {
-						return fmt.Errorf("serial and parallel recovery images differ")
-					}
-				}
-				if err := fsckClean(h); err != nil {
-					return err
-				}
-				backend, err := store.NewJPFABackend(h, mgr2, "griddelta.map")
-				if err != nil {
-					return fmt.Errorf("reopen backend: %w", err)
-				}
-				g2 := store.NewGrid(backend, store.Options{})
+			check: func(st *stack.Stack, obs *strings.Builder) error {
+				g2 := store.NewGrid(st.Backend, store.Options{})
 				read := func(key string) (int64, error) {
-					var raw []byte
-					err := g2.Read(key, func(name string, v []byte) {
-						if name == "n" {
-							raw = append([]byte(nil), v...)
-						}
-					})
+					raw, found, err := gridReader(g2).field(key, "n")
+					if err == nil && !found {
+						err = store.ErrNotFound
+					}
 					if err != nil {
 						return 0, err
 					}
@@ -664,6 +756,7 @@ func gridDeltaWorkload() *Workload {
 					if err != nil {
 						return fmt.Errorf("read %s: %w", key, err)
 					}
+					fmt.Fprintf(obs, "%s=%d;", key, got)
 					if got == base[j]+sum[j] || durable[j][got] {
 						continue
 					}
@@ -687,12 +780,13 @@ func gridDeltaWorkload() *Workload {
 				return nil
 			},
 		}
-	}}
+	}
+	return e
 }
 
 // ---- gridread: J-PDT backend, zero-copy reads, EBR deferral ----
 
-// gridReadWorkload crashes the store's fastest path: the J-PDT backend
+// gridReadEntry crashes the store's fastest path: the J-PDT backend
 // behind a cache-less grid, which adopts the seqlock zero-copy reader and
 // enables epoch-based reclamation on the heap. Writes follow the
 // non-transactional §4.1.6 discipline (validate+fence before the swing,
@@ -702,14 +796,11 @@ func gridDeltaWorkload() *Workload {
 // writes so crash points land while retired-but-unreclaimed blocks exist,
 // and every Check recovers the image and re-reads through a fresh
 // zero-copy grid.
-func gridReadWorkload() *Workload {
+func gridReadEntry() entry {
 	const nkeys = 8
 	const ops = 36
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("r%02d", i)
-	}
-	return &Workload{Name: "gridread", PoolBytes: 1 << 21, New: func(seed int64) *Run {
+	keys := keyNames("r%02d", nkeys)
+	return entry{name: "gridread", poolBytes: 1 << 21, cfg: stackCfg(stack.JPDT, "gridread.map"), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string][]byte)         // committed value per key; missing = absent
 		poss := make(map[string]map[string]bool) // legal recovered states per key
@@ -733,48 +824,20 @@ func gridReadWorkload() *Workload {
 			if rng.Intn(4) == 0 {
 				n = 280 + rng.Intn(120) // chained blob: defeats the view reader
 			}
-			v := make([]byte, n)
-			for j := range v {
-				v[j] = byte('a' + (i+j)%26)
-			}
-			return v
+			return letters(i, n)
 		}
 		read := func(gr *store.Grid, key string) ([]byte, error) {
-			var val []byte
-			found := false
-			err := gr.Read(key, func(name string, v []byte) {
-				if name == "v" {
-					val = append([]byte(nil), v...)
-					found = true
-				}
-			})
-			if err == store.ErrNotFound {
-				return nil, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				return nil, fmt.Errorf("record %s has no field v", key)
-			}
-			return val, nil
+			val, _, err := gridReader(gr).field(key, "v")
+			return val, err
 		}
-		return &Run{
-			Setup: func(pool *nvm.Pool) error {
-				h, err := openCheckHeap(pool, gridClasses(), fa.NewManager(), 1)
-				if err != nil {
-					return err
-				}
-				backend, err := store.NewJPDTBackend(h, "gridread.map")
-				if err != nil {
-					return err
-				}
+		return &scenario{
+			setup: func(st *stack.Stack) error {
 				// No record cache, so the grid adopts the zero-copy read
 				// path and turns on EBR.
-				g = store.NewGrid(backend, store.Options{})
+				g = store.NewGrid(st.Backend, store.Options{})
 				return nil
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
 					switch rng.Intn(6) {
@@ -823,21 +886,10 @@ func gridReadWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				h, err := openCheckHeap(img, gridClasses(), fa.NewManager(), parallelism)
-				if err != nil {
-					return fmt.Errorf("reopen: %w", err)
-				}
-				if err := fsckClean(h); err != nil {
-					return err
-				}
-				backend, err := store.NewJPDTBackend(h, "gridread.map")
-				if err != nil {
-					return fmt.Errorf("reopen backend: %w", err)
-				}
+			check: func(st *stack.Stack, _ *strings.Builder) error {
 				// The recovered grid adopts zero-copy again, so every
 				// crash image is re-read through the view path.
-				g2 := store.NewGrid(backend, store.Options{})
+				g2 := store.NewGrid(st.Backend, store.Options{})
 				for _, key := range keys {
 					got, err := read(g2, key)
 					if err != nil {
@@ -870,18 +922,15 @@ func gridReadWorkload() *Workload {
 
 // ---- pool: transactional allocation and free through pdt.Map ----
 
-// poolWorkload drives the heap allocator inside failure-atomic blocks:
+// poolEntry drives the heap allocator inside failure-atomic blocks:
 // PutTx allocates key strings, pairs and values (pooled small strings
 // and multi-block byte blobs), DeleteTx frees them, and a crash at any
 // point must leave the map exactly at the committed model with at most
 // the in-flight op applied — with no leaked or dangling blocks (fsck).
-func poolWorkload() *Workload {
+func poolEntry() entry {
 	const nkeys = 10
 	const ops = 24
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("p%02d", i)
-	}
+	keys := keyNames("p%02d", nkeys)
 	type poolVal struct {
 		isStr bool
 		data  []byte
@@ -890,7 +939,7 @@ func poolWorkload() *Workload {
 		key       string
 		pre, post *poolVal
 	}
-	return &Workload{Name: "pool", PoolBytes: 1 << 21, New: func(seed int64) *Run {
+	return entry{name: "pool", poolBytes: 1 << 21, cfg: stackCfg("", ""), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string]*poolVal)
 		var inflight *poolOp
@@ -946,21 +995,16 @@ func poolWorkload() *Workload {
 				return mp.PutTx(tx, key, po)
 			})
 		}
-		return &Run{
-			Setup: func(pool *nvm.Pool) error {
-				mgr = fa.NewManager()
-				var err error
-				h, err = openCheckHeap(pool, pdt.Classes(), mgr, 1)
-				if err != nil {
-					return err
-				}
+		return &scenario{
+			setup: func(st *stack.Stack) (err error) {
+				h, mgr = st.Pools[0].Heap, st.Pools[0].Mgr
 				m, err = pdt.NewMap(h, pdt.MirrorHash)
 				if err != nil {
 					return err
 				}
 				return h.Root().Put("pool.map", m)
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
 					pre := model[key]
@@ -985,22 +1029,11 @@ func poolWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				mgr2 := fa.NewManager()
-				h2, err := openCheckHeap(img, pdt.Classes(), mgr2, parallelism)
+			check: func(st *stack.Stack, _ *strings.Builder) error {
+				h2 := st.Pools[0].Heap
+				m2, err := rootAs[*pdt.Map](h2, "pool.map")
 				if err != nil {
-					return fmt.Errorf("reopen: %w", err)
-				}
-				if err := fsckClean(h2); err != nil {
 					return err
-				}
-				po, err := h2.Root().Get("pool.map")
-				if err != nil {
-					return fmt.Errorf("root map: %w", err)
-				}
-				m2, ok := po.(*pdt.Map)
-				if !ok {
-					return fmt.Errorf("root pool.map is %T, not *pdt.Map", po)
 				}
 				for _, key := range keys {
 					vpo, err := m2.Get(key)
@@ -1052,20 +1085,17 @@ func poolWorkload() *Workload {
 
 const absentState = "\x00absent"
 
-// pdtWorkload checks the single-fence publication rules (§3.2.3) without
+// pdtEntry checks the single-fence publication rules (§3.2.3) without
 // failure-atomic blocks. Individual ops are not atomic across a crash,
 // so the oracle tracks the *set* of states each key/cell may legally
 // hold: every value written since the last full fence plus the fenced
 // state, never anything torn, half-initialized, or from another key.
-func pdtWorkload() *Workload {
+func pdtEntry() entry {
 	const nkeys = 8
 	const cells = 8
 	const ops = 36
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("d%02d", i)
-	}
-	return &Workload{Name: "pdt", PoolBytes: 1 << 21, New: func(seed int64) *Run {
+	keys := keyNames("d%02d", nkeys)
+	return entry{name: "pdt", poolBytes: 1 << 21, cfg: stackCfg("", ""), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		// possible[k] is the set of states key k may recover to.
 		mapPoss := make(map[string]map[string]bool)
@@ -1102,13 +1132,9 @@ func pdtWorkload() *Workload {
 				arrPoss[i] = map[int64]bool{arrCur[i]: true}
 			}
 		}
-		return &Run{
-			Setup: func(pool *nvm.Pool) error {
-				var err error
-				h, err = openCheckHeap(pool, pdt.Classes(), fa.NewManager(), 1)
-				if err != nil {
-					return err
-				}
+		return &scenario{
+			setup: func(st *stack.Stack) (err error) {
+				h = st.Pools[0].Heap
 				if m, err = pdt.NewMap(h, pdt.MirrorHash); err != nil {
 					return err
 				}
@@ -1126,7 +1152,7 @@ func pdtWorkload() *Workload {
 				}
 				return h.Root().Put("pdt.arr", arr)
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for i := 0; i < ops; i++ {
 					switch rng.Intn(7) {
 					case 0, 1: // map put
@@ -1175,29 +1201,21 @@ func pdtWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				h2, err := openCheckHeap(img, pdt.Classes(), fa.NewManager(), parallelism)
+			check: func(st *stack.Stack, _ *strings.Builder) error {
+				h2 := st.Pools[0].Heap
+				m2, err := rootAs[*pdt.Map](h2, "pdt.map")
 				if err != nil {
-					return fmt.Errorf("reopen: %w", err)
-				}
-				if err := fsckClean(h2); err != nil {
 					return err
 				}
-				mpo, err := h2.Root().Get("pdt.map")
+				sm2, err := rootAs[*pdt.Map](h2, "pdt.set")
 				if err != nil {
-					return fmt.Errorf("root pdt.map: %w", err)
+					return err
 				}
-				m2 := mpo.(*pdt.Map)
-				spo, err := h2.Root().Get("pdt.set")
+				s2 := pdt.AsSet(sm2)
+				arr2, err := rootAs[*pdt.PLongArray](h2, "pdt.arr")
 				if err != nil {
-					return fmt.Errorf("root pdt.set: %w", err)
+					return err
 				}
-				s2 := pdt.AsSet(spo.(*pdt.Map))
-				apo, err := h2.Root().Get("pdt.arr")
-				if err != nil {
-					return fmt.Errorf("root pdt.arr: %w", err)
-				}
-				arr2 := apo.(*pdt.PLongArray)
 				for _, k := range keys {
 					vpo, err := m2.Get(k)
 					if err != nil {
@@ -1254,7 +1272,7 @@ func pdtWorkload() *Workload {
 
 // ---- pdtlockfree: lock-free map/set persist-at-destination writes ----
 
-// pdtLockFreeWorkload crashes the SOFT-style lock-free structures of
+// pdtLockFreeEntry crashes the SOFT-style lock-free structures of
 // DESIGN.md §16: every structural write persists only its destination
 // cell (one pwb + one fence), validity brackets gate recovery, and the
 // links are volatile (rebuilt by OnResurrect). Individual ops are not
@@ -1262,15 +1280,15 @@ func pdtWorkload() *Workload {
 // oracle is a possible-state set per key: every value bound since the
 // last full checkpoint plus the checkpointed state. The key mix includes
 // indirect keys (> 36 bytes, spilled to a key blob) so crash points land
-// inside the two-object publication. Every Check recovers through the
+// inside the two-object publication. Every check recovers through the
 // standard path and fscks both the heap and the map's own
-// bracket-vs-reachability invariant; parallel-recovery Checks replay the
-// identical image through the serial §4.1.3 oracle too and demand
-// observationally identical maps (the cross-check of the §16
-// fixed-index-merge argument — at this scale the parallel path degrades
-// to serial below lfRebuildParallelMin, so divergence here would mean
-// the dispatch itself is unsound).
-func pdtLockFreeWorkload() *Workload {
+// bracket-vs-reachability invariant; the entry compares recoveries, so
+// parallel checks replay the identical image through the serial §4.1.3
+// oracle too and demand observationally identical maps (the cross-check
+// of the §16 fixed-index-merge argument — at this scale the parallel
+// path degrades to serial below lfRebuildParallelMin, so divergence here
+// would mean the dispatch itself is unsound).
+func pdtLockFreeEntry() entry {
 	const ops = 34
 	keys := []string{
 		"l00", "l01", "l02", "l03", "l04", "l05",
@@ -1278,7 +1296,7 @@ func pdtLockFreeWorkload() *Workload {
 		"l-indirect-" + strings.Repeat("x", 40),
 		"l-indirect-" + strings.Repeat("y", 40),
 	}
-	return &Workload{Name: "pdtlockfree", PoolBytes: 1 << 21, New: func(seed int64) *Run {
+	return entry{name: "pdtlockfree", poolBytes: 1 << 21, cfg: stackCfg("", ""), compare: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		mapPoss := make(map[string]map[string]bool)
 		setPoss := make(map[string]map[string]bool)
@@ -1305,115 +1323,9 @@ func pdtLockFreeWorkload() *Workload {
 				}
 			}
 		}
-		// checkOne verifies one recovered heap against the oracle and
-		// returns the map's observable state for the serial/parallel
-		// comparison: sorted "key=value" bindings plus sorted members.
-		checkOne := func(img *nvm.Pool, parallelism int) ([]string, []string, error) {
-			h2, err := openCheckHeap(img, pdt.Classes(), fa.NewManager(), parallelism)
-			if err != nil {
-				return nil, nil, fmt.Errorf("reopen: %w", err)
-			}
-			if err := fsckClean(h2); err != nil {
-				return nil, nil, err
-			}
-			mpo, err := h2.Root().Get("lf.map")
-			if err != nil {
-				return nil, nil, fmt.Errorf("root lf.map: %w", err)
-			}
-			m2, ok := mpo.(*pdt.LFMap)
-			if !ok {
-				return nil, nil, fmt.Errorf("root lf.map is %T, not *pdt.LFMap", mpo)
-			}
-			spo, err := h2.Root().Get("lf.set")
-			if err != nil {
-				return nil, nil, fmt.Errorf("root lf.set: %w", err)
-			}
-			s2, ok := spo.(*pdt.LFSet)
-			if !ok {
-				return nil, nil, fmt.Errorf("root lf.set is %T, not *pdt.LFSet", spo)
-			}
-			if err := m2.FsckOrphans(); err != nil {
-				return nil, nil, err
-			}
-			if err := s2.FsckOrphans(); err != nil {
-				return nil, nil, err
-			}
-			for _, k := range keys {
-				vpo, err := m2.Get(k)
-				if err != nil {
-					return nil, nil, fmt.Errorf("map get %s: %w", k, err)
-				}
-				state := absentState
-				if vpo != nil {
-					pb, ok := vpo.(*pdt.PBytes)
-					if !ok {
-						return nil, nil, fmt.Errorf("map %s: half-initialized value %T", k, vpo)
-					}
-					state = string(pb.Value())
-				}
-				if !mapPoss[k][state] {
-					return nil, nil, fmt.Errorf("map %s: recovered %q not in legal states %v", k, state, stateNames(mapPoss[k]))
-				}
-				sstate := absentState
-				if s2.Contains(k) {
-					sstate = "present"
-				}
-				if !setPoss[k][sstate] {
-					return nil, nil, fmt.Errorf("set %s: recovered %q not in legal states %v", k, sstate, stateNames(setPoss[k]))
-				}
-			}
-			binds := make([]string, 0, m2.Len())
-			m2.ForEach(func(k string, vref core.Ref) bool {
-				if !strings.HasPrefix(k, "l") {
-					err = fmt.Errorf("phantom map key %q", k)
-					return false
-				}
-				binds = append(binds, k+"="+string(pdt.ReadBlobView(h2, vref)))
-				return true
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			sort.Strings(binds)
-			members := s2.Members()
-			for _, k := range members {
-				if !strings.HasPrefix(k, "l") {
-					return nil, nil, fmt.Errorf("phantom set member %q", k)
-				}
-			}
-			sort.Strings(members)
-			// Writability probe: the recovered structures must accept the
-			// full op mix through the same lock-free path.
-			pb, err := pdt.NewBytesValid(h2, []byte("ok"))
-			if err != nil {
-				return nil, nil, fmt.Errorf("post-recovery alloc: %w", err)
-			}
-			if err := m2.Put("z-probe", pb); err != nil {
-				return nil, nil, fmt.Errorf("post-recovery put: %w", err)
-			}
-			if got, err := m2.Get("z-probe"); err != nil {
-				return nil, nil, fmt.Errorf("post-recovery get: %w", err)
-			} else if b, ok := got.(*pdt.PBytes); !ok || string(b.Value()) != "ok" {
-				return nil, nil, fmt.Errorf("post-recovery readback mismatch")
-			}
-			if !m2.Delete("z-probe") {
-				return nil, nil, fmt.Errorf("post-recovery delete lost the probe")
-			}
-			if err := s2.Add("z-probe"); err != nil {
-				return nil, nil, fmt.Errorf("post-recovery set add: %w", err)
-			}
-			if !s2.Contains("z-probe") {
-				return nil, nil, fmt.Errorf("post-recovery set membership lost")
-			}
-			return binds, members, nil
-		}
-		return &Run{
-			Setup: func(pool *nvm.Pool) error {
-				var err error
-				h, err = openCheckHeap(pool, pdt.Classes(), fa.NewManager(), 1)
-				if err != nil {
-					return err
-				}
+		return &scenario{
+			setup: func(st *stack.Stack) (err error) {
+				h = st.Pools[0].Heap
 				if m, err = pdt.NewLFMap(h, 16); err != nil {
 					return err
 				}
@@ -1425,7 +1337,7 @@ func pdtLockFreeWorkload() *Workload {
 				}
 				return h.Root().Put("lf.set", s)
 			},
-			Exec: func(pool *nvm.Pool) error {
+			exec: func([]*nvm.Pool) error {
 				for i := 0; i < ops; i++ {
 					k := keys[rng.Intn(len(keys))]
 					switch rng.Intn(8) {
@@ -1470,30 +1382,93 @@ func pdtLockFreeWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
-				var snapshot []byte
-				if parallelism > 1 {
-					snapshot = img.ReadBytes(0, img.Size())
-				}
-				binds, members, err := checkOne(img, parallelism)
+			// check verifies one recovered heap against the oracle and reports
+			// the map's observable state for the serial/parallel comparison:
+			// sorted "key=value" bindings plus sorted members.
+			check: func(st *stack.Stack, obs *strings.Builder) error {
+				h2 := st.Pools[0].Heap
+				m2, err := rootAs[*pdt.LFMap](h2, "lf.map")
 				if err != nil {
 					return err
 				}
-				if parallelism > 1 {
-					// Serial-vs-parallel cross-check on the identical image.
-					img2 := nvm.New(len(snapshot), nvm.Options{})
-					img2.WriteBytes(0, snapshot)
-					sbinds, smembers, err := checkOne(img2, 1)
+				s2, err := rootAs[*pdt.LFSet](h2, "lf.set")
+				if err != nil {
+					return err
+				}
+				if err := m2.FsckOrphans(); err != nil {
+					return err
+				}
+				if err := s2.FsckOrphans(); err != nil {
+					return err
+				}
+				for _, k := range keys {
+					vpo, err := m2.Get(k)
 					if err != nil {
-						return fmt.Errorf("serial replay of parallel image: %w", err)
+						return fmt.Errorf("map get %s: %w", k, err)
 					}
-					if strings.Join(binds, ",") != strings.Join(sbinds, ",") {
-						return fmt.Errorf("serial/parallel map divergence: par=%v serial=%v", binds, sbinds)
+					state := absentState
+					if vpo != nil {
+						pb, ok := vpo.(*pdt.PBytes)
+						if !ok {
+							return fmt.Errorf("map %s: half-initialized value %T", k, vpo)
+						}
+						state = string(pb.Value())
 					}
-					if strings.Join(members, ",") != strings.Join(smembers, ",") {
-						return fmt.Errorf("serial/parallel set divergence: par=%v serial=%v", members, smembers)
+					if !mapPoss[k][state] {
+						return fmt.Errorf("map %s: recovered %q not in legal states %v", k, state, stateNames(mapPoss[k]))
+					}
+					sstate := absentState
+					if s2.Contains(k) {
+						sstate = "present"
+					}
+					if !setPoss[k][sstate] {
+						return fmt.Errorf("set %s: recovered %q not in legal states %v", k, sstate, stateNames(setPoss[k]))
 					}
 				}
+				binds := make([]string, 0, m2.Len())
+				m2.ForEach(func(k string, vref core.Ref) bool {
+					if !strings.HasPrefix(k, "l") {
+						err = fmt.Errorf("phantom map key %q", k)
+						return false
+					}
+					binds = append(binds, k+"="+string(pdt.ReadBlobView(h2, vref)))
+					return true
+				})
+				if err != nil {
+					return err
+				}
+				sort.Strings(binds)
+				members := s2.Members()
+				for _, k := range members {
+					if !strings.HasPrefix(k, "l") {
+						return fmt.Errorf("phantom set member %q", k)
+					}
+				}
+				sort.Strings(members)
+				// Writability probe: the recovered structures must accept the
+				// full op mix through the same lock-free path.
+				pb, err := pdt.NewBytesValid(h2, []byte("ok"))
+				if err != nil {
+					return fmt.Errorf("post-recovery alloc: %w", err)
+				}
+				if err := m2.Put("z-probe", pb); err != nil {
+					return fmt.Errorf("post-recovery put: %w", err)
+				}
+				if got, err := m2.Get("z-probe"); err != nil {
+					return fmt.Errorf("post-recovery get: %w", err)
+				} else if b, ok := got.(*pdt.PBytes); !ok || string(b.Value()) != "ok" {
+					return fmt.Errorf("post-recovery readback mismatch")
+				}
+				if !m2.Delete("z-probe") {
+					return fmt.Errorf("post-recovery delete lost the probe")
+				}
+				if err := s2.Add("z-probe"); err != nil {
+					return fmt.Errorf("post-recovery set add: %w", err)
+				}
+				if !s2.Contains("z-probe") {
+					return fmt.Errorf("post-recovery set membership lost")
+				}
+				fmt.Fprintf(obs, "map=%v set=%v", binds, members)
 				return nil
 			},
 		}
@@ -1523,56 +1498,32 @@ func int64Keys(m map[int64]bool) []int64 {
 
 // ---- poolmigrate: online pool addition and record migration (§17) ----
 
-func clonePool(p *nvm.Pool) *nvm.Pool {
-	c := nvm.New(int(p.Size()), nvm.Options{})
-	c.WriteBytes(0, p.ReadBytes(0, p.Size()))
-	return c
-}
-
-// poolMigrateWorkload crashes the multi-pool heap of DESIGN.md §17 at
+// poolMigrateEntry crashes the multi-pool heap of DESIGN.md §17 at
 // every point of its most delicate windows: sharded operation over two
 // pools, the online addition of a third (new-pool format, topology
 // transaction, record migration, finalize), and steady state after the
-// grow. Recovery does what an operator restart does — reads the epoch
-// table from the pool-0 image to learn which pools are durable members,
-// then opens the set (replaying any interrupted migration synchronously)
-// — and checks: every key readable with its committed or in-flight
-// pre/post value, every record sitting in its home pool of the recovered
-// routing world, no phantom keys, and the set still writable. With
-// parallel recovery the check also proves the §4.1.3 equivalence per
-// pool — each member image recovered serially and concurrently must
-// match bit for bit before any set-level resume touches it — and the
-// fully resumed sets must agree on every observable (epoch, membership,
-// per-pool contents).
-func poolMigrateWorkload() *Workload {
+// grow. Recovery does what an operator restart does — the harness reads
+// the epoch table from the pool-0 image to learn which pools are durable
+// members, then opens the set (replaying any interrupted migration
+// synchronously) — and the check proves: every key readable with its
+// committed or in-flight pre/post value, every record sitting in its home
+// pool of the recovered routing world, no phantom keys, and the set still
+// writable. The entry compares recoveries: each member image recovered
+// serially and concurrently must match bit for bit before any set-level
+// resume touches it, and the fully resumed sets must agree on every
+// observable (epoch, membership, per-pool contents).
+func poolMigrateEntry() entry {
 	const nkeys = 12
 	const preOps, postOps = 12, 6
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("m%02d", i)
-	}
-	shardCfg := func(parallelism int) shard.Config {
-		return shard.Config{
-			HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 14},
-			Classes:     gridClasses,
-			Parallelism: parallelism,
-			NewBackend: func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-				return store.NewJPDTBackend(h, "kv")
-			},
-		}
-	}
-	return &Workload{Name: "poolmigrate", PoolBytes: 1 << 21, Pools: 3, New: func(seed int64) *Run {
+	keys := keyNames("m%02d", nkeys)
+	e := entry{name: "poolmigrate", poolBytes: 1 << 21, pools: 3, setupPools: 2, cfg: stackCfg(stack.JPDT, "kv"), compare: true}
+	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string][]byte) // committed value per key; missing = absent
 		var inflight *gridOp
-		var set *shard.Set
+		var set *stack.Stack
 		mkval := func(i int) []byte {
-			n := 8 + rng.Intn(48)
-			v := make([]byte, n)
-			for j := range v {
-				v[j] = byte('a' + (i+j)%26)
-			}
-			return v
+			return letters(i, 8+rng.Intn(48))
 		}
 		// op performs one mutation and then fences every pool: the J-PDT
 		// backend's own put/delete durability windows are the pdt and
@@ -1580,7 +1531,7 @@ func poolMigrateWorkload() *Workload {
 		// needs op-level durability so the migration windows stay the
 		// only source of pre/post ambiguity.
 		op := func(pools []*nvm.Pool, i int) error {
-			b := set.Backend()
+			b := set.Backend
 			key := keys[rng.Intn(nkeys)]
 			pre := model[key]
 			var post []byte
@@ -1612,60 +1563,17 @@ func poolMigrateWorkload() *Workload {
 			inflight = nil
 			return nil
 		}
-		// members reads the durable pool roster off the pool-0 image (on
-		// a scratch clone, so the real open starts from a pristine image).
-		members := func(imgs []*nvm.Pool) (int, error) {
-			probe, err := openCheckHeap(clonePool(imgs[0]), gridClasses(), fa.NewManager(), 1)
-			if err != nil {
-				return 0, fmt.Errorf("pool 0 reopen: %w", err)
-			}
-			_, _, targetN, _, _, err := shard.ReadTopology(probe)
-			if err != nil {
-				return 0, err
-			}
-			if targetN < 2 || targetN > len(imgs) {
-				return 0, fmt.Errorf("epoch table names %d pools", targetN)
-			}
-			return targetN, nil
-		}
-		// checkOne recovers the member images as a set and verifies the
-		// oracle, returning the observable state for the serial/parallel
-		// comparison.
-		checkOne := func(imgs []*nvm.Pool, parallelism int) (string, error) {
-			s2, err := shard.Open(imgs, shardCfg(parallelism))
-			if err != nil {
-				return "", fmt.Errorf("shard reopen (%d pools): %w", len(imgs), err)
-			}
-			if s2.Migrating() {
-				return "", fmt.Errorf("still migrating after open")
-			}
-			for i := 0; i < s2.Pools(); i++ {
-				if err := fsckClean(s2.Heap(i)); err != nil {
-					return "", fmt.Errorf("pool %d: %w", i, err)
-				}
-			}
-			b := s2.Backend()
+		// check verifies the oracle over the recovered set and reports its
+		// observable state for the serial/parallel comparison.
+		check := func(s2 *stack.Stack, seen *strings.Builder) error {
+			b := s2.Backend
 			read := func(key string) ([]byte, bool, error) {
-				var val []byte
-				has := false
-				found, err := b.Read(key, func(name string, v []byte) {
-					if name == "v" {
-						val = append([]byte(nil), v...)
-						has = true
-					}
-				})
-				if err != nil {
-					return nil, false, err
-				}
-				if found && !has {
-					return nil, false, fmt.Errorf("record %s has no field v", key)
-				}
-				return val, found, nil
+				return recordReader(b.Read).field(key, "v")
 			}
 			for _, key := range keys {
 				got, found, err := read(key)
 				if err != nil {
-					return "", fmt.Errorf("read %s: %w", key, err)
+					return fmt.Errorf("read %s: %w", key, err)
 				}
 				want, wantFound := model[key]
 				ok := found == wantFound && bytes.Equal(got, want)
@@ -1674,47 +1582,45 @@ func poolMigrateWorkload() *Workload {
 						(found == (inflight.post != nil) && bytes.Equal(got, inflight.post))
 				}
 				if !ok {
-					return "", fmt.Errorf("key %s: got (%q,%v), want %q", key, got, found, want)
+					return fmt.Errorf("key %s: got (%q,%v), want %q", key, got, found, want)
 				}
 			}
 			// Placement and phantom sweep: after a clean open every
 			// record sits in its home pool of the recovered world.
-			obs := []string{fmt.Sprintf("pools=%d epoch=%d", s2.Pools(), s2.Epoch())}
-			for i := 0; i < s2.Pools(); i++ {
-				for _, key := range s2.PoolBackend(i).(store.KeyLister).Keys() {
-					if home := heap.JumpHash(heap.KeyHash(key), s2.Pools()); home != i {
-						return "", fmt.Errorf("key %q in pool %d, home %d", key, i, home)
+			obs := []string{fmt.Sprintf("pools=%d epoch=%d", len(s2.Pools), s2.Set.Epoch())}
+			for i, m := range s2.Pools {
+				for _, key := range m.Backend.Caps().Keys.Keys() {
+					if home := heap.JumpHash(heap.KeyHash(key), len(s2.Pools)); home != i {
+						return fmt.Errorf("key %q in pool %d, home %d", key, i, home)
 					}
 					if _, inModel := model[key]; !inModel && (inflight == nil || inflight.key != key) {
-						return "", fmt.Errorf("phantom key %q in pool %d", key, i)
+						return fmt.Errorf("phantom key %q in pool %d", key, i)
 					}
 					v, _, err := read(key)
 					if err != nil {
-						return "", fmt.Errorf("reread %s: %w", key, err)
+						return fmt.Errorf("reread %s: %w", key, err)
 					}
 					obs = append(obs, fmt.Sprintf("%d:%s=%x", i, key, v))
 				}
 			}
 			// Writability probe through the full routing path.
 			if err := b.Insert("z-probe", &store.Record{Fields: []store.Field{{Name: "v", Value: []byte("ok")}}}); err != nil {
-				return "", fmt.Errorf("post-recovery insert: %w", err)
+				return fmt.Errorf("post-recovery insert: %w", err)
 			}
 			if got, found, err := read("z-probe"); err != nil || !found || string(got) != "ok" {
-				return "", fmt.Errorf("post-recovery readback: %q %v %v", got, found, err)
+				return fmt.Errorf("post-recovery readback: %q %v %v", got, found, err)
 			}
 			if _, err := b.Delete("z-probe"); err != nil {
-				return "", fmt.Errorf("post-recovery delete: %w", err)
+				return fmt.Errorf("post-recovery delete: %w", err)
 			}
-			return strings.Join(obs, ";"), nil
+			seen.WriteString(strings.Join(obs, ";"))
+			return nil
 		}
-		return &Run{
-			SetupN: func(pools []*nvm.Pool) error {
-				var err error
-				set, err = shard.Open(pools[:2], shardCfg(1))
-				if err != nil {
-					return err
-				}
-				b := set.Backend()
+		return &scenario{
+			check: check,
+			setup: func(st *stack.Stack) error {
+				set = st
+				b := set.Backend
 				for i := 0; i < 6; i++ {
 					v := mkval(i)
 					if err := b.Insert(keys[i], &store.Record{Fields: []store.Field{{Name: "v", Value: v}}}); err != nil {
@@ -1724,7 +1630,7 @@ func poolMigrateWorkload() *Workload {
 				}
 				return nil
 			},
-			ExecN: func(pools []*nvm.Pool) error {
+			exec: func(pools []*nvm.Pool) error {
 				for i := 0; i < preOps; i++ {
 					if err := op(pools, i); err != nil {
 						return err
@@ -1744,49 +1650,7 @@ func poolMigrateWorkload() *Workload {
 				}
 				return nil
 			},
-			CheckN: func(imgs []*nvm.Pool, parallelism int) error {
-				n, err := members(imgs)
-				if err != nil {
-					return err
-				}
-				var clones []*nvm.Pool
-				if parallelism > 1 {
-					clones = make([]*nvm.Pool, n)
-					for i := range clones {
-						clones[i] = clonePool(imgs[i])
-					}
-					// §4.1.3 equivalence, per pool and bit for bit:
-					// recover each member image serially and concurrently
-					// and compare the raw pool bytes before any set-level
-					// migration resume can write.
-					for i := 0; i < n; i++ {
-						a, c := clonePool(imgs[i]), clonePool(imgs[i])
-						if _, err := openCheckHeap(a, gridClasses(), fa.NewManager(), 1); err != nil {
-							return fmt.Errorf("pool %d serial recovery: %w", i, err)
-						}
-						if _, err := openCheckHeap(c, gridClasses(), fa.NewManager(), parallelism); err != nil {
-							return fmt.Errorf("pool %d parallel recovery: %w", i, err)
-						}
-						if !bytes.Equal(a.ReadBytes(0, a.Size()), c.ReadBytes(0, c.Size())) {
-							return fmt.Errorf("pool %d: serial and parallel recovery images differ", i)
-						}
-					}
-				}
-				obs, err := checkOne(imgs[:n], parallelism)
-				if err != nil {
-					return err
-				}
-				if parallelism > 1 {
-					sobs, err := checkOne(clones, 1)
-					if err != nil {
-						return fmt.Errorf("serial replay of parallel image: %w", err)
-					}
-					if obs != sobs {
-						return fmt.Errorf("serial/parallel divergence:\n  par:    %s\n  serial: %s", obs, sobs)
-					}
-				}
-				return nil
-			},
 		}
-	}}
+	}
+	return e
 }

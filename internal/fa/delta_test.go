@@ -450,7 +450,7 @@ type auditProbe struct {
 }
 
 func (p *auditProbe) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
-	p.err = AuditCommittedSlots(h)
+	p.err = AuditCommittedSlots(h.Mem())
 	return p.mgr.RecoverLogs(h, opts)
 }
 

@@ -316,14 +316,15 @@ func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
 // commit mark that outran its stage-1 log persist (e.g. a delta
 // materialization skipping commitStage1Body), whose replay would
 // silently drop the transaction. Two caveats: call it before RecoverLogs
-// runs (replay retires every committed slot), and only on tear-free
+// runs (replay retires every committed slot; heap.Open attaches to an
+// image without replaying), and only on tear-free
 // crash images — a sub-line tear of the retire write-back can
 // legitimately persist the zeroed count under the stale committed status
 // of a transaction whose apply is already durable (crashmc's Run.Audit
 // gates on exactly this).
-func AuditCommittedSlots(h *core.Heap) error {
-	off, slots, slotSize := h.Mem().LogArea()
-	pool := h.Pool()
+func AuditCommittedSlots(mem *heap.Heap) error {
+	off, slots, slotSize := mem.LogArea()
+	pool := mem.Pool()
 	for i := 0; i < slots; i++ {
 		base := off + uint64(i*slotSize)
 		if pool.ReadUint64(base+slotStatus) == statusCommitted &&

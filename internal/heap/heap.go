@@ -109,7 +109,7 @@ type Options struct {
 	// LogSlotSize is the byte size of each redo-log slot.
 	LogSlotSize int
 	// PoolIndex/PoolCount record the pool's position in a multi-pool set
-	// (DESIGN.md §17). Leave both zero for a standalone heap; a PoolSet
+	// (DESIGN.md §17). Leave both zero for a standalone heap; CheckRoster
 	// treats 0/0 as "pool 0 of 1" so pre-sharding images keep opening.
 	PoolIndex int
 	PoolCount int

@@ -45,73 +45,33 @@ func JumpHash(hash uint64, n int) int {
 	return int(b)
 }
 
-// PoolSet is an ordered collection of per-shard heaps. It owns no
-// persistent state of its own — the membership epoch table lives above it
-// (package shard keeps it in pool 0, mutated under J-PFA transactions) —
-// but it validates that the pools handed to it were formatted as the set
-// positions they claim, and centralizes the routing arithmetic.
-type PoolSet struct {
-	heaps []*Heap
-}
-
-// NewPoolSet assembles a set from heaps in pool-index order. Each heap's
-// superblock must either record the matching (index, count≥index) or be a
-// legacy 0/0 image in position 0 — the byte-compatibility contract: any
-// pre-sharding heap is a valid 1-pool set.
-func NewPoolSet(heaps []*Heap) (*PoolSet, error) {
+// CheckRoster validates heaps as a multi-pool set in pool-index order.
+// The set owns no persistent state at this level — the membership epoch
+// table lives above (package shard keeps it in pool 0, mutated under
+// J-PFA transactions) — but every pool must have been formatted as the
+// position it is handed in at: its superblock either records the matching
+// (index, count≥index) or is a legacy 0/0 image in position 0 — the
+// byte-compatibility contract: any pre-sharding heap is a valid 1-pool
+// set. Pools written at different counts (the instant after an online
+// add) still pass.
+func CheckRoster(heaps []*Heap) error {
 	if len(heaps) == 0 {
-		return nil, fmt.Errorf("heap: empty pool set")
+		return fmt.Errorf("heap: empty pool set")
 	}
 	for i, h := range heaps {
 		idx, cnt := h.PoolIndex(), h.PoolCount()
 		if idx == 0 && cnt == 0 {
 			if i != 0 {
-				return nil, fmt.Errorf("heap: standalone (unindexed) pool passed as set position %d", i)
+				return fmt.Errorf("heap: standalone (unindexed) pool passed as set position %d", i)
 			}
 			continue
 		}
 		if idx != i {
-			return nil, fmt.Errorf("heap: pool formatted as index %d passed as set position %d", idx, i)
+			return fmt.Errorf("heap: pool formatted as index %d passed as set position %d", idx, i)
 		}
 		if cnt < idx+1 {
-			return nil, fmt.Errorf("heap: pool %d records impossible set size %d", idx, cnt)
+			return fmt.Errorf("heap: pool %d records impossible set size %d", idx, cnt)
 		}
 	}
-	return &PoolSet{heaps: heaps}, nil
-}
-
-// Len returns the number of pools in the set.
-func (ps *PoolSet) Len() int { return len(ps.heaps) }
-
-// At returns the heap of pool i.
-func (ps *PoolSet) At(i int) *Heap { return ps.heaps[i] }
-
-// Home routes a key hash to its pool under an n-pool epoch (n ≤ Len; the
-// caller picks n from the epoch table, which may lag Len mid-migration).
-func (ps *PoolSet) Home(hash uint64, n int) int {
-	if n > len(ps.heaps) {
-		panic(fmt.Sprintf("heap: routing over %d pools but set holds %d", n, len(ps.heaps)))
-	}
-	return JumpHash(hash, n)
-}
-
-// Append grows the set by one opened heap (online pool addition). The
-// heap must have been formatted as the next index.
-func (ps *PoolSet) Append(h *Heap) error {
-	if idx := h.PoolIndex(); idx != len(ps.heaps) {
-		return fmt.Errorf("heap: pool formatted as index %d appended as position %d", idx, len(ps.heaps))
-	}
-	ps.heaps = append(ps.heaps, h)
 	return nil
-}
-
-// Stats aggregates the per-pool allocator gauges in pool order.
-func (ps *PoolSet) Stats() (bumped, free, total uint64) {
-	for _, h := range ps.heaps {
-		b, f, t := h.Stats()
-		bumped += b
-		free += f
-		total += t
-	}
-	return
 }

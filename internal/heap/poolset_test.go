@@ -101,18 +101,18 @@ func TestLegacyHeapIsPoolZero(t *testing.T) {
 	if h.PoolIndex() != 0 || h.PoolCount() != 0 {
 		t.Fatalf("legacy heap reports %d/%d, want 0/0", h.PoolIndex(), h.PoolCount())
 	}
-	if _, err := NewPoolSet([]*Heap{h}); err != nil {
+	if err := CheckRoster([]*Heap{h}); err != nil {
 		t.Fatalf("legacy heap rejected as 1-pool set: %v", err)
 	}
 }
 
-func TestNewPoolSetValidation(t *testing.T) {
-	if _, err := NewPoolSet(nil); err == nil {
+func TestCheckRoster(t *testing.T) {
+	if err := CheckRoster(nil); err == nil {
 		t.Fatal("empty set accepted")
 	}
 	// Mismatched index must be rejected.
 	wrong := testHeapWithIndex(t, 2, 4)
-	if _, err := NewPoolSet([]*Heap{wrong}); err == nil {
+	if err := CheckRoster([]*Heap{wrong}); err == nil {
 		t.Fatal("pool with index 2 accepted at position 0")
 	}
 	// Proper 3-pool set.
@@ -120,44 +120,15 @@ func TestNewPoolSetValidation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		hs = append(hs, testHeapWithIndex(t, i, 3))
 	}
-	ps, err := NewPoolSet(hs)
-	if err != nil {
+	if err := CheckRoster(hs); err != nil {
 		t.Fatalf("valid set rejected: %v", err)
 	}
-	if ps.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ps.Len())
+	// A grown roster holds pools written at different counts; the joiner
+	// must still carry the next index.
+	if err := CheckRoster(append(hs[:3:3], testHeapWithIndex(t, 5, 6))); err == nil {
+		t.Fatal("index-5 pool accepted as position 3")
 	}
-	// Append requires the next index.
-	bad := testHeapWithIndex(t, 5, 6)
-	if err := ps.Append(bad); err == nil {
-		t.Fatal("append of index-5 pool to 3-pool set accepted")
-	}
-	next := testHeapWithIndex(t, 3, 4)
-	if err := ps.Append(next); err != nil {
-		t.Fatalf("append of index-3 pool rejected: %v", err)
-	}
-	if ps.Len() != 4 || ps.At(3) != next {
-		t.Fatal("appended pool not reachable")
-	}
-}
-
-func TestPoolSetHome(t *testing.T) {
-	var hs []*Heap
-	for i := 0; i < 4; i++ {
-		hs = append(hs, testHeapWithIndex(t, i, 4))
-	}
-	ps, err := NewPoolSet(hs)
-	if err != nil {
-		t.Fatalf("set: %v", err)
-	}
-	for k := 0; k < 200; k++ {
-		h := KeyHash(fmt.Sprintf("user%d", k))
-		// Routing under a lagging epoch (n < Len) must be permitted: the
-		// epoch table trails the physical set during migration.
-		for n := 1; n <= 4; n++ {
-			if got, want := ps.Home(h, n), JumpHash(h, n); got != want {
-				t.Fatalf("Home(%d, %d) = %d, want %d", h, n, got, want)
-			}
-		}
+	if err := CheckRoster(append(hs[:3:3], testHeapWithIndex(t, 3, 4))); err != nil {
+		t.Fatalf("index-3 pool rejected as position 3: %v", err)
 	}
 }

@@ -10,40 +10,40 @@ import (
 	"repro/internal/store"
 )
 
-// Backend returns the set's grid backend. The wrapper type mirrors the
-// children's capabilities, because the grid picks its read path by type
-// assertion: if every pool's backend is lock-free the sharded backend
-// is too; if every one serves zero-copy views so does the shard; else
-// the plain locked wrapper.
-func (s *Set) Backend() store.Backend {
-	t := s.topo.Load()
-	lf, vr := true, true
-	for _, b := range t.backends {
-		if _, ok := b.(store.LockFreeBackend); !ok {
-			lf = false
-		}
-		if _, ok := b.(store.ViewReader); !ok {
-			vr = false
-		}
-	}
-	base := shardBackend{s: s}
-	switch {
-	case lf:
-		return &lfShardBackend{base}
-	case vr:
-		return &viewShardBackend{base}
-	default:
-		return &base
-	}
-}
+// Backend returns the set's grid backend: one routing type whatever the
+// pools hold. What it can do beyond store.Backend is its descriptor.
+func (s *Set) Backend() store.Backend { return &shardBackend{s: s} }
 
 // shardBackend routes grid operations to per-pool backends. Reads are
 // lock-free; writes pass the migration gate (one counter bump and one
 // flag load when no migration is running).
 type shardBackend struct{ s *Set }
 
+// Caps implements store.Backend. Every pool of a set has the same
+// descriptor (Open and AddPool refuse a pool that differs), so the set
+// offers what pool 0 offers, each operation routed through probe and,
+// for writes, the gate. Scan stays absent: an ordered scan would have to
+// merge the pools' orders, and no caller shards an ordered map.
+func (b *shardBackend) Caps() store.Caps {
+	c := b.s.topo.Load().caps[0]
+	var out store.Caps
+	if c.Keys != nil {
+		out.Keys = b
+	}
+	if c.View != nil {
+		out.View = b
+	}
+	if c.LockFree != nil {
+		out.LockFree = b
+	}
+	if c.Delta != nil {
+		out.Delta = b
+	}
+	return out
+}
+
 // Name implements store.Backend.
-func (b *shardBackend) Name() string { return b.s.topo.Load().backends[0].Name() + "×shard" }
+func (b *shardBackend) Name() string { return b.s.topo.Load().pools[0].Backend.Name() + "×shard" }
 
 // home returns the insert-world pool for hash: targetN during a
 // migration (record placement never has to be redone), nPools otherwise.
@@ -61,18 +61,18 @@ func (b *shardBackend) Insert(key string, rec *store.Record) error {
 	t := s.topo.Load()
 	_, _, target, _, _ := s.loadWorld()
 	h := home(hash, target)
-	err := t.backends[h].Insert(key, rec)
+	err := t.pools[h].Backend.Insert(key, rec)
 	if err == nil || !errIsOOM(err) {
 		return err
 	}
-	for i := 1; i < len(t.backends); i++ {
-		p := (h + i) % len(t.backends)
+	for i := 1; i < len(t.pools); i++ {
+		p := (h + i) % len(t.pools)
 		// The flag must be durable before the off-home record exists,
 		// or a crash could strand it where no probe ever looks.
 		if ferr := s.noteFallback(); ferr != nil {
 			return err
 		}
-		if ierr := t.backends[p].Insert(key, rec); ierr == nil {
+		if ierr := t.pools[p].Backend.Insert(key, rec); ierr == nil {
 			s.stats.FallbackInserts.Inc()
 			return nil
 		} else if !errIsOOM(ierr) {
@@ -85,10 +85,12 @@ func (b *shardBackend) Insert(key string, rec *store.Record) error {
 // probe calls fn over the candidate pools in probe order — home in the
 // insert world, then home in the committed world while they differ,
 // then everywhere if off-home records may exist — until fn reports a
-// hit. It reports whether fn ever hit.
-func (b *shardBackend) probe(hash uint64, fn func(p int) (bool, error)) (bool, error) {
+// hit. It reports whether fn ever hit. A one-pool set has one candidate.
+func (b *shardBackend) probe(t *topo, hash uint64, fn func(p int) (bool, error)) (bool, error) {
+	if len(t.pools) == 1 {
+		return fn(0)
+	}
 	s := b.s
-	t := s.topo.Load()
 	_, n, target, migrating, fallback := s.loadWorld()
 	h := home(hash, target)
 	found, err := fn(h)
@@ -103,7 +105,7 @@ func (b *shardBackend) probe(hash uint64, fn func(p int) (bool, error)) (bool, e
 	}
 	if fallback || migrating {
 		old := heap.JumpHash(hash, n)
-		for p := range t.backends {
+		for p := range t.pools {
 			if p == h || (n != target && p == old) {
 				continue
 			}
@@ -123,58 +125,57 @@ func (b *shardBackend) probe(hash uint64, fn func(p int) (bool, error)) (bool, e
 func (b *shardBackend) Read(key string, consume func(name string, value []byte)) (bool, error) {
 	s := b.s
 	hash := heap.KeyHash(key)
-	t := s.topo.Load()
-	if len(t.backends) == 1 {
-		return t.backends[0].Read(key, consume)
+	read := func(p int) (bool, error) {
+		return s.topo.Load().pools[p].Backend.Read(key, consume)
 	}
-	found, err := b.probe(hash, func(p int) (bool, error) {
-		return s.topo.Load().backends[p].Read(key, consume)
-	})
+	found, err := b.probe(s.topo.Load(), hash, read)
 	if !found && err == nil && s.Migrating() {
-		found, err = b.probe(hash, func(p int) (bool, error) {
-			return s.topo.Load().backends[p].Read(key, consume)
-		})
+		found, err = b.probe(s.topo.Load(), hash, read)
 	}
 	return found, err
 }
 
-// Update implements store.Backend: first probed pool holding the key
-// wins. Writers hold the stripe lock while a migration runs, so the
-// record cannot move between the probe and the update.
-func (b *shardBackend) Update(key string, fields []store.Field) (bool, error) {
+// write runs one mutation of an existing record behind the migration
+// gate: the first probed pool holding the key wins. Writers hold the
+// stripe lock while a migration runs, so the record cannot move between
+// the probe and the mutation.
+func (b *shardBackend) write(key string, fn func(t *topo, p int) (bool, error)) (bool, error) {
 	s := b.s
 	hash := heap.KeyHash(key)
 	gate := s.beginWrite(hash)
 	defer s.endWrite(gate)
 	t := s.topo.Load()
-	if len(t.backends) == 1 {
-		return t.backends[0].Update(key, fields)
-	}
-	return b.probe(hash, func(p int) (bool, error) {
-		return t.backends[p].Update(key, fields)
+	return b.probe(t, hash, func(p int) (bool, error) { return fn(t, p) })
+}
+
+// Update implements store.Backend.
+func (b *shardBackend) Update(key string, fields []store.Field) (bool, error) {
+	return b.write(key, func(t *topo, p int) (bool, error) {
+		return t.pools[p].Backend.Update(key, fields)
 	})
 }
 
 // Delete implements store.Backend.
 func (b *shardBackend) Delete(key string) (bool, error) {
-	s := b.s
-	hash := heap.KeyHash(key)
-	gate := s.beginWrite(hash)
-	defer s.endWrite(gate)
-	t := s.topo.Load()
-	if len(t.backends) == 1 {
-		return t.backends[0].Delete(key)
-	}
-	return b.probe(hash, func(p int) (bool, error) {
-		return t.backends[p].Delete(key)
+	return b.write(key, func(t *topo, p int) (bool, error) {
+		return t.pools[p].Backend.Delete(key)
+	})
+}
+
+// AddDelta implements store.DeltaAdder: the delta folds in the ledger of
+// the pool that holds the key, so a sharded J-PFA grid keeps one log
+// entry per hot word per pool epoch.
+func (b *shardBackend) AddDelta(key, field string, delta int64) (bool, error) {
+	return b.write(key, func(t *topo, p int) (bool, error) {
+		return t.caps[p].Delta.AddDelta(key, field, delta)
 	})
 }
 
 // Count implements store.Backend.
 func (b *shardBackend) Count() int {
 	n := 0
-	for _, c := range b.s.topo.Load().backends {
-		n += c.Count()
+	for _, m := range b.s.topo.Load().pools {
+		n += m.Backend.Count()
 	}
 	return n
 }
@@ -185,39 +186,36 @@ func (b *shardBackend) Close() error { return b.s.Close() }
 // Keys implements store.KeyLister: the merged, sorted key set.
 func (b *shardBackend) Keys() []string {
 	var all []string
-	for _, c := range b.s.topo.Load().backends {
-		all = append(all, c.(store.KeyLister).Keys()...)
+	for _, c := range b.s.topo.Load().caps {
+		all = append(all, c.Keys.Keys()...)
 	}
 	sort.Strings(all)
 	return all
 }
 
-// viewShardBackend adds zero-copy view reads when every pool serves
-// them (J-PDT): the grid's seqlock protocol is unchanged — each child
-// revalidates the caller's generation itself, so the first child that
-// reports found-and-valid delivered a write-free snapshot.
-type viewShardBackend struct{ shardBackend }
-
 // EnableViewReads implements store.ViewReader.
-func (b *viewShardBackend) EnableViewReads(rs *obs.ReadStats) {
-	b.s.viewRS.Store(rs)
-	for _, c := range b.s.topo.Load().backends {
-		c.(store.ViewReader).EnableViewReads(rs)
-	}
+func (b *shardBackend) EnableViewReads(rs *obs.ReadStats) {
+	b.s.wireAll(func(c store.Caps) { c.View.EnableViewReads(rs) })
+}
+
+// EnableLockFree implements store.LockFreeBackend: the grid then skips
+// its stripe locks entirely, and per-key exclusion during migration
+// comes from the set's own write gate.
+func (b *shardBackend) EnableLockFree(rs *obs.ReadStats) {
+	b.s.wireAll(func(c store.Caps) { c.LockFree.EnableLockFree(rs) })
 }
 
 // ReadView implements store.ViewReader by probing pools in home order.
-func (b *viewShardBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
+// The grid's seqlock protocol is unchanged — each child revalidates the
+// caller's generation itself, so the first child that reports
+// found-and-valid delivered a write-free snapshot.
+func (b *shardBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
 	consume func(name string, value []byte)) (found, valid, ok bool) {
-	s := b.s
-	t := s.topo.Load()
-	if len(t.backends) == 1 {
-		return t.backends[0].(store.ViewReader).ReadView(key, hint, gen, g1, consume)
-	}
-	hash := heap.KeyHash(key)
+	t := b.s.topo.Load()
 	valid, ok = true, true
-	f, err := b.probe(hash, func(p int) (bool, error) {
-		pf, pv, pok := t.backends[p].(store.ViewReader).ReadView(key, hint, gen, g1, consume)
+	// The probe closure never returns an error.
+	f, _ := b.probe(t, heap.KeyHash(key), func(p int) (bool, error) {
+		pf, pv, pok := t.caps[p].View.ReadView(key, hint, gen, g1, consume)
 		if !pv || !pok {
 			// Generation race or a shape the unlocked reader cannot
 			// handle: stop probing and let the grid retry or fall back.
@@ -226,21 +224,7 @@ func (b *viewShardBackend) ReadView(key string, hint uint32, gen *atomic.Uint64,
 		}
 		return pf, nil
 	})
-	_ = err // probe closures above never return one
 	return f && valid && ok, valid, ok
-}
-
-// lfShardBackend marks the set lock-free when every pool is: the grid
-// then skips its stripe locks entirely, and per-key exclusion during
-// migration comes from the set's own write gate.
-type lfShardBackend struct{ shardBackend }
-
-// EnableLockFree implements store.LockFreeBackend.
-func (b *lfShardBackend) EnableLockFree(rs *obs.ReadStats) {
-	b.s.lfRS.Store(rs)
-	for _, c := range b.s.topo.Load().backends {
-		c.(store.LockFreeBackend).EnableLockFree(rs)
-	}
 }
 
 // Pacer is the obs-driven throttle for the background migrator: it

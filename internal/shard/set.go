@@ -46,40 +46,52 @@ const (
 
 const gateStripes = 64
 
-// Config parameterizes Open.
-type Config struct {
-	// HeapOptions formats each pool that is not already a heap. Pool
-	// index/count are filled in per pool by the set.
-	HeapOptions heap.Options
-	// Classes builds the class descriptors for one pool's object heap —
-	// a factory, not a shared slice, because descriptors carry a
-	// per-heap id. The result must include pdt.Classes() (the epoch
-	// table is a PLongArray) and the classes of whatever NewBackend
-	// stores.
-	Classes func() []*core.Class
-	// Parallelism is the total recovery worker budget, split evenly
-	// across pools (each pool gets at least 1; 0 means GOMAXPROCS).
-	// Parallelism 1 with a single pool is the serial §4.1.3 oracle.
-	Parallelism int
-	// NewBackend builds one pool's grid backend over its freshly
-	// recovered stack (the same constructor bench uses per backend kind).
-	NewBackend func(h *core.Heap, mgr *fa.Manager) (store.Backend, error)
+// Member is one pool's open stack: the pool, its recovered object heap,
+// its redo-log manager and the grid backend built over them. The stack
+// constructor (package stack) assembles members; the set only routes
+// between them.
+type Member struct {
+	Pool    *nvm.Pool
+	Heap    *core.Heap
+	Mgr     *fa.Manager
+	Backend store.Backend
+}
+
+// Snapshot captures the member's layer metrics as pool index i of a
+// per-pool breakdown.
+func (m Member) Snapshot(i int) obs.PoolSnapshot {
+	p := obs.PoolSnapshot{
+		Index: i,
+		NVM:   m.Pool.Obs().Snapshot(),
+		Heap:  m.Heap.Mem().ObsSnapshot(),
+		FA:    m.Mgr.ObsSnapshot(),
+	}
+	if bump, free, total := m.Heap.Mem().Stats(); total > 0 {
+		p.OccupancyPct = 100 * float64(bump-free) / float64(total)
+	}
+	return p
 }
 
 // topo is the immutable pool roster; AddPool swaps in a copy so the
 // lock-free read path can load it with a single atomic pointer read.
+// caps[i] is pools[i].Backend's descriptor, fetched once.
 type topo struct {
-	pools    []*nvm.Pool
-	heaps    []*core.Heap
-	mgrs     []*fa.Manager
-	backends []store.Backend
+	pools []Member
+	caps  []store.Caps
+}
+
+// with returns a copy of the roster grown by one member.
+func (t *topo) with(m Member, c store.Caps) *topo {
+	return &topo{
+		pools: append(append([]Member{}, t.pools...), m),
+		caps:  append(append([]store.Caps{}, t.caps...), c),
+	}
 }
 
 // Set is an open multi-pool heap.
 type Set struct {
 	mu   sync.Mutex // serializes topology changes
 	fbMu sync.Mutex // serializes the sticky fallback-flag transaction
-	cfg  Config
 
 	topo atomic.Pointer[topo]
 
@@ -97,9 +109,9 @@ type Set struct {
 	inflight atomic.Int64
 	stripes  [gateStripes]sync.Mutex
 
-	// capability wiring replayed onto pools added later
-	viewRS atomic.Pointer[obs.ReadStats]
-	lfRS   atomic.Pointer[obs.ReadStats]
+	// wire is the grid's capability wiring (EnableViewReads or
+	// EnableLockFree), kept to replay onto pools added later.
+	wire atomic.Pointer[func(store.Caps)]
 
 	stats obs.ShardStats
 
@@ -136,77 +148,50 @@ func (s *Set) storeWorld(epoch uint64, n, target int, migrating bool) {
 	}
 }
 
-// Open attaches to (or formats) every pool concurrently, recovers each
-// with an even share of the worker budget, merges the recovery stats in
-// pool-index order, and replays any migration a crash interrupted —
-// synchronously, before any traffic can observe the set.
-func Open(pools []*nvm.Pool, cfg Config) (*Set, error) {
-	n := len(pools)
+// wireAll applies the grid's capability wiring to every pool and keeps
+// it for late joiners.
+func (s *Set) wireAll(f func(store.Caps)) {
+	s.wire.Store(&f)
+	for _, c := range s.topo.Load().caps {
+		f(c)
+	}
+}
+
+// Open assembles a set over already-opened members in pool-index order
+// (the stack constructor opens and recovers them concurrently): it
+// validates the roster, merges the recovery stats in pool order, reads
+// or creates the epoch table, and replays any migration a crash
+// interrupted — synchronously, before any traffic can observe the set.
+// Every member must offer the same capabilities as member 0.
+func Open(members []Member) (*Set, error) {
+	n := len(members)
 	if n == 0 {
 		return nil, fmt.Errorf("shard: no pools")
 	}
-	if cfg.NewBackend == nil {
-		return nil, fmt.Errorf("shard: Config.NewBackend is required")
-	}
-	per := core.RecoverOptions{Parallelism: cfg.Parallelism}.Workers() / n
-	if per < 1 {
-		per = 1
-	}
 
-	heaps := make([]*core.Heap, n)
-	mgrs := make([]*fa.Manager, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range pools {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mgr := fa.NewManager()
-			ho := cfg.HeapOptions
-			ho.PoolIndex, ho.PoolCount = i, n
-			h, err := core.Open(pools[i], core.Config{
-				HeapOptions: ho,
-				Classes:     cfg.Classes(),
-				LogHandler:  mgr,
-				Recover:     core.RecoverOptions{Parallelism: per},
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("shard: pool %d: %w", i, err)
-				return
-			}
-			heaps[i], mgrs[i] = h, mgr
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	// Validate the roster against each pool's superblock position and
+	// descriptor, and merge the recovery stats in pool order.
+	s := &Set{Recovery: members[0].Heap.RecoveryStats}
+	mems := make([]*heap.Heap, n)
+	caps := make([]store.Caps, n)
+	for i, m := range members {
+		mems[i], caps[i] = m.Heap.Mem(), m.Backend.Caps()
+		if err := sameCaps(i, m, caps[i], members[0], caps[0]); err != nil {
 			return nil, err
 		}
+		if i > 0 {
+			s.Recovery.Merge(m.Heap.RecoveryStats)
+		}
 	}
-
-	// Validate the roster against each pool's superblock position.
-	mems := make([]*heap.Heap, n)
-	for i, h := range heaps {
-		mems[i] = h.Mem()
-	}
-	if _, err := heap.NewPoolSet(mems); err != nil {
+	if err := heap.CheckRoster(mems); err != nil {
 		return nil, err
 	}
-
-	s := &Set{cfg: cfg}
-	t := &topo{pools: pools, heaps: heaps, mgrs: mgrs}
-	s.topo.Store(t)
-
-	// Ordered merge of per-pool recovery stats.
-	s.Recovery = heaps[0].RecoveryStats
-	for _, h := range heaps[1:] {
-		s.Recovery.Merge(h.RecoveryStats)
-	}
+	root := members[0].Heap
 
 	// Read (or create) the epoch table in pool 0.
 	epoch, routeN, targetN := uint64(1), n, n
 	migrating, fallback := false, false
-	po, err := heaps[0].Root().Get(EpochRoot)
+	po, err := root.Root().Get(EpochRoot)
 	if err != nil {
 		return nil, fmt.Errorf("shard: epoch table: %w", err)
 	}
@@ -234,34 +219,15 @@ func Open(pools []*nvm.Pool, cfg Config) (*Set, error) {
 		}
 	case n > 1:
 		// First multi-pool open of freshly formatted pools.
-		arr, err := pdt.NewLongArray(heaps[0], epochSlots)
-		if err != nil {
-			return nil, fmt.Errorf("shard: epoch table: %w", err)
+		if s.epochArr, err = newEpochTable(root, n); err != nil {
+			return nil, err
 		}
-		arr.Set(epEpoch, 1)
-		arr.Set(epNPools, int64(n))
-		arr.Set(epTargetN, int64(n))
-		arr.Flush()
-		if err := heaps[0].Root().Put(EpochRoot, arr); err != nil {
-			return nil, fmt.Errorf("shard: epoch table: %w", err)
-		}
-		s.epochArr = arr
 	default:
 		// Single pool: no table — byte-compatible with pre-sharding images.
 	}
 	s.world.Store(packWorld(epoch, routeN, targetN, migrating, fallback))
 
-	// Build the per-pool backends (serially: constructors may rebuild
-	// volatile mirrors but are cheap relative to recovery).
-	t.backends = make([]store.Backend, n)
-	for i := 0; i < n; i++ {
-		b, err := cfg.NewBackend(heaps[i], mgrs[i])
-		if err != nil {
-			return nil, fmt.Errorf("shard: pool %d backend: %w", i, err)
-		}
-		t.backends[i] = b
-	}
-	t.pools, t.heaps, t.mgrs = pools[:n], heaps[:n], mgrs[:n]
+	s.topo.Store(&topo{pools: members[:n], caps: caps[:n]})
 
 	if migrating {
 		// Finish what the crash interrupted before anyone sees the set.
@@ -276,6 +242,32 @@ func Open(pools []*nvm.Pool, cfg Config) (*Set, error) {
 		}
 	}
 	return s, nil
+}
+
+// sameCaps refuses pool i when its backend's descriptor differs from
+// pool 0's: the set's descriptor promises every pool serves it.
+func sameCaps(i int, m Member, c store.Caps, m0 Member, c0 store.Caps) error {
+	if got, want := c.String(), c0.String(); got != want {
+		return fmt.Errorf("shard: pool %d backend %s offers [%s], the set's %s offers [%s]",
+			i, m.Backend.Name(), got, m0.Backend.Name(), want)
+	}
+	return nil
+}
+
+// newEpochTable creates the epoch table of an n-pool set in pool 0.
+func newEpochTable(h *core.Heap, n int) (*pdt.PLongArray, error) {
+	arr, err := pdt.NewLongArray(h, epochSlots)
+	if err != nil {
+		return nil, fmt.Errorf("shard: epoch table: %w", err)
+	}
+	arr.Set(epEpoch, 1)
+	arr.Set(epNPools, int64(n))
+	arr.Set(epTargetN, int64(n))
+	arr.Flush()
+	if err := h.Root().Put(EpochRoot, arr); err != nil {
+		return nil, fmt.Errorf("shard: epoch table: %w", err)
+	}
+	return arr, nil
 }
 
 // ReadTopology reads the persisted epoch table of an (already
@@ -301,14 +293,9 @@ func ReadTopology(h *core.Heap) (epoch uint64, nPools, targetN int, migrating, f
 // Pools returns the number of pools currently in the set.
 func (s *Set) Pools() int { return len(s.topo.Load().pools) }
 
-// Heap returns pool i's object heap.
-func (s *Set) Heap(i int) *core.Heap { return s.topo.Load().heaps[i] }
-
-// Manager returns pool i's redo-log manager.
-func (s *Set) Manager(i int) *fa.Manager { return s.topo.Load().mgrs[i] }
-
-// PoolBackend returns pool i's grid backend.
-func (s *Set) PoolBackend(i int) store.Backend { return s.topo.Load().backends[i] }
+// Members returns the current roster in pool order (callers must not
+// modify it).
+func (s *Set) Members() []Member { return s.topo.Load().pools }
 
 // Epoch returns the current topology generation.
 func (s *Set) Epoch() uint64 { e, _, _, _, _ := s.loadWorld(); return e }
@@ -321,16 +308,16 @@ func (s *Set) Obs() *obs.ShardStats { return &s.stats }
 
 // DrainDurable drains every pool's async commit queue.
 func (s *Set) DrainDurable() {
-	for _, m := range s.topo.Load().mgrs {
-		m.DrainDurable()
+	for _, m := range s.topo.Load().pools {
+		m.Mgr.DrainDurable()
 	}
 }
 
 // Close closes every pool's backend.
 func (s *Set) Close() error {
 	var first error
-	for _, b := range s.topo.Load().backends {
-		if err := b.Close(); err != nil && first == nil {
+	for _, m := range s.topo.Load().pools {
+		if err := m.Backend.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -347,18 +334,8 @@ func (s *Set) Snapshot() obs.ShardSnapshot {
 	sn.Epoch = epoch
 	sn.Migrating = migrating
 	sn.PerPool = make([]obs.PoolSnapshot, len(t.pools))
-	for i := range t.pools {
-		p := obs.PoolSnapshot{
-			Index: i,
-			NVM:   t.pools[i].Obs().Snapshot(),
-			Heap:  t.heaps[i].Mem().ObsSnapshot(),
-			FA:    t.mgrs[i].ObsSnapshot(),
-		}
-		bump, free, total := t.heaps[i].Mem().Stats()
-		if total > 0 {
-			p.OccupancyPct = 100 * float64(bump-free) / float64(total)
-		}
-		sn.PerPool[i] = p
+	for i, m := range t.pools {
+		sn.PerPool[i] = m.Snapshot(i)
 	}
 	return sn
 }
@@ -430,7 +407,8 @@ type AddOptions struct {
 	Pacer *Pacer
 }
 
-// AddPool grows the set by one pool online:
+// AddPool grows the set by one pool online. The caller hands in the
+// joiner already opened (step 1 is the stack constructor's):
 //
 //  1. format + recover the pool as index n, and make the formatting
 //     durable (PSync) before the table can name it;
@@ -445,7 +423,9 @@ type AddOptions struct {
 //
 // A crash anywhere after step 2 resumes at the next Open; a crash
 // before it leaves a formatted-but-unnamed pool, which is simply empty.
-func (s *Set) AddPool(pool *nvm.Pool, opts AddOptions) (*Migration, error) {
+// A joiner formatted for another position, or whose backend's descriptor
+// differs from the set's, is refused.
+func (s *Set) AddPool(m Member, opts AddOptions) (*Migration, error) {
 	s.mu.Lock()
 	t := s.topo.Load()
 	_, routeN, _, migrating, _ := s.loadWorld()
@@ -454,51 +434,26 @@ func (s *Set) AddPool(pool *nvm.Pool, opts AddOptions) (*Migration, error) {
 		return nil, fmt.Errorf("shard: a migration is already underway")
 	}
 	n := len(t.pools)
-
-	// Step 1: bring the new pool up, durable, before it is named.
-	mgr := fa.NewManager()
-	ho := s.cfg.HeapOptions
-	ho.PoolIndex, ho.PoolCount = n, n+1
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: ho,
-		Classes:     s.cfg.Classes(),
-		LogHandler:  mgr,
-		Recover:     core.RecoverOptions{Parallelism: 1},
-	})
-	if err != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("shard: add pool %d: %w", n, err)
+	caps := m.Backend.Caps()
+	err := sameCaps(n, m, caps, t.pools[0], t.caps[0])
+	if idx := m.Heap.Mem().PoolIndex(); err == nil && idx != n {
+		err = fmt.Errorf("shard: pool formatted as index %d added as position %d", idx, n)
 	}
-	pool.PSync()
-	backend, err := s.cfg.NewBackend(h, mgr)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("shard: add pool %d backend: %w", n, err)
+		return nil, err
 	}
 	// Replay grid capability wiring onto the late joiner.
-	if rs := s.viewRS.Load(); rs != nil {
-		backend.(store.ViewReader).EnableViewReads(rs)
-	}
-	if rs := s.lfRS.Load(); rs != nil {
-		backend.(store.LockFreeBackend).EnableLockFree(rs)
+	if f := s.wire.Load(); f != nil {
+		(*f)(caps)
 	}
 
 	// A single-pool set grows a table on first addition.
 	if s.epochArr == nil {
-		arr, err := pdt.NewLongArray(t.heaps[0], epochSlots)
-		if err != nil {
+		if s.epochArr, err = newEpochTable(t.pools[0].Heap, n); err != nil {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("shard: epoch table: %w", err)
+			return nil, err
 		}
-		arr.Set(epEpoch, 1)
-		arr.Set(epNPools, int64(n))
-		arr.Set(epTargetN, int64(n))
-		arr.Flush()
-		if err := t.heaps[0].Root().Put(EpochRoot, arr); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("shard: epoch table: %w", err)
-		}
-		s.epochArr = arr
 	}
 
 	// Step 2: the topology transaction. After this commits, the
@@ -509,7 +464,7 @@ func (s *Set) AddPool(pool *nvm.Pool, opts AddOptions) (*Migration, error) {
 	arr := s.epochArr
 	s.fbMu.Lock()
 	_, _, _, _, fbNow := s.loadWorld()
-	err = t.mgrs[0].Run(func(tx *fa.Tx) error {
+	err = t.pools[0].Mgr.Run(func(tx *fa.Tx) error {
 		if err := arr.SetTx(tx, epTargetN, int64(n+1)); err != nil {
 			return err
 		}
@@ -523,7 +478,7 @@ func (s *Set) AddPool(pool *nvm.Pool, opts AddOptions) (*Migration, error) {
 		return arr.SetTx(tx, epFallback, fb)
 	})
 	if err == nil {
-		t.mgrs[0].DrainDurable() // async commit mode: force the epoch out
+		t.pools[0].Mgr.DrainDurable() // async commit mode: force the epoch out
 	}
 	s.fbMu.Unlock()
 	if err != nil {
@@ -532,27 +487,21 @@ func (s *Set) AddPool(pool *nvm.Pool, opts AddOptions) (*Migration, error) {
 	}
 
 	// Publish the grown roster and the migrating world.
-	nt := &topo{
-		pools:    append(append([]*nvm.Pool{}, t.pools...), pool),
-		heaps:    append(append([]*core.Heap{}, t.heaps...), h),
-		mgrs:     append(append([]*fa.Manager{}, t.mgrs...), mgr),
-		backends: append(append([]store.Backend{}, t.backends...), backend),
-	}
-	s.topo.Store(nt)
+	s.topo.Store(t.with(m, caps))
 	s.storeWorld(uint64(arr.Get(epEpoch)), routeN, n+1, true)
 
 	// Steps 3-4, with writers diverted to stripe locks first.
 	s.quiesce()
-	m := &Migration{done: make(chan struct{})}
+	mig := &Migration{done: make(chan struct{})}
 	run := func() {
 		defer s.mu.Unlock()
-		defer close(m.done)
+		defer close(mig.done)
 		if err := s.migrateAll(routeN, n+1, opts.Pacer); err != nil {
-			m.err = err
+			mig.err = err
 			return
 		}
-		m.err = s.finalizeMigration(n + 1)
-		if m.err == nil {
+		mig.err = s.finalizeMigration(n + 1)
+		if mig.err == nil {
 			s.stats.PoolAdds.Inc()
 		}
 	}
@@ -561,7 +510,7 @@ func (s *Set) AddPool(pool *nvm.Pool, opts AddOptions) (*Migration, error) {
 	} else {
 		run()
 	}
-	return m, nil
+	return mig, nil
 }
 
 // migrateAll walks every pre-existing pool and moves the records whose
@@ -570,9 +519,9 @@ func (s *Set) AddPool(pool *nvm.Pool, opts AddOptions) (*Migration, error) {
 func (s *Set) migrateAll(oldN, newN int, pacer *Pacer) error {
 	t := s.topo.Load()
 	for p := 0; p < oldN; p++ {
-		kl, ok := t.backends[p].(store.KeyLister)
-		if !ok {
-			return fmt.Errorf("shard: backend %s cannot enumerate keys", t.backends[p].Name())
+		kl := t.caps[p].Keys
+		if kl == nil {
+			return fmt.Errorf("shard: backend %s cannot enumerate keys", t.pools[p].Backend.Name())
 		}
 		for _, key := range kl.Keys() {
 			hash := heap.KeyHash(key)
@@ -599,7 +548,7 @@ func (s *Set) moveKey(t *topo, key string, hash uint64, src, dst int, pacer *Pac
 	defer unlock()
 
 	var rec store.Record
-	found, err := t.backends[src].Read(key, func(name string, value []byte) {
+	found, err := t.pools[src].Backend.Read(key, func(name string, value []byte) {
 		v := make([]byte, len(value))
 		copy(v, value)
 		rec.Fields = append(rec.Fields, store.Field{Name: name, Value: v})
@@ -610,18 +559,18 @@ func (s *Set) moveKey(t *topo, key string, hash uint64, src, dst int, pacer *Pac
 	if !found {
 		return nil // deleted, or already moved by the run a crash cut short
 	}
-	already, err := t.backends[dst].Read(key, func(string, []byte) {})
+	already, err := t.pools[dst].Backend.Read(key, func(string, []byte) {})
 	if err != nil {
 		return fmt.Errorf("shard: migrate %q probe: %w", key, err)
 	}
 	if !already {
-		if err := t.backends[dst].Insert(key, &rec); err != nil {
+		if err := t.pools[dst].Backend.Insert(key, &rec); err != nil {
 			return fmt.Errorf("shard: migrate %q insert: %w", key, err)
 		}
-		t.mgrs[dst].DrainDurable()
-		t.pools[dst].PSync()
+		t.pools[dst].Mgr.DrainDurable()
+		t.pools[dst].Pool.PSync()
 	}
-	if _, err := t.backends[src].Delete(key); err != nil {
+	if _, err := t.pools[src].Backend.Delete(key); err != nil {
 		return fmt.Errorf("shard: migrate %q delete: %w", key, err)
 	}
 	s.stats.MigratedRecords.Inc()
@@ -642,12 +591,12 @@ func (s *Set) finalizeMigration(newN int) error {
 	// before a straggling delete line fenced would resurrect the old
 	// copy of a migrated record in a world that no longer probes for
 	// duplicates.
-	for _, p := range t.pools {
-		p.PSync()
+	for _, m := range t.pools {
+		m.Pool.PSync()
 	}
 	s.fbMu.Lock()
 	_, _, _, _, fbNow := s.loadWorld()
-	err := t.mgrs[0].Run(func(tx *fa.Tx) error {
+	err := t.pools[0].Mgr.Run(func(tx *fa.Tx) error {
 		cur, err := arr.GetTx(tx, epEpoch)
 		if err != nil {
 			return err
@@ -668,7 +617,7 @@ func (s *Set) finalizeMigration(newN int) error {
 		return arr.SetTx(tx, epFallback, fb)
 	})
 	if err == nil {
-		t.mgrs[0].DrainDurable()
+		t.pools[0].Mgr.DrainDurable()
 	}
 	s.fbMu.Unlock()
 	if err != nil {
@@ -705,7 +654,7 @@ func (s *Set) noteFallback() error {
 	t := s.topo.Load()
 	s.epochArr.Set(epFallback, 1)
 	s.epochArr.FlushElem(epFallback)
-	t.pools[0].PSync()
+	t.pools[0].Pool.PSync()
 	for {
 		w := s.world.Load()
 		if s.world.CompareAndSwap(w, w|1) {

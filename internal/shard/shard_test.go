@@ -15,10 +15,18 @@ import (
 	"repro/internal/store"
 )
 
+// Config is what these tests vary about a member's stack. The real
+// constructor (package stack) sits above this package, so the tests open
+// members by hand, the way it does.
+type Config struct {
+	HeapOptions heap.Options
+	Parallelism int
+	NewBackend  func(h *core.Heap, mgr *fa.Manager) (store.Backend, error)
+}
+
 func testConfig(par int) Config {
 	return Config{
 		HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 14},
-		Classes:     func() []*core.Class { return append(pdt.Classes(), store.Classes()...) },
 		Parallelism: par,
 		NewBackend: func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
 			return store.NewJPDTBackend(h, "kv")
@@ -32,6 +40,50 @@ func jpfaConfig(par int) Config {
 		return store.NewJPFABackend(h, mgr, "kv")
 	}
 	return cfg
+}
+
+// openMember opens pool as position index of a count-pool set.
+func openMember(pool *nvm.Pool, cfg Config, index, count, workers int) (Member, error) {
+	mgr := fa.NewManager()
+	ho := cfg.HeapOptions
+	ho.PoolIndex, ho.PoolCount = index, count
+	h, err := core.Open(pool, core.Config{
+		HeapOptions: ho,
+		Classes:     append(pdt.Classes(), store.Classes()...),
+		LogHandler:  mgr,
+		Recover:     core.RecoverOptions{Parallelism: workers},
+	})
+	if err != nil {
+		return Member{}, err
+	}
+	b, err := cfg.NewBackend(h, mgr)
+	return Member{Pool: pool, Heap: h, Mgr: mgr, Backend: b}, err
+}
+
+// openSet opens every pool with an even share of the worker budget and
+// assembles the set.
+func openSet(pools []*nvm.Pool, cfg Config) (*Set, error) {
+	workers := max(core.RecoverOptions{Parallelism: cfg.Parallelism}.Workers()/len(pools), 1)
+	members := make([]Member, len(pools))
+	for i, p := range pools {
+		m, err := openMember(p, cfg, i, len(pools), workers)
+		if err != nil {
+			return nil, err
+		}
+		members[i] = m
+	}
+	return Open(members)
+}
+
+// addPool opens pool as the set's next position and adds it.
+func addPool(s *Set, pool *nvm.Pool, cfg Config, opts AddOptions) (*Migration, error) {
+	n := s.Pools()
+	m, err := openMember(pool, cfg, n, n+1, 1)
+	if err != nil {
+		return nil, err
+	}
+	pool.PSync()
+	return s.AddPool(m, opts)
 }
 
 func newPools(n int, bytes int) []*nvm.Pool {
@@ -58,7 +110,7 @@ func readVal(t *testing.T, b store.Backend, key string) (string, bool) {
 
 func TestShardBasicOps(t *testing.T) {
 	pools := newPools(4, 4<<20)
-	s, err := Open(pools, testConfig(2))
+	s, err := openSet(pools, testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +127,13 @@ func TestShardBasicOps(t *testing.T) {
 	}
 	// Records actually spread across pools.
 	for i := 0; i < 4; i++ {
-		if c := s.PoolBackend(i).Count(); c == 0 || c == n {
+		if c := s.Members()[i].Backend.Count(); c == 0 || c == n {
 			t.Fatalf("pool %d holds %d of %d records — not sharded", i, c, n)
 		}
 	}
 	// Every record routed to its jump-hash home.
 	for i := 0; i < 4; i++ {
-		for _, key := range s.PoolBackend(i).(store.KeyLister).Keys() {
+		for _, key := range s.Members()[i].Backend.Caps().Keys.Keys() {
 			if home := heap.JumpHash(heap.KeyHash(key), 4); home != i {
 				t.Fatalf("key %q in pool %d, home %d", key, i, home)
 			}
@@ -112,7 +164,7 @@ func TestShardBasicOps(t *testing.T) {
 
 func TestShardReopen(t *testing.T) {
 	pools := newPools(3, 4<<20)
-	s, err := Open(pools, testConfig(1))
+	s, err := openSet(pools, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +176,7 @@ func TestShardReopen(t *testing.T) {
 	}
 	s.DrainDurable()
 
-	re, err := Open(pools, testConfig(4))
+	re, err := openSet(pools, testConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +202,7 @@ func TestShardReopen(t *testing.T) {
 // and 8 must expose identical data.
 func TestShardRecoveryOracle(t *testing.T) {
 	pools := newPools(4, 4<<20)
-	s, err := Open(pools, testConfig(1))
+	s, err := openSet(pools, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +229,11 @@ func TestShardRecoveryOracle(t *testing.T) {
 		return cs
 	}
 
-	serial, err := Open(clone(), testConfig(1))
+	serial, err := openSet(clone(), testConfig(1))
 	if err != nil {
 		t.Fatalf("serial open: %v", err)
 	}
-	parallel, err := Open(clone(), testConfig(8))
+	parallel, err := openSet(clone(), testConfig(8))
 	if err != nil {
 		t.Fatalf("parallel open: %v", err)
 	}
@@ -209,7 +261,7 @@ func TestAddPoolMigratesRecords(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			pools := newPools(2, 4<<20)
-			s, err := Open(pools, testConfig(1))
+			s, err := openSet(pools, testConfig(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +274,7 @@ func TestAddPoolMigratesRecords(t *testing.T) {
 			}
 			epoch0 := s.Epoch()
 
-			m, err := s.AddPool(nvm.New(4<<20, nvm.Options{}), AddOptions{Async: async})
+			m, err := addPool(s, nvm.New(4<<20, nvm.Options{}), testConfig(1), AddOptions{Async: async})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,13 +295,13 @@ func TestAddPoolMigratesRecords(t *testing.T) {
 			}
 			// Every record must now sit in its 3-pool home.
 			for i := 0; i < 3; i++ {
-				for _, key := range s.PoolBackend(i).(store.KeyLister).Keys() {
+				for _, key := range s.Members()[i].Backend.Caps().Keys.Keys() {
 					if home := heap.JumpHash(heap.KeyHash(key), 3); home != i {
 						t.Fatalf("key %q left in pool %d, home %d", key, i, home)
 					}
 				}
 			}
-			if c := s.PoolBackend(2).Count(); c == 0 {
+			if c := s.Members()[2].Backend.Count(); c == 0 {
 				t.Fatal("new pool received no records")
 			}
 			if s.Obs().MigratedRecords.Load() == 0 {
@@ -269,7 +321,7 @@ func TestAddPoolMigratesRecords(t *testing.T) {
 // byte-compatible default) into a 2-pool set online.
 func TestAddPoolSingleToMulti(t *testing.T) {
 	pools := newPools(1, 4<<20)
-	s, err := Open(pools, testConfig(1))
+	s, err := openSet(pools, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +331,7 @@ func TestAddPoolSingleToMulti(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := s.AddPool(nvm.New(4<<20, nvm.Options{}), AddOptions{})
+	m, err := addPool(s, nvm.New(4<<20, nvm.Options{}), testConfig(1), AddOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +341,12 @@ func TestAddPoolSingleToMulti(t *testing.T) {
 	if b.Count() != 100 {
 		t.Fatalf("count %d", b.Count())
 	}
-	if s.PoolBackend(1).Count() == 0 {
+	if s.Members()[1].Backend.Count() == 0 {
 		t.Fatal("no records moved to the new pool")
 	}
 	// Reopen as a 2-pool set.
 	s.DrainDurable()
-	re, err := Open(append(pools, nvmOf(s, 1)), testConfig(2))
+	re, err := openSet(append(pools, nvmOf(s, 1)), testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +355,7 @@ func TestAddPoolSingleToMulti(t *testing.T) {
 	}
 }
 
-func nvmOf(s *Set, i int) *nvm.Pool { return s.topo.Load().pools[i] }
+func nvmOf(s *Set, i int) *nvm.Pool { return s.Members()[i].Pool }
 
 // TestPoolFullFallback fills a record's home pool and verifies the
 // insert degrades to a ring-probe fallback instead of failing, that the
@@ -316,7 +368,7 @@ func TestPoolFullFallback(t *testing.T) {
 	}
 	cfg := testConfig(1)
 	cfg.HeapOptions = heap.Options{LogSlots: 4, LogSlotSize: 1 << 12}
-	s, err := Open(pools, cfg)
+	s, err := openSet(pools, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +413,7 @@ func TestPoolFullFallback(t *testing.T) {
 	// The sticky flag must survive a crashless reopen: every record still
 	// reachable with no migration having run.
 	s.DrainDurable()
-	re, err := Open(pools, cfg)
+	re, err := openSet(pools, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +424,7 @@ func TestPoolFullFallback(t *testing.T) {
 		}
 	}
 	// And a migration re-homes the strays.
-	m, err := re.AddPool(nvm.New(4<<20, nvm.Options{}), AddOptions{})
+	m, err := addPool(re, nvm.New(4<<20, nvm.Options{}), cfg, AddOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +432,7 @@ func TestPoolFullFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		for _, key := range re.PoolBackend(i).(store.KeyLister).Keys() {
+		for _, key := range re.Members()[i].Backend.Caps().Keys.Keys() {
 			if home := heap.JumpHash(heap.KeyHash(key), 3); home != i {
 				t.Fatalf("key %q still off-home after migration (pool %d, home %d)", key, i, home)
 			}
@@ -394,7 +446,7 @@ func TestPoolFullFallback(t *testing.T) {
 // must match each goroutine's model exactly.
 func TestFreelistExhaustionRacesAddPool(t *testing.T) {
 	pools := newPools(2, 2<<20)
-	s, err := Open(pools, testConfig(2))
+	s, err := openSet(pools, testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +484,7 @@ func TestFreelistExhaustionRacesAddPool(t *testing.T) {
 		}(w)
 	}
 
-	m, err := s.AddPool(nvm.New(2<<20, nvm.Options{}), AddOptions{Async: true, Pacer: &Pacer{BytesPerSec: 64 << 20}})
+	m, err := addPool(s, nvm.New(2<<20, nvm.Options{}), testConfig(1), AddOptions{Async: true, Pacer: &Pacer{BytesPerSec: 64 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +513,7 @@ func TestFreelistExhaustionRacesAddPool(t *testing.T) {
 // transient pools) and checks each pool recycles only its own blocks.
 func TestTransientReuseAcrossPools(t *testing.T) {
 	pools := newPools(3, 4<<20)
-	s, err := Open(pools, jpfaConfig(2))
+	s, err := openSet(pools, jpfaConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +560,7 @@ func TestTransientReuseAcrossPools(t *testing.T) {
 // to the direct per-layer totals.
 func TestSnapshotPerPoolSums(t *testing.T) {
 	pools := newPools(4, 4<<20)
-	s, err := Open(pools, testConfig(1))
+	s, err := openSet(pools, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,8 +582,8 @@ func TestSnapshotPerPoolSums(t *testing.T) {
 		want = want.Add(obs.PoolSnapshot{
 			Index: i,
 			NVM:   pools[i].Obs().Snapshot(),
-			Heap:  s.Heap(i).Mem().ObsSnapshot(),
-			FA:    s.Manager(i).ObsSnapshot(),
+			Heap:  s.Members()[i].Heap.Mem().ObsSnapshot(),
+			FA:    s.Members()[i].Mgr.ObsSnapshot(),
 		})
 	}
 	if got != want {
@@ -542,49 +594,85 @@ func TestSnapshotPerPoolSums(t *testing.T) {
 	}
 }
 
-// TestLockFreeShardCapability checks the capability-mirroring wrapper
-// selection: lock-free children produce a lock-free sharded backend,
-// and the grid drives it end to end.
-func TestLockFreeShardCapability(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.NewBackend = func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
+// TestShardDescriptorFollowsChildren checks that the set's descriptor is
+// its pools' (minus Scan), that the grid adopts the read path it names,
+// and that the grid drives the routed capability end to end. The full
+// kind × pool-count table lives in bench's TestCapabilityTable.
+func TestShardDescriptorFollowsChildren(t *testing.T) {
+	lf := testConfig(1)
+	lf.NewBackend = func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
 		return store.NewJPDTLFBackend(h, "kv")
 	}
-	s, err := Open(newPools(2, 4<<20), cfg)
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		caps, path string
+	}{
+		{"J-PDT-LF", lf, "keys,lockfree", "lockfree"},
+		{"J-PDT", testConfig(1), "keys,view", "view"},
+		{"J-PFA", jpfaConfig(1), "keys,delta", "locked"},
+	} {
+		s, err := openSet(newPools(2, 4<<20), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := s.Backend()
+		if got := be.Caps().String(); got != tc.caps {
+			t.Fatalf("%s children: set offers [%s], want [%s]", tc.name, got, tc.caps)
+		}
+		g := store.NewGrid(be, store.Options{})
+		if got := g.ReadPath(); got != tc.path {
+			t.Fatalf("%s children: grid read path %q, want %q", tc.name, got, tc.path)
+		}
+		if err := g.Insert("a", rec("1")); err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		if err := g.Read("a", func(name string, v []byte) { got = string(v) }); err != nil || got != "1" {
+			t.Fatalf("%s children: grid read: %v %q", tc.name, err, got)
+		}
+		if err := g.Scan("", 1, func(string, string, []byte) {}); err != store.ErrNoScan {
+			t.Fatalf("%s children: sharded scan returned %v, want ErrNoScan", tc.name, err)
+		}
+	}
+}
+
+// TestMismatchedPoolIsRefused pins that a pool whose backend offers
+// different operations than the set's is an error at Open and at AddPool,
+// not a panic on first use.
+func TestMismatchedPoolIsRefused(t *testing.T) {
+	lf := testConfig(1)
+	lf.NewBackend = func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
+		return store.NewJPDTLFBackend(h, "kv")
+	}
+	s, err := openSet(newPools(2, 4<<20), lf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := s.Backend()
-	if _, ok := be.(store.LockFreeBackend); !ok {
-		t.Fatalf("lock-free children produced %T", be)
+	// The grid wires lock-free mode onto every pool; a late joiner gets
+	// the wiring replayed, which is where a mismatched backend used to
+	// panic.
+	g := store.NewGrid(s.Backend(), store.Options{})
+	if _, err := addPool(s, nvm.New(4<<20, nvm.Options{}), jpfaConfig(1), AddOptions{}); err == nil {
+		t.Fatal("a J-PFA joiner was accepted into a J-PDT-LF set")
 	}
-	g := store.NewGrid(be, store.Options{})
+	if s.Pools() != 2 || s.Migrating() {
+		t.Fatalf("refused joiner changed the set: %d pools, migrating %v", s.Pools(), s.Migrating())
+	}
 	if err := g.Insert("a", rec("1")); err != nil {
-		t.Fatal(err)
-	}
-	var got string
-	if err := g.Read("a", func(name string, v []byte) { got = string(v) }); err != nil || got != "1" {
-		t.Fatalf("grid read: %v %q", err, got)
+		t.Fatalf("set unusable after refusing a joiner: %v", err)
 	}
 
-	// J-PDT children produce a view-reading wrapper instead.
-	s2, err := Open(newPools(2, 4<<20), testConfig(1))
+	pools := newPools(2, 4<<20)
+	m0, err := openMember(pools[0], lf, 0, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be2 := s2.Backend()
-	if _, ok := be2.(store.ViewReader); !ok {
-		t.Fatalf("view-reader children produced %T", be2)
-	}
-	if _, ok := be2.(store.LockFreeBackend); ok {
-		t.Fatal("J-PDT shard claims lock freedom")
-	}
-	g2 := store.NewGrid(be2, store.Options{})
-	if err := g2.Insert("b", rec("2")); err != nil {
+	m1, err := openMember(pools[1], jpfaConfig(1), 1, 2, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got2 string
-	if err := g2.Read("b", func(name string, v []byte) { got2 = string(v) }); err != nil || got2 != "2" {
-		t.Fatalf("grid zero-copy read: %v %q", err, got2)
+	if _, err := Open([]Member{m0, m1}); err == nil {
+		t.Fatal("Open accepted pools with different descriptors")
 	}
 }

@@ -70,6 +70,7 @@ func (b *memBackend) Count() int {
 	return len(b.m)
 }
 func (b *memBackend) Close() error { return nil }
+func (b *memBackend) Caps() Caps   { return Caps{} }
 
 func TestApplyBatchOrderAndResults(t *testing.T) {
 	g := NewGrid(newMemBackend(), Options{})

@@ -37,7 +37,7 @@ func (g *Grid) AddDelta(key, field string, delta int64) error {
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
-	if da, ok := g.backend.(DeltaAdder); ok {
+	if da := g.caps.Delta; da != nil {
 		found, err := da.AddDelta(key, field, delta)
 		// The fold mutates the value in place behind the grid's back;
 		// never serve a cached pre-fold record.

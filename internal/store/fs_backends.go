@@ -30,6 +30,9 @@ func (b *VolatileBackend) Count() int { b.mu.RLock(); defer b.mu.RUnlock(); retu
 // Close implements Backend.
 func (b *VolatileBackend) Close() error { return nil }
 
+// Caps implements Backend (scans sort on demand, see scan.go).
+func (b *VolatileBackend) Caps() Caps { return Caps{Scan: b} }
+
 // Insert implements Backend.
 func (b *VolatileBackend) Insert(key string, rec *Record) error {
 	b.mu.Lock()
@@ -96,6 +99,9 @@ func (b *TmpFSBackend) Count() int { b.mu.RLock(); defer b.mu.RUnlock(); return 
 
 // Close implements Backend.
 func (b *TmpFSBackend) Close() error { return nil }
+
+// Caps implements Backend.
+func (b *TmpFSBackend) Caps() Caps { return Caps{} }
 
 // Insert implements Backend.
 func (b *TmpFSBackend) Insert(key string, rec *Record) error {
@@ -177,6 +183,9 @@ func (b *NullFSBackend) Count() int { b.mu.RLock(); defer b.mu.RUnlock(); return
 
 // Close implements Backend.
 func (b *NullFSBackend) Close() error { return nil }
+
+// Caps implements Backend.
+func (b *NullFSBackend) Caps() Caps { return Caps{} }
 
 // Insert implements Backend.
 func (b *NullFSBackend) Insert(key string, rec *Record) error {
@@ -288,6 +297,9 @@ func (b *FSBackend) Count() int { b.mu.RLock(); defer b.mu.RUnlock(); return len
 
 // Close implements Backend.
 func (b *FSBackend) Close() error { return nil }
+
+// Caps implements Backend.
+func (b *FSBackend) Caps() Caps { return Caps{} }
 
 func (b *FSBackend) path(key string) string {
 	h := fnv.New32a()

@@ -37,14 +37,8 @@ type Backend interface {
 	// Count returns the number of stored records.
 	Count() int
 	Close() error
-}
-
-// KeyLister is an optional backend capability: enumerate every stored key
-// in a deterministic (sorted) order. The shard migrator uses it to walk a
-// pool's records when the epoch table grows; all four J-NVM backends
-// implement it.
-type KeyLister interface {
-	Keys() []string
+	// Caps describes the optional operations the backend supports.
+	Caps() Caps
 }
 
 // Grid is the embedded data grid standing in for Infinispan: per-key lock
@@ -55,6 +49,7 @@ type KeyLister interface {
 // durability.
 type Grid struct {
 	backend Backend
+	caps    Caps
 
 	// vr is non-nil when the backend supports zero-copy view reads and
 	// caching is off: Read then tries a seqlock-validated unlocked fast
@@ -120,19 +115,19 @@ type Options struct {
 
 // NewGrid wraps a backend.
 func NewGrid(b Backend, opts Options) *Grid {
-	g := &Grid{backend: b}
+	g := &Grid{backend: b, caps: b.Caps()}
 	if opts.CacheEntries > 0 {
 		per := (opts.CacheEntries + gridStripes - 1) / gridStripes
 		g.cache = make([]cacheShard, gridStripes)
 		for i := range g.cache {
 			g.cache[i].lru = container.NewLRU[*Record](per, nil)
 		}
-	} else if lfb, ok := b.(LockFreeBackend); ok {
+	} else if lf := g.caps.LockFree; lf != nil {
 		// Lock-free backend + no cache: every op goes straight through;
 		// the backend's own CAS/EBR protocol is the concurrency control.
-		lfb.EnableLockFree(&g.stats.ReadPath)
+		lf.EnableLockFree(&g.stats.ReadPath)
 		g.lockFree = true
-	} else if vr, ok := b.(ViewReader); ok {
+	} else if vr := g.caps.View; vr != nil {
 		// Cache off + capable backend: adopt the zero-copy read fast
 		// path. (With a record cache the cache itself is the fast path,
 		// and cached reads already avoid the backend entirely.)
@@ -140,6 +135,19 @@ func NewGrid(b Backend, opts Options) *Grid {
 		g.vr = vr
 	}
 	return g
+}
+
+// ReadPath names the read path NewGrid adopted from the backend's
+// descriptor: "lockfree" (no grid locks at all), "view" (seqlock-validated
+// zero-copy reads) or "locked" (stripe lock, cache in front when enabled).
+func (g *Grid) ReadPath() string {
+	switch {
+	case g.lockFree:
+		return "lockfree"
+	case g.vr != nil:
+		return "view"
+	}
+	return "locked"
 }
 
 // Backend returns the underlying persistence plug.

@@ -21,35 +21,46 @@ type JPDTBackend struct {
 }
 
 // NewJPDTBackend creates (or reopens) the backend's persistent map under
-// the given root name.
+// the given root name, hash-mirrored when created.
 func NewJPDTBackend(h *core.Heap, rootName string) (*JPDTBackend, error) {
-	m, err := openOrCreateMap(h, rootName)
+	return NewJPDTBackendKind(h, rootName, pdt.MirrorHash)
+}
+
+// NewJPDTBackendKind is NewJPDTBackend with the mirror a newly created
+// map gets; MirrorTree or MirrorSkip enable Scan (an extension beyond
+// the paper, see scan.go). An existing map keeps its kind.
+func NewJPDTBackendKind(h *core.Heap, rootName string, kind pdt.MirrorKind) (*JPDTBackend, error) {
+	m, err := openOrCreateMap(h, rootName, kind)
 	if err != nil {
 		return nil, err
 	}
 	return &JPDTBackend{h: h, m: m}, nil
 }
 
-func openOrCreateMap(h *core.Heap, rootName string) (*pdt.Map, error) {
+// openOrCreate resurrects the object bound to rootName, or binds the one
+// create makes.
+func openOrCreate[T core.PObject](h *core.Heap, rootName string, create func() (T, error)) (T, error) {
+	var none T
 	if h.Root().Exists(rootName) {
 		po, err := h.Root().Get(rootName)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
-		m, ok := po.(*pdt.Map)
+		m, ok := po.(T)
 		if !ok {
-			return nil, fmt.Errorf("store: root %q is not a pdt.Map", rootName)
+			return none, fmt.Errorf("store: root %q is a %T, not a %T", rootName, po, none)
 		}
 		return m, nil
 	}
-	m, err := pdt.NewMap(h, pdt.MirrorHash)
+	m, err := create()
 	if err != nil {
-		return nil, err
+		return none, err
 	}
-	if err := h.Root().Put(rootName, m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, h.Root().Put(rootName, m)
+}
+
+func openOrCreateMap(h *core.Heap, rootName string, kind pdt.MirrorKind) (*pdt.Map, error) {
+	return openOrCreate(h, rootName, func() (*pdt.Map, error) { return pdt.NewMap(h, kind) })
 }
 
 // Name implements Backend.
@@ -57,6 +68,16 @@ func (b *JPDTBackend) Name() string { return "J-PDT" }
 
 // Count implements Backend.
 func (b *JPDTBackend) Count() int { return b.m.Len() }
+
+// Caps implements Backend: key listing and zero-copy views always, scans
+// only over an ordered mirror (pdt.Map.Ascend refuses a hash mirror).
+func (b *JPDTBackend) Caps() Caps {
+	c := Caps{Keys: b, View: b}
+	if b.m.Kind() != pdt.MirrorHash {
+		c.Scan = b
+	}
+	return c
+}
 
 // Keys implements KeyLister (sorted for deterministic migration order).
 func (b *JPDTBackend) Keys() []string {
@@ -149,7 +170,7 @@ type JPFABackend struct {
 
 // NewJPFABackend creates (or reopens) the backend state.
 func NewJPFABackend(h *core.Heap, mgr *fa.Manager, rootName string) (*JPFABackend, error) {
-	m, err := openOrCreateMap(h, rootName)
+	m, err := openOrCreateMap(h, rootName, pdt.MirrorHash)
 	if err != nil {
 		return nil, err
 	}
@@ -161,6 +182,9 @@ func (b *JPFABackend) Name() string { return "J-PFA" }
 
 // Count implements Backend.
 func (b *JPFABackend) Count() int { return b.m.Len() }
+
+// Caps implements Backend.
+func (b *JPFABackend) Caps() Caps { return Caps{Keys: b, Delta: b} }
 
 // Keys implements KeyLister (sorted for deterministic migration order).
 func (b *JPFABackend) Keys() []string {
@@ -352,6 +376,10 @@ func (b *PCJBackend) Name() string { return "PCJ" }
 
 // Count implements Backend.
 func (b *PCJBackend) Count() int { return b.inner.Count() }
+
+// Caps implements Backend: the JNI gate serializes everything, so PCJ
+// offers none of the inner backend's fast paths.
+func (b *PCJBackend) Caps() Caps { return Caps{Keys: b} }
 
 // Keys implements KeyLister.
 func (b *PCJBackend) Keys() []string {

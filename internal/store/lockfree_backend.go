@@ -36,22 +36,8 @@ type JPDTLFBackend struct {
 // NewJPDTLFBackend creates (or reopens) the backend's lock-free map
 // under the given root name.
 func NewJPDTLFBackend(h *core.Heap, rootName string) (*JPDTLFBackend, error) {
-	if h.Root().Exists(rootName) {
-		po, err := h.Root().Get(rootName)
-		if err != nil {
-			return nil, err
-		}
-		m, ok := po.(*pdt.LFMap)
-		if !ok {
-			return nil, fmt.Errorf("store: root %q is not a pdt.LFMap", rootName)
-		}
-		return &JPDTLFBackend{h: h, m: m}, nil
-	}
-	m, err := pdt.NewLFMap(h, 0)
+	m, err := openOrCreate(h, rootName, func() (*pdt.LFMap, error) { return pdt.NewLFMap(h, 0) })
 	if err != nil {
-		return nil, err
-	}
-	if err := h.Root().Put(rootName, m); err != nil {
 		return nil, err
 	}
 	return &JPDTLFBackend{h: h, m: m}, nil
@@ -62,6 +48,9 @@ func (b *JPDTLFBackend) Name() string { return "J-PDT-LF" }
 
 // Count implements Backend.
 func (b *JPDTLFBackend) Count() int { return b.m.Len() }
+
+// Caps implements Backend.
+func (b *JPDTLFBackend) Caps() Caps { return Caps{Keys: b, LockFree: b} }
 
 // Keys implements KeyLister (sorted: LFMap iteration is bucket-order).
 func (b *JPDTLFBackend) Keys() []string {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pdt"
 )
 
 // Scan support — an extension beyond the paper. §5.2 skips YCSB-E because
@@ -28,8 +27,8 @@ var ErrNoScan = fmt.Errorf("store: backend does not support scans")
 // Scan implements ordered range scans over backends that support them.
 // Scans bypass the record cache (they are not per-key operations).
 func (g *Grid) Scan(start string, limit int, consume func(key, field string, value []byte)) error {
-	s, ok := g.backend.(Scanner)
-	if !ok {
+	s := g.caps.Scan
+	if s == nil {
 		return ErrNoScan
 	}
 	t0 := time.Now()
@@ -37,23 +36,8 @@ func (g *Grid) Scan(start string, limit int, consume func(key, field string, val
 	return s.Scan(start, limit, consume)
 }
 
-// NewJPDTBackendKind creates a J-PDT backend whose persistent map uses the
-// chosen mirror; MirrorTree or MirrorSkip enable Scan.
-func NewJPDTBackendKind(h *core.Heap, rootName string, kind pdt.MirrorKind) (*JPDTBackend, error) {
-	if h.Root().Exists(rootName) {
-		return NewJPDTBackend(h, rootName)
-	}
-	m, err := pdt.NewMap(h, kind)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.Root().Put(rootName, m); err != nil {
-		return nil, err
-	}
-	return NewJPDTBackend(h, rootName)
-}
-
-// Scan implements Scanner for the J-PDT backend (ordered mirrors only).
+// Scan implements Scanner for the J-PDT backend. Only an ordered mirror
+// can serve it, so Caps advertises it for those alone.
 func (b *JPDTBackend) Scan(start string, limit int, consume func(key, field string, value []byte)) error {
 	n := 0
 	return b.m.Ascend(start, func(key string, po core.PObject) bool {

@@ -512,6 +512,14 @@ func TestScanHashBackendRejected(t *testing.T) {
 	if err := b.Scan("", 5, func(string, string, []byte) {}); err == nil {
 		t.Fatal("hash-mirror scan should error")
 	}
+	// The descriptor advertises Scan for ordered mirrors only, so the grid
+	// answers ErrNoScan over the hash mirror instead of reaching Ascend.
+	if b.Caps().Scan != nil {
+		t.Fatal("hash-mirror J-PDT advertises Scan")
+	}
+	if err := NewGrid(b, Options{}).Scan("", 5, func(string, string, []byte) {}); err != ErrNoScan {
+		t.Fatalf("hash-mirror grid scan: err = %v, want ErrNoScan", err)
+	}
 	// TmpFS has no Scan at all: the grid reports ErrNoScan.
 	g := NewGrid(NewTmpFSBackend(), Options{})
 	if err := g.Scan("", 5, func(string, string, []byte) {}); err != ErrNoScan {

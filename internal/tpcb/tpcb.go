@@ -17,9 +17,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fa"
-	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/pdt"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -63,31 +63,32 @@ type JNVMBank struct {
 	stripes [64]sync.Mutex
 }
 
-// OpenJNVMBank creates (first run) or reopens (after a crash) the bank on
-// the pool. skipGraphGC selects the J-PFA-nogc recovery mode of Figure 11.
-// This is correct for this application: every account is allocated and
-// published in the same failure-atomic block, so no invalid-but-reachable
-// object can exist after a crash.
-func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, error) {
-	return OpenJNVMBankRec(pool, accounts, skipGraphGC, core.RecoverOptions{})
+// StackConfig is the stack the bank runs over: bare heaps (the bank keeps
+// its own persistent array), the account class, 64 log slots of 16 KiB.
+// skipGraphGC selects the J-PFA-nogc recovery mode of Figure 11. This is
+// correct for this application: every account is allocated and published
+// in the same failure-atomic block, so no invalid-but-reachable object
+// can exist after a crash.
+func StackConfig(skipGraphGC bool) stack.Config {
+	return stack.Config{Classes: Classes(), LogSlots: 64, LogSlotSize: 1 << 14, SkipGraphGC: skipGraphGC}
 }
 
-// OpenJNVMBankRec is OpenJNVMBank with explicit recovery options, so the
-// crash explorer can pin recovery to the serial oracle or the parallel
-// pipeline.
-func OpenJNVMBankRec(pool *nvm.Pool, accounts int, skipGraphGC bool, rec core.RecoverOptions) (*JNVMBank, error) {
-	mgr := fa.NewManager()
-	classes := append(pdt.Classes(), Classes()...)
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: 64, LogSlotSize: 1 << 14},
-		Classes:     classes,
-		LogHandler:  mgr,
-		SkipGraphGC: skipGraphGC,
-		Recover:     rec,
-	})
+// OpenJNVMBank creates (first run) or reopens (after a crash) the bank on
+// the pool, with the default commit protocol and recovery parallelism.
+func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, error) {
+	st, err := stack.Open([]*nvm.Pool{pool}, StackConfig(skipGraphGC))
 	if err != nil {
 		return nil, err
 	}
+	return NewJNVMBank(st, accounts)
+}
+
+// NewJNVMBank creates or reattaches the bank over a stack opened with
+// StackConfig — the entry point for callers that set the commit protocol
+// (Figure 11, the baseline) or pin the recovery parallelism (the crash
+// explorer) on the stack themselves.
+func NewJNVMBank(st *stack.Stack, accounts int) (*JNVMBank, error) {
+	h, mgr := st.Pools[0].Heap, st.Pools[0].Mgr
 	b := &JNVMBank{h: h, mgr: mgr, n: accounts}
 	if h.Root().Exists("bank.accounts") {
 		po, err := h.Root().Get("bank.accounts")

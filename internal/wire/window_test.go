@@ -25,6 +25,7 @@ func (b *fixedBackend) Update(string, []store.Field) (bool, error) { return true
 func (b *fixedBackend) Delete(string) (bool, error)                { return true, nil }
 func (b *fixedBackend) Count() int                                 { return 1 }
 func (b *fixedBackend) Close() error                               { return nil }
+func (b *fixedBackend) Caps() store.Caps                           { return store.Caps{} }
 func (b *fixedBackend) Read(key string, consume func(string, []byte)) (bool, error) {
 	if key == "missing" {
 		return false, nil

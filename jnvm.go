@@ -28,9 +28,9 @@ package jnvm
 import (
 	"repro/internal/core"
 	"repro/internal/fa"
-	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/pdt"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -153,21 +153,18 @@ func Open(opts Options) (*DB, error) {
 
 // OpenPool opens a heap over an existing pool (crash images, tests).
 func OpenPool(pool *nvm.Pool, opts Options) (*DB, error) {
-	mgr := fa.NewManager()
-	classes := append(pdt.Classes(), store.Classes()...)
-	classes = append(classes, opts.Classes...)
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: opts.LogSlots, LogSlotSize: opts.LogSlotSize},
-		Classes:     classes,
-		LogHandler:  mgr,
+	st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{
+		Classes:     opts.Classes,
+		LogSlots:    opts.LogSlots,
+		LogSlotSize: opts.LogSlotSize,
 		SkipGraphGC: opts.SkipGraphGC,
-		Recover:     core.RecoverOptions{Parallelism: opts.RecoverParallelism},
+		Parallelism: opts.RecoverParallelism,
 	})
 	if err != nil {
 		pool.Close()
 		return nil, err
 	}
-	return &DB{Heap: h, fam: mgr, pool: pool}, nil
+	return &DB{Heap: st.Pools[0].Heap, fam: st.Pools[0].Mgr, pool: pool}, nil
 }
 
 // Close releases the pool (durable data stays in the backing file, if

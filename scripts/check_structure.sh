@@ -1,0 +1,36 @@
+#!/bin/sh
+# Structure gate (DESIGN.md §3): two decisions each live in one place, and
+# this fails, printing file:line, when a second copy appears.
+#
+#  1. Stack assembly. A redo-log manager and a recovered object heap are
+#     built together in internal/stack only. core.Open( or fa.NewManager()
+#     anywhere else in non-test Go — outside internal/core, internal/fa and
+#     bench/table3.go, whose raw heap has no manager — is a hand-rolled
+#     stack.
+#  2. Backend capabilities. What a store.Backend can do beyond the
+#     interface is its Caps() descriptor (internal/store/caps.go). A type
+#     assertion to one of the capability interfaces is a second opinion
+#     that a wrapper can silently fail to forward. benchmarks/ is exempt:
+#     it pins store.DeltaAdder and is edited by benchmark-only PRs.
+set -eu
+
+fail=0
+
+hits=$(grep -rn --include='*.go' -e 'core\.Open(' -e 'fa\.NewManager()' . |
+    grep -v -e '_test\.go:' -e '^\./benchmarks/' -e '^\./internal/stack/' \
+        -e '^\./internal/core/' -e '^\./internal/fa/' -e '^\./internal/bench/table3\.go:' || true)
+if [ -n "$hits" ]; then
+    echo "stack assembled outside internal/stack (use stack.Open):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+hits=$(grep -rnE --include='*.go' '\.\((store\.)?(KeyLister|ViewReader|LockFreeBackend|DeltaAdder|Scanner)\)' . |
+    grep -v -e '^\./benchmarks/' -e '^\./internal/store/caps\.go:' || true)
+if [ -n "$hits" ]; then
+    echo "capability type assertion (read the backend's Caps() instead):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+exit $fail
