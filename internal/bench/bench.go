@@ -25,11 +25,11 @@ type BackendKind string
 
 // The evaluated backends.
 const (
-	JPDT     BackendKind = "J-PDT"
-	JPDTLF   BackendKind = "J-PDT-LF"
-	JPFA     BackendKind = "J-PFA"
+	JPDT     BackendKind = stack.JPDT
+	JPDTLF   BackendKind = stack.JPDTLF
+	JPFA     BackendKind = stack.JPFA
 	FS       BackendKind = "FS"
-	PCJ      BackendKind = "PCJ"
+	PCJ      BackendKind = stack.PCJ
 	TmpFS    BackendKind = "TmpFS"
 	NullFS   BackendKind = "NullFS"
 	Volatile BackendKind = "Volatile"
@@ -212,7 +212,7 @@ func newNVMEnv(cfg GridConfig) (*Env, error) {
 		pools[i] = p
 	}
 	st, err := stack.Open(pools, stack.Config{
-		Backend: stack.Kind(cfg.Backend), Commit: cfg.Commit,
+		Backend: string(cfg.Backend), Commit: cfg.Commit,
 		LogSlots: 64, LogSlotSize: 1 << 15,
 	})
 	if err != nil {

@@ -98,19 +98,6 @@ type RecoveryStats struct {
 	GraphTraversed bool
 }
 
-// Merge folds another pool's recovery stats into s. Shard-parallel
-// recovery (DESIGN.md §17) recovers each pool concurrently and merges the
-// per-pool stats in pool-index order; Formatted/GraphTraversed are ANDed
-// so the merged value only claims what held for every pool.
-func (s *RecoveryStats) Merge(o RecoveryStats) {
-	s.Formatted = s.Formatted && o.Formatted
-	s.LiveObjects += o.LiveObjects
-	s.LiveBlocks += o.LiveBlocks
-	s.NullifiedRefs += o.NullifiedRefs
-	s.ReclaimedRoots += o.ReclaimedRoots
-	s.GraphTraversed = s.GraphTraversed && o.GraphTraversed
-}
-
 // Open attaches to a pool, formatting it if it does not contain a heap,
 // registers the classes, recovers failure-atomic logs, and runs the
 // recovery procedure of §4.1.3.

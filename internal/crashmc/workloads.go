@@ -88,9 +88,9 @@ type scenario struct {
 
 // stackCfg is the explorer's stack shape: 16 log slots of 16 KiB (the
 // geometry the workloads' ordering-point counts were recorded with), the
-// given backend kind ("" = bare heap) under the given root name.
-func stackCfg(kind stack.Kind, root string) stack.Config {
-	return stack.Config{Backend: kind, Root: root, LogSlots: 16, LogSlotSize: 1 << 14}
+// given backend kind ("" = bare heap).
+func stackCfg(kind string) stack.Config {
+	return stack.Config{Backend: kind, LogSlots: 16, LogSlotSize: 1 << 14}
 }
 
 func (e entry) workload() *Workload {
@@ -427,7 +427,7 @@ func gridEntry() entry {
 	const nkeys = 10
 	const ops = 30
 	keys := keyNames("k%02d", nkeys)
-	return entry{name: "grid", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA, "grid.map"), new: func(seed int64) *scenario {
+	return entry{name: "grid", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string][]byte) // committed value per key; nil/missing = absent
 		var inflight *gridOp
@@ -523,7 +523,7 @@ func gridGroupEntry() entry {
 	const epochs = 5
 	const opsPerEpoch = 3 // < nkeys: round-robin keeps keys distinct per epoch
 	keys := keyNames("g%02d", nkeys)
-	return entry{name: "gridgroup", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA, "gridgroup.map"), new: func(seed int64) *scenario {
+	return entry{name: "gridgroup", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		durable := make(map[string][]byte) // value proven durable by a returned drain
 		pending := make(map[string][]byte) // queued in the in-flight epoch, nil = none
@@ -624,7 +624,7 @@ func gridDeltaEntry() entry {
 		}
 		return b
 	}
-	e := entry{name: "griddelta", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA, "griddelta.map")}
+	e := entry{name: "griddelta", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA)}
 	// On tear-free images a committed log slot with a zero entry count
 	// means a commit mark outran its stage-1 persist — the signature of a
 	// delta materialization whose fold would silently drop at replay
@@ -800,7 +800,7 @@ func gridReadEntry() entry {
 	const nkeys = 8
 	const ops = 36
 	keys := keyNames("r%02d", nkeys)
-	return entry{name: "gridread", poolBytes: 1 << 21, cfg: stackCfg(stack.JPDT, "gridread.map"), new: func(seed int64) *scenario {
+	return entry{name: "gridread", poolBytes: 1 << 21, cfg: stackCfg(stack.JPDT), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string][]byte)         // committed value per key; missing = absent
 		poss := make(map[string]map[string]bool) // legal recovered states per key
@@ -939,7 +939,7 @@ func poolEntry() entry {
 		key       string
 		pre, post *poolVal
 	}
-	return entry{name: "pool", poolBytes: 1 << 21, cfg: stackCfg("", ""), new: func(seed int64) *scenario {
+	return entry{name: "pool", poolBytes: 1 << 21, cfg: stackCfg(""), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string]*poolVal)
 		var inflight *poolOp
@@ -1095,7 +1095,7 @@ func pdtEntry() entry {
 	const cells = 8
 	const ops = 36
 	keys := keyNames("d%02d", nkeys)
-	return entry{name: "pdt", poolBytes: 1 << 21, cfg: stackCfg("", ""), new: func(seed int64) *scenario {
+	return entry{name: "pdt", poolBytes: 1 << 21, cfg: stackCfg(""), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		// possible[k] is the set of states key k may recover to.
 		mapPoss := make(map[string]map[string]bool)
@@ -1296,7 +1296,7 @@ func pdtLockFreeEntry() entry {
 		"l-indirect-" + strings.Repeat("x", 40),
 		"l-indirect-" + strings.Repeat("y", 40),
 	}
-	return entry{name: "pdtlockfree", poolBytes: 1 << 21, cfg: stackCfg("", ""), compare: true, new: func(seed int64) *scenario {
+	return entry{name: "pdtlockfree", poolBytes: 1 << 21, cfg: stackCfg(""), compare: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		mapPoss := make(map[string]map[string]bool)
 		setPoss := make(map[string]map[string]bool)
@@ -1516,7 +1516,7 @@ func poolMigrateEntry() entry {
 	const nkeys = 12
 	const preOps, postOps = 12, 6
 	keys := keyNames("m%02d", nkeys)
-	e := entry{name: "poolmigrate", poolBytes: 1 << 21, pools: 3, setupPools: 2, cfg: stackCfg(stack.JPDT, "kv"), compare: true}
+	e := entry{name: "poolmigrate", poolBytes: 1 << 21, pools: 3, setupPools: 2, cfg: stackCfg(stack.JPDT), compare: true}
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string][]byte) // committed value per key; missing = absent

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -85,11 +86,8 @@ func (b *shardBackend) Insert(key string, rec *store.Record) error {
 // probe calls fn over the candidate pools in probe order — home in the
 // insert world, then home in the committed world while they differ,
 // then everywhere if off-home records may exist — until fn reports a
-// hit. It reports whether fn ever hit. A one-pool set has one candidate.
+// hit. It reports whether fn ever hit.
 func (b *shardBackend) probe(t *topo, hash uint64, fn func(p int) (bool, error)) (bool, error) {
-	if len(t.pools) == 1 {
-		return fn(0)
-	}
 	s := b.s
 	_, n, target, migrating, fallback := s.loadWorld()
 	h := home(hash, target)
@@ -162,10 +160,20 @@ func (b *shardBackend) Delete(key string) (bool, error) {
 	})
 }
 
+// errAbsent answers a capability method called on a set whose pools lack
+// it. The one routing type has every capability's methods, so a caller
+// that type-asserts the backend instead of reading Caps() (the pinned
+// benchmark harness does, for store.DeltaAdder) can reach one the
+// descriptor leaves out.
+var errAbsent = errors.New("shard: the set's pools lack this capability (see Caps)")
+
 // AddDelta implements store.DeltaAdder: the delta folds in the ledger of
 // the pool that holds the key, so a sharded J-PFA grid keeps one log
 // entry per hot word per pool epoch.
 func (b *shardBackend) AddDelta(key, field string, delta int64) (bool, error) {
+	if b.s.topo.Load().caps[0].Delta == nil {
+		return false, errAbsent
+	}
 	return b.write(key, func(t *topo, p int) (bool, error) {
 		return t.caps[p].Delta.AddDelta(key, field, delta)
 	})
@@ -183,11 +191,14 @@ func (b *shardBackend) Count() int {
 // Close implements store.Backend.
 func (b *shardBackend) Close() error { return b.s.Close() }
 
-// Keys implements store.KeyLister: the merged, sorted key set.
+// Keys implements store.KeyLister: the merged, sorted key set (nil when
+// the pools cannot list keys).
 func (b *shardBackend) Keys() []string {
 	var all []string
 	for _, c := range b.s.topo.Load().caps {
-		all = append(all, c.Keys.Keys()...)
+		if c.Keys != nil {
+			all = append(all, c.Keys.Keys()...)
+		}
 	}
 	sort.Strings(all)
 	return all
@@ -195,23 +206,35 @@ func (b *shardBackend) Keys() []string {
 
 // EnableViewReads implements store.ViewReader.
 func (b *shardBackend) EnableViewReads(rs *obs.ReadStats) {
-	b.s.wireAll(func(c store.Caps) { c.View.EnableViewReads(rs) })
+	b.s.wireAll(func(c store.Caps) {
+		if c.View != nil {
+			c.View.EnableViewReads(rs)
+		}
+	})
 }
 
 // EnableLockFree implements store.LockFreeBackend: the grid then skips
 // its stripe locks entirely, and per-key exclusion during migration
 // comes from the set's own write gate.
 func (b *shardBackend) EnableLockFree(rs *obs.ReadStats) {
-	b.s.wireAll(func(c store.Caps) { c.LockFree.EnableLockFree(rs) })
+	b.s.wireAll(func(c store.Caps) {
+		if c.LockFree != nil {
+			c.LockFree.EnableLockFree(rs)
+		}
+	})
 }
 
 // ReadView implements store.ViewReader by probing pools in home order.
 // The grid's seqlock protocol is unchanged — each child revalidates the
 // caller's generation itself, so the first child that reports
-// found-and-valid delivered a write-free snapshot.
+// found-and-valid delivered a write-free snapshot. Pools without view
+// reads answer !ok, the grid's cue for its locked path.
 func (b *shardBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
 	consume func(name string, value []byte)) (found, valid, ok bool) {
 	t := b.s.topo.Load()
+	if t.caps[0].View == nil {
+		return false, true, false
+	}
 	valid, ok = true, true
 	// The probe closure never returns an error.
 	f, _ := b.probe(t, heap.KeyHash(key), func(p int) (bool, error) {

@@ -7,10 +7,10 @@
 //
 // Refs are pool-local offsets, so nothing persistent ever crosses a
 // pool boundary; the only shared persistent state is the epoch table,
-// a pdt.PLongArray bound to the root name "shard.epoch" in pool 0.
-// Single-pool sets never create the table — a pre-sharding image is a
-// valid 1-pool set byte for byte, and a 1-pool set writes nothing a
-// pre-sharding build could not read.
+// a pdt.PLongArray bound to the root name "shard.epoch" in pool 0. A set
+// has at least two pools: a single pool is opened standalone (package
+// stack) with no table and no set position, so its image stays what a
+// pre-sharding build wrote and reads.
 package shard
 
 import (
@@ -99,7 +99,7 @@ type Set struct {
 	// hot path: epoch<<40 | nPools<<24 | targetN<<8 | migrating<<1 | fb.
 	world atomic.Uint64
 
-	epochArr *pdt.PLongArray // nil while the set is a table-less single pool
+	epochArr *pdt.PLongArray
 
 	// Write gate (only engaged while migrating): writers count themselves
 	// in inflight; once locking is set they divert to per-key stripe
@@ -114,9 +114,6 @@ type Set struct {
 	wire atomic.Pointer[func(store.Caps)]
 
 	stats obs.ShardStats
-
-	// Recovery is the ordered merge of every pool's recovery stats.
-	Recovery core.RecoveryStats
 }
 
 func packWorld(epoch uint64, n, target int, migrating, fallback bool) uint64 {
@@ -159,28 +156,25 @@ func (s *Set) wireAll(f func(store.Caps)) {
 
 // Open assembles a set over already-opened members in pool-index order
 // (the stack constructor opens and recovers them concurrently): it
-// validates the roster, merges the recovery stats in pool order, reads
-// or creates the epoch table, and replays any migration a crash
-// interrupted — synchronously, before any traffic can observe the set.
+// validates the roster, reads or creates the epoch table, and replays
+// any migration a crash interrupted — synchronously, before any traffic
+// can observe the set.
 // Every member must offer the same capabilities as member 0.
 func Open(members []Member) (*Set, error) {
 	n := len(members)
-	if n == 0 {
-		return nil, fmt.Errorf("shard: no pools")
+	if n < 2 {
+		return nil, fmt.Errorf("shard: a set needs at least 2 pools, got %d", n)
 	}
 
 	// Validate the roster against each pool's superblock position and
-	// descriptor, and merge the recovery stats in pool order.
-	s := &Set{Recovery: members[0].Heap.RecoveryStats}
+	// descriptor.
+	s := &Set{}
 	mems := make([]*heap.Heap, n)
 	caps := make([]store.Caps, n)
 	for i, m := range members {
 		mems[i], caps[i] = m.Heap.Mem(), m.Backend.Caps()
 		if err := sameCaps(i, m, caps[i], members[0], caps[0]); err != nil {
 			return nil, err
-		}
-		if i > 0 {
-			s.Recovery.Merge(m.Heap.RecoveryStats)
 		}
 	}
 	if err := heap.CheckRoster(mems); err != nil {
@@ -195,8 +189,12 @@ func Open(members []Member) (*Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: epoch table: %w", err)
 	}
-	switch {
-	case po != nil:
+	if po == nil {
+		// First open of freshly formatted pools.
+		if s.epochArr, err = newEpochTable(root, n); err != nil {
+			return nil, err
+		}
+	} else {
 		arr, ok := po.(*pdt.PLongArray)
 		if !ok {
 			return nil, fmt.Errorf("shard: root %q is not a long array", EpochRoot)
@@ -217,13 +215,6 @@ func Open(members []Member) (*Set, error) {
 			// extra pools hold no routed data; keep routing by the table.
 			n = targetN
 		}
-	case n > 1:
-		// First multi-pool open of freshly formatted pools.
-		if s.epochArr, err = newEpochTable(root, n); err != nil {
-			return nil, err
-		}
-	default:
-		// Single pool: no table — byte-compatible with pre-sharding images.
 	}
 	s.world.Store(packWorld(epoch, routeN, targetN, migrating, fallback))
 
@@ -305,13 +296,6 @@ func (s *Set) Migrating() bool { _, _, _, m, _ := s.loadWorld(); return m }
 
 // Obs returns the live shard counters.
 func (s *Set) Obs() *obs.ShardStats { return &s.stats }
-
-// DrainDurable drains every pool's async commit queue.
-func (s *Set) DrainDurable() {
-	for _, m := range s.topo.Load().pools {
-		m.Mgr.DrainDurable()
-	}
-}
 
 // Close closes every pool's backend.
 func (s *Set) Close() error {
@@ -446,14 +430,6 @@ func (s *Set) AddPool(m Member, opts AddOptions) (*Migration, error) {
 	// Replay grid capability wiring onto the late joiner.
 	if f := s.wire.Load(); f != nil {
 		(*f)(caps)
-	}
-
-	// A single-pool set grows a table on first addition.
-	if s.epochArr == nil {
-		if s.epochArr, err = newEpochTable(t.pools[0].Heap, n); err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
 	}
 
 	// Step 2: the topology transaction. After this commits, the
@@ -647,9 +623,6 @@ func (s *Set) noteFallback() error {
 	defer s.fbMu.Unlock()
 	if _, _, _, _, fallback := s.loadWorld(); fallback {
 		return nil
-	}
-	if s.epochArr == nil {
-		return fmt.Errorf("shard: single pool cannot fall back")
 	}
 	t := s.topo.Load()
 	s.epochArr.Set(epFallback, 1)

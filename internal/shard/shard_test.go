@@ -1,89 +1,42 @@
-package shard
+package shard_test
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/fa"
 	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/obs"
-	"repro/internal/pdt"
+	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
-// Config is what these tests vary about a member's stack. The real
-// constructor (package stack) sits above this package, so the tests open
-// members by hand, the way it does.
-type Config struct {
-	HeapOptions heap.Options
-	Parallelism int
-	NewBackend  func(h *core.Heap, mgr *fa.Manager) (store.Backend, error)
+// The tests open their sets the way every caller does, through the stack
+// constructor: 16 log slots of 16 KiB, J-PDT pools unless a test says
+// otherwise, par recovery workers in total.
+func testConfig(par int) stack.Config {
+	return stack.Config{Backend: stack.JPDT, LogSlots: 16, LogSlotSize: 1 << 14, Parallelism: par}
 }
 
-func testConfig(par int) Config {
-	return Config{
-		HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 14},
-		Parallelism: par,
-		NewBackend: func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-			return store.NewJPDTBackend(h, "kv")
-		},
-	}
-}
-
-func jpfaConfig(par int) Config {
-	cfg := testConfig(par)
-	cfg.NewBackend = func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-		return store.NewJPFABackend(h, mgr, "kv")
-	}
+func kindConfig(kind string) stack.Config {
+	cfg := testConfig(1)
+	cfg.Backend = kind
 	return cfg
 }
 
-// openMember opens pool as position index of a count-pool set.
-func openMember(pool *nvm.Pool, cfg Config, index, count, workers int) (Member, error) {
-	mgr := fa.NewManager()
-	ho := cfg.HeapOptions
-	ho.PoolIndex, ho.PoolCount = index, count
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: ho,
-		Classes:     append(pdt.Classes(), store.Classes()...),
-		LogHandler:  mgr,
-		Recover:     core.RecoverOptions{Parallelism: workers},
-	})
+// openSet opens pools as a sharded stack; its Set is what is under test.
+func openSet(t *testing.T, pools []*nvm.Pool, cfg stack.Config) *stack.Stack {
+	t.Helper()
+	st, err := stack.Open(pools, cfg)
 	if err != nil {
-		return Member{}, err
+		t.Fatal(err)
 	}
-	b, err := cfg.NewBackend(h, mgr)
-	return Member{Pool: pool, Heap: h, Mgr: mgr, Backend: b}, err
-}
-
-// openSet opens every pool with an even share of the worker budget and
-// assembles the set.
-func openSet(pools []*nvm.Pool, cfg Config) (*Set, error) {
-	workers := max(core.RecoverOptions{Parallelism: cfg.Parallelism}.Workers()/len(pools), 1)
-	members := make([]Member, len(pools))
-	for i, p := range pools {
-		m, err := openMember(p, cfg, i, len(pools), workers)
-		if err != nil {
-			return nil, err
-		}
-		members[i] = m
-	}
-	return Open(members)
-}
-
-// addPool opens pool as the set's next position and adds it.
-func addPool(s *Set, pool *nvm.Pool, cfg Config, opts AddOptions) (*Migration, error) {
-	n := s.Pools()
-	m, err := openMember(pool, cfg, n, n+1, 1)
-	if err != nil {
-		return nil, err
-	}
-	pool.PSync()
-	return s.AddPool(m, opts)
+	return st
 }
 
 func newPools(n int, bytes int) []*nvm.Pool {
@@ -110,10 +63,7 @@ func readVal(t *testing.T, b store.Backend, key string) (string, bool) {
 
 func TestShardBasicOps(t *testing.T) {
 	pools := newPools(4, 4<<20)
-	s, err := openSet(pools, testConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSet(t, pools, testConfig(2)).Set
 	b := s.Backend()
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -164,22 +114,15 @@ func TestShardBasicOps(t *testing.T) {
 
 func TestShardReopen(t *testing.T) {
 	pools := newPools(3, 4<<20)
-	s, err := openSet(pools, testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSet(t, pools, testConfig(1)).Set
 	b := s.Backend()
 	for i := 0; i < 200; i++ {
 		if err := b.Insert(fmt.Sprintf("k%d", i), rec(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.DrainDurable()
 
-	re, err := openSet(pools, testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openSet(t, pools, testConfig(4)).Set
 	rb := re.Backend()
 	if rb.Count() != 200 {
 		t.Fatalf("reopened count %d", rb.Count())
@@ -192,8 +135,10 @@ func TestShardReopen(t *testing.T) {
 	if re.Epoch() != 1 || re.Migrating() {
 		t.Fatalf("epoch %d migrating %v after clean reopen", re.Epoch(), re.Migrating())
 	}
-	if re.Recovery.LiveObjects == 0 {
-		t.Fatal("merged recovery stats report no live objects")
+	for i, m := range re.Members() {
+		if m.Heap.RecoveryStats.LiveObjects == 0 {
+			t.Fatalf("pool %d recovered no live objects", i)
+		}
 	}
 }
 
@@ -202,10 +147,7 @@ func TestShardReopen(t *testing.T) {
 // and 8 must expose identical data.
 func TestShardRecoveryOracle(t *testing.T) {
 	pools := newPools(4, 4<<20)
-	s, err := openSet(pools, testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSet(t, pools, testConfig(1)).Set
 	b := s.Backend()
 	for i := 0; i < 300; i++ {
 		if err := b.Insert(fmt.Sprintf("u%d", i), rec(fmt.Sprintf("x%d", i))); err != nil {
@@ -217,7 +159,6 @@ func TestShardRecoveryOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.DrainDurable()
 
 	clone := func() []*nvm.Pool {
 		cs := make([]*nvm.Pool, len(pools))
@@ -229,14 +170,8 @@ func TestShardRecoveryOracle(t *testing.T) {
 		return cs
 	}
 
-	serial, err := openSet(clone(), testConfig(1))
-	if err != nil {
-		t.Fatalf("serial open: %v", err)
-	}
-	parallel, err := openSet(clone(), testConfig(8))
-	if err != nil {
-		t.Fatalf("parallel open: %v", err)
-	}
+	serial := openSet(t, clone(), testConfig(1)).Set
+	parallel := openSet(t, clone(), testConfig(8)).Set
 	sb, pb := serial.Backend(), parallel.Backend()
 	if sb.Count() != pb.Count() {
 		t.Fatalf("serial count %d != parallel %d", sb.Count(), pb.Count())
@@ -252,8 +187,10 @@ func TestShardRecoveryOracle(t *testing.T) {
 			t.Fatalf("%s: found=%v want %v", key, sf, wantFound)
 		}
 	}
-	if serial.Recovery != parallel.Recovery {
-		t.Fatalf("recovery stats diverge: serial %+v parallel %+v", serial.Recovery, parallel.Recovery)
+	for i, m := range serial.Members() {
+		if sr, pr := m.Heap.RecoveryStats, parallel.Members()[i].Heap.RecoveryStats; sr != pr {
+			t.Fatalf("pool %d recovery stats diverge: serial %+v parallel %+v", i, sr, pr)
+		}
 	}
 }
 
@@ -261,10 +198,8 @@ func TestAddPoolMigratesRecords(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			pools := newPools(2, 4<<20)
-			s, err := openSet(pools, testConfig(1))
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := openSet(t, pools, testConfig(1))
+			s := st.Set
 			b := s.Backend()
 			const n = 400
 			for i := 0; i < n; i++ {
@@ -274,7 +209,7 @@ func TestAddPoolMigratesRecords(t *testing.T) {
 			}
 			epoch0 := s.Epoch()
 
-			m, err := addPool(s, nvm.New(4<<20, nvm.Options{}), testConfig(1), AddOptions{Async: async})
+			m, err := st.AddPool(nvm.New(4<<20, nvm.Options{}), shard.AddOptions{Async: async})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,45 +252,18 @@ func TestAddPoolMigratesRecords(t *testing.T) {
 	}
 }
 
-// TestAddPoolSingleToMulti grows a table-less single-pool set (the
-// byte-compatible default) into a 2-pool set online.
-func TestAddPoolSingleToMulti(t *testing.T) {
-	pools := newPools(1, 4<<20)
-	s, err := openSet(pools, testConfig(1))
-	if err != nil {
-		t.Fatal(err)
+// TestSetNeedsTwoPools pins that a set is never a single pool: that is
+// the standalone stack (stack.Open keeps the direct backend and no epoch
+// table), so shard.Open refuses it.
+func TestSetNeedsTwoPools(t *testing.T) {
+	single := openSet(t, newPools(1, 4<<20), testConfig(1))
+	if single.Set != nil {
+		t.Fatal("a single pool opened as a set")
 	}
-	b := s.Backend()
-	for i := 0; i < 100; i++ {
-		if err := b.Insert(fmt.Sprintf("k%d", i), rec("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := addPool(s, nvm.New(4<<20, nvm.Options{}), testConfig(1), AddOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Count() != 100 {
-		t.Fatalf("count %d", b.Count())
-	}
-	if s.Members()[1].Backend.Count() == 0 {
-		t.Fatal("no records moved to the new pool")
-	}
-	// Reopen as a 2-pool set.
-	s.DrainDurable()
-	re, err := openSet(append(pools, nvmOf(s, 1)), testConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Backend().Count() != 100 {
-		t.Fatalf("reopened count %d", re.Backend().Count())
+	if _, err := shard.Open(single.Pools); err == nil {
+		t.Fatal("shard.Open accepted a one-pool roster")
 	}
 }
-
-func nvmOf(s *Set, i int) *nvm.Pool { return s.Members()[i].Pool }
 
 // TestPoolFullFallback fills a record's home pool and verifies the
 // insert degrades to a ring-probe fallback instead of failing, that the
@@ -367,11 +275,8 @@ func TestPoolFullFallback(t *testing.T) {
 		nvm.New(4<<20, nvm.Options{}),
 	}
 	cfg := testConfig(1)
-	cfg.HeapOptions = heap.Options{LogSlots: 4, LogSlotSize: 1 << 12}
-	s, err := openSet(pools, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.LogSlots, cfg.LogSlotSize = 4, 1<<12
+	s := openSet(t, pools, cfg).Set
 	b := s.Backend()
 
 	// Find keys homed on pool 0 and insert until one falls back.
@@ -412,11 +317,8 @@ func TestPoolFullFallback(t *testing.T) {
 
 	// The sticky flag must survive a crashless reopen: every record still
 	// reachable with no migration having run.
-	s.DrainDurable()
-	re, err := openSet(pools, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reopened := openSet(t, pools, cfg)
+	re := reopened.Set
 	rb := re.Backend()
 	for _, key := range inserted {
 		if _, found := readVal(t, rb, key); !found {
@@ -424,7 +326,7 @@ func TestPoolFullFallback(t *testing.T) {
 		}
 	}
 	// And a migration re-homes the strays.
-	m, err := addPool(re, nvm.New(4<<20, nvm.Options{}), cfg, AddOptions{})
+	m, err := reopened.AddPool(nvm.New(4<<20, nvm.Options{}), shard.AddOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,10 +348,8 @@ func TestPoolFullFallback(t *testing.T) {
 // must match each goroutine's model exactly.
 func TestFreelistExhaustionRacesAddPool(t *testing.T) {
 	pools := newPools(2, 2<<20)
-	s, err := openSet(pools, testConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openSet(t, pools, testConfig(2))
+	s := st.Set
 	b := s.Backend()
 
 	const workers, perWorker = 4, 120
@@ -484,7 +384,7 @@ func TestFreelistExhaustionRacesAddPool(t *testing.T) {
 		}(w)
 	}
 
-	m, err := addPool(s, nvm.New(2<<20, nvm.Options{}), testConfig(1), AddOptions{Async: true, Pacer: &Pacer{BytesPerSec: 64 << 20}})
+	m, err := st.AddPool(nvm.New(2<<20, nvm.Options{}), shard.AddOptions{Async: true, Pacer: &shard.Pacer{BytesPerSec: 64 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,10 +413,7 @@ func TestFreelistExhaustionRacesAddPool(t *testing.T) {
 // transient pools) and checks each pool recycles only its own blocks.
 func TestTransientReuseAcrossPools(t *testing.T) {
 	pools := newPools(3, 4<<20)
-	s, err := openSet(pools, jpfaConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSet(t, pools, kindConfig(stack.JPFA)).Set
 	b := s.Backend()
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -560,10 +457,7 @@ func TestTransientReuseAcrossPools(t *testing.T) {
 // to the direct per-layer totals.
 func TestSnapshotPerPoolSums(t *testing.T) {
 	pools := newPools(4, 4<<20)
-	s, err := openSet(pools, testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSet(t, pools, testConfig(1)).Set
 	b := s.Backend()
 	for i := 0; i < 300; i++ {
 		if err := b.Insert(fmt.Sprintf("k%d", i), rec("v")); err != nil {
@@ -599,24 +493,14 @@ func TestSnapshotPerPoolSums(t *testing.T) {
 // and that the grid drives the routed capability end to end. The full
 // kind × pool-count table lives in bench's TestCapabilityTable.
 func TestShardDescriptorFollowsChildren(t *testing.T) {
-	lf := testConfig(1)
-	lf.NewBackend = func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-		return store.NewJPDTLFBackend(h, "kv")
-	}
 	for _, tc := range []struct {
-		name       string
-		cfg        Config
-		caps, path string
+		name, caps, path string
 	}{
-		{"J-PDT-LF", lf, "keys,lockfree", "lockfree"},
-		{"J-PDT", testConfig(1), "keys,view", "view"},
-		{"J-PFA", jpfaConfig(1), "keys,delta", "locked"},
+		{stack.JPDTLF, "keys,lockfree", "lockfree"},
+		{stack.JPDT, "keys,view", "view"},
+		{stack.JPFA, "keys,delta", "locked"},
 	} {
-		s, err := openSet(newPools(2, 4<<20), tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		be := s.Backend()
+		be := openSet(t, newPools(2, 4<<20), kindConfig(tc.name)).Set.Backend()
 		if got := be.Caps().String(); got != tc.caps {
 			t.Fatalf("%s children: set offers [%s], want [%s]", tc.name, got, tc.caps)
 		}
@@ -641,20 +525,16 @@ func TestShardDescriptorFollowsChildren(t *testing.T) {
 // different operations than the set's is an error at Open and at AddPool,
 // not a panic on first use.
 func TestMismatchedPoolIsRefused(t *testing.T) {
-	lf := testConfig(1)
-	lf.NewBackend = func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
-		return store.NewJPDTLFBackend(h, "kv")
-	}
-	s, err := openSet(newPools(2, 4<<20), lf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSet(t, newPools(2, 4<<20), kindConfig(stack.JPDTLF)).Set
+	// Members formatted as positions 1 and 2 of a J-PFA set.
+	pfa := openSet(t, newPools(3, 4<<20), kindConfig(stack.JPFA)).Pools
 	// The grid wires lock-free mode onto every pool; a late joiner gets
 	// the wiring replayed, which is where a mismatched backend used to
 	// panic.
 	g := store.NewGrid(s.Backend(), store.Options{})
-	if _, err := addPool(s, nvm.New(4<<20, nvm.Options{}), jpfaConfig(1), AddOptions{}); err == nil {
-		t.Fatal("a J-PFA joiner was accepted into a J-PDT-LF set")
+	_, err := s.AddPool(pfa[2], shard.AddOptions{})
+	if err == nil || !strings.Contains(err.Error(), "keys,delta") {
+		t.Fatalf("a J-PFA joiner on a J-PDT-LF set: err = %v, want a descriptor mismatch", err)
 	}
 	if s.Pools() != 2 || s.Migrating() {
 		t.Fatalf("refused joiner changed the set: %d pools, migrating %v", s.Pools(), s.Migrating())
@@ -662,17 +542,45 @@ func TestMismatchedPoolIsRefused(t *testing.T) {
 	if err := g.Insert("a", rec("1")); err != nil {
 		t.Fatalf("set unusable after refusing a joiner: %v", err)
 	}
-
-	pools := newPools(2, 4<<20)
-	m0, err := openMember(pools[0], lf, 0, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := openMember(pools[1], jpfaConfig(1), 1, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open([]Member{m0, m1}); err == nil {
+	if _, err := shard.Open([]shard.Member{s.Members()[0], pfa[1]}); err == nil {
 		t.Fatal("Open accepted pools with different descriptors")
+	}
+}
+
+// TestAbsentCapabilityMethodsAreSafe reaches the routing type's methods
+// the way a caller that type-asserts the backend does (the pinned
+// benchmark harness asserts its delta interface): the one type has every
+// capability's methods, so the ones its descriptor leaves out must answer
+// absent instead of dereferencing a nil child capability.
+func TestAbsentCapabilityMethodsAreSafe(t *testing.T) {
+	type everything interface {
+		AddDelta(key, field string, delta int64) (bool, error)
+		Keys() []string
+		EnableLockFree(rs *obs.ReadStats)
+		ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
+			consume func(name string, value []byte)) (found, valid, ok bool)
+	}
+	view := openSet(t, newPools(2, 4<<20), kindConfig(stack.JPDT)).Backend
+	if err := view.Insert("a", rec("1")); err != nil {
+		t.Fatal(err)
+	}
+	if view.Caps().Delta != nil {
+		t.Fatal("a J-PDT set advertises delta folding")
+	}
+	if ok, err := view.(everything).AddDelta("a", "field0", 1); ok || err == nil {
+		t.Fatalf("AddDelta on a J-PDT set: ok=%v err=%v, want an error", ok, err)
+	}
+	view.(everything).EnableLockFree(nil)
+
+	locked := openSet(t, newPools(2, 4<<20), kindConfig(stack.JPFA)).Backend
+	if err := locked.Insert("a", rec("1")); err != nil {
+		t.Fatal(err)
+	}
+	var gen atomic.Uint64
+	if _, _, ok := locked.(everything).ReadView("a", 0, &gen, 0, func(string, []byte) {}); ok {
+		t.Fatal("ReadView on a J-PFA set claimed the unlocked path")
+	}
+	if keys := locked.(everything).Keys(); len(keys) != 1 {
+		t.Fatalf("keys %v", keys)
 	}
 }

@@ -24,31 +24,30 @@ import (
 	"repro/internal/store"
 )
 
-// Kind names a J-NVM grid backend of §5.1.
-type Kind string
-
-// The backends Open can build.
+// The J-NVM grid backends of §5.1 that Open can build; bench.BackendKind
+// names them (and the FS family, which has no stack) for the experiments.
 const (
-	JPDT   Kind = "J-PDT"
-	JPDTLF Kind = "J-PDT-LF"
-	JPFA   Kind = "J-PFA"
-	PCJ    Kind = "PCJ"
+	JPDT   = "J-PDT"
+	JPDTLF = "J-PDT-LF"
+	JPFA   = "J-PFA"
+	PCJ    = "PCJ"
 )
 
 // backends is the kind → backend table: how each kind is built over one
-// pool's heap and manager, under the root-map name root.
-var backends = map[Kind]func(h *core.Heap, mgr *fa.Manager, root string) (store.Backend, error){
-	JPDT: func(h *core.Heap, _ *fa.Manager, root string) (store.Backend, error) {
-		return store.NewJPDTBackend(h, root)
+// pool's heap and manager. Every backend keeps its map under the root
+// name "kv".
+var backends = map[string]func(h *core.Heap, mgr *fa.Manager) (store.Backend, error){
+	JPDT: func(h *core.Heap, _ *fa.Manager) (store.Backend, error) {
+		return store.NewJPDTBackend(h, "kv")
 	},
-	JPDTLF: func(h *core.Heap, _ *fa.Manager, root string) (store.Backend, error) {
-		return store.NewJPDTLFBackend(h, root)
+	JPDTLF: func(h *core.Heap, _ *fa.Manager) (store.Backend, error) {
+		return store.NewJPDTLFBackend(h, "kv")
 	},
-	JPFA: func(h *core.Heap, mgr *fa.Manager, root string) (store.Backend, error) {
-		return store.NewJPFABackend(h, mgr, root)
+	JPFA: func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
+		return store.NewJPFABackend(h, mgr, "kv")
 	},
-	PCJ: func(h *core.Heap, _ *fa.Manager, root string) (store.Backend, error) {
-		return store.NewPCJBackend(h, root)
+	PCJ: func(h *core.Heap, _ *fa.Manager) (store.Backend, error) {
+		return store.NewPCJBackend(h, "kv")
 	},
 }
 
@@ -57,10 +56,7 @@ type Config struct {
 	// Backend selects the grid backend. Empty opens a bare heap — no
 	// backend — for callers that keep their own persistent structures
 	// (the facade, the bank, the J-PDT experiments).
-	Backend Kind
-	// Root is the root-map name of the backend's persistent map ("kv"
-	// when empty).
-	Root string
+	Backend string
 	// Commit selects the managers' commit protocol: "" or "per-tx" (every
 	// commit fences alone, §4.2), "group" (concurrent commits share
 	// barriers, still synchronous) or "async" (epoch pipeline; Commit
@@ -133,9 +129,6 @@ func Open(pools []*nvm.Pool, cfg Config) (*Stack, error) {
 	if cfg.Backend == "" && n > 1 {
 		return nil, fmt.Errorf("stack: %d pools need a backend to route between", n)
 	}
-	if cfg.Root == "" {
-		cfg.Root = "kv"
-	}
 	st := &Stack{Pools: make([]shard.Member, n), cfg: cfg, mode: mode}
 
 	workers := max(core.RecoverOptions{Parallelism: cfg.Parallelism}.Workers()/n, 1)
@@ -205,7 +198,7 @@ func (st *Stack) openHeap(pool *nvm.Pool, index, count, workers int) (shard.Memb
 // newBackend builds the configured backend over an opened member.
 func (st *Stack) newBackend(m *shard.Member) (err error) {
 	if st.cfg.Backend != "" {
-		m.Backend, err = backends[st.cfg.Backend](m.Heap, m.Mgr, st.cfg.Root)
+		m.Backend, err = backends[st.cfg.Backend](m.Heap, m.Mgr)
 	}
 	return err
 }
