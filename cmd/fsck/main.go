@@ -1,7 +1,7 @@
 // Command fsck verifies the structural and reachability invariants of a
 // J-NVM pool file, the way fsck verifies a file system: block headers,
-// object chains, pool-chunk slots, and the liveness graph from the root
-// map.
+// object chains, pool-chunk slots, the liveness graph from the root map,
+// and the grid's record tables against their name dictionaries.
 //
 // Usage:
 //
@@ -18,6 +18,7 @@ import (
 	"os"
 
 	jnvm "repro"
+	"repro/internal/store"
 )
 
 func main() {
@@ -46,7 +47,8 @@ func main() {
 	fmt.Printf("arena:    %d/%d blocks touched, %d on the free queue\n", bumped, total, free)
 	fmt.Printf("roots:    %d named bindings\n", db.Root().Len())
 
-	issues := db.Fsck(func(msg string) { fmt.Printf("ISSUE: %s\n", msg) })
+	report := func(msg string) { fmt.Printf("ISSUE: %s\n", msg) }
+	issues := db.Fsck(report) + store.FsckRecords(db.Heap, report)
 	if issues == 0 {
 		fmt.Println("heap is consistent ✓")
 		return

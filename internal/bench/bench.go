@@ -94,12 +94,19 @@ func CommitModeName(groupCommit bool, durability string) (string, error) {
 const DefaultFenceNs = 120
 
 // EstimatePoolBytes sizes an NVMM pool for a YCSB dataset with churn
-// headroom.
+// headroom. Per record it budgets what the J-NVM backends allocate per
+// record (DESIGN.md §3.1): the table, the map's pair, key and slot, and a
+// block per value that does not fit a table word — field names are
+// stored once per backend and values of at most 8 bytes in the table, so
+// neither costs anything per record. TestSpacePerRecord holds the
+// estimate above the measured footprint.
 func EstimatePoolBytes(records, fieldCount, fieldLen int) int {
-	valBlocks := heap.BlocksFor(uint64(fieldLen + 4))
+	valBlocks := 0
+	if fieldLen > 8 {
+		valBlocks = heap.BlocksFor(uint64(fieldLen + 4))
+	}
 	perRecord := fieldCount*valBlocks*heap.BlockSize + // values
-		fieldCount*48 + // pooled names
-		heap.BlocksFor(uint64(8+16*fieldCount))*heap.BlockSize + // record object
+		heap.BlocksFor(uint64(8+16*fieldCount))*heap.BlockSize + // record table
 		heap.BlockSize + // pair
 		64 + // pooled key
 		32 // map slots

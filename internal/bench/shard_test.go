@@ -136,9 +136,8 @@ func TestShardSweepRuns(t *testing.T) {
 	}
 }
 
-// counterEnv opens a two-pool async J-PFA env holding one 8-byte counter
-// that a first delta has already upgraded to its foldable block-resident
-// shape, so every later AddDelta is a ledger op.
+// counterEnv opens a two-pool async J-PFA env holding one 8-byte counter,
+// bumped once, with nothing queued: every later AddDelta is a ledger op.
 func counterEnv(t *testing.T) *Env {
 	t.Helper()
 	env, err := NewEnv(GridConfig{Backend: JPFA, Commit: "async", Pools: 2, Records: 64, FieldCount: 1, FieldLen: 8, FenceNs: 1})

@@ -58,6 +58,10 @@ type Class struct {
 	// an instance, for the recovery traversal. May inspect the object
 	// (e.g. read a length field). Nil means the class holds no refs.
 	Refs func(o *Object) []uint64
+	// Supersedes names earlier persistent formats of this class that this
+	// build no longer reads. Open refuses a pool whose class table knows
+	// one of them: its instances would be misread under the new layout.
+	Supersedes []string
 
 	id uint16 // persistent id, assigned at registration
 }

@@ -154,6 +154,11 @@ func (h *Heap) register(c *Class) error {
 		}
 		return nil
 	}
+	for _, old := range c.Supersedes {
+		if _, ok := h.mem.ClassID(old); ok {
+			return fmt.Errorf("core: pool is in format %q, which this build no longer reads (it writes %q)", old, c.Name)
+		}
+	}
 	id, err := h.mem.RegisterClass(c.Name)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package crashmc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -28,7 +29,7 @@ import (
 func Workloads() []*Workload {
 	var ws []*Workload
 	for _, e := range []entry{
-		bankEntry(), gridEntry(), gridGroupEntry(), gridDeltaEntry(), gridReadEntry(),
+		bankEntry(), gridEntry(), gridGroupEntry(), gridDeltaEntry(), gridInlineEntry(), gridReadEntry(),
 		poolEntry(), pdtEntry(), pdtLockFreeEntry(), poolMigrateEntry(),
 	} {
 		ws = append(ws, e.workload())
@@ -226,11 +227,14 @@ func clonePool(p *nvm.Pool) *nvm.Pool {
 
 func fsckClean(h *core.Heap) error {
 	var msgs []string
-	n := h.Fsck(func(m string) {
+	report := func(m string) {
 		if len(msgs) < 4 {
 			msgs = append(msgs, m)
 		}
-	})
+	}
+	// The graph, then the store's record tables against their name
+	// dictionaries: every stored id resolves at every explored point.
+	n := h.Fsck(report) + store.FsckRecords(h, report)
 	if n != 0 {
 		return fmt.Errorf("fsck: %d errors: %s", n, strings.Join(msgs, "; "))
 	}
@@ -304,6 +308,12 @@ func letters(i, n int) []byte {
 	}
 	return v
 }
+
+// counterBytes and counterValue are the stored form of an 8-byte
+// little-endian counter field (store.Grid.AddDelta's operand).
+func counterBytes(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
+func counterValue(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
 
 // probeInsert is the grid workloads' writability probe: the recovered
 // grid must accept a new record and read it back.
@@ -617,13 +627,6 @@ func gridDeltaEntry() entry {
 	const epochs = 4
 	const opsPerEpoch = 6
 	keys := keyNames("c%02d", nkeys)
-	counterBytes := func(v int64) []byte {
-		b := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			b[i] = byte(uint64(v) >> (8 * i))
-		}
-		return b
-	}
 	e := entry{name: "griddelta", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA)}
 	// On tear-free images a committed log slot with a zero entry count
 	// means a commit mark outran its stage-1 persist — the signature of a
@@ -636,12 +639,11 @@ func gridDeltaEntry() entry {
 		sum := make([]int64, nkeys)  // in-flight folded delta on top of base
 		durable := make([]map[int64]bool, nkeys)
 		recPending := make([]bool, nkeys) // a queued (non-ledger) tx touched the key
-		isCounter := make([]bool, nkeys)  // value is block-resident (ledger-foldable)
 		for i := range durable {
 			durable[i] = map[int64]bool{}
 		}
-		// boundary models a drain the pipeline ran internally (overlap
-		// or upgrade forced it): everything in flight may now be durable.
+		// boundary models a drain the pipeline ran internally (an overlap
+		// forced it): everything in flight may now be durable.
 		// Misfires are safe — the check always accepts base+sum — but a
 		// fired boundary records the states a crash mid-exec may surface.
 		boundary := func() {
@@ -658,9 +660,10 @@ func gridDeltaEntry() entry {
 			setup: func(st *stack.Stack) error {
 				mgr = st.Pools[0].Mgr
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
-				// Seed per-Tx: insert each counter, then one delta to
-				// upgrade the pooled value to a block-resident counter so
-				// the async phase folds in the ledger from the first op.
+				// Seed per-Tx: insert each counter and bump it once through
+				// the transactional path; the counter is the value word of
+				// its field, so the async phase folds in the ledger from
+				// its first op.
 				for i, key := range keys {
 					v := int64(100 * (i + 1))
 					if err := g.Insert(key, &store.Record{Fields: []store.Field{{Name: "n", Value: counterBytes(v)}}}); err != nil {
@@ -671,7 +674,6 @@ func gridDeltaEntry() entry {
 					}
 					base[i] = v + 1
 					durable[i][base[i]] = true
-					isCounter[i] = true
 				}
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
@@ -689,20 +691,14 @@ func gridDeltaEntry() entry {
 							if recPending[k] {
 								boundary()
 							}
-							if !isCounter[k] {
-								// Pooled value: the delta arrives inside an
-								// upgrade tx (queued, all-or-nothing).
-								recPending[k] = true
-								isCounter[k] = true
-							}
 							if err := g.AddDelta(keys[k], "n", d); err != nil {
 								return fmt.Errorf("epoch %d delta %s: %w", e, keys[k], err)
 							}
 							sum[k] += d
 						} else {
-							// Plain update: swings the value to a fresh pooled
-							// blob; a pending fold or queued tx on the key
-							// drains first (tx.Free waits the blocks clear).
+							// Plain update: overwrites the counter's word through
+							// the redo log; a pending fold or queued tx on the
+							// key drains first (the backend settles the record).
 							if sum[k] != 0 || recPending[k] {
 								boundary()
 							}
@@ -712,7 +708,6 @@ func gridDeltaEntry() entry {
 							}
 							base[k] = x
 							sum[k] = 0
-							isCounter[k] = false
 							recPending[k] = true
 						}
 					}
@@ -745,11 +740,7 @@ func gridDeltaEntry() entry {
 					if len(raw) != 8 {
 						return 0, fmt.Errorf("counter is %d bytes (torn?)", len(raw))
 					}
-					var v uint64
-					for i := 0; i < 8; i++ {
-						v |= uint64(raw[i]) << (8 * i)
-					}
-					return int64(v), nil
+					return counterValue(raw), nil
 				}
 				for j, key := range keys {
 					got, err := read(key)
@@ -776,6 +767,186 @@ func gridDeltaEntry() entry {
 				}
 				if after, err := read(keys[0]); err != nil || after != before-2 {
 					return fmt.Errorf("post-recovery fold lost: %d -> %d, %v", before, after, err)
+				}
+				return nil
+			},
+		}
+	}
+	return e
+}
+
+// ---- gridinline: record tables, name dictionary, inline values ----
+
+// gridInlineEntry crashes what a record's table can do beyond a reference
+// swing (DESIGN.md §3.1): the first use of a field name (the dictionary
+// append under its own fences, then a record that stores the id), updates
+// that take a field from an inline value to a referenced one and back,
+// ADDDELTA on an inline counter next to an UPDATE of a sibling field of
+// the same record (one block, a ledger entry and a queued commit), and
+// DELETE. A per-Tx phase makes each of them the only operation in
+// flight; an async phase with manual drains queues them behind one
+// another. The oracle keeps, per key, every state the record went
+// through since the last point the pipeline was known durable: the
+// recovered record must equal one of them field for field — each
+// operation all-or-nothing, nothing acknowledged by a returned drain
+// lost — and the harness's fsck holds every stored id against the
+// dictionary at every point.
+func gridInlineEntry() entry {
+	const nkeys = 4
+	const txOps = 14
+	const epochs = 3
+	const opsPerEpoch = 4
+	keys := keyNames("r%02d", nkeys)
+	type state map[string]string // field -> value; nil = absent
+	same := func(a, b state) bool {
+		if (a == nil) != (b == nil) || len(a) != len(b) {
+			return false
+		}
+		for f, v := range a {
+			if w, ok := b[f]; !ok || w != v {
+				return false
+			}
+		}
+		return true
+	}
+	counter := func(v int64) string { return string(counterBytes(v)) }
+	e := entry{name: "gridinline", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), compare: true}
+	e.new = func(seed int64) *scenario {
+		rng := rand.New(rand.NewSource(seed))
+		// hist[k] lists key k's legal states, oldest first; the last one
+		// is the model's current state.
+		hist := make([][]state, nkeys)
+		cur := func(k int) state { return hist[k][len(hist[k])-1] }
+		names := 0 // field names minted so far
+		var g *store.Grid
+		var mgr *fa.Manager
+		// value flips the representation of the field it replaces: a long
+		// value becomes an inline one and the other way round.
+		value := func(i int, prev string) string {
+			if len(prev) > 8 {
+				return string(letters(i, 1+rng.Intn(8)))
+			}
+			return string(letters(i, 9+rng.Intn(40)))
+		}
+		// step runs one random operation on key k and appends the state
+		// it leads to.
+		step := func(i, k int) error {
+			key, pre := keys[k], cur(k)
+			post := state{}
+			for f, v := range pre {
+				post[f] = v
+			}
+			var err error
+			switch r := rng.Intn(10); {
+			case pre == nil:
+				// A new record under a field name nobody used before.
+				names++
+				fresh := fmt.Sprintf("f%02d", names)
+				post = state{"n": counter(int64(100 * (k + 1))), "v": value(i, ""), fresh: "x"}
+				hist[k] = append(hist[k], post)
+				err = g.Insert(key, &store.Record{Fields: []store.Field{
+					{Name: "n", Value: []byte(post["n"])},
+					{Name: "v", Value: []byte(post["v"])},
+					{Name: fresh, Value: []byte("x")},
+				}})
+			case r == 0:
+				hist[k] = append(hist[k], nil)
+				err = g.Delete(key)
+			case r < 5:
+				d := int64(1 + rng.Intn(9))
+				post["n"] = counter(counterValue([]byte(pre["n"])) + d)
+				hist[k] = append(hist[k], post)
+				err = g.AddDelta(key, "n", d)
+			default:
+				post["v"] = value(i, pre["v"])
+				hist[k] = append(hist[k], post)
+				err = g.Update(key, []store.Field{{Name: "v", Value: []byte(post["v"])}})
+			}
+			if err != nil {
+				return fmt.Errorf("op %d on %s: %w", i, key, err)
+			}
+			return nil
+		}
+		settled := func() {
+			for k := range hist {
+				hist[k] = hist[k][len(hist[k])-1:]
+			}
+		}
+		return &scenario{
+			setup: func(st *stack.Stack) error {
+				mgr = st.Pools[0].Mgr
+				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
+				for k := range hist {
+					hist[k] = []state{nil}
+				}
+				return nil
+			},
+			exec: func([]*nvm.Pool) error {
+				for i := 0; i < txOps; i++ {
+					if err := step(i, rng.Intn(nkeys)); err != nil {
+						return err
+					}
+					settled() // per-Tx: durable on return
+				}
+				if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+					return err
+				}
+				for e := 0; e < epochs; e++ {
+					// Two keys per epoch, so counters and their siblings
+					// meet in one epoch.
+					a := rng.Intn(nkeys)
+					for i := 0; i < opsPerEpoch; i++ {
+						if err := step(txOps+e*opsPerEpoch+i, (a+i%2)%nkeys); err != nil {
+							return err
+						}
+					}
+					if e%2 == 0 {
+						mgr.AwaitDurable(mgr.IssuedTickets())
+					} else {
+						mgr.DrainDurable()
+					}
+					settled()
+				}
+				return nil
+			},
+			check: func(st *stack.Stack, obs *strings.Builder) error {
+				g2 := store.NewGrid(st.Backend, store.Options{})
+				for k, key := range keys {
+					got := state{}
+					found, err := gridReader(g2)(key, func(name string, value []byte) {
+						got[strings.Clone(name)] = string(value)
+					})
+					if err != nil {
+						return fmt.Errorf("read %s: %w", key, err)
+					}
+					if !found {
+						got = nil
+					}
+					fmt.Fprintf(obs, "%s=%d;", key, len(got))
+					legal := false
+					for _, s := range hist[k] {
+						legal = legal || same(got, s)
+					}
+					if !legal {
+						return fmt.Errorf("key %s: recovered %q is none of the %d states it went through since it was last durable (current %q)",
+							key, got, len(hist[k]), cur(k))
+					}
+				}
+				// Writability probe: a name the dictionary has never seen,
+				// an inline counter next to it, and a fold on the counter.
+				if err := g2.Insert("probe", &store.Record{Fields: []store.Field{
+					{Name: "probe-name", Value: []byte("ok")}, {Name: "n", Value: []byte(counter(7))},
+				}}); err != nil {
+					return fmt.Errorf("post-recovery insert: %w", err)
+				}
+				if err := g2.AddDelta("probe", "n", 5); err != nil {
+					return fmt.Errorf("post-recovery delta: %w", err)
+				}
+				if v, _, err := gridReader(g2).field("probe", "n"); err != nil || string(v) != counter(12) {
+					return fmt.Errorf("post-recovery counter: %q, %v", v, err)
+				}
+				if v, _, err := gridReader(g2).field("probe", "probe-name"); err != nil || string(v) != "ok" {
+					return fmt.Errorf("post-recovery readback: %q, %v", v, err)
 				}
 				return nil
 			},
@@ -821,8 +992,14 @@ func gridReadEntry() entry {
 		var g *store.Grid
 		mkval := func(i int) []byte {
 			n := 8 + rng.Intn(72)
-			if rng.Intn(4) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				n = 280 + rng.Intn(120) // chained blob: defeats the view reader
+			case 1:
+				// A value the record's table holds itself: updated by one
+				// 8-byte store, and every change to or from it replaces
+				// the table with one pair swing.
+				n = 1 + rng.Intn(8)
 			}
 			return letters(i, n)
 		}

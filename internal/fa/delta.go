@@ -148,6 +148,19 @@ func (m *Manager) Settle(orig core.Ref) {
 	}
 }
 
+// SettleCommits is Settle without the delta half: it drains only while a
+// queued commit holds orig, so every word of the block that no ledger
+// entry addresses is current afterwards, and the block's pending deltas
+// keep folding. It is what a caller about to AddDelta on the block needs
+// (the store's counters live in their record's block, next to the field
+// table the ADDDELTA path reads raw): a full Settle there would
+// materialize the key's own ledger entry on every op.
+func (m *Manager) SettleCommits(orig core.Ref) {
+	if g := m.group.Load(); g != nil {
+		g.waitFor(orig, false)
+	}
+}
+
 // materializeLocked turns the ledger into detached transactions — grp
 // nil so their accessors never recurse into the queue we are draining,
 // ticket 0 so they are invisible to the group-commit gauges. Each ledger

@@ -261,14 +261,19 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 // with a pending delta has a newer word in the ledger; basing a new
 // block on the stale original would lose the queued update). No-op
 // outside async mode.
-func (g *groupState) waitClear(orig core.Ref) {
+func (g *groupState) waitClear(orig core.Ref) { g.waitFor(orig, true) }
+
+// waitFor is waitClear with the delta half optional: deltas false waits
+// out queued commits only and leaves the block's pending ledger entries
+// folding (Manager.SettleCommits).
+func (g *groupState) waitFor(orig core.Ref, deltas bool) {
 	if g.mode != CommitAsync {
 		return
 	}
 	g.mu.Lock()
 	for {
 		_, held := g.pending[orig]
-		if !held && g.deltaBlocks[orig] == 0 {
+		if !held && (!deltas || g.deltaBlocks[orig] == 0) {
 			g.mu.Unlock()
 			return
 		}

@@ -130,8 +130,10 @@ func (a *PRefArray) PublishRef(i int, po core.PObject) {
 // One crash window is deliberately tolerated: a failure between the slot
 // write and the count bump leaves an out-of-range slot holding a live
 // reference. The next Append overwrites the slot, unreaching the orphan,
-// and the following recovery reclaims it — a bounded, self-healing leak
-// rather than a fence on every append.
+// and the following recovery reclaims it — a bounded, self-healing leak.
+// The opposite order is not tolerable (a durable count over a slot that
+// never reached NVMM reads back as a null element), so Append fences
+// between the two.
 type PExtArray struct {
 	*core.Object
 	arr *PRefArray // cached proxy for the current backing array
@@ -189,7 +191,8 @@ func (e *PExtArray) GetObject(i int) (core.PObject, error) {
 }
 
 // Append publishes po at the end of the array: the element is validated
-// and fenced before becoming reachable, then the count advances.
+// and fenced before becoming reachable, and its slot is fenced before the
+// count advances over it. The count itself is flushed, not fenced.
 func (e *PExtArray) Append(po core.PObject) error {
 	n := e.Len()
 	if n == e.arr.Cap() {
@@ -198,6 +201,7 @@ func (e *PExtArray) Append(po core.PObject) error {
 		}
 	}
 	e.arr.PublishRef(n, po)
+	e.PFence()
 	e.WriteUint64(extCount, uint64(n)+1)
 	e.PWBField(extCount, 8)
 	return nil

@@ -172,23 +172,6 @@ func NewBytesTx(tx *fa.Tx, b []byte) (*PBytes, error) {
 	return pb, nil
 }
 
-// NewBytesBlockTx is NewBytesTx forced onto a block object even when the
-// payload would fit a pooled slot. Pooled slots are immutable, so a
-// value that will be updated in place — the store's counter fields,
-// folded by the async delta ledger — must live in a block the redo
-// machinery can write to.
-func NewBytesBlockTx(tx *fa.Tx, b []byte) (*PBytes, error) {
-	h := tx.Manager().Heap()
-	po, err := tx.Alloc(mustClass(h, ClassBytes), 4+uint64(len(b)))
-	if err != nil {
-		return nil, err
-	}
-	pb := po.(*PBytes)
-	pb.WriteUint32(0, uint32(len(b)))
-	pb.WriteBytes(4, b)
-	return pb, nil
-}
-
 // NewBytesValid allocates a born-valid PBytes (see NewStringValid).
 func NewBytesValid(h *core.Heap, b []byte) (*PBytes, error) {
 	size := 4 + uint64(len(b))

@@ -37,9 +37,14 @@ func readCounter(t *testing.T, g *Grid, key, field string) int64 {
 }
 
 // TestGridAddDeltaAsyncFolds is the end-to-end tentpole check: zipfian
-// increments through Grid.AddDelta fold in the ledger, a read observes
-// every acknowledged increment, and the epoch cost is one materialized
-// entry per hot key, not one per op.
+// increments through Grid.AddDelta fold in the ledger from the first op
+// on (the counter is the value word of its field, nothing to upgrade), a
+// read observes every acknowledged increment, and the epoch cost is one
+// materialized entry per hot key, not one per op. It also pins the
+// fa.Manager.Settle split: the counter word lives in the record's block,
+// so an ADDDELTA that settled the block's deltas on its way to the field
+// table would drain its own key's ledger entry on every op and
+// materialize n entries here instead of one.
 func TestGridAddDeltaAsyncFolds(t *testing.T) {
 	h, mgr, _ := openStoreHeap(t, 1<<23, false)
 	b, err := NewJPFABackend(h, mgr, "kv")
@@ -53,27 +58,32 @@ func TestGridAddDeltaAsyncFolds(t *testing.T) {
 	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
-	// First delta upgrades the pooled value to a block-resident counter.
-	if err := g.AddDelta("hot", "score", 1); err != nil {
-		t.Fatal(err)
-	}
-	snapBefore := mgr.ObsSnapshot()
+	mgr.AwaitDurable(mgr.IssuedTickets())
+	snapBefore, allocsBefore := mgr.ObsSnapshot(), h.Mem().ObsSnapshot().ObjAllocs
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := g.AddDelta("hot", "score", 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Read before any explicit drain: must see all acknowledged deltas.
-	if v := readCounter(t, g, "hot", "score"); v != 100+1+2*n {
-		t.Fatalf("score = %d, want %d", v, 100+1+2*n)
-	}
+	mgr.AwaitDurable(mgr.IssuedTickets())
 	snap := mgr.ObsSnapshot().Sub(snapBefore)
 	if snap.DeltaOps != n {
 		t.Fatalf("delta ops = %d, want %d", snap.DeltaOps, n)
 	}
-	if snap.DeltaEntries != 1 {
-		t.Fatalf("materialized entries = %d, want 1 (folded)", snap.DeltaEntries)
+	if snap.DeltaEntries != 1 || snap.LogEntries != 1 {
+		t.Fatalf("%d ADDDELTAs between two AwaitDurables materialized %d fold entries, %d log entries; want 1, 1",
+			n, snap.DeltaEntries, snap.LogEntries)
+	}
+	if a := h.Mem().ObsSnapshot().ObjAllocs - allocsBefore; a != 0 {
+		t.Fatalf("ADDDELTA allocated %d objects, want 0", a)
+	}
+	// A read before the next drain must see every acknowledged delta.
+	if err := g.AddDelta("hot", "score", 1); err != nil {
+		t.Fatal(err)
+	}
+	if v := readCounter(t, g, "hot", "score"); v != 100+2*n+1 {
+		t.Fatalf("score = %d, want %d", v, 100+2*n+1)
 	}
 	// The other field is untouched.
 	var tag []byte

@@ -16,8 +16,10 @@ import (
 // interface only — one fence per insert, one atomic reference swing per
 // field update, zero marshalling.
 type JPDTBackend struct {
-	h *core.Heap
-	m *pdt.Map
+	h     *core.Heap
+	m     *pdt.Map
+	names *nameDict
+	objs  recordAlloc // plainObjects(h), built once
 }
 
 // NewJPDTBackend creates (or reopens) the backend's persistent map under
@@ -34,7 +36,11 @@ func NewJPDTBackendKind(h *core.Heap, rootName string, kind pdt.MirrorKind) (*JP
 	if err != nil {
 		return nil, err
 	}
-	return &JPDTBackend{h: h, m: m}, nil
+	names, err := openNameDict(h, rootName)
+	if err != nil {
+		return nil, err
+	}
+	return &JPDTBackend{h: h, m: m, names: names, objs: plainObjects(h)}, nil
 }
 
 // openOrCreate resurrects the object bound to rootName, or binds the one
@@ -99,12 +105,9 @@ func (b *JPDTBackend) SetProxyCache(mode pdt.CacheMode) error {
 // Insert implements Backend: all field objects and the record publish
 // under the map's single insert fence.
 func (b *JPDTBackend) Insert(key string, rec *Record) error {
-	r, children, err := newPRecord(b.h, rec)
+	r, err := newRecord(b.names, b.objs, rec.Fields)
 	if err != nil {
 		return err
-	}
-	for _, c := range children {
-		c.Core().Validate()
 	}
 	return b.m.Put(key, r) // validates r, fences once, writes the slot
 }
@@ -115,31 +118,64 @@ func (b *JPDTBackend) Read(key string, consume func(string, []byte)) (bool, erro
 	if err != nil || po == nil {
 		return false, err
 	}
-	po.(*pRecord).read(b.h, consume)
+	po.(*pRecord).read(b.names, consume)
 	return true, nil
 }
 
-// Update implements Backend: each updated field becomes a fresh immutable
-// value object swung in with AtomicReplaceRef (§4.1.6), which also frees
-// the previous value.
+// Update implements Backend. A field that keeps its representation is
+// updated in place: a referenced value becomes a fresh immutable object
+// swung in with AtomicReplaceRef (§4.1.6), which also frees the previous
+// one, and an inline value is one atomic 8-byte store. The two words of a
+// field cannot change together, so the first field that changes
+// representation (inline to reference, reference to inline, another
+// inline length) takes the rest of the update through replaceTable.
 func (b *JPDTBackend) Update(key string, fields []Field) (bool, error) {
 	po, err := b.m.Get(key)
 	if err != nil || po == nil {
 		return false, err
 	}
 	r := po.(*pRecord)
-	for _, f := range fields {
-		i := r.fieldIndex(b.h, f.Name)
+	for fi, f := range fields {
+		i := r.fieldIndex(b.names, f.Name)
 		if i < 0 {
 			return false, fmt.Errorf("store: record %q has no field %q", key, f.Name)
 		}
-		vb, err := pdt.NewBytes(b.h, f.Value)
-		if err != nil {
-			return false, err
+		nw := r.ReadUint64(fieldNameOff(i))
+		rep, vw, inline := inlineValue(nw&nameInterned != 0, f.Value)
+		switch {
+		case rep != wordRep(nw):
+			err := b.replaceTable(key, r, fields[fi:])
+			return err == nil, err
+		case inline:
+			r.WriteRefAtomic(fieldValOff(i), vw)
+			r.PWBField(fieldValOff(i), 8)
+			r.PFence()
+		default:
+			vb, err := pdt.NewBytes(b.h, f.Value)
+			if err != nil {
+				return false, err
+			}
+			r.AtomicReplaceRef(fieldValOff(i), vb)
 		}
-		r.AtomicReplaceRef(fieldValOff(i), vb)
 	}
 	return true, nil
+}
+
+// replaceTable applies fields to a copy of r's table and publishes the
+// copy with the map's one pair swing, which frees r; the values the copy
+// no longer references are freed after it, under the swing's fence.
+func (b *JPDTBackend) replaceTable(key string, r *pRecord, fields []Field) error {
+	nr, dropped, err := r.rewrite(b.names, b.objs, key, fields)
+	if err != nil {
+		return err
+	}
+	if err := b.m.Put(key, nr); err != nil {
+		return err
+	}
+	for _, ref := range dropped {
+		b.h.Mem().FreeObject(ref)
+	}
+	return nil
 }
 
 // Delete implements Backend: the record is unlinked (one fence inside
@@ -159,9 +195,10 @@ func (b *JPDTBackend) Delete(key string) (bool, error) {
 // Same data layout as J-PDT; the difference is the redo-log protocol cost
 // that Figure 7 measures (J-PDT up to 65% faster).
 type JPFABackend struct {
-	h   *core.Heap
-	mgr *fa.Manager
-	m   *pdt.Map
+	h     *core.Heap
+	mgr   *fa.Manager
+	m     *pdt.Map
+	names *nameDict
 	// One failure-atomic block at a time per key is guaranteed by the
 	// grid's lock striping; map-level FA blocks still serialize briefly
 	// on slot acquisition inside the manager.
@@ -174,7 +211,11 @@ func NewJPFABackend(h *core.Heap, mgr *fa.Manager, rootName string) (*JPFABacken
 	if err != nil {
 		return nil, err
 	}
-	return &JPFABackend{h: h, mgr: mgr, m: m}, nil
+	names, err := openNameDict(h, rootName)
+	if err != nil {
+		return nil, err
+	}
+	return &JPFABackend{h: h, mgr: mgr, m: m, names: names}, nil
 }
 
 // Name implements Backend.
@@ -198,10 +239,13 @@ func (b *JPFABackend) Keys() []string {
 // Close implements Backend.
 func (b *JPFABackend) Close() error { return nil }
 
-// Insert implements Backend.
+// Insert implements Backend. A field name seen for the first time is
+// appended to the dictionary outside the block, under its own fences, so
+// it is durable before the block can commit a record that stores its id;
+// an aborted or crashed block leaves it unused, which is legal.
 func (b *JPFABackend) Insert(key string, rec *Record) error {
 	return b.mgr.Run(func(tx *fa.Tx) error {
-		r, err := newPRecordTx(tx, rec)
+		r, err := newRecord(b.names, txObjects(tx), rec.Fields)
 		if err != nil {
 			return err
 		}
@@ -216,16 +260,22 @@ func (b *JPFABackend) Insert(key string, rec *Record) error {
 //     write and mirror update only land at drain — so a miss drains once
 //     and retries before reporting not-found (read-your-acknowledged-
 //     writes for existence).
-//   - A queued update of the record swings a value ref and frees the old
-//     value block when its epoch drains, and any goroutine's drain may run
-//     at any time: the grid's stripe lock keeps new writers of the key
-//     out, not the drain of one already queued. So the record's blocks are
-//     settled before anyone looks at them raw; afterwards the refs are
-//     current and nothing queued can free what they point to for as long
-//     as the caller holds the stripe lock.
+//   - A queued update of the record rewrites table words and frees the
+//     old value object when its epoch drains, and any goroutine's drain
+//     may run at any time: the grid's stripe lock keeps new writers of
+//     the key out, not the drain of one already queued. So the record's
+//     blocks are settled before anyone looks at them raw; afterwards the
+//     table is current and nothing queued can free what it points to for
+//     as long as the caller holds the stripe lock.
 //
-// Outside async mode the settle is one atomic load per block.
-func (b *JPFABackend) get(key string) (*pRecord, error) {
+// deltas selects the full settle, which also waits out the ledger deltas
+// on the record's counter words — pending, or being applied by an epoch
+// in flight — so a raw read observes every acknowledged increment whole
+// (reads-see-acknowledged-writes). ADDDELTA passes false: it reads only
+// name words, and settling its own key's ledger entry on every op would
+// leave nothing to fold. Outside async mode either settle is one atomic
+// load per block.
+func (b *JPFABackend) get(key string, deltas bool) (*pRecord, error) {
 	po, err := b.m.Get(key)
 	if err == nil && po == nil && b.mgr.CommitMode() == fa.CommitAsync {
 		b.mgr.DrainDurable()
@@ -235,64 +285,94 @@ func (b *JPFABackend) get(key string) (*pRecord, error) {
 		return nil, err
 	}
 	r := po.(*pRecord)
-	b.settle(r)
+	b.settle(r, deltas)
 	return r, nil
 }
 
-// settle waits until no queued or in-flight commit holds r's blocks.
-func (b *JPFABackend) settle(r *pRecord) {
+// settle waits until no queued or in-flight commit holds r's blocks and,
+// with deltas, until no ledger delta is pending on them either.
+func (b *JPFABackend) settle(r *pRecord, deltas bool) {
 	for _, blk := range r.BlockRefs() {
-		b.mgr.Settle(blk)
+		if deltas {
+			b.mgr.Settle(blk)
+		} else {
+			b.mgr.SettleCommits(blk)
+		}
 	}
 }
 
-// Read implements Backend (reads need no block, as in the paper). Value
-// blocks with a pending ledger delta are settled first, so a read after
-// an acknowledged AddDelta always observes the folded word.
+// Read implements Backend (reads need no block, as in the paper).
 func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, error) {
-	r, err := b.get(key)
+	r, err := b.get(key, true)
 	if err != nil || r == nil {
 		return false, err
 	}
-	b.settleDeltas(r)
-	r.read(b.h, consume)
+	r.read(b.names, consume)
 	return true, nil
 }
 
 // Update implements Backend.
 func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
-	r, err := b.get(key)
+	r, err := b.get(key, true)
 	if err != nil || r == nil {
 		return false, err
 	}
 	err = b.mgr.Run(func(tx *fa.Tx) error {
 		for _, f := range fields {
-			i := r.fieldIndex(b.h, f.Name)
+			i := r.fieldIndex(b.names, f.Name)
 			if i < 0 {
 				return fmt.Errorf("store: record %q has no field %q", key, f.Name)
 			}
-			vb, err := pdt.NewBytesTx(tx, f.Value)
-			if err != nil {
-				return err
-			}
-			oldRef, err := tx.ReadRef(r.Object, fieldValOff(i))
-			if err != nil {
-				return err
-			}
-			if err := tx.WriteRef(r.Object, fieldValOff(i), vb.Ref()); err != nil {
-				return err
-			}
-			old, err := b.h.Resurrect(oldRef)
-			if err != nil {
-				return err
-			}
-			if err := tx.Free(old); err != nil {
+			if err := b.setFieldTx(tx, r, i, f.Value); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	return err == nil, err
+}
+
+// setFieldTx stores value in field i of r inside the block. Both table
+// words go through the redo log, so the field changes representation —
+// inline to reference or back, one inline length to another — with the
+// block or not at all; a referenced value it replaces is freed at commit.
+func (b *JPFABackend) setFieldTx(tx *fa.Tx, r *pRecord, i int, value []byte) error {
+	// Raw: whether the name is interned never changes.
+	interned := r.ReadUint64(fieldNameOff(i))&nameInterned != 0
+	rep, vw, inline := inlineValue(interned, value)
+	if !inline {
+		vb, err := pdt.NewBytesTx(tx, value)
+		if err != nil {
+			return err
+		}
+		vw = vb.Ref()
+	}
+	old, err := tx.ReadUint64(r.Object, fieldValOff(i))
+	if err != nil {
+		return err
+	}
+	if err := tx.WriteUint64(r.Object, fieldValOff(i), vw); err != nil {
+		return err
+	}
+	// Through the block's view: an earlier field of the same update may
+	// have changed this field's representation.
+	nw, err := tx.ReadUint64(r.Object, fieldNameOff(i))
+	if err != nil {
+		return err
+	}
+	if rep != wordRep(nw) {
+		if err := tx.WriteUint64(r.Object, fieldNameOff(i), internedWord(wordID(nw), rep)); err != nil {
+			return err
+		}
+	}
+	if wordRep(nw) != repRef || old == 0 {
+		return nil
+	}
+	prev, err := b.h.Resurrect(old)
+	if err != nil {
+		return err
+	}
+	return tx.Free(prev)
 }
 
 // Delete implements Backend.
@@ -315,26 +395,26 @@ func (b *JPFABackend) Delete(key string) (bool, error) {
 			return err
 		}
 		r := po.(*pRecord)
-		b.settle(r)
-		n := r.fieldCount()
-		for i := 0; i < n; i++ {
-			for _, off := range []uint64{fieldNameOff(i), fieldValOff(i)} {
-				// Read the child refs through the redo view: a raw read
-				// could observe a value ref a queued update epoch is about
-				// to replace and free, and freeing it here again would
-				// corrupt the heap. The tx read drains queued applies
-				// touching the block first (fa.locate's waitClear).
-				cref, err := tx.ReadRef(r.Object, off)
-				if err != nil {
-					return err
-				}
-				child, err := b.h.Resurrect(cref)
-				if err != nil {
-					return err
-				}
-				if err := tx.Free(child); err != nil {
-					return err
-				}
+		b.settle(r, true)
+		for _, off := range recordRefs(r.Object) {
+			// Read the child refs through the redo view: a raw read
+			// could observe a value ref a queued update epoch is about
+			// to replace and free, and freeing it here again would
+			// corrupt the heap. The tx read drains queued applies
+			// touching the block first (fa.locate's waitClear).
+			cref, err := tx.ReadRef(r.Object, off)
+			if err != nil {
+				return err
+			}
+			if cref == 0 {
+				continue // nullified by a recovery
+			}
+			child, err := b.h.Resurrect(cref)
+			if err != nil {
+				return err
+			}
+			if err := tx.Free(child); err != nil {
+				return err
 			}
 		}
 		_, err = b.m.DeleteTx(tx, key)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -40,8 +41,22 @@ type ViewReader interface {
 		consume func(name string, value []byte)) (found, valid, ok bool)
 }
 
-// fieldView is one collected field: name and value bytes in NVMM.
-type fieldView struct{ name, value []byte }
+// fieldView is one collected field. value is a view into NVMM, immutable
+// under the EBR pin; an inline value is overwritten in place by the next
+// update, so it is copied out of its table word into inl instead.
+type fieldView struct {
+	name  string
+	value []byte
+	inl   [maxInline]byte
+	n     int // inline length, -1 when value holds the field
+}
+
+func (f *fieldView) bytes() []byte {
+	if f.n < 0 {
+		return f.value
+	}
+	return f.inl[:f.n]
+}
 
 // viewScratchPool recycles the per-read field-view buffers so the hot
 // read loop stays allocation-free.
@@ -52,41 +67,75 @@ var viewScratchPool = sync.Pool{
 	},
 }
 
-// appendRecordViews collects the record's fields as NVMM views into out.
-// It mirrors pRecord.read but is race-tolerant: the caller holds an EBR
-// pin (memory stability) rather than the stripe lock (quiescence), so
-// every reference word is loaded atomically and anything the unlocked
-// reader cannot prove safe — a chained record or blob, a misaligned
-// field table — returns ok=false for the locked path to handle.
-func appendRecordViews(h *core.Heap, ref core.Ref, out []fieldView) ([]fieldView, bool) {
+// tableBase returns the pool address of the record table at ref and its
+// field count when the table is one block whose words the unlocked paths
+// can load atomically at base+offset; ok is false for a chained record, a
+// misaligned or overfull table or a foreign object.
+func tableBase(h *core.Heap, ref core.Ref) (base uint64, n int, ok bool) {
 	mem := h.Mem()
-	pool := h.Pool()
 	if !mem.IsBlockRef(ref) {
-		return out, false // records are block objects; anything else is foreign
+		return 0, 0, false // records are block objects; anything else is foreign
 	}
-	data := ref + heap.HeaderSize
-	if data%8 != 0 {
-		return out, false // field words would not be atomically loadable
+	base = ref + heap.HeaderSize
+	if base%8 != 0 {
+		return 0, 0, false // field words would not be atomically loadable
 	}
 	if _, valid, next := heap.UnpackHeader(mem.Header(ref)); !valid || next != 0 {
+		return 0, 0, false
+	}
+	n = tableCount(h.Pool().ReadUint64Atomic(base + recCount))
+	if recordSize(n) > heap.Payload {
+		return 0, 0, false // count claims more fields than one block holds
+	}
+	return base, n, true
+}
+
+// appendRecordViews collects the record's fields into out. It mirrors
+// pRecord.read but is race-tolerant: the caller holds an EBR pin (memory
+// stability) rather than the stripe lock (quiescence), so every table
+// word is loaded atomically, an inline value is copied, and anything the
+// unlocked reader cannot prove safe — a chained record or blob, an id the
+// dictionary does not know — returns ok=false for the locked path to
+// handle.
+func appendRecordViews(d *nameDict, ref core.Ref, out []fieldView) ([]fieldView, bool) {
+	base, n, ok := tableBase(d.h, ref)
+	if !ok {
 		return out, false
 	}
-	n := int(pool.ReadUint32(data + recCount))
-	if recFields+uint64(n)*16 > heap.Payload {
-		return out, false // count claims more fields than one block holds
-	}
+	pool := d.h.Pool()
 	for i := 0; i < n; i++ {
-		nref := pool.ReadUint64Atomic(data + fieldNameOff(i))
-		vref := pool.ReadUint64Atomic(data + fieldValOff(i))
-		if nref == 0 || vref == 0 {
-			continue // recovery-nullified field; the rest stays readable
+		nw := pool.ReadUint64Atomic(base + fieldNameOff(i))
+		vw := pool.ReadUint64Atomic(base + fieldValOff(i))
+		fv := fieldView{n: -1}
+		if nw&nameInterned != 0 {
+			if fv.name, ok = d.name(wordID(nw)); !ok {
+				return out, false
+			}
+		} else {
+			if nw == 0 {
+				continue // recovery-nullified name; the rest stays readable
+			}
+			nb, ok := pdt.BlobView(d.h, nw)
+			if !ok {
+				return out, false
+			}
+			fv.name = viewString(nb)
 		}
-		nb, nok := pdt.BlobView(h, nref)
-		vb, vok := pdt.BlobView(h, vref)
-		if !nok || !vok {
-			return out, false
+		if ln, inline := inlineLen(nw); inline {
+			if ln > maxInline {
+				return out, false
+			}
+			fv.n = ln
+			binary.LittleEndian.PutUint64(fv.inl[:], vw)
+		} else {
+			if vw == 0 {
+				continue // recovery-nullified value
+			}
+			if fv.value, ok = pdt.BlobView(d.h, vw); !ok {
+				return out, false
+			}
 		}
-		out = append(out, fieldView{name: nb, value: vb})
+		out = append(out, fv)
 	}
 	return out, true
 }
@@ -120,7 +169,7 @@ func (b *JPDTBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 u
 		return false, gen.Load() == g1, true
 	}
 	sp := viewScratchPool.Get().(*[]fieldView)
-	fields, rok := appendRecordViews(b.h, ref, (*sp)[:0])
+	fields, rok := appendRecordViews(b.names, ref, (*sp)[:0])
 	*sp = fields[:0]
 	if !rok {
 		mem.UnpinReader(slot)
@@ -135,7 +184,7 @@ func (b *JPDTBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 u
 	// The snapshot is write-free and, under the pin, every view is
 	// immutable: deliver.
 	for i := range fields {
-		consume(viewString(fields[i].name), fields[i].value)
+		consume(fields[i].name, fields[i].bytes())
 	}
 	mem.UnpinReader(slot)
 	viewScratchPool.Put(sp)

@@ -41,7 +41,7 @@ func (g *Grid) Scan(start string, limit int, consume func(key, field string, val
 func (b *JPDTBackend) Scan(start string, limit int, consume func(key, field string, value []byte)) error {
 	n := 0
 	return b.m.Ascend(start, func(key string, po core.PObject) bool {
-		po.(*pRecord).read(b.h, func(name string, val []byte) {
+		po.(*pRecord).read(b.names, func(name string, val []byte) {
 			consume(key, name, val)
 		})
 		n++
