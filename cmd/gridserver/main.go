@@ -3,12 +3,13 @@
 // batching folded into the async group-commit pipeline, connection-limit
 // backpressure, and graceful drain on SIGTERM. With -data the NVMM pools
 // are file-backed, so a SIGKILLed server restarted on the same directory
-// recovers every acknowledged write — the crash-and-recover scenario's
-// subject.
+// recovers every acknowledged write; the repo's benchmark (benchmarks/)
+// kills and audits it that way on every net-* run.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -22,8 +23,8 @@ import (
 	"repro/internal/wire"
 )
 
-// statsPayload is the OpStats response document. The scenario runner
-// diffs two of these to derive pwb/op and pfence/op for a run interval.
+// statsPayload is the OpStats response document. The benchmark diffs two
+// of these to derive pwb/op and pfence/op for a run interval.
 type statsPayload struct {
 	Backend  string                 `json:"backend"`
 	Commit   string                 `json:"commit"`
@@ -36,6 +37,16 @@ type statsPayload struct {
 }
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "gridserver:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until the listener fails or a signal drains the server. The
+// environment is closed exactly once, on every return path, and a pool
+// that fails to close fails the process.
+func run() (err error) {
 	addr := flag.String("addr", "127.0.0.1:7420", "listen address")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	backend := flag.String("backend", "J-PFA", "grid backend: J-PFA, J-PDT, J-PDT-LF, PCJ, Volatile, TmpFS, FS")
@@ -47,7 +58,6 @@ func main() {
 	dataDir := flag.String("data", "", "directory for file-backed pools (empty: volatile in-memory NVMM simulation)")
 	maxConns := flag.Int("max-conns", 256, "concurrent connection cap (accept-loop backpressure)")
 	maxBatch := flag.Int("max-batch", 128, "max requests folded into one pipeline window")
-	injectDelay := flag.Duration("inject-delay", 0, "per-request processing delay (degraded-latency scenarios)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain bound on SIGTERM")
 	flag.Parse()
 
@@ -67,14 +77,18 @@ func main() {
 		DataDir:    *dataDir,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer env.Close()
+	defer func() {
+		if cerr := env.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	// Count touches the backend's root structure, forcing the mirror
 	// rebuild on a recovered heap, so "listening" below really means
-	// ready to serve — the scenario runner's restart-to-ready clock
-	// includes rebuild time.
+	// ready to serve: a client's restart-to-ready clock includes rebuild
+	// time.
 	openStart := time.Now()
 	recovered := env.Grid.Count()
 	if recovered > 0 {
@@ -95,7 +109,6 @@ func main() {
 		AwaitDurable: await,
 		MaxConns:     *maxConns,
 		MaxBatch:     *maxBatch,
-		InjectDelay:  *injectDelay,
 		StatsJSON: func() []byte {
 			p := statsPayload{
 				Backend:  *backend,
@@ -118,7 +131,7 @@ func main() {
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("gridserver: listening on %s (backend=%s commit=%s pools=%d max-conns=%d max-batch=%d)\n",
 		l.Addr(), *backend, *commit, *pools, *maxConns, *maxBatch)
@@ -133,20 +146,12 @@ func main() {
 		fmt.Printf("gridserver: %v: draining (timeout %v)\n", sig, *drainTimeout)
 		clean := srv.Shutdown(*drainTimeout)
 		<-done
-		env.Close()
 		if !clean {
-			fmt.Fprintln(os.Stderr, "gridserver: drain timed out with connections still active")
-			os.Exit(1)
+			return errors.New("drain timed out with connections still active")
 		}
 		fmt.Println("gridserver: drained")
+		return nil
 	case err := <-done:
-		if err != nil {
-			fatal(err)
-		}
+		return err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gridserver:", err)
-	os.Exit(1)
 }

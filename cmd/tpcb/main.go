@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs"
+	"repro/internal/stack"
 )
 
 func main() {
@@ -24,13 +25,11 @@ func main() {
 	runFor := flag.Duration("run", 4*time.Second, "total injection time")
 	crashAt := flag.Duration("crash", 0, "crash instant (default run/2)")
 	bucket := flag.Duration("bucket", 100*time.Millisecond, "timeline bucket")
-	groupCommit := flag.Bool("group-commit", false, "share commit barriers across the J-PFA clients")
-	durability := flag.String("durability", "sync", "J-PFA commit durability: sync or async (epoch watermark)")
+	commit := flag.String("commit", "per-tx", "J-PFA commit protocol: per-tx, group or async")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	flag.Parse()
 
-	commit, err := bench.CommitModeName(*groupCommit, *durability)
-	if err != nil {
+	if _, err := stack.ParseCommit(*commit); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -47,7 +46,7 @@ func main() {
 		RunFor:     *runFor,
 		CrashAfter: *crashAt,
 		Bucket:     *bucket,
-		Commit:     commit,
+		Commit:     *commit,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

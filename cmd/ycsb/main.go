@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs"
+	"repro/internal/stack"
 )
 
 func main() {
@@ -29,8 +30,7 @@ func main() {
 	ops := flag.Int("ops", 0, "operation count (0 = scaled default)")
 	threads := flag.Int("threads", 1, "client threads (the paper defaults to a sequential client)")
 	pools := flag.String("pools", "1,4,8", "pool counts for -exp shard (DESIGN.md \u00a717)")
-	groupCommit := flag.Bool("group-commit", false, "share commit barriers across concurrent committers (J-NVM backends)")
-	durability := flag.String("durability", "sync", "commit durability: sync (Commit returns durable) or async (epoch watermark)")
+	commit := flag.String("commit", "per-tx", "J-NVM commit protocol: per-tx, group or async")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	jsonOut := flag.String("json", "", "also write experiment rows (with embedded per-run metrics) as JSON to this file")
 	flag.Parse()
@@ -50,12 +50,11 @@ func main() {
 		sc.Operations = *ops
 	}
 	sc.Threads = *threads
-	commit, err := bench.CommitModeName(*groupCommit, *durability)
-	if err != nil {
+	if _, err := stack.ParseCommit(*commit); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	sc.Commit = commit
+	sc.Commit = *commit
 
 	run := func(name string) error {
 		switch name {
@@ -138,6 +137,9 @@ func main() {
 			}
 			bench.PrintShard(os.Stdout, rows)
 			results[name] = rows
+			if err := bench.ShardGate(rows); err != nil {
+				return err
+			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}

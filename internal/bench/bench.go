@@ -71,24 +71,6 @@ type GridConfig struct {
 	DataDir string
 }
 
-// CommitModeName folds the -group-commit/-durability flag pair of the cmd
-// tools into a GridConfig.Commit value. Async implies grouping (the epoch
-// pipeline is what amortizes the fences); sync without -group-commit is
-// the per-Tx default. Commit values themselves are parsed in one place,
-// stack.ParseCommit.
-func CommitModeName(groupCommit bool, durability string) (string, error) {
-	switch durability {
-	case "", "sync":
-		if groupCommit {
-			return "group", nil
-		}
-		return "", nil
-	case "async":
-		return "async", nil
-	}
-	return "", fmt.Errorf("bench: unknown durability %q (want sync or async)", durability)
-}
-
 // DefaultFenceNs approximates the sfence+ADR cost the paper pays on
 // Optane.
 const DefaultFenceNs = 120
@@ -139,12 +121,14 @@ func (e *Env) Snapshot() *obs.StackSnapshot {
 }
 
 // Close drains queued async commits, releases the pools and removes
-// what the environment created on disk.
-func (e *Env) Close() {
-	e.Stack.Close()
+// what the environment created on disk. It reports the first pool that
+// failed to close.
+func (e *Env) Close() error {
+	err := e.Stack.Close()
 	if e.cleanup != nil {
 		e.cleanup()
 	}
+	return err
 }
 
 // publish exposes the environment on the default metrics registry (the

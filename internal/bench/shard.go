@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/ycsb"
@@ -12,8 +14,8 @@ import (
 
 // ShardRow is one (workload, backend, pool count) throughput point of the
 // heap-sharding experiment. Pools == 1 runs the classic single-pool stack
-// (not a one-pool Set), so the first row of a sweep is directly comparable
-// with the committed BENCH_baseline.json numbers.
+// (not a one-pool Set), so the first row of a sweep is the configuration
+// every other experiment runs.
 type ShardRow struct {
 	Workload    string      `json:"workload"`
 	Backend     BackendKind `json:"backend"`
@@ -101,6 +103,44 @@ func ShardSweep(sc Scale, bk BackendKind, workload string, poolCounts []int) ([]
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// ShardGate is the sharding claim, checked in-run so host speed cancels
+// out: at 8+ clients each backend's 4+-pool rows must beat its
+// single-pool row. The win is physical parallelism (per-pool locks and
+// fence spins overlapping on separate cores), so without spare cores
+// (GOMAXPROCS < 4) the gate bounds the routing tax instead: sharded rows
+// stay within 20% of single-pool. An op error on any row fails it.
+func ShardGate(rows []ShardRow) error {
+	var failures []string
+	single := map[string]float64{}
+	for _, r := range rows {
+		if r.Errors != 0 {
+			failures = append(failures, fmt.Sprintf("%s/%s/%dp: %d op errors", r.Workload, r.Backend, r.Pools, r.Errors))
+		}
+		if r.Pools == 1 {
+			single[r.Workload+"|"+string(r.Backend)] = r.KopsSec
+		}
+	}
+	multicore := runtime.GOMAXPROCS(0) >= 4
+	for _, r := range rows {
+		base, ok := single[r.Workload+"|"+string(r.Backend)]
+		if !ok || r.Pools < 4 || r.Threads < 8 {
+			continue
+		}
+		switch {
+		case multicore && r.KopsSec <= base:
+			failures = append(failures, fmt.Sprintf("sharding did not pay: %s/%s %.1f Kops/s with %d pools vs %.1f single-pool",
+				r.Workload, r.Backend, r.KopsSec, r.Pools, base))
+		case !multicore && r.KopsSec < base*0.8:
+			failures = append(failures, fmt.Sprintf("routing tax over 20%%: %s/%s %.1f Kops/s with %d pools vs %.1f single-pool (GOMAXPROCS %d)",
+				r.Workload, r.Backend, r.KopsSec, r.Pools, base, runtime.GOMAXPROCS(0)))
+		}
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("shard gate: %s", strings.Join(failures, "; "))
+	}
+	return nil
 }
 
 // PrintShard renders the pool-count sweep.

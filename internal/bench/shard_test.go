@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -51,8 +52,7 @@ func TestShardEnv(t *testing.T) {
 
 // TestShardSnapshotSums is the satellite check that the per-pool obs
 // breakdown is complete: summing every pool's NVM/heap/FA counters must
-// reproduce the global layer gauges the snapshot reports (which is also
-// what keeps check_bench.sh honest on sharded runs).
+// reproduce the global layer gauges the snapshot reports.
 func TestShardSnapshotSums(t *testing.T) {
 	env, err := NewEnv(GridConfig{Backend: JPFA, Records: 300, FieldCount: 10, FieldLen: 100, FenceNs: 1, Pools: 4})
 	if err != nil {
@@ -133,6 +133,55 @@ func TestShardSweepRuns(t *testing.T) {
 	PrintShard(&buf, rows)
 	if !strings.Contains(buf.String(), "pools") {
 		t.Fatal("print broken")
+	}
+}
+
+// TestShardGate drives both branches of the gate on synthetic rows: with
+// four procs a 4+-pool row must beat single-pool, with fewer it may lose
+// up to 20%; an op error fails either way.
+func TestShardGate(t *testing.T) {
+	sweep := func(single, sharded float64, errs uint64) []ShardRow {
+		return []ShardRow{
+			{Workload: "A", Backend: JPFA, Pools: 1, Threads: 8, KopsSec: single},
+			{Workload: "A", Backend: JPFA, Pools: 2, Threads: 8, KopsSec: single / 2}, // under 4 pools: not gated
+			{Workload: "A", Backend: JPFA, Pools: 4, Threads: 8, KopsSec: sharded, Errors: errs},
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs   int
+		sharded float64 // against 100 single-pool
+		errs    uint64
+		want    string // substring of the error, "" = pass
+	}{
+		{4, 101, 0, ""},
+		{4, 100, 0, "sharding did not pay"},
+		{4, 85, 0, "sharding did not pay"},
+		{2, 85, 0, ""},
+		{2, 79, 0, "routing tax over 20%"},
+		{4, 150, 3, "3 op errors"},
+		{2, 150, 3, "3 op errors"},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		err := ShardGate(sweep(100, tc.sharded, tc.errs))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("procs %d, %.0f vs 100: %v", tc.procs, tc.sharded, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("procs %d, %.0f vs 100, %d errors: got %v, want %q", tc.procs, tc.sharded, tc.errs, err, tc.want)
+		}
+	}
+	// Rows with nothing to compare against pass: no single-pool row, or
+	// too few clients to contend.
+	if err := ShardGate([]ShardRow{{Workload: "A", Backend: JPDT, Pools: 8, Threads: 8, KopsSec: 1}}); err != nil {
+		t.Error(err)
+	}
+	rows := sweep(100, 10, 0)
+	for i := range rows {
+		rows[i].Threads = 2
+	}
+	if err := ShardGate(rows); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -118,12 +118,16 @@ func (p *Pool) Size() uint64 { return uint64(len(p.data)) }
 func (p *Pool) Tracked() bool { return p.opts.Tracked }
 
 // Close releases file-backed resources, if any. In-memory pools are
-// garbage collected as usual; Close is then a no-op.
+// garbage collected as usual; Close is then a no-op, as is a second Close
+// of a file-backed pool (the mapping is gone after the first, whatever it
+// returned).
 func (p *Pool) Close() error {
-	if p.backing != nil {
-		return p.backing.close()
+	b := p.backing
+	if b == nil {
+		return nil
 	}
-	return nil
+	p.backing = nil
+	return b.close()
 }
 
 func (p *Pool) check(off, n uint64) {

@@ -273,6 +273,22 @@ func TestFileBackedPoolPersists(t *testing.T) {
 	}
 }
 
+// TestFileBackedPoolCloseTwice: the second Close finds nothing left to
+// release — before, it ran Munmap on the stale slice and closed a closed
+// file, which is what gridserver's SIGTERM path did.
+func TestFileBackedPoolCloseTwice(t *testing.T) {
+	p, err := OpenFile(filepath.Join(t.TempDir(), "pool.img"), 1<<16, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
 func TestFileBackedRejectsTracked(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := OpenFile(filepath.Join(dir, "x"), 4096, Options{Tracked: true}); err == nil {

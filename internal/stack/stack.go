@@ -2,12 +2,12 @@
 // analogue of the paper's JNVM.open (pool, recovery, class table) plus
 // the persistence-backend plug of §5.1. Everything that needs a heap goes
 // through Open: the jnvm facade, the benchmark environments, the wire
-// server, the TPC-B bank, the recovery benchmark and the crash explorer.
-// Per pool it builds a redo-log manager, opens (formatting or recovering)
-// the object heap with that manager as its log handler, and constructs
-// the configured grid backend; over several pools it adds the shard
-// set's routing backend. The grid itself (stripe locks, optional record
-// cache) is the caller's to put on top: store.NewGrid(st.Backend, opts).
+// server, the TPC-B bank and the crash explorer. Per pool it builds a
+// redo-log manager, opens (formatting or recovering) the object heap with
+// that manager as its log handler, and constructs the configured grid
+// backend; over several pools it adds the shard set's routing backend.
+// The grid itself (stripe locks, optional record cache) is the caller's
+// to put on top: store.NewGrid(st.Backend, opts).
 package stack
 
 import (

@@ -85,7 +85,7 @@ func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, er
 
 // NewJNVMBank creates or reattaches the bank over a stack opened with
 // StackConfig — the entry point for callers that set the commit protocol
-// (Figure 11, the baseline) or pin the recovery parallelism (the crash
+// (Figure 11) or pin the recovery parallelism (the crash
 // explorer) on the stack themselves.
 func NewJNVMBank(st *stack.Stack, accounts int) (*JNVMBank, error) {
 	h, mgr := st.Pools[0].Heap, st.Pools[0].Mgr
@@ -129,10 +129,6 @@ func NewJNVMBank(st *stack.Stack, accounts int) (*JNVMBank, error) {
 
 // Heap exposes the underlying heap (recovery statistics).
 func (b *JNVMBank) Heap() *core.Heap { return b.h }
-
-// Manager exposes the bank's failure-atomic manager so benchmarks can read
-// its commit-pipeline counters.
-func (b *JNVMBank) Manager() *fa.Manager { return b.mgr }
 
 // Accounts implements Bank.
 func (b *JNVMBank) Accounts() int { return b.n }

@@ -10,7 +10,7 @@ import (
 )
 
 // Client is one connection speaking the wire protocol. It is not safe
-// for concurrent use; the load generator runs one Client per goroutine.
+// for concurrent use; a load generator runs one Client per goroutine.
 // Pipelining is explicit: Send buffers request frames, Flush pushes them
 // out, Recv reads responses in request order.
 type Client struct {

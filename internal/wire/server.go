@@ -39,11 +39,6 @@ type ServerConfig struct {
 	// that pipelines deeper than this still gets every response, but in
 	// multiple windows.
 	MaxBatch int
-
-	// InjectDelay adds a per-request processing delay — the
-	// degraded-latency scenario's knob, simulating a slow medium under
-	// the same wire path.
-	InjectDelay time.Duration
 }
 
 // Server serves the grid over the wire protocol. Create with NewServer,
@@ -322,9 +317,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.stats.Batches.Inc()
 		s.stats.Requests.Add(uint64(len(w.reqs)))
 		s.stats.BatchSize.ObserveNs(uint64(len(w.reqs)))
-		if s.cfg.InjectDelay > 0 {
-			time.Sleep(s.cfg.InjectDelay * time.Duration(len(w.reqs)))
-		}
 
 		wrote := false
 		for i := range w.reqs {

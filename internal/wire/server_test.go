@@ -144,7 +144,7 @@ func TestServerPipelinedConcurrentConnections(t *testing.T) {
 // TestServerAddDeltaOverWire drives the leaderboard fast path end to
 // end: pipelined OpAddDelta frames fold in one window/epoch, a wire read
 // sees the exact folded sum, and the Stats blob carries the delta and
-// group-commit counters the scenario runner diffs.
+// group-commit counters the benchmark diffs.
 func TestServerAddDeltaOverWire(t *testing.T) {
 	env, err := bench.NewEnv(bench.GridConfig{
 		Backend: bench.JPFA,
@@ -279,9 +279,17 @@ func TestServerDropsMalformedConn(t *testing.T) {
 // Shutdown drains: a window in flight when SIGTERM-equivalent hits is
 // answered and flushed before the connection closes.
 func TestServerDrainAnswersInFlightWindow(t *testing.T) {
+	// Per-Tx commit: writes are durable when the grid returns, so the
+	// durability hook is free to be nothing but a delay.
+	env, err := bench.NewEnv(bench.GridConfig{Backend: bench.JPFA, Records: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { env.Close() })
 	addr, srv, _ := startTestServer(t, ServerConfig{
-		// Slow the batch down so Shutdown lands mid-window.
-		InjectDelay: 20 * time.Millisecond,
+		Grid: env.Grid,
+		// Hold the window open so Shutdown lands inside it.
+		AwaitDurable: func() { time.Sleep(200 * time.Millisecond) },
 	})
 
 	cl, err := Dial(addr)

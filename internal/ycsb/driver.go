@@ -71,8 +71,8 @@ func Run(db DB, cfg Config) (*Result, error) {
 	// Keys [0, inserted) exist: the latest and uniform choosers draw from
 	// that range. Insert indices come from nextInsert, and inserted moves
 	// past an index only after its Insert has returned and every lower
-	// index has been published (the acked-prefix rule of loadgen
-	// -insert-seq), so no thread is handed a key that is not there yet.
+	// index has been published, so no thread is handed a key that is not
+	// there yet.
 	inserted, nextInsert := &atomic.Int64{}, &atomic.Int64{}
 	inserted.Store(int64(cfg.RecordCount))
 	nextInsert.Store(int64(cfg.RecordCount))

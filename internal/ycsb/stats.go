@@ -129,15 +129,6 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Operations) / r.Duration.Seconds()
 }
 
-// Hist returns the merged histogram across all op types.
-func (r *Result) Hist() *Histogram {
-	out := &Histogram{}
-	for _, h := range r.PerOp {
-		out.Merge(h)
-	}
-	return out
-}
-
 // OpTypes returns the op types present, sorted for stable printing.
 func (r *Result) OpTypes() []OpType {
 	var out []OpType

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Structure gate (DESIGN.md §3): two decisions each live in one place, and
-# this fails, printing file:line, when a second copy appears.
+# this fails, printing file:line, when a second copy appears; and the
+# package inventory of §3 is the tree's.
 #
 #  1. Stack assembly. A redo-log manager and a recovered object heap are
 #     built together in internal/stack only. core.Open( or fa.NewManager()
@@ -12,6 +13,9 @@
 #     assertion to one of the capability interfaces is a second opinion
 #     that a wrapper can silently fail to forward. benchmarks/ is exempt:
 #     it pins store.DeltaAdder and is edited by benchmark-only PRs.
+#  3. Inventory. The directories under cmd/ and internal/ are exactly the
+#     entries of the tree in DESIGN.md §3 (a 4-space-indented `name/` line
+#     under the 2-space `cmd/` or `internal/` line).
 set -eu
 
 fail=0
@@ -32,5 +36,20 @@ if [ -n "$hits" ]; then
     echo "$hits" >&2
     fail=1
 fi
+
+listed=$(awk '/^## 3\. /{on=1; next} /^##/{on=0} !on{next}
+    /^  [a-z]+\/( |$)/{top=$1} /^    [a-z]+\/( |$)/{print top $1}' DESIGN.md | grep -E '^(cmd|internal)/' || true)
+for d in cmd/*/ internal/*/; do
+    echo "$listed" | grep -qxF "$d" || {
+        echo "DESIGN.md §3 does not name $d" >&2
+        fail=1
+    }
+done
+for d in $listed; do
+    [ -d "$d" ] || {
+        echo "DESIGN.md §3 names $d, which does not exist" >&2
+        fail=1
+    }
+done
 
 exit $fail
