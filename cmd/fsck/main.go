@@ -7,9 +7,12 @@
 //
 //	fsck /tmp/heap.pmem
 //
-// Exit status 0 means the heap is consistent. Note that opening the pool
-// runs recovery first (redo-log replay + reachability GC), exactly as an
-// application restart would; fsck then validates the recovered state.
+// Exit status 0 means the heap is consistent. fsck first reads the redo
+// log area as the last run left it — format version, the retired
+// watermark W, every live slot — and fails on a live slot no correct
+// commit leaves behind. Then it opens the pool, which runs recovery
+// (redo-log replay + reachability GC) exactly as an application restart
+// would, and validates the recovered state.
 package main
 
 import (
@@ -18,6 +21,9 @@ import (
 	"os"
 
 	jnvm "repro"
+	"repro/internal/fa"
+	"repro/internal/heap"
+	"repro/internal/nvm"
 	"repro/internal/store"
 )
 
@@ -33,7 +39,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	db, err := jnvm.Open(jnvm.Options{Path: path, Size: int(st.Size())})
+	pool, err := nvm.OpenFile(path, int(st.Size()), nvm.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	mem, err := heap.Open(pool)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsck: cannot open heap: %v\n", err)
+		os.Exit(1)
+	}
+	_, slots, _ := mem.LogArea()
+	w, live := fa.LiveSlots(mem)
+	fmt.Printf("log area: format version %d, %d slots, retired watermark W = %d, %d live\n",
+		heap.FormatVersion, slots, w, len(live))
+	for _, s := range live {
+		fmt.Printf("  slot %d: seq %d, %d entries\n", s.Index, s.Seq, s.Entries)
+	}
+	if err := fa.AuditCommittedSlots(mem); err != nil {
+		fmt.Printf("ISSUE: %v\n", err)
+		os.Exit(1)
+	}
+
+	db, err := jnvm.OpenPool(pool, jnvm.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fsck: cannot open heap: %v\n", err)
 		os.Exit(1)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -80,6 +82,30 @@ func TestOpenFormatsFreshPool(t *testing.T) {
 	}
 	if h.Root().Len() != 0 {
 		t.Fatal("fresh root map not empty")
+	}
+}
+
+// TestOpenNeverFormatsOverAHeap: a pool that holds a heap this build
+// refuses (another format version: word 1 of the superblock) comes back
+// as an error with its bytes untouched; only a pool without a heap is
+// formatted.
+func TestOpenNeverFormatsOverAHeap(t *testing.T) {
+	pool := nvm.New(1<<20, nvm.Options{})
+	cls := simpleClass()
+	h, err := Open(pool, testCfg(cls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Root().Put("simple", newSimple(t, h, cls, 42)); err != nil {
+		t.Fatal(err)
+	}
+	pool.WriteUint64(8, 1) // the parent's format version
+	before := pool.ReadBytes(0, pool.Size())
+	if _, err := Open(pool, testCfg(simpleClass())); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("version-1 pool: Open returned %v", err)
+	}
+	if !bytes.Equal(before, pool.ReadBytes(0, pool.Size())) {
+		t.Fatal("Open wrote to a pool it refused")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -104,12 +105,14 @@ type RecoveryStats struct {
 func Open(pool *nvm.Pool, cfg Config) (*Heap, error) {
 	mem, err := heap.Open(pool)
 	formatted := false
-	if err != nil {
+	if errors.Is(err, heap.ErrNotFormatted) {
 		mem, err = heap.Format(pool, cfg.HeapOptions)
-		if err != nil {
-			return nil, err
-		}
 		formatted = true
+	}
+	if err != nil {
+		// A pool that holds a heap Open refuses (another format version, a
+		// corrupt superblock) is never reformatted behind the caller's back.
+		return nil, err
 	}
 	h := &Heap{
 		mem:    mem,
@@ -273,17 +276,26 @@ func (h *Heap) Resurrect(ref Ref) (PObject, error) {
 // free queue. The proxy becomes unusable, as in the paper where accessing
 // a freed proxy throws.
 func (h *Heap) Free(po PObject) {
+	if ref := h.Detach(po); ref != 0 {
+		h.mem.FreeObject(ref)
+	}
+}
+
+// Detach neutralizes the proxy of an object that is being deleted and
+// returns the object's ref (0 for a nil or already neutral proxy). The
+// proxy stops resolving at once; the caller frees the data structure with
+// heap.FreeObject when its protocol allows — package fa does so once the
+// deleting commit is retired.
+func (h *Heap) Detach(po PObject) Ref {
 	if po == nil {
-		return
+		return 0
 	}
 	o := po.Core()
-	if o.ref == 0 {
-		return
-	}
-	h.mem.FreeObject(o.ref)
+	ref := o.ref
 	o.ref = 0
 	o.blocks = nil
 	o.size = 0
+	return ref
 }
 
 // PFence exposes the fence at heap level for low-level batching patterns

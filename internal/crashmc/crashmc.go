@@ -50,14 +50,13 @@ type Run struct {
 	// probe that the recovered heap accepts new operations).
 	Check func(img *nvm.Pool, parallelism int) error
 
-	// Audit, if set, runs after Check passes on tear-free images — every
-	// spec line dropped or persisted whole — and verifies pre-replay
-	// invariants over the raw crash image, e.g. fa.AuditCommittedSlots
-	// through a wrapping LogHandler. It is skipped on images with
-	// sub-line tears, where a torn retire write-back can legitimately
-	// persist a slot's zeroed count under its stale committed status;
-	// on tear-free images that state only arises when a commit mark
-	// outran its stage-1 log persist, which is a protocol bug.
+	// Audit, if set, runs after Check passes and verifies pre-replay
+	// invariants over the raw crash image, e.g. fa.AuditCommittedSlots: a
+	// live log slot with a zero entry count only arises when a commit
+	// mark outran its stage-1 log persist, which is a protocol bug. It
+	// holds on torn images too: a slot's mark and count are separate
+	// aligned words, nothing ever clears a count under a live mark, and
+	// retirement writes only the one-word watermark.
 	Audit func(imgs []*nvm.Pool) error
 
 	// Multi-pool forms, used when Workload.Pools > 1 (DESIGN.md §17):
@@ -302,21 +301,6 @@ func safeAudit(run *Run, imgs []*nvm.Pool) (err error) {
 	return run.Audit(imgs)
 }
 
-// tearFree reports whether every spec line is dropped or persisted
-// whole. Sub-line tears mix word versions inside one cache line — a
-// retire's stale committed status over its fresh zeroed count is a legal
-// crash state — so Run.Audit is only sound without them.
-func tearFree(specs [][]nvm.CrashLine) bool {
-	for _, spec := range specs {
-		for _, cl := range spec {
-			if cl.Split != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // subsetSeed mixes (seed, point, sample) into the rng seed for one
 // subset draw (splitmix64 finalizer), so any sampled image is
 // reconstructible from its triple.
@@ -524,7 +508,7 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 			serialErr := safeCheck(crun, imagesFor(states, specs), 1)
 			parErr := safeCheck(crun, imagesFor(states, specs), opt.Par)
 			var auditErr error
-			if serialErr == nil && parErr == nil && crun.Audit != nil && tearFree(specs) {
+			if serialErr == nil && parErr == nil && crun.Audit != nil {
 				auditErr = safeAudit(crun, imagesFor(states, specs))
 			}
 			if serialErr == nil && parErr == nil && auditErr == nil {

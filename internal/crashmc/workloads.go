@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -24,13 +25,15 @@ import (
 // the store's J-PFA backend (grid), the J-PDT backend with the zero-copy
 // read path and EBR deferral active (gridread), transactional
 // allocation/free (pool), the non-transactional single-fence publication
-// of the J-PDT types (pdt), and the lock-free persist-at-destination
-// map/set (pdtlockfree).
+// of the J-PDT types (pdt), the lock-free persist-at-destination map/set
+// (pdtlockfree), and the retirement of redo logs behind the durable
+// watermark, where a committed block's slot, in-flight copies and freed
+// objects wait on its successors' fences (retire).
 func Workloads() []*Workload {
 	var ws []*Workload
 	for _, e := range []entry{
 		bankEntry(), gridEntry(), gridGroupEntry(), gridDeltaEntry(), gridInlineEntry(), gridReadEntry(),
-		poolEntry(), pdtEntry(), pdtLockFreeEntry(), poolMigrateEntry(),
+		poolEntry(), pdtEntry(), pdtLockFreeEntry(), poolMigrateEntry(), retireEntry(),
 	} {
 		ws = append(ws, e.workload())
 	}
@@ -67,8 +70,8 @@ type entry struct {
 	// concurrently must match bit for bit, and a full serial check of the
 	// same images must report the same observable state.
 	compare bool
-	// auditSlots runs fa.AuditCommittedSlots over tear-free images
-	// (Run.Audit): only sound for scenarios that never commit empty blocks.
+	// auditSlots runs fa.AuditCommittedSlots over every image (Run.Audit)
+	// and holds recovery to replaying exactly the live slots.
 	auditSlots bool
 	new        func(seed int64) *scenario
 }
@@ -117,7 +120,22 @@ func (e entry) workload() *Workload {
 				if err != nil {
 					return err
 				}
-				return fa.AuditCommittedSlots(mem)
+				if err := fa.AuditCommittedSlots(mem); err != nil {
+					return err
+				}
+				// Recovery replays exactly the live slots, and retires them.
+				_, live := fa.LiveSlots(mem)
+				st, err := e.open(imgs[:1], 1, true)
+				if err != nil {
+					return err
+				}
+				if n := st.Recovery()[0].ReplayedTx; n != uint64(len(live)) {
+					return fmt.Errorf("image holds %d live log slots, recovery replayed %d", len(live), n)
+				}
+				if _, left := fa.LiveSlots(st.Pools[0].Heap.Mem()); len(left) != 0 {
+					return fmt.Errorf("%d log slots still live after recovery", len(left))
+				}
+				return nil
 			}
 		}
 		return run
@@ -340,7 +358,7 @@ func bankEntry() entry {
 		from, to int
 		amount   int64
 	}
-	return entry{name: "bank", poolBytes: 1 << 22, cfg: tpcb.StackConfig(false), new: func(seed int64) *scenario {
+	return entry{name: "bank", poolBytes: 1 << 22, cfg: tpcb.StackConfig(false), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		committed := make([]int64, accounts)
 		var inflight *xfer
@@ -437,7 +455,7 @@ func gridEntry() entry {
 	const nkeys = 10
 	const ops = 30
 	keys := keyNames("k%02d", nkeys)
-	return entry{name: "grid", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), new: func(seed int64) *scenario {
+	return entry{name: "grid", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string][]byte) // committed value per key; nil/missing = absent
 		var inflight *gridOp
@@ -527,13 +545,17 @@ func gridEntry() entry {
 // durable value or its queued update, never a torn mix and never a value
 // from a later epoch while an earlier one is missing (epochs touch every
 // key round-robin, so a skipped epoch would surface as a stale durable
-// read after a collapse).
+// read after a collapse). Two single-update epochs on one hot key close
+// the run: the first is parked — applied, live, W not over it yet — while
+// the second's marks are written, so both logs write the key's record
+// block and a crash in between must replay them oldest first.
 func gridGroupEntry() entry {
 	const nkeys = 8
 	const epochs = 5
+	const hotEpochs = 2
 	const opsPerEpoch = 3 // < nkeys: round-robin keeps keys distinct per epoch
 	keys := keyNames("g%02d", nkeys)
-	return entry{name: "gridgroup", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), new: func(seed int64) *scenario {
+	return entry{name: "gridgroup", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		durable := make(map[string][]byte) // value proven durable by a returned drain
 		pending := make(map[string][]byte) // queued in the in-flight epoch, nil = none
@@ -558,10 +580,16 @@ func gridGroupEntry() entry {
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
 			exec: func([]*nvm.Pool) error {
-				for e := 0; e < epochs; e++ {
+				for e := 0; e < epochs+hotEpochs; e++ {
 					batch := make([]string, 0, opsPerEpoch)
 					for j := 0; j < opsPerEpoch; j++ {
 						key := keys[(e*opsPerEpoch+j)%nkeys]
+						if e >= epochs {
+							if j > 0 {
+								break
+							}
+							key = keys[0]
+						}
 						v := mkval(e*opsPerEpoch + j + 100)
 						pending[key] = v
 						if err := g.Update(key, []store.Field{{Name: "v", Value: v}}); err != nil {
@@ -619,7 +647,10 @@ func gridGroupEntry() entry {
 // (base+sum: a fold materializes atomically, so a partial sum must never
 // surface) plus the set of values any internal drain may have made
 // durable; each returned drain collapses the set to exactly the current
-// value — a lost or double-applied folded delta fails there. The entry
+// value — a lost or double-applied folded delta fails there. Two epochs
+// of nothing but folds on one hot key close the run: each is a pure delta
+// epoch (a materialization and no queued commit), and the first is parked
+// while the second's fold is based on the block it applied to. The entry
 // compares recoveries: a folded entry is one ordinary redo-log write, so
 // the serial and the parallel path must land on the same image.
 func gridDeltaEntry() entry {
@@ -628,10 +659,9 @@ func gridDeltaEntry() entry {
 	const opsPerEpoch = 6
 	keys := keyNames("c%02d", nkeys)
 	e := entry{name: "griddelta", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA)}
-	// On tear-free images a committed log slot with a zero entry count
-	// means a commit mark outran its stage-1 persist — the signature of a
-	// delta materialization whose fold would silently drop at replay
-	// (fa.epochStage1's regression).
+	// A live log slot with a zero entry count means a commit mark outran
+	// its stage-1 persist — the signature of a delta materialization whose
+	// fold would silently drop at replay (fa.epochStage1's regression).
 	e.compare, e.auditSlots = true, true
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
@@ -656,6 +686,21 @@ func gridDeltaEntry() entry {
 		}
 		var g *store.Grid
 		var mgr *fa.Manager
+		// drain ends an epoch, alternating the two APIs; both promise
+		// every issued ticket (folds included) durable on return.
+		drain := func(e int) {
+			if e%2 == 0 {
+				mgr.AwaitDurable(mgr.IssuedTickets())
+			} else {
+				mgr.DrainDurable()
+			}
+			for j := range keys {
+				base[j] += sum[j]
+				sum[j] = 0
+				recPending[j] = false
+				durable[j] = map[int64]bool{base[j]: true}
+			}
+		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Pools[0].Mgr
@@ -711,19 +756,17 @@ func gridDeltaEntry() entry {
 							recPending[k] = true
 						}
 					}
-					// Alternate the drain APIs; both promise every issued
-					// ticket (folds included) durable on return.
-					if e%2 == 0 {
-						mgr.AwaitDurable(mgr.IssuedTickets())
-					} else {
-						mgr.DrainDurable()
+					drain(e)
+				}
+				for e := 0; e < 2; e++ {
+					for i := 0; i < 3; i++ {
+						d := int64(1 + rng.Intn(9))
+						if err := g.AddDelta(keys[0], "n", d); err != nil {
+							return fmt.Errorf("hot epoch %d delta: %w", e, err)
+						}
+						sum[0] += d
 					}
-					for j := range keys {
-						base[j] += sum[j]
-						sum[j] = 0
-						recPending[j] = false
-						durable[j] = map[int64]bool{base[j]: true}
-					}
+					drain(e)
 				}
 				return nil
 			},
@@ -810,7 +853,7 @@ func gridInlineEntry() entry {
 		return true
 	}
 	counter := func(v int64) string { return string(counterBytes(v)) }
-	e := entry{name: "gridinline", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), compare: true}
+	e := entry{name: "gridinline", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), compare: true, auditSlots: true}
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		// hist[k] lists key k's legal states, oldest first; the last one
@@ -1116,7 +1159,7 @@ func poolEntry() entry {
 		key       string
 		pre, post *poolVal
 	}
-	return entry{name: "pool", poolBytes: 1 << 21, cfg: stackCfg(""), new: func(seed int64) *scenario {
+	return entry{name: "pool", poolBytes: 1 << 21, cfg: stackCfg(""), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[string]*poolVal)
 		var inflight *poolOp
@@ -1824,6 +1867,199 @@ func poolMigrateEntry() entry {
 					if err := op(pools, preOps+i); err != nil {
 						return err
 					}
+				}
+				return nil
+			},
+		}
+	}
+	return e
+}
+
+// ---- retire: redo logs retired behind the durable watermark ----
+
+// retireEntry crashes the two orderings a per-Tx commit no longer fences
+// itself (DESIGN.md §11): its apply is ordered before the watermark W by
+// the next commit's first fence, and W before the reuse of its slot, its
+// in-flight blocks and the objects it freed by the next commit's second.
+// Every pair of consecutive commits below shares state the wrong order
+// would corrupt: updates of one record whose field sets differ (two live
+// logs on one block must replay oldest first, or the record is a mix of
+// both), updates of neighbouring records (values side by side in one pool
+// chunk), an update that frees the value the commit before it allocated,
+// an insert right after a delete (which must not be handed the blocks the
+// parked delete freed), the first use of a field name right after an
+// update that freed a slot of the name's size (the dictionary allocates
+// and publishes outside the block, under its own fences: handed the
+// parked commit's slot, it would be invalidated by that commit's replay),
+// and a forced Retire in the middle. The oracle is
+// the prefix property over the whole grid: the recovered records equal
+// the model after every operation that returned, or that plus the one in
+// flight — never a mix, never an older state. Then a burst of inserts
+// takes blocks off the recovered free queue and every record is read
+// again: a block both free and reachable would change under it. The
+// harness's audit holds each raw image to "replayed = live slots".
+func retireEntry() entry {
+	keys := keyNames("t%02d", 8)
+	fields := []string{"f0", "f1", "f2", "f3"}
+	type grid map[string]map[string]string // key -> field -> value
+	clone := func(g grid) grid {
+		c := grid{}
+		for k, rec := range g {
+			c[k] = map[string]string{}
+			for f, v := range rec {
+				c[k][f] = v
+			}
+		}
+		return c
+	}
+	e := entry{name: "retire", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), compare: true, auditSlots: true}
+	e.new = func(seed int64) *scenario {
+		rng := rand.New(rand.NewSource(seed))
+		// states[i] is the grid after i operations; done counts the ones
+		// that returned.
+		var states []grid
+		done := 0
+		var g *store.Grid
+		var mgr *fa.Manager
+		// Values straddle the pooled-slot limit: short ones share a pool
+		// chunk with their neighbours, long ones own a block. f1 is always
+		// the size of a field name's slot.
+		value := func(i int, f string) string {
+			if f == "f1" {
+				return string(letters(i, 9+rng.Intn(8)))
+			}
+			return string(letters(i, 12+rng.Intn(150)))
+		}
+		record := func(i int, extra ...string) (*store.Record, map[string]string) {
+			rec, m := &store.Record{}, map[string]string{}
+			for j, f := range append(fields, extra...) {
+				v := value(i+j, f)
+				rec.Fields = append(rec.Fields, store.Field{Name: f, Value: []byte(v)})
+				m[f] = v
+			}
+			return rec, m
+		}
+		insert := func(i int, key string, extra ...string) error {
+			rec, m := record(i, extra...)
+			next := clone(states[len(states)-1])
+			next[key] = m
+			states = append(states, next)
+			return g.Insert(key, rec)
+		}
+		update := func(i int, key string, names ...string) error {
+			next := clone(states[len(states)-1])
+			var fs []store.Field
+			for j, f := range names {
+				v := value(i+j, f)
+				fs = append(fs, store.Field{Name: f, Value: []byte(v)})
+				next[key][f] = v
+			}
+			states = append(states, next)
+			return g.Update(key, fs)
+		}
+		del := func(key string) error {
+			next := clone(states[len(states)-1])
+			delete(next, key)
+			states = append(states, next)
+			return g.Delete(key)
+		}
+		ops := []func(i int) error{
+			// One record, different field sets: the first update is parked
+			// while the second marks, both logs write the record's block.
+			func(i int) error { return update(i, keys[0], "f0") },
+			func(i int) error { return update(i, keys[0], "f0", "f2") },
+			func(i int) error { return update(i, keys[0], "f3") },
+			// Neighbours, alternating.
+			func(i int) error { return update(i, keys[1], "f1") },
+			func(i int) error { return update(i, keys[2], "f1") },
+			func(i int) error { return update(i, keys[1], "f1", "f2") },
+			// A delete, then inserts that must not get its blocks early.
+			func(i int) error { return del(keys[3]) },
+			func(i int) error { return insert(i, keys[5]) },
+			func(i int) error { return insert(i, keys[6]) },
+			// Frees what the parked insert allocated.
+			func(i int) error { return update(i, keys[6], "f0", "f1", "f2", "f3") },
+			// Forced retirement between two commits on one record.
+			func(i int) error { return update(i, keys[2], "f0") },
+			func(i int) error { mgr.Retire(); states = append(states, states[len(states)-1]); return nil },
+			func(i int) error { return update(i, keys[2], "f0", "f3") },
+			// Same key out and back in.
+			func(i int) error { return del(keys[1]) },
+			func(i int) error { return insert(i, keys[1]) },
+			func(i int) error { return update(i, keys[1], "f2") },
+			// Frees a name-sized slot, then a name is interned.
+			func(i int) error { return update(i, keys[0], "f1") },
+			func(i int) error { return insert(i, keys[7], "fresh") },
+		}
+		return &scenario{
+			setup: func(st *stack.Stack) error {
+				mgr = st.Pools[0].Mgr
+				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
+				states = []grid{{}}
+				for i := 0; i < 5; i++ {
+					if err := insert(100+10*i, keys[i]); err != nil {
+						return err
+					}
+				}
+				states = states[len(states)-1:]
+				return nil
+			},
+			exec: func([]*nvm.Pool) error {
+				for i, op := range ops {
+					if err := op(10 * i); err != nil {
+						return fmt.Errorf("op %d: %w", i, err)
+					}
+					done++
+				}
+				return nil
+			},
+			check: func(st *stack.Stack, obs *strings.Builder) error {
+				g2 := store.NewGrid(st.Backend, store.Options{})
+				read := func() (grid, error) {
+					got := grid{}
+					for _, key := range keys {
+						rec := map[string]string{}
+						found, err := gridReader(g2)(key, func(name string, value []byte) {
+							rec[strings.Clone(name)] = string(value)
+						})
+						if err != nil {
+							return nil, fmt.Errorf("read %s: %w", key, err)
+						}
+						if found {
+							got[key] = rec
+						}
+					}
+					return got, nil
+				}
+				got, err := read()
+				if err != nil {
+					return err
+				}
+				at := -1
+				for i := done; i < len(states) && i <= done+1; i++ {
+					if reflect.DeepEqual(got, states[i]) {
+						at = i
+						break
+					}
+				}
+				if at < 0 {
+					return fmt.Errorf("recovered grid is the state after neither %d nor %d operations: %v", done, done+1, got)
+				}
+				fmt.Fprintf(obs, "prefix=%d;", at)
+				// No block both free and reachable: allocations off the
+				// recovered free queue leave every record as it was.
+				for i := 0; i < 6; i++ {
+					rec, _ := record(1000 + 10*i)
+					if err := g2.Insert(fmt.Sprintf("probe%d", i), rec); err != nil {
+						return fmt.Errorf("post-recovery insert %d: %w", i, err)
+					}
+				}
+				again, err := read()
+				if err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(again, states[at]) {
+					return fmt.Errorf("records changed under post-recovery inserts (a free block was reachable): %v", again)
 				}
 				return nil
 			},

@@ -47,7 +47,7 @@ func BenchmarkCommitParallel(b *testing.B) {
 		{"async-await", GroupOptions{Mode: CommitAsync}},
 	}
 	for _, proto := range protocols {
-		for _, committers := range []int{2, 8, 64} {
+		for _, committers := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/committers=%d", proto.name, committers), func(b *testing.B) {
 				benchCommitProtocol(b, proto.opts, committers)
 			})

@@ -8,7 +8,7 @@
 // ticket, exactly like an async commit. At the next drain the ledger is
 // materialized into detached transactions — one redo-log write entry and
 // one line flush per hot word per epoch, however many ops folded into it
-// — which join the epoch's batch and ride the same F0–F3 fence set.
+// — which join the epoch's batch and ride the same two fences.
 //
 // Correctness hangs on three rules:
 //
@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heap"
-	"repro/internal/nvm"
 )
 
 // ErrDeltaUnsupported is returned by AddDelta outside async commit mode;
@@ -296,19 +295,9 @@ func (m *Manager) reserveDeltaTx(g *groupState) {
 	if !ok {
 		return
 	}
-	g.deltaTx.Store(&Tx{
-		m:          m,
-		h:          st.h,
-		slot:       slot,
-		base:       st.off + uint64(slot*st.size),
-		maxEntries: uint64((st.size - slotEntries) / entrySize),
-		inflight:   make(map[core.Ref]int),
-		allocs:     make(map[core.Ref]bool),
-		proxies:    make(map[core.Ref]core.PObject),
-		flush:      nvm.NewFlushSet(),
-		blocks:     st.h.Mem().NewTransientPool(transientCap),
-		reserved:   g,
-	})
+	tx := m.newTx(st, slot)
+	tx.reserved = g
+	g.deltaTx.Store(tx)
 }
 
 // unreserveDeltaTx returns the current group's reserved slot, if any, to

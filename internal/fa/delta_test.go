@@ -468,7 +468,8 @@ func TestDeltaAuditCatchesMissingStage1(t *testing.T) {
 	if err := tx.WriteUint64(acc.Core(), accA, 1); err != nil {
 		t.Fatal(err)
 	}
-	tx.commitStage2Body() // commit mark with stage 1 deliberately skipped
+	tx.commitSeq(0) // commit mark with stage 1 deliberately skipped
+	tx.commitMarkBody()
 	h.Pool().PFence()
 
 	img := pool.CrashImage(nvm.CrashStrict, rand.New(rand.NewSource(1)))

@@ -14,6 +14,18 @@
 // idempotent) and discards an uncommitted one, whose side effects are all
 // invalid or unreachable and therefore reclaimed by the recovery GC.
 //
+// Durability contract: Commit (per-Tx and group modes) or AwaitDurable
+// (async mode) returns ⇒ the block's commit mark is durable ⇒ recovery
+// replays it, in commit order, unless its apply is already durable. Those
+// two fences are all a commit pays. The mark is the commit's sequence
+// number; one durable watermark W in the superblock retires logs (a slot
+// is live iff its mark exceeds W), and the two orderings retirement needs
+// — apply before W, W before the slot, the in-flight blocks and the freed
+// objects are reused — ride on the fences of later commits (retireQueue).
+// Until a commit is retired, a crash replays it over whatever its blocks
+// hold, so code that also writes those blocks outside failure-atomic
+// blocks must call Manager.Retire first.
+//
 // The commit pipeline is built for multicore scalability:
 //
 //   - Slot affinity. Log slots live on a lock-free freelist, and a
@@ -35,7 +47,10 @@
 package fa
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -47,7 +62,9 @@ import (
 
 // Log-slot layout (within the heap's reserved log area):
 //
-//	0:  status (8)  — 0 idle, 1 committed
+//	0:  status (8)  — the commit's sequence number; the slot is live
+//	                  (committed, not retired) iff status > W, the heap's
+//	                  retired watermark (heap.LogRetired)
 //	8:  count  (8)  — number of entries
 //	16: entries, 24 bytes each: kind (8) | a (8) | b (8)
 //
@@ -55,13 +72,10 @@ import (
 // bits 8..11: bit i set means line i of the block was modified and must be
 // copied to the original. Mask 0 means every line (the pre-mask format).
 const (
-	slotStatus  = 0
+	slotStatus  = heap.LogSlotSeq
 	slotCount   = 8
 	slotEntries = 16
 	entrySize   = 24
-
-	statusIdle      = 0
-	statusCommitted = 1
 
 	kindWrite = 1 // a = original block ref, b = in-flight block ref
 	kindAlloc = 2 // a = new object ref
@@ -76,14 +90,21 @@ const (
 	// transientCap bounds the in-flight blocks a Tx keeps warm; overflow
 	// spills to the shared free queue.
 	transientCap = 32
-)
 
-// The commit retire step writes back the slot header with one
-// PWBRange(base, slotEntries); both header words must fit in that range.
-// These constants fail to compile if the layout ever moves them out.
-const (
-	_ = uint64(slotEntries - (slotStatus + 8))
-	_ = uint64(slotEntries - (slotCount + 8))
+	// CommitBarriers is what one commit pays under every protocol: the
+	// fence that orders log and write set before the mark, and the fence
+	// that makes the mark durable. An epoch pays them once for its batch.
+	CommitBarriers = 2
+
+	// retireMax bounds the commits (an epoch is one) parked behind W, and
+	// retireBlocksMax the in-flight and freed blocks any one of them may
+	// withhold from the allocator. Past either, the committer that parks
+	// pays retirement's two fences itself, so what parked commits hold
+	// cannot pile up behind committers whose fences never come, and a
+	// large epoch does not keep its write set's worth of blocks out of
+	// the next one's hands.
+	retireMax       = 8
+	retireBlocksMax = 128
 )
 
 // lineMask returns the dirty-line bits for a store of n>0 bytes at
@@ -182,17 +203,106 @@ func (c *txCache) put(tx *Tx) bool {
 	return false
 }
 
+// retireQueue is the one retirement path of every commit protocol: the
+// FIFO of commits between their durable mark and the reuse of what they
+// hold (DESIGN.md §11).
+//
+// A commit enters at its mark, in sequence order, and parks once its apply
+// is written back. It leaves in two steps, each riding on a barrier some
+// later commit issues anyway:
+//
+//  1. apply → W. Once a barrier that began after the apply's write-backs
+//     has completed, advance stores the commit's sequence number to W
+//     (write-back unfenced) and hands the commit to the caller.
+//  2. W → reuse. Once the caller's next barrier has covered W, it
+//     recycles the commit: slot and Tx to the cache, in-flight blocks to
+//     the transient pool, freed objects to the free queue.
+//
+// In steady state both barriers are the next commit's own two, so
+// retirement costs one write-back of W's line and no fence. W only moves
+// over a prefix of the FIFO, so it never passes a sequence number whose
+// mark is not durable yet, and recovery, which replays live slots in
+// sequence order, always sees a gap-free suffix of the commit order.
+type retireQueue struct {
+	// fences numbers the barriers whose completion advance is told about;
+	// a barrier takes its number before it is issued, so a commit that
+	// reads n after its apply is covered by every barrier numbered > n.
+	fences atomic.Uint64
+	// parked counts commits (an epoch is one) applied and not yet
+	// recycled: what forced retirement can still give back.
+	parked atomic.Int64
+
+	mu   sync.Mutex
+	seq  uint64 // last sequence number issued
+	fifo []*Tx  // marked commits in sequence order; an epoch is its first Tx
+}
+
+// beginFence numbers a barrier the caller is about to issue.
+func (q *retireQueue) beginFence() uint64 { return q.fences.Add(1) }
+
+// advance is called when barrier number fence has completed. It takes the
+// longest prefix of the FIFO whose applies that barrier covered, stores
+// the last one's sequence number to W and appends the prefix to done —
+// the caller recycles it after its next barrier. Then next, if any, gets
+// the next sequence number and joins the FIFO.
+func (q *retireQueue) advance(mem *heap.Heap, fence uint64, next *Tx, done []*Tx) []*Tx {
+	q.mu.Lock()
+	defer q.mu.Unlock() // the W store is an ordering point a fault plane may unwind from
+	n := 0
+	for n < len(q.fifo) {
+		// applied holds the fence count at park time plus one.
+		if a := q.fifo[n].applied.Load(); a == 0 || a > fence {
+			break
+		}
+		n++
+	}
+	if n > 0 {
+		done = append(done, q.fifo[:n]...)
+		mem.SetLogRetired(q.fifo[n-1].seq)
+		rest := copy(q.fifo, q.fifo[n:])
+		clear(q.fifo[rest:])
+		q.fifo = q.fifo[:rest]
+	}
+	if next != nil {
+		q.seq++
+		next.seq = q.seq
+		next.applied.Store(0)
+		q.fifo = append(q.fifo, next)
+	}
+	return done
+}
+
+// headApplied reports whether forcing retirement can achieve anything: the
+// oldest commit in the FIFO has finished its apply.
+func (q *retireQueue) headApplied() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.fifo) > 0 && q.fifo[0].applied.Load() != 0
+}
+
+// reset empties the queue at (re)attachment: w is the watermark recovery
+// left, which every slot's status is at or below.
+func (q *retireQueue) reset(w uint64) {
+	q.mu.Lock()
+	q.seq = w
+	q.fifo = nil
+	q.mu.Unlock()
+	q.parked.Store(0)
+}
+
 // Manager owns the persistent log slots. It implements core.LogHandler so
 // that passing it in core.Config replays logs before the recovery GC.
 // Begin, End and metrics scrapes share no locks: slots come from a
 // lock-free freelist, warm transactions from a lock-free cache, and the
-// occupancy gauges from atomics.
+// occupancy gauges from atomics. A commit takes the retire queue's lock
+// once, between its two fences.
 type Manager struct {
-	state atomic.Pointer[managerState]
-	slots slotStack
-	cache txCache
-	inUse atomic.Int64
-	stats obs.FAStats
+	state  atomic.Pointer[managerState]
+	slots  slotStack
+	cache  txCache
+	inUse  atomic.Int64
+	stats  obs.FAStats
+	retire retireQueue
 	// group holds the opt-in group-commit coordination state (group.go);
 	// nil selects the default per-Tx protocol.
 	group atomic.Pointer[groupState]
@@ -217,26 +327,49 @@ func (m *Manager) ObsSnapshot() obs.FASnapshot {
 // core.Config; it attaches to the heap during Open.
 func NewManager() *Manager { return &Manager{} }
 
+// LiveSlot is one committed, unretired log slot: what recovery replays.
+type LiveSlot struct {
+	Index   int
+	Seq     uint64 // the commit's sequence number (> W)
+	Entries uint64
+}
+
+// LiveSlots reads the heap's log area: the retired watermark W and the
+// slots whose status exceeds it, in ascending sequence order (slots of one
+// async epoch share a sequence number and sort by index).
+func LiveSlots(mem *heap.Heap) (w uint64, live []LiveSlot) {
+	off, slots, slotSize := mem.LogArea()
+	pool := mem.Pool()
+	w = mem.LogRetired()
+	for i := 0; i < slots; i++ {
+		base := off + uint64(i*slotSize)
+		if seq := pool.ReadUint64(base + slotStatus); seq > w {
+			live = append(live, LiveSlot{Index: i, Seq: seq, Entries: pool.ReadUint64(base + slotCount)})
+		}
+	}
+	sort.Slice(live, func(a, b int) bool {
+		if live[a].Seq != live[b].Seq {
+			return live[a].Seq < live[b].Seq
+		}
+		return live[a].Index < live[b].Index
+	})
+	return w, live
+}
+
 // RecoverLogs implements core.LogHandler: it binds the manager to the heap
-// and replays or discards every log slot (§4.2 recovery, which runs before
-// the recovery procedure of §4.1.3).
+// and replays every live log slot (§4.2 recovery, which runs before the
+// recovery procedure of §4.1.3), then retires them all.
 //
-// Slots replay in parallel on the recovery worker fleet: committed logs
-// have disjoint write sets — the application holds its locks across
-// Commit, and a block is only ever in one in-flight transaction — so
-// replay order across slots is irrelevant and each slot touches distinct
-// blocks. One PSync closes the phase, as in the serial path.
+// Live slots replay in ascending sequence order, so two committed logs
+// that touch one block — a parked commit and its successor — land in
+// commit order. Slots that share a sequence number belong to one async
+// epoch, whose write sets are disjoint (groupState.waitClear), and replay
+// in parallel on the recovery worker fleet. A fence orders the replayed
+// lines before W covers them; a psync closes the phase.
 func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
 	off, slots, slotSize := h.Mem().LogArea()
-	// Layout guards for the commit protocol: the retire write-back
-	// covers [base, base+slotEntries), and the durable-commit-point PWB
-	// assumes status and count share the slot's first cache line, which
-	// holds only if every slot base is line-aligned.
 	if slotSize < slotEntries+entrySize {
 		return fmt.Errorf("fa: log slot size %d cannot hold a header and one entry", slotSize)
-	}
-	if off%nvm.LineSize != 0 || uint64(slotSize)%nvm.LineSize != 0 {
-		return fmt.Errorf("fa: log area (off %#x, slot size %d) not cache-line aligned", off, slotSize)
 	}
 	// Discard any async commits queued on a previous attachment: their
 	// volatile Tx state is dead, and their durable effects are exactly
@@ -257,44 +390,52 @@ func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
 		g.deltaTx.Store(nil)
 		g.mu.Unlock()
 	}
-	pool := h.Pool()
-	var replayed atomic.Uint64
-	replaySlot := func(i int) {
-		base := off + uint64(i*slotSize)
-		if pool.ReadUint64(base+slotStatus) == statusCommitted {
-			applyEntries(pool, h.Mem(), base, pool.ReadUint64(base+slotCount), nil)
-			pool.WriteUint64(base+slotStatus, statusIdle)
-			pool.PWB(base + slotStatus)
-			replayed.Add(1)
+	pool, mem := h.Pool(), h.Mem()
+	w, live := LiveSlots(mem)
+	fit := uint64((slotSize - slotEntries) / entrySize)
+	for _, s := range live {
+		if s.Entries > fit {
+			return fmt.Errorf("fa: live log slot %d (seq %d) records %d entries, a slot holds %d", s.Index, s.Seq, s.Entries, fit)
 		}
+	}
+	replay := func(s LiveSlot) {
+		applyEntries(pool, mem, off+uint64(s.Index*slotSize), s.Entries, nil)
 	}
 	workers := opts.Workers()
-	if workers > slots {
-		workers = slots
-	}
-	if workers <= 1 {
-		for i := 0; i < slots; i++ {
-			replaySlot(i)
+	for i := 0; i < len(live); {
+		j := i + 1
+		for j < len(live) && live[j].Seq == live[i].Seq {
+			j++
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= slots {
-						return
+		epoch := live[i:j]
+		if n := min(workers, len(epoch)); n <= 1 {
+			for _, s := range epoch {
+				replay(s)
+			}
+		} else {
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for k := 0; k < n; k++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						i := int(next.Add(1) - 1)
+						if i >= len(epoch) {
+							return
+						}
+						replay(epoch[i])
 					}
-					replaySlot(i)
-				}
-			}()
+				}()
+			}
+			wg.Wait()
 		}
-		wg.Wait()
+		i = j
 	}
-	if n := replayed.Load(); n > 0 {
+	if n := uint64(len(live)); n > 0 {
+		pool.PFence()
+		w = live[n-1].Seq
+		mem.SetLogRetired(w)
 		pool.PSync()
 		m.stats.Replays.Add(n)
 		h.RecoveryObs().ReplayedTx.Add(n)
@@ -303,33 +444,32 @@ func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
 	m.slots.init(slots)
 	m.cache.reset(slots)
 	m.inUse.Store(0)
+	m.retire.reset(w)
 	if g := m.group.Load(); g != nil && g.mode == CommitAsync {
 		m.reserveDeltaTx(g)
 	}
 	return nil
 }
 
-// AuditCommittedSlots scans the heap's log area and reports an error for
-// any slot durably marked committed while its entry count is zero. A
-// workload that never commits empty blocks can run this before replay as
-// a crash-image audit: a committed zero-count slot is the signature of a
-// commit mark that outran its stage-1 log persist (e.g. a delta
-// materialization skipping commitStage1Body), whose replay would
-// silently drop the transaction. Two caveats: call it before RecoverLogs
-// runs (replay retires every committed slot; heap.Open attaches to an
-// image without replaying), and only on tear-free
-// crash images — a sub-line tear of the retire write-back can
-// legitimately persist the zeroed count under the stale committed status
-// of a transaction whose apply is already durable (crashmc's Run.Audit
-// gates on exactly this).
+// AuditCommittedSlots scans the heap's log area before replay and reports
+// an error for a live slot that cannot be the trace of a correct commit:
+// one whose entry count is zero — an empty block never marks its slot, so
+// this is the signature of a commit mark that outran its stage-1 log
+// persist (e.g. a delta materialization skipping commitStage1Body), whose
+// replay would silently drop the transaction — or one whose sequence
+// number is further above W than there are slots, since every sequence
+// number between W and the newest mark is held by a distinct slot (or
+// shared by one epoch's). Call it before RecoverLogs runs: replay retires
+// every live slot (heap.Open attaches to an image without replaying).
 func AuditCommittedSlots(mem *heap.Heap) error {
-	off, slots, slotSize := mem.LogArea()
-	pool := mem.Pool()
-	for i := 0; i < slots; i++ {
-		base := off + uint64(i*slotSize)
-		if pool.ReadUint64(base+slotStatus) == statusCommitted &&
-			pool.ReadUint64(base+slotCount) == 0 {
-			return fmt.Errorf("fa: log slot %d durably committed with zero entries (stage-1 persist missing)", i)
+	_, slots, _ := mem.LogArea()
+	w, live := LiveSlots(mem)
+	for _, s := range live {
+		if s.Entries == 0 {
+			return fmt.Errorf("fa: log slot %d (seq %d) durably committed with zero entries (stage-1 persist missing)", s.Index, s.Seq)
+		}
+		if s.Seq-w > uint64(slots) {
+			return fmt.Errorf("fa: log slot %d carries seq %d, %d past the retired watermark %d with only %d slots", s.Index, s.Seq, s.Seq-w, w, slots)
 		}
 	}
 	return nil
@@ -441,6 +581,18 @@ type Tx struct {
 	grp    *groupState
 	ticket uint64
 
+	// Retirement state (retireQueue). seq is the commit's sequence number,
+	// the value of its mark. applied is zero until the apply's write-backs
+	// are issued, then the number of barriers begun by then plus one; the
+	// committer's store of it hands the Tx to whoever retires it. mates are
+	// the other transactions of an epoch whose first Tx this is: they share
+	// seq and retire with it. retired is the scratch list of commits this
+	// Tx's own commit took from the queue and recycles after its mark fence.
+	seq     uint64
+	applied atomic.Uint64
+	mates   []*Tx
+	retired []*Tx
+
 	// reserved marks the group's dedicated delta-materialization
 	// transaction (delta.go): release parks it back on its group instead
 	// of the shared cache, so its slot never rejoins the general pool.
@@ -461,50 +613,117 @@ func (tx *Tx) OnAbort(fn func()) { tx.active(); tx.onAbort = append(tx.onAbort, 
 // inner Begin/Commit pairs on the same Tx only move the nesting counter,
 // as with the paper's per-thread counter. The fast path reuses a warm
 // cached transaction; the slow path takes a slot from the freelist.
-// Neither blocks on a lock.
+// Neither blocks on a lock. When both come up empty while commits are
+// parked behind the retired watermark, Begin forces their retirement and
+// tries again: a slot that is merely awaiting retirement is not a missing
+// slot. It fails only when every slot is held by an open block.
 func (m *Manager) Begin() (*Tx, error) {
 	st := m.state.Load()
 	if st == nil {
 		return nil, fmt.Errorf("fa: manager not attached to a heap (pass it as core.Config.LogHandler)")
 	}
 	g := m.group.Load()
-	if tx := m.cache.get(); tx != nil {
-		tx.depth = 1
-		tx.grp = g
-		m.inUse.Add(1)
-		m.stats.Begun.Inc()
-		m.stats.TxReuse.Inc()
-		return tx, nil
-	}
-	slot, ok := m.slots.pop()
-	if !ok {
-		// A racing release may have parked its Tx after our cache scan.
-		if tx := m.cache.get(); tx != nil {
+	for attempt := 0; ; attempt++ {
+		// Read before the scan: a recycled Tx reaches the cache before it
+		// leaves the count, so zero here means the scan sees every slot
+		// retirement has to give.
+		parked := m.retire.parked.Load()
+		tx := m.cache.get()
+		if tx != nil {
+			m.stats.TxReuse.Inc()
+		} else if slot, ok := m.slots.pop(); ok {
+			tx = m.newTx(st, slot)
+		}
+		if tx != nil {
 			tx.depth = 1
 			tx.grp = g
 			m.inUse.Add(1)
 			m.stats.Begun.Inc()
-			m.stats.TxReuse.Inc()
 			return tx, nil
 		}
-		return nil, fmt.Errorf("fa: no free log slot (%d concurrent failure-atomic blocks)", st.total)
+		// The second pass also covers a racing release that parked its Tx
+		// behind the first scan.
+		if attempt > 0 && parked == 0 {
+			return nil, fmt.Errorf("fa: no free log slot (%d concurrent failure-atomic blocks)", st.total)
+		}
+		if !m.retireParked() && attempt > 0 {
+			// What is parked sits behind a commit still applying, or with
+			// a committer between its two fences: let it run.
+			runtime.Gosched()
+		}
 	}
-	m.inUse.Add(1)
-	m.stats.Begun.Inc()
+}
+
+// newTx builds a cold transaction over a log slot.
+func (m *Manager) newTx(st *managerState, slot int) *Tx {
 	return &Tx{
 		m:          m,
 		h:          st.h,
 		slot:       slot,
 		base:       st.off + uint64(slot*st.size),
 		maxEntries: uint64((st.size - slotEntries) / entrySize),
-		depth:      1,
 		inflight:   make(map[core.Ref]int),
 		allocs:     make(map[core.Ref]bool),
 		proxies:    make(map[core.Ref]core.PObject),
 		flush:      nvm.NewFlushSet(),
 		blocks:     st.h.Mem().NewTransientPool(transientCap),
-		grp:        g,
-	}, nil
+	}
+}
+
+// retireParked forces retirement instead of waiting for later commits'
+// fences: one barrier to cover the parked applies, W over them, one
+// barrier to cover W, then the recycling. It is what Begin and the
+// allocators fall back on when the slots or blocks they need are parked,
+// what a committer pays past retireMax, and what Retire loops on. It
+// reports whether it recycled anything; false means nothing is parked, or
+// what is parked waits behind a commit that is still applying.
+func (m *Manager) retireParked() bool {
+	st := m.state.Load()
+	if st == nil || !m.retire.headApplied() {
+		return false
+	}
+	pool := st.h.Pool()
+	fence := m.retire.beginFence()
+	pool.PFence()
+	done := m.retire.advance(st.h.Mem(), fence, nil, nil)
+	if len(done) == 0 {
+		return false
+	}
+	pool.PFence()
+	m.recycle(done)
+	return true
+}
+
+// Retire retires every parked commit: on return W covers all that was
+// committed, nothing is withheld from the slot cache, the transient pools
+// or the free queue, and a restart replays nothing. Closing a stack and
+// switching the commit mode call it; so must code about to write, outside
+// failure-atomic blocks, data that failure-atomic blocks also write. It
+// waits out committers still applying, so call it when they are done.
+func (m *Manager) Retire() {
+	for m.retire.parked.Load() > 0 {
+		if !m.retireParked() {
+			runtime.Gosched()
+		}
+	}
+}
+
+// recycle returns retired commits' resources, after a barrier has covered
+// the W that retired them.
+func (m *Manager) recycle(done []*Tx) {
+	for _, lead := range done {
+		for _, tx := range lead.mates {
+			tx.recycle()
+		}
+		lead.recycle()
+		m.retire.parked.Add(-1)
+	}
+}
+
+// retryAfterRetire reports whether a failed allocation is worth one more
+// try: the heap ran out of blocks and forced retirement gave some back.
+func (tx *Tx) retryAfterRetire(err error) bool {
+	return errors.Is(err, heap.ErrOutOfMemory) && tx.m.retireParked()
 }
 
 // Run executes fn inside a failure-atomic block: fn either takes full
@@ -549,8 +768,8 @@ func (tx *Tx) release() {
 	tx.flush.Reset()
 	tx.grp = nil
 	tx.ticket = 0
+	tx.mates = nil
 	m := tx.m
-	m.inUse.Add(-1)
 	if g := tx.reserved; g != nil {
 		g.deltaTx.Store(tx)
 		return
@@ -594,6 +813,9 @@ func (tx *Tx) appendEntry(kind uint64, a, b core.Ref) error {
 func (tx *Tx) Alloc(c *core.Class, size uint64) (core.PObject, error) {
 	tx.active()
 	po, err := tx.h.Alloc(c, size)
+	if err != nil && tx.retryAfterRetire(err) {
+		po, err = tx.h.Alloc(c, size)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -614,6 +836,9 @@ func (tx *Tx) Alloc(c *core.Class, size uint64) (core.PObject, error) {
 func (tx *Tx) AllocSmall(c *core.Class, payload uint64) (core.PObject, error) {
 	tx.active()
 	po, err := tx.h.AllocSmall(c, payload)
+	if err != nil && tx.retryAfterRetire(err) {
+		po, err = tx.h.AllocSmall(c, payload)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -672,6 +897,9 @@ func (tx *Tx) inflightFor(orig core.Ref) (int, error) {
 		tx.grp.waitClear(orig)
 	}
 	inf, _, err := tx.blocks.Get()
+	if err != nil && tx.retryAfterRetire(err) {
+		inf, _, err = tx.blocks.Get()
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -689,23 +917,16 @@ func (tx *Tx) inflightFor(orig core.Ref) (int, error) {
 // ---- Commit pipeline stages ----
 //
 // The stages are split out so the crash-staging test hook executes exactly
-// the code Commit does (see hooks_test.go), and so the group-commit
-// coordinator (group.go) can interleave stage bodies across transactions
-// with shared barriers between them. Each stage has a Body half — the
-// stores and PWBs — and a per-Tx wrapper that appends the fence the
-// solo protocol needs at that point.
+// the code Commit does (see hooks_test.go), and so the three protocols —
+// per-Tx, combined (group.go commitGrouped) and epoch (group.go
+// drainEpoch) — differ only in whose barrier stands between the bodies.
 
-// commitStage1 persists the log and the write set and fences. Dirty-line
-// masks are patched into the write entries first — replay must know which
+// commitStage1Body persists the log and the write set. Dirty-line masks
+// are patched into the write entries first — replay must know which
 // in-flight lines are meaningful — then every line marked during the
 // block (in-flight lines per store, allocated blocks, the log itself) is
 // written back once through the flush set. No fence was needed before
 // this point because the original data is untouched (§4.2).
-func (tx *Tx) commitStage1() {
-	tx.commitStage1Body()
-	tx.h.Pool().PFence()
-}
-
 func (tx *Tx) commitStage1Body() {
 	pool := tx.h.Pool()
 	for i := range tx.writes {
@@ -717,75 +938,96 @@ func (tx *Tx) commitStage1Body() {
 	tx.noteFlush(tx.flush.Flush(pool))
 }
 
-// commitStage2 is the durable commit point.
-func (tx *Tx) commitStage2() {
-	tx.commitStage2Body()
-	tx.h.Pool().PFence()
+// commitSeq runs between a commit's two barriers, once barrier number
+// fence has completed: the commit (an epoch: its first Tx, mates set)
+// takes its sequence number and its place in the retire queue, and W
+// advances over every parked commit that barrier covered — their
+// write-back of W rides on the mark's fence, after which commitRecycle
+// gives their resources back.
+func (tx *Tx) commitSeq(fence uint64) {
+	tx.retired = tx.m.retire.advance(tx.h.Mem(), fence, tx, tx.retired[:0])
+	for _, mate := range tx.mates {
+		mate.seq = tx.seq
+	}
 }
 
-func (tx *Tx) commitStage2Body() {
+// commitMarkBody writes the commit mark — the durable commit point once
+// the next barrier completes.
+func (tx *Tx) commitMarkBody() {
 	pool := tx.h.Pool()
-	pool.WriteUint64(tx.base+slotStatus, statusCommitted)
+	pool.WriteUint64(tx.base+slotStatus, tx.seq)
 	pool.PWB(tx.base + slotStatus)
 }
 
-// commitStage3 applies the log — masked line copies over the originals,
-// validations, deletions — with no internal ordering: a crash here replays
-// the committed log. When durable, the copied lines are written back
-// coalesced and fenced; the crash hook passes durable=false to model a
-// crash before any of the apply reached NVMM.
-func (tx *Tx) commitStage3(durable bool) {
-	if !durable {
-		applyEntries(tx.h.Pool(), tx.h.Mem(), tx.base, tx.count, tx.flush)
-		tx.flush.Reset()
-		return
-	}
-	tx.commitStage3Body()
-	tx.h.Pool().PFence()
+// commitRecycle runs after the mark's barrier, which also covered the W
+// commitSeq wrote: what that W retired is reusable now.
+func (tx *Tx) commitRecycle() {
+	tx.m.recycle(tx.retired)
+	clear(tx.retired)
 }
 
-func (tx *Tx) commitStage3Body() {
+// commitApplyBody applies the log — masked line copies over the
+// originals, validations, deletions — and writes the copied lines back
+// coalesced, with no ordering of its own: a crash replays the live log.
+func (tx *Tx) commitApplyBody() {
 	pool := tx.h.Pool()
 	applyEntries(pool, tx.h.Mem(), tx.base, tx.count, tx.flush)
 	tx.noteFlush(tx.flush.Flush(pool))
 }
 
-// commitRetireBody retires the log before the slot can be reused;
-// otherwise a crash could replay a stale committed log polluted with
-// fresh entries. The write-back covers the whole header — status and
-// count — which the compile-time guards above pin inside
-// [base, base+slotEntries).
-func (tx *Tx) commitRetireBody() {
-	pool := tx.h.Pool()
-	pool.WriteUint64(tx.base+slotStatus, statusIdle)
-	pool.WriteUint64(tx.base+slotCount, 0)
-	pool.PWBRange(tx.base, slotEntries)
+// park is the volatile tail of a commit, run once the apply's write-backs
+// are issued. The commit is durable — its mark is — so the deferred
+// follow-ups run now, but the slot, the in-flight blocks and the freed
+// objects stay with the Tx on the retire queue until W covers it durably
+// (recycle). For an epoch, tx is its first Tx and speaks for its mates.
+func (tx *Tx) park() {
+	m := tx.m
+	n := 1 + len(tx.mates)
+	tx.detachFreed()
+	deferred := tx.deferred
+	held := len(tx.writes) + len(tx.freed)
+	for _, mate := range tx.mates {
+		mate.detachFreed()
+		deferred = append(deferred, mate.deferred...)
+		held += len(mate.writes) + len(mate.freed)
+	}
+	m.stats.Committed.Add(uint64(n))
+	parked := m.retire.parked.Add(1)
+	m.inUse.Add(int64(-n))
+	// The store publishes the Tx to whichever goroutine retires it; from
+	// here on it is no longer ours.
+	tx.applied.Store(m.retire.fences.Load() + 1)
+	for _, fn := range deferred {
+		fn()
+	}
+	if parked > retireMax || held > retireBlocksMax {
+		m.retireParked()
+	}
 }
 
-// commitCleanup is the volatile tail of a committed block: recycle
-// in-flight blocks into the transient pool, push freed objects' blocks to
-// the free queue, neutralize freed proxies, release the Tx and run the
-// deferred follow-ups. Callers run it only after the retire is durable.
-func (tx *Tx) commitCleanup() {
+// detachFreed neutralizes the proxies of the objects the block deleted:
+// they are gone for the application as of the commit, whenever their
+// blocks are recycled.
+func (tx *Tx) detachFreed() {
+	for _, ref := range tx.freed {
+		if po, ok := tx.proxies[ref]; ok && po.Core().Ref() == ref {
+			tx.h.Detach(po)
+		}
+	}
+}
+
+// recycle gives back what a retired commit held: in-flight blocks to the
+// transient pool, freed objects' blocks to the free queue, the Tx and its
+// slot to the cache.
+func (tx *Tx) recycle() {
 	mem := tx.h.Mem()
 	for i := range tx.writes {
 		tx.blocks.Put(tx.writes[i].inf)
 	}
 	for _, ref := range tx.freed {
-		// Exactly one free per object: through the proxy when we hold it
-		// (which also neutralizes it), directly otherwise.
-		if po, ok := tx.proxies[ref]; ok && po.Core().Ref() == ref {
-			tx.h.Free(po)
-		} else {
-			mem.FreeObject(ref)
-		}
+		mem.FreeObject(ref)
 	}
-	deferred := tx.deferred
-	tx.m.stats.Committed.Inc()
 	tx.release()
-	for _, fn := range deferred {
-		fn()
-	}
 }
 
 func (tx *Tx) noteFlush(flushed, saved uint64) {
@@ -797,17 +1039,20 @@ func (tx *Tx) noteFlush(flushed, saved uint64) {
 // the group modes are checked against:
 //
 //  1. persist the log and the write set (one coalesced write-back), fence;
-//  2. durable commit point (mark committed), fence;
-//  3. apply, flushed and fenced;
-//  4. retire the log, psync;
-//  5. volatile cleanup.
+//  2. take a sequence number, mark the log with it, fence — durable;
+//  3. apply, written back, unfenced;
+//  4. park: deferred follow-ups run, retirement rides on later fences.
 func (tx *Tx) commitPerTx() {
-	tx.commitStage1()
-	tx.commitStage2()
-	tx.commitStage3(true)
-	tx.commitRetireBody()
-	tx.h.Pool().PSync()
-	tx.commitCleanup()
+	pool := tx.h.Pool()
+	tx.commitStage1Body()
+	fence := tx.m.retire.beginFence()
+	pool.PFence()
+	tx.commitSeq(fence)
+	tx.commitMarkBody()
+	pool.PFence()
+	tx.commitRecycle()
+	tx.commitApplyBody()
+	tx.park()
 }
 
 // Commit ends the block (faEnd). Outermost commit runs the commit
@@ -830,6 +1075,19 @@ func (tx *Tx) CommitTicket() (uint64, error) {
 	if tx.depth > 0 {
 		return 0, nil
 	}
+	if tx.count == 0 {
+		// Nothing was logged, so there is nothing to make durable or to
+		// replay: the block ends without touching its slot. (It also means
+		// a live slot never has a zero entry count — AuditCommittedSlots.)
+		deferred := tx.deferred
+		tx.m.stats.Committed.Inc()
+		tx.m.inUse.Add(-1)
+		tx.release()
+		for _, fn := range deferred {
+			fn()
+		}
+		return 0, nil
+	}
 	if g := tx.grp; g != nil {
 		switch g.mode {
 		case CommitGroup:
@@ -847,11 +1105,12 @@ func (tx *Tx) CommitTicket() (uint64, error) {
 // copies and allocations are recycled; originals were never touched.
 //
 // The count reset is volatile on purpose: it cannot leak stale entries
-// into a later generation of this slot. Replay is bounded by the durable
-// count, and every committing generation rewrites count and fences it
-// (stage 1) before its committed mark can possibly persist (stage 2), so
-// a replayed count always describes that generation's own entries. The
-// abort→reuse→crash regression in hooks_test.go pins this.
+// into a later generation of this slot. The slot's status is a sequence
+// number W already covers durably (that is when the slot was handed out),
+// and every committing generation rewrites count and fences it (stage 1)
+// before its own mark can possibly persist, so a replayed count always
+// describes that generation's own entries. The abort→reuse→crash
+// regression in group_test.go pins this.
 func (tx *Tx) Abort() {
 	if tx.depth <= 0 {
 		return
@@ -868,6 +1127,7 @@ func (tx *Tx) Abort() {
 	}
 	rollbacks := tx.onAbort
 	tx.m.stats.Aborted.Inc()
+	tx.m.inUse.Add(-1)
 	tx.release()
 	for i := len(rollbacks) - 1; i >= 0; i-- {
 		rollbacks[i]()

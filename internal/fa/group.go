@@ -3,9 +3,9 @@
 // Two opt-in commit modes ride on the per-Tx redo protocol of fa.go:
 //
 //   - CommitGroup keeps §4.2's synchronous guarantee (Commit returns ⇒
-//     durable) but routes the three pfences and the psync through a
-//     shared nvm.FenceCombiner, so concurrent committers whose stages
-//     overlap share barriers instead of draining their own.
+//     durable) but routes the commit's two fences through a shared
+//     nvm.FenceCombiner, so concurrent committers whose stages overlap
+//     share barriers instead of draining their own.
 //   - CommitAsync decouples the guarantee: Commit persists the log and
 //     write set (unfenced), enqueues the block and returns an epoch
 //     ticket. A later drain — triggered by batch pressure, a conflicting
@@ -19,12 +19,14 @@
 //   - Each block's log (entry count included) is durable before its
 //     committed mark can be: the drain fences every queued block's
 //     stage-1 write-backs before writing any mark.
-//   - Epochs are serialized: epoch e is fully applied, retired and
-//     psynced before epoch e+1's marks are written, so a crash leaves
-//     committed logs from at most one epoch — every crash image recovers
-//     to a prefix of the epoch order (plus an all-or-nothing subset of
-//     the in-flight epoch), and the parallel replay of RecoverLogs keeps
-//     its disjoint-write-set assumption.
+//   - Epochs replay in order: the blocks of one epoch share one commit
+//     sequence number, epoch e's is below epoch e+1's, and W only retires
+//     an epoch whose apply is durable. A crash image therefore holds live
+//     logs from a run of consecutive epochs, recovery replays them oldest
+//     first, and every crash image recovers to a prefix of the epoch
+//     order (plus an all-or-nothing subset of the epoch whose marks were
+//     in flight). Within one sequence number RecoverLogs replays in
+//     parallel, on the disjoint-write-set property below.
 //
 // Within an epoch the queued blocks must also have disjoint write sets.
 // The application's locking no longer guarantees that (an async Commit
@@ -112,9 +114,10 @@ type groupState struct {
 	// at least one ledger chunk, however many application blocks hold the
 	// other slots (without it, tx.Free → waitClear with every slot open —
 	// the waiter's included — would busy-spin forever). It is taken under
-	// g.mu by materializeLocked and handed back by release after the
-	// epoch retires it; drains are serialized by g.draining, so at most
-	// one taker exists.
+	// g.mu by materializeLocked and handed back by release when its epoch
+	// is retired — on the next epoch's fences, or sooner when that epoch's
+	// materialization finds no slot and Begin forces the retirement;
+	// drains are serialized by g.draining, so at most one taker exists.
 	deltaTx atomic.Pointer[Tx]
 }
 
@@ -122,6 +125,9 @@ type groupState struct {
 // while no failure-atomic block is open and no async commit is queued
 // (DrainDurable first); blocks begun after the call use the new mode.
 func (m *Manager) SetGroupCommit(opts GroupOptions) error {
+	// Parked commits hold slots the switch may need back (the reserved
+	// delta Tx among them).
+	m.Retire()
 	if n := m.inUse.Load(); n != 0 {
 		return fmt.Errorf("fa: cannot switch commit mode with %d blocks in flight (drain first)", n)
 	}
@@ -164,9 +170,10 @@ func (m *Manager) CommitMode() CommitMode {
 	return CommitPerTx
 }
 
-// DurableWatermark returns the highest async ticket that is fully
-// durable (applied, retired, psynced). Zero in the synchronous modes,
-// where every returned Commit is already durable.
+// DurableWatermark returns the highest async ticket that is durable: its
+// epoch's commit marks are fenced, so a crash replays it (and its apply
+// has run, so readers see it). Zero in the synchronous modes, where every
+// returned Commit is already durable.
 func (m *Manager) DurableWatermark() uint64 {
 	g := m.group.Load()
 	if g == nil || g.mode != CommitAsync {
@@ -190,8 +197,9 @@ func (m *Manager) IssuedTickets() uint64 {
 }
 
 // AwaitDurable blocks until the given async ticket is durable, draining
-// the queue if necessary. A zero ticket, or any ticket in a synchronous
-// mode, returns immediately.
+// the queue if necessary: it returns after the second fence (and the
+// apply) of the epoch that carries the ticket. A zero ticket, or any
+// ticket in a synchronous mode, returns immediately.
 func (m *Manager) AwaitDurable(ticket uint64) {
 	g := m.group.Load()
 	if g == nil || g.mode != CommitAsync || ticket == 0 {
@@ -328,32 +336,14 @@ func (g *groupState) drainLocked() {
 	g.cond.Broadcast()
 }
 
-// drainEpoch runs the group-commit pipeline over the batch: one fence
-// set for the whole epoch instead of one per commit.
-//
-//	F0  pfence        — every queued log+write set durable (stage 1)
-//	    marks + pwb   — all blocks' committed marks written back
-//	F1  pfence        — the epoch's durable commit point
-//	    apply + flush — redo logs applied, dirty originals written back
-//	F2  pfence
-//	    retire + pwb  — every slot back to idle/0
-//	F3  psync         — epoch fully durable; slots may now be reused
-//
-// Crash analysis: before F1 only a (line-granular) subset of marks can
-// be durable, and each marked block's log is complete thanks to F0, so
-// recovery replays an all-or-nothing subset of this epoch. After F1 the
-// whole epoch replays. Slots are released (commitCleanup → release) only
-// after F3, so no retired slot can collect fresh entries while its old
-// committed mark is still durable. Earlier epochs were fully retired
-// before this epoch's marks were written, hence the prefix property.
 // epochStage1 completes stage 1 for an epoch batch. Queued commits
 // persisted their log, masks and write set at enqueue; detached delta
 // materializations (ticket 0) never passed enqueue and run
 // commitStage1Body here instead — their entry count, patched line masks
-// and in-flight images must be durable under F0, or the stage-2 commit
-// mark would land on a slot whose durable count is still 0 and recovery
-// would replay the fold as an empty transaction, silently dropping it
-// while its same-epoch siblings apply.
+// and in-flight images must be durable under F0, or the commit mark would
+// land on a slot whose durable count is still 0 and recovery would replay
+// the fold as an empty transaction, silently dropping it while its
+// same-epoch siblings apply.
 func epochStage1(batch []*Tx) {
 	for _, tx := range batch {
 		if tx.ticket == 0 {
@@ -362,10 +352,26 @@ func epochStage1(batch []*Tx) {
 	}
 }
 
+// drainEpoch runs the commit pipeline over the batch: the two fences of a
+// commit, paid once for the whole epoch.
+//
+//	F0  pfence        — every queued log+write set durable (stage 1)
+//	    seq + marks   — one sequence number; all blocks' marks written back
+//	F1  pfence        — the epoch's durable commit point
+//	    apply + flush — redo logs applied, dirty originals written back
+//	    park          — the epoch joins the retire queue as one entry
+//
+// Crash analysis: before F1 only a (line-granular) subset of marks can
+// be durable, and each marked block's log is complete thanks to F0, so
+// recovery replays an all-or-nothing subset of this epoch, after every
+// earlier epoch W does not cover. After F1 the whole epoch replays. The
+// slots, in-flight blocks and freed objects are released only once W
+// covers the epoch's sequence number durably (retireQueue), so no slot
+// collects fresh entries under a mark recovery would still honour.
 func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
 	pool := batch[0].h.Pool()
-	// Capture the pending originals for removal after the epoch: the
-	// cleanup below truncates tx.writes and recycles the Tx objects.
+	// Capture the pending originals for removal after the epoch: recycling
+	// truncates tx.writes and reuses the Tx objects.
 	queued := 0
 	for _, tx := range batch {
 		if tx.ticket != 0 {
@@ -375,25 +381,23 @@ func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
 			origs = append(origs, tx.writes[i].orig)
 		}
 	}
+	lead := batch[0]
+	lead.mates = batch[1:]
 	epochStage1(batch)
+	fence := g.m.retire.beginFence()
 	pool.PFence() // F0
+	lead.commitSeq(fence)
 	for _, tx := range batch {
-		tx.commitStage2Body()
+		tx.commitMarkBody()
 	}
 	pool.PFence() // F1: the epoch commit point
+	lead.commitRecycle()
 	for _, tx := range batch {
-		tx.commitStage3Body()
+		tx.commitApplyBody()
 	}
-	pool.PFence() // F2
-	for _, tx := range batch {
-		tx.commitRetireBody()
-	}
-	pool.PSync() // F3
 	g.m.stats.Epochs.Inc()
 	g.m.stats.EpochTxs.Add(uint64(queued))
-	for _, tx := range batch {
-		tx.commitCleanup()
-	}
+	lead.park()
 	return origs
 }
 
@@ -403,14 +407,16 @@ func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
 func (tx *Tx) commitGrouped(g *groupState) {
 	pool := tx.h.Pool()
 	tx.commitStage1Body()
+	// Numbered before the request: the combined barrier that answers it
+	// starts after it, hence after everything numbered below.
+	fence := tx.m.retire.beginFence()
 	g.combiner.Fence(pool)
-	tx.commitStage2Body()
+	tx.commitSeq(fence)
+	tx.commitMarkBody()
 	g.combiner.Fence(pool)
-	tx.commitStage3Body()
-	g.combiner.Fence(pool)
-	tx.commitRetireBody()
-	g.combiner.Sync(pool)
-	tx.commitCleanup()
+	tx.commitRecycle()
+	tx.commitApplyBody()
+	tx.park()
 }
 
 // groupSnapshot folds the group-commit gauges into an FASnapshot: the
@@ -421,14 +427,15 @@ func (m *Manager) groupSnapshot(snap *obs.FASnapshot) {
 		return
 	}
 	if g.combiner != nil {
-		barriers, issued, _ := g.combiner.Stats()
+		barriers, issued := g.combiner.Stats()
 		snap.CombinedFences += barriers - issued
 	}
 	if g.mode == CommitAsync {
-		// Per-Tx commit issues 4 barriers; an epoch issues 4 for the
-		// whole batch. Pure-delta epochs can push Epochs past EpochTxs.
+		// A per-Tx commit issues CommitBarriers; an epoch issues them once
+		// for the whole batch. Pure-delta epochs can push Epochs past
+		// EpochTxs.
 		if snap.EpochTxs > snap.Epochs {
-			snap.CombinedFences += 4 * (snap.EpochTxs - snap.Epochs)
+			snap.CombinedFences += CommitBarriers * (snap.EpochTxs - snap.Epochs)
 		}
 		// Each folded-away op would have cost its own log write + line
 		// flush; materialized entries and the still-pending backlog are

@@ -376,13 +376,14 @@ func TestGroupCommitAsyncConflictDrains(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenRetireAndPSync is the satellite-1 regression: a crash in
-// the window after the retire write-back but before its psync. Whatever
-// subset of the retire lands, recovery must end with the committed values
-// and a reusable slot — PWBRange(base, slotEntries) must cover both header
-// words or a stale count could pair with a stale committed mark.
-func TestCrashBetweenRetireAndPSync(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
+// TestCrashWhileParked crashes a commit that has returned but is not
+// retired: parked with its apply written back and unfenced (stage 4), and
+// with W stored over it but unfenced (stage 5). Whatever subset of the
+// apply's lines and of W's line lands, recovery must end with the
+// committed values — replayed from the live log, or already durable under
+// a W that covers the commit — and every slot reusable.
+func TestCrashWhileParked(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h, mgr, pool, cls := openFA(t, true)
 		from := newAccount(t, h, cls, 100, 0, "from")
@@ -394,13 +395,16 @@ func TestCrashBetweenRetireAndPSync(t *testing.T) {
 		if err := transfer(tx, from, to, 30); err != nil {
 			t.Fatal(err)
 		}
-		tx.commitPrefix(4) // retire written back, psync never issued
+		stage := 4 + int(seed%2)
+		tx.commitPrefix(stage)
 
-		policy := []nvm.CrashPolicy{nvm.CrashStrict, nvm.CrashAll, nvm.CrashRandom}[rng.Intn(3)]
+		policy := []nvm.CrashPolicy{nvm.CrashStrict, nvm.CrashAll, nvm.CrashRandom, nvm.CrashTorn}[rng.Intn(4)]
 		img := pool.CrashImage(policy, rng)
 		h2, mgr2, _, _ := reopenFA(t, img)
 		assertBalances(t, h2, 70, 80)
-		// Every slot usable again regardless of which retire lines landed.
+		if w, live := LiveSlots(h2.Mem()); len(live) != 0 || w == 0 {
+			t.Fatalf("seed %d stage %d: after recovery W = %d with %d live slots", seed, stage, w, len(live))
+		}
 		for i := 0; i < 8; i++ {
 			if err := mgr2.Run(func(tx *Tx) error { return nil }); err != nil {
 				t.Fatal(err)
@@ -489,9 +493,8 @@ func TestGroupCommitSoloCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := pool.Obs().Snapshot().Sub(before)
-	if d.PWBs != 5 || d.PFences != 3 || d.PSyncs != 1 {
-		t.Fatalf("solo group commit cost: %d pwb, %d pfence, %d psync (want 5, 3, 1)",
-			d.PWBs, d.PFences, d.PSyncs)
+	if d.PWBs != 5 || d.Fences() != CommitBarriers {
+		t.Fatalf("solo group commit cost: %d pwb, %d fences (want 5, %d)", d.PWBs, d.Fences(), CommitBarriers)
 	}
 }
 

@@ -19,6 +19,7 @@
 package heap
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -43,8 +44,13 @@ const (
 	// Payload is the usable bytes per block.
 	Payload = BlockSize - HeaderSize
 
-	magic   = 0x31304d564e4a4f47 // "GOJNVM01", little-endian
-	version = 1
+	magic = 0x31304d564e4a4f47 // "GOJNVM01", little-endian
+	// FormatVersion 2 added the redo log's retired watermark
+	// (sbLogRetired) and changed the meaning of a log slot's first word
+	// from a committed flag to a commit sequence number (DESIGN.md §11); a
+	// version-1 log area cannot be read under that rule, so version-1
+	// pools are refused.
+	FormatVersion = 2
 
 	superblockSize = 4096
 
@@ -71,7 +77,21 @@ const (
 	// "pool 0 of a 1-pool set" — old images stay openable byte-for-byte.
 	sbPoolIndex = 96
 	sbPoolCount = 104
+	// sbLogRetired is W, the redo log's retired watermark: a log slot is
+	// live (committed, to be replayed) iff its sequence word exceeds W. It
+	// is one aligned word alone on its cache line, so its write-back
+	// persists nothing else and cannot tear.
+	sbLogRetired = 128
+
+	// LogSlotSeq is the offset, within a log slot, of the slot's commit
+	// sequence word (0 = never committed). Package fa owns the rest of the
+	// slot's layout.
+	LogSlotSeq = 0
 )
+
+// ErrNotFormatted is returned (wrapped) by Open for a pool that holds no
+// heap at all — the one Open failure a caller may answer by formatting.
+var ErrNotFormatted = errors.New("heap: pool is not a formatted J-NVM heap")
 
 // Header-word packing.
 const (
@@ -167,7 +187,7 @@ func Format(pool *nvm.Pool, opts Options) (*Heap, error) {
 	nBlocks := (pool.Size() - arenaOff) / BlockSize
 
 	pool.Zero(0, arenaOff) // superblock, class table, log area
-	pool.WriteUint64(sbVersion, version)
+	pool.WriteUint64(sbVersion, FormatVersion)
 	pool.WriteUint64(sbPoolSize, pool.Size())
 	pool.WriteUint64(sbBlockSize, BlockSize)
 	pool.WriteUint64(sbBump, 0)
@@ -191,16 +211,15 @@ func Format(pool *nvm.Pool, opts Options) (*Heap, error) {
 
 // Open attaches to an already formatted pool. It does not run recovery;
 // that is the job of the object layer (package core), which owns the
-// reachability graph.
+// reachability graph. A pool without the magic word yields ErrNotFormatted;
+// any other error means the pool holds a heap this build must not touch
+// (another format version, or a superblock whose geometry does not add up).
 func Open(pool *nvm.Pool) (*Heap, error) {
 	if pool.Size() < superblockSize || pool.ReadUint64(sbMagic) != magic {
-		return nil, fmt.Errorf("heap: pool is not a formatted J-NVM heap")
+		return nil, ErrNotFormatted
 	}
-	if v := pool.ReadUint64(sbVersion); v != version {
-		return nil, fmt.Errorf("heap: version %d not supported (want %d)", v, version)
-	}
-	if got := pool.ReadUint64(sbPoolSize); got != pool.Size() {
-		return nil, fmt.Errorf("heap: pool size %d does not match formatted size %d", pool.Size(), got)
+	if v := pool.ReadUint64(sbVersion); v != FormatVersion {
+		return nil, fmt.Errorf("heap: pool is format version %d, this build reads only version %d (reformat the pool)", v, FormatVersion)
 	}
 	h := &Heap{
 		pool:        pool,
@@ -212,12 +231,76 @@ func Open(pool *nvm.Pool) (*Heap, error) {
 		logSlotSize: int(pool.ReadUint64(sbLogSlotSize)),
 		classByName: make(map[string]uint16),
 	}
+	if err := h.checkSuperblock(); err != nil {
+		return nil, err
+	}
 	h.bump.Store(pool.ReadUint64(sbBump))
 	h.bumpMirror = pool.ReadUint64(sbBump)
 	h.free.init()
 	h.small.init(h)
 	h.loadClassTable()
 	return h, nil
+}
+
+// checkSuperblock validates the geometry the superblock records before
+// anything dereferences it: superblock, class table, log area and arena
+// lie inside the pool in that order without overlapping, the log area is
+// cache-line aligned slot by slot, the block count is the one the pool
+// size implies, and every other word is a value Format or a running heap
+// can have written. A hostile or corrupt image gets an error here instead
+// of an out-of-bounds panic later.
+func (h *Heap) checkSuperblock() error {
+	pool, size := h.pool, h.pool.Size()
+	bad := func(format string, a ...any) error {
+		return fmt.Errorf("heap: corrupt superblock: "+format, a...)
+	}
+	if got := pool.ReadUint64(sbPoolSize); got != size {
+		return fmt.Errorf("heap: pool size %d does not match formatted size %d", size, got)
+	}
+	if got := pool.ReadUint64(sbBlockSize); got != BlockSize {
+		return bad("block size %d, want %d", got, BlockSize)
+	}
+	// Every region is checked against the pool size before it enters a
+	// sum, so none of the arithmetic below can wrap.
+	if h.classOff < superblockSize || h.classOff > size || size-h.classOff < classCap*classEntrySize {
+		return bad("class table at %#x outside the pool", h.classOff)
+	}
+	slots, slotSize := pool.ReadUint64(sbLogSlots), pool.ReadUint64(sbLogSlotSize)
+	if h.logOff < h.classOff+classCap*classEntrySize || h.logOff > size || h.logOff%nvm.LineSize != 0 {
+		return bad("log area at %#x overlaps the class table, leaves the pool or is not line-aligned", h.logOff)
+	}
+	if slotSize < nvm.LineSize || slotSize%nvm.LineSize != 0 || slotSize > size {
+		return bad("log slot size %d (want a multiple of %d inside the pool)", slotSize, nvm.LineSize)
+	}
+	if slots == 0 || slots > (size-h.logOff)/slotSize {
+		return bad("%d log slots of %d bytes do not fit after %#x", slots, slotSize, h.logOff)
+	}
+	if h.arenaOff < h.logOff+slots*slotSize || h.arenaOff > size || h.arenaOff%BlockSize != 0 {
+		return bad("arena at %#x overlaps the log area, leaves the pool or is not block-aligned", h.arenaOff)
+	}
+	if want := (size - h.arenaOff) / BlockSize; h.nBlocks != want || want == 0 {
+		return bad("%d arena blocks recorded, pool size implies %d", h.nBlocks, want)
+	}
+	if bump := pool.ReadUint64(sbBump); bump > h.nBlocks {
+		return bad("bump pointer %d beyond the %d-block arena", bump, h.nBlocks)
+	}
+	if root := pool.ReadUint64(sbRootRef); root != 0 && (!h.IsBlockRef(root) || root >= h.arenaOff+h.nBlocks*BlockSize) {
+		return bad("root reference %#x is not an arena block", root)
+	}
+	if idx, cnt := pool.ReadUint64(sbPoolIndex), pool.ReadUint64(sbPoolCount); (idx != 0 || cnt != 0) && idx >= cnt {
+		return bad("pool position %d of a %d-pool set", idx, cnt)
+	}
+	// W only ever takes the sequence number of a slot whose mark is already
+	// durable, and that word only grows when the slot is reused, so no
+	// crash image holds a W above every slot's sequence word.
+	var maxSeq uint64
+	for i := uint64(0); i < slots; i++ {
+		maxSeq = max(maxSeq, pool.ReadUint64(h.logOff+i*slotSize+LogSlotSeq))
+	}
+	if w := pool.ReadUint64(sbLogRetired); w > maxSeq {
+		return bad("retired watermark %d above the highest log sequence number %d", w, maxSeq)
+	}
+	return nil
 }
 
 // Pool returns the underlying NVMM pool.
@@ -242,6 +325,18 @@ func (h *Heap) Bump() uint64 { return h.bump.Load() }
 // redo-log region reserved for failure-atomic blocks.
 func (h *Heap) LogArea() (off uint64, slots, slotSize int) {
 	return h.logOff, h.logSlots, h.logSlotSize
+}
+
+// LogRetired returns W, the redo log's retired watermark: recovery replays
+// exactly the slots whose sequence word exceeds it.
+func (h *Heap) LogRetired() uint64 { return h.pool.ReadUint64(sbLogRetired) }
+
+// SetLogRetired stores W and writes its line back without fencing: the
+// caller decides which barrier covers it (package fa lets the next
+// commit's do).
+func (h *Heap) SetLogRetired(w uint64) {
+	h.pool.WriteUint64(sbLogRetired, w)
+	h.pool.PWB(sbLogRetired)
 }
 
 // Obs exposes the heap's allocator counters to the observability layer.

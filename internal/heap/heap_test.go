@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -74,6 +75,88 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Open(nvm.New(16, nvm.Options{})); err == nil {
 		t.Fatal("opened a tiny pool")
+	}
+}
+
+// TestOpenRejectsCorruptSuperblock perturbs each superblock word of a valid
+// image in turn — an off-by-a-little, an off-by-a-lot and a wrapped value —
+// and requires Open to answer every one with an error: none may reach a
+// pool access (which would panic) or yield a heap with impossible
+// geometry. Only a pool without the magic word reads as unformatted.
+func TestOpenRejectsCorruptSuperblock(t *testing.T) {
+	good := nvm.New(1<<20, nvm.Options{})
+	h, err := Format(good, Options{LogSlots: 4, LogSlotSize: 4096, PoolIndex: 1, PoolCount: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A live log: slot 2 carries sequence number 5, W is 3.
+	_, slots, slotSize := h.LogArea()
+	good.WriteUint64(h.logOff+2*uint64(slotSize)+LogSlotSeq, 5)
+	h.SetLogRetired(3)
+	if _, err := Open(good); err != nil {
+		t.Fatalf("valid image refused: %v", err)
+	}
+	image := good.ReadBytes(0, good.Size())
+
+	huge := ^uint64(0)
+	words := []struct {
+		name string
+		off  uint64
+		bad  []uint64
+	}{
+		{"magic", sbMagic, []uint64{0, magic + 1}},
+		{"version", sbVersion, []uint64{0, 1, FormatVersion + 1, huge}},
+		{"pool size", sbPoolSize, []uint64{0, good.Size() - 1, good.Size() * 2, huge}},
+		{"block size", sbBlockSize, []uint64{0, 64, 512, huge}},
+		{"bump", sbBump, []uint64{h.nBlocks + 1, huge}},
+		{"class table offset", sbClassOff, []uint64{0, superblockSize - 64, h.classOff + 64, good.Size(), huge}},
+		{"arena offset", sbArenaOff, []uint64{0, h.arenaOff - BlockSize, h.arenaOff + 1, h.arenaOff + BlockSize, good.Size(), huge}},
+		{"block count", sbNBlocks, []uint64{0, h.nBlocks - 1, h.nBlocks + 1, huge}},
+		{"root ref", sbRootRef, []uint64{1, h.arenaOff + 8, h.arenaOff + h.nBlocks*BlockSize, huge}},
+		{"log offset", sbLogOff, []uint64{0, h.logOff - 64, h.logOff + 8, h.logOff + 64, good.Size(), huge}},
+		{"log slots", sbLogSlots, []uint64{0, uint64(slots) + 1, 1 << 40, huge}},
+		{"log slot size", sbLogSlotSize, []uint64{0, 8, 4096 + 8, 8192, huge, huge &^ 63}},
+		{"pool index", sbPoolIndex, []uint64{3, 7, huge}},
+		{"pool count", sbPoolCount, []uint64{0, 1}},
+		{"retired watermark", sbLogRetired, []uint64{6, huge}},
+	}
+	for _, w := range words {
+		for _, v := range w.bad {
+			pool := nvm.New(int(good.Size()), nvm.Options{})
+			pool.WriteBytes(0, image)
+			pool.WriteUint64(w.off, v)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s = %#x: Open panicked: %v", w.name, v, r)
+					}
+				}()
+				_, err := Open(pool)
+				if err == nil {
+					t.Errorf("%s = %#x: Open accepted the image", w.name, v)
+				}
+				if (w.off == sbMagic) != errors.Is(err, ErrNotFormatted) {
+					t.Errorf("%s = %#x: error %v; only a missing magic word reads as unformatted", w.name, v, err)
+				}
+			}()
+		}
+	}
+}
+
+// TestOpenRefusesParentFormat: a version-1 pool — the log area under the
+// committed-flag rule, no retired watermark — is refused with an error that
+// names both versions, and is not mistaken for an unformatted pool a
+// caller may format over.
+func TestOpenRefusesParentFormat(t *testing.T) {
+	pool := nvm.New(1<<20, nvm.Options{})
+	if _, err := Format(pool, Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	pool.WriteUint64(sbVersion, 1)
+	_, err := Open(pool)
+	if err == nil || errors.Is(err, ErrNotFormatted) ||
+		!strings.Contains(err.Error(), "format version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-1 pool: %v", err)
 	}
 }
 

@@ -108,22 +108,33 @@ func (s *smallAllocator) alloc(classID uint16, payload uint64) (Ref, error) {
 	if !ok {
 		return 0, fmt.Errorf("heap: payload %d exceeds pool slot max %d", payload, SlotPayloadMax)
 	}
+	r, err := s.take(sc)
+	if err != nil {
+		return 0, err
+	}
+	s.h.pool.WriteUint64(r, packSlot(classID, false, sc, uint32(payload)))
+	s.h.pool.Zero(r+8, uint64(SlotSizes[sc]-8))
+	s.h.stats.SmallAllocs.Inc()
+	return r, nil
+}
+
+// take pops a free slot of size class sc, carving a fresh chunk when the
+// class has none. The unlock is deferred: carve stores to the pool, and a
+// fault plane that pulls the plug there unwinds through this frame into
+// callers (fa's abort-on-panic) that free slots of the same class.
+func (s *smallAllocator) take(sc int) (Ref, error) {
 	c := &s.classes[sc]
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(c.free) == 0 {
 		slots, err := s.carve(sc)
 		if err != nil {
-			c.mu.Unlock()
 			return 0, err
 		}
 		c.free = slots
 	}
 	r := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
-	c.mu.Unlock()
-	s.h.pool.WriteUint64(r, packSlot(classID, false, sc, uint32(payload)))
-	s.h.pool.Zero(r+8, uint64(SlotSizes[sc]-8))
-	s.h.stats.SmallAllocs.Inc()
 	return r, nil
 }
 

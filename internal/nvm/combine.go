@@ -7,22 +7,16 @@ import (
 
 // FenceCombiner batches concurrent fence requests into shared barriers,
 // the flat-combining idea of Persistent Software Combining applied to the
-// two ordering primitives. Concurrent committers that each need a
-// pfence/psync park at the combiner; one of them becomes the leader and
-// issues a single fence on behalf of the whole cohort.
+// ordering primitive. Concurrent committers that each need a pfence park
+// at the combiner; one of them becomes the leader and issues a single
+// fence on behalf of the whole cohort.
 //
-// This is sound on the emulated pool because PFence/PSync drain the whole
+// This is sound on the emulated pool because PFence drains the whole
 // write-pending queue, not a per-thread slice (the ADR model, DESIGN.md
 // §15): one fence by any thread covers every PWB issued before that fence
 // began, regardless of the issuing goroutine. The combiner only promises
 // the caller a fence that *started after* the call entered the barrier,
 // so a caller's own preceding PWBs are always covered.
-//
-// A caller that needs durability (psync) upgrades the next fence: the
-// cohort leader issues PSync instead of PFence when any waiter it covers
-// asked for one. Ordering-only waiters sharing that barrier get a
-// (stronger) psync, which is correct and mirrors real hardware, where
-// sfence serves both roles (§3.2.2).
 type FenceCombiner struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -34,15 +28,11 @@ type FenceCombiner struct {
 	// fence — the size of the cohort the next fence will serve. A leader
 	// resets it when its fence starts.
 	newcomers int
-	// wantSync counts waiters of the NEXT fence that need durability;
-	// the elected leader consumes it to pick PSync over PFence.
-	wantSync int
 
 	// Stats, read by the fa layer's snapshot. barriers-issued is the
 	// number of fence requests satisfied by another caller's barrier.
 	barriers uint64
 	issued   uint64
-	syncs    uint64
 }
 
 // NewFenceCombiner creates an idle combiner.
@@ -54,19 +44,10 @@ func NewFenceCombiner() *FenceCombiner {
 
 // Fence orders the caller's prior PWBs behind one (possibly shared)
 // pfence: it returns once a fence that started after entry has completed.
-func (c *FenceCombiner) Fence(p *Pool) { c.barrier(p, false) }
-
-// Sync is Fence with a durability guarantee: the covering barrier is a
-// psync.
-func (c *FenceCombiner) Sync(p *Pool) { c.barrier(p, true) }
-
-func (c *FenceCombiner) barrier(p *Pool, sync bool) {
+func (c *FenceCombiner) Fence(p *Pool) {
 	c.mu.Lock()
 	c.barriers++
 	c.newcomers++
-	if sync {
-		c.wantSync++
-	}
 	// An in-flight fence started before our PWBs were necessarily queued,
 	// so it cannot cover us: we need a fence numbered after the current
 	// one, i.e. the first fence that *starts* from now on.
@@ -91,22 +72,13 @@ func (c *FenceCombiner) barrier(p *Pool, sync bool) {
 			continue
 		}
 		// Become the leader of fence `started+1`, covering every waiter
-		// registered so far (their wantSync votes included).
+		// registered so far.
 		c.fencing = true
 		c.started++
 		c.newcomers = 0
-		doSync := c.wantSync > 0
-		c.wantSync = 0
 		c.issued++
-		if doSync {
-			c.syncs++
-		}
 		c.mu.Unlock()
-		if doSync {
-			p.PSync()
-		} else {
-			p.PFence()
-		}
+		p.PFence()
 		c.mu.Lock()
 		c.fencing = false
 		c.done++
@@ -115,11 +87,10 @@ func (c *FenceCombiner) barrier(p *Pool, sync bool) {
 	c.mu.Unlock()
 }
 
-// Stats returns barrier requests, fences actually issued, and how many of
-// those were psyncs. barriers - issued is the number of fences the
-// combining saved.
-func (c *FenceCombiner) Stats() (barriers, issued, syncs uint64) {
+// Stats returns barrier requests and fences actually issued; barriers -
+// issued is the number of fences the combining saved.
+func (c *FenceCombiner) Stats() (barriers, issued uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.barriers, c.issued, c.syncs
+	return c.barriers, c.issued
 }

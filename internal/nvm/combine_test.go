@@ -17,16 +17,8 @@ func TestCombinerSoloIssuesOneFence(t *testing.T) {
 		t.Fatalf("solo Fence issued %d pfence, %d psync; want 1, 0", d.PFences, d.PSyncs)
 	}
 
-	before = p.Obs().Snapshot()
-	c.Sync(p)
-	d = p.Obs().Snapshot().Sub(before)
-	if d.PFences != 0 || d.PSyncs != 1 {
-		t.Fatalf("solo Sync issued %d pfence, %d psync; want 0, 1", d.PFences, d.PSyncs)
-	}
-
-	barriers, issued, syncs := c.Stats()
-	if barriers != 2 || issued != 2 || syncs != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (2, 2, 1)", barriers, issued, syncs)
+	if barriers, issued := c.Stats(); barriers != 1 || issued != 1 {
+		t.Fatalf("stats = (%d, %d), want (1, 1)", barriers, issued)
 	}
 }
 
@@ -60,33 +52,20 @@ func TestCombinerConcurrentSharesBarriers(t *testing.T) {
 				off := uint64(w*rounds+i) * 8
 				p.WriteUint64(off, uint64(i))
 				p.PWB(off)
-				if i%10 == 0 {
-					c.Sync(p)
-				} else {
-					c.Fence(p)
-				}
+				c.Fence(p)
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	barriers, issued, syncs := c.Stats()
+	barriers, issued := c.Stats()
 	if barriers != workers*rounds {
 		t.Fatalf("barriers = %d, want %d", barriers, workers*rounds)
 	}
 	if issued > barriers {
 		t.Fatalf("issued %d fences for %d barriers", issued, barriers)
 	}
-	if syncs > issued {
-		t.Fatalf("syncs %d > issued %d", syncs, issued)
-	}
-	// Every sync request must be covered by a psync barrier: with
-	// workers*rounds/10 sync requests there is at least one psync.
-	if syncs == 0 {
-		t.Fatal("no psync issued despite sync requests")
-	}
-	s := p.Obs().Snapshot()
-	if s.PFences+s.PSyncs != issued {
-		t.Fatalf("pool saw %d fences, combiner issued %d", s.PFences+s.PSyncs, issued)
+	if s := p.Obs().Snapshot(); s.PFences != issued {
+		t.Fatalf("pool saw %d fences, combiner issued %d", s.PFences, issued)
 	}
 }

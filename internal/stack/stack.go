@@ -266,12 +266,15 @@ func (st *Stack) AwaitDurable() {
 }
 
 // Close drains queued async commits — no acknowledged ticket is
-// abandoned short of durability — and releases the pools (durable data
-// stays in the backing files, if any).
+// abandoned short of durability — retires every commit still parked
+// behind its pool's retired watermark, so a clean shutdown leaves no log
+// to replay, and releases the pools (durable data stays in the backing
+// files, if any).
 func (st *Stack) Close() error {
 	st.DrainDurable()
 	var first error
 	for _, m := range st.Pools {
+		m.Mgr.Retire()
 		if err := m.Pool.Close(); err != nil && first == nil {
 			first = err
 		}

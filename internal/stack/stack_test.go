@@ -134,3 +134,59 @@ func TestReopenAndGrow(t *testing.T) {
 		t.Fatal("a single-pool stack grew")
 	}
 }
+
+// TestParkedResourcesNeverStarveTheGrid: a commit's slot and the objects
+// it freed stay parked until later fences retire it (DESIGN.md §11), so
+// the grid must make progress when they are all there is — with two log
+// slots, and in a pool whose arena only fits the records if every update's
+// frees come back.
+func TestParkedResourcesNeverStarveTheGrid(t *testing.T) {
+	for _, commit := range []string{"per-tx", "group", "async"} {
+		pool := nvm.New(1<<20, nvm.Options{})
+		st, err := Open([]*nvm.Pool{pool}, Config{Backend: JPFA, Commit: commit, LogSlots: 2, LogSlotSize: 1 << 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := store.NewGrid(st.Backend, store.Options{})
+		value := func(i int) []byte { return []byte(fmt.Sprintf("%0300d", i)) } // two blocks
+		const keys = 8
+		for k := 0; k < keys; k++ {
+			if err := g.Insert(fmt.Sprintf("k%d", k), &store.Record{Fields: []store.Field{{Name: "f", Value: value(k)}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.DrainDurable()
+		// Leave the arena three blocks: one update's worth, so the next
+		// one fits only once the parked commit's frees are forced back.
+		mem := st.Pools[0].Heap.Mem()
+		for {
+			bumped, free, total := mem.Stats()
+			if total-bumped+free <= 3 {
+				break
+			}
+			if _, err := mem.AllocRaw(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			if err := g.Update(fmt.Sprintf("k%d", i%keys), []store.Field{{Name: "f", Value: value(i)}}); err != nil {
+				t.Fatalf("%s: update %d: %v", commit, i, err)
+			}
+		}
+		st.AwaitDurable()
+		for k := 0; k < keys; k++ {
+			want := value(1000 - keys + k)
+			err := g.Read(fmt.Sprintf("k%d", (1000-keys+k)%keys), func(_ string, v []byte) {
+				if string(v) != string(want) {
+					t.Errorf("%s: key %d reads %q", commit, k, v)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

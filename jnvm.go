@@ -167,9 +167,11 @@ func OpenPool(pool *nvm.Pool, opts Options) (*DB, error) {
 	return &DB{Heap: st.Pools[0].Heap, fam: st.Pools[0].Mgr, pool: pool}, nil
 }
 
-// Close releases the pool (durable data stays in the backing file, if
-// any). The heap must not be used afterwards.
+// Close retires the committed failure-atomic blocks, so the next Open has
+// no log to replay, and releases the pool (durable data stays in the
+// backing file, if any). The heap must not be used afterwards.
 func (db *DB) Close() error {
+	db.fam.Retire()
 	db.PSync()
 	return db.pool.Close()
 }
