@@ -13,6 +13,11 @@ RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./interna
 # goroutines over a sharded env (the wire server on two connections) are.
 RACE_ENV_TESTS = TestShardedDelta|TestShardEnv|TestEnvCommitModes
 
+# pdt.Map's value replacement frees a value readers of the same key may
+# hold, in an array growth may be copying (DESIGN.md §14): both races have
+# narrow windows, so their tests repeat.
+RACE_MAP_TESTS = TestMapHotCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet
+
 .PHONY: check vet build test race bench-read bench-e2e-smoke bench-lockfree \
 	microbench lint fmt-check structure-check staticcheck crashmc-smoke coverage
 
@@ -48,6 +53,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run '$(RACE_ENV_TESTS)' ./internal/bench/
+	$(GO) test -race -run '$(RACE_MAP_TESTS)' -count=20 ./internal/pdt/
 
 # Allocation gate (DESIGN.md §14, §18): runs the MapGet/GridRead and
 # ServerWindow benchmarks with -benchmem and fails if the zero-copy and

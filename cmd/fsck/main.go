@@ -1,7 +1,8 @@
 // Command fsck verifies the structural and reachability invariants of a
 // J-NVM pool file, the way fsck verifies a file system: block headers,
 // object chains, pool-chunk slots, the liveness graph from the root map,
-// and the grid's record tables against their name dictionaries.
+// every persistent map's bindings, and the grid's record tables against
+// their name dictionaries.
 //
 // Usage:
 //
@@ -24,6 +25,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/heap"
 	"repro/internal/nvm"
+	"repro/internal/pdt"
 	"repro/internal/store"
 )
 
@@ -74,6 +76,18 @@ func main() {
 	bumped, free, total := db.Mem().Stats()
 	fmt.Printf("arena:    %d/%d blocks touched, %d on the free queue\n", bumped, total, free)
 	fmt.Printf("roots:    %d named bindings\n", db.Root().Len())
+	// Before anything resurrects a map: its rebuild retires the half
+	// bindings a torn insert or delete left, and they belong in the report.
+	for _, name := range db.Root().Names() {
+		full, half, ok := pdt.ScanBindings(db.Heap, db.Root().GetRef(name))
+		if !ok {
+			continue
+		}
+		fmt.Printf("map %q: %d bindings, %d half bindings\n", name, full, half)
+		if half != 0 {
+			fmt.Println("          (a half binding is a torn insert or delete; opening the map retires it)")
+		}
+	}
 
 	report := func(msg string) { fmt.Printf("ISSUE: %s\n", msg) }
 	issues := db.Fsck(report) + store.FsckRecords(db.Heap, report)

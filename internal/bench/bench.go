@@ -77,8 +77,8 @@ const DefaultFenceNs = 120
 
 // EstimatePoolBytes sizes an NVMM pool for a YCSB dataset with churn
 // headroom. Per record it budgets what the J-NVM backends allocate per
-// record (DESIGN.md §3.1): the table, the map's pair, key and slot, and a
-// block per value that does not fit a table word — field names are
+// record (DESIGN.md §3.1): the table, the map's key and binding words,
+// and a block per value that does not fit a table word — field names are
 // stored once per backend and values of at most 8 bytes in the table, so
 // neither costs anything per record. TestSpacePerRecord holds the
 // estimate above the measured footprint.
@@ -89,9 +89,8 @@ func EstimatePoolBytes(records, fieldCount, fieldLen int) int {
 	}
 	perRecord := fieldCount*valBlocks*heap.BlockSize + // values
 		heap.BlocksFor(uint64(8+16*fieldCount))*heap.BlockSize + // record table
-		heap.BlockSize + // pair
 		64 + // pooled key
-		32 // map slots
+		64 // the map's binding: two words of an array that doubles, and the array it grew out of
 	total := records*perRecord*2 + (32 << 20)
 	return total
 }

@@ -114,6 +114,15 @@ func Open(pool *nvm.Pool, cfg Config) (*Heap, error) {
 		// corrupt superblock) is never reformatted behind the caller's back.
 		return nil, err
 	}
+	// A pool in a format this build no longer reads is refused before
+	// anything — a class registration included — writes to it.
+	for _, c := range cfg.Classes {
+		for _, old := range c.Supersedes {
+			if _, ok := mem.ClassID(old); ok {
+				return nil, fmt.Errorf("core: pool is in format %q, which this build no longer reads (it writes %q)", old, c.Name)
+			}
+		}
+	}
 	h := &Heap{
 		mem:    mem,
 		pool:   pool,
@@ -157,11 +166,6 @@ func (h *Heap) register(c *Class) error {
 		}
 		return nil
 	}
-	for _, old := range c.Supersedes {
-		if _, ok := h.mem.ClassID(old); ok {
-			return fmt.Errorf("core: pool is in format %q, which this build no longer reads (it writes %q)", old, c.Name)
-		}
-	}
 	id, err := h.mem.RegisterClass(c.Name)
 	if err != nil {
 		return err
@@ -196,7 +200,7 @@ func (h *Heap) Root() *RootMap { return h.root }
 func (h *Heap) Resurrections() uint64 { return h.resurrs.Load() }
 
 // wrap builds the proxy core for an existing data structure. Single-block
-// objects (the common case: pairs, small records) avoid the block-list
+// objects (the common case: small records) avoid the block-list
 // allocation entirely.
 func (h *Heap) wrap(ref Ref) *Object {
 	o := &Object{h: h, ref: ref}

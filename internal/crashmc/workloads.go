@@ -216,8 +216,36 @@ func (e entry) checkOne(sc *scenario, imgs []*nvm.Pool, parallelism int) (string
 		}
 	}
 	var obs strings.Builder
-	err = sc.check(st, &obs)
-	return obs.String(), err
+	if err := sc.check(st, &obs); err != nil {
+		return "", err
+	}
+	for i, m := range st.Pools {
+		if err := mapsWhole(m.Heap); err != nil {
+			return "", fmt.Errorf("pool %d: %w", i, err)
+		}
+	}
+	return obs.String(), nil
+}
+
+// mapsWhole holds every persistent map among h's roots to the binding
+// rule once it has been opened: its array carries exactly the mirror's
+// keys as full bindings and no half binding — resurrection retired what
+// the crash tore, and nothing the oracle's probes wrote left one behind.
+func mapsWhole(h *core.Heap) error {
+	for _, name := range h.Root().Names() {
+		po, err := h.Root().Get(name)
+		if err != nil {
+			return fmt.Errorf("root %q: %w", name, err)
+		}
+		m, ok := po.(*pdt.Map)
+		if !ok {
+			continue
+		}
+		if full, half, _ := pdt.ScanBindings(h, m.Ref()); half != 0 || full != m.Len() {
+			return fmt.Errorf("map %q: %d full and %d half bindings in the array, %d keys in the mirror", name, full, half, m.Len())
+		}
+	}
+	return nil
 }
 
 // durableMembers reads the durable pool roster off the pool-0 image (on
@@ -1041,7 +1069,7 @@ func gridReadEntry() entry {
 			case 1:
 				// A value the record's table holds itself: updated by one
 				// 8-byte store, and every change to or from it replaces
-				// the table with one pair swing.
+				// the table with one swing of the binding's value word.
 				n = 1 + rng.Intn(8)
 			}
 			return letters(i, n)
@@ -1143,7 +1171,7 @@ func gridReadEntry() entry {
 // ---- pool: transactional allocation and free through pdt.Map ----
 
 // poolEntry drives the heap allocator inside failure-atomic blocks:
-// PutTx allocates key strings, pairs and values (pooled small strings
+// PutTx allocates key strings and values (pooled small strings
 // and multi-block byte blobs), DeleteTx frees them, and a crash at any
 // point must leave the map exactly at the committed model with at most
 // the in-flight op applied — with no leaked or dangling blocks (fsck).

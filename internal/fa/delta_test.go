@@ -316,7 +316,7 @@ func TestDeltaAwaitRacesFold(t *testing.T) {
 // keep every epoch's write sets disjoint and the final state exact.
 func TestDeltaMixedWithCommitsConcurrent(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, BatchTarget: 4}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 0, 0, "acc")

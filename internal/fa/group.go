@@ -73,13 +73,7 @@ type GroupOptions struct {
 	// keeps a single-goroutine workload fully deterministic, which is
 	// what the crashmc gridgroup workload needs.
 	ManualDrain bool
-	// BatchTarget (async only) is the queue length that triggers an
-	// automatic drain; 0 means the default of 8 (bounded above by half
-	// the log slots so enqueued blocks cannot exhaust the slot pool).
-	BatchTarget int
 }
-
-const defaultBatchTarget = 8
 
 // groupState is the per-mode coordination state, swapped atomically on
 // the manager so the default per-Tx path pays one nil check.
@@ -99,7 +93,6 @@ type groupState struct {
 	durable  uint64                // watermark: last ticket fully durable
 	draining bool                  // an epoch drain is in flight
 	manual   bool
-	target   int
 
 	// Delta ledger (delta.go): pending net deltas folded by AddDelta,
 	// materialized into the next epoch. order preserves first-fold order;
@@ -139,16 +132,11 @@ func (m *Manager) SetGroupCommit(opts GroupOptions) error {
 		m.unreserveDeltaTx()
 		m.group.Store(&groupState{m: m, mode: CommitGroup, combiner: nvm.NewFenceCombiner()})
 	case CommitAsync:
-		target := opts.BatchTarget
-		if target <= 0 {
-			target = defaultBatchTarget
-		}
 		g := &groupState{
 			m:           m,
 			mode:        CommitAsync,
 			pending:     make(map[core.Ref]struct{}),
 			manual:      opts.ManualDrain,
-			target:      target,
 			ledger:      make(map[deltaKey]*deltaEntry),
 			deltaBlocks: make(map[core.Ref]int),
 		}
@@ -247,12 +235,13 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 	}
 	n := len(g.queue)
 	g.m.stats.AsyncCommits.Inc()
-	limit := g.target
-	if st := g.m.state.Load(); st != nil && st.total/2 < limit {
+	// Batch pressure is a capacity bound, not a batching policy: the
+	// epoch boundary is the caller's AwaitDurable, and the queue drains on
+	// its own only once it holds half the log slots, so enqueued blocks
+	// cannot exhaust the slot pool.
+	limit := 1
+	if st := g.m.state.Load(); st != nil && st.total/2 > limit {
 		limit = st.total / 2
-	}
-	if limit < 1 {
-		limit = 1
 	}
 	ticket := tx.ticket
 	if !g.manual && n >= limit {

@@ -235,7 +235,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 }
 
 // TestGroupCommitAsyncConcurrent stress-tests the async pipeline with
-// automatic batch-pressure drains and per-worker AwaitDurable calls; run
+// automatic batch-pressure drains (16 log slots: the queue drains itself
+// at 8, one commit per worker) and per-worker AwaitDurable calls; run
 // under -race in CI.
 func TestGroupCommitAsyncConcurrent(t *testing.T) {
 	pool := nvm.New(1<<22, nvm.Options{})
@@ -249,7 +250,7 @@ func TestGroupCommitAsyncConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, BatchTarget: 4}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 8

@@ -11,7 +11,7 @@ import (
 // detector (rightly) flags them and a real machine may tear them. Only
 // 8-byte, 8-aligned words are supported — the alignment x86 and arm64
 // guarantee atomic — which covers every published word class: PRefArray
-// slots, pair value refs, and record field refs.
+// words (a map binding's value word among them) and record field refs.
 //
 // The atomic ops act on the pool's native byte order while the plain
 // Read/WriteUint64 use little-endian encoding. The two views must agree

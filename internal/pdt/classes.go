@@ -36,14 +36,10 @@ func Classes() []*core.Class {
 			Refs:    func(o *core.Object) []uint64 { return []uint64{extArrRef} },
 		},
 		{
-			Name:    ClassPair,
-			Factory: func(o *core.Object) core.PObject { return o },
-			Refs:    func(o *core.Object) []uint64 { return []uint64{pairKey, pairVal} },
-		},
-		{
-			Name:    ClassMap,
-			Factory: func(o *core.Object) core.PObject { return &Map{Object: o} },
-			Refs:    func(o *core.Object) []uint64 { return []uint64{mapArrRef} },
+			Name:       ClassMap,
+			Supersedes: mapSuperseded,
+			Factory:    func(o *core.Object) core.PObject { return &Map{Object: o} },
+			Refs:       func(o *core.Object) []uint64 { return []uint64{mapArrRef} },
 		},
 		{
 			Name:    ClassLFMap,

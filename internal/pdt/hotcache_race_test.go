@@ -123,3 +123,79 @@ func TestMapHotCacheConcurrentChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestMapReplaceVsGrowthAndGet is the -race test of value replacement on
+// the shared array: one writer keeps replacing a key's value — a store
+// into a word of the array, and a free of the previous value — while
+// another inserts keys until the array has grown several times and
+// readers Get the replaced key through the bounded cache. Replacement
+// must exclude growth's copy (the new array would carry the freed value)
+// and the key's readers (Get would resurrect the value being freed, or
+// cache its proxy after the new one).
+func TestMapReplaceVsGrowthAndGet(t *testing.T) {
+	h, _, _ := openPDT(t, 1<<24, false)
+	m := newTestMap(t, h, MirrorHash, "m")
+	m.SetCacheHot(4)
+	const (
+		grown    = 40 * bindingsPerBlock // six doublings
+		replaced = 3000
+	)
+	putStr(t, h, m, "hot", "r0")
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if po, err := m.Get("hot"); err != nil || po == nil {
+					t.Errorf("Get(hot) = %v, %v", po, err)
+					return
+				}
+				if m.GetRef("hot") == 0 {
+					t.Error("GetRef(hot) = 0")
+					return
+				}
+			}
+		}()
+	}
+	put := func(key, val string) bool {
+		v, err := NewBytes(h, []byte(val))
+		if err == nil {
+			err = m.Put(key, v)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return err == nil
+	}
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := 1; i <= replaced && put("hot", fmt.Sprintf("r%d", i)); i++ {
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < grown && put(fmt.Sprintf("g%04d", i), "v"); i++ {
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	if v, ok := getStr(t, m, "hot"); !ok || v != fmt.Sprintf("r%d", replaced) {
+		t.Fatalf("hot = %q %v, want r%d", v, ok, replaced)
+	}
+	if full, half, _ := ScanBindings(h, m.Ref()); full != grown+1 || half != 0 || m.Len() != grown+1 {
+		t.Fatalf("%d full and %d half bindings in the array, %d keys in the mirror, want %d, 0, %d",
+			full, half, m.Len(), grown+1, grown+1)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/fa"
+	"repro/internal/heap"
 	"repro/internal/obs"
 )
 
@@ -90,63 +91,115 @@ func (c *hotCache) del(k string) {
 }
 
 // Map is the persistent map of §4.3.2. The durable state is a PRefArray
-// whose slots reference key/value pair objects; adding or removing a
-// binding is a single reference write in NVMM, so the structure is always
-// crash-consistent without failure-atomic blocks. All lookup logic lives
-// in the volatile mirror, rebuilt at resurrection.
+// that holds the bindings themselves: binding i is two adjacent reference
+// words, the key string and the value, and is live iff both are non-zero.
+// Adding a binding stores its two words, removing it clears them, and
+// replacing a value stores one; none needs a failure-atomic block, since
+// a crash can at worst leave one word of the two — a half binding, which
+// resurrection retires (OnResurrect). All lookup logic lives in the
+// volatile mirror, rebuilt at resurrection.
 //
 // Header layout: arrRef (8) | kind (8).
 //
+// Array layout: every block of the array holds bindingsPerBlock bindings
+// behind one unused word, so a binding is 16-byte aligned in the pool. It
+// therefore never straddles a block (a failure-atomic insert copies one
+// in-flight block) nor a cache line (a publication is one write-back).
+//
 // Concurrency (DESIGN.md §14): readers never take a map-global lock.
 // A lookup holds only its key's mirror shard in read mode (which, by the
-// mirror's locking protocol, also keeps the binding's array slot and pair
-// stable), and loads the ref words atomically. Structural writers — Put
-// of a new key, Delete, Remove, array growth, the transactional paths —
+// mirror's locking protocol, also keeps the binding's words and the
+// objects they reference stable), and loads the value word atomically.
+// Writers — Put, Delete, Remove, array growth, the transactional paths —
 // serialize on wmu and additionally take the key's shard write lock for
-// the window that retires or publishes a binding. A per-Tx transactional
+// the window that publishes a binding or retires a key or a value: a
+// replaced value is freed like a deleted one, so Put over an existing
+// binding excludes the key's readers too, and being under wmu it cannot
+// store into an array that growth is copying. A per-Tx transactional
 // writer's commit apply outlives its wmu window, so the transactional
 // paths additionally gate on the predecessor's apply (gateWait/gateArm).
-// Put over an existing
-// binding mutates only that pair's value word and runs concurrently with
-// everything else; same-key exclusion between such updates and readers is
-// the caller's (e.g. the grid's lock striping, as with Infinispan in
-// §5.3.2).
 type Map struct {
 	*core.Object
 
-	wmu   sync.Mutex                // serializes structural writers
+	wmu   sync.Mutex                // serializes writers
 	arrp  atomic.Pointer[PRefArray] // current backing array, atomically swapped by growth
 	kind  MirrorKind
 	mir   mirror
 	gate  chan struct{} // closed when the last per-Tx structural commit's apply landed (guarded by wmu)
-	slots []int         // free slot indices (guarded by wmu)
+	slots []int         // free binding indices (guarded by wmu)
 	mode  CacheMode
 	cache proxyCache // nil in base mode
 }
+
+// mapSuperseded names the parent format, in which an array slot
+// referenced a 16-byte key/value object of its own class: core.Open
+// refuses a pool whose class table knows either name, instead of reading
+// such a slot as a key word.
+var mapSuperseded = []string{"pdt.map", "pdt.pair"}
 
 const (
 	mapArrRef = 0
 	mapKind   = 8
 
-	mapInitialSlots = 16
-
-	pairKey = 0
-	pairVal = 8
-	pairLen = 16
+	bindingsPerBlock = (heap.Payload - 8) / 16
+	mapInitialBlocks = 1
 )
 
-// pairValOff is the pool offset of a pair's value-reference word. Pairs
-// are 16-byte payloads behind an 8-byte header in both representations
-// (block header or pooled-slot mini-header), so the payload always starts
-// at pref+8. The word is 8-aligned (pairs live in the 24-byte slot class
-// or a block), so atomic access is always available.
-func pairValOff(pref core.Ref) uint64 { return pref + 8 + pairVal }
+// keyOff and valOff are the array offsets of binding i's two words.
+func keyOff(i int) uint64 {
+	return uint64(i/bindingsPerBlock)*heap.Payload + 8 + uint64(i%bindingsPerBlock)*16
+}
+func valOff(i int) uint64 { return keyOff(i) + 8 }
+
+// bindingCap is the number of bindings arr has room for.
+func bindingCap(arr *PRefArray) int { return int(arr.Size()/heap.Payload) * bindingsPerBlock }
+
+// newBindingArray allocates an invalid, all-null array of the given
+// number of blocks.
+func newBindingArray(h *core.Heap, blocks int) (*PRefArray, error) {
+	return NewRefArray(h, blocks*heap.Payload/8)
+}
+
+// ScanBindings counts the full and the half bindings of the map at ref
+// straight off its array; isMap is false when ref is not a map. Unlike
+// resurrecting the map it writes nothing, so fsck and the crash oracles
+// see the half bindings OnResurrect would retire.
+func ScanBindings(h *core.Heap, ref core.Ref) (full, half int, isMap bool) {
+	if ref == 0 || h.Mem().ClassOf(ref) != mustClass(h, ClassMap).ID() {
+		return 0, 0, false
+	}
+	arr := &PRefArray{Object: h.Inspect(h.Inspect(ref).ReadRef(mapArrRef))}
+	for i, n := 0, bindingCap(arr); i < n; i++ {
+		kref, vref := words(arr, i)
+		if kref != 0 && vref != 0 {
+			full++
+		} else if kref != 0 || vref != 0 {
+			half++
+		}
+	}
+	return full, half, true
+}
+
+// words loads binding i's two words.
+func words(arr *PRefArray, i int) (kref, vref core.Ref) {
+	off := keyOff(i)
+	return arr.ReadRef(off), arr.ReadRef(off + 8)
+}
+
+// bind stores binding i's two words and writes their line back. The
+// stores are atomic so a reader pinned to the shard sees each word whole.
+func bind(arr *PRefArray, i int, kref, vref core.Ref) {
+	off := keyOff(i)
+	arr.WriteRefAtomic(off, kref)
+	arr.WriteRefAtomic(off+8, vref)
+	arr.PWBField(off, 16)
+}
 
 // NewMap creates an empty persistent map with the given mirror kind. The
 // map object is validated; the caller publishes it (root map, field
 // write).
 func NewMap(h *core.Heap, kind MirrorKind) (*Map, error) {
-	arr, err := NewRefArray(h, mapInitialSlots)
+	arr, err := newBindingArray(h, mapInitialBlocks)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +216,7 @@ func NewMap(h *core.Heap, kind MirrorKind) (*Map, error) {
 	m.arrp.Store(arr)
 	m.kind = kind
 	m.mir = newMirror(kind)
-	for i := arr.Cap() - 1; i >= 0; i-- {
+	for i := bindingCap(arr) - 1; i >= 0; i-- {
 		m.slots = append(m.slots, i)
 	}
 	return m, nil
@@ -177,21 +230,24 @@ func (m *Map) SetReadObs(rs *obs.ReadStats) {
 	}
 }
 
-// rebuildParallelMin is the array capacity below which OnResurrect stays
-// serial: spawning the worker fleet costs more than scanning a few
-// thousand slots.
+// rebuildParallelMin is the binding capacity below which OnResurrect
+// stays serial: spawning the worker fleet costs more than scanning a few
+// thousand bindings.
 const rebuildParallelMin = 4096
 
 // OnResurrect rebuilds the volatile mirror and the free-slot list by
-// scanning the persistent array (§4.3.2 resurrection). Bindings whose key
-// or value reference was nullified by the recovery GC are retired here.
+// scanning the persistent array (§4.3.2 resurrection), and retires the
+// half bindings it finds: one word of the two reached NVMM without the
+// other (the crash tore an insert or a delete, whose two stores share no
+// fence), or the recovery GC nullified one. Either way the key is
+// unbound; the surviving word is cleared and its object freed.
 //
 // Large arrays are scanned by the heap's recovery worker fleet
-// (core.RecoverOptions): workers read their segments — slot refs, pair
-// refs, key bytes — and the mirror inserts, free-slot appends and
-// retirement writes happen in a serial merge in segment order, since the
-// mirror table ops are unsynchronized. The merged mirror, free-slot order
-// and persistent state are identical to the serial scan's.
+// (core.RecoverOptions): workers read their segments — binding words, key
+// bytes — and the mirror inserts, free-slot appends and retirement writes
+// happen in a serial merge in segment order, since the mirror table ops
+// are unsynchronized. The merged mirror, free-slot order and persistent
+// state are identical to the serial scan's.
 func (m *Map) OnResurrect() {
 	h := m.Heap()
 	arr := &PRefArray{Object: h.Inspect(m.ReadRef(mapArrRef))}
@@ -200,7 +256,7 @@ func (m *Map) OnResurrect() {
 	m.mir = newMirror(m.kind)
 	m.slots = m.slots[:0]
 	start := time.Now()
-	n := arr.Cap()
+	n := bindingCap(arr)
 	cleaned := false
 	if workers := h.RecoverParallelism(); workers > 1 && n >= rebuildParallelMin {
 		cleaned = m.rebuildParallel(h, arr, n, workers)
@@ -215,29 +271,26 @@ func (m *Map) OnResurrect() {
 	ro.RebuildEntries.Add(uint64(m.mir.len()))
 }
 
+// retireHalf clears half binding i and frees the object its surviving
+// word references (flushed, unfenced: the caller fences once).
+func retireHalf(h *core.Heap, arr *PRefArray, i int) {
+	kref, vref := words(arr, i)
+	bind(arr, i, 0, 0)
+	h.Mem().FreeObject(kref | vref) // one of the two is zero
+}
+
 func (m *Map) rebuildSerial(h *core.Heap, arr *PRefArray, n int) (cleaned bool) {
 	for i := 0; i < n; i++ {
-		pref := arr.GetRef(i)
-		if pref == 0 {
-			m.slots = append(m.slots, i)
+		kref, vref := words(arr, i)
+		if kref != 0 && vref != 0 {
+			m.mir.put(readStringAt(h, kref), i)
 			continue
 		}
-		pair := h.Inspect(pref)
-		kref := pair.ReadRef(pairKey)
-		vref := pair.ReadRef(pairVal)
-		if kref == 0 || vref == 0 {
-			// A crash raced the publication: the recovery traversal
-			// nullified half the binding. Retire the slot entirely.
-			arr.SetRef(i, 0)
-			if kref != 0 {
-				h.Mem().FreeObject(kref)
-			}
-			h.Mem().FreeObject(pref)
-			m.slots = append(m.slots, i)
+		if kref != 0 || vref != 0 {
+			retireHalf(h, arr, i)
 			cleaned = true
-			continue
 		}
-		m.mir.put(readStringAt(h, kref), i)
+		m.slots = append(m.slots, i)
 	}
 	return cleaned
 }
@@ -250,7 +303,7 @@ func (m *Map) rebuildParallel(h *core.Heap, arr *PRefArray, n, workers int) (cle
 	type segment struct {
 		entries []binding
 		slots   []int // free-slot contribution, in scan order
-		retire  []int // slots whose binding lost its key or value ref
+		retire  []int // half bindings
 	}
 	// Oversplit so a skewed segment cannot straggle the whole rebuild.
 	nseg := workers * 4
@@ -277,20 +330,15 @@ func (m *Map) rebuildParallel(h *core.Heap, arr *PRefArray, n, workers int) (cle
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					pref := arr.GetRef(i)
-					if pref == 0 {
-						seg.slots = append(seg.slots, i)
+					kref, vref := words(arr, i)
+					if kref != 0 && vref != 0 {
+						seg.entries = append(seg.entries, binding{i, readStringAt(h, kref)})
 						continue
 					}
-					pair := h.Inspect(pref)
-					kref := pair.ReadRef(pairKey)
-					vref := pair.ReadRef(pairVal)
-					if kref == 0 || vref == 0 {
-						seg.slots = append(seg.slots, i)
+					if kref != 0 || vref != 0 {
 						seg.retire = append(seg.retire, i)
-						continue
 					}
-					seg.entries = append(seg.entries, binding{i, readStringAt(h, kref)})
+					seg.slots = append(seg.slots, i)
 				}
 			}
 		}()
@@ -299,14 +347,7 @@ func (m *Map) rebuildParallel(h *core.Heap, arr *PRefArray, n, workers int) (cle
 	for s := range results {
 		seg := &results[s]
 		for _, i := range seg.retire {
-			pref := arr.GetRef(i)
-			pair := h.Inspect(pref)
-			kref := pair.ReadRef(pairKey)
-			arr.SetRef(i, 0)
-			if kref != 0 {
-				h.Mem().FreeObject(kref)
-			}
-			h.Mem().FreeObject(pref)
+			retireHalf(h, arr, i)
 			cleaned = true
 		}
 		m.slots = append(m.slots, seg.slots...)
@@ -341,8 +382,7 @@ func (m *Map) SetCacheMode(mode CacheMode) error {
 	h := m.Heap()
 	arr := m.arrp.Load()
 	m.mir.forEach(func(key string, idx int) bool {
-		pair := h.Inspect(arr.GetRef(idx))
-		po, e := h.Resurrect(pair.ReadRef(pairVal))
+		po, e := h.Resurrect(arr.ReadRef(valOff(idx)))
 		if e != nil {
 			err = e
 			return false
@@ -378,9 +418,9 @@ func (m *Map) Contains(key string) bool {
 
 // GetRef returns the value reference bound to key (0 if unbound), without
 // building a proxy. Allocation-free: the mirror lookup runs under the
-// key's shard read lock (which also pins the binding against Delete and
-// growth) and the pair's value word is loaded atomically straight from
-// the pool.
+// key's shard read lock (which also pins the binding against Delete,
+// replacement and growth) and the binding's value word is one atomic load
+// from the array.
 func (m *Map) GetRef(key string) core.Ref {
 	m.mir.rlock(key)
 	defer m.mir.runlock(key)
@@ -388,11 +428,7 @@ func (m *Map) GetRef(key string) core.Ref {
 	if !ok {
 		return 0
 	}
-	pref := m.arrp.Load().GetRefAtomic(idx)
-	if pref == 0 {
-		return 0
-	}
-	return m.Heap().Pool().ReadUint64Atomic(pairValOff(pref))
+	return m.arrp.Load().ReadRefAtomic(valOff(idx))
 }
 
 // Get resurrects the value bound to key (nil if unbound). In the cached
@@ -410,23 +446,17 @@ func (m *Map) Get(key string) (core.PObject, error) {
 	if !ok {
 		return nil, nil
 	}
-	pref := m.arrp.Load().GetRefAtomic(idx)
-	if pref == 0 {
-		return nil, nil
-	}
-	ref := m.Heap().Pool().ReadUint64Atomic(pairValOff(pref))
-	if ref == 0 {
-		return nil, nil
-	}
-	po, err := m.Heap().Resurrect(ref)
-	if err != nil {
+	// A zero value word under a mirror entry is a PutTx whose block has
+	// not applied yet: unbound until it does.
+	po, err := m.Heap().Resurrect(m.arrp.Load().ReadRefAtomic(valOff(idx)))
+	if err != nil || po == nil {
 		return nil, err
 	}
-	// The cache insert must stay under the shard read lock: Delete holds
-	// the exclusive shard lock before its mirror removal and runs its
-	// cache.del after, so a racing delete is ordered after this put. A
-	// put after runlock could overtake the del and park a proxy to freed
-	// NVMM in the bounded LRU.
+	// The cache insert must stay under the shard read lock: Delete and a
+	// replacing Put hold the exclusive shard lock around their free and
+	// their cache update, so a racing one is ordered after this put. A
+	// put after runlock could overtake it and park a proxy to freed NVMM
+	// in the bounded LRU.
 	if c := m.cache; c != nil {
 		c.put(strings.Clone(key), po)
 	}
@@ -434,45 +464,35 @@ func (m *Map) Get(key string) (core.PObject, error) {
 }
 
 // Put binds key to the persistent object val. A new binding allocates a
-// key string and a pair, publishes everything under a single fence, and
-// writes one reference slot; an existing binding atomically replaces (and
-// frees) the previous value (§4.1.6). The map owns keys and pairs; values
-// passed in become owned by the map. The key may be transient (reused by
-// the caller): the map clones it before retaining it.
+// key string, publishes key and value under a single fence and stores the
+// binding's two words; an existing binding atomically replaces (and
+// frees) the previous value (§4.1.6). The map owns keys; values passed in
+// become owned by the map. The key may be transient (reused by the
+// caller): the map clones it before retaining it.
 func (m *Map) Put(key string, val core.PObject) error {
-	h := m.Heap()
-	// Fast path: updating an existing binding mutates only that pair, so
-	// only the key's shard read lock is held and concurrent updates to
-	// other keys proceed in parallel (same-key exclusion is the caller's,
-	// e.g. the grid's lock striping, as with Infinispan in §5.3.2).
-	m.mir.rlock(key)
-	if idx, ok := m.mir.get(key); ok {
-		if pref := m.arrp.Load().GetRefAtomic(idx); pref != 0 {
-			pair := h.Inspect(pref)
-			pair.AtomicReplaceRef(pairVal, val)
-			// Cache under the shard lock (see Get): a put after runlock
-			// could overtake a racing Delete's cache.del and reinsert a
-			// stale proxy.
-			if c := m.cache; c != nil {
-				c.put(strings.Clone(key), val)
-			}
-			m.mir.runlock(key)
-			return nil
-		}
-	}
-	m.mir.runlock(key)
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	// Re-check: another goroutine may have inserted the key meanwhile.
 	// Under wmu no writer can race this unsynchronized mirror read.
-	if idx, ok := m.mir.get(key); ok {
-		pair := h.Inspect(m.arrp.Load().GetRefAtomic(idx))
-		pair.AtomicReplaceRef(pairVal, val)
-		if m.cache != nil {
-			m.cache.put(strings.Clone(key), val)
-		}
-		return nil
+	idx, ok := m.mir.get(key)
+	if !ok {
+		return m.insertLocked(key, val)
 	}
+	// The previous value is retired exactly as Delete retires one: the
+	// shard write lock keeps a reader from resurrecting it while it is
+	// freed and from caching its proxy after the new one.
+	m.mir.lock(key)
+	m.arrp.Load().AtomicReplaceRef(valOff(idx), val)
+	if m.cache != nil {
+		m.cache.put(strings.Clone(key), val)
+	}
+	m.mir.unlock(key)
+	return nil
+}
+
+// insertLocked binds the unbound key to val, or to its own key string
+// when val is nil (a set member). Callers hold wmu.
+func (m *Map) insertLocked(key string, val core.PObject) error {
+	h := m.Heap()
 	idx, err := m.takeSlotLocked(nil)
 	if err != nil {
 		return err
@@ -482,58 +502,48 @@ func (m *Map) Put(key string, val core.PObject) error {
 		m.slots = append(m.slots, idx)
 		return err
 	}
-	pairPO, err := h.Alloc(mustClass(h, ClassPair), pairLen)
-	if err != nil {
-		h.Free(ks)
-		m.slots = append(m.slots, idx)
-		return err
-	}
-	pair := pairPO.Core()
-	pair.WriteRef(pairKey, ks.Ref())
-	pair.WriteRef(pairVal, val.Core().Ref())
-	pair.PWB()
+	// Key and value are valid and fenced before either word can name
+	// them, so the recovery GC never nullifies a word of a binding; the
+	// words' own write-back rides the next fence, like any J-PDT update.
 	ks.Validate()
-	val.Core().Validate()
-	pair.Validate()
+	vref := ks.Ref()
+	if val != nil {
+		val.Core().Validate()
+		vref = val.Core().Ref()
+	}
 	h.PFence()
 	key = strings.Clone(key)
 	m.mir.lock(key)
-	m.arrp.Load().SetRefAtomic(idx, pair.Ref())
+	bind(m.arrp.Load(), idx, ks.Ref(), vref)
 	m.mir.put(key, idx)
 	m.mir.unlock(key)
-	if m.cache != nil {
+	if val != nil && m.cache != nil {
 		m.cache.put(key, val)
 	}
 	return nil
 }
 
-// Delete unbinds key and frees the pair, the key string and the value.
-// It reports whether the key was bound.
-func (m *Map) Delete(key string) bool {
+// unbind clears key's binding and frees the key string; it returns the
+// value reference, which the caller frees or hands out, or 0 when key was
+// not bound (or bound to itself, a set member). Callers hold wmu.
+func (m *Map) unbind(key string) (vref core.Ref, ok bool) {
 	h := m.Heap()
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
 	m.mir.lock(key)
+	defer m.mir.unlock(key)
 	idx, ok := m.mir.get(key)
 	if !ok {
-		m.mir.unlock(key)
-		return false
+		return 0, false
 	}
 	arr := m.arrp.Load()
-	pref := arr.GetRef(idx)
-	pair := h.Inspect(pref)
-	kref := pair.ReadRef(pairKey)
-	vref := pair.ReadRef(pairVal)
-	// One reference write unbinds; the fence orders it before the frees'
-	// invalidations (§4.1.5: a single fence covers a graph of frees).
-	// The store is atomic so an unlocked (pinned) reader sees the old
-	// pair ref or null, never a torn word.
-	arr.SetRefAtomic(idx, 0)
+	kref, vref := words(arr, idx)
+	// Clearing the two words unbinds; the fence orders it before the
+	// frees' invalidations (§4.1.5: a single fence covers a graph of
+	// frees).
+	bind(arr, idx, 0, 0)
 	h.PFence()
-	h.Mem().FreeObject(pref)
 	h.Mem().FreeObject(kref)
-	if vref != 0 && vref != kref { // sets bind keys to themselves
-		h.Mem().FreeObject(vref)
+	if vref == kref {
+		vref = 0
 	}
 	m.mir.del(key)
 	// Cache eviction stays inside the exclusive shard section so a
@@ -541,41 +551,29 @@ func (m *Map) Delete(key string) bool {
 	if m.cache != nil {
 		m.cache.del(key)
 	}
-	m.mir.unlock(key)
 	m.slots = append(m.slots, idx)
-	return true
+	return vref, true
+}
+
+// Delete unbinds key and frees the key string and the value. It reports
+// whether the key was bound.
+func (m *Map) Delete(key string) bool {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	vref, ok := m.unbind(key)
+	if vref != 0 {
+		m.Heap().Mem().FreeObject(vref)
+	}
+	return ok
 }
 
 // Remove unbinds key like Delete but hands the value back to the caller
 // instead of freeing it.
 func (m *Map) Remove(key string) (core.PObject, error) {
-	h := m.Heap()
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	m.mir.lock(key)
-	idx, ok := m.mir.get(key)
-	if !ok {
-		m.mir.unlock(key)
-		return nil, nil
-	}
-	arr := m.arrp.Load()
-	pref := arr.GetRef(idx)
-	pair := h.Inspect(pref)
-	kref := pair.ReadRef(pairKey)
-	vref := pair.ReadRef(pairVal)
-	arr.SetRefAtomic(idx, 0)
-	h.PFence()
-	h.Mem().FreeObject(pref)
-	if kref != vref {
-		h.Mem().FreeObject(kref)
-	}
-	m.mir.del(key)
-	if m.cache != nil {
-		m.cache.del(key) // under the shard lock, as in Delete
-	}
-	m.mir.unlock(key)
-	m.slots = append(m.slots, idx)
-	return h.Resurrect(vref)
+	vref, _ := m.unbind(key)
+	return m.Heap().Resurrect(vref)
 }
 
 // Keys returns all keys; sorted for ordered mirrors, unspecified order
@@ -594,42 +592,23 @@ func (m *Map) Keys() []string {
 	return out
 }
 
+// mirEntry is one mirror entry of an iteration snapshot.
+type mirEntry struct {
+	key string
+	idx int
+}
+
 // ForEach calls fn for each binding until it returns false. The value
 // proxy is resurrected per call (base-variant cost model).
 func (m *Map) ForEach(fn func(key string, val core.PObject) bool) error {
-	type kv struct {
-		key string
-		idx int
-	}
 	m.mir.rlockAll()
-	snapshot := make([]kv, 0, m.mir.len())
+	snapshot := make([]mirEntry, 0, m.mir.len())
 	m.mir.forEach(func(k string, idx int) bool {
-		snapshot = append(snapshot, kv{k, idx})
+		snapshot = append(snapshot, mirEntry{k, idx})
 		return true
 	})
 	m.mir.runlockAll()
-	h := m.Heap()
-	for _, e := range snapshot {
-		// Re-read the binding under its shard lock: it may have been
-		// deleted (vref 0) or replaced since the snapshot.
-		m.mir.rlock(e.key)
-		vref := core.Ref(0)
-		if pref := m.arrp.Load().GetRefAtomic(e.idx); pref != 0 {
-			vref = h.Pool().ReadUint64Atomic(pairValOff(pref))
-		}
-		m.mir.runlock(e.key)
-		if vref == 0 {
-			continue
-		}
-		po, err := h.Resurrect(vref)
-		if err != nil {
-			return err
-		}
-		if !fn(e.key, po) {
-			return nil
-		}
-	}
-	return nil
+	return m.visit(snapshot, fn)
 }
 
 // Ascend iterates bindings with key >= from in key order; it requires an
@@ -638,23 +617,27 @@ func (m *Map) Ascend(from string, fn func(key string, val core.PObject) bool) er
 	if !m.mir.ordered() {
 		return fmt.Errorf("pdt: Ascend requires an ordered mirror (kind %d is hash)", m.kind)
 	}
-	type kv struct {
-		key string
-		idx int
-	}
 	m.mir.rlockAll()
-	var snapshot []kv
+	var snapshot []mirEntry
 	m.mir.ascend(from, func(k string, idx int) bool {
-		snapshot = append(snapshot, kv{k, idx})
+		snapshot = append(snapshot, mirEntry{k, idx})
 		return true
 	})
 	m.mir.runlockAll()
+	return m.visit(snapshot, fn)
+}
+
+// visit resurrects the value of every snapshot entry that is still bound
+// and hands it to fn until fn returns false.
+func (m *Map) visit(snapshot []mirEntry, fn func(key string, val core.PObject) bool) error {
 	h := m.Heap()
 	for _, e := range snapshot {
-		m.mir.rlock(e.key)
+		// Re-read the binding under its shard lock: it may have been
+		// deleted (and its slot reused) or replaced since the snapshot.
 		vref := core.Ref(0)
-		if pref := m.arrp.Load().GetRefAtomic(e.idx); pref != 0 {
-			vref = h.Pool().ReadUint64Atomic(pairValOff(pref))
+		m.mir.rlock(e.key)
+		if idx, ok := m.mir.get(e.key); ok && idx == e.idx {
+			vref = m.arrp.Load().ReadRefAtomic(valOff(idx))
 		}
 		m.mir.runlock(e.key)
 		if vref == 0 {
@@ -672,13 +655,14 @@ func (m *Map) Ascend(from string, fn func(key string, val core.PObject) bool) er
 }
 
 // takeSlotLocked pops a free slot, growing the persistent array when none
-// remain (atomic swing, §4.1.6). Callers hold wmu. Growth takes every
-// mirror shard lock for the swap window so no reader holds the old array
-// while it is freed; with EBR active the old array's blocks additionally
-// wait out the readers' grace period.
+// remain (atomic swing, §4.1.6). Callers hold wmu, which keeps every
+// store into the old array out of the copy. Growth takes every mirror
+// shard lock for the swap window so no reader holds the old array while
+// it is freed; with EBR active the old array's blocks additionally wait
+// out the readers' grace period.
 // tx, when non-nil, makes the growth copy read the old array through the
 // transaction: with async group commit a queued epoch may still hold a
-// slot's write in its redo log, and a direct copy would take the stale
+// binding's write in its redo log, and a direct copy would take the stale
 // word and orphan the binding once the swing retargets readers to the new
 // array. The transactional read settles the queued epoch first (the fa
 // waitClear guard) — reads are not logged, so the copy stays cheap.
@@ -690,26 +674,27 @@ func (m *Map) takeSlotLocked(tx *fa.Tx) (int, error) {
 	}
 	h := m.Heap()
 	arr := m.arrp.Load()
-	oldCap := arr.Cap()
-	bigger, err := NewRefArray(h, oldCap*2)
+	oldCap := bindingCap(arr)
+	bigger, err := newBindingArray(h, 2*oldCap/bindingsPerBlock)
 	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < oldCap; i++ {
-		ref := arr.GetRef(i)
+	// Doubling keeps every binding at its offset.
+	for off := uint64(0); off < arr.Size(); off += 8 {
+		ref := arr.ReadRef(off)
 		if tx != nil {
-			if ref, err = tx.ReadRef(arr.Object, uint64(i)*8); err != nil {
+			if ref, err = tx.ReadRef(arr.Object, off); err != nil {
 				return 0, err
 			}
 		}
-		bigger.WriteRef(uint64(i)*8, ref)
+		bigger.WriteRef(off, ref)
 	}
 	bigger.PWB()
 	m.mir.lockAll()
 	m.AtomicReplaceRef(mapArrRef, bigger)
 	m.arrp.Store(bigger)
 	m.mir.unlockAll()
-	for i := bigger.Cap() - 1; i > oldCap; i-- {
+	for i := bindingCap(bigger) - 1; i > oldCap; i-- {
 		m.slots = append(m.slots, i)
 	}
 	return oldCap, nil
@@ -755,59 +740,76 @@ func (m *Map) gateArm(tx *fa.Tx) {
 // must serialize access to the map across the whole block, as the store's
 // lock striping does.
 func (m *Map) PutTx(tx *fa.Tx, key string, val core.PObject) error {
-	h := m.Heap()
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	m.gateWait()
-	if idx, ok := m.mir.get(key); ok {
-		// Transactional slot read: a queued async epoch may still hold
-		// the insert that created this binding.
-		arr := m.arrp.Load()
-		pref, err := tx.ReadRef(arr.Object, uint64(idx)*8)
-		if err != nil {
-			return err
-		}
-		pair := h.Inspect(pref)
-		oldRef, err := tx.ReadRef(pair, pairVal)
-		if err != nil {
-			return err
-		}
-		if err := tx.WriteRef(pair, pairVal, val.Core().Ref()); err != nil {
-			return err
-		}
-		if oldRef != 0 {
-			old, err := h.Resurrect(oldRef)
-			if err != nil {
-				return err
-			}
-			if err := tx.Free(old); err != nil {
-				return err
-			}
-		}
-		if m.cache != nil {
-			key := strings.Clone(key)
-			tx.Defer(func() { m.cache.put(key, val) })
-		}
-		m.gateArm(tx)
-		return nil
+	idx, ok := m.mir.get(key)
+	if !ok {
+		return m.insertTxLocked(tx, key, val)
 	}
+	// Transactional read: a queued async epoch may still hold the insert
+	// that created this binding.
+	arr := m.arrp.Load()
+	oldRef, err := tx.ReadRef(arr.Object, valOff(idx))
+	if err != nil {
+		return err
+	}
+	if err := tx.WriteRef(arr.Object, valOff(idx), val.Core().Ref()); err != nil {
+		return err
+	}
+	if oldRef != 0 {
+		old, err := m.Heap().Resurrect(oldRef)
+		if err != nil {
+			return err
+		}
+		if err := tx.Free(old); err != nil {
+			return err
+		}
+	}
+	m.cachePutTx(tx, key, val)
+	m.gateArm(tx)
+	return nil
+}
+
+// cachePutTx caches val's proxy once the block's apply has landed. The
+// shard write lock orders the put after every Get that loaded the
+// previous value word: such a Get caches the old proxy under the shard
+// read lock, and unordered it could land after this put and stay.
+func (m *Map) cachePutTx(tx *fa.Tx, key string, val core.PObject) {
+	if m.cache == nil {
+		return
+	}
+	key = strings.Clone(key)
+	tx.Defer(func() {
+		m.mir.lock(key)
+		m.cache.put(key, val)
+		m.mir.unlock(key)
+	})
+}
+
+// insertTxLocked binds the unbound key to val inside tx, or to its own
+// key string when val is nil (a set member): the binding's two words go
+// through the array block's in-flight copy and land with the commit.
+// Callers hold wmu.
+func (m *Map) insertTxLocked(tx *fa.Tx, key string, val core.PObject) error {
 	idx, err := m.takeSlotLocked(tx)
 	if err != nil {
 		return err
 	}
 	ks, err := NewStringTx(tx, key)
 	if err != nil {
+		m.slots = append(m.slots, idx)
 		return err
 	}
-	pairPO, err := tx.Alloc(mustClass(h, ClassPair), pairLen)
-	if err != nil {
+	vref := ks.Ref()
+	if val != nil {
+		vref = val.Core().Ref()
+	}
+	arr := m.arrp.Load()
+	if err := tx.WriteRef(arr.Object, keyOff(idx), ks.Ref()); err != nil {
 		return err
 	}
-	pair := pairPO.Core()
-	// Direct writes: the pair is invalid until commit.
-	pair.WriteRef(pairKey, ks.Ref())
-	pair.WriteRef(pairVal, val.Core().Ref())
-	if err := tx.WriteRef(m.arrp.Load().Object, uint64(idx)*8, pair.Ref()); err != nil {
+	if err := tx.WriteRef(arr.Object, valOff(idx), vref); err != nil {
 		return err
 	}
 	key = strings.Clone(key)
@@ -822,15 +824,15 @@ func (m *Map) PutTx(tx *fa.Tx, key string, val core.PObject) error {
 		m.slots = append(m.slots, idx)
 		m.wmu.Unlock()
 	})
-	if m.cache != nil {
-		tx.Defer(func() { m.cache.put(key, val) })
+	if val != nil {
+		m.cachePutTx(tx, key, val)
 	}
 	m.gateArm(tx)
 	return nil
 }
 
-// DeleteTx unbinds key inside a failure-atomic block, freeing pair, key
-// and value at commit.
+// DeleteTx unbinds key inside a failure-atomic block, freeing key and
+// value at commit.
 func (m *Map) DeleteTx(tx *fa.Tx, key string) (bool, error) {
 	h := m.Heap()
 	m.wmu.Lock()
@@ -841,22 +843,23 @@ func (m *Map) DeleteTx(tx *fa.Tx, key string) (bool, error) {
 		return false, nil
 	}
 	arr := m.arrp.Load()
-	// Transactional slot read: a queued async epoch may still hold the
-	// insert that created this binding.
-	pref, err := tx.ReadRef(arr.Object, uint64(idx)*8)
+	// Transactional reads: a queued async epoch may still hold the insert
+	// that created this binding.
+	kref, err := tx.ReadRef(arr.Object, keyOff(idx))
 	if err != nil {
 		return false, err
 	}
-	pair := h.Inspect(pref)
-	kref := pair.ReadRef(pairKey)
-	vref, err := tx.ReadRef(pair, pairVal)
+	vref, err := tx.ReadRef(arr.Object, valOff(idx))
 	if err != nil {
 		return false, err
 	}
-	if err := tx.WriteRef(arr.Object, uint64(idx)*8, 0); err != nil {
+	if err := tx.WriteRef(arr.Object, keyOff(idx), 0); err != nil {
 		return false, err
 	}
-	frees := []core.Ref{pref, kref}
+	if err := tx.WriteRef(arr.Object, valOff(idx), 0); err != nil {
+		return false, err
+	}
+	frees := []core.Ref{kref}
 	if vref != 0 && vref != kref { // sets bind keys to themselves
 		frees = append(frees, vref)
 	}

@@ -1,8 +1,10 @@
 package pdt
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -640,6 +642,41 @@ func TestMapTxStructuralChurnConcurrent(t *testing.T) {
 		}
 		if _, ok := getStr(t, m, fmt.Sprintf("w%d-%d", w, rounds-2)); ok {
 			t.Fatalf("deleted binding w%d-%d resurrected", w, rounds-2)
+		}
+	}
+}
+
+// TestMapParentFormatRefused: a pool written by the parent layout — array
+// slots referencing 16-byte pdt.pair objects — opens with an error naming
+// the format it is in and the one this build writes, whether its class
+// table knows the old map class or only pairs, and is left as it was:
+// nothing reads a pair reference as a key word, nothing reformats.
+func TestMapParentFormatRefused(t *testing.T) {
+	for _, names := range [][]string{{"pdt.map", "pdt.pair"}, {"pdt.pair"}} {
+		pool := nvm.New(1<<22, nvm.Options{})
+		var old []*core.Class
+		for _, n := range names {
+			old = append(old, &core.Class{Name: n, Factory: func(o *core.Object) core.PObject { return o }})
+		}
+		h, err := core.Open(pool, core.Config{Classes: old})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, err := h.Alloc(old[len(old)-1], 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Root().Put("kv", pair); err != nil {
+			t.Fatal(err)
+		}
+		h.PSync()
+		before := pool.ReadBytes(0, pool.Size())
+		_, err = core.Open(pool, core.Config{Classes: Classes()})
+		if err == nil || !strings.Contains(err.Error(), names[0]) || !strings.Contains(err.Error(), ClassMap) {
+			t.Fatalf("open of a pool that knows %v: %v; want an error naming %q and %q", names, err, names[0], ClassMap)
+		}
+		if !bytes.Equal(before, pool.ReadBytes(0, pool.Size())) {
+			t.Fatalf("the refused pool (%v) was written to", names)
 		}
 	}
 }

@@ -23,9 +23,9 @@ import (
 //     writers take all 16 in order.
 //
 //   - Binding stability: by protocol, a holder of rlock(key) can also read
-//     the persistent binding (array slot, pair words) without racing
-//     Delete or array growth, because Delete runs under lock(key) and
-//     growth under lockAll. This gives the old Get-vs-Delete exclusion
+//     the persistent binding (its two array words) without racing
+//     Delete, value replacement or array growth, because the first two
+//     run under lock(key) and growth under lockAll. This gives the old Get-vs-Delete exclusion
 //     without any map-global lock.
 //
 // The table ops (get/put/del/forEach/ascend) are NOT internally

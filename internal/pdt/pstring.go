@@ -22,8 +22,9 @@ const (
 	ClassLongArr = "pdt.longarray"
 	ClassRefArr  = "pdt.refarray"
 	ClassExtArr  = "pdt.extarray"
-	ClassPair    = "pdt.pair"
-	ClassMap     = "pdt.map"
+	// ClassMap's /2 is the layout version: bindings are words of the
+	// map's array (map.go).
+	ClassMap = "pdt.map/2"
 )
 
 func mustClass(h *core.Heap, name string) *core.Class {

@@ -25,7 +25,7 @@ func reopenPDTWith(t testing.TB, pool *nvm.Pool, parallelism int) *core.Heap {
 }
 
 // TestParallelMirrorRebuildEquivalence checks the concurrent OnResurrect
-// against the serial scan on a map big enough (array cap past
+// against the serial scan on a map big enough (binding capacity past
 // rebuildParallelMin) to take the parallel path: the rebuilt mirror and
 // the free-slot list — including its order — must be identical for every
 // mirror kind.
@@ -59,9 +59,9 @@ func TestParallelMirrorRebuildEquivalence(t *testing.T) {
 			}
 			serial := resurrect(1)
 			parallel := resurrect(8)
-			if serial.arrp.Load().Cap() < rebuildParallelMin {
-				t.Fatalf("array cap %d below parallel threshold %d: test exercises nothing",
-					serial.arrp.Load().Cap(), rebuildParallelMin)
+			if bindingCap(serial.arrp.Load()) < rebuildParallelMin {
+				t.Fatalf("binding capacity %d below parallel threshold %d: test exercises nothing",
+					bindingCap(serial.arrp.Load()), rebuildParallelMin)
 			}
 			if sl, pl := serial.Len(), parallel.Len(); sl != pl {
 				t.Fatalf("Len: serial %d, parallel %d", sl, pl)

@@ -1,15 +1,13 @@
 package pdt
 
 import (
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/fa"
 )
 
 // Set is the persistent set of §4.3: "a persistent map that associates
-// each key with itself" — each pair's value reference equals its key
-// reference, so a set entry costs one string and one pair.
+// each key with itself" — both words of a member's binding reference its
+// key string, so a member costs one string.
 type Set struct{ m *Map }
 
 // NewSet creates an empty persistent set over the given mirror kind.
@@ -39,84 +37,24 @@ func (s *Set) Contains(key string) bool { return s.m.Contains(key) }
 // Add inserts key; it is a no-op if already present.
 func (s *Set) Add(key string) error {
 	m := s.m
-	h := m.Heap()
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if _, ok := m.mir.get(key); ok {
 		return nil
 	}
-	idx, err := m.takeSlotLocked(nil)
-	if err != nil {
-		return err
-	}
-	ks, err := NewString(h, key)
-	if err != nil {
-		m.slots = append(m.slots, idx)
-		return err
-	}
-	pairPO, err := h.Alloc(mustClass(h, ClassPair), pairLen)
-	if err != nil {
-		h.Free(ks)
-		m.slots = append(m.slots, idx)
-		return err
-	}
-	pair := pairPO.Core()
-	pair.WriteRef(pairKey, ks.Ref())
-	pair.WriteRef(pairVal, ks.Ref()) // key bound to itself
-	pair.PWB()
-	ks.Validate()
-	pair.Validate()
-	h.PFence()
-	key = strings.Clone(key)
-	m.mir.lock(key)
-	m.arrp.Load().SetRefAtomic(idx, pair.Ref())
-	m.mir.put(key, idx)
-	m.mir.unlock(key)
-	return nil
+	return m.insertLocked(key, nil)
 }
 
 // AddTx inserts key inside a failure-atomic block.
 func (s *Set) AddTx(tx *fa.Tx, key string) error {
 	m := s.m
-	h := m.Heap()
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
+	m.gateWait()
 	if _, ok := m.mir.get(key); ok {
 		return nil
 	}
-	idx, err := m.takeSlotLocked(tx)
-	if err != nil {
-		return err
-	}
-	ks, err := NewStringTx(tx, key)
-	if err != nil {
-		m.slots = append(m.slots, idx)
-		return err
-	}
-	pairPO, err := tx.Alloc(mustClass(h, ClassPair), pairLen)
-	if err != nil {
-		m.slots = append(m.slots, idx)
-		return err
-	}
-	pair := pairPO.Core()
-	pair.WriteRef(pairKey, ks.Ref())
-	pair.WriteRef(pairVal, ks.Ref())
-	if err := tx.WriteRef(m.arrp.Load().Object, uint64(idx)*8, pair.Ref()); err != nil {
-		return err
-	}
-	key = strings.Clone(key)
-	m.mir.lock(key)
-	m.mir.put(key, idx)
-	m.mir.unlock(key)
-	tx.OnAbort(func() {
-		m.wmu.Lock()
-		m.mir.lock(key)
-		m.mir.del(key)
-		m.mir.unlock(key)
-		m.slots = append(m.slots, idx)
-		m.wmu.Unlock()
-	})
-	return nil
+	return m.insertTxLocked(tx, key, nil)
 }
 
 // Delete removes key, freeing its storage; it reports prior membership.

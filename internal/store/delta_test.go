@@ -170,7 +170,7 @@ func TestGridAddDeltaConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, BatchTarget: 4}); err != nil {
+	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync}); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 4

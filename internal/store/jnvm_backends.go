@@ -162,7 +162,7 @@ func (b *JPDTBackend) Update(key string, fields []Field) (bool, error) {
 }
 
 // replaceTable applies fields to a copy of r's table and publishes the
-// copy with the map's one pair swing, which frees r; the values the copy
+// copy with one swing of the binding's value word, which frees r; the values the copy
 // no longer references are freed after it, under the swing's fence.
 func (b *JPDTBackend) replaceTable(key string, r *pRecord, fields []Field) error {
 	nr, dropped, err := r.rewrite(b.names, b.objs, key, fields)

@@ -16,6 +16,13 @@
 #  3. Inventory. The directories under cmd/ and internal/ are exactly the
 #     entries of the tree in DESIGN.md §3 (a 4-space-indented `name/` line
 #     under the 2-space `cmd/` or `internal/` line).
+#  4. One map representation. A binding is two words of the map's array
+#     (DESIGN.md §3.2); the 16-byte pdt.pair object is gone. Its class
+#     coming back — a ClassPair identifier anywhere, a pdt.pair name in
+#     pdt's class table or constants, or either in §3's inventory (up to
+#     §3.1) — is a
+#     second representation. (map.go names "pdt.pair" once, in the list
+#     of formats core.Open refuses.)
 set -eu
 
 fail=0
@@ -51,5 +58,16 @@ for d in $listed; do
         fail=1
     }
 done
+
+hits=$({
+    grep -rn --include='*.go' -e 'ClassPair' . || true
+    grep -n -e 'pdt\.pair' internal/pdt/classes.go internal/pdt/pstring.go || true
+    awk '/^## 3\. /{on=1; next} /^##/{on=0} on && /pdt\.pair|ClassPair/{print "DESIGN.md:" NR ": " $0}' DESIGN.md
+})
+if [ -n "$hits" ]; then
+    echo "the pair class is back (a binding is two words of the map's array):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
 
 exit $fail
