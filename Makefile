@@ -7,11 +7,11 @@ STATICCHECK_VERSION ?= 2024.1.1
 # a race-detector pass in addition to the plain suite. core and pdt joined
 # when recovery went parallel (work-stealing traversal, segment sweep,
 # concurrent mirror rebuild).
-RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./internal/obs/... ./internal/core/... ./internal/pdt/... ./internal/shard/... ./internal/stack/... ./internal/wire/...
+RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./internal/obs/... ./internal/core/... ./internal/pdt/... ./internal/stack/... ./internal/wire/...
 
-# internal/bench is too slow to race wholesale; its tests that run
-# goroutines over a sharded env (the wire server on two connections) are.
-RACE_ENV_TESTS = TestShardedDelta|TestShardEnv|TestEnvCommitModes
+# internal/bench is too slow to race wholesale; it gets the env test
+# that runs the grid in every commit mode.
+RACE_ENV_TESTS = TestEnvCommitModes
 
 # pdt.Map's value replacement frees a value readers of the same key may
 # hold, in an array growth may be copying (DESIGN.md §14): both races have
@@ -55,7 +55,7 @@ race:
 	$(GO) test -race -run '$(RACE_ENV_TESTS)' ./internal/bench/
 	$(GO) test -race -run '$(RACE_MAP_TESTS)' -count=20 ./internal/pdt/
 
-# Allocation gate (DESIGN.md §14, §18): runs the MapGet/GridRead and
+# Allocation gate (DESIGN.md §14, §17): runs the MapGet/GridRead and
 # ServerWindow benchmarks with -benchmem and fails if the zero-copy and
 # proxy-cached fast paths report any allocs/op, the fallback regimes
 # exceed their ceilings, or a wire request allocates per field again.

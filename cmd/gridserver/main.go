@@ -1,8 +1,8 @@
 // Command gridserver exposes the embedded data grid over TCP: the wire
-// protocol of internal/wire (DESIGN.md §18), per-connection pipeline
+// protocol of internal/wire (DESIGN.md §17), per-connection pipeline
 // batching folded into the async group-commit pipeline, connection-limit
-// backpressure, and graceful drain on SIGTERM. With -data the NVMM pools
-// are file-backed, so a SIGKILLed server restarted on the same directory
+// backpressure, and graceful drain on SIGTERM. With -data the NVMM pool
+// is file-backed, so a SIGKILLed server restarted on the same directory
 // recovers every acknowledged write; the repo's benchmark (benchmarks/)
 // kills and audits it that way on every net-* run.
 package main
@@ -28,7 +28,6 @@ import (
 type statsPayload struct {
 	Backend  string                 `json:"backend"`
 	Commit   string                 `json:"commit"`
-	Pools    int                    `json:"pools"`
 	Records  int                    `json:"records"`
 	UptimeS  float64                `json:"uptime_s"`
 	Server   obs.ServerSnapshot     `json:"server"`
@@ -51,11 +50,10 @@ func run() (err error) {
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	backend := flag.String("backend", "J-PFA", "grid backend: J-PFA, J-PDT, J-PDT-LF, PCJ, Volatile, TmpFS, FS")
 	commit := flag.String("commit", "async", "J-NVM commit protocol: per-tx, group or async")
-	pools := flag.Int("pools", 1, "NVMM pool count (DESIGN.md §17)")
 	records := flag.Int("records", 8_000, "expected record count (pool sizing hint)")
 	fields := flag.Int("fields", 10, "expected fields per record (pool sizing hint)")
 	fieldLen := flag.Int("fieldlen", 100, "expected field value bytes (pool sizing hint)")
-	dataDir := flag.String("data", "", "directory for file-backed pools (empty: volatile in-memory NVMM simulation)")
+	dataDir := flag.String("data", "", "directory for the file-backed pool (empty: volatile in-memory NVMM simulation)")
 	maxConns := flag.Int("max-conns", 256, "concurrent connection cap (accept-loop backpressure)")
 	maxBatch := flag.Int("max-batch", 128, "max requests folded into one pipeline window")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain bound on SIGTERM")
@@ -73,7 +71,6 @@ func run() (err error) {
 		FieldCount: *fields,
 		FieldLen:   *fieldLen,
 		Commit:     *commit,
-		Pools:      *pools,
 		DataDir:    *dataDir,
 	})
 	if err != nil {
@@ -113,7 +110,6 @@ func run() (err error) {
 			p := statsPayload{
 				Backend:  *backend,
 				Commit:   *commit,
-				Pools:    *pools,
 				Records:  env.Grid.Count(),
 				UptimeS:  time.Since(start).Seconds(),
 				Server:   srv.Stats().Snapshot(),
@@ -133,8 +129,8 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gridserver: listening on %s (backend=%s commit=%s pools=%d max-conns=%d max-batch=%d)\n",
-		l.Addr(), *backend, *commit, *pools, *maxConns, *maxBatch)
+	fmt.Printf("gridserver: listening on %s (backend=%s commit=%s max-conns=%d max-batch=%d)\n",
+		l.Addr(), *backend, *commit, *maxConns, *maxBatch)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)

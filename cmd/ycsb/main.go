@@ -16,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/obs"
@@ -25,11 +23,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "fig7", "experiment: fig7, fig8, fig9a, fig9b, fig9c, fig9d, fig10, exte, shard, all")
+	exp := flag.String("exp", "fig7", "experiment: fig7, fig8, fig9a, fig9b, fig9c, fig9d, fig10, exte, all")
 	records := flag.Int("records", 0, "record count (0 = scaled default)")
 	ops := flag.Int("ops", 0, "operation count (0 = scaled default)")
 	threads := flag.Int("threads", 1, "client threads (the paper defaults to a sequential client)")
-	pools := flag.String("pools", "1,4,8", "pool counts for -exp shard (DESIGN.md \u00a717)")
 	commit := flag.String("commit", "per-tx", "J-NVM commit protocol: per-tx, group or async")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	jsonOut := flag.String("json", "", "also write experiment rows (with embedded per-run metrics) as JSON to this file")
@@ -114,32 +111,6 @@ func main() {
 			}
 			bench.PrintExtE(os.Stdout, rows)
 			results[name] = rows
-		case "shard":
-			var counts []int
-			for _, tok := range strings.Split(*pools, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(tok))
-				if err != nil || n < 1 {
-					return fmt.Errorf("bad -pools entry %q", tok)
-				}
-				counts = append(counts, n)
-			}
-			ssc := sc
-			if ssc.Threads < 8 {
-				ssc.Threads = 8 // the sweep's point is contending clients
-			}
-			var rows []bench.ShardRow
-			for _, bk := range []bench.BackendKind{bench.JPFA, bench.JPDT} {
-				r, err := bench.ShardSweep(ssc, bk, "A", counts)
-				if err != nil {
-					return err
-				}
-				rows = append(rows, r...)
-			}
-			bench.PrintShard(os.Stdout, rows)
-			results[name] = rows
-			if err := bench.ShardGate(rows); err != nil {
-				return err
-			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -148,7 +119,7 @@ func main() {
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig9d", "fig10", "exte", "shard"}
+		names = []string{"fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig9d", "fig10", "exte"}
 	}
 	for _, n := range names {
 		if err := run(n); err != nil {

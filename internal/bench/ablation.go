@@ -36,11 +36,11 @@ type AblationRow struct {
 // ablationHeap opens a bare stack with logSlots redo-log slots of 16 KiB.
 func ablationHeap(fenceNs, bytes, logSlots int) (*core.Heap, *fa.Manager, error) {
 	pool := nvm.New(bytes, nvm.Options{FenceLatency: fenceNs})
-	st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{LogSlots: logSlots, LogSlotSize: 1 << 14})
+	st, err := stack.Open(pool, stack.Config{LogSlots: logSlots, LogSlotSize: 1 << 14})
 	if err != nil {
 		return nil, nil, err
 	}
-	return st.Pools[0].Heap, st.Pools[0].Mgr, nil
+	return st.Heap, st.Mgr, nil
 }
 
 // AblationValidation compares publishing n fresh objects with one fence

@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
-	"repro/internal/fa"
 	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/obs"
@@ -57,17 +55,11 @@ type GridConfig struct {
 	// pipeline; Commit returns a ticket, durability trails at the
 	// watermark). Non-J-NVM backends ignore it.
 	Commit string
-	// Pools shards the J-NVM backends across this many NVMM pools
-	// (DESIGN.md §17): per-pool allocators, logs, and backends behind
-	// one routing grid backend. 0 or 1 keeps the classic single-pool
-	// stack; non-J-NVM backends ignore it.
-	Pools int
-	// DataDir, when set, backs the J-NVM pools with files
-	// (DataDir/pool-<i>.nvm via nvm.OpenFile) instead of anonymous
-	// memory, so the heap survives process death: a restarted process
-	// pointed at the same directory recovers the records — the wire
-	// server's crash-and-recover substrate. Non-J-NVM backends ignore
-	// it.
+	// DataDir, when set, backs the J-NVM pool with a file
+	// (DataDir/pool-0.nvm via nvm.OpenFile) instead of anonymous memory,
+	// so the heap survives process death: a restarted process pointed at
+	// the same directory recovers the records — the wire server's
+	// crash-and-recover substrate. Non-J-NVM backends ignore it.
 	DataDir string
 }
 
@@ -96,15 +88,12 @@ func EstimatePoolBytes(records, fieldCount, fieldLen int) int {
 }
 
 // Env is one ready-to-run grid with its lifecycle. The embedded stack
-// carries the uniform per-pool list (empty for the non-J-NVM backends)
-// that DrainDurable, AwaitDurable, Snapshot and Recovery walk; Heap, Pool
-// and Mgr are pool 0's layers, nil for non-J-NVM backends.
+// supplies Pool, Heap, Mgr, DrainDurable, AwaitDurable and Recovery; it
+// is the empty stack (nil layers, no-op methods) for the non-J-NVM
+// backends.
 type Env struct {
 	*stack.Stack
 	Grid    *store.Grid
-	Heap    *core.Heap
-	Pool    *nvm.Pool
-	Mgr     *fa.Manager
 	cleanup func()
 }
 
@@ -119,9 +108,9 @@ func (e *Env) Snapshot() *obs.StackSnapshot {
 	return s
 }
 
-// Close drains queued async commits, releases the pools and removes
-// what the environment created on disk. It reports the first pool that
-// failed to close.
+// Close drains queued async commits, releases the pool and removes what
+// the environment created on disk. It reports a pool that failed to
+// close.
 func (e *Env) Close() error {
 	err := e.Stack.Close()
 	if e.cleanup != nil {
@@ -170,38 +159,24 @@ func NewEnv(cfg GridConfig) (*Env, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown backend %q", cfg.Backend)
 	}
-	if cfg.Pools > 1 {
-		if cleanup != nil {
-			cleanup()
-		}
-		return nil, fmt.Errorf("bench: backend %q cannot be sharded across %d pools", cfg.Backend, cfg.Pools)
-	}
 	// These backends own no NVMM pool: the stack under the grid is empty.
 	g := store.NewGrid(b, store.Options{CacheEntries: cfg.CacheEntries})
 	return (&Env{Stack: &stack.Stack{}, Grid: g, cleanup: cleanup}).publish(), nil
 }
 
-// newNVMEnv opens the J-NVM stack of cfg. A single pool holds the whole
-// dataset budget; several split it evenly with 50% per-pool headroom
-// (jump hashing balances within a few percent, and the headroom keeps
-// skew off the fallback path).
+// newNVMEnv opens the J-NVM stack of cfg over one pool sized for the
+// dataset. Each opener closes what it opened when a later step fails:
+// stack.Open closes the pool, and a failed proxy-cache switch closes the
+// stack.
 func newNVMEnv(cfg GridConfig) (*Env, error) {
 	if cfg.FenceNs == 0 {
 		cfg.FenceNs = DefaultFenceNs
 	}
-	size := EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen)
-	pools := make([]*nvm.Pool, max(cfg.Pools, 1))
-	if n := len(pools); n > 1 {
-		size = max(size/n+size/(2*n), 8<<20)
+	pool, err := newPool(cfg, EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen))
+	if err != nil {
+		return nil, err
 	}
-	for i := range pools {
-		p, err := newPool(cfg, i, size)
-		if err != nil {
-			return nil, err
-		}
-		pools[i] = p
-	}
-	st, err := stack.Open(pools, stack.Config{
+	st, err := stack.Open(pool, stack.Config{
 		Backend: string(cfg.Backend), Commit: cfg.Commit,
 		LogSlots: 64, LogSlotSize: 1 << 15,
 	})
@@ -209,21 +184,19 @@ func newNVMEnv(cfg GridConfig) (*Env, error) {
 		return nil, err
 	}
 	if cfg.Backend == JPDT && cfg.ProxyCache != pdt.CacheNone {
-		for _, m := range st.Pools {
-			if err := m.Backend.(*store.JPDTBackend).SetProxyCache(cfg.ProxyCache); err != nil {
-				return nil, err
-			}
+		if err := st.Backend.(*store.JPDTBackend).SetProxyCache(cfg.ProxyCache); err != nil {
+			st.Close()
+			return nil, err
 		}
 	}
 	// The paper disables record caching for the J-NVM backends (§5.3.1:
 	// "caching brings almost no performance benefits").
-	g, p0 := store.NewGrid(st.Backend, store.Options{}), st.Pools[0]
-	return (&Env{Stack: st, Grid: g, Heap: p0.Heap, Pool: p0.Pool, Mgr: p0.Mgr}).publish(), nil
+	return (&Env{Stack: st, Grid: store.NewGrid(st.Backend, store.Options{})}).publish(), nil
 }
 
-// newPool builds pool i of an environment: anonymous memory by default,
-// a file-backed (DAX-style) pool under cfg.DataDir when set.
-func newPool(cfg GridConfig, i, size int) (*nvm.Pool, error) {
+// newPool builds the environment's pool: anonymous memory by default, a
+// file-backed (DAX-style) pool under cfg.DataDir when set.
+func newPool(cfg GridConfig, size int) (*nvm.Pool, error) {
 	opts := nvm.Options{FenceLatency: cfg.FenceNs}
 	if cfg.DataDir == "" {
 		return nvm.New(size, opts), nil
@@ -231,5 +204,5 @@ func newPool(cfg GridConfig, i, size int) (*nvm.Pool, error) {
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
 	}
-	return nvm.OpenFile(filepath.Join(cfg.DataDir, fmt.Sprintf("pool-%d.nvm", i)), size, opts)
+	return nvm.OpenFile(filepath.Join(cfg.DataDir, "pool-0.nvm"), size, opts)
 }

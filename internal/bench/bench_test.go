@@ -2,11 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fa"
+	"repro/internal/heap"
+	"repro/internal/nvm"
 	"repro/internal/ycsb"
 )
 
@@ -409,5 +413,80 @@ func TestEnvCommitModes(t *testing.T) {
 	}
 	if _, err := NewEnv(GridConfig{Backend: JPFA, Records: 100, FieldCount: 10, FieldLen: 100, Commit: "bogus"}); err == nil {
 		t.Fatal("bogus commit mode accepted")
+	}
+}
+
+// TestCapabilityTable pins what each J-NVM backend offers against one
+// literal table, and the read path the grid adopts over it.
+func TestCapabilityTable(t *testing.T) {
+	for _, tc := range []struct {
+		kind       BackendKind
+		caps, path string
+	}{
+		{JPDT, "view", "view"},
+		{JPDTLF, "lockfree", "lockfree"},
+		{JPFA, "delta", "locked"},
+		{PCJ, "", "locked"},
+	} {
+		env, err := NewEnv(GridConfig{Backend: tc.kind, Records: 100, FieldCount: 1, FieldLen: 8, FenceNs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := env.Backend.Caps()
+		var offers []string
+		for _, f := range []struct {
+			name    string
+			present bool
+		}{{"view", c.View != nil}, {"lockfree", c.LockFree != nil}, {"delta", c.Delta != nil}, {"scan", c.Scan != nil}} {
+			if f.present {
+				offers = append(offers, f.name)
+			}
+		}
+		if got := strings.Join(offers, ","); got != tc.caps {
+			t.Errorf("%s offers [%s], want [%s]", tc.kind, got, tc.caps)
+		}
+		if got := env.Grid.ReadPath(); got != tc.path {
+			t.Errorf("%s: grid read path %q, want %q", tc.kind, got, tc.path)
+		}
+		env.Close()
+	}
+}
+
+// TestNewEnvClosesPoolOnError: an environment whose stack cannot open —
+// here a pool file in a heap format every build refuses — must not leave
+// the pool's file descriptor and MAP_SHARED mapping behind.
+func TestNewEnvClosesPoolOnError(t *testing.T) {
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps:", err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pool-0.nvm")
+	cfg := GridConfig{Backend: JPFA, Records: 16, FieldCount: 1, FieldLen: 8, DataDir: dir}
+	pool, err := nvm.OpenFile(path, EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen), nvm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := heap.Format(pool, heap.Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	pool.WriteUint64(8, 1) // the superblock's format-version word: version 1
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(maps), path) {
+		t.Fatal("pool still mapped before NewEnv ran")
+	}
+	if _, err := NewEnv(cfg); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("NewEnv over a version-1 pool: %v", err)
+	}
+	if maps, err = os.ReadFile("/proc/self/maps"); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(maps), path) {
+		t.Fatalf("NewEnv failed but left %s mapped", path)
 	}
 }

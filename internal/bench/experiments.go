@@ -387,7 +387,7 @@ func Fig11(cfg Fig11Config) ([]*tpcb.Timeline, error) {
 	openJNVM := func(pool *nvm.Pool, accounts int, nogc bool) (tpcb.Bank, error) {
 		sc := tpcb.StackConfig(nogc)
 		sc.Commit = cfg.Commit
-		st, err := stack.Open([]*nvm.Pool{pool}, sc)
+		st, err := stack.Open(pool, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -692,11 +692,11 @@ func ExtE(sc Scale, maxScanLen int) ([]ExtERow, error) {
 			// tree-mirrored backend and its grid put on top here.
 			pool := nvm.New(EstimatePoolBytes(cfg.RecordCount*2, cfg.FieldCount, cfg.FieldLen),
 				nvm.Options{FenceLatency: DefaultFenceNs})
-			st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{LogSlots: 16, LogSlotSize: 1 << 15})
+			st, err := stack.Open(pool, stack.Config{LogSlots: 16, LogSlotSize: 1 << 15})
 			if err != nil {
 				return nil, err
 			}
-			b, err := store.NewJPDTBackendKind(st.Pools[0].Heap, "kv", pdt.MirrorTree)
+			b, err := store.NewJPDTBackendKind(st.Heap, "kv", pdt.MirrorTree)
 			if err != nil {
 				return nil, err
 			}

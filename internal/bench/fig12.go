@@ -105,11 +105,11 @@ func Fig12(records, ops, valLen int) ([]Fig12Row, error) {
 	newPDT := func(kind pdt.MirrorKind) (kvType, error) {
 		pool := nvm.New(EstimatePoolBytes(records, 1, valLen)+records*512,
 			nvm.Options{FenceLatency: DefaultFenceNs})
-		st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{LogSlots: 4, LogSlotSize: 1 << 14})
+		st, err := stack.Open(pool, stack.Config{LogSlots: 4, LogSlotSize: 1 << 14})
 		if err != nil {
 			return nil, err
 		}
-		h := st.Pools[0].Heap
+		h := st.Heap
 		m, err := pdt.NewMap(h, kind)
 		if err != nil {
 			return nil, err

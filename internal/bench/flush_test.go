@@ -8,23 +8,42 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/tpcb"
+	"repro/internal/ycsb"
 )
 
 // ycsbFlushRates runs 2000 operations per client of the workload's mix
-// over 400 records on the single-pool stack (ShardSweep loads
-// single-threaded and settles async epochs inside the interval) and
+// over 400 records (loaded single-threaded: concurrent inserts contend on
+// shared map blocks), settles async epochs inside the interval, and
 // returns the run interval's pwb/op and pfence/op.
 func ycsbFlushRates(t *testing.T, bk BackendKind, workload string, threads int, commit string) (pwb, pfence float64) {
 	t.Helper()
-	sc := Scale{Records: 400, Operations: 2000, Threads: threads, Commit: commit}
-	rows, err := ShardSweep(sc, bk, workload, []int{1})
+	cfg := ycsb.MustWorkload(workload)
+	cfg.RecordCount, cfg.Operations, cfg.Threads = 400, 2000*threads, threads
+	cfg = cfg.Defaults()
+	env, err := NewEnv(GridConfig{
+		Backend: bk, Records: cfg.RecordCount * 2,
+		FieldCount: cfg.FieldCount, FieldLen: cfg.FieldLen, Commit: commit,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Errors != 0 {
-		t.Fatalf("%s/%s: %d op errors", workload, bk, rows[0].Errors)
+	defer env.Close()
+	load := cfg
+	load.Threads = 1
+	if err := ycsb.Load(env.Grid, load); err != nil {
+		t.Fatal(err)
 	}
-	return rows[0].PWBPerOp, rows[0].PFencePerOp
+	before := env.Snapshot()
+	res, err := ycsb.Run(env.Grid, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.DrainDurable()
+	d := env.Snapshot().Sub(*before)
+	if res.Errors != 0 {
+		t.Fatalf("%s/%s: %d op errors", workload, bk, res.Errors)
+	}
+	return d.PWBPerOp, d.PFencePerOp
 }
 
 // TestFlushRates pins what each backend pays the persistence domain per

@@ -57,46 +57,13 @@ type Run struct {
 	// holds on torn images too: a slot's mark and count are separate
 	// aligned words, nothing ever clears a count under a live mark, and
 	// retirement writes only the one-word watermark.
-	Audit func(imgs []*nvm.Pool) error
-
-	// Multi-pool forms, used when Workload.Pools > 1 (DESIGN.md §17):
-	// the plug is pulled on the whole machine at once, so the fault
-	// plane spans every pool, ordering points count globally, and a
-	// crash yields one image per pool. Setup may still run concurrent
-	// goroutines (it is unobserved); Exec must stay deterministic and
-	// single-goroutine across all pools.
-	SetupN func(pools []*nvm.Pool) error
-	ExecN  func(pools []*nvm.Pool) error
-	CheckN func(imgs []*nvm.Pool, parallelism int) error
-}
-
-func (r *Run) setup(pools []*nvm.Pool) error {
-	if r.SetupN != nil {
-		return r.SetupN(pools)
-	}
-	return r.Setup(pools[0])
-}
-
-func (r *Run) exec(pools []*nvm.Pool) error {
-	if r.ExecN != nil {
-		return r.ExecN(pools)
-	}
-	return r.Exec(pools[0])
-}
-
-func (r *Run) check(imgs []*nvm.Pool, parallelism int) error {
-	if r.CheckN != nil {
-		return r.CheckN(imgs, parallelism)
-	}
-	return r.Check(imgs[0], parallelism)
+	Audit func(img *nvm.Pool) error
 }
 
 // Workload names a crash-exploration scenario.
 type Workload struct {
 	Name      string
-	PoolBytes int // per pool
-	// Pools is the NVMM pool count (0 or 1 = the classic single pool).
-	Pools int
+	PoolBytes int
 	// New builds a fresh Run; the seed drives the op mix and oracle.
 	New func(seed int64) *Run
 }
@@ -110,19 +77,14 @@ type crashSignal struct{}
 // pool; events observed after firing (from exactly that cleanup) are
 // ignored.
 type plane struct {
-	pools   []*nvm.Pool
+	pool    *nvm.Pool
 	trigger int // 1-based ordering point to crash at; 0 = count only
 	count   int
 	fired   bool
-	states  []*nvm.CrashState // one per pool, captured together at the crash
+	state   *nvm.CrashState // captured at the crash
 }
 
-func (pl *plane) capture() {
-	pl.states = make([]*nvm.CrashState, len(pl.pools))
-	for i, p := range pl.pools {
-		pl.states[i] = p.CaptureCrashState()
-	}
-}
+func (pl *plane) capture() { pl.state = pl.pool.CaptureCrashState() }
 
 func (pl *plane) OrderingPoint(nvm.FaultEvent) {
 	if pl.fired {
@@ -170,11 +132,8 @@ type Failure struct {
 	Seed     int64           `json:"seed"`
 	Par      int             `json:"par"`              // recovery parallelism that failed (1 and/or Par)
 	Subset   []nvm.CrashLine `json:"subset,omitempty"` // minimized failing line-subset
-	// PoolSubsets replaces Subset for multi-pool workloads: the
-	// minimized failing line-subset of every pool, in pool order.
-	PoolSubsets [][]nvm.CrashLine `json:"pool_subsets,omitempty"`
-	Err         string            `json:"err"`
-	Diverged    bool              `json:"diverged,omitempty"` // serial and parallel disagreed
+	Err      string          `json:"err"`
+	Diverged bool            `json:"diverged,omitempty"` // serial and parallel disagreed
 }
 
 // Repro renders the one-command reproduction for this failure.
@@ -190,9 +149,9 @@ func (f *Failure) String() string {
 		b.WriteString(" [serial/parallel diverge]")
 	}
 	fmt.Fprintf(&b, ": %s\n", f.Err)
-	renderSubset := func(label string, subset []nvm.CrashLine) {
-		fmt.Fprintf(&b, "  minimized subset%s (%d lines):", label, len(subset))
-		for _, cl := range subset {
+	if len(f.Subset) > 0 {
+		fmt.Fprintf(&b, "  minimized subset (%d lines):", len(f.Subset))
+		for _, cl := range f.Subset {
 			src := "snapshot"
 			if cl.Source == nvm.CrashFromCurrent {
 				src = "current"
@@ -208,14 +167,6 @@ func (f *Failure) String() string {
 			b.WriteString("}")
 		}
 		b.WriteString("\n")
-	}
-	if len(f.Subset) > 0 {
-		renderSubset("", f.Subset)
-	}
-	for p, sub := range f.PoolSubsets {
-		if len(sub) > 0 {
-			renderSubset(fmt.Sprintf(" pool %d", p), sub)
-		}
 	}
 	fmt.Fprintf(&b, "  reproduce: %s", f.Repro())
 	return b.String()
@@ -236,25 +187,14 @@ type Report struct {
 // the crash), the plane (count + captured state), and Exec's error when
 // it completed without crashing.
 func runTo(w *Workload, seed int64, trigger int) (*Run, *plane, error) {
-	np := w.Pools
-	if np < 1 {
-		np = 1
-	}
-	pools := make([]*nvm.Pool, np)
-	for i := range pools {
-		pools[i] = nvm.New(w.PoolBytes, nvm.Options{Tracked: true})
-	}
+	pool := nvm.New(w.PoolBytes, nvm.Options{Tracked: true})
 	run := w.New(seed)
-	if err := run.setup(pools); err != nil {
+	if err := run.Setup(pool); err != nil {
 		return nil, nil, fmt.Errorf("%s setup: %w", w.Name, err)
 	}
-	for _, p := range pools {
-		p.PSync() // setup ends durable; exploration covers Exec only
-	}
-	pl := &plane{pools: pools, trigger: trigger}
-	for _, p := range pools {
-		p.SetFaultPlane(pl)
-	}
+	pool.PSync() // setup ends durable; exploration covers Exec only
+	pl := &plane{pool: pool, trigger: trigger}
+	pool.SetFaultPlane(pl)
 	var execErr error
 	func() {
 		defer func() {
@@ -265,11 +205,9 @@ func runTo(w *Workload, seed int64, trigger int) (*Run, *plane, error) {
 				panic(r)
 			}
 		}()
-		execErr = run.exec(pools)
+		execErr = run.Exec(pool)
 	}()
-	for _, p := range pools {
-		p.SetFaultPlane(nil)
-	}
+	pool.SetFaultPlane(nil)
 	if trigger == 0 || !pl.fired {
 		if execErr != nil {
 			return nil, nil, fmt.Errorf("%s exec: %w", w.Name, execErr)
@@ -283,22 +221,22 @@ func runTo(w *Workload, seed int64, trigger int) (*Run, *plane, error) {
 
 // safeCheck runs Check, converting panics into errors: recovery must
 // tolerate any crash image, so a panic is itself an invariant violation.
-func safeCheck(run *Run, imgs []*nvm.Pool, parallelism int) (err error) {
+func safeCheck(run *Run, img *nvm.Pool, parallelism int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("recovery panicked: %v", r)
 		}
 	}()
-	return run.check(imgs, parallelism)
+	return run.Check(img, parallelism)
 }
 
-func safeAudit(run *Run, imgs []*nvm.Pool) (err error) {
+func safeAudit(run *Run, img *nvm.Pool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("audit panicked: %v", r)
 		}
 	}()
-	return run.Audit(imgs)
+	return run.Audit(img)
 }
 
 // subsetSeed mixes (seed, point, sample) into the rng seed for one
@@ -311,10 +249,8 @@ func subsetSeed(seed int64, point, sample int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// specFor rebuilds the crash-image spec for a sample index at a point,
-// for one pool. Pool 0's draw matches the historical single-pool draw,
-// so existing (point, sample, seed) repro triples stay valid.
-func specFor(state *nvm.CrashState, seed int64, point, sample, pool int) []nvm.CrashLine {
+// specFor rebuilds the crash-image spec for a sample index at a point.
+func specFor(state *nvm.CrashState, seed int64, point, sample int) []nvm.CrashLine {
 	switch sample {
 	case -1: // strict: durable image only
 		return nil
@@ -325,28 +261,9 @@ func specFor(state *nvm.CrashState, seed int64, point, sample, pool int) []nvm.C
 		}
 		return spec
 	default:
-		rng := rand.New(rand.NewSource(subsetSeed(seed, point, sample) ^ int64(pool)*-0x61c8864680b583eb))
+		rng := rand.New(rand.NewSource(subsetSeed(seed, point, sample)))
 		return state.SampleSpec(rng, sample%2 == 1)
 	}
-}
-
-// specsFor draws every pool's spec for one (point, sample).
-func specsFor(states []*nvm.CrashState, seed int64, point, sample int) [][]nvm.CrashLine {
-	specs := make([][]nvm.CrashLine, len(states))
-	for i, st := range states {
-		specs[i] = specFor(st, seed, point, sample, i)
-	}
-	return specs
-}
-
-// imagesFor mints one adversarial image per pool. Fresh images are built
-// for every check — Check owns and may mutate them.
-func imagesFor(states []*nvm.CrashState, specs [][]nvm.CrashLine) []*nvm.Pool {
-	imgs := make([]*nvm.Pool, len(states))
-	for i, st := range states {
-		imgs[i] = st.Image(specs[i])
-	}
-	return imgs
 }
 
 // pickPoints selects which crash points to explore: all of them when the
@@ -383,47 +300,33 @@ func pickPoints(total, budget int, seed int64) []int {
 	return pts
 }
 
-// minimizeSpecs greedily drops spec entries — across every pool — while
-// the failure persists, then tries to un-tear surviving entries, so
-// reports implicate the fewest lines possible.
-func minimizeSpecs(run *Run, states []*nvm.CrashState, specs [][]nvm.CrashLine, parallelism int) [][]nvm.CrashLine {
-	fails := func(s [][]nvm.CrashLine) bool {
-		return safeCheck(run, imagesFor(states, s), parallelism) != nil
+// minimizeSpec greedily drops spec entries while the failure persists,
+// then tries to un-tear surviving entries, so reports implicate the
+// fewest lines possible. Check owns the image it is handed, so every
+// attempt mints a fresh one.
+func minimizeSpec(run *Run, state *nvm.CrashState, spec []nvm.CrashLine, parallelism int) []nvm.CrashLine {
+	fails := func(s []nvm.CrashLine) bool {
+		return safeCheck(run, state.Image(s), parallelism) != nil
 	}
-	cur := make([][]nvm.CrashLine, len(specs))
-	for p := range specs {
-		cur[p] = append([]nvm.CrashLine(nil), specs[p]...)
-	}
-	clone := func() [][]nvm.CrashLine {
-		c := make([][]nvm.CrashLine, len(cur))
-		for p := range cur {
-			c[p] = append([]nvm.CrashLine(nil), cur[p]...)
-		}
-		return c
-	}
+	cur := append([]nvm.CrashLine(nil), spec...)
 	for changed := true; changed; {
 		changed = false
-		for p := range cur {
-			for i := 0; i < len(cur[p]); i++ {
-				cand := clone()
-				cand[p] = append(append([]nvm.CrashLine(nil), cur[p][:i]...), cur[p][i+1:]...)
-				if fails(cand) {
-					cur = cand
-					changed = true
-					i--
-				}
+		for i := 0; i < len(cur); i++ {
+			cand := append(append([]nvm.CrashLine(nil), cur[:i]...), cur[i+1:]...)
+			if fails(cand) {
+				cur = cand
+				changed = true
+				i--
 			}
 		}
 	}
-	for p := range cur {
-		for i := range cur[p] {
-			if cur[p][i].Split != 0 {
-				cand := clone()
-				cand[p][i].Split = 0
-				cand[p][i].Tail = false
-				if fails(cand) {
-					cur = cand
-				}
+	for i := range cur {
+		if cur[i].Split != 0 {
+			cand := append([]nvm.CrashLine(nil), cur...)
+			cand[i].Split = 0
+			cand[i].Tail = false
+			if fails(cand) {
+				cur = cand
 			}
 		}
 	}
@@ -464,8 +367,8 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 	// The completed run must also satisfy its own oracle in both crash
 	// worlds (nothing pending lost, everything pending persisted).
 	for _, sample := range []int{-1, -2} {
-		imgs := imagesFor(pl.states, specsFor(pl.states, opt.Seed, rep.Points+1, sample))
-		if err := safeCheck(run, imgs, 1); err != nil {
+		img := pl.state.Image(specFor(pl.state, opt.Seed, rep.Points+1, sample))
+		if err := safeCheck(run, img, 1); err != nil {
 			return nil, fmt.Errorf("%s: completed run fails its own oracle (sample %d): %w", w.Name, sample, err)
 		}
 	}
@@ -486,10 +389,10 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 	}
 
 	for _, point := range points {
-		var states []*nvm.CrashState
+		var state *nvm.CrashState
 		crun := run
 		if point > rep.Points {
-			states = pl.states // end-of-run state from the count pass
+			state = pl.state // end-of-run state from the count pass
 		} else {
 			r, cpl, err := runTo(w, opt.Seed, point)
 			if err != nil {
@@ -498,18 +401,18 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 			if !cpl.fired {
 				return nil, fmt.Errorf("%s: replay finished before point %d (nondeterministic workload)", w.Name, point)
 			}
-			states = cpl.states
+			state = cpl.state
 			crun = r
 		}
 		rep.Explored++
 		for _, sample := range samples {
-			specs := specsFor(states, opt.Seed, point, sample)
+			spec := specFor(state, opt.Seed, point, sample)
 			rep.Images++
-			serialErr := safeCheck(crun, imagesFor(states, specs), 1)
-			parErr := safeCheck(crun, imagesFor(states, specs), opt.Par)
+			serialErr := safeCheck(crun, state.Image(spec), 1)
+			parErr := safeCheck(crun, state.Image(spec), opt.Par)
 			var auditErr error
 			if serialErr == nil && parErr == nil && crun.Audit != nil {
-				auditErr = safeAudit(crun, imagesFor(states, specs))
+				auditErr = safeAudit(crun, state.Image(spec))
 			}
 			if serialErr == nil && parErr == nil && auditErr == nil {
 				continue
@@ -535,12 +438,7 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 			if auditErr == nil {
 				// Audit failures skip minimization: the greedy predicate
 				// replays Check only, which passes on these images.
-				min := minimizeSpecs(crun, states, specs, f.Par)
-				if len(min) == 1 {
-					f.Subset = min[0]
-				} else {
-					f.PoolSubsets = min
-				}
+				f.Subset = minimizeSpec(crun, state, spec, f.Par)
 			}
 			rep.Failures = append(rep.Failures, f)
 			logf("%s", f.String())

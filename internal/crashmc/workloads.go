@@ -14,7 +14,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/pdt"
-	"repro/internal/shard"
 	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/tpcb"
@@ -33,7 +32,7 @@ func Workloads() []*Workload {
 	var ws []*Workload
 	for _, e := range []entry{
 		bankEntry(), gridEntry(), gridGroupEntry(), gridDeltaEntry(), gridInlineEntry(), gridReadEntry(),
-		poolEntry(), pdtEntry(), pdtLockFreeEntry(), poolMigrateEntry(), retireEntry(),
+		poolEntry(), pdtEntry(), pdtLockFreeEntry(), retireEntry(),
 	} {
 		ws = append(ws, e.workload())
 	}
@@ -51,24 +50,20 @@ func ByName(name string) (*Workload, bool) {
 }
 
 // entry is one row of the workload table: the stack every open of the
-// workload's pools goes through, what the harness does around each
+// workload's pool goes through, what the harness does around each
 // reopen, and the workload's own scenario. The harness turns it into a
 // Workload: Setup opens the stack and hands it to the scenario; every
-// Check reopens the crash images at the requested recovery parallelism,
-// fscks each pool, and only then consults the scenario's oracle.
+// Check reopens the crash image at the requested recovery parallelism,
+// fscks it, and only then consults the scenario's oracle.
 type entry struct {
 	name      string
 	poolBytes int
-	pools     int // pools handed to the run (0 or 1 = single pool)
-	// setupPools is how many of them Setup's stack opens (0 = all); the
-	// rest are spares the scenario adds online.
-	setupPools int
 	// cfg is the stack configuration; the harness fills in Parallelism.
 	cfg stack.Config
 	// compare makes every parallel check prove the §4.1.3 equivalence on
-	// top of the oracle: each pool image recovered serially and
-	// concurrently must match bit for bit, and a full serial check of the
-	// same images must report the same observable state.
+	// top of the oracle: the image recovered serially and concurrently
+	// must match bit for bit, and a full serial check of the same image
+	// must report the same observable state.
 	compare bool
 	// auditSlots runs fa.AuditCommittedSlots over every image (Run.Audit)
 	// and holds recovery to replaying exactly the live slots.
@@ -83,7 +78,7 @@ type scenario struct {
 	// setup creates the persistent structures over the fresh stack.
 	setup func(st *stack.Stack) error
 	// exec is the explored mutation sequence.
-	exec func(pools []*nvm.Pool) error
+	exec func() error
 	// check verifies the oracle over a recovered, fsck-clean stack and
 	// probes that it still accepts operations. What it writes to obs is
 	// the observable state compared between recoveries (entry.compare).
@@ -98,25 +93,22 @@ func stackCfg(kind string) stack.Config {
 }
 
 func (e entry) workload() *Workload {
-	return &Workload{Name: e.name, PoolBytes: e.poolBytes, Pools: e.pools, New: func(seed int64) *Run {
+	return &Workload{Name: e.name, PoolBytes: e.poolBytes, New: func(seed int64) *Run {
 		sc := e.new(seed)
 		run := &Run{
-			SetupN: func(pools []*nvm.Pool) error {
-				if e.setupPools > 0 {
-					pools = pools[:e.setupPools]
-				}
-				st, err := e.open(pools, 1, false)
+			Setup: func(pool *nvm.Pool) error {
+				st, err := e.open(pool, 1, false)
 				if err != nil {
 					return err
 				}
 				return sc.setup(st)
 			},
-			ExecN:  sc.exec,
-			CheckN: func(imgs []*nvm.Pool, parallelism int) error { return e.check(sc, imgs, parallelism) },
+			Exec:  func(*nvm.Pool) error { return sc.exec() },
+			Check: func(img *nvm.Pool, parallelism int) error { return e.check(sc, img, parallelism) },
 		}
 		if e.auditSlots {
-			run.Audit = func(imgs []*nvm.Pool) error {
-				mem, err := heap.Open(imgs[0])
+			run.Audit = func(img *nvm.Pool) error {
+				mem, err := heap.Open(img)
 				if err != nil {
 					return err
 				}
@@ -125,14 +117,14 @@ func (e entry) workload() *Workload {
 				}
 				// Recovery replays exactly the live slots, and retires them.
 				_, live := fa.LiveSlots(mem)
-				st, err := e.open(imgs[:1], 1, true)
+				st, err := e.open(img, 1, true)
 				if err != nil {
 					return err
 				}
 				if n := st.Recovery()[0].ReplayedTx; n != uint64(len(live)) {
 					return fmt.Errorf("image holds %d live log slots, recovery replayed %d", len(live), n)
 				}
-				if _, left := fa.LiveSlots(st.Pools[0].Heap.Mem()); len(left) != 0 {
+				if _, left := fa.LiveSlots(st.Heap.Mem()); len(left) != 0 {
 					return fmt.Errorf("%d log slots still live after recovery", len(left))
 				}
 				return nil
@@ -142,55 +134,42 @@ func (e entry) workload() *Workload {
 	}}
 }
 
-// open opens pools through the entry's stack; bare leaves the backend
+// open opens pool through the entry's stack; bare leaves the backend
 // off, so nothing above the heap touches the image.
-func (e entry) open(pools []*nvm.Pool, parallelism int, bare bool) (*stack.Stack, error) {
+func (e entry) open(pool *nvm.Pool, parallelism int, bare bool) (*stack.Stack, error) {
 	cfg := e.cfg
 	cfg.Parallelism = parallelism
 	if bare {
 		cfg.Backend = ""
 	}
-	return stack.Open(pools, cfg)
+	return stack.Open(pool, cfg)
 }
 
 // check is every scenario's Check: what an operator restart does, then
-// the oracle. A multi-pool run first reads the epoch table off the pool-0
-// image to learn which pools are durable members.
-func (e entry) check(sc *scenario, imgs []*nvm.Pool, parallelism int) error {
-	if len(imgs) > 1 {
-		n, err := e.durableMembers(imgs)
-		if err != nil {
-			return err
-		}
-		imgs = imgs[:n]
-	}
+// the oracle.
+func (e entry) check(sc *scenario, img *nvm.Pool, parallelism int) error {
 	if !e.compare || parallelism == 1 {
-		_, err := e.checkOne(sc, imgs, parallelism)
+		_, err := e.checkOne(sc, img, parallelism)
 		return err
 	}
-	// §4.1.3 equivalence, per pool and bit for bit: recover each image
-	// serially and concurrently, bare, and compare the raw pool bytes —
-	// before anything above the heap (a mirror rebuild, a set's migration
-	// resume) can write.
-	clones := make([]*nvm.Pool, len(imgs))
-	for i, img := range imgs {
-		clones[i] = clonePool(img)
-		a, c := clonePool(img), clonePool(img)
-		if _, err := e.open([]*nvm.Pool{a}, 1, true); err != nil {
-			return fmt.Errorf("pool %d serial recovery: %w", i, err)
-		}
-		if _, err := e.open([]*nvm.Pool{c}, parallelism, true); err != nil {
-			return fmt.Errorf("pool %d parallel recovery: %w", i, err)
-		}
-		if !bytes.Equal(a.ReadBytes(0, a.Size()), c.ReadBytes(0, c.Size())) {
-			return fmt.Errorf("pool %d: serial and parallel recovery images differ", i)
-		}
+	// §4.1.3 equivalence, bit for bit: recover the image serially and
+	// concurrently, bare, and compare the raw pool bytes — before anything
+	// above the heap (a mirror rebuild) can write.
+	clone, a, c := clonePool(img), clonePool(img), clonePool(img)
+	if _, err := e.open(a, 1, true); err != nil {
+		return fmt.Errorf("serial recovery: %w", err)
 	}
-	obs, err := e.checkOne(sc, imgs, parallelism)
+	if _, err := e.open(c, parallelism, true); err != nil {
+		return fmt.Errorf("parallel recovery: %w", err)
+	}
+	if !bytes.Equal(a.ReadBytes(0, a.Size()), c.ReadBytes(0, c.Size())) {
+		return fmt.Errorf("serial and parallel recovery images differ")
+	}
+	obs, err := e.checkOne(sc, img, parallelism)
 	if err != nil {
 		return err
 	}
-	sobs, err := e.checkOne(sc, clones, 1)
+	sobs, err := e.checkOne(sc, clone, 1)
 	if err != nil {
 		return fmt.Errorf("serial replay of parallel image: %w", err)
 	}
@@ -200,29 +179,21 @@ func (e entry) check(sc *scenario, imgs []*nvm.Pool, parallelism int) error {
 	return nil
 }
 
-// checkOne reopens the images (replaying any interrupted migration
-// synchronously), fscks every pool and runs the scenario's oracle.
-func (e entry) checkOne(sc *scenario, imgs []*nvm.Pool, parallelism int) (string, error) {
-	st, err := e.open(imgs, parallelism, false)
+// checkOne reopens the image, fscks it and runs the scenario's oracle.
+func (e entry) checkOne(sc *scenario, img *nvm.Pool, parallelism int) (string, error) {
+	st, err := e.open(img, parallelism, false)
 	if err != nil {
-		return "", fmt.Errorf("reopen (%d pools): %w", len(imgs), err)
+		return "", fmt.Errorf("reopen: %w", err)
 	}
-	if st.Set != nil && st.Set.Migrating() {
-		return "", fmt.Errorf("still migrating after open")
-	}
-	for i, m := range st.Pools {
-		if err := fsckClean(m.Heap); err != nil {
-			return "", fmt.Errorf("pool %d: %w", i, err)
-		}
+	if err := fsckClean(st.Heap); err != nil {
+		return "", err
 	}
 	var obs strings.Builder
 	if err := sc.check(st, &obs); err != nil {
 		return "", err
 	}
-	for i, m := range st.Pools {
-		if err := mapsWhole(m.Heap); err != nil {
-			return "", fmt.Errorf("pool %d: %w", i, err)
-		}
+	if err := mapsWhole(st.Heap); err != nil {
+		return "", err
 	}
 	return obs.String(), nil
 }
@@ -246,23 +217,6 @@ func mapsWhole(h *core.Heap) error {
 		}
 	}
 	return nil
-}
-
-// durableMembers reads the durable pool roster off the pool-0 image (on
-// a scratch clone, so the real open starts from a pristine image).
-func (e entry) durableMembers(imgs []*nvm.Pool) (int, error) {
-	probe, err := e.open([]*nvm.Pool{clonePool(imgs[0])}, 1, true)
-	if err != nil {
-		return 0, fmt.Errorf("pool 0 reopen: %w", err)
-	}
-	_, _, targetN, _, _, err := shard.ReadTopology(probe.Pools[0].Heap)
-	if err != nil {
-		return 0, err
-	}
-	if targetN < 2 || targetN > len(imgs) {
-		return 0, fmt.Errorf("epoch table names %d pools", targetN)
-	}
-	return targetN, nil
 }
 
 func clonePool(p *nvm.Pool) *nvm.Pool {
@@ -396,7 +350,7 @@ func bankEntry() entry {
 				bank, err = tpcb.NewJNVMBank(st, accounts)
 				return err
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i := 0; i < transfers; i++ {
 					from := rng.Intn(accounts)
 					to := (from + 1 + rng.Intn(accounts-1)) % accounts
@@ -496,7 +450,7 @@ func gridEntry() entry {
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				return nil
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
 					pre := model[key]
@@ -594,7 +548,7 @@ func gridGroupEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				mgr = st.Pools[0].Mgr
+				mgr = st.Mgr
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				// Seed every key in the default per-Tx mode, then switch to
 				// the async pipeline for the explored phase.
@@ -607,7 +561,7 @@ func gridGroupEntry() entry {
 				}
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for e := 0; e < epochs+hotEpochs; e++ {
 					batch := make([]string, 0, opsPerEpoch)
 					for j := 0; j < opsPerEpoch; j++ {
@@ -667,7 +621,7 @@ func gridGroupEntry() entry {
 
 // ---- griddelta: delta-ledger folding under the async pipeline ----
 
-// gridDeltaWorkload crashes the delta coalescing of DESIGN.md §19:
+// gridDeltaWorkload crashes the delta coalescing of DESIGN.md §18:
 // counter increments ride the manager's fold ledger (volatile until a
 // drain materializes one redo-log entry per hot key) while updates on the
 // same keys queue as ordinary async commits, forcing the drain-on-overlap
@@ -731,7 +685,7 @@ func gridDeltaEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				mgr = st.Pools[0].Mgr
+				mgr = st.Mgr
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				// Seed per-Tx: insert each counter and bump it once through
 				// the transactional path; the counter is the value word of
@@ -750,7 +704,7 @@ func gridDeltaEntry() entry {
 				}
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for e := 0; e < epochs; e++ {
 					for i := 0; i < opsPerEpoch; i++ {
 						k := rng.Intn(nkeys)
@@ -945,14 +899,14 @@ func gridInlineEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				mgr = st.Pools[0].Mgr
+				mgr = st.Mgr
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				for k := range hist {
 					hist[k] = []state{nil}
 				}
 				return nil
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i := 0; i < txOps; i++ {
 					if err := step(i, rng.Intn(nkeys)); err != nil {
 						return err
@@ -1085,7 +1039,7 @@ func gridReadEntry() entry {
 				g = store.NewGrid(st.Backend, store.Options{})
 				return nil
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
 					switch rng.Intn(6) {
@@ -1245,14 +1199,14 @@ func poolEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) (err error) {
-				h, mgr = st.Pools[0].Heap, st.Pools[0].Mgr
+				h, mgr = st.Heap, st.Mgr
 				m, err = pdt.NewMap(h, pdt.MirrorHash)
 				if err != nil {
 					return err
 				}
 				return h.Root().Put("pool.map", m)
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
 					pre := model[key]
@@ -1278,7 +1232,7 @@ func poolEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack, _ *strings.Builder) error {
-				h2 := st.Pools[0].Heap
+				h2 := st.Heap
 				m2, err := rootAs[*pdt.Map](h2, "pool.map")
 				if err != nil {
 					return err
@@ -1382,7 +1336,7 @@ func pdtEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) (err error) {
-				h = st.Pools[0].Heap
+				h = st.Heap
 				if m, err = pdt.NewMap(h, pdt.MirrorHash); err != nil {
 					return err
 				}
@@ -1400,7 +1354,7 @@ func pdtEntry() entry {
 				}
 				return h.Root().Put("pdt.arr", arr)
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i := 0; i < ops; i++ {
 					switch rng.Intn(7) {
 					case 0, 1: // map put
@@ -1450,7 +1404,7 @@ func pdtEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack, _ *strings.Builder) error {
-				h2 := st.Pools[0].Heap
+				h2 := st.Heap
 				m2, err := rootAs[*pdt.Map](h2, "pdt.map")
 				if err != nil {
 					return err
@@ -1573,7 +1527,7 @@ func pdtLockFreeEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) (err error) {
-				h = st.Pools[0].Heap
+				h = st.Heap
 				if m, err = pdt.NewLFMap(h, 16); err != nil {
 					return err
 				}
@@ -1585,7 +1539,7 @@ func pdtLockFreeEntry() entry {
 				}
 				return h.Root().Put("lf.set", s)
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i := 0; i < ops; i++ {
 					k := keys[rng.Intn(len(keys))]
 					switch rng.Intn(8) {
@@ -1634,7 +1588,7 @@ func pdtLockFreeEntry() entry {
 			// the map's observable state for the serial/parallel comparison:
 			// sorted "key=value" bindings plus sorted members.
 			check: func(st *stack.Stack, obs *strings.Builder) error {
-				h2 := st.Pools[0].Heap
+				h2 := st.Heap
 				m2, err := rootAs[*pdt.LFMap](h2, "lf.map")
 				if err != nil {
 					return err
@@ -1742,165 +1696,6 @@ func int64Keys(m map[int64]bool) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// ---- poolmigrate: online pool addition and record migration (§17) ----
-
-// poolMigrateEntry crashes the multi-pool heap of DESIGN.md §17 at
-// every point of its most delicate windows: sharded operation over two
-// pools, the online addition of a third (new-pool format, topology
-// transaction, record migration, finalize), and steady state after the
-// grow. Recovery does what an operator restart does — the harness reads
-// the epoch table from the pool-0 image to learn which pools are durable
-// members, then opens the set (replaying any interrupted migration
-// synchronously) — and the check proves: every key readable with its
-// committed or in-flight pre/post value, every record sitting in its home
-// pool of the recovered routing world, no phantom keys, and the set still
-// writable. The entry compares recoveries: each member image recovered
-// serially and concurrently must match bit for bit before any set-level
-// resume touches it, and the fully resumed sets must agree on every
-// observable (epoch, membership, per-pool contents).
-func poolMigrateEntry() entry {
-	const nkeys = 12
-	const preOps, postOps = 12, 6
-	keys := keyNames("m%02d", nkeys)
-	e := entry{name: "poolmigrate", poolBytes: 1 << 21, pools: 3, setupPools: 2, cfg: stackCfg(stack.JPDT), compare: true}
-	e.new = func(seed int64) *scenario {
-		rng := rand.New(rand.NewSource(seed))
-		model := make(map[string][]byte) // committed value per key; missing = absent
-		var inflight *gridOp
-		var set *stack.Stack
-		mkval := func(i int) []byte {
-			return letters(i, 8+rng.Intn(48))
-		}
-		// op performs one mutation and then fences every pool: the J-PDT
-		// backend's own put/delete durability windows are the pdt and
-		// gridread workloads' business — here the exact-model oracle
-		// needs op-level durability so the migration windows stay the
-		// only source of pre/post ambiguity.
-		op := func(pools []*nvm.Pool, i int) error {
-			b := set.Backend
-			key := keys[rng.Intn(nkeys)]
-			pre := model[key]
-			var post []byte
-			var err error
-			switch {
-			case pre == nil:
-				post = mkval(i)
-				inflight = &gridOp{key: key, pre: pre, post: post}
-				err = b.Insert(key, &store.Record{Fields: []store.Field{{Name: "v", Value: post}}})
-			case rng.Intn(3) == 0:
-				inflight = &gridOp{key: key, pre: pre, post: nil}
-				_, err = b.Delete(key)
-			default:
-				post = mkval(i)
-				inflight = &gridOp{key: key, pre: pre, post: post}
-				_, err = b.Update(key, []store.Field{{Name: "v", Value: post}})
-			}
-			if err != nil {
-				return fmt.Errorf("op %d on %s: %w", i, key, err)
-			}
-			for _, p := range pools {
-				p.PSync()
-			}
-			if post == nil {
-				delete(model, key)
-			} else {
-				model[key] = post
-			}
-			inflight = nil
-			return nil
-		}
-		// check verifies the oracle over the recovered set and reports its
-		// observable state for the serial/parallel comparison.
-		check := func(s2 *stack.Stack, seen *strings.Builder) error {
-			b := s2.Backend
-			read := func(key string) ([]byte, bool, error) {
-				return recordReader(b.Read).field(key, "v")
-			}
-			for _, key := range keys {
-				got, found, err := read(key)
-				if err != nil {
-					return fmt.Errorf("read %s: %w", key, err)
-				}
-				want, wantFound := model[key]
-				ok := found == wantFound && bytes.Equal(got, want)
-				if !ok && inflight != nil && inflight.key == key {
-					ok = (found == (inflight.pre != nil) && bytes.Equal(got, inflight.pre)) ||
-						(found == (inflight.post != nil) && bytes.Equal(got, inflight.post))
-				}
-				if !ok {
-					return fmt.Errorf("key %s: got (%q,%v), want %q", key, got, found, want)
-				}
-			}
-			// Placement and phantom sweep: after a clean open every
-			// record sits in its home pool of the recovered world.
-			obs := []string{fmt.Sprintf("pools=%d epoch=%d", len(s2.Pools), s2.Set.Epoch())}
-			for i, m := range s2.Pools {
-				for _, key := range m.Backend.Caps().Keys.Keys() {
-					if home := heap.JumpHash(heap.KeyHash(key), len(s2.Pools)); home != i {
-						return fmt.Errorf("key %q in pool %d, home %d", key, i, home)
-					}
-					if _, inModel := model[key]; !inModel && (inflight == nil || inflight.key != key) {
-						return fmt.Errorf("phantom key %q in pool %d", key, i)
-					}
-					v, _, err := read(key)
-					if err != nil {
-						return fmt.Errorf("reread %s: %w", key, err)
-					}
-					obs = append(obs, fmt.Sprintf("%d:%s=%x", i, key, v))
-				}
-			}
-			// Writability probe through the full routing path.
-			if err := b.Insert("z-probe", &store.Record{Fields: []store.Field{{Name: "v", Value: []byte("ok")}}}); err != nil {
-				return fmt.Errorf("post-recovery insert: %w", err)
-			}
-			if got, found, err := read("z-probe"); err != nil || !found || string(got) != "ok" {
-				return fmt.Errorf("post-recovery readback: %q %v %v", got, found, err)
-			}
-			if _, err := b.Delete("z-probe"); err != nil {
-				return fmt.Errorf("post-recovery delete: %w", err)
-			}
-			seen.WriteString(strings.Join(obs, ";"))
-			return nil
-		}
-		return &scenario{
-			check: check,
-			setup: func(st *stack.Stack) error {
-				set = st
-				b := set.Backend
-				for i := 0; i < 6; i++ {
-					v := mkval(i)
-					if err := b.Insert(keys[i], &store.Record{Fields: []store.Field{{Name: "v", Value: v}}}); err != nil {
-						return err
-					}
-					model[keys[i]] = v
-				}
-				return nil
-			},
-			exec: func(pools []*nvm.Pool) error {
-				for i := 0; i < preOps; i++ {
-					if err := op(pools, i); err != nil {
-						return err
-					}
-				}
-				m, err := set.AddPool(pools[2], shard.AddOptions{})
-				if err != nil {
-					return fmt.Errorf("add pool: %w", err)
-				}
-				if err := m.Wait(); err != nil {
-					return fmt.Errorf("migrate: %w", err)
-				}
-				for i := 0; i < postOps; i++ {
-					if err := op(pools, preOps+i); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		}
-	}
-	return e
 }
 
 // ---- retire: redo logs retired behind the durable watermark ----
@@ -2021,7 +1816,7 @@ func retireEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				mgr = st.Pools[0].Mgr
+				mgr = st.Mgr
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
 				states = []grid{{}}
 				for i := 0; i < 5; i++ {
@@ -2032,7 +1827,7 @@ func retireEntry() entry {
 				states = states[len(states)-1:]
 				return nil
 			},
-			exec: func([]*nvm.Pool) error {
+			exec: func() error {
 				for i, op := range ops {
 					if err := op(10 * i); err != nil {
 						return fmt.Errorf("op %d: %w", i, err)

@@ -72,11 +72,10 @@ const (
 	sbLogOff      = 72
 	sbLogSlots    = 80
 	sbLogSlotSize = 88
-	// Pool-topology fields (multi-pool sharding, DESIGN.md §17). Both are
-	// zero on heaps formatted before sharding existed, which decodes as
-	// "pool 0 of a 1-pool set" — old images stay openable byte-for-byte.
-	sbPoolIndex = 96
-	sbPoolCount = 104
+	// Reserved, zero: earlier builds kept a pool's position in a
+	// multi-pool set here (index, count). Open refuses a set member.
+	sbSetIndex = 96
+	sbSetCount = 104
 	// sbLogRetired is W, the redo log's retired watermark: a log slot is
 	// live (committed, to be replayed) iff its sequence word exceeds W. It
 	// is one aligned word alone on its cache line, so its write-back
@@ -128,11 +127,6 @@ type Options struct {
 	LogSlots int
 	// LogSlotSize is the byte size of each redo-log slot.
 	LogSlotSize int
-	// PoolIndex/PoolCount record the pool's position in a multi-pool set
-	// (DESIGN.md §17). Leave both zero for a standalone heap; CheckRoster
-	// treats 0/0 as "pool 0 of 1" so pre-sharding images keep opening.
-	PoolIndex int
-	PoolCount int
 }
 
 func (o *Options) withDefaults() Options {
@@ -198,8 +192,6 @@ func Format(pool *nvm.Pool, opts Options) (*Heap, error) {
 	pool.WriteUint64(sbLogOff, logOff)
 	pool.WriteUint64(sbLogSlots, uint64(opts.LogSlots))
 	pool.WriteUint64(sbLogSlotSize, uint64(opts.LogSlotSize))
-	pool.WriteUint64(sbPoolIndex, uint64(opts.PoolIndex))
-	pool.WriteUint64(sbPoolCount, uint64(opts.PoolCount))
 	// The magic goes in last: a torn format attempt stays unopenable.
 	pool.PWBRange(0, superblockSize)
 	pool.PFence()
@@ -213,13 +205,17 @@ func Format(pool *nvm.Pool, opts Options) (*Heap, error) {
 // that is the job of the object layer (package core), which owns the
 // reachability graph. A pool without the magic word yields ErrNotFormatted;
 // any other error means the pool holds a heap this build must not touch
-// (another format version, or a superblock whose geometry does not add up).
+// (another format version, a member of a multi-pool set, or a superblock
+// whose geometry does not add up).
 func Open(pool *nvm.Pool) (*Heap, error) {
 	if pool.Size() < superblockSize || pool.ReadUint64(sbMagic) != magic {
 		return nil, ErrNotFormatted
 	}
 	if v := pool.ReadUint64(sbVersion); v != FormatVersion {
 		return nil, fmt.Errorf("heap: pool is format version %d, this build reads only version %d (reformat the pool)", v, FormatVersion)
+	}
+	if idx, cnt := pool.ReadUint64(sbSetIndex), pool.ReadUint64(sbSetCount); idx != 0 || cnt != 0 {
+		return nil, fmt.Errorf("heap: pool is formatted as pool %d of a %d-pool set; this build opens single pools only", idx, cnt)
 	}
 	h := &Heap{
 		pool:        pool,
@@ -287,9 +283,6 @@ func (h *Heap) checkSuperblock() error {
 	if root := pool.ReadUint64(sbRootRef); root != 0 && (!h.IsBlockRef(root) || root >= h.arenaOff+h.nBlocks*BlockSize) {
 		return bad("root reference %#x is not an arena block", root)
 	}
-	if idx, cnt := pool.ReadUint64(sbPoolIndex), pool.ReadUint64(sbPoolCount); (idx != 0 || cnt != 0) && idx >= cnt {
-		return bad("pool position %d of a %d-pool set", idx, cnt)
-	}
 	// W only ever takes the sequence number of a slot whose mark is already
 	// durable, and that word only grows when the slot is reused, so no
 	// crash image holds a W above every slot's sequence word.
@@ -305,14 +298,6 @@ func (h *Heap) checkSuperblock() error {
 
 // Pool returns the underlying NVMM pool.
 func (h *Heap) Pool() *nvm.Pool { return h.pool }
-
-// PoolIndex returns the pool's recorded position in its multi-pool set
-// (0 for standalone heaps and for images formatted before sharding).
-func (h *Heap) PoolIndex() int { return int(h.pool.ReadUint64(sbPoolIndex)) }
-
-// PoolCount returns the set size recorded at format time (0 decodes as a
-// standalone single-pool heap).
-func (h *Heap) PoolCount() int { return int(h.pool.ReadUint64(sbPoolCount)) }
 
 // NBlocks returns the arena capacity in blocks.
 func (h *Heap) NBlocks() uint64 { return h.nBlocks }

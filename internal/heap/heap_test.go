@@ -85,7 +85,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 // geometry. Only a pool without the magic word reads as unformatted.
 func TestOpenRejectsCorruptSuperblock(t *testing.T) {
 	good := nvm.New(1<<20, nvm.Options{})
-	h, err := Format(good, Options{LogSlots: 4, LogSlotSize: 4096, PoolIndex: 1, PoolCount: 3})
+	h, err := Format(good, Options{LogSlots: 4, LogSlotSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +116,8 @@ func TestOpenRejectsCorruptSuperblock(t *testing.T) {
 		{"log offset", sbLogOff, []uint64{0, h.logOff - 64, h.logOff + 8, h.logOff + 64, good.Size(), huge}},
 		{"log slots", sbLogSlots, []uint64{0, uint64(slots) + 1, 1 << 40, huge}},
 		{"log slot size", sbLogSlotSize, []uint64{0, 8, 4096 + 8, 8192, huge, huge &^ 63}},
-		{"pool index", sbPoolIndex, []uint64{3, 7, huge}},
-		{"pool count", sbPoolCount, []uint64{0, 1}},
+		{"set index", sbSetIndex, []uint64{1, 3, huge}},
+		{"set count", sbSetCount, []uint64{1, 3, huge}},
 		{"retired watermark", sbLogRetired, []uint64{6, huge}},
 	}
 	for _, w := range words {
@@ -157,6 +157,23 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 	if err == nil || errors.Is(err, ErrNotFormatted) ||
 		!strings.Contains(err.Error(), "format version 1") || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("version-1 pool: %v", err)
+	}
+}
+
+// TestLegacyHeapIsPoolZero: Format leaves superblock words 96/104 zero,
+// as every build before the multi-pool heap did, and a heap reopens with
+// them so; that is why refusing nonzero words needed no format version
+// bump.
+func TestLegacyHeapIsPoolZero(t *testing.T) {
+	pool := nvm.New(1<<20, nvm.Options{})
+	if _, err := Format(pool, Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	if idx, cnt := pool.ReadUint64(sbSetIndex), pool.ReadUint64(sbSetCount); idx != 0 || cnt != 0 {
+		t.Fatalf("fresh heap holds set position %d/%d", idx, cnt)
+	}
+	if _, err := Open(pool); err != nil {
+		t.Fatalf("0/0 heap refused: %v", err)
 	}
 }
 

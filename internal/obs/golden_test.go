@@ -10,9 +10,9 @@ import (
 )
 
 // filler assigns every leaf of a snapshot a distinct fixed value, so a
-// marshalled snapshot shows every key and a Sub or Add result shows which
-// rule each field followed (the n-th leaf gets n squared, so no two deltas
-// or sums coincide). A filler with a larger base and more samples dominates
+// marshalled snapshot shows every key and a Sub result shows which rule
+// each field followed (the n-th leaf gets n squared, so no two deltas
+// coincide). A filler with a larger base and more samples dominates
 // a smaller one field by field, which keeps deltas positive.
 type filler struct {
 	n       uint64
@@ -72,22 +72,13 @@ func filled[S any](base uint64, samples int) S {
 	return s
 }
 
-// goldenLines renders every snapshot type, and every Sub and Add the
-// parent commit of the derive.go refactor had, on fixed inputs. The
-// committed testdata/snapshots.golden was produced by this function at
-// that parent, from the hand-written method bodies.
+// goldenLines renders snapshot types, and their Sub, on fixed inputs.
+// The committed testdata/snapshots.golden was produced at the parent
+// commit of the derive.go refactor, from the hand-written method bodies;
+// lines have only been deleted from it since, with the methods and
+// fields they rendered.
 func goldenLines(t *testing.T) []string {
 	small, big := filled[StackSnapshot](0, 4), filled[StackSnapshot](1000, 9)
-	// A previous snapshot that lacks two layers and carries a different
-	// pool count: absent layers delta against zero, the per-pool
-	// breakdown keeps the receiver's entries.
-	partial := filled[StackSnapshot](0, 4)
-	partial.NVM, partial.Grid = nil, nil
-	partial.Shard.PerPool = partial.Shard.PerPool[:1]
-	// A receiver without some layers: they stay absent.
-	sparse := filled[StackSnapshot](1000, 9)
-	sparse.Heap, sparse.Recovery = nil, nil
-
 	recSmall, recBig := filled[RecoverySnapshot](0, 0), filled[RecoverySnapshot](1000, 0)
 	srvSmall, srvBig := filled[ServerSnapshot](0, 4), filled[ServerSnapshot](1000, 9)
 
@@ -99,28 +90,17 @@ func goldenLines(t *testing.T) []string {
 		}
 		lines = append(lines, name+"\t"+string(b))
 	}
-	emit("stack", big)
-	emit("stack.sub", big.Sub(small))
-	emit("stack.sub.partial_prev", big.Sub(partial))
-	emit("stack.sub.sparse_receiver", sparse.Sub(small))
-	emit("nvm.add", big.NVM.Add(*small.NVM))
-	emit("heap.add", big.Heap.Add(*small.Heap))
-	emit("fa.add", big.FA.Add(*small.FA))
-	emit("shard.sub", big.Shard.Sub(*small.Shard))
 	emit("grid.sub", big.Grid.Sub(*small.Grid))
 	emit("recovery", recBig)
 	emit("recovery.sub", recBig.Sub(recSmall))
-	emit("recovery.add", recBig.Add(recSmall)) // Workers: max is the receiver's
-	emit("recovery.add.swapped", recSmall.Add(recBig))
 	emit("server", srvBig)
 	emit("server.sub", srvBig.Sub(srvSmall))
 	return lines
 }
 
 // TestSnapshotsMatchParent is the golden comparison: same JSON keys in the
-// same order, and the same Sub and Add results (gauges, the Workers max,
-// derived columns, dropped zero-count ops, absent layers) as the
-// hand-written bodies produced.
+// same order, and the same Sub results (gauges, derived columns, dropped
+// zero-count ops) as the hand-written bodies produced.
 func TestSnapshotsMatchParent(t *testing.T) {
 	want, err := os.ReadFile("testdata/snapshots.golden")
 	if err != nil {
@@ -138,33 +118,48 @@ func TestSnapshotsMatchParent(t *testing.T) {
 	}
 }
 
-// TestSubAddLeaveInputsAlone: results share no slice, map or pointer with
-// their inputs in a way that lets combining write through.
-func TestSubAddLeaveInputsAlone(t *testing.T) {
+// TestStackSubIsPerLayer: a stack delta is each layer's own delta, gauges
+// kept and derived columns recomputed over the interval; a layer absent
+// from the previous snapshot deltas against zero, and one absent from the
+// receiver stays absent.
+func TestStackSubIsPerLayer(t *testing.T) {
 	small, big := filled[StackSnapshot](0, 4), filled[StackSnapshot](1000, 9)
-	before := fmt.Sprintf("%+v %+v %+v", *big.NVM, big.Grid.PerOp, big.Shard.PerPool)
 	d := big.Sub(small)
-	if d.NVM == big.NVM || &d.Shard.PerPool[0] == &big.Shard.PerPool[0] {
-		t.Fatal("delta aliases the receiver")
+	if *d.NVM != big.NVM.Sub(*small.NVM) || *d.Heap != big.Heap.Sub(*small.Heap) ||
+		*d.FA != big.FA.Sub(*small.FA) || *d.Recovery != big.Recovery.Sub(*small.Recovery) ||
+		!reflect.DeepEqual(*d.Grid, big.Grid.Sub(*small.Grid)) {
+		t.Fatalf("stack delta is not the per-layer deltas: %+v", d)
 	}
-	if after := fmt.Sprintf("%+v %+v %+v", *big.NVM, big.Grid.PerOp, big.Shard.PerPool); after != before {
-		t.Fatalf("Sub modified its receiver:\n%s\n%s", before, after)
+	if d.Heap.ObjAllocs != big.Heap.ObjAllocs-small.Heap.ObjAllocs || d.Heap.Bump != big.Heap.Bump ||
+		d.FA.WatermarkLag != big.FA.WatermarkLag || d.Recovery.Workers != big.Recovery.Workers {
+		t.Fatalf("counters must subtract and gauges stay: %+v %+v", *d.Heap, *d.FA)
+	}
+	if d.Ops != d.Grid.Ops() || d.PWBPerOp != float64(d.NVM.PWBs)/float64(d.Ops) {
+		t.Fatalf("derived columns not recomputed: ops %d, pwb/op %v", d.Ops, d.PWBPerOp)
+	}
+
+	partial := filled[StackSnapshot](0, 4)
+	partial.NVM, partial.Grid = nil, nil
+	if d := big.Sub(partial); *d.NVM != *big.NVM || !reflect.DeepEqual(*d.Grid, big.Grid.Sub(GridSnapshot{})) {
+		t.Fatalf("layers absent from prev must delta against zero: %+v %+v", *d.NVM, *d.Grid)
+	}
+	sparse := filled[StackSnapshot](1000, 9)
+	sparse.Heap, sparse.Recovery = nil, nil
+	if d := sparse.Sub(small); d.Heap != nil || d.Recovery != nil || d.NVM == nil {
+		t.Fatalf("layers absent from the receiver must stay absent: %+v", d)
 	}
 }
 
-// TestPoolSnapshotAdd: folding the per-pool breakdown sums each layer as
-// that layer's own Add does, gauges included.
-func TestPoolSnapshotAdd(t *testing.T) {
-	sh := filled[ShardSnapshot](0, 4)
-	var total PoolSnapshot
-	for _, p := range sh.PerPool {
-		total = total.Add(p)
+// TestSubAddLeaveInputsAlone: results share no map or pointer with their
+// inputs in a way that lets subtracting write through.
+func TestSubAddLeaveInputsAlone(t *testing.T) {
+	small, big := filled[StackSnapshot](0, 4), filled[StackSnapshot](1000, 9)
+	before := fmt.Sprintf("%+v %+v %+v", *big.NVM, *big.Heap, big.Grid.PerOp)
+	d := big.Sub(small)
+	if d.NVM == big.NVM || d.Heap == big.Heap || d.Grid == big.Grid {
+		t.Fatal("delta aliases the receiver")
 	}
-	p0, p1 := sh.PerPool[0], sh.PerPool[1]
-	if total.NVM != p0.NVM.Add(p1.NVM) || total.Heap != p0.Heap.Add(p1.Heap) || total.FA != p0.FA.Add(p1.FA) {
-		t.Fatalf("total %+v is not the per-layer sum of %+v and %+v", total, p0, p1)
-	}
-	if total.Heap.Bump != p0.Heap.Bump+p1.Heap.Bump || total.FA.WatermarkLag != p0.FA.WatermarkLag+p1.FA.WatermarkLag {
-		t.Fatal("gauges did not sum")
+	if after := fmt.Sprintf("%+v %+v %+v", *big.NVM, *big.Heap, big.Grid.PerOp); after != before {
+		t.Fatalf("Sub modified its receiver:\n%s\n%s", before, after)
 	}
 }

@@ -241,14 +241,14 @@ func TestSnapshotJSON(t *testing.T) {
 }
 
 // TestReportNamesEveryLayer: the pretty-printer gives every layer of a
-// full stack its line, the per-pool breakdown included.
+// full stack its line.
 func TestReportNamesEveryLayer(t *testing.T) {
 	var buf strings.Builder
 	filled[StackSnapshot](0, 4).Report(&buf)
 	for _, want := range []string{
 		"read", "cache:", "read path:", "lockfree:", "persistence per op:", "nvm:", "heap:",
 		"fa:", "fa commit pipeline:", "fa group commit:", "fa delta ledger:",
-		"shard:", "  pool ", "recovery (",
+		"recovery (",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())

@@ -40,10 +40,6 @@ func (s NVMSnapshot) Sub(prev NVMSnapshot) NVMSnapshot { return sub(s, prev) }
 // "pfence" column (both map to sfence on x86).
 func (s NVMSnapshot) Fences() uint64 { return s.PFences + s.PSyncs }
 
-// Add returns the element-wise sum — used to aggregate per-pool snapshots
-// into the global view of a sharded stack.
-func (s NVMSnapshot) Add(o NVMSnapshot) NVMSnapshot { return add(s, o) }
-
 // ---- Block heap (internal/heap) ----
 
 // HeapStats counts allocator activity: object allocations and frees,
@@ -88,10 +84,6 @@ func (s *HeapStats) Snapshot(bump, freeBlocks, totalBlocks uint64) HeapSnapshot 
 
 // Sub returns the delta since prev; gauges keep their current values.
 func (s HeapSnapshot) Sub(prev HeapSnapshot) HeapSnapshot { return sub(s, prev) }
-
-// Add returns the element-wise sum; gauges sum too (per-pool bump
-// high-waters and free-list depths add up to set-wide capacity figures).
-func (s HeapSnapshot) Add(o HeapSnapshot) HeapSnapshot { return add(s, o) }
 
 // ---- Failure-atomic blocks (internal/fa) ----
 
@@ -160,69 +152,6 @@ func (s *FAStats) Snapshot(slotsTotal, slotsInUse uint64) FASnapshot {
 
 // Sub returns the delta since prev; gauges keep their current values.
 func (s FASnapshot) Sub(prev FASnapshot) FASnapshot { return sub(s, prev) }
-
-// Add returns the element-wise sum; gauges sum too (slot capacity and
-// occupancy across the per-pool redo-log managers).
-func (s FASnapshot) Add(o FASnapshot) FASnapshot { return add(s, o) }
-
-// ---- Multi-pool sharding (internal/shard) ----
-
-// ShardStats counts shard-set activity: record migration during online
-// pool addition (DESIGN.md §17) and off-home routing events.
-type ShardStats struct {
-	MigratedRecords  Counter // records moved to their new home pool
-	MigratedBytes    Counter // payload bytes carried by those moves
-	FallbackInserts  Counter // inserts diverted off a full home pool
-	ProbeMisses      Counter // reads that had to probe beyond the home pool
-	PoolAdds         Counter // pools added online
-	MigrationResumes Counter // interrupted migrations resumed at open
-	PacerWaits       Counter // compactor throttle sleeps (obs-driven pacing)
-}
-
-// PoolSnapshot is one pool's slice of the stack: its NVM primitive
-// counters, allocator state, redo-log manager, and derived occupancy.
-type PoolSnapshot struct {
-	Index int          `json:"index" obs:"gauge"`
-	NVM   NVMSnapshot  `json:"nvm"`
-	Heap  HeapSnapshot `json:"heap"`
-	FA    FASnapshot   `json:"fa"`
-	// OccupancyPct is allocated blocks (bump high-water minus free-list
-	// depth) over total blocks, in percent. The shard set fills it in; Sub
-	// and Add leave the receiver's value alone.
-	OccupancyPct float64 `json:"occupancy_pct" obs:"derived"`
-}
-
-// Add returns the element-wise sum of the three layers: folding a set's
-// per-pool breakdown gives the global layer view of a sharded stack
-// (Index sums too and means nothing on a total).
-func (p PoolSnapshot) Add(o PoolSnapshot) PoolSnapshot { return add(p, o) }
-
-// ShardSnapshot combines the counters with topology gauges and the
-// per-pool breakdown.
-type ShardSnapshot struct {
-	MigratedRecords  uint64 `json:"migrated_records"`
-	MigratedBytes    uint64 `json:"migrated_bytes"`
-	FallbackInserts  uint64 `json:"fallback_inserts"`
-	ProbeMisses      uint64 `json:"probe_misses"`
-	PoolAdds         uint64 `json:"pool_adds"`
-	MigrationResumes uint64 `json:"migration_resumes"`
-	PacerWaits       uint64 `json:"pacer_waits"`
-
-	Pools     int    `json:"pools" obs:"gauge"`
-	Epoch     uint64 `json:"epoch" obs:"gauge"`
-	Migrating bool   `json:"migrating" obs:"gauge"`
-
-	PerPool []PoolSnapshot `json:"per_pool,omitempty"`
-}
-
-// Snapshot captures the counters; the caller fills topology gauges and
-// the per-pool breakdown.
-func (s *ShardStats) Snapshot() ShardSnapshot { return load[ShardSnapshot](s) }
-
-// Sub returns the delta since prev; topology gauges keep their current
-// values, and so does the per-pool breakdown unless both sides carry the
-// same pool count, in which case its entries delta by index.
-func (s ShardSnapshot) Sub(prev ShardSnapshot) ShardSnapshot { return sub(s, prev) }
 
 // ---- Data grid (internal/store) ----
 
@@ -375,7 +304,7 @@ type RecoverySnapshot struct {
 	NullifiedRefs   uint64 `json:"nullified_refs"`
 	RebuildEntries  uint64 `json:"rebuild_entries"`
 
-	Workers uint64 `json:"workers" obs:"max"`
+	Workers uint64 `json:"workers" obs:"gauge"`
 }
 
 // Snapshot captures the current counter values.
@@ -390,11 +319,6 @@ func (s RecoverySnapshot) TotalNs() uint64 {
 // value.
 func (s RecoverySnapshot) Sub(prev RecoverySnapshot) RecoverySnapshot { return sub(s, prev) }
 
-// Add returns the element-wise sum — aggregation across the pools of a
-// sharded heap, which recover concurrently. The Workers gauge takes the
-// maximum (it is a per-pool budget, not additive work).
-func (s RecoverySnapshot) Add(o RecoverySnapshot) RecoverySnapshot { return add(s, o) }
-
 // ---- The whole stack ----
 
 // StackSnapshot assembles one coherent view across every layer, plus the
@@ -405,7 +329,6 @@ type StackSnapshot struct {
 	FA       *FASnapshot       `json:"fa,omitempty"`
 	Grid     *GridSnapshot     `json:"grid,omitempty"`
 	Recovery *RecoverySnapshot `json:"recovery,omitempty"`
-	Shard    *ShardSnapshot    `json:"shard,omitempty"`
 
 	// Derived: persistence primitives per grid operation — the columns
 	// the paper's Table 3 reports per data-structure operation.
@@ -500,21 +423,6 @@ func (s StackSnapshot) Report(w io.Writer) {
 			}
 			fmt.Fprintf(w, "fa delta ledger: %d ops, %d folded, %d entries materialized (%.1fx fold), %d flushes saved\n",
 				s.FA.DeltaOps, s.FA.DeltasFolded, s.FA.DeltaEntries, ratio, s.FA.DeltaFlushesSaved)
-		}
-	}
-	if sh := s.Shard; sh != nil {
-		fmt.Fprintf(w, "shard: %d pools (epoch %d", sh.Pools, sh.Epoch)
-		if sh.Migrating {
-			fmt.Fprint(w, ", migrating")
-		}
-		fmt.Fprintf(w, "); %d records / %d bytes migrated, %d fallback inserts, %d probe misses, %d pool adds, %d resumes, %d pacer waits\n",
-			sh.MigratedRecords, sh.MigratedBytes, sh.FallbackInserts,
-			sh.ProbeMisses, sh.PoolAdds, sh.MigrationResumes, sh.PacerWaits)
-		for _, p := range sh.PerPool {
-			fmt.Fprintf(w, "  pool %d: %5.1f%% full; bump %d, free %d of %d blocks; %d/%d obj alloc/free, %d transient reuse; %d pwb, %d fence\n",
-				p.Index, p.OccupancyPct, p.Heap.Bump, p.Heap.FreeBlocks, p.Heap.TotalBlocks,
-				p.Heap.ObjAllocs, p.Heap.ObjFrees, p.Heap.TransientReuse,
-				p.NVM.PWBs, p.NVM.Fences())
 		}
 	}
 	if r := s.Recovery; r != nil && r.TotalNs() > 0 {

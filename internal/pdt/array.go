@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fa"
 )
 
 // PLongArray is a fixed-size persistent array of int64 (§4.3.1).
@@ -39,21 +38,6 @@ func (a *PLongArray) Get(i int) int64 { return a.ReadInt64(a.slot(i)) }
 
 // Set stores element i (unflushed; see FlushElem / Flush).
 func (a *PLongArray) Set(i int, v int64) { a.WriteInt64(a.slot(i), v) }
-
-// GetTx loads element i through a failure-atomic transaction, observing
-// any uncommitted write the same transaction already made.
-func (a *PLongArray) GetTx(tx *fa.Tx, i int) (int64, error) {
-	return tx.ReadInt64(a.Object, a.slot(i))
-}
-
-// SetTx stores element i through a failure-atomic transaction: the write
-// lands in the redo log and reaches the array only at commit, so a group
-// of elements updated in one transaction flips together or not at all.
-// The pool epoch table (DESIGN.md §17) relies on this to change the shard
-// topology atomically.
-func (a *PLongArray) SetTx(tx *fa.Tx, i int, v int64) error {
-	return tx.WriteInt64(a.Object, a.slot(i), v)
-}
 
 // FlushElem flushes the cache line holding element i (the per-element
 // flush method of §4.3.1).

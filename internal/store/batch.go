@@ -36,7 +36,7 @@ type BatchResult struct {
 }
 
 // Apply executes one operation and is the network server's entry point
-// (DESIGN.md §18): the server calls it request by request over a pipeline
+// (DESIGN.md §17): the server calls it request by request over a pipeline
 // window and, under the async commit pipeline, fences the whole window
 // once instead of per op. A read streams its fields to consume exactly
 // like Grid.Read — views that are live only inside the callback, under

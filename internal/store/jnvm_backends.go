@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -75,21 +74,14 @@ func (b *JPDTBackend) Name() string { return "J-PDT" }
 // Count implements Backend.
 func (b *JPDTBackend) Count() int { return b.m.Len() }
 
-// Caps implements Backend: key listing and zero-copy views always, scans
-// only over an ordered mirror (pdt.Map.Ascend refuses a hash mirror).
+// Caps implements Backend: zero-copy views always, scans only over an
+// ordered mirror (pdt.Map.Ascend refuses a hash mirror).
 func (b *JPDTBackend) Caps() Caps {
-	c := Caps{Keys: b, View: b}
+	c := Caps{View: b}
 	if b.m.Kind() != pdt.MirrorHash {
 		c.Scan = b
 	}
 	return c
-}
-
-// Keys implements KeyLister (sorted for deterministic migration order).
-func (b *JPDTBackend) Keys() []string {
-	ks := b.m.Keys()
-	sort.Strings(ks)
-	return ks
 }
 
 // Close implements Backend.
@@ -225,16 +217,7 @@ func (b *JPFABackend) Name() string { return "J-PFA" }
 func (b *JPFABackend) Count() int { return b.m.Len() }
 
 // Caps implements Backend.
-func (b *JPFABackend) Caps() Caps { return Caps{Keys: b, Delta: b} }
-
-// Keys implements KeyLister (sorted for deterministic migration order).
-func (b *JPFABackend) Keys() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ks := b.m.Keys()
-	sort.Strings(ks)
-	return ks
-}
+func (b *JPFABackend) Caps() Caps { return Caps{Delta: b} }
 
 // Close implements Backend.
 func (b *JPFABackend) Close() error { return nil }
@@ -459,14 +442,7 @@ func (b *PCJBackend) Count() int { return b.inner.Count() }
 
 // Caps implements Backend: the JNI gate serializes everything, so PCJ
 // offers none of the inner backend's fast paths.
-func (b *PCJBackend) Caps() Caps { return Caps{Keys: b} }
-
-// Keys implements KeyLister.
-func (b *PCJBackend) Keys() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inner.Keys()
-}
+func (b *PCJBackend) Caps() Caps { return Caps{} }
 
 // Close implements Backend.
 func (b *PCJBackend) Close() error { return nil }

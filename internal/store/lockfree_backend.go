@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -66,18 +65,7 @@ func (b *JPDTLFBackend) Name() string { return "J-PDT-LF" }
 func (b *JPDTLFBackend) Count() int { return b.m.Len() }
 
 // Caps implements Backend.
-func (b *JPDTLFBackend) Caps() Caps { return Caps{Keys: b, LockFree: b} }
-
-// Keys implements KeyLister (sorted: LFMap iteration is bucket-order).
-func (b *JPDTLFBackend) Keys() []string {
-	var ks []string
-	b.m.ForEach(func(key string, _ core.Ref) bool {
-		ks = append(ks, key)
-		return true
-	})
-	sort.Strings(ks)
-	return ks
-}
+func (b *JPDTLFBackend) Caps() Caps { return Caps{LockFree: b} }
 
 // Close implements Backend.
 func (b *JPDTLFBackend) Close() error { return nil }

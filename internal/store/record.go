@@ -53,15 +53,6 @@ func (r *Record) Clone() *Record {
 	return out
 }
 
-// Size returns the payload bytes across all fields.
-func (r *Record) Size() int {
-	n := 0
-	for _, f := range r.Fields {
-		n += len(f.Value)
-	}
-	return n
-}
-
 // Marshal serializes a record. This is the conversion cost that dominates
 // the file-system backends in Figures 7 and 8 ("the main cost comes from
 // data marshalling and not from the file system itself").

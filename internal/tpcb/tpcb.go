@@ -76,7 +76,7 @@ func StackConfig(skipGraphGC bool) stack.Config {
 // OpenJNVMBank creates (first run) or reopens (after a crash) the bank on
 // the pool, with the default commit protocol and recovery parallelism.
 func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, error) {
-	st, err := stack.Open([]*nvm.Pool{pool}, StackConfig(skipGraphGC))
+	st, err := stack.Open(pool, StackConfig(skipGraphGC))
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, er
 // (Figure 11) or pin the recovery parallelism (the crash
 // explorer) on the stack themselves.
 func NewJNVMBank(st *stack.Stack, accounts int) (*JNVMBank, error) {
-	h, mgr := st.Pools[0].Heap, st.Pools[0].Mgr
+	h, mgr := st.Heap, st.Mgr
 	b := &JNVMBank{h: h, mgr: mgr, n: accounts}
 	if h.Root().Exists("bank.accounts") {
 		po, err := h.Root().Get("bank.accounts")

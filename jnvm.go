@@ -151,9 +151,10 @@ func Open(opts Options) (*DB, error) {
 	return OpenPool(pool, opts)
 }
 
-// OpenPool opens a heap over an existing pool (crash images, tests).
+// OpenPool opens a heap over an existing pool (crash images, tests). The
+// DB owns the pool; a failed OpenPool has closed it.
 func OpenPool(pool *nvm.Pool, opts Options) (*DB, error) {
-	st, err := stack.Open([]*nvm.Pool{pool}, stack.Config{
+	st, err := stack.Open(pool, stack.Config{
 		Classes:     opts.Classes,
 		LogSlots:    opts.LogSlots,
 		LogSlotSize: opts.LogSlotSize,
@@ -161,10 +162,9 @@ func OpenPool(pool *nvm.Pool, opts Options) (*DB, error) {
 		Parallelism: opts.RecoverParallelism,
 	})
 	if err != nil {
-		pool.Close()
 		return nil, err
 	}
-	return &DB{Heap: st.Pools[0].Heap, fam: st.Pools[0].Mgr, pool: pool}, nil
+	return &DB{Heap: st.Heap, fam: st.Mgr, pool: pool}, nil
 }
 
 // Close retires the committed failure-atomic blocks, so the next Open has

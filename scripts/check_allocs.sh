@@ -2,7 +2,7 @@
 # Gate the allocation-free read paths (DESIGN.md §14): the zero-copy grid
 # read and the map GetRef/cached-Get fast paths must stay at 0 allocs/op,
 # and every other grid read regime must stay within a small ceiling; and
-# gate the wire server's per-request allocations (DESIGN.md §18). Runs the
+# gate the wire server's per-request allocations (DESIGN.md §17). Runs the
 # benchmarks once and parses the -benchmem column, so a stray allocation
 # in a hot loop fails CI instead of silently costing GC.
 #
@@ -17,7 +17,7 @@ if [ -z "$out" ]; then
     trap 'rm -f "$out"' EXIT
     go test -run '^$' -bench 'MapGet|GridRead' -benchtime 100x -benchmem \
         ./internal/bench/ | tee "$out"
-    # The server path (DESIGN.md §18): one op is one request of a 16-deep
+    # The server path (DESIGN.md §17): one op is one request of a 16-deep
     # pipeline window; enough iterations that one-off growth of a
     # connection's buffers rounds to nothing.
     go test -run '^$' -bench 'ServerWindow' -benchtime 4000x -benchmem \

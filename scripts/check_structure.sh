@@ -23,6 +23,14 @@
 #     §3.1) — is a
 #     second representation. (map.go names "pdt.pair" once, in the list
 #     of formats core.Open refuses.)
+#  5. Section citations. Every "DESIGN.md §N" or "§N.M" cited in Go
+#     (outside benchmarks/), the Makefile, scripts/, README.md or
+#     EXPERIMENTS.md names a heading DESIGN.md has, so renumbering a
+#     section cannot leave a citation pointing at its neighbour.
+#  6. One pool. A heap is one pool: the multi-pool set is gone (its
+#     superblock words are reserved, heap.Open and stack.Open refuse a set
+#     member). PoolIndex, PoolCount, JumpHash, CheckRoster, an
+#     internal/shard import or a "pools" flag coming back is its return.
 set -eu
 
 fail=0
@@ -36,7 +44,7 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
-hits=$(grep -rnE --include='*.go' '\.\((store\.)?(KeyLister|ViewReader|LockFreeBackend|DeltaAdder|Scanner)\)' . |
+hits=$(grep -rnE --include='*.go' '\.\((store\.)?(ViewReader|LockFreeBackend|DeltaAdder|Scanner)\)' . |
     grep -v -e '^\./benchmarks/' -e '^\./internal/store/caps\.go:' || true)
 if [ -n "$hits" ]; then
     echo "capability type assertion (read the backend's Caps() instead):" >&2
@@ -66,6 +74,48 @@ hits=$({
 })
 if [ -n "$hits" ]; then
     echo "the pair class is back (a binding is two words of the map's array):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+sections=$(awk '/^##+ [0-9]+(\.[0-9]+)?\.? / { s = $2; sub(/\.$/, "", s); print s }' DESIGN.md)
+hits=$({ find . -path ./benchmarks -prune -o -name '*.go' -type f -print
+    ls Makefile scripts/* README.md EXPERIMENTS.md; } |
+    xargs awk -v secs="$sections" '
+    BEGIN { n = split(secs, a, "\n"); for (i = 1; i <= n; i++) ok[a[i]] = 1 }
+    FNR == 1 { carry = 0 }
+    {
+        line = $0
+        # A citation broken after "DESIGN.md" continues on the next line.
+        if (carry) {
+            t = line
+            sub(/^[ \t]*(\/\/|#)?[ \t]*/, "", t)
+            if (t ~ /^§/) line = "DESIGN.md " t
+        }
+        carry = line ~ /DESIGN\.md$/
+        while (match(line, /DESIGN\.md,? §[0-9]+(\.[0-9]+)?((, | and )§[0-9]+(\.[0-9]+)?)*/)) {
+            cite = substr(line, RSTART, RLENGTH)
+            line = substr(line, RSTART + RLENGTH)
+            while (match(cite, /§[0-9]+(\.[0-9]+)?/)) {
+                s = substr(cite, RSTART, RLENGTH)
+                cite = substr(cite, RSTART + RLENGTH)
+                sub(/§/, "", s)
+                if (!(s in ok)) print FILENAME ":" FNR ": DESIGN.md §" s
+            }
+        }
+    }')
+if [ -n "$hits" ]; then
+    echo "citation of a DESIGN.md section that does not exist:" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+hits=$({
+    grep -rnE --include='*.go' -e '\b(PoolIndex|PoolCount|JumpHash|CheckRoster)\b' \
+        -e '"repro/internal/shard"' -e 'flag\.[A-Za-z]+\("pools"' . || true
+} | grep -v '^\./benchmarks/' || true)
+if [ -n "$hits" ]; then
+    echo "the multi-pool heap is back (a heap is one pool):" >&2
     echo "$hits" >&2
     fail=1
 fi
