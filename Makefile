@@ -14,9 +14,11 @@ RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./interna
 RACE_ENV_TESTS = TestEnvCommitModes
 
 # pdt.Map's value replacement frees a value readers of the same key may
-# hold, in an array growth may be copying (DESIGN.md §14): both races have
-# narrow windows, so their tests repeat.
-RACE_MAP_TESTS = TestMapHotCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet
+# hold, in an array growth may be copying (DESIGN.md §14), and a
+# transactional writer must not copy an array block its predecessor has
+# not committed yet (DESIGN.md §15): these races have narrow windows, so
+# their tests repeat.
+RACE_MAP_TESTS = TestMapHotCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet|TestMapTxStructuralChurnConcurrent
 
 .PHONY: check vet build test race bench-read bench-e2e-smoke bench-lockfree \
 	microbench lint fmt-check structure-check staticcheck crashmc-smoke coverage

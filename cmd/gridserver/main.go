@@ -49,7 +49,7 @@ func run() (err error) {
 	addr := flag.String("addr", "127.0.0.1:7420", "listen address")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	backend := flag.String("backend", "J-PFA", "grid backend: J-PFA, J-PDT, J-PDT-LF, PCJ, Volatile, TmpFS, FS")
-	commit := flag.String("commit", "async", "J-NVM commit protocol: per-tx, group or async")
+	commit := flag.String("commit", "async", "J-NVM commit protocol: per-tx or async")
 	records := flag.Int("records", 8_000, "expected record count (pool sizing hint)")
 	fields := flag.Int("fields", 10, "expected fields per record (pool sizing hint)")
 	fieldLen := flag.Int("fieldlen", 100, "expected field value bytes (pool sizing hint)")

@@ -25,7 +25,7 @@ func main() {
 	runFor := flag.Duration("run", 4*time.Second, "total injection time")
 	crashAt := flag.Duration("crash", 0, "crash instant (default run/2)")
 	bucket := flag.Duration("bucket", 100*time.Millisecond, "timeline bucket")
-	commit := flag.String("commit", "per-tx", "J-PFA commit protocol: per-tx, group or async")
+	commit := flag.String("commit", "per-tx", "J-PFA commit protocol: per-tx or async")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	flag.Parse()
 

@@ -27,7 +27,7 @@ func main() {
 	records := flag.Int("records", 0, "record count (0 = scaled default)")
 	ops := flag.Int("ops", 0, "operation count (0 = scaled default)")
 	threads := flag.Int("threads", 1, "client threads (the paper defaults to a sequential client)")
-	commit := flag.String("commit", "per-tx", "J-NVM commit protocol: per-tx, group or async")
+	commit := flag.String("commit", "per-tx", "J-NVM commit protocol: per-tx or async")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
 	jsonOut := flag.String("json", "", "also write experiment rows (with embedded per-run metrics) as JSON to this file")
 	flag.Parse()

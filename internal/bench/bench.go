@@ -50,8 +50,7 @@ type GridConfig struct {
 	// Dir hosts FS backend files (a temp dir when empty).
 	Dir string
 	// Commit selects the commit protocol of the J-NVM backends: "" or
-	// "per-tx" (every commit fences alone, §4.2), "group" (concurrent
-	// commits share barriers, still synchronous), or "async" (epoch
+	// "per-tx" (every commit fences alone, §4.2) or "async" (epoch
 	// pipeline; Commit returns a ticket, durability trails at the
 	// watermark). Non-J-NVM backends ignore it.
 	Commit string

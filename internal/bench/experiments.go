@@ -24,8 +24,8 @@ type Scale struct {
 	Records    int
 	Operations int
 	Threads    int
-	// Commit is the J-NVM commit protocol ("", "per-tx", "group",
-	// "async"); see GridConfig.Commit.
+	// Commit is the J-NVM commit protocol ("", "per-tx", "async"); see
+	// GridConfig.Commit.
 	Commit string
 }
 
@@ -356,8 +356,8 @@ type Fig11Config struct {
 	RunFor     time.Duration
 	CrashAfter time.Duration
 	Bucket     time.Duration
-	// Commit is the J-PFA commit protocol ("", "per-tx", "group",
-	// "async"). Async makes the crash meaningful: transfers acknowledged
+	// Commit is the J-PFA commit protocol ("", "per-tx", "async").
+	// Async makes the crash meaningful: transfers acknowledged
 	// past the watermark survive, queued ones are rolled back.
 	Commit string
 }

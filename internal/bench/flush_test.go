@@ -52,7 +52,7 @@ func ycsbFlushRates(t *testing.T, bk BackendKind, workload string, threads int, 
 // moves a flush or a fence, and then the change should say so. The
 // repo's benchmark gates the same two rates for J-PFA (pwb_per_op and
 // pfence_per_op on emb-a, BENCHMARK.json); the other backends, TPC-B and
-// the group protocol are gated here alone. No wall clock is read.
+// the async protocol are gated here alone. No wall clock is read.
 func TestFlushRates(t *testing.T) {
 	const slack = 0.0004 // under one event in 2000 operations
 	measured := map[string]float64{}
@@ -112,13 +112,11 @@ func TestFlushRates(t *testing.T) {
 			d.PWBs, d.Fences(), transfers, fa.CommitBarriers)
 	}
 
-	// Group commit (DESIGN.md §15): with 8 committers both combining
-	// protocols pay fewer fences per operation than per-Tx. How many fewer
-	// depends on the interleaving, so only the order is asserted.
+	// Async commit (DESIGN.md §15): with 8 committers the epoch pipeline
+	// pays fewer fences per operation than per-Tx. How many fewer depends
+	// on the interleaving, so only the order is asserted.
 	_, perTx := ycsbFlushRates(t, JPFA, "A", 8, "per-tx")
-	for _, commit := range []string{"group", "async"} {
-		if _, pfence := ycsbFlushRates(t, JPFA, "A", 8, commit); pfence >= perTx {
-			t.Errorf("YCSB-A on J-PFA, 8 clients: %s pays %.4f pfence/op, per-Tx %.4f", commit, pfence, perTx)
-		}
+	if _, pfence := ycsbFlushRates(t, JPFA, "A", 8, "async"); pfence >= perTx {
+		t.Errorf("YCSB-A on J-PFA, 8 clients: async pays %.4f pfence/op, per-Tx %.4f", pfence, perTx)
 	}
 }

@@ -28,12 +28,11 @@ func BenchmarkCommitSingleField(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitParallel prices the three commit protocols against each
-// other under concurrent committers: per-Tx, CommitGroup (the fence
-// combiner) and CommitAsync with AwaitDurable(ticket) straight after each
-// commit — the pairing ROADMAP's "one commit pipeline" item supposes
-// equivalent to CommitGroup. Every committer moves money between its own
-// two accounts (two dirty blocks per transfer, disjoint write sets), on a
+// BenchmarkCommitParallel prices the two commit protocols against each
+// other under concurrent committers: per-Tx and CommitAsync with
+// AwaitDurable(ticket) straight after each commit, the synchronous use of
+// the epoch pipeline. Every committer moves money between its own two
+// accounts (two dirty blocks per transfer, disjoint write sets), on a
 // pool with the repo's default 120 ns fence. ns/op is wall time per
 // transfer across all committers; pfence/op is the column to compare
 // (EXPERIMENTS.md, "Commit protocols under concurrent committers").
@@ -43,7 +42,6 @@ func BenchmarkCommitParallel(b *testing.B) {
 		opts GroupOptions
 	}{
 		{"per-tx", GroupOptions{Mode: CommitPerTx}},
-		{"group", GroupOptions{Mode: CommitGroup}},
 		{"async-await", GroupOptions{Mode: CommitAsync}},
 	}
 	for _, proto := range protocols {

@@ -95,7 +95,7 @@ const (
 // the grid's stripe locks provide this serialization).
 func (m *Manager) AddDelta(orig core.Ref, off uint64, delta int64) (uint64, error) {
 	g := m.group.Load()
-	if g == nil || g.mode != CommitAsync {
+	if g == nil {
 		return 0, ErrDeltaUnsupported
 	}
 	st := m.state.Load()
@@ -305,7 +305,7 @@ func (m *Manager) reserveDeltaTx(g *groupState) {
 // state so a mode switch never leaks the slot.
 func (m *Manager) unreserveDeltaTx() {
 	g := m.group.Load()
-	if g == nil || g.mode != CommitAsync {
+	if g == nil {
 		return
 	}
 	if tx := g.deltaTx.Swap(nil); tx != nil {

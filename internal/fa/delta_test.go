@@ -24,12 +24,6 @@ func TestDeltaUnsupportedOutsideAsync(t *testing.T) {
 	if _, err := mgr.AddDelta(blk, off, 5); err != ErrDeltaUnsupported {
 		t.Fatalf("per-Tx AddDelta err = %v, want ErrDeltaUnsupported", err)
 	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitGroup}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.AddDelta(blk, off, 5); err != ErrDeltaUnsupported {
-		t.Fatalf("group AddDelta err = %v, want ErrDeltaUnsupported", err)
-	}
 }
 
 // TestDeltaFoldsToOneEntry is the tentpole contract: N increments to one

@@ -14,7 +14,7 @@
 // idempotent) and discards an uncommitted one, whose side effects are all
 // invalid or unreachable and therefore reclaimed by the recovery GC.
 //
-// Durability contract: Commit (per-Tx and group modes) or AwaitDurable
+// Durability contract: Commit (per-Tx mode) or AwaitDurable
 // (async mode) returns ⇒ the block's commit mark is durable ⇒ recovery
 // replays it, in commit order, unless its apply is already durable. Those
 // two fences are all a commit pays. The mark is the commit's sequence
@@ -303,8 +303,8 @@ type Manager struct {
 	inUse  atomic.Int64
 	stats  obs.FAStats
 	retire retireQueue
-	// group holds the opt-in group-commit coordination state (group.go);
-	// nil selects the default per-Tx protocol.
+	// group holds the async epoch pipeline's state (group.go); nil
+	// selects the default per-Tx protocol.
 	group atomic.Pointer[groupState]
 }
 
@@ -374,7 +374,7 @@ func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
 	// Discard any async commits queued on a previous attachment: their
 	// volatile Tx state is dead, and their durable effects are exactly
 	// what the slot replay below decides.
-	if g := m.group.Load(); g != nil && g.mode == CommitAsync {
+	if g := m.group.Load(); g != nil {
 		g.mu.Lock()
 		g.queue = nil
 		clear(g.pending)
@@ -445,7 +445,7 @@ func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
 	m.cache.reset(slots)
 	m.inUse.Store(0)
 	m.retire.reset(w)
-	if g := m.group.Load(); g != nil && g.mode == CommitAsync {
+	if g := m.group.Load(); g != nil {
 		m.reserveDeltaTx(g)
 	}
 	return nil
@@ -572,12 +572,13 @@ type Tx struct {
 	proxies  map[core.Ref]core.PObject
 	deferred []func() // volatile follow-ups, run only after a commit
 	onAbort  []func() // volatile rollbacks, run only on abort
+	ordered  []func() // async: OnOrdered hooks, run at enqueue
 
 	flush  *nvm.FlushSet
 	blocks *heap.TransientPool
 
-	// grp is the group-commit state sampled at Begin (nil = per-Tx);
-	// ticket is the epoch ticket of an enqueued async commit.
+	// grp is the async state sampled at Begin (nil = per-Tx); ticket is
+	// the epoch ticket of an enqueued async commit.
 	grp    *groupState
 	ticket uint64
 
@@ -608,6 +609,20 @@ func (tx *Tx) Defer(fn func()) { tx.active(); tx.deferred = append(tx.deferred, 
 // aborts, letting libraries keep volatile mirrors coherent with the
 // persistent state they shadow.
 func (tx *Tx) OnAbort(fn func()) { tx.active(); tx.onAbort = append(tx.onAbort, fn) }
+
+// OnOrdered registers a volatile hook that runs once the block's commit is
+// ordered before every later block's transactional access to what it
+// wrote: after the apply for a per-Tx commit (it is a Defer), after the
+// enqueue for an async one, whose queued write set then holds such an
+// access back until its epoch applies (waitClear). An abort drops it.
+func (tx *Tx) OnOrdered(fn func()) {
+	if tx.grp == nil {
+		tx.Defer(fn)
+		return
+	}
+	tx.active()
+	tx.ordered = append(tx.ordered, fn)
+}
 
 // Begin opens a failure-atomic block (faStart of Figure 3). Blocks nest:
 // inner Begin/Commit pairs on the same Tx only move the nesting counter,
@@ -765,6 +780,7 @@ func (tx *Tx) release() {
 	// still being iterated, so drop the backing arrays.
 	tx.deferred = nil
 	tx.onAbort = nil
+	tx.ordered = nil
 	tx.flush.Reset()
 	tx.grp = nil
 	tx.ticket = 0
@@ -917,9 +933,9 @@ func (tx *Tx) inflightFor(orig core.Ref) (int, error) {
 // ---- Commit pipeline stages ----
 //
 // The stages are split out so the crash-staging test hook executes exactly
-// the code Commit does (see hooks_test.go), and so the three protocols —
-// per-Tx, combined (group.go commitGrouped) and epoch (group.go
-// drainEpoch) — differ only in whose barrier stands between the bodies.
+// the code Commit does (see hooks_test.go), and so the two protocols —
+// per-Tx and epoch (group.go drainEpoch) — differ only in how many
+// commits one barrier stands between.
 
 // commitStage1Body persists the log and the write set. Dirty-line masks
 // are patched into the write entries first — replay must know which
@@ -1036,7 +1052,7 @@ func (tx *Tx) noteFlush(flushed, saved uint64) {
 }
 
 // commitPerTx is the solo redo protocol of §4.2 — the correctness oracle
-// the group modes are checked against:
+// the async mode is checked against:
 //
 //  1. persist the log and the write set (one coalesced write-back), fence;
 //  2. take a sequence number, mark the log with it, fence — durable;
@@ -1056,9 +1072,9 @@ func (tx *Tx) commitPerTx() {
 }
 
 // Commit ends the block (faEnd). Outermost commit runs the commit
-// protocol selected by the manager's group-commit mode; when it returns,
-// the block is durable (sync and group modes) or ordered behind the
-// durability watermark (async mode — use CommitTicket to await it).
+// protocol selected by the manager's commit mode; when it returns, the
+// block is durable (per-Tx mode) or ordered behind the durability
+// watermark (async mode — use CommitTicket to await it).
 func (tx *Tx) Commit() error {
 	_, err := tx.CommitTicket()
 	return err
@@ -1066,9 +1082,9 @@ func (tx *Tx) Commit() error {
 
 // CommitTicket is Commit exposing the async epoch ticket: in
 // CommitAsync mode the outermost commit returns immediately with a
-// non-zero ticket to pass to Manager.AwaitDurable. In the other modes
-// (and for nested commits) the ticket is 0 and durability follows
-// Commit's usual rule.
+// non-zero ticket to pass to Manager.AwaitDurable. In per-Tx mode (and
+// for nested commits) the ticket is 0 and durability follows Commit's
+// usual rule.
 func (tx *Tx) CommitTicket() (uint64, error) {
 	tx.active()
 	tx.depth--
@@ -1079,23 +1095,20 @@ func (tx *Tx) CommitTicket() (uint64, error) {
 		// Nothing was logged, so there is nothing to make durable or to
 		// replay: the block ends without touching its slot. (It also means
 		// a live slot never has a zero entry count — AuditCommittedSlots.)
-		deferred := tx.deferred
+		ordered, deferred := tx.ordered, tx.deferred
 		tx.m.stats.Committed.Inc()
 		tx.m.inUse.Add(-1)
 		tx.release()
+		for _, fn := range ordered {
+			fn()
+		}
 		for _, fn := range deferred {
 			fn()
 		}
 		return 0, nil
 	}
 	if g := tx.grp; g != nil {
-		switch g.mode {
-		case CommitGroup:
-			tx.commitGrouped(g)
-			return 0, nil
-		case CommitAsync:
-			return g.enqueue(tx), nil
-		}
+		return g.enqueue(tx), nil
 	}
 	tx.commitPerTx()
 	return 0, nil
@@ -1136,13 +1149,6 @@ func (tx *Tx) Abort() {
 
 // Manager returns the owning manager (used by libraries layered on fa).
 func (tx *Tx) Manager() *Manager { return tx.m }
-
-// AsyncCommit reports whether this block commits through an epoch queue:
-// Commit acknowledges at enqueue and the apply runs at a later drain. In
-// that mode Defer callbacks fire at drain time, so libraries must not
-// gate their own critical sections on them (the transactional read path
-// already waits out pending epoch applies per block instead).
-func (tx *Tx) AsyncCommit() bool { return tx.grp != nil }
 
 // Heap returns the heap this block operates on.
 func (tx *Tx) Heap() *core.Heap { return tx.h }

@@ -1,20 +1,15 @@
-// Cross-transaction group durability (DESIGN.md §15).
+// Async epoch commit: cross-transaction group durability (DESIGN.md §15).
 //
-// Two opt-in commit modes ride on the per-Tx redo protocol of fa.go:
+// One opt-in commit mode rides on the per-Tx redo protocol of fa.go.
+// CommitAsync decouples §4.2's guarantee: Commit persists the log and
+// write set (unfenced), enqueues the block and returns an epoch ticket. A
+// later drain — triggered by batch pressure, a conflicting access,
+// AwaitDurable or DrainDurable — commits the whole queue as one epoch with
+// a single fence set, then advances the durability watermark past every
+// ticket in the batch.
 //
-//   - CommitGroup keeps §4.2's synchronous guarantee (Commit returns ⇒
-//     durable) but routes the commit's two fences through a shared
-//     nvm.FenceCombiner, so concurrent committers whose stages overlap
-//     share barriers instead of draining their own.
-//   - CommitAsync decouples the guarantee: Commit persists the log and
-//     write set (unfenced), enqueues the block and returns an epoch
-//     ticket. A later drain — triggered by batch pressure, a conflicting
-//     access, AwaitDurable or DrainDurable — commits the whole queue as
-//     one epoch with a single fence set, then advances the durability
-//     watermark past every ticket in the batch.
-//
-// The async epoch pipeline preserves two invariants the per-Tx protocol
-// gives for free:
+// The epoch pipeline preserves two invariants the per-Tx protocol gives
+// for free:
 //
 //   - Each block's log (entry count included) is durable before its
 //     committed mark can be: the drain fences every queued block's
@@ -44,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/nvm"
 	"repro/internal/obs"
 )
 
@@ -53,13 +47,10 @@ type CommitMode int
 
 const (
 	// CommitPerTx is the default §4.2 protocol — every commit issues its
-	// own barriers. It is the correctness oracle the group modes are
-	// checked against (see group_test.go), same pattern as the serial
-	// recovery oracle.
+	// own barriers. It is the correctness oracle the async mode is checked
+	// against (see group_test.go), same pattern as the serial recovery
+	// oracle.
 	CommitPerTx CommitMode = iota
-	// CommitGroup shares barriers across concurrent committers via a
-	// fence combiner; Commit still returns only once durable.
-	CommitGroup
 	// CommitAsync enqueues the commit and returns a ticket immediately;
 	// durability is reached at the next epoch drain (AwaitDurable).
 	CommitAsync
@@ -75,16 +66,10 @@ type GroupOptions struct {
 	ManualDrain bool
 }
 
-// groupState is the per-mode coordination state, swapped atomically on
-// the manager so the default per-Tx path pays one nil check.
+// groupState is the async mode's coordination state, swapped atomically
+// on the manager so the default per-Tx path pays one nil check.
 type groupState struct {
-	m    *Manager
-	mode CommitMode
-
-	// Sync mode: the shared barrier.
-	combiner *nvm.FenceCombiner
-
-	// Async mode.
+	m        *Manager
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []*Tx                 // enqueued commits, ticket order
@@ -128,13 +113,9 @@ func (m *Manager) SetGroupCommit(opts GroupOptions) error {
 	case CommitPerTx:
 		m.unreserveDeltaTx()
 		m.group.Store(nil)
-	case CommitGroup:
-		m.unreserveDeltaTx()
-		m.group.Store(&groupState{m: m, mode: CommitGroup, combiner: nvm.NewFenceCombiner()})
 	case CommitAsync:
 		g := &groupState{
 			m:           m,
-			mode:        CommitAsync,
 			pending:     make(map[core.Ref]struct{}),
 			manual:      opts.ManualDrain,
 			ledger:      make(map[deltaKey]*deltaEntry),
@@ -152,19 +133,19 @@ func (m *Manager) SetGroupCommit(opts GroupOptions) error {
 
 // CommitMode returns the manager's current commit mode.
 func (m *Manager) CommitMode() CommitMode {
-	if g := m.group.Load(); g != nil {
-		return g.mode
+	if m.group.Load() != nil {
+		return CommitAsync
 	}
 	return CommitPerTx
 }
 
 // DurableWatermark returns the highest async ticket that is durable: its
 // epoch's commit marks are fenced, so a crash replays it (and its apply
-// has run, so readers see it). Zero in the synchronous modes, where every
-// returned Commit is already durable.
+// has run, so readers see it). Zero in per-Tx mode, where every returned
+// Commit is already durable.
 func (m *Manager) DurableWatermark() uint64 {
 	g := m.group.Load()
-	if g == nil || g.mode != CommitAsync {
+	if g == nil {
 		return 0
 	}
 	g.mu.Lock()
@@ -176,7 +157,7 @@ func (m *Manager) DurableWatermark() uint64 {
 // AwaitDurable(IssuedTickets()) waits for everything committed so far.
 func (m *Manager) IssuedTickets() uint64 {
 	g := m.group.Load()
-	if g == nil || g.mode != CommitAsync {
+	if g == nil {
 		return 0
 	}
 	g.mu.Lock()
@@ -187,10 +168,10 @@ func (m *Manager) IssuedTickets() uint64 {
 // AwaitDurable blocks until the given async ticket is durable, draining
 // the queue if necessary: it returns after the second fence (and the
 // apply) of the epoch that carries the ticket. A zero ticket, or any
-// ticket in a synchronous mode, returns immediately.
+// ticket in per-Tx mode, returns immediately.
 func (m *Manager) AwaitDurable(ticket uint64) {
 	g := m.group.Load()
-	if g == nil || g.mode != CommitAsync || ticket == 0 {
+	if g == nil || ticket == 0 {
 		return
 	}
 	g.mu.Lock()
@@ -208,7 +189,7 @@ func (m *Manager) AwaitDurable(ticket uint64) {
 // In ManualDrain mode this is the only epoch boundary.
 func (m *Manager) DrainDurable() uint64 {
 	g := m.group.Load()
-	if g == nil || g.mode != CommitAsync {
+	if g == nil {
 		return 0
 	}
 	g.mu.Lock()
@@ -223,9 +204,11 @@ func (m *Manager) DrainDurable() uint64 {
 // enqueue persists tx's log and write set (unfenced), assigns its epoch
 // ticket and parks it on the queue. The commit's visible effects (the
 // apply, freed-object recycling, deferred follow-ups) happen at drain
-// time on the draining goroutine.
+// time on the draining goroutine; its OnOrdered hooks run here, once its
+// write set is pending (or already applied by a drain).
 func (g *groupState) enqueue(tx *Tx) uint64 {
 	tx.commitStage1Body()
+	ordered := tx.ordered
 	g.mu.Lock()
 	g.issued++
 	tx.ticket = g.issued
@@ -248,6 +231,9 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 		g.drainLocked()
 	}
 	g.mu.Unlock()
+	for _, fn := range ordered {
+		fn()
+	}
 	return ticket
 }
 
@@ -256,17 +242,13 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 // transactional access to an original block (reads included: a block
 // touched by a queued commit has a newer image in its redo log, and one
 // with a pending delta has a newer word in the ledger; basing a new
-// block on the stale original would lose the queued update). No-op
-// outside async mode.
+// block on the stale original would lose the queued update).
 func (g *groupState) waitClear(orig core.Ref) { g.waitFor(orig, true) }
 
 // waitFor is waitClear with the delta half optional: deltas false waits
 // out queued commits only and leaves the block's pending ledger entries
 // folding (Manager.SettleCommits).
 func (g *groupState) waitFor(orig core.Ref, deltas bool) {
-	if g.mode != CommitAsync {
-		return
-	}
 	g.mu.Lock()
 	for {
 		_, held := g.pending[orig]
@@ -390,50 +372,25 @@ func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
 	return origs
 }
 
-// commitGrouped is the synchronous group-commit path: the same stores,
-// write-backs and stage order as the per-Tx protocol, with each barrier
-// shared through the combiner. Commit returns ⇒ durable, exactly §4.2.
-func (tx *Tx) commitGrouped(g *groupState) {
-	pool := tx.h.Pool()
-	tx.commitStage1Body()
-	// Numbered before the request: the combined barrier that answers it
-	// starts after it, hence after everything numbered below.
-	fence := tx.m.retire.beginFence()
-	g.combiner.Fence(pool)
-	tx.commitSeq(fence)
-	tx.commitMarkBody()
-	g.combiner.Fence(pool)
-	tx.commitRecycle()
-	tx.commitApplyBody()
-	tx.park()
-}
-
-// groupSnapshot folds the group-commit gauges into an FASnapshot: the
-// fences saved by combining/epoch amortization and the async backlog.
+// groupSnapshot folds the async gauges into an FASnapshot: the fences
+// saved by epoch amortization and the async backlog.
 func (m *Manager) groupSnapshot(snap *obs.FASnapshot) {
 	g := m.group.Load()
 	if g == nil {
 		return
 	}
-	if g.combiner != nil {
-		barriers, issued := g.combiner.Stats()
-		snap.CombinedFences += barriers - issued
+	// A per-Tx commit issues CommitBarriers; an epoch issues them once for
+	// the whole batch. Pure-delta epochs can push Epochs past EpochTxs.
+	if snap.EpochTxs > snap.Epochs {
+		snap.CombinedFences = CommitBarriers * (snap.EpochTxs - snap.Epochs)
 	}
-	if g.mode == CommitAsync {
-		// A per-Tx commit issues CommitBarriers; an epoch issues them once
-		// for the whole batch. Pure-delta epochs can push Epochs past
-		// EpochTxs.
-		if snap.EpochTxs > snap.Epochs {
-			snap.CombinedFences += CommitBarriers * (snap.EpochTxs - snap.Epochs)
-		}
-		// Each folded-away op would have cost its own log write + line
-		// flush; materialized entries and the still-pending backlog are
-		// the ones that (will) pay.
-		if backlog := uint64(g.backlog.Load()); snap.DeltaOps >= snap.DeltaEntries+backlog {
-			snap.DeltaFlushesSaved = snap.DeltaOps - snap.DeltaEntries - backlog
-		}
-		g.mu.Lock()
-		snap.WatermarkLag = g.issued - g.durable
-		g.mu.Unlock()
+	// Each folded-away op would have cost its own log write + line flush;
+	// materialized entries and the still-pending backlog are the ones that
+	// (will) pay.
+	if backlog := uint64(g.backlog.Load()); snap.DeltaOps >= snap.DeltaEntries+backlog {
+		snap.DeltaFlushesSaved = snap.DeltaOps - snap.DeltaEntries - backlog
 	}
+	g.mu.Lock()
+	snap.WatermarkLag = g.issued - g.durable
+	g.mu.Unlock()
 }

@@ -52,58 +52,6 @@ func runDeterministicWorkload(t *testing.T, h *core.Heap, mgr *Manager, cls *cor
 	}
 }
 
-// TestGroupCommitSyncBitIdentical is the satellite-4 equivalence oracle:
-// the same single-goroutine workload, run per-Tx and under sync group
-// commit, must leave bit-identical pool images (the group path performs
-// the same stores in the same order, only the barriers are shared) and
-// identical allocator state after recovery.
-func TestGroupCommitSyncBitIdentical(t *testing.T) {
-	run := func(mode CommitMode) (*nvm.Pool, *core.Heap) {
-		pool := nvm.New(1<<21, nvm.Options{})
-		cls := accountClass()
-		mgr := NewManager()
-		h, err := core.Open(pool, core.Config{
-			HeapOptions: heap.Options{LogSlots: 4, LogSlotSize: 1 << 14},
-			Classes:     []*core.Class{cls},
-			LogHandler:  mgr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mgr.SetGroupCommit(GroupOptions{Mode: mode}); err != nil {
-			t.Fatal(err)
-		}
-		runDeterministicWorkload(t, h, mgr, cls)
-		return pool, h
-	}
-
-	perTx, hPer := run(CommitPerTx)
-	grouped, hGrp := run(CommitGroup)
-
-	if pb, gb := perTx.View(0, perTx.Size()), grouped.View(0, grouped.Size()); string(pb) != string(gb) {
-		for i := range pb {
-			if pb[i] != gb[i] {
-				t.Fatalf("pool images diverge at offset %#x: per-tx %#x, group %#x", i, pb[i], gb[i])
-			}
-		}
-	}
-	pb1, pf1, _ := hPer.Mem().Stats()
-	gb1, gf1, _ := hGrp.Mem().Stats()
-	if pb1 != gb1 || pf1 != gf1 {
-		t.Fatalf("allocator state diverges: per-tx (bump %d, free %d), group (bump %d, free %d)", pb1, pf1, gb1, gf1)
-	}
-
-	// Both recover to identical states too.
-	h2p, _, _, _ := reopenFA(t, perTx)
-	h2g, _, _, _ := reopenFA(t, grouped)
-	if string(perTx.View(0, perTx.Size())) != string(grouped.View(0, grouped.Size())) {
-		t.Fatal("recovered pool images diverge")
-	}
-	if h2p.Root().Len() != h2g.Root().Len() {
-		t.Fatalf("recovered roots: per-tx %d, group %d", h2p.Root().Len(), h2g.Root().Len())
-	}
-}
-
 // TestGroupCommitAsyncEquivalent checks the async pipeline against the
 // per-Tx oracle at the semantic level (async reorders stage interleaving
 // across the batch, so raw log-area bytes may differ): same committed
@@ -157,80 +105,6 @@ func TestGroupCommitAsyncEquivalent(t *testing.T) {
 	aBump, aFree, _ := h2a.Mem().Stats()
 	if pBump-pFree != aBump-aFree {
 		t.Fatalf("live blocks diverge: per-tx %d, async %d", pBump-pFree, aBump-aFree)
-	}
-}
-
-// TestGroupCommitConcurrent stress-tests sync group commit: 8 workers on
-// disjoint account pairs, run under -race in CI. Money is conserved and
-// fences are actually combined. The pool simulates PMEM-like fence
-// latency so barriers overlap the way they do on hardware — with
-// zero-cost fences the combining window is empty and nothing would
-// overlap.
-func TestGroupCommitConcurrent(t *testing.T) {
-	pool := nvm.New(1<<22, nvm.Options{FenceLatency: 500})
-	cls := accountClass()
-	mgr := NewManager()
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 14},
-		Classes:     []*core.Class{cls},
-		LogHandler:  mgr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitGroup}); err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	accounts := make([]*account, 2*workers)
-	for i := range accounts {
-		po, err := h.Alloc(cls, accLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := po.(*account)
-		acc.WriteUint64(accA, 1000)
-		acc.PWB()
-		acc.Validate()
-		if err := h.Root().Put(fmt.Sprintf("acc%d", i), acc); err != nil {
-			t.Fatal(err)
-		}
-		accounts[i] = acc
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a, b := accounts[2*w], accounts[2*w+1]
-			for i := 0; i < 200; i++ {
-				if err := mgr.Run(func(tx *Tx) error { return transfer(tx, a, b, 3) }); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	var sum uint64
-	for _, acc := range accounts {
-		sum += acc.ReadUint64(accA)
-	}
-	if sum != uint64(len(accounts))*1000 {
-		t.Fatalf("sum = %d", sum)
-	}
-	snap := mgr.ObsSnapshot()
-	if snap.CombinedFences == 0 {
-		t.Fatal("no fences were combined across 1600 concurrent commits")
-	}
-	h2, _, _, _ := reopenFA(t, pool)
-	if h2.Root().Len() != len(accounts) {
-		t.Fatalf("roots after recovery: %d", h2.Root().Len())
 	}
 }
 
@@ -331,7 +205,8 @@ func TestGroupCommitAsyncConcurrent(t *testing.T) {
 // TestGroupCommitAsyncConflictDrains pins the waitClear guard: a block
 // touching (even just reading) data held by a queued async commit drains
 // the epoch first, so it observes the queued update instead of forking
-// history from the stale original.
+// history from the stale original. That guard is what lets OnOrdered fire
+// at the enqueue, before the drain runs the Defer follow-ups.
 func TestGroupCommitAsyncConflictDrains(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
 	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
@@ -346,12 +221,18 @@ func TestGroupCommitAsyncConflictDrains(t *testing.T) {
 	if err := tx1.WriteUint64(acc.Core(), accA, 150); err != nil {
 		t.Fatal(err)
 	}
+	var ordered, deferred bool
+	tx1.OnOrdered(func() { ordered = true })
+	tx1.Defer(func() { deferred = true })
 	ticket, err := tx1.CommitTicket()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ticket == 0 {
 		t.Fatal("async commit returned no ticket")
+	}
+	if !ordered || deferred {
+		t.Fatalf("after enqueue: OnOrdered ran %v, Defer ran %v; want true, false", ordered, deferred)
 	}
 	if mgr.DurableWatermark() != 0 {
 		t.Fatal("watermark advanced before any drain")
@@ -474,28 +355,35 @@ func TestAbortThenReuseCrash(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSoloCost pins that a cohort of one pays exactly the
-// per-Tx barrier cost — combining must never add fences.
+// TestGroupCommitSoloCost pins that an epoch of one — an async commit
+// awaited straight away — pays exactly the per-Tx cost: the epoch pipeline
+// never adds a write-back or a fence.
 func TestGroupCommitSoloCost(t *testing.T) {
 	h, mgr, pool, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitGroup}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
-	if err := mgr.Run(func(tx *Tx) error {
-		return tx.WriteUint64(acc.Core(), accA, 1)
-	}); err != nil {
-		t.Fatal(err)
+	commit := func(v uint64) {
+		tx, err := mgr.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.WriteUint64(acc.Core(), accA, v); err != nil {
+			t.Fatal(err)
+		}
+		ticket, err := tx.CommitTicket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.AwaitDurable(ticket)
 	}
+	commit(1)
 	before := pool.Obs().Snapshot()
-	if err := mgr.Run(func(tx *Tx) error {
-		return tx.WriteUint64(acc.Core(), accA, 2)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	commit(2)
 	d := pool.Obs().Snapshot().Sub(before)
 	if d.PWBs != 5 || d.Fences() != CommitBarriers {
-		t.Fatalf("solo group commit cost: %d pwb, %d fences (want 5, %d)", d.PWBs, d.Fences(), CommitBarriers)
+		t.Fatalf("epoch-of-one cost: %d pwb, %d fences (want 5, %d)", d.PWBs, d.Fences(), CommitBarriers)
 	}
 }
 
@@ -506,14 +394,14 @@ func TestSetGroupCommitGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitGroup}); err == nil {
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err == nil {
 		t.Fatal("mode switch allowed with a block in flight")
 	}
 	tx.Abort()
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitGroup}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.CommitMode() != CommitGroup {
+	if mgr.CommitMode() != CommitAsync {
 		t.Fatal("mode not applied")
 	}
 	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitPerTx}); err != nil {

@@ -123,9 +123,9 @@ type FASnapshot struct {
 	Epochs       uint64 `json:"group_epochs"`
 	EpochTxs     uint64 `json:"group_epoch_txs"`
 	AsyncCommits uint64 `json:"async_commits"`
-	// CombinedFences counts fence requests satisfied by a barrier another
-	// committer issued (sync-mode combining) plus the barriers an epoch
-	// drain amortized away vs the per-Tx protocol. Filled by the manager.
+	// CombinedFences counts the barriers async epoch drains amortized away
+	// vs the per-Tx protocol: CommitBarriers per epoch commit beyond the
+	// first. Filled by the manager.
 	CombinedFences uint64 `json:"combined_fences" obs:"filled"`
 
 	DeltaOps     uint64 `json:"delta_ops"`
@@ -408,7 +408,7 @@ func (s StackSnapshot) Report(w io.Writer) {
 				s.FA.TxReuse, s.FA.FlushedLines, s.FA.SavedLines,
 				100*float64(s.FA.SavedLines)/float64(s.FA.FlushedLines+s.FA.SavedLines))
 		}
-		if s.FA.EpochTxs+s.FA.AsyncCommits+s.FA.CombinedFences > 0 {
+		if s.FA.EpochTxs+s.FA.AsyncCommits > 0 {
 			avg := float64(0)
 			if s.FA.Epochs > 0 {
 				avg = float64(s.FA.EpochTxs) / float64(s.FA.Epochs)

@@ -115,9 +115,9 @@ func (c *hotCache) del(k string) {
 // the window that publishes a binding or retires a key or a value: a
 // replaced value is freed like a deleted one, so Put over an existing
 // binding excludes the key's readers too, and being under wmu it cannot
-// store into an array that growth is copying. A per-Tx transactional
-// writer's commit apply outlives its wmu window, so the transactional
-// paths additionally gate on the predecessor's apply (gateWait/gateArm).
+// store into an array that growth is copying. A transactional writer's
+// commit outlives its wmu window, so the transactional paths additionally
+// gate on the predecessor's commit (gateWait/gateArm).
 type Map struct {
 	*core.Object
 
@@ -125,7 +125,7 @@ type Map struct {
 	arrp  atomic.Pointer[PRefArray] // current backing array, atomically swapped by growth
 	kind  MirrorKind
 	mir   mirror
-	gate  chan struct{} // closed when the last per-Tx structural commit's apply landed (guarded by wmu)
+	gate  chan struct{} // closed when the last structural commit is ordered (guarded by wmu)
 	slots []int         // free binding indices (guarded by wmu)
 	mode  CacheMode
 	cache proxyCache // nil in base mode
@@ -703,13 +703,14 @@ func (m *Map) takeSlotLocked(tx *fa.Tx) (int, error) {
 // ---- Transactional operations (the J-PFA backend path) ----
 
 // gateWait orders this structural transaction's shared-block access after
-// the previous structural transaction's commit apply. wmu serializes the
-// bodies, but a per-Tx commit applies its redo entries after the body
-// returned and wmu was released; without the wait the next writer could
-// snapshot the backing array mid-apply and commit the pre-apply image
-// back over it — a lost update of the predecessor's slot swing (and a
-// plain-read race against the apply's atomic line stores). Called with
-// wmu held, before the first tx read or write of a shared map block.
+// the previous structural transaction's commit. wmu serializes the bodies,
+// but the commit comes after the body returned and wmu was released;
+// without the wait the next writer could copy the backing array before
+// the predecessor's writes reach it (a per-Tx apply) or are queued under
+// waitClear (an async enqueue), and commit the older image back over them
+// — a lost update of the predecessor's slot swing (and a plain-read race
+// against the apply's atomic line stores). Called with wmu held, before
+// the first tx read or write of a shared map block.
 func (m *Map) gateWait() {
 	if ch := m.gate; ch != nil {
 		<-ch
@@ -717,28 +718,25 @@ func (m *Map) gateWait() {
 }
 
 // gateArm registers tx as the structural predecessor the next writer must
-// wait out. The channel closes once the apply has landed (Defer) or the
-// block aborted (OnAbort) — exactly one of the two fires. Async commits
-// do not arm: their Defer only runs at epoch drain, and the transactional
-// read path already waits out pending epoch applies per block (waitClear),
-// so gating on them would stall every writer until the next drain. Called
-// with wmu held, after every OnAbort of the op, so the LIFO rollback
-// order runs the gate release before any rollback that re-takes wmu.
+// wait out. The channel closes once the commit is ordered (OnOrdered) or
+// the block aborted (OnAbort) — exactly one of the two fires. Called with
+// wmu held, after every OnAbort of the op, so the LIFO rollback order runs
+// the gate release before any rollback that re-takes wmu.
 func (m *Map) gateArm(tx *fa.Tx) {
-	if tx.AsyncCommit() {
-		return
-	}
 	ch := make(chan struct{})
 	done := func() { close(ch) }
-	tx.Defer(done)
+	tx.OnOrdered(done)
 	tx.OnAbort(done)
 	m.gate = ch
 }
 
 // PutTx binds key to val inside a failure-atomic block. val must have been
-// allocated in the same block (it is validated by the commit). The caller
-// must serialize access to the map across the whole block, as the store's
-// lock striping does.
+// allocated in the same block (it is validated by the commit). Blocks on
+// different goroutines may call PutTx and DeleteTx concurrently, on any
+// keys: wmu and the commit gate order each after its predecessor's commit.
+// A block makes at most one such call per map and takes no other writer
+// path of the map until it ends: the next one would wait, holding wmu, for
+// this block's own commit.
 func (m *Map) PutTx(tx *fa.Tx, key string, val core.PObject) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fa"
+	"repro/internal/heap"
 	"repro/internal/nvm"
 )
 
@@ -586,15 +587,40 @@ func TestMapAsyncGrowthKeepsQueuedBindings(t *testing.T) {
 }
 
 // TestMapTxStructuralChurnConcurrent hammers PutTx/DeleteTx from several
-// goroutines over distinct keys whose array slots share cache lines. A
-// per-Tx commit applies its redo lines after the body released wmu; before
-// the gateWait/gateArm ordering, the next writer could snapshot the array
-// mid-apply and commit the pre-apply line back, silently reverting the
-// predecessor's slot swing (resurrected deletes / lost inserts).
+// goroutines over distinct keys whose array slots share cache lines, in
+// both commit modes. wmu serializes the bodies, but what makes a body's
+// array writes visible to the next writer comes after wmu is released: the
+// per-Tx apply, or the async enqueue that puts the array block under
+// waitClear. Before the gateWait/gateArm ordering covered both, the next
+// writer could copy the pre-commit array block and commit it back over the
+// predecessor's slot swing (resurrected deletes / lost inserts, or a
+// DeleteTx reading a zero key word).
 func TestMapTxStructuralChurnConcurrent(t *testing.T) {
-	h, mgr, _ := openPDT(t, 1<<23, false)
+	for _, tc := range []struct {
+		name string
+		mode fa.CommitMode
+	}{{"per-tx", fa.CommitPerTx}, {"async", fa.CommitAsync}} {
+		t.Run(tc.name, func(t *testing.T) { structuralChurn(t, tc.mode) })
+	}
+}
+
+func structuralChurn(t *testing.T, mode fa.CommitMode) {
+	mgr := fa.NewManager()
+	h, err := core.Open(nvm.New(1<<23, nvm.Options{}), core.Config{
+		// One open block per writer, plus queued async commits and the
+		// slot async reserves for delta materialization.
+		HeapOptions: heap.Options{LogSlots: 16, LogSlotSize: 1 << 14},
+		Classes:     Classes(),
+		LogHandler:  mgr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
+		t.Fatal(err)
+	}
 	m := newTestMap(t, h, MirrorHash, "m")
-	const workers, rounds = 4, 60
+	const workers, rounds = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -632,6 +658,7 @@ func TestMapTxStructuralChurnConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	mgr.DrainDurable()
 	if m.Len() != workers {
 		t.Fatalf("Len = %d after churn, want %d", m.Len(), workers)
 	}

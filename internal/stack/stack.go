@@ -59,8 +59,7 @@ type Config struct {
 	// (the facade, the bank, the J-PDT experiments).
 	Backend string
 	// Commit selects the manager's commit protocol: "" or "per-tx" (every
-	// commit fences alone, §4.2), "group" (concurrent commits share
-	// barriers, still synchronous) or "async" (epoch pipeline; Commit
+	// commit fences alone, §4.2) or "async" (epoch pipeline; Commit
 	// returns a ticket, durability trails at the watermark).
 	Commit string
 	// Classes are the application's persistent classes. The J-PDT and
@@ -82,12 +81,10 @@ func ParseCommit(s string) (fa.CommitMode, error) {
 	switch s {
 	case "", "per-tx":
 		return fa.CommitPerTx, nil
-	case "group":
-		return fa.CommitGroup, nil
 	case "async":
 		return fa.CommitAsync, nil
 	}
-	return 0, fmt.Errorf("stack: unknown commit mode %q (want per-tx, group or async)", s)
+	return 0, fmt.Errorf("stack: unknown commit mode %q (want per-tx or async)", s)
 }
 
 // Stack is an open stack: the pool, its recovered object heap, its
@@ -161,9 +158,9 @@ func (st *Stack) DrainDurable() {
 // AwaitDurable blocks until everything committed so far is durable,
 // without forcing an early epoch drain the way DrainDurable does: the
 // manager waits for its watermark to cover the tickets already issued, so
-// concurrent callers' windows combine into shared epochs. No-op in the
-// synchronous commit modes. This is the wire server's per-window
-// durability wait (DESIGN.md §17).
+// concurrent callers' windows combine into shared epochs. No-op in per-Tx
+// mode. This is the wire server's per-window durability wait (DESIGN.md
+// §17).
 func (st *Stack) AwaitDurable() {
 	if st.Mgr != nil {
 		st.Mgr.AwaitDurable(st.Mgr.IssuedTickets())

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fa"
@@ -55,14 +56,18 @@ func TestOpenShapes(t *testing.T) {
 	}
 }
 
-// TestParseCommit pins the one commit vocabulary.
+// TestParseCommit pins the one commit vocabulary: two protocols, and the
+// removed sync group mode refused with an error naming both.
 func TestParseCommit(t *testing.T) {
 	for s, want := range map[string]fa.CommitMode{
-		"": fa.CommitPerTx, "per-tx": fa.CommitPerTx, "group": fa.CommitGroup, "async": fa.CommitAsync,
+		"": fa.CommitPerTx, "per-tx": fa.CommitPerTx, "async": fa.CommitAsync,
 	} {
 		if got, err := ParseCommit(s); err != nil || got != want {
 			t.Errorf("ParseCommit(%q) = %v, %v; want %v", s, got, err, want)
 		}
+	}
+	if _, err := ParseCommit("group"); err == nil || !strings.Contains(err.Error(), "per-tx") || !strings.Contains(err.Error(), "async") {
+		t.Errorf(`ParseCommit("group") = %v; want an error naming per-tx and async`, err)
 	}
 }
 
@@ -72,7 +77,7 @@ func TestParseCommit(t *testing.T) {
 // slots, and in a pool whose arena only fits the records if every update's
 // frees come back.
 func TestParkedResourcesNeverStarveTheGrid(t *testing.T) {
-	for _, commit := range []string{"per-tx", "group", "async"} {
+	for _, commit := range []string{"per-tx", "async"} {
 		pool := nvm.New(1<<20, nvm.Options{})
 		st, err := Open(pool, Config{Backend: JPFA, Commit: commit, LogSlots: 2, LogSlotSize: 1 << 14})
 		if err != nil {

@@ -24,8 +24,8 @@ type DeltaAdder interface {
 // stripe lock. With a capable backend in async commit mode the op folds
 // into the delta ledger — one redo-log write and one line flush per hot
 // key per drained epoch, however many increments landed on it. Other
-// backends (and the synchronous modes) fall back to a read-modify-write
-// of the single field.
+// backends (and per-Tx mode) fall back to a read-modify-write of the
+// single field.
 func (g *Grid) AddDelta(key, field string, delta int64) error {
 	start := time.Now()
 	defer func() { g.stats.RMW.Observe(time.Since(start)) }()
@@ -81,7 +81,7 @@ func (g *Grid) AddDelta(key, field string, delta int64) error {
 // value word of its field, in the record's own block. In async commit
 // mode the hot path hands the delta to the manager's ledger keyed by
 // that block and the word's offset in it; every other case — the
-// synchronous modes, a value that is not an inline 8-byte word — is a
+// per-Tx mode, a value that is not an inline 8-byte word — is a
 // read-modify-write of the field inside a failure-atomic block.
 func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 	// Commits only: the ledger entry this op is about to fold into stays.

@@ -22,7 +22,7 @@ type ServerConfig struct {
 	// pipeline this is the batching→epoch fold of DESIGN.md §17: the
 	// window's commits ride one epoch drain, so an acknowledged write is
 	// always durable. Nil means writes are durable when the grid returns
-	// (per-Tx and group modes, and the structurally-persistent backends).
+	// (per-Tx mode, and the structurally-persistent backends).
 	AwaitDurable func()
 
 	// StatsJSON provides the OpStats payload (a JSON document; the server

@@ -31,6 +31,10 @@
 #     superblock words are reserved, heap.Open and stack.Open refuse a set
 #     member). PoolIndex, PoolCount, JumpHash, CheckRoster, an
 #     internal/shard import or a "pools" flag coming back is its return.
+#  7. Two commit protocols. fa commits per-Tx or through the async epoch
+#     pipeline (DESIGN.md §15); the sync group mode is gone. FenceCombiner,
+#     CommitGroup, commitGrouped or a "group" case in stack.ParseCommit
+#     coming back is a third.
 set -eu
 
 fail=0
@@ -116,6 +120,16 @@ hits=$({
 } | grep -v '^\./benchmarks/' || true)
 if [ -n "$hits" ]; then
     echo "the multi-pool heap is back (a heap is one pool):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+hits=$({
+    grep -rnE --include='*.go' '\b(FenceCombiner|CommitGroup|commitGrouped)\b' . || true
+    grep -nHE 'case[^:]*"group"' internal/stack/stack.go || true
+} | grep -v '^\./benchmarks/' || true)
+if [ -n "$hits" ]; then
+    echo "a third commit protocol is back (per-Tx and async only):" >&2
     echo "$hits" >&2
     fail=1
 fi
