@@ -20,7 +20,7 @@ RACE_ENV_TESTS = TestEnvCommitModes
 # their tests repeat.
 RACE_MAP_TESTS = TestMapHotCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet|TestMapTxStructuralChurnConcurrent
 
-.PHONY: check vet build test race bench-read bench-e2e-smoke bench-lockfree \
+.PHONY: check vet build test race bench-read bench-e2e-smoke \
 	microbench lint fmt-check structure-check staticcheck crashmc-smoke coverage
 
 check: vet build test race
@@ -57,7 +57,7 @@ race:
 	$(GO) test -race -run '$(RACE_ENV_TESTS)' ./internal/bench/
 	$(GO) test -race -run '$(RACE_MAP_TESTS)' -count=20 ./internal/pdt/
 
-# Allocation gate (DESIGN.md §14, §17): runs the MapGet/GridRead and
+# Allocation gate (DESIGN.md §14, §16): runs the MapGet/GridRead and
 # ServerWindow benchmarks with -benchmem and fails if the zero-copy and
 # proxy-cached fast paths report any allocs/op, the fallback regimes
 # exceed their ceilings, or a wire request allocates per field again.
@@ -74,14 +74,6 @@ bench-read:
 bench-e2e-smoke:
 	cd benchmarks && $(GO) test ./...
 	bash benchmarks/run.sh --workload net-a --quick
-
-# Lock-free J-PDT smoke (DESIGN.md §16): the EBR-pinned grid read must
-# stay allocation-free next to the seqlock path, and the lock-free suites
-# must hold under the race detector. CI runs this on every push; the
-# pdtlockfree crash workload is explored by crashmc-smoke (-workload all).
-bench-lockfree:
-	$(GO) test -run '^$$' -bench 'GridRead/(zerocopy|lockfree)' -benchtime 100x -benchmem ./internal/bench/
-	$(GO) test -race -run 'TestLF|TestMapHotCache|TestMirrorSkipAscend' ./internal/pdt/
 
 microbench:
 	$(GO) test -bench=. -benchmem .

@@ -1,5 +1,5 @@
 // Command gridserver exposes the embedded data grid over TCP: the wire
-// protocol of internal/wire (DESIGN.md §17), per-connection pipeline
+// protocol of internal/wire (DESIGN.md §16), per-connection pipeline
 // batching folded into the async group-commit pipeline, connection-limit
 // backpressure, and graceful drain on SIGTERM. With -data the NVMM pool
 // is file-backed, so a SIGKILLed server restarted on the same directory
@@ -48,7 +48,7 @@ func main() {
 func run() (err error) {
 	addr := flag.String("addr", "127.0.0.1:7420", "listen address")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
-	backend := flag.String("backend", "J-PFA", "grid backend: J-PFA, J-PDT, J-PDT-LF, PCJ, Volatile, TmpFS, FS")
+	backend := flag.String("backend", "J-PFA", "grid backend: J-PFA, J-PDT, PCJ, Volatile, TmpFS, FS")
 	commit := flag.String("commit", "async", "J-NVM commit protocol: per-tx or async")
 	records := flag.Int("records", 8_000, "expected record count (pool sizing hint)")
 	fields := flag.Int("fields", 10, "expected fields per record (pool sizing hint)")

@@ -24,7 +24,6 @@ type BackendKind string
 // The evaluated backends.
 const (
 	JPDT     BackendKind = stack.JPDT
-	JPDTLF   BackendKind = stack.JPDTLF
 	JPFA     BackendKind = stack.JPFA
 	FS       BackendKind = "FS"
 	PCJ      BackendKind = stack.PCJ
@@ -132,7 +131,7 @@ func NewEnv(cfg GridConfig) (*Env, error) {
 	var b store.Backend
 	var cleanup func()
 	switch cfg.Backend {
-	case JPDT, JPDTLF, JPFA, PCJ:
+	case JPDT, JPFA, PCJ:
 		return newNVMEnv(cfg)
 	case Volatile:
 		b = store.NewVolatileBackend()

@@ -428,7 +428,6 @@ func TestCapabilityTable(t *testing.T) {
 		caps, path string
 	}{
 		{JPDT, "view", "view"},
-		{JPDTLF, "lockfree", "lockfree"},
 		{JPFA, "delta", "locked"},
 		{PCJ, "", "locked"},
 	} {
@@ -441,7 +440,7 @@ func TestCapabilityTable(t *testing.T) {
 		for _, f := range []struct {
 			name    string
 			present bool
-		}{{"view", c.View != nil}, {"lockfree", c.LockFree != nil}, {"delta", c.Delta != nil}, {"scan", c.Scan != nil}} {
+		}{{"view", c.View != nil}, {"delta", c.Delta != nil}, {"scan", c.Scan != nil}} {
 			if f.present {
 				offers = append(offers, f.name)
 			}

@@ -55,7 +55,6 @@ func ycsbFlushRates(t *testing.T, bk BackendKind, workload string, threads int, 
 // the async protocol are gated here alone. No wall clock is read.
 func TestFlushRates(t *testing.T) {
 	const slack = 0.0004 // under one event in 2000 operations
-	measured := map[string]float64{}
 	for _, tc := range []struct {
 		workload    string
 		backend     BackendKind
@@ -63,29 +62,19 @@ func TestFlushRates(t *testing.T) {
 	}{
 		{"A", JPFA, 5.4835, 0.9970},
 		{"A", JPDT, 2.4980, 1.0125},
-		{"A", JPDTLF, 1.9995, 0.5290},
 		{"A", PCJ, 2.4930, 0.9970},
 		{"B", JPFA, 0.5335, 0.0970},
 		{"B", JPDT, 0.2500, 0.0985},
-		{"B", JPDTLF, 0.2015, 0.0510},
 		{"B", PCJ, 0.2430, 0.0970},
 		{"C", JPFA, 0, 0},
 		{"C", JPDT, 0, 0},
-		{"C", JPDTLF, 0, 0},
 		{"C", PCJ, 0, 0},
 	} {
 		pwb, pfence := ycsbFlushRates(t, tc.backend, tc.workload, 1, "")
-		measured[tc.workload+string(tc.backend)] = pwb
 		if math.Abs(pwb-tc.pwb) > slack || math.Abs(pfence-tc.pfence) > slack {
 			t.Errorf("YCSB-%s on %s: %.4f pwb/op, %.4f pfence/op; pinned %.4f, %.4f",
 				tc.workload, tc.backend, pwb, pfence, tc.pwb, tc.pfence)
 		}
-	}
-
-	// The lock-free map's claim (DESIGN.md §16): fewer flushes per update
-	// than the locked J-PDT it replaces.
-	if lf, locked := measured["A"+string(JPDTLF)], measured["A"+string(JPDT)]; lf >= locked {
-		t.Errorf("YCSB-A: J-PDT-LF %.4f pwb/op is not below locked J-PDT %.4f", lf, locked)
 	}
 
 	// TPC-B per-Tx: a transfer is one failure-atomic block over two

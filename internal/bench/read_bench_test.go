@@ -158,12 +158,10 @@ func benchGridRead(b *testing.B, g *store.Grid, span int) {
 	}
 }
 
-// BenchmarkGridRead covers the five grid read regimes: the seqlock
-// zero-copy fast path (no cache, must be allocation-free), the lock-free
-// EBR-pinned read of the J-PDT-LF backend (also allocation-free, no
-// stripe locks or seqlock generations at all), the locked copy fallback
-// (chained values defeat the view reader), and record-cache hits and
-// misses.
+// BenchmarkGridRead covers the four grid read regimes: the seqlock
+// zero-copy fast path (no cache, must be allocation-free), the locked
+// copy fallback (chained values defeat the view reader), and record-cache
+// hits and misses.
 func BenchmarkGridRead(b *testing.B) {
 	b.Run("zerocopy", func(b *testing.B) {
 		env := newBenchGrid(b, JPDT, 0, 100)
@@ -171,14 +169,6 @@ func BenchmarkGridRead(b *testing.B) {
 		benchGridRead(b, env.Grid, gridBenchRecords)
 		if hits := env.Grid.ObsSnapshot().ZeroCopyHits; hits == 0 {
 			b.Fatal("zero-copy path never taken")
-		}
-	})
-	b.Run("lockfree", func(b *testing.B) {
-		env := newBenchGrid(b, JPDTLF, 0, 100)
-		defer env.Close()
-		benchGridRead(b, env.Grid, gridBenchRecords)
-		if lfr := env.Grid.ObsSnapshot().LockFreeReads; lfr == 0 {
-			b.Fatal("lock-free read path never taken")
 		}
 	})
 	b.Run("copyfallback", func(b *testing.B) {

@@ -23,20 +23,20 @@ func TestSpacePerRecord(t *testing.T) {
 		records          int
 		fields, fieldLen int
 		delta            bool    // one ADDDELTA pass over the loaded records
-		ceiling, lfCeil  float64 // blocks per record: pdt.Map backends, J-PDT-LF
+		ceiling          float64 // blocks per record
 	}{
 		// emb-a, emb-b, net-a: a table, a pooled key, two array words and
 		// ten values at two 124-byte slots to the block.
-		{"10x100B", 4000, 10, 100, false, 6.3, 7.3},
+		{"10x100B", 4000, 10, 100, false, 6.3},
 		// net-counter, at its record count: a table, a pooled key and two
 		// array words (the async manager's cached in-flight blocks are a
 		// fixed hundred-odd on top, 0.03 per record at 4000).
-		{"1x8B-counter", 10000, 1, 8, true, 1.3, 2.2},
+		{"1x8B-counter", 10000, 1, 8, true, 1.3},
 	}
 	backends := []struct {
 		kind   BackendKind
 		commit string
-	}{{JPDT, ""}, {JPDTLF, ""}, {JPFA, ""}, {JPFA, "async"}}
+	}{{JPDT, ""}, {JPFA, ""}, {JPFA, "async"}}
 	for _, sh := range shapes {
 		for _, be := range backends {
 			t.Run(fmt.Sprintf("%s/%s%s", sh.name, be.kind, be.commit), func(t *testing.T) {
@@ -81,12 +81,8 @@ func TestSpacePerRecord(t *testing.T) {
 				env.DrainDurable()
 				perRecord := (inUse() - before) / float64(records)
 				t.Logf("%.3f blocks per record", perRecord)
-				ceiling := sh.ceiling
-				if be.kind == JPDTLF {
-					ceiling = sh.lfCeil
-				}
-				if perRecord > ceiling {
-					t.Errorf("%.3f heap blocks in use per record, ceiling %.1f", perRecord, ceiling)
+				if perRecord > sh.ceiling {
+					t.Errorf("%.3f heap blocks in use per record, ceiling %.1f", perRecord, sh.ceiling)
 				}
 				budget := float64(EstimatePoolBytes(2*records, sh.fields, sh.fieldLen)-
 					EstimatePoolBytes(records, sh.fields, sh.fieldLen)) / float64(records) / heap.BlockSize

@@ -274,7 +274,7 @@ func (o *Object) WriteRef(off uint64, r Ref) { o.WriteUint64(off, r) }
 
 // ReadRefAtomic loads a reference field with atomic (acquire) semantics
 // when the backing word is 8-aligned in the pool, falling back to a plain
-// load otherwise. The lock-free read path uses it to observe refs a
+// load otherwise. The zero-copy read path uses it to observe refs a
 // concurrent writer publishes with WriteRefAtomic; misaligned words (only
 // the 124-byte slot class produces them) are served by the locked path on
 // both sides, so the plain fallback never races an atomic store.
@@ -366,15 +366,6 @@ func (o *Object) Validate() {
 	o.h.mem.SetValid(o.ref, true)
 }
 
-// ValidateDeferred sets the valid bit without flushing the header line.
-// Born-valid constructors (DESIGN.md §16) use it right before a single
-// whole-extent PWB, saving the separate header write-back that
-// construct-then-Validate pays.
-func (o *Object) ValidateDeferred() {
-	o.live()
-	o.h.mem.SetValidDeferred(o.ref, true)
-}
-
 // Invalidate clears the valid bit (flushed, unfenced).
 func (o *Object) Invalidate() {
 	o.live()
@@ -385,7 +376,7 @@ func (o *Object) Invalidate() {
 // to n (§4.1.6, Figure 6): the new object is validated and fenced before
 // becoming reachable, so the recovery pass can never nullify the
 // reference. A nil n clears the field. The ref store itself is atomic
-// (WriteRefAtomic) so lock-free readers observe either the old or the
+// (WriteRefAtomic) so unlocked readers observe either the old or the
 // new reference, never a torn word.
 func (o *Object) AtomicUpdateRef(off uint64, n PObject) {
 	if n == nil {
@@ -409,22 +400,6 @@ func (o *Object) AtomicReplaceRef(off uint64, n PObject) {
 		o.h.pool.PFence() // order the unlink before the invalidation
 		o.h.mem.FreeObject(old)
 	}
-}
-
-// CompareAndSwapRef atomically swaps the reference field at off from old
-// to new, reporting whether the swap happened. It is the publication
-// primitive of the lock-free durable types (DESIGN.md §16): concurrent
-// writers race on the same word and losers retry instead of blocking.
-// The field must be contiguous and 8-aligned in the pool — true for every
-// word of a block-backed object (payloads start 8-aligned and words never
-// straddle blocks when the layout keeps them 8-aligned) — and the caller
-// flushes and fences per its own protocol.
-func (o *Object) CompareAndSwapRef(off uint64, old, new Ref) bool {
-	p, ok := o.locate(off, 8)
-	if !ok || p%8 != 0 {
-		panic("core: CompareAndSwapRef on a non-contiguous or misaligned field")
-	}
-	return o.h.pool.CompareAndSwapUint64(p, old, new)
 }
 
 // ClassID returns the persistent class id from the object's header.

@@ -24,15 +24,14 @@ import (
 // the store's J-PFA backend (grid), the J-PDT backend with the zero-copy
 // read path and EBR deferral active (gridread), transactional
 // allocation/free (pool), the non-transactional single-fence publication
-// of the J-PDT types (pdt), the lock-free persist-at-destination map/set
-// (pdtlockfree), and the retirement of redo logs behind the durable
-// watermark, where a committed block's slot, in-flight copies and freed
-// objects wait on its successors' fences (retire).
+// of the J-PDT types (pdt), and the retirement of redo logs behind the
+// durable watermark, where a committed block's slot, in-flight copies and
+// freed objects wait on its successors' fences (retire).
 func Workloads() []*Workload {
 	var ws []*Workload
 	for _, e := range []entry{
 		bankEntry(), gridEntry(), gridGroupEntry(), gridDeltaEntry(), gridInlineEntry(), gridReadEntry(),
-		poolEntry(), pdtEntry(), pdtLockFreeEntry(), retireEntry(),
+		poolEntry(), pdtEntry(), retireEntry(),
 	} {
 		ws = append(ws, e.workload())
 	}
@@ -621,7 +620,7 @@ func gridGroupEntry() entry {
 
 // ---- griddelta: delta-ledger folding under the async pipeline ----
 
-// gridDeltaWorkload crashes the delta coalescing of DESIGN.md §18:
+// gridDeltaWorkload crashes the delta coalescing of DESIGN.md §17:
 // counter increments ride the manager's fold ledger (volatile until a
 // drain materializes one redo-log entry per hot key) while updates on the
 // same keys queue as ordinary async commits, forcing the drain-on-overlap
@@ -1466,211 +1465,6 @@ func pdtEntry() entry {
 				if arr2.Get(0) != 42 {
 					return fmt.Errorf("post-recovery array write lost")
 				}
-				return nil
-			},
-		}
-	}}
-}
-
-// ---- pdtlockfree: lock-free map/set persist-at-destination writes ----
-
-// pdtLockFreeEntry crashes the SOFT-style lock-free structures of
-// DESIGN.md §16: every structural write persists only its destination
-// cell (one pwb + one fence), validity brackets gate recovery, and the
-// links are volatile (rebuilt by OnResurrect). Individual ops are not
-// atomic across a crash and their durability rides later fences, so the
-// oracle is a possible-state set per key: every value bound since the
-// last full checkpoint plus the checkpointed state. The key mix includes
-// indirect keys (> 36 bytes, spilled to a key blob) so crash points land
-// inside the two-object publication. Every check recovers through the
-// standard path and fscks both the heap and the map's own
-// bracket-vs-reachability invariant; the entry compares recoveries, so
-// parallel checks replay the identical image through the serial §4.1.3
-// oracle too and demand observationally identical maps (the cross-check
-// of the §16 fixed-index-merge argument — at this scale the parallel
-// path degrades to serial below lfRebuildParallelMin, so divergence here
-// would mean the dispatch itself is unsound).
-func pdtLockFreeEntry() entry {
-	const ops = 34
-	keys := []string{
-		"l00", "l01", "l02", "l03", "l04", "l05",
-		// Indirect keys: longer than the 36-byte inline bound.
-		"l-indirect-" + strings.Repeat("x", 40),
-		"l-indirect-" + strings.Repeat("y", 40),
-	}
-	return entry{name: "pdtlockfree", poolBytes: 1 << 21, cfg: stackCfg(""), compare: true, new: func(seed int64) *scenario {
-		rng := rand.New(rand.NewSource(seed))
-		mapPoss := make(map[string]map[string]bool)
-		setPoss := make(map[string]map[string]bool)
-		mapCur := make(map[string]string)
-		setCur := make(map[string]bool)
-		for _, k := range keys {
-			mapPoss[k] = map[string]bool{absentState: true}
-			setPoss[k] = map[string]bool{absentState: true}
-		}
-		var h *core.Heap
-		var m *pdt.LFMap
-		var s *pdt.LFSet
-		collapse := func() {
-			for _, k := range keys {
-				if v, ok := mapCur[k]; ok {
-					mapPoss[k] = map[string]bool{v: true}
-				} else {
-					mapPoss[k] = map[string]bool{absentState: true}
-				}
-				if setCur[k] {
-					setPoss[k] = map[string]bool{"present": true}
-				} else {
-					setPoss[k] = map[string]bool{absentState: true}
-				}
-			}
-		}
-		return &scenario{
-			setup: func(st *stack.Stack) (err error) {
-				h = st.Heap
-				if m, err = pdt.NewLFMap(h, 16); err != nil {
-					return err
-				}
-				if err = h.Root().Put("lf.map", m); err != nil {
-					return err
-				}
-				if s, err = pdt.NewLFSet(h, 16); err != nil {
-					return err
-				}
-				return h.Root().Put("lf.set", s)
-			},
-			exec: func() error {
-				for i := 0; i < ops; i++ {
-					k := keys[rng.Intn(len(keys))]
-					switch rng.Intn(8) {
-					case 0, 1, 2: // map put (insert or CAS-update)
-						v := fmt.Sprintf("v%03d", i)
-						pb, err := pdt.NewBytesValid(h, []byte(v))
-						if err != nil {
-							return err
-						}
-						mapPoss[k][v] = true
-						if err := m.Put(k, pb); err != nil {
-							return fmt.Errorf("op %d put %s: %w", i, k, err)
-						}
-						mapCur[k] = v
-					case 3: // map delete (claim + one pwb + volatile unlink)
-						mapPoss[k][absentState] = true
-						m.Delete(k)
-						delete(mapCur, k)
-					case 4: // set add (idempotent marker insert)
-						setPoss[k]["present"] = true
-						if err := s.Add(k); err != nil {
-							return fmt.Errorf("op %d add %s: %w", i, k, err)
-						}
-						setCur[k] = true
-					case 5: // set delete
-						setPoss[k][absentState] = true
-						s.Delete(k)
-						delete(setCur, k)
-					case 6: // lock-free read, checked live against the model
-						var got string
-						found := m.WithValue(k, func(vref core.Ref) {
-							got = string(pdt.ReadBlobView(h, vref))
-						})
-						want, ok := mapCur[k]
-						if found != ok || (found && got != want) {
-							return fmt.Errorf("op %d read %s: got (%q,%v), model (%q,%v)", i, k, got, found, want, ok)
-						}
-					case 7: // checkpoint: everything becomes durable
-						h.PSync()
-						collapse()
-					}
-				}
-				return nil
-			},
-			// check verifies one recovered heap against the oracle and reports
-			// the map's observable state for the serial/parallel comparison:
-			// sorted "key=value" bindings plus sorted members.
-			check: func(st *stack.Stack, obs *strings.Builder) error {
-				h2 := st.Heap
-				m2, err := rootAs[*pdt.LFMap](h2, "lf.map")
-				if err != nil {
-					return err
-				}
-				s2, err := rootAs[*pdt.LFSet](h2, "lf.set")
-				if err != nil {
-					return err
-				}
-				if err := m2.FsckOrphans(); err != nil {
-					return err
-				}
-				if err := s2.FsckOrphans(); err != nil {
-					return err
-				}
-				for _, k := range keys {
-					vpo, err := m2.Get(k)
-					if err != nil {
-						return fmt.Errorf("map get %s: %w", k, err)
-					}
-					state := absentState
-					if vpo != nil {
-						pb, ok := vpo.(*pdt.PBytes)
-						if !ok {
-							return fmt.Errorf("map %s: half-initialized value %T", k, vpo)
-						}
-						state = string(pb.Value())
-					}
-					if !mapPoss[k][state] {
-						return fmt.Errorf("map %s: recovered %q not in legal states %v", k, state, stateNames(mapPoss[k]))
-					}
-					sstate := absentState
-					if s2.Contains(k) {
-						sstate = "present"
-					}
-					if !setPoss[k][sstate] {
-						return fmt.Errorf("set %s: recovered %q not in legal states %v", k, sstate, stateNames(setPoss[k]))
-					}
-				}
-				binds := make([]string, 0, m2.Len())
-				m2.ForEach(func(k string, vref core.Ref) bool {
-					if !strings.HasPrefix(k, "l") {
-						err = fmt.Errorf("phantom map key %q", k)
-						return false
-					}
-					binds = append(binds, k+"="+string(pdt.ReadBlobView(h2, vref)))
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				sort.Strings(binds)
-				members := s2.Members()
-				for _, k := range members {
-					if !strings.HasPrefix(k, "l") {
-						return fmt.Errorf("phantom set member %q", k)
-					}
-				}
-				sort.Strings(members)
-				// Writability probe: the recovered structures must accept the
-				// full op mix through the same lock-free path.
-				pb, err := pdt.NewBytesValid(h2, []byte("ok"))
-				if err != nil {
-					return fmt.Errorf("post-recovery alloc: %w", err)
-				}
-				if err := m2.Put("z-probe", pb); err != nil {
-					return fmt.Errorf("post-recovery put: %w", err)
-				}
-				if got, err := m2.Get("z-probe"); err != nil {
-					return fmt.Errorf("post-recovery get: %w", err)
-				} else if b, ok := got.(*pdt.PBytes); !ok || string(b.Value()) != "ok" {
-					return fmt.Errorf("post-recovery readback mismatch")
-				}
-				if !m2.Delete("z-probe") {
-					return fmt.Errorf("post-recovery delete lost the probe")
-				}
-				if err := s2.Add("z-probe"); err != nil {
-					return fmt.Errorf("post-recovery set add: %w", err)
-				}
-				if !s2.Contains("z-probe") {
-					return fmt.Errorf("post-recovery set membership lost")
-				}
-				fmt.Fprintf(obs, "map=%v set=%v", binds, members)
 				return nil
 			},
 		}

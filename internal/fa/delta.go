@@ -1,4 +1,4 @@
-// Net-delta commit for write-hot counters (DESIGN.md §18).
+// Net-delta commit for write-hot counters (DESIGN.md §17).
 //
 // Under zipfian traffic the async epoch queue still pays one redo-log
 // entry and one line flush per RMW even when N increments land on one

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// Epoch-based reclamation for the lock-free read path (DESIGN.md §14).
+// Epoch-based reclamation for the zero-copy read path (DESIGN.md §14).
 //
 // The zero-copy read path dereferences refs it loaded without holding any
 // lock, so a concurrent Delete must not recycle the referenced blocks and
@@ -33,7 +33,7 @@ import (
 // would leak (not corrupt) such objects until the next full recovery.
 //
 // EBR is opt-in (EnableEBR); with it off, FreeObject frees eagerly as
-// before, so heaps without lock-free readers keep their immediate-reuse
+// before, so heaps without unlocked readers keep their immediate-reuse
 // behavior and test expectations.
 
 const (
@@ -58,11 +58,6 @@ const (
 type ebrRetired struct {
 	ref   Ref
 	epoch uint64
-	// fn, when non-nil, runs instead of reclaiming ref once the grace
-	// period passes. Lock-free structures use it to defer reuse of
-	// non-object memory (e.g. node cells inside a chunk) past any reader
-	// that may still be traversing it.
-	fn func()
 }
 
 type ebrState struct {
@@ -80,12 +75,9 @@ type ebrState struct {
 }
 
 // EnableEBR switches the heap to deferred (epoch-based) reclamation.
-// Called once by components that install lock-free readers; there is no
+// Called once by components that install unlocked readers; there is no
 // way back because eager frees would race pins already handed out.
 func (h *Heap) EnableEBR() { h.ebr.enabled.Store(true) }
-
-// EBREnabled reports whether deferred reclamation is active.
-func (h *Heap) EBREnabled() bool { return h.ebr.enabled.Load() }
 
 // PinReader claims a reader slot at the current epoch and returns its
 // index, or -1 if all slots are busy. The hint spreads unrelated readers
@@ -133,26 +125,6 @@ func (h *Heap) backpressure(n int) {
 	}
 }
 
-// Defer runs fn after the current readers' grace period — the callback
-// flavor of retire, for memory that is not a heap object (lock-free node
-// cells carved from a chunk, DESIGN.md §16). With EBR off it runs fn
-// immediately, preserving the eager-free invariant.
-func (h *Heap) Defer(fn func()) {
-	if !h.ebr.enabled.Load() {
-		fn()
-		return
-	}
-	e := &h.ebr
-	e.mu.Lock()
-	e.retired = append(e.retired, ebrRetired{epoch: e.epoch.Load(), fn: fn})
-	n := len(e.retired)
-	e.mu.Unlock()
-	if n >= ebrBatch {
-		h.tryReclaim()
-		h.backpressure(n)
-	}
-}
-
 // tryReclaim advances the epoch and frees every retired object whose
 // grace period has passed.
 func (h *Heap) tryReclaim() {
@@ -188,11 +160,7 @@ func (h *Heap) tryReclaim() {
 	// the batch).
 	h.pool.PFence()
 	for _, t := range e.retired[:n] {
-		if t.fn != nil {
-			t.fn()
-		} else {
-			h.reclaim(t.ref)
-		}
+		h.reclaim(t.ref)
 	}
 	rest := copy(e.retired, e.retired[n:])
 	clear(e.retired[rest:])

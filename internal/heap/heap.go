@@ -163,7 +163,7 @@ type Heap struct {
 
 	small smallAllocator
 
-	ebr ebrState // deferred reclamation for lock-free readers (ebr.go)
+	ebr ebrState // deferred reclamation for unlocked readers (ebr.go)
 
 	stats obs.HeapStats // allocator counters (object, small-pool, block source)
 }
@@ -420,19 +420,6 @@ func (h *Heap) SetValid(r Ref, v bool) {
 		h.pool.WriteUint64(r, setSlotValid(hdr, v))
 	}
 	h.pool.PWB(r)
-}
-
-// SetValidDeferred flips the valid bit like SetValid but does not flush:
-// born-valid constructors (DESIGN.md §16) set the bit before their single
-// whole-extent flush, folding the header write-back into the payload's.
-func (h *Heap) SetValidDeferred(r Ref, v bool) {
-	if h.IsBlockRef(r) {
-		id, _, next := UnpackHeader(h.Header(r))
-		h.WriteHeader(r, PackHeader(id, v, next))
-		return
-	}
-	hdr := h.pool.ReadUint64(r)
-	h.pool.WriteUint64(r, setSlotValid(hdr, v))
 }
 
 // Blocks walks the next-chain starting at master block r and returns the

@@ -5,7 +5,7 @@ import (
 	"unsafe"
 )
 
-// Atomic word access. The lock-free read path (seqlock-validated zero-copy
+// Atomic word access. The unlocked read path (seqlock-validated zero-copy
 // reads, see DESIGN.md §14) loads reference words that a concurrent writer
 // may be publishing; those loads and stores must be atomic or the race
 // detector (rightly) flags them and a real machine may tear them. Only
@@ -54,7 +54,7 @@ func (p *Pool) WriteUint64Atomic(off, v uint64) {
 
 // CopyWithinAtomic copies n bytes from src to dst inside the pool using
 // word-at-a-time atomic (release) stores to the destination. The commit
-// apply publishes committed lines into blocks that lock-free readers
+// apply publishes committed lines into blocks that unlocked readers
 // observe with ReadUint64Atomic; a plain memcpy would race those acquire
 // loads under the Go memory model even though the words are aligned. dst
 // and n must be 8-aligned / a multiple of 8 (every apply segment — a
@@ -77,21 +77,4 @@ func (p *Pool) CopyWithinAtomic(dst, src, n uint64) {
 		atomic.StoreUint64((*uint64)(unsafe.Pointer(&p.data[dst+i])), v)
 	}
 	p.noteStore(dst, n)
-}
-
-// CompareAndSwapUint64 atomically swaps the 8-byte word at off from old to
-// new, reporting whether the swap happened. It is the publication
-// primitive of the lock-free durable types (DESIGN.md §16): the fault
-// plane observes the attempt before it takes effect (a crash at that
-// point leaves the pre-CAS word), and a successful swap marks the line
-// dirty exactly like a store. A failed swap leaves the cache model
-// untouched — nothing was written.
-func (p *Pool) CompareAndSwapUint64(off, old, new uint64) bool {
-	w := p.atomicWord(off)
-	p.observe(FaultCAS, off, 8)
-	if !atomic.CompareAndSwapUint64(w, old, new) {
-		return false
-	}
-	p.noteStore(off, 8)
-	return true
 }

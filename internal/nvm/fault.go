@@ -32,12 +32,6 @@ const (
 	FaultPFence
 	// FaultPSync precedes a PSync.
 	FaultPSync
-	// FaultCAS precedes a compare-and-swap attempt on an 8-byte word at
-	// Off. The event fires whether or not the swap will succeed — the
-	// crash lands before the attempt, so on the image the word holds its
-	// pre-CAS durable state. Lock-free durable structures (DESIGN.md §16)
-	// publish through these, so every link/unlink is an ordering point.
-	FaultCAS
 )
 
 func (k FaultKind) String() string {
@@ -50,8 +44,6 @@ func (k FaultKind) String() string {
 		return "pfence"
 	case FaultPSync:
 		return "psync"
-	case FaultCAS:
-		return "cas"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }

@@ -75,8 +75,8 @@ func filled[S any](base uint64, samples int) S {
 // goldenLines renders snapshot types, and their Sub, on fixed inputs.
 // The committed testdata/snapshots.golden was produced at the parent
 // commit of the derive.go refactor, from the hand-written method bodies;
-// lines have only been deleted from it since, with the methods and
-// fields they rendered.
+// lines and keys have only been deleted from it since, with the methods
+// and fields they rendered.
 func goldenLines(t *testing.T) []string {
 	small, big := filled[StackSnapshot](0, 4), filled[StackSnapshot](1000, 9)
 	recSmall, recBig := filled[RecoverySnapshot](0, 0), filled[RecoverySnapshot](1000, 0)

@@ -4,7 +4,7 @@ package obs
 
 // ServerStats counts the network front door: connection lifecycle,
 // pipeline-window batching, and byte traffic. BatchSize feeds the
-// batching→epoch story of DESIGN.md §17 — its mean is the number of
+// batching→epoch story of DESIGN.md §16 — its mean is the number of
 // requests each durability fence amortizes over.
 type ServerStats struct {
 	ConnsAccepted Counter // connections accepted

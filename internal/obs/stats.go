@@ -167,12 +167,6 @@ type ReadStats struct {
 	CopyFallbacks  Counter // zero-copy attempts diverted to the locked path
 	SeqlockRetries Counter // generation races detected after the consume callback
 	ShardLockWaits Counter // contended mirror-shard lock acquisitions
-
-	// Lock-free J-PDT path (DESIGN.md §16).
-	LockFreeReads  Counter // lock-free lookups (pin + chain walk, no locks)
-	LockFreeWrites Counter // lock-free inserts/updates/deletes
-	CASRetries     Counter // failed CAS attempts retried (contention measure)
-	LFPersists     Counter // pwb/pfence primitives the lock-free ops issued
 }
 
 // GridStats holds the per-operation latency histograms of the grid front
@@ -220,14 +214,6 @@ type GridSnapshot struct {
 	SeqlockRetries uint64 `json:"seqlock_retries"`
 	ShardLockWaits uint64 `json:"mirror_shard_lock_waits"`
 
-	LockFreeReads  uint64 `json:"lockfree_reads"`
-	LockFreeWrites uint64 `json:"lockfree_writes"`
-	CASRetries     uint64 `json:"cas_retries"`
-	LFPersists     uint64 `json:"lf_persists"`
-	// LFPersistPerOp is LFPersists over the lock-free op count — the
-	// structure-level persist-at-destination cost (excludes value flushes).
-	LFPersistPerOp float64 `json:"lf_persist_per_op" obs:"derived"`
-
 	PerOp map[string]HistogramSnapshot `json:"per_op"`
 }
 
@@ -240,16 +226,7 @@ func (s *GridStats) Snapshot() GridSnapshot {
 			out.PerOp[op] = h.Snapshot()
 		}
 	}
-	out.Finalize()
 	return out
-}
-
-// Finalize recomputes the derived lock-free persist rate.
-func (s *GridSnapshot) Finalize() {
-	s.LFPersistPerOp = 0
-	if ops := s.LockFreeReads + s.LockFreeWrites; ops > 0 {
-		s.LFPersistPerOp = float64(s.LFPersists) / float64(ops)
-	}
 }
 
 // Ops returns the total operations across all histograms.
@@ -380,10 +357,6 @@ func (s StackSnapshot) Report(w io.Writer) {
 		if g := s.Grid; g.ZeroCopyHits+g.CopyFallbacks+g.SeqlockRetries+g.ShardLockWaits > 0 {
 			fmt.Fprintf(w, "read path: %d zero-copy, %d copy fallbacks, %d seqlock retries, %d shard-lock waits\n",
 				g.ZeroCopyHits, g.CopyFallbacks, g.SeqlockRetries, g.ShardLockWaits)
-		}
-		if g := s.Grid; g.LockFreeReads+g.LockFreeWrites > 0 {
-			fmt.Fprintf(w, "lockfree: %d reads, %d writes, %d cas retries, %d persists (%.2f/op)\n",
-				g.LockFreeReads, g.LockFreeWrites, g.CASRetries, g.LFPersists, g.LFPersistPerOp)
 		}
 	}
 	if s.NVM != nil {

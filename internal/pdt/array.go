@@ -85,19 +85,6 @@ func (a *PRefArray) SetRef(i int, r core.Ref) {
 	a.PWBField(off, 8)
 }
 
-// GetRefAtomic loads slot i with an atomic load when the slot word is
-// 8-aligned in the pool (always, for block-backed arrays). The lock-free
-// read path uses it to observe slots concurrently published or nullified
-// by SetRefAtomic without tearing.
-func (a *PRefArray) GetRefAtomic(i int) core.Ref { return a.ReadRefAtomic(a.slot(i)) }
-
-// SetRefAtomic stores slot i with an atomic store and flushes it.
-func (a *PRefArray) SetRefAtomic(i int, r core.Ref) {
-	off := a.slot(i)
-	a.WriteRefAtomic(off, r)
-	a.PWBField(off, 8)
-}
-
 // PublishRef atomically publishes object po in slot i with the §4.1.6
 // discipline: validate, fence, then the slot write.
 func (a *PRefArray) PublishRef(i int, po core.PObject) {

@@ -41,30 +41,5 @@ func Classes() []*core.Class {
 			Factory:    func(o *core.Object) core.PObject { return &Map{Object: o} },
 			Refs:       func(o *core.Object) []uint64 { return []uint64{mapArrRef} },
 		},
-		{
-			Name:    ClassLFMap,
-			Factory: func(o *core.Object) core.PObject { return &LFMap{Object: o} },
-			Refs:    func(o *core.Object) []uint64 { return []uint64{lfBucketsRef, lfDirRef} },
-		},
-		{
-			Name: ClassLFSet,
-			Factory: func(o *core.Object) core.PObject {
-				return &LFSet{LFMap: LFMap{Object: o, isSet: true}}
-			},
-			Refs: func(o *core.Object) []uint64 {
-				return []uint64{lfBucketsRef, lfDirRef, lfMarkerRef}
-			},
-		},
-		{
-			// Bucket-head words hold interior cell offsets, not object
-			// refs, and the chains are volatile content: no Refs.
-			Name:    ClassLFBuckets,
-			Factory: func(o *core.Object) core.PObject { return o },
-		},
-		{
-			Name:    ClassLFChunk,
-			Factory: func(o *core.Object) core.PObject { return o },
-			Refs:    lfChunkRefs,
-		},
 	}
 }

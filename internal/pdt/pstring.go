@@ -86,31 +86,6 @@ func NewStringTx(tx *fa.Tx, s string) (*PString, error) {
 	return ps, nil
 }
 
-// NewStringValid allocates a PString holding s that is born valid: the
-// content is written, the valid bit set unflushed, and one whole-extent
-// flush covers both (DESIGN.md §16). The object is NOT fenced — callers
-// publish it behind their own ordering point (the lock-free insert fence),
-// exactly as with NewString+Validate but one pwb cheaper.
-func NewStringValid(h *core.Heap, s string) (*PString, error) {
-	size := 4 + uint64(len(s))
-	var po core.PObject
-	var err error
-	if heap.FitsSmall(size) {
-		po, err = h.AllocSmall(mustClass(h, ClassString), size)
-	} else {
-		po, err = h.Alloc(mustClass(h, ClassString), size)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ps := po.(*PString)
-	ps.WriteUint32(0, uint32(len(s)))
-	ps.WriteBytes(4, []byte(s))
-	ps.ValidateDeferred()
-	ps.PWB()
-	return ps, nil
-}
-
 // Len returns the string length in bytes.
 func (s *PString) Len() int { return int(s.ReadUint32(0)) }
 
@@ -170,27 +145,6 @@ func NewBytesTx(tx *fa.Tx, b []byte) (*PBytes, error) {
 	pb := po.(*PBytes)
 	pb.WriteUint32(0, uint32(len(b)))
 	pb.WriteBytes(4, b)
-	return pb, nil
-}
-
-// NewBytesValid allocates a born-valid PBytes (see NewStringValid).
-func NewBytesValid(h *core.Heap, b []byte) (*PBytes, error) {
-	size := 4 + uint64(len(b))
-	var po core.PObject
-	var err error
-	if heap.FitsSmall(size) {
-		po, err = h.AllocSmall(mustClass(h, ClassBytes), size)
-	} else {
-		po, err = h.Alloc(mustClass(h, ClassBytes), size)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pb := po.(*PBytes)
-	pb.WriteUint32(0, uint32(len(b)))
-	pb.WriteBytes(4, b)
-	pb.ValidateDeferred()
-	pb.PWB()
 	return pb, nil
 }
 

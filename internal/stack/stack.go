@@ -24,10 +24,9 @@ import (
 // The J-NVM grid backends of §5.1 that Open can build; bench.BackendKind
 // names them (and the FS family, which has no stack) for the experiments.
 const (
-	JPDT   = "J-PDT"
-	JPDTLF = "J-PDT-LF"
-	JPFA   = "J-PFA"
-	PCJ    = "PCJ"
+	JPDT = "J-PDT"
+	JPFA = "J-PFA"
+	PCJ  = "PCJ"
 )
 
 // backends is the kind → backend table: how each kind is built over the
@@ -36,9 +35,6 @@ const (
 var backends = map[string]func(h *core.Heap, mgr *fa.Manager) (store.Backend, error){
 	JPDT: func(h *core.Heap, _ *fa.Manager) (store.Backend, error) {
 		return store.NewJPDTBackend(h, "kv")
-	},
-	JPDTLF: func(h *core.Heap, _ *fa.Manager) (store.Backend, error) {
-		return store.NewJPDTLFBackend(h, "kv")
 	},
 	JPFA: func(h *core.Heap, mgr *fa.Manager) (store.Backend, error) {
 		return store.NewJPFABackend(h, mgr, "kv")
@@ -160,7 +156,7 @@ func (st *Stack) DrainDurable() {
 // manager waits for its watermark to cover the tickets already issued, so
 // concurrent callers' windows combine into shared epochs. No-op in per-Tx
 // mode. This is the wire server's per-window durability wait (DESIGN.md
-// §17).
+// §16).
 func (st *Stack) AwaitDurable() {
 	if st.Mgr != nil {
 		st.Mgr.AwaitDurable(st.Mgr.IssuedTickets())

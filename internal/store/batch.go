@@ -36,7 +36,7 @@ type BatchResult struct {
 }
 
 // Apply executes one operation and is the network server's entry point
-// (DESIGN.md §17): the server calls it request by request over a pipeline
+// (DESIGN.md §16): the server calls it request by request over a pipeline
 // window and, under the async commit pipeline, fences the whole window
 // once instead of per op. A read streams its fields to consume exactly
 // like Grid.Read — views that are live only inside the callback, under
@@ -44,27 +44,23 @@ type BatchResult struct {
 //
 // Concurrency: per-key reads, updates and RMWs ride the grid's stripe
 // locks exactly like the direct methods. Inserts and deletes additionally
-// serialize on a grid-wide mutex when the backend is not internally
-// linearizable — structural map operations touch shared slot blocks that
-// the stripe locks do not cover, which is why the embedded benchmarks
-// load single-threaded; a server fed by concurrent connections cannot.
+// serialize on a grid-wide mutex — structural map operations touch shared
+// slot blocks that the stripe locks do not cover, which is why the
+// embedded benchmarks load single-threaded; a server fed by concurrent
+// connections cannot.
 func (g *Grid) Apply(op *BatchOp, consume func(name string, value []byte)) error {
 	switch op.Kind {
 	case BatchInsert:
-		if !g.lockFree {
-			g.structMu.Lock()
-			defer g.structMu.Unlock()
-		}
+		g.structMu.Lock()
+		defer g.structMu.Unlock()
 		return g.Insert(op.Key, &Record{Fields: op.Fields})
 	case BatchRead:
 		return g.Read(op.Key, consume)
 	case BatchUpdate:
 		return g.Update(op.Key, op.Fields)
 	case BatchDelete:
-		if !g.lockFree {
-			g.structMu.Lock()
-			defer g.structMu.Unlock()
-		}
+		g.structMu.Lock()
+		defer g.structMu.Unlock()
 		return g.Delete(op.Key)
 	case BatchRMW:
 		return g.ReadModifyWrite(op.Key, func(*Record) []Field { return op.Fields })

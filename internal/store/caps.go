@@ -7,8 +7,7 @@ package store
 // forwards exactly the capabilities its descriptor names, and a dropped
 // one is an absent field instead of a silent slow path.
 type Caps struct {
-	View     ViewReader
-	LockFree LockFreeBackend
-	Delta    DeltaAdder
-	Scan     Scanner
+	View  ViewReader
+	Delta DeltaAdder
+	Scan  Scanner
 }

@@ -13,7 +13,7 @@ import (
 // DeltaAdder is an optional backend capability: fold a signed delta into
 // an 8-byte little-endian counter field without rewriting the value
 // object per op. A capable backend may defer durability to the async
-// epoch pipeline (fa's delta ledger, DESIGN.md §18); the grid treats a
+// epoch pipeline (fa's delta ledger, DESIGN.md §17); the grid treats a
 // successful call like an update whose new value it does not know — the
 // cached record is dropped, not patched.
 type DeltaAdder interface {

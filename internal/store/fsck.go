@@ -32,26 +32,19 @@ func FsckRecords(h *core.Heap, report func(msg string)) int {
 			complain("root %q: %v", root, err)
 			continue
 		}
+		m, ok := po.(*pdt.Map)
+		if !ok {
+			continue
+		}
 		var records []core.Ref
-		switch m := po.(type) {
-		case *pdt.Map:
-			err = m.ForEach(func(_ string, val core.PObject) bool {
-				if r, ok := val.(*pRecord); ok {
-					records = append(records, r.Ref())
-				}
-				return true
-			})
-			if err != nil {
-				complain("root %q: %v", root, err)
+		err = m.ForEach(func(_ string, val core.PObject) bool {
+			if r, ok := val.(*pRecord); ok {
+				records = append(records, r.Ref())
 			}
-		case *pdt.LFMap:
-			rec := mustClass(h, ClassRecord).ID()
-			m.ForEach(func(_ string, vref core.Ref) bool {
-				if h.Mem().ClassOf(vref) == rec {
-					records = append(records, vref)
-				}
-				return true
-			})
+			return true
+		})
+		if err != nil {
+			complain("root %q: %v", root, err)
 		}
 		if len(records) == 0 {
 			continue

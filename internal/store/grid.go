@@ -56,19 +56,13 @@ type Grid struct {
 	// path before falling back to the stripe lock (DESIGN.md §14).
 	vr ViewReader
 
-	// lockFree is set when the backend is internally linearizable
-	// (LockFreeBackend): insert/read/update/delete skip the stripe locks
-	// and seqlock generations entirely; only ReadModifyWrite keeps the
-	// stripe lock, for its read-then-write atomicity contract.
-	lockFree bool
-
 	stripes [gridStripes]sync.Mutex
 
-	// structMu serializes structural map operations (insert, delete) for
-	// backends that are not internally linearizable: those touch shared
-	// slot blocks the per-key stripe locks do not cover. Only the batch
-	// entry point (ApplyBatch, used by the wire server) takes it — the
-	// embedded harnesses run structural phases single-threaded instead.
+	// structMu serializes structural map operations (insert, delete):
+	// those touch shared slot blocks the per-key stripe locks do not
+	// cover. Only the batch entry point (ApplyBatch, used by the wire
+	// server) takes it — the embedded harnesses run structural phases
+	// single-threaded instead.
 	structMu sync.Mutex
 
 	// gens are the per-stripe seqlock generations (only maintained when
@@ -122,11 +116,6 @@ func NewGrid(b Backend, opts Options) *Grid {
 		for i := range g.cache {
 			g.cache[i].lru = container.NewLRU[*Record](per, nil)
 		}
-	} else if lf := g.caps.LockFree; lf != nil {
-		// Lock-free backend + no cache: every op goes straight through;
-		// the backend's own CAS/EBR protocol is the concurrency control.
-		lf.EnableLockFree(&g.stats.ReadPath)
-		g.lockFree = true
 	} else if vr := g.caps.View; vr != nil {
 		// Cache off + capable backend: adopt the zero-copy read fast
 		// path. (With a record cache the cache itself is the fast path,
@@ -138,13 +127,10 @@ func NewGrid(b Backend, opts Options) *Grid {
 }
 
 // ReadPath names the read path NewGrid adopted from the backend's
-// descriptor: "lockfree" (no grid locks at all), "view" (seqlock-validated
-// zero-copy reads) or "locked" (stripe lock, cache in front when enabled).
+// descriptor: "view" (seqlock-validated zero-copy reads) or "locked"
+// (stripe lock, cache in front when enabled).
 func (g *Grid) ReadPath() string {
-	switch {
-	case g.lockFree:
-		return "lockfree"
-	case g.vr != nil:
+	if g.vr != nil {
 		return "view"
 	}
 	return "locked"
@@ -270,9 +256,6 @@ var ErrNotFound = fmt.Errorf("store: key not found")
 func (g *Grid) Insert(key string, rec *Record) error {
 	start := time.Now()
 	defer func() { g.stats.Insert.Observe(time.Since(start)) }()
-	if g.lockFree {
-		return g.backend.Insert(key, rec)
-	}
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
@@ -296,16 +279,6 @@ func (g *Grid) Insert(key string, rec *Record) error {
 func (g *Grid) Read(key string, consume func(name string, value []byte)) error {
 	start := time.Now()
 	defer func() { g.stats.Read.Observe(time.Since(start)) }()
-	if g.lockFree {
-		found, err := g.backend.Read(key, consume)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return ErrNotFound
-		}
-		return nil
-	}
 	h := fnv32(key)
 	if g.vr != nil {
 		gen := &g.gens[h%gridStripes].v
@@ -374,16 +347,6 @@ func (g *Grid) Read(key string, consume func(name string, value []byte)) error {
 func (g *Grid) Update(key string, fields []Field) error {
 	start := time.Now()
 	defer func() { g.stats.Update.Observe(time.Since(start)) }()
-	if g.lockFree {
-		ok, err := g.backend.Update(key, fields)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return ErrNotFound
-		}
-		return nil
-	}
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
@@ -451,16 +414,6 @@ func (g *Grid) ReadModifyWrite(key string, mutate func(rec *Record) []Field) err
 func (g *Grid) Delete(key string) error {
 	start := time.Now()
 	defer func() { g.stats.Delete.Observe(time.Since(start)) }()
-	if g.lockFree {
-		ok, err := g.backend.Delete(key)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return ErrNotFound
-		}
-		return nil
-	}
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)

@@ -130,16 +130,16 @@ func (r *pRecord) fieldCount() int { return tableCount(r.ReadRefAtomic(recCount)
 // tableCount extracts the field count from the first word of a table.
 func tableCount(word uint64) int { return int(uint32(word)) }
 
-// fieldIndex locates a field by name among the n fields whose words load
-// reads, without allocating (hot path of every field update): an interned
-// name is one dictionary lookup and a scan of ids, and only a name the
-// dictionary had no room for is compared in NVMM. The name part of a name
-// word never changes in place, so the index holds for as long as the
-// caller keeps the table alive.
-func fieldIndex(d *nameDict, n int, load func(off uint64) uint64, name string) int {
+// fieldIndex locates a field by name without allocating (hot path of
+// every field update): an interned name is one dictionary lookup and a
+// scan of ids, and only a name the dictionary had no room for is compared
+// in NVMM. The name part of a name word never changes in place, so the
+// index holds for as long as the caller keeps the table alive.
+func (r *pRecord) fieldIndex(d *nameDict, name string) int {
 	id, interned := d.lookup(name)
+	n := r.fieldCount()
 	for i := 0; i < n; i++ {
-		nw := load(fieldNameOff(i))
+		nw := r.ReadRefAtomic(fieldNameOff(i))
 		switch {
 		case nw&nameInterned != 0:
 			if interned && wordID(nw) == id {
@@ -150,10 +150,6 @@ func fieldIndex(d *nameDict, n int, load func(off uint64) uint64, name string) i
 		}
 	}
 	return -1
-}
-
-func (r *pRecord) fieldIndex(d *nameDict, name string) int {
-	return fieldIndex(d, r.fieldCount(), r.ReadRefAtomic, name)
 }
 
 // recordAlloc is one publication discipline for the objects of a record:
@@ -190,22 +186,6 @@ func plainObjects(h *core.Heap) recordAlloc {
 		name:  func(s string) (core.Ref, error) { return valid(pdt.NewString(h, s)) },
 		value: func(b []byte) (core.Ref, error) { return valid(pdt.NewBytes(h, b)) },
 		seal:  func(r *pRecord) { r.PWB() },
-	}
-}
-
-// validObjects is the lock-free discipline: the table and every
-// referenced object are born valid and flushed, ready to ride a single
-// downstream ordering point (the lock-free map insert's fence, DESIGN.md
-// §16). No per-object Validate/fence pairs.
-func validObjects(h *core.Heap) recordAlloc {
-	return recordAlloc{
-		table: func(size uint64) (core.PObject, error) { return h.Alloc(mustClass(h, ClassRecord), size) },
-		name:  func(s string) (core.Ref, error) { return refOf(pdt.NewStringValid(h, s)) },
-		value: func(b []byte) (core.Ref, error) { return refOf(pdt.NewBytesValid(h, b)) },
-		seal: func(r *pRecord) {
-			r.ValidateDeferred()
-			r.PWB()
-		},
 	}
 }
 
@@ -275,10 +255,10 @@ func newRecord(d *nameDict, a recordAlloc, fields []Field) (*pRecord, error) {
 
 // rewrite builds a copy of r with fields applied, for the updates that
 // change a field's representation where the table cannot change in place
-// (J-PDT and J-PDT-LF: the two words of a field are not one atomic
-// store). The copy shares every object r references except the values it
-// replaces, which are returned for the caller to free once the copy is
-// published in r's place.
+// (J-PDT: the two words of a field are not one atomic store). The copy
+// shares every object r references except the values it replaces, which
+// are returned for the caller to free once the copy is published in r's
+// place.
 func (r *pRecord) rewrite(d *nameDict, a recordAlloc, key string, fields []Field) (*pRecord, []core.Ref, error) {
 	for _, f := range fields { // before anything is allocated
 		if r.fieldIndex(d, f.Name) < 0 {

@@ -36,9 +36,8 @@ func jnvmBackends(t *testing.T) map[string]func() (Backend, *core.Heap, *fa.Mana
 	}
 	jpdt := func(h *core.Heap, _ *fa.Manager) (Backend, error) { return NewJPDTBackend(h, "kv") }
 	jpfa := func(h *core.Heap, mgr *fa.Manager) (Backend, error) { return NewJPFABackend(h, mgr, "kv") }
-	lf := func(h *core.Heap, _ *fa.Manager) (Backend, error) { return NewJPDTLFBackend(h, "kv") }
 	return map[string]func() (Backend, *core.Heap, *fa.Manager, *nvm.Pool){
-		"jpdt": open(jpdt, false), "jpfa": open(jpfa, false), "jpfa-async": open(jpfa, true), "jpdtlf": open(lf, false),
+		"jpdt": open(jpdt, false), "jpfa": open(jpfa, false), "jpfa-async": open(jpfa, true),
 	}
 }
 
@@ -48,12 +47,9 @@ func reopenBackend(t *testing.T, name string, pool *nvm.Pool) (Backend, *core.He
 	h, mgr, _ := reopenStoreHeap(t, pool)
 	var b Backend
 	var err error
-	switch {
-	case strings.HasPrefix(name, "jpfa"):
+	if strings.HasPrefix(name, "jpfa") {
 		b, err = NewJPFABackend(h, mgr, "kv")
-	case name == "jpdtlf":
-		b, err = NewJPDTLFBackend(h, "kv")
-	default:
+	} else {
 		b, err = NewJPDTBackend(h, "kv")
 	}
 	if err != nil {
@@ -95,8 +91,6 @@ func tableOf(t *testing.T, b Backend, h *core.Heap, key string) *pRecord {
 	case *JPDTBackend:
 		ref = b.m.GetRef(key)
 	case *JPFABackend:
-		ref = b.m.GetRef(key)
-	case *JPDTLFBackend:
 		ref = b.m.GetRef(key)
 	}
 	if ref == 0 {
@@ -215,11 +209,10 @@ func TestRecordIsOneObject(t *testing.T) {
 			mgr.DrainDurable()
 			d := h.Mem().ObsSnapshot().Sub(before)
 			// Per record: the table, plus what the map keeps per binding
-			// (a pooled key; a cell chunk per three bindings in the
-			// lock-free map; now and then a bigger binding array). No
+			// (a pooled key; now and then a bigger binding array). No
 			// name, no value and no per-binding block objects.
 			if perRec := float64(d.ObjAllocs) / n; perRec > 1.5 {
-				t.Fatalf("%.2f block objects allocated per record, want the table and a share of the map's array or chunks", perRec)
+				t.Fatalf("%.2f block objects allocated per record, want the table and a share of the map's array", perRec)
 			}
 			if perRec := float64(d.SmallAllocs) / n; perRec > 1 {
 				t.Fatalf("%.2f pooled objects allocated per record, want at most the map's key", perRec)
@@ -240,13 +233,10 @@ func TestNameDictionaryBounded(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			b, h, mgr, pool := open()
 			names := func(b Backend) *nameDict {
-				switch b := b.(type) {
-				case *JPDTBackend:
-					return b.names
-				case *JPFABackend:
+				if b, ok := b.(*JPFABackend); ok {
 					return b.names
 				}
-				return b.(*JPDTLFBackend).names
+				return b.(*JPDTBackend).names
 			}
 			in := &Record{Fields: []Field{
 				{Name: "a", Value: []byte("1")},
@@ -324,13 +314,9 @@ func TestNameDictionaryBounded(t *testing.T) {
 			h.Mem().ReclaimBarrier()
 			d := h.Mem().ObsSnapshot().Sub(before)
 			// Pooled: names x and y, the values of x, y and c, the map's
-			// key (the lock-free map keeps short keys in its cell).
-			wantSmall := uint64(6)
-			if name == "jpdtlf" {
-				wantSmall = 5
-			}
-			if d.SmallFrees != wantSmall {
-				t.Fatalf("delete freed %d pooled objects, want %d", d.SmallFrees, wantSmall)
+			// key.
+			if d.SmallFrees != 6 {
+				t.Fatalf("delete freed %d pooled objects, want 6", d.SmallFrees)
 			}
 			for i, n := range []string{"a", "b", "c"} {
 				if got, ok := names(b).name(uint32(i)); !ok || got != n {
@@ -374,83 +360,81 @@ func TestParentFormatRefused(t *testing.T) {
 
 // TestInlineReadersNeverTorn flips an inline field between two 8-byte
 // patterns (and a sibling referenced field between two values) while
-// unlocked readers — the J-PDT seqlock path and the lock-free backend's
-// pinned reader — check that every value they are handed is whole and
-// stays whole for the duration of the consume call. Run under -race.
+// unlocked readers — the J-PDT seqlock path — check that every value
+// they are handed is whole and stays whole for the duration of the
+// consume call. Run under -race.
 func TestInlineReadersNeverTorn(t *testing.T) {
 	patterns := [2][]byte{bytes.Repeat([]byte{0xAA}, 8), bytes.Repeat([]byte{0x55}, 8)}
 	long := [2][]byte{bytes.Repeat([]byte{0xAA}, 64), bytes.Repeat([]byte{0x55}, 64)}
-	for _, name := range []string{"jpdt", "jpdtlf"} {
-		t.Run(name, func(t *testing.T) {
-			b, _, _, _ := jnvmBackends(t)[name]()
-			g := NewGrid(b, Options{}) // cache off: zero-copy / lock-free mode
-			if err := g.Insert("k", &Record{Fields: []Field{
-				{Name: "word", Value: patterns[0]},
-				{Name: "blob", Value: long[0]},
-			}}); err != nil {
-				t.Fatal(err)
-			}
-			var stop atomic.Bool
-			var reads atomic.Int64
-			var wg sync.WaitGroup
-			errs := make(chan error, 8)
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					whole := func(v []byte) bool {
-						for _, c := range v {
-							if c != v[0] {
-								return false
-							}
+	t.Run("jpdt", func(t *testing.T) {
+		b, _, _, _ := jnvmBackends(t)["jpdt"]()
+		g := NewGrid(b, Options{}) // cache off: zero-copy mode
+		if err := g.Insert("k", &Record{Fields: []Field{
+			{Name: "word", Value: patterns[0]},
+			{Name: "blob", Value: long[0]},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Bool
+		var reads atomic.Int64
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				whole := func(v []byte) bool {
+					for _, c := range v {
+						if c != v[0] {
+							return false
 						}
-						return v[0] == 0xAA || v[0] == 0x55
 					}
-					for !stop.Load() {
-						err := g.Read("k", func(name string, v []byte) {
-							want := 8
-							if name == "blob" {
-								want = 64
-							}
-							first := append([]byte{}, v...)
-							if len(v) != want || !whole(v) || !bytes.Equal(first, v) {
-								select {
-								case errs <- fmt.Errorf("%s = %x", name, v):
-								default:
-								}
-							}
-						})
-						if err != nil {
+					return v[0] == 0xAA || v[0] == 0x55
+				}
+				for !stop.Load() {
+					err := g.Read("k", func(name string, v []byte) {
+						want := 8
+						if name == "blob" {
+							want = 64
+						}
+						first := append([]byte{}, v...)
+						if len(v) != want || !whole(v) || !bytes.Equal(first, v) {
 							select {
-							case errs <- err:
+							case errs <- fmt.Errorf("%s = %x", name, v):
 							default:
 							}
 						}
-						reads.Add(1)
+					})
+					if err != nil {
+						select {
+						case errs <- err:
+						default:
+						}
 					}
-				}()
-			}
-			// At least 4000 flips, and on until the readers have had their
-			// share of a busy host (bounded, in case they never do).
-			for i := 1; i <= 4000 || (reads.Load() < 2000 && i < 4_000_000); i++ {
-				f := Field{Name: "word", Value: patterns[i%2]}
-				if i%8 == 0 {
-					f = Field{Name: "blob", Value: long[i/8%2]}
+					reads.Add(1)
 				}
-				if err := g.Update("k", []Field{f}); err != nil {
-					t.Fatal(err)
-				}
+			}()
+		}
+		// At least 4000 flips, and on until the readers have had their
+		// share of a busy host (bounded, in case they never do).
+		for i := 1; i <= 4000 || (reads.Load() < 2000 && i < 4_000_000); i++ {
+			f := Field{Name: "word", Value: patterns[i%2]}
+			if i%8 == 0 {
+				f = Field{Name: "blob", Value: long[i/8%2]}
 			}
-			stop.Store(true)
-			wg.Wait()
-			select {
-			case err := <-errs:
+			if err := g.Update("k", []Field{f}); err != nil {
 				t.Fatal(err)
-			default:
 			}
-			if z := g.ObsSnapshot(); name == "jpdt" && z.ZeroCopyHits == 0 {
-				t.Fatal("no read took the zero-copy path")
-			}
-		})
-	}
+		}
+		stop.Store(true)
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
+		if z := g.ObsSnapshot(); z.ZeroCopyHits == 0 {
+			t.Fatal("no read took the zero-copy path")
+		}
+	})
 }

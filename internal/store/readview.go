@@ -68,7 +68,7 @@ var viewScratchPool = sync.Pool{
 }
 
 // tableBase returns the pool address of the record table at ref and its
-// field count when the table is one block whose words the unlocked paths
+// field count when the table is one block whose words the unlocked reader
 // can load atomically at base+offset; ok is false for a chained record, a
 // misaligned or overfull table or a foreign object.
 func tableBase(h *core.Heap, ref core.Ref) (base uint64, n int, ok bool) {

@@ -19,7 +19,7 @@ type ServerConfig struct {
 	// AwaitDurable, when non-nil, is called once per pipeline window that
 	// contained at least one write, after the whole window executed and
 	// before any of its responses are flushed. Under the async commit
-	// pipeline this is the batching→epoch fold of DESIGN.md §17: the
+	// pipeline this is the batching→epoch fold of DESIGN.md §16: the
 	// window's commits ride one epoch drain, so an acknowledged write is
 	// always durable. Nil means writes are durable when the grid returns
 	// (per-Tx mode, and the structurally-persistent backends).

@@ -1,5 +1,5 @@
 // Package wire is the grid's network protocol: a length-prefixed binary
-// framing with RESP-style pipelining (DESIGN.md §17). Clients write any
+// framing with RESP-style pipelining (DESIGN.md §16). Clients write any
 // number of request frames without waiting; the server folds each
 // pipeline window it finds buffered into one grid batch — and, under the
 // async commit pipeline, into one group-commit epoch — then answers with
@@ -148,7 +148,7 @@ type decoder struct {
 // nameTable interns the field names of one connection: a workload names
 // the same few fields in every request, so after the first window a
 // decoded name costs a map probe, not an allocation. Names are owned
-// strings either way (DESIGN.md §17); the table only saves the copy. It
+// strings either way (DESIGN.md §16); the table only saves the copy. It
 // is bounded — once full, or for a long name, a name is a fresh string.
 type nameTable map[string]string
 

@@ -2,7 +2,7 @@
 # Gate the allocation-free read paths (DESIGN.md §14): the zero-copy grid
 # read and the map GetRef/cached-Get fast paths must stay at 0 allocs/op,
 # and every other grid read regime must stay within a small ceiling; and
-# gate the wire server's per-request allocations (DESIGN.md §17). Runs the
+# gate the wire server's per-request allocations (DESIGN.md §16). Runs the
 # benchmarks once and parses the -benchmem column, so a stray allocation
 # in a hot loop fails CI instead of silently costing GC.
 #
@@ -17,7 +17,7 @@ if [ -z "$out" ]; then
     trap 'rm -f "$out"' EXIT
     go test -run '^$' -bench 'MapGet|GridRead' -benchtime 100x -benchmem \
         ./internal/bench/ | tee "$out"
-    # The server path (DESIGN.md §17): one op is one request of a 16-deep
+    # The server path (DESIGN.md §16): one op is one request of a 16-deep
     # pipeline window; enough iterations that one-off growth of a
     # connection's buffers rounds to nothing.
     go test -run '^$' -bench 'ServerWindow' -benchtime 4000x -benchmem \
@@ -44,23 +44,9 @@ ceiling() {
     done || fail=1
 }
 
-# ceiling_opt <pattern> <max allocs/op>: like ceiling, but a pattern with
-# no matching rows only warns. Use for variants newer than the committed
-# bench output a caller may replay this script against (old files predate
-# the variant; a fresh in-script run always has the rows).
-ceiling_opt() {
-    if ! grep -qE "^Benchmark.*$1" "$out"; then
-        echo "check_allocs: note: no rows match $1 (old bench output?); skipping" >&2
-        return
-    fi
-    ceiling "$1" "$2"
-}
-
-# The tentpole invariants: the seqlock zero-copy read, the lock-free
-# EBR-pinned read, the proxy-cached map Gets and the GetRef raw path are
-# allocation-free.
+# The tentpole invariants: the seqlock zero-copy read, the proxy-cached
+# map Gets and the GetRef raw path are allocation-free.
 ceiling 'GridRead/zerocopy' 0
-ceiling_opt 'GridRead/lockfree' 0
 ceiling 'MapGet/(hash|tree|skip)/(cached|eager)' 0
 ceiling 'MapGet/(hash|tree|skip)/getref' 0
 # The fallback and cache regimes copy by design but must stay bounded:

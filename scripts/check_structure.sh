@@ -35,6 +35,11 @@
 #     pipeline (DESIGN.md §15); the sync group mode is gone. FenceCombiner,
 #     CommitGroup, commitGrouped or a "group" case in stack.ParseCommit
 #     coming back is a third.
+#  8. One persistent map. pdt.Map is the map (DESIGN.md §3.2); the
+#     lock-free map, its J-PDT-LF backend and the grid's lock-free read
+#     path are gone. Any of their names in Go, the Makefile, scripts or
+#     CI workflows is their return (this rule names them, so this file is
+#     exempt).
 set -eu
 
 fail=0
@@ -48,7 +53,7 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
-hits=$(grep -rnE --include='*.go' '\.\((store\.)?(ViewReader|LockFreeBackend|DeltaAdder|Scanner)\)' . |
+hits=$(grep -rnE --include='*.go' '\.\((store\.)?(ViewReader|DeltaAdder|Scanner)\)' . |
     grep -v -e '^\./benchmarks/' -e '^\./internal/store/caps\.go:' || true)
 if [ -n "$hits" ]; then
     echo "capability type assertion (read the backend's Caps() instead):" >&2
@@ -130,6 +135,15 @@ hits=$({
 } | grep -v '^\./benchmarks/' || true)
 if [ -n "$hits" ]; then
     echo "a third commit protocol is back (per-Tx and async only):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+hits=$(grep -rnE --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' \
+    'LFMap|LFSet|JPDTLF|J-PDT-LF|LockFreeBackend' . |
+    grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
+if [ -n "$hits" ]; then
+    echo "the lock-free map is back (one persistent map: pdt.Map):" >&2
     echo "$hits" >&2
     fail=1
 fi
