@@ -4,10 +4,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
 # Packages with lock-free fast paths and shared mutable state; always get
-# a race-detector pass in addition to the plain suite. core and pdt joined
-# when recovery went parallel (work-stealing traversal, segment sweep,
-# concurrent mirror rebuild).
-RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./internal/obs/... ./internal/core/... ./internal/pdt/... ./internal/stack/... ./internal/wire/...
+# a race-detector pass in addition to the plain suite. Recovery is serial
+# (DESIGN.md §12), so core, whose tests start no goroutines, is not here.
+RACE_PKGS = ./internal/store/... ./internal/fa/... ./internal/heap/... ./internal/obs/... ./internal/pdt/... ./internal/stack/... ./internal/wire/...
 
 # internal/bench is too slow to race wholesale; it gets the env test
 # that runs the grid in every commit mode.

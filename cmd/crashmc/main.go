@@ -23,7 +23,6 @@ func main() {
 		points      = flag.Int("points", 0, "max crash points per workload (0 = every ordering point)")
 		samples     = flag.Int("samples", 4, "random line-subset images per crash point")
 		seed        = flag.Int64("seed", 1, "seed for the op mix and subset sampling")
-		par         = flag.Int("par", 8, "parallel recovery worker count checked against the serial oracle")
 		point       = flag.Int("point", 0, "explore only this crash point (repro mode)")
 		sample      = flag.Int("sample", -3, "with -point: only this sample index (-1 strict, -2 all-pending)")
 		maxFailures = flag.Int("max-failures", 3, "stop a workload after this many failures (<0 = unlimited)")
@@ -52,7 +51,6 @@ func main() {
 		Points:      *points,
 		Samples:     *samples,
 		Seed:        *seed,
-		Par:         *par,
 		Point:       *point,
 		Sample:      *sample,
 		MaxFailures: *maxFailures,

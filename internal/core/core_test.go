@@ -600,16 +600,6 @@ func assertHeapConsistent(t *testing.T, h *Heap) {
 // after recovery every reachable object is valid and block accounting
 // holds.
 func TestCrashRecoveryRandomWorkload(t *testing.T) {
-	runCrashRecoveryRandomWorkload(t, 1)
-}
-
-// The same workload recovered by the parallel pipeline; run under -race
-// in CI to hammer the concurrent mark set, traversal and sweep.
-func TestCrashRecoveryRandomWorkloadParallel(t *testing.T) {
-	runCrashRecoveryRandomWorkload(t, 4)
-}
-
-func runCrashRecoveryRandomWorkload(t *testing.T, parallelism int) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -649,9 +639,7 @@ func runCrashRecoveryRandomWorkload(t *testing.T, parallelism int) {
 			}
 			policy := []nvm.CrashPolicy{nvm.CrashStrict, nvm.CrashAll, nvm.CrashRandom}[rng.Intn(3)]
 			img := pool.CrashImage(policy, rng)
-			cfg := testCfg(simpleClass())
-			cfg.Recover.Parallelism = parallelism
-			h2, err := Open(img, cfg)
+			h2, err := Open(img, testCfg(simpleClass()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -14,29 +13,9 @@ import (
 
 // LogHandler is implemented by the failure-atomic machinery (package fa).
 // RecoverLogs runs before the recovery traversal: committed redo logs are
-// replayed, uncommitted ones discarded (§4.2). The handler receives the
-// resolved RecoverOptions so log replay scales with the same worker fleet
-// as the rest of the pipeline.
+// replayed, uncommitted ones discarded (§4.2).
 type LogHandler interface {
-	RecoverLogs(h *Heap, opts RecoverOptions) error
-}
-
-// RecoverOptions tunes the recovery pipeline that runs inside Open.
-type RecoverOptions struct {
-	// Parallelism is the worker count shared by every recovery phase:
-	// redo-log replay, the reachability traversal, the sweep and the
-	// J-PDT mirror rebuilds. 0 means GOMAXPROCS. 1 selects the paper's
-	// serial §4.1.3 procedure, kept byte-for-byte as the oracle the
-	// equivalence tests compare the parallel pipeline against.
-	Parallelism int
-}
-
-// Workers resolves the effective worker count.
-func (o RecoverOptions) Workers() int {
-	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
+	RecoverLogs(h *Heap) error
 }
 
 // Config parameterizes Open.
@@ -55,8 +34,6 @@ type Config struct {
 	// J-PFA-nogc mode of Figure 11. Safe only if the application can
 	// never crash with invalid-but-reachable objects.
 	SkipGraphGC bool
-	// Recover tunes the recovery pipeline (worker parallelism).
-	Recover RecoverOptions
 }
 
 // Heap is the object-level view over a block heap: the entry point of the
@@ -68,22 +45,10 @@ type Heap struct {
 	byName  map[string]*Class
 	root    *RootMap
 	resurrs atomic.Uint64
-
-	recoverPar int               // resolved recovery worker count (>= 1)
-	recObs     obs.RecoveryStats // phase timings and counters
+	recObs  obs.RecoveryStats // phase timings and counters
 
 	// RecoveryStats of the last Open.
 	RecoveryStats RecoveryStats
-}
-
-// RecoverParallelism returns the resolved recovery worker count this heap
-// was opened with (>= 1). J-PDT mirror rebuilds consult it so OnResurrect
-// scales with the same knob as the rest of the pipeline.
-func (h *Heap) RecoverParallelism() int {
-	if h.recoverPar < 1 {
-		return 1
-	}
-	return h.recoverPar
 }
 
 // RecoveryObs returns the live recovery-phase counters.
@@ -140,12 +105,9 @@ func Open(pool *nvm.Pool, cfg Config) (*Heap, error) {
 			return nil, err
 		}
 	}
-	rec := RecoverOptions{Parallelism: cfg.Recover.Workers()}
-	h.recoverPar = rec.Parallelism
-	h.recObs.Workers.Store(uint64(rec.Parallelism))
 	if cfg.LogHandler != nil {
 		start := time.Now()
-		if err := cfg.LogHandler.RecoverLogs(h, rec); err != nil {
+		if err := cfg.LogHandler.RecoverLogs(h); err != nil {
 			return nil, fmt.Errorf("core: log recovery: %w", err)
 		}
 		h.recObs.ReplayNs.Add(uint64(time.Since(start)))

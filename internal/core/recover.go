@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/heap"
@@ -20,276 +17,125 @@ import (
 // live. This is cheaper but only sound if the application never crashes
 // with invalid-but-reachable objects (e.g. every allocation and insertion
 // happens inside one failure-atomic block).
-//
-// Both phases run on RecoverOptions.Parallelism workers. The mark set is
-// concurrent (first-marker-wins), so each object is claimed by exactly one
-// worker: Recover hooks run once and nullification writes never race — a
-// worker only writes into objects it owns. All nullifications are still
-// persisted by the sweep's single closing fence, exactly as in the serial
-// procedure.
 func (h *Heap) recoverHeap(skipGraph bool) error {
 	if h.RecoveryStats.Formatted {
 		return nil // a fresh heap has nothing to recover
 	}
-	workers := h.RecoverParallelism()
 	m := h.mem.NewMarkSet()
-	var live, nullified atomic.Uint64
+	var live, nullified uint64
 	start := time.Now()
 	if skipGraph {
-		h.scanHeaders(m, workers, &live)
+		if err := h.scanHeaders(m, &live); err != nil {
+			return err
+		}
 	} else {
 		h.RecoveryStats.GraphTraversed = true
-		rootRef := h.mem.RootRef()
-		if rootRef != 0 && h.mem.Valid(rootRef) {
-			m.MarkObject(rootRef)
-			var err error
-			if workers > 1 {
-				err = h.traverseParallel(m, rootRef, workers, &live, &nullified)
-			} else {
-				err = h.traverse(m, rootRef, &live, &nullified)
+		if rootRef := h.mem.RootRef(); rootRef != 0 {
+			if err := h.mem.CheckRef(rootRef); err != nil {
+				return fmt.Errorf("core: recovery: root map: %w", err)
 			}
-			if err != nil {
-				return err
+			if h.mem.Valid(rootRef) {
+				m.MarkObject(rootRef)
+				if err := h.traverse(m, rootRef, &live, &nullified); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	h.recObs.MarkNs.Add(uint64(time.Since(start)))
 	h.recObs.MarkedBlocks.Add(m.Marked())
-	h.recObs.LiveObjects.Add(live.Load())
-	h.recObs.NullifiedRefs.Add(nullified.Load())
+	h.recObs.LiveObjects.Add(live)
+	h.recObs.NullifiedRefs.Add(nullified)
 
 	start = time.Now()
-	sw := h.mem.SweepParallel(m, workers) // zeroes dead headers, rebuilds free state, fences
+	sw := h.mem.Sweep(m) // zeroes dead headers, rebuilds free state, fences
 	h.recObs.SweepNs.Add(uint64(time.Since(start)))
 	h.recObs.SweptBlocks.Add(sw.DeadBlocks)
 	h.recObs.ScrubbedHeaders.Add(sw.ScrubbedHeaders)
 
-	h.RecoveryStats.LiveObjects = live.Load()
-	h.RecoveryStats.NullifiedRefs = nullified.Load()
+	h.RecoveryStats.LiveObjects = live
+	h.RecoveryStats.NullifiedRefs = nullified
 	h.RecoveryStats.LiveBlocks = m.Marked()
 	return nil
 }
 
-// visitObject processes one live object the traversal has claimed: run the
-// per-object repair hook (§3.2.1), nullify references to invalid targets
-// (§2.4 — the closing fence of the sweep persists all nullifications at
-// once), and emit every newly marked child.
-func (h *Heap) visitObject(m *heap.MarkSet, ref Ref, nullified *atomic.Uint64, emit func(Ref)) error {
-	id := h.mem.ClassOf(ref)
-	c, ok := h.byID[id]
-	if !ok {
-		name, _ := h.mem.ClassName(id)
-		return fmt.Errorf("core: recovery found instance of unregistered class id %d (%q) at %#x", id, name, ref)
-	}
-	obj := h.wrap(ref)
-	po := c.Factory(obj)
-	if rec, ok := po.(Recoverer); ok {
-		rec.Recover()
-	}
-	if c.Refs == nil {
-		return nil
-	}
-	for _, off := range c.Refs(obj) {
-		target := obj.ReadRef(off)
-		if target == 0 {
-			continue
-		}
-		if !h.mem.Valid(target) {
-			// A partially deleted (or never validated) object:
-			// nullify the reference.
-			obj.WriteRef(off, 0)
-			obj.PWBField(off, 8)
-			nullified.Add(1)
-			continue
-		}
-		if m.MarkObject(target) {
-			emit(target)
-		}
-	}
-	return nil
-}
-
-// traverse is the serial depth-first traversal — the paper's procedure,
-// kept as the oracle for the parallel variant.
-func (h *Heap) traverse(m *heap.MarkSet, rootRef Ref, live, nullified *atomic.Uint64) error {
+// traverse is the depth-first traversal of the paper's procedure. Each
+// popped object is visited once: run its repair hook (§3.2.1), nullify
+// references to invalid targets (§2.4 — the closing fence of the sweep
+// persists all nullifications at once), and push every newly marked
+// child. A reference that names no object at all fails the recovery.
+func (h *Heap) traverse(m *heap.MarkSet, rootRef Ref, live, nullified *uint64) error {
 	work := []Ref{rootRef}
 	for len(work) > 0 {
 		ref := work[len(work)-1]
 		work = work[:len(work)-1]
-		live.Add(1)
-		err := h.visitObject(m, ref, nullified, func(t Ref) { work = append(work, t) })
-		if err != nil {
-			return err
+		*live++
+		id := h.mem.ClassOf(ref)
+		c, ok := h.byID[id]
+		if !ok {
+			name, _ := h.mem.ClassName(id)
+			return fmt.Errorf("core: recovery found instance of unregistered class id %d (%q) at %#x", id, name, ref)
+		}
+		obj := h.wrap(ref)
+		if rec, ok := c.Factory(obj).(Recoverer); ok {
+			rec.Recover()
+		}
+		if c.Refs == nil {
+			continue
+		}
+		for _, off := range c.Refs(obj) {
+			target := obj.ReadRef(off)
+			if target == 0 {
+				continue
+			}
+			if err := h.mem.CheckRef(target); err != nil {
+				return fmt.Errorf("core: recovery: object %#x (class %q) field +%d: %w", ref, c.Name, off, err)
+			}
+			if !h.mem.Valid(target) {
+				// A partially deleted (or never validated) object:
+				// nullify the reference.
+				obj.WriteRef(off, 0)
+				obj.PWBField(off, 8)
+				*nullified++
+				continue
+			}
+			if m.MarkObject(target) {
+				work = append(work, target)
+			}
 		}
 	}
 	return nil
-}
-
-// travQueue is one traversal worker's deque. The owner pushes and pops at
-// the tail; idle workers steal half from the head, where the oldest (and
-// typically widest) subtrees sit, so one hot queue spreads across the
-// fleet in O(log n) steals.
-type travQueue struct {
-	mu    sync.Mutex
-	items []Ref
-	_pad  [40]byte // keep queues on distinct cache lines
-}
-
-func (q *travQueue) push(r Ref) {
-	q.mu.Lock()
-	q.items = append(q.items, r)
-	q.mu.Unlock()
-}
-
-func (q *travQueue) pushAll(rs []Ref) {
-	q.mu.Lock()
-	q.items = append(q.items, rs...)
-	q.mu.Unlock()
-}
-
-func (q *travQueue) pop() (Ref, bool) {
-	q.mu.Lock()
-	n := len(q.items)
-	if n == 0 {
-		q.mu.Unlock()
-		return 0, false
-	}
-	r := q.items[n-1]
-	q.items = q.items[:n-1]
-	q.mu.Unlock()
-	return r, true
-}
-
-func (q *travQueue) stealHalf(buf *[]Ref) bool {
-	q.mu.Lock()
-	n := len(q.items)
-	if n == 0 {
-		q.mu.Unlock()
-		return false
-	}
-	take := (n + 1) / 2
-	*buf = append((*buf)[:0], q.items[:take]...)
-	q.items = append(q.items[:0], q.items[take:]...)
-	q.mu.Unlock()
-	return true
-}
-
-// traverseParallel is the bounded work-stealing variant of traverse: a
-// fixed fleet of workers, one deque each, and an atomic count of in-flight
-// objects for termination (an item is in flight from the moment its
-// MarkObject wins until its visit completes, so pending==0 with all queues
-// empty means the graph is exhausted). Stealing moves items between queues
-// without touching the count.
-func (h *Heap) traverseParallel(m *heap.MarkSet, rootRef Ref, workers int, live, nullified *atomic.Uint64) error {
-	queues := make([]*travQueue, workers)
-	for i := range queues {
-		queues[i] = &travQueue{}
-	}
-	var pending atomic.Int64
-	pending.Store(1)
-	queues[0].push(rootRef)
-
-	var stop atomic.Bool
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			q := queues[self]
-			var stolen []Ref
-			for {
-				if stop.Load() {
-					return
-				}
-				ref, ok := q.pop()
-				for v := 1; !ok && v < workers; v++ {
-					if queues[(self+v)%workers].stealHalf(&stolen) {
-						q.pushAll(stolen)
-						ref, ok = q.pop()
-					}
-				}
-				if !ok {
-					if pending.Load() == 0 {
-						return
-					}
-					runtime.Gosched()
-					continue
-				}
-				live.Add(1)
-				err := h.visitObject(m, ref, nullified, func(t Ref) {
-					pending.Add(1)
-					q.push(t)
-				})
-				pending.Add(-1)
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // scanHeaders rebuilds the mark set from block headers alone (J-PFA-nogc):
 // valid masters and valid pooled slots are live by definition. It scans
 // the whole arena — the persistent bump mirror is advisory (unfenced) and
 // cannot be trusted after a crash, and untouched blocks read as zero
-// headers by construction. Header dispositions are independent, so the
-// arena is carved into one contiguous range per worker.
-func (h *Heap) scanHeaders(m *heap.MarkSet, workers int, live *atomic.Uint64) {
-	total := h.mem.NBlocks()
-	scan := func(lo, hi uint64) {
-		for idx := lo; idx < hi; idx++ {
-			r := h.mem.BlockRef(idx)
-			id, valid, sc := heap.UnpackHeader(h.mem.Header(r))
-			switch {
-			case id == heap.PoolChunkClass && valid:
-				if int(sc) >= len(heap.SlotSizes) {
-					continue // corrupt chunk: swept
-				}
-				size := uint64(heap.SlotSizes[sc])
-				for s := uint64(0); s+size <= heap.Payload; s += size {
-					slot := r + heap.HeaderSize + s
-					if h.mem.Valid(slot) {
-						m.MarkObject(slot)
-						live.Add(1)
-					}
-				}
-			case id != 0 && id != heap.PoolChunkClass && valid:
-				m.MarkObject(r)
-				live.Add(1)
+// headers by construction.
+func (h *Heap) scanHeaders(m *heap.MarkSet, live *uint64) error {
+	for idx := uint64(0); idx < h.mem.NBlocks(); idx++ {
+		r := h.mem.BlockRef(idx)
+		id, valid, sc := heap.UnpackHeader(h.mem.Header(r))
+		switch {
+		case id == heap.PoolChunkClass && valid:
+			if int(sc) >= len(heap.SlotSizes) {
+				continue // corrupt chunk: swept
 			}
+			size := uint64(heap.SlotSizes[sc])
+			for s := uint64(0); s+size <= heap.Payload; s += size {
+				slot := r + heap.HeaderSize + s
+				if h.mem.Valid(slot) {
+					m.MarkObject(slot)
+					*live++
+				}
+			}
+		case id != 0 && id != heap.PoolChunkClass && valid:
+			if err := h.mem.CheckRef(r); err != nil {
+				return fmt.Errorf("core: recovery: valid master at block %d: %w", idx, err)
+			}
+			m.MarkObject(r)
+			*live++
 		}
 	}
-	if workers <= 1 || total < uint64(workers)*2 {
-		scan(0, total)
-		return
-	}
-	chunk := (total + uint64(workers) - 1) / uint64(workers)
-	var wg sync.WaitGroup
-	for lo := uint64(0); lo < total; lo += chunk {
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		wg.Add(1)
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			scan(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return nil
 }

@@ -10,12 +10,11 @@
 // before the k-th primitive executes. Each crash yields a CrashState from
 // which several adversarial images are minted — the strict image (only
 // fenced data), the everything-persisted image, and seeded random
-// line-subsets with sub-line tears — and every image is recovered through
-// the standard core/heap/fa/pdt path, once with the serial §4.1.3 oracle
-// and once with the parallel pipeline, then checked against the
-// workload's application-level oracle: fsck clean, failure-atomic blocks
-// all-or-nothing, no reachable half-initialized object, store records
-// intact, and the recovered heap still writable.
+// line-subsets with sub-line tears — and every image is recovered once
+// through the standard core/heap/fa/pdt path (the §4.1.3 procedure), then
+// checked against the workload's application-level oracle: fsck clean,
+// failure-atomic blocks all-or-nothing, no reachable half-initialized
+// object, store records intact, and the recovered heap still writable.
 //
 // Everything is deterministic in (workload, seed): a failure is
 // reproduced by its (point, sample, seed) triple alone, and a greedy
@@ -43,21 +42,11 @@ type Run struct {
 	// deterministic: single-goroutine, no Go-map iteration, all
 	// randomness from the run's seeded rng.
 	Exec func(pool *nvm.Pool) error
-	// Check recovers the crash image with the given recovery parallelism
-	// (1 = the paper's serial procedure) and verifies the workload
-	// invariants against the oracle. It is called many times per run and
-	// must not mutate the oracle. It owns img and may write to it (e.g.
-	// probe that the recovered heap accepts new operations).
-	Check func(img *nvm.Pool, parallelism int) error
-
-	// Audit, if set, runs after Check passes and verifies pre-replay
-	// invariants over the raw crash image, e.g. fa.AuditCommittedSlots: a
-	// live log slot with a zero entry count only arises when a commit
-	// mark outran its stage-1 log persist, which is a protocol bug. It
-	// holds on torn images too: a slot's mark and count are separate
-	// aligned words, nothing ever clears a count under a live mark, and
-	// retirement writes only the one-word watermark.
-	Audit func(img *nvm.Pool) error
+	// Check recovers the crash image and verifies the workload invariants
+	// against the oracle. It is called many times per run and must not
+	// mutate the oracle. It owns img and may write to it (e.g. probe that
+	// the recovered heap accepts new operations).
+	Check func(img *nvm.Pool) error
 }
 
 // Workload names a crash-exploration scenario.
@@ -110,9 +99,6 @@ type Options struct {
 	Samples int
 	// Seed drives the workload op mix and all subset sampling.
 	Seed int64
-	// Par is the parallel recovery worker count checked against the
-	// serial oracle (default 8).
-	Par int
 	// Point, when >0, explores only that crash point — the repro path.
 	Point int
 	// Sample, when Point is set and Sample >= -2, checks only that
@@ -130,10 +116,8 @@ type Failure struct {
 	Point    int             `json:"point"`  // 1-based crash point; total+1 = after the last op
 	Sample   int             `json:"sample"` // -1 strict, -2 all-pending, else subset index
 	Seed     int64           `json:"seed"`
-	Par      int             `json:"par"`              // recovery parallelism that failed (1 and/or Par)
 	Subset   []nvm.CrashLine `json:"subset,omitempty"` // minimized failing line-subset
 	Err      string          `json:"err"`
-	Diverged bool            `json:"diverged,omitempty"` // serial and parallel disagreed
 }
 
 // Repro renders the one-command reproduction for this failure.
@@ -144,11 +128,7 @@ func (f *Failure) Repro() string {
 
 func (f *Failure) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "FAIL %s point=%d sample=%d seed=%d par=%d", f.Workload, f.Point, f.Sample, f.Seed, f.Par)
-	if f.Diverged {
-		b.WriteString(" [serial/parallel diverge]")
-	}
-	fmt.Fprintf(&b, ": %s\n", f.Err)
+	fmt.Fprintf(&b, "FAIL %s point=%d sample=%d seed=%d: %s\n", f.Workload, f.Point, f.Sample, f.Seed, f.Err)
 	if len(f.Subset) > 0 {
 		fmt.Fprintf(&b, "  minimized subset (%d lines):", len(f.Subset))
 		for _, cl := range f.Subset {
@@ -178,7 +158,7 @@ type Report struct {
 	Seed     int64     `json:"seed"`
 	Points   int       `json:"points"`   // total ordering points in the workload
 	Explored int       `json:"explored"` // crash points actually explored
-	Images   int       `json:"images"`   // crash images checked (×2 recovery modes)
+	Images   int       `json:"images"`   // crash images checked
 	Failures []Failure `json:"failures,omitempty"`
 }
 
@@ -221,22 +201,13 @@ func runTo(w *Workload, seed int64, trigger int) (*Run, *plane, error) {
 
 // safeCheck runs Check, converting panics into errors: recovery must
 // tolerate any crash image, so a panic is itself an invariant violation.
-func safeCheck(run *Run, img *nvm.Pool, parallelism int) (err error) {
+func safeCheck(run *Run, img *nvm.Pool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("recovery panicked: %v", r)
 		}
 	}()
-	return run.Check(img, parallelism)
-}
-
-func safeAudit(run *Run, img *nvm.Pool) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("audit panicked: %v", r)
-		}
-	}()
-	return run.Audit(img)
+	return run.Check(img)
 }
 
 // subsetSeed mixes (seed, point, sample) into the rng seed for one
@@ -304,9 +275,9 @@ func pickPoints(total, budget int, seed int64) []int {
 // then tries to un-tear surviving entries, so reports implicate the
 // fewest lines possible. Check owns the image it is handed, so every
 // attempt mints a fresh one.
-func minimizeSpec(run *Run, state *nvm.CrashState, spec []nvm.CrashLine, parallelism int) []nvm.CrashLine {
+func minimizeSpec(run *Run, state *nvm.CrashState, spec []nvm.CrashLine) []nvm.CrashLine {
 	fails := func(s []nvm.CrashLine) bool {
-		return safeCheck(run, state.Image(s), parallelism) != nil
+		return safeCheck(run, state.Image(s)) != nil
 	}
 	cur := append([]nvm.CrashLine(nil), spec...)
 	for changed := true; changed; {
@@ -335,9 +306,6 @@ func minimizeSpec(run *Run, state *nvm.CrashState, spec []nvm.CrashLine, paralle
 
 // Explore runs the full exploration of one workload.
 func Explore(w *Workload, opt Options) (*Report, error) {
-	if opt.Par <= 0 {
-		opt.Par = 8
-	}
 	if opt.MaxFailures == 0 {
 		opt.MaxFailures = 3
 	}
@@ -368,7 +336,7 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 	// worlds (nothing pending lost, everything pending persisted).
 	for _, sample := range []int{-1, -2} {
 		img := pl.state.Image(specFor(pl.state, opt.Seed, rep.Points+1, sample))
-		if err := safeCheck(run, img, 1); err != nil {
+		if err := safeCheck(run, img); err != nil {
 			return nil, fmt.Errorf("%s: completed run fails its own oracle (sample %d): %w", w.Name, sample, err)
 		}
 	}
@@ -408,13 +376,8 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 		for _, sample := range samples {
 			spec := specFor(state, opt.Seed, point, sample)
 			rep.Images++
-			serialErr := safeCheck(crun, state.Image(spec), 1)
-			parErr := safeCheck(crun, state.Image(spec), opt.Par)
-			var auditErr error
-			if serialErr == nil && parErr == nil && crun.Audit != nil {
-				auditErr = safeAudit(crun, state.Image(spec))
-			}
-			if serialErr == nil && parErr == nil && auditErr == nil {
+			err := safeCheck(crun, state.Image(spec))
+			if err == nil {
 				continue
 			}
 			f := Failure{
@@ -422,23 +385,8 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 				Point:    point,
 				Sample:   sample,
 				Seed:     opt.Seed,
-				Diverged: (serialErr == nil) != (parErr == nil),
-			}
-			switch {
-			case serialErr != nil:
-				f.Par, f.Err = 1, serialErr.Error()
-			case parErr != nil:
-				f.Par, f.Err = opt.Par, parErr.Error()
-			default:
-				f.Par, f.Err = 1, "audit: "+auditErr.Error()
-			}
-			if f.Diverged {
-				f.Err = fmt.Sprintf("serial=%v parallel=%v", serialErr, parErr)
-			}
-			if auditErr == nil {
-				// Audit failures skip minimization: the greedy predicate
-				// replays Check only, which passes on these images.
-				f.Subset = minimizeSpec(crun, state, spec, f.Par)
+				Err:      err.Error(),
+				Subset:   minimizeSpec(crun, state, spec),
 			}
 			rep.Failures = append(rep.Failures, f)
 			logf("%s", f.String())

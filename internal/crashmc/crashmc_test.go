@@ -14,7 +14,7 @@ func TestExploreWorkloadsSmoke(t *testing.T) {
 	for _, w := range Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			rep, err := Explore(w, Options{Points: 10, Samples: 2, Seed: 42, Par: 4})
+			rep, err := Explore(w, Options{Points: 10, Samples: 2, Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func brokenWorkload() *Workload {
 				}
 				return nil
 			},
-			Check: func(img *nvm.Pool, parallelism int) error {
+			Check: func(img *nvm.Pool) error {
 				if a, b := img.ReadUint64(0), img.ReadUint64(256); a != b {
 					return fmt.Errorf("counters diverged: %d vs %d", a, b)
 				}
@@ -66,7 +66,7 @@ func brokenWorkload() *Workload {
 // and (b) reproducible from its (point, sample, seed) triple alone.
 func TestExplorerHasTeeth(t *testing.T) {
 	w := brokenWorkload()
-	rep, err := Explore(w, Options{Samples: 2, Seed: 1, Par: 2, MaxFailures: -1})
+	rep, err := Explore(w, Options{Samples: 2, Seed: 1, MaxFailures: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestExplorerHasTeeth(t *testing.T) {
 		t.Fatalf("failure lacks a repro triple: %+v", f)
 	}
 	// Replay exactly that (point, sample, seed): it must fail again.
-	rerun, err := Explore(w, Options{Seed: f.Seed, Par: 2, Point: f.Point, Sample: f.Sample, MaxFailures: -1})
+	rerun, err := Explore(w, Options{Seed: f.Seed, Point: f.Point, Sample: f.Sample, MaxFailures: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

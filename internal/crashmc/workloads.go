@@ -52,20 +52,17 @@ func ByName(name string) (*Workload, bool) {
 // workload's pool goes through, what the harness does around each
 // reopen, and the workload's own scenario. The harness turns it into a
 // Workload: Setup opens the stack and hands it to the scenario; every
-// Check reopens the crash image at the requested recovery parallelism,
-// fscks it, and only then consults the scenario's oracle.
+// Check recovers the crash image once, fscks it, and only then consults
+// the scenario's oracle.
 type entry struct {
 	name      string
 	poolBytes int
-	// cfg is the stack configuration; the harness fills in Parallelism.
-	cfg stack.Config
-	// compare makes every parallel check prove the §4.1.3 equivalence on
-	// top of the oracle: the image recovered serially and concurrently
-	// must match bit for bit, and a full serial check of the same image
-	// must report the same observable state.
-	compare bool
-	// auditSlots runs fa.AuditCommittedSlots over every image (Run.Audit)
-	// and holds recovery to replaying exactly the live slots.
+	cfg       stack.Config
+	// auditSlots runs fa.AuditCommittedSlots over every raw image before
+	// recovery and holds recovery to replaying exactly the live slots. The
+	// audit holds on torn images too: a slot's mark and count are separate
+	// aligned words, nothing ever clears a count under a live mark, and
+	// retirement writes only the one-word watermark.
 	auditSlots bool
 	new        func(seed int64) *scenario
 }
@@ -79,9 +76,8 @@ type scenario struct {
 	// exec is the explored mutation sequence.
 	exec func() error
 	// check verifies the oracle over a recovered, fsck-clean stack and
-	// probes that it still accepts operations. What it writes to obs is
-	// the observable state compared between recoveries (entry.compare).
-	check func(st *stack.Stack, obs *strings.Builder) error
+	// probes that it still accepts operations.
+	check func(st *stack.Stack) error
 }
 
 // stackCfg is the explorer's stack shape: 16 log slots of 16 KiB (the
@@ -94,107 +90,55 @@ func stackCfg(kind string) stack.Config {
 func (e entry) workload() *Workload {
 	return &Workload{Name: e.name, PoolBytes: e.poolBytes, New: func(seed int64) *Run {
 		sc := e.new(seed)
-		run := &Run{
+		return &Run{
 			Setup: func(pool *nvm.Pool) error {
-				st, err := e.open(pool, 1, false)
+				st, err := stack.Open(pool, e.cfg)
 				if err != nil {
 					return err
 				}
 				return sc.setup(st)
 			},
 			Exec:  func(*nvm.Pool) error { return sc.exec() },
-			Check: func(img *nvm.Pool, parallelism int) error { return e.check(sc, img, parallelism) },
+			Check: func(img *nvm.Pool) error { return e.check(sc, img) },
 		}
-		if e.auditSlots {
-			run.Audit = func(img *nvm.Pool) error {
-				mem, err := heap.Open(img)
-				if err != nil {
-					return err
-				}
-				if err := fa.AuditCommittedSlots(mem); err != nil {
-					return err
-				}
-				// Recovery replays exactly the live slots, and retires them.
-				_, live := fa.LiveSlots(mem)
-				st, err := e.open(img, 1, true)
-				if err != nil {
-					return err
-				}
-				if n := st.Recovery()[0].ReplayedTx; n != uint64(len(live)) {
-					return fmt.Errorf("image holds %d live log slots, recovery replayed %d", len(live), n)
-				}
-				if _, left := fa.LiveSlots(st.Heap.Mem()); len(left) != 0 {
-					return fmt.Errorf("%d log slots still live after recovery", len(left))
-				}
-				return nil
-			}
-		}
-		return run
 	}}
 }
 
-// open opens pool through the entry's stack; bare leaves the backend
-// off, so nothing above the heap touches the image.
-func (e entry) open(pool *nvm.Pool, parallelism int, bare bool) (*stack.Stack, error) {
-	cfg := e.cfg
-	cfg.Parallelism = parallelism
-	if bare {
-		cfg.Backend = ""
-	}
-	return stack.Open(pool, cfg)
-}
-
 // check is every scenario's Check: what an operator restart does, then
-// the oracle.
-func (e entry) check(sc *scenario, img *nvm.Pool, parallelism int) error {
-	if !e.compare || parallelism == 1 {
-		_, err := e.checkOne(sc, img, parallelism)
-		return err
+// the oracle. With auditSlots the raw image's log area is audited first —
+// heap.Open attaches without replaying — and recovery must then replay
+// exactly the live slots it counted and leave none live.
+func (e entry) check(sc *scenario, img *nvm.Pool) error {
+	var live []fa.LiveSlot
+	if e.auditSlots {
+		mem, err := heap.Open(img)
+		if err != nil {
+			return fmt.Errorf("audit: %w", err)
+		}
+		if err := fa.AuditCommittedSlots(mem); err != nil {
+			return fmt.Errorf("audit: %w", err)
+		}
+		_, live = fa.LiveSlots(mem)
 	}
-	// §4.1.3 equivalence, bit for bit: recover the image serially and
-	// concurrently, bare, and compare the raw pool bytes — before anything
-	// above the heap (a mirror rebuild) can write.
-	clone, a, c := clonePool(img), clonePool(img), clonePool(img)
-	if _, err := e.open(a, 1, true); err != nil {
-		return fmt.Errorf("serial recovery: %w", err)
-	}
-	if _, err := e.open(c, parallelism, true); err != nil {
-		return fmt.Errorf("parallel recovery: %w", err)
-	}
-	if !bytes.Equal(a.ReadBytes(0, a.Size()), c.ReadBytes(0, c.Size())) {
-		return fmt.Errorf("serial and parallel recovery images differ")
-	}
-	obs, err := e.checkOne(sc, img, parallelism)
+	st, err := stack.Open(img, e.cfg)
 	if err != nil {
-		return err
+		return fmt.Errorf("reopen: %w", err)
 	}
-	sobs, err := e.checkOne(sc, clone, 1)
-	if err != nil {
-		return fmt.Errorf("serial replay of parallel image: %w", err)
-	}
-	if obs != sobs {
-		return fmt.Errorf("serial/parallel divergence:\n  par:    %s\n  serial: %s", obs, sobs)
-	}
-	return nil
-}
-
-// checkOne reopens the image, fscks it and runs the scenario's oracle.
-func (e entry) checkOne(sc *scenario, img *nvm.Pool, parallelism int) (string, error) {
-	st, err := e.open(img, parallelism, false)
-	if err != nil {
-		return "", fmt.Errorf("reopen: %w", err)
+	if e.auditSlots {
+		if n := st.Recovery()[0].ReplayedTx; n != uint64(len(live)) {
+			return fmt.Errorf("audit: image holds %d live log slots, recovery replayed %d", len(live), n)
+		}
+		if _, left := fa.LiveSlots(st.Heap.Mem()); len(left) != 0 {
+			return fmt.Errorf("audit: %d log slots still live after recovery", len(left))
+		}
 	}
 	if err := fsckClean(st.Heap); err != nil {
-		return "", err
+		return err
 	}
-	var obs strings.Builder
-	if err := sc.check(st, &obs); err != nil {
-		return "", err
+	if err := sc.check(st); err != nil {
+		return err
 	}
-	if err := mapsWhole(st.Heap); err != nil {
-		return "", err
-	}
-	return obs.String(), nil
+	return mapsWhole(st.Heap)
 }
 
 // mapsWhole holds every persistent map among h's roots to the binding
@@ -216,12 +160,6 @@ func mapsWhole(h *core.Heap) error {
 		}
 	}
 	return nil
-}
-
-func clonePool(p *nvm.Pool) *nvm.Pool {
-	c := nvm.New(int(p.Size()), nvm.Options{})
-	c.WriteBytes(0, p.ReadBytes(0, p.Size()))
-	return c
 }
 
 func fsckClean(h *core.Heap) error {
@@ -364,7 +302,7 @@ func bankEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, _ *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				b, err := tpcb.NewJNVMBank(st, accounts)
 				if err != nil {
 					return fmt.Errorf("reattach: %w", err)
@@ -486,7 +424,7 @@ func gridEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, _ *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				g := store.NewGrid(st.Backend, store.Options{})
 				for _, key := range keys {
 					got, _, err := gridReader(g).field(key, "v")
@@ -592,7 +530,7 @@ func gridGroupEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, _ *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
 				for _, key := range keys {
 					val, found, err := gridReader(g2).field(key, "v")
@@ -631,9 +569,7 @@ func gridGroupEntry() entry {
 // value — a lost or double-applied folded delta fails there. Two epochs
 // of nothing but folds on one hot key close the run: each is a pure delta
 // epoch (a materialization and no queued commit), and the first is parked
-// while the second's fold is based on the block it applied to. The entry
-// compares recoveries: a folded entry is one ordinary redo-log write, so
-// the serial and the parallel path must land on the same image.
+// while the second's fold is based on the block it applied to.
 func gridDeltaEntry() entry {
 	const nkeys = 6
 	const epochs = 4
@@ -643,7 +579,7 @@ func gridDeltaEntry() entry {
 	// A live log slot with a zero entry count means a commit mark outran
 	// its stage-1 persist — the signature of a delta materialization whose
 	// fold would silently drop at replay (fa.epochStage1's regression).
-	e.compare, e.auditSlots = true, true
+	e.auditSlots = true
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		base := make([]int64, nkeys) // value with every drained write applied
@@ -751,7 +687,7 @@ func gridDeltaEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, obs *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
 				read := func(key string) (int64, error) {
 					raw, found, err := gridReader(g2).field(key, "n")
@@ -771,7 +707,6 @@ func gridDeltaEntry() entry {
 					if err != nil {
 						return fmt.Errorf("read %s: %w", key, err)
 					}
-					fmt.Fprintf(obs, "%s=%d;", key, got)
 					if got == base[j]+sum[j] || durable[j][got] {
 						continue
 					}
@@ -834,7 +769,7 @@ func gridInlineEntry() entry {
 		return true
 	}
 	counter := func(v int64) string { return string(counterBytes(v)) }
-	e := entry{name: "gridinline", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), compare: true, auditSlots: true}
+	e := entry{name: "gridinline", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true}
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		// hist[k] lists key k's legal states, oldest first; the last one
@@ -933,7 +868,7 @@ func gridInlineEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, obs *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
 				for k, key := range keys {
 					got := state{}
@@ -946,7 +881,6 @@ func gridInlineEntry() entry {
 					if !found {
 						got = nil
 					}
-					fmt.Fprintf(obs, "%s=%d;", key, len(got))
 					legal := false
 					for _, s := range hist[k] {
 						legal = legal || same(got, s)
@@ -1087,7 +1021,7 @@ func gridReadEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, _ *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				// The recovered grid adopts zero-copy again, so every
 				// crash image is re-read through the view path.
 				g2 := store.NewGrid(st.Backend, store.Options{})
@@ -1230,7 +1164,7 @@ func poolEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, _ *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				h2 := st.Heap
 				m2, err := rootAs[*pdt.Map](h2, "pool.map")
 				if err != nil {
@@ -1402,7 +1336,7 @@ func pdtEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, _ *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				h2 := st.Heap
 				m2, err := rootAs[*pdt.Map](h2, "pdt.map")
 				if err != nil {
@@ -1529,7 +1463,7 @@ func retireEntry() entry {
 		}
 		return c
 	}
-	e := entry{name: "retire", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), compare: true, auditSlots: true}
+	e := entry{name: "retire", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true}
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		// states[i] is the grid after i operations; done counts the ones
@@ -1630,7 +1564,7 @@ func retireEntry() entry {
 				}
 				return nil
 			},
-			check: func(st *stack.Stack, obs *strings.Builder) error {
+			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
 				read := func() (grid, error) {
 					got := grid{}
@@ -1662,7 +1596,6 @@ func retireEntry() entry {
 				if at < 0 {
 					return fmt.Errorf("recovered grid is the state after neither %d nor %d operations: %v", done, done+1, got)
 				}
-				fmt.Fprintf(obs, "prefix=%d;", at)
 				// No block both free and reachable: allocations off the
 				// recovered free queue leave every record as it was.
 				for i := 0; i < 6; i++ {

@@ -16,8 +16,8 @@
 //     epoch with separate log entries: AddDelta drains while the block is
 //     held by a queued commit, and every transactional access (waitClear)
 //     or Free of a block drains while the block has a pending delta. So
-//     each epoch keeps the disjoint-write-set property parallel replay
-//     relies on, and a materialized fold always reads the post-apply
+//     each epoch keeps the disjoint-write-set property replay relies
+//     on, and a materialized fold always reads the post-apply
 //     image of its block. While the epoch carrying a fold is in flight,
 //     the fold's block sits in the pending set like a queued commit's
 //     blocks, so no transactional snapshot forks it mid-apply. These

@@ -443,9 +443,9 @@ type auditProbe struct {
 	err error
 }
 
-func (p *auditProbe) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
+func (p *auditProbe) RecoverLogs(h *core.Heap) error {
 	p.err = AuditCommittedSlots(h.Mem())
-	return p.mgr.RecoverLogs(h, opts)
+	return p.mgr.RecoverLogs(h)
 }
 
 // TestDeltaAuditCatchesMissingStage1 pins that AuditCommittedSlots

@@ -362,11 +362,10 @@ func LiveSlots(mem *heap.Heap) (w uint64, live []LiveSlot) {
 //
 // Live slots replay in ascending sequence order, so two committed logs
 // that touch one block — a parked commit and its successor — land in
-// commit order. Slots that share a sequence number belong to one async
-// epoch, whose write sets are disjoint (groupState.waitClear), and replay
-// in parallel on the recovery worker fleet. A fence orders the replayed
-// lines before W covers them; a psync closes the phase.
-func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
+// commit order (slots that share a number are one async epoch, whose
+// write sets are disjoint). A fence orders the replayed lines before W
+// covers them; a psync closes the phase.
+func (m *Manager) RecoverLogs(h *core.Heap) error {
 	off, slots, slotSize := h.Mem().LogArea()
 	if slotSize < slotEntries+entrySize {
 		return fmt.Errorf("fa: log slot size %d cannot hold a header and one entry", slotSize)
@@ -398,39 +397,8 @@ func (m *Manager) RecoverLogs(h *core.Heap, opts core.RecoverOptions) error {
 			return fmt.Errorf("fa: live log slot %d (seq %d) records %d entries, a slot holds %d", s.Index, s.Seq, s.Entries, fit)
 		}
 	}
-	replay := func(s LiveSlot) {
+	for _, s := range live {
 		applyEntries(pool, mem, off+uint64(s.Index*slotSize), s.Entries, nil)
-	}
-	workers := opts.Workers()
-	for i := 0; i < len(live); {
-		j := i + 1
-		for j < len(live) && live[j].Seq == live[i].Seq {
-			j++
-		}
-		epoch := live[i:j]
-		if n := min(workers, len(epoch)); n <= 1 {
-			for _, s := range epoch {
-				replay(s)
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for k := 0; k < n; k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1) - 1)
-						if i >= len(epoch) {
-							return
-						}
-						replay(epoch[i])
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		i = j
 	}
 	if n := uint64(len(live)); n > 0 {
 		pool.PFence()

@@ -20,8 +20,9 @@
 //     logs from a run of consecutive epochs, recovery replays them oldest
 //     first, and every crash image recovers to a prefix of the epoch
 //     order (plus an all-or-nothing subset of the epoch whose marks were
-//     in flight). Within one sequence number RecoverLogs replays in
-//     parallel, on the disjoint-write-set property below.
+//     in flight). Within one sequence number RecoverLogs replays in slot
+//     order, which the disjoint-write-set property below makes
+//     irrelevant.
 //
 // Within an epoch the queued blocks must also have disjoint write sets.
 // The application's locking no longer guarantees that (an async Commit

@@ -533,6 +533,62 @@ func TestSweepFreesEmptyChunks(t *testing.T) {
 	}
 }
 
+// TestMarkSetDense: the mark set is one 16-bit mask per block. The first
+// MarkObject of an object wins and every later one reports it seen — for
+// a three-block chain and for each of the ten slots of a 24-byte chunk —
+// and Marked and the highest index count blocks, not objects. CheckRef
+// accepts exactly the slot boundaries whose bit the mask has room for.
+func TestMarkSetDense(t *testing.T) {
+	n := Payload / SlotSizes[0]
+	if 1<<n > blockMarked {
+		t.Fatalf("a %d-byte chunk holds %d slots, more than the bits below the block bit", SlotSizes[0], n)
+	}
+	h := newHeap(t, 1<<20)
+	chain, blocks, err := h.AllocObject(1, 3*Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, err := h.AllocSmall(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := h.ContainingBlock(slot)
+	cidx := h.BlockIndex(chunk)
+
+	m := h.NewMarkSet()
+	if !m.MarkObject(chain) || m.MarkObject(chain) {
+		t.Fatal("a chain is marked new exactly once")
+	}
+	for _, b := range blocks {
+		if m.masks[h.BlockIndex(b)] != blockMarked {
+			t.Fatalf("chain block %#x mask %#x", b, m.masks[h.BlockIndex(b)])
+		}
+	}
+	if m.Marked() != 3 {
+		t.Fatalf("Marked = %d after a three-block chain", m.Marked())
+	}
+	for s := 0; s < n; s++ {
+		r := chunk + HeaderSize + uint64(s*SlotSizes[0])
+		if err := h.CheckRef(r); err != nil {
+			t.Fatalf("slot %d: %v", s, err)
+		}
+		if !m.MarkObject(r) || m.MarkObject(r) {
+			t.Fatalf("slot %d is marked new exactly once", s)
+		}
+		if want := uint16(blockMarked | (1<<(s+1) - 1)); m.masks[cidx] != want {
+			t.Fatalf("after slot %d the chunk's mask is %#x, want %#x", s, m.masks[cidx], want)
+		}
+	}
+	if m.Marked() != 4 || m.maxIdx != max(cidx, h.BlockIndex(blocks[2])) {
+		t.Fatalf("Marked = %d, max index %d: want 4 and %d", m.Marked(), m.maxIdx, max(cidx, h.BlockIndex(blocks[2])))
+	}
+	for _, r := range []Ref{chunk + HeaderSize + uint64(n*SlotSizes[0]), chunk + HeaderSize + 8, chunk + 4, chain + HeaderSize} {
+		if h.CheckRef(r) == nil {
+			t.Fatalf("CheckRef accepted %#x, which starts no slot", r)
+		}
+	}
+}
+
 func TestConcurrentAllocFree(t *testing.T) {
 	h := newHeap(t, 1<<22)
 	var wg sync.WaitGroup

@@ -1,129 +1,113 @@
 package heap
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // MarkSet accumulates the reachability information of the recovery
-// procedure (§4.1.3): one bit per arena block, plus per-slot bits for pool
-// chunks. The object layer (package core) drives the graph traversal and
-// calls MarkObject; Sweep then rebuilds the volatile allocator state.
+// procedure (§4.1.3): one 16-bit mask per arena block. Bit 15 says the
+// block is live; for a pool chunk, bit s says slot s is (a chunk holds at
+// most Payload/SlotSizes[0] = 10 slots). The object layer (package core)
+// drives the graph traversal and calls MarkObject; Sweep then rebuilds
+// the volatile allocator state.
 //
-// The set is safe for concurrent marking: the block bitmap is CAS-or'd one
-// word at a time and the slot masks live in sharded maps, so the parallel
-// recovery traversal can drive it from many workers. First-marker-wins —
-// MarkObject reports true to exactly one caller per object — which is what
-// lets the traversal claim each object for a single worker.
+// Recovery is single-threaded, so the set is plain memory: no atomics,
+// no locks. It costs two bytes per arena block and lives only until Open
+// returns. MarkObject reports true once per object — the first time it is
+// marked — which is what lets the traversal visit shared subgraphs once.
 type MarkSet struct {
 	h      *Heap
-	blocks []atomic.Uint64
-	slots  [markSlotShards]markSlotShard
-	marked atomic.Uint64
-	maxIdx atomic.Uint64 // highest marked index (valid when marked > 0)
+	masks  []uint16
+	marked uint64 // live blocks
+	maxIdx uint64 // highest live block index (valid when marked > 0)
 }
 
-const markSlotShards = 64
-
-type markSlotShard struct {
-	mu   sync.Mutex
-	m    map[uint64]uint64 // block index -> bitmask of live slots
-	_pad [40]byte          // keep shards on distinct cache lines
-}
+const blockMarked = 1 << 15
 
 // NewMarkSet creates an empty mark set sized for the heap's arena.
 func (h *Heap) NewMarkSet() *MarkSet {
-	m := &MarkSet{
-		h:      h,
-		blocks: make([]atomic.Uint64, (h.nBlocks+63)/64),
-	}
-	for i := range m.slots {
-		m.slots[i].m = make(map[uint64]uint64)
-	}
-	return m
+	return &MarkSet{h: h, masks: make([]uint16, h.nBlocks)}
 }
 
 func (m *MarkSet) markBlock(idx uint64) bool {
-	w, bit := idx/64, uint64(1)<<(idx%64)
-	for {
-		old := m.blocks[w].Load()
-		if old&bit != 0 {
-			return false
-		}
-		if m.blocks[w].CompareAndSwap(old, old|bit) {
-			break
-		}
+	if m.masks[idx]&blockMarked != 0 {
+		return false
 	}
-	m.marked.Add(1)
-	for {
-		cur := m.maxIdx.Load()
-		if idx <= cur || m.maxIdx.CompareAndSwap(cur, idx) {
-			break
-		}
-	}
+	m.masks[idx] |= blockMarked
+	m.marked++
+	m.maxIdx = max(m.maxIdx, idx)
 	return true
-}
-
-// BlockMarked reports whether the arena block idx was marked live.
-func (m *MarkSet) BlockMarked(idx uint64) bool {
-	return m.blocks[idx/64].Load()&(1<<(idx%64)) != 0
 }
 
 // Marked returns the number of live blocks found so far.
-func (m *MarkSet) Marked() uint64 { return m.marked.Load() }
+func (m *MarkSet) Marked() uint64 { return m.marked }
 
-func (m *MarkSet) slotShard(idx uint64) *markSlotShard {
-	return &m.slots[idx%markSlotShards]
-}
-
-// SlotMask returns the live-slot bitmask recorded for the pool chunk at
-// block idx (zero if no slot was marked).
-func (m *MarkSet) SlotMask(idx uint64) uint64 {
-	s := m.slotShard(idx)
-	s.mu.Lock()
-	v := s.m[idx]
-	s.mu.Unlock()
-	return v
-}
-
-// MarkObject marks the object at r live. For block objects every block of
-// the chain is marked; for pooled objects the containing chunk and the slot
-// bit are. It reports whether the object was newly marked, letting the
-// traversal avoid revisiting shared subgraphs.
+// MarkObject marks the object at r live: every block of a block object's
+// chain, or a pooled slot's bit and its chunk. It reports whether the
+// object was newly marked. r must have passed CheckRef.
 func (m *MarkSet) MarkObject(r Ref) bool {
-	if r == 0 {
-		return false
-	}
-	if m.h.IsBlockRef(r) {
-		first := m.markBlock(m.h.BlockIndex(r))
-		if !first {
+	h := m.h
+	if h.IsBlockRef(r) {
+		if !m.markBlock(h.BlockIndex(r)) {
 			return false
 		}
-		for _, b := range m.h.Blocks(r)[1:] {
-			m.markBlock(m.h.BlockIndex(b))
+		for cur := r; ; {
+			_, _, next := UnpackHeader(h.Header(cur))
+			if next == 0 {
+				return true
+			}
+			m.markBlock(next - 1)
+			cur = h.BlockRef(next - 1)
 		}
-		return true
 	}
-	block := m.h.ContainingBlock(r)
-	idx := m.h.BlockIndex(block)
-	hdr := m.h.Header(block)
-	id, _, sc := UnpackHeader(hdr)
-	if id != PoolChunkClass || int(sc) >= len(SlotSizes) {
-		panic(fmt.Sprintf("heap: interior ref %#x into non-chunk block (header %#x)", r, hdr))
-	}
-	slot := (r - block - HeaderSize) / uint64(SlotSizes[sc])
-	bit := uint64(1) << slot
-	s := m.slotShard(idx)
-	s.mu.Lock()
-	if s.m[idx]&bit != 0 {
-		s.mu.Unlock()
+	block := h.ContainingBlock(r)
+	idx := h.BlockIndex(block)
+	_, _, sc := UnpackHeader(h.Header(block))
+	bit := uint16(1) << ((r - block - HeaderSize) / uint64(SlotSizes[sc]))
+	if m.masks[idx]&bit != 0 {
 		return false
 	}
-	s.m[idx] |= bit
-	s.mu.Unlock()
+	m.masks[idx] |= bit
 	m.markBlock(idx)
 	return true
+}
+
+// CheckRef reports an error unless r can name an object, without reading
+// anything outside the arena: r must lie inside the arena and be either
+// block-aligned, with a chain whose every link stays in the arena and
+// which ends within NBlocks links, or the start of a slot of a valid pool
+// chunk. Recovery runs it on every reference it follows before reading
+// the target, so a corrupt image yields an error instead of an
+// out-of-bounds panic, an endless chain walk, or a slot bit past the
+// mark set's mask.
+func (h *Heap) CheckRef(r Ref) error {
+	end := h.arenaOff + h.nBlocks*BlockSize
+	if r < h.arenaOff || r >= end {
+		return fmt.Errorf("heap: ref %#x outside the arena [%#x, %#x)", r, h.arenaOff, end)
+	}
+	off := (r - h.arenaOff) % BlockSize
+	if off == 0 {
+		for cur, n := r, uint64(0); n < h.nBlocks; n++ {
+			_, _, next := UnpackHeader(h.Header(cur))
+			if next == 0 {
+				return nil
+			}
+			if next > h.nBlocks {
+				return fmt.Errorf("heap: ref %#x: its chain leaves the arena at block %#x (next index %d)", r, cur, next-1)
+			}
+			cur = h.BlockRef(next - 1)
+		}
+		return fmt.Errorf("heap: ref %#x: its block chain is longer than the arena (a cycle)", r)
+	}
+	block := r - off
+	hdr := h.Header(block)
+	id, valid, sc := UnpackHeader(hdr)
+	if id != PoolChunkClass || !valid || sc >= uint64(len(SlotSizes)) {
+		return fmt.Errorf("heap: ref %#x points into block %#x, which is not a pool chunk (header %#x)", r, block, hdr)
+	}
+	size := uint64(SlotSizes[sc])
+	if off < HeaderSize || (off-HeaderSize)%size != 0 || (off-HeaderSize)/size >= Payload/size {
+		return fmt.Errorf("heap: ref %#x is not on a slot boundary of its %d-byte pool chunk %#x", r, size, block)
+	}
+	return nil
 }
 
 // SweepStats reports what a sweep did, for the recovery phase counters.
@@ -133,32 +117,13 @@ type SweepStats struct {
 	ScrubbedHeaders uint64 // stale headers cleared above the new bump
 }
 
-// Sweep finishes recovery on a single goroutine: every unmarked block below
-// the bump pointer is zeroed (clearing stale valid bits, per §4.1.3) and
-// pushed to the volatile free queue; live pool chunks have their dead slots
-// reclaimed and the volatile slot lists rebuilt; the bump pointer shrinks
-// to just above the highest live block. A single fence closes the
-// procedure, exactly as the paper prescribes.
-func (h *Heap) Sweep(m *MarkSet) { h.SweepParallel(m, 1) }
-
-const (
-	// sweepSegBlocks is the work-grabbing granule of the parallel sweep:
-	// 8192 blocks = 2 MiB of arena per claim.
-	sweepSegBlocks = 8192
-	// Below this arena size the goroutine fan-out costs more than it
-	// saves; fall back to the serial sweep.
-	minParallelSweepBlocks = 4 * sweepSegBlocks
-)
-
-// SweepParallel is Sweep with the per-block work divided among workers.
-// Block dispositions are independent (each block's fate depends only on
-// its own mark bit and header), so the arena is carved into fixed segments
-// claimed from an atomic cursor; every worker batches its dead indices and
-// freed slots locally and merges them into the sharded free queue and the
-// pool slot lists. The persistent effects — which headers and slots are
-// zeroed, the new bump, the single closing fence — are identical to the
-// serial sweep's; only volatile queue order may differ.
-func (h *Heap) SweepParallel(m *MarkSet, workers int) SweepStats {
+// Sweep finishes recovery: every unmarked block below the new bump is
+// zeroed (clearing stale valid bits, per §4.1.3) and pushed to the
+// volatile free queue; live pool chunks have their dead slots reclaimed
+// and the volatile slot lists rebuilt; the bump pointer shrinks to just
+// above the highest live block. A single fence closes the procedure,
+// exactly as the paper prescribes.
+func (h *Heap) Sweep(m *MarkSet) SweepStats {
 	h.small.reset()
 	// Recovery owns the heap exclusively until Open returns, so dropping
 	// the free list in place is safe.
@@ -171,34 +136,15 @@ func (h *Heap) SweepParallel(m *MarkSet, workers int) SweepStats {
 	// would let the allocator overwrite them. The new bump comes from the
 	// mark set alone.
 	maxLive := uint64(0)
-	if m.Marked() > 0 {
-		maxLive = m.maxIdx.Load() + 1
+	if m.marked > 0 {
+		maxLive = m.maxIdx + 1
 	}
-	var st SweepStats
-	if workers <= 1 || h.nBlocks < minParallelSweepBlocks {
-		st = h.sweepSerial(m, maxLive)
-	} else {
-		st = h.sweepConcurrent(m, maxLive, workers)
-	}
-	h.bump.Store(maxLive)
-	h.bumpMu.Lock()
-	h.bumpMirror = maxLive
-	h.pool.WriteUint64(sbBump, maxLive)
-	h.bumpMu.Unlock()
-	h.pool.PWB(sbBump)
-	h.pool.PFence()
-	return st
-}
-
-// sweepSerial is the paper's single-threaded procedure, kept verbatim as
-// the oracle the parallel path is tested against.
-func (h *Heap) sweepSerial(m *MarkSet, maxLive uint64) SweepStats {
 	var st SweepStats
 	// Pass 1: below the new bump, dead blocks join the free queue; live
 	// pool chunks get their dead slots reclaimed.
 	for idx := uint64(0); idx < maxLive; idx++ {
 		r := h.BlockRef(idx)
-		if !m.BlockMarked(idx) {
+		if m.masks[idx]&blockMarked == 0 {
 			if h.Header(r) != 0 {
 				h.WriteHeader(r, 0)
 				h.pool.PWB(r)
@@ -209,7 +155,7 @@ func (h *Heap) sweepSerial(m *MarkSet, maxLive uint64) SweepStats {
 		}
 		id, _, sc := UnpackHeader(h.Header(r))
 		if id == PoolChunkClass {
-			h.sweepChunk(r, int(sc), m.SlotMask(idx), &h.small.classes[sc].free)
+			h.sweepChunk(r, int(sc), m.masks[idx])
 			st.LiveChunks++
 		}
 	}
@@ -225,104 +171,23 @@ func (h *Heap) sweepSerial(m *MarkSet, maxLive uint64) SweepStats {
 			st.ScrubbedHeaders++
 		}
 	}
+	h.bump.Store(maxLive)
+	h.bumpMu.Lock()
+	h.bumpMirror = maxLive
+	h.pool.WriteUint64(sbBump, maxLive)
+	h.bumpMu.Unlock()
+	h.pool.PWB(sbBump)
+	h.pool.PFence()
 	return st
 }
 
-func (h *Heap) sweepConcurrent(m *MarkSet, maxLive uint64, workers int) SweepStats {
-	nSegs := (h.nBlocks + sweepSegBlocks - 1) / sweepSegBlocks
-	if uint64(workers) > nSegs {
-		workers = int(nSegs)
-	}
-	var next atomic.Uint64
-	var dead, chunks, scrubbed atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var freeIdxs []uint64
-			var slotFrees [len(SlotSizes)][]Ref
-			for {
-				seg := next.Add(1) - 1
-				if seg >= nSegs {
-					break
-				}
-				lo := seg * sweepSegBlocks
-				hi := lo + sweepSegBlocks
-				if hi > h.nBlocks {
-					hi = h.nBlocks
-				}
-				d, c, s := h.sweepRange(m, lo, hi, maxLive, &freeIdxs, &slotFrees)
-				dead.Add(d)
-				chunks.Add(c)
-				scrubbed.Add(s)
-				// Drain large batches early so locals stay cache-sized.
-				if len(freeIdxs) >= 1<<16 {
-					h.free.pushAll(freeIdxs)
-					freeIdxs = freeIdxs[:0]
-				}
-			}
-			h.free.pushAll(freeIdxs)
-			for sc := range slotFrees {
-				if len(slotFrees[sc]) == 0 {
-					continue
-				}
-				c := &h.small.classes[sc]
-				c.mu.Lock()
-				c.free = append(c.free, slotFrees[sc]...)
-				c.mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return SweepStats{
-		DeadBlocks:      dead.Load(),
-		LiveChunks:      chunks.Load(),
-		ScrubbedHeaders: scrubbed.Load(),
-	}
-}
-
-// sweepRange applies the two sweep passes to the block range [lo, hi):
-// indices below maxLive follow pass-1 rules (reclaim dead, rebuild chunk
-// slots), the rest pass-2 (scrub stale headers). Dead block indices and
-// freed slots accumulate in the caller's local batches.
-func (h *Heap) sweepRange(m *MarkSet, lo, hi, maxLive uint64, freeIdxs *[]uint64, slotFrees *[len(SlotSizes)][]Ref) (dead, chunks, scrubbed uint64) {
-	for idx := lo; idx < hi; idx++ {
-		r := h.BlockRef(idx)
-		if idx >= maxLive {
-			if h.Header(r) != 0 {
-				h.WriteHeader(r, 0)
-				h.pool.PWB(r)
-				scrubbed++
-			}
-			continue
-		}
-		if !m.BlockMarked(idx) {
-			if h.Header(r) != 0 {
-				h.WriteHeader(r, 0)
-				h.pool.PWB(r)
-			}
-			*freeIdxs = append(*freeIdxs, idx)
-			dead++
-			continue
-		}
-		id, _, sc := UnpackHeader(h.Header(r))
-		if id == PoolChunkClass {
-			h.sweepChunk(r, int(sc), m.SlotMask(idx), &slotFrees[sc])
-			chunks++
-		}
-	}
-	return dead, chunks, scrubbed
-}
-
 // sweepChunk reclaims the dead slots of a live pool chunk: zero (and
-// flush) any stale mini-header, and append the slot to dest — the volatile
-// slot list under the serial sweep, a worker-local batch under the
-// parallel one.
-func (h *Heap) sweepChunk(block Ref, sc int, liveMask uint64, dest *[]Ref) {
+// flush) any stale mini-header, and append the slot to its size class's
+// volatile slot list.
+func (h *Heap) sweepChunk(block Ref, sc int, liveMask uint16) {
 	size := uint64(SlotSizes[sc])
-	n := Payload / size
-	for s := uint64(0); s < n; s++ {
+	free := &h.small.classes[sc].free
+	for s := uint64(0); s < Payload/size; s++ {
 		r := block + HeaderSize + s*size
 		if liveMask&(1<<s) != 0 {
 			continue
@@ -331,33 +196,6 @@ func (h *Heap) sweepChunk(block Ref, sc int, liveMask uint64, dest *[]Ref) {
 			h.pool.WriteUint64(r, 0)
 			h.pool.PWB(r)
 		}
-		*dest = append(*dest, r)
+		*free = append(*free, r)
 	}
-}
-
-// FreeIndices returns a copy of the free queue's current contents. Order
-// is unspecified (the queue is sharded); callers compare as a set. Debug
-// and test use only.
-func (h *Heap) FreeIndices() []uint64 {
-	var out []uint64
-	for i := range h.free.shards {
-		s := &h.free.shards[i]
-		s.mu.Lock()
-		out = append(out, s.idxs...)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// PoolFreeSlots returns copies of the per-size-class free slot lists of
-// the small-object pool allocator. Debug and test use only.
-func (h *Heap) PoolFreeSlots() [][]Ref {
-	out := make([][]Ref, len(SlotSizes))
-	for sc := range h.small.classes {
-		c := &h.small.classes[sc]
-		c.mu.Lock()
-		out[sc] = append([]Ref(nil), c.free...)
-		c.mu.Unlock()
-	}
-	return out
 }

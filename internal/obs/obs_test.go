@@ -248,7 +248,7 @@ func TestReportNamesEveryLayer(t *testing.T) {
 	for _, want := range []string{
 		"read", "cache:", "read path:", "persistence per op:", "nvm:", "heap:",
 		"fa:", "fa commit pipeline:", "fa group commit:", "fa delta ledger:",
-		"recovery (",
+		"recovery:",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, buf.String())

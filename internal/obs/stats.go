@@ -247,8 +247,7 @@ func (s GridSnapshot) Sub(prev GridSnapshot) GridSnapshot { return sub(s, prev) 
 
 // RecoveryStats times and counts the phases of the recovery pipeline.
 // Counters are cumulative over the process lifetime (an in-process reopen
-// adds on top); Workers is a gauge recording the worker count of the most
-// recent recovery.
+// adds on top).
 type RecoveryStats struct {
 	ReplayNs  Counter // redo-log replay wall time (§4.2)
 	MarkNs    Counter // graph traversal or header scan wall time
@@ -262,8 +261,6 @@ type RecoveryStats struct {
 	LiveObjects     Counter // objects visited by the traversal/scan
 	NullifiedRefs   Counter // dangling references cleared (§2.4)
 	RebuildEntries  Counter // map bindings re-indexed into volatile mirrors
-
-	Workers Gauge
 }
 
 // RecoverySnapshot is an immutable copy of RecoveryStats.
@@ -280,8 +277,6 @@ type RecoverySnapshot struct {
 	LiveObjects     uint64 `json:"live_objects"`
 	NullifiedRefs   uint64 `json:"nullified_refs"`
 	RebuildEntries  uint64 `json:"rebuild_entries"`
-
-	Workers uint64 `json:"workers" obs:"gauge"`
 }
 
 // Snapshot captures the current counter values.
@@ -292,8 +287,7 @@ func (s RecoverySnapshot) TotalNs() uint64 {
 	return s.ReplayNs + s.MarkNs + s.SweepNs + s.RebuildNs
 }
 
-// Sub returns the delta since prev; the Workers gauge keeps its current
-// value.
+// Sub returns the delta since prev.
 func (s RecoverySnapshot) Sub(prev RecoverySnapshot) RecoverySnapshot { return sub(s, prev) }
 
 // ---- The whole stack ----
@@ -399,8 +393,8 @@ func (s StackSnapshot) Report(w io.Writer) {
 		}
 	}
 	if r := s.Recovery; r != nil && r.TotalNs() > 0 {
-		fmt.Fprintf(w, "recovery (%d workers): %s replay, %s mark, %s sweep, %s rebuild; %d tx, %d live obj, %d marked, %d swept, %d nullified, %d rebuilt\n",
-			r.Workers, ns(r.ReplayNs), ns(r.MarkNs), ns(r.SweepNs), ns(r.RebuildNs),
+		fmt.Fprintf(w, "recovery: %s replay, %s mark, %s sweep, %s rebuild; %d tx, %d live obj, %d marked, %d swept, %d nullified, %d rebuilt\n",
+			ns(r.ReplayNs), ns(r.MarkNs), ns(r.SweepNs), ns(r.RebuildNs),
 			r.ReplayedTx, r.LiveObjects, r.MarkedBlocks, r.SweptBlocks, r.NullifiedRefs, r.RebuildEntries)
 	}
 }

@@ -1,10 +1,8 @@
 package pdt
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -82,10 +80,9 @@ func liveObjects(t *testing.T, pool *nvm.Pool, skipGraph bool) uint64 {
 	return h.RecoveryStats.LiveObjects
 }
 
-// rebuilt recovers a copy of img and rebuilds the map bound under "m"
-// with the serial or the parallel scan, whatever the array's size. half
-// is the number of half bindings recovery handed the rebuild.
-func rebuilt(t *testing.T, img *nvm.Pool, parallel bool) (h *core.Heap, pool *nvm.Pool, m *Map, half int) {
+// rebuilt recovers a copy of img and rebuilds the map bound under "m".
+// half is the number of half bindings recovery handed the rebuild.
+func rebuilt(t *testing.T, img *nvm.Pool) (h *core.Heap, pool *nvm.Pool, m *Map, half int) {
 	t.Helper()
 	h, _, pool = reopenPDT(t, clonePool(img))
 	_, half, _ = ScanBindings(h, h.Root().GetRef("m"))
@@ -94,13 +91,7 @@ func rebuilt(t *testing.T, img *nvm.Pool, parallel bool) (h *core.Heap, pool *nv
 	m.arrp.Store(arr)
 	m.kind = MirrorKind(m.ReadUint64(mapKind))
 	m.mir = newMirror(m.kind)
-	cleaned := false
-	if parallel {
-		cleaned = m.rebuildParallel(h, arr, bindingCap(arr), 4)
-	} else {
-		cleaned = m.rebuildSerial(h, arr, bindingCap(arr))
-	}
-	if cleaned {
+	if m.rebuild(h, arr) {
 		h.PFence()
 	}
 	return h, pool, m, half
@@ -114,8 +105,7 @@ func rebuilt(t *testing.T, img *nvm.Pool, parallel bool) (h *core.Heap, pool *nv
 // the old or the new value) or absent, never half; the untouched keys
 // are intact; the array holds no half binding after the rebuild; nothing
 // valid is left unreachable (a half binding's surviving object is freed,
-// not leaked); and the serial and the parallel rebuild leave the pool bit
-// for bit the same, with the same mirror and free-slot order.
+// not leaked).
 func TestMapCrashAtEveryOrderingPoint(t *testing.T) {
 	const stablePrefix = "s"
 	type world struct {
@@ -200,19 +190,8 @@ func TestMapCrashAtEveryOrderingPoint(t *testing.T) {
 						t.Helper()
 						t.Fatalf("point %d/%d image %d: %s", point, total, si, fmt.Sprintf(format, args...))
 					}
-					hs, ps, ms, half := rebuilt(t, img, false)
-					_, pp, mp, _ := rebuilt(t, img, true)
+					hs, ps, ms, half := rebuilt(t, img)
 					halves += half
-					if !bytes.Equal(ps.ReadBytes(0, ps.Size()), pp.ReadBytes(0, pp.Size())) {
-						fail("serial and parallel rebuild leave different pools")
-					}
-					if !reflect.DeepEqual(ms.slots, mp.slots) {
-						fail("free slots: serial %v, parallel %v", ms.slots, mp.slots)
-					}
-					if sk, pk := ms.Keys(), mp.Keys(); !reflect.DeepEqual(sk, pk) {
-						fail("keys: serial %v, parallel %v", sk, pk)
-					}
-
 					want := map[string]string{}
 					for i := 0; i < tc.stable; i++ {
 						k := fmt.Sprintf("%s%d", stablePrefix, i)

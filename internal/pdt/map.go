@@ -230,24 +230,12 @@ func (m *Map) SetReadObs(rs *obs.ReadStats) {
 	}
 }
 
-// rebuildParallelMin is the binding capacity below which OnResurrect
-// stays serial: spawning the worker fleet costs more than scanning a few
-// thousand bindings.
-const rebuildParallelMin = 4096
-
 // OnResurrect rebuilds the volatile mirror and the free-slot list by
 // scanning the persistent array (§4.3.2 resurrection), and retires the
 // half bindings it finds: one word of the two reached NVMM without the
 // other (the crash tore an insert or a delete, whose two stores share no
 // fence), or the recovery GC nullified one. Either way the key is
 // unbound; the surviving word is cleared and its object freed.
-//
-// Large arrays are scanned by the heap's recovery worker fleet
-// (core.RecoverOptions): workers read their segments — binding words, key
-// bytes — and the mirror inserts, free-slot appends and retirement writes
-// happen in a serial merge in segment order, since the mirror table ops
-// are unsynchronized. The merged mirror, free-slot order and persistent
-// state are identical to the serial scan's.
 func (m *Map) OnResurrect() {
 	h := m.Heap()
 	arr := &PRefArray{Object: h.Inspect(m.ReadRef(mapArrRef))}
@@ -256,14 +244,7 @@ func (m *Map) OnResurrect() {
 	m.mir = newMirror(m.kind)
 	m.slots = m.slots[:0]
 	start := time.Now()
-	n := bindingCap(arr)
-	cleaned := false
-	if workers := h.RecoverParallelism(); workers > 1 && n >= rebuildParallelMin {
-		cleaned = m.rebuildParallel(h, arr, n, workers)
-	} else {
-		cleaned = m.rebuildSerial(h, arr, n)
-	}
-	if cleaned {
+	if m.rebuild(h, arr) {
 		h.PFence()
 	}
 	ro := h.RecoveryObs()
@@ -271,89 +252,23 @@ func (m *Map) OnResurrect() {
 	ro.RebuildEntries.Add(uint64(m.mir.len()))
 }
 
-// retireHalf clears half binding i and frees the object its surviving
-// word references (flushed, unfenced: the caller fences once).
-func retireHalf(h *core.Heap, arr *PRefArray, i int) {
-	kref, vref := words(arr, i)
-	bind(arr, i, 0, 0)
-	h.Mem().FreeObject(kref | vref) // one of the two is zero
-}
-
-func (m *Map) rebuildSerial(h *core.Heap, arr *PRefArray, n int) (cleaned bool) {
-	for i := 0; i < n; i++ {
+// rebuild scans the array: a full binding goes into the mirror, every
+// other index onto the free-slot list, and a half binding is cleared and
+// its surviving word's object freed (flushed, unfenced: it reports
+// whether it wrote, and the caller fences once).
+func (m *Map) rebuild(h *core.Heap, arr *PRefArray) (cleaned bool) {
+	for i, n := 0, bindingCap(arr); i < n; i++ {
 		kref, vref := words(arr, i)
 		if kref != 0 && vref != 0 {
 			m.mir.put(readStringAt(h, kref), i)
 			continue
 		}
 		if kref != 0 || vref != 0 {
-			retireHalf(h, arr, i)
+			bind(arr, i, 0, 0)
+			h.Mem().FreeObject(kref | vref) // one of the two is zero
 			cleaned = true
 		}
 		m.slots = append(m.slots, i)
-	}
-	return cleaned
-}
-
-func (m *Map) rebuildParallel(h *core.Heap, arr *PRefArray, n, workers int) (cleaned bool) {
-	type binding struct {
-		idx int
-		key string
-	}
-	type segment struct {
-		entries []binding
-		slots   []int // free-slot contribution, in scan order
-		retire  []int // half bindings
-	}
-	// Oversplit so a skewed segment cannot straggle the whole rebuild.
-	nseg := workers * 4
-	if nseg > n {
-		nseg = n
-	}
-	per := (n + nseg - 1) / nseg
-	results := make([]segment, nseg)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1) - 1)
-				if s >= nseg {
-					return
-				}
-				seg := &results[s]
-				lo := s * per
-				hi := lo + per
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					kref, vref := words(arr, i)
-					if kref != 0 && vref != 0 {
-						seg.entries = append(seg.entries, binding{i, readStringAt(h, kref)})
-						continue
-					}
-					if kref != 0 || vref != 0 {
-						seg.retire = append(seg.retire, i)
-					}
-					seg.slots = append(seg.slots, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for s := range results {
-		seg := &results[s]
-		for _, i := range seg.retire {
-			retireHalf(h, arr, i)
-			cleaned = true
-		}
-		m.slots = append(m.slots, seg.slots...)
-		for _, b := range seg.entries {
-			m.mir.put(b.key, b.idx)
-		}
 	}
 	return cleaned
 }

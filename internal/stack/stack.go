@@ -67,9 +67,6 @@ type Config struct {
 	LogSlotSize int
 	// SkipGraphGC selects header-scan recovery (J-PFA-nogc, Figure 11).
 	SkipGraphGC bool
-	// Parallelism is the recovery worker count (0 means GOMAXPROCS); 1 is
-	// the serial §4.1.3 oracle.
-	Parallelism int
 }
 
 // ParseCommit maps the commit vocabulary of Config.Commit to a mode.
@@ -118,7 +115,6 @@ func Open(pool *nvm.Pool, cfg Config) (st *Stack, err error) {
 		Classes:     append(append(pdt.Classes(), store.Classes()...), cfg.Classes...),
 		LogHandler:  mgr,
 		SkipGraphGC: cfg.SkipGraphGC,
-		Recover:     core.RecoverOptions{Parallelism: cfg.Parallelism},
 	})
 	if err != nil {
 		return nil, err

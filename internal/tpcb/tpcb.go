@@ -74,7 +74,7 @@ func StackConfig(skipGraphGC bool) stack.Config {
 }
 
 // OpenJNVMBank creates (first run) or reopens (after a crash) the bank on
-// the pool, with the default commit protocol and recovery parallelism.
+// the pool, with the default commit protocol.
 func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, error) {
 	st, err := stack.Open(pool, StackConfig(skipGraphGC))
 	if err != nil {
@@ -84,9 +84,9 @@ func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, er
 }
 
 // NewJNVMBank creates or reattaches the bank over a stack opened with
-// StackConfig — the entry point for callers that set the commit protocol
-// (Figure 11) or pin the recovery parallelism (the crash
-// explorer) on the stack themselves.
+// StackConfig — the entry point for callers that open the stack
+// themselves: to set the commit protocol (Figure 11), or to recover a
+// crash image (the crash explorer).
 func NewJNVMBank(st *stack.Stack, accounts int) (*JNVMBank, error) {
 	h, mgr := st.Heap, st.Mgr
 	b := &JNVMBank{h: h, mgr: mgr, n: accounts}

@@ -112,9 +112,6 @@ type Options struct {
 	Classes []*Class
 	// SkipGraphGC selects header-scan recovery (J-PFA-nogc, Figure 11).
 	SkipGraphGC bool
-	// RecoverParallelism sets the recovery worker count: 0 means
-	// GOMAXPROCS, 1 the paper's serial §4.1.3 procedure.
-	RecoverParallelism int
 	// LogSlots / LogSlotSize size the failure-atomic redo-log area.
 	LogSlots    int
 	LogSlotSize int
@@ -159,7 +156,6 @@ func OpenPool(pool *nvm.Pool, opts Options) (*DB, error) {
 		LogSlots:    opts.LogSlots,
 		LogSlotSize: opts.LogSlotSize,
 		SkipGraphGC: opts.SkipGraphGC,
-		Parallelism: opts.RecoverParallelism,
 	})
 	if err != nil {
 		return nil, err

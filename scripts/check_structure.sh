@@ -40,6 +40,10 @@
 #     path are gone. Any of their names in Go, the Makefile, scripts or
 #     CI workflows is their return (this rule names them, so this file is
 #     exempt).
+#  9. One recovery procedure. Recovery is the paper's serial §4.1.3
+#     procedure (DESIGN.md §12); the parallel pipeline and its worker knob
+#     are gone. Any of their names in Go, the Makefile, scripts or CI
+#     workflows outside benchmarks/ is their return (this file exempt).
 set -eu
 
 fail=0
@@ -144,6 +148,15 @@ hits=$(grep -rnE --include='*.go' --include=Makefile --include='*.sh' --include=
     grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
 if [ -n "$hits" ]; then
     echo "the lock-free map is back (one persistent map: pdt.Map):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+hits=$(grep -rnE --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' \
+    'traverseParallel|SweepParallel|sweepConcurrent|rebuildParallel|RecoverParallelism|RecoverOptions' . |
+    grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
+if [ -n "$hits" ]; then
+    echo "the parallel recovery pipeline is back (one recovery procedure):" >&2
     echo "$hits" >&2
     fail=1
 fi
