@@ -17,7 +17,7 @@ RACE_ENV_TESTS = TestEnvCommitModes
 # transactional writer must not copy an array block its predecessor has
 # not committed yet (DESIGN.md §15): these races have narrow windows, so
 # their tests repeat.
-RACE_MAP_TESTS = TestMapHotCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet|TestMapTxStructuralChurnConcurrent
+RACE_MAP_TESTS = TestMapCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet|TestMapTxStructuralChurnConcurrent
 
 .PHONY: check vet build test race bench-read bench-e2e-smoke \
 	microbench lint fmt-check structure-check staticcheck crashmc-smoke coverage

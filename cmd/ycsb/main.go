@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "fig7", "experiment: fig7, fig8, fig9a, fig9b, fig9c, fig9d, fig10, exte, all")
+	exp := flag.String("exp", "fig7", "experiment: fig7, fig8, fig9a, fig9b, fig9c, fig9d, fig10, all")
 	records := flag.Int("records", 0, "record count (0 = scaled default)")
 	ops := flag.Int("ops", 0, "operation count (0 = scaled default)")
 	threads := flag.Int("threads", 1, "client threads (the paper defaults to a sequential client)")
@@ -104,13 +104,6 @@ func main() {
 			}
 			bench.PrintFig10(os.Stdout, rows)
 			results[name] = rows
-		case "exte":
-			rows, err := bench.ExtE(sc, 0)
-			if err != nil {
-				return err
-			}
-			bench.PrintExtE(os.Stdout, rows)
-			results[name] = rows
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -119,7 +112,7 @@ func main() {
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig9d", "fig10", "exte"}
+		names = []string{"fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig9d", "fig10"}
 	}
 	for _, n := range names {
 		if err := run(n); err != nil {

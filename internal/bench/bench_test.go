@@ -352,26 +352,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestExtEScanExtension(t *testing.T) {
-	rows, err := ExtE(tiny(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.KopsSec <= 0 || r.ScanMean <= 0 {
-			t.Fatalf("%s: empty measurement %+v", r.Backend, r)
-		}
-	}
-	var buf bytes.Buffer
-	PrintExtE(&buf, rows)
-	if !strings.Contains(buf.String(), "YCSB-E") {
-		t.Fatal("print broken")
-	}
-}
-
 func TestEnvCommitModes(t *testing.T) {
 	for _, tc := range []struct {
 		commit string
@@ -440,7 +420,7 @@ func TestCapabilityTable(t *testing.T) {
 		for _, f := range []struct {
 			name    string
 			present bool
-		}{{"view", c.View != nil}, {"delta", c.Delta != nil}, {"scan", c.Scan != nil}} {
+		}{{"view", c.View != nil}, {"delta", c.Delta != nil}} {
 			if f.present {
 				offers = append(offers, f.name)
 			}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pdt"
 	"repro/internal/stack"
-	"repro/internal/store"
 	"repro/internal/tpcb"
 	"repro/internal/ycsb"
 )
@@ -177,7 +175,7 @@ func runFig9Point(knob string, value int, bk BackendKind, cfg ycsb.Config, cache
 	}
 	if bk == JPDT {
 		if proxy && cacheEntries > 0 {
-			gc.ProxyCache = 1 // pdt.CacheOnDemand
+			gc.ProxyCache = pdt.CacheOnDemand
 		}
 	} else {
 		gc.CacheEntries = cacheEntries
@@ -657,79 +655,3 @@ func newZipfKeys(n int) *zipfKeys {
 }
 
 func (z *zipfKeys) next(i int) string { return z.keys[z.idx[i%len(z.idx)]] }
-
-// ---- Extension: YCSB-E (scans) ----
-
-// ExtERow is one point of the scan extension experiment.
-type ExtERow struct {
-	Backend  string
-	KopsSec  float64
-	ScanMean time.Duration
-}
-
-// ExtE runs YCSB workload E (95% short scans, 5% inserts) over an ordered
-// J-PDT backend and the volatile baseline. The paper skips E because
-// Infinispan only scans through JPQL (§5.2); the ordered mirrors of §4.3.2
-// make it directly supportable — this experiment is an extension beyond
-// the paper.
-func ExtE(sc Scale, maxScanLen int) ([]ExtERow, error) {
-	if maxScanLen == 0 {
-		maxScanLen = 100
-	}
-	var rows []ExtERow
-	for _, bk := range []BackendKind{JPDT, Volatile} {
-		cfg := ycsb.MustWorkload("E")
-		cfg.RecordCount = sc.Records
-		cfg.Operations = sc.Operations / 10 // scans touch ~50 records each
-		cfg.Threads = sc.Threads
-		cfg.MaxScanLen = maxScanLen
-		cfg = cfg.Defaults()
-
-		var env *Env
-		var err error
-		if bk == JPDT {
-			// The one ordered J-PDT grid in the repo: a bare stack, with the
-			// tree-mirrored backend and its grid put on top here.
-			pool := nvm.New(EstimatePoolBytes(cfg.RecordCount*2, cfg.FieldCount, cfg.FieldLen),
-				nvm.Options{FenceLatency: DefaultFenceNs})
-			st, err := stack.Open(pool, stack.Config{LogSlots: 16, LogSlotSize: 1 << 15})
-			if err != nil {
-				return nil, err
-			}
-			b, err := store.NewJPDTBackendKind(st.Heap, "kv", pdt.MirrorTree)
-			if err != nil {
-				return nil, err
-			}
-			env = &Env{Stack: st, Grid: store.NewGrid(b, store.Options{})}
-		} else if env, err = NewEnv(GridConfig{Backend: bk}); err != nil {
-			return nil, err
-		}
-		if err := ycsb.Load(env.Grid, cfg); err != nil {
-			env.Close()
-			return nil, err
-		}
-		res, err := ycsb.Run(env.Grid, cfg)
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		if res.Errors != 0 {
-			return nil, fmt.Errorf("ExtE %s: %d op errors", bk, res.Errors)
-		}
-		row := ExtERow{Backend: string(bk), KopsSec: res.Throughput() / 1000}
-		if h := res.PerOp[ycsb.OpScan]; h != nil {
-			row.ScanMean = h.Mean()
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// PrintExtE renders the scan-extension table.
-func PrintExtE(w io.Writer, rows []ExtERow) {
-	fmt.Fprintf(w, "Extension — YCSB-E short scans (not in the paper; ordered J-PDT mirror)\n")
-	fmt.Fprintf(w, "%-12s%12s%16s\n", "backend", "Kops/s", "scan mean")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s%12.1f%16s\n", r.Backend, r.KopsSec, round(r.ScanMean))
-	}
-}

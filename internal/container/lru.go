@@ -4,11 +4,10 @@ package container
 // the store puts in front of its persistence backends (the Infinispan
 // cache whose ratio §5.3.1 sweeps). Zero capacity disables caching.
 type LRU[V any] struct {
-	cap     int
-	items   map[string]*lruNode[V]
-	head    *lruNode[V] // most recent
-	tail    *lruNode[V] // least recent
-	onEvict func(key string, val V)
+	cap   int
+	items map[string]*lruNode[V]
+	head  *lruNode[V] // most recent
+	tail  *lruNode[V] // least recent
 }
 
 type lruNode[V any] struct {
@@ -17,17 +16,13 @@ type lruNode[V any] struct {
 	prev, next *lruNode[V]
 }
 
-// NewLRU creates a cache holding at most capacity entries. onEvict (may be
-// nil) runs when an entry is displaced.
-func NewLRU[V any](capacity int, onEvict func(key string, val V)) *LRU[V] {
-	return &LRU[V]{cap: capacity, items: make(map[string]*lruNode[V]), onEvict: onEvict}
+// NewLRU creates a cache holding at most capacity entries.
+func NewLRU[V any](capacity int) *LRU[V] {
+	return &LRU[V]{cap: capacity, items: make(map[string]*lruNode[V])}
 }
 
 // Len returns the number of cached entries.
 func (l *LRU[V]) Len() int { return len(l.items) }
-
-// Cap returns the configured capacity.
-func (l *LRU[V]) Cap() int { return l.cap }
 
 func (l *LRU[V]) unlink(n *lruNode[V]) {
 	if n.prev != nil {
@@ -89,9 +84,6 @@ func (l *LRU[V]) Put(key string, val V) {
 		victim := l.tail
 		l.unlink(victim)
 		delete(l.items, victim.key)
-		if l.onEvict != nil {
-			l.onEvict(victim.key, victim.val)
-		}
 	}
 }
 
@@ -104,10 +96,4 @@ func (l *LRU[V]) Remove(key string) bool {
 	l.unlink(n)
 	delete(l.items, key)
 	return true
-}
-
-// Clear empties the cache without running eviction callbacks.
-func (l *LRU[V]) Clear() {
-	l.items = make(map[string]*lruNode[V])
-	l.head, l.tail = nil, nil
 }

@@ -2,13 +2,18 @@ package gen
 
 import (
 	"os"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/heap"
-	"repro/internal/nvm"
 )
 
+// demoSrc is the layout fixture: every primitive width, a byte array, a
+// reference, a transient and an unexported field.
+const demoSrc = `package p
+
+//jnvm:persistent
 type demo struct {
 	A   int64
 	B   int32
@@ -16,106 +21,39 @@ type demo struct {
 	D   float64
 	E   uint16
 	F   [12]byte
-	Ref core.Ref `jnvm:"ref"`
-	T   string   `jnvm:"transient"`
+	Ref core.Ref ` + "`jnvm:\"ref\"`" + `
+	T   string   ` + "`jnvm:\"transient\"`" + `
 	h   int      // unexported: volatile
 }
+`
+
+var (
+	offRE  = regexp.MustCompile(`demoPOff(\w+)\s*=\s*(\d+)`)
+	sizeRE = regexp.MustCompile(`const demoPSize = (\d+)`)
+	refsRE = regexp.MustCompile(`Refs:\s+func\(\*core\.Object\) \[\]uint64 \{ return \[\]uint64\{([^}]*)\} \}`)
+)
 
 func TestLayoutOffsetsAndSize(t *testing.T) {
-	l, err := For(&demo{})
+	out, err := GenerateSource("demo.go", []byte(demoSrc), SrcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A:0(8) B:8(4) C:12(1) D:16(8) E:24(2) F:26(12) Ref:40(8) => size 48
+	got := map[string]uint64{}
+	for _, m := range offRE.FindAllStringSubmatch(string(out), -1) {
+		off, _ := strconv.ParseUint(m[2], 10, 64)
+		got[m[1]] = off
+	}
+	// A:0(8) B:8(4) C:12(1) D:16(8) E:24(2) F:26(12) Ref:40(8) => size 48;
+	// the transient T and the unexported h get no offset.
 	want := map[string]uint64{"A": 0, "B": 8, "C": 12, "D": 16, "E": 24, "F": 26, "Ref": 40}
-	for name, off := range want {
-		got, ok := l.Offset(name)
-		if !ok || got != off {
-			t.Fatalf("offset(%s) = %d,%v want %d", name, got, ok, off)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("offsets = %v, want %v", got, want)
 	}
-	if _, ok := l.Offset("T"); ok {
-		t.Fatal("transient field got an offset")
+	if m := sizeRE.FindStringSubmatch(string(out)); m == nil || m[1] != "48" {
+		t.Fatalf("size constant = %v, want 48", m)
 	}
-	if _, ok := l.Offset("h"); ok {
-		t.Fatal("unexported field got an offset")
-	}
-	if l.Size != 48 {
-		t.Fatalf("size = %d", l.Size)
-	}
-	if len(l.RefOffsets()) != 1 || l.RefOffsets()[0] != 40 {
-		t.Fatalf("ref offsets = %v", l.RefOffsets())
-	}
-}
-
-func TestLayoutRejectsBadTypes(t *testing.T) {
-	type badString struct{ S string }
-	if _, err := For(badString{}); err == nil {
-		t.Fatal("string field accepted")
-	}
-	type badSlice struct{ S []byte }
-	if _, err := For(badSlice{}); err == nil {
-		t.Fatal("slice field accepted")
-	}
-	type badRef struct {
-		R int32 `jnvm:"ref"`
-	}
-	if _, err := For(badRef{}); err == nil {
-		t.Fatal("non-uint64 ref accepted")
-	}
-	type empty struct {
-		S string `jnvm:"transient"`
-	}
-	if _, err := For(empty{}); err == nil {
-		t.Fatal("empty layout accepted")
-	}
-	if _, err := For(42); err == nil {
-		t.Fatal("non-struct accepted")
-	}
-}
-
-func TestLayoutStoreLoadRoundTrip(t *testing.T) {
-	pool := nvm.New(1<<20, nvm.Options{})
-	l, err := For(&demo{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls := l.Class("gen.demo", nil)
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: 2, LogSlotSize: 4096},
-		Classes:     []*core.Class{cls},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	po, err := h.Alloc(cls, l.Size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := demo{A: -7, B: 123456, C: true, D: 2.75, E: 65000, Ref: 0xdead}
-	copy(src.F[:], "hello-layout")
-	if err := l.Store(po.Core(), &src); err != nil {
-		t.Fatal(err)
-	}
-	var dst demo
-	dst.T = "keepme"
-	if err := l.Load(po.Core(), &dst); err != nil {
-		t.Fatal(err)
-	}
-	if dst.A != src.A || dst.B != src.B || dst.C != src.C || dst.D != src.D ||
-		dst.E != src.E || dst.F != src.F || dst.Ref != src.Ref {
-		t.Fatalf("round trip mismatch: %+v vs %+v", dst, src)
-	}
-	if dst.T != "keepme" {
-		t.Fatal("Load touched a transient field")
-	}
-	// Type confusion is rejected.
-	type other struct{ X int64 }
-	if err := l.Store(po.Core(), other{}); err == nil {
-		t.Fatal("Store of wrong type accepted")
-	}
-	if err := l.Load(po.Core(), &other{}); err == nil {
-		t.Fatal("Load into wrong type accepted")
+	if m := refsRE.FindStringSubmatch(string(out)); m == nil || m[1] != "demoPOffRef" {
+		t.Fatalf("ref offsets = %v, want the one at offset 40", m)
 	}
 }
 
@@ -138,38 +76,23 @@ func TestSrcgenMatchesCommittedOutput(t *testing.T) {
 	}
 }
 
+// TestSrcgenAgreesWithRuntimeBinder pins genexample's Item to the layout
+// the reflection binder of earlier builds computed for the same struct.
 func TestSrcgenAgreesWithRuntimeBinder(t *testing.T) {
-	// The two halves of the generator must produce identical layouts.
-	type mirror struct {
-		Quantity int64
-		Price    float64
-		Active   bool
-		Flags    uint16
-		Code     [16]byte
-		Name     core.Ref `jnvm:"ref"`
-	}
-	l, err := For(mirror{})
+	src, err := os.ReadFile("genexample/types.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, _ := os.ReadFile("genexample/types.go")
 	out, err := GenerateSource("types.go", src, SrcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spot-check: the emitted size constant matches the binder.
-	wantSize := "const ItemPSize = 48"
-	if l.Size != 48 {
-		t.Fatalf("binder size = %d", l.Size)
-	}
-	if !contains(string(out), wantSize) {
-		t.Fatalf("generated output missing %q", wantSize)
-	}
 	for _, want := range []string{
+		"const ItemPSize = 48",
 		"ItemPOffQuantity = 0", "ItemPOffPrice    = 8", "ItemPOffActive   = 16",
 		"ItemPOffFlags    = 18", "ItemPOffCode     = 20", "ItemPOffName     = 40",
 	} {
-		if !contains(string(out), want) {
+		if !strings.Contains(string(out), want) {
 			t.Fatalf("generated output missing %q", want)
 		}
 	}
@@ -189,6 +112,11 @@ type T struct{ s string }`,
 		"slice field": `package p
 //jnvm:persistent
 type T struct{ B []byte }`,
+		// A ref word is traced by recovery: only uint64, core.Ref or Ref.
+		"string ref":  "package p\n//jnvm:persistent\ntype T struct{ S string `jnvm:\"ref\"` }",
+		"float64 ref": "package p\n//jnvm:persistent\ntype T struct{ F float64 `jnvm:\"ref\"` }",
+		"slice ref":   "package p\n//jnvm:persistent\ntype T struct{ B []byte `jnvm:\"ref\"` }",
+		"int32 ref":   "package p\n//jnvm:persistent\ntype T struct{ R int32 `jnvm:\"ref\"` }",
 	}
 	for name, src := range cases {
 		if _, err := GenerateSource("t.go", []byte(src), SrcOptions{}); err == nil {
@@ -200,15 +128,4 @@ type T struct{ B []byte }`,
 	if err != nil || out != nil {
 		t.Fatalf("unmarked file: %v %v", out, err)
 	}
-}
-
-func contains(haystack, needle string) bool {
-	return len(haystack) >= len(needle) && (func() bool {
-		for i := 0; i+len(needle) <= len(haystack); i++ {
-			if haystack[i:i+len(needle)] == needle {
-				return true
-			}
-		}
-		return false
-	})()
 }

@@ -1,3 +1,8 @@
+// Package gen plays the role of the paper's code generator (§2.5, §3): it
+// parses a Go file, finds structs marked //jnvm:persistent, and emits the
+// persistent layout, typed proxy code — getters, setters, per-field flush
+// methods, transactional accessors — and the core.Class descriptor that
+// the ASM-based tool emits in Java. cmd/jnvmgen fronts it.
 package gen
 
 import (
@@ -10,6 +15,38 @@ import (
 	"strconv"
 	"strings"
 )
+
+// Kind classifies a persistent field.
+type Kind int
+
+// Field kinds.
+const (
+	KindBool Kind = iota
+	KindInt8
+	KindInt16
+	KindInt32
+	KindInt64
+	KindUint8
+	KindUint16
+	KindUint32
+	KindUint64
+	KindFloat64
+	KindRef     // a persistent reference (tag jnvm:"ref")
+	KindByteArr // [N]byte, stored inline
+)
+
+func (k Kind) size() uint64 {
+	switch k {
+	case KindBool, KindInt8, KindUint8:
+		return 1
+	case KindInt16, KindUint16:
+		return 2
+	case KindInt32, KindUint32:
+		return 4
+	default:
+		return 8
+	}
+}
 
 // SrcOptions configures the source generator.
 type SrcOptions struct {
@@ -199,6 +236,10 @@ func fieldTag(f *ast.Field) string {
 
 func fieldKind(expr ast.Expr, tag string) (Kind, uint64, error) {
 	if tag == "ref" {
+		// Recovery traces the word as a reference, so it must hold one.
+		if !isRefWord(expr) {
+			return 0, 0, fmt.Errorf("ref field of type %s must be uint64, core.Ref or Ref", exprString(expr))
+		}
 		return KindRef, 8, nil
 	}
 	switch t := expr.(type) {
@@ -245,6 +286,19 @@ func fieldKind(expr ast.Expr, tag string) (Kind, uint64, error) {
 		}
 	}
 	return 0, 0, fmt.Errorf("unsupported persistent field type %s", exprString(expr))
+}
+
+// isRefWord reports whether a jnvm:"ref" field's type holds a reference:
+// uint64, core.Ref or Ref.
+func isRefWord(expr ast.Expr) bool {
+	switch t := expr.(type) {
+	case *ast.Ident:
+		return t.Name == "uint64" || t.Name == "Ref"
+	case *ast.SelectorExpr:
+		pkg, ok := t.X.(*ast.Ident)
+		return ok && pkg.Name == "core" && t.Sel.Name == "Ref"
+	}
+	return false
 }
 
 func exprString(e ast.Expr) string {

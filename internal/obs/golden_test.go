@@ -47,11 +47,8 @@ func (f *filler) fill(v reflect.Value) {
 		f.fill(v.Index(1))
 	case reflect.Map:
 		// read grows over the interval, insert does not (its delta must
-		// drop out), scan exists only on the larger side.
+		// drop out).
 		m := map[string]HistogramSnapshot{"read": histogramOf(f.samples), "insert": histogramOf(4)}
-		if f.samples > 4 {
-			m["scan"] = histogramOf(f.samples)
-		}
 		v.Set(reflect.ValueOf(m))
 	case reflect.Struct:
 		if v.Type() == histogramType {

@@ -156,7 +156,7 @@ func (s FASnapshot) Sub(prev FASnapshot) FASnapshot { return sub(s, prev) }
 // ---- Data grid (internal/store) ----
 
 // Grid operation names, in display order.
-var GridOps = []string{"insert", "read", "update", "rmw", "delete", "scan"}
+var GridOps = []string{"insert", "read", "update", "rmw", "delete"}
 
 // ReadStats counts the zero-copy read path (DESIGN.md §14): how often a
 // read streamed NVMM views directly, how often it fell back to the locked
@@ -182,7 +182,6 @@ type GridStats struct {
 	Update Histogram
 	RMW    Histogram
 	Delete Histogram
-	Scan   Histogram
 }
 
 // Op returns the histogram for the named operation (nil if unknown).
@@ -198,8 +197,6 @@ func (s *GridStats) Op(name string) *Histogram {
 		return &s.RMW
 	case "delete":
 		return &s.Delete
-	case "scan":
-		return &s.Scan
 	}
 	return nil
 }

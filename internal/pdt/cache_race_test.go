@@ -6,17 +6,25 @@ import (
 	"testing"
 )
 
-// TestMapHotCacheDeleteRace pins the stale-reinsert race on the bounded
-// proxy cache: Get used to insert into the cache after dropping the
-// key's shard lock, so a concurrent Delete could run its mirror removal
-// AND its cache eviction inside that window — the late put then parked a
-// proxy to freed NVMM in the LRU, and every later Get served the deleted
+// setCached switches m to the cached variant (CacheOnDemand).
+func setCached(t *testing.T, m *Map) {
+	t.Helper()
+	if err := m.SetCacheMode(CacheOnDemand); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMapCacheDeleteRace pins the stale-reinsert race on the proxy
+// cache: Get used to insert into the cache after dropping the key's
+// shard lock, so a concurrent Delete could run its mirror removal AND its
+// cache eviction inside that window — the late put then parked a proxy
+// to freed NVMM in the cache, and every later Get served the deleted
 // value. With the put held under the shard read lock, a cache hit after
 // Delete returns is impossible.
-func TestMapHotCacheDeleteRace(t *testing.T) {
+func TestMapCacheDeleteRace(t *testing.T) {
 	h, _, _ := openPDT(t, 1<<23, false)
 	m := newTestMap(t, h, MirrorHash, "m")
-	m.SetCacheHot(64)
+	setCached(t, m)
 	const iters = 300
 	for i := 0; i < iters; i++ {
 		key := fmt.Sprintf("k%03d", i%7)
@@ -40,19 +48,19 @@ func TestMapHotCacheDeleteRace(t *testing.T) {
 		if po, err := m.Get(key); err != nil {
 			t.Fatal(err)
 		} else if po != nil {
-			t.Fatalf("iter %d: Get(%q) served a deleted value from the hot cache", i, key)
+			t.Fatalf("iter %d: Get(%q) served a deleted value from the cache", i, key)
 		}
 	}
 }
 
-// TestMapHotCacheConcurrentChurn is the -race companion: writers churn
+// TestMapCacheConcurrentChurn is the -race companion: writers churn
 // disjoint key ranges while readers hammer Get/Contains through the
-// bounded cache, checking the lock order (shard lock → cache mutex)
-// introduced by the fix is consistent and data-race free.
-func TestMapHotCacheConcurrentChurn(t *testing.T) {
+// cache, checking that cache updates under the shard lock are consistent
+// and data-race free.
+func TestMapCacheConcurrentChurn(t *testing.T) {
 	h, _, _ := openPDT(t, 1<<24, false)
 	m := newTestMap(t, h, MirrorHash, "m")
-	m.SetCacheHot(32) // smaller than the live key set: eviction is exercised
+	setCached(t, m)
 	const (
 		writers = 4
 		perKey  = 24
@@ -128,14 +136,14 @@ func TestMapHotCacheConcurrentChurn(t *testing.T) {
 // the shared array: one writer keeps replacing a key's value — a store
 // into a word of the array, and a free of the previous value — while
 // another inserts keys until the array has grown several times and
-// readers Get the replaced key through the bounded cache. Replacement
+// readers Get the replaced key through the cache. Replacement
 // must exclude growth's copy (the new array would carry the freed value)
 // and the key's readers (Get would resurrect the value being freed, or
 // cache its proxy after the new one).
 func TestMapReplaceVsGrowthAndGet(t *testing.T) {
 	h, _, _ := openPDT(t, 1<<24, false)
 	m := newTestMap(t, h, MirrorHash, "m")
-	m.SetCacheHot(4)
+	setCached(t, m)
 	const (
 		grown    = 40 * bindingsPerBlock // six doublings
 		replaced = 3000

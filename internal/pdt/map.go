@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/fa"
 	"repro/internal/heap"
@@ -41,54 +40,21 @@ const (
 	CacheOnDemand
 	// CacheEager populates the proxy cache during resurrection.
 	CacheEager
-	// CacheHot keeps only the hottest proxies in a bounded LRU — the
-	// extension §4.3.2 sketches ("it would be possible to extend this
-	// code to include only the hottest proxies"). Configure the bound
-	// with SetCacheHot.
-	CacheHot
 )
 
-// proxyCache abstracts the volatile proxy store of the cached variants.
-type proxyCache interface {
-	get(key string) (core.PObject, bool)
-	put(key string, po core.PObject)
-	del(key string)
-}
+// proxyCache is the volatile proxy store of the cached and eager
+// variants; as in the paper, "the cache contains all proxies".
+type proxyCache struct{ m sync.Map }
 
-// unboundedCache is the paper's default: "the cache contains all proxies".
-type unboundedCache struct{ m sync.Map }
-
-func (c *unboundedCache) get(k string) (core.PObject, bool) {
+func (c *proxyCache) get(k string) (core.PObject, bool) {
 	v, ok := c.m.Load(k)
 	if !ok {
 		return nil, false
 	}
 	return v.(core.PObject), true
 }
-func (c *unboundedCache) put(k string, po core.PObject) { c.m.Store(k, po) }
-func (c *unboundedCache) del(k string)                  { c.m.Delete(k) }
-
-// hotCache bounds the proxy set with an LRU.
-type hotCache struct {
-	mu  sync.Mutex
-	lru *container.LRU[core.PObject]
-}
-
-func (c *hotCache) get(k string) (core.PObject, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Get(k)
-}
-func (c *hotCache) put(k string, po core.PObject) {
-	c.mu.Lock()
-	c.lru.Put(k, po)
-	c.mu.Unlock()
-}
-func (c *hotCache) del(k string) {
-	c.mu.Lock()
-	c.lru.Remove(k)
-	c.mu.Unlock()
-}
+func (c *proxyCache) put(k string, po core.PObject) { c.m.Store(k, po) }
+func (c *proxyCache) del(k string)                  { c.m.Delete(k) }
 
 // Map is the persistent map of §4.3.2. The durable state is a PRefArray
 // that holds the bindings themselves: binding i is two adjacent reference
@@ -127,8 +93,7 @@ type Map struct {
 	mir   mirror
 	gate  chan struct{} // closed when the last structural commit is ordered (guarded by wmu)
 	slots []int         // free binding indices (guarded by wmu)
-	mode  CacheMode
-	cache proxyCache // nil in base mode
+	cache *proxyCache   // nil in base mode
 }
 
 // mapSuperseded names the parent format, in which an array slot
@@ -277,15 +242,11 @@ func (m *Map) rebuild(h *core.Heap, arr *PRefArray) (cleaned bool) {
 // every value immediately (§4.3.2: "the eager implementation populates the
 // cache during resurrection").
 func (m *Map) SetCacheMode(mode CacheMode) error {
-	if mode == CacheHot {
-		return fmt.Errorf("pdt: use SetCacheHot for the bounded variant")
-	}
 	m.wmu.Lock()
-	m.mode = mode
 	if mode == CacheNone {
 		m.cache = nil
 	} else {
-		m.cache = &unboundedCache{}
+		m.cache = &proxyCache{}
 	}
 	m.wmu.Unlock()
 	if mode != CacheEager {
@@ -306,15 +267,6 @@ func (m *Map) SetCacheMode(mode CacheMode) error {
 		return true
 	})
 	return err
-}
-
-// SetCacheHot switches to the bounded hottest-proxies variant with the
-// given capacity.
-func (m *Map) SetCacheHot(capacity int) {
-	m.wmu.Lock()
-	m.mode = CacheHot
-	m.cache = &hotCache{lru: container.NewLRU[core.PObject](capacity, nil)}
-	m.wmu.Unlock()
 }
 
 // Kind returns the persisted mirror kind.
@@ -371,7 +323,7 @@ func (m *Map) Get(key string) (core.PObject, error) {
 	// replacing Put hold the exclusive shard lock around their free and
 	// their cache update, so a racing one is ordered after this put. A
 	// put after runlock could overtake it and park a proxy to freed NVMM
-	// in the bounded LRU.
+	// in the cache.
 	if c := m.cache; c != nil {
 		c.put(strings.Clone(key), po)
 	}

@@ -494,60 +494,6 @@ func TestMapOracleWithReopens(t *testing.T) {
 	}
 }
 
-func TestMapCacheHotBounded(t *testing.T) {
-	h, _, pool := openPDT(t, 1<<22, false)
-	m := newTestMap(t, h, MirrorHash, "m")
-	for i := 0; i < 64; i++ {
-		putStr(t, h, m, fmt.Sprintf("k%02d", i), "v")
-	}
-	h.PSync()
-
-	h2, _, _ := reopenPDT(t, pool)
-	po, _ := h2.Root().Get("m")
-	m2 := po.(*Map)
-	m2.SetCacheHot(8)
-	// First sweep resurrects everything.
-	for i := 0; i < 64; i++ {
-		if _, err := m2.Get(fmt.Sprintf("k%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cold := h2.Resurrections()
-	// Re-reading only the 8 hottest keys is resurrection-free...
-	for r := 0; r < 5; r++ {
-		for i := 56; i < 64; i++ {
-			if _, err := m2.Get(fmt.Sprintf("k%02d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := h2.Resurrections() - cold; got != 0 {
-		t.Fatalf("hot keys resurrected %d times", got)
-	}
-	// ...while cold keys still resurrect (the cache is bounded).
-	before := h2.Resurrections()
-	for i := 0; i < 8; i++ {
-		m2.Get(fmt.Sprintf("k%02d", i))
-	}
-	if got := h2.Resurrections() - before; got == 0 {
-		t.Fatal("bounded cache behaved as unbounded")
-	}
-	// Rejecting the wrong configuration path.
-	if err := m2.SetCacheMode(CacheHot); err == nil {
-		t.Fatal("SetCacheMode(CacheHot) should be rejected")
-	}
-	// Updates keep the bounded cache coherent.
-	putStr(t, h2, m2, "k63", "fresh")
-	if v, _ := getStr(t, m2, "k63"); v != "fresh" {
-		t.Fatalf("stale hot-cache read: %q", v)
-	}
-	// Deletes drop the cached proxy.
-	m2.Delete("k63")
-	if m2.Contains("k63") {
-		t.Fatal("delete ignored")
-	}
-}
-
 // Regression: with async group commit the slot writes of queued epochs live
 // in redo logs targeting the *old* array's blocks. A growth that copied the
 // array with direct reads missed them, and after the arrp swing the drain

@@ -9,5 +9,4 @@ package store
 type Caps struct {
 	View  ViewReader
 	Delta DeltaAdder
-	Scan  Scanner
 }

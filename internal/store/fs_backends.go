@@ -30,8 +30,8 @@ func (b *VolatileBackend) Count() int { b.mu.RLock(); defer b.mu.RUnlock(); retu
 // Close implements Backend.
 func (b *VolatileBackend) Close() error { return nil }
 
-// Caps implements Backend (scans sort on demand, see scan.go).
-func (b *VolatileBackend) Caps() Caps { return Caps{Scan: b} }
+// Caps implements Backend.
+func (b *VolatileBackend) Caps() Caps { return Caps{} }
 
 // Insert implements Backend.
 func (b *VolatileBackend) Insert(key string, rec *Record) error {

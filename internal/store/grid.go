@@ -114,7 +114,7 @@ func NewGrid(b Backend, opts Options) *Grid {
 		per := (opts.CacheEntries + gridStripes - 1) / gridStripes
 		g.cache = make([]cacheShard, gridStripes)
 		for i := range g.cache {
-			g.cache[i].lru = container.NewLRU[*Record](per, nil)
+			g.cache[i].lru = container.NewLRU[*Record](per)
 		}
 	} else if vr := g.caps.View; vr != nil {
 		// Cache off + capable backend: adopt the zero-copy read fast

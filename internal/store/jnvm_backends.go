@@ -22,16 +22,10 @@ type JPDTBackend struct {
 }
 
 // NewJPDTBackend creates (or reopens) the backend's persistent map under
-// the given root name, hash-mirrored when created.
+// the given root name, hash-mirrored when created. An existing map keeps
+// its kind.
 func NewJPDTBackend(h *core.Heap, rootName string) (*JPDTBackend, error) {
-	return NewJPDTBackendKind(h, rootName, pdt.MirrorHash)
-}
-
-// NewJPDTBackendKind is NewJPDTBackend with the mirror a newly created
-// map gets; MirrorTree or MirrorSkip enable Scan (an extension beyond
-// the paper, see scan.go). An existing map keeps its kind.
-func NewJPDTBackendKind(h *core.Heap, rootName string, kind pdt.MirrorKind) (*JPDTBackend, error) {
-	m, err := openOrCreateMap(h, rootName, kind)
+	m, err := openOrCreateMap(h, rootName)
 	if err != nil {
 		return nil, err
 	}
@@ -64,8 +58,8 @@ func openOrCreate[T core.PObject](h *core.Heap, rootName string, create func() (
 	return m, h.Root().Put(rootName, m)
 }
 
-func openOrCreateMap(h *core.Heap, rootName string, kind pdt.MirrorKind) (*pdt.Map, error) {
-	return openOrCreate(h, rootName, func() (*pdt.Map, error) { return pdt.NewMap(h, kind) })
+func openOrCreateMap(h *core.Heap, rootName string) (*pdt.Map, error) {
+	return openOrCreate(h, rootName, func() (*pdt.Map, error) { return pdt.NewMap(h, pdt.MirrorHash) })
 }
 
 // Name implements Backend.
@@ -74,15 +68,8 @@ func (b *JPDTBackend) Name() string { return "J-PDT" }
 // Count implements Backend.
 func (b *JPDTBackend) Count() int { return b.m.Len() }
 
-// Caps implements Backend: zero-copy views always, scans only over an
-// ordered mirror (pdt.Map.Ascend refuses a hash mirror).
-func (b *JPDTBackend) Caps() Caps {
-	c := Caps{View: b}
-	if b.m.Kind() != pdt.MirrorHash {
-		c.Scan = b
-	}
-	return c
-}
+// Caps implements Backend: zero-copy views.
+func (b *JPDTBackend) Caps() Caps { return Caps{View: b} }
 
 // Close implements Backend.
 func (b *JPDTBackend) Close() error { return nil }
@@ -199,7 +186,7 @@ type JPFABackend struct {
 
 // NewJPFABackend creates (or reopens) the backend state.
 func NewJPFABackend(h *core.Heap, mgr *fa.Manager, rootName string) (*JPFABackend, error) {
-	m, err := openOrCreateMap(h, rootName, pdt.MirrorHash)
+	m, err := openOrCreateMap(h, rootName)
 	if err != nil {
 		return nil, err
 	}

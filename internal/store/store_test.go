@@ -466,83 +466,3 @@ func TestGridConcurrentMixedOps(t *testing.T) {
 		t.Fatalf("Count = %d", g.Count())
 	}
 }
-
-func TestScanJPDTOrderedBackend(t *testing.T) {
-	h, _, _ := openStoreHeap(t, 1<<23, false)
-	b, err := NewJPDTBackendKind(h, "kv", pdt.MirrorTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := b.Insert(fmt.Sprintf("key%02d", i), testRecord(3, fmt.Sprintf("r%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := NewGrid(b, Options{})
-	var keys []string
-	seen := map[string]int{}
-	err = g.Scan("key10", 5, func(key, field string, val []byte) {
-		if len(keys) == 0 || keys[len(keys)-1] != key {
-			keys = append(keys, key)
-		}
-		seen[key]++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 5 || keys[0] != "key10" || keys[4] != "key14" {
-		t.Fatalf("scan keys: %v", keys)
-	}
-	for k, n := range seen {
-		if n != 3 {
-			t.Fatalf("%s streamed %d fields", k, n)
-		}
-	}
-}
-
-func TestScanHashBackendRejected(t *testing.T) {
-	h, _, _ := openStoreHeap(t, 1<<23, false)
-	b, err := NewJPDTBackend(h, "kv") // hash mirror
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Insert("k", testRecord(2, "k")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Scan("", 5, func(string, string, []byte) {}); err == nil {
-		t.Fatal("hash-mirror scan should error")
-	}
-	// The descriptor advertises Scan for ordered mirrors only, so the grid
-	// answers ErrNoScan over the hash mirror instead of reaching Ascend.
-	if b.Caps().Scan != nil {
-		t.Fatal("hash-mirror J-PDT advertises Scan")
-	}
-	if err := NewGrid(b, Options{}).Scan("", 5, func(string, string, []byte) {}); err != ErrNoScan {
-		t.Fatalf("hash-mirror grid scan: err = %v, want ErrNoScan", err)
-	}
-	// TmpFS has no Scan at all: the grid reports ErrNoScan.
-	g := NewGrid(NewTmpFSBackend(), Options{})
-	if err := g.Scan("", 5, func(string, string, []byte) {}); err != ErrNoScan {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestScanVolatileBaseline(t *testing.T) {
-	b := NewVolatileBackend()
-	for i := 0; i < 10; i++ {
-		b.Insert(fmt.Sprintf("k%02d", i), testRecord(2, "x"))
-	}
-	var first, count = "", 0
-	err := b.Scan("k03", 4, func(key, _ string, _ []byte) {
-		if first == "" {
-			first = key
-		}
-		count++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != "k03" || count != 4*2 {
-		t.Fatalf("scan: first=%s fields=%d", first, count)
-	}
-}

@@ -21,11 +21,6 @@ type DB interface {
 	ReadModifyWrite(key string, mutate func(rec *store.Record) []store.Field) error
 }
 
-// ScanDB is the optional capability workload E needs (ordered backends).
-type ScanDB interface {
-	Scan(start string, limit int, consume func(key, field string, value []byte)) error
-}
-
 // Load executes the YCSB load phase: RecordCount inserts spread over the
 // configured threads.
 func Load(db DB, cfg Config) error {
@@ -59,13 +54,8 @@ func Load(db DB, cfg Config) error {
 // Run executes the YCSB run phase and returns merged statistics.
 func Run(db DB, cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	if p := cfg.ReadProp + cfg.UpdateProp + cfg.InsertProp + cfg.RMWProp + cfg.ScanProp; p < 0.999 || p > 1.001 {
+	if p := cfg.ReadProp + cfg.UpdateProp + cfg.InsertProp + cfg.RMWProp; p < 0.999 || p > 1.001 {
 		return nil, fmt.Errorf("ycsb: op proportions sum to %v", p)
-	}
-	if cfg.ScanProp > 0 {
-		if _, ok := db.(ScanDB); !ok {
-			return nil, fmt.Errorf("ycsb: workload has scans but the DB does not implement ScanDB")
-		}
 	}
 
 	// Keys [0, inserted) exist: the latest and uniform choosers draw from
@@ -138,10 +128,6 @@ func Run(db DB, cfg Config) (*Result, error) {
 					rec := chooser.Next(rng)
 					rmwFields = cfg.updateFieldsInto(rng, rec, i+1, updSlot[:], updVal)
 					err = db.ReadModifyWrite(key(rec), rmwMutate)
-				case OpScan:
-					start := Key(chooser.Next(rng))
-					n := 1 + rng.Intn(cfg.MaxScanLen)
-					err = db.(ScanDB).Scan(start, n, func(string, string, []byte) {})
 				}
 				hist(op).Record(time.Since(t0))
 				if err != nil {
@@ -200,9 +186,7 @@ func chooseOp(cfg Config, rng *rand.Rand) OpType {
 		return OpUpdate
 	case p < cfg.ReadProp+cfg.UpdateProp+cfg.InsertProp:
 		return OpInsert
-	case p < cfg.ReadProp+cfg.UpdateProp+cfg.InsertProp+cfg.RMWProp:
-		return OpRMW
 	default:
-		return OpScan
+		return OpRMW
 	}
 }

@@ -7,8 +7,9 @@ import (
 	"repro/internal/store"
 )
 
-// OpType enumerates the YCSB operations (§5.2: read, scan, insert, update
-// and rmw; scans are only used by workload E, which is skipped).
+// OpType enumerates the YCSB operations the evaluation runs (§5.2: read,
+// insert, update and rmw; scans are only used by workload E, which the
+// paper skips).
 type OpType int
 
 // Operation kinds.
@@ -17,7 +18,6 @@ const (
 	OpUpdate
 	OpInsert
 	OpRMW
-	OpScan
 )
 
 // String names the op type.
@@ -31,8 +31,6 @@ func (t OpType) String() string {
 		return "insert"
 	case OpRMW:
 		return "rmw"
-	case OpScan:
-		return "scan"
 	}
 	return fmt.Sprintf("op(%d)", int(t))
 }
@@ -51,10 +49,6 @@ type Config struct {
 	UpdateProp float64
 	InsertProp float64
 	RMWProp    float64
-	ScanProp   float64
-
-	// MaxScanLen bounds workload E's scan lengths (default 100, as YCSB).
-	MaxScanLen int
 
 	// Distribution is "zipfian", "latest" or "uniform".
 	Distribution string
@@ -94,9 +88,6 @@ func (c Config) Defaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.MaxScanLen == 0 {
-		c.MaxScanLen = 100
-	}
 	if len(c.fieldNames) != c.FieldCount {
 		c.fieldNames = make([]string, c.FieldCount)
 		for i := range c.fieldNames {
@@ -127,10 +118,6 @@ func Workload(name string) (Config, error) {
 	case "D": // read latest
 		c.ReadProp, c.InsertProp = 0.95, 0.05
 		c.Distribution = "latest"
-	case "E": // short scans — an extension: the paper skips E because
-		// Infinispan lacks a direct scan API; ordered J-PDT mirrors
-		// support it (store.Scanner).
-		c.ScanProp, c.InsertProp = 0.95, 0.05
 	case "F": // read-modify-write
 		c.ReadProp, c.RMWProp = 0.5, 0.5
 	default:

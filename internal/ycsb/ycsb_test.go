@@ -29,16 +29,11 @@ func TestWorkloadPresets(t *testing.T) {
 			t.Fatalf("workload %s: %+v", name, c)
 		}
 	}
-	// E is supported here as an extension (the paper skips it).
-	e, err := Workload("E")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ScanProp != 0.95 || e.InsertProp != 0.05 {
-		t.Fatalf("workload E mix: %+v", e)
-	}
-	if _, err := Workload("Z"); err == nil {
-		t.Fatal("unknown workload accepted")
+	// The paper skips E (scans), and so does the driver.
+	for _, name := range []string{"E", "Z"} {
+		if _, err := Workload(name); err == nil {
+			t.Fatalf("workload %s accepted", name)
+		}
 	}
 }
 
@@ -333,33 +328,6 @@ func TestWorkloadFRMW(t *testing.T) {
 	}
 	if res.Errors != 0 || res.PerOp[OpRMW].Count() == 0 {
 		t.Fatalf("rmw missing: errs=%d", res.Errors)
-	}
-}
-
-func TestWorkloadEScans(t *testing.T) {
-	g := store.NewGrid(store.NewVolatileBackend(), store.Options{})
-	cfg := MustWorkload("E")
-	cfg.RecordCount = 300
-	cfg.Operations = 400
-	cfg.MaxScanLen = 20
-	cfg = cfg.Defaults()
-	if err := Load(g, cfg); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors", res.Errors)
-	}
-	if res.PerOp[OpScan] == nil || res.PerOp[OpScan].Count() == 0 {
-		t.Fatal("no scans executed")
-	}
-	// A DB without scan support is rejected up front.
-	type noScan struct{ DB }
-	if _, err := Run(noScan{g}, cfg); err == nil {
-		t.Fatal("scan workload accepted without ScanDB")
 	}
 }
 

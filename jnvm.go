@@ -85,13 +85,11 @@ const (
 	MirrorSkip = pdt.MirrorSkip
 )
 
-// Proxy cache modes (§4.3.2 base / cached / eager, plus the bounded
-// hottest-proxies extension configured via Map.SetCacheHot).
+// Proxy cache modes (§4.3.2 base / cached / eager).
 const (
 	CacheNone     = pdt.CacheNone
 	CacheOnDemand = pdt.CacheOnDemand
 	CacheEager    = pdt.CacheEager
-	CacheHot      = pdt.CacheHot
 )
 
 // Options configures Open.

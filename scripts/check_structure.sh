@@ -27,23 +27,14 @@
 #     (outside benchmarks/), the Makefile, scripts/, README.md or
 #     EXPERIMENTS.md names a heading DESIGN.md has, so renumbering a
 #     section cannot leave a citation pointing at its neighbour.
-#  6. One pool. A heap is one pool: the multi-pool set is gone (its
-#     superblock words are reserved, heap.Open and stack.Open refuse a set
-#     member). PoolIndex, PoolCount, JumpHash, CheckRoster, an
-#     internal/shard import or a "pools" flag coming back is its return.
-#  7. Two commit protocols. fa commits per-Tx or through the async epoch
-#     pipeline (DESIGN.md §15); the sync group mode is gone. FenceCombiner,
-#     CommitGroup, commitGrouped or a "group" case in stack.ParseCommit
-#     coming back is a third.
-#  8. One persistent map. pdt.Map is the map (DESIGN.md §3.2); the
-#     lock-free map, its J-PDT-LF backend and the grid's lock-free read
-#     path are gone. Any of their names in Go, the Makefile, scripts or
-#     CI workflows is their return (this rule names them, so this file is
-#     exempt).
-#  9. One recovery procedure. Recovery is the paper's serial §4.1.3
-#     procedure (DESIGN.md §12); the parallel pipeline and its worker knob
-#     are gone. Any of their names in Go, the Makefile, scripts or CI
-#     workflows outside benchmarks/ is their return (this file exempt).
+#  6. Retired names. Each row of the table at the end is a file scope
+#     (go: Go files; all: Go, the Makefile, scripts and CI workflows; or
+#     one file), an ERE and what a match brings back: the multi-pool heap
+#     (a heap is one pool), a third commit protocol (DESIGN.md §15), the
+#     lock-free map (pdt.Map is the map, DESIGN.md §3.2), the parallel
+#     recovery pipeline (DESIGN.md §12), and the extensions the paper
+#     does not run: YCSB-E scans, the bounded hot-proxy cache and the
+#     reflection layout binder. benchmarks/ and this file are exempt.
 set -eu
 
 fail=0
@@ -57,7 +48,7 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
-hits=$(grep -rnE --include='*.go' '\.\((store\.)?(ViewReader|DeltaAdder|Scanner)\)' . |
+hits=$(grep -rnE --include='*.go' '\.\((store\.)?(ViewReader|DeltaAdder)\)' . |
     grep -v -e '^\./benchmarks/' -e '^\./internal/store/caps\.go:' || true)
 if [ -n "$hits" ]; then
     echo "capability type assertion (read the backend's Caps() instead):" >&2
@@ -123,42 +114,27 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
-hits=$({
-    grep -rnE --include='*.go' -e '\b(PoolIndex|PoolCount|JumpHash|CheckRoster)\b' \
-        -e '"repro/internal/shard"' -e 'flag\.[A-Za-z]+\("pools"' . || true
-} | grep -v '^\./benchmarks/' || true)
-if [ -n "$hits" ]; then
-    echo "the multi-pool heap is back (a heap is one pool):" >&2
-    echo "$hits" >&2
-    fail=1
-fi
-
-hits=$({
-    grep -rnE --include='*.go' '\b(FenceCombiner|CommitGroup|commitGrouped)\b' . || true
-    grep -nHE 'case[^:]*"group"' internal/stack/stack.go || true
-} | grep -v '^\./benchmarks/' || true)
-if [ -n "$hits" ]; then
-    echo "a third commit protocol is back (per-Tx and async only):" >&2
-    echo "$hits" >&2
-    fail=1
-fi
-
-hits=$(grep -rnE --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' \
-    'LFMap|LFSet|JPDTLF|J-PDT-LF|LockFreeBackend' . |
-    grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
-if [ -n "$hits" ]; then
-    echo "the lock-free map is back (one persistent map: pdt.Map):" >&2
-    echo "$hits" >&2
-    fail=1
-fi
-
-hits=$(grep -rnE --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' \
-    'traverseParallel|SweepParallel|sweepConcurrent|rebuildParallel|RecoverParallelism|RecoverOptions' . |
-    grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
-if [ -n "$hits" ]; then
-    echo "the parallel recovery pipeline is back (one recovery procedure):" >&2
-    echo "$hits" >&2
-    fail=1
-fi
+# Rule 6: one row per retired feature — scope, ERE, what a match brings back.
+while read -r scope pat what; do
+    case $scope in
+    go) set -- -r --include='*.go' . ;;
+    all) set -- -r --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' . ;;
+    *) set -- -H "$scope" ;;
+    esac
+    hits=$(grep -nE -e "$pat" "$@" |
+        grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
+    if [ -n "$hits" ]; then
+        echo "$what is back:" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done <<'EOF'
+go  \b(PoolIndex|PoolCount|JumpHash|CheckRoster)\b|"repro/internal/shard"|flag\.[A-Za-z]+\("pools"  the multi-pool heap (a heap is one pool)
+go  \b(FenceCombiner|CommitGroup|commitGrouped)\b  a third commit protocol (per-Tx and async only)
+internal/stack/stack.go  case[^:]*"group"  a third commit protocol (per-Tx and async only)
+all  LFMap|LFSet|JPDTLF|J-PDT-LF|LockFreeBackend  the lock-free map (one persistent map: pdt.Map)
+all  traverseParallel|SweepParallel|sweepConcurrent|rebuildParallel|RecoverParallelism|RecoverOptions  the parallel recovery pipeline (one recovery procedure)
+all  Scanner|ErrNoScan|ExtE|OpScan|ScanDB|CacheHot|SetCacheHot|hotCache|gen\.For  an extension the paper does not run (YCSB-E scans, the hot-proxy cache, the layout binder)
+EOF
 
 exit $fail
