@@ -20,7 +20,8 @@ RACE_ENV_TESTS = TestEnvCommitModes
 RACE_MAP_TESTS = TestMapCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet|TestMapTxStructuralChurnConcurrent
 
 .PHONY: check vet build test race bench-read bench-e2e-smoke \
-	microbench lint fmt-check structure-check staticcheck crashmc-smoke coverage
+	microbench lint fmt-check structure-check staticcheck crashmc-smoke crashmc-mutants \
+	coverage
 
 check: vet build test race
 
@@ -81,6 +82,12 @@ microbench:
 # runs the unbounded version: -points 0 -samples 8.
 crashmc-smoke:
 	$(GO) run ./cmd/crashmc -workload all -points 200 -samples 4 -seed 1
+
+# Fence mutants (~3 min): each deletes one fence from a copy of HEAD and
+# must make exactly its expected workloads fail. The nightly CI job runs
+# it.
+crashmc-mutants:
+	GO=$(GO) ./scripts/crashmc_mutants.sh
 
 # Coverage over the library packages, gated on results/coverage_floor.txt.
 coverage:

@@ -12,14 +12,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/crashmc"
 )
 
 func main() {
+	var names []string
+	width := 0
+	for _, w := range crashmc.Workloads() {
+		names = append(names, w.Name)
+		width = max(width, len(w.Name))
+	}
 	var (
-		workload    = flag.String("workload", "all", "workload to explore (bank, grid, pool, pdt, all)")
+		workload    = flag.String("workload", "all", "workload to explore ("+strings.Join(names, ", ")+", all)")
 		points      = flag.Int("points", 0, "max crash points per workload (0 = every ordering point)")
 		samples     = flag.Int("samples", 4, "random line-subset images per crash point")
 		seed        = flag.Int64("seed", 1, "seed for the op mix and subset sampling")
@@ -72,8 +79,8 @@ func main() {
 		}
 		reports = append(reports, rep)
 		failures += len(rep.Failures)
-		fmt.Printf("%-5s %6d points, explored %5d, %6d images, %d failures (%.1fs)\n",
-			w.Name, rep.Points, rep.Explored, rep.Images, len(rep.Failures), time.Since(start).Seconds())
+		fmt.Printf("%-*s %6d points, explored %5d, %6d images, %d failures (%.1fs)\n",
+			width, w.Name, rep.Points, rep.Explored, rep.Images, len(rep.Failures), time.Since(start).Seconds())
 		for i := range rep.Failures {
 			fmt.Println(rep.Failures[i].String())
 		}

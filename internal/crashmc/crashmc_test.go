@@ -31,6 +31,33 @@ func TestExploreWorkloadsSmoke(t *testing.T) {
 	}
 }
 
+// TestOrderingPointCounts pins each workload's ordering points at seed 1,
+// the counts every bounded exploration is reported against. A change that
+// adds or removes a store, a write-back or a fence on an explored path
+// moves one; update the count only when that move is the point of the
+// change, and say so.
+func TestOrderingPointCounts(t *testing.T) {
+	want := map[string]int{
+		"bank": 318, "grid": 1346, "gridgroup": 570, "griddelta": 308, "gridinline": 882,
+		"gridread": 467, "pool": 1110, "pdt": 256, "retire": 1083,
+	}
+	ws := Workloads()
+	if len(ws) != len(want) {
+		t.Errorf("%d workloads, %d pinned counts", len(ws), len(want))
+	}
+	for _, w := range ws {
+		for run := 0; run < 2; run++ {
+			_, pl, err := runTo(w, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.count != want[w.Name] {
+				t.Errorf("%s run %d: %d ordering points, want %d", w.Name, run, pl.count, want[w.Name])
+			}
+		}
+	}
+}
+
 // brokenWorkload deliberately violates its own invariant: two counters on
 // different cache lines that must stay equal are updated under separate
 // fences, so a crash between the fences observes them diverged. It is the

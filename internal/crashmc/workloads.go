@@ -1,12 +1,11 @@
 package crashmc
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
-	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -20,13 +19,17 @@ import (
 )
 
 // Workloads returns the registry of crash-exploration scenarios, one per
-// persistence discipline in the system: failure-atomic blocks (bank),
-// the store's J-PFA backend (grid), the J-PDT backend with the zero-copy
-// read path and EBR deferral active (gridread), transactional
-// allocation/free (pool), the non-transactional single-fence publication
-// of the J-PDT types (pdt), and the retirement of redo logs behind the
-// durable watermark, where a committed block's slot, in-flight copies and
-// freed objects wait on its successors' fences (retire).
+// persistence discipline in the system: failure-atomic blocks (bank); the
+// store's J-PFA backend under per-Tx commits (grid), under the async
+// epoch pipeline (gridgroup) and with delta folding (griddelta); record
+// tables, the name dictionary and inline values (gridinline); the J-PDT
+// backend with the zero-copy read path and EBR deferral active
+// (gridread); transactional allocation/free (pool); the
+// non-transactional single-fence publication of the J-PDT types (pdt);
+// and the retirement of redo logs behind the durable watermark, where a
+// committed block's slot, in-flight copies and freed objects wait on its
+// successors' fences (retire). Every one checks recovery against the one
+// oracle type (oracle.go).
 func Workloads() []*Workload {
 	var ws []*Workload
 	for _, e := range []entry{
@@ -68,8 +71,8 @@ type entry struct {
 }
 
 // scenario is the workload-specific part of an entry: volatile closures
-// sharing an application-level oracle that exec maintains and check
-// consults (the contracts are Run's).
+// sharing an oracle that exec advances and check consults (the contracts
+// are Run's).
 type scenario struct {
 	// setup creates the persistent structures over the fresh stack.
 	setup func(st *stack.Stack) error
@@ -178,38 +181,81 @@ func fsckClean(h *core.Heap) error {
 	return nil
 }
 
-// recordReader is the read half of a grid or a backend.
-type recordReader func(key string, consume func(name string, value []byte)) (bool, error)
-
-// gridReader adapts a grid, whose Read reports absence as ErrNotFound.
-func gridReader(g *store.Grid) recordReader {
-	return func(key string, consume func(name string, value []byte)) (bool, error) {
-		err := g.Read(key, consume)
-		if err == store.ErrNotFound {
-			return false, nil
-		}
-		return err == nil, err
+// drain ends epoch e of an async workload, alternating the two drain
+// APIs: both promise every ticket issued so far durable when they return,
+// so every key is acked at its latest state.
+func (o oracle) drain(mgr *fa.Manager, e int) {
+	if e%2 == 0 {
+		mgr.AwaitDurable(mgr.IssuedTickets())
+	} else {
+		mgr.DrainDurable()
 	}
+	o.ack()
 }
 
-// field reads one field of the record under key, copied out of NVMM.
-// found is false when the key is absent; a present record without the
-// field is an error.
-func (read recordReader) field(key, name string) (val []byte, found bool, err error) {
-	has := false
-	found, err = read(key, func(n string, v []byte) {
-		if n == name {
-			val = append([]byte(nil), v...)
-			has = true
-		}
+// readRecord copies key's record out of NVMM, field name to value; nil
+// when the key is absent.
+func readRecord(g *store.Grid, key string) (map[string]string, error) {
+	rec := map[string]string{}
+	err := g.Read(key, func(name string, value []byte) {
+		rec[strings.Clone(name)] = string(value)
 	})
-	if err != nil {
-		return nil, false, err
+	if err == store.ErrNotFound {
+		return nil, nil
 	}
-	if found && !has {
-		return nil, false, fmt.Errorf("record %s has no field %s", key, name)
+	return rec, err
+}
+
+// checkRecords holds each key's recovered record to the oracle.
+func (o oracle) checkRecords(g *store.Grid, keys []string) error {
+	for _, key := range keys {
+		rec, err := readRecord(g, key)
+		if err != nil {
+			return fmt.Errorf("read %s: %w", key, err)
+		}
+		if err := o.check(key, render(rec)); err != nil {
+			return err
+		}
 	}
-	return val, found, nil
+	return nil
+}
+
+// valueState renders a map value as a one-field record named after its
+// type, so a string and a byte blob with equal contents differ.
+func valueState(po core.PObject) (string, error) {
+	switch v := po.(type) {
+	case nil:
+		return absent, nil
+	case *pdt.PString:
+		return render(map[string]string{"string": v.Value()}), nil
+	case *pdt.PBytes:
+		return render(map[string]string{"bytes": string(v.Value())}), nil
+	}
+	return "", fmt.Errorf("unexpected value type %T", po)
+}
+
+// checkMap holds each key's recovered binding in m to the oracle, which
+// knows it as ns+key, and refuses a bound key outside keys.
+func (o oracle) checkMap(m *pdt.Map, ns string, keys []string) error {
+	for _, key := range keys {
+		po, err := m.Get(key)
+		if err != nil {
+			return fmt.Errorf("get %s: %w", key, err)
+		}
+		s, err := valueState(po)
+		if err != nil {
+			return fmt.Errorf("value of %s: %w", key, err)
+		}
+		if err := o.check(ns+key, s); err != nil {
+			return err
+		}
+	}
+	for _, k := range m.Keys() {
+		if !slices.Contains(keys, k) {
+			return fmt.Errorf("phantom key %q in recovered map", k)
+		}
+	}
+	return nil
 }
 
 // rootAs resurrects the root object bound to name as a T; a root that
@@ -246,44 +292,48 @@ func letters(i, n int) []byte {
 	return v
 }
 
-// counterBytes and counterValue are the stored form of an 8-byte
-// little-endian counter field (store.Grid.AddDelta's operand).
-func counterBytes(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+// counter and counterValue are the stored form of an 8-byte little-endian
+// counter field (store.Grid.AddDelta's operand).
+func counter(v int64) string { return string(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
 
-func counterValue(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
+func counterValue(s string) int64 { return int64(binary.LittleEndian.Uint64([]byte(s))) }
+
+// vFields and vState are a one-field record {v: value}, as the store
+// writes it and as the oracle knows it.
+func vFields(v string) []store.Field { return []store.Field{{Name: "v", Value: []byte(v)}} }
+
+func vState(v string) string { return render(map[string]string{"v": v}) }
 
 // probeInsert is the grid workloads' writability probe: the recovered
 // grid must accept a new record and read it back.
 func probeInsert(g *store.Grid) error {
-	if err := g.Insert("probe", &store.Record{Fields: []store.Field{{Name: "v", Value: []byte("ok")}}}); err != nil {
+	if err := g.Insert("probe", &store.Record{Fields: vFields("ok")}); err != nil {
 		return fmt.Errorf("post-recovery insert: %w", err)
 	}
-	if v, _, err := gridReader(g).field("probe", "v"); err != nil || string(v) != "ok" {
-		return fmt.Errorf("post-recovery readback: %q, %v", v, err)
+	if rec, err := readRecord(g, "probe"); err != nil || render(rec) != vState("ok") {
+		return fmt.Errorf("post-recovery readback: %s, %v", render(rec), err)
 	}
 	return nil
 }
 
 // ---- bank: J-PFA failure-atomic transfers (§5.3.3) ----
 
-// bankWorkload checks strict all-or-nothing atomicity: after a crash at
-// any point, every balance vector must equal the committed oracle with
-// the in-flight transfer either fully applied or fully absent, the total
-// must be conserved, and the recovered bank must accept new transfers.
+// bankEntry checks strict all-or-nothing atomicity: the bank is one key
+// holding its balance vector, each transfer is issued before it runs and
+// acked when it returns, and the recovered bank must accept new
+// transfers.
 func bankEntry() entry {
 	const accounts = 8
 	const transfers = 12
-	type xfer struct {
-		from, to int
-		amount   int64
-	}
 	return entry{name: "bank", poolBytes: 1 << 22, cfg: tpcb.StackConfig(false), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		committed := make([]int64, accounts)
-		var inflight *xfer
+		o := oracle{}
+		bal := make([]int64, accounts) // the model's balances
 		var bank *tpcb.JNVMBank
 		return &scenario{
 			setup: func(st *stack.Stack) (err error) {
+				o.issue("balances", fmt.Sprint(bal))
+				o.ack()
 				bank, err = tpcb.NewJNVMBank(st, accounts)
 				return err
 			},
@@ -292,13 +342,13 @@ func bankEntry() entry {
 					from := rng.Intn(accounts)
 					to := (from + 1 + rng.Intn(accounts-1)) % accounts
 					amt := int64(1 + rng.Intn(100))
-					inflight = &xfer{from: from, to: to, amount: amt}
+					bal[from] -= amt
+					bal[to] += amt
+					o.issue("balances", fmt.Sprint(bal))
 					if err := bank.Transfer(from, to, amt); err != nil {
 						return err
 					}
-					committed[from] -= amt
-					committed[to] += amt
-					inflight = nil
+					o.ack()
 				}
 				return nil
 			},
@@ -307,53 +357,31 @@ func bankEntry() entry {
 				if err != nil {
 					return fmt.Errorf("reattach: %w", err)
 				}
-				readAll := func() ([]int64, int64, error) {
+				balances := func() ([]int64, error) {
 					got := make([]int64, accounts)
-					var sum int64
 					for i := range got {
 						v, err := b.Balance(i)
 						if err != nil {
-							return nil, 0, fmt.Errorf("balance %d: %w", i, err)
+							return nil, fmt.Errorf("balance %d: %w", i, err)
 						}
 						got[i] = v
-						sum += v
 					}
-					return got, sum, nil
+					return got, nil
 				}
-				got, sum, err := readAll()
+				got, err := balances()
 				if err != nil {
 					return err
 				}
-				if sum != 0 {
-					return fmt.Errorf("money not conserved: balance sum %d (balances %v)", sum, got)
-				}
-				equal := func(want []int64) bool {
-					for i := range want {
-						if got[i] != want[i] {
-							return false
-						}
-					}
-					return true
-				}
-				ok := equal(committed)
-				if !ok && inflight != nil {
-					post := append([]int64(nil), committed...)
-					post[inflight.from] -= inflight.amount
-					post[inflight.to] += inflight.amount
-					ok = equal(post)
-				}
-				if !ok {
-					return fmt.Errorf("torn transfer: balances %v match neither committed %v nor committed+inflight %+v",
-						got, committed, inflight)
+				if err := o.check("balances", fmt.Sprint(got)); err != nil {
+					return err
 				}
 				// Writability probe: the recovered bank must keep working.
 				if err := b.Transfer(0, 1, 7); err != nil {
 					return fmt.Errorf("post-recovery transfer: %w", err)
 				}
-				if _, sum, err = readAll(); err != nil {
-					return err
-				} else if sum != 0 {
-					return fmt.Errorf("money not conserved after post-recovery transfer: sum %d", sum)
+				got[0], got[1] = got[0]-7, got[1]+7
+				if after, err := balances(); err != nil || fmt.Sprint(after) != fmt.Sprint(got) {
+					return fmt.Errorf("post-recovery transfer: balances %v, want %v, %v", after, got, err)
 				}
 				return nil
 			},
@@ -363,24 +391,16 @@ func bankEntry() entry {
 
 // ---- grid: store-level put/update/delete/RMW over the J-PFA backend ----
 
-// gridOp is the in-flight descriptor: the touched key may be observed in
-// its pre- or post-op state, every other key must match the model.
-type gridOp struct {
-	key       string
-	pre, post []byte // nil = absent
-}
-
 func gridEntry() entry {
 	const nkeys = 10
 	const ops = 30
 	keys := keyNames("k%02d", nkeys)
 	return entry{name: "grid", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		model := make(map[string][]byte) // committed value per key; nil/missing = absent
-		var inflight *gridOp
+		o := oracle{}
 		var g *store.Grid
-		mkval := func(i int) []byte {
-			return letters(i, 8+rng.Intn(72)) // up to two cache lines of payload
+		mkval := func(i int) string {
+			return string(letters(i, 8+rng.Intn(72))) // up to two cache lines of payload
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
@@ -390,62 +410,35 @@ func gridEntry() entry {
 			exec: func() error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
-					pre := model[key]
-					var post []byte
 					var err error
 					switch {
-					case pre == nil:
-						post = mkval(i)
-						inflight = &gridOp{key: key, pre: pre, post: post}
-						err = g.Insert(key, &store.Record{Fields: []store.Field{{Name: "v", Value: post}}})
+					case o.latest(key) == absent:
+						v := mkval(i)
+						o.issue(key, vState(v))
+						err = g.Insert(key, &store.Record{Fields: vFields(v)})
 					case rng.Intn(3) == 0:
-						inflight = &gridOp{key: key, pre: pre, post: nil}
+						o.issue(key, absent)
 						err = g.Delete(key)
 					case rng.Intn(2) == 0:
-						post = mkval(i)
-						inflight = &gridOp{key: key, pre: pre, post: post}
-						err = g.Update(key, []store.Field{{Name: "v", Value: post}})
+						v := mkval(i)
+						o.issue(key, vState(v))
+						err = g.Update(key, vFields(v))
 					default:
-						post = mkval(i)
-						inflight = &gridOp{key: key, pre: pre, post: post}
-						err = g.ReadModifyWrite(key, func(rec *store.Record) []store.Field {
-							return []store.Field{{Name: "v", Value: post}}
-						})
+						v := mkval(i)
+						o.issue(key, vState(v))
+						err = g.ReadModifyWrite(key, func(*store.Record) []store.Field { return vFields(v) })
 					}
 					if err != nil {
 						return fmt.Errorf("op %d on %s: %w", i, key, err)
 					}
-					if post == nil {
-						delete(model, key)
-					} else {
-						model[key] = post
-					}
-					inflight = nil
+					o.ack(key)
 				}
 				return nil
 			},
 			check: func(st *stack.Stack) error {
 				g := store.NewGrid(st.Backend, store.Options{})
-				for _, key := range keys {
-					got, _, err := gridReader(g).field(key, "v")
-					if err != nil {
-						return fmt.Errorf("read %s: %w", key, err)
-					}
-					want := model[key]
-					if bytes.Equal(got, want) && (got == nil) == (want == nil) {
-						continue
-					}
-					if inflight != nil && inflight.key == key {
-						if bytes.Equal(got, inflight.pre) && (got == nil) == (inflight.pre == nil) {
-							continue
-						}
-						if bytes.Equal(got, inflight.post) && (got == nil) == (inflight.post == nil) {
-							continue
-						}
-						return fmt.Errorf("torn op on %s: got %q, want pre %q or post %q",
-							key, got, inflight.pre, inflight.post)
-					}
-					return fmt.Errorf("key %s: got %q, want %q", key, got, want)
+				if err := o.checkRecords(g, keys); err != nil {
+					return err
 				}
 				return probeInsert(g)
 			},
@@ -455,7 +448,7 @@ func gridEntry() entry {
 
 // ---- gridgroup: async group commit over the J-PFA backend ----
 
-// gridGroupWorkload crashes the epoch pipeline of DESIGN.md §15: updates
+// gridGroupEntry crashes the epoch pipeline of DESIGN.md §15: updates
 // run in CommitAsync mode with manual drains, so each epoch batches
 // several commits behind one fence set. The oracle proves the prefix
 // property — a crash recovers every fully-drained epoch (the caller was
@@ -464,7 +457,7 @@ func gridEntry() entry {
 // durable value or its queued update, never a torn mix and never a value
 // from a later epoch while an earlier one is missing (epochs touch every
 // key round-robin, so a skipped epoch would surface as a stale durable
-// read after a collapse). Two single-update epochs on one hot key close
+// read after an ack). Two single-update epochs on one hot key close
 // the run: the first is parked — applied, live, W not over it yet — while
 // the second's marks are written, so both logs write the key's record
 // block and a crash in between must replay them oldest first.
@@ -476,12 +469,11 @@ func gridGroupEntry() entry {
 	keys := keyNames("g%02d", nkeys)
 	return entry{name: "gridgroup", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		durable := make(map[string][]byte) // value proven durable by a returned drain
-		pending := make(map[string][]byte) // queued in the in-flight epoch, nil = none
+		o := oracle{}
 		var g *store.Grid
 		var mgr *fa.Manager
-		mkval := func(i int) []byte {
-			return letters(i, 8+rng.Intn(16))
+		mkval := func(i int) string {
+			return string(letters(i, 8+rng.Intn(16)))
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
@@ -491,16 +483,16 @@ func gridGroupEntry() entry {
 				// the async pipeline for the explored phase.
 				for i, key := range keys {
 					v := mkval(i)
-					if err := g.Insert(key, &store.Record{Fields: []store.Field{{Name: "v", Value: v}}}); err != nil {
+					o.issue(key, vState(v))
+					if err := g.Insert(key, &store.Record{Fields: vFields(v)}); err != nil {
 						return err
 					}
-					durable[key] = v
 				}
+				o.ack()
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
 			exec: func() error {
 				for e := 0; e < epochs+hotEpochs; e++ {
-					batch := make([]string, 0, opsPerEpoch)
 					for j := 0; j < opsPerEpoch; j++ {
 						key := keys[(e*opsPerEpoch+j)%nkeys]
 						if e >= epochs {
@@ -510,44 +502,19 @@ func gridGroupEntry() entry {
 							key = keys[0]
 						}
 						v := mkval(e*opsPerEpoch + j + 100)
-						pending[key] = v
-						if err := g.Update(key, []store.Field{{Name: "v", Value: v}}); err != nil {
+						o.issue(key, vState(v))
+						if err := g.Update(key, vFields(v)); err != nil {
 							return fmt.Errorf("epoch %d update %s: %w", e, key, err)
 						}
-						batch = append(batch, key)
 					}
-					// Alternate the two drain APIs; both promise durability
-					// of every ticket issued so far when they return.
-					if e%2 == 0 {
-						mgr.AwaitDurable(mgr.IssuedTickets())
-					} else {
-						mgr.DrainDurable()
-					}
-					for _, key := range batch {
-						durable[key] = pending[key]
-						delete(pending, key)
-					}
+					o.drain(mgr, e)
 				}
 				return nil
 			},
 			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
-				for _, key := range keys {
-					val, found, err := gridReader(g2).field(key, "v")
-					if err == nil && !found {
-						err = store.ErrNotFound
-					}
-					if err != nil {
-						return fmt.Errorf("read %s: %w", key, err)
-					}
-					if bytes.Equal(val, durable[key]) {
-						continue
-					}
-					if p, ok := pending[key]; ok && bytes.Equal(val, p) {
-						continue
-					}
-					return fmt.Errorf("key %s: recovered %q is neither the durable %q nor the queued %q",
-						key, val, durable[key], pending[key])
+				if err := o.checkRecords(g2, keys); err != nil {
+					return err
 				}
 				// Writability probe: the recovered heap commits per-Tx again.
 				return probeInsert(g2)
@@ -558,18 +525,18 @@ func gridGroupEntry() entry {
 
 // ---- griddelta: delta-ledger folding under the async pipeline ----
 
-// gridDeltaWorkload crashes the delta coalescing of DESIGN.md §17:
-// counter increments ride the manager's fold ledger (volatile until a
-// drain materializes one redo-log entry per hot key) while updates on the
-// same keys queue as ordinary async commits, forcing the drain-on-overlap
-// interactions. The oracle tracks, per key, the in-flight folded value
-// (base+sum: a fold materializes atomically, so a partial sum must never
-// surface) plus the set of values any internal drain may have made
-// durable; each returned drain collapses the set to exactly the current
-// value — a lost or double-applied folded delta fails there. Two epochs
-// of nothing but folds on one hot key close the run: each is a pure delta
-// epoch (a materialization and no queued commit), and the first is parked
-// while the second's fold is based on the block it applied to.
+// gridDeltaEntry crashes the delta coalescing of DESIGN.md §17: counter
+// increments ride the manager's fold ledger (volatile until a drain
+// materializes one redo-log entry per hot key) while updates on the same
+// keys queue as ordinary async commits, forcing the drain-on-overlap
+// interactions. An increment is an oracle fold (a fold materializes
+// whole, so a partial sum must never surface); a drain the pipeline runs
+// internally keeps every in-flight state legal; each returned drain acks
+// every key, so a lost or double-applied folded delta fails there. Two
+// epochs of nothing but folds on one hot key close the run: each is a
+// pure delta epoch (a materialization and no queued commit), and the
+// first is parked while the second's fold is based on the block it
+// applied to.
 func gridDeltaEntry() entry {
 	const nkeys = 6
 	const epochs = 4
@@ -582,41 +549,27 @@ func gridDeltaEntry() entry {
 	e.auditSlots = true
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		base := make([]int64, nkeys) // value with every drained write applied
-		sum := make([]int64, nkeys)  // in-flight folded delta on top of base
-		durable := make([]map[int64]bool, nkeys)
-		recPending := make([]bool, nkeys) // a queued (non-ledger) tx touched the key
-		for i := range durable {
-			durable[i] = map[int64]bool{}
-		}
-		// boundary models a drain the pipeline ran internally (an overlap
-		// forced it): everything in flight may now be durable.
-		// Misfires are safe — the check always accepts base+sum — but a
-		// fired boundary records the states a crash mid-exec may surface.
+		o := oracle{}
+		val := make([]int64, nkeys)    // each counter in the model
+		ledger := make([]int64, nkeys) // delta folded since the last drain
+		queued := make([]bool, nkeys)  // a queued (non-ledger) tx touched the key
+		state := func(x int64) string { return render(map[string]string{"n": counter(x)}) }
+		// boundary models a drain the pipeline runs inside the next
+		// operation (an overlap forces it): everything in flight may land.
+		// Misfires are safe — a boundary only keeps states legal — but a
+		// fired one records the states a crash mid-exec may surface.
 		boundary := func() {
-			for j := range keys {
-				base[j] += sum[j]
-				sum[j] = 0
-				durable[j][base[j]] = true
-				recPending[j] = false
+			for j, key := range keys {
+				o.issue(key, state(val[j]))
+				ledger[j], queued[j] = 0, false
 			}
 		}
 		var g *store.Grid
 		var mgr *fa.Manager
-		// drain ends an epoch, alternating the two APIs; both promise
-		// every issued ticket (folds included) durable on return.
 		drain := func(e int) {
-			if e%2 == 0 {
-				mgr.AwaitDurable(mgr.IssuedTickets())
-			} else {
-				mgr.DrainDurable()
-			}
-			for j := range keys {
-				base[j] += sum[j]
-				sum[j] = 0
-				recPending[j] = false
-				durable[j] = map[int64]bool{base[j]: true}
-			}
+			o.drain(mgr, e)
+			clear(ledger)
+			clear(queued)
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
@@ -628,15 +581,16 @@ func gridDeltaEntry() entry {
 				// its first op.
 				for i, key := range keys {
 					v := int64(100 * (i + 1))
-					if err := g.Insert(key, &store.Record{Fields: []store.Field{{Name: "n", Value: counterBytes(v)}}}); err != nil {
+					if err := g.Insert(key, &store.Record{Fields: []store.Field{{Name: "n", Value: []byte(counter(v))}}}); err != nil {
 						return err
 					}
 					if err := g.AddDelta(key, "n", 1); err != nil {
 						return err
 					}
-					base[i] = v + 1
-					durable[i][base[i]] = true
+					val[i] = v + 1
+					o.issue(key, state(val[i]))
 				}
+				o.ack()
 				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
 			},
 			exec: func() error {
@@ -650,27 +604,28 @@ func gridDeltaEntry() entry {
 							}
 							// A queued tx on this key's blocks forces the
 							// pipeline to drain before the fold can ride.
-							if recPending[k] {
+							if queued[k] {
 								boundary()
 							}
 							if err := g.AddDelta(keys[k], "n", d); err != nil {
 								return fmt.Errorf("epoch %d delta %s: %w", e, keys[k], err)
 							}
-							sum[k] += d
+							val[k] += d
+							ledger[k] += d
+							o.fold(keys[k], state(val[k]))
 						} else {
 							// Plain update: overwrites the counter's word through
 							// the redo log; a pending fold or queued tx on the
 							// key drains first (the backend settles the record).
-							if sum[k] != 0 || recPending[k] {
+							if ledger[k] != 0 || queued[k] {
 								boundary()
 							}
 							x := int64(1000*(e+1) + i)
-							if err := g.Update(keys[k], []store.Field{{Name: "n", Value: counterBytes(x)}}); err != nil {
+							if err := g.Update(keys[k], []store.Field{{Name: "n", Value: []byte(counter(x))}}); err != nil {
 								return fmt.Errorf("epoch %d update %s: %w", e, keys[k], err)
 							}
-							base[k] = x
-							sum[k] = 0
-							recPending[k] = true
+							val[k], ledger[k], queued[k] = x, 0, true
+							o.issue(keys[k], state(x))
 						}
 					}
 					drain(e)
@@ -681,7 +636,8 @@ func gridDeltaEntry() entry {
 						if err := g.AddDelta(keys[0], "n", d); err != nil {
 							return fmt.Errorf("hot epoch %d delta: %w", e, err)
 						}
-						sum[0] += d
+						val[0] += d
+						o.fold(keys[0], state(val[0]))
 					}
 					drain(e)
 				}
@@ -689,43 +645,23 @@ func gridDeltaEntry() entry {
 			},
 			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
-				read := func(key string) (int64, error) {
-					raw, found, err := gridReader(g2).field(key, "n")
-					if err == nil && !found {
-						err = store.ErrNotFound
-					}
-					if err != nil {
-						return 0, err
-					}
-					if len(raw) != 8 {
-						return 0, fmt.Errorf("counter is %d bytes (torn?)", len(raw))
-					}
-					return counterValue(raw), nil
-				}
-				for j, key := range keys {
-					got, err := read(key)
-					if err != nil {
-						return fmt.Errorf("read %s: %w", key, err)
-					}
-					if got == base[j]+sum[j] || durable[j][got] {
-						continue
-					}
-					return fmt.Errorf("key %s: recovered %d is neither in-flight %d nor any drained state %v",
-						key, got, base[j]+sum[j], int64Keys(durable[j]))
+				if err := o.checkRecords(g2, keys); err != nil {
+					return err
 				}
 				// Writability probe: the recovered grid folds per-Tx again.
-				if err := g2.AddDelta(keys[0], "n", 5); err != nil {
-					return fmt.Errorf("post-recovery delta: %w", err)
-				}
-				before, err := read(keys[0])
+				// The check above found an 8-byte counter under keys[0].
+				before, err := readRecord(g2, keys[0])
 				if err != nil {
 					return err
 				}
-				if err := g2.AddDelta(keys[0], "n", -2); err != nil {
-					return fmt.Errorf("post-recovery second delta: %w", err)
+				for _, d := range []int64{5, -2} {
+					if err := g2.AddDelta(keys[0], "n", d); err != nil {
+						return fmt.Errorf("post-recovery delta %d: %w", d, err)
+					}
 				}
-				if after, err := read(keys[0]); err != nil || after != before-2 {
-					return fmt.Errorf("post-recovery fold lost: %d -> %d, %v", before, after, err)
+				after, err := readRecord(g2, keys[0])
+				if want := state(counterValue(before["n"]) + 3); err != nil || render(after) != want {
+					return fmt.Errorf("post-recovery fold lost: %s -> %s, %v", render(before), render(after), err)
 				}
 				return nil
 			},
@@ -743,40 +679,26 @@ func gridDeltaEntry() entry {
 // ADDDELTA on an inline counter next to an UPDATE of a sibling field of
 // the same record (one block, a ledger entry and a queued commit), and
 // DELETE. A per-Tx phase makes each of them the only operation in
-// flight; an async phase with manual drains queues them behind one
-// another. The oracle keeps, per key, every state the record went
-// through since the last point the pipeline was known durable: the
-// recovered record must equal one of them field for field — each
-// operation all-or-nothing, nothing acknowledged by a returned drain
-// lost — and the harness's fsck holds every stored id against the
-// dictionary at every point.
+// flight and acks it on return; an async phase with manual drains queues
+// them behind one another. The recovered record must be one of its key's
+// legal states field for field — each operation all-or-nothing, nothing
+// acknowledged by a returned drain lost — and the harness's fsck holds
+// every stored id against the dictionary at every point. An ADDDELTA is
+// issued, not folded: an overlap on the sibling key's block drains the
+// whole ledger mid-epoch, which only griddelta models, so an intermediate
+// sum may land.
 func gridInlineEntry() entry {
 	const nkeys = 4
 	const txOps = 14
 	const epochs = 3
 	const opsPerEpoch = 4
 	keys := keyNames("r%02d", nkeys)
-	type state map[string]string // field -> value; nil = absent
-	same := func(a, b state) bool {
-		if (a == nil) != (b == nil) || len(a) != len(b) {
-			return false
-		}
-		for f, v := range a {
-			if w, ok := b[f]; !ok || w != v {
-				return false
-			}
-		}
-		return true
-	}
-	counter := func(v int64) string { return string(counterBytes(v)) }
 	e := entry{name: "gridinline", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true}
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		// hist[k] lists key k's legal states, oldest first; the last one
-		// is the model's current state.
-		hist := make([][]state, nkeys)
-		cur := func(k int) state { return hist[k][len(hist[k])-1] }
-		names := 0 // field names minted so far
+		o := oracle{}
+		cur := make([]map[string]string, nkeys) // each record in the model; nil = absent
+		names := 0                              // field names minted so far
 		var g *store.Grid
 		var mgr *fa.Manager
 		// value flips the representation of the field it replaces: a long
@@ -787,57 +709,48 @@ func gridInlineEntry() entry {
 			}
 			return string(letters(i, 9+rng.Intn(40)))
 		}
-		// step runs one random operation on key k and appends the state
-		// it leads to.
+		// step runs one random operation on key k, issuing the state it
+		// leads to first.
 		step := func(i, k int) error {
-			key, pre := keys[k], cur(k)
-			post := state{}
-			for f, v := range pre {
-				post[f] = v
-			}
+			key, pre := keys[k], cur[k]
+			post := maps.Clone(pre)
 			var err error
 			switch r := rng.Intn(10); {
 			case pre == nil:
 				// A new record under a field name nobody used before.
 				names++
 				fresh := fmt.Sprintf("f%02d", names)
-				post = state{"n": counter(int64(100 * (k + 1))), "v": value(i, ""), fresh: "x"}
-				hist[k] = append(hist[k], post)
+				post = map[string]string{"n": counter(int64(100 * (k + 1))), "v": value(i, ""), fresh: "x"}
+				o.issue(key, render(post))
 				err = g.Insert(key, &store.Record{Fields: []store.Field{
 					{Name: "n", Value: []byte(post["n"])},
 					{Name: "v", Value: []byte(post["v"])},
 					{Name: fresh, Value: []byte("x")},
 				}})
 			case r == 0:
-				hist[k] = append(hist[k], nil)
+				post = nil
+				o.issue(key, absent)
 				err = g.Delete(key)
 			case r < 5:
 				d := int64(1 + rng.Intn(9))
-				post["n"] = counter(counterValue([]byte(pre["n"])) + d)
-				hist[k] = append(hist[k], post)
+				post["n"] = counter(counterValue(pre["n"]) + d)
+				o.issue(key, render(post))
 				err = g.AddDelta(key, "n", d)
 			default:
 				post["v"] = value(i, pre["v"])
-				hist[k] = append(hist[k], post)
+				o.issue(key, render(post))
 				err = g.Update(key, []store.Field{{Name: "v", Value: []byte(post["v"])}})
 			}
+			cur[k] = post
 			if err != nil {
 				return fmt.Errorf("op %d on %s: %w", i, key, err)
 			}
 			return nil
 		}
-		settled := func() {
-			for k := range hist {
-				hist[k] = hist[k][len(hist[k])-1:]
-			}
-		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
-				for k := range hist {
-					hist[k] = []state{nil}
-				}
 				return nil
 			},
 			exec: func() error {
@@ -845,7 +758,7 @@ func gridInlineEntry() entry {
 					if err := step(i, rng.Intn(nkeys)); err != nil {
 						return err
 					}
-					settled() // per-Tx: durable on return
+					o.ack() // per-Tx: durable on return
 				}
 				if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
 					return err
@@ -859,36 +772,14 @@ func gridInlineEntry() entry {
 							return err
 						}
 					}
-					if e%2 == 0 {
-						mgr.AwaitDurable(mgr.IssuedTickets())
-					} else {
-						mgr.DrainDurable()
-					}
-					settled()
+					o.drain(mgr, e)
 				}
 				return nil
 			},
 			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
-				for k, key := range keys {
-					got := state{}
-					found, err := gridReader(g2)(key, func(name string, value []byte) {
-						got[strings.Clone(name)] = string(value)
-					})
-					if err != nil {
-						return fmt.Errorf("read %s: %w", key, err)
-					}
-					if !found {
-						got = nil
-					}
-					legal := false
-					for _, s := range hist[k] {
-						legal = legal || same(got, s)
-					}
-					if !legal {
-						return fmt.Errorf("key %s: recovered %q is none of the %d states it went through since it was last durable (current %q)",
-							key, got, len(hist[k]), cur(k))
-					}
+				if err := o.checkRecords(g2, keys); err != nil {
+					return err
 				}
 				// Writability probe: a name the dictionary has never seen,
 				// an inline counter next to it, and a fold on the counter.
@@ -900,11 +791,9 @@ func gridInlineEntry() entry {
 				if err := g2.AddDelta("probe", "n", 5); err != nil {
 					return fmt.Errorf("post-recovery delta: %w", err)
 				}
-				if v, _, err := gridReader(g2).field("probe", "n"); err != nil || string(v) != counter(12) {
-					return fmt.Errorf("post-recovery counter: %q, %v", v, err)
-				}
-				if v, _, err := gridReader(g2).field("probe", "probe-name"); err != nil || string(v) != "ok" {
-					return fmt.Errorf("post-recovery readback: %q, %v", v, err)
+				want := render(map[string]string{"probe-name": "ok", "n": counter(12)})
+				if rec, err := readRecord(g2, "probe"); err != nil || render(rec) != want {
+					return fmt.Errorf("post-recovery readback: %s, %v", render(rec), err)
 				}
 				return nil
 			},
@@ -919,36 +808,20 @@ func gridInlineEntry() entry {
 // behind a cache-less grid, which adopts the seqlock zero-copy reader and
 // enables epoch-based reclamation on the heap. Writes follow the
 // non-transactional §4.1.6 discipline (validate+fence before the swing,
-// fence before the free), so the per-key oracle is a *set* of legal
-// states: every value written since the op whose internal fence last made
-// the world durable, plus the fenced state. Reads interleave with the
-// writes so crash points land while retired-but-unreclaimed blocks exist,
-// and every Check recovers the image and re-reads through a fresh
-// zero-copy grid.
+// fence before the free), so a write is issued before it runs and acked
+// only by a fence that covers it. Reads interleave with the writes so
+// crash points land while retired-but-unreclaimed blocks exist, and
+// every Check recovers the image and re-reads through a fresh zero-copy
+// grid.
 func gridReadEntry() entry {
 	const nkeys = 8
 	const ops = 36
 	keys := keyNames("r%02d", nkeys)
 	return entry{name: "gridread", poolBytes: 1 << 21, cfg: stackCfg(stack.JPDT), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		model := make(map[string][]byte)         // committed value per key; missing = absent
-		poss := make(map[string]map[string]bool) // legal recovered states per key
-		for _, k := range keys {
-			poss[k] = map[string]bool{absentState: true}
-		}
-		// collapse records that a global fence just made the committed
-		// model durable for every key.
-		collapse := func() {
-			for _, k := range keys {
-				if v, ok := model[k]; ok {
-					poss[k] = map[string]bool{string(v): true}
-				} else {
-					poss[k] = map[string]bool{absentState: true}
-				}
-			}
-		}
+		o := oracle{}
 		var g *store.Grid
-		mkval := func(i int) []byte {
+		mkval := func(i int) string {
 			n := 8 + rng.Intn(72)
 			switch rng.Intn(4) {
 			case 0:
@@ -959,11 +832,7 @@ func gridReadEntry() entry {
 				// the table with one swing of the binding's value word.
 				n = 1 + rng.Intn(8)
 			}
-			return letters(i, n)
-		}
-		read := func(gr *store.Grid, key string) ([]byte, error) {
-			val, _, err := gridReader(gr).field(key, "v")
-			return val, err
+			return string(letters(i, n))
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
@@ -978,44 +847,40 @@ func gridReadEntry() entry {
 					switch rng.Intn(6) {
 					case 0, 1, 2: // write: insert when absent, update otherwise
 						v := mkval(i)
-						if model[key] == nil {
+						insert := o.latest(key) == absent
+						o.issue(key, vState(v))
+						if insert {
 							// Map.Put fences mid-op, *before* publication:
-							// the binding rides unfenced, and crash points
-							// earlier in the op still see the pre-fence
-							// world, so nothing collapses here.
-							poss[key][string(v)] = true
-							if err := g.Insert(key, &store.Record{Fields: []store.Field{{Name: "v", Value: v}}}); err != nil {
+							// the binding rides unfenced, so nothing is
+							// acked here.
+							if err := g.Insert(key, &store.Record{Fields: vFields(v)}); err != nil {
 								return fmt.Errorf("op %d insert %s: %w", i, key, err)
 							}
-							model[key] = v
 						} else {
-							poss[key][string(v)] = true
-							if err := g.Update(key, []store.Field{{Name: "v", Value: v}}); err != nil {
+							if err := g.Update(key, vFields(v)); err != nil {
 								return fmt.Errorf("op %d update %s: %w", i, key, err)
 							}
 							// AtomicReplaceRef fenced the swing before
-							// freeing the old value: everything committed
-							// is now durable.
-							model[key] = v
-							collapse()
+							// freeing the old value: everything issued is
+							// now durable.
+							o.ack()
 						}
 					case 3: // delete when present (Remove fences the unlink)
-						if model[key] == nil {
+						if o.latest(key) == absent {
 							continue
 						}
-						poss[key][absentState] = true
+						o.issue(key, absent)
 						if err := g.Delete(key); err != nil {
 							return fmt.Errorf("op %d delete %s: %w", i, key, err)
 						}
-						delete(model, key)
-						collapse()
+						o.ack()
 					default: // read through the zero-copy path, checked live
-						got, err := read(g, key)
+						rec, err := readRecord(g, key)
 						if err != nil {
 							return fmt.Errorf("op %d read %s: %w", i, key, err)
 						}
-						if !bytes.Equal(got, model[key]) || (got == nil) != (model[key] == nil) {
-							return fmt.Errorf("op %d read %s: got %q, model %q", i, key, got, model[key])
+						if got := render(rec); got != o.latest(key) {
+							return fmt.Errorf("op %d read %s: got %s, model %s", i, key, got, o.latest(key))
 						}
 					}
 				}
@@ -1025,29 +890,19 @@ func gridReadEntry() entry {
 				// The recovered grid adopts zero-copy again, so every
 				// crash image is re-read through the view path.
 				g2 := store.NewGrid(st.Backend, store.Options{})
-				for _, key := range keys {
-					got, err := read(g2, key)
-					if err != nil {
-						return fmt.Errorf("read %s: %w", key, err)
-					}
-					state := absentState
-					if got != nil {
-						state = string(got)
-					}
-					if !poss[key][state] {
-						return fmt.Errorf("key %s: recovered %q not in %d legal states", key, state, len(poss[key]))
-					}
+				if err := o.checkRecords(g2, keys); err != nil {
+					return err
 				}
 				// Writability probe: the recovered heap must accept the
 				// full op mix through the same path.
-				if err := g2.Insert("probe", &store.Record{Fields: []store.Field{{Name: "v", Value: []byte("ok")}}}); err != nil {
+				if err := g2.Insert("probe", &store.Record{Fields: vFields("ok")}); err != nil {
 					return fmt.Errorf("post-recovery insert: %w", err)
 				}
-				if err := g2.Update("probe", []store.Field{{Name: "v", Value: []byte("ok2")}}); err != nil {
+				if err := g2.Update("probe", vFields("ok2")); err != nil {
 					return fmt.Errorf("post-recovery update: %w", err)
 				}
-				if v, err := read(g2, "probe"); err != nil || string(v) != "ok2" {
-					return fmt.Errorf("post-recovery readback: %q, %v", v, err)
+				if rec, err := readRecord(g2, "probe"); err != nil || render(rec) != vState("ok2") {
+					return fmt.Errorf("post-recovery readback: %s, %v", render(rec), err)
 				}
 				return nil
 			},
@@ -1060,75 +915,34 @@ func gridReadEntry() entry {
 // poolEntry drives the heap allocator inside failure-atomic blocks:
 // PutTx allocates key strings and values (pooled small strings
 // and multi-block byte blobs), DeleteTx frees them, and a crash at any
-// point must leave the map exactly at the committed model with at most
+// point must leave the map exactly at the acked model with at most
 // the in-flight op applied — with no leaked or dangling blocks (fsck).
 func poolEntry() entry {
 	const nkeys = 10
 	const ops = 24
 	keys := keyNames("p%02d", nkeys)
-	type poolVal struct {
-		isStr bool
-		data  []byte
-	}
-	type poolOp struct {
-		key       string
-		pre, post *poolVal
-	}
 	return entry{name: "pool", poolBytes: 1 << 21, cfg: stackCfg(""), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		model := make(map[string]*poolVal)
-		var inflight *poolOp
+		o := oracle{}
 		var h *core.Heap
 		var mgr *fa.Manager
 		var m *pdt.Map
-		mkval := func(i int) *poolVal {
+		// mkval is a value of kind "string" (a pooled small string) or
+		// "bytes" (a blob spanning 2-3 heap blocks), the names valueState
+		// renders them under.
+		mkval := func(i int) (kind string, data []byte) {
 			if rng.Intn(2) == 0 {
-				n := 4 + rng.Intn(32) // pooled small string
-				b := make([]byte, n)
+				b := make([]byte, 4+rng.Intn(32))
 				for j := range b {
 					b[j] = byte('A' + (i+j)%26)
 				}
-				return &poolVal{isStr: true, data: b}
+				return "string", b
 			}
-			n := 260 + rng.Intn(400) // spans 2-3 heap blocks
-			b := make([]byte, n)
+			b := make([]byte, 260+rng.Intn(400))
 			for j := range b {
 				b[j] = byte(i + j)
 			}
-			return &poolVal{data: b}
-		}
-		readVal := func(po core.PObject) (*poolVal, error) {
-			switch v := po.(type) {
-			case *pdt.PString:
-				return &poolVal{isStr: true, data: []byte(v.Value())}, nil
-			case *pdt.PBytes:
-				return &poolVal{data: v.Value()}, nil
-			case nil:
-				return nil, nil
-			default:
-				return nil, fmt.Errorf("unexpected value type %T", po)
-			}
-		}
-		sameVal := func(a, b *poolVal) bool {
-			if a == nil || b == nil {
-				return a == b
-			}
-			return a.isStr == b.isStr && bytes.Equal(a.data, b.data)
-		}
-		putTx := func(mp *pdt.Map, mg *fa.Manager, key string, v *poolVal) error {
-			return mg.Run(func(tx *fa.Tx) error {
-				var po core.PObject
-				var err error
-				if v.isStr {
-					po, err = pdt.NewStringTx(tx, string(v.data))
-				} else {
-					po, err = pdt.NewBytesTx(tx, v.data)
-				}
-				if err != nil {
-					return err
-				}
-				return mp.PutTx(tx, key, po)
-			})
+			return "bytes", b
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) (err error) {
@@ -1142,25 +956,34 @@ func poolEntry() entry {
 			exec: func() error {
 				for i := 0; i < ops; i++ {
 					key := keys[rng.Intn(nkeys)]
-					pre := model[key]
-					if pre == nil || rng.Intn(3) != 0 {
-						post := mkval(i)
-						inflight = &poolOp{key: key, pre: pre, post: post}
-						if err := putTx(m, mgr, key, post); err != nil {
+					if o.latest(key) == absent || rng.Intn(3) != 0 {
+						kind, data := mkval(i)
+						o.issue(key, render(map[string]string{kind: string(data)}))
+						if err := mgr.Run(func(tx *fa.Tx) error {
+							var po core.PObject
+							var err error
+							if kind == "string" {
+								po, err = pdt.NewStringTx(tx, string(data))
+							} else {
+								po, err = pdt.NewBytesTx(tx, data)
+							}
+							if err != nil {
+								return err
+							}
+							return m.PutTx(tx, key, po)
+						}); err != nil {
 							return fmt.Errorf("put %s: %w", key, err)
 						}
-						model[key] = post
 					} else {
-						inflight = &poolOp{key: key, pre: pre, post: nil}
+						o.issue(key, absent)
 						if err := mgr.Run(func(tx *fa.Tx) error {
 							_, err := m.DeleteTx(tx, key)
 							return err
 						}); err != nil {
 							return fmt.Errorf("delete %s: %w", key, err)
 						}
-						delete(model, key)
 					}
-					inflight = nil
+					o.ack(key)
 				}
 				return nil
 			},
@@ -1170,30 +993,8 @@ func poolEntry() entry {
 				if err != nil {
 					return err
 				}
-				for _, key := range keys {
-					vpo, err := m2.Get(key)
-					if err != nil {
-						return fmt.Errorf("get %s: %w", key, err)
-					}
-					got, err := readVal(vpo)
-					if err != nil {
-						return fmt.Errorf("value of %s: %w", key, err)
-					}
-					if sameVal(got, model[key]) {
-						continue
-					}
-					if inflight != nil && inflight.key == key &&
-						(sameVal(got, inflight.pre) || sameVal(got, inflight.post)) {
-						continue
-					}
-					return fmt.Errorf("key %s: recovered value does not match committed model (inflight %v)",
-						key, inflight != nil)
-				}
-				// No phantom bindings beyond the working key set.
-				for _, k := range m2.Keys() {
-					if !strings.HasPrefix(k, "p") {
-						return fmt.Errorf("phantom key %q in recovered map", k)
-					}
+				if err := o.checkMap(m2, "", keys); err != nil {
+					return err
 				}
 				// Writability probe: non-tx publication on the recovered heap.
 				ps, err := pdt.NewString(h2, "probe")
@@ -1218,55 +1019,27 @@ func poolEntry() entry {
 
 // ---- pdt: non-transactional map/set/array publication discipline ----
 
-const absentState = "\x00absent"
-
 // pdtEntry checks the single-fence publication rules (§3.2.3) without
-// failure-atomic blocks. Individual ops are not atomic across a crash,
-// so the oracle tracks the *set* of states each key/cell may legally
-// hold: every value written since the last full fence plus the fenced
-// state, never anything torn, half-initialized, or from another key.
+// failure-atomic blocks. Individual ops are not atomic across a crash:
+// each is issued before it runs and acked only by a fence that covers
+// it, so a key or cell may recover to any value written since the last
+// such fence, never anything torn, half-initialized, or from another
+// key. The oracle knows the map's keys as "map k", the set's as "set k"
+// and the array's cells as "arr[i]"; a set member is an empty record.
 func pdtEntry() entry {
 	const nkeys = 8
 	const cells = 8
 	const ops = 36
 	keys := keyNames("d%02d", nkeys)
+	cell := func(i int) string { return fmt.Sprintf("arr[%d]", i) }
+	member := render(map[string]string{})
 	return entry{name: "pdt", poolBytes: 1 << 21, cfg: stackCfg(""), new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		// possible[k] is the set of states key k may recover to.
-		mapPoss := make(map[string]map[string]bool)
-		setPoss := make(map[string]map[string]bool)
-		arrPoss := make([]map[int64]bool, cells)
-		mapCur := make(map[string]string)
-		setCur := make(map[string]bool)
-		arrCur := make([]int64, cells)
-		for _, k := range keys {
-			mapPoss[k] = map[string]bool{absentState: true}
-			setPoss[k] = map[string]bool{absentState: true}
-		}
-		for i := range arrPoss {
-			arrPoss[i] = map[int64]bool{0: true}
-		}
+		o := oracle{}
 		var h *core.Heap
 		var m *pdt.Map
 		var s *pdt.Set
 		var arr *pdt.PLongArray
-		collapse := func() {
-			for _, k := range keys {
-				if v, ok := mapCur[k]; ok {
-					mapPoss[k] = map[string]bool{v: true}
-				} else {
-					mapPoss[k] = map[string]bool{absentState: true}
-				}
-				if setCur[k] {
-					setPoss[k] = map[string]bool{"present": true}
-				} else {
-					setPoss[k] = map[string]bool{absentState: true}
-				}
-			}
-			for i := range arrPoss {
-				arrPoss[i] = map[int64]bool{arrCur[i]: true}
-			}
-		}
 		return &scenario{
 			setup: func(st *stack.Stack) (err error) {
 				h = st.Heap
@@ -1285,6 +1058,10 @@ func pdtEntry() entry {
 				if arr, err = pdt.NewLongArray(h, cells); err != nil {
 					return err
 				}
+				for i := 0; i < cells; i++ {
+					o.issue(cell(i), "0")
+				}
+				o.ack()
 				return h.Root().Put("pdt.arr", arr)
 			},
 			exec: func() error {
@@ -1293,7 +1070,7 @@ func pdtEntry() entry {
 					case 0, 1: // map put
 						k := keys[rng.Intn(nkeys)]
 						v := fmt.Sprintf("m%03d", i)
-						mapPoss[k][v] = true
+						o.issue("map "+k, render(map[string]string{"string": v}))
 						ps, err := pdt.NewString(h, v)
 						if err != nil {
 							return err
@@ -1301,37 +1078,32 @@ func pdtEntry() entry {
 						if err := m.Put(k, ps); err != nil {
 							return fmt.Errorf("map put %s: %w", k, err)
 						}
-						mapCur[k] = v
 					case 2: // map delete
 						k := keys[rng.Intn(nkeys)]
-						mapPoss[k][absentState] = true
+						o.issue("map "+k, absent)
 						m.Delete(k)
-						delete(mapCur, k)
 					case 3: // set add
 						k := keys[rng.Intn(nkeys)]
-						setPoss[k]["present"] = true
+						o.issue("set "+k, member)
 						if err := s.Add(k); err != nil {
 							return fmt.Errorf("set add %s: %w", k, err)
 						}
-						setCur[k] = true
 					case 4: // set delete
 						k := keys[rng.Intn(nkeys)]
-						setPoss[k][absentState] = true
+						o.issue("set "+k, absent)
 						s.Delete(k)
-						delete(setCur, k)
 					case 5: // array store + per-element flush + fence
 						i2 := rng.Intn(cells)
 						v := int64(rng.Intn(1 << 30))
-						arrPoss[i2][v] = true
+						o.issue(cell(i2), fmt.Sprint(v))
 						arr.Set(i2, v)
 						arr.FlushElem(i2)
 						h.PFence()
-						arrCur[i2] = v
 						// The fence made exactly this cell durable.
-						arrPoss[i2] = map[int64]bool{v: true}
+						o.ack(cell(i2))
 					case 6: // checkpoint: everything becomes durable
 						h.PSync()
-						collapse()
+						o.ack()
 					}
 				}
 				return nil
@@ -1351,38 +1123,21 @@ func pdtEntry() entry {
 				if err != nil {
 					return err
 				}
-				for _, k := range keys {
-					vpo, err := m2.Get(k)
-					if err != nil {
-						return fmt.Errorf("map get %s: %w", k, err)
-					}
-					state := absentState
-					if vpo != nil {
-						ps, ok := vpo.(*pdt.PString)
-						if !ok {
-							return fmt.Errorf("map %s: half-initialized value %T", k, vpo)
-						}
-						state = ps.Value()
-					}
-					if !mapPoss[k][state] {
-						return fmt.Errorf("map %s: recovered %q not in legal states %v", k, state, stateNames(mapPoss[k]))
-					}
-					sstate := absentState
-					if s2.Contains(k) {
-						sstate = "present"
-					}
-					if !setPoss[k][sstate] {
-						return fmt.Errorf("set %s: recovered %q not in legal states %v", k, sstate, stateNames(setPoss[k]))
-					}
+				if err := o.checkMap(m2, "map ", keys); err != nil {
+					return err
 				}
-				for _, k := range m2.Keys() {
-					if !strings.HasPrefix(k, "d") {
-						return fmt.Errorf("phantom map key %q", k)
+				for _, k := range keys {
+					got := absent
+					if s2.Contains(k) {
+						got = member
+					}
+					if err := o.check("set "+k, got); err != nil {
+						return err
 					}
 				}
 				for i := 0; i < cells; i++ {
-					if v := arr2.Get(i); !arrPoss[i][v] {
-						return fmt.Errorf("array[%d]: recovered %d not in legal states %v (word tear?)", i, v, int64Keys(arrPoss[i]))
+					if err := o.check(cell(i), fmt.Sprint(arr2.Get(i))); err != nil {
+						return err
 					}
 				}
 				// Writability probe.
@@ -1405,27 +1160,6 @@ func pdtEntry() entry {
 	}}
 }
 
-func stateNames(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		if k == absentState {
-			k = "<absent>"
-		}
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func int64Keys(m map[int64]bool) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ---- retire: redo logs retired behind the durable watermark ----
 
 // retireEntry crashes the two orderings a per-Tx commit no longer fences
@@ -1442,8 +1176,8 @@ func int64Keys(m map[int64]bool) []int64 {
 // update that freed a slot of the name's size (the dictionary allocates
 // and publishes outside the block, under its own fences: handed the
 // parked commit's slot, it would be invalidated by that commit's replay),
-// and a forced Retire in the middle. The oracle is
-// the prefix property over the whole grid: the recovered records equal
+// and a forced Retire in the middle. The oracle holds one key, the whole
+// grid, so it checks the prefix property: the recovered records equal
 // the model after every operation that returned, or that plus the one in
 // flight — never a mix, never an older state. Then a burst of inserts
 // takes blocks off the recovered free queue and every record is read
@@ -1452,24 +1186,19 @@ func int64Keys(m map[int64]bool) []int64 {
 func retireEntry() entry {
 	keys := keyNames("t%02d", 8)
 	fields := []string{"f0", "f1", "f2", "f3"}
-	type grid map[string]map[string]string // key -> field -> value
-	clone := func(g grid) grid {
-		c := grid{}
-		for k, rec := range g {
-			c[k] = map[string]string{}
-			for f, v := range rec {
-				c[k][f] = v
-			}
-		}
-		return c
-	}
 	e := entry{name: "retire", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true}
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
-		// states[i] is the grid after i operations; done counts the ones
-		// that returned.
-		var states []grid
-		done := 0
+		o := oracle{}
+		cur := map[string]map[string]string{} // the model: key -> field -> value
+		// grid renders every present record of a grid as one state.
+		grid := func(recs map[string]map[string]string) string {
+			out := map[string]string{}
+			for k, rec := range recs {
+				out[k] = render(rec)
+			}
+			return render(out)
+		}
 		var g *store.Grid
 		var mgr *fa.Manager
 		// Values straddle the pooled-slot limit: short ones share a pool
@@ -1492,26 +1221,23 @@ func retireEntry() entry {
 		}
 		insert := func(i int, key string, extra ...string) error {
 			rec, m := record(i, extra...)
-			next := clone(states[len(states)-1])
-			next[key] = m
-			states = append(states, next)
+			cur[key] = m
+			o.issue("grid", grid(cur))
 			return g.Insert(key, rec)
 		}
 		update := func(i int, key string, names ...string) error {
-			next := clone(states[len(states)-1])
 			var fs []store.Field
 			for j, f := range names {
 				v := value(i+j, f)
 				fs = append(fs, store.Field{Name: f, Value: []byte(v)})
-				next[key][f] = v
+				cur[key][f] = v
 			}
-			states = append(states, next)
+			o.issue("grid", grid(cur))
 			return g.Update(key, fs)
 		}
 		del := func(key string) error {
-			next := clone(states[len(states)-1])
-			delete(next, key)
-			states = append(states, next)
+			delete(cur, key)
+			o.issue("grid", grid(cur))
 			return g.Delete(key)
 		}
 		ops := []func(i int) error{
@@ -1532,7 +1258,7 @@ func retireEntry() entry {
 			func(i int) error { return update(i, keys[6], "f0", "f1", "f2", "f3") },
 			// Forced retirement between two commits on one record.
 			func(i int) error { return update(i, keys[2], "f0") },
-			func(i int) error { mgr.Retire(); states = append(states, states[len(states)-1]); return nil },
+			func(i int) error { mgr.Retire(); return nil },
 			func(i int) error { return update(i, keys[2], "f0", "f3") },
 			// Same key out and back in.
 			func(i int) error { return del(keys[1]) },
@@ -1546,13 +1272,12 @@ func retireEntry() entry {
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
 				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
-				states = []grid{{}}
 				for i := 0; i < 5; i++ {
 					if err := insert(100+10*i, keys[i]); err != nil {
 						return err
 					}
 				}
-				states = states[len(states)-1:]
+				o.ack()
 				return nil
 			},
 			exec: func() error {
@@ -1560,41 +1285,31 @@ func retireEntry() entry {
 					if err := op(10 * i); err != nil {
 						return fmt.Errorf("op %d: %w", i, err)
 					}
-					done++
+					o.ack()
 				}
 				return nil
 			},
 			check: func(st *stack.Stack) error {
 				g2 := store.NewGrid(st.Backend, store.Options{})
-				read := func() (grid, error) {
-					got := grid{}
+				read := func() (string, error) {
+					recs := map[string]map[string]string{}
 					for _, key := range keys {
-						rec := map[string]string{}
-						found, err := gridReader(g2)(key, func(name string, value []byte) {
-							rec[strings.Clone(name)] = string(value)
-						})
+						rec, err := readRecord(g2, key)
 						if err != nil {
-							return nil, fmt.Errorf("read %s: %w", key, err)
+							return "", fmt.Errorf("read %s: %w", key, err)
 						}
-						if found {
-							got[key] = rec
+						if rec != nil {
+							recs[key] = rec
 						}
 					}
-					return got, nil
+					return grid(recs), nil
 				}
 				got, err := read()
 				if err != nil {
 					return err
 				}
-				at := -1
-				for i := done; i < len(states) && i <= done+1; i++ {
-					if reflect.DeepEqual(got, states[i]) {
-						at = i
-						break
-					}
-				}
-				if at < 0 {
-					return fmt.Errorf("recovered grid is the state after neither %d nor %d operations: %v", done, done+1, got)
+				if err := o.check("grid", got); err != nil {
+					return err
 				}
 				// No block both free and reachable: allocations off the
 				// recovered free queue leave every record as it was.
@@ -1604,12 +1319,8 @@ func retireEntry() entry {
 						return fmt.Errorf("post-recovery insert %d: %w", i, err)
 					}
 				}
-				again, err := read()
-				if err != nil {
-					return err
-				}
-				if !reflect.DeepEqual(again, states[at]) {
-					return fmt.Errorf("records changed under post-recovery inserts (a free block was reachable): %v", again)
+				if again, err := read(); err != nil || again != got {
+					return fmt.Errorf("records changed under post-recovery inserts (a free block was reachable): %s, %v", again, err)
 				}
 				return nil
 			},

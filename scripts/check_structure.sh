@@ -28,13 +28,15 @@
 #     EXPERIMENTS.md names a heading DESIGN.md has, so renumbering a
 #     section cannot leave a citation pointing at its neighbour.
 #  6. Retired names. Each row of the table at the end is a file scope
-#     (go: Go files; all: Go, the Makefile, scripts and CI workflows; or
-#     one file), an ERE and what a match brings back: the multi-pool heap
-#     (a heap is one pool), a third commit protocol (DESIGN.md §15), the
-#     lock-free map (pdt.Map is the map, DESIGN.md §3.2), the parallel
-#     recovery pipeline (DESIGN.md §12), and the extensions the paper
-#     does not run: YCSB-E scans, the bounded hot-proxy cache and the
-#     reflection layout binder. benchmarks/ and this file are exempt.
+#     (go: Go files; all: Go, the Makefile, scripts and CI workflows; a
+#     directory: its Go files; or one file), an ERE and what a match
+#     brings back: the multi-pool heap (a heap is one pool), a third
+#     commit protocol (DESIGN.md §15), the lock-free map (pdt.Map is the
+#     map, DESIGN.md §3.2), the parallel recovery pipeline (DESIGN.md
+#     §12), the extensions the paper does not run (YCSB-E scans, the
+#     bounded hot-proxy cache and the reflection layout binder), and a
+#     crashmc workload's own possible-state structure (one oracle type,
+#     DESIGN.md §13). benchmarks/ and this file are exempt.
 set -eu
 
 fail=0
@@ -119,7 +121,7 @@ while read -r scope pat what; do
     case $scope in
     go) set -- -r --include='*.go' . ;;
     all) set -- -r --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' . ;;
-    *) set -- -H "$scope" ;;
+    *) if [ -d "$scope" ]; then set -- -r --include='*.go' "$scope"; else set -- -H "$scope"; fi ;;
     esac
     hits=$(grep -nE -e "$pat" "$@" |
         grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
@@ -135,6 +137,7 @@ internal/stack/stack.go  case[^:]*"group"  a third commit protocol (per-Tx and a
 all  LFMap|LFSet|JPDTLF|J-PDT-LF|LockFreeBackend  the lock-free map (one persistent map: pdt.Map)
 all  traverseParallel|SweepParallel|sweepConcurrent|rebuildParallel|RecoverParallelism|RecoverOptions  the parallel recovery pipeline (one recovery procedure)
 all  Scanner|ErrNoScan|ExtE|OpScan|ScanDB|CacheHot|SetCacheHot|hotCache|gen\.For  an extension the paper does not run (YCSB-E scans, the hot-proxy cache, the layout binder)
+internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
 exit $fail
