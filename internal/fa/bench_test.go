@@ -105,3 +105,32 @@ func benchCommitProtocol(b *testing.B, opts GroupOptions, committers int) {
 	fences := pool.Obs().Snapshot().Sub(before).Fences()
 	b.ReportMetric(float64(fences)/float64(b.N), "pfence/op")
 }
+
+// BenchmarkDeltaEpoch prices delta materialization: each iteration folds
+// into 16 words on 16 distinct lines and drains them as one epoch.
+// pwb/fold is the persistence cost per materialized fold — its home line,
+// its share of the log's lines, the mark and W — and blocks/fold the
+// blocks the epoch took from the allocators, which a word entry does not
+// need.
+func BenchmarkDeltaEpoch(b *testing.B) {
+	const folds = 16
+	h, mgr, pool, cls := openFA(b, false)
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+		b.Fatal(err)
+	}
+	words := deltaWords(b, h, cls, folds)
+	before, heapBefore := pool.Obs().Snapshot(), h.Mem().ObsSnapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range words {
+			if _, err := mgr.AddDelta(w.orig, w.off, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		mgr.DrainDurable()
+	}
+	b.StopTimer()
+	n := float64(b.N * folds)
+	b.ReportMetric(float64(pool.Obs().Snapshot().Sub(before).PWBs)/n, "pwb/fold")
+	b.ReportMetric(float64(blocksTaken(h.Mem().ObsSnapshot())-blocksTaken(heapBefore))/n, "blocks/fold")
+}

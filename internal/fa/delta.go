@@ -6,9 +6,11 @@
 // AddDelta therefore skips the per-op Tx entirely: it folds the delta
 // into a volatile ledger keyed by (block, offset) and hands out an epoch
 // ticket, exactly like an async commit. At the next drain the ledger is
-// materialized into detached transactions — one redo-log write entry and
-// one line flush per hot word per epoch, however many ops folded into it
-// — which join the epoch's batch and ride the same two fences.
+// materialized into detached transactions — one kindWord redo-log entry,
+// which carries the summed word itself, and one home-line write-back per
+// hot word per epoch, however many ops folded into it — which join the
+// epoch's batch and ride the same two fences. No in-flight block is
+// involved.
 //
 // Correctness hangs on three rules:
 //
@@ -18,7 +20,7 @@
 //     or Free of a block drains while the block has a pending delta. So
 //     each epoch keeps the disjoint-write-set property replay relies
 //     on, and a materialized fold always reads the post-apply
-//     image of its block. While the epoch carrying a fold is in flight,
+//     value of its word. While the epoch carrying a fold is in flight,
 //     the fold's block sits in the pending set like a queued commit's
 //     blocks, so no transactional snapshot forks it mid-apply. These
 //     two drains cover queued commits only:
@@ -32,10 +34,11 @@
 //     acknowledges min(issued-at-snapshot, first-unmaterialized-1), so a
 //     ledger entry left behind by slot exhaustion keeps every ticket that
 //     folded into it unacknowledged until a later drain lands it.
-//   - Recovery needs no new machinery: a materialized fold is an ordinary
-//     kindWrite entry whose in-flight image holds the summed word, so a
+//   - A materialized fold is a kindWord entry holding the summed word,
+//     read from the home word under g.mu with no drain in flight, so a
 //     crash replays the net delta all-or-nothing with its epoch — the
-//     same state the per-op sequence would have reached.
+//     same state the per-op sequence would have reached — and replaying
+//     it twice stores the same value twice.
 //
 // Aborts are the degenerate case: a delta is never owned by an open
 // application Tx, so there is nothing to unfold — an aborted Tx simply
@@ -76,7 +79,7 @@ const (
 	// drain (the fold window is "until someone needs durability", not
 	// "unbounded memory").
 	deltaLedgerMax = 1024
-	// deltaTxChunk caps the write entries carried by one detached
+	// deltaTxChunk caps the word entries carried by one detached
 	// materialization Tx, keeping each well under any slot's capacity.
 	deltaTxChunk = 256
 )
@@ -163,8 +166,8 @@ func (m *Manager) SettleCommits(orig core.Ref) {
 // materializeLocked turns the ledger into detached transactions — grp
 // nil so their accessors never recurse into the queue we are draining,
 // ticket 0 so they are invisible to the group-commit gauges. Each ledger
-// entry becomes one kindWrite log entry whose in-flight image carries
-// the summed word. Called with g.mu held and g.draining false.
+// entry becomes one kindWord log entry carrying the summed word. Called
+// with g.mu held and g.draining false.
 //
 // Entries that cannot materialize (every log slot busy) stay in the
 // ledger; leftoverMin is the smallest ticket still folded into one of
@@ -198,13 +201,10 @@ func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
 			left = append(left, k)
 			continue
 		}
-		if tx != nil && len(tx.writes) >= deltaTxChunk {
-			// Rotate, unless this block already has an in-flight copy in
-			// the current chunk — splitting one block across two slots
-			// would break the epoch's disjoint-write-set invariant.
-			if _, ok := tx.inflight[k.orig]; !ok {
-				tx = nil
-			}
+		if tx != nil && tx.count >= deltaTxChunk {
+			// Rotate. One block's words may land in two slots: the
+			// epoch's word entries are disjoint word by word.
+			tx = nil
 		}
 		if tx == nil && !newTx() {
 			stuck = true
@@ -243,7 +243,7 @@ func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
 	// A rotation raced a retry into an empty Tx: drop it from the epoch.
 	out := dtxs[:0]
 	for _, t := range dtxs {
-		if len(t.writes) > 0 {
+		if t.count > 0 {
 			out = append(out, t)
 		} else {
 			t.Abort()
@@ -252,22 +252,18 @@ func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
 	return out, leftoverMin
 }
 
-// foldDelta adds sum to the 8-byte word at block-local offset off of
-// orig through the redo machinery: first touch snapshots the block into
-// an in-flight copy, then the summed word is stored there, its line
-// masked dirty and queued for the stage-1 write-back. One log entry, one
-// flushed line — however many ops folded into sum.
+// foldDelta logs the 8-byte word at block-local offset off of orig plus
+// sum as one kindWord entry. The home word is current — the caller holds
+// g.mu with no drain in flight and no queued commit on orig — and the
+// entry reaches NVMM with the log's stage-1 write-back, so the fold costs
+// its share of the log's lines and, at apply, the home line: however many
+// ops folded into sum, and no in-flight block.
 func (tx *Tx) foldDelta(orig core.Ref, off uint64, sum int64) error {
-	i, err := tx.inflightFor(orig)
-	if err != nil {
+	p := orig + off
+	if err := tx.appendEntry(kindWord, p, tx.h.Pool().ReadUint64(p)+uint64(sum)); err != nil {
 		return err
 	}
-	w := &tx.writes[i]
-	w.mask |= lineMask(off, 8)
-	pool := tx.h.Pool()
-	p := w.inf + off
-	pool.WriteUint64(p, pool.ReadUint64(p)+uint64(sum))
-	tx.flush.AddRange(p, 8)
+	tx.words = append(tx.words, orig)
 	return nil
 }
 

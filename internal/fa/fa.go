@@ -71,6 +71,10 @@ import (
 // For kindWrite entries the kind word also carries the dirty-line mask in
 // bits 8..11: bit i set means line i of the block was modified and must be
 // copied to the original. Mask 0 means every line (the pre-mask format).
+// A kindWord entry carries its new value itself: it is how a delta fold
+// (delta.go) lands, one word per entry with no in-flight block. Heap
+// format version 3 introduced it; replay validates every live slot's
+// entries (checkSlots) before it writes any.
 const (
 	slotStatus  = heap.LogSlotSeq
 	slotCount   = 8
@@ -80,6 +84,7 @@ const (
 	kindWrite = 1 // a = original block ref, b = in-flight block ref
 	kindAlloc = 2 // a = new object ref
 	kindFree  = 3 // a = freed object ref
+	kindWord  = 4 // a = pool offset of an 8-byte payload word, b = its new value
 
 	kindMask  = 0xff
 	maskShift = 8
@@ -391,11 +396,8 @@ func (m *Manager) RecoverLogs(h *core.Heap) error {
 	}
 	pool, mem := h.Pool(), h.Mem()
 	w, live := LiveSlots(mem)
-	fit := uint64((slotSize - slotEntries) / entrySize)
-	for _, s := range live {
-		if s.Entries > fit {
-			return fmt.Errorf("fa: live log slot %d (seq %d) records %d entries, a slot holds %d", s.Index, s.Seq, s.Entries, fit)
-		}
+	if err := checkSlots(mem, live); err != nil {
+		return err
 	}
 	for _, s := range live {
 		applyEntries(pool, mem, off+uint64(s.Index*slotSize), s.Entries, nil)
@@ -427,8 +429,9 @@ func (m *Manager) RecoverLogs(h *core.Heap) error {
 // replay would silently drop the transaction — or one whose sequence
 // number is further above W than there are slots, since every sequence
 // number between W and the newest mark is held by a distinct slot (or
-// shared by one epoch's). Call it before RecoverLogs runs: replay retires
-// every live slot (heap.Open attaches to an image without replaying).
+// shared by one epoch's) — or one holding an entry replay must not apply
+// (checkSlots). Call it before RecoverLogs runs: replay retires every live
+// slot (heap.Open attaches to an image without replaying).
 func AuditCommittedSlots(mem *heap.Heap) error {
 	_, slots, _ := mem.LogArea()
 	w, live := LiveSlots(mem)
@@ -439,6 +442,60 @@ func AuditCommittedSlots(mem *heap.Heap) error {
 		if s.Seq-w > uint64(slots) {
 			return fmt.Errorf("fa: log slot %d carries seq %d, %d past the retired watermark %d with only %d slots", s.Index, s.Seq, s.Seq-w, w, slots)
 		}
+	}
+	return checkSlots(mem, live)
+}
+
+// checkSlots validates every live slot before replay writes anything: the
+// entry count fits the slot, and each entry is one a commit can have
+// logged (checkEntry). A corrupt slot is an error naming it and the entry;
+// replaying it could store a word anywhere in the pool.
+func checkSlots(mem *heap.Heap, live []LiveSlot) error {
+	off, _, slotSize := mem.LogArea()
+	fit := uint64((slotSize - slotEntries) / entrySize)
+	for _, s := range live {
+		if s.Entries > fit {
+			return fmt.Errorf("fa: live log slot %d (seq %d) records %d entries, a slot holds %d", s.Index, s.Seq, s.Entries, fit)
+		}
+		base := off + uint64(s.Index*slotSize)
+		for e := uint64(0); e < s.Entries; e++ {
+			if err := checkEntry(mem, base+slotEntries+e*entrySize); err != nil {
+				return fmt.Errorf("fa: live log slot %d (seq %d) entry %d: %w", s.Index, s.Seq, e, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkEntry reports why the entry at eoff cannot be replayed: an unknown
+// kind, a write whose refs are not arena blocks, an alloc or free of a ref
+// outside the arena, or a word that is misaligned or not in a block's
+// payload — outside the arena means in the superblock, the class table or
+// the log area itself.
+func checkEntry(mem *heap.Heap, eoff uint64) error {
+	pool := mem.Pool()
+	word := pool.ReadUint64(eoff)
+	a := pool.ReadUint64(eoff + 8)
+	b := pool.ReadUint64(eoff + 16)
+	start := mem.BlockRef(0)
+	end := start + mem.NBlocks()*heap.BlockSize
+	inArena := func(r uint64) bool { return r >= start && r < end }
+	isBlock := func(r uint64) bool { return inArena(r) && mem.IsBlockRef(r) }
+	switch kind := word & kindMask; kind {
+	case kindWrite:
+		if !isBlock(a) || !isBlock(b) {
+			return fmt.Errorf("write of block %#x from %#x: not arena blocks [%#x, %#x)", a, b, start, end)
+		}
+	case kindAlloc, kindFree:
+		if !inArena(a) {
+			return fmt.Errorf("allocation or free of %#x outside the arena [%#x, %#x)", a, start, end)
+		}
+	case kindWord:
+		if a%8 != 0 || !inArena(a) || (a-start)%heap.BlockSize < heap.HeaderSize {
+			return fmt.Errorf("word at %#x is not an aligned block payload word of the arena [%#x, %#x)", a, start, end)
+		}
+	default:
+		return fmt.Errorf("unknown kind %d", kind)
 	}
 	return nil
 }
@@ -461,6 +518,15 @@ func applyEntries(pool *nvm.Pool, mem *heap.Heap, base, count uint64, fs *nvm.Fl
 			mem.SetValid(a, true)
 		case kindFree:
 			mem.SetValid(a, false)
+		case kindWord:
+			// Atomic for the same reason as copyDirtyLines: lock-free
+			// readers load the word while the apply publishes it.
+			pool.WriteUint64Atomic(a, b)
+			if fs != nil {
+				fs.Add(a)
+			} else {
+				pool.PWB(a)
+			}
 		}
 	}
 }
@@ -535,6 +601,7 @@ type Tx struct {
 
 	writes   []inflightWrite
 	inflight map[core.Ref]int // original block -> index into writes
+	words    []core.Ref       // blocks of the words kindWord entries set (delta.go)
 	allocs   map[core.Ref]bool
 	freed    []core.Ref // proxies to neutralize at commit
 	proxies  map[core.Ref]core.PObject
@@ -740,6 +807,7 @@ func (tx *Tx) release() {
 	tx.count = 0
 	tx.writes = tx.writes[:0]
 	clear(tx.inflight)
+	tx.words = tx.words[:0]
 	clear(tx.allocs)
 	tx.freed = tx.freed[:0]
 	clear(tx.proxies)

@@ -1,8 +1,10 @@
 package fa
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -551,5 +553,69 @@ func TestFreeThenCrashKeepsConsistency(t *testing.T) {
 	}
 	if po, _ := h2.Root().Get("keep"); po == nil {
 		t.Fatal("live object lost")
+	}
+}
+
+// TestReplayRefusesCorruptEntries: a live slot holding an entry no commit
+// logs — an unknown kind, a word entry aimed at the log area, a misaligned
+// word, a write whose in-flight ref is not a block — makes the audit and
+// the open fail with an error naming the slot and the entry, and the open
+// writes nothing to the pool: replay validates every entry before it
+// applies any.
+func TestReplayRefusesCorruptEntries(t *testing.T) {
+	cases := []struct {
+		name        string
+		kind, a, b  func(base uint64, orig core.Ref) uint64
+		errContains string
+	}{
+		{"unknown kind", func(uint64, core.Ref) uint64 { return 9 }, nil, nil, "unknown kind 9"},
+		{"word in the log area", func(uint64, core.Ref) uint64 { return kindWord },
+			func(base uint64, _ core.Ref) uint64 { return base + slotCount }, nil, "word at"},
+		{"misaligned word", func(uint64, core.Ref) uint64 { return kindWord },
+			func(_ uint64, orig core.Ref) uint64 { return orig + 12 }, nil, "word at"},
+		{"write from a non-block", nil, nil,
+			func(_ uint64, orig core.Ref) uint64 { return orig + 8 }, "not arena blocks"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h, mgr, pool, cls := openFA(t, true)
+			acc := newAccount(t, h, cls, 100, 0, "acc")
+			tx, err := mgr.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.WriteUint64(acc.Core(), accA, 1); err != nil {
+				t.Fatal(err)
+			}
+			base, orig := tx.base, acc.Core().Ref()
+			tx.commitPrefix(2) // durable mark, so the slot is live
+			img := pool.CrashImage(nvm.CrashStrict, rand.New(rand.NewSource(1)))
+			eoff := base + slotEntries // the write entry, entry 0
+			for i, f := range []func(uint64, core.Ref) uint64{c.kind, c.a, c.b} {
+				if f != nil {
+					img.WriteUint64(eoff+uint64(8*i), f(base, orig))
+				}
+			}
+			want := fmt.Sprintf("slot %d (seq 1) entry 0: ", tx.slot)
+			mem, err := heap.Open(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := AuditCommittedSlots(mem); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), c.errContains) {
+				t.Fatalf("audit: %v (want %q ... %q)", err, want, c.errContains)
+			}
+			bytesBefore := img.ReadBytes(0, img.Size())
+			_, err = core.Open(img, core.Config{
+				HeapOptions: heap.Options{LogSlots: 4, LogSlotSize: 1 << 14},
+				Classes:     []*core.Class{accountClass()},
+				LogHandler:  NewManager(),
+			})
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), c.errContains) {
+				t.Fatalf("open: %v (want %q ... %q)", err, want, c.errContains)
+			}
+			if !bytes.Equal(bytesBefore, img.ReadBytes(0, img.Size())) {
+				t.Fatal("a refused open wrote to the pool")
+			}
+		})
 	}
 }

@@ -1,6 +1,14 @@
 package fa
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/heap"
+	"repro/internal/nvm"
+	"repro/internal/obs"
+)
 
 // TestCommitFlushAccounting pins the persistence cost of the canonical
 // single-line commit, as counted by the obs layer. It is the regression
@@ -56,4 +64,75 @@ func TestCommitFlushAccounting(t *testing.T) {
 	if a, b := acc.ReadUint64(accA), acc.ReadUint64(accB); a != 14 || b != 7 {
 		t.Fatalf("committed values %d/%d, want 14/7", a, b)
 	}
+}
+
+// TestDeltaEpochFlushAccounting pins the persistence cost of materializing
+// a delta ledger: an epoch that lands n folds on n distinct lines writes
+// back exactly those n home lines, the slot's log lines (entry count and
+// n word entries) and its commit mark, under the two commit fences — and
+// takes no block from any allocator, since a word entry needs no
+// in-flight copy.
+func TestDeltaEpochFlushAccounting(t *testing.T) {
+	for _, n := range []int{1, 16, 256} {
+		t.Run(fmt.Sprintf("folds=%d", n), func(t *testing.T) {
+			h, mgr, pool, cls := openFA(t, false)
+			if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+				t.Fatal(err)
+			}
+			words := deltaWords(t, h, cls, n)
+			mgr.Retire() // nothing parked: no W write-back rides on this epoch
+			for i, w := range words {
+				if _, err := mgr.AddDelta(w.orig, w.off, int64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			heapBefore, faBefore := h.Mem().ObsSnapshot(), mgr.ObsSnapshot()
+			before := pool.Obs().Snapshot()
+			mgr.DrainDurable()
+			d := pool.Obs().Snapshot().Sub(before)
+			logLines := (slotEntries + entrySize*uint64(n) + nvm.LineSize - 1) / nvm.LineSize
+			if want := uint64(n) + logLines + 1; d.PWBs != want || d.Fences() != CommitBarriers {
+				t.Fatalf("%d folds cost %d pwb, %d fences; want %d pwb (%d home + %d log + 1 mark), %d fences",
+					n, d.PWBs, d.Fences(), want, n, logLines, CommitBarriers)
+			}
+			if taken := blocksTaken(h.Mem().ObsSnapshot()) - blocksTaken(heapBefore); taken != 0 {
+				t.Fatalf("materializing %d folds took %d blocks, want 0", n, taken)
+			}
+			if got := mgr.ObsSnapshot().LogEntries - faBefore.LogEntries; got != uint64(n) {
+				t.Fatalf("%d folds logged %d entries, want %d", n, got, n)
+			}
+			for i, w := range words {
+				if v := pool.ReadUint64(w.orig + w.off); v != uint64(i+1) {
+					t.Fatalf("word %d = %d after the drain, want %d", i, v, i+1)
+				}
+			}
+		})
+	}
+}
+
+// deltaWord is one foldable word: a block and a block-local offset.
+type deltaWord struct {
+	orig core.Ref
+	off  uint64
+}
+
+// deltaWords returns n zeroed words on n distinct cache lines, one per
+// line of each of ceil(n/4) single-block accounts.
+func deltaWords(t testing.TB, h *core.Heap, cls *core.Class, n int) []deltaWord {
+	var words []deltaWord
+	for len(words) < n {
+		acc := newAccount(t, h, cls, 0, 0, fmt.Sprintf("acc%d", len(words)))
+		blk := acc.BlockRefs()[0]
+		for l := uint64(0); l < linesPerBlock && len(words) < n; l++ {
+			off := max(l*nvm.LineSize, heap.HeaderSize)
+			words = append(words, deltaWord{orig: blk, off: off})
+		}
+	}
+	return words
+}
+
+// blocksTaken counts the blocks handed out by the allocator and by the
+// transactions' transient pools.
+func blocksTaken(s obs.HeapSnapshot) uint64 {
+	return s.BumpAllocs + s.ReuseAllocs + s.TransientReuse
 }

@@ -311,11 +311,10 @@ func (g *groupState) drainLocked() {
 // epochStage1 completes stage 1 for an epoch batch. Queued commits
 // persisted their log, masks and write set at enqueue; detached delta
 // materializations (ticket 0) never passed enqueue and run
-// commitStage1Body here instead — their entry count, patched line masks
-// and in-flight images must be durable under F0, or the commit mark would
-// land on a slot whose durable count is still 0 and recovery would replay
-// the fold as an empty transaction, silently dropping it while its
-// same-epoch siblings apply.
+// commitStage1Body here instead — their entry count and word entries
+// must be durable under F0, or the commit mark would land on a slot whose
+// durable count is still 0 and recovery would replay the fold as an empty
+// transaction, silently dropping it while its same-epoch siblings apply.
 func epochStage1(batch []*Tx) {
 	for _, tx := range batch {
 		if tx.ticket == 0 {
@@ -352,6 +351,7 @@ func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
 		for i := range tx.writes {
 			origs = append(origs, tx.writes[i].orig)
 		}
+		origs = append(origs, tx.words...)
 	}
 	lead := batch[0]
 	lead.mates = batch[1:]

@@ -48,9 +48,11 @@ const (
 	// FormatVersion 2 added the redo log's retired watermark
 	// (sbLogRetired) and changed the meaning of a log slot's first word
 	// from a committed flag to a commit sequence number (DESIGN.md §11); a
-	// version-1 log area cannot be read under that rule, so version-1
-	// pools are refused.
-	FormatVersion = 2
+	// version-1 log area cannot be read under that rule. Version 3 added
+	// the word entry (a delta fold's summed word carried in the log
+	// itself); a version-2 build would skip it on replay and drop
+	// acknowledged increments. Every other version is refused.
+	FormatVersion = 3
 
 	superblockSize = 4096
 

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -143,20 +144,27 @@ func TestOpenRejectsCorruptSuperblock(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesParentFormat: a version-1 pool — the log area under the
-// committed-flag rule, no retired watermark — is refused with an error that
-// names both versions, and is not mistaken for an unformatted pool a
-// caller may format over.
+// TestOpenRefusesParentFormat: a version-1 pool (the log area under the
+// committed-flag rule, no retired watermark) and a version-2 pool (a log
+// whose replay knows no word entries) are each refused with an error that
+// names both versions, before anything is written, and are not mistaken
+// for an unformatted pool a caller may format over.
 func TestOpenRefusesParentFormat(t *testing.T) {
-	pool := nvm.New(1<<20, nvm.Options{})
-	if _, err := Format(pool, Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	pool.WriteUint64(sbVersion, 1)
-	_, err := Open(pool)
-	if err == nil || errors.Is(err, ErrNotFormatted) ||
-		!strings.Contains(err.Error(), "format version 1") || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("version-1 pool: %v", err)
+	for _, v := range []uint64{1, 2} {
+		pool := nvm.New(1<<20, nvm.Options{})
+		if _, err := Format(pool, Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
+			t.Fatal(err)
+		}
+		pool.WriteUint64(sbVersion, v)
+		before := pool.ReadBytes(0, pool.Size())
+		_, err := Open(pool)
+		if err == nil || errors.Is(err, ErrNotFormatted) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) || !strings.Contains(err.Error(), "version 3") {
+			t.Fatalf("version-%d pool: %v", v, err)
+		}
+		if !bytes.Equal(before, pool.ReadBytes(0, pool.Size())) {
+			t.Fatalf("refusing a version-%d pool wrote to it", v)
+		}
 	}
 }
 

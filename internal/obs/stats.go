@@ -105,7 +105,7 @@ type FAStats struct {
 
 	DeltaOps     Counter // delta ops accepted by the async ledger (tickets issued)
 	DeltasFolded Counter // delta ops folded into an already-pending entry
-	DeltaEntries Counter // ledger entries materialized (one log write + flush each)
+	DeltaEntries Counter // ledger entries materialized (one word entry + home-line flush each)
 }
 
 // FASnapshot combines the counters with slot-occupancy gauges.

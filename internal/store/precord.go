@@ -120,11 +120,10 @@ func Classes() []*core.Class {
 	}
 }
 
-// fieldCount and fieldIndex load atomically: the ADDDELTA path looks a
-// field up while an epoch drain on another goroutine may be applying an
-// earlier fold to the same block, rewriting the counter's whole line word
-// by word (the count and the neighbouring table words with the values
-// they already hold).
+// fieldCount and fieldIndex load atomically, as every reader that can
+// overlap a drain does: the ADDDELTA path looks a field up while an epoch
+// drain on another goroutine may be applying an earlier fold to the same
+// block (a word entry storing the counter word, DESIGN.md §17).
 func (r *pRecord) fieldCount() int { return tableCount(r.ReadRefAtomic(recCount)) }
 
 // tableCount extracts the field count from the first word of a table.

@@ -161,6 +161,11 @@ func (b *JPDTBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 u
 	consume func(name string, value []byte)) (found, valid, ok bool) {
 	mem := b.h.Mem()
 	slot := mem.PinReader(hint)
+	if slot < 0 {
+		// Every reader slot is pinned: an unpinned read could dereference
+		// a recycled block, so leave this one to the locked path.
+		return false, true, false
+	}
 	ref := b.m.GetRef(key)
 	if ref == 0 {
 		// Absent — still validate: a concurrent insert may have landed

@@ -256,3 +256,57 @@ func TestReadViewMatchesLockedRead(t *testing.T) {
 		t.Fatalf("expected both paths exercised: zc=%d fb=%d", snap.ZeroCopyHits, snap.CopyFallbacks)
 	}
 }
+
+// TestReadViewAllReaderSlotsPinned holds every EBR reader slot and reads:
+// the zero-copy path cannot pin, so it must hand the read to the locked
+// path (which returns the record) rather than read unpinned. Once the
+// slots are free again the same read goes zero-copy.
+func TestReadViewAllReaderSlotsPinned(t *testing.T) {
+	h, _, _ := openStoreHeap(t, 1<<24, false)
+	b, err := NewJPDTBackend(h, "kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGrid(b, Options{})
+	if err := g.Insert("k", versionRecord(2, 9)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		t.Helper()
+		n := 0
+		if err := g.Read("k", func(name string, val []byte) {
+			if v := decodeVersion(t, "k", val); v != 9 {
+				t.Errorf("field %s: version %d, want 9", name, v)
+			}
+			n++
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n != 2 {
+			t.Fatalf("%d fields streamed, want 2", n)
+		}
+	}
+	mem := h.Mem()
+	var pinned []int
+	for {
+		slot := mem.PinReader(uint32(len(pinned)))
+		if slot < 0 {
+			break
+		}
+		pinned = append(pinned, slot)
+	}
+	before := g.ObsSnapshot()
+	read()
+	mid := g.ObsSnapshot()
+	if mid.ZeroCopyHits != before.ZeroCopyHits || mid.CopyFallbacks != before.CopyFallbacks+1 {
+		t.Fatalf("with %d slots pinned: zero-copy %d→%d, fallbacks %d→%d (want the locked path)",
+			len(pinned), before.ZeroCopyHits, mid.ZeroCopyHits, before.CopyFallbacks, mid.CopyFallbacks)
+	}
+	for _, slot := range pinned {
+		mem.UnpinReader(slot)
+	}
+	read()
+	if after := g.ObsSnapshot(); after.ZeroCopyHits != mid.ZeroCopyHits+1 {
+		t.Fatalf("after unpinning: zero-copy hits %d→%d, want one more", mid.ZeroCopyHits, after.ZeroCopyHits)
+	}
+}

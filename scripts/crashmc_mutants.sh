@@ -59,7 +59,7 @@ mutant() {
 mutant pertx "bank grid gridinline pool retire" <<'EOF'
 --- a/internal/fa/fa.go
 +++ b/internal/fa/fa.go
-@@ -1031,5 +1031,4 @@
+@@ -1099,5 +1099,4 @@
  	tx.commitStage1Body()
  	fence := tx.m.retire.beginFence()
 -	pool.PFence()
