@@ -53,6 +53,11 @@ func ycsbFlushRates(t *testing.T, bk BackendKind, workload string, threads int, 
 // repo's benchmark gates the same two rates for J-PFA (pwb_per_op and
 // pfence_per_op on emb-a, BENCHMARK.json); the other backends, TPC-B and
 // the async protocol are gated here alone. No wall clock is read.
+//
+// J-PFA's A and B rows (were 5.4835 and 0.5335) and TPC-B (was 7 pwb per
+// transfer) fell when a transactional word store to a valid block became
+// a word entry in the redo log: an update that changes one 8-byte ref
+// takes no in-flight copy and writes back no copied line.
 func TestFlushRates(t *testing.T) {
 	const slack = 0.0004 // under one event in 2000 operations
 	for _, tc := range []struct {
@@ -60,10 +65,10 @@ func TestFlushRates(t *testing.T) {
 		backend     BackendKind
 		pwb, pfence float64
 	}{
-		{"A", JPFA, 5.4835, 0.9970},
+		{"A", JPFA, 4.9850, 0.9970},
 		{"A", JPDT, 2.4980, 1.0125},
 		{"A", PCJ, 2.4930, 0.9970},
-		{"B", JPFA, 0.5335, 0.0970},
+		{"B", JPFA, 0.4850, 0.0970},
 		{"B", JPDT, 0.2500, 0.0985},
 		{"B", PCJ, 0.2430, 0.0970},
 		{"C", JPFA, 0, 0},
@@ -79,7 +84,9 @@ func TestFlushRates(t *testing.T) {
 
 	// TPC-B per-Tx: a transfer is one failure-atomic block over two
 	// accounts. Transfer -1 is the warm-up: every measured commit finds a
-	// predecessor parked and pays the write-back of W that retires it.
+	// predecessor parked and pays the write-back of W that retires it. The
+	// two balances are word entries: one log line, W, the mark and the two
+	// home lines.
 	const accounts, transfers = 1000, 1000
 	pool := nvm.New(accounts*512+(32<<20), nvm.Options{FenceLatency: 1})
 	bank, err := tpcb.OpenJNVMBank(pool, accounts, false)
@@ -96,8 +103,8 @@ func TestFlushRates(t *testing.T) {
 		}
 	}
 	d := pool.Obs().Snapshot().Sub(before)
-	if d.PWBs != 7*transfers || d.Fences() != fa.CommitBarriers*transfers {
-		t.Errorf("TPC-B per-Tx: %d pwb, %d fences over %d transfers; pinned 7 and %d per transfer",
+	if d.PWBs != 5*transfers || d.Fences() != fa.CommitBarriers*transfers {
+		t.Errorf("TPC-B per-Tx: %d pwb, %d fences over %d transfers; pinned 5 and %d per transfer",
 			d.PWBs, d.Fences(), transfers, fa.CommitBarriers)
 	}
 

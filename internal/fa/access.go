@@ -9,13 +9,25 @@ import (
 
 // Transactional field accessors. Inside a failure-atomic block the
 // generated accessors of Figure 4 behave differently (§3.2): writes to
-// valid objects are redirected to in-flight block copies, and reads see
-// the in-flight image when one exists. Go has no per-thread counter to
-// dispatch on, so the redirected accessors live on the Tx (see DESIGN.md
-// §4); they mirror core.Object's accessor set.
+// valid objects go to the redo log — an aligned 8-byte store as a word
+// entry carrying the value, any other store into an in-flight copy of the
+// block — and reads see the logged words and the in-flight image. Go has
+// no per-thread counter to dispatch on, so the redirected accessors live
+// on the Tx (see DESIGN.md §4); they mirror core.Object's accessor set.
 
-// locate maps (object, off) to a pool offset, redirecting through the
-// in-flight copy of the containing block. forWrite creates the copy.
+// locate maps an access of n bytes at (object, off) to the pool offset it
+// goes to. Objects not yet valid are accessed in place. In a valid block
+// without an in-flight copy:
+//
+//   - an aligned 8-byte store goes to the value field of the word's log
+//     entry, appended on the word's first store (logWord);
+//   - an aligned 8-byte load of a logged word reads that field;
+//   - any other store, a third distinct word (wordsPerBlock) and a load
+//     that overlaps a logged word without being one go to the block's
+//     in-flight copy, which promotes the block (inflightFor);
+//   - any other load reads the original.
+//
+// Once the block has a copy, every access goes to the copy.
 func (tx *Tx) locate(o *core.Object, off uint64, n uint64, forWrite bool) (uint64, error) {
 	tx.active()
 	if off+n > o.Size() {
@@ -30,38 +42,87 @@ func (tx *Tx) locate(o *core.Object, off uint64, n uint64, forWrite bool) (uint6
 		}
 		return o.Ref() + 8 + off, nil
 	}
-	b := off / heap.Payload
 	within := off % heap.Payload
 	if within+n > heap.Payload {
 		return 0, errSpan // caller falls back to the byte loop
 	}
-	orig := blocks[b]
+	orig := blocks[off/heap.Payload]
+	p := orig + heap.HeaderSize + within
 	if tx.direct(o) {
-		return orig + heap.HeaderSize + within, nil
-	}
-	if forWrite {
-		i, err := tx.inflightFor(orig)
-		if err != nil {
-			return 0, err
-		}
-		w := &tx.writes[i]
-		w.mask |= lineMask(heap.HeaderSize+within, n)
-		p := w.inf + heap.HeaderSize + within
-		// Mark the store's lines for the commit write-back; the flush set
-		// dedupes repeated stores to the same line (and counts the saves).
-		tx.flush.AddRange(p, n)
 		return p, nil
 	}
-	if i, ok := tx.inflight[orig]; ok {
-		return tx.writes[i].inf + heap.HeaderSize + within, nil
+	word := n == 8 && p%8 == 0
+	i, held := tx.inflight[orig]
+	var err error
+	switch {
+	case !held:
+		if tx.grp != nil {
+			// Async mode: a queued epoch may still hold this block's new
+			// image; reading the original now, or basing a store on it,
+			// could observe (and act on) pre-apply state — e.g. free an
+			// old value ref the drain also frees. Drain first.
+			tx.grp.waitClear(orig)
+		}
+		if !forWrite {
+			return p, nil
+		}
+		if word {
+			q, err := tx.logWord(orig, p)
+			if err == nil {
+				tx.inflight[orig] = wordBlock
+			}
+			return q, err
+		}
+		i, err = tx.inflightFor(orig)
+	case i == wordBlock:
+		if q, ok, err := tx.wordAccess(orig, p, n, forWrite, word); ok || err != nil {
+			return q, err
+		}
+		i, err = tx.inflightFor(orig)
 	}
-	if tx.grp != nil {
-		// Async mode: a queued epoch may still hold this block's new image;
-		// reading the original now could observe (and act on) pre-apply
-		// state — e.g. free an old value ref the drain also frees.
-		tx.grp.waitClear(orig)
+	if err != nil {
+		return 0, err
 	}
-	return orig + heap.HeaderSize + within, nil
+	w := &tx.writes[i]
+	q := w.inf + (p - orig)
+	if forWrite {
+		w.mask |= lineMask(p-orig, n)
+		// Mark the store's lines for the commit write-back; the flush set
+		// dedupes repeated stores to the same line (and counts the saves).
+		tx.flush.AddRange(q, n)
+	}
+	return q, nil
+}
+
+// wordAccess serves an access to block orig, all of whose stores so far
+// are word entries, from those entries and the original. ok is false when
+// the block must be promoted first: a store that is not a word, a third
+// distinct word, or a load that overlaps a logged word without being one.
+func (tx *Tx) wordAccess(orig core.Ref, p, n uint64, forWrite, word bool) (q uint64, ok bool, err error) {
+	if forWrite && !word {
+		return 0, false, nil
+	}
+	words := 0
+	for _, w := range tx.words {
+		if w.orig != orig {
+			continue
+		}
+		if w.p < p+n && p < w.p+8 {
+			if !word {
+				return 0, false, nil
+			}
+			return tx.entryOff(w.entry) + 16, true, nil
+		}
+		words++
+	}
+	if !forWrite {
+		return p, true, nil
+	}
+	if words >= wordsPerBlock {
+		return 0, false, nil
+	}
+	q, err = tx.logWord(orig, p)
+	return q, true, err
 }
 
 var errSpan = fmt.Errorf("fa: access spans blocks")

@@ -179,7 +179,7 @@ func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
 	}
 	var tx *Tx
 	newTx := func() bool {
-		t, err := g.m.Begin()
+		t, err := g.m.begin(false)
 		if err != nil {
 			// No free slot: fall back to the group's reserved Tx, so a
 			// drain lands at least one chunk however many application
@@ -253,17 +253,20 @@ func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
 }
 
 // foldDelta logs the 8-byte word at block-local offset off of orig plus
-// sum as one kindWord entry. The home word is current — the caller holds
-// g.mu with no drain in flight and no queued commit on orig — and the
-// entry reaches NVMM with the log's stage-1 write-back, so the fold costs
-// its share of the log's lines and, at apply, the home line: however many
-// ops folded into sum, and no in-flight block.
+// sum as one kindWord entry, through the same logWord a transactional
+// word store uses. The home word is current — the caller holds g.mu with
+// no drain in flight and no queued commit on orig — and the entry reaches
+// NVMM with the log's stage-1 write-back, so the fold costs its share of
+// the log's lines and, at apply, the home line: however many ops folded
+// into sum, and no in-flight block.
 func (tx *Tx) foldDelta(orig core.Ref, off uint64, sum int64) error {
 	p := orig + off
-	if err := tx.appendEntry(kindWord, p, tx.h.Pool().ReadUint64(p)+uint64(sum)); err != nil {
+	q, err := tx.logWord(orig, p)
+	if err != nil {
 		return err
 	}
-	tx.words = append(tx.words, orig)
+	pool := tx.h.Pool()
+	pool.WriteUint64(q, pool.ReadUint64(p)+uint64(sum))
 	return nil
 }
 

@@ -3,16 +3,18 @@
 // The algorithm is the paper's adaptation of Romulus to the block heap:
 // during a block (here: a transaction, Go's idiom for the per-thread FA
 // nesting counter of §3.2), every modification goes to a per-transaction
-// persistent redo log. Writes to *valid* objects are redirected to
-// in-flight copies of the touched blocks, leaving the original data
-// intact; writes to objects allocated inside the block go straight to the
-// (invalid, hence crash-dead) object. Commit flushes log and in-flight
-// blocks, fences, durably marks the log committed, fences again, and then
-// applies the log — copying in-flight payloads over the originals,
-// validating allocations and executing deletions — without further
-// ordering. A crash replays a committed log (the apply phase is
-// idempotent) and discards an uncommitted one, whose side effects are all
-// invalid or unreachable and therefore reclaimed by the recovery GC.
+// persistent redo log. Writes to *valid* objects leave the original data
+// intact: an aligned 8-byte store is logged as the word itself (at most
+// wordsPerBlock of them per block), and any other store is redirected to
+// an in-flight copy of the touched block; writes to objects allocated
+// inside the block go straight to the (invalid, hence crash-dead) object.
+// Commit flushes log and in-flight blocks, fences, durably marks the log
+// committed, fences again, and then applies the log — storing logged
+// words, copying in-flight payloads over the originals, validating
+// allocations and executing deletions — without further ordering. A crash
+// replays a committed log (the apply phase is idempotent) and discards an
+// uncommitted one, whose side effects are all invalid or unreachable and
+// therefore reclaimed by the recovery GC.
 //
 // Durability contract: Commit (per-Tx mode) or AwaitDurable
 // (async mode) returns ⇒ the block's commit mark is durable ⇒ recovery
@@ -71,8 +73,9 @@ import (
 // For kindWrite entries the kind word also carries the dirty-line mask in
 // bits 8..11: bit i set means line i of the block was modified and must be
 // copied to the original. Mask 0 means every line (the pre-mask format).
-// A kindWord entry carries its new value itself: it is how a delta fold
-// (delta.go) lands, one word per entry with no in-flight block. Heap
+// A kindWord entry carries its new value itself: it is how a
+// transactional word store to a valid block (access.go) and a delta fold
+// (delta.go) land, one word per entry with no in-flight block. Heap
 // format version 3 introduced it; replay validates every live slot's
 // entries (checkSlots) before it writes any.
 const (
@@ -95,6 +98,14 @@ const (
 	// transientCap bounds the in-flight blocks a Tx keeps warm; overflow
 	// spills to the shared free queue.
 	transientCap = 32
+
+	// wordsPerBlock is how many distinct words a Tx logs as word entries
+	// in one valid block before the next one promotes the block to an
+	// in-flight copy. Two covers the updates that write words in place: a
+	// record's value and name words, a map binding's key and value refs.
+	// So a block costs at most two entries, where a copy costs one entry,
+	// a transient block and its dirty lines.
+	wordsPerBlock = 2
 
 	// CommitBarriers is what one commit pays under every protocol: the
 	// fence that orders log and write set before the mark, and the fence
@@ -585,6 +596,19 @@ type inflightWrite struct {
 	mask  uint8
 }
 
+// loggedWord tracks one kindWord entry: the block it lands in, the pool
+// offset of the word, and the entry's index in the log, whose value field
+// holds the word's new value.
+type loggedWord struct {
+	orig  core.Ref
+	p     uint64
+	entry uint64
+}
+
+// wordBlock is the inflight value of a block whose stores so far are all
+// word entries: it has no in-flight copy.
+const wordBlock = -1
+
 // Tx is one failure-atomic block. It is not safe for concurrent use; the
 // application serializes access to shared objects exactly as it would in
 // the paper's Infinispan integration (lock striping). Released
@@ -600,8 +624,8 @@ type Tx struct {
 	depth      int
 
 	writes   []inflightWrite
-	inflight map[core.Ref]int // original block -> index into writes
-	words    []core.Ref       // blocks of the words kindWord entries set (delta.go)
+	inflight map[core.Ref]int // original block -> index into writes, or wordBlock
+	words    []loggedWord     // the kindWord entries, in log order
 	allocs   map[core.Ref]bool
 	freed    []core.Ref // proxies to neutralize at commit
 	proxies  map[core.Ref]core.PObject
@@ -666,14 +690,25 @@ func (tx *Tx) OnOrdered(fn func()) {
 // Neither blocks on a lock. When both come up empty while commits are
 // parked behind the retired watermark, Begin forces their retirement and
 // tries again: a slot that is merely awaiting retirement is not a missing
-// slot. It fails only when every slot is held by an open block.
-func (m *Manager) Begin() (*Tx, error) {
+// slot. Nor, in async mode, is a slot held by a queued or draining commit:
+// Begin waits for the drain in flight, or drives one unless the group
+// drains manually, and tries again. It fails only when every slot is held
+// by an open block.
+func (m *Manager) Begin() (*Tx, error) { return m.begin(true) }
+
+// begin is Begin; drain false keeps it off the async queue, for the drain
+// itself, which begins its delta materializations holding the group lock.
+func (m *Manager) begin(drain bool) (*Tx, error) {
 	st := m.state.Load()
 	if st == nil {
 		return nil, fmt.Errorf("fa: manager not attached to a heap (pass it as core.Config.LogHandler)")
 	}
 	g := m.group.Load()
 	for attempt := 0; ; attempt++ {
+		// From the second pass on, async commits first: a commit leaves the
+		// async pipeline only once it is parked, so awaitSlots finding none
+		// in it means the parked count read next covers them.
+		waited := attempt > 0 && drain && g != nil && g.awaitSlots()
 		// Read before the scan: a recycled Tx reaches the cache before it
 		// leaves the count, so zero here means the scan sees every slot
 		// retirement has to give.
@@ -693,10 +728,10 @@ func (m *Manager) Begin() (*Tx, error) {
 		}
 		// The second pass also covers a racing release that parked its Tx
 		// behind the first scan.
-		if attempt > 0 && parked == 0 {
+		if attempt > 0 && parked == 0 && !waited {
 			return nil, fmt.Errorf("fa: no free log slot (%d concurrent failure-atomic blocks)", st.total)
 		}
-		if !m.retireParked() && attempt > 0 {
+		if !m.retireParked() && attempt > 0 && !waited {
 			// What is parked sits behind a commit still applying, or with
 			// a committer between its two fences: let it run.
 			runtime.Gosched()
@@ -841,19 +876,65 @@ func (tx *Tx) active() {
 // Nest increments the nesting level (an inner faStart).
 func (tx *Tx) Nest() { tx.active(); tx.depth++ }
 
-// appendEntry writes one log entry to NVMM (flushed lazily at commit).
-func (tx *Tx) appendEntry(kind uint64, a, b core.Ref) error {
+// entryOff returns the pool offset of log entry e.
+func (tx *Tx) entryOff(e uint64) uint64 { return tx.base + slotEntries + e*entrySize }
+
+// newEntry writes the kind and a words of one more log entry to NVMM
+// (flushed lazily at commit) and returns its offset; the caller stores b.
+func (tx *Tx) newEntry(kind uint64, a core.Ref) (uint64, error) {
 	if tx.count >= tx.maxEntries {
-		return ErrLogFull
+		return 0, ErrLogFull
 	}
 	pool := tx.h.Pool()
-	eoff := tx.base + slotEntries + tx.count*entrySize
+	eoff := tx.entryOff(tx.count)
 	pool.WriteUint64(eoff, kind)
 	pool.WriteUint64(eoff+8, a)
-	pool.WriteUint64(eoff+16, b)
 	tx.count++
 	tx.m.stats.LogEntries.Inc()
-	return nil
+	return eoff, nil
+}
+
+// appendEntry writes one whole log entry.
+func (tx *Tx) appendEntry(kind uint64, a, b core.Ref) error {
+	eoff, err := tx.newEntry(kind, a)
+	if err == nil {
+		tx.h.Pool().WriteUint64(eoff+16, b)
+	}
+	return err
+}
+
+// logWord appends a kindWord entry for the payload word at pool offset p
+// of block orig and returns the pool offset of the entry's value, which
+// the caller stores. It is the one way a word enters the log: an
+// accessor's word store (locate) and a delta fold (foldDelta) alike.
+func (tx *Tx) logWord(orig core.Ref, p uint64) (uint64, error) {
+	eoff, err := tx.newEntry(kindWord, p)
+	if err != nil {
+		return 0, err
+	}
+	tx.words = append(tx.words, loggedWord{orig: orig, p: p, entry: tx.count - 1})
+	tx.m.stats.WordEntries.Inc()
+	return eoff + 16, nil
+}
+
+// removeEntry deletes log entry e from the log, which stage 1 has not
+// written back yet: the later entries move down one place, and the entry
+// indexes the Tx holds follow them.
+func (tx *Tx) removeEntry(e uint64) {
+	tx.count--
+	if e < tx.count {
+		tx.h.Pool().CopyWithin(tx.entryOff(e), tx.entryOff(e+1), (tx.count-e)*entrySize)
+	}
+	for i := range tx.writes {
+		if tx.writes[i].entry > e {
+			tx.writes[i].entry--
+		}
+	}
+	for i := range tx.words {
+		if tx.words[i].entry > e {
+			tx.words[i].entry--
+		}
+	}
 }
 
 // Alloc allocates a new persistent object inside the block. The object is
@@ -935,19 +1016,14 @@ func (tx *Tx) direct(o *core.Object) bool {
 	return tx.allocs[o.Ref()] || !o.Valid()
 }
 
-// inflightFor returns the write-set index for the block orig, creating the
-// in-flight copy — recycled from the Tx's transient pool when possible —
-// on first touch.
+// inflightFor creates the in-flight copy of block orig — recycled from
+// the Tx's transient pool when possible — and returns its write-set index.
+// The caller has settled the block (waitClear) on its first touch. A block
+// whose stores so far are word entries is promoted: its copy gets the
+// logged words overlaid and their lines in the mask, and the word entries
+// leave the log, so the block ends with the one write entry a copy costs
+// (and a full log still has room for it).
 func (tx *Tx) inflightFor(orig core.Ref) (int, error) {
-	if i, ok := tx.inflight[orig]; ok {
-		return i, nil
-	}
-	if tx.grp != nil {
-		// Async mode: the block may still be queued for apply by an
-		// earlier epoch; snapshotting it before that apply would fork
-		// history. Drain first.
-		tx.grp.waitClear(orig)
-	}
 	inf, _, err := tx.blocks.Get()
 	if err != nil && tx.retryAfterRetire(err) {
 		inf, _, err = tx.blocks.Get()
@@ -955,14 +1031,32 @@ func (tx *Tx) inflightFor(orig core.Ref) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	tx.h.Pool().CopyWithin(inf+heap.HeaderSize, orig+heap.HeaderSize, heap.Payload)
+	pool := tx.h.Pool()
+	pool.CopyWithin(inf+heap.HeaderSize, orig+heap.HeaderSize, heap.Payload)
+	var mask uint8
+	if _, promoted := tx.inflight[orig]; promoted {
+		// Newest first, so removing an entry never moves one still to visit.
+		for k := len(tx.words) - 1; k >= 0; k-- {
+			w := tx.words[k]
+			if w.orig != orig {
+				continue
+			}
+			q := inf + (w.p - orig)
+			pool.WriteUint64(q, pool.ReadUint64(tx.entryOff(w.entry)+16))
+			tx.flush.AddRange(q, 8)
+			mask |= lineMask(w.p-orig, 8)
+			tx.words = append(tx.words[:k], tx.words[k+1:]...)
+			tx.removeEntry(w.entry)
+		}
+	}
 	if err := tx.appendEntry(kindWrite, orig, inf); err != nil {
 		tx.blocks.Put(inf)
 		return 0, err
 	}
 	i := len(tx.writes)
-	tx.writes = append(tx.writes, inflightWrite{orig: orig, inf: inf, entry: tx.count - 1})
+	tx.writes = append(tx.writes, inflightWrite{orig: orig, inf: inf, entry: tx.count - 1, mask: mask})
 	tx.inflight[orig] = i
+	tx.m.stats.InflightCopies.Inc()
 	return i, nil
 }
 

@@ -13,14 +13,16 @@ import (
 	"repro/internal/nvm"
 )
 
-// account is the test class: two 8-byte balances, one ref.
+// account is the test class: two 8-byte balances, one ref, and a plain
+// third word.
 type account struct{ *core.Object }
 
 const (
 	accA   = 0
 	accB   = 8
 	accRef = 16
-	accLen = 24
+	accC   = 24
+	accLen = 32
 )
 
 func accountClass() *core.Class {
@@ -101,7 +103,7 @@ func TestErrorAborts(t *testing.T) {
 	acc := newAccount(t, h, cls, 100, 0, "acc")
 	sentinel := fmt.Errorf("boom")
 	if err := mgr.Run(func(tx *Tx) error {
-		if err := tx.WriteUint64(acc.Core(), accA, 1); err != nil {
+		if err := tx.WriteUint32(acc.Core(), accA, 1); err != nil {
 			return err
 		}
 		return sentinel
@@ -113,8 +115,10 @@ func TestErrorAborts(t *testing.T) {
 	}
 	// The log slot and in-flight blocks must be recycled: the next
 	// block's in-flight copy comes from the transaction's transient pool.
+	// (A 4-byte store takes an in-flight copy; an 8-byte one would log
+	// the word.)
 	if err := mgr.Run(func(tx *Tx) error {
-		return tx.WriteUint64(acc.Core(), accA, 100)
+		return tx.WriteUint32(acc.Core(), accA, 100)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +588,8 @@ func TestReplayRefusesCorruptEntries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tx.WriteUint64(acc.Core(), accA, 1); err != nil {
+			// A 4-byte store, so entry 0 is a block write entry.
+			if err := tx.WriteUint32(acc.Core(), accA, 1); err != nil {
 				t.Fatal(err)
 			}
 			base, orig := tx.base, acc.Core().Ref()

@@ -14,8 +14,9 @@ import (
 // single-line commit, as counted by the obs layer. It is the regression
 // guard for flush coalescing: before the coalesced pipeline this block
 // cost 11 pwb (full 4-line in-flight flush + full-payload apply); with
-// dirty-line masks and the flush set it costs exactly 5. A future change
-// that re-widens any stage fails this test.
+// dirty-line masks and the flush set it cost 5, and since its two words
+// are logged as word entries instead of an in-flight copy it costs 4. A
+// future change that re-widens any stage fails this test.
 func TestCommitFlushAccounting(t *testing.T) {
 	h, mgr, pool, cls := openFA(t, false)
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -47,16 +48,17 @@ func TestCommitFlushAccounting(t *testing.T) {
 	}
 	d := pool.Obs().Snapshot().Sub(before)
 
-	// Stage 1: in-flight dirty line + log line (count and the single entry
-	// share one), pfence — which also covers the previous commit's apply.
-	// Then W over that commit and this commit's mark, one line each, pfence.
-	// Then the applied line, unfenced: the next commit's fences retire it.
-	if d.PWBs != 5 || d.PFences != CommitBarriers || d.PSyncs != 0 {
-		t.Fatalf("canonical commit cost regressed: %d pwb, %d pfence, %d psync (want 5 pwb, %d pfence, 0 psync)",
+	// Stage 1: one log line (the count and the two word entries share it;
+	// no in-flight copy), pfence — which also covers the previous commit's
+	// apply. Then W over that commit and this commit's mark, one line
+	// each, pfence. Then the applied home line, unfenced: the next
+	// commit's fences retire it.
+	if d.PWBs != 4 || d.PFences != CommitBarriers || d.PSyncs != 0 {
+		t.Fatalf("canonical commit cost regressed: %d pwb, %d pfence, %d psync (want 4 pwb, %d pfence, 0 psync)",
 			d.PWBs, d.PFences, d.PSyncs, CommitBarriers)
 	}
 	if saved := mgr.Obs().SavedLines.Load(); saved == 0 {
-		t.Fatal("flush set saved no lines despite repeated same-line stores")
+		t.Fatal("flush set saved no lines despite repeated same-line words")
 	}
 	if mgr.Obs().TxReuse.Load() == 0 {
 		t.Fatal("third Run did not reuse the warm transaction")

@@ -36,6 +36,7 @@ package fa
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -79,6 +80,9 @@ type groupState struct {
 	durable  uint64                // watermark: last ticket fully durable
 	draining bool                  // an epoch drain is in flight
 	manual   bool
+	// enqueuing counts commits inside enqueue that have not joined the
+	// queue yet: they hold slots no drain can give back before they do.
+	enqueuing atomic.Int64
 
 	// Delta ledger (delta.go): pending net deltas folded by AddDelta,
 	// materialized into the next epoch. order preserves first-fold order;
@@ -208,14 +212,19 @@ func (m *Manager) DrainDurable() uint64 {
 // time on the draining goroutine; its OnOrdered hooks run here, once its
 // write set is pending (or already applied by a drain).
 func (g *groupState) enqueue(tx *Tx) uint64 {
+	g.enqueuing.Add(1)
 	tx.commitStage1Body()
 	ordered := tx.ordered
 	g.mu.Lock()
+	g.enqueuing.Add(-1)
 	g.issued++
 	tx.ticket = g.issued
 	g.queue = append(g.queue, tx)
 	for i := range tx.writes {
 		g.pending[tx.writes[i].orig] = struct{}{}
+	}
+	for _, w := range tx.words {
+		g.pending[w.orig] = struct{}{}
 	}
 	n := len(g.queue)
 	g.m.stats.AsyncCommits.Inc()
@@ -259,6 +268,31 @@ func (g *groupState) waitFor(orig core.Ref, deltas bool) {
 		}
 		g.drainLocked()
 	}
+}
+
+// awaitSlots is Begin's answer to a slot pool emptied by async commits:
+// it waits out the drain in flight, drives one over the queue unless
+// drains are manual, or yields to a commit still joining the queue. It
+// reports whether it did any of these — that is, whether slots held by
+// async commits may be on their way back.
+func (g *groupState) awaitSlots() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch {
+	case g.draining:
+		for g.draining {
+			g.cond.Wait()
+		}
+	case len(g.queue) > 0 && !g.manual:
+		g.drainLocked()
+	case g.enqueuing.Load() > 0:
+		g.mu.Unlock()
+		runtime.Gosched()
+		g.mu.Lock()
+	default:
+		return false
+	}
+	return true
 }
 
 // drainLocked drains the current queue as one epoch. Caller holds g.mu;
@@ -351,7 +385,9 @@ func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
 		for i := range tx.writes {
 			origs = append(origs, tx.writes[i].orig)
 		}
-		origs = append(origs, tx.words...)
+		for _, w := range tx.words {
+			origs = append(origs, w.orig)
+		}
 	}
 	lead := batch[0]
 	lead.mates = batch[1:]

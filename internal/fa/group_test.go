@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -357,7 +358,8 @@ func TestAbortThenReuseCrash(t *testing.T) {
 
 // TestGroupCommitSoloCost pins that an epoch of one — an async commit
 // awaited straight away — pays exactly the per-Tx cost: the epoch pipeline
-// never adds a write-back or a fence.
+// never adds a write-back or a fence. A one-word commit is 4 pwb: log
+// line, W, mark and home line (TestCommitFlushAccounting).
 func TestGroupCommitSoloCost(t *testing.T) {
 	h, mgr, pool, cls := openFA(t, false)
 	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
@@ -382,8 +384,8 @@ func TestGroupCommitSoloCost(t *testing.T) {
 	before := pool.Obs().Snapshot()
 	commit(2)
 	d := pool.Obs().Snapshot().Sub(before)
-	if d.PWBs != 5 || d.Fences() != CommitBarriers {
-		t.Fatalf("epoch-of-one cost: %d pwb, %d fences (want 5, %d)", d.PWBs, d.Fences(), CommitBarriers)
+	if d.PWBs != 4 || d.Fences() != CommitBarriers {
+		t.Fatalf("epoch-of-one cost: %d pwb, %d fences (want 4, %d)", d.PWBs, d.Fences(), CommitBarriers)
 	}
 }
 
@@ -409,5 +411,64 @@ func TestSetGroupCommitGuards(t *testing.T) {
 	}
 	if mgr.CommitMode() != CommitPerTx {
 		t.Fatal("mode not reset")
+	}
+}
+
+// TestAsyncBeginWaitsForDrains: queued and draining async commits hold
+// log slots. With six committers on the seven slots an 8-slot heap leaves
+// after the delta reservation, Begin regularly finds no slot free while no
+// commit is parked; it must wait for the drain in flight, or drive one,
+// and never report "no free log slot".
+func TestAsyncBeginWaitsForDrains(t *testing.T) {
+	const committers, commits = 6, 3000
+	h, mgr, cls := openSlots(t, nvm.New(1<<22, nvm.Options{}), 8)
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
+		t.Fatal(err)
+	}
+	accs := make([]*account, committers)
+	for i := range accs {
+		accs[i] = newAccount(t, h, cls, 0, 0, fmt.Sprintf("acc%d", i))
+	}
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for _, acc := range accs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				tx, err := mgr.Begin()
+				if err != nil {
+					failed.Add(1)
+					continue
+				}
+				v, err := tx.ReadUint64(acc.Core(), accA)
+				if err == nil {
+					err = tx.WriteUint64(acc.Core(), accA, v+1)
+				}
+				if err != nil {
+					tx.Abort()
+					t.Error(err)
+					return
+				}
+				ticket, err := tx.CommitTicket()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%4 == 3 {
+					mgr.AwaitDurable(ticket)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d Begin calls failed", n, committers*commits)
+	}
+	mgr.DrainDurable()
+	for i, acc := range accs {
+		if got := acc.ReadUint64(accA); got != commits {
+			t.Fatalf("committer %d: %d commits took effect, want %d", i, got, commits)
+		}
 	}
 }

@@ -28,8 +28,8 @@ func openSlots(t testing.TB, pool *nvm.Pool, slots int) (*core.Heap, *Manager, *
 
 // TestReplayBySeqNotBySlot: two live logs write one block, the older
 // commit in the higher slot. Replay by slot index would apply the newer
-// first and end on the older image; replay by sequence number ends on
-// the newer.
+// first and end on the older image (1/10); replay by sequence number ends
+// on the newer.
 func TestReplayBySeqNotBySlot(t *testing.T) {
 	h, mgr, pool, cls := openFA(t, true)
 	acc := newAccount(t, h, cls, 100, 0, "from")
@@ -72,11 +72,11 @@ func TestReplayBySeqNotBySlot(t *testing.T) {
 	if n := h2.RecoveryObs().ReplayedTx.Load(); n != 2 {
 		t.Fatalf("replayed %d logs, want 2", n)
 	}
-	// The newer block's line image: its own accA over the accB it
-	// snapshotted before the older commit applied.
+	// Both commits logged words: the newer one's accA over the older
+	// one's accB, which the newer commit never wrote.
 	po, _ := h2.Root().Get("from")
-	if a, b := po.Core().ReadUint64(accA), po.Core().ReadUint64(accB); a != 2 || b != 0 {
-		t.Fatalf("recovered %d/%d: logs replayed out of commit order (want 2/0)", a, b)
+	if a, b := po.Core().ReadUint64(accA), po.Core().ReadUint64(accB); a != 2 || b != 10 {
+		t.Fatalf("recovered %d/%d: logs replayed out of commit order (want 2/10)", a, b)
 	}
 }
 

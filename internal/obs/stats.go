@@ -95,6 +95,9 @@ type FAStats struct {
 	LogEntries Counter // redo-log entries appended
 	Replays    Counter // committed logs replayed at recovery
 
+	WordEntries    Counter // kindWord entries appended: word stores to valid blocks and delta folds
+	InflightCopies Counter // in-flight block copies made, promotions of word-logged blocks included
+
 	TxReuse      Counter // Begin served by a warm cached Tx (slot affinity hit)
 	FlushedLines Counter // cache lines actually written back at commit
 	SavedLines   Counter // lines the flush set coalesced away (dedup hits)
@@ -115,6 +118,9 @@ type FASnapshot struct {
 	Aborted    uint64 `json:"aborted"`
 	LogEntries uint64 `json:"log_entries"`
 	Replays    uint64 `json:"recovery_replays"`
+
+	WordEntries    uint64 `json:"word_entries"`
+	InflightCopies uint64 `json:"inflight_copies"`
 
 	TxReuse      uint64 `json:"tx_slot_reuse"`
 	FlushedLines uint64 `json:"flushed_lines"`
@@ -368,9 +374,10 @@ func (s StackSnapshot) Report(w io.Writer) {
 			s.FA.Begun, s.FA.Committed, s.FA.Aborted, s.FA.LogEntries, s.FA.Replays,
 			s.FA.SlotsInUse, s.FA.SlotsTotal)
 		if s.FA.FlushedLines+s.FA.SavedLines > 0 {
-			fmt.Fprintf(w, "fa commit pipeline: %d warm-tx reuse, %d lines flushed, %d coalesced away (%.0f%% saved)\n",
+			fmt.Fprintf(w, "fa commit pipeline: %d warm-tx reuse, %d lines flushed, %d coalesced away (%.0f%% saved), %d word entries, %d in-flight copies\n",
 				s.FA.TxReuse, s.FA.FlushedLines, s.FA.SavedLines,
-				100*float64(s.FA.SavedLines)/float64(s.FA.FlushedLines+s.FA.SavedLines))
+				100*float64(s.FA.SavedLines)/float64(s.FA.FlushedLines+s.FA.SavedLines),
+				s.FA.WordEntries, s.FA.InflightCopies)
 		}
 		if s.FA.EpochTxs+s.FA.AsyncCommits > 0 {
 			avg := float64(0)

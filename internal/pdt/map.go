@@ -69,8 +69,8 @@ func (c *proxyCache) del(k string)                  { c.m.Delete(k) }
 //
 // Array layout: every block of the array holds bindingsPerBlock bindings
 // behind one unused word, so a binding is 16-byte aligned in the pool. It
-// therefore never straddles a block (a failure-atomic insert copies one
-// in-flight block) nor a cache line (a publication is one write-back).
+// therefore never straddles a block (a failure-atomic insert logs two
+// words of one block) nor a cache line (a publication is one write-back).
 //
 // Concurrency (DESIGN.md §14): readers never take a map-global lock.
 // A lookup holds only its key's mirror shard in read mode (which, by the
@@ -654,7 +654,7 @@ func (m *Map) cachePutTx(tx *fa.Tx, key string, val core.PObject) {
 
 // insertTxLocked binds the unbound key to val inside tx, or to its own
 // key string when val is nil (a set member): the binding's two words go
-// through the array block's in-flight copy and land with the commit.
+// to the redo log as two word entries and land with the commit.
 // Callers hold wmu.
 func (m *Map) insertTxLocked(tx *fa.Tx, key string, val core.PObject) error {
 	idx, err := m.takeSlotLocked(tx)

@@ -59,7 +59,7 @@ mutant() {
 mutant pertx "bank grid gridinline pool retire" <<'EOF'
 --- a/internal/fa/fa.go
 +++ b/internal/fa/fa.go
-@@ -1099,5 +1099,4 @@
+@@ -1193,5 +1193,4 @@
  	tx.commitStage1Body()
  	fence := tx.m.retire.beginFence()
 -	pool.PFence()
@@ -72,7 +72,7 @@ EOF
 mutant epoch "gridgroup griddelta gridinline" <<'EOF'
 --- a/internal/fa/group.go
 +++ b/internal/fa/group.go
-@@ -358,5 +358,4 @@
+@@ -394,5 +394,4 @@
  	epochStage1(batch)
  	fence := g.m.retire.beginFence()
 -	pool.PFence() // F0
