@@ -29,8 +29,8 @@ func TestSpacePerRecord(t *testing.T) {
 		// ten values at two 124-byte slots to the block.
 		{"10x100B", 4000, 10, 100, false, 6.3},
 		// net-counter, at its record count: a table, a pooled key and two
-		// array words (the async manager's cached in-flight blocks are a
-		// fixed hundred-odd on top, 0.03 per record at 4000).
+		// array words. fa holds no blocks of its own, so every backend
+		// measures the same.
 		{"1x8B-counter", 10000, 1, 8, true, 1.3},
 	}
 	backends := []struct {

@@ -27,9 +27,9 @@ import (
 // (gridread); transactional allocation/free (pool); the
 // non-transactional single-fence publication of the J-PDT types (pdt);
 // and the retirement of redo logs behind the durable watermark, where a
-// committed block's slot, in-flight copies and freed objects wait on its
-// successors' fences (retire). Every one checks recovery against the one
-// oracle type (oracle.go).
+// committed block's slot and freed objects wait on its successors' fences
+// (retire). Every one checks recovery against the one oracle type
+// (oracle.go).
 func Workloads() []*Workload {
 	var ws []*Workload
 	for _, e := range []entry{
@@ -1164,8 +1164,8 @@ func pdtEntry() entry {
 
 // retireEntry crashes the two orderings a per-Tx commit no longer fences
 // itself (DESIGN.md §11): its apply is ordered before the watermark W by
-// the next commit's first fence, and W before the reuse of its slot, its
-// in-flight blocks and the objects it freed by the next commit's second.
+// the next commit's first fence, and W before the reuse of its slot and
+// the objects it freed by the next commit's second.
 // Every pair of consecutive commits below shares state the wrong order
 // would corrupt: updates of one record whose field sets differ (two live
 // logs on one block must replay oldest first, or the record is a mix of

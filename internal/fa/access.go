@@ -1,34 +1,37 @@
 package fa
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/heap"
 )
 
 // Transactional field accessors. Inside a failure-atomic block the
-// generated accessors of Figure 4 behave differently (§3.2): writes to
-// valid objects go to the redo log — an aligned 8-byte store as a word
-// entry carrying the value, any other store into an in-flight copy of the
-// block — and reads see the logged words and the in-flight image. Go has
-// no per-thread counter to dispatch on, so the redirected accessors live
-// on the Tx (see DESIGN.md §4); they mirror core.Object's accessor set.
+// generated accessors of Figure 4 behave differently (§3.2): a store to a
+// valid object goes to the redo log as the aligned 8-byte words it
+// touches, one entry each carrying the word's new value, and a load sees
+// the logged words. Go has no per-thread counter to dispatch on, so the
+// redirected accessors live on the Tx (see DESIGN.md §4); they mirror
+// core.Object's accessor set.
 
 // locate maps an access of n bytes at (object, off) to the pool offset it
-// goes to. Objects not yet valid are accessed in place. In a valid block
-// without an in-flight copy:
+// goes to and how many of the n bytes that offset covers contiguously;
+// the accessors loop (readSpan, writeSpan) when it covers fewer. An access
+// never crosses a block's payload. Objects not yet valid are accessed in
+// place. In a valid block:
 //
-//   - an aligned 8-byte store goes to the value field of the word's log
-//     entry, appended on the word's first store (logWord);
-//   - an aligned 8-byte load of a logged word reads that field;
-//   - any other store, a third distinct word (wordsPerBlock) and a load
-//     that overlaps a logged word without being one go to the block's
-//     in-flight copy, which promotes the block (inflightFor);
-//   - any other load reads the original.
-//
-// Once the block has a copy, every access goes to the copy.
-func (tx *Tx) locate(o *core.Object, off uint64, n uint64, forWrite bool) (uint64, error) {
+//   - a store goes to the value field of the log entry of the word it
+//     touches, appended on the word's first store (logWord) and starting
+//     from the home word unless the store covers all of it, so it covers
+//     at most the rest of that word;
+//   - a load of a block the Tx has not stored to reads the original, the
+//     rest of the block's payload at once;
+//   - a load of a block the Tx has stored to reads one word at a time: a
+//     logged word from its entry, any other from the original.
+func (tx *Tx) locate(o *core.Object, off, n uint64, forWrite bool) (uint64, uint64, error) {
 	tx.active()
 	if off+n > o.Size() {
 		panic(fmt.Sprintf("fa: access [%d,+%d) beyond object size %d", off, n, o.Size()))
@@ -38,127 +41,77 @@ func (tx *Tx) locate(o *core.Object, off uint64, n uint64, forWrite bool) (uint6
 		// Pooled slots hold immutable objects (§4.4); only direct writes
 		// to a not-yet-valid slot are legal.
 		if forWrite && !tx.direct(o) {
-			return 0, fmt.Errorf("fa: cannot update immutable pooled object %#x inside a failure-atomic block", o.Ref())
+			return 0, 0, fmt.Errorf("fa: cannot update immutable pooled object %#x inside a failure-atomic block", o.Ref())
 		}
-		return o.Ref() + 8 + off, nil
+		return o.Ref() + 8 + off, n, nil
 	}
 	within := off % heap.Payload
-	if within+n > heap.Payload {
-		return 0, errSpan // caller falls back to the byte loop
-	}
+	n = min(n, heap.Payload-within)
 	orig := blocks[off/heap.Payload]
 	p := orig + heap.HeaderSize + within
 	if tx.direct(o) {
-		return p, nil
+		return p, n, nil
 	}
-	word := n == 8 && p%8 == 0
-	i, held := tx.inflight[orig]
-	var err error
-	switch {
-	case !held:
+	if !slices.Contains(tx.written, orig) {
 		if tx.grp != nil {
 			// Async mode: a queued epoch may still hold this block's new
-			// image; reading the original now, or basing a store on it,
+			// words; reading the original now, or basing a store on it,
 			// could observe (and act on) pre-apply state — e.g. free an
 			// old value ref the drain also frees. Drain first.
 			tx.grp.waitClear(orig)
 		}
 		if !forWrite {
-			return p, nil
+			return p, n, nil
 		}
-		if word {
-			q, err := tx.logWord(orig, p)
-			if err == nil {
-				tx.inflight[orig] = wordBlock
-			}
-			return q, err
-		}
-		i, err = tx.inflightFor(orig)
-	case i == wordBlock:
-		if q, ok, err := tx.wordAccess(orig, p, n, forWrite, word); ok || err != nil {
-			return q, err
-		}
-		i, err = tx.inflightFor(orig)
+		tx.written = append(tx.written, orig)
 	}
+	w, in := p&^7, p%8
+	n = min(n, 8-in)
+	if e, ok := tx.words[w]; ok {
+		return tx.entryOff(e) + 16 + in, n, nil
+	}
+	if !forWrite {
+		return p, n, nil
+	}
+	q, err := tx.logWord(w)
+	if err != nil {
+		return 0, 0, err
+	}
+	if n < 8 {
+		// A partial store: the word's other bytes keep their home value.
+		pool := tx.h.Pool()
+		pool.WriteUint64(q, pool.ReadUint64(w))
+	}
+	tx.words[w] = tx.count - 1
+	return q + in, n, nil
+}
+
+// ReadUint64 loads an 8-byte field through the redo view.
+func (tx *Tx) ReadUint64(o *core.Object, off uint64) (uint64, error) {
+	p, n, err := tx.locate(o, off, 8, false)
 	if err != nil {
 		return 0, err
 	}
-	w := &tx.writes[i]
-	q := w.inf + (p - orig)
-	if forWrite {
-		w.mask |= lineMask(p-orig, n)
-		// Mark the store's lines for the commit write-back; the flush set
-		// dedupes repeated stores to the same line (and counts the saves).
-		tx.flush.AddRange(q, n)
-	}
-	return q, nil
-}
-
-// wordAccess serves an access to block orig, all of whose stores so far
-// are word entries, from those entries and the original. ok is false when
-// the block must be promoted first: a store that is not a word, a third
-// distinct word, or a load that overlaps a logged word without being one.
-func (tx *Tx) wordAccess(orig core.Ref, p, n uint64, forWrite, word bool) (q uint64, ok bool, err error) {
-	if forWrite && !word {
-		return 0, false, nil
-	}
-	words := 0
-	for _, w := range tx.words {
-		if w.orig != orig {
-			continue
-		}
-		if w.p < p+n && p < w.p+8 {
-			if !word {
-				return 0, false, nil
-			}
-			return tx.entryOff(w.entry) + 16, true, nil
-		}
-		words++
-	}
-	if !forWrite {
-		return p, true, nil
-	}
-	if words >= wordsPerBlock {
-		return 0, false, nil
-	}
-	q, err = tx.logWord(orig, p)
-	return q, true, err
-}
-
-var errSpan = fmt.Errorf("fa: access spans blocks")
-
-// ReadUint64 loads an 8-byte field through the block's redo view.
-func (tx *Tx) ReadUint64(o *core.Object, off uint64) (uint64, error) {
-	p, err := tx.locate(o, off, 8, false)
-	if err == errSpan {
+	if n < 8 {
 		var buf [8]byte
 		if err := tx.readSpan(o, off, buf[:]); err != nil {
 			return 0, err
 		}
-		v := uint64(0)
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(buf[i])
-		}
-		return v, nil
-	}
-	if err != nil {
-		return 0, err
+		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
 	return tx.h.Pool().ReadUint64(p), nil
 }
 
 // WriteUint64 stores an 8-byte field through the redo log.
 func (tx *Tx) WriteUint64(o *core.Object, off, v uint64) error {
-	p, err := tx.locate(o, off, 8, true)
-	if err == errSpan {
-		var buf [8]byte
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		return tx.writeSpan(o, off, buf[:])
-	}
+	p, n, err := tx.locate(o, off, 8, true)
 	if err != nil {
 		return err
+	}
+	if n < 8 {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		return tx.writeSpan(o, off, buf[:])
 	}
 	tx.h.Pool().WriteUint64(p, v)
 	return nil
@@ -177,32 +130,30 @@ func (tx *Tx) WriteInt64(o *core.Object, off uint64, v int64) error {
 
 // ReadUint32 loads a 4-byte field.
 func (tx *Tx) ReadUint32(o *core.Object, off uint64) (uint32, error) {
-	p, err := tx.locate(o, off, 4, false)
-	if err == errSpan {
+	p, n, err := tx.locate(o, off, 4, false)
+	if err != nil {
+		return 0, err
+	}
+	if n < 4 {
 		var buf [4]byte
 		if err := tx.readSpan(o, off, buf[:]); err != nil {
 			return 0, err
 		}
-		return uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24, nil
-	}
-	if err != nil {
-		return 0, err
+		return binary.LittleEndian.Uint32(buf[:]), nil
 	}
 	return tx.h.Pool().ReadUint32(p), nil
 }
 
 // WriteUint32 stores a 4-byte field.
 func (tx *Tx) WriteUint32(o *core.Object, off uint64, v uint32) error {
-	p, err := tx.locate(o, off, 4, true)
-	if err == errSpan {
-		var buf [4]byte
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		return tx.writeSpan(o, off, buf[:])
-	}
+	p, n, err := tx.locate(o, off, 4, true)
 	if err != nil {
 		return err
+	}
+	if n < 4 {
+		var buf [4]byte
+		binary.LittleEndian.PutUint32(buf[:], v)
+		return tx.writeSpan(o, off, buf[:])
 	}
 	tx.h.Pool().WriteUint32(p, v)
 	return nil
@@ -210,12 +161,7 @@ func (tx *Tx) WriteUint32(o *core.Object, off uint64, v uint32) error {
 
 func (tx *Tx) readSpan(o *core.Object, off uint64, dst []byte) error {
 	for len(dst) > 0 {
-		within := heap.Payload - off%heap.Payload
-		n := uint64(len(dst))
-		if n > within {
-			n = within
-		}
-		p, err := tx.locate(o, off, n, false)
+		p, n, err := tx.locate(o, off, uint64(len(dst)), false)
 		if err != nil {
 			return err
 		}
@@ -228,12 +174,7 @@ func (tx *Tx) readSpan(o *core.Object, off uint64, dst []byte) error {
 
 func (tx *Tx) writeSpan(o *core.Object, off uint64, src []byte) error {
 	for len(src) > 0 {
-		within := heap.Payload - off%heap.Payload
-		n := uint64(len(src))
-		if n > within {
-			n = within
-		}
-		p, err := tx.locate(o, off, n, true)
+		p, n, err := tx.locate(o, off, uint64(len(src)), true)
 		if err != nil {
 			return err
 		}

@@ -9,8 +9,7 @@
 // materialized into detached transactions — one kindWord redo-log entry,
 // which carries the summed word itself, and one home-line write-back per
 // hot word per epoch, however many ops folded into it — which join the
-// epoch's batch and ride the same two fences. No in-flight block is
-// involved.
+// epoch's batch and ride the same two fences.
 //
 // Correctness hangs on three rules:
 //
@@ -59,8 +58,7 @@ import (
 var ErrDeltaUnsupported = fmt.Errorf("fa: delta ledger requires async commit mode")
 
 // deltaKey addresses one foldable word: a block and the block-local
-// offset of the 8-byte counter (header included in the coordinate space,
-// matching lineMask).
+// offset of the 8-byte counter (header included in the coordinate space).
 type deltaKey struct {
 	orig core.Ref
 	off  uint64
@@ -84,12 +82,12 @@ const (
 	deltaTxChunk = 256
 )
 
-// AddDelta folds a signed delta into the 8-byte little-endian word at
-// block-local offset off of block orig, and returns an epoch ticket with
-// async-commit semantics: the delta is applied and durable when the
-// ticket passes the watermark (AwaitDurable), and any transactional or
-// settled read of the block drains it first. Outside async mode it
-// returns ErrDeltaUnsupported.
+// AddDelta folds a signed delta into the aligned 8-byte little-endian
+// word at block-local offset off of block orig, and returns an epoch
+// ticket with async-commit semantics: the delta is applied and durable
+// when the ticket passes the watermark (AwaitDurable), and any
+// transactional or settled read of the block drains it first. Outside
+// async mode it returns ErrDeltaUnsupported.
 //
 // Caller contract: AddDelta must not race an open failure-atomic block
 // that has already touched orig but not yet committed — the manager only
@@ -105,8 +103,8 @@ func (m *Manager) AddDelta(orig core.Ref, off uint64, delta int64) (uint64, erro
 	if st == nil {
 		return 0, fmt.Errorf("fa: manager not attached to a heap")
 	}
-	if off < heap.HeaderSize || off+8 > heap.BlockSize {
-		return 0, fmt.Errorf("fa: delta offset %d outside block payload", off)
+	if off < heap.HeaderSize || off+8 > heap.BlockSize || off%8 != 0 {
+		return 0, fmt.Errorf("fa: delta offset %d is not an aligned word of the block payload", off)
 	}
 	if !st.h.Mem().IsBlockRef(orig) {
 		return 0, fmt.Errorf("fa: delta target %#x is not a block", orig)
@@ -254,17 +252,20 @@ func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
 
 // foldDelta logs the 8-byte word at block-local offset off of orig plus
 // sum as one kindWord entry, through the same logWord a transactional
-// word store uses. The home word is current — the caller holds g.mu with
-// no drain in flight and no queued commit on orig — and the entry reaches
+// store uses. The home word is current — the caller holds g.mu with no
+// drain in flight and no queued commit on orig — and the entry reaches
 // NVMM with the log's stage-1 write-back, so the fold costs its share of
-// the log's lines and, at apply, the home line: however many ops folded
-// into sum, and no in-flight block.
+// the log's lines and, at apply, the home line, however many ops folded
+// into sum.
 func (tx *Tx) foldDelta(orig core.Ref, off uint64, sum int64) error {
 	p := orig + off
-	q, err := tx.logWord(orig, p)
+	q, err := tx.logWord(p)
 	if err != nil {
 		return err
 	}
+	// The ledger keys words, so two of them may share a block: the epoch
+	// clears the block from the pending set twice.
+	tx.written = append(tx.written, orig)
 	pool := tx.h.Pool()
 	pool.WriteUint64(q, pool.ReadUint64(p)+uint64(sum))
 	return nil
@@ -309,7 +310,6 @@ func (m *Manager) unreserveDeltaTx() {
 	}
 	if tx := g.deltaTx.Swap(nil); tx != nil {
 		tx.reserved = nil
-		tx.blocks.Drain()
 		m.slots.push(tx.slot)
 	}
 }

@@ -26,6 +26,32 @@ func TestDeltaUnsupportedOutsideAsync(t *testing.T) {
 	}
 }
 
+// TestDeltaRejectsMisalignedOffset: a delta aimed at a word that is not
+// 8-byte aligned is refused before anything folds. Accepted, its drain
+// panicked on the unaligned atomic store after the epoch's mark was
+// durable, leaving a live slot replay refuses: a pool that never opened
+// again.
+func TestDeltaRejectsMisalignedOffset(t *testing.T) {
+	h, mgr, pool, cls := openFA(t, true)
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+		t.Fatal(err)
+	}
+	acc := newAccount(t, h, cls, 100, 0, "acc")
+	blk, off := blockOf(acc)
+	if _, err := mgr.AddDelta(blk, off+4, 1); err == nil {
+		t.Fatal("AddDelta accepted a misaligned offset")
+	}
+	if s := mgr.ObsSnapshot(); s.DeltaOps != 0 {
+		t.Fatalf("a refused delta counted %d delta ops", s.DeltaOps)
+	}
+	mgr.DrainDurable()
+	h2, _, _, _ := reopenFA(t, pool.CrashImage(nvm.CrashStrict, rand.New(rand.NewSource(1))))
+	a, _ := h2.Root().Get("acc")
+	if v := a.Core().ReadUint64(accA); v != 100 {
+		t.Fatalf("after the refused delta the pool holds %d, want 100", v)
+	}
+}
+
 // TestDeltaFoldsToOneEntry is the tentpole contract: N increments to one
 // hot word cost one redo-log entry in the drained epoch, and the drained
 // value is the net sum.

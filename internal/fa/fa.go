@@ -4,17 +4,16 @@
 // during a block (here: a transaction, Go's idiom for the per-thread FA
 // nesting counter of §3.2), every modification goes to a per-transaction
 // persistent redo log. Writes to *valid* objects leave the original data
-// intact: an aligned 8-byte store is logged as the word itself (at most
-// wordsPerBlock of them per block), and any other store is redirected to
-// an in-flight copy of the touched block; writes to objects allocated
+// intact: every store is logged as the aligned 8-byte words it touches,
+// each word one entry carrying its new value; writes to objects allocated
 // inside the block go straight to the (invalid, hence crash-dead) object.
-// Commit flushes log and in-flight blocks, fences, durably marks the log
-// committed, fences again, and then applies the log — storing logged
-// words, copying in-flight payloads over the originals, validating
-// allocations and executing deletions — without further ordering. A crash
-// replays a committed log (the apply phase is idempotent) and discards an
-// uncommitted one, whose side effects are all invalid or unreachable and
-// therefore reclaimed by the recovery GC.
+// Commit flushes the log and the allocated objects, fences, durably marks
+// the log committed, fences again, and then applies the log — storing
+// logged words over the originals, validating allocations and executing
+// deletions — without further ordering. A crash replays a committed log
+// (the apply phase is idempotent) and discards an uncommitted one, whose
+// side effects are all invalid or unreachable and therefore reclaimed by
+// the recovery GC.
 //
 // Durability contract: Commit (per-Tx mode) or AwaitDurable
 // (async mode) returns ⇒ the block's commit mark is durable ⇒ recovery
@@ -22,8 +21,8 @@
 // two fences are all a commit pays. The mark is the commit's sequence
 // number; one durable watermark W in the superblock retires logs (a slot
 // is live iff its mark exceeds W), and the two orderings retirement needs
-// — apply before W, W before the slot, the in-flight blocks and the freed
-// objects are reused — ride on the fences of later commits (retireQueue).
+// — apply before W, W before the slot and the freed objects are reused —
+// ride on the fences of later commits (retireQueue).
 // Until a commit is retired, a crash replays it over whatever its blocks
 // hold, so code that also writes those blocks outside failure-atomic
 // blocks must call Manager.Retire first.
@@ -38,14 +37,6 @@
 //     nvm.FlushSet; commit writes each line back once, merging adjacent
 //     lines into single PWBRange calls. A field written five times
 //     flushes once.
-//   - Dirty-line masks. Each write entry records which lines of the
-//     in-flight copy were touched (in the high bits of the kind word), so
-//     apply and replay copy and flush only those lines instead of the
-//     full 248-byte payload. A zero mask means "all lines" — the format
-//     older logs decode to.
-//   - In-flight block reuse. Each Tx recycles its in-flight blocks
-//     through a heap.TransientPool instead of a free-queue round trip per
-//     write-set block per transaction.
 package fa
 
 import (
@@ -70,42 +61,25 @@ import (
 //	8:  count  (8)  — number of entries
 //	16: entries, 24 bytes each: kind (8) | a (8) | b (8)
 //
-// For kindWrite entries the kind word also carries the dirty-line mask in
-// bits 8..11: bit i set means line i of the block was modified and must be
-// copied to the original. Mask 0 means every line (the pre-mask format).
-// A kindWord entry carries its new value itself: it is how a
-// transactional word store to a valid block (access.go) and a delta fold
-// (delta.go) land, one word per entry with no in-flight block. Heap
-// format version 3 introduced it; replay validates every live slot's
-// entries (checkSlots) before it writes any.
+// A kindWord entry carries its word's new value itself: it is how every
+// transactional store to a valid block (access.go) and every delta fold
+// (delta.go) land. Heap format version 3 introduced it; replay validates
+// every live slot's entries (checkSlots) before it writes any.
 const (
 	slotStatus  = heap.LogSlotSeq
 	slotCount   = 8
 	slotEntries = 16
 	entrySize   = 24
 
-	kindWrite = 1 // a = original block ref, b = in-flight block ref
+	// kindCopy (a = original block, b = an in-flight copy of it, the
+	// kind word's bits 8..11 its dirty lines) was written by earlier
+	// builds. No build writes it any more and checkEntry refuses it.
+	kindCopy  = 1
 	kindAlloc = 2 // a = new object ref
 	kindFree  = 3 // a = freed object ref
 	kindWord  = 4 // a = pool offset of an 8-byte payload word, b = its new value
 
-	kindMask  = 0xff
-	maskShift = 8
-
-	linesPerBlock = heap.BlockSize / nvm.LineSize
-	lineMaskAll   = 1<<linesPerBlock - 1
-
-	// transientCap bounds the in-flight blocks a Tx keeps warm; overflow
-	// spills to the shared free queue.
-	transientCap = 32
-
-	// wordsPerBlock is how many distinct words a Tx logs as word entries
-	// in one valid block before the next one promotes the block to an
-	// in-flight copy. Two covers the updates that write words in place: a
-	// record's value and name words, a map binding's key and value refs.
-	// So a block costs at most two entries, where a copy costs one entry,
-	// a transient block and its dirty lines.
-	wordsPerBlock = 2
+	kindMask = 0xff
 
 	// CommitBarriers is what one commit pays under every protocol: the
 	// fence that orders log and write set before the mark, and the fence
@@ -113,23 +87,14 @@ const (
 	CommitBarriers = 2
 
 	// retireMax bounds the commits (an epoch is one) parked behind W, and
-	// retireBlocksMax the in-flight and freed blocks any one of them may
-	// withhold from the allocator. Past either, the committer that parks
-	// pays retirement's two fences itself, so what parked commits hold
-	// cannot pile up behind committers whose fences never come, and a
-	// large epoch does not keep its write set's worth of blocks out of
-	// the next one's hands.
+	// retireBlocksMax the freed objects any one of them may withhold from
+	// the allocator. Past either, the committer that parks pays
+	// retirement's two fences itself, so what parked commits hold cannot
+	// pile up behind committers whose fences never come, and a large
+	// epoch does not keep the blocks it freed out of the next one's hands.
 	retireMax       = 8
 	retireBlocksMax = 128
 )
-
-// lineMask returns the dirty-line bits for a store of n>0 bytes at
-// block-local offset off (header included in the coordinate space).
-func lineMask(off, n uint64) uint8 {
-	first := off / nvm.LineSize
-	last := (off + n - 1) / nvm.LineSize
-	return uint8(lineMaskAll>>(linesPerBlock-1-last+first)) << first
-}
 
 // managerState is the immutable heap binding, swapped atomically by
 // RecoverLogs so hot-path readers never take a lock.
@@ -187,8 +152,8 @@ func (s *slotStack) push(idx int) {
 }
 
 // txCache parks released transactions — slot attached, maps allocated,
-// flush set and transient blocks warm — for the next Begin. Cells are
-// claimed and filled by CAS, so a scrape or a racing worker never blocks.
+// flush set warm — for the next Begin. Cells are claimed and filled by
+// CAS, so a scrape or a racing worker never blocks.
 // Capacity equals the slot count: a parked Tx owns its slot, so there is
 // always a free cell for a releasing Tx (a transient CAS storm can still
 // fail a put, in which case the Tx is dismantled and its slot returned to
@@ -231,8 +196,8 @@ func (c *txCache) put(tx *Tx) bool {
 //     has completed, advance stores the commit's sequence number to W
 //     (write-back unfenced) and hands the commit to the caller.
 //  2. W → reuse. Once the caller's next barrier has covered W, it
-//     recycles the commit: slot and Tx to the cache, in-flight blocks to
-//     the transient pool, freed objects to the free queue.
+//     recycles the commit: slot and Tx to the cache, freed objects to the
+//     free queue.
 //
 // In steady state both barriers are the next commit's own two, so
 // retirement costs one write-back of W's line and no fence. W only moves
@@ -479,24 +444,20 @@ func checkSlots(mem *heap.Heap, live []LiveSlot) error {
 }
 
 // checkEntry reports why the entry at eoff cannot be replayed: an unknown
-// kind, a write whose refs are not arena blocks, an alloc or free of a ref
-// outside the arena, or a word that is misaligned or not in a block's
-// payload — outside the arena means in the superblock, the class table or
-// the log area itself.
+// kind, a block copy (only a crashed pool of an earlier build holds one
+// live), an alloc or free of a ref outside the arena, or a word that is
+// misaligned or not in a block's payload — outside the arena means in the
+// superblock, the class table or the log area itself.
 func checkEntry(mem *heap.Heap, eoff uint64) error {
 	pool := mem.Pool()
 	word := pool.ReadUint64(eoff)
 	a := pool.ReadUint64(eoff + 8)
-	b := pool.ReadUint64(eoff + 16)
 	start := mem.BlockRef(0)
 	end := start + mem.NBlocks()*heap.BlockSize
 	inArena := func(r uint64) bool { return r >= start && r < end }
-	isBlock := func(r uint64) bool { return inArena(r) && mem.IsBlockRef(r) }
 	switch kind := word & kindMask; kind {
-	case kindWrite:
-		if !isBlock(a) || !isBlock(b) {
-			return fmt.Errorf("write of block %#x from %#x: not arena blocks [%#x, %#x)", a, b, start, end)
-		}
+	case kindCopy:
+		return fmt.Errorf("block-copy entry (kind %d) of block %#x is no longer replayed; recover the pool with the build that crashed on it", kind, a)
 	case kindAlloc, kindFree:
 		if !inArena(a) {
 			return fmt.Errorf("allocation or free of %#x outside the arena [%#x, %#x)", a, start, end)
@@ -515,7 +476,7 @@ func checkEntry(mem *heap.Heap, eoff uint64) error {
 // commit apply phase, the crash-staging test hook and recovery replay
 // (idempotent: a crash mid-replay just replays again on the next open).
 // With a FlushSet the dirty lines are accumulated for a coalesced
-// write-back by the caller; with fs == nil each copy flushes immediately.
+// write-back by the caller; with fs == nil each word flushes immediately.
 func applyEntries(pool *nvm.Pool, mem *heap.Heap, base, count uint64, fs *nvm.FlushSet) {
 	for e := uint64(0); e < count; e++ {
 		eoff := base + slotEntries + e*entrySize
@@ -523,54 +484,20 @@ func applyEntries(pool *nvm.Pool, mem *heap.Heap, base, count uint64, fs *nvm.Fl
 		a := pool.ReadUint64(eoff + 8)
 		b := pool.ReadUint64(eoff + 16)
 		switch word & kindMask {
-		case kindWrite:
-			copyDirtyLines(pool, a, b, uint8(word>>maskShift)&lineMaskAll, fs)
 		case kindAlloc:
 			mem.SetValid(a, true)
 		case kindFree:
 			mem.SetValid(a, false)
 		case kindWord:
-			// Atomic for the same reason as copyDirtyLines: lock-free
-			// readers load the word while the apply publishes it.
+			// Atomic because the block is live: lock-free probes
+			// (Object.ReadRefAtomic) may load the word while the apply
+			// publishes it.
 			pool.WriteUint64Atomic(a, b)
 			if fs != nil {
 				fs.Add(a)
 			} else {
 				pool.PWB(a)
 			}
-		}
-	}
-}
-
-// copyDirtyLines copies the masked lines of the in-flight block inf over
-// the original block orig, skipping the header word: line 0's copy starts
-// at HeaderSize so the original's identity is never overwritten. A zero
-// mask copies the whole payload. The copies store word-atomically because
-// the destination block is live: lock-free probes (Object.ReadRefAtomic)
-// may be reading its ref words while the apply publishes them.
-func copyDirtyLines(pool *nvm.Pool, orig, inf uint64, mask uint8, fs *nvm.FlushSet) {
-	if mask == 0 {
-		pool.CopyWithinAtomic(orig+heap.HeaderSize, inf+heap.HeaderSize, heap.Payload)
-		if fs != nil {
-			fs.AddRange(orig+heap.HeaderSize, heap.Payload)
-		} else {
-			pool.PWBRange(orig+heap.HeaderSize, heap.Payload)
-		}
-		return
-	}
-	for l := uint64(0); l < linesPerBlock; l++ {
-		if mask&(1<<l) == 0 {
-			continue
-		}
-		off, n := l*nvm.LineSize, uint64(nvm.LineSize)
-		if l == 0 {
-			off, n = heap.HeaderSize, nvm.LineSize-heap.HeaderSize
-		}
-		pool.CopyWithinAtomic(orig+off, inf+off, n)
-		if fs != nil {
-			fs.Add(orig + l*nvm.LineSize)
-		} else {
-			pool.PWBRange(orig+l*nvm.LineSize, nvm.LineSize)
 		}
 	}
 }
@@ -586,34 +513,11 @@ func (m *Manager) Heap() *core.Heap {
 // ErrLogFull is returned when a failure-atomic block outgrows its log slot.
 var ErrLogFull = fmt.Errorf("fa: failure-atomic block exceeds log capacity")
 
-// inflightWrite tracks one write-set block: the original, its in-flight
-// copy, the log entry carrying the pair, and the dirty-line mask patched
-// into that entry at commit.
-type inflightWrite struct {
-	orig  core.Ref
-	inf   core.Ref
-	entry uint64
-	mask  uint8
-}
-
-// loggedWord tracks one kindWord entry: the block it lands in, the pool
-// offset of the word, and the entry's index in the log, whose value field
-// holds the word's new value.
-type loggedWord struct {
-	orig  core.Ref
-	p     uint64
-	entry uint64
-}
-
-// wordBlock is the inflight value of a block whose stores so far are all
-// word entries: it has no in-flight copy.
-const wordBlock = -1
-
 // Tx is one failure-atomic block. It is not safe for concurrent use; the
 // application serializes access to shared objects exactly as it would in
 // the paper's Infinispan integration (lock striping). Released
 // transactions are recycled through the manager's cache, carrying their
-// log slot, maps, flush set and transient blocks to the next Begin.
+// log slot, maps and flush set to the next Begin.
 type Tx struct {
 	m          *Manager
 	h          *core.Heap
@@ -623,9 +527,14 @@ type Tx struct {
 	count      uint64
 	depth      int
 
-	writes   []inflightWrite
-	inflight map[core.Ref]int // original block -> index into writes, or wordBlock
-	words    []loggedWord     // the kindWord entries, in log order
+	// written is the write set: the valid blocks the Tx has stored to. A
+	// Tx writes few distinct blocks, so scanning a slice on each access
+	// costs less than a map's insert and clear (80–100 ns a commit in
+	// BenchmarkCommitSingleField on a 2-core Xeon); a delta
+	// materialization may list a block twice. words maps the pool offset
+	// of a word an accessor logged to its entry index.
+	written  []core.Ref
+	words    map[uint64]uint64
 	allocs   map[core.Ref]bool
 	freed    []core.Ref // proxies to neutralize at commit
 	proxies  map[core.Ref]core.PObject
@@ -633,8 +542,7 @@ type Tx struct {
 	onAbort  []func() // volatile rollbacks, run only on abort
 	ordered  []func() // async: OnOrdered hooks, run at enqueue
 
-	flush  *nvm.FlushSet
-	blocks *heap.TransientPool
+	flush *nvm.FlushSet
 
 	// grp is the async state sampled at Begin (nil = per-Tx); ticket is
 	// the epoch ticket of an enqueued async commit.
@@ -747,11 +655,10 @@ func (m *Manager) newTx(st *managerState, slot int) *Tx {
 		slot:       slot,
 		base:       st.off + uint64(slot*st.size),
 		maxEntries: uint64((st.size - slotEntries) / entrySize),
-		inflight:   make(map[core.Ref]int),
+		words:      make(map[uint64]uint64),
 		allocs:     make(map[core.Ref]bool),
 		proxies:    make(map[core.Ref]core.PObject),
 		flush:      nvm.NewFlushSet(),
-		blocks:     st.h.Mem().NewTransientPool(transientCap),
 	}
 }
 
@@ -780,11 +687,11 @@ func (m *Manager) retireParked() bool {
 }
 
 // Retire retires every parked commit: on return W covers all that was
-// committed, nothing is withheld from the slot cache, the transient pools
-// or the free queue, and a restart replays nothing. Closing a stack and
-// switching the commit mode call it; so must code about to write, outside
-// failure-atomic blocks, data that failure-atomic blocks also write. It
-// waits out committers still applying, so call it when they are done.
+// committed, nothing is withheld from the slot cache or the free queue,
+// and a restart replays nothing. Closing a stack and switching the commit
+// mode call it; so must code about to write, outside failure-atomic
+// blocks, data that failure-atomic blocks also write. It waits out
+// committers still applying, so call it when they are done.
 func (m *Manager) Retire() {
 	for m.retire.parked.Load() > 0 {
 		if !m.retireParked() {
@@ -835,14 +742,12 @@ func (m *Manager) Run(fn func(*Tx) error) error {
 
 // release resets the Tx for reuse and parks it in the manager's cache,
 // slot still attached. If the cache rejects it (transient CAS storm) the
-// Tx is dismantled instead: transient blocks drain to the shared free
-// queue and the slot returns to the freelist.
+// Tx is dismantled instead: the slot returns to the freelist.
 func (tx *Tx) release() {
 	tx.depth = 0
 	tx.count = 0
-	tx.writes = tx.writes[:0]
-	clear(tx.inflight)
-	tx.words = tx.words[:0]
+	tx.written = tx.written[:0]
+	clear(tx.words)
 	clear(tx.allocs)
 	tx.freed = tx.freed[:0]
 	clear(tx.proxies)
@@ -862,7 +767,6 @@ func (tx *Tx) release() {
 		return
 	}
 	if !m.cache.put(tx) {
-		tx.blocks.Drain()
 		m.slots.push(tx.slot)
 	}
 }
@@ -903,38 +807,19 @@ func (tx *Tx) appendEntry(kind uint64, a, b core.Ref) error {
 	return err
 }
 
-// logWord appends a kindWord entry for the payload word at pool offset p
-// of block orig and returns the pool offset of the entry's value, which
-// the caller stores. It is the one way a word enters the log: an
-// accessor's word store (locate) and a delta fold (foldDelta) alike.
-func (tx *Tx) logWord(orig core.Ref, p uint64) (uint64, error) {
+// logWord appends a kindWord entry for the aligned payload word at pool
+// offset p and returns the pool offset of the entry's value, which the
+// caller stores; the caller has put the word's block in the write set. It
+// is the one way a word enters the log: an accessor's store (locate,
+// which also indexes the entry in words) and a delta fold (foldDelta)
+// alike.
+func (tx *Tx) logWord(p uint64) (uint64, error) {
 	eoff, err := tx.newEntry(kindWord, p)
 	if err != nil {
 		return 0, err
 	}
-	tx.words = append(tx.words, loggedWord{orig: orig, p: p, entry: tx.count - 1})
 	tx.m.stats.WordEntries.Inc()
 	return eoff + 16, nil
-}
-
-// removeEntry deletes log entry e from the log, which stage 1 has not
-// written back yet: the later entries move down one place, and the entry
-// indexes the Tx holds follow them.
-func (tx *Tx) removeEntry(e uint64) {
-	tx.count--
-	if e < tx.count {
-		tx.h.Pool().CopyWithin(tx.entryOff(e), tx.entryOff(e+1), (tx.count-e)*entrySize)
-	}
-	for i := range tx.writes {
-		if tx.writes[i].entry > e {
-			tx.writes[i].entry--
-		}
-	}
-	for i := range tx.words {
-		if tx.words[i].entry > e {
-			tx.words[i].entry--
-		}
-	}
 }
 
 // Alloc allocates a new persistent object inside the block. The object is
@@ -1016,50 +901,6 @@ func (tx *Tx) direct(o *core.Object) bool {
 	return tx.allocs[o.Ref()] || !o.Valid()
 }
 
-// inflightFor creates the in-flight copy of block orig — recycled from
-// the Tx's transient pool when possible — and returns its write-set index.
-// The caller has settled the block (waitClear) on its first touch. A block
-// whose stores so far are word entries is promoted: its copy gets the
-// logged words overlaid and their lines in the mask, and the word entries
-// leave the log, so the block ends with the one write entry a copy costs
-// (and a full log still has room for it).
-func (tx *Tx) inflightFor(orig core.Ref) (int, error) {
-	inf, _, err := tx.blocks.Get()
-	if err != nil && tx.retryAfterRetire(err) {
-		inf, _, err = tx.blocks.Get()
-	}
-	if err != nil {
-		return 0, err
-	}
-	pool := tx.h.Pool()
-	pool.CopyWithin(inf+heap.HeaderSize, orig+heap.HeaderSize, heap.Payload)
-	var mask uint8
-	if _, promoted := tx.inflight[orig]; promoted {
-		// Newest first, so removing an entry never moves one still to visit.
-		for k := len(tx.words) - 1; k >= 0; k-- {
-			w := tx.words[k]
-			if w.orig != orig {
-				continue
-			}
-			q := inf + (w.p - orig)
-			pool.WriteUint64(q, pool.ReadUint64(tx.entryOff(w.entry)+16))
-			tx.flush.AddRange(q, 8)
-			mask |= lineMask(w.p-orig, 8)
-			tx.words = append(tx.words[:k], tx.words[k+1:]...)
-			tx.removeEntry(w.entry)
-		}
-	}
-	if err := tx.appendEntry(kindWrite, orig, inf); err != nil {
-		tx.blocks.Put(inf)
-		return 0, err
-	}
-	i := len(tx.writes)
-	tx.writes = append(tx.writes, inflightWrite{orig: orig, inf: inf, entry: tx.count - 1, mask: mask})
-	tx.inflight[orig] = i
-	tx.m.stats.InflightCopies.Inc()
-	return i, nil
-}
-
 // ---- Commit pipeline stages ----
 //
 // The stages are split out so the crash-staging test hook executes exactly
@@ -1067,18 +908,12 @@ func (tx *Tx) inflightFor(orig core.Ref) (int, error) {
 // per-Tx and epoch (group.go drainEpoch) — differ only in how many
 // commits one barrier stands between.
 
-// commitStage1Body persists the log and the write set. Dirty-line masks
-// are patched into the write entries first — replay must know which
-// in-flight lines are meaningful — then every line marked during the
-// block (in-flight lines per store, allocated blocks, the log itself) is
-// written back once through the flush set. No fence was needed before
-// this point because the original data is untouched (§4.2).
+// commitStage1Body persists the log and the allocated objects: every line
+// marked during the block (allocated blocks, the log itself) is written
+// back once through the flush set. No fence was needed before this point
+// because the original data is untouched (§4.2).
 func (tx *Tx) commitStage1Body() {
 	pool := tx.h.Pool()
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		pool.WriteUint64(tx.base+slotEntries+w.entry*entrySize, kindWrite|uint64(w.mask)<<maskShift)
-	}
 	pool.WriteUint64(tx.base+slotCount, tx.count)
 	tx.flush.AddRange(tx.base+slotCount, 8+tx.count*entrySize)
 	tx.noteFlush(tx.flush.Flush(pool))
@@ -1112,9 +947,9 @@ func (tx *Tx) commitRecycle() {
 	clear(tx.retired)
 }
 
-// commitApplyBody applies the log — masked line copies over the
-// originals, validations, deletions — and writes the copied lines back
-// coalesced, with no ordering of its own: a crash replays the live log.
+// commitApplyBody applies the log — logged words over the originals,
+// validations, deletions — and writes the home lines back coalesced, with
+// no ordering of its own: a crash replays the live log.
 func (tx *Tx) commitApplyBody() {
 	pool := tx.h.Pool()
 	applyEntries(pool, tx.h.Mem(), tx.base, tx.count, tx.flush)
@@ -1123,19 +958,19 @@ func (tx *Tx) commitApplyBody() {
 
 // park is the volatile tail of a commit, run once the apply's write-backs
 // are issued. The commit is durable — its mark is — so the deferred
-// follow-ups run now, but the slot, the in-flight blocks and the freed
-// objects stay with the Tx on the retire queue until W covers it durably
-// (recycle). For an epoch, tx is its first Tx and speaks for its mates.
+// follow-ups run now, but the slot and the freed objects stay with the Tx
+// on the retire queue until W covers it durably (recycle). For an epoch,
+// tx is its first Tx and speaks for its mates.
 func (tx *Tx) park() {
 	m := tx.m
 	n := 1 + len(tx.mates)
 	tx.detachFreed()
 	deferred := tx.deferred
-	held := len(tx.writes) + len(tx.freed)
+	held := len(tx.freed)
 	for _, mate := range tx.mates {
 		mate.detachFreed()
 		deferred = append(deferred, mate.deferred...)
-		held += len(mate.writes) + len(mate.freed)
+		held += len(mate.freed)
 	}
 	m.stats.Committed.Add(uint64(n))
 	parked := m.retire.parked.Add(1)
@@ -1162,14 +997,10 @@ func (tx *Tx) detachFreed() {
 	}
 }
 
-// recycle gives back what a retired commit held: in-flight blocks to the
-// transient pool, freed objects' blocks to the free queue, the Tx and its
-// slot to the cache.
+// recycle gives back what a retired commit held: freed objects' blocks to
+// the free queue, the Tx and its slot to the cache.
 func (tx *Tx) recycle() {
 	mem := tx.h.Mem()
-	for i := range tx.writes {
-		tx.blocks.Put(tx.writes[i].inf)
-	}
 	for _, ref := range tx.freed {
 		mem.FreeObject(ref)
 	}
@@ -1244,8 +1075,8 @@ func (tx *Tx) CommitTicket() (uint64, error) {
 	return 0, nil
 }
 
-// Abort abandons the block: nothing it did becomes visible. In-flight
-// copies and allocations are recycled; originals were never touched.
+// Abort abandons the block: nothing it did becomes visible. Allocations
+// are freed; originals were never touched.
 //
 // The count reset is volatile on purpose: it cannot leak stale entries
 // into a later generation of this slot. The slot's status is a sequence
@@ -1260,9 +1091,6 @@ func (tx *Tx) Abort() {
 	}
 	pool := tx.h.Pool()
 	pool.WriteUint64(tx.base+slotCount, 0)
-	for i := range tx.writes {
-		tx.blocks.Put(tx.writes[i].inf)
-	}
 	for ref, po := range tx.proxies {
 		if tx.allocs[ref] {
 			tx.h.Free(po)

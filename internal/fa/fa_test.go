@@ -113,17 +113,18 @@ func TestErrorAborts(t *testing.T) {
 	if acc.ReadUint64(accA) != 100 {
 		t.Fatal("aborted write leaked")
 	}
-	// The log slot and in-flight blocks must be recycled: the next
-	// block's in-flight copy comes from the transaction's transient pool.
-	// (A 4-byte store takes an in-flight copy; an 8-byte one would log
-	// the word.)
+	// The log slot must be recycled: the next block reuses the aborted
+	// transaction, slot attached. (This test also checked that the aborted
+	// block's in-flight copy went back to a transient pool; a store to a
+	// valid block no longer takes a copy.)
+	reused := mgr.ObsSnapshot().TxReuse
 	if err := mgr.Run(func(tx *Tx) error {
 		return tx.WriteUint32(acc.Core(), accA, 100)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if h.Mem().Obs().TransientReuse.Load() == 0 {
-		t.Fatal("in-flight block not recycled after abort")
+	if s := mgr.ObsSnapshot(); s.TxReuse != reused+1 || s.SlotsInUse != 0 {
+		t.Fatalf("after an abort: %d warm reuses, %d slots in use; want %d, 0", s.TxReuse, s.SlotsInUse, reused+1)
 	}
 }
 
@@ -562,10 +563,11 @@ func TestFreeThenCrashKeepsConsistency(t *testing.T) {
 
 // TestReplayRefusesCorruptEntries: a live slot holding an entry no commit
 // logs — an unknown kind, a word entry aimed at the log area, a misaligned
-// word, a write whose in-flight ref is not a block — makes the audit and
-// the open fail with an error naming the slot and the entry, and the open
-// writes nothing to the pool: replay validates every entry before it
-// applies any.
+// word, a block-copy entry — makes the audit and the open fail with an
+// error naming the slot and the entry, and the open writes nothing to the
+// pool: replay validates every entry before it applies any. The block-copy
+// row replaces "a write whose in-flight ref is not a block": no build
+// writes kind 1 any more, so a live one, whatever its refs, is refused.
 func TestReplayRefusesCorruptEntries(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -577,8 +579,11 @@ func TestReplayRefusesCorruptEntries(t *testing.T) {
 			func(base uint64, _ core.Ref) uint64 { return base + slotCount }, nil, "word at"},
 		{"misaligned word", func(uint64, core.Ref) uint64 { return kindWord },
 			func(_ uint64, orig core.Ref) uint64 { return orig + 12 }, nil, "word at"},
-		{"write from a non-block", nil, nil,
-			func(_ uint64, orig core.Ref) uint64 { return orig + 8 }, "not arena blocks"},
+		// Kind 1 with dirty lines 0 and 1 in bits 8..11, as an earlier
+		// build wrote it, copying orig's own block over orig.
+		{"block copy", func(uint64, core.Ref) uint64 { return kindCopy | 3<<8 },
+			func(_ uint64, orig core.Ref) uint64 { return orig },
+			func(_ uint64, orig core.Ref) uint64 { return orig }, "block-copy entry (kind 1)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -588,14 +593,13 @@ func TestReplayRefusesCorruptEntries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A 4-byte store, so entry 0 is a block write entry.
 			if err := tx.WriteUint32(acc.Core(), accA, 1); err != nil {
 				t.Fatal(err)
 			}
 			base, orig := tx.base, acc.Core().Ref()
 			tx.commitPrefix(2) // durable mark, so the slot is live
 			img := pool.CrashImage(nvm.CrashStrict, rand.New(rand.NewSource(1)))
-			eoff := base + slotEntries // the write entry, entry 0
+			eoff := base + slotEntries // the word entry, entry 0
 			for i, f := range []func(uint64, core.Ref) uint64{c.kind, c.a, c.b} {
 				if f != nil {
 					img.WriteUint64(eoff+uint64(8*i), f(base, orig))

@@ -48,8 +48,8 @@ func TestCommitFlushAccounting(t *testing.T) {
 	}
 	d := pool.Obs().Snapshot().Sub(before)
 
-	// Stage 1: one log line (the count and the two word entries share it;
-	// no in-flight copy), pfence — which also covers the previous commit's
+	// Stage 1: one log line (the count and the two word entries share
+	// it), pfence — which also covers the previous commit's
 	// apply. Then W over that commit and this commit's mark, one line
 	// each, pfence. Then the applied home line, unfenced: the next
 	// commit's fences retire it.
@@ -72,8 +72,7 @@ func TestCommitFlushAccounting(t *testing.T) {
 // a delta ledger: an epoch that lands n folds on n distinct lines writes
 // back exactly those n home lines, the slot's log lines (entry count and
 // n word entries) and its commit mark, under the two commit fences — and
-// takes no block from any allocator, since a word entry needs no
-// in-flight copy.
+// takes no block from any allocator.
 func TestDeltaEpochFlushAccounting(t *testing.T) {
 	for _, n := range []int{1, 16, 256} {
 		t.Run(fmt.Sprintf("folds=%d", n), func(t *testing.T) {
@@ -125,7 +124,7 @@ func deltaWords(t testing.TB, h *core.Heap, cls *core.Class, n int) []deltaWord 
 	for len(words) < n {
 		acc := newAccount(t, h, cls, 0, 0, fmt.Sprintf("acc%d", len(words)))
 		blk := acc.BlockRefs()[0]
-		for l := uint64(0); l < linesPerBlock && len(words) < n; l++ {
+		for l := uint64(0); l < heap.BlockSize/nvm.LineSize && len(words) < n; l++ {
 			off := max(l*nvm.LineSize, heap.HeaderSize)
 			words = append(words, deltaWord{orig: blk, off: off})
 		}
@@ -133,8 +132,7 @@ func deltaWords(t testing.TB, h *core.Heap, cls *core.Class, n int) []deltaWord 
 	return words
 }
 
-// blocksTaken counts the blocks handed out by the allocator and by the
-// transactions' transient pools.
+// blocksTaken counts the blocks handed out by the allocator.
 func blocksTaken(s obs.HeapSnapshot) uint64 {
-	return s.BumpAllocs + s.ReuseAllocs + s.TransientReuse
+	return s.BumpAllocs + s.ReuseAllocs
 }

@@ -220,11 +220,8 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 	g.issued++
 	tx.ticket = g.issued
 	g.queue = append(g.queue, tx)
-	for i := range tx.writes {
-		g.pending[tx.writes[i].orig] = struct{}{}
-	}
-	for _, w := range tx.words {
-		g.pending[w.orig] = struct{}{}
+	for _, orig := range tx.written {
+		g.pending[orig] = struct{}{}
 	}
 	n := len(g.queue)
 	g.m.stats.AsyncCommits.Inc()
@@ -370,24 +367,19 @@ func epochStage1(batch []*Tx) {
 // be durable, and each marked block's log is complete thanks to F0, so
 // recovery replays an all-or-nothing subset of this epoch, after every
 // earlier epoch W does not cover. After F1 the whole epoch replays. The
-// slots, in-flight blocks and freed objects are released only once W
-// covers the epoch's sequence number durably (retireQueue), so no slot
-// collects fresh entries under a mark recovery would still honour.
+// slots and freed objects are released only once W covers the epoch's
+// sequence number durably (retireQueue), so no slot collects fresh
+// entries under a mark recovery would still honour.
 func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
 	pool := batch[0].h.Pool()
 	// Capture the pending originals for removal after the epoch: recycling
-	// truncates tx.writes and reuses the Tx objects.
+	// truncates tx.written and reuses the Tx objects.
 	queued := 0
 	for _, tx := range batch {
 		if tx.ticket != 0 {
 			queued++ // detached delta txs don't count as epoch commits
 		}
-		for i := range tx.writes {
-			origs = append(origs, tx.writes[i].orig)
-		}
-		for _, w := range tx.words {
-			origs = append(origs, w.orig)
-		}
+		origs = append(origs, tx.written...)
 	}
 	lead := batch[0]
 	lead.mates = batch[1:]

@@ -6,7 +6,7 @@ package fa
 // cannot drift from the real protocol:
 //
 //	0 — nothing (log entries written, unflushed)
-//	1 — log + in-flight images flushed and fenced
+//	1 — log + allocated objects flushed and fenced
 //	2 — + sequence number taken, durable commit mark
 //	3 — + apply ran, but nothing of it was flushed: the log is live and
 //	     replay must redo it
@@ -15,8 +15,8 @@ package fa
 //	     covered the apply, W does not cover the commit
 //	5 — + a later barrier covered the apply and W was stored over the
 //	     commit and written back, but nothing has fenced W — "W written,
-//	     not fenced": the slot, the in-flight blocks and the freed
-//	     objects are still withheld
+//	     not fenced": the slot and the freed objects are still
+//	     withheld
 func (tx *Tx) commitPrefix(stage int) {
 	pool, mem, q := tx.h.Pool(), tx.h.Mem(), &tx.m.retire
 	var fence uint64

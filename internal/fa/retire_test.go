@@ -175,8 +175,8 @@ func TestAllocForcesRetirement(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.Retire()
-	// Leave room for two objects and the in-flight copy: the live object,
-	// its replacement — and nothing for a third generation.
+	// Leave room for two objects and a spare block: the live object, its
+	// replacement — and nothing for a third generation.
 	mem := h.Mem()
 	for {
 		bumped, free, total := mem.Stats()

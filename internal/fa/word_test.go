@@ -12,8 +12,8 @@ import (
 	"repro/internal/nvm"
 )
 
-// The word path: an aligned 8-byte store to a valid block is one kindWord
-// entry until the block is promoted to an in-flight copy (access.go).
+// The word path: a transactional store to a valid block logs each aligned
+// 8-byte word it touches as one kindWord entry (access.go).
 
 // TestWordReadYourWrites: a logged word reads back its logged value, an
 // unlogged word of the same block reads the original, the original stays
@@ -36,8 +36,8 @@ func TestWordReadYourWrites(t *testing.T) {
 		if got := acc.ReadUint64(accA); got != 100 {
 			t.Errorf("original word is %d before the commit, want 100", got)
 		}
-		if tx.count != 1 || len(tx.words) != 1 || len(tx.writes) != 0 {
-			t.Errorf("three stores to one word: %d entries, %d words, %d copies; want 1, 1, 0", tx.count, len(tx.words), len(tx.writes))
+		if tx.count != 1 || len(tx.words) != 1 || len(tx.written) != 1 {
+			t.Errorf("three stores to one word: %d entries, %d words, %d blocks; want 1, 1, 1", tx.count, len(tx.words), len(tx.written))
 		}
 		return nil
 	})
@@ -47,92 +47,84 @@ func TestWordReadYourWrites(t *testing.T) {
 	if a, b := acc.ReadUint64(accA), acc.ReadUint64(accB); a != 3 || b != 7 {
 		t.Fatalf("committed %d/%d, want 3/7", a, b)
 	}
-	if s := mgr.ObsSnapshot(); s.WordEntries != 1 || s.InflightCopies != 0 {
-		t.Fatalf("counted %d word entries, %d in-flight copies; want 1, 0", s.WordEntries, s.InflightCopies)
+	if s := mgr.ObsSnapshot(); s.WordEntries != 1 {
+		t.Fatalf("counted %d word entries, want 1", s.WordEntries)
 	}
 }
 
-// promotion is one way to turn a block with two logged words (accA = 1,
-// accB = 2) into an in-flight copy, and the bytes the account holds once
-// the Tx commits.
-type promotion struct {
+// touch is a store that is not one aligned word: the offset and bytes it
+// writes to an account, and how many words it touches.
+type touch struct {
 	name  string
 	apply func(tx *Tx, o *core.Object) error
-	want  []byte
+	off   uint64
+	bytes []byte
+	words int
 }
 
-func wordBytes(vs ...uint64) []byte {
-	var b []byte
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	return b
-}
-
-var promotions = []promotion{
+var touches = []touch{
 	{"WriteUint32", func(tx *Tx, o *core.Object) error {
-		return tx.WriteUint32(o, accC, 0xabcd)
-	}, wordBytes(1, 2, 0, 0xabcd)},
-	{"overlapping ReadBytes", func(tx *Tx, o *core.Object) error {
-		got, err := tx.ReadBytes(o, accA, 16)
-		if err == nil && string(got) != string(wordBytes(1, 2)) {
-			err = fmt.Errorf("ReadBytes over the logged words = %x", got)
-		}
-		return err
-	}, wordBytes(1, 2, 0, 0)},
-	{"third word", func(tx *Tx, o *core.Object) error {
-		return tx.WriteUint64(o, accC, 3)
-	}, wordBytes(1, 2, 0, 3)},
+		return tx.WriteUint32(o, accB+4, 0xabcd)
+	}, accB + 4, binary.LittleEndian.AppendUint32(nil, 0xabcd), 1},
+	{"unaligned WriteUint64", func(tx *Tx, o *core.Object) error {
+		return tx.WriteUint64(o, accA+4, 0x0102030405060708)
+	}, accA + 4, binary.LittleEndian.AppendUint64(nil, 0x0102030405060708), 2},
+	{"WriteBytes over two words", func(tx *Tx, o *core.Object) error {
+		return tx.WriteBytes(o, accA+6, []byte{9, 8, 7, 6})
+	}, accA + 6, []byte{9, 8, 7, 6}, 2},
 }
 
-// TestWordPromotion: each trigger gives the block an in-flight copy with
-// the logged words overlaid and removes their entries, so the block costs
-// the one write entry a copy costs. The committed image and the replay of
-// a crash image taken right after the durable mark both hold every store.
-func TestWordPromotion(t *testing.T) {
-	for _, pr := range promotions {
+// TestWordsTouched: a sub-word store, an unaligned word store and a byte
+// store across two words each log exactly the words they touch, each entry
+// starting from its home word, so the Tx reads its own bytes next to the
+// untouched ones of the same words. The committed image and the replay of
+// a crash image taken right after the durable mark both hold every byte.
+// (It replaces a test of the three triggers that promoted a word-logged
+// block to an in-flight copy; there is no copy now.)
+func TestWordsTouched(t *testing.T) {
+	const homeA, homeB = 0x1111111111111111, 0x2222222222222222
+	for _, tc := range touches {
+		want := wordBytes(homeA, homeB, 0, 0)
+		copy(want[tc.off:], tc.bytes)
 		for _, crash := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/crash=%v", pr.name, crash), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/crash=%v", tc.name, crash), func(t *testing.T) {
 				h, mgr, pool, cls := openFA(t, true)
-				acc := newAccount(t, h, cls, 100, 7, "acc")
+				acc := newAccount(t, h, cls, homeA, homeB, "acc")
 				other := newAccount(t, h, cls, 50, 0, "other")
 				tx, err := mgr.Begin()
 				if err != nil {
 					t.Fatal(err)
 				}
 				o := acc.Core()
-				// A word in another block first, so the promoted block's
-				// entries are not the log's last ones.
+				// Words in another block before and after, so the store's
+				// entries are neither the log's first nor its last.
 				if err := tx.WriteUint64(other.Core(), accA, 51); err != nil {
 					t.Fatal(err)
 				}
-				if err := tx.WriteUint64(o, accA, 1); err != nil {
+				if err := tc.apply(tx, o); err != nil {
 					t.Fatal(err)
 				}
 				if err := tx.WriteUint64(other.Core(), accB, 52); err != nil {
 					t.Fatal(err)
 				}
-				if err := tx.WriteUint64(o, accB, 2); err != nil {
-					t.Fatal(err)
+				if n := 2 + tc.words; tx.count != uint64(n) || len(tx.words) != n || len(tx.written) != 2 {
+					t.Fatalf("%d entries, %d words, %d blocks; want %d, %d, 2", tx.count, len(tx.words), len(tx.written), n, n)
 				}
-				if err := pr.apply(tx, o); err != nil {
-					t.Fatal(err)
+				if got, _ := tx.ReadBytes(o, accA, accLen); string(got) != string(want) {
+					t.Fatalf("Tx reads %x, want %x", got, want)
 				}
-				if tx.count != 3 || len(tx.words) != 2 || len(tx.writes) != 1 {
-					t.Fatalf("after promotion: %d entries, %d words, %d copies; want 3, 2, 1", tx.count, len(tx.words), len(tx.writes))
+				if got, _ := tx.ReadUint64(o, accA+4); got != binary.LittleEndian.Uint64(want[4:]) {
+					t.Fatalf("Tx reads the unaligned word %#x, want %#x", got, binary.LittleEndian.Uint64(want[4:]))
 				}
-				if got, _ := tx.ReadBytes(o, accA, accLen); string(got) != string(pr.want) {
-					t.Fatalf("Tx reads %x, want %x", got, pr.want)
-				}
-				if got := o.ReadUint64(accA); got != 100 {
-					t.Fatalf("promotion wrote the original: accA = %d", got)
+				if got := o.ReadUint64(accA); got != homeA {
+					t.Fatalf("the store wrote the original: accA = %#x", got)
 				}
 				check := func(h *core.Heap) {
 					t.Helper()
 					a, _ := h.Root().Get("acc")
 					b, _ := h.Root().Get("other")
-					if got := a.Core().ReadBytes(accA, accLen); string(got) != string(pr.want) {
-						t.Fatalf("block holds %x, want %x", got, pr.want)
+					if got := a.Core().ReadBytes(accA, accLen); string(got) != string(want) {
+						t.Fatalf("block holds %x, want %x", got, want)
 					}
 					if x, y := b.Core().ReadUint64(accA), b.Core().ReadUint64(accB); x != 51 || y != 52 {
 						t.Fatalf("other block holds %d/%d, want 51/52", x, y)
@@ -151,6 +143,14 @@ func TestWordPromotion(t *testing.T) {
 			})
 		}
 	}
+}
+
+func wordBytes(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
 }
 
 // TestWordAbortLeavesBlockUntouched: an aborted Tx's word entries never
@@ -178,14 +178,17 @@ func TestWordAbortLeavesBlockUntouched(t *testing.T) {
 	}
 }
 
-// TestWordCommitCrashAtEveryStage crashes a word-only commit (a transfer:
-// one word in each of two blocks) and a promoted one (the same, plus two
-// more words in the first block) at every stage of the commit and under
-// every crash policy. Recovery holds all of the commit or none of it:
-// none before the mark is durable, all from then on.
+// TestWordCommitCrashAtEveryStage crashes a transfer (one word in each of
+// two blocks) and a wide commit (the same, plus two more words in the
+// first block and a sub-word store to one of them) at every stage of the
+// commit and under every crash policy. Recovery holds all of the commit or
+// none of it: none before the mark is durable, all from then on. (The wide
+// case replaces one whose third word promoted the block to an in-flight
+// copy.)
 func TestWordCommitCrashAtEveryStage(t *testing.T) {
 	policies := []nvm.CrashPolicy{nvm.CrashStrict, nvm.CrashAll, nvm.CrashRandom, nvm.CrashTorn}
-	for _, promoted := range []bool{false, true} {
+	const wideC = 1 | 2<<32
+	for _, wide := range []bool{false, true} {
 		for stage := 0; stage <= 5; stage++ {
 			for pi, policy := range policies {
 				h, mgr, pool, cls := openFA(t, true)
@@ -198,14 +201,17 @@ func TestWordCommitCrashAtEveryStage(t *testing.T) {
 				if err := transfer(tx, from, to, 30); err != nil {
 					t.Fatal(err)
 				}
-				if promoted {
+				if wide {
 					for _, off := range []uint64{accB, accC} {
 						if err := tx.WriteUint64(from.Core(), off, 1); err != nil {
 							t.Fatal(err)
 						}
 					}
-					if len(tx.writes) != 1 {
-						t.Fatalf("third word did not promote: %d copies", len(tx.writes))
+					if err := tx.WriteUint32(from.Core(), accC+4, 2); err != nil {
+						t.Fatal(err)
+					}
+					if tx.count != 4 {
+						t.Fatalf("four words logged as %d entries", tx.count)
 					}
 				}
 				tx.commitPrefix(stage)
@@ -213,12 +219,13 @@ func TestWordCommitCrashAtEveryStage(t *testing.T) {
 				h2, _, _, _ := reopenFA(t, img)
 				f, _ := h2.Root().Get("from")
 				g, _ := h2.Root().Get("to")
-				fa, fb, ta := f.Core().ReadUint64(accA), f.Core().ReadUint64(accB), g.Core().ReadUint64(accA)
-				committed := fa == 70 && ta == 80 && (!promoted || fb == 1)
-				untouched := fa == 100 && ta == 50 && fb == 0
+				fa, fb, fc := f.Core().ReadUint64(accA), f.Core().ReadUint64(accB), f.Core().ReadUint64(accC)
+				ta := g.Core().ReadUint64(accA)
+				committed := fa == 70 && ta == 80 && (!wide || fb == 1 && fc == wideC)
+				untouched := fa == 100 && ta == 50 && fb == 0 && fc == 0
 				if want := stage >= 2; committed != want || (!want && !untouched) {
-					t.Fatalf("promoted=%v stage %d policy %v: recovered from %d/%d, to %d; want the commit %s",
-						promoted, stage, policy, fa, fb, ta, map[bool]string{true: "whole", false: "absent"}[want])
+					t.Fatalf("wide=%v stage %d policy %v: recovered from %d/%d/%#x, to %d; want the commit %s",
+						wide, stage, policy, fa, fb, fc, ta, map[bool]string{true: "whole", false: "absent"}[want])
 				}
 			}
 		}
@@ -302,12 +309,22 @@ func TestWordCommitFlushAccounting(t *testing.T) {
 	}
 }
 
-// TestWordLogFull: a slot of 10 entries holds two words in each of five
-// blocks, the worst case of two entries per block, and refuses a word in a
-// sixth block with ErrLogFull. A third word in a full block still fits,
-// since the promotion swaps its two word entries for one write entry, and
-// then so does the sixth block's word.
+// TestWordLogFull: a slot of size bytes holds (size - 16)/24 distinct
+// words, 682 at the default 16 KiB. Here a slot of 10 entries takes ten
+// words in five blocks and refuses an eleventh with ErrLogFull, while a
+// store to a word it already logged still lands. The Tx then aborts
+// cleanly: no block changed, and the slot commits the next Tx. (The bound
+// replaces "two words per block before a copy".)
 func TestWordLogFull(t *testing.T) {
+	_, defMgr, _, _ := openFA(t, false)
+	if err := defMgr.Run(func(tx *Tx) error {
+		if tx.maxEntries != 682 {
+			t.Errorf("a 16 KiB slot holds %d words, want 682", tx.maxEntries)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	pool := nvm.New(1<<21, nvm.Options{})
 	cls := accountClass()
 	mgr := NewManager()
@@ -323,6 +340,7 @@ func TestWordLogFull(t *testing.T) {
 	for i := range accs {
 		accs[i] = newAccount(t, h, cls, 0, 0, fmt.Sprintf("acc%d", i))
 	}
+	full := errors.New("log full")
 	err = mgr.Run(func(tx *Tx) error {
 		if tx.maxEntries != 10 {
 			t.Fatalf("slot holds %d entries, want 10", tx.maxEntries)
@@ -335,19 +353,25 @@ func TestWordLogFull(t *testing.T) {
 			}
 		}
 		if err := tx.WriteUint64(accs[5].Core(), accA, 6); !errors.Is(err, ErrLogFull) {
-			return fmt.Errorf("a word in a sixth block: %v, want ErrLogFull", err)
+			return fmt.Errorf("an eleventh word: %v, want ErrLogFull", err)
 		}
-		if err := tx.WriteUint64(accs[0].Core(), accC, 1); err != nil {
-			return fmt.Errorf("a third word in a full log: %w", err)
+		if err := tx.WriteUint32(accs[0].Core(), accA+4, 7); err != nil {
+			return fmt.Errorf("a store to a logged word in a full log: %w", err)
 		}
-		return tx.WriteUint64(accs[5].Core(), accA, 6)
+		return full
 	})
-	if err != nil {
+	if err != full {
 		t.Fatal(err)
 	}
 	for i, acc := range accs {
-		if got := acc.ReadUint64(accA); got != uint64(i+1) {
-			t.Fatalf("block %d: accA = %d, want %d", i, got, i+1)
+		if a, b := acc.ReadUint64(accA), acc.ReadUint64(accB); a != 0 || b != 0 {
+			t.Fatalf("block %d holds %d/%d after the abort, want 0/0", i, a, b)
 		}
+	}
+	if err := mgr.Run(func(tx *Tx) error { return tx.WriteUint64(accs[5].Core(), accA, 6) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := accs[5].ReadUint64(accA); got != 6 {
+		t.Fatalf("after the abort a commit wrote %d, want 6", got)
 	}
 }

@@ -160,10 +160,10 @@ func (h *Heap) AllocObject(classID uint16, size uint64) (Ref, []Ref, error) {
 	return refs[0], refs, nil
 }
 
-// AllocRaw allocates a single raw block (used for in-flight copies by the
-// failure-atomic machinery). Its header is zeroed: id 0, invalid — a slave
-// or free block in the Table 2 taxonomy, so recovery reclaims it unless a
-// committed log owns it.
+// AllocRaw allocates a single raw block; FreeRaw gives it back. The
+// benchmark's allocator probe times the pair. Its header is zeroed: id 0,
+// invalid — a slave or free block in the Table 2 taxonomy, so recovery
+// reclaims it.
 func (h *Heap) AllocRaw() (Ref, error) {
 	idx, err := h.allocBlock()
 	if err != nil {

@@ -708,3 +708,40 @@ func TestInternalFragmentationAccounting(t *testing.T) {
 	}
 	fmt.Printf("fragmentation: 100B fields %.1f%%, 10KB fields %.1f%%\n", small*100, large*100)
 }
+
+// TestPushAllSharding returns a batch larger than the shard count through
+// pushAll and checks nothing is lost and everything pops back out.
+func TestPushAllSharding(t *testing.T) {
+	h, err := Format(nvm.New(1<<21, nvm.Options{}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3*freeShards + 5
+	want := make(map[Ref]bool, n)
+	idxs := make([]uint64, 0, n)
+	for i := 0; i < n; i++ {
+		r, err := h.AllocRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[r] = true
+		idxs = append(idxs, h.BlockIndex(r))
+	}
+	h.free.pushAll(idxs)
+	if got := h.FreeBlocks(); got != n {
+		t.Fatalf("free queue holds %d blocks after batched pushAll, want %d", got, n)
+	}
+	for i := 0; i < n; i++ {
+		r, err := h.AllocRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want[r] {
+			t.Fatalf("popped unexpected block %#x", r)
+		}
+		delete(want, r)
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d pushed blocks never popped back", len(want))
+	}
+}

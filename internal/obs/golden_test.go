@@ -73,10 +73,12 @@ func filled[S any](base uint64, samples int) S {
 // The committed testdata/snapshots.golden was produced at the parent
 // commit of the derive.go refactor, from the hand-written method bodies;
 // lines and keys have only been deleted from it since, with the methods
-// and fields they rendered, except for the fa.sub line, appended with the
-// word_entries and inflight_copies counters. The grid is filled on its own
-// from the bases it had inside a StackSnapshot when the file was written,
-// so a metric added to an earlier layer does not renumber its line.
+// and fields they rendered, except for the fa.sub line, into which
+// word_entries was inserted. Leaves are filled by position, so deleting a
+// key renumbers the values of the keys after it on its line. The grid is
+// filled on its own from the bases it had inside a StackSnapshot when the
+// file was written, so a metric added to an earlier layer does not
+// renumber its line.
 func goldenLines(t *testing.T) []string {
 	gridSmall, gridBig := filled[GridSnapshot](42, 4), filled[GridSnapshot](1042, 9)
 	recSmall, recBig := filled[RecoverySnapshot](0, 0), filled[RecoverySnapshot](1000, 0)

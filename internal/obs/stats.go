@@ -54,7 +54,9 @@ type HeapStats struct {
 	BumpAllocs  Counter // blocks taken from the bump pointer
 	ReuseAllocs Counter // blocks recycled from the volatile free queue
 
-	TransientReuse Counter // raw blocks recycled via per-worker transient pools
+	// TransientReuse is never incremented (fa takes no raw blocks); it
+	// stays because benchmarks/harness reads its key.
+	TransientReuse Counter
 }
 
 // HeapSnapshot combines the counters with point-in-time gauges supplied by
@@ -95,8 +97,7 @@ type FAStats struct {
 	LogEntries Counter // redo-log entries appended
 	Replays    Counter // committed logs replayed at recovery
 
-	WordEntries    Counter // kindWord entries appended: word stores to valid blocks and delta folds
-	InflightCopies Counter // in-flight block copies made, promotions of word-logged blocks included
+	WordEntries Counter // kindWord entries appended: words of valid blocks stored to, and delta folds
 
 	TxReuse      Counter // Begin served by a warm cached Tx (slot affinity hit)
 	FlushedLines Counter // cache lines actually written back at commit
@@ -119,8 +120,7 @@ type FASnapshot struct {
 	LogEntries uint64 `json:"log_entries"`
 	Replays    uint64 `json:"recovery_replays"`
 
-	WordEntries    uint64 `json:"word_entries"`
-	InflightCopies uint64 `json:"inflight_copies"`
+	WordEntries uint64 `json:"word_entries"`
 
 	TxReuse      uint64 `json:"tx_slot_reuse"`
 	FlushedLines uint64 `json:"flushed_lines"`
@@ -365,19 +365,19 @@ func (s StackSnapshot) Report(w io.Writer) {
 			s.NVM.Stores, s.NVM.PWBs, s.NVM.PFences, s.NVM.PSyncs)
 	}
 	if s.Heap != nil {
-		fmt.Fprintf(w, "heap: %d/%d obj alloc/free, %d/%d small alloc/free, %d carves, %d transient reuse; bump %d, free %d of %d blocks\n",
+		fmt.Fprintf(w, "heap: %d/%d obj alloc/free, %d/%d small alloc/free, %d carves; bump %d, free %d of %d blocks\n",
 			s.Heap.ObjAllocs, s.Heap.ObjFrees, s.Heap.SmallAllocs, s.Heap.SmallFrees,
-			s.Heap.Carves, s.Heap.TransientReuse, s.Heap.Bump, s.Heap.FreeBlocks, s.Heap.TotalBlocks)
+			s.Heap.Carves, s.Heap.Bump, s.Heap.FreeBlocks, s.Heap.TotalBlocks)
 	}
 	if s.FA != nil {
 		fmt.Fprintf(w, "fa: %d begun, %d committed, %d aborted, %d log entries, %d replays; %d/%d slots in use\n",
 			s.FA.Begun, s.FA.Committed, s.FA.Aborted, s.FA.LogEntries, s.FA.Replays,
 			s.FA.SlotsInUse, s.FA.SlotsTotal)
 		if s.FA.FlushedLines+s.FA.SavedLines > 0 {
-			fmt.Fprintf(w, "fa commit pipeline: %d warm-tx reuse, %d lines flushed, %d coalesced away (%.0f%% saved), %d word entries, %d in-flight copies\n",
+			fmt.Fprintf(w, "fa commit pipeline: %d warm-tx reuse, %d lines flushed, %d coalesced away (%.0f%% saved), %d word entries\n",
 				s.FA.TxReuse, s.FA.FlushedLines, s.FA.SavedLines,
 				100*float64(s.FA.SavedLines)/float64(s.FA.FlushedLines+s.FA.SavedLines),
-				s.FA.WordEntries, s.FA.InflightCopies)
+				s.FA.WordEntries)
 		}
 		if s.FA.EpochTxs+s.FA.AsyncCommits > 0 {
 			avg := float64(0)

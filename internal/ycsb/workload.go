@@ -52,9 +52,6 @@ type Config struct {
 
 	// Distribution is "zipfian", "latest" or "uniform".
 	Distribution string
-	// WriteAllFields makes updates rewrite the full record; YCSB's
-	// default (false) updates one random field.
-	WriteAllFields bool
 
 	Seed int64
 
@@ -178,31 +175,11 @@ func (c Config) BuildRecord(i int) *store.Record {
 	return rec
 }
 
-// updateFields produces the field set an update writes.
-func (c Config) updateFields(rng *rand.Rand, record, version int) []store.Field {
-	if c.WriteAllFields {
-		out := make([]store.Field, c.FieldCount)
-		for f := 0; f < c.FieldCount; f++ {
-			v := make([]byte, c.FieldLen)
-			buildValue(v, record, f, version)
-			out[f] = store.Field{Name: c.fieldName(f), Value: v}
-		}
-		return out
-	}
-	f := rng.Intn(c.FieldCount)
-	v := make([]byte, c.FieldLen)
-	buildValue(v, record, f, version)
-	return []store.Field{{Name: c.fieldName(f), Value: v}}
-}
-
-// updateFieldsInto is updateFields for the single-field default, reusing
-// the caller's scratch: every backend copies values on update (into NVMM,
-// a marshal buffer, or a fresh slice), so the buffer is safe to recycle
-// across operations.
+// updateFieldsInto produces the field set an update writes — one random
+// field, YCSB's default — reusing the caller's scratch: every backend
+// copies values on update (into NVMM, a marshal buffer, or a fresh slice),
+// so the buffer is safe to recycle across operations.
 func (c Config) updateFieldsInto(rng *rand.Rand, record, version int, dst []store.Field, val []byte) []store.Field {
-	if c.WriteAllFields {
-		return c.updateFields(rng, record, version)
-	}
 	f := rng.Intn(c.FieldCount)
 	buildValue(val, record, f, version)
 	dst[0] = store.Field{Name: c.fieldName(f), Value: val}
