@@ -545,7 +545,8 @@ func gridDeltaEntry() entry {
 	e := entry{name: "griddelta", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA)}
 	// A live log slot with a zero entry count means a commit mark outran
 	// its stage-1 persist — the signature of a delta materialization whose
-	// fold would silently drop at replay (fa.epochStage1's regression).
+	// fold would silently drop at replay (the regression fa's
+	// materializeLocked rules out by running the fold's stage 1 itself).
 	e.auditSlots = true
 	e.new = func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))

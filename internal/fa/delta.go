@@ -5,13 +5,16 @@
 // counter — only the net delta matters at the durability watermark.
 // AddDelta therefore skips the per-op Tx entirely: it folds the delta
 // into a volatile ledger keyed by (block, offset) and hands out an epoch
-// ticket, exactly like an async commit. At the next drain the ledger is
-// materialized into detached transactions — one kindWord redo-log entry,
-// which carries the summed word itself, and one home-line write-back per
-// hot word per epoch, however many ops folded into it — which join the
-// epoch's batch and ride the same two fences.
+// ticket, exactly like an async commit. Every drain materializes the
+// whole ledger into one detached transaction — one kindWord redo-log
+// entry, which carries the summed word itself, and one home-line
+// write-back per hot word per epoch, however many ops folded into it —
+// which joins the epoch's batch and rides the same two fences. The
+// ledger holds at most one log slot's entries, and a drain always gets a
+// slot (the group's reserved one if need be), so a drain lands the
+// ledger whole and acknowledges every ticket issued before it.
 //
-// Correctness hangs on three rules:
+// Correctness hangs on two rules:
 //
 //   - A delta and a transactional write to the same block never share an
 //     epoch with separate log entries: AddDelta drains while the block is
@@ -29,10 +32,6 @@
 //     snapshot. Callers must therefore serialize AddDelta against open
 //     transactional writers of the same block — the grid does this with
 //     its per-key stripe locks, held across both Commit and AddDelta.
-//   - The watermark only advances over materialized tickets: the drain
-//     acknowledges min(issued-at-snapshot, first-unmaterialized-1), so a
-//     ledger entry left behind by slot exhaustion keeps every ticket that
-//     folded into it unacknowledged until a later drain lands it.
 //   - A materialized fold is a kindWord entry holding the summed word,
 //     read from the home word under g.mu with no drain in flight, so a
 //     crash replays the net delta all-or-nothing with its epoch — the
@@ -42,12 +41,11 @@
 // Aborts are the degenerate case: a delta is never owned by an open
 // application Tx, so there is nothing to unfold — an aborted Tx simply
 // never called AddDelta. The crashmc griddelta workload explores the
-// crash surface; TestDelta* in group_test.go pin the volatile protocol.
+// crash surface; TestDelta* in delta_test.go pin the volatile protocol.
 package fa
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/heap"
@@ -63,24 +61,6 @@ type deltaKey struct {
 	orig core.Ref
 	off  uint64
 }
-
-// deltaEntry is one pending net delta. minTicket is the first ticket
-// that folded in — the watermark cannot pass minTicket-1 until the entry
-// materializes.
-type deltaEntry struct {
-	sum       int64
-	minTicket uint64
-}
-
-const (
-	// deltaLedgerMax bounds the volatile ledger; reaching it forces a
-	// drain (the fold window is "until someone needs durability", not
-	// "unbounded memory").
-	deltaLedgerMax = 1024
-	// deltaTxChunk caps the word entries carried by one detached
-	// materialization Tx, keeping each well under any slot's capacity.
-	deltaTxChunk = 256
-)
 
 // AddDelta folds a signed delta into the aligned 8-byte little-endian
 // word at block-local offset off of block orig, and returns an epoch
@@ -110,30 +90,31 @@ func (m *Manager) AddDelta(orig core.Ref, off uint64, delta int64) (uint64, erro
 		return 0, fmt.Errorf("fa: delta target %#x is not a block", orig)
 	}
 	k := deltaKey{orig: orig, off: off}
+	limit := slotCap(st.size)
+	var folds bool
 	g.mu.Lock()
 	for {
 		// A queued commit holds a newer image of this block in its redo
 		// log; folding against the pre-apply original would be clobbered
-		// by the epoch apply. Drain first (mirror of waitClear).
-		if _, held := g.pending[orig]; !held {
+		// by the epoch apply. Drain first (mirror of waitClear). A new
+		// word on a full ledger drains too: the ledger never outgrows the
+		// one slot its drain lands in.
+		_, held := g.pending[orig]
+		_, folds = g.ledger[k]
+		if !held && (folds || len(g.ledger) < limit) {
 			break
 		}
 		g.drainLocked()
 	}
-	if _, ok := g.ledger[k]; !ok && len(g.ledger) >= deltaLedgerMax {
-		g.drainLocked()
-	}
 	g.issued++
 	ticket := g.issued
-	if e, ok := g.ledger[k]; ok {
-		e.sum += delta
+	if folds {
 		m.stats.DeltasFolded.Inc()
 	} else {
-		g.ledger[k] = &deltaEntry{sum: delta, minTicket: ticket}
 		g.order = append(g.order, k)
-		g.deltaBlocks[orig]++
-		g.backlog.Add(1)
+		g.deltaBlocks[orig] = struct{}{}
 	}
+	g.ledger[k] += delta
 	m.stats.DeltaOps.Inc()
 	g.mu.Unlock()
 	return ticket, nil
@@ -161,66 +142,31 @@ func (m *Manager) SettleCommits(orig core.Ref) {
 	}
 }
 
-// materializeLocked turns the ledger into detached transactions — grp
-// nil so their accessors never recurse into the queue we are draining,
-// ticket 0 so they are invisible to the group-commit gauges. Each ledger
-// entry becomes one kindWord log entry carrying the summed word. Called
-// with g.mu held and g.draining false.
+// materializeLocked turns the whole ledger into one detached
+// transaction, stage 1 included, and empties the ledger; nil if it is
+// empty. The Tx has grp nil, so its accessors never recurse into the
+// queue being drained, and ticket 0, so it is invisible to the
+// group-commit gauges. Each ledger entry becomes one kindWord log entry
+// carrying the summed word. Called with g.mu held and g.draining false.
 //
-// Entries that cannot materialize (every log slot busy) stay in the
-// ledger; leftoverMin is the smallest ticket still folded into one of
-// them (0 if none), which caps how far this drain may advance the
-// watermark.
-func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
+// The ledger holds at most one slot's entries (AddDelta), and the Tx
+// always exists: drains are serialized, so the previous epoch is parked
+// and applied, and a begin that finds no free slot forces its retirement,
+// which hands the reserved Tx back to the group.
+func (g *groupState) materializeLocked() *Tx {
 	if len(g.order) == 0 {
-		return nil, 0
+		return nil
 	}
-	var tx *Tx
-	newTx := func() bool {
-		t, err := g.m.begin(false)
-		if err != nil {
-			// No free slot: fall back to the group's reserved Tx, so a
-			// drain lands at least one chunk however many application
-			// blocks hold the pool (the waitClear progress guarantee).
-			if t = g.takeReservedLocked(); t == nil {
-				return false
-			}
-		}
-		t.grp = nil
-		tx = t
-		dtxs = append(dtxs, t)
-		return true
+	tx, err := g.m.begin(false)
+	if err == nil {
+		tx.grp = nil
+	} else {
+		// Every general slot is held by an open block.
+		tx = g.takeReservedLocked()
 	}
-	var left []deltaKey
-	stuck := false
 	for _, k := range g.order {
-		e := g.ledger[k]
-		if stuck {
-			left = append(left, k)
-			continue
-		}
-		if tx != nil && tx.count >= deltaTxChunk {
-			// Rotate. One block's words may land in two slots: the
-			// epoch's word entries are disjoint word by word.
-			tx = nil
-		}
-		if tx == nil && !newTx() {
-			stuck = true
-			left = append(left, k)
-			continue
-		}
-		if err := tx.foldDelta(k.orig, k.off, e.sum); err != nil {
-			// ErrLogFull on a shared slot layout smaller than the chunk:
-			// rotate once and retry on a fresh slot.
-			if !newTx() || tx.foldDelta(k.orig, k.off, e.sum) != nil {
-				stuck = true
-				left = append(left, k)
-				continue
-			}
-		}
-		delete(g.ledger, k)
-		if g.deltaBlocks[k.orig]--; g.deltaBlocks[k.orig] <= 0 {
-			delete(g.deltaBlocks, k.orig)
+		if tx == nil || tx.foldDelta(k.orig, k.off, g.ledger[k]) != nil {
+			panic("fa: delta drain without room for its ledger (the ledger is capped at one slot, and a drain always gets a slot)")
 		}
 		// The block leaves the ledger now but its fold is only applied
 		// when the epoch completes: park it in pending — exactly like a
@@ -229,25 +175,16 @@ func (g *groupState) materializeLocked() (dtxs []*Tx, leftoverMin uint64) {
 		// origs. Without this a transactional snapshot taken during the
 		// drain would race the fold's apply and fork history.
 		g.pending[k.orig] = struct{}{}
-		g.backlog.Add(-1)
-		g.m.stats.DeltaEntries.Inc()
 	}
-	for _, k := range left {
-		if e := g.ledger[k]; leftoverMin == 0 || e.minTicket < leftoverMin {
-			leftoverMin = e.minTicket
-		}
-	}
-	g.order = left
-	// A rotation raced a retry into an empty Tx: drop it from the epoch.
-	out := dtxs[:0]
-	for _, t := range dtxs {
-		if t.count > 0 {
-			out = append(out, t)
-		} else {
-			t.Abort()
-		}
-	}
-	return out, leftoverMin
+	// The durable entry count and the word entries must precede the
+	// epoch's marks, or recovery would replay the fold as an empty
+	// transaction while its same-epoch siblings apply.
+	tx.commitStage1Body()
+	g.m.stats.DeltaEntries.Add(uint64(len(g.order)))
+	clear(g.ledger)
+	clear(g.deltaBlocks)
+	g.order = g.order[:0]
+	return tx
 }
 
 // foldDelta logs the 8-byte word at block-local offset off of orig plus
@@ -272,30 +209,27 @@ func (tx *Tx) foldDelta(orig core.Ref, off uint64, sum int64) error {
 }
 
 // reserveDeltaTx withholds one log slot from the general pool and parks
-// a pre-built transaction on g: delta materialization then always has a
-// slot to land a ledger chunk in, which is the progress guarantee the
-// waitClear/AwaitDurable drain loops rely on (without it, a Tx freeing a
-// block with a pending delta while every slot is held — its own included
-// — would spin forever). Called with no blocks in flight (SetGroupCommit
-// enforces inUse == 0; RecoverLogs runs at attach), so every slot is in
-// the cache or on the freelist. A heap with fewer than two slots skips
-// the reservation — withholding its only slot would break Begin outright
-// — and keeps the yield fallback.
+// a pre-built transaction on g: a drain then always has a slot to land
+// the ledger in, which is the progress guarantee the waitClear/
+// AwaitDurable drain loops rely on (without it, a Tx freeing a block with
+// a pending delta while every slot is held — its own included — would
+// spin forever). Called with no blocks in flight (SetGroupCommit enforces
+// inUse == 0; RecoverLogs runs at attach) on a heap of at least two
+// slots, so every slot is in the cache or on the freelist and one stays
+// general.
 func (m *Manager) reserveDeltaTx(g *groupState) {
 	st := m.state.Load()
-	if st == nil || st.total < 2 {
+	if st == nil {
 		return
 	}
-	if tx := m.cache.get(); tx != nil {
-		tx.reserved = g
-		g.deltaTx.Store(tx)
-		return
+	tx := m.cache.get()
+	if tx == nil {
+		slot, ok := m.slots.pop()
+		if !ok {
+			return
+		}
+		tx = m.newTx(st, slot)
 	}
-	slot, ok := m.slots.pop()
-	if !ok {
-		return
-	}
-	tx := m.newTx(st, slot)
 	tx.reserved = g
 	g.deltaTx.Store(tx)
 }
@@ -316,8 +250,7 @@ func (m *Manager) unreserveDeltaTx() {
 
 // takeReservedLocked claims the group's reserved materialization Tx with
 // Begin's bookkeeping. Caller holds g.mu with g.draining false, so the
-// previous drain has handed the Tx back already; nil means the group
-// never reserved one (sub-two-slot heap) or this drain filled it.
+// previous drain's epoch is parked and applied.
 func (g *groupState) takeReservedLocked() *Tx {
 	t := g.deltaTx.Swap(nil)
 	if t == nil {
@@ -329,7 +262,3 @@ func (g *groupState) takeReservedLocked() *Tx {
 	g.m.stats.TxReuse.Inc()
 	return t
 }
-
-// deltaYield backs off when a drain found work but no free slot; the
-// holders are open application blocks that need the CPU to finish.
-func deltaYield() { runtime.Gosched() }

@@ -127,7 +127,8 @@ func deltaPending(m *Manager, orig core.Ref) bool {
 	g := m.group.Load()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.deltaBlocks[orig] > 0
+	_, ok := g.deltaBlocks[orig]
+	return ok
 }
 
 // TestDeltaDrainOnMiss: a transactional read of a block with a pending
@@ -549,6 +550,98 @@ func TestDeltaFreeWithAllSlotsHeld(t *testing.T) {
 	if n := h.Fsck(func(string) {}); n != 0 {
 		t.Fatalf("fsck reported %d errors after free-with-all-slots-held", n)
 	}
+
+	// Three drains in a row, each of a full ledger, while an open block
+	// holds the only general slot: each lands whole in one epoch, so the
+	// reserved Tx came back by forced retirement every time.
+	accs := allocAccounts(t, h, cls, slotCap(1<<12))
+	held, err := mgr.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		before := mgr.ObsSnapshot()
+		for _, acc := range accs {
+			blk, off := blockOf(acc)
+			if _, err := mgr.AddDelta(blk, off, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := mgr.DrainDurable()
+		d := mgr.ObsSnapshot()
+		if epochs, entries := d.Epochs-before.Epochs, d.DeltaEntries-before.DeltaEntries; epochs != 1 || entries != uint64(len(accs)) {
+			t.Fatalf("round %d: full-ledger drain took %d epochs for %d entries, want 1 for %d", round, epochs, entries, len(accs))
+		}
+		if w != mgr.IssuedTickets() {
+			t.Fatalf("round %d: watermark %d after the drain, want every ticket (%d)", round, w, mgr.IssuedTickets())
+		}
+	}
+	held.Abort()
+	for i, acc := range accs {
+		if v := acc.ReadUint64(accA); v != 3 {
+			t.Fatalf("acc %d = %d after three drains, want 3", i, v)
+		}
+	}
+}
+
+// allocAccounts allocates n unrooted accounts holding zero.
+func allocAccounts(t *testing.T, h *core.Heap, cls *core.Class, n int) []*account {
+	t.Helper()
+	accs := make([]*account, n)
+	for i := range accs {
+		po, err := h.Alloc(cls, accLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs[i] = po.(*account)
+		accs[i].WriteUint64(accA, 0)
+		accs[i].PWB()
+	}
+	return accs
+}
+
+// TestDeltaModeSwitchLandsFold: switching the commit mode lands what the
+// async pipeline holds first — a folded delta, then a queued commit —
+// so the switch abandons neither. Without the drain the switch to per-Tx
+// returned nil with the fold still in the volatile ledger, AwaitDurable
+// returned at once, and the word kept its old value.
+func TestDeltaModeSwitchLandsFold(t *testing.T) {
+	h, mgr, pool, cls := openFA(t, true)
+	async := GroupOptions{Mode: CommitAsync, ManualDrain: true}
+	if err := mgr.SetGroupCommit(async); err != nil {
+		t.Fatal(err)
+	}
+	acc := newAccount(t, h, cls, 100, 0, "acc")
+	blk, off := blockOf(acc)
+	ticket, err := mgr.AddDelta(blk, off, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitPerTx}); err != nil {
+		t.Fatal(err)
+	}
+	mgr.AwaitDurable(ticket)
+	if v := acc.ReadUint64(accA); v != 105 {
+		t.Fatalf("after the switch the word reads %d, want 105 (fold dropped)", v)
+	}
+
+	if err := mgr.SetGroupCommit(async); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Run(func(tx *Tx) error { return tx.WriteUint64(acc.Core(), accB, 7) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitPerTx}); err != nil {
+		t.Fatalf("switch with a queued commit: %v", err)
+	}
+	h2, _, _, _ := reopenFA(t, pool.CrashImage(nvm.CrashStrict, rand.New(rand.NewSource(1))))
+	a, err := h2.Root().Get("acc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, y := a.Core().ReadUint64(accA), a.Core().ReadUint64(accB); x != 105 || y != 7 {
+		t.Fatalf("recovered acc = %d/%d, want 105/7", x, y)
+	}
 }
 
 // TestDeltaReservedSlotModeSwitch pins that switching commit modes
@@ -608,46 +701,58 @@ func TestDeltaReservedSlotModeSwitch(t *testing.T) {
 	}
 }
 
-// TestDeltaLedgerCapDrains: filling the ledger past its cap with
-// distinct keys forces a drain instead of unbounded growth.
+// TestDeltaLedgerCapDrains: the ledger holds exactly one log slot's
+// entries — 170 at 4 KiB, 682 at 16 KiB — and a new word on a full
+// ledger forces a drain that lands all of it in one epoch and
+// acknowledges every ticket issued before it.
 func TestDeltaLedgerCapDrains(t *testing.T) {
-	pool := nvm.New(1<<24, nvm.Options{})
-	cls := accountClass()
-	mgr := NewManager()
-	h, err := core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: 8, LogSlotSize: 1 << 14},
-		Classes:     []*core.Class{cls},
-		LogHandler:  mgr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
-		t.Fatal(err)
-	}
-	accs := make([]*account, deltaLedgerMax+10)
-	for i := range accs {
-		po, err := h.Alloc(cls, accLen)
+	for _, c := range []struct{ slotSize, cap int }{{1 << 12, 170}, {1 << 14, 682}} {
+		if got := slotCap(c.slotSize); got != c.cap {
+			t.Fatalf("slot of %d B holds %d entries, want %d", c.slotSize, got, c.cap)
+		}
+		pool := nvm.New(1<<24, nvm.Options{})
+		cls := accountClass()
+		mgr := NewManager()
+		h, err := core.Open(pool, core.Config{
+			HeapOptions: heap.Options{LogSlots: 8, LogSlotSize: c.slotSize},
+			Classes:     []*core.Class{cls},
+			LogHandler:  mgr,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		accs[i] = po.(*account)
-		accs[i].WriteUint64(accA, 0)
-		accs[i].PWB()
-	}
-	for i, acc := range accs {
-		blk, off := blockOf(acc)
-		if _, err := mgr.AddDelta(blk, off, int64(i)); err != nil {
+		if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := mgr.stats.Epochs.Load(); got == 0 {
-		t.Fatal("ledger cap never forced a drain")
-	}
-	mgr.DrainDurable()
-	for i, acc := range accs {
-		if v := acc.ReadUint64(accA); v != uint64(i) {
-			t.Fatalf("acc %d = %d, want %d", i, v, i)
+		accs := allocAccounts(t, h, cls, 2*c.cap+1)
+		var last uint64
+		for i, acc := range accs {
+			blk, off := blockOf(acc)
+			ticket, err := mgr.AddDelta(blk, off, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fold that finds the ledger full drains it first.
+			if i > 0 && i%c.cap == 0 {
+				s := mgr.ObsSnapshot()
+				if want := uint64(i / c.cap); s.Epochs != want || s.DeltaEntries != want*uint64(c.cap) {
+					t.Fatalf("slot %d B, fold %d: %d epochs / %d entries, want %d / %d",
+						c.slotSize, i, s.Epochs, s.DeltaEntries, want, want*uint64(c.cap))
+				}
+				if w := mgr.DurableWatermark(); w != last {
+					t.Fatalf("slot %d B, fold %d: watermark %d, want %d (every earlier ticket)", c.slotSize, i, w, last)
+				}
+			}
+			last = ticket
+		}
+		if s := mgr.ObsSnapshot(); s.Epochs != 2 {
+			t.Fatalf("slot %d B: %d epochs before the last drain, want 2", c.slotSize, s.Epochs)
+		}
+		mgr.DrainDurable()
+		for i, acc := range accs {
+			if v := acc.ReadUint64(accA); v != uint64(i) {
+				t.Fatalf("slot %d B: acc %d = %d, want %d", c.slotSize, i, v, i)
+			}
 		}
 	}
 }

@@ -96,6 +96,11 @@ const (
 	retireBlocksMax = 128
 )
 
+// slotCap is how many entries a log slot of size bytes holds: one
+// transaction's capacity, and the cap of the delta ledger (delta.go),
+// which one drain lands in one slot.
+func slotCap(size int) int { return (size - slotEntries) / entrySize }
+
 // managerState is the immutable heap binding, swapped atomically by
 // RecoverLogs so hot-path readers never take a lock.
 type managerState struct {
@@ -355,13 +360,15 @@ func (m *Manager) RecoverLogs(h *core.Heap) error {
 	// volatile Tx state is dead, and their durable effects are exactly
 	// what the slot replay below decides.
 	if g := m.group.Load(); g != nil {
+		if slots < 2 {
+			return errAsyncSlots(slots)
+		}
 		g.mu.Lock()
 		g.queue = nil
 		clear(g.pending)
 		clear(g.ledger)
 		g.order = nil
 		clear(g.deltaBlocks)
-		g.backlog.Store(0)
 		g.durable = g.issued
 		g.draining = false
 		// The reserved materialization Tx is bound to the previous
@@ -428,7 +435,7 @@ func AuditCommittedSlots(mem *heap.Heap) error {
 // replaying it could store a word anywhere in the pool.
 func checkSlots(mem *heap.Heap, live []LiveSlot) error {
 	off, _, slotSize := mem.LogArea()
-	fit := uint64((slotSize - slotEntries) / entrySize)
+	fit := uint64(slotCap(slotSize))
 	for _, s := range live {
 		if s.Entries > fit {
 			return fmt.Errorf("fa: live log slot %d (seq %d) records %d entries, a slot holds %d", s.Index, s.Seq, s.Entries, fit)
@@ -654,7 +661,7 @@ func (m *Manager) newTx(st *managerState, slot int) *Tx {
 		h:          st.h,
 		slot:       slot,
 		base:       st.off + uint64(slot*st.size),
-		maxEntries: uint64((st.size - slotEntries) / entrySize),
+		maxEntries: uint64(slotCap(st.size)),
 		words:      make(map[uint64]uint64),
 		allocs:     make(map[core.Ref]bool),
 		proxies:    make(map[core.Ref]core.PObject),

@@ -84,32 +84,38 @@ type groupState struct {
 	// queue yet: they hold slots no drain can give back before they do.
 	enqueuing atomic.Int64
 
-	// Delta ledger (delta.go): pending net deltas folded by AddDelta,
-	// materialized into the next epoch. order preserves first-fold order;
-	// deltaBlocks counts pending entries per block for waitClear; backlog
-	// mirrors len(ledger) so a metrics snapshot reads it without the lock.
-	ledger      map[deltaKey]*deltaEntry
+	// Delta ledger (delta.go): the net delta folded by AddDelta into each
+	// word, at most one log slot's worth, all materialized by the next
+	// drain. order preserves first-fold order; deltaBlocks is the set of
+	// blocks with a pending delta, for waitClear.
+	ledger      map[deltaKey]int64
 	order       []deltaKey
-	deltaBlocks map[core.Ref]int
-	backlog     atomic.Int64
+	deltaBlocks map[core.Ref]struct{}
 	// deltaTx parks the group's reserved materialization transaction: one
 	// log slot withheld from the general pool so a drain can always land
-	// at least one ledger chunk, however many application blocks hold the
-	// other slots (without it, tx.Free → waitClear with every slot open —
-	// the waiter's included — would busy-spin forever). It is taken under
+	// the ledger, however many application blocks hold the other slots
+	// (without it, tx.Free → waitClear with every slot open — the
+	// waiter's included — would busy-spin forever). It is taken under
 	// g.mu by materializeLocked and handed back by release when its epoch
-	// is retired — on the next epoch's fences, or sooner when that epoch's
-	// materialization finds no slot and Begin forces the retirement;
-	// drains are serialized by g.draining, so at most one taker exists.
+	// is retired — on the next epoch's fences, or sooner when the next
+	// drain finds no slot and Begin forces the retirement; drains are
+	// serialized by g.draining, so at most one taker exists.
 	deltaTx atomic.Pointer[Tx]
 }
 
-// SetGroupCommit switches the manager's commit mode. It must be called
-// while no failure-atomic block is open and no async commit is queued
-// (DrainDurable first); blocks begun after the call use the new mode.
+// SetGroupCommit switches the manager's commit mode. It drains the
+// current mode's queued commits and folded deltas first and must be
+// called while no failure-atomic block is open; blocks begun after the
+// call use the new mode. Async mode needs two log slots, one of them
+// withheld for delta drains.
 func (m *Manager) SetGroupCommit(opts GroupOptions) error {
-	// Parked commits hold slots the switch may need back (the reserved
-	// delta Tx among them).
+	if st := m.state.Load(); opts.Mode == CommitAsync && st != nil && st.total < 2 {
+		return errAsyncSlots(st.total)
+	}
+	// A switch abandons neither a queued commit nor a fold, and parked
+	// commits hold slots it may need back (the reserved delta Tx among
+	// them).
+	m.DrainDurable()
 	m.Retire()
 	if n := m.inUse.Load(); n != 0 {
 		return fmt.Errorf("fa: cannot switch commit mode with %d blocks in flight (drain first)", n)
@@ -123,8 +129,8 @@ func (m *Manager) SetGroupCommit(opts GroupOptions) error {
 			m:           m,
 			pending:     make(map[core.Ref]struct{}),
 			manual:      opts.ManualDrain,
-			ledger:      make(map[deltaKey]*deltaEntry),
-			deltaBlocks: make(map[core.Ref]int),
+			ledger:      make(map[deltaKey]int64),
+			deltaBlocks: make(map[core.Ref]struct{}),
 		}
 		g.cond = sync.NewCond(&g.mu)
 		m.unreserveDeltaTx()
@@ -134,6 +140,11 @@ func (m *Manager) SetGroupCommit(opts GroupOptions) error {
 		return fmt.Errorf("fa: unknown commit mode %d", opts.Mode)
 	}
 	return nil
+}
+
+// errAsyncSlots refuses async mode on a heap of n < 2 log slots.
+func errAsyncSlots(n int) error {
+	return fmt.Errorf("fa: async commit needs two log slots, the heap has %d", n)
 }
 
 // CommitMode returns the manager's current commit mode.
@@ -259,7 +270,8 @@ func (g *groupState) waitFor(orig core.Ref, deltas bool) {
 	g.mu.Lock()
 	for {
 		_, held := g.pending[orig]
-		if !held && (!deltas || g.deltaBlocks[orig] == 0) {
+		_, folded := g.deltaBlocks[orig]
+		if !held && (!deltas || !folded) {
 			g.mu.Unlock()
 			return
 		}
@@ -301,63 +313,38 @@ func (g *groupState) drainLocked() {
 	for g.draining {
 		g.cond.Wait()
 	}
-	batch := g.queue
-	dtxs, leftoverMin := g.materializeLocked()
-	if len(batch) == 0 && len(dtxs) == 0 {
-		if leftoverMin != 0 {
-			// Ledger entries exist but no log slot was free — not even
-			// the reserved one (only possible on a heap too small to
-			// reserve, see reserveDeltaTx). Yield so the holders, open
-			// application blocks, can finish; the caller's loop retries.
-			g.mu.Unlock()
-			deltaYield()
-			g.mu.Lock()
-		}
+	batch, queued := g.queue, len(g.queue)
+	if dtx := g.materializeLocked(); dtx != nil {
+		batch = append([]*Tx{dtx}, batch...)
+	}
+	if len(batch) == 0 {
 		return
 	}
 	g.queue = nil
-	// Every ticket issued so far is durable, in batch, or materialized
-	// into dtxs — except those folded into a leftover ledger entry, which
-	// cap the acknowledgment.
+	// Every ticket issued so far is durable or in batch: the queue and
+	// the whole ledger.
 	last := g.issued
-	if leftoverMin != 0 && leftoverMin-1 < last {
-		last = leftoverMin - 1
-	}
 	g.draining = true
 	g.mu.Unlock()
 
-	origs := g.drainEpoch(append(dtxs, batch...))
+	origs := g.drainEpoch(batch, queued)
 
 	g.mu.Lock()
 	for _, orig := range origs {
 		delete(g.pending, orig)
 	}
-	if last > g.durable {
-		g.durable = last
-	}
+	g.durable = last
 	g.draining = false
 	g.cond.Broadcast()
 }
 
-// epochStage1 completes stage 1 for an epoch batch. Queued commits
-// persisted their log, masks and write set at enqueue; detached delta
-// materializations (ticket 0) never passed enqueue and run
-// commitStage1Body here instead — their entry count and word entries
-// must be durable under F0, or the commit mark would land on a slot whose
-// durable count is still 0 and recovery would replay the fold as an empty
-// transaction, silently dropping it while its same-epoch siblings apply.
-func epochStage1(batch []*Tx) {
-	for _, tx := range batch {
-		if tx.ticket == 0 {
-			tx.commitStage1Body()
-		}
-	}
-}
-
-// drainEpoch runs the commit pipeline over the batch: the two fences of a
-// commit, paid once for the whole epoch.
+// drainEpoch runs the commit pipeline over the batch, queued of which
+// are async commits (the rest is the delta materialization): the two
+// fences of a commit, paid once for the whole epoch. Every Tx of the
+// batch has run stage 1, a queued commit at enqueue and the
+// materialization in materializeLocked.
 //
-//	F0  pfence        — every queued log+write set durable (stage 1)
+//	F0  pfence        — every log+write set of the batch durable
 //	    seq + marks   — one sequence number; all blocks' marks written back
 //	F1  pfence        — the epoch's durable commit point
 //	    apply + flush — redo logs applied, dirty originals written back
@@ -370,20 +357,15 @@ func epochStage1(batch []*Tx) {
 // slots and freed objects are released only once W covers the epoch's
 // sequence number durably (retireQueue), so no slot collects fresh
 // entries under a mark recovery would still honour.
-func (g *groupState) drainEpoch(batch []*Tx) (origs []core.Ref) {
+func (g *groupState) drainEpoch(batch []*Tx, queued int) (origs []core.Ref) {
 	pool := batch[0].h.Pool()
 	// Capture the pending originals for removal after the epoch: recycling
 	// truncates tx.written and reuses the Tx objects.
-	queued := 0
 	for _, tx := range batch {
-		if tx.ticket != 0 {
-			queued++ // detached delta txs don't count as epoch commits
-		}
 		origs = append(origs, tx.written...)
 	}
 	lead := batch[0]
 	lead.mates = batch[1:]
-	epochStage1(batch)
 	fence := g.m.retire.beginFence()
 	pool.PFence() // F0
 	lead.commitSeq(fence)
@@ -413,13 +395,13 @@ func (m *Manager) groupSnapshot(snap *obs.FASnapshot) {
 	if snap.EpochTxs > snap.Epochs {
 		snap.CombinedFences = CommitBarriers * (snap.EpochTxs - snap.Epochs)
 	}
-	// Each folded-away op would have cost its own log write + line flush;
-	// materialized entries and the still-pending backlog are the ones that
-	// (will) pay.
-	if backlog := uint64(g.backlog.Load()); snap.DeltaOps >= snap.DeltaEntries+backlog {
-		snap.DeltaFlushesSaved = snap.DeltaOps - snap.DeltaEntries - backlog
-	}
 	g.mu.Lock()
+	// Each folded-away op would have cost its own log write + line flush;
+	// materialized entries and the still-pending ledger are the ones that
+	// (will) pay.
+	if pending := uint64(len(g.ledger)); snap.DeltaOps >= snap.DeltaEntries+pending {
+		snap.DeltaFlushesSaved = snap.DeltaOps - snap.DeltaEntries - pending
+	}
 	snap.WatermarkLag = g.issued - g.durable
 	g.mu.Unlock()
 }

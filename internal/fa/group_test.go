@@ -412,6 +412,20 @@ func TestSetGroupCommitGuards(t *testing.T) {
 	if mgr.CommitMode() != CommitPerTx {
 		t.Fatal("mode not reset")
 	}
+
+	// A one-slot heap has no slot to withhold for delta drains: async is
+	// refused, and per-Tx keeps committing.
+	h1, mgr1, cls := openSlots(t, nvm.New(1<<21, nvm.Options{}), 1)
+	if err := mgr1.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err == nil {
+		t.Fatal("async mode accepted on a one-slot heap")
+	}
+	acc := newAccount(t, h1, cls, 1, 0, "acc")
+	if err := mgr1.Run(func(tx *Tx) error { return tx.WriteUint64(acc.Core(), accA, 2) }); err != nil {
+		t.Fatal(err)
+	}
+	if v := acc.ReadUint64(accA); v != 2 || mgr1.CommitMode() != CommitPerTx {
+		t.Fatalf("one-slot heap after the refusal: %d in mode %d, want 2 per-Tx", v, mgr1.CommitMode())
+	}
 }
 
 // TestAsyncBeginWaitsForDrains: queued and draining async commits hold

@@ -51,24 +51,24 @@ func (tx *Tx) commitPrefix(stage int) {
 // the first `stage` fence windows of the epoch pipeline (group.go
 // drainEpoch), then stops dead, simulating a crash inside a drain. It
 // composes the same stage helpers drainEpoch does — materializeLocked,
-// epochStage1, the per-Tx stage bodies — so the staging cannot drift
-// from the real protocol:
+// which runs the materialization's stage 1, and the per-Tx stage bodies
+// — so the staging cannot drift from the real protocol:
 //
-//	1 — stage 1 complete (detached materializations included) + F0
+//	1 — stage 1 complete + F0
 //	2 — + sequence number, every commit mark written back + F1, the
 //	     epoch commit point
 func (m *Manager) drainEpochPrefix(stage int) {
 	g := m.group.Load()
 	g.mu.Lock()
-	batch := g.queue
-	dtxs, _ := g.materializeLocked()
+	all := g.queue
+	if dtx := g.materializeLocked(); dtx != nil {
+		all = append([]*Tx{dtx}, all...)
+	}
 	g.queue = nil
 	g.mu.Unlock()
-	all := append(dtxs, batch...)
 	pool := m.state.Load().h.Pool()
 	var fence uint64
 	if stage >= 1 {
-		epochStage1(all)
 		fence = m.retire.beginFence()
 		pool.PFence() // F0
 	}

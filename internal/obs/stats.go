@@ -139,7 +139,7 @@ type FASnapshot struct {
 	DeltaEntries uint64 `json:"delta_entries"`
 	// DeltaFlushesSaved is the redo-log writes (and their line flushes)
 	// that folding avoided: ops minus materialized entries minus the
-	// still-pending backlog. Filled by the manager.
+	// entries still pending in the ledger. Filled by the manager.
 	DeltaFlushesSaved uint64 `json:"delta_flushes_saved" obs:"filled"`
 
 	SlotsTotal uint64 `json:"log_slots_total" obs:"gauge"`

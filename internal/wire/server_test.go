@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/nvm"
 	"repro/internal/obs"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -498,4 +500,95 @@ func TestServerSameKeysConsistentReads(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestServerPoolFull fills an async J-PFA pool with pipelined INSERTs:
+// the inserts that find no room answer StatusErr, READ and DELETE keep
+// serving, an INSERT after the DELETE succeeds, and the server stays up.
+func TestServerPoolFull(t *testing.T) {
+	st, err := stack.Open(nvm.New(2<<20, nvm.Options{}), stack.Config{
+		Backend: stack.JPFA, Commit: "async", LogSlots: 8, LogSlotSize: 1 << 14,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	addr, _, stop := startTestServer(t, ServerConfig{
+		Grid:         store.NewGrid(st.Backend, store.Options{}),
+		AwaitDurable: st.AwaitDurable,
+	})
+	defer stop()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	fields := []store.Field{{Name: "f", Value: make([]byte, 300)}}
+	var stored []string
+	failed := 0
+	var resp Response
+	for round := 0; failed == 0; round++ {
+		if round == 1000 {
+			t.Fatalf("a 2 MiB pool took %d records without filling", len(stored))
+		}
+		const window = 32
+		keys := make([]string, window)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%06d", round*window+i)
+			if err := cl.Send(&Request{Op: OpInsert, Key: keys[i], Fields: fields}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			if err := cl.Recv(&resp); err != nil {
+				t.Fatalf("recv after %d records: %v", len(stored), err)
+			}
+			switch resp.Status {
+			case StatusOK:
+				stored = append(stored, key)
+			case StatusErr:
+				if !strings.Contains(resp.Msg, "out of NVMM") {
+					t.Fatalf("insert %s: %q, want out of NVMM", key, resp.Msg)
+				}
+				failed++
+			default:
+				t.Fatalf("insert %s: status %d", key, resp.Status)
+			}
+		}
+	}
+	if len(stored) == 0 {
+		t.Fatal("no insert succeeded")
+	}
+	t.Logf("pool full after %d records, %d inserts refused in the last window", len(stored), failed)
+
+	if got, found, err := cl.Read(stored[0]); err != nil || !found || len(got) != 1 || len(got[0].Value) != 300 {
+		t.Fatalf("read on a full pool: found=%v err=%v fields=%d", found, err, len(got))
+	}
+	victims := stored[len(stored)-4:]
+	for _, key := range victims {
+		if err := cl.Send(&Request{Op: OpDelete, Key: key}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range victims {
+		if err := cl.Recv(&resp); err != nil || resp.Status != StatusOK {
+			t.Fatalf("delete %s on a full pool: status %d %q (%v)", key, resp.Status, resp.Msg, err)
+		}
+	}
+	if err := cl.Insert("after-delete", fields); err != nil {
+		t.Fatalf("insert after delete: %v", err)
+	}
+	if _, found, err := cl.Read("after-delete"); err != nil || !found {
+		t.Fatalf("read after re-insert: found=%v err=%v", found, err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("server down after the pool filled: %v", err)
+	}
 }

@@ -72,8 +72,8 @@ EOF
 mutant epoch "gridgroup griddelta gridinline" <<'EOF'
 --- a/internal/fa/group.go
 +++ b/internal/fa/group.go
-@@ -386,5 +386,4 @@
- 	epochStage1(batch)
+@@ -368,5 +368,4 @@
+ 	lead.mates = batch[1:]
  	fence := g.m.retire.beginFence()
 -	pool.PFence() // F0
  	lead.commitSeq(fence)
