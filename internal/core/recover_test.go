@@ -251,15 +251,15 @@ func recoveryGoldenLines(t *testing.T) []string {
 	return lines
 }
 
-// TestRecoveryMatchesParentImage pins recovery's output byte for byte:
-// testdata/recovery.golden was written from these same images by the
-// serial recovery of the last build that also had a parallel one (the
-// oracle the parallel one was checked against), and rewritten when heap
-// format version 3 changed the superblock's version word — the only byte
-// of these images that moved, as none of them logs a word entry. Any
-// change to what recovery writes — a header scrubbed or missed, a slot
-// zeroed, a reference nullified, the bump — or to what it counts shows
-// here.
+// TestRecoveryMatchesParentImage pins recovery's output byte for byte
+// against testdata/recovery.golden, one line per image of
+// recoveryGoldenLines. A crash/ line depends on the lines its captured
+// state left pending as well, because the dropped-line and torn specs
+// draw over exactly those lines: a build that leaves a different set
+// pending (heap.Format persisting the metadata area it zeroes, say)
+// rewrites those lines and no graph/ or scan/ line. Any change to what
+// recovery writes — a header scrubbed or missed, a slot zeroed, a
+// reference nullified, the bump — or to what it counts shows here.
 func TestRecoveryMatchesParentImage(t *testing.T) {
 	raw, err := os.ReadFile("testdata/recovery.golden")
 	if err != nil {

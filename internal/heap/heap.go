@@ -194,8 +194,10 @@ func Format(pool *nvm.Pool, opts Options) (*Heap, error) {
 	pool.WriteUint64(sbLogOff, logOff)
 	pool.WriteUint64(sbLogSlots, uint64(opts.LogSlots))
 	pool.WriteUint64(sbLogSlotSize, uint64(opts.LogSlotSize))
-	// The magic goes in last: a torn format attempt stays unopenable.
-	pool.PWBRange(0, superblockSize)
+	// Everything zeroed above is persisted, so a crash cannot bring back a
+	// previous heap's class table or log slots. The magic goes in last: a
+	// torn format attempt stays unopenable.
+	pool.PWBRange(0, arenaOff)
 	pool.PFence()
 	pool.WriteUint64(sbMagic, magic)
 	pool.PWB(sbMagic)

@@ -320,6 +320,50 @@ func TestMultiBlockAllocRollbackOnOOM(t *testing.T) {
 	}
 }
 
+// TestFormatPersistsWhatItZeroes: formatting over an old heap destroys
+// its class table and log area in the durable image too, not only in the
+// cache. A crash right after Format must not resurrect either.
+func TestFormatPersistsWhatItZeroes(t *testing.T) {
+	pool := nvm.New(1<<20, nvm.Options{Tracked: true})
+	opts := Options{LogSlots: 2, LogSlotSize: 4096}
+	h, err := Format(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.RegisterClass("demo.old"); err != nil {
+		t.Fatal(err)
+	}
+	logOff, slots, slotSize := h.LogArea()
+	for off := logOff; off < logOff+uint64(slots*slotSize); off += 512 {
+		pool.WriteUint64(off, 0xdead0000|off)
+	}
+	pool.PWBRange(logOff, uint64(slots*slotSize))
+	pool.PSync()
+
+	if _, err := Format(pool, opts); err != nil {
+		t.Fatal(err)
+	}
+	img := pool.CrashImage(nvm.CrashStrict, nil)
+	h2, err := Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := h2.ClassID("demo.old"); ok {
+		t.Fatalf("the old class came back as id %d", id)
+	}
+	if off := h2.classOff; !bytes.Equal(img.ReadBytes(off, logOff-off), make([]byte, logOff-off)) {
+		t.Fatal("the old class table is durable after Format")
+	}
+	for off := logOff; off < h2.arenaOff; off += 8 {
+		if w := img.ReadUint64(off); w != 0 {
+			t.Fatalf("log area word at %#x is %#x after Format, want 0", off, w)
+		}
+	}
+	if !pool.DurableEqualsData() {
+		t.Fatal("Format left lines pending")
+	}
+}
+
 func TestClassTablePersists(t *testing.T) {
 	pool := nvm.New(1<<23, nvm.Options{})
 	h, err := Format(pool, Options{})
