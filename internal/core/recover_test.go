@@ -242,9 +242,13 @@ func recoveryGoldenLines(t *testing.T) []string {
 		// earlier ones hold nothing rooted yet.
 		for si, cs := range cp.states[len(cp.states)-8:] {
 			for _, torn := range []bool{false, true} {
-				spec := cs.SampleSpec(rand.New(rand.NewSource(seed*1000+int64(si))), torn)
+				policy := nvm.CrashRandom
+				if torn {
+					policy = nvm.CrashTorn
+				}
+				img := cs.PolicyImage(policy, rand.New(rand.NewSource(seed*1000+int64(si))))
 				name := fmt.Sprintf("crash/seed=%d/state=%d/torn=%v", seed, si, torn)
-				lines = append(lines, recoveredLine(name, cs.Image(spec), false))
+				lines = append(lines, recoveredLine(name, img, false))
 			}
 		}
 	}

@@ -220,21 +220,20 @@ func subsetSeed(seed int64, point, sample int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// specFor rebuilds the crash-image spec for a sample index at a point.
+// specFor rebuilds the crash-image spec for a sample index at a point:
+// -1 is the strict image, -2 the all-pending one, and a subset index draws
+// a random (even) or torn (odd) spec from its own seeded rng.
 func specFor(state *nvm.CrashState, seed int64, point, sample int) []nvm.CrashLine {
-	switch sample {
-	case -1: // strict: durable image only
-		return nil
-	case -2: // all pending lines persist whole
-		var spec []nvm.CrashLine
-		for _, pl := range state.Pending() {
-			spec = append(spec, nvm.CrashLine{Line: pl.Line, Source: nvm.CrashFromCurrent})
-		}
-		return spec
-	default:
-		rng := rand.New(rand.NewSource(subsetSeed(seed, point, sample)))
-		return state.SampleSpec(rng, sample%2 == 1)
+	policy := nvm.CrashRandom
+	switch {
+	case sample == -1:
+		policy = nvm.CrashStrict
+	case sample == -2:
+		policy = nvm.CrashAll
+	case sample%2 == 1:
+		policy = nvm.CrashTorn
 	}
+	return state.Spec(policy, rand.New(rand.NewSource(subsetSeed(seed, point, sample))))
 }
 
 // pickPoints selects which crash points to explore: all of them when the

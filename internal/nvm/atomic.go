@@ -47,9 +47,9 @@ func (p *Pool) ReadUint64Atomic(off uint64) uint64 {
 // exactly like WriteUint64.
 func (p *Pool) WriteUint64Atomic(off, v uint64) {
 	w := p.atomicWord(off)
-	p.observe(FaultStore, off, 8)
+	tracked := p.beginStore(off, 8)
 	atomic.StoreUint64(w, v)
-	p.noteStore(off, 8)
+	p.endStore(tracked)
 }
 
 // CopyWithinAtomic copies n bytes from src to dst inside the pool using
@@ -70,11 +70,11 @@ func (p *Pool) CopyWithinAtomic(dst, src, n uint64) {
 	if dst%8 != 0 || n%8 != 0 {
 		panic("nvm: atomic copy needs an 8-aligned destination and length")
 	}
-	p.observe(FaultStore, dst, n)
+	tracked := p.beginStore(dst, n)
 	for i := uint64(0); i < n; i += 8 {
 		var v uint64
 		copy((*[8]byte)(unsafe.Pointer(&v))[:], p.data[src+i:src+i+8])
 		atomic.StoreUint64((*uint64)(unsafe.Pointer(&p.data[dst+i])), v)
 	}
-	p.noteStore(dst, n)
+	p.endStore(tracked)
 }

@@ -1,9 +1,11 @@
 package nvm
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -130,10 +132,11 @@ type CrashLine struct {
 	Tail   bool
 }
 
-type pendingData struct {
-	snap  []byte // pwb-time snapshot; nil when the line is not queued
-	cur   []byte // cache content at capture time
-	dirty bool
+// pendingLine is a captured pending line with both of its contents.
+type pendingLine struct {
+	PendingLine
+	snap [LineSize]byte // pwb-time snapshot; meaningful when Queued
+	cur  [LineSize]byte // cache content at capture time
 }
 
 // CrashState is an immutable copy of a tracked pool's persistence state —
@@ -144,14 +147,14 @@ type pendingData struct {
 // which is what lets crashmc capture at a panic site and build images
 // after unwinding through deferred writes (e.g. fa's Abort-on-panic).
 type CrashState struct {
-	size    int
 	opts    Options
-	durable []byte
-	lines   map[uint64]pendingData
+	durable []byte        // the whole pool as NVMM holds it
+	pending []pendingLine // ascending by line
 }
 
-// CaptureCrashState snapshots the pool's persistence state. Panics if the
-// pool is not tracked.
+// CaptureCrashState snapshots the pool's persistence state: one copy of
+// the pool with each pending line's durable bytes patched in. Panics if
+// the pool is not tracked.
 func (p *Pool) CaptureCrashState() *CrashState {
 	if !p.opts.Tracked {
 		panic("nvm: CaptureCrashState requires a tracked pool")
@@ -159,47 +162,28 @@ func (p *Pool) CaptureCrashState() *CrashState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cs := &CrashState{
-		size:    len(p.data),
 		opts:    p.opts,
-		durable: append([]byte(nil), p.durable...),
-		lines:   make(map[uint64]pendingData, len(p.queued)+len(p.dirty)),
+		durable: bytes.Clone(p.data),
+		pending: make([]pendingLine, 0, len(p.lines)),
 	}
-	lineCopy := func(line uint64) []byte {
-		end := line + LineSize
-		if end > uint64(len(p.data)) {
-			end = uint64(len(p.data))
-		}
-		out := make([]byte, LineSize)
-		copy(out, p.data[line:end])
-		return out
+	for line, r := range p.lines {
+		pl := pendingLine{PendingLine: PendingLine{Line: line, Queued: r.queued, Dirty: r.dirty}, snap: r.snap}
+		copy(pl.cur[:], p.data[line:])
+		copy(cs.durable[line:], r.durable[:])
+		cs.pending = append(cs.pending, pl)
 	}
-	for line, snap := range p.queued {
-		cs.lines[line] = pendingData{
-			snap:  append([]byte(nil), snap...),
-			cur:   lineCopy(line),
-			dirty: p.dirty[line],
-		}
-	}
-	for line := range p.dirty {
-		if _, ok := cs.lines[line]; !ok {
-			cs.lines[line] = pendingData{cur: lineCopy(line), dirty: true}
-		}
-	}
+	slices.SortFunc(cs.pending, func(a, b pendingLine) int { return cmp.Compare(a.Line, b.Line) })
 	return cs
 }
 
 // Pending lists the captured pending lines in ascending line order.
 func (cs *CrashState) Pending() []PendingLine {
-	out := make([]PendingLine, 0, len(cs.lines))
-	for line, pd := range cs.lines {
-		out = append(out, PendingLine{Line: line, Queued: pd.snap != nil, Dirty: pd.dirty})
+	out := make([]PendingLine, len(cs.pending))
+	for i := range cs.pending {
+		out[i] = cs.pending[i].PendingLine
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
 	return out
 }
-
-// Size returns the size of the captured pool.
-func (cs *CrashState) Size() int { return cs.size }
 
 // Image materializes a crash image: the durable snapshot with the given
 // spec entries applied in order. The returned pool is tracked (its
@@ -207,22 +191,24 @@ func (cs *CrashState) Size() int { return cs.size }
 // on a spec entry naming a non-pending line, a CrashFromSnapshot entry
 // for an unqueued line, or an invalid Split.
 func (cs *CrashState) Image(spec []CrashLine) *Pool {
-	img := New(cs.size, cs.opts)
-	copy(img.data, cs.durable)
+	img := &Pool{data: bytes.Clone(cs.durable), opts: cs.opts, lines: make(map[uint64]*lineRecord)}
 	for _, cl := range spec {
-		pd, ok := cs.lines[cl.Line]
+		i, ok := slices.BinarySearchFunc(cs.pending, cl.Line, func(pl pendingLine, line uint64) int {
+			return cmp.Compare(pl.Line, line)
+		})
 		if !ok {
 			panic(fmt.Sprintf("nvm: CrashLine %#x is not a pending line", cl.Line))
 		}
-		var src []byte
+		pl := &cs.pending[i]
+		var src *[LineSize]byte
 		switch cl.Source {
 		case CrashFromSnapshot:
-			if pd.snap == nil {
+			if !pl.Queued {
 				panic(fmt.Sprintf("nvm: CrashLine %#x requests snapshot of unqueued line", cl.Line))
 			}
-			src = pd.snap
+			src = &pl.snap
 		case CrashFromCurrent:
-			src = pd.cur
+			src = &pl.cur
 		default:
 			panic(fmt.Sprintf("nvm: invalid CrashSource %d", cl.Source))
 		}
@@ -237,35 +223,46 @@ func (cs *CrashState) Image(spec []CrashLine) *Pool {
 				end = cl.Split
 			}
 		}
-		lineEnd := cl.Line + end
-		if lineEnd > uint64(cs.size) {
-			lineEnd = uint64(cs.size)
-		}
+		lineEnd := min(cl.Line+end, uint64(len(img.data)))
 		if cl.Line+start >= lineEnd {
 			continue
 		}
 		copy(img.data[cl.Line+start:lineEnd], src[start:end])
 	}
-	if img.opts.Tracked {
-		copy(img.durable, img.data)
-	}
 	return img
 }
 
-// SampleSpec draws a random crash-image specification: each pending line
-// is independently dropped, persisted whole, or torn at a random 8-byte
-// boundary, from its snapshot or its cache content (both reachable for
-// queued-then-redirtied lines, including composed old-flush +
-// partial-eviction mixes). alwaysTear forces every retained line to be
-// torn, the most adversarial sub-line setting. Deterministic in rng.
-func (cs *CrashState) SampleSpec(rng *rand.Rand, alwaysTear bool) []CrashLine {
+// Spec builds the crash-image specification of a policy; it is the one
+// place a policy becomes a []CrashLine. CrashStrict persists no pending
+// line and CrashAll persists every one whole from its cache content. For
+// CrashRandom and CrashTorn, each pending line is independently dropped,
+// persisted whole, or torn at a random 8-byte boundary, from its snapshot
+// or its cache content (both reachable for queued-then-redirtied lines,
+// including composed old-flush + partial-eviction mixes); CrashTorn tears
+// every retained line, the most adversarial sub-line setting. rng is only
+// consulted by those two, and the spec is deterministic in it.
+func (cs *CrashState) Spec(policy CrashPolicy, rng *rand.Rand) []CrashLine {
+	switch policy {
+	case CrashStrict:
+		return nil
+	case CrashAll:
+		spec := make([]CrashLine, len(cs.pending))
+		for i := range cs.pending {
+			spec[i] = CrashLine{Line: cs.pending[i].Line, Source: CrashFromCurrent}
+		}
+		return spec
+	case CrashRandom, CrashTorn:
+	default:
+		panic(fmt.Sprintf("nvm: unknown crash policy %d", policy))
+	}
 	var spec []CrashLine
 	tearOf := func(cl CrashLine) CrashLine {
 		cl.Split = 8 * uint64(1+rng.Intn(LineSize/8-1))
 		cl.Tail = rng.Intn(2) == 0
 		return cl
 	}
-	for _, pl := range cs.Pending() {
+	for i := range cs.pending {
+		pl := &cs.pending[i]
 		if rng.Intn(3) == 0 {
 			continue // dropped: this line stays at its durable content
 		}
@@ -290,7 +287,7 @@ func (cs *CrashState) SampleSpec(rng *rand.Rand, alwaysTear bool) []CrashLine {
 		default:
 			cl.Source = CrashFromCurrent
 		}
-		if alwaysTear || rng.Intn(4) == 0 {
+		if policy == CrashTorn || rng.Intn(4) == 0 {
 			cl = tearOf(cl)
 		}
 		spec = append(spec, cl)
@@ -301,19 +298,5 @@ func (cs *CrashState) SampleSpec(rng *rand.Rand, alwaysTear bool) []CrashLine {
 // PolicyImage materializes a crash image under one of the named policies.
 // rng is only consulted by CrashRandom and CrashTorn.
 func (cs *CrashState) PolicyImage(policy CrashPolicy, rng *rand.Rand) *Pool {
-	switch policy {
-	case CrashStrict:
-		return cs.Image(nil)
-	case CrashAll:
-		spec := make([]CrashLine, 0, len(cs.lines))
-		for _, pl := range cs.Pending() {
-			spec = append(spec, CrashLine{Line: pl.Line, Source: CrashFromCurrent})
-		}
-		return cs.Image(spec)
-	case CrashRandom:
-		return cs.Image(cs.SampleSpec(rng, false))
-	case CrashTorn:
-		return cs.Image(cs.SampleSpec(rng, true))
-	}
-	panic(fmt.Sprintf("nvm: unknown crash policy %d", policy))
+	return cs.Image(cs.Spec(policy, rng))
 }

@@ -3,6 +3,7 @@ package nvm
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -246,7 +247,8 @@ func TestCrashTornWordAtomicity(t *testing.T) {
 }
 
 // TestSampleSpecDeterministic checks the reproducibility contract: the
-// same CrashState and seed yield byte-identical images.
+// same CrashState, policy and seed yield the same spec and byte-identical
+// images.
 func TestSampleSpecDeterministic(t *testing.T) {
 	p := New(8192, Options{Tracked: true})
 	rng := rand.New(rand.NewSource(3))
@@ -261,11 +263,17 @@ func TestSampleSpecDeterministic(t *testing.T) {
 		}
 	}
 	cs := p.CaptureCrashState()
-	for seed := int64(0); seed < 10; seed++ {
-		a := cs.Image(cs.SampleSpec(rand.New(rand.NewSource(seed)), false))
-		b := cs.Image(cs.SampleSpec(rand.New(rand.NewSource(seed)), false))
-		if !bytes.Equal(a.View(0, a.Size()), b.View(0, b.Size())) {
-			t.Fatalf("seed %d: SampleSpec images differ across identical rngs", seed)
+	for _, policy := range []CrashPolicy{CrashRandom, CrashTorn} {
+		for seed := int64(0); seed < 10; seed++ {
+			sa := cs.Spec(policy, rand.New(rand.NewSource(seed)))
+			sb := cs.Spec(policy, rand.New(rand.NewSource(seed)))
+			if !slices.Equal(sa, sb) {
+				t.Fatalf("policy %d seed %d: specs differ across identical rngs", policy, seed)
+			}
+			a, b := cs.Image(sa), cs.Image(sb)
+			if !bytes.Equal(a.View(0, a.Size()), b.View(0, b.Size())) {
+				t.Fatalf("policy %d seed %d: images differ across identical rngs", policy, seed)
+			}
 		}
 	}
 }

@@ -17,6 +17,8 @@
 //   - Tracked: the pool additionally models the volatile CPU cache
 //     hierarchy at 64 B cache-line granularity. A store only reaches the
 //     durable image after an explicit PWB of its line followed by a fence.
+//     The pool keeps a record (durable bytes, pwb-time snapshot, dirty and
+//     queued flags) only for lines that are not durable as they read.
 //     CrashImage materializes "what survives a power failure" under
 //     configurable adversarial policies, which is how the crash-consistency
 //     tests of heap, core, fa and pdt drive recovery.
@@ -56,7 +58,7 @@ const (
 	// modeling arbitrary cache evictions racing the failure. Retained
 	// lines may persist their pwb-time snapshot, their newer cache
 	// content, or a composition of the two, and may tear at an 8-byte
-	// boundary (see CrashState.SampleSpec).
+	// boundary (see CrashState.Spec).
 	CrashRandom
 	// CrashTorn is CrashRandom with every retained line torn at a random
 	// 8-byte boundary — the most adversarial sub-line setting. Aligned
@@ -88,10 +90,10 @@ type Pool struct {
 	// file backing (nil for in-memory pools).
 	backing *fileBacking
 
-	mu      sync.Mutex        // guards the tracked-mode state below
-	durable []byte            // what survives a crash (tracked mode only)
-	dirty   map[uint64]bool   // lines stored to since their last PWB
-	queued  map[uint64][]byte // lines PWB'd but not yet fenced: pwb-time snapshot
+	// Tracked mode only: mu serializes stores, PWBs, fences and captures;
+	// lines holds a record per line not durable as it reads, by offset.
+	mu    sync.Mutex
+	lines map[uint64]*lineRecord
 
 	// plane, when set, observes every ordering point (store/PWB/fence)
 	// before it takes effect; see fault.go.
@@ -104,9 +106,7 @@ type Pool struct {
 func New(size int, opts Options) *Pool {
 	p := &Pool{data: make([]byte, size), opts: opts}
 	if opts.Tracked {
-		p.durable = make([]byte, size)
-		p.dirty = make(map[uint64]bool)
-		p.queued = make(map[uint64][]byte)
+		p.lines = make(map[uint64]*lineRecord)
 	}
 	return p
 }
@@ -190,33 +190,33 @@ func (p *Pool) View(off, n uint64) []byte {
 // WriteUint64 stores an 8-byte little-endian word.
 func (p *Pool) WriteUint64(off, v uint64) {
 	p.check(off, 8)
-	p.observe(FaultStore, off, 8)
+	tracked := p.beginStore(off, 8)
 	binary.LittleEndian.PutUint64(p.data[off:], v)
-	p.noteStore(off, 8)
+	p.endStore(tracked)
 }
 
 // WriteUint32 stores a 4-byte little-endian word.
 func (p *Pool) WriteUint32(off uint64, v uint32) {
 	p.check(off, 4)
-	p.observe(FaultStore, off, 4)
+	tracked := p.beginStore(off, 4)
 	binary.LittleEndian.PutUint32(p.data[off:], v)
-	p.noteStore(off, 4)
+	p.endStore(tracked)
 }
 
 // WriteUint16 stores a 2-byte little-endian word.
 func (p *Pool) WriteUint16(off uint64, v uint16) {
 	p.check(off, 2)
-	p.observe(FaultStore, off, 2)
+	tracked := p.beginStore(off, 2)
 	binary.LittleEndian.PutUint16(p.data[off:], v)
-	p.noteStore(off, 2)
+	p.endStore(tracked)
 }
 
 // WriteUint8 stores one byte.
 func (p *Pool) WriteUint8(off uint64, v byte) {
 	p.check(off, 1)
-	p.observe(FaultStore, off, 1)
+	tracked := p.beginStore(off, 1)
 	p.data[off] = v
-	p.noteStore(off, 1)
+	p.endStore(tracked)
 }
 
 // WriteBytes stores src at off.
@@ -225,9 +225,9 @@ func (p *Pool) WriteBytes(off uint64, src []byte) {
 	if len(src) == 0 {
 		return
 	}
-	p.observe(FaultStore, off, uint64(len(src)))
+	tracked := p.beginStore(off, uint64(len(src)))
 	copy(p.data[off:], src)
-	p.noteStore(off, uint64(len(src)))
+	p.endStore(tracked)
 }
 
 // Zero clears n bytes starting at off.
@@ -236,9 +236,9 @@ func (p *Pool) Zero(off, n uint64) {
 	if n == 0 {
 		return
 	}
-	p.observe(FaultStore, off, n)
+	tracked := p.beginStore(off, n)
 	clear(p.data[off : off+n])
-	p.noteStore(off, n)
+	p.endStore(tracked)
 }
 
 // CopyWithin copies n bytes from src to dst inside the pool, as a store to
@@ -249,9 +249,9 @@ func (p *Pool) CopyWithin(dst, src, n uint64) {
 	if n == 0 {
 		return
 	}
-	p.observe(FaultStore, dst, n)
+	tracked := p.beginStore(dst, n)
 	copy(p.data[dst:dst+n], p.data[src:src+n])
-	p.noteStore(dst, n)
+	p.endStore(tracked)
 }
 
 // ---- Ordering primitives (§3.2.2 of the paper) ----
@@ -284,16 +284,12 @@ func (p *Pool) PWBRange(off, n uint64) {
 	last := (off + n - 1) &^ (LineSize - 1)
 	lines := (last-first)/LineSize + 1
 	p.stats.PWBs.Add(lines)
-	if p.plane.Load() != nil {
+	if p.opts.Tracked || p.plane.Load() != nil {
 		for l := first; l <= last; l += LineSize {
 			p.observe(FaultPWB, l, LineSize)
 			if p.opts.Tracked {
 				p.queueLine(l)
 			}
-		}
-	} else if p.opts.Tracked {
-		for l := first; l <= last; l += LineSize {
-			p.queueLine(l)
 		}
 	}
 	if p.opts.FlushLatency > 0 {
@@ -322,9 +318,13 @@ func (p *Pool) PSync() {
 func (p *Pool) fence() {
 	if p.opts.Tracked {
 		p.mu.Lock()
-		for line, snap := range p.queued {
-			copy(p.durable[line:line+LineSize], snap)
-			delete(p.queued, line)
+		for line, r := range p.lines {
+			if r.queued {
+				r.durable, r.queued = r.snap, false
+			}
+			if !r.dirty {
+				delete(p.lines, line)
+			}
 		}
 		p.mu.Unlock()
 	}
@@ -346,43 +346,58 @@ func (p *Pool) Obs() *obs.NVMStats { return &p.stats }
 
 // ---- Tracked-mode internals ----
 
-func (p *Pool) noteStore(off, n uint64) {
+// lineRecord is a tracked line that is not durable as it reads: stored to
+// since its last PWB (dirty), or flushed and awaiting a fence (queued), or
+// both. A line without a record is durable as it reads.
+type lineRecord struct {
+	durable       [LineSize]byte // what NVMM holds
+	snap          [LineSize]byte // pwb-time content; meaningful while queued
+	queued, dirty bool
+}
+
+// beginStore observes and counts a store of n bytes at off; a direct pool
+// without a fault plane only counts. In tracked mode it takes p.mu and
+// marks every line the store touches dirty, recording a line's pre-image
+// as its durable bytes when the line gets its record, and returns true;
+// endStore then releases the lock, so a capture never sees half a store.
+func (p *Pool) beginStore(off, n uint64) bool {
+	if !p.opts.Tracked && p.plane.Load() == nil {
+		p.stats.Stores.Inc()
+		return false
+	}
+	p.observe(FaultStore, off, n)
 	p.stats.Stores.Inc()
-	if !p.opts.Tracked || n == 0 {
-		return
+	if !p.opts.Tracked {
+		return false
 	}
-	first := off &^ (LineSize - 1)
-	last := (off + n - 1) &^ (LineSize - 1)
 	p.mu.Lock()
-	for l := first; l <= last; l += LineSize {
-		p.dirty[l] = true
+	for l := off &^ (LineSize - 1); l < off+n; l += LineSize {
+		r := p.lines[l]
+		if r == nil {
+			r = &lineRecord{}
+			copy(r.durable[:], p.data[l:])
+			p.lines[l] = r
+		}
+		r.dirty = true
 	}
-	p.mu.Unlock()
+	return true
+}
+
+func (p *Pool) endStore(tracked bool) {
+	if tracked {
+		p.mu.Unlock()
+	}
 }
 
 func (p *Pool) queueLine(line uint64) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.dirty[line] {
-		// Clean line: flushing it is a no-op, and if it was already
-		// queued the earlier snapshot still holds its content.
-		if _, ok := p.queued[line]; ok {
-			return
-		}
-		// Flush of a never-dirtied line: content equals durable already.
-		return
+	// Flushing a clean line is a no-op: it is durable as it reads, or an
+	// earlier snapshot awaiting the fence already holds its content.
+	if r := p.lines[line]; r != nil && r.dirty {
+		copy(r.snap[:], p.data[line:])
+		r.queued, r.dirty = true, false
 	}
-	delete(p.dirty, line)
-	snap := p.queued[line]
-	if snap == nil {
-		snap = make([]byte, LineSize)
-	}
-	end := line + LineSize
-	if end > uint64(len(p.data)) {
-		end = uint64(len(p.data))
-	}
-	copy(snap, p.data[line:end])
-	p.queued[line] = snap
+	p.mu.Unlock()
 }
 
 // CrashImage returns a new tracked pool holding what would survive a crash
@@ -391,8 +406,7 @@ func (p *Pool) queueLine(line uint64) {
 // CaptureCrashState/PolicyImage, so CrashRandom covers sub-line tears and
 // both states of a queued-then-redirtied line (the snapshot awaiting its
 // fence and the newer content racing eviction), including compositions of
-// the two — the cases the old per-map coin flips could not reach. Panics
-// if the pool is not tracked.
+// the two. Panics if the pool is not tracked.
 func (p *Pool) CrashImage(policy CrashPolicy, rng *rand.Rand) *Pool {
 	return p.CaptureCrashState().PolicyImage(policy, rng)
 }
@@ -402,5 +416,5 @@ func (p *Pool) CrashImage(policy CrashPolicy, rng *rand.Rand) *Pool {
 func (p *Pool) DurableEqualsData() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.dirty) == 0 && len(p.queued) == 0
+	return len(p.lines) == 0
 }

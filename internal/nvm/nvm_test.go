@@ -195,6 +195,36 @@ func TestDurableEqualsData(t *testing.T) {
 	}
 }
 
+// TestTrackedRecordsDrain: a tracked pool keeps records only for lines
+// that are not durable as they read, so storing, flushing and fencing
+// many distinct lines leaves none behind.
+func TestTrackedRecordsDrain(t *testing.T) {
+	const lines = 10000
+	p := New(1<<20, Options{Tracked: true})
+	for i := uint64(0); i < lines; i++ {
+		off := i * LineSize
+		p.WriteUint64(off, i+1)
+		p.PWB(off)
+		if i%7 == 0 {
+			p.PFence()
+		}
+	}
+	p.PFence()
+	if !p.DurableEqualsData() {
+		t.Fatal("fenced pool reports lines that are not durable")
+	}
+	cs := p.CaptureCrashState()
+	if pend := cs.Pending(); len(pend) != 0 {
+		t.Fatalf("%d pending lines after the last fence, want 0", len(pend))
+	}
+	img := cs.Image(nil)
+	for i := uint64(0); i < lines; i++ {
+		if got := img.ReadUint64(i * LineSize); got != i+1 {
+			t.Fatalf("line %d: strict image holds %d, want %d", i, got, i+1)
+		}
+	}
+}
+
 func TestStatsCount(t *testing.T) {
 	p := New(4096, Options{})
 	p.WriteUint64(0, 1)

@@ -175,14 +175,13 @@ func TestMapCrashAtEveryOrderingPoint(t *testing.T) {
 			for point := 1; point <= total+1; point++ {
 				w, pool := setup()
 				state := (&pullPlug{pool: pool, trigger: point}).run(t, func() error { return tc.op(w) })
-				var all []nvm.CrashLine
-				for _, pl := range state.Pending() {
-					all = append(all, nvm.CrashLine{Line: pl.Line, Source: nvm.CrashFromCurrent})
-				}
-				specs := [][]nvm.CrashLine{nil, all}
+				specs := [][]nvm.CrashLine{state.Spec(nvm.CrashStrict, nil), state.Spec(nvm.CrashAll, nil)}
 				for s := 0; s < 3; s++ {
-					rng := rand.New(rand.NewSource(int64(point)<<8 | int64(s)))
-					specs = append(specs, state.SampleSpec(rng, s%2 == 1))
+					policy := nvm.CrashRandom
+					if s%2 == 1 {
+						policy = nvm.CrashTorn
+					}
+					specs = append(specs, state.Spec(policy, rand.New(rand.NewSource(int64(point)<<8|int64(s)))))
 				}
 				for si, spec := range specs {
 					img := state.Image(spec)

@@ -139,6 +139,7 @@ all  traverseParallel|SweepParallel|sweepConcurrent|rebuildParallel|RecoverParal
 all  Scanner|ErrNoScan|ExtE|OpScan|ScanDB|CacheHot|SetCacheHot|hotCache|gen\.For  an extension the paper does not run (YCSB-E scans, the hot-proxy cache, the layout binder)
 all  kindWrite|inflightFor|copyDirtyLines|TransientPool|wordsPerBlock|lineMask|InflightCopies|WriteAllFields  the in-flight block copy (a transactional store to a valid block logs words)
 all  deltaTxChunk|deltaLedgerMax|leftoverMin|deltaYield|epochStage1|minTicket  a drain that cannot land the whole ledger (the ledger is capped at one log slot)
+internal/nvm  \bnoteStore\b|p\.durable\b|p\.queued\b|p\.dirty\b  the full-pool durable mirror (a tracked pool records only its non-durable lines)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
