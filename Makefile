@@ -78,8 +78,9 @@ bench-e2e-smoke:
 microbench:
 	$(GO) test -bench=. -benchmem .
 
-# Bounded crash-consistency exploration (the CI gate). The nightly CI job
-# runs the unbounded version: -points 0 -samples 8.
+# Bounded crash-consistency exploration, 200 points per workload. Per-push
+# CI explores every point (-points 0 -samples 4); the nightly job adds
+# samples (-points 0 -samples 8).
 crashmc-smoke:
 	$(GO) run ./cmd/crashmc -workload all -points 200 -samples 4 -seed 1
 

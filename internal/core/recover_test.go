@@ -246,7 +246,7 @@ func recoveryGoldenLines(t *testing.T) []string {
 				if torn {
 					policy = nvm.CrashTorn
 				}
-				img := cs.PolicyImage(policy, rand.New(rand.NewSource(seed*1000+int64(si))))
+				img := cs.Image(cs.Spec(policy, rand.New(rand.NewSource(seed*1000+int64(si)))))
 				name := fmt.Sprintf("crash/seed=%d/state=%d/torn=%v", seed, si, torn)
 				lines = append(lines, recoveredLine(name, img, false))
 			}

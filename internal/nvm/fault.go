@@ -294,9 +294,3 @@ func (cs *CrashState) Spec(policy CrashPolicy, rng *rand.Rand) []CrashLine {
 	}
 	return spec
 }
-
-// PolicyImage materializes a crash image under one of the named policies.
-// rng is only consulted by CrashRandom and CrashTorn.
-func (cs *CrashState) PolicyImage(policy CrashPolicy, rng *rand.Rand) *Pool {
-	return cs.Image(cs.Spec(policy, rng))
-}

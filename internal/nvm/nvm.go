@@ -403,12 +403,14 @@ func (p *Pool) queueLine(line uint64) {
 // CrashImage returns a new tracked pool holding what would survive a crash
 // at this instant under the given policy. The original pool is unchanged
 // and may keep running (useful to compare diverging futures). Built on
-// CaptureCrashState/PolicyImage, so CrashRandom covers sub-line tears and
-// both states of a queued-then-redirtied line (the snapshot awaiting its
-// fence and the newer content racing eviction), including compositions of
-// the two. Panics if the pool is not tracked.
+// CaptureCrashState and CrashState.Spec, so CrashRandom covers sub-line
+// tears and both states of a queued-then-redirtied line (the snapshot
+// awaiting its fence and the newer content racing eviction), including
+// compositions of the two. rng is only consulted by CrashRandom and
+// CrashTorn. Panics if the pool is not tracked.
 func (p *Pool) CrashImage(policy CrashPolicy, rng *rand.Rand) *Pool {
-	return p.CaptureCrashState().PolicyImage(policy, rng)
+	cs := p.CaptureCrashState()
+	return cs.Image(cs.Spec(policy, rng))
 }
 
 // DurableEqualsData reports whether every byte of the pool has been made
