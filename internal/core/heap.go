@@ -79,15 +79,6 @@ func Open(pool *nvm.Pool, cfg Config) (*Heap, error) {
 		// corrupt superblock) is never reformatted behind the caller's back.
 		return nil, err
 	}
-	// A pool in a format this build no longer reads is refused before
-	// anything — a class registration included — writes to it.
-	for _, c := range cfg.Classes {
-		for _, old := range c.Supersedes {
-			if _, ok := mem.ClassID(old); ok {
-				return nil, fmt.Errorf("core: pool is in format %q, which this build no longer reads (it writes %q)", old, c.Name)
-			}
-		}
-	}
 	h := &Heap{
 		mem:    mem,
 		pool:   pool,

@@ -74,10 +74,7 @@ const (
 	sbLogOff      = 72
 	sbLogSlots    = 80
 	sbLogSlotSize = 88
-	// Reserved, zero: earlier builds kept a pool's position in a
-	// multi-pool set here (index, count). Open refuses a set member.
-	sbSetIndex = 96
-	sbSetCount = 104
+	// Words 96 and 104 are reserved and unread.
 	// sbLogRetired is W, the redo log's retired watermark: a log slot is
 	// live (committed, to be replayed) iff its sequence word exceeds W. It
 	// is one aligned word alone on its cache line, so its write-back
@@ -208,18 +205,15 @@ func Format(pool *nvm.Pool, opts Options) (*Heap, error) {
 // Open attaches to an already formatted pool. It does not run recovery;
 // that is the job of the object layer (package core), which owns the
 // reachability graph. A pool without the magic word yields ErrNotFormatted;
-// any other error means the pool holds a heap this build must not touch
-// (another format version, a member of a multi-pool set, or a superblock
-// whose geometry does not add up).
+// any other error means the pool holds a heap this build must not touch:
+// another format version (the one check of a pool's format) or a
+// superblock whose geometry does not add up.
 func Open(pool *nvm.Pool) (*Heap, error) {
 	if pool.Size() < superblockSize || pool.ReadUint64(sbMagic) != magic {
 		return nil, ErrNotFormatted
 	}
 	if v := pool.ReadUint64(sbVersion); v != FormatVersion {
 		return nil, fmt.Errorf("heap: pool is format version %d, this build reads only version %d (reformat the pool)", v, FormatVersion)
-	}
-	if idx, cnt := pool.ReadUint64(sbSetIndex), pool.ReadUint64(sbSetCount); idx != 0 || cnt != 0 {
-		return nil, fmt.Errorf("heap: pool is formatted as pool %d of a %d-pool set; this build opens single pools only", idx, cnt)
 	}
 	h := &Heap{
 		pool:        pool,
@@ -497,12 +491,4 @@ func (h *Heap) ClassName(id uint16) (string, bool) {
 		return "", false
 	}
 	return h.classNames[id-1], true
-}
-
-// ClassID looks up a registered class by name.
-func (h *Heap) ClassID(name string) (uint16, bool) {
-	h.classMu.RLock()
-	defer h.classMu.RUnlock()
-	id, ok := h.classByName[name]
-	return id, ok
 }

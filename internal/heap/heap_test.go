@@ -117,8 +117,6 @@ func TestOpenRejectsCorruptSuperblock(t *testing.T) {
 		{"log offset", sbLogOff, []uint64{0, h.logOff - 64, h.logOff + 8, h.logOff + 64, good.Size(), huge}},
 		{"log slots", sbLogSlots, []uint64{0, uint64(slots) + 1, 1 << 40, huge}},
 		{"log slot size", sbLogSlotSize, []uint64{0, 8, 4096 + 8, 8192, huge, huge &^ 63}},
-		{"set index", sbSetIndex, []uint64{1, 3, huge}},
-		{"set count", sbSetCount, []uint64{1, 3, huge}},
 		{"retired watermark", sbLogRetired, []uint64{6, huge}},
 	}
 	for _, w := range words {
@@ -165,23 +163,6 @@ func TestOpenRefusesParentFormat(t *testing.T) {
 		if !bytes.Equal(before, pool.ReadBytes(0, pool.Size())) {
 			t.Fatalf("refusing a version-%d pool wrote to it", v)
 		}
-	}
-}
-
-// TestLegacyHeapIsPoolZero: Format leaves superblock words 96/104 zero,
-// as every build before the multi-pool heap did, and a heap reopens with
-// them so; that is why refusing nonzero words needed no format version
-// bump.
-func TestLegacyHeapIsPoolZero(t *testing.T) {
-	pool := nvm.New(1<<20, nvm.Options{})
-	if _, err := Format(pool, Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	if idx, cnt := pool.ReadUint64(sbSetIndex), pool.ReadUint64(sbSetCount); idx != 0 || cnt != 0 {
-		t.Fatalf("fresh heap holds set position %d/%d", idx, cnt)
-	}
-	if _, err := Open(pool); err != nil {
-		t.Fatalf("0/0 heap refused: %v", err)
 	}
 }
 
@@ -348,7 +329,7 @@ func TestFormatPersistsWhatItZeroes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := h2.ClassID("demo.old"); ok {
+	if id, ok := h2.classByName["demo.old"]; ok {
 		t.Fatalf("the old class came back as id %d", id)
 	}
 	if off := h2.classOff; !bytes.Equal(img.ReadBytes(off, logOff-off), make([]byte, logOff-off)) {
@@ -389,7 +370,7 @@ func TestClassTablePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := h2.ClassID("demo.A"); !ok || id != idA {
+	if id, ok := h2.classByName["demo.A"]; !ok || id != idA {
 		t.Fatalf("class demo.A lost across reopen: %d %v", id, ok)
 	}
 	if name, ok := h2.ClassName(idB); !ok || name != "demo.B" {

@@ -36,10 +36,9 @@ func Classes() []*core.Class {
 			Refs:    func(o *core.Object) []uint64 { return []uint64{extArrRef} },
 		},
 		{
-			Name:       ClassMap,
-			Supersedes: mapSuperseded,
-			Factory:    func(o *core.Object) core.PObject { return &Map{Object: o} },
-			Refs:       func(o *core.Object) []uint64 { return []uint64{mapArrRef} },
+			Name:    ClassMap,
+			Factory: func(o *core.Object) core.PObject { return &Map{Object: o} },
+			Refs:    func(o *core.Object) []uint64 { return []uint64{mapArrRef} },
 		},
 	}
 }

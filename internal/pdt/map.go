@@ -96,12 +96,6 @@ type Map struct {
 	cache *proxyCache   // nil in base mode
 }
 
-// mapSuperseded names the parent format, in which an array slot
-// referenced a 16-byte key/value object of its own class: core.Open
-// refuses a pool whose class table knows either name, instead of reading
-// such a slot as a key word.
-var mapSuperseded = []string{"pdt.map", "pdt.pair"}
-
 const (
 	mapArrRef = 0
 	mapKind   = 8

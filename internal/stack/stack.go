@@ -44,10 +44,6 @@ var backends = map[string]func(h *core.Heap, mgr *fa.Manager) (store.Backend, er
 	},
 }
 
-// setEpochRoot is the root name under which earlier builds kept the
-// epoch table of a multi-pool set, in the set's pool 0.
-const setEpochRoot = "shard.epoch"
-
 // Config describes the stack Open builds over the pool.
 type Config struct {
 	// Backend selects the grid backend. Empty opens a bare heap — no
@@ -118,12 +114,6 @@ func Open(pool *nvm.Pool, cfg Config) (st *Stack, err error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Pool 0 of an earlier build's multi-pool set reads as a standalone
-	// heap but routes only part of the records; refuse it before a backend
-	// writes to it.
-	if h.Root().Exists(setEpochRoot) {
-		return nil, fmt.Errorf("stack: pool is pool 0 of a multi-pool set (root %q); this build opens single pools only", setEpochRoot)
 	}
 	st = &Stack{Pool: pool, Heap: h, Mgr: mgr}
 	if build != nil {

@@ -33,12 +33,10 @@ import (
 // at most 8 bytes under an interned name is always inline, any other value
 // always a reference: the representation follows from the field.
 //
-// The "/2" is the format version. The parent format ("store.record", a
-// PString reference in every name word) is listed in Supersedes, so a pool
-// that holds it is refused at open instead of being misread.
+// The "/2" is the layout version. Only heaps of an earlier format version
+// hold the first layout ("store.record", a PString reference in every name
+// word), and heap.Open refuses those before anything reads a record.
 const ClassRecord = "store.record/2"
-
-const classRecordV1 = "store.record"
 
 type pRecord struct{ *core.Object }
 
@@ -112,10 +110,9 @@ func recordRefs(o *core.Object) []uint64 {
 func Classes() []*core.Class {
 	return []*core.Class{
 		{
-			Name:       ClassRecord,
-			Supersedes: []string{classRecordV1},
-			Factory:    func(o *core.Object) core.PObject { return &pRecord{Object: o} },
-			Refs:       recordRefs,
+			Name:    ClassRecord,
+			Factory: func(o *core.Object) core.PObject { return &pRecord{Object: o} },
+			Refs:    recordRefs,
 		},
 	}
 }

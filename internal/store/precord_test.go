@@ -11,9 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fa"
-	"repro/internal/heap"
 	"repro/internal/nvm"
-	"repro/internal/pdt"
 )
 
 // jnvmBackends opens each J-NVM backend over its own fresh heap.
@@ -328,33 +326,6 @@ func TestNameDictionaryBounded(t *testing.T) {
 			}
 			wantFields(t, "in", readCopy(t, b, "in"), map[string][]byte{"a": []byte("1"), "b": make([]byte, 8), "c": bytes.Repeat([]byte("c"), 50)})
 		})
-	}
-}
-
-// TestParentFormatRefused: a pool whose class table knows the parent
-// commit's record class — a PString reference in every name word — opens
-// with an error that names both formats; nothing is misread, nothing
-// panics.
-func TestParentFormatRefused(t *testing.T) {
-	pool := nvm.New(1<<22, nvm.Options{})
-	old := &core.Class{Name: classRecordV1, Factory: func(o *core.Object) core.PObject { return o }}
-	h, err := core.Open(pool, core.Config{Classes: append(pdt.Classes(), old)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	po, err := h.Alloc(old, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Root().Put("kv", po); err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.Open(pool, core.Config{
-		HeapOptions: heap.Options{LogSlots: 8, LogSlotSize: 1 << 14},
-		Classes:     append(pdt.Classes(), Classes()...),
-	})
-	if err == nil || !strings.Contains(err.Error(), classRecordV1) || !strings.Contains(err.Error(), ClassRecord) {
-		t.Fatalf("open of a parent-format pool: %v; want an error naming %q and %q", err, classRecordV1, ClassRecord)
 	}
 }
 

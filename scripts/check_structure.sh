@@ -18,11 +18,8 @@
 #     under the 2-space `cmd/` or `internal/` line).
 #  4. One map representation. A binding is two words of the map's array
 #     (DESIGN.md §3.2); the 16-byte pdt.pair object is gone. Its class
-#     coming back — a ClassPair identifier anywhere, a pdt.pair name in
-#     pdt's class table or constants, or either in §3's inventory (up to
-#     §3.1) — is a
-#     second representation. (map.go names "pdt.pair" once, in the list
-#     of formats core.Open refuses.)
+#     coming back — a ClassPair or pdt.pair in Go (a rule-6 row) or
+#     either in §3's inventory (up to §3.1) — is a second representation.
 #  5. Section citations. Every "DESIGN.md §N" or "§N.M" cited in Go
 #     (outside benchmarks/), the Makefile, scripts/, README.md or
 #     EXPERIMENTS.md names a heading DESIGN.md has, so renumbering a
@@ -36,7 +33,8 @@
 #     §12), the extensions the paper does not run (YCSB-E scans, the
 #     bounded hot-proxy cache and the reflection layout binder), and a
 #     crashmc workload's own possible-state structure (one oracle type,
-#     DESIGN.md §13). benchmarks/ and this file are exempt.
+#     DESIGN.md §13), and a second refusal of old pools (the heap format
+#     version is the one refusal). benchmarks/ and this file are exempt.
 set -eu
 
 fail=0
@@ -73,11 +71,7 @@ for d in $listed; do
     }
 done
 
-hits=$({
-    grep -rn --include='*.go' -e 'ClassPair' . || true
-    grep -n -e 'pdt\.pair' internal/pdt/classes.go internal/pdt/pstring.go || true
-    awk '/^## 3\. /{on=1; next} /^##/{on=0} on && /pdt\.pair|ClassPair/{print "DESIGN.md:" NR ": " $0}' DESIGN.md
-})
+hits=$(awk '/^## 3\. /{on=1; next} /^##/{on=0} on && /pdt\.pair|ClassPair/{print "DESIGN.md:" NR ": " $0}' DESIGN.md)
 if [ -n "$hits" ]; then
     echo "the pair class is back (a binding is two words of the map's array):" >&2
     echo "$hits" >&2
@@ -139,6 +133,8 @@ all  traverseParallel|SweepParallel|sweepConcurrent|rebuildParallel|RecoverParal
 all  Scanner|ErrNoScan|ExtE|OpScan|ScanDB|CacheHot|SetCacheHot|hotCache|gen\.For  an extension the paper does not run (YCSB-E scans, the hot-proxy cache, the layout binder)
 all  kindWrite|inflightFor|copyDirtyLines|TransientPool|wordsPerBlock|lineMask|InflightCopies|WriteAllFields  the in-flight block copy (a transactional store to a valid block logs words)
 all  deltaTxChunk|deltaLedgerMax|leftoverMin|deltaYield|epochStage1|minTicket  a drain that cannot land the whole ledger (the ledger is capped at one log slot)
+go  \bClassPair\b|pdt\.pair  the pair class (a binding is two words of the map's array)
+all  \bSupersedes\b|mapSuperseded|classRecordV1|sbSet(Index|Count)|setEpochRoot|shard\.epoch  a second refusal of old pools (the heap version is the one refusal)
 internal/nvm  \bnoteStore\b|p\.durable\b|p\.queued\b|p\.dirty\b  the full-pool durable mirror (a tracked pool records only its non-durable lines)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
