@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/container"
@@ -146,6 +147,9 @@ func Fig12(records, ops, valLen int) ([]Fig12Row, error) {
 				kv.put(k, val)
 			}
 		}
+		// Collect the garbage earlier variants left (a J-PDT variant drops
+		// its whole pool), so the GC does not bill it to this one's timing.
+		runtime.GC()
 		var readHist, updHist ycsb.Histogram
 		start := time.Now()
 		for i := 0; i < ops; i++ {

@@ -65,8 +65,10 @@ func benchCommitProtocol(b *testing.B, opts GroupOptions, committers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(opts); err != nil {
-		b.Fatal(err)
+	if opts.Mode == CommitAsync {
+		if err := mgr.SetGroupCommit(opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 	accounts := make([]*account, 2*committers)
 	for i := range accounts {

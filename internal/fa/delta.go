@@ -79,10 +79,7 @@ func (m *Manager) AddDelta(orig core.Ref, off uint64, delta int64) (uint64, erro
 	if g == nil {
 		return 0, ErrDeltaUnsupported
 	}
-	st := m.state.Load()
-	if st == nil {
-		return 0, fmt.Errorf("fa: manager not attached to a heap")
-	}
+	st := m.state.Load() // attached: async mode is set after attach
 	if off < heap.HeaderSize || off+8 > heap.BlockSize || off%8 != 0 {
 		return 0, fmt.Errorf("fa: delta offset %d is not an aligned word of the block payload", off)
 	}
@@ -90,7 +87,7 @@ func (m *Manager) AddDelta(orig core.Ref, off uint64, delta int64) (uint64, erro
 		return 0, fmt.Errorf("fa: delta target %#x is not a block", orig)
 	}
 	k := deltaKey{orig: orig, off: off}
-	limit := slotCap(st.size)
+	limit := int(st.txs[0].maxEntries) // one slot's entries
 	var folds bool
 	g.mu.Lock()
 	for {
@@ -209,43 +206,22 @@ func (tx *Tx) foldDelta(orig core.Ref, off uint64, sum int64) error {
 }
 
 // reserveDeltaTx withholds one log slot from the general pool and parks
-// a pre-built transaction on g: a drain then always has a slot to land
-// the ledger in, which is the progress guarantee the waitClear/
-// AwaitDurable drain loops rely on (without it, a Tx freeing a block with
-// a pending delta while every slot is held — its own included — would
-// spin forever). Called with no blocks in flight (SetGroupCommit enforces
-// inUse == 0; RecoverLogs runs at attach) on a heap of at least two
-// slots, so every slot is in the cache or on the freelist and one stays
+// its transaction on g: a drain then always has a slot to land the ledger
+// in, which is the progress guarantee the waitClear/AwaitDurable drain
+// loops rely on (without it, a Tx freeing a block with a pending delta
+// while every slot is held — its own included — would spin forever).
+// SetGroupCommit calls it with no block in flight and nothing parked on a
+// heap of at least two slots, so the pop finds a slot and one stays
 // general.
-func (m *Manager) reserveDeltaTx(g *groupState) {
-	st := m.state.Load()
-	if st == nil {
-		return
+func (m *Manager) reserveDeltaTx(g *groupState) error {
+	slot, ok := m.slots.pop()
+	if !ok {
+		return fmt.Errorf("fa: no free log slot to reserve for delta drains (a block began during the switch)")
 	}
-	tx := m.cache.get()
-	if tx == nil {
-		slot, ok := m.slots.pop()
-		if !ok {
-			return
-		}
-		tx = m.newTx(st, slot)
-	}
+	tx := m.state.Load().txs[slot]
 	tx.reserved = g
 	g.deltaTx.Store(tx)
-}
-
-// unreserveDeltaTx returns the current group's reserved slot, if any, to
-// the general pool; SetGroupCommit calls it before replacing the group
-// state so a mode switch never leaks the slot.
-func (m *Manager) unreserveDeltaTx() {
-	g := m.group.Load()
-	if g == nil {
-		return
-	}
-	if tx := g.deltaTx.Swap(nil); tx != nil {
-		tx.reserved = nil
-		m.slots.push(tx.slot)
-	}
+	return nil
 }
 
 // takeReservedLocked claims the group's reserved materialization Tx with

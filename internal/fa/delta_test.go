@@ -600,107 +600,6 @@ func allocAccounts(t *testing.T, h *core.Heap, cls *core.Class, n int) []*accoun
 	return accs
 }
 
-// TestDeltaModeSwitchLandsFold: switching the commit mode lands what the
-// async pipeline holds first — a folded delta, then a queued commit —
-// so the switch abandons neither. Without the drain the switch to per-Tx
-// returned nil with the fold still in the volatile ledger, AwaitDurable
-// returned at once, and the word kept its old value.
-func TestDeltaModeSwitchLandsFold(t *testing.T) {
-	h, mgr, pool, cls := openFA(t, true)
-	async := GroupOptions{Mode: CommitAsync, ManualDrain: true}
-	if err := mgr.SetGroupCommit(async); err != nil {
-		t.Fatal(err)
-	}
-	acc := newAccount(t, h, cls, 100, 0, "acc")
-	blk, off := blockOf(acc)
-	ticket, err := mgr.AddDelta(blk, off, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitPerTx}); err != nil {
-		t.Fatal(err)
-	}
-	mgr.AwaitDurable(ticket)
-	if v := acc.ReadUint64(accA); v != 105 {
-		t.Fatalf("after the switch the word reads %d, want 105 (fold dropped)", v)
-	}
-
-	if err := mgr.SetGroupCommit(async); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Run(func(tx *Tx) error { return tx.WriteUint64(acc.Core(), accB, 7) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitPerTx}); err != nil {
-		t.Fatalf("switch with a queued commit: %v", err)
-	}
-	h2, _, _, _ := reopenFA(t, pool.CrashImage(nvm.CrashStrict, rand.New(rand.NewSource(1))))
-	a, err := h2.Root().Get("acc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x, y := a.Core().ReadUint64(accA), a.Core().ReadUint64(accB); x != 105 || y != 7 {
-		t.Fatalf("recovered acc = %d/%d, want 105/7", x, y)
-	}
-}
-
-// TestDeltaReservedSlotModeSwitch pins that switching commit modes
-// returns the reserved materialization slot to the pool — repeated
-// switches must not leak slots, and async mode must keep exactly one
-// withheld.
-func TestDeltaReservedSlotModeSwitch(t *testing.T) {
-	h, mgr, _, cls := openFA(t, false) // LogSlots: 4
-	for i := 0; i < 8; i++ {
-		if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
-			t.Fatal(err)
-		}
-		if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitPerTx}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All four slots usable again in per-Tx mode.
-	txs := make([]*Tx, 0, 4)
-	for i := 0; i < 4; i++ {
-		tx, err := mgr.Begin()
-		if err != nil {
-			t.Fatalf("Begin %d after mode switches: %v (leaked reserved slot?)", i, err)
-		}
-		txs = append(txs, tx)
-	}
-	for _, tx := range txs {
-		tx.Abort()
-	}
-	// Async mode withholds exactly one: three concurrent blocks fit, the
-	// fourth fails, and a delta still drains through the reserved slot.
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
-		t.Fatal(err)
-	}
-	acc := newAccount(t, h, cls, 0, 0, "acc")
-	for i := 0; i < 3; i++ {
-		tx, err := mgr.Begin()
-		if err != nil {
-			t.Fatalf("Begin %d in async mode: %v", i, err)
-		}
-		txs[i] = tx
-	}
-	if tx, err := mgr.Begin(); err == nil {
-		t.Fatal("fourth Begin succeeded; the reserved slot leaked into the pool")
-		_ = tx
-	}
-	blk, off := blockOf(acc)
-	ticket, err := mgr.AddDelta(blk, off, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.AwaitDurable(ticket)
-	if v := acc.ReadUint64(accA); v != 7 {
-		t.Fatalf("folded value = %d, want 7", v)
-	}
-	for i := 0; i < 3; i++ {
-		txs[i].Abort()
-	}
-}
-
 // TestDeltaLedgerCapDrains: the ledger holds exactly one log slot's
 // entries — 170 at 4 KiB, 682 at 16 KiB — and a new word on a full
 // ledger forces a drain that lands all of it in one epoch and

@@ -29,10 +29,10 @@
 //
 // The commit pipeline is built for multicore scalability:
 //
-//   - Slot affinity. Log slots live on a lock-free freelist, and a
-//     released Tx parks — slot, maps and flush set still warm — in a
-//     lock-free cache, so a worker's next Begin reuses its previous
-//     transaction without touching shared state.
+//   - Slot affinity. Each log slot has one Tx, built at attach, whose
+//     maps and flush set stay warm across the blocks it runs; a free slot
+//     lives on one lock-free freelist, so Begin is one pop and release
+//     one push.
 //   - Flush coalescing. Stores mark dirty cache lines in a per-Tx
 //     nvm.FlushSet; commit writes each line back once, merging adjacent
 //     lines into single PWBRange calls. A field written five times
@@ -101,13 +101,12 @@ const (
 // which one drain lands in one slot.
 func slotCap(size int) int { return (size - slotEntries) / entrySize }
 
-// managerState is the immutable heap binding, swapped atomically by
-// RecoverLogs so hot-path readers never take a lock.
+// managerState is the immutable heap binding, stored once by RecoverLogs
+// so hot-path readers never take a lock.
 type managerState struct {
 	h     *core.Heap
-	off   uint64
-	size  int
 	total int
+	txs   []*Tx // txs[i] runs every block of log slot i
 }
 
 // slotStack is a lock-free Treiber stack of log-slot indices. The head
@@ -156,39 +155,6 @@ func (s *slotStack) push(idx int) {
 	}
 }
 
-// txCache parks released transactions — slot attached, maps allocated,
-// flush set warm — for the next Begin. Cells are claimed and filled by
-// CAS, so a scrape or a racing worker never blocks.
-// Capacity equals the slot count: a parked Tx owns its slot, so there is
-// always a free cell for a releasing Tx (a transient CAS storm can still
-// fail a put, in which case the Tx is dismantled and its slot returned to
-// the freelist — correct, just cold).
-type txCache struct {
-	cells []atomic.Pointer[Tx]
-}
-
-func (c *txCache) reset(n int) { c.cells = make([]atomic.Pointer[Tx], n) }
-
-func (c *txCache) get() *Tx {
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if tx := cell.Load(); tx != nil && cell.CompareAndSwap(tx, nil) {
-			return tx
-		}
-	}
-	return nil
-}
-
-func (c *txCache) put(tx *Tx) bool {
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if cell.Load() == nil && cell.CompareAndSwap(nil, tx) {
-			return true
-		}
-	}
-	return false
-}
-
 // retireQueue is the one retirement path of every commit protocol: the
 // FIFO of commits between their durable mark and the reuse of what they
 // hold (DESIGN.md §11).
@@ -201,7 +167,7 @@ func (c *txCache) put(tx *Tx) bool {
 //     has completed, advance stores the commit's sequence number to W
 //     (write-back unfenced) and hands the commit to the caller.
 //  2. W → reuse. Once the caller's next barrier has covered W, it
-//     recycles the commit: slot and Tx to the cache, freed objects to the
+//     recycles the commit: slot to the freelist, freed objects to the
 //     free queue.
 //
 // In steady state both barriers are the next commit's own two, so
@@ -266,31 +232,20 @@ func (q *retireQueue) headApplied() bool {
 	return len(q.fifo) > 0 && q.fifo[0].applied.Load() != 0
 }
 
-// reset empties the queue at (re)attachment: w is the watermark recovery
-// left, which every slot's status is at or below.
-func (q *retireQueue) reset(w uint64) {
-	q.mu.Lock()
-	q.seq = w
-	q.fifo = nil
-	q.mu.Unlock()
-	q.parked.Store(0)
-}
-
 // Manager owns the persistent log slots. It implements core.LogHandler so
-// that passing it in core.Config replays logs before the recovery GC.
-// Begin, End and metrics scrapes share no locks: slots come from a
-// lock-free freelist, warm transactions from a lock-free cache, and the
+// that passing it in core.Config replays logs before the recovery GC; it
+// attaches to one heap, once. Begin, End and metrics scrapes share no
+// locks: a slot, with its Tx, comes from a lock-free freelist, and the
 // occupancy gauges from atomics. A commit takes the retire queue's lock
 // once, between its two fences.
 type Manager struct {
 	state  atomic.Pointer[managerState]
 	slots  slotStack
-	cache  txCache
 	inUse  atomic.Int64
 	stats  obs.FAStats
 	retire retireQueue
 	// group holds the async epoch pipeline's state (group.go); nil
-	// selects the default per-Tx protocol.
+	// selects the default per-Tx protocol. SetGroupCommit stores it once.
 	group atomic.Pointer[groupState]
 }
 
@@ -344,7 +299,8 @@ func LiveSlots(mem *heap.Heap) (w uint64, live []LiveSlot) {
 
 // RecoverLogs implements core.LogHandler: it binds the manager to the heap
 // and replays every live log slot (§4.2 recovery, which runs before the
-// recovery procedure of §4.1.3), then retires them all.
+// recovery procedure of §4.1.3), then retires them all. A manager attaches
+// once; a second heap, or a second open of the same one, is refused.
 //
 // Live slots replay in ascending sequence order, so two committed logs
 // that touch one block — a parked commit and its successor — land in
@@ -352,30 +308,12 @@ func LiveSlots(mem *heap.Heap) (w uint64, live []LiveSlot) {
 // write sets are disjoint). A fence orders the replayed lines before W
 // covers them; a psync closes the phase.
 func (m *Manager) RecoverLogs(h *core.Heap) error {
+	if m.state.Load() != nil {
+		return fmt.Errorf("fa: manager already attached to a heap (use one manager per open)")
+	}
 	off, slots, slotSize := h.Mem().LogArea()
 	if slotSize < slotEntries+entrySize {
 		return fmt.Errorf("fa: log slot size %d cannot hold a header and one entry", slotSize)
-	}
-	// Discard any async commits queued on a previous attachment: their
-	// volatile Tx state is dead, and their durable effects are exactly
-	// what the slot replay below decides.
-	if g := m.group.Load(); g != nil {
-		if slots < 2 {
-			return errAsyncSlots(slots)
-		}
-		g.mu.Lock()
-		g.queue = nil
-		clear(g.pending)
-		clear(g.ledger)
-		g.order = nil
-		clear(g.deltaBlocks)
-		g.durable = g.issued
-		g.draining = false
-		// The reserved materialization Tx is bound to the previous
-		// attachment; drop it — slots.init below reclaims its slot and
-		// the re-reservation at the end of this function replaces it.
-		g.deltaTx.Store(nil)
-		g.mu.Unlock()
 	}
 	pool, mem := h.Pool(), h.Mem()
 	w, live := LiveSlots(mem)
@@ -393,14 +331,23 @@ func (m *Manager) RecoverLogs(h *core.Heap) error {
 		m.stats.Replays.Add(n)
 		h.RecoveryObs().ReplayedTx.Add(n)
 	}
-	m.state.Store(&managerState{h: h, off: off, size: slotSize, total: slots})
-	m.slots.init(slots)
-	m.cache.reset(slots)
-	m.inUse.Store(0)
-	m.retire.reset(w)
-	if g := m.group.Load(); g != nil {
-		m.reserveDeltaTx(g)
+	st := &managerState{h: h, total: slots, txs: make([]*Tx, slots)}
+	for i := range st.txs {
+		st.txs[i] = &Tx{
+			m:          m,
+			h:          h,
+			slot:       i,
+			base:       off + uint64(i*slotSize),
+			maxEntries: uint64(slotCap(slotSize)),
+			words:      make(map[uint64]uint64),
+			allocs:     make(map[core.Ref]bool),
+			proxies:    make(map[core.Ref]core.PObject),
+			flush:      nvm.NewFlushSet(),
+		}
 	}
+	m.slots.init(slots)
+	m.retire.seq = w
+	m.state.Store(st)
 	return nil
 }
 
@@ -522,9 +469,10 @@ var ErrLogFull = fmt.Errorf("fa: failure-atomic block exceeds log capacity")
 
 // Tx is one failure-atomic block. It is not safe for concurrent use; the
 // application serializes access to shared objects exactly as it would in
-// the paper's Infinispan integration (lock striping). Released
-// transactions are recycled through the manager's cache, carrying their
-// log slot, maps and flush set to the next Begin.
+// the paper's Infinispan integration (lock striping). Each log slot has
+// one Tx for the manager's lifetime: a released Tx goes back to the
+// freelist with its slot, and the next Begin that pops the slot runs it,
+// maps and flush set still warm.
 type Tx struct {
 	m          *Manager
 	h          *core.Heap
@@ -570,7 +518,7 @@ type Tx struct {
 
 	// reserved marks the group's dedicated delta-materialization
 	// transaction (delta.go): release parks it back on its group instead
-	// of the shared cache, so its slot never rejoins the general pool.
+	// of the freelist, so its slot never rejoins the general pool.
 	reserved *groupState
 }
 
@@ -600,9 +548,8 @@ func (tx *Tx) OnOrdered(fn func()) {
 
 // Begin opens a failure-atomic block (faStart of Figure 3). Blocks nest:
 // inner Begin/Commit pairs on the same Tx only move the nesting counter,
-// as with the paper's per-thread counter. The fast path reuses a warm
-// cached transaction; the slow path takes a slot from the freelist.
-// Neither blocks on a lock. When both come up empty while commits are
+// as with the paper's per-thread counter. Begin pops a free slot and runs
+// its Tx, without a lock. When the freelist is empty while commits are
 // parked behind the retired watermark, Begin forces their retirement and
 // tries again: a slot that is merely awaiting retirement is not a missing
 // slot. Nor, in async mode, is a slot held by a queued or draining commit:
@@ -624,25 +571,21 @@ func (m *Manager) begin(drain bool) (*Tx, error) {
 		// async pipeline only once it is parked, so awaitSlots finding none
 		// in it means the parked count read next covers them.
 		waited := attempt > 0 && drain && g != nil && g.awaitSlots()
-		// Read before the scan: a recycled Tx reaches the cache before it
-		// leaves the count, so zero here means the scan sees every slot
+		// Read before the pop: a recycled slot reaches the freelist before
+		// it leaves the count, so zero here means the pop sees every slot
 		// retirement has to give.
 		parked := m.retire.parked.Load()
-		tx := m.cache.get()
-		if tx != nil {
-			m.stats.TxReuse.Inc()
-		} else if slot, ok := m.slots.pop(); ok {
-			tx = m.newTx(st, slot)
-		}
-		if tx != nil {
+		if slot, ok := m.slots.pop(); ok {
+			tx := st.txs[slot]
 			tx.depth = 1
 			tx.grp = g
 			m.inUse.Add(1)
 			m.stats.Begun.Inc()
+			m.stats.TxReuse.Inc()
 			return tx, nil
 		}
-		// The second pass also covers a racing release that parked its Tx
-		// behind the first scan.
+		// The second pass also covers a racing release that pushed its slot
+		// behind the first pop.
 		if attempt > 0 && parked == 0 && !waited {
 			return nil, fmt.Errorf("fa: no free log slot (%d concurrent failure-atomic blocks)", st.total)
 		}
@@ -651,21 +594,6 @@ func (m *Manager) begin(drain bool) (*Tx, error) {
 			// a committer between its two fences: let it run.
 			runtime.Gosched()
 		}
-	}
-}
-
-// newTx builds a cold transaction over a log slot.
-func (m *Manager) newTx(st *managerState, slot int) *Tx {
-	return &Tx{
-		m:          m,
-		h:          st.h,
-		slot:       slot,
-		base:       st.off + uint64(slot*st.size),
-		maxEntries: uint64(slotCap(st.size)),
-		words:      make(map[uint64]uint64),
-		allocs:     make(map[core.Ref]bool),
-		proxies:    make(map[core.Ref]core.PObject),
-		flush:      nvm.NewFlushSet(),
 	}
 }
 
@@ -694,11 +622,11 @@ func (m *Manager) retireParked() bool {
 }
 
 // Retire retires every parked commit: on return W covers all that was
-// committed, nothing is withheld from the slot cache or the free queue,
-// and a restart replays nothing. Closing a stack and switching the commit
-// mode call it; so must code about to write, outside failure-atomic
-// blocks, data that failure-atomic blocks also write. It waits out
-// committers still applying, so call it when they are done.
+// committed, nothing is withheld from the slot freelist or the free
+// queue, and a restart replays nothing. Closing a stack and switching to
+// async commit call it; so must code about to write, outside
+// failure-atomic blocks, data that failure-atomic blocks also write. It
+// waits out committers still applying, so call it when they are done.
 func (m *Manager) Retire() {
 	for m.retire.parked.Load() > 0 {
 		if !m.retireParked() {
@@ -747,9 +675,9 @@ func (m *Manager) Run(fn func(*Tx) error) error {
 	return tx.Commit()
 }
 
-// release resets the Tx for reuse and parks it in the manager's cache,
-// slot still attached. If the cache rejects it (transient CAS storm) the
-// Tx is dismantled instead: the slot returns to the freelist.
+// release resets the Tx for its slot's next block and pushes the slot
+// back on the freelist (the reserved delta Tx goes back to its group).
+// The push hands the Tx to the next Begin, so it comes last.
 func (tx *Tx) release() {
 	tx.depth = 0
 	tx.count = 0
@@ -768,14 +696,11 @@ func (tx *Tx) release() {
 	tx.grp = nil
 	tx.ticket = 0
 	tx.mates = nil
-	m := tx.m
 	if g := tx.reserved; g != nil {
 		g.deltaTx.Store(tx)
 		return
 	}
-	if !m.cache.put(tx) {
-		m.slots.push(tx.slot)
-	}
+	tx.m.slots.push(tx.slot)
 }
 
 func (tx *Tx) active() {
@@ -1005,7 +930,7 @@ func (tx *Tx) detachFreed() {
 }
 
 // recycle gives back what a retired commit held: freed objects' blocks to
-// the free queue, the Tx and its slot to the cache.
+// the free queue, the slot to the freelist.
 func (tx *Tx) recycle() {
 	mem := tx.h.Mem()
 	for _, ref := range tx.freed {

@@ -68,8 +68,8 @@ type GroupOptions struct {
 	ManualDrain bool
 }
 
-// groupState is the async mode's coordination state, swapped atomically
-// on the manager so the default per-Tx path pays one nil check.
+// groupState is the async mode's coordination state, stored once on the
+// manager so the default per-Tx path pays one nil check.
 type groupState struct {
 	m        *Manager
 	mu       sync.Mutex
@@ -103,48 +103,41 @@ type groupState struct {
 	deltaTx atomic.Pointer[Tx]
 }
 
-// SetGroupCommit switches the manager's commit mode. It drains the
-// current mode's queued commits and folded deltas first and must be
-// called while no failure-atomic block is open; blocks begun after the
-// call use the new mode. Async mode needs two log slots, one of them
-// withheld for delta drains.
+// SetGroupCommit switches an attached manager from the default per-Tx
+// protocol to async, once; there is no way back. It must be called while
+// no failure-atomic block is open, and blocks begun after it commit
+// async. Async mode needs two log slots, one of them withheld for delta
+// drains.
 func (m *Manager) SetGroupCommit(opts GroupOptions) error {
-	if st := m.state.Load(); opts.Mode == CommitAsync && st != nil && st.total < 2 {
-		return errAsyncSlots(st.total)
+	st := m.state.Load()
+	switch {
+	case st == nil:
+		return fmt.Errorf("fa: manager not attached to a heap (switch to async after core.Open)")
+	case opts.Mode != CommitAsync:
+		return fmt.Errorf("fa: commit mode %d: the one switch is per-Tx to async", opts.Mode)
+	case m.group.Load() != nil:
+		return fmt.Errorf("fa: async commit is already on")
+	case st.total < 2:
+		return fmt.Errorf("fa: async commit needs two log slots, the heap has %d", st.total)
 	}
-	// A switch abandons neither a queued commit nor a fold, and parked
-	// commits hold slots it may need back (the reserved delta Tx among
-	// them).
-	m.DrainDurable()
+	// Parked commits hold slots, and the reservation needs one.
 	m.Retire()
 	if n := m.inUse.Load(); n != 0 {
-		return fmt.Errorf("fa: cannot switch commit mode with %d blocks in flight (drain first)", n)
+		return fmt.Errorf("fa: cannot switch to async commit with %d blocks in flight", n)
 	}
-	switch opts.Mode {
-	case CommitPerTx:
-		m.unreserveDeltaTx()
-		m.group.Store(nil)
-	case CommitAsync:
-		g := &groupState{
-			m:           m,
-			pending:     make(map[core.Ref]struct{}),
-			manual:      opts.ManualDrain,
-			ledger:      make(map[deltaKey]int64),
-			deltaBlocks: make(map[core.Ref]struct{}),
-		}
-		g.cond = sync.NewCond(&g.mu)
-		m.unreserveDeltaTx()
-		m.group.Store(g)
-		m.reserveDeltaTx(g)
-	default:
-		return fmt.Errorf("fa: unknown commit mode %d", opts.Mode)
+	g := &groupState{
+		m:           m,
+		pending:     make(map[core.Ref]struct{}),
+		manual:      opts.ManualDrain,
+		ledger:      make(map[deltaKey]int64),
+		deltaBlocks: make(map[core.Ref]struct{}),
 	}
+	g.cond = sync.NewCond(&g.mu)
+	if err := m.reserveDeltaTx(g); err != nil {
+		return err
+	}
+	m.group.Store(g)
 	return nil
-}
-
-// errAsyncSlots refuses async mode on a heap of n < 2 log slots.
-func errAsyncSlots(n int) error {
-	return fmt.Errorf("fa: async commit needs two log slots, the heap has %d", n)
 }
 
 // CommitMode returns the manager's current commit mode.

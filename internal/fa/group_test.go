@@ -70,13 +70,13 @@ func TestGroupCommitAsyncEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mgr.SetGroupCommit(GroupOptions{Mode: mode}); err != nil {
-			t.Fatal(err)
+		if mode == CommitAsync {
+			if err := mgr.SetGroupCommit(GroupOptions{Mode: mode}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		runDeterministicWorkload(t, h, mgr, cls)
-		if mode == CommitAsync {
-			mgr.DrainDurable()
-		}
+		mgr.DrainDurable()
 		return pool, h, mgr
 	}
 
@@ -389,42 +389,96 @@ func TestGroupCommitSoloCost(t *testing.T) {
 	}
 }
 
-// TestSetGroupCommitGuards pins the mode-switch preconditions.
+// TestSetGroupCommitGuards pins the one switch there is — per-Tx to
+// async, on an attached manager with no block open — by each refusal
+// around it. A refused call leaves the mode as it was, and after is what
+// the row checks next.
 func TestSetGroupCommitGuards(t *testing.T) {
-	_, mgr, _, _ := openFA(t, false)
-	tx, err := mgr.Begin()
-	if err != nil {
-		t.Fatal(err)
+	async := GroupOptions{Mode: CommitAsync}
+	for _, c := range []struct {
+		name string
+		prep func(t *testing.T) (mgr *Manager, opts GroupOptions, after func())
+		mode CommitMode
+	}{
+		{"unattached", func(*testing.T) (*Manager, GroupOptions, func()) {
+			return NewManager(), async, nil
+		}, CommitPerTx},
+		{"per-tx", func(t *testing.T) (*Manager, GroupOptions, func()) {
+			_, mgr, _, _ := openFA(t, false)
+			return mgr, GroupOptions{Mode: CommitPerTx}, nil
+		}, CommitPerTx},
+		{"second call", func(t *testing.T) (*Manager, GroupOptions, func()) {
+			_, mgr, _, _ := openFA(t, false)
+			if err := mgr.SetGroupCommit(async); err != nil {
+				t.Fatal(err)
+			}
+			return mgr, GroupOptions{Mode: CommitAsync, ManualDrain: true}, nil
+		}, CommitAsync},
+		{"block in flight", func(t *testing.T) (*Manager, GroupOptions, func()) {
+			_, mgr, _, _ := openFA(t, false)
+			tx, err := mgr.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mgr, async, func() {
+				tx.Abort()
+				if err := mgr.SetGroupCommit(async); err != nil || mgr.CommitMode() != CommitAsync {
+					t.Fatalf("switch once the block aborted: %v, mode %d", err, mgr.CommitMode())
+				}
+			}
+		}, CommitPerTx},
+		// A one-slot heap has no slot to withhold for delta drains.
+		{"one slot", func(t *testing.T) (*Manager, GroupOptions, func()) {
+			h, mgr, cls := openSlots(t, nvm.New(1<<21, nvm.Options{}), 1)
+			acc := newAccount(t, h, cls, 1, 0, "acc")
+			return mgr, async, func() {
+				if err := mgr.Run(func(tx *Tx) error { return tx.WriteUint64(acc.Core(), accA, 2) }); err != nil {
+					t.Fatal(err)
+				}
+				if v := acc.ReadUint64(accA); v != 2 {
+					t.Fatalf("one-slot heap after the refusal: %d, want 2", v)
+				}
+			}
+		}, CommitPerTx},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mgr, opts, after := c.prep(t)
+			if err := mgr.SetGroupCommit(opts); err == nil {
+				t.Fatal("switch accepted")
+			}
+			if got := mgr.CommitMode(); got != c.mode {
+				t.Fatalf("mode %d after the refusal, want %d", got, c.mode)
+			}
+			if after != nil {
+				after()
+			}
+		})
 	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err == nil {
-		t.Fatal("mode switch allowed with a block in flight")
-	}
-	tx.Abort()
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
-		t.Fatal(err)
-	}
-	if mgr.CommitMode() != CommitAsync {
-		t.Fatal("mode not applied")
-	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitPerTx}); err != nil {
-		t.Fatal(err)
-	}
-	if mgr.CommitMode() != CommitPerTx {
-		t.Fatal("mode not reset")
-	}
+}
 
-	// A one-slot heap has no slot to withhold for delta drains: async is
-	// refused, and per-Tx keeps committing.
-	h1, mgr1, cls := openSlots(t, nvm.New(1<<21, nvm.Options{}), 1)
-	if err := mgr1.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err == nil {
-		t.Fatal("async mode accepted on a one-slot heap")
+// TestManagerAttachesOnce: a manager binds to the heap of its first
+// core.Open; a second open with it, of the same pool or another, fails
+// and leaves the first attachment serving.
+func TestManagerAttachesOnce(t *testing.T) {
+	h, mgr, pool, cls := openFA(t, false)
+	acc := newAccount(t, h, cls, 1, 0, "acc")
+	for _, p := range []*nvm.Pool{pool, nvm.New(1<<21, nvm.Options{})} {
+		if _, err := core.Open(p, core.Config{
+			HeapOptions: heap.Options{LogSlots: 4, LogSlotSize: 1 << 14},
+			Classes:     []*core.Class{accountClass()},
+			LogHandler:  mgr,
+		}); err == nil {
+			t.Fatal("second core.Open with one manager succeeded")
+		}
 	}
-	acc := newAccount(t, h1, cls, 1, 0, "acc")
-	if err := mgr1.Run(func(tx *Tx) error { return tx.WriteUint64(acc.Core(), accA, 2) }); err != nil {
+	if mgr.Heap() != h {
+		t.Fatal("the refused open rebound the manager")
+	}
+	if err := mgr.Run(func(tx *Tx) error { return tx.WriteUint64(acc.Core(), accA, 2) }); err != nil {
 		t.Fatal(err)
 	}
-	if v := acc.ReadUint64(accA); v != 2 || mgr1.CommitMode() != CommitPerTx {
-		t.Fatalf("one-slot heap after the refusal: %d in mode %d, want 2 per-Tx", v, mgr1.CommitMode())
+	if v := acc.ReadUint64(accA); v != 2 {
+		t.Fatalf("first attachment after the refusal: %d, want 2", v)
 	}
 }
 

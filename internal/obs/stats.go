@@ -99,7 +99,7 @@ type FAStats struct {
 
 	WordEntries Counter // kindWord entries appended: words of valid blocks stored to, and delta folds
 
-	TxReuse      Counter // Begin served by a warm cached Tx (slot affinity hit)
+	TxReuse      Counter // Begin that ran its slot's warm Tx: every Begin, since a slot's Tx is built once
 	FlushedLines Counter // cache lines actually written back at commit
 	SavedLines   Counter // lines the flush set coalesced away (dedup hits)
 

@@ -560,8 +560,10 @@ func structuralChurn(t *testing.T, mode fa.CommitMode) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
-		t.Fatal(err)
+	if mode == fa.CommitAsync {
+		if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m := newTestMap(t, h, MirrorHash, "m")
 	const workers, rounds = 8, 2000

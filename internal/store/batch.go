@@ -42,25 +42,19 @@ type BatchResult struct {
 // like Grid.Read — views that are live only inside the callback, under
 // the key's stripe lock — and no other kind calls consume.
 //
-// Concurrency: per-key reads, updates and RMWs ride the grid's stripe
-// locks exactly like the direct methods. Inserts and deletes additionally
-// serialize on a grid-wide mutex — structural map operations touch shared
-// slot blocks that the stripe locks do not cover, which is why the
-// embedded benchmarks load single-threaded; a server fed by concurrent
-// connections cannot.
+// Concurrency: every kind rides the grid's stripe locks exactly like the
+// direct method it calls. Inserts and deletes on different keys also
+// touch the map's shared array, which the backend serializes itself
+// (pdt.Map's write lock and commit gate), so Apply adds no lock of its own.
 func (g *Grid) Apply(op *BatchOp, consume func(name string, value []byte)) error {
 	switch op.Kind {
 	case BatchInsert:
-		g.structMu.Lock()
-		defer g.structMu.Unlock()
 		return g.Insert(op.Key, &Record{Fields: op.Fields})
 	case BatchRead:
 		return g.Read(op.Key, consume)
 	case BatchUpdate:
 		return g.Update(op.Key, op.Fields)
 	case BatchDelete:
-		g.structMu.Lock()
-		defer g.structMu.Unlock()
 		return g.Delete(op.Key)
 	case BatchRMW:
 		return g.ReadModifyWrite(op.Key, func(*Record) []Field { return op.Fields })

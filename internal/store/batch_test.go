@@ -127,8 +127,9 @@ func TestApplyBatchReadCopies(t *testing.T) {
 	}
 }
 
-// Concurrent batches with disjoint keys: inserts and deletes serialize on
-// structMu, reads and updates run under stripe locks. Run under -race.
+// Concurrent batches with disjoint keys: every op runs under its key's
+// stripe lock, the backend serializing inserts and deletes on its own.
+// Run under -race.
 func TestApplyBatchConcurrent(t *testing.T) {
 	g := NewGrid(newMemBackend(), Options{})
 	const workers = 8
@@ -160,6 +161,70 @@ func TestApplyBatchConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := g.Count(); n != 0 {
 		t.Fatalf("%d records left after delete-all", n)
+	}
+}
+
+// TestStructuralOpsConcurrent: concurrent inserts and deletes of disjoint
+// keys on the J-NVM stacks, through the direct Grid methods and through
+// Apply, which takes no lock beyond the stripe locks; the persistent map
+// serializes the shared array itself. Every worker deletes half of what
+// it inserts, so the array both grows and frees bindings under
+// contention. Run under -race.
+func TestStructuralOpsConcurrent(t *testing.T) {
+	const workers, rounds = 4, 120
+	backends := jnvmBackends(t)
+	for _, name := range []string{"jpdt", "jpfa", "jpfa-async"} {
+		for _, viaApply := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/apply=%v", name, viaApply), func(t *testing.T) {
+				b, _, mgr, _ := backends[name]()
+				g := NewGrid(b, Options{})
+				insert, del := g.Insert, g.Delete
+				if viaApply {
+					insert = func(key string, rec *Record) error {
+						return g.Apply(&BatchOp{Kind: BatchInsert, Key: key, Fields: rec.Fields}, nil)
+					}
+					del = func(key string) error { return g.Apply(&BatchOp{Kind: BatchDelete, Key: key}, nil) }
+				}
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for r := 0; r < rounds; r++ {
+							key := fmt.Sprintf("w%d-%d", w, r)
+							if err := insert(key, &Record{Fields: []Field{{Name: "f", Value: []byte(key)}}}); err != nil {
+								t.Errorf("insert %s: %v", key, err)
+								return
+							}
+							if r%2 == 1 {
+								if err := del(fmt.Sprintf("w%d-%d", w, r-1)); err != nil {
+									t.Errorf("delete: %v", err)
+									return
+								}
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				mgr.DrainDurable()
+				if n := g.Count(); n != workers*rounds/2 {
+					t.Fatalf("%d records, want %d", n, workers*rounds/2)
+				}
+				for w := 0; w < workers; w++ {
+					for r := 0; r < rounds; r++ {
+						key := fmt.Sprintf("w%d-%d", w, r)
+						var got string
+						err := g.Read(key, func(_ string, v []byte) { got = string(v) })
+						if r%2 == 0 && !errors.Is(err, ErrNotFound) {
+							t.Fatalf("deleted %s: err %v", key, err)
+						}
+						if r%2 == 1 && (err != nil || got != key) {
+							t.Fatalf("%s = %q (%v), want itself", key, got, err)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

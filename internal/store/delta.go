@@ -98,12 +98,7 @@ func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 		off := fieldValOff(i)
 		blk := r.BlockRefs()[off/heap.Payload]
 		_, err := b.mgr.AddDelta(blk, heap.HeaderSize+off%heap.Payload, delta)
-		if err == nil {
-			return true, nil
-		}
-		if err != fa.ErrDeltaUnsupported { // else the mode switched under us
-			return false, err
-		}
+		return err == nil, err
 	}
 	err = b.mgr.Run(func(tx *fa.Tx) error {
 		nw, err := tx.ReadUint64(r.Object, fieldNameOff(i))

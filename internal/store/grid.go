@@ -58,13 +58,6 @@ type Grid struct {
 
 	stripes [gridStripes]sync.Mutex
 
-	// structMu serializes structural map operations (insert, delete):
-	// those touch shared slot blocks the per-key stripe locks do not
-	// cover. Only the batch entry point (ApplyBatch, used by the wire
-	// server) takes it — the embedded harnesses run structural phases
-	// single-threaded instead.
-	structMu sync.Mutex
-
 	// gens are the per-stripe seqlock generations (only maintained when
 	// vr is set): writers make them odd on entry and even on exit, and an
 	// unlocked reader is valid only if its stripe generation is even and

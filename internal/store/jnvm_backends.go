@@ -178,10 +178,6 @@ type JPFABackend struct {
 	mgr   *fa.Manager
 	m     *pdt.Map
 	names *nameDict
-	// One failure-atomic block at a time per key is guaranteed by the
-	// grid's lock striping; map-level FA blocks still serialize briefly
-	// on slot acquisition inside the manager.
-	mu sync.Mutex
 }
 
 // NewJPFABackend creates (or reopens) the backend state.

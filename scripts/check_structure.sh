@@ -135,6 +135,8 @@ all  kindWrite|inflightFor|copyDirtyLines|TransientPool|wordsPerBlock|lineMask|I
 all  deltaTxChunk|deltaLedgerMax|leftoverMin|deltaYield|epochStage1|minTicket  a drain that cannot land the whole ledger (the ledger is capped at one log slot)
 go  \bClassPair\b|pdt\.pair  the pair class (a binding is two words of the map's array)
 all  \bSupersedes\b|mapSuperseded|classRecordV1|sbSet(Index|Count)|setEpochRoot|shard\.epoch  a second refusal of old pools (the heap version is the one refusal)
+go  \btxCache\b|unreserveDeltaTx  a second home for a free log slot (a slot and its Tx live on the one freelist)
+go  \bstructMu\b  a second lock for structural grid ops (the backend serializes inserts and deletes)
 internal/nvm  \bnoteStore\b|p\.durable\b|p\.queued\b|p\.dirty\b  the full-pool durable mirror (a tracked pool records only its non-durable lines)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
