@@ -417,14 +417,15 @@ func TestEnvCommitModes(t *testing.T) {
 // literal table, and the read path the grid adopts over it.
 func TestCapabilityTable(t *testing.T) {
 	for _, tc := range []struct {
-		kind       BackendKind
-		caps, path string
+		kind               BackendKind
+		commit, caps, path string
 	}{
-		{JPDT, "view", "view"},
-		{JPFA, "delta", "locked"},
-		{PCJ, "", "locked"},
+		{JPDT, "", "view", "view"},
+		{JPFA, "per-tx", "view,delta", "view"},
+		{JPFA, "async", "view,delta", "view"},
+		{PCJ, "", "", "locked"},
 	} {
-		env, err := NewEnv(GridConfig{Backend: tc.kind, Records: 100, FieldCount: 1, FieldLen: 8, FenceNs: 1})
+		env, err := NewEnv(GridConfig{Backend: tc.kind, Records: 100, FieldCount: 1, FieldLen: 8, FenceNs: 1, Commit: tc.commit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,10 +440,10 @@ func TestCapabilityTable(t *testing.T) {
 			}
 		}
 		if got := strings.Join(offers, ","); got != tc.caps {
-			t.Errorf("%s offers [%s], want [%s]", tc.kind, got, tc.caps)
+			t.Errorf("%s %s offers [%s], want [%s]", tc.kind, tc.commit, got, tc.caps)
 		}
 		if got := env.Grid.ReadPath(); got != tc.path {
-			t.Errorf("%s: grid read path %q, want %q", tc.kind, got, tc.path)
+			t.Errorf("%s %s: grid read path %q, want %q", tc.kind, tc.commit, got, tc.path)
 		}
 		env.Close()
 	}

@@ -58,6 +58,16 @@ func ycsbFlushRates(t *testing.T, bk BackendKind, workload string, threads int, 
 // transfer) fell when a transactional word store to a valid block became
 // a word entry in the redo log: an update that changes one 8-byte ref
 // takes no in-flight copy and writes back no copied line.
+//
+// J-PFA's pwb rows then rose (A 4.9850 → 4.9910, B 0.4850 → 0.4930) when
+// its grid adopted the zero-copy read path: the heap now holds fa's freed
+// value slots in the EBR backlog until a batch of them is reclaimed,
+// instead of handing each back at once. A 124-byte slot class fits two
+// slots in a 256-byte block, so the run carves 16 more chunks (one header
+// pwb each) to cover the withheld slots; in A four freed slots' header
+// pwbs also fall after the interval. No flush moved in the commit path,
+// and the fence rows stay: fa's recycled frees enter the backlog without
+// the reclaim fence (heap.FreeInvalidated).
 func TestFlushRates(t *testing.T) {
 	const slack = 0.0004 // under one event in 2000 operations
 	for _, tc := range []struct {
@@ -65,10 +75,10 @@ func TestFlushRates(t *testing.T) {
 		backend     BackendKind
 		pwb, pfence float64
 	}{
-		{"A", JPFA, 4.9850, 0.9970},
+		{"A", JPFA, 4.9910, 0.9970},
 		{"A", JPDT, 2.4980, 1.0125},
 		{"A", PCJ, 2.4930, 0.9970},
-		{"B", JPFA, 0.4850, 0.0970},
+		{"B", JPFA, 0.4930, 0.0970},
 		{"B", JPDT, 0.2500, 0.0985},
 		{"B", PCJ, 0.2430, 0.0970},
 		{"C", JPFA, 0, 0},

@@ -128,13 +128,14 @@ func BenchmarkMapGet(b *testing.B) {
 
 const gridBenchRecords = 2048
 
-func newBenchGrid(b *testing.B, backend BackendKind, cacheEntries, fieldLen int) *Env {
+func newBenchGrid(b *testing.B, backend BackendKind, commit string, cacheEntries, fieldLen int) *Env {
 	b.Helper()
 	env, err := NewEnv(GridConfig{
 		Backend: backend, Records: gridBenchRecords * 2,
 		FieldCount: 10, FieldLen: fieldLen,
 		CacheEntries: cacheEntries,
 		FenceNs:      0, // default
+		Commit:       commit,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -143,6 +144,8 @@ func newBenchGrid(b *testing.B, backend BackendKind, cacheEntries, fieldLen int)
 	if err := ycsb.Load(env.Grid, cfg); err != nil {
 		b.Fatal(err)
 	}
+	// Land queued async inserts: the measured reads find every record.
+	env.DrainDurable()
 	return env
 }
 
@@ -159,22 +162,32 @@ func benchGridRead(b *testing.B, g *store.Grid, span int) {
 }
 
 // BenchmarkGridRead covers the four grid read regimes: the seqlock
-// zero-copy fast path (no cache, must be allocation-free), the locked
-// copy fallback (chained values defeat the view reader), and record-cache
-// hits and misses.
+// zero-copy fast path (no cache, must be allocation-free; on J-PDT and on
+// J-PFA in both commit modes), the locked copy fallback (chained values
+// defeat the view reader), and record-cache hits and misses.
 func BenchmarkGridRead(b *testing.B) {
-	b.Run("zerocopy", func(b *testing.B) {
-		env := newBenchGrid(b, JPDT, 0, 100)
-		defer env.Close()
-		benchGridRead(b, env.Grid, gridBenchRecords)
-		if hits := env.Grid.ObsSnapshot().ZeroCopyHits; hits == 0 {
-			b.Fatal("zero-copy path never taken")
-		}
-	})
+	for _, zc := range []struct {
+		name, commit string
+		backend      BackendKind
+	}{
+		{"zerocopy", "", JPDT},
+		{"zerocopy_jpfa", "per-tx", JPFA},
+		{"zerocopy_jpfa_async", "async", JPFA},
+	} {
+		b.Run(zc.name, func(b *testing.B) {
+			env := newBenchGrid(b, zc.backend, zc.commit, 0, 100)
+			defer env.Close()
+			benchGridRead(b, env.Grid, gridBenchRecords)
+			if snap := env.Grid.ObsSnapshot(); snap.ZeroCopyHits == 0 || snap.CopyFallbacks != 0 {
+				b.Fatalf("zero-copy hits %d, fallbacks %d: want only zero-copy reads",
+					snap.ZeroCopyHits, snap.CopyFallbacks)
+			}
+		})
+	}
 	b.Run("copyfallback", func(b *testing.B) {
 		// 400-byte values span blocks, which the unlocked view reader
 		// refuses; every read falls back to the stripe lock.
-		env := newBenchGrid(b, JPDT, 0, 400)
+		env := newBenchGrid(b, JPDT, "", 0, 400)
 		defer env.Close()
 		benchGridRead(b, env.Grid, gridBenchRecords)
 		if fb := env.Grid.ObsSnapshot().CopyFallbacks; fb == 0 {
@@ -182,7 +195,7 @@ func BenchmarkGridRead(b *testing.B) {
 		}
 	})
 	b.Run("cachehit", func(b *testing.B) {
-		env := newBenchGrid(b, JPDT, gridBenchRecords*2, 100)
+		env := newBenchGrid(b, JPDT, "", gridBenchRecords*2, 100)
 		defer env.Close()
 		// One warmup pass so every benchmark read hits the cache.
 		for i := 0; i < gridBenchRecords; i++ {
@@ -195,7 +208,7 @@ func BenchmarkGridRead(b *testing.B) {
 	b.Run("cachemiss", func(b *testing.B) {
 		// A cache far smaller than the keyspace keeps the hit rate near
 		// zero while still exercising the fill path.
-		env := newBenchGrid(b, JPDT, 128, 100)
+		env := newBenchGrid(b, JPDT, "", 128, 100)
 		defer env.Close()
 		benchGridRead(b, env.Grid, gridBenchRecords)
 	})

@@ -44,10 +44,15 @@ func TestExploreWorkloadsSmoke(t *testing.T) {
 // when every transactional store to a valid block became word entries:
 // its multi-field updates of one record wrote more than two words of the
 // record's block, which took an in-flight copy, and now log the words.
+// gridread (was 467) moved when the EBR backlog began counting blocks and
+// a retired chained object began a reclaim pass at once: its chained
+// values (280–400 bytes, two blocks) no longer wait for a batch of 32
+// frees, so more reclaim fences, header invalidations and slot frees
+// fall inside the run.
 func TestOrderingPointCounts(t *testing.T) {
 	want := map[string]int{
 		"bank": 214, "grid": 1301, "gridgroup": 492, "griddelta": 202, "gridinline": 834,
-		"gridread": 467, "pool": 1058, "pdt": 256, "retire": 1053,
+		"gridread": 486, "pool": 1058, "pdt": 256, "retire": 1053,
 	}
 	ws := Workloads()
 	if len(ws) != len(want) {

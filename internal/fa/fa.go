@@ -930,11 +930,14 @@ func (tx *Tx) detachFreed() {
 }
 
 // recycle gives back what a retired commit held: freed objects' blocks to
-// the free queue, the slot to the freelist.
+// the free queue, the slot to the freelist. Their kindFree apply already
+// invalidated them and W's fence ordered that after the unlink, so with
+// unlocked readers in the heap they wait out the readers' grace period
+// without a fence of their own (heap.FreeInvalidated).
 func (tx *Tx) recycle() {
 	mem := tx.h.Mem()
 	for _, ref := range tx.freed {
-		mem.FreeObject(ref)
+		mem.FreeInvalidated(ref)
 	}
 	tx.release()
 }

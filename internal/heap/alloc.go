@@ -81,10 +81,22 @@ func (h *Heap) FreeBlocks() int { return h.free.len() }
 var ErrOutOfMemory = fmt.Errorf("heap: out of NVMM")
 
 // allocBlock grabs one free block index, preferring the free queue and
-// falling back to the bump pointer. Per §4.1.2 this touches only volatile
-// memory except for the persistent bump mirror, which needs no flush: the
-// recovery procedure recomputes it from reachability.
+// falling back to the bump pointer; an exhausted arena first reclaims the
+// EBR backlog, whose frees would otherwise stay invisible to it. Per
+// §4.1.2 this touches only volatile memory except for the persistent bump
+// mirror, which needs no flush: the recovery procedure recomputes it from
+// reachability.
 func (h *Heap) allocBlock() (uint64, error) {
+	idx, err := h.takeBlock()
+	if err != nil && h.reclaimRetired() {
+		idx, err = h.takeBlock()
+	}
+	return idx, err
+}
+
+// takeBlock is allocBlock without the reclaim: the small allocator's carve
+// calls it under its size-class lock, which the reclaim's slot frees take.
+func (h *Heap) takeBlock() (uint64, error) {
 	if idx, ok := h.free.pop(); ok {
 		h.stats.ReuseAllocs.Inc()
 		return idx, nil
@@ -186,12 +198,21 @@ func (h *Heap) FreeRaw(r Ref) {
 // With EBR enabled the free is deferred past the readers' grace period
 // (see ebr.go); until then the object stays valid-but-unreachable, which
 // recovery reclaims after a crash.
-func (h *Heap) FreeObject(r Ref) {
+func (h *Heap) FreeObject(r Ref) { h.freeObject(r, true) }
+
+// FreeInvalidated is FreeObject for an object whose invalidation is
+// already durable and ordered after its unlink — package fa's frees,
+// applied as kindFree log entries and covered by the retired watermark's
+// fence before fa recycles them. With EBR enabled it is retired without
+// charging the reclaim pass a fence.
+func (h *Heap) FreeInvalidated(r Ref) { h.freeObject(r, false) }
+
+func (h *Heap) freeObject(r Ref, fence bool) {
 	if r == 0 {
 		return
 	}
 	if h.ebr.enabled.Load() {
-		h.retire(r)
+		h.retire(r, fence)
 		return
 	}
 	h.reclaim(r)

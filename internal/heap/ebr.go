@@ -35,29 +35,42 @@ import (
 // EBR is opt-in (EnableEBR); with it off, FreeObject frees eagerly as
 // before, so heaps without unlocked readers keep their immediate-reuse
 // behavior and test expectations.
+//
+// The backlog is counted in blocks, not objects, and a retired chained
+// object (a map's array after growth) starts a reclaim pass at once
+// instead of waiting for ebrBatch more frees. An allocator that runs out
+// of blocks reclaims the backlog before it reports ErrOutOfMemory
+// (allocBlock, smallAllocator.take).
 
 const (
 	// ebrSlots bounds concurrent pinned readers. PinReader returns -1 when
 	// every slot is busy; callers then fall back to their locked path, so
 	// the bound only sheds zero-copy traffic, never blocks it.
 	ebrSlots = 64
-	// ebrBatch is how many retired objects accumulate before a reclaim
-	// pass runs.
+	// ebrBatch is how many retired blocks accumulate before a reclaim
+	// pass runs (a pooled slot counts as one).
 	ebrBatch = 32
-	// ebrHighWater is the backlog beyond which retiring writers yield the
-	// processor after a failed reclaim. A reader descheduled while pinned
-	// blocks every later retire's grace period for its whole scheduling
-	// quantum; on a saturated host the backlog would otherwise grow by
-	// thousands of entries per quantum, starving the allocator free lists
-	// (every update then carves fresh pool chunks instead of reusing
-	// slots). One Gosched hands the pinned reader the CPU it needs to
-	// unpin, bounding the backlog at a few quanta of churn.
+	// ebrHighWater is the backlog (in blocks) beyond which retiring
+	// writers yield the processor after a failed reclaim. A reader
+	// descheduled while pinned blocks every later retire's grace period
+	// for its whole scheduling quantum; on a saturated host the backlog
+	// would otherwise grow by thousands of entries per quantum, starving
+	// the allocator free lists (every update then carves fresh pool chunks
+	// instead of reusing slots). One Gosched hands the pinned reader the
+	// CPU it needs to unpin, bounding the backlog at a few quanta of
+	// churn.
 	ebrHighWater = 1024
 )
 
 type ebrRetired struct {
 	ref   Ref
 	epoch uint64
+	// blocks is what the object occupies: its chain length, 1 for a
+	// pooled slot.
+	blocks int
+	// fence is false for an object whose invalidation is already ordered
+	// after its unlink (FreeInvalidated): reclaiming it needs no fence.
+	fence bool
 }
 
 type ebrState struct {
@@ -72,6 +85,7 @@ type ebrState struct {
 
 	mu      sync.Mutex
 	retired []ebrRetired
+	blocks  int // sum of retired[i].blocks
 }
 
 // EnableEBR switches the heap to deferred (epoch-based) reclamation.
@@ -104,15 +118,33 @@ func (h *Heap) UnpinReader(slot int) {
 }
 
 // retire queues r for reclamation after the current readers' grace period.
-func (h *Heap) retire(r Ref) {
+// fence says whether the reclaim must fence before it invalidates r.
+func (h *Heap) retire(r Ref, fence bool) {
 	e := &h.ebr
+	nb := h.objectBlocks(r)
 	e.mu.Lock()
-	e.retired = append(e.retired, ebrRetired{ref: r, epoch: e.epoch.Load()})
-	n := len(e.retired)
+	e.retired = append(e.retired, ebrRetired{ref: r, epoch: e.epoch.Load(), blocks: nb, fence: fence})
+	e.blocks += nb
+	n := e.blocks
 	e.mu.Unlock()
-	if n >= ebrBatch {
+	if n >= ebrBatch || nb > 1 {
 		h.tryReclaim()
 		h.backpressure(n)
+	}
+}
+
+// objectBlocks returns how many blocks the object at r occupies: its chain
+// length, or 1 for a pooled slot.
+func (h *Heap) objectBlocks(r Ref) int {
+	if !h.IsBlockRef(r) {
+		return 1
+	}
+	for n := 1; ; n++ {
+		_, _, next := UnpackHeader(h.Header(r))
+		if next == 0 {
+			return n
+		}
+		r = h.BlockRef(next - 1)
 	}
 }
 
@@ -126,8 +158,8 @@ func (h *Heap) backpressure(n int) {
 }
 
 // tryReclaim advances the epoch and frees every retired object whose
-// grace period has passed.
-func (h *Heap) tryReclaim() {
+// grace period has passed. It reports whether it freed anything.
+func (h *Heap) tryReclaim() bool {
 	e := &h.ebr
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -146,25 +178,37 @@ func (h *Heap) tryReclaim() {
 	// re-walking the whole backlog, which kept this pass O(backlog) per
 	// batch — quadratic while a descheduled pinned reader held the grace
 	// period open.
-	n := 0
+	n, fence := 0, false
 	for n < len(e.retired) && e.retired[n].epoch < minActive {
+		fence = fence || e.retired[n].fence
 		n++
 	}
 	if n == 0 {
-		return
+		return false
 	}
 	// One fence per reclaim batch: every unlink published before the
 	// retire is queued ahead of the header invalidations the reclaims are
 	// about to flush, so a crash can never persist an invalidation before
 	// the store that unlinked the object (§4.1.5 ordering, amortized over
-	// the batch).
-	h.pool.PFence()
+	// the batch). A batch of FreeInvalidated objects alone needs none.
+	if fence {
+		h.pool.PFence()
+	}
 	for _, t := range e.retired[:n] {
 		h.reclaim(t.ref)
+		e.blocks -= t.blocks
 	}
 	rest := copy(e.retired, e.retired[n:])
 	clear(e.retired[rest:])
 	e.retired = e.retired[:rest]
+	return true
+}
+
+// reclaimRetired is the allocators' last resort before ErrOutOfMemory:
+// one reclaim pass over the backlog, reporting whether it freed anything.
+// It does not wait for pinned readers.
+func (h *Heap) reclaimRetired() bool {
+	return h.ebr.enabled.Load() && h.tryReclaim()
 }
 
 // reclaim performs the real free of a retired object (the pre-EBR

@@ -1,6 +1,9 @@
 package heap
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestEBRDefersFreesPastPinnedReaders: with EBR on, blocks and slots
 // freed while a reader is pinned stay valid and off the free lists until
@@ -49,5 +52,126 @@ func TestEBRDefersFreesPastPinnedReaders(t *testing.T) {
 	}
 	if got := h.FreeBlocks(); got != freeBlocks+len(refs)/2 {
 		t.Fatalf("free queue grew by %d after the barrier, want %d", got-freeBlocks, len(refs)/2)
+	}
+}
+
+// TestEBRChainedRetireReclaimsAtOnce: the backlog is counted in blocks,
+// so a chained object retired with no reader pinned is back on the free
+// queue before the next allocation, instead of waiting for ebrBatch more
+// frees.
+func TestEBRChainedRetireReclaimsAtOnce(t *testing.T) {
+	h := newHeap(t, 4<<20)
+	h.EnableEBR()
+	r, blocks, err := h.AllocObject(1, 3*Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetValid(r, true)
+	free := h.FreeBlocks()
+	h.FreeObject(r)
+	if h.Valid(r) {
+		t.Fatal("chained object still valid after its retire")
+	}
+	if got := h.FreeBlocks(); got != free+len(blocks) {
+		t.Fatalf("free queue grew by %d, want the object's %d blocks", got-free, len(blocks))
+	}
+}
+
+// TestEBRBacklogServesAFullArena: frees waiting in a backlog shorter than
+// a batch are invisible to the free queue, so an allocator that finds the
+// arena exhausted reclaims them before it reports ErrOutOfMemory — for a
+// block object and for a pooled slot whose chunk must be carved.
+func TestEBRBacklogServesAFullArena(t *testing.T) {
+	h := newHeap(t, 1<<18)
+	h.EnableEBR()
+	// One carved chunk full of slots, then block objects until the
+	// arena is exhausted.
+	sc, _ := sizeClassFor(32)
+	slots := make([]Ref, Payload/SlotSizes[sc])
+	for i := range slots {
+		r, err := h.AllocSmall(2, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetValid(r, true)
+		slots[i] = r
+	}
+	var objs []Ref
+	for {
+		r, _, err := h.AllocObject(1, 8)
+		if errors.Is(err, ErrOutOfMemory) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetValid(r, true)
+		objs = append(objs, r)
+	}
+	if len(objs) < 2 || len(slots) < 2 {
+		t.Fatalf("arena held %d objects and %d slots", len(objs), len(slots))
+	}
+	if _, err := h.AllocSmall(2, 32); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("slot allocation on a full arena: %v, want ErrOutOfMemory", err)
+	}
+	h.FreeObject(objs[0])
+	if n := h.FreeBlocks(); n != 0 {
+		t.Fatalf("%d blocks on the free queue before the allocation", n)
+	}
+	if _, _, err := h.AllocObject(1, 8); err != nil {
+		t.Fatalf("block allocation over a backlog of one free: %v", err)
+	}
+	h.FreeObject(slots[0])
+	if _, err := h.AllocSmall(2, 32); err != nil {
+		t.Fatalf("slot allocation over a backlog of one free: %v", err)
+	}
+	if _, _, err := h.AllocObject(1, 8); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("block allocation with nothing left: %v, want ErrOutOfMemory", err)
+	}
+	if _, err := h.AllocSmall(2, 32); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("slot allocation with nothing left: %v, want ErrOutOfMemory", err)
+	}
+}
+
+// TestEBRFreeInvalidatedSkipsTheFence: a reclaim pass over objects whose
+// unlink a commit already ordered (fa's recycled frees) issues no fence;
+// one FreeObject entry in the batch brings the batch fence back.
+func TestEBRFreeInvalidatedSkipsTheFence(t *testing.T) {
+	h := newHeap(t, 4<<20)
+	h.EnableEBR()
+	fences := func() uint64 { return h.Pool().Obs().Snapshot().Fences() }
+	alloc := func() Ref {
+		r, err := h.AllocSmall(2, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetValid(r, true)
+		return r
+	}
+	for _, fenced := range []bool{false, true} {
+		refs := make([]Ref, ebrBatch)
+		for i := range refs {
+			refs[i] = alloc()
+		}
+		before := fences()
+		for i, r := range refs {
+			if fenced && i == 0 {
+				h.FreeObject(r)
+			} else {
+				h.FreeInvalidated(r)
+			}
+		}
+		for _, r := range refs {
+			if h.Valid(r) {
+				t.Fatalf("fenced=%v: %#x not reclaimed by a full batch", fenced, r)
+			}
+		}
+		want := uint64(0)
+		if fenced {
+			want = 1
+		}
+		if got := fences() - before; got != want {
+			t.Fatalf("fenced=%v: the reclaim pass issued %d fences, want %d", fenced, got, want)
+		}
 	}
 }

@@ -379,6 +379,10 @@ func (h *Heap) ContainingBlock(r Ref) Ref {
 // Header reads the header word of the block at r.
 func (h *Heap) Header(r Ref) uint64 { return h.pool.ReadUint64(r) }
 
+// HeaderAtomic is Header as one atomic load, for readers that hold no lock
+// against SetValid (the grid's unlocked view reader).
+func (h *Heap) HeaderAtomic(r Ref) uint64 { return h.pool.ReadUint64Atomic(r) }
+
 // WriteHeader stores the header word of the block at r. It does not flush;
 // callers decide when the state change must become durable.
 func (h *Heap) WriteHeader(r Ref, hdr uint64) { h.pool.WriteUint64(r, hdr) }
@@ -408,11 +412,14 @@ func (h *Heap) Valid(r Ref) bool {
 
 // SetValid flips the valid bit of the object at r and flushes the header
 // line. No fence is issued: batching the fence across several validations
-// is exactly the low-level optimization of §3.2.3.
+// is exactly the low-level optimization of §3.2.3. A block header is
+// stored atomically: a failure-atomic commit invalidates the objects it
+// frees while unlocked readers may still be loading their headers
+// (HeaderAtomic).
 func (h *Heap) SetValid(r Ref, v bool) {
 	if h.IsBlockRef(r) {
 		id, _, next := UnpackHeader(h.Header(r))
-		h.WriteHeader(r, PackHeader(id, v, next))
+		h.pool.WriteUint64Atomic(r, PackHeader(id, v, next))
 	} else {
 		hdr := h.pool.ReadUint64(r)
 		h.pool.WriteUint64(r, setSlotValid(hdr, v))

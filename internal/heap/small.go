@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -83,7 +84,7 @@ func (s *smallAllocator) init(h *Heap) { s.h = h }
 // publishes any object in the chunk also persists the header (§3.2.3
 // batching argument).
 func (s *smallAllocator) carve(sc int) ([]Ref, error) {
-	idx, err := s.h.allocBlock()
+	idx, err := s.h.takeBlock()
 	if err != nil {
 		return nil, err
 	}
@@ -119,10 +120,22 @@ func (s *smallAllocator) alloc(classID uint16, payload uint64) (Ref, error) {
 }
 
 // take pops a free slot of size class sc, carving a fresh chunk when the
-// class has none. The unlock is deferred: carve stores to the pool, and a
-// fault plane that pulls the plug there unwinds through this frame into
-// callers (fa's abort-on-panic) that free slots of the same class.
+// class has none. A carve that finds no block reclaims the EBR backlog and
+// tries once more; the reclaim runs outside the class lock, since it
+// frees slots of this class too.
 func (s *smallAllocator) take(sc int) (Ref, error) {
+	r, err := s.takeLocked(sc)
+	if errors.Is(err, ErrOutOfMemory) && s.h.reclaimRetired() {
+		r, err = s.takeLocked(sc)
+	}
+	return r, err
+}
+
+// takeLocked is take's body under the class lock. The unlock is deferred:
+// carve stores to the pool, and a fault plane that pulls the plug there
+// unwinds through this frame into callers (fa's abort-on-panic) that free
+// slots of the same class.
+func (s *smallAllocator) takeLocked(sc int) (Ref, error) {
 	c := &s.classes[sc]
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -198,7 +198,7 @@ func BlobView(h *core.Heap, ref core.Ref) ([]byte, bool) {
 		}
 		return pool.View(ref+8+4, n), true
 	}
-	if _, _, next := heap.UnpackHeader(mem.Header(ref)); next != 0 {
+	if _, _, next := heap.UnpackHeader(mem.HeaderAtomic(ref)); next != 0 {
 		return nil, false
 	}
 	data := ref + heap.HeaderSize

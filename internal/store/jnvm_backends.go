@@ -199,8 +199,9 @@ func (b *JPFABackend) Name() string { return "J-PFA" }
 // Count implements Backend.
 func (b *JPFABackend) Count() int { return b.m.Len() }
 
-// Caps implements Backend.
-func (b *JPFABackend) Caps() Caps { return Caps{Delta: b} }
+// Caps implements Backend: zero-copy views and deltas, in either commit
+// mode.
+func (b *JPFABackend) Caps() Caps { return Caps{View: b, Delta: b} }
 
 // Close implements Backend.
 func (b *JPFABackend) Close() error { return nil }

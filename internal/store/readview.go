@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/fa"
 	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/pdt"
@@ -18,9 +19,8 @@ import (
 // reclamation reader slot (so no object it dereferences is recycled
 // mid-read), collects every field as a view straight into NVMM, and only
 // delivers the views to the consumer after the grid's seqlock generation
-// check proves no writer overlapped the collection. Only J-PDT implements
-// it — J-PFA reads share its map, but the paper's comparison keeps each
-// backend's read path its own.
+// check proves no writer overlapped the collection. Both J-NVM backends
+// implement it with one reader (readView).
 type ViewReader interface {
 	// EnableViewReads prepares the backend for unlocked readers: it
 	// switches the heap to deferred (epoch-based) reclamation and wires
@@ -80,7 +80,7 @@ func tableBase(h *core.Heap, ref core.Ref) (base uint64, n int, ok bool) {
 	if base%8 != 0 {
 		return 0, 0, false // field words would not be atomically loadable
 	}
-	if _, valid, next := heap.UnpackHeader(mem.Header(ref)); !valid || next != 0 {
+	if _, valid, next := heap.UnpackHeader(mem.HeaderAtomic(ref)); !valid || next != 0 {
 		return 0, 0, false
 	}
 	n = tableCount(h.Pool().ReadUint64Atomic(base + recCount))
@@ -150,31 +150,68 @@ func viewString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// EnableViewReads implements ViewReader.
-func (b *JPDTBackend) EnableViewReads(rs *obs.ReadStats) {
-	b.h.Mem().EnableEBR()
-	b.m.SetReadObs(rs)
+// enableViewReads is both J-NVM backends' EnableViewReads.
+func enableViewReads(m *pdt.Map, rs *obs.ReadStats) {
+	m.Heap().Mem().EnableEBR()
+	m.SetReadObs(rs)
 }
+
+// EnableViewReads implements ViewReader.
+func (b *JPDTBackend) EnableViewReads(rs *obs.ReadStats) { enableViewReads(b.m, rs) }
+
+// EnableViewReads implements ViewReader.
+func (b *JPFABackend) EnableViewReads(rs *obs.ReadStats) { enableViewReads(b.m, rs) }
 
 // ReadView implements ViewReader.
 func (b *JPDTBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
 	consume func(name string, value []byte)) (found, valid, ok bool) {
-	mem := b.h.Mem()
+	return readView(b.m, b.names, nil, key, hint, gen, g1, consume)
+}
+
+// ReadView implements ViewReader.
+func (b *JPFABackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
+	consume func(name string, value []byte)) (found, valid, ok bool) {
+	return readView(b.m, b.names, b.mgr, key, hint, gen, g1, consume)
+}
+
+// readView is the one ViewReader of the J-NVM backends: pin, resolve the
+// key, collect the field views, check the generation, deliver. mgr is the
+// J-PFA backend's manager (nil for J-PDT). In async commit mode an
+// acknowledged write may still sit in the epoch queue, so two things
+// differ there:
+//
+//   - a miss is not trusted: a queued insert's binding has no value word
+//     until its epoch drains, so ok=false hands the read to the locked
+//     path, whose drain-and-retry finds it;
+//   - the record's table block is settled before its views are collected,
+//     so every commit and ledger delta acknowledged before g1 has landed
+//     in it. A write acknowledged after g1 changed the generation.
+//
+// In per-Tx mode the settle is one atomic load.
+func readView(m *pdt.Map, names *nameDict, mgr *fa.Manager, key string, hint uint32,
+	gen *atomic.Uint64, g1 uint64, consume func(name string, value []byte)) (found, valid, ok bool) {
+	mem := names.h.Mem()
 	slot := mem.PinReader(hint)
 	if slot < 0 {
 		// Every reader slot is pinned: an unpinned read could dereference
 		// a recycled block, so leave this one to the locked path.
 		return false, true, false
 	}
-	ref := b.m.GetRef(key)
+	ref := m.GetRef(key)
 	if ref == 0 {
+		mem.UnpinReader(slot)
+		if mgr != nil && mgr.CommitMode() == fa.CommitAsync {
+			return false, true, false
+		}
 		// Absent — still validate: a concurrent insert may have landed
 		// between the caller's generation load and the map lookup.
-		mem.UnpinReader(slot)
 		return false, gen.Load() == g1, true
 	}
+	if mgr != nil {
+		mgr.Settle(ref)
+	}
 	sp := viewScratchPool.Get().(*[]fieldView)
-	fields, rok := appendRecordViews(b.names, ref, (*sp)[:0])
+	fields, rok := appendRecordViews(names, ref, (*sp)[:0])
 	*sp = fields[:0]
 	if !rok {
 		mem.UnpinReader(slot)

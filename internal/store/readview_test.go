@@ -1,11 +1,14 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/fa"
 )
 
 // versionRecord builds a record whose every field value encodes version v
@@ -46,22 +49,38 @@ func decodeVersion(t *testing.T, key string, val []byte) byte {
 	return tag
 }
 
-// TestGridZeroCopyReadNeverTorn is the seqlock regression test
-// (DESIGN.md §14): with the zero-copy read path active (J-PDT backend, no
-// record cache), concurrent readers must observe every record as a whole
-// — all fields from one version, every value internally consistent —
-// while writers update all fields, delete/re-insert records (forcing
-// block reuse through the allocator), and churn unrelated keys.
-func TestGridZeroCopyReadNeverTorn(t *testing.T) {
-	h, _, _ := openStoreHeap(t, 1<<26, false)
-	b, err := NewJPDTBackend(h, "kv")
-	if err != nil {
-		t.Fatal(err)
-	}
+// viewConfigs are the J-NVM configurations the zero-copy read path
+// serves: J-PDT, and J-PFA in both commit modes (jnvmBackends).
+var viewConfigs = []string{"jpdt", "jpfa", "jpfa-async"}
+
+// viewGrid opens a fresh cache-less grid over the named configuration and
+// checks that it adopted the zero-copy read path.
+func viewGrid(t *testing.T, name string) *Grid {
+	t.Helper()
+	b, _, _, _ := jnvmBackends(t)[name]()
 	g := NewGrid(b, Options{})
-	if g.vr == nil {
-		t.Fatal("zero-copy read path not adopted")
+	if g.ReadPath() != "view" {
+		t.Fatalf("%s: grid read path %q, want view", name, g.ReadPath())
 	}
+	return g
+}
+
+// TestGridZeroCopyReadNeverTorn is the seqlock regression test
+// (DESIGN.md §14): with the zero-copy read path active (no record cache),
+// concurrent readers must observe every record as a whole — all fields
+// from one version, every value internally consistent — while writers
+// update all fields, delete/re-insert records (forcing block reuse
+// through the allocator), and churn unrelated keys.
+func TestGridZeroCopyReadNeverTorn(t *testing.T) {
+	for _, name := range viewConfigs {
+		t.Run(name, func(t *testing.T) {
+			g := viewGrid(t, name)
+			zeroCopyReadNeverTorn(t, g)
+		})
+	}
+}
+
+func zeroCopyReadNeverTorn(t *testing.T, g *Grid) {
 	const (
 		fields  = 5
 		keys    = 8
@@ -156,12 +175,15 @@ func TestGridZeroCopyReadNeverTorn(t *testing.T) {
 // the same key: a read must cleanly return the record or ErrNotFound,
 // never an error or a partial record.
 func TestGridZeroCopyDeleteRace(t *testing.T) {
-	h, _, _ := openStoreHeap(t, 1<<26, false)
-	b, err := NewJPDTBackend(h, "kv")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range viewConfigs {
+		t.Run(name, func(t *testing.T) {
+			g := viewGrid(t, name)
+			zeroCopyDeleteRace(t, g)
+		})
 	}
-	g := NewGrid(b, Options{})
+}
+
+func zeroCopyDeleteRace(t *testing.T, g *Grid) {
 	const fields = 4
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -211,12 +233,15 @@ func TestGridZeroCopyDeleteRace(t *testing.T) {
 // same records, including shapes the view reader must refuse (chained
 // values) and a record with many fields.
 func TestReadViewMatchesLockedRead(t *testing.T) {
-	h, _, _ := openStoreHeap(t, 1<<26, false)
-	b, err := NewJPDTBackend(h, "kv")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range viewConfigs {
+		t.Run(name, func(t *testing.T) {
+			g := viewGrid(t, name)
+			readViewMatchesLockedRead(t, g)
+		})
 	}
-	g := NewGrid(b, Options{})
+}
+
+func readViewMatchesLockedRead(t *testing.T, g *Grid) {
 	shapes := map[string]*Record{
 		"small":   testRecord(3, "s"),                                     // pooled values
 		"block":   {Fields: []Field{{Name: "f", Value: versionValue(7)}}}, // single value
@@ -308,5 +333,64 @@ func TestReadViewAllReaderSlotsPinned(t *testing.T) {
 	read()
 	if after := g.ObsSnapshot(); after.ZeroCopyHits != mid.ZeroCopyHits+1 {
 		t.Fatalf("after unpinning: zero-copy hits %d→%d, want one more", mid.ZeroCopyHits, after.ZeroCopyHits)
+	}
+}
+
+// TestReadViewAsyncAcknowledgedWrites: in async commit mode an
+// acknowledged write may still sit in the epoch queue (drains are manual
+// here, so it does until something drains it). A queued insert has no
+// value word yet, so the view reader hands the read to the locked path,
+// whose drain finds it; a queued update of a bound record is settled
+// before the views are collected, so the zero-copy read sees it; so does
+// a read after AwaitDurable.
+func TestReadViewAsyncAcknowledgedWrites(t *testing.T) {
+	h, mgr, _ := openStoreHeap(t, 1<<23, false)
+	b, err := NewJPFABackend(h, mgr, "kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGrid(b, Options{})
+	read := func(want int, zeroCopy bool) {
+		t.Helper()
+		before := g.ObsSnapshot()
+		n := 0
+		if err := g.Read("k", func(name string, val []byte) {
+			if v := decodeVersion(t, "k", val); v != byte(want) {
+				t.Errorf("field %s: version %d, want %d", name, v, want)
+			}
+			n++
+		}); err != nil {
+			t.Fatalf("read of version %d: %v", want, err)
+		}
+		if n != 3 {
+			t.Fatalf("%d fields streamed, want 3", n)
+		}
+		after := g.ObsSnapshot()
+		if hit := after.ZeroCopyHits == before.ZeroCopyHits+1; hit != zeroCopy {
+			t.Fatalf("version %d: zero-copy hits %d→%d, fallbacks %d→%d; want zero-copy=%v",
+				want, before.ZeroCopyHits, after.ZeroCopyHits, before.CopyFallbacks, after.CopyFallbacks, zeroCopy)
+		}
+	}
+	if err := g.Insert("k", versionRecord(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	read(1, false) // queued insert: the locked path drains and finds it
+	if err := g.Update("k", versionRecord(3, 2).Fields); err != nil {
+		t.Fatal(err)
+	}
+	read(2, true) // queued update: settled before the views are collected
+	if err := g.Update("k", versionRecord(3, 3).Fields); err != nil {
+		t.Fatal(err)
+	}
+	mgr.AwaitDurable(mgr.IssuedTickets())
+	read(3, true)
+	if err := g.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Read("k", func(string, []byte) { t.Error("deleted record streamed") }); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read after a queued delete: %v, want ErrNotFound", err)
 	}
 }

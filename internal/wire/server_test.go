@@ -502,19 +502,37 @@ func TestServerSameKeysConsistentReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerPoolFull fills an async J-PFA pool with pipelined INSERTs:
-// the inserts that find no room answer StatusErr, READ and DELETE keep
-// serving, an INSERT after the DELETE succeeds, and the server stays up.
+// TestServerPoolFull fills a pool with pipelined INSERTs on every J-NVM
+// stack: the inserts that find no room answer StatusErr, READ and DELETE
+// keep serving, an INSERT after the DELETE succeeds, and the server stays
+// up. The grid has no record cache, so its reads take the zero-copy path
+// and the heap defers frees until no reader can hold them (DESIGN.md
+// §14): the insert after the deletes finds their blocks only because an
+// allocator that runs out reclaims that backlog first.
 func TestServerPoolFull(t *testing.T) {
+	for _, tc := range []struct{ name, backend, commit string }{
+		{"jpdt", stack.JPDT, ""},
+		{"jpfa", stack.JPFA, "per-tx"},
+		{"jpfa-async", stack.JPFA, "async"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { serverPoolFull(t, tc.backend, tc.commit) })
+	}
+}
+
+func serverPoolFull(t *testing.T, backend, commit string) {
 	st, err := stack.Open(nvm.New(2<<20, nvm.Options{}), stack.Config{
-		Backend: stack.JPFA, Commit: "async", LogSlots: 8, LogSlotSize: 1 << 14,
+		Backend: backend, Commit: commit, LogSlots: 8, LogSlotSize: 1 << 14,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
+	g := store.NewGrid(st.Backend, store.Options{})
+	if g.ReadPath() != "view" {
+		t.Fatalf("grid read path %q, want view", g.ReadPath())
+	}
 	addr, _, stop := startTestServer(t, ServerConfig{
-		Grid:         store.NewGrid(st.Backend, store.Options{}),
+		Grid:         g,
 		AwaitDurable: st.AwaitDurable,
 	})
 	defer stop()
