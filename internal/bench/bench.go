@@ -38,9 +38,9 @@ type GridConfig struct {
 	Records    int
 	FieldCount int
 	FieldLen   int
-	// CacheEntries bounds the grid's volatile record cache (FS family).
-	// J-NVM backends ignore it unless ProxyCache is set (§5.3.1: J-PDT
-	// only caches proxies).
+	// CacheEntries bounds the volatile record cache (store.Cached) in
+	// front of an FS-family backend. J-NVM backends ignore it (§5.3.1:
+	// J-PDT only caches proxies; see ProxyCache).
 	CacheEntries int
 	// ProxyCache enables the J-PDT map proxy cache.
 	ProxyCache pdt.CacheMode
@@ -158,7 +158,7 @@ func NewEnv(cfg GridConfig) (*Env, error) {
 		return nil, fmt.Errorf("bench: unknown backend %q", cfg.Backend)
 	}
 	// These backends own no NVMM pool: the stack under the grid is empty.
-	g := store.NewGrid(b, store.Options{CacheEntries: cfg.CacheEntries})
+	g := store.NewGrid(store.Cached(b, cfg.CacheEntries))
 	return (&Env{Stack: &stack.Stack{}, Grid: g, cleanup: cleanup}).publish(), nil
 }
 
@@ -189,7 +189,7 @@ func newNVMEnv(cfg GridConfig) (*Env, error) {
 	}
 	// The paper disables record caching for the J-NVM backends (§5.3.1:
 	// "caching brings almost no performance benefits").
-	return (&Env{Stack: st, Grid: store.NewGrid(st.Backend, store.Options{})}).publish(), nil
+	return (&Env{Stack: st, Grid: store.NewGrid(st.Backend)}).publish(), nil
 }
 
 // newPool builds the environment's pool: anonymous memory by default, a

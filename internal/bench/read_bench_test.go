@@ -162,9 +162,11 @@ func benchGridRead(b *testing.B, g *store.Grid, span int) {
 }
 
 // BenchmarkGridRead covers the four grid read regimes: the seqlock
-// zero-copy fast path (no cache, must be allocation-free; on J-PDT and on
-// J-PFA in both commit modes), the locked copy fallback (chained values
-// defeat the view reader), and record-cache hits and misses.
+// zero-copy fast path (must be allocation-free; on J-PDT and on J-PFA in
+// both commit modes), the locked copy fallback (chained values defeat the
+// view reader), and hits and misses of the FS family's record cache
+// (store.Cached, here over the Volatile backend, whose reads allocate
+// nothing of their own).
 func BenchmarkGridRead(b *testing.B) {
 	for _, zc := range []struct {
 		name, commit string
@@ -195,7 +197,7 @@ func BenchmarkGridRead(b *testing.B) {
 		}
 	})
 	b.Run("cachehit", func(b *testing.B) {
-		env := newBenchGrid(b, JPDT, "", gridBenchRecords*2, 100)
+		env := newBenchGrid(b, Volatile, "", gridBenchRecords*2, 100)
 		defer env.Close()
 		// One warmup pass so every benchmark read hits the cache.
 		for i := 0; i < gridBenchRecords; i++ {
@@ -208,7 +210,7 @@ func BenchmarkGridRead(b *testing.B) {
 	b.Run("cachemiss", func(b *testing.B) {
 		// A cache far smaller than the keyspace keeps the hit rate near
 		// zero while still exercising the fill path.
-		env := newBenchGrid(b, JPDT, "", 128, 100)
+		env := newBenchGrid(b, Volatile, "", 128, 100)
 		defer env.Close()
 		benchGridRead(b, env.Grid, gridBenchRecords)
 	})

@@ -48,11 +48,17 @@ func TestExploreWorkloadsSmoke(t *testing.T) {
 // a retired chained object began a reclaim pass at once: its chained
 // values (280–400 bytes, two blocks) no longer wait for a batch of 32
 // frees, so more reclaim fences, header invalidations and slot frees
-// fall inside the run.
+// fall inside the run. grid (was 1301), gridgroup (492), gridinline (834)
+// and retire (1053) moved when their grids lost the record cache and
+// took the view path, which switches EBR on: fa's frees are then
+// deferred and reclaimed in batches of 32 blocks, so fewer header
+// invalidations and slot frees fall inside the run. With EBR held off
+// the four return to their old counts; grid's read-backs add no point.
+// griddelta frees nothing in its run and did not move.
 func TestOrderingPointCounts(t *testing.T) {
 	want := map[string]int{
-		"bank": 214, "grid": 1301, "gridgroup": 492, "griddelta": 202, "gridinline": 834,
-		"gridread": 486, "pool": 1058, "pdt": 256, "retire": 1053,
+		"bank": 214, "grid": 1265, "gridgroup": 464, "griddelta": 202, "gridinline": 816,
+		"gridread": 486, "pool": 1058, "pdt": 256, "retire": 1019,
 	}
 	ws := Workloads()
 	if len(ws) != len(want) {

@@ -404,7 +404,7 @@ func gridEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
+				g = store.NewGrid(st.Backend)
 				return nil
 			},
 			exec: func() error {
@@ -432,11 +432,24 @@ func gridEntry() entry {
 						return fmt.Errorf("op %d on %s: %w", i, key, err)
 					}
 					o.ack(key)
+					// Read the key back through the view path the benchmark
+					// reads with. The read draws no RNG value and, in per-Tx
+					// mode, stores nothing, so it adds no ordering point.
+					rec, err := readRecord(g, key)
+					if err != nil {
+						return fmt.Errorf("op %d: read back %s: %w", i, key, err)
+					}
+					if got := render(rec); got != o.latest(key) {
+						return fmt.Errorf("op %d: read back %s = %s, want %s", i, key, got, o.latest(key))
+					}
+				}
+				if rp := g.ObsSnapshot(); rp.ZeroCopyHits != ops || rp.CopyFallbacks != 0 {
+					return fmt.Errorf("%d of %d read-backs zero-copy, %d fell back to the lock", rp.ZeroCopyHits, ops, rp.CopyFallbacks)
 				}
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g := store.NewGrid(st.Backend, store.Options{})
+				g := store.NewGrid(st.Backend)
 				if err := o.checkRecords(g, keys); err != nil {
 					return err
 				}
@@ -478,7 +491,7 @@ func gridGroupEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
+				g = store.NewGrid(st.Backend)
 				// Seed every key in the default per-Tx mode, then switch to
 				// the async pipeline for the explored phase.
 				for i, key := range keys {
@@ -512,7 +525,7 @@ func gridGroupEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend, store.Options{})
+				g2 := store.NewGrid(st.Backend)
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -575,7 +588,7 @@ func gridDeltaEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
+				g = store.NewGrid(st.Backend)
 				// Seed per-Tx: insert each counter and bump it once through
 				// the transactional path; the counter is the value word of
 				// its field, so the async phase folds in the ledger from
@@ -645,7 +658,7 @@ func gridDeltaEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend, store.Options{})
+				g2 := store.NewGrid(st.Backend)
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -751,7 +764,7 @@ func gridInlineEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
+				g = store.NewGrid(st.Backend)
 				return nil
 			},
 			exec: func() error {
@@ -778,7 +791,7 @@ func gridInlineEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend, store.Options{})
+				g2 := store.NewGrid(st.Backend)
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -806,7 +819,7 @@ func gridInlineEntry() entry {
 // ---- gridread: J-PDT backend, zero-copy reads, EBR deferral ----
 
 // gridReadEntry crashes the store's fastest path: the J-PDT backend
-// behind a cache-less grid, which adopts the seqlock zero-copy reader and
+// behind the grid, which adopts the seqlock zero-copy reader and
 // enables epoch-based reclamation on the heap. Writes follow the
 // non-transactional §4.1.6 discipline (validate+fence before the swing,
 // fence before the free), so a write is issued before it runs and acked
@@ -837,9 +850,8 @@ func gridReadEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				// No record cache, so the grid adopts the zero-copy read
-				// path and turns on EBR.
-				g = store.NewGrid(st.Backend, store.Options{})
+				// The grid adopts the zero-copy read path and turns on EBR.
+				g = store.NewGrid(st.Backend)
 				return nil
 			},
 			exec: func() error {
@@ -890,7 +902,7 @@ func gridReadEntry() entry {
 			check: func(st *stack.Stack) error {
 				// The recovered grid adopts zero-copy again, so every
 				// crash image is re-read through the view path.
-				g2 := store.NewGrid(st.Backend, store.Options{})
+				g2 := store.NewGrid(st.Backend)
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -1272,7 +1284,7 @@ func retireEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend, store.Options{CacheEntries: 4})
+				g = store.NewGrid(st.Backend)
 				for i := 0; i < 5; i++ {
 					if err := insert(100+10*i, keys[i]); err != nil {
 						return err
@@ -1291,7 +1303,7 @@ func retireEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend, store.Options{})
+				g2 := store.NewGrid(st.Backend)
 				read := func() (string, error) {
 					recs := map[string]map[string]string{}
 					for _, key := range keys {

@@ -74,8 +74,6 @@ type Options struct {
 	// of PFence/PSync. It models the store-fence + write-pending-queue
 	// drain cost of real NVMM. Zero disables the latency model.
 	FenceLatency int
-	// FlushLatency is the simulated cost, in nanoseconds, of each PWB.
-	FlushLatency int
 }
 
 // Pool is a flat, relocatable region of emulated NVMM.
@@ -267,9 +265,6 @@ func (p *Pool) PWB(off uint64) {
 	if p.opts.Tracked {
 		p.queueLine(line)
 	}
-	if p.opts.FlushLatency > 0 {
-		spinWait(p.opts.FlushLatency)
-	}
 }
 
 // PWBRange issues a PWB for every cache line overlapping [off, off+n).
@@ -282,8 +277,7 @@ func (p *Pool) PWBRange(off, n uint64) {
 	p.check(off, n)
 	first := off &^ (LineSize - 1)
 	last := (off + n - 1) &^ (LineSize - 1)
-	lines := (last-first)/LineSize + 1
-	p.stats.PWBs.Add(lines)
+	p.stats.PWBs.Add((last-first)/LineSize + 1)
 	if p.opts.Tracked || p.plane.Load() != nil {
 		for l := first; l <= last; l += LineSize {
 			p.observe(FaultPWB, l, LineSize)
@@ -291,9 +285,6 @@ func (p *Pool) PWBRange(off, n uint64) {
 				p.queueLine(l)
 			}
 		}
-	}
-	if p.opts.FlushLatency > 0 {
-		spinWait(p.opts.FlushLatency * int(lines))
 	}
 }
 

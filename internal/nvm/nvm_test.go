@@ -328,7 +328,7 @@ func TestFileBackedRejectsTracked(t *testing.T) {
 
 func TestLatencyModelRuns(t *testing.T) {
 	// Smoke test: the latency model must not hang or crash.
-	p := New(4096, Options{FenceLatency: 50, FlushLatency: 10})
+	p := New(4096, Options{FenceLatency: 50})
 	p.WriteUint64(0, 1)
 	p.PWB(0)
 	p.PFence()

@@ -246,7 +246,7 @@ func TestReportNamesEveryLayer(t *testing.T) {
 	var buf strings.Builder
 	filled[StackSnapshot](0, 4).Report(&buf)
 	for _, want := range []string{
-		"read", "cache:", "read path:", "persistence per op:", "nvm:", "heap:",
+		"read", "read path:", "persistence per op:", "nvm:", "heap:",
 		"fa:", "fa commit pipeline:", "fa group commit:", "fa delta ledger:",
 		"recovery:",
 	} {

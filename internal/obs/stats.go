@@ -176,12 +176,9 @@ type ReadStats struct {
 }
 
 // GridStats holds the per-operation latency histograms of the grid front
-// door plus the record-cache counters (lock-free: the hit/miss counters
-// used to take a mutex on every read).
+// door plus the read-path counters.
 type GridStats struct {
-	CacheHits   Counter
-	CacheMisses Counter
-	ReadPath    ReadStats
+	ReadPath ReadStats
 
 	Insert Histogram
 	Read   Histogram
@@ -209,9 +206,6 @@ func (s *GridStats) Op(name string) *Histogram {
 
 // GridSnapshot is an immutable copy of GridStats.
 type GridSnapshot struct {
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-
 	ZeroCopyHits   uint64 `json:"zero_copy_hits"`
 	CopyFallbacks  uint64 `json:"copy_fallbacks"`
 	SeqlockRetries uint64 `json:"seqlock_retries"`
@@ -350,7 +344,6 @@ func (s StackSnapshot) Report(w io.Writer) {
 				ns(h.Mean()), ns(h.Percentile(0.50)), ns(h.Percentile(0.95)),
 				ns(h.Percentile(0.99)), ns(h.Max))
 		}
-		fmt.Fprintf(w, "cache: %d hits, %d misses\n", s.Grid.CacheHits, s.Grid.CacheMisses)
 		if g := s.Grid; g.ZeroCopyHits+g.CopyFallbacks+g.SeqlockRetries+g.ShardLockWaits > 0 {
 			fmt.Fprintf(w, "read path: %d zero-copy, %d copy fallbacks, %d seqlock retries, %d shard-lock waits\n",
 				g.ZeroCopyHits, g.CopyFallbacks, g.SeqlockRetries, g.ShardLockWaits)

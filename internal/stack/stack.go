@@ -5,8 +5,8 @@
 // server, the TPC-B bank and the crash explorer. Over one pool it builds
 // a redo-log manager, opens (formatting or recovering) the object heap
 // with that manager as its log handler, and constructs the configured
-// grid backend. The grid itself (stripe locks, optional record cache) is
-// the caller's to put on top: store.NewGrid(st.Backend, opts).
+// grid backend. The grid itself (stripe locks, plus the view path when the
+// backend offers one) is the caller's to put on top: store.NewGrid(st.Backend).
 package stack
 
 import (

@@ -83,7 +83,7 @@ func TestParkedResourcesNeverStarveTheGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := store.NewGrid(st.Backend, store.Options{})
+		g := store.NewGrid(st.Backend)
 		value := func(i int) []byte { return []byte(fmt.Sprintf("%0300d", i)) } // two blocks
 		const keys = 8
 		for k := 0; k < keys; k++ {

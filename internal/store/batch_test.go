@@ -73,7 +73,7 @@ func (b *memBackend) Close() error { return nil }
 func (b *memBackend) Caps() Caps   { return Caps{} }
 
 func TestApplyBatchOrderAndResults(t *testing.T) {
-	g := NewGrid(newMemBackend(), Options{})
+	g := NewGrid(newMemBackend())
 	ops := []BatchOp{
 		{Kind: BatchInsert, Key: "a", Fields: []Field{{Name: "f", Value: []byte("1")}}},
 		{Kind: BatchRead, Key: "a"},
@@ -109,7 +109,7 @@ func TestApplyBatchOrderAndResults(t *testing.T) {
 // Batch read results must be deep copies: mutating the backend after the
 // batch returns must not change them.
 func TestApplyBatchReadCopies(t *testing.T) {
-	g := NewGrid(newMemBackend(), Options{})
+	g := NewGrid(newMemBackend())
 	ins := []BatchOp{{Kind: BatchInsert, Key: "k", Fields: []Field{{Name: "f", Value: []byte("before")}}}}
 	res := make([]BatchResult, 1)
 	g.ApplyBatch(ins, res)
@@ -131,7 +131,7 @@ func TestApplyBatchReadCopies(t *testing.T) {
 // stripe lock, the backend serializing inserts and deletes on its own.
 // Run under -race.
 func TestApplyBatchConcurrent(t *testing.T) {
-	g := NewGrid(newMemBackend(), Options{})
+	g := NewGrid(newMemBackend())
 	const workers = 8
 	const rounds = 50
 	var wg sync.WaitGroup
@@ -177,7 +177,7 @@ func TestStructuralOpsConcurrent(t *testing.T) {
 		for _, viaApply := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/apply=%v", name, viaApply), func(t *testing.T) {
 				b, _, mgr, _ := backends[name]()
-				g := NewGrid(b, Options{})
+				g := NewGrid(b)
 				insert, del := g.Insert, g.Delete
 				if viaApply {
 					insert = func(key string, rec *Record) error {
@@ -231,7 +231,7 @@ func TestStructuralOpsConcurrent(t *testing.T) {
 // Apply streams a read to the caller's consumer (no copy of its own) and
 // never calls it for any other kind.
 func TestApplyStreamsReadOnly(t *testing.T) {
-	g := NewGrid(newMemBackend(), Options{})
+	g := NewGrid(newMemBackend())
 	calls := 0
 	consume := func(name string, value []byte) {
 		calls++

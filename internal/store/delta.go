@@ -13,9 +13,7 @@ import (
 // DeltaAdder is an optional backend capability: fold a signed delta into
 // an 8-byte little-endian counter field without rewriting the value
 // object per op. A capable backend may defer durability to the async
-// epoch pipeline (fa's delta ledger, DESIGN.md §17); the grid treats a
-// successful call like an update whose new value it does not know — the
-// cached record is dropped, not patched.
+// epoch pipeline (fa's delta ledger, DESIGN.md §17).
 type DeltaAdder interface {
 	AddDelta(key, field string, delta int64) (bool, error)
 }
@@ -33,29 +31,16 @@ func (g *Grid) AddDelta(key, field string, delta int64) error {
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
 	if da := g.caps.Delta; da != nil {
-		found, err := da.AddDelta(key, field, delta)
-		// The fold mutates the value in place behind the grid's back;
-		// never serve a cached pre-fold record.
-		g.cacheDrop(h, key)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return ErrNotFound
-		}
-		return nil
+		return found(da.AddDelta(key, field, delta))
 	}
 	var cur []byte
-	found, err := g.backend.Read(key, func(name string, value []byte) {
+	ok, err := g.backend.Read(key, func(name string, value []byte) {
 		if name == field {
 			cur = append([]byte(nil), value...)
 		}
 	})
-	if err != nil {
+	if err := found(ok, err); err != nil {
 		return err
-	}
-	if !found {
-		return ErrNotFound
 	}
 	if cur == nil {
 		return fmt.Errorf("store: record %q has no field %q", key, field)
@@ -64,17 +49,7 @@ func (g *Grid) AddDelta(key, field string, delta int64) error {
 		return fmt.Errorf("store: field %q of %q is %d bytes, not an 8-byte counter", field, key, len(cur))
 	}
 	binary.LittleEndian.PutUint64(cur, uint64(int64(binary.LittleEndian.Uint64(cur))+delta))
-	fields := []Field{{Name: field, Value: cur}}
-	ok, err := g.backend.Update(key, fields)
-	if err != nil {
-		g.cacheDrop(h, key)
-		return err
-	}
-	if !ok {
-		return ErrNotFound
-	}
-	g.cachePatch(h, key, fields)
-	return nil
+	return found(g.backend.Update(key, []Field{{Name: field, Value: cur}}))
 }
 
 // AddDelta implements DeltaAdder. A counter is a full inline value: the
@@ -112,7 +87,9 @@ func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 		// The counter is the value word itself, or — under a per-record
 		// name, the dictionary being full — a referenced 8-byte value.
 		var cur []byte
-		if n, inline := inlineLen(nw); inline {
+		if n, inline := inlineLen(nw); inline && n > maxInline {
+			return errInlineLen(key, field, n)
+		} else if inline {
 			cur = binary.LittleEndian.AppendUint64(nil, vw)[:n]
 		} else if vw != 0 {
 			cur = pdt.ReadBlob(b.h, vw)

@@ -51,7 +51,7 @@ func TestGridAddDeltaAsyncFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	if err := g.Insert("hot", counterRecord(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestGridAddDeltaPerTxFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	if err := g.Insert("k", counterRecord(-5)); err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +132,16 @@ func TestGridAddDeltaPerTxFallback(t *testing.T) {
 }
 
 // TestGridAddDeltaGenericBackend: a backend without the DeltaAdder
-// capability gets the read-modify-write fallback (here J-PDT), including
-// the cache-patch path.
+// capability gets the read-modify-write fallback (here J-PDT behind the
+// record cache, which forwards no capability), including the cache's patch
+// path.
 func TestGridAddDeltaGenericBackend(t *testing.T) {
 	h, _, _ := openStoreHeap(t, 1<<23, false)
 	b, err := NewJPDTBackend(h, "kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{CacheEntries: 64})
+	g := NewGrid(Cached(b, 64))
 	if err := g.Insert("k", counterRecord(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestGridAddDeltaConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	const nkeys = 4
 	for i := 0; i < nkeys; i++ {
 		if err := g.Insert(fmt.Sprintf("k%d", i), counterRecord(0)); err != nil {
@@ -224,7 +225,7 @@ func TestGridAddDeltaCrashRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	if err := g.Insert("k", counterRecord(1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestGridAddDeltaCrashRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := NewGrid(b2, Options{})
+	g2 := NewGrid(b2)
 	if v := readCounter(t, g2, "k", "score"); v != 1250 {
 		t.Fatalf("recovered score = %d, want 1250", v)
 	}
@@ -262,7 +263,7 @@ func TestAsyncReadViewSurvivesDrainAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	val := func(c byte) []byte { return bytes.Repeat([]byte{c}, 100) }
 	// Two keys on different stripes: the consumer updates the second one
 	// while the read holds the first one's lock.

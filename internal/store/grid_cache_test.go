@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -22,41 +23,56 @@ func captureRead(t *testing.T, g *Grid, key string) *Record {
 	return rec
 }
 
-// TestGridCachedReadSurvivesBlockReuse is the regression test for the
-// stale-cache aliasing bug: Grid.Read used to cache the exact value slices
-// the J-PDT backend streams, but pRecord.read hands out zero-copy views
-// into NVMM. Updating or deleting the record frees the viewed value
-// objects, the allocator recycles them for the next insert, and the bytes
-// under the cached record silently change.
+// countingBackend counts the reads that reach the wrapped backend and
+// streams every value through a buffer it scribbles over once the consumer
+// returns, the way a J-NVM backend's views go stale after the call.
+type countingBackend struct {
+	Backend
+	reads atomic.Int64
+}
+
+func (b *countingBackend) Read(key string, consume func(string, []byte)) (bool, error) {
+	b.reads.Add(1)
+	return b.Backend.Read(key, func(name string, value []byte) {
+		buf := append([]byte(nil), value...)
+		consume(name, buf)
+		for i := range buf {
+			buf[i] = '#'
+		}
+	})
+}
+
+// TestGridCachedReadSurvivesBlockReuse is the aliasing test: the cache
+// must deep-copy what a backend streams on a fill. The inner backend
+// overwrites every value it hands out once the call returns, and J-PDT
+// beneath it frees and recycles the blocks it viewed on the update,
+// delete and churn below; a read served by the cache must keep its bytes.
 func TestGridCachedReadSurvivesBlockReuse(t *testing.T) {
 	h, _, _ := openStoreHeap(t, 1<<23, false)
-	b, err := NewJPDTBackend(h, "kv")
+	jb, err := NewJPDTBackend(h, "kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Populate behind the grid so the first grid read takes the
-	// cache-miss fill path rather than Insert's clone.
+	b := &countingBackend{Backend: jb}
+	// Populate behind the cache so the first grid read takes the fill
+	// path rather than Insert's clone.
 	if err := b.Insert("victim", testRecord(5, "victim")); err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{CacheEntries: 16})
+	g := NewGrid(Cached(b, 16))
 
-	// First read fills the cache; second read is a cache hit, serving the
-	// cached record — capture exactly what it hands out.
+	// The first read fills the cache; the second is served by it —
+	// capture exactly what it hands out.
 	captureRead(t, g, "victim")
 	got := captureRead(t, g, "victim")
-	hits, _ := g.CacheStats()
-	if hits == 0 {
-		t.Fatal("second read was not a cache hit; test setup broken")
+	if n := b.reads.Load(); n != 1 {
+		t.Fatalf("%d reads reached the backend, want 1: second read was not a cache hit", n)
 	}
 	want := testRecord(5, "victim")
 
-	// Mutate via the grid: an update frees the old field value object...
 	if err := g.Update("victim", []Field{{Name: "field1", Value: []byte("patched")}}); err != nil {
 		t.Fatal(err)
 	}
-	// ...and delete + reinsert churn recycles every freed block and pooled
-	// slot with different bytes.
 	if err := g.Delete("victim"); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +88,7 @@ func TestGridCachedReadSurvivesBlockReuse(t *testing.T) {
 			t.Fatalf("field %d name changed: %q", i, got.Fields[i].Name)
 		}
 		if !bytes.Equal(got.Fields[i].Value, f.Value) {
-			t.Fatalf("cached read result mutated by block reuse: field %d = %q, want %q",
+			t.Fatalf("cached read result changed under it: field %d = %q, want %q",
 				i, got.Fields[i].Value, f.Value)
 		}
 	}
@@ -91,7 +107,7 @@ func TestGridCacheCoherentAfterPartialUpdate(t *testing.T) {
 	if err := b.Insert("k", testRecord(3, "k")); err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{CacheEntries: 16})
+	g := NewGrid(Cached(b, 16))
 	captureRead(t, g, "k") // warm cache
 
 	err = g.Update("k", []Field{
@@ -122,17 +138,17 @@ func TestGridCacheCoherentAfterPartialUpdate(t *testing.T) {
 	}
 }
 
-// TestGridCachedConcurrentReadersWriters hammers a cached J-PDT grid with
-// concurrent readers and writers. Designed for -race: on the aliasing bug,
-// readers consuming cached views race the pool writes that recycle freed
-// value objects.
+// TestGridCachedConcurrentReadersWriters hammers a grid over a cached J-PDT
+// backend with concurrent readers and writers. Designed for -race: a cache
+// that kept backend views, or patched a record a reader is streaming,
+// races the writers.
 func TestGridCachedConcurrentReadersWriters(t *testing.T) {
 	h, _, _ := openStoreHeap(t, 1<<24, false)
 	b, err := NewJPDTBackend(h, "kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{CacheEntries: 32})
+	g := NewGrid(Cached(b, 32))
 	const keys = 16
 	for i := 0; i < keys; i++ {
 		if err := g.Insert(fmt.Sprintf("key%d", i), testRecord(4, "init")); err != nil {
@@ -196,18 +212,19 @@ func TestGridCachedConcurrentReadersWriters(t *testing.T) {
 }
 
 // TestGridShardedCacheServesAllStripes fills more keys than there are
-// cache stripes and re-reads each: with per-stripe capacity rounded up
-// from CacheEntries, every second read must be a hit regardless of which
-// stripe the key hashed to, and the patch path (Update/RMW via
-// cachePatch) must keep every shard coherent.
+// cache shards and re-reads each: with per-shard capacity rounded up from
+// the requested size, every read must be a hit whichever shard the key
+// hashed to, and the patch on a successful update must keep every shard
+// coherent.
 func TestGridShardedCacheServesAllStripes(t *testing.T) {
 	h, _, _ := openStoreHeap(t, 1<<24, false)
-	b, err := NewJPDTBackend(h, "kv")
+	jb, err := NewJPDTBackend(h, "kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const keys = 4 * gridStripes // several keys per stripe on average
-	g := NewGrid(b, Options{CacheEntries: 16 * gridStripes})
+	b := &countingBackend{Backend: jb}
+	const keys = 4 * gridStripes // several keys per shard on average
+	g := NewGrid(Cached(b, 16*gridStripes))
 	for i := 0; i < keys; i++ {
 		if err := g.Insert(fmt.Sprintf("key%04d", i), testRecord(3, fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -217,9 +234,8 @@ func TestGridShardedCacheServesAllStripes(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		captureRead(t, g, fmt.Sprintf("key%04d", i))
 	}
-	hits, misses := g.CacheStats()
-	if misses != 0 || hits != keys {
-		t.Fatalf("sharded cache: %d hits, %d misses; want %d hits, 0 misses", hits, misses, keys)
+	if n := b.reads.Load(); n != 0 {
+		t.Fatalf("sharded cache: %d of %d reads reached the backend, want 0", n, keys)
 	}
 	// Patch a field on every key and verify the cached copy follows.
 	for i := 0; i < keys; i++ {
@@ -233,5 +249,8 @@ func TestGridShardedCacheServesAllStripes(t *testing.T) {
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("%s: cached field1 = %q, want %q", key, got, want)
 		}
+	}
+	if n := b.reads.Load(); n != 0 {
+		t.Fatalf("%d reads after patches reached the backend, want 0", n)
 	}
 }

@@ -97,8 +97,7 @@ func (b *JPDTBackend) Read(key string, consume func(string, []byte)) (bool, erro
 	if err != nil || po == nil {
 		return false, err
 	}
-	po.(*pRecord).read(b.names, consume)
-	return true, nil
+	return true, po.(*pRecord).read(b.names, key, consume)
 }
 
 // Update implements Backend. A field that keeps its representation is
@@ -274,8 +273,7 @@ func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, erro
 	if err != nil || r == nil {
 		return false, err
 	}
-	r.read(b.names, consume)
-	return true, nil
+	return true, r.read(b.names, key, consume)
 }
 
 // Update implements Backend.

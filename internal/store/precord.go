@@ -83,6 +83,12 @@ func inlineLen(nw uint64) (int, bool) {
 	return int(rep) - repInline, rep != repRef
 }
 
+// errInlineLen reports a name word that declares an inline value longer
+// than its value word: a corrupt record.
+func errInlineLen(key, field string, n int) error {
+	return fmt.Errorf("store: record %q field %q: inline value of %d bytes exceeds its %d-byte word", key, field, n, maxInline)
+}
+
 func packInline(v []byte) uint64 {
 	var buf [maxInline]byte
 	copy(buf[:], v)
@@ -302,8 +308,10 @@ func (r *pRecord) wordAddr(off uint64) uint64 {
 // zero-copy views into NVMM — an inline value a view of its table word —
 // valid only during the consume call: the grid invokes this under the
 // key's stripe lock, so nothing can be freed or overwritten concurrently,
-// and consumers that retain a field must copy it.
-func (r *pRecord) read(d *nameDict, consume func(name string, value []byte)) {
+// and consumers that retain a field must copy it. A name word that
+// declares an inline value longer than its value word is an error naming
+// key and field; the fields before it have been streamed.
+func (r *pRecord) read(d *nameDict, key string, consume func(name string, value []byte)) error {
 	h := d.h
 	n := r.fieldCount()
 	for i := 0; i < n; i++ {
@@ -313,6 +321,9 @@ func (r *pRecord) read(d *nameDict, consume func(name string, value []byte)) {
 			continue
 		}
 		if ln, inline := inlineLen(nw); inline {
+			if ln > maxInline {
+				return errInlineLen(key, name, ln)
+			}
 			consume(name, h.Pool().View(r.wordAddr(fieldValOff(i)), uint64(ln)))
 		} else if vref := r.ReadRef(fieldValOff(i)); vref != 0 {
 			consume(name, pdt.ReadBlobView(h, vref))
@@ -321,6 +332,7 @@ func (r *pRecord) read(d *nameDict, consume func(name string, value []byte)) {
 		// nullified: torn by a crash that raced the record's publication.
 		// The rest of the record is intact and stays readable.
 	}
+	return nil
 }
 
 // fieldName resolves a name word; a per-record name is a view into NVMM.

@@ -278,7 +278,7 @@ func TestNameDictionaryBounded(t *testing.T) {
 				t.Fatalf("update: %v %v", ok, err)
 			}
 			want["y"], want["a"] = []byte("y2"), []byte("3")
-			g := NewGrid(b, Options{})
+			g := NewGrid(b)
 			for _, f := range []string{"x", "x"} {
 				if err := g.AddDelta("over", f, 21); err != nil {
 					t.Fatalf("delta on %s: %v", f, err)
@@ -329,6 +329,44 @@ func TestNameDictionaryBounded(t *testing.T) {
 	}
 }
 
+// TestReadRefusesOversizedInline: a name word that declares an inline
+// value longer than the 8-byte value word is corrupt. The locked read used
+// to view that many bytes past the word (the value, then the next field's
+// words) and return them as the field; it must fail naming key and field.
+func TestReadRefusesOversizedInline(t *testing.T) {
+	for name, open := range jnvmBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			b, h, mgr, _ := open()
+			rec := &Record{Fields: []Field{
+				{Name: "a", Value: []byte("1")},
+				{Name: "b", Value: []byte("bb")},
+			}}
+			if err := b.Insert("k", rec); err != nil {
+				t.Fatal(err)
+			}
+			mgr.DrainDurable()
+			r := tableOf(t, b, h, "k")
+			nw := r.ReadUint64(fieldNameOff(0))
+			r.WriteUint64(fieldNameOff(0), internedWord(wordID(nw), repInline+40))
+			g := NewGrid(b)
+			var got []string
+			err := g.Read("k", func(name string, value []byte) {
+				got = append(got, fmt.Sprintf("%s=%q", name, value))
+			})
+			if err == nil {
+				t.Fatalf("read of a 40-byte inline value succeeded: %v", got)
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"k"`) || !strings.Contains(msg, `"a"`) {
+				t.Fatalf("error %q does not name key and field", msg)
+			}
+			// A fold reads the same word: an error too, never a panic.
+			if err := g.AddDelta("k", "a", 1); err == nil {
+				t.Fatal("fold into a 40-byte inline value succeeded")
+			}
+		})
+	}
+}
+
 // TestInlineReadersNeverTorn flips an inline field between two 8-byte
 // patterns (and a sibling referenced field between two values) while
 // unlocked readers — the J-PDT seqlock path — check that every value
@@ -339,7 +377,7 @@ func TestInlineReadersNeverTorn(t *testing.T) {
 	long := [2][]byte{bytes.Repeat([]byte{0xAA}, 64), bytes.Repeat([]byte{0x55}, 64)}
 	t.Run("jpdt", func(t *testing.T) {
 		b, _, _, _ := jnvmBackends(t)["jpdt"]()
-		g := NewGrid(b, Options{}) // cache off: zero-copy mode
+		g := NewGrid(b) // cache off: zero-copy mode
 		if err := g.Insert("k", &Record{Fields: []Field{
 			{Name: "word", Value: patterns[0]},
 			{Name: "blob", Value: long[0]},

@@ -58,7 +58,7 @@ var viewConfigs = []string{"jpdt", "jpfa", "jpfa-async"}
 func viewGrid(t *testing.T, name string) *Grid {
 	t.Helper()
 	b, _, _, _ := jnvmBackends(t)[name]()
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	if g.ReadPath() != "view" {
 		t.Fatalf("%s: grid read path %q, want view", name, g.ReadPath())
 	}
@@ -292,7 +292,7 @@ func TestReadViewAllReaderSlotsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	if err := g.Insert("k", versionRecord(2, 9)); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestReadViewAsyncAcknowledgedWrites(t *testing.T) {
 	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	read := func(want int, zeroCopy bool) {
 		t.Helper()
 		before := g.ObsSnapshot()

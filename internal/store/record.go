@@ -1,7 +1,8 @@
 // Package store implements the data-grid substrate of the evaluation: an
-// embedded key-value cache in the role of Infinispan (§5.1), with a
-// volatile LRU cache in front of pluggable persistence backends — J-PDT,
-// J-PFA, PCJ, and the file-system family (FS, TmpFS, NullFS, Volatile).
+// embedded key-value grid in the role of Infinispan (§5.1) over pluggable
+// persistence backends — J-PDT, J-PFA, PCJ, and the file-system family
+// (FS, TmpFS, NullFS, Volatile), which runs behind a volatile LRU record
+// cache (Cached).
 package store
 
 import (

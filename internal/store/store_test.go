@@ -334,8 +334,16 @@ func TestJPFACrashAtomicUpdate(t *testing.T) {
 }
 
 func TestGridCacheServesReads(t *testing.T) {
-	b := NewTmpFSBackend()
-	g := NewGrid(b, Options{CacheEntries: 10})
+	inner := NewTmpFSBackend()
+	if Cached(inner, 0) != Backend(inner) {
+		t.Fatal("Cached(b, 0) wrapped b")
+	}
+	b := &countingBackend{Backend: inner}
+	c := Cached(b, 10)
+	if caps := c.Caps(); caps != (Caps{}) {
+		t.Fatalf("Cached forwards capabilities %+v", caps)
+	}
+	g := NewGrid(c)
 	if err := g.Insert("k", testRecord(3, "k")); err != nil {
 		t.Fatal(err)
 	}
@@ -344,15 +352,14 @@ func TestGridCacheServesReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, _ := g.CacheStats()
-	if hits < 5 {
-		t.Fatalf("cache hits = %d", hits)
+	if n := b.reads.Load(); n != 0 {
+		t.Fatalf("%d of 5 reads reached the backend, want 0", n)
 	}
 }
 
 func TestGridWriteThroughKeepsCacheCoherent(t *testing.T) {
 	b := NewTmpFSBackend()
-	g := NewGrid(b, Options{CacheEntries: 10})
+	g := NewGrid(Cached(b, 10))
 	g.Insert("k", testRecord(3, "k"))
 	g.Read("k", func(string, []byte) {}) // warm cache
 	if err := g.Update("k", []Field{{Name: "field1", Value: []byte("new")}}); err != nil {
@@ -375,7 +382,7 @@ func TestGridWriteThroughKeepsCacheCoherent(t *testing.T) {
 }
 
 func TestGridReadModifyWrite(t *testing.T) {
-	g := NewGrid(NewVolatileBackend(), Options{})
+	g := NewGrid(NewVolatileBackend())
 	g.Insert("k", testRecord(2, "k"))
 	err := g.ReadModifyWrite("k", func(rec *Record) []Field {
 		v, _ := rec.Get("field0")
@@ -396,7 +403,7 @@ func TestGridReadModifyWrite(t *testing.T) {
 }
 
 func TestGridNotFound(t *testing.T) {
-	g := NewGrid(NewVolatileBackend(), Options{CacheEntries: 4})
+	g := NewGrid(Cached(NewVolatileBackend(), 4))
 	if err := g.Read("nope", func(string, []byte) {}); err != ErrNotFound {
 		t.Fatalf("Read err = %v", err)
 	}
@@ -417,7 +424,7 @@ func TestGridConcurrentMixedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrid(b, Options{})
+	g := NewGrid(b)
 	for i := 0; i < 64; i++ {
 		if err := g.Insert(fmt.Sprintf("key%d", i), testRecord(4, "init")); err != nil {
 			t.Fatal(err)

@@ -247,7 +247,7 @@ func OpenFSBank(dir string, accounts int, cacheRatio float64) (*FSBank, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := store.NewGrid(backend, store.Options{CacheEntries: int(cacheRatio * float64(accounts))})
+	g := store.NewGrid(store.Cached(backend, int(cacheRatio*float64(accounts))))
 	b := &FSBank{g: g, n: accounts}
 	if backend.Count() == 0 {
 		pad := make([]byte, AccountSize-8)

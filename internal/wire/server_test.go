@@ -527,7 +527,7 @@ func serverPoolFull(t *testing.T, backend, commit string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	g := store.NewGrid(st.Backend, store.Options{})
+	g := store.NewGrid(st.Backend)
 	if g.ReadPath() != "view" {
 		t.Fatalf("grid read path %q, want view", g.ReadPath())
 	}

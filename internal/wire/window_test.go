@@ -52,7 +52,7 @@ func (b *fixedBackend) Read(key string, consume func(string, []byte)) (bool, err
 func TestStreamedReadReplyMatchesAppendResponse(t *testing.T) {
 	check := func(name string, served []store.Field, key string, want Response) {
 		t.Helper()
-		g := store.NewGrid(&fixedBackend{fields: served}, store.Options{})
+		g := store.NewGrid(&fixedBackend{fields: served})
 		w := newWindow(4)
 		w.out = append(w.out, "earlier frames"...)
 		wantBytes := AppendResponse(append([]byte(nil), w.out...), &want)

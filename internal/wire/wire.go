@@ -297,7 +297,7 @@ func DecodeRequest(frame []byte, req *Request) error {
 // non-nil names table selects the server's in-place mode: field values
 // alias frame, req.Fields reuses the capacity it arrives with, and field
 // names (Request.Field included) are interned. Keys are owned strings in
-// both modes — the volatile mirrors and the record cache retain them.
+// both modes — the volatile mirrors and store.Cached retain them.
 func decodeRequest(frame []byte, req *Request, names nameTable) error {
 	*req = Request{Fields: req.Fields[:0]}
 	if len(frame) < 1 {

@@ -220,7 +220,7 @@ func TestValueDeterminism(t *testing.T) {
 }
 
 func TestLoadAndRunAgainstGrid(t *testing.T) {
-	g := store.NewGrid(store.NewVolatileBackend(), store.Options{})
+	g := store.NewGrid(store.NewVolatileBackend())
 	cfg := MustWorkload("A")
 	cfg.RecordCount = 500
 	cfg.Operations = 2000
@@ -256,7 +256,7 @@ func TestLoadAndRunAgainstGrid(t *testing.T) {
 }
 
 func TestWorkloadDInsertsGrow(t *testing.T) {
-	g := store.NewGrid(store.NewVolatileBackend(), store.Options{})
+	g := store.NewGrid(store.NewVolatileBackend())
 	cfg := MustWorkload("D")
 	cfg.RecordCount = 300
 	cfg.Operations = 2000
@@ -292,7 +292,7 @@ func (d slowInsertDB) Insert(key string, rec *store.Record) error {
 // newest key, so a key published before its Insert returns is read by the
 // other thread while it does not exist yet, and counted as an error.
 func TestInsertedKeysPublishedAfterInsert(t *testing.T) {
-	g := store.NewGrid(store.NewVolatileBackend(), store.Options{})
+	g := store.NewGrid(store.NewVolatileBackend())
 	cfg := MustWorkload("D")
 	cfg.RecordCount = 300
 	cfg.Operations = 4000
@@ -314,7 +314,7 @@ func TestInsertedKeysPublishedAfterInsert(t *testing.T) {
 }
 
 func TestWorkloadFRMW(t *testing.T) {
-	g := store.NewGrid(store.NewVolatileBackend(), store.Options{})
+	g := store.NewGrid(store.NewVolatileBackend())
 	cfg := MustWorkload("F")
 	cfg.RecordCount = 200
 	cfg.Operations = 1000
@@ -333,12 +333,12 @@ func TestWorkloadFRMW(t *testing.T) {
 
 func TestRunRejectsBadProportions(t *testing.T) {
 	cfg := Config{Name: "bad", ReadProp: 0.2}
-	if _, err := Run(store.NewGrid(store.NewVolatileBackend(), store.Options{}), cfg); err == nil {
+	if _, err := Run(store.NewGrid(store.NewVolatileBackend()), cfg); err == nil {
 		t.Fatal("bad proportions accepted")
 	}
 	cfg = MustWorkload("A")
 	cfg.Distribution = "nope"
-	if _, err := Run(store.NewGrid(store.NewVolatileBackend(), store.Options{}), cfg); err == nil {
+	if _, err := Run(store.NewGrid(store.NewVolatileBackend()), cfg); err == nil {
 		t.Fatal("bad distribution accepted")
 	}
 }

@@ -102,9 +102,9 @@ type Options struct {
 	// Tracked enables the crash-injectable cache-line model (in-memory
 	// pools only); see nvm.Pool.
 	Tracked bool
-	// FenceLatencyNs / FlushLatencyNs configure the NVMM latency model.
+	// FenceLatencyNs is the NVMM latency model: the busy-wait cost of
+	// each fence (a PWB is free).
 	FenceLatencyNs int
-	FlushLatencyNs int
 	// Classes are the application's persistent classes (J-PDT, the store
 	// record class and the root classes register automatically).
 	Classes []*Class
@@ -131,7 +131,6 @@ func Open(opts Options) (*DB, error) {
 	nvmOpts := nvm.Options{
 		Tracked:      opts.Tracked,
 		FenceLatency: opts.FenceLatencyNs,
-		FlushLatency: opts.FlushLatencyNs,
 	}
 	var pool *nvm.Pool
 	var err error

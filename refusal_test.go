@@ -150,7 +150,7 @@ func TestOpenRefusals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open %d: %v", i, err)
 			}
-			g := store.NewGrid(st.Backend, store.Options{})
+			g := store.NewGrid(st.Backend)
 			if i == 0 {
 				if err := g.Insert("k", &store.Record{Fields: []store.Field{{Name: "f", Value: []byte("v")}}}); err != nil {
 					t.Fatal(err)
