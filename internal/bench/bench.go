@@ -13,7 +13,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/obs"
-	"repro/internal/pdt"
 	"repro/internal/stack"
 	"repro/internal/store"
 )
@@ -39,11 +38,9 @@ type GridConfig struct {
 	FieldCount int
 	FieldLen   int
 	// CacheEntries bounds the volatile record cache (store.Cached) in
-	// front of an FS-family backend. J-NVM backends ignore it (§5.3.1:
-	// J-PDT only caches proxies; see ProxyCache).
+	// front of an FS-family backend. J-NVM backends ignore it: they
+	// resolve records by reference and keep no volatile copy (§5.3.1).
 	CacheEntries int
-	// ProxyCache enables the J-PDT map proxy cache.
-	ProxyCache pdt.CacheMode
 	// FenceNs is the simulated NVMM fence latency (default 120 ns).
 	FenceNs int
 	// Dir hosts FS backend files (a temp dir when empty).
@@ -163,9 +160,7 @@ func NewEnv(cfg GridConfig) (*Env, error) {
 }
 
 // newNVMEnv opens the J-NVM stack of cfg over one pool sized for the
-// dataset. Each opener closes what it opened when a later step fails:
-// stack.Open closes the pool, and a failed proxy-cache switch closes the
-// stack.
+// dataset. stack.Open closes the pool when it fails.
 func newNVMEnv(cfg GridConfig) (*Env, error) {
 	if cfg.FenceNs == 0 {
 		cfg.FenceNs = DefaultFenceNs
@@ -180,12 +175,6 @@ func newNVMEnv(cfg GridConfig) (*Env, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Backend == JPDT && cfg.ProxyCache != pdt.CacheNone {
-		if err := st.Backend.(*store.JPDTBackend).SetProxyCache(cfg.ProxyCache); err != nil {
-			st.Close()
-			return nil, err
-		}
 	}
 	// The paper disables record caching for the J-NVM backends (§5.3.1:
 	// "caching brings almost no performance benefits").

@@ -8,7 +8,6 @@ import (
 	"repro/internal/gcsim"
 	"repro/internal/nvm"
 	"repro/internal/obs"
-	"repro/internal/pdt"
 	"repro/internal/stack"
 	"repro/internal/tpcb"
 	"repro/internal/ycsb"
@@ -168,17 +167,11 @@ type Fig9Row struct {
 	Update  time.Duration
 }
 
-func runFig9Point(knob string, value int, bk BackendKind, cfg ycsb.Config, cacheEntries int, proxy bool) (Fig9Row, error) {
+func runFig9Point(knob string, value int, bk BackendKind, cfg ycsb.Config, cacheEntries int) (Fig9Row, error) {
 	gc := GridConfig{
 		Backend: bk, Records: cfg.RecordCount * 2,
 		FieldCount: cfg.FieldCount, FieldLen: cfg.FieldLen,
-	}
-	if bk == JPDT {
-		if proxy && cacheEntries > 0 {
-			gc.ProxyCache = pdt.CacheOnDemand
-		}
-	} else {
-		gc.CacheEntries = cacheEntries
+		CacheEntries: cacheEntries,
 	}
 	env, err := NewEnv(gc)
 	if err != nil {
@@ -202,7 +195,10 @@ func runFig9Point(knob string, value int, bk BackendKind, cfg ycsb.Config, cache
 	return row, nil
 }
 
-// Fig9a sweeps the cache ratio (Figure 9a).
+// Fig9a sweeps the cache ratio (Figure 9a). The ratio sizes FS's record
+// cache; J-PDT has nothing to cache (its backend resolves records by
+// reference and builds no proxy), so its point is the same path at every
+// ratio.
 func Fig9a(sc Scale, ratios []int) ([]Fig9Row, error) {
 	if ratios == nil {
 		ratios = []int{0, 20, 40, 60, 80, 100}
@@ -213,7 +209,7 @@ func Fig9a(sc Scale, ratios []int) ([]Fig9Row, error) {
 		cfg.RecordCount, cfg.Operations, cfg.Threads = sc.Records, sc.Operations, sc.Threads
 		cfg = cfg.Defaults()
 		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("cache%", r, bk, cfg, sc.Records*r/100, true)
+			row, err := runFig9Point("cache%", r, bk, cfg, sc.Records*r/100)
 			if err != nil {
 				return nil, err
 			}
@@ -234,7 +230,7 @@ func Fig9b(sc Scale, counts []int) ([]Fig9Row, error) {
 		cfg.RecordCount, cfg.Operations, cfg.Threads = n, sc.Operations, sc.Threads
 		cfg = cfg.Defaults()
 		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("records", n, bk, cfg, n/10, false)
+			row, err := runFig9Point("records", n, bk, cfg, n/10)
 			if err != nil {
 				return nil, err
 			}
@@ -260,7 +256,7 @@ func Fig9c(sc Scale, fieldCounts []int) ([]Fig9Row, error) {
 		cfg.Threads = sc.Threads
 		cfg = cfg.Defaults()
 		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("fields", fc, bk, cfg, cfg.RecordCount/10, false)
+			row, err := runFig9Point("fields", fc, bk, cfg, cfg.RecordCount/10)
 			if err != nil {
 				return nil, err
 			}
@@ -286,7 +282,7 @@ func Fig9d(sc Scale, sizesKB []int) ([]Fig9Row, error) {
 		cfg.Threads = sc.Threads
 		cfg = cfg.Defaults()
 		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("recordKB", kb, bk, cfg, cfg.RecordCount/10, false)
+			row, err := runFig9Point("recordKB", kb, bk, cfg, cfg.RecordCount/10)
 			if err != nil {
 				return nil, err
 			}

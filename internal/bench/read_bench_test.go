@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -214,4 +215,78 @@ func BenchmarkGridRead(b *testing.B) {
 		defer env.Close()
 		benchGridRead(b, env.Grid, gridBenchRecords)
 	})
+}
+
+// layerSink keeps BenchmarkGridLayer's read consumer from being dead code.
+var layerSink byte
+
+// BenchmarkGridLayer times grid reads and single-field updates at the
+// repo benchmark's record shape: 100 000 records of 10 x 100 B, keys
+// drawn scrambled-zipfian, and a read consumer that touches every byte it
+// is handed, so the value misses a read takes are in the time, as they
+// are end to end. BenchmarkGridRead's 2 048 records stay cache-resident
+// and cannot show them. J-PFA runs the per-Tx commit.
+func BenchmarkGridLayer(b *testing.B) {
+	const (
+		records = 100_000
+		fields  = 10
+		drawn   = 1 << 16
+	)
+	for _, bk := range []struct {
+		name    string
+		backend BackendKind
+		commit  string
+	}{
+		{"jpdt", JPDT, ""},
+		{"jpfa", JPFA, "per-tx"},
+	} {
+		b.Run(bk.name, func(b *testing.B) {
+			env, err := NewEnv(GridConfig{Backend: bk.backend, Records: records, FieldCount: fields, FieldLen: 100, Commit: bk.commit})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer env.Close()
+			cfg := ycsb.Config{RecordCount: records, FieldCount: fields, FieldLen: 100}.Defaults()
+			if err := ycsb.Load(env.Grid, cfg); err != nil {
+				b.Fatal(err)
+			}
+			keys := benchKeys(records)
+			rng := rand.New(rand.NewSource(1))
+			zipf := ycsb.NewScrambledZipfian(records)
+			order := make([]string, drawn)
+			for i := range order {
+				order[i] = keys[zipf.Next(rng)]
+			}
+			b.Run("read", func(b *testing.B) {
+				var sum byte
+				consume := func(_ string, v []byte) {
+					for _, c := range v {
+						sum += c
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := env.Grid.Read(order[i%drawn], consume); err != nil {
+						b.Fatal(err)
+					}
+				}
+				layerSink = sum
+			})
+			b.Run("update", func(b *testing.B) {
+				value := make([]byte, 100)
+				update := make([][]store.Field, fields)
+				for f := range update {
+					update[f] = []store.Field{{Name: ycsb.FieldName(f), Value: value}}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := env.Grid.Update(order[i%drawn], update[i%fields]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }

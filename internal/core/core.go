@@ -362,12 +362,6 @@ func (o *Object) Validate() {
 	o.h.mem.SetValid(o.ref, true)
 }
 
-// Invalidate clears the valid bit (flushed, unfenced).
-func (o *Object) Invalidate() {
-	o.live()
-	o.h.mem.SetValid(o.ref, false)
-}
-
 // AtomicUpdateRef atomically updates the reference field at off to point
 // to n (§4.1.6, Figure 6): the new object is validated and fenced before
 // becoming reachable, so the recovery pass can never nullify the

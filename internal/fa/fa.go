@@ -804,18 +804,29 @@ func (tx *Tx) AllocSmall(c *core.Class, payload uint64) (core.PObject, error) {
 }
 
 // Free deletes a persistent object at commit (a deletion recorded in the
-// log). The proxy stays usable until the block ends.
+// log). The proxy stays usable until the block ends, and is neutralized
+// at commit.
 func (tx *Tx) Free(po core.PObject) error {
 	tx.active()
 	ref := po.Core().Ref()
+	if ref != 0 {
+		tx.proxies[ref] = po
+	}
+	return tx.FreeRef(ref)
+}
+
+// FreeRef is Free for a caller that holds no proxy of the object: the
+// object at ref is deleted at commit, and no proxy is built for it.
+func (tx *Tx) FreeRef(ref core.Ref) error {
+	tx.active()
 	if ref == 0 {
 		return nil
 	}
-	if tx.grp != nil {
+	if mem := tx.h.Mem(); tx.grp != nil && mem.IsBlockRef(ref) {
 		// Async mode: a pending delta on one of the freed blocks would
 		// materialize into the same epoch as (or a later epoch than) this
 		// free and scribble on a recycled block. Settle each block first.
-		for _, b := range po.Core().BlockRefs() {
+		for _, b := range mem.Blocks(ref) {
 			tx.grp.waitClear(b)
 		}
 	}
@@ -823,7 +834,6 @@ func (tx *Tx) Free(po core.PObject) error {
 		return err
 	}
 	tx.freed = append(tx.freed, ref)
-	tx.proxies[ref] = po
 	return nil
 }
 

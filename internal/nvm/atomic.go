@@ -51,30 +51,3 @@ func (p *Pool) WriteUint64Atomic(off, v uint64) {
 	atomic.StoreUint64(w, v)
 	p.endStore(tracked)
 }
-
-// CopyWithinAtomic copies n bytes from src to dst inside the pool using
-// word-at-a-time atomic (release) stores to the destination. The commit
-// apply publishes committed lines into blocks that unlocked readers
-// observe with ReadUint64Atomic; a plain memcpy would race those acquire
-// loads under the Go memory model even though the words are aligned. dst
-// and n must be 8-aligned / a multiple of 8 (every apply segment — a
-// header-trimmed line or payload — qualifies). src needs no alignment and
-// is read plainly: the source block is private to the committing
-// transaction.
-func (p *Pool) CopyWithinAtomic(dst, src, n uint64) {
-	p.check(src, n)
-	p.check(dst, n)
-	if n == 0 {
-		return
-	}
-	if dst%8 != 0 || n%8 != 0 {
-		panic("nvm: atomic copy needs an 8-aligned destination and length")
-	}
-	tracked := p.beginStore(dst, n)
-	for i := uint64(0); i < n; i += 8 {
-		var v uint64
-		copy((*[8]byte)(unsafe.Pointer(&v))[:], p.data[src+i:src+i+8])
-		atomic.StoreUint64((*uint64)(unsafe.Pointer(&p.data[dst+i])), v)
-	}
-	p.endStore(tracked)
-}

@@ -50,6 +50,16 @@ func (g *Gauge) Store(v uint64) { g.v.Store(v) }
 // Load returns the current value.
 func (g *Gauge) Load() uint64 { return g.v.Load() }
 
+// clockBase is the monotonic origin of Now, taken at process start.
+var clockBase = time.Now()
+
+// Now returns the time since process start from one monotonic clock read:
+// time.Since of a time that carries a monotonic reading reads no wall
+// clock, where time.Now reads both. A span timed with Now at each
+// boundary costs two clock reads, against three for time.Now plus
+// time.Since (BenchmarkClockSpan).
+func Now() time.Duration { return time.Since(clockBase) }
+
 // Histogram bucket geometry: values 0..15 get exact buckets; above that,
 // each power of two splits into 16 linear sub-buckets (HDR-style, ~6%
 // relative error), so bucketing is two shifts and a mask — no math.Log on
@@ -97,6 +107,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	ns := uint64(d.Nanoseconds())
 	h.ObserveNs(ns)
 }
+
+// ObserveSince records the span from start, a Now reading, to now.
+func (h *Histogram) ObserveSince(start time.Duration) { h.Observe(Now() - start) }
 
 // ObserveNs records one sample expressed in nanoseconds.
 func (h *Histogram) ObserveNs(ns uint64) {

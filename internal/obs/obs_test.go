@@ -275,3 +275,40 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("unpublish failed")
 	}
 }
+
+// BenchmarkClockSpan prices one timed span on this host: the clock reads
+// at its two boundaries plus the subtraction, with time.Now + time.Since
+// (three clock reads, one of them the wall clock) and with Now at each
+// boundary (two monotonic reads). This is the budget a stage timer pays
+// per boundary it samples.
+func BenchmarkClockSpan(b *testing.B) {
+	var sink time.Duration
+	b.Run("time.Now+Since", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			sink += time.Since(start)
+		}
+	})
+	b.Run("obs.Now", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			start := Now()
+			sink += Now() - start
+		}
+	})
+	if sink < 0 {
+		b.Fatal("negative span")
+	}
+}
+
+func TestNowIsMonotonic(t *testing.T) {
+	a := Now()
+	time.Sleep(time.Millisecond)
+	if d := Now() - a; d < time.Millisecond {
+		t.Fatalf("Now advanced %v across a 1 ms sleep", d)
+	}
+	var h Histogram
+	h.ObserveSince(Now() - time.Microsecond)
+	if h.count.Load() != 1 || h.max.Load() < 1000 {
+		t.Fatalf("ObserveSince recorded count %d max %d", h.count.Load(), h.max.Load())
+	}
+}

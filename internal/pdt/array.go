@@ -77,14 +77,6 @@ func (a *PRefArray) slot(i int) uint64 {
 // GetRef loads slot i.
 func (a *PRefArray) GetRef(i int) core.Ref { return a.ReadRef(a.slot(i)) }
 
-// SetRef stores slot i and flushes it. The write is a single word, so the
-// structure stays consistent whatever the crash point (§4.3.2).
-func (a *PRefArray) SetRef(i int, r core.Ref) {
-	off := a.slot(i)
-	a.WriteRef(off, r)
-	a.PWBField(off, 8)
-}
-
 // PublishRef atomically publishes object po in slot i with the §4.1.6
 // discipline: validate, fence, then the slot write.
 func (a *PRefArray) PublishRef(i int, po core.PObject) {

@@ -42,11 +42,15 @@ func TestMapRemoveHandsValueBack(t *testing.T) {
 	h, _, _ := openPDT(t, 1<<22, false)
 	m := newTestMap(t, h, MirrorHash, "m")
 	putStr(t, h, m, "k", "keepme")
-	po, err := m.Remove("k")
+	ref := m.Remove("k")
+	if ref == 0 {
+		t.Fatal("Remove did not hand the value back")
+	}
+	po, err := h.Resurrect(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if po == nil || string(po.(*PBytes).Value()) != "keepme" {
+	if string(po.(*PBytes).Value()) != "keepme" {
 		t.Fatal("Remove did not hand the value back")
 	}
 	if !po.Core().Valid() {
@@ -56,9 +60,8 @@ func TestMapRemoveHandsValueBack(t *testing.T) {
 		t.Fatal("Remove left the binding")
 	}
 	// Missing key.
-	po, err = m.Remove("missing")
-	if err != nil || po != nil {
-		t.Fatalf("Remove(missing) = %v %v", po, err)
+	if ref := m.Remove("missing"); ref != 0 {
+		t.Fatalf("Remove(missing) = %#x", ref)
 	}
 }
 

@@ -428,13 +428,13 @@ func (m *Map) Delete(key string) bool {
 	return ok
 }
 
-// Remove unbinds key like Delete but hands the value back to the caller
-// instead of freeing it.
-func (m *Map) Remove(key string) (core.PObject, error) {
+// Remove unbinds key like Delete but hands the value's reference back to
+// the caller (0 when key was not bound) instead of freeing it.
+func (m *Map) Remove(key string) core.Ref {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	vref, _ := m.unbind(key)
-	return m.Heap().Resurrect(vref)
+	return vref
 }
 
 // Keys returns all keys; sorted for ordered mirrors, unspecified order
@@ -616,14 +616,8 @@ func (m *Map) PutTx(tx *fa.Tx, key string, val core.PObject) error {
 	if err := tx.WriteRef(arr.Object, valOff(idx), val.Core().Ref()); err != nil {
 		return err
 	}
-	if oldRef != 0 {
-		old, err := m.Heap().Resurrect(oldRef)
-		if err != nil {
-			return err
-		}
-		if err := tx.Free(old); err != nil {
-			return err
-		}
+	if err := tx.FreeRef(oldRef); err != nil {
+		return err
 	}
 	m.cachePutTx(tx, key, val)
 	m.gateArm(tx)
@@ -693,7 +687,6 @@ func (m *Map) insertTxLocked(tx *fa.Tx, key string, val core.PObject) error {
 // DeleteTx unbinds key inside a failure-atomic block, freeing key and
 // value at commit.
 func (m *Map) DeleteTx(tx *fa.Tx, key string) (bool, error) {
-	h := m.Heap()
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	m.gateWait()
@@ -723,11 +716,7 @@ func (m *Map) DeleteTx(tx *fa.Tx, key string) (bool, error) {
 		frees = append(frees, vref)
 	}
 	for _, ref := range frees {
-		po, err := h.Resurrect(ref)
-		if err != nil {
-			return false, err
-		}
-		if err := tx.Free(po); err != nil {
+		if err := tx.FreeRef(ref); err != nil {
 			return false, err
 		}
 	}

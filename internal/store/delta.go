@@ -3,10 +3,10 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/fa"
 	"repro/internal/heap"
+	"repro/internal/obs"
 	"repro/internal/pdt"
 )
 
@@ -25,8 +25,7 @@ type DeltaAdder interface {
 // backends (and per-Tx mode) fall back to a read-modify-write of the
 // single field.
 func (g *Grid) AddDelta(key, field string, delta int64) error {
-	start := time.Now()
-	defer func() { g.stats.RMW.Observe(time.Since(start)) }()
+	defer g.stats.RMW.ObserveSince(obs.Now())
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
@@ -60,8 +59,8 @@ func (g *Grid) AddDelta(key, field string, delta int64) error {
 // read-modify-write of the field inside a failure-atomic block.
 func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 	// Commits only: the ledger entry this op is about to fold into stays.
-	r, err := b.get(key, false)
-	if err != nil || r == nil {
+	r, ok, err := b.get(key, false)
+	if !ok {
 		return false, err
 	}
 	i := r.fieldIndex(b.names, field)
@@ -98,7 +97,7 @@ func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 			return fmt.Errorf("store: field %q of %q is %d bytes, not an 8-byte counter", field, key, len(cur))
 		}
 		binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+uint64(delta))
-		return b.setFieldTx(tx, r, i, cur)
+		return b.setFieldTx(tx, &r, i, cur)
 	})
 	return err == nil, err
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -157,8 +156,7 @@ func found(ok bool, err error) error {
 
 // Insert stores a new record.
 func (g *Grid) Insert(key string, rec *Record) error {
-	start := time.Now()
-	defer func() { g.stats.Insert.Observe(time.Since(start)) }()
+	defer g.stats.Insert.ObserveSince(obs.Now())
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
@@ -172,8 +170,7 @@ func (g *Grid) Insert(key string, rec *Record) error {
 // once; a second race or an unsupported record shape falls back to the
 // stripe lock.
 func (g *Grid) Read(key string, consume func(name string, value []byte)) error {
-	start := time.Now()
-	defer func() { g.stats.Read.Observe(time.Since(start)) }()
+	defer g.stats.Read.ObserveSince(obs.Now())
 	h := fnv32(key)
 	if g.vr != nil {
 		gen := &g.gens[h%gridStripes].v
@@ -204,8 +201,7 @@ func (g *Grid) Read(key string, consume func(name string, value []byte)) error {
 // Update overwrites fields write-through (backend in the critical path,
 // which is why larger caches do not help updates in Figure 9a).
 func (g *Grid) Update(key string, fields []Field) error {
-	start := time.Now()
-	defer func() { g.stats.Update.Observe(time.Since(start)) }()
+	defer g.stats.Update.ObserveSince(obs.Now())
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
@@ -215,8 +211,7 @@ func (g *Grid) Update(key string, fields []Field) error {
 // ReadModifyWrite runs YCSB's rmw: read all fields, then write back the
 // fields produced by mutate, under the key's lock.
 func (g *Grid) ReadModifyWrite(key string, mutate func(rec *Record) []Field) error {
-	start := time.Now()
-	defer func() { g.stats.RMW.Observe(time.Since(start)) }()
+	defer g.stats.RMW.ObserveSince(obs.Now())
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
@@ -240,8 +235,7 @@ func (g *Grid) ReadModifyWrite(key string, mutate func(rec *Record) []Field) err
 
 // Delete removes the record.
 func (g *Grid) Delete(key string) error {
-	start := time.Now()
-	defer func() { g.stats.Delete.Observe(time.Since(start)) }()
+	defer g.stats.Delete.ObserveSince(obs.Now())
 	h := fnv32(key)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)

@@ -15,25 +15,70 @@ import (
 // interface only — one fence per insert, one atomic reference swing per
 // field update, zero marshalling.
 type JPDTBackend struct {
-	h     *core.Heap
-	m     *pdt.Map
-	names *nameDict
-	objs  recordAlloc // plainObjects(h), built once
+	recordMap
+	objs recordAlloc // plainObjects(h), built once
 }
 
 // NewJPDTBackend creates (or reopens) the backend's persistent map under
 // the given root name, hash-mirrored when created. An existing map keeps
 // its kind.
 func NewJPDTBackend(h *core.Heap, rootName string) (*JPDTBackend, error) {
-	m, err := openOrCreateMap(h, rootName)
+	rm, err := openRecordMap(h, rootName)
 	if err != nil {
 		return nil, err
+	}
+	return &JPDTBackend{recordMap: rm, objs: plainObjects(h)}, nil
+}
+
+// recordMap is what both J-NVM backends share: the map of records, its
+// name dictionary and the record class every binding is checked against.
+type recordMap struct {
+	h     *core.Heap
+	m     *pdt.Map
+	names *nameDict
+	cls   uint16 // ClassRecord's id in h
+}
+
+// openRecordMap opens the map bound under rootName (created hash-mirrored
+// when absent) and its name dictionary.
+func openRecordMap(h *core.Heap, rootName string) (recordMap, error) {
+	m, err := openOrCreate(h, rootName, func() (*pdt.Map, error) { return pdt.NewMap(h, pdt.MirrorHash) })
+	if err != nil {
+		return recordMap{}, err
 	}
 	names, err := openNameDict(h, rootName)
 	if err != nil {
-		return nil, err
+		return recordMap{}, err
 	}
-	return &JPDTBackend{h: h, m: m, names: names, objs: plainObjects(h)}, nil
+	return recordMap{h: h, m: m, names: names, cls: mustClass(h, ClassRecord).ID()}, nil
+}
+
+// table resolves ref, the value word of key's binding, to its record
+// table without resurrecting a proxy (no class lookup, factory or
+// resurrection count): ref must be a valid block object of the record
+// class whose field count fits it — tableBase's checks, widened to the
+// block chain of a table too wide for one block. Anything else bound to
+// a key (a pooled slot, another class, an invalid block) is an error
+// naming the key.
+func (rm *recordMap) table(key string, ref core.Ref) (pRecord, error) {
+	if _, ok := tableHeader(rm.h.Mem(), rm.cls, ref); ok {
+		r := pRecord{rm.h.Inspect(ref)}
+		if recordSize(r.fieldCount()) <= r.Size() {
+			return r, nil
+		}
+	}
+	return pRecord{}, fmt.Errorf("store: key %q is bound to %#x, which is not a record table", key, ref)
+}
+
+// lookup resolves key through the map's raw path (GetRef) and table;
+// ok is false for an unbound key.
+func (rm *recordMap) lookup(key string) (r pRecord, ok bool, err error) {
+	ref := rm.m.GetRef(key)
+	if ref == 0 {
+		return pRecord{}, false, nil
+	}
+	r, err = rm.table(key, ref)
+	return r, err == nil, err
 }
 
 // openOrCreate resurrects the object bound to rootName, or binds the one
@@ -58,10 +103,6 @@ func openOrCreate[T core.PObject](h *core.Heap, rootName string, create func() (
 	return m, h.Root().Put(rootName, m)
 }
 
-func openOrCreateMap(h *core.Heap, rootName string) (*pdt.Map, error) {
-	return openOrCreate(h, rootName, func() (*pdt.Map, error) { return pdt.NewMap(h, pdt.MirrorHash) })
-}
-
 // Name implements Backend.
 func (b *JPDTBackend) Name() string { return "J-PDT" }
 
@@ -73,13 +114,6 @@ func (b *JPDTBackend) Caps() Caps { return Caps{View: b} }
 
 // Close implements Backend.
 func (b *JPDTBackend) Close() error { return nil }
-
-// SetProxyCache switches the underlying map's proxy-cache variant
-// (base / cached / eager, §4.3.2) — the only caching J-PDT uses (§5.3.1:
-// "with J-PDT, only proxies are kept in the cache").
-func (b *JPDTBackend) SetProxyCache(mode pdt.CacheMode) error {
-	return b.m.SetCacheMode(mode)
-}
 
 // Insert implements Backend: all field objects and the record publish
 // under the map's single insert fence.
@@ -93,11 +127,11 @@ func (b *JPDTBackend) Insert(key string, rec *Record) error {
 
 // Read implements Backend.
 func (b *JPDTBackend) Read(key string, consume func(string, []byte)) (bool, error) {
-	po, err := b.m.Get(key)
-	if err != nil || po == nil {
+	r, ok, err := b.lookup(key)
+	if !ok {
 		return false, err
 	}
-	return true, po.(*pRecord).read(b.names, key, consume)
+	return true, r.read(b.names, key, consume)
 }
 
 // Update implements Backend. A field that keeps its representation is
@@ -108,11 +142,10 @@ func (b *JPDTBackend) Read(key string, consume func(string, []byte)) (bool, erro
 // representation (inline to reference, reference to inline, another
 // inline length) takes the rest of the update through replaceTable.
 func (b *JPDTBackend) Update(key string, fields []Field) (bool, error) {
-	po, err := b.m.Get(key)
-	if err != nil || po == nil {
+	r, ok, err := b.lookup(key)
+	if !ok {
 		return false, err
 	}
-	r := po.(*pRecord)
 	for fi, f := range fields {
 		i := r.fieldIndex(b.names, f.Name)
 		if i < 0 {
@@ -122,7 +155,7 @@ func (b *JPDTBackend) Update(key string, fields []Field) (bool, error) {
 		rep, vw, inline := inlineValue(nw&nameInterned != 0, f.Value)
 		switch {
 		case rep != wordRep(nw):
-			err := b.replaceTable(key, r, fields[fi:])
+			err := b.replaceTable(key, &r, fields[fi:])
 			return err == nil, err
 		case inline:
 			r.WriteRefAtomic(fieldValOff(i), vw)
@@ -159,13 +192,16 @@ func (b *JPDTBackend) replaceTable(key string, r *pRecord, fields []Field) error
 // Delete implements Backend: the record is unlinked (one fence inside
 // Remove), then the whole object graph is freed without further fences.
 func (b *JPDTBackend) Delete(key string) (bool, error) {
-	po, err := b.m.Remove(key)
-	if err != nil || po == nil {
+	r, ok, err := b.lookup(key)
+	if !ok {
 		return false, err
 	}
-	r := po.(*pRecord)
+	ref := b.m.Remove(key)
+	if ref != r.Ref() {
+		return false, fmt.Errorf("store: key %q unbound %#x, not the record %#x it resolved to", key, ref, r.Ref())
+	}
 	r.freeChildren(b.h)
-	b.h.Free(r)
+	b.h.Mem().FreeObject(ref)
 	return true, nil
 }
 
@@ -173,23 +209,17 @@ func (b *JPDTBackend) Delete(key string) (bool, error) {
 // Same data layout as J-PDT; the difference is the redo-log protocol cost
 // that Figure 7 measures (J-PDT up to 65% faster).
 type JPFABackend struct {
-	h     *core.Heap
-	mgr   *fa.Manager
-	m     *pdt.Map
-	names *nameDict
+	recordMap
+	mgr *fa.Manager
 }
 
 // NewJPFABackend creates (or reopens) the backend state.
 func NewJPFABackend(h *core.Heap, mgr *fa.Manager, rootName string) (*JPFABackend, error) {
-	m, err := openOrCreateMap(h, rootName)
+	rm, err := openRecordMap(h, rootName)
 	if err != nil {
 		return nil, err
 	}
-	names, err := openNameDict(h, rootName)
-	if err != nil {
-		return nil, err
-	}
-	return &JPFABackend{h: h, mgr: mgr, m: m, names: names}, nil
+	return &JPFABackend{recordMap: rm, mgr: mgr}, nil
 }
 
 // Name implements Backend.
@@ -241,18 +271,16 @@ func (b *JPFABackend) Insert(key string, rec *Record) error {
 // name words, and settling its own key's ledger entry on every op would
 // leave nothing to fold. Outside async mode either settle is one atomic
 // load per block.
-func (b *JPFABackend) get(key string, deltas bool) (*pRecord, error) {
-	po, err := b.m.Get(key)
-	if err == nil && po == nil && b.mgr.CommitMode() == fa.CommitAsync {
+func (b *JPFABackend) get(key string, deltas bool) (r pRecord, ok bool, err error) {
+	r, ok, err = b.lookup(key)
+	if !ok && err == nil && b.mgr.CommitMode() == fa.CommitAsync {
 		b.mgr.DrainDurable()
-		po, err = b.m.Get(key)
+		r, ok, err = b.lookup(key)
 	}
-	if err != nil || po == nil {
-		return nil, err
+	if ok {
+		b.settle(&r, deltas)
 	}
-	r := po.(*pRecord)
-	b.settle(r, deltas)
-	return r, nil
+	return r, ok, err
 }
 
 // settle waits until no queued or in-flight commit holds r's blocks and,
@@ -269,8 +297,8 @@ func (b *JPFABackend) settle(r *pRecord, deltas bool) {
 
 // Read implements Backend (reads need no block, as in the paper).
 func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, error) {
-	r, err := b.get(key, true)
-	if err != nil || r == nil {
+	r, ok, err := b.get(key, true)
+	if !ok {
 		return false, err
 	}
 	return true, r.read(b.names, key, consume)
@@ -278,8 +306,8 @@ func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, erro
 
 // Update implements Backend.
 func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
-	r, err := b.get(key, true)
-	if err != nil || r == nil {
+	r, ok, err := b.get(key, true)
+	if !ok {
 		return false, err
 	}
 	err = b.mgr.Run(func(tx *fa.Tx) error {
@@ -288,7 +316,7 @@ func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
 			if i < 0 {
 				return fmt.Errorf("store: record %q has no field %q", key, f.Name)
 			}
-			if err := b.setFieldTx(tx, r, i, f.Value); err != nil {
+			if err := b.setFieldTx(tx, &r, i, f.Value); err != nil {
 				return err
 			}
 		}
@@ -333,34 +361,18 @@ func (b *JPFABackend) setFieldTx(tx *fa.Tx, r *pRecord, i int, value []byte) err
 	if wordRep(nw) != repRef || old == 0 {
 		return nil
 	}
-	prev, err := b.h.Resurrect(old)
-	if err != nil {
-		return err
-	}
-	return tx.Free(prev)
+	return tx.FreeRef(old)
 }
 
 // Delete implements Backend.
 func (b *JPFABackend) Delete(key string) (bool, error) {
 	found := false
 	err := b.mgr.Run(func(tx *fa.Tx) error {
-		ref := b.m.GetRef(key)
-		if ref == 0 && b.mgr.CommitMode() == fa.CommitAsync {
-			// A queued insert of this key has not reached the mirror yet;
-			// settle the epoch before concluding it does not exist.
-			b.mgr.DrainDurable()
-			ref = b.m.GetRef(key)
-		}
-		if ref == 0 {
-			return nil
-		}
-		found = true
-		po, err := b.h.Resurrect(ref)
-		if err != nil {
+		r, ok, err := b.get(key, true)
+		if !ok {
 			return err
 		}
-		r := po.(*pRecord)
-		b.settle(r, true)
+		found = true
 		for _, off := range recordRefs(r.Object) {
 			// Read the child refs through the redo view: a raw read
 			// could observe a value ref a queued update epoch is about
@@ -374,11 +386,7 @@ func (b *JPFABackend) Delete(key string) (bool, error) {
 			if cref == 0 {
 				continue // nullified by a recovery
 			}
-			child, err := b.h.Resurrect(cref)
-			if err != nil {
-				return err
-			}
-			if err := tx.Free(child); err != nil {
+			if err := tx.FreeRef(cref); err != nil {
 				return err
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fa"
 	"repro/internal/nvm"
+	"repro/internal/pdt"
 )
 
 // jnvmBackends opens each J-NVM backend over its own fresh heap.
@@ -84,17 +85,22 @@ func wantFields(t *testing.T, step string, got map[string][]byte, want map[strin
 // tableOf resolves key's record table through the backend's map.
 func tableOf(t *testing.T, b Backend, h *core.Heap, key string) *pRecord {
 	t.Helper()
-	var ref core.Ref
-	switch b := b.(type) {
-	case *JPDTBackend:
-		ref = b.m.GetRef(key)
-	case *JPFABackend:
-		ref = b.m.GetRef(key)
-	}
+	ref := recordMapOf(b).m.GetRef(key)
 	if ref == 0 {
 		t.Fatalf("no table for %s", key)
 	}
 	return &pRecord{Object: h.Inspect(ref)}
+}
+
+// recordMapOf returns the state a J-NVM backend shares with the other.
+func recordMapOf(b Backend) *recordMap {
+	switch b := b.(type) {
+	case *JPDTBackend:
+		return &b.recordMap
+	case *JPFABackend:
+		return &b.recordMap
+	}
+	panic(fmt.Sprintf("%T is not a J-NVM backend", b))
 }
 
 // TestRecordRepresentations drives every value representation and every
@@ -362,6 +368,58 @@ func TestReadRefusesOversizedInline(t *testing.T) {
 			// A fold reads the same word: an error too, never a panic.
 			if err := g.AddDelta("k", "a", 1); err == nil {
 				t.Fatal("fold into a 40-byte inline value succeeded")
+			}
+		})
+	}
+}
+
+// TestNonRecordBindingsAreErrors binds keys to objects that are not
+// record tables — a pooled slot, a chained block of another class and a
+// record whose block is invalid — and drives every operation that
+// resolves a record through the grid: each returns an error naming the
+// key, never a panic and never a record.
+func TestNonRecordBindingsAreErrors(t *testing.T) {
+	for name, open := range jnvmBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			b, h, mgr, _ := open()
+			rm := recordMapOf(b)
+			bindBytes := func(key string, n int) {
+				vb, err := pdt.NewBytes(h, make([]byte, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rm.m.Put(key, vb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bindBytes("slot", 16)
+			bindBytes("chained", 600)
+			if err := b.Insert("invalid", &Record{Fields: []Field{{Name: "f", Value: make([]byte, 8)}}}); err != nil {
+				t.Fatal(err)
+			}
+			mgr.DrainDurable()
+			h.Mem().SetValid(rm.m.GetRef("invalid"), false)
+			g := NewGrid(b)
+			ops := map[string]func(key string) error{
+				"read":     func(key string) error { return g.Read(key, func(string, []byte) {}) },
+				"update":   func(key string) error { return g.Update(key, []Field{{Name: "f", Value: []byte("v")}}) },
+				"adddelta": func(key string) error { return g.AddDelta(key, "f", 1) },
+				"delete":   g.Delete,
+			}
+			for _, key := range []string{"slot", "chained", "invalid"} {
+				for op, fn := range ops {
+					err := func() (err error) {
+						defer func() {
+							if p := recover(); p != nil {
+								err = fmt.Errorf("panic: %v", p)
+							}
+						}()
+						return fn(key)
+					}()
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("key %q", key)) {
+						t.Errorf("%s %s: err %v, want an error naming the key", op, key, err)
+					}
+				}
 			}
 		})
 	}

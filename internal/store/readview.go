@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fa"
 	"repro/internal/heap"
+	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pdt"
 )
@@ -67,27 +68,55 @@ var viewScratchPool = sync.Pool{
 	},
 }
 
+// tableHeader reports whether ref is a valid block object of class cls,
+// the record class, and whether it spans more than one block.
+func tableHeader(mem *heap.Heap, cls uint16, ref core.Ref) (chained, ok bool) {
+	if !mem.IsBlockRef(ref) {
+		return false, false // records are block objects; anything else is foreign
+	}
+	c, valid, next := heap.UnpackHeader(mem.HeaderAtomic(ref))
+	return next != 0, valid && c == cls
+}
+
 // tableBase returns the pool address of the record table at ref and its
 // field count when the table is one block whose words the unlocked reader
 // can load atomically at base+offset; ok is false for a chained record, a
 // misaligned or overfull table or a foreign object.
-func tableBase(h *core.Heap, ref core.Ref) (base uint64, n int, ok bool) {
-	mem := h.Mem()
-	if !mem.IsBlockRef(ref) {
-		return 0, 0, false // records are block objects; anything else is foreign
+func (rm *recordMap) tableBase(ref core.Ref) (base uint64, n int, ok bool) {
+	if chained, ok := tableHeader(rm.h.Mem(), rm.cls, ref); !ok || chained {
+		return 0, 0, false
 	}
 	base = ref + heap.HeaderSize
 	if base%8 != 0 {
 		return 0, 0, false // field words would not be atomically loadable
 	}
-	if _, valid, next := heap.UnpackHeader(mem.HeaderAtomic(ref)); !valid || next != 0 {
-		return 0, 0, false
-	}
-	n = tableCount(h.Pool().ReadUint64Atomic(base + recCount))
+	n = tableCount(rm.h.Pool().ReadUint64Atomic(base + recCount))
 	if recordSize(n) > heap.Payload {
 		return 0, 0, false // count claims more fields than one block holds
 	}
 	return base, n, true
+}
+
+// touchValues loads every field's value word and, for a referenced value,
+// the length word both value layouts keep 8 bytes in (after a pooled
+// slot's mini-header or a block's header). The loads are independent, so
+// their cache misses overlap instead of queueing one per field behind the
+// walk's checks; the walk then finds the lines resident. A word past the
+// pool's end is left to the walk's checks. The sum is returned so the
+// loads are not dead code, and noinline keeps the caller from discarding it.
+//
+//go:noinline
+func touchValues(pool *nvm.Pool, base uint64, n int) uint32 {
+	var sum uint32
+	size := pool.Size()
+	for i := 0; i < n; i++ {
+		nw := pool.ReadUint64Atomic(base + fieldNameOff(i))
+		vw := pool.ReadUint64Atomic(base + fieldValOff(i))
+		if wordRep(nw) == repRef && vw != 0 && vw <= size-12 {
+			sum += pool.ReadUint32(vw + 8)
+		}
+	}
+	return sum
 }
 
 // appendRecordViews collects the record's fields into out. It mirrors
@@ -96,13 +125,14 @@ func tableBase(h *core.Heap, ref core.Ref) (base uint64, n int, ok bool) {
 // word is loaded atomically, an inline value is copied, and anything the
 // unlocked reader cannot prove safe — a chained record or blob, an id the
 // dictionary does not know — returns ok=false for the locked path to
-// handle.
-func appendRecordViews(d *nameDict, ref core.Ref, out []fieldView) ([]fieldView, bool) {
-	base, n, ok := tableBase(d.h, ref)
+// handle. A touch pass (touchValues) runs before the per-field walk.
+func (rm *recordMap) appendRecordViews(ref core.Ref, out []fieldView) ([]fieldView, bool) {
+	base, n, ok := rm.tableBase(ref)
 	if !ok {
 		return out, false
 	}
-	pool := d.h.Pool()
+	d, pool := rm.names, rm.h.Pool()
+	touchValues(pool, base, n)
 	for i := 0; i < n; i++ {
 		nw := pool.ReadUint64Atomic(base + fieldNameOff(i))
 		vw := pool.ReadUint64Atomic(base + fieldValOff(i))
@@ -150,28 +180,22 @@ func viewString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// enableViewReads is both J-NVM backends' EnableViewReads.
-func enableViewReads(m *pdt.Map, rs *obs.ReadStats) {
-	m.Heap().Mem().EnableEBR()
-	m.SetReadObs(rs)
+// EnableViewReads implements ViewReader for both J-NVM backends.
+func (rm *recordMap) EnableViewReads(rs *obs.ReadStats) {
+	rm.h.Mem().EnableEBR()
+	rm.m.SetReadObs(rs)
 }
-
-// EnableViewReads implements ViewReader.
-func (b *JPDTBackend) EnableViewReads(rs *obs.ReadStats) { enableViewReads(b.m, rs) }
-
-// EnableViewReads implements ViewReader.
-func (b *JPFABackend) EnableViewReads(rs *obs.ReadStats) { enableViewReads(b.m, rs) }
 
 // ReadView implements ViewReader.
 func (b *JPDTBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
 	consume func(name string, value []byte)) (found, valid, ok bool) {
-	return readView(b.m, b.names, nil, key, hint, gen, g1, consume)
+	return b.readView(nil, key, hint, gen, g1, consume)
 }
 
 // ReadView implements ViewReader.
 func (b *JPFABackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
 	consume func(name string, value []byte)) (found, valid, ok bool) {
-	return readView(b.m, b.names, b.mgr, key, hint, gen, g1, consume)
+	return b.readView(b.mgr, key, hint, gen, g1, consume)
 }
 
 // readView is the one ViewReader of the J-NVM backends: pin, resolve the
@@ -188,16 +212,16 @@ func (b *JPFABackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 u
 //     in it. A write acknowledged after g1 changed the generation.
 //
 // In per-Tx mode the settle is one atomic load.
-func readView(m *pdt.Map, names *nameDict, mgr *fa.Manager, key string, hint uint32,
+func (rm *recordMap) readView(mgr *fa.Manager, key string, hint uint32,
 	gen *atomic.Uint64, g1 uint64, consume func(name string, value []byte)) (found, valid, ok bool) {
-	mem := names.h.Mem()
+	mem := rm.h.Mem()
 	slot := mem.PinReader(hint)
 	if slot < 0 {
 		// Every reader slot is pinned: an unpinned read could dereference
 		// a recycled block, so leave this one to the locked path.
 		return false, true, false
 	}
-	ref := m.GetRef(key)
+	ref := rm.m.GetRef(key)
 	if ref == 0 {
 		mem.UnpinReader(slot)
 		if mgr != nil && mgr.CommitMode() == fa.CommitAsync {
@@ -211,7 +235,7 @@ func readView(m *pdt.Map, names *nameDict, mgr *fa.Manager, key string, hint uin
 		mgr.Settle(ref)
 	}
 	sp := viewScratchPool.Get().(*[]fieldView)
-	fields, rok := appendRecordViews(names, ref, (*sp)[:0])
+	fields, rok := rm.appendRecordViews(ref, (*sp)[:0])
 	*sp = fields[:0]
 	if !rok {
 		mem.UnpinReader(slot)

@@ -3,7 +3,6 @@ package ycsb
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -127,14 +126,4 @@ func (r *Result) Throughput() float64 {
 		return 0
 	}
 	return float64(r.Operations) / r.Duration.Seconds()
-}
-
-// OpTypes returns the op types present, sorted for stable printing.
-func (r *Result) OpTypes() []OpType {
-	var out []OpType
-	for t := range r.PerOp {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

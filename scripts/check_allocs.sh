@@ -60,9 +60,13 @@ ceiling 'GridRead/cachemiss' 40
 # allocation: a READ request costs the key string plus Grid.Read's own
 # few allocations however many fields the record has (the deep-copying
 # window it replaced cost 33), and an UPDATE request at most two more than
-# the same update through Grid.Update directly (the grid-update row).
+# the same update through Grid.Update directly (the grid-update row),
+# which resolves the record to a bare proxy core (no class factory) and
+# frees the replaced value by reference: the new value's proxy (its core
+# and its pdt.PBytes) and the record's core are its three.
 if grep -qE '^Benchmark.*ServerWindow/grid-update' "$out"; then
     base=$(grep -E '^Benchmark.*ServerWindow/grid-update' "$out" | awk '{ print $7; exit }')
+    ceiling 'ServerWindow/grid-update' 3
     ceiling 'ServerWindow/read' 5
     ceiling 'ServerWindow/update' $((base + 2))
     ceiling 'ServerWindow/adddelta' 5

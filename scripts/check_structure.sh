@@ -139,6 +139,8 @@ go  \btxCache\b|unreserveDeltaTx  a second home for a free log slot (a slot and 
 go  \bstructMu\b  a second lock for structural grid ops (the backend serializes inserts and deletes)
 internal/nvm  \bnoteStore\b|p\.durable\b|p\.queued\b|p\.dirty\b  the full-pool durable mirror (a tracked pool records only its non-durable lines)
 all  store\.Options|CacheStats|cacheShard|cachePatch|cache_hits|FlushLatency  a record cache inside the grid or a PWB latency knob (one record cache: store.Cached; pwb is free)
+go  \b(SetProxyCache|ProxyCache)\b  a proxy-cache knob on the grid path (the J-NVM backends resolve records by reference; pdt.Map's cache modes serve its own callers)
+go  \bCopyWithinAtomic\b|\bInvalidate\(|\bOpTypes\b|\bSetRef\b  an exported name nothing called (nvm.Pool.CopyWithinAtomic, core.Object.Invalidate, ycsb.Result.OpTypes, pdt.PRefArray.SetRef)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
