@@ -5,14 +5,15 @@
 // blocks and single-pfence publication survive a power failure at *any*
 // instant. crashmc makes that claim executable: it runs a workload once
 // over a tracked nvm.Pool with a FaultPlane installed, counting every
-// ordering point (each store, PWB-line, PFence and PSync), then replays
-// the workload once per explored point k, "pulling the plug" immediately
-// before the k-th primitive executes. Each crash yields a CrashState from
-// which several adversarial images are minted — the strict image (only
-// fenced data), the everything-persisted image, and seeded random
-// line-subsets with sub-line tears — and every image is recovered once
-// through the standard core/heap/fa/pdt path (the §4.1.3 procedure), then
-// checked against the workload's application-level oracle: fsck clean,
+// ordering point (each store, PWB-line, PFence and PSync), then runs it
+// once more and, at each explored point k, "pulls the plug" immediately
+// before the k-th primitive executes: it captures the pool's CrashState
+// there, checks it, and lets the run go on. From each CrashState several
+// adversarial images are minted — the strict image (only fenced data),
+// the everything-persisted image, and seeded random line-subsets with
+// sub-line tears — and every image is recovered once through the standard
+// core/heap/fa/pdt path (the §4.1.3 procedure), then checked against the
+// workload's application-level oracle: fsck clean,
 // failure-atomic blocks all-or-nothing, no reachable half-initialized
 // object, store records intact, and the recovered heap still writable.
 //
@@ -38,14 +39,15 @@ type Run struct {
 	// targets the steady-state mutations, not first-run formatting.
 	Setup func(pool *nvm.Pool) error
 	// Exec mutates the structures. Every ordering point it issues is
-	// observed, and a crash abandons it mid-flight via panic. It must be
-	// deterministic: single-goroutine, no Go-map iteration, all
-	// randomness from the run's seeded rng.
+	// observed, and the explored ones are checked right there, in the
+	// middle of Exec. It must be deterministic: single-goroutine, no
+	// Go-map iteration, all randomness from the run's seeded rng.
 	Exec func(pool *nvm.Pool) error
 	// Check recovers the crash image and verifies the workload invariants
-	// against the oracle. It is called many times per run and must not
-	// mutate the oracle. It owns img and may write to it (e.g. probe that
-	// the recovered heap accepts new operations).
+	// against the oracle. It is called many times per run, mostly from
+	// inside Exec, and must not mutate the oracle or anything else Exec
+	// reads (its rng included). It owns img and may write to it (e.g.
+	// probe that the recovered heap accepts new operations).
 	Check func(img *nvm.Pool) error
 }
 
@@ -57,33 +59,28 @@ type Workload struct {
 	New func(seed int64) *Run
 }
 
-// crashSignal unwinds Exec when the plane fires.
-type crashSignal struct{}
-
-// plane is the FaultPlane that counts ordering points and pulls the plug
-// at the trigger point. The crash state is captured at the panic site,
-// before deferred cleanup (e.g. fa's abort-on-panic) can write to the
-// pool; events observed after firing (from exactly that cleanup) are
-// ignored.
+// plane is the FaultPlane of one run. It counts ordering points and, as
+// the run reaches each point still in points, captures the crash state
+// there and hands it to check with the run, whose oracle stands exactly
+// where the plug would be pulled. The run then goes on: the state is an
+// immutable copy, so the stores Exec issues after it never reach the
+// images check mints, and check recovers those images on pools of their
+// own. check returning false ends the checks; the run still finishes.
 type plane struct {
-	pool    *nvm.Pool
-	trigger int // 1-based ordering point to crash at; 0 = count only
-	count   int
-	fired   bool
-	state   *nvm.CrashState // captured at the crash
+	pool   *nvm.Pool
+	run    *Run
+	count  int
+	points []int // points still to check, ascending
+	check  func(run *Run, point int, state *nvm.CrashState) bool
 }
 
-func (pl *plane) capture() { pl.state = pl.pool.CaptureCrashState() }
-
 func (pl *plane) OrderingPoint(nvm.FaultEvent) {
-	if pl.fired {
-		return
-	}
 	pl.count++
-	if pl.trigger != 0 && pl.count == pl.trigger {
-		pl.fired = true
-		pl.capture()
-		panic(crashSignal{})
+	if len(pl.points) > 0 && pl.points[0] == pl.count {
+		pl.points = pl.points[1:]
+		if !pl.check(pl.run, pl.count, pl.pool.CaptureCrashState()) {
+			pl.points = nil
+		}
 	}
 }
 
@@ -162,41 +159,25 @@ type Report struct {
 	Failures []Failure `json:"failures,omitempty"`
 }
 
-// runTo executes a fresh run of w, crashing at ordering point trigger
-// (0 = run to completion). Returns the run (with its oracle advanced to
-// the crash), the plane (count + captured state), and Exec's error when
-// it completed without crashing.
-func runTo(w *Workload, seed int64, trigger int) (*Run, *plane, error) {
+// runWorkload executes one fresh run of w to completion under a plane
+// that checks points as the run reaches them (none when points is
+// empty). It returns the plane, which holds the run and its count, and
+// the state captured after the last operation.
+func runWorkload(w *Workload, seed int64, points []int, check func(*Run, int, *nvm.CrashState) bool) (*plane, *nvm.CrashState, error) {
 	pool := nvm.New(w.PoolBytes, nvm.Options{Tracked: true})
 	run := w.New(seed)
 	if err := run.Setup(pool); err != nil {
 		return nil, nil, fmt.Errorf("%s setup: %w", w.Name, err)
 	}
 	pool.PSync() // setup ends durable; exploration covers Exec only
-	pl := &plane{pool: pool, trigger: trigger}
+	pl := &plane{pool: pool, run: run, points: points, check: check}
 	pool.SetFaultPlane(pl)
-	var execErr error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					return
-				}
-				panic(r)
-			}
-		}()
-		execErr = run.Exec(pool)
-	}()
+	err := run.Exec(pool)
 	pool.SetFaultPlane(nil)
-	if trigger == 0 || !pl.fired {
-		if execErr != nil {
-			return nil, nil, fmt.Errorf("%s exec: %w", w.Name, execErr)
-		}
-		// Completed: capture the end-of-run state so the caller can
-		// explore the "crash after the last operation" point too.
-		pl.capture()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s exec: %w", w.Name, err)
 	}
-	return run, pl, nil
+	return pl, pool.CaptureCrashState(), nil
 }
 
 // safeCheck runs Check, converting panics into errors: recovery must
@@ -303,7 +284,13 @@ func minimizeSpec(run *Run, state *nvm.CrashState, spec []nvm.CrashLine) []nvm.C
 	return cur
 }
 
-// Explore runs the full exploration of one workload.
+// Explore runs the full exploration of one workload in two runs. The
+// count pass counts the ordering points, from which the points to explore
+// are picked, and holds the completed run to its own oracle. The check
+// pass checks every picked point as it reaches it and the point after
+// the last operation once it ends; it must issue as many ordering points
+// as the count pass, or the (point, sample, seed) triples would not
+// reproduce.
 func Explore(w *Workload, opt Options) (*Report, error) {
 	if opt.MaxFailures == 0 {
 		opt.MaxFailures = 3
@@ -314,19 +301,9 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 	}
 	rep := &Report{Workload: w.Name, Seed: opt.Seed}
 
-	// Pass 1: count ordering points and sanity-check determinism — two
-	// identical runs must issue identical ordering-point sequences, or
-	// the (point, sample, seed) triples would not reproduce.
-	run, pl, err := runTo(w, opt.Seed, 0)
+	pl, end, err := runWorkload(w, opt.Seed, nil, nil)
 	if err != nil {
 		return nil, err
-	}
-	_, pl2, err := runTo(w, opt.Seed, 0)
-	if err != nil {
-		return nil, err
-	}
-	if pl.count != pl2.count {
-		return nil, fmt.Errorf("%s: nondeterministic workload: %d vs %d ordering points", w.Name, pl.count, pl2.count)
 	}
 	rep.Points = pl.count
 	logf("%s: %d ordering points", w.Name, rep.Points)
@@ -334,8 +311,8 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 	// The completed run must also satisfy its own oracle in both crash
 	// worlds (nothing pending lost, everything pending persisted).
 	for _, sample := range []int{-1, -2} {
-		img := pl.state.Image(specFor(pl.state, opt.Seed, rep.Points+1, sample))
-		if err := safeCheck(run, img); err != nil {
+		img := end.Image(specFor(end, opt.Seed, rep.Points+1, sample))
+		if err := safeCheck(pl.run, img); err != nil {
 			return nil, fmt.Errorf("%s: completed run fails its own oracle (sample %d): %w", w.Name, sample, err)
 		}
 	}
@@ -355,27 +332,17 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 		samples = []int{opt.Sample}
 	}
 
-	for _, point := range points {
-		var state *nvm.CrashState
-		crun := run
-		if point > rep.Points {
-			state = pl.state // end-of-run state from the count pass
-		} else {
-			r, cpl, err := runTo(w, opt.Seed, point)
-			if err != nil {
-				return nil, err
-			}
-			if !cpl.fired {
-				return nil, fmt.Errorf("%s: replay finished before point %d (nondeterministic workload)", w.Name, point)
-			}
-			state = cpl.state
-			crun = r
-		}
+	// check checks every sample image of one point and reports whether
+	// the exploration goes on. Each image is minted over the last one,
+	// which its Check is done with.
+	var img *nvm.Pool
+	check := func(run *Run, point int, state *nvm.CrashState) bool {
 		rep.Explored++
 		for _, sample := range samples {
 			spec := specFor(state, opt.Seed, point, sample)
 			rep.Images++
-			err := safeCheck(crun, state.Image(spec))
+			img = state.ImageOver(img, spec)
+			err := safeCheck(run, img)
 			if err == nil {
 				continue
 			}
@@ -385,19 +352,33 @@ func Explore(w *Workload, opt Options) (*Report, error) {
 				Sample:   sample,
 				Seed:     opt.Seed,
 				Err:      err.Error(),
-				Subset:   minimizeSpec(crun, state, spec),
+				Subset:   minimizeSpec(run, state, spec),
 			}
 			rep.Failures = append(rep.Failures, f)
 			logf("%s", f.String())
 			if opt.MaxFailures > 0 && len(rep.Failures) >= opt.MaxFailures {
 				logf("%s: stopping after %d failures", w.Name, len(rep.Failures))
-				return rep, nil
+				return false
 			}
 		}
 		if rep.Explored%50 == 0 {
 			logf("%s: explored %d/%d points, %d images, %d failures",
 				w.Name, rep.Explored, len(points), rep.Images, len(rep.Failures))
 		}
+		return true
+	}
+	pl, end, err = runWorkload(w, opt.Seed, points, check)
+	if err != nil {
+		return nil, err
+	}
+	if pl.count != rep.Points {
+		return nil, fmt.Errorf("%s: nondeterministic workload: %d vs %d ordering points", w.Name, rep.Points, pl.count)
+	}
+	for _, point := range pl.points {
+		if point != rep.Points+1 {
+			return nil, fmt.Errorf("%s: point %d is past the run's %d ordering points", w.Name, point, rep.Points)
+		}
+		check(pl.run, point, end)
 	}
 	return rep, nil
 }

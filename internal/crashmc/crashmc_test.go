@@ -2,6 +2,7 @@ package crashmc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/nvm"
@@ -66,7 +67,7 @@ func TestOrderingPointCounts(t *testing.T) {
 	}
 	for _, w := range ws {
 		for run := 0; run < 2; run++ {
-			_, pl, err := runTo(w, 1, 0)
+			pl, _, err := runWorkload(w, 1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,6 +134,31 @@ func TestExplorerHasTeeth(t *testing.T) {
 	}
 	if got := rerun.Failures[0]; got.Point != f.Point || got.Sample != f.Sample || got.Err != f.Err {
 		t.Fatalf("repro mismatch:\noriginal: %+v\nreplay:   %+v", f, got)
+	}
+}
+
+// TestExploreRefusesNondeterministicWorkload: a workload whose runs issue
+// different numbers of ordering points cannot reproduce its (point,
+// sample, seed) triples, so Explore must refuse it rather than report on
+// points the count pass never saw.
+func TestExploreRefusesNondeterministicWorkload(t *testing.T) {
+	execs := 0 // shared by every Run New builds: each Exec stores once more
+	w := &Workload{Name: "drifting", PoolBytes: 1 << 16, New: func(int64) *Run {
+		return &Run{
+			Setup: func(*nvm.Pool) error { return nil },
+			Exec: func(pool *nvm.Pool) error {
+				execs++
+				for i := 0; i < execs; i++ {
+					pool.WriteUint64(0, uint64(i))
+				}
+				return nil
+			},
+			Check: func(*nvm.Pool) error { return nil },
+		}
+	}}
+	_, err := Explore(w, Options{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "nondeterministic workload") {
+		t.Fatalf("Explore: %v, want a nondeterministic-workload error", err)
 	}
 }
 

@@ -1216,24 +1216,25 @@ func retireEntry() entry {
 		var mgr *fa.Manager
 		// Values straddle the pooled-slot limit: short ones share a pool
 		// chunk with their neighbours, long ones own a block. f1 is always
-		// the size of a field name's slot.
-		value := func(i int, f string) string {
+		// the size of a field name's slot. The sizes come from r: exec's
+		// rng, or the probes' own in check.
+		value := func(r *rand.Rand, i int, f string) string {
 			if f == "f1" {
-				return string(letters(i, 9+rng.Intn(8)))
+				return string(letters(i, 9+r.Intn(8)))
 			}
-			return string(letters(i, 12+rng.Intn(150)))
+			return string(letters(i, 12+r.Intn(150)))
 		}
-		record := func(i int, extra ...string) (*store.Record, map[string]string) {
+		record := func(r *rand.Rand, i int, extra ...string) (*store.Record, map[string]string) {
 			rec, m := &store.Record{}, map[string]string{}
 			for j, f := range append(fields, extra...) {
-				v := value(i+j, f)
+				v := value(r, i+j, f)
 				rec.Fields = append(rec.Fields, store.Field{Name: f, Value: []byte(v)})
 				m[f] = v
 			}
 			return rec, m
 		}
 		insert := func(i int, key string, extra ...string) error {
-			rec, m := record(i, extra...)
+			rec, m := record(rng, i, extra...)
 			cur[key] = m
 			o.issue("grid", grid(cur))
 			return g.Insert(key, rec)
@@ -1241,7 +1242,7 @@ func retireEntry() entry {
 		update := func(i int, key string, names ...string) error {
 			var fs []store.Field
 			for j, f := range names {
-				v := value(i+j, f)
+				v := value(rng, i+j, f)
 				fs = append(fs, store.Field{Name: f, Value: []byte(v)})
 				cur[key][f] = v
 			}
@@ -1325,9 +1326,13 @@ func retireEntry() entry {
 					return err
 				}
 				// No block both free and reachable: allocations off the
-				// recovered free queue leave every record as it was.
+				// recovered free queue leave every record as it was. Check
+				// runs in the middle of exec, so the probes draw their
+				// sizes from an rng of their own: a draw from exec's would
+				// change the run being checked.
+				probes := rand.New(rand.NewSource(seed))
 				for i := 0; i < 6; i++ {
-					rec, _ := record(1000 + 10*i)
+					rec, _ := record(probes, 1000+10*i)
 					if err := g2.Insert(fmt.Sprintf("probe%d", i), rec); err != nil {
 						return fmt.Errorf("post-recovery insert %d: %w", i, err)
 					}

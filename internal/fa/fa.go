@@ -199,7 +199,7 @@ func (q *retireQueue) beginFence() uint64 { return q.fences.Add(1) }
 // the next sequence number and joins the FIFO.
 func (q *retireQueue) advance(mem *heap.Heap, fence uint64, next *Tx, done []*Tx) []*Tx {
 	q.mu.Lock()
-	defer q.mu.Unlock() // the W store is an ordering point a fault plane may unwind from
+	defer q.mu.Unlock() // the W store may panic, and every later commit takes q.mu
 	n := 0
 	for n < len(q.fifo) {
 		// applied holds the fence count at park time plus one.

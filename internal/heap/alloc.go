@@ -107,19 +107,25 @@ func (h *Heap) takeBlock() (uint64, error) {
 			return 0, fmt.Errorf("%w: arena of %d blocks exhausted", ErrOutOfMemory, h.nBlocks)
 		}
 		if h.bump.CompareAndSwap(cur, cur+1) {
-			// The persistent mirror is advisory (recovery recomputes the
-			// bump from reachability), but the store itself must be
-			// synchronized and monotonic: CAS winners can reach this
-			// line out of order.
-			h.bumpMu.Lock()
-			if cur+1 > h.bumpMirror {
-				h.bumpMirror = cur + 1
-				h.pool.WriteUint64(sbBump, cur+1)
-			}
-			h.bumpMu.Unlock()
+			h.raiseBumpMirror(cur + 1)
 			h.stats.BumpAllocs.Inc()
 			return cur, nil
 		}
+	}
+}
+
+// raiseBumpMirror stores n to the persistent bump mirror unless a higher
+// value is there. The mirror is advisory (recovery recomputes the bump
+// from reachability), but the store itself must be synchronized and
+// monotonic: CAS winners can reach it out of order. The unlock is
+// deferred: the store may panic (a fault plane may abandon the run
+// there), and every later bump allocation takes bumpMu.
+func (h *Heap) raiseBumpMirror(n uint64) {
+	h.bumpMu.Lock()
+	defer h.bumpMu.Unlock()
+	if n > h.bumpMirror {
+		h.bumpMirror = n
+		h.pool.WriteUint64(sbBump, n)
 	}
 }
 

@@ -132,9 +132,8 @@ func (s *smallAllocator) take(sc int) (Ref, error) {
 }
 
 // takeLocked is take's body under the class lock. The unlock is deferred:
-// carve stores to the pool, and a fault plane that pulls the plug there
-// unwinds through this frame into callers (fa's abort-on-panic) that free
-// slots of the same class.
+// carve stores to the pool, a store may panic (a fault plane may abandon
+// the run there), and a panicking block's Abort frees into this class.
 func (s *smallAllocator) takeLocked(sc int) (Ref, error) {
 	c := &s.classes[sc]
 	c.mu.Lock()

@@ -58,10 +58,10 @@ type FaultEvent struct {
 }
 
 // FaultPlane observes ordering points. OrderingPoint runs on the calling
-// goroutine with no pool locks held, so it may call CaptureCrashState and
-// may panic to abandon the workload at that instant (the idiom crashmc
-// uses to "pull the plug"). If the pool is used from several goroutines
-// the plane must be safe for concurrent calls.
+// goroutine with no pool locks held, so it may call CaptureCrashState
+// (crashmc "pulls the plug" that way and lets the run go on) and may
+// panic to abandon the workload at that instant. If the pool is used
+// from several goroutines the plane must be safe for concurrent calls.
 type FaultPlane interface {
 	OrderingPoint(FaultEvent)
 }
@@ -144,8 +144,8 @@ type pendingLine struct {
 // It is captured once (cheaply, under the pool lock) and can then mint
 // any number of crash images while the original pool keeps running or is
 // torn down; in particular it is immune to stores issued after capture,
-// which is what lets crashmc capture at a panic site and build images
-// after unwinding through deferred writes (e.g. fa's Abort-on-panic).
+// which is what lets crashmc check a crash state in the middle of a run
+// that goes on storing.
 type CrashState struct {
 	opts    Options
 	durable []byte        // the whole pool as NVMM holds it
@@ -190,8 +190,22 @@ func (cs *CrashState) Pending() []PendingLine {
 // durable image equals its data) and independent of the original. Panics
 // on a spec entry naming a non-pending line, a CrashFromSnapshot entry
 // for an unqueued line, or an invalid Split.
-func (cs *CrashState) Image(spec []CrashLine) *Pool {
-	img := &Pool{data: bytes.Clone(cs.durable), opts: cs.opts, lines: make(map[uint64]*lineRecord)}
+func (cs *CrashState) Image(spec []CrashLine) *Pool { return cs.ImageOver(nil, spec) }
+
+// ImageOver is Image minted into the bytes of old, an image an earlier
+// Image or ImageOver call returned and whose user is done with it, so a
+// caller checking image after image allocates none. old is dead
+// afterwards: its bytes are gone, and any access to them panics. A nil
+// old, or one of another size, gets fresh bytes.
+func (cs *CrashState) ImageOver(old *Pool, spec []CrashLine) *Pool {
+	var data []byte
+	if old != nil && len(old.data) == len(cs.durable) {
+		data, old.data = old.data, nil
+		copy(data, cs.durable)
+	} else {
+		data = bytes.Clone(cs.durable)
+	}
+	img := &Pool{data: data, opts: cs.opts, lines: make(map[uint64]*lineRecord)}
 	for _, cl := range spec {
 		i, ok := slices.BinarySearchFunc(cs.pending, cl.Line, func(pl pendingLine, line uint64) int {
 			return cmp.Compare(pl.Line, line)

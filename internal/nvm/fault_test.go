@@ -106,8 +106,8 @@ func TestFaultPlanePanicPrecedesEffect(t *testing.T) {
 }
 
 // TestCaptureCrashStateImmutable checks that a captured state is immune to
-// stores issued after capture — the property that lets crashmc capture at
-// a panic site and build images after deferred cleanup wrote to the pool.
+// stores issued after capture — the property that lets crashmc check a
+// crash state while the run it was captured from goes on.
 func TestCaptureCrashStateImmutable(t *testing.T) {
 	p := New(4096, Options{Tracked: true})
 	p.WriteUint64(0, 1)
@@ -124,6 +124,30 @@ func TestCaptureCrashStateImmutable(t *testing.T) {
 	if got := img.ReadUint64(0); got != 1 {
 		t.Fatalf("captured current content changed after later stores: got %d, want 1", got)
 	}
+}
+
+// TestImageOverReusesBytes checks that an image minted over an earlier
+// one equals a fresh image of its spec, whatever the earlier image's user
+// wrote, and that the earlier image is dead.
+func TestImageOverReusesBytes(t *testing.T) {
+	p := New(4096, Options{Tracked: true})
+	p.WriteUint64(0, 1)
+	p.PWB(0)
+	p.WriteUint64(128, 2)
+	cs := p.CaptureCrashState()
+	spec := []CrashLine{{Line: 0, Source: CrashFromSnapshot}}
+	old := cs.Image(nil)
+	old.WriteUint64(1024, 9) // the earlier user's own store
+	img := cs.ImageOver(old, spec)
+	if want := cs.Image(spec); !bytes.Equal(img.View(0, img.Size()), want.View(0, want.Size())) {
+		t.Fatal("image minted over an earlier one differs from a fresh one")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the earlier image is still usable")
+		}
+	}()
+	old.ReadUint64(0)
 }
 
 // TestCrashImageQueuedThenRedirtied is the regression test for the old

@@ -34,7 +34,11 @@
 #     bounded hot-proxy cache and the reflection layout binder), and a
 #     crashmc workload's own possible-state structure (one oracle type,
 #     DESIGN.md §13), and a second refusal of old pools (the heap format
-#     version is the one refusal). benchmarks/ and this file are exempt.
+#     version is the one refusal), and crashmc replaying the workload per
+#     crash point. benchmarks/ and this file are exempt.
+#  7. Documented counts. The "points (seed 1)" column of DESIGN.md §13's
+#     workload table is the map TestOrderingPointCounts pins
+#     (internal/crashmc/crashmc_test.go), row for row.
 set -eu
 
 fail=0
@@ -110,6 +114,43 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# Rule 7: §13's ordering-point column against the test's pinned counts.
+hits=$(awk -F'|' '
+    FNR == NR {
+        if ($0 ~ /want := map\[string\]int\{/) on = 1
+        if (!on) next
+        line = $0
+        while (match(line, /"[a-z]+": [0-9]+/)) {
+            kv = substr(line, RSTART + 1, RLENGTH - 1)
+            line = substr(line, RSTART + RLENGTH)
+            split(kv, p, /": /)
+            pin[p[1]] = p[2]
+        }
+        if ($0 ~ /^[ \t]*}/) on = 0
+        next
+    }
+    /^## / { sec = ($0 ~ /^## 13\./); next }
+    sec && /points \(seed 1\)/ {
+        for (i = 2; i < NF; i++) if ($i ~ /points \(seed 1\)/) col = i
+        next
+    }
+    sec && col && /^\| `/ {
+        name = $2; gsub(/[ `]/, "", name)
+        n = $col; gsub(/ /, "", n)
+        seen[name] = 1
+        if (!(name in pin)) print FILENAME ":" FNR ": " name " has no count in TestOrderingPointCounts"
+        else if (n != pin[name]) print FILENAME ":" FNR ": " name " " n " points, TestOrderingPointCounts pins " pin[name]
+    }
+    END {
+        if (!col) print "DESIGN.md: no \"points (seed 1)\" column in §13"
+        for (name in pin) if (!(name in seen)) print "DESIGN.md: no §13 row for " name
+    }' internal/crashmc/crashmc_test.go DESIGN.md)
+if [ -n "$hits" ]; then
+    echo "DESIGN.md §13's ordering-point counts differ from the pinned ones:" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
 # Rule 6: one row per retired feature — scope, ERE, what a match brings back.
 while read -r scope pat what; do
     case $scope in
@@ -141,6 +182,7 @@ internal/nvm  \bnoteStore\b|p\.durable\b|p\.queued\b|p\.dirty\b  the full-pool d
 all  store\.Options|CacheStats|cacheShard|cachePatch|cache_hits|FlushLatency  a record cache inside the grid or a PWB latency knob (one record cache: store.Cached; pwb is free)
 go  \b(SetProxyCache|ProxyCache)\b  a proxy-cache knob on the grid path (the J-NVM backends resolve records by reference; pdt.Map's cache modes serve its own callers)
 go  \bCopyWithinAtomic\b|\bInvalidate\(|\bOpTypes\b|\bSetRef\b  an exported name nothing called (nvm.Pool.CopyWithinAtomic, core.Object.Invalidate, ycsb.Result.OpTypes, pdt.PRefArray.SetRef)
+go  \b(runTo|crashSignal)\b  crashmc replaying the workload per crash point (the check pass checks each point inside one run)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
