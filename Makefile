@@ -57,10 +57,11 @@ race:
 	$(GO) test -race -run '$(RACE_ENV_TESTS)' ./internal/bench/
 	$(GO) test -race -run '$(RACE_MAP_TESTS)' -count=20 ./internal/pdt/
 
-# Allocation gate (DESIGN.md §14, §16): runs the MapGet/GridRead and
-# ServerWindow benchmarks with -benchmem and fails if the zero-copy and
-# proxy-cached fast paths report any allocs/op, the fallback regimes
-# exceed their ceilings, or a wire request allocates per field again.
+# Allocation gate (DESIGN.md §14, §16): runs the MapGet/GridRead,
+# ServerWindow and ClientWindow benchmarks with -benchmem and fails if the
+# zero-copy and proxy-cached fast paths report any allocs/op, the fallback
+# regimes exceed their ceilings, a wire request allocates per field again,
+# or the wire client allocates per reply.
 # CI runs this on every push.
 bench-read:
 	./scripts/check_allocs.sh

@@ -16,9 +16,12 @@ import (
 // Ownership: field values handed to Insert and Update are borrowed for the
 // call — the wire server passes sub-slices of a connection buffer it
 // reuses for the next window — so an implementation copies every value it
-// keeps. The key and field names of an Insert are owned strings: the
-// volatile mirrors retain them as they are, so callers never modify them
-// afterwards. The keys of the other operations are only looked at.
+// keeps. The key of an Insert and the field names of an Insert or Update
+// are owned strings, which callers never modify afterwards: the FS-family
+// backends keep the key as it is (VolatileBackend and Cached the field
+// names too), while the J-NVM backends keep neither (pdt.Map clones a key
+// at every put, the name dictionary a new name). The keys of the other
+// operations are only looked at.
 type Backend interface {
 	Name() string
 	// Insert stores a new record.

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -140,5 +143,108 @@ func BenchmarkServerWindow(b *testing.B) {
 				roundTrip(w, n, reply[:n*replyLen])
 			}
 		})
+	}
+}
+
+// BenchmarkClientWindow is the allocation gate of the client path
+// (scripts/check_allocs.sh): a Client sends 16-deep pipeline windows of
+// one request kind to a raw loopback peer, which answers every request
+// with a pre-encoded reply — for a READ, a YCSB-shaped record of 10
+// fields x 100 B. The bigupdate row sends a 100 KiB value, a frame larger
+// than the client's 64 KiB write buffer. One op is one request and its
+// reply; the peer only copies bytes, so the allocs/op column is the
+// client's alone.
+func BenchmarkClientWindow(b *testing.B) {
+	const depth = 16
+	value := make([]byte, 100)
+	var record []store.Field
+	for f := 0; f < 10; f++ {
+		record = append(record, store.Field{Name: fmt.Sprintf("field%d", f), Value: value})
+	}
+	const key = "user000000000042"
+	for _, kind := range []struct {
+		name  string
+		req   Request
+		reply Response
+	}{
+		{"read", Request{Op: OpRead, Key: key}, Response{Op: OpRead, Fields: record}},
+		{"update", Request{Op: OpUpdate, Key: key, Fields: record[3:4]}, Response{Op: OpUpdate}},
+		{"adddelta", Request{Op: OpAddDelta, Key: key, Field: "count", Delta: 1}, Response{Op: OpAddDelta}},
+		{"bigupdate", Request{Op: OpUpdate, Key: key, Fields: []store.Field{{Name: "field0", Value: make([]byte, 100<<10)}}}, Response{Op: OpUpdate}},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			reply := AppendResponse(nil, &kind.reply)
+			replies := bytes.Repeat(reply, depth)
+			peer := make(chan error, 1)
+			go func() { peer <- answerWindows(l, replies, len(reply)) }()
+			cl, err := DialTimeout(l.Addr().String(), time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var resp Response
+			window := func(n int) {
+				for i := 0; i < n; i++ {
+					if err := cl.Send(&kind.req); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := cl.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if err := cl.Recv(&resp); err != nil {
+						b.Fatal(err)
+					}
+					if resp.Op != kind.req.Op || len(resp.Fields) != len(kind.reply.Fields) {
+						b.Fatalf("reply op %v with %d fields", resp.Op, len(resp.Fields))
+					}
+				}
+			}
+			window(depth) // warm-up: fill the name table, size the field slice
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += depth {
+				window(min(depth, b.N-done))
+			}
+			b.StopTimer()
+			cl.Close()
+			if err := <-peer; err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// answerWindows serves one connection of BenchmarkClientWindow: it reads
+// every request frame already buffered and answers them in one write of
+// as many pre-encoded replies, until the client hangs up.
+func answerWindows(l net.Listener, replies []byte, replyLen int) error {
+	conn, err := l.Accept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	var buf []byte
+	for {
+		n := 0
+		for n == 0 || BufferedFrame(br) {
+			if buf, err = ReadFrame(br, buf); err != nil {
+				if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+					return nil
+				}
+				return err
+			}
+			n++
+		}
+		if _, err := conn.Write(replies[:n*replyLen]); err != nil {
+			return err
+		}
 	}
 }

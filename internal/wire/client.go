@@ -14,16 +14,18 @@ import (
 // Pipelining is explicit: Send buffers request frames, Flush pushes them
 // out, Recv reads responses in request order.
 type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	sbuf []byte // Send scratch
-	rbuf []byte // Recv frame scratch
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	sbuf   []byte        // Send scratch
+	rbuf   []byte        // the frame of the last Recv
+	fields []store.Field // the Fields of every READ response
+	names  nameTable
 }
 
-// Dial connects to a wire server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// DialTimeout connects to a wire server with a connect timeout.
+func DialTimeout(addr string, d time.Duration) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {
 		return nil, err
 	}
@@ -33,25 +35,10 @@ func Dial(addr string) (*Client, error) {
 		tc.SetNoDelay(true)
 	}
 	return &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-	}, nil
-}
-
-// DialTimeout is Dial with a connect timeout.
-func DialTimeout(addr string, d time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, d)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
+		conn:  conn,
+		br:    bufio.NewReaderSize(conn, 64<<10),
+		bw:    bufio.NewWriterSize(conn, 64<<10),
+		names: make(nameTable),
 	}, nil
 }
 
@@ -68,17 +55,25 @@ func (c *Client) Send(req *Request) error {
 // Flush pushes buffered frames to the server.
 func (c *Client) Flush() error { return c.bw.Flush() }
 
-// Recv reads the next response in request order into resp.
+// Recv reads the next response in request order into resp. It decodes in
+// place, so resp is valid only until the next Recv: the field values of
+// a READ alias the client's frame buffer, and resp.Fields is a slice
+// the client reuses. A caller that keeps a field copies it; Msg and Blob
+// are copies already.
 func (c *Client) Recv(resp *Response) error {
-	frame, err := ReadFrame(c.br, c.rbuf[:0])
-	if err != nil {
+	var frame []byte
+	var err error
+	if c.rbuf, frame, err = appendFrame(c.br, c.rbuf[:0]); err != nil {
 		return err
 	}
-	c.rbuf = frame[:0]
-	return DecodeResponse(frame, resp)
+	err = decodeResponse(frame, resp, c.fields[:0], c.names)
+	if resp.Fields != nil {
+		c.fields = resp.Fields
+	}
+	return err
 }
 
-// do is the synchronous one-request helper behind the convenience calls.
+// do is the synchronous one-request helper behind Ping and Stats.
 func (c *Client) do(req *Request, resp *Response) error {
 	if err := c.Send(req); err != nil {
 		return err
@@ -101,41 +96,6 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Insert stores a record synchronously.
-func (c *Client) Insert(key string, fields []store.Field) error {
-	var resp Response
-	if err := c.do(&Request{Op: OpInsert, Key: key, Fields: fields}, &resp); err != nil {
-		return err
-	}
-	return statusErr(&resp)
-}
-
-// Read fetches a record synchronously; found is false on StatusNotFound.
-func (c *Client) Read(key string) (fields []store.Field, found bool, err error) {
-	var resp Response
-	if err := c.do(&Request{Op: OpRead, Key: key}, &resp); err != nil {
-		return nil, false, err
-	}
-	switch resp.Status {
-	case StatusOK:
-		return resp.Fields, true, nil
-	case StatusNotFound:
-		return nil, false, nil
-	}
-	return nil, false, fmt.Errorf("wire: read: %s", resp.Msg)
-}
-
-// AddDelta folds a signed delta into an 8-byte counter field
-// synchronously. Under the server's async pipeline the acknowledgement
-// still implies durability — the window fences before responding.
-func (c *Client) AddDelta(key, field string, delta int64) error {
-	var resp Response
-	if err := c.do(&Request{Op: OpAddDelta, Key: key, Field: field, Delta: delta}, &resp); err != nil {
-		return err
-	}
-	return statusErr(&resp)
-}
-
 // Stats fetches the server's stats JSON.
 func (c *Client) Stats() ([]byte, error) {
 	var resp Response
@@ -146,14 +106,4 @@ func (c *Client) Stats() ([]byte, error) {
 		return nil, fmt.Errorf("wire: stats status %d: %s", resp.Status, resp.Msg)
 	}
 	return resp.Blob, nil
-}
-
-func statusErr(resp *Response) error {
-	switch resp.Status {
-	case StatusOK:
-		return nil
-	case StatusNotFound:
-		return store.ErrNotFound
-	}
-	return fmt.Errorf("wire: %s: %s", resp.Op, resp.Msg)
 }

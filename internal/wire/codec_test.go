@@ -25,6 +25,14 @@ func randFields(rng *rand.Rand, n int) []store.Field {
 	return fs
 }
 
+// ReadFrame reads one frame body (op byte plus payload) from br, reusing
+// buf when it is large enough. The returned slice is only valid until the
+// next ReadFrame on the same buf.
+func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	_, frame, err := appendFrame(br, buf[:0])
+	return frame, err
+}
+
 // normalize maps the encodings that are identical on the wire onto one
 // canonical form (nil vs empty slices).
 func normalize(fs []store.Field) []store.Field {

@@ -72,7 +72,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse is the same totality check for the response side.
+// FuzzDecodeResponse is the same totality check for the response side,
+// and holds the client's in-place decode to DecodeResponse.
 func FuzzDecodeResponse(f *testing.F) {
 	seed := [][]byte{
 		AppendResponse(nil, &Response{Op: OpPing, Status: StatusOK})[headerLen:],
@@ -80,6 +81,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		AppendResponse(nil, &Response{Op: OpRead, Status: StatusNotFound})[headerLen:],
 		AppendResponse(nil, &Response{Op: OpInsert, Status: StatusErr, Msg: "pool exhausted"})[headerLen:],
 		AppendResponse(nil, &Response{Op: OpStats, Status: StatusOK, Blob: []byte(`{"ops":1}`)})[headerLen:],
+		AppendResponse(nil, &Response{Op: OpRead, Status: StatusOK, Fields: fieldsFixture()[1:]})[headerLen:],
 		{},
 		{byte(OpRead)},
 		{byte(OpRead), 3},
@@ -87,10 +89,25 @@ func FuzzDecodeResponse(f *testing.F) {
 	for _, s := range seed {
 		f.Add(s)
 	}
+	names := make(nameTable)
+	var fields []store.Field // one slice reused across inputs, like a client's
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var resp Response
-		if err := DecodeResponse(body, &resp); err != nil {
+		var resp, inPlace Response
+		err := DecodeResponse(body, &resp)
+		errInPlace := decodeResponse(body, &inPlace, fields[:0], names)
+		if inPlace.Fields != nil {
+			fields = inPlace.Fields
+		}
+		if (err == nil) != (errInPlace == nil) {
+			t.Fatalf("copying decode: %v, in-place decode: %v", err, errInPlace)
+		}
+		if err != nil {
 			return
+		}
+		copied := resp
+		copied.Fields, inPlace.Fields = normalize(resp.Fields), normalize(inPlace.Fields)
+		if !reflect.DeepEqual(copied, inPlace) {
+			t.Fatalf("in-place decode differs:\n copying  %+v\n in-place %+v", copied, inPlace)
 		}
 		frame := AppendResponse(nil, &resp)
 		rebody, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil)

@@ -71,7 +71,7 @@ func TestServerPipelinedConcurrentConnections(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(addr)
+			cl, err := DialTimeout(addr, time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -172,7 +172,7 @@ func TestServerAddDeltaOverWire(t *testing.T) {
 	})
 	defer stop()
 
-	cl, err := Dial(addr)
+	cl, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestServerDropsMalformedConn(t *testing.T) {
 		t.Fatal("connection survived a malformed frame")
 	}
 
-	cl, err := Dial(addr)
+	cl, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestServerDrainAnswersInFlightWindow(t *testing.T) {
 		AwaitDurable: func() { time.Sleep(200 * time.Millisecond) },
 	})
 
-	cl, err := Dial(addr)
+	cl, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +343,12 @@ func TestServerConnBackpressure(t *testing.T) {
 	addr, _, stop := startTestServer(t, ServerConfig{MaxConns: 2})
 	defer stop()
 
-	c1, err := Dial(addr)
+	c1, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Dial(addr)
+	c2, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestServerConnBackpressure(t *testing.T) {
 
 	// Third conn connects (kernel backlog) but gets no service while both
 	// slots are held.
-	c3, err := Dial(addr)
+	c3, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestServerSameKeysConsistentReads(t *testing.T) {
 		}
 		return fs
 	}
-	seed, err := Dial(addr)
+	seed, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestServerSameKeysConsistentReads(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(addr)
+			cl, err := DialTimeout(addr, time.Second)
 			if err != nil {
 				t.Error(err)
 				return
@@ -536,7 +536,7 @@ func serverPoolFull(t *testing.T, backend, commit string) {
 		AwaitDurable: st.AwaitDurable,
 	})
 	defer stop()
-	cl, err := Dial(addr)
+	cl, err := DialTimeout(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,9 @@ type Request struct {
 	Delta int64
 }
 
-// Response is one decoded server response.
+// Response is one decoded server response. One filled by Client.Recv is
+// valid until the next Recv on that client (its Fields and their values
+// are the client's buffers); one filled by DecodeResponse owns its data.
 type Response struct {
 	Op     Op
 	Status Status
@@ -137,8 +139,9 @@ func appendBytes(dst, b []byte) []byte {
 
 // decoder walks a frame payload with bounds checks; every read error
 // collapses into ErrMalformed. With a names table it decodes in place
-// (the server's mode): field values are sub-slices of buf and field names
-// come out of the table. Without one every decoded field is a copy.
+// (the server's and the client's mode): field values are sub-slices of
+// buf and field names come out of the table. Without one every decoded
+// field is a copy.
 type decoder struct {
 	buf   []byte
 	off   int
@@ -297,7 +300,7 @@ func DecodeRequest(frame []byte, req *Request) error {
 // non-nil names table selects the server's in-place mode: field values
 // alias frame, req.Fields reuses the capacity it arrives with, and field
 // names (Request.Field included) are interned. Keys are owned strings in
-// both modes — the volatile mirrors and store.Cached retain them.
+// both modes — the FS-family backends keep the caller's key (store.Backend).
 func decodeRequest(frame []byte, req *Request, names nameTable) error {
 	*req = Request{Fields: req.Fields[:0]}
 	if len(frame) < 1 {
@@ -382,7 +385,17 @@ func endReadReply(dst []byte, start, n int) []byte {
 }
 
 // DecodeResponse parses a frame body (op byte plus payload) into resp.
+// Every decoded field, message and blob is an owned copy.
 func DecodeResponse(frame []byte, resp *Response) error {
+	return decodeResponse(frame, resp, nil, nil)
+}
+
+// decodeResponse is DecodeResponse with the decoding mode made explicit.
+// A non-nil names table selects the client's in-place mode: field values
+// alias frame, and resp.Fields is decoded onto the empty fields, reusing
+// its capacity. Msg and Blob are copies in both modes, so an error or a
+// stats document outlives the next reply.
+func decodeResponse(frame []byte, resp *Response, fields []store.Field, names nameTable) error {
 	*resp = Response{}
 	if len(frame) < 2 {
 		return ErrMalformed
@@ -396,39 +409,25 @@ func DecodeResponse(frame []byte, resp *Response) error {
 		return fmt.Errorf("%w: unknown status %d", ErrMalformed, frame[1])
 	}
 	resp.Op, resp.Status = op, st
-	d := decoder{buf: frame, off: 2}
+	d := decoder{buf: frame, off: 2, names: names}
+	var err error
 	switch {
 	case st == StatusErr:
-		msg, err := d.str(MaxFieldName)
-		if err != nil {
-			return err
-		}
-		resp.Msg = msg
+		resp.Msg, err = d.str(MaxFieldName)
 	case st == StatusOK && op == OpRead:
-		fs, err := d.fields(nil)
-		if err != nil {
-			return err
-		}
-		resp.Fields = fs
+		resp.Fields, err = d.fields(fields)
 	case st == StatusOK && op == OpStats:
-		b, err := d.bytes(MaxFrame)
-		if err != nil {
-			return err
-		}
+		var b []byte
+		b, err = d.bytes(MaxFrame)
 		resp.Blob = append([]byte(nil), b...)
+	}
+	if err != nil {
+		return err
 	}
 	return d.done()
 }
 
 // ---- frame I/O ----
-
-// ReadFrame reads one frame body (op byte plus payload) from br, reusing
-// buf when it is large enough. The returned slice is only valid until the
-// next ReadFrame on the same buf.
-func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	_, frame, err := appendFrame(br, buf[:0])
-	return frame, err
-}
 
 // appendFrame reads one frame body onto the end of buf and returns the
 // grown buffer and the body, a sub-slice of it. Growing may move the

@@ -2,7 +2,8 @@
 # Gate the allocation-free read paths (DESIGN.md §14): the zero-copy grid
 # read and the map GetRef/cached-Get fast paths must stay at 0 allocs/op,
 # and every other grid read regime must stay within a small ceiling; and
-# gate the wire server's per-request allocations (DESIGN.md §16). Runs the
+# gate the wire server's per-request allocations and the wire client's
+# per-reply ones (DESIGN.md §16). Runs the
 # benchmarks once and parses the -benchmem column, so a stray allocation
 # in a hot loop fails CI instead of silently costing GC.
 #
@@ -17,10 +18,10 @@ if [ -z "$out" ]; then
     trap 'rm -f "$out"' EXIT
     go test -run '^$' -bench 'MapGet|GridRead' -benchtime 100x -benchmem \
         ./internal/bench/ | tee "$out"
-    # The server path (DESIGN.md §16): one op is one request of a 16-deep
-    # pipeline window; enough iterations that one-off growth of a
-    # connection's buffers rounds to nothing.
-    go test -run '^$' -bench 'ServerWindow' -benchtime 4000x -benchmem \
+    # The server and client paths (DESIGN.md §16): one op is one request
+    # of a 16-deep pipeline window; enough iterations that one-off growth
+    # of a connection's buffers rounds to nothing.
+    go test -run '^$' -bench 'ServerWindow|ClientWindow' -benchtime 4000x -benchmem \
         ./internal/wire/ | tee -a "$out"
 fi
 
@@ -73,6 +74,12 @@ if grep -qE '^Benchmark.*ServerWindow/grid-update' "$out"; then
 else
     echo "check_allocs: note: no ServerWindow rows (old bench output?); skipping" >&2
 fi
+
+# The client decodes every reply in place (values alias its frame buffer,
+# names and the field slice are reused) and encodes every request into
+# one reused buffer, so a warm connection allocates nothing per request
+# or reply, a 10-field READ and a request over 64 KiB included.
+ceiling 'ClientWindow/(read|update|adddelta|bigupdate)' 0
 
 if [ "$fail" -ne 0 ]; then
     exit 1

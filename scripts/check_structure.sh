@@ -183,6 +183,7 @@ all  store\.Options|CacheStats|cacheShard|cachePatch|cache_hits|FlushLatency  a 
 go  \b(SetProxyCache|ProxyCache)\b  a proxy-cache knob on the grid path (the J-NVM backends resolve records by reference; pdt.Map's cache modes serve its own callers)
 go  \bCopyWithinAtomic\b|\bInvalidate\(|\bOpTypes\b|\bSetRef\b  an exported name nothing called (nvm.Pool.CopyWithinAtomic, core.Object.Invalidate, ycsb.Result.OpTypes, pdt.PRefArray.SetRef)
 go  \b(runTo|crashSignal)\b  crashmc replaying the workload per crash point (the check pass checks each point inside one run)
+internal/wire  func[[:space:]]+Dial\(  a second wire client constructor (wire.DialTimeout is the one)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
