@@ -71,9 +71,9 @@ func (c *Class) ID() uint16 { return c.id }
 type Object struct {
 	h      *Heap
 	ref    Ref
-	blocks []Ref // nil for pooled slots
+	blocks []Ref // nil for pooled slots and single blocks
 	size   uint64
-	inline [1]Ref // backing for blocks when the object is single-block
+	inline [1]Ref // a single block; a core never points into itself
 }
 
 // Heap returns the owning heap.
@@ -107,12 +107,13 @@ func (o *Object) locate(off, n uint64) (uint64, bool) {
 	if off+n > o.size {
 		panic(fmt.Sprintf("core: field access [%d,+%d) beyond object size %d", off, n, o.size))
 	}
-	if o.blocks == nil { // pooled slot: contiguous payload after mini-header
+	blocks := o.BlockRefs()
+	if blocks == nil { // pooled slot: contiguous payload after mini-header
 		return o.ref + 8 + off, true
 	}
 	b := off / heap.Payload
 	within := off % heap.Payload
-	return o.blocks[b] + heap.HeaderSize + within, within+n <= heap.Payload
+	return blocks[b] + heap.HeaderSize + within, within+n <= heap.Payload
 }
 
 // ReadUint64 loads the 8-byte field at data offset off.
@@ -203,7 +204,7 @@ func (o *Object) readSpan(off uint64, dst []byte) {
 	for len(dst) > 0 {
 		p, _ := o.locate(off, 1)
 		within := uint64(heap.Payload)
-		if o.blocks != nil {
+		if o.BlockRefs() != nil {
 			within = heap.Payload - off%heap.Payload
 		}
 		n := uint64(len(dst))
@@ -220,7 +221,7 @@ func (o *Object) writeSpan(off uint64, src []byte) {
 	for len(src) > 0 {
 		p, _ := o.locate(off, 1)
 		within := uint64(heap.Payload)
-		if o.blocks != nil {
+		if o.BlockRefs() != nil {
 			within = heap.Payload - off%heap.Payload
 		}
 		n := uint64(len(src))
@@ -317,11 +318,11 @@ func (o *Object) WriteObject(off uint64, po PObject) {
 // generated pwb() of Figure 4.
 func (o *Object) PWB() {
 	o.live()
-	if o.blocks == nil {
+	if o.BlockRefs() == nil {
 		o.h.pool.PWBRange(o.ref, 8+o.size)
 		return
 	}
-	for _, b := range o.blocks {
+	for _, b := range o.BlockRefs() {
 		o.h.pool.PWBRange(b, heap.BlockSize)
 	}
 }
@@ -335,7 +336,7 @@ func (o *Object) PWBField(off, n uint64) {
 	for n > 0 {
 		p, _ := o.locate(off, 1)
 		within := uint64(heap.Payload)
-		if o.blocks != nil {
+		if o.BlockRefs() != nil {
 			within = heap.Payload - off%heap.Payload
 		}
 		step := n
@@ -399,7 +400,12 @@ func (o *Object) ClassID() uint16 {
 }
 
 // BlockRefs exposes the cached block list (read-only; nil for slots).
-func (o *Object) BlockRefs() []Ref { return o.blocks }
+func (o *Object) BlockRefs() []Ref {
+	if o.blocks == nil && o.inline[0] != 0 {
+		return o.inline[:]
+	}
+	return o.blocks
+}
 
 // ---- helpers shared with fa ----
 

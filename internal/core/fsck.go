@@ -34,7 +34,7 @@ func (h *Heap) Fsck(report func(msg string)) int {
 			complain("reachable object %#x has unregistered class id %d", ref, id)
 			continue
 		}
-		obj := h.wrap(ref)
+		obj := h.Inspect(ref)
 		if c.Refs == nil {
 			continue
 		}

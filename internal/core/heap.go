@@ -152,60 +152,64 @@ func (h *Heap) Root() *RootMap { return h.root }
 // cost the cached/eager J-PDT variants exist to avoid (§4.3.2).
 func (h *Heap) Resurrections() uint64 { return h.resurrs.Load() }
 
-// wrap builds the proxy core for an existing data structure. Single-block
-// objects (the common case: small records) avoid the block-list
-// allocation entirely.
-func (h *Heap) wrap(ref Ref) *Object {
-	o := &Object{h: h, ref: ref}
-	if h.mem.IsBlockRef(ref) {
-		if _, _, next := heap.UnpackHeader(h.mem.Header(ref)); next == 0 {
-			o.inline[0] = ref
-			o.blocks = o.inline[:1]
-			o.size = heap.Payload
-		} else {
-			o.blocks = h.mem.Blocks(ref)
-			o.size = uint64(len(o.blocks)) * heap.Payload
-		}
-	} else {
-		o.size = h.mem.SlotPayloadLen(ref)
-	}
-	return o
-}
-
 // Alloc allocates the persistent data structure of a new object of the
 // class: size payload bytes, zeroed, in the invalid state. The proxy is
 // returned through the class factory, matching the generated constructor
 // of Figure 4 (the caller then sets fields, flushes, validates).
 func (h *Heap) Alloc(c *Class, size uint64) (PObject, error) {
-	if c.id == 0 {
-		return nil, fmt.Errorf("core: class %q not registered with this heap", c.Name)
-	}
-	ref, blocks, err := h.mem.AllocObject(c.id, size)
+	ref, blocks, err := h.AllocRef(c, size, false)
 	if err != nil {
 		return nil, err
 	}
-	o := &Object{h: h, ref: ref, blocks: blocks, size: uint64(len(blocks)) * heap.Payload}
-	return c.Factory(o), nil
+	return c.Factory(&Object{h: h, ref: ref, blocks: blocks, size: uint64(len(blocks)) * heap.Payload}), nil
 }
 
 // AllocSmall allocates a pooled slot for a small immutable object (§4.4).
 func (h *Heap) AllocSmall(c *Class, payload uint64) (PObject, error) {
-	if c.id == 0 {
-		return nil, fmt.Errorf("core: class %q not registered with this heap", c.Name)
-	}
-	ref, err := h.mem.AllocSmall(c.id, payload)
+	ref, _, err := h.AllocRef(c, payload, true)
 	if err != nil {
 		return nil, err
 	}
-	o := &Object{h: h, ref: ref, size: payload}
-	return c.Factory(o), nil
+	return c.Factory(&Object{h: h, ref: ref, size: payload}), nil
+}
+
+// AllocRef is Alloc (AllocSmall if small) without the proxy: it returns
+// the new object's ref and, for a block object, its blocks.
+func (h *Heap) AllocRef(c *Class, size uint64, small bool) (Ref, []Ref, error) {
+	if c.id == 0 {
+		return 0, nil, fmt.Errorf("core: class %q not registered with this heap", c.Name)
+	}
+	if small {
+		ref, err := h.mem.AllocSmall(c.id, size)
+		return ref, nil, err
+	}
+	return h.mem.AllocObject(c.id, size)
 }
 
 // Inspect returns an untyped proxy core for the object at ref, without
 // dispatching through the class factory. It is meant for infrastructure
 // code (J-PDT internals) that already knows the layout; application code
 // should use Resurrect.
-func (h *Heap) Inspect(ref Ref) *Object { return h.wrap(ref) }
+func (h *Heap) Inspect(ref Ref) *Object {
+	o := new(Object)
+	h.InspectInto(o, ref)
+	return o
+}
+
+// InspectInto is Inspect into a caller-owned core. Single-block objects
+// (the common case: small records) avoid the block-list allocation.
+func (h *Heap) InspectInto(o *Object, ref Ref) {
+	*o = Object{h: h, ref: ref}
+	if !h.mem.IsBlockRef(ref) {
+		o.size = h.mem.SlotPayloadLen(ref)
+	} else if _, _, next := heap.UnpackHeader(h.mem.Header(ref)); next == 0 {
+		o.inline[0] = ref
+		o.size = heap.Payload
+	} else {
+		o.blocks = h.mem.Blocks(ref)
+		o.size = uint64(len(o.blocks)) * heap.Payload
+	}
+}
 
 // Resurrect materializes a proxy for the persistent object at ref: it
 // reads the class id from the header, finds the registered class, and
@@ -221,7 +225,7 @@ func (h *Heap) Resurrect(ref Ref) (PObject, error) {
 		return nil, fmt.Errorf("core: no registered class for id %d (%q) at ref %#x", id, name, ref)
 	}
 	h.resurrs.Add(1)
-	po := c.Factory(h.wrap(ref))
+	po := c.Factory(h.Inspect(ref))
 	if r, ok := po.(Resurrector); ok {
 		r.OnResurrect()
 	}
@@ -249,9 +253,7 @@ func (h *Heap) Detach(po PObject) Ref {
 	}
 	o := po.Core()
 	ref := o.ref
-	o.ref = 0
-	o.blocks = nil
-	o.size = 0
+	*o = Object{h: o.h}
 	return ref
 }
 

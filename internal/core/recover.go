@@ -76,7 +76,7 @@ func (h *Heap) traverse(m *heap.MarkSet, rootRef Ref, live, nullified *uint64) e
 			name, _ := h.mem.ClassName(id)
 			return fmt.Errorf("core: recovery found instance of unregistered class id %d (%q) at %#x", id, name, ref)
 		}
-		obj := h.wrap(ref)
+		obj := h.Inspect(ref)
 		if rec, ok := c.Factory(obj).(Recoverer); ok {
 			rec.Recover()
 		}

@@ -80,12 +80,12 @@ func (h *Heap) openRoot() error {
 	if ref == 0 {
 		return h.createRoot()
 	}
-	obj := h.wrap(ref)
+	obj := h.Inspect(ref)
 	arrRef := obj.ReadRef(0)
 	if arrRef == 0 || !h.mem.Valid(arrRef) {
 		return fmt.Errorf("core: root map at %#x has no valid entry array", ref)
 	}
-	rm := &RootMap{obj: obj, arr: h.wrap(arrRef), mirror: make(map[string]rootSlot)}
+	rm := &RootMap{obj: obj, arr: h.Inspect(arrRef), mirror: make(map[string]rootSlot)}
 	h.root = rm
 	return rm.rebuild(h)
 }
@@ -126,7 +126,7 @@ func (rm *RootMap) rebuild(h *Heap) error {
 			rm.free = append(rm.free, i)
 			continue
 		}
-		ent := h.wrap(eref)
+		ent := h.Inspect(eref)
 		if ent.ReadRef(entValue) == 0 {
 			// Recovery nullified the value: retire the whole binding.
 			rm.arr.WriteRef(i*8, 0)
@@ -183,7 +183,7 @@ func (rm *RootMap) GetRef(name string) Ref {
 		return 0
 	}
 	h := rm.obj.h
-	return h.wrap(s.entry).ReadRef(entValue)
+	return h.Inspect(s.entry).ReadRef(entValue)
 }
 
 // Get resurrects the object bound to name (nil if unbound).
@@ -208,7 +208,7 @@ func (rm *RootMap) WPut(name string, po PObject) error {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	if s, ok := rm.mirror[name]; ok {
-		ent := h.wrap(s.entry)
+		ent := h.Inspect(s.entry)
 		ent.WriteRef(entValue, po.Core().Ref())
 		ent.PWBField(entValue, 8)
 		return nil
@@ -255,7 +255,7 @@ func (rm *RootMap) Remove(name string) Ref {
 	if !ok {
 		return 0
 	}
-	val := h.wrap(s.entry).ReadRef(entValue)
+	val := h.Inspect(s.entry).ReadRef(entValue)
 	rm.arr.WriteRef(s.idx*8, 0)
 	rm.arr.PWBField(s.idx*8, 8)
 	h.pool.PFence() // unlink before the entry invalidation below
@@ -302,7 +302,7 @@ func (rm *RootMap) ForEach(fn func(name string, ref Ref)) {
 	defer rm.mu.RUnlock()
 	h := rm.obj.h
 	for name, s := range rm.mirror {
-		fn(name, h.wrap(s.entry).ReadRef(entValue))
+		fn(name, h.Inspect(s.entry).ReadRef(entValue))
 	}
 }
 

@@ -67,8 +67,8 @@ func (tx *Tx) locate(o *core.Object, off, n uint64, forWrite bool) (uint64, uint
 	}
 	w, in := p&^7, p%8
 	n = min(n, 8-in)
-	if e, ok := tx.words[w]; ok {
-		return tx.entryOff(e) + 16 + in, n, nil
+	if q, ok := tx.logged(w); ok {
+		return q + in, n, nil
 	}
 	if !forWrite {
 		return p, n, nil
@@ -82,8 +82,20 @@ func (tx *Tx) locate(o *core.Object, off, n uint64, forWrite bool) (uint64, uint
 		pool := tx.h.Pool()
 		pool.WriteUint64(q, pool.ReadUint64(w))
 	}
-	tx.words[w] = tx.count - 1
 	return q + in, n, nil
+}
+
+// logged returns the pool offset of the value of the block's kindWord
+// entry for the word at pool offset w, if any: the log, at most a slot's
+// entries, is the block's word index (DESIGN.md §11).
+func (tx *Tx) logged(w uint64) (uint64, bool) {
+	log := tx.h.Pool().View(tx.entryOff(0), tx.count*entrySize)
+	for e := len(log) - entrySize; e >= 0; e -= entrySize {
+		if binary.LittleEndian.Uint64(log[e+8:]) == w && binary.LittleEndian.Uint64(log[e:])&kindMask == kindWord {
+			return tx.entryOff(0) + uint64(e) + 16, true
+		}
+	}
+	return 0, false
 }
 
 // ReadUint64 loads an 8-byte field through the redo view.

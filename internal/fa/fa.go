@@ -30,7 +30,7 @@
 // The commit pipeline is built for multicore scalability:
 //
 //   - Slot affinity. Each log slot has one Tx, built at attach, whose
-//     maps and flush set stay warm across the blocks it runs; a free slot
+//     slices and flush set stay warm across the blocks it runs; a free slot
 //     lives on one lock-free freelist, so Begin is one pop and release
 //     one push.
 //   - Flush coalescing. Stores mark dirty cache lines in a per-Tx
@@ -339,8 +339,6 @@ func (m *Manager) RecoverLogs(h *core.Heap) error {
 			slot:       i,
 			base:       off + uint64(i*slotSize),
 			maxEntries: uint64(slotCap(slotSize)),
-			words:      make(map[uint64]uint64),
-			allocs:     make(map[core.Ref]bool),
 			proxies:    make(map[core.Ref]core.PObject),
 			flush:      nvm.NewFlushSet(),
 		}
@@ -472,7 +470,8 @@ var ErrLogFull = fmt.Errorf("fa: failure-atomic block exceeds log capacity")
 // the paper's Infinispan integration (lock striping). Each log slot has
 // one Tx for the manager's lifetime: a released Tx goes back to the
 // freelist with its slot, and the next Begin that pops the slot runs it,
-// maps and flush set still warm.
+// slices and flush set still warm. Its log is its word index (logged) and
+// the list of what Abort frees (DESIGN.md §11).
 type Tx struct {
 	m          *Manager
 	h          *core.Heap
@@ -486,12 +485,10 @@ type Tx struct {
 	// Tx writes few distinct blocks, so scanning a slice on each access
 	// costs less than a map's insert and clear (80–100 ns a commit in
 	// BenchmarkCommitSingleField on a 2-core Xeon); a delta
-	// materialization may list a block twice. words maps the pool offset
-	// of a word an accessor logged to its entry index.
+	// materialization may list a block twice. proxies holds only those
+	// a caller received (Alloc, AllocSmall, Proxy) or passed in (Free).
 	written  []core.Ref
-	words    map[uint64]uint64
-	allocs   map[core.Ref]bool
-	freed    []core.Ref // proxies to neutralize at commit
+	freed    []core.Ref // objects deleted at commit
 	proxies  map[core.Ref]core.PObject
 	deferred []func() // volatile follow-ups, run only after a commit
 	onAbort  []func() // volatile rollbacks, run only on abort
@@ -682,8 +679,6 @@ func (tx *Tx) release() {
 	tx.depth = 0
 	tx.count = 0
 	tx.written = tx.written[:0]
-	clear(tx.words)
-	clear(tx.allocs)
 	tx.freed = tx.freed[:0]
 	clear(tx.proxies)
 	// deferred/onAbort are handed to the caller and run after release;
@@ -742,9 +737,8 @@ func (tx *Tx) appendEntry(kind uint64, a, b core.Ref) error {
 // logWord appends a kindWord entry for the aligned payload word at pool
 // offset p and returns the pool offset of the entry's value, which the
 // caller stores; the caller has put the word's block in the write set. It
-// is the one way a word enters the log: an accessor's store (locate,
-// which also indexes the entry in words) and a delta fold (foldDelta)
-// alike.
+// is the one way a word enters the log: an accessor's store (locate) and
+// a delta fold (foldDelta) alike.
 func (tx *Tx) logWord(p uint64) (uint64, error) {
 	eoff, err := tx.newEntry(kindWord, p)
 	if err != nil {
@@ -754,53 +748,65 @@ func (tx *Tx) logWord(p uint64) (uint64, error) {
 	return eoff + 16, nil
 }
 
-// Alloc allocates a new persistent object inside the block. The object is
-// invalid until commit, so all writes to it go direct (§4.2): if the block
-// aborts or the system crashes, recovery reclaims it. Its blocks join the
-// flush set whole — headers carry the chain, payloads the zeroing that
-// makes Validate deterministic — and are written back with the rest of
-// the write set at commit.
-func (tx *Tx) Alloc(c *core.Class, size uint64) (core.PObject, error) {
-	tx.active()
-	po, err := tx.h.Alloc(c, size)
-	if err != nil && tx.retryAfterRetire(err) {
-		po, err = tx.h.Alloc(c, size)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ref := po.Core().Ref()
-	if err := tx.appendEntry(kindAlloc, ref, 0); err != nil {
-		tx.h.Free(po)
-		return nil, err
-	}
-	for _, b := range po.Core().BlockRefs() {
-		tx.flush.AddRange(b, heap.BlockSize)
-	}
-	tx.allocs[ref] = true
-	tx.proxies[ref] = po
-	return po, nil
+// AllocRef allocates a new persistent object inside the block, a pooled
+// slot when size fits one (§4.4), and returns its ref. The object is
+// invalid until commit, so all writes to it go direct (§4.2): if the
+// block aborts or the system crashes, recovery reclaims it.
+func (tx *Tx) AllocRef(c *core.Class, size uint64) (core.Ref, error) {
+	return tx.alloc(c, size, heap.FitsSmall(size))
 }
 
-// AllocSmall allocates a pooled small immutable object inside the block.
+// Alloc is AllocRef of a block object, returning its proxy.
+func (tx *Tx) Alloc(c *core.Class, size uint64) (core.PObject, error) {
+	return tx.allocProxy(c, size, false)
+}
+
+// AllocSmall is AllocRef of a pooled slot, returning its proxy.
 func (tx *Tx) AllocSmall(c *core.Class, payload uint64) (core.PObject, error) {
-	tx.active()
-	po, err := tx.h.AllocSmall(c, payload)
-	if err != nil && tx.retryAfterRetire(err) {
-		po, err = tx.h.AllocSmall(c, payload)
-	}
+	return tx.allocProxy(c, payload, true)
+}
+
+func (tx *Tx) allocProxy(c *core.Class, size uint64, small bool) (core.PObject, error) {
+	ref, err := tx.alloc(c, size, small)
 	if err != nil {
 		return nil, err
 	}
-	ref := po.Core().Ref()
-	if err := tx.appendEntry(kindAlloc, ref, 0); err != nil {
-		tx.h.Free(po)
-		return nil, err
+	return tx.Proxy(c, ref), nil
+}
+
+// alloc is the block's one allocator; Abort frees what its kindAlloc
+// entries name. The new object's lines join the flush set whole —
+// headers carry the chain, payloads the zeroing that makes Validate
+// deterministic — and are written back with the write set at commit.
+func (tx *Tx) alloc(c *core.Class, size uint64, small bool) (core.Ref, error) {
+	tx.active()
+	ref, blocks, err := tx.h.AllocRef(c, size, small)
+	if err != nil && tx.retryAfterRetire(err) {
+		ref, blocks, err = tx.h.AllocRef(c, size, small)
 	}
-	tx.flush.AddRange(ref, 8+payload) // slot mini-header + payload
-	tx.allocs[ref] = true
+	if err != nil {
+		return 0, err
+	}
+	if err := tx.appendEntry(kindAlloc, ref, 0); err != nil {
+		tx.h.Mem().FreeObject(ref)
+		return 0, err
+	}
+	if small {
+		tx.flush.AddRange(ref, 8+size) // slot mini-header + payload
+	}
+	for _, b := range blocks {
+		tx.flush.AddRange(b, heap.BlockSize)
+	}
+	return ref, nil
+}
+
+// Proxy returns a proxy of class c for the object at ref, which this
+// block allocated; an abort detaches it as it frees the object.
+func (tx *Tx) Proxy(c *core.Class, ref core.Ref) core.PObject {
+	tx.active()
+	po := c.Factory(tx.h.Inspect(ref))
 	tx.proxies[ref] = po
-	return po, nil
+	return po
 }
 
 // Free deletes a persistent object at commit (a deletion recorded in the
@@ -838,10 +844,9 @@ func (tx *Tx) FreeRef(ref core.Ref) error {
 }
 
 // direct reports whether writes to the object bypass the redo log: true
-// for objects that are still invalid (freshly allocated, §4.2).
-func (tx *Tx) direct(o *core.Object) bool {
-	return tx.allocs[o.Ref()] || !o.Valid()
-}
+// for objects that are still invalid (§4.2), which every object the block
+// allocated is until its apply.
+func (tx *Tx) direct(o *core.Object) bool { return !o.Valid() }
 
 // ---- Commit pipeline stages ----
 //
@@ -1020,8 +1025,9 @@ func (tx *Tx) CommitTicket() (uint64, error) {
 	return 0, nil
 }
 
-// Abort abandons the block: nothing it did becomes visible. Allocations
-// are freed; originals were never touched.
+// Abort abandons the block: nothing it did becomes visible. The objects
+// of its kindAlloc entries are freed, their proxies detached where it
+// handed one out; originals were never touched.
 //
 // The count reset is volatile on purpose: it cannot leak stale entries
 // into a later generation of this slot. The slot's status is a sequence
@@ -1036,10 +1042,16 @@ func (tx *Tx) Abort() {
 	}
 	pool := tx.h.Pool()
 	pool.WriteUint64(tx.base+slotCount, 0)
-	for ref, po := range tx.proxies {
-		if tx.allocs[ref] {
-			tx.h.Free(po)
+	for e := uint64(0); e < tx.count; e++ {
+		eoff := tx.entryOff(e)
+		if pool.ReadUint64(eoff)&kindMask != kindAlloc {
+			continue
 		}
+		ref := pool.ReadUint64(eoff + 8)
+		if po, ok := tx.proxies[ref]; ok {
+			tx.h.Detach(po)
+		}
+		tx.h.Mem().FreeObject(ref)
 	}
 	rollbacks := tx.onAbort
 	tx.m.stats.Aborted.Inc()
@@ -1049,9 +1061,6 @@ func (tx *Tx) Abort() {
 		rollbacks[i]()
 	}
 }
-
-// Manager returns the owning manager (used by libraries layered on fa).
-func (tx *Tx) Manager() *Manager { return tx.m }
 
 // Heap returns the heap this block operates on.
 func (tx *Tx) Heap() *core.Heap { return tx.h }

@@ -2,6 +2,7 @@ package fa
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -187,6 +188,95 @@ func TestAllocAbortReclaims(t *testing.T) {
 	if bumpedAfter-bumpedBefore != freeAfter-freeBefore {
 		t.Fatalf("aborted alloc leaked blocks: bump +%d, free +%d",
 			bumpedAfter-bumpedBefore, freeAfter-freeBefore)
+	}
+}
+
+// TestAbortFreesLoggedAllocations: Abort frees what the block's kindAlloc
+// entries name, allocated by ref or by proxy, as a pooled slot or as a
+// block, among logged words. Heap occupancy is back where it was, each
+// proxy handed out is detached, and the next block reuses the freed slot
+// and block.
+func TestAbortFreesLoggedAllocations(t *testing.T) {
+	h, mgr, _, cls := openFA(t, false)
+	acc := newAccount(t, h, cls, 1, 2, "acc")
+	// Carve the slot class's chunk first: it stays with the class.
+	if err := mgr.Run(func(tx *Tx) error {
+		ref, err := tx.AllocRef(cls, accLen)
+		if err != nil {
+			return err
+		}
+		return tx.FreeRef(ref)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Retire()
+	occupancy := func() [3]uint64 {
+		s := h.Mem().ObsSnapshot()
+		return [3]uint64{s.Bump - s.FreeBlocks, s.SmallAllocs - s.SmallFrees, s.ObjAllocs - s.ObjFrees}
+	}
+	before := occupancy()
+	freed := map[core.Ref]bool{}
+	var proxies []core.PObject
+	abort := errors.New("abort")
+	err := mgr.Run(func(tx *Tx) error {
+		slot, err := tx.AllocRef(cls, accLen)
+		if err != nil {
+			return err
+		}
+		if err := tx.WriteUint64(acc.Core(), accA, 10); err != nil {
+			return err
+		}
+		block, err := tx.AllocRef(cls, heap.Payload)
+		if err != nil {
+			return err
+		}
+		ps, err := tx.AllocSmall(cls, accLen)
+		if err != nil {
+			return err
+		}
+		pb, err := tx.Alloc(cls, accLen)
+		if err != nil {
+			return err
+		}
+		if err := tx.WriteUint64(acc.Core(), accB, 20); err != nil {
+			return err
+		}
+		if h.Mem().IsBlockRef(slot) || !h.Mem().IsBlockRef(block) || h.Mem().IsBlockRef(ps.Core().Ref()) {
+			t.Errorf("AllocRef(%d) gave %#x, AllocRef(%d) %#x: want a slot, then a block", accLen, slot, heap.Payload, block)
+		}
+		proxies = []core.PObject{ps, pb}
+		for _, r := range []core.Ref{slot, block, ps.Core().Ref(), pb.Core().Ref()} {
+			freed[r] = true
+		}
+		return abort
+	})
+	if err != abort {
+		t.Fatal(err)
+	}
+	if got := occupancy(); got != before {
+		t.Fatalf("occupancy (blocks, slots, objects) %v after the abort, want %v", got, before)
+	}
+	for i, po := range proxies {
+		if po.Core().Ref() != 0 {
+			t.Fatalf("proxy %d still holds %#x after the abort", i, po.Core().Ref())
+		}
+	}
+	if a, b := acc.ReadUint64(accA), acc.ReadUint64(accB); a != 1 || b != 2 {
+		t.Fatalf("aborted words landed: %d/%d, want 1/2", a, b)
+	}
+	if err := mgr.Run(func(tx *Tx) error {
+		for _, size := range []uint64{accLen, heap.Payload} {
+			ref, err := tx.AllocRef(cls, size)
+			if err != nil {
+				return err
+			}
+			if !freed[ref] {
+				t.Errorf("the next block's AllocRef(%d) took %#x, not a ref the abort freed", size, ref)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

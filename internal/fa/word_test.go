@@ -36,8 +36,8 @@ func TestWordReadYourWrites(t *testing.T) {
 		if got := acc.ReadUint64(accA); got != 100 {
 			t.Errorf("original word is %d before the commit, want 100", got)
 		}
-		if tx.count != 1 || len(tx.words) != 1 || len(tx.written) != 1 {
-			t.Errorf("three stores to one word: %d entries, %d words, %d blocks; want 1, 1, 1", tx.count, len(tx.words), len(tx.written))
+		if n := loggedWords(tx); tx.count != 1 || n != 1 || len(tx.written) != 1 {
+			t.Errorf("three stores to one word: %d entries, %d words, %d blocks; want 1, 1, 1", tx.count, n, len(tx.written))
 		}
 		return nil
 	})
@@ -50,6 +50,18 @@ func TestWordReadYourWrites(t *testing.T) {
 	if s := mgr.ObsSnapshot(); s.WordEntries != 1 {
 		t.Fatalf("counted %d word entries, want 1", s.WordEntries)
 	}
+}
+
+// loggedWords counts the kindWord entries in tx's log.
+func loggedWords(tx *Tx) int {
+	pool := tx.h.Pool()
+	n := 0
+	for e := uint64(0); e < tx.count; e++ {
+		if pool.ReadUint64(tx.entryOff(e))&kindMask == kindWord {
+			n++
+		}
+	}
+	return n
 }
 
 // touch is a store that is not one aligned word: the offset and bytes it
@@ -107,8 +119,8 @@ func TestWordsTouched(t *testing.T) {
 				if err := tx.WriteUint64(other.Core(), accB, 52); err != nil {
 					t.Fatal(err)
 				}
-				if n := 2 + tc.words; tx.count != uint64(n) || len(tx.words) != n || len(tx.written) != 2 {
-					t.Fatalf("%d entries, %d words, %d blocks; want %d, %d, 2", tx.count, len(tx.words), len(tx.written), n, n)
+				if n, w := 2+tc.words, loggedWords(tx); tx.count != uint64(n) || w != n || len(tx.written) != 2 {
+					t.Fatalf("%d entries, %d words, %d blocks; want %d, %d, 2", tx.count, w, len(tx.written), n, n)
 				}
 				if got, _ := tx.ReadBytes(o, accA, accLen); string(got) != string(want) {
 					t.Fatalf("Tx reads %x, want %x", got, want)
@@ -373,5 +385,94 @@ func TestWordLogFull(t *testing.T) {
 	}
 	if got := accs[5].ReadUint64(accA); got != 6 {
 		t.Fatalf("after the abort a commit wrote %d, want 6", got)
+	}
+}
+
+// objWord is one aligned 8-byte field of an object.
+type objWord struct {
+	o   *core.Object
+	off uint64
+}
+
+// fullSlotWords returns n+1 distinct aligned payload words, over accounts
+// filled word by word: one per entry of an n-entry slot, plus one more.
+func fullSlotWords(t testing.TB, h *core.Heap, cls *core.Class, n int) []objWord {
+	t.Helper()
+	var words []objWord
+	for len(words) <= n {
+		acc := newAccount(t, h, cls, 0, 0, fmt.Sprintf("full%d", len(words)))
+		for off := uint64(0); off < heap.Payload && len(words) <= n; off += 8 {
+			words = append(words, objWord{o: acc.Core(), off: off})
+		}
+	}
+	return words
+}
+
+// TestFullSlotWordIndex: a block logs slotCap distinct words, reads each
+// one back through the log, which is its word index, and refuses the next
+// word with ErrLogFull; the full block commits every word.
+func TestFullSlotWordIndex(t *testing.T) {
+	h, mgr, _, cls := openFA(t, false)
+	n := slotCap(1 << 14)
+	words := fullSlotWords(t, h, cls, n)
+	val := func(i int) uint64 { return uint64(i)<<8 | 0x5a }
+	err := mgr.Run(func(tx *Tx) error {
+		for i, w := range words[:n] {
+			if err := tx.WriteUint64(w.o, w.off, val(i)); err != nil {
+				return fmt.Errorf("word %d: %w", i, err)
+			}
+		}
+		for i, w := range words[:n] {
+			if got, err := tx.ReadUint64(w.o, w.off); err != nil || got != val(i) {
+				return fmt.Errorf("word %d reads %#x (%v) through the log, want %#x", i, got, err, val(i))
+			}
+		}
+		if got := loggedWords(tx); got != n {
+			return fmt.Errorf("%d words logged, want %d", got, n)
+		}
+		if err := tx.WriteUint64(words[n].o, words[n].off, 1); !errors.Is(err, ErrLogFull) {
+			return fmt.Errorf("word %d past a full slot: %v, want ErrLogFull", n, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range words[:n] {
+		if got := w.o.ReadUint64(w.off); got != val(i) {
+			t.Fatalf("word %d committed %#x, want %#x", i, got, val(i))
+		}
+	}
+}
+
+// BenchmarkCommitManyWords prices the log as the block's word index: a
+// block stores to n distinct words (each store's first scan misses the
+// whole log so far), reads each back (a hit) and commits. ns/word is the
+// column to compare with the word map it replaced.
+func BenchmarkCommitManyWords(b *testing.B) {
+	for _, n := range []int{1, 8, 64, slotCap(1 << 14)} {
+		b.Run(fmt.Sprintf("words=%d", n), func(b *testing.B) {
+			h, mgr, _, cls := openFA(b, false)
+			words := fullSlotWords(b, h, cls, n)[:n]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := mgr.Run(func(tx *Tx) error {
+					for _, w := range words {
+						if err := tx.WriteUint64(w.o, w.off, uint64(i)); err != nil {
+							return err
+						}
+					}
+					for _, w := range words {
+						if _, err := tx.ReadUint64(w.o, w.off); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/word")
+		})
 	}
 }

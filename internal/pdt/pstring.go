@@ -46,44 +46,60 @@ type PString struct{ *core.Object }
 // flushes the content; the caller validates (and fences) when publishing,
 // or relies on a container such as Map to do so.
 func NewString(h *core.Heap, s string) (*PString, error) {
-	size := 4 + uint64(len(s))
-	var po core.PObject
-	var err error
-	if heap.FitsSmall(size) {
-		po, err = h.AllocSmall(mustClass(h, ClassString), size)
-	} else {
-		po, err = h.Alloc(mustClass(h, ClassString), size)
-	}
+	po, err := newBlob(h, ClassString, []byte(s))
 	if err != nil {
 		return nil, err
 	}
-	ps := po.(*PString)
-	ps.WriteUint32(0, uint32(len(s)))
-	ps.WriteBytes(4, []byte(s))
-	ps.PWB()
-	return ps, nil
+	return po.(*PString), nil
 }
 
 // NewStringTx allocates a PString inside a failure-atomic block; it
 // becomes valid if and only if the block commits.
 func NewStringTx(tx *fa.Tx, s string) (*PString, error) {
-	h := tx.Manager().Heap()
-	size := 4 + uint64(len(s))
-	var po core.PObject
-	var err error
-	if heap.FitsSmall(size) {
-		po, err = tx.AllocSmall(mustClass(h, ClassString), size)
-	} else {
-		po, err = tx.Alloc(mustClass(h, ClassString), size)
-	}
+	ref, err := NewStringRefTx(tx, s)
 	if err != nil {
 		return nil, err
 	}
-	ps := po.(*PString)
-	// Direct writes: the object is invalid until commit.
-	ps.WriteUint32(0, uint32(len(s)))
-	ps.WriteBytes(4, []byte(s))
-	return ps, nil
+	return tx.Proxy(mustClass(tx.Heap(), ClassString), ref).(*PString), nil
+}
+
+// NewStringRefTx is NewStringTx for a caller that keeps no proxy.
+func NewStringRefTx(tx *fa.Tx, s string) (core.Ref, error) {
+	return newBlobTx(tx, ClassString, []byte(s))
+}
+
+// newBlob allocates an object of the PString/PBytes layout holding b, a
+// pooled slot when it fits one, and flushes it.
+func newBlob(h *core.Heap, class string, b []byte) (core.PObject, error) {
+	size := 4 + uint64(len(b))
+	alloc := h.Alloc
+	if heap.FitsSmall(size) {
+		alloc = h.AllocSmall
+	}
+	po, err := alloc(mustClass(h, class), size)
+	if err != nil {
+		return nil, err
+	}
+	fillBlob(po.Core(), b)
+	po.Core().PWB()
+	return po, nil
+}
+
+// newBlobTx is newBlob inside tx, by reference and unflushed: the object
+// is written directly, and is invalid until the block commits.
+func newBlobTx(tx *fa.Tx, class string, b []byte) (core.Ref, error) {
+	ref, err := tx.AllocRef(mustClass(tx.Heap(), class), 4+uint64(len(b)))
+	if err == nil {
+		o := new(core.Object) // on the stack: no proxy
+		tx.Heap().InspectInto(o, ref)
+		fillBlob(o, b)
+	}
+	return ref, err
+}
+
+func fillBlob(o *core.Object, b []byte) {
+	o.WriteUint32(0, uint32(len(b)))
+	o.WriteBytes(4, b)
 }
 
 // Len returns the string length in bytes.
@@ -110,42 +126,25 @@ type PBytes struct{ *core.Object }
 // NewBytes allocates an invalid PBytes holding b (see NewString for the
 // publication discipline).
 func NewBytes(h *core.Heap, b []byte) (*PBytes, error) {
-	size := 4 + uint64(len(b))
-	var po core.PObject
-	var err error
-	if heap.FitsSmall(size) {
-		po, err = h.AllocSmall(mustClass(h, ClassBytes), size)
-	} else {
-		po, err = h.Alloc(mustClass(h, ClassBytes), size)
-	}
+	po, err := newBlob(h, ClassBytes, b)
 	if err != nil {
 		return nil, err
 	}
-	pb := po.(*PBytes)
-	pb.WriteUint32(0, uint32(len(b)))
-	pb.WriteBytes(4, b)
-	pb.PWB()
-	return pb, nil
+	return po.(*PBytes), nil
 }
 
 // NewBytesTx allocates a PBytes inside a failure-atomic block.
 func NewBytesTx(tx *fa.Tx, b []byte) (*PBytes, error) {
-	h := tx.Manager().Heap()
-	size := 4 + uint64(len(b))
-	var po core.PObject
-	var err error
-	if heap.FitsSmall(size) {
-		po, err = tx.AllocSmall(mustClass(h, ClassBytes), size)
-	} else {
-		po, err = tx.Alloc(mustClass(h, ClassBytes), size)
-	}
+	ref, err := NewBytesRefTx(tx, b)
 	if err != nil {
 		return nil, err
 	}
-	pb := po.(*PBytes)
-	pb.WriteUint32(0, uint32(len(b)))
-	pb.WriteBytes(4, b)
-	return pb, nil
+	return tx.Proxy(mustClass(tx.Heap(), ClassBytes), ref).(*PBytes), nil
+}
+
+// NewBytesRefTx is NewBytesTx for a caller that keeps no proxy.
+func NewBytesRefTx(tx *fa.Tx, b []byte) (core.Ref, error) {
+	return newBlobTx(tx, ClassBytes, b)
 }
 
 // Len returns the payload length.
@@ -177,9 +176,7 @@ func ReadBlobView(h *core.Heap, ref core.Ref) []byte {
 		n := uint64(pool.ReadUint32(data))
 		return pool.View(data+4, n)
 	}
-	o := h.Inspect(ref)
-	n := uint64(o.ReadUint32(0))
-	return o.ReadBytes(4, n)
+	return ReadBlob(h, ref)
 }
 
 // BlobView is ReadBlobView for callers that cannot tolerate the chained-
@@ -214,36 +211,14 @@ func BlobView(h *core.Heap, ref core.Ref) ([]byte, bool) {
 // against the NVMM view; only chained objects fall back to a copy. Hot
 // path of the store's record field lookup.
 func BlobEquals(h *core.Heap, ref core.Ref, v string) bool {
-	mem := h.Mem()
-	pool := h.Pool()
-	if !mem.IsBlockRef(ref) {
-		n := uint64(pool.ReadUint32(ref + 8))
-		return n == uint64(len(v)) && string(pool.View(ref+8+4, n)) == v
-	}
-	if _, _, next := heap.UnpackHeader(mem.Header(ref)); next == 0 {
-		data := ref + heap.HeaderSize
-		n := uint64(pool.ReadUint32(data))
-		return n == uint64(len(v)) && string(pool.View(data+4, n)) == v
-	}
-	return string(ReadBlob(h, ref)) == v
+	return string(ReadBlobView(h, ref)) == v
 }
 
 // ReadBlob decodes the [len u32 | bytes] layout shared by PString and
-// PBytes directly from NVMM, without allocating a proxy. This is the
+// PBytes directly from NVMM, through a core on the stack. This is the
 // zero-conversion read path that §5.2 credits for the YCSB gap.
 func ReadBlob(h *core.Heap, ref core.Ref) []byte {
-	mem := h.Mem()
-	pool := h.Pool()
-	if !mem.IsBlockRef(ref) { // pooled slot: contiguous after mini-header
-		n := uint64(pool.ReadUint32(ref + 8))
-		return pool.ReadBytes(ref+8+4, n)
-	}
-	if _, _, next := heap.UnpackHeader(mem.Header(ref)); next == 0 {
-		data := ref + heap.HeaderSize
-		n := uint64(pool.ReadUint32(data))
-		return pool.ReadBytes(data+4, n)
-	}
-	o := h.Inspect(ref)
-	n := uint64(o.ReadUint32(0))
-	return o.ReadBytes(4, n)
+	o := new(core.Object)
+	h.InspectInto(o, ref)
+	return o.ReadBytes(4, uint64(o.ReadUint32(0)))
 }

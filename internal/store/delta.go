@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fa"
 	"repro/internal/heap"
 	"repro/internal/obs"
@@ -59,7 +60,7 @@ func (g *Grid) AddDelta(key, field string, delta int64) error {
 // read-modify-write of the field inside a failure-atomic block.
 func (b *JPFABackend) AddDelta(key, field string, delta int64) (bool, error) {
 	// Commits only: the ledger entry this op is about to fold into stays.
-	r, ok, err := b.get(key, false)
+	r, ok, err := b.get(key, false, new(core.Object))
 	if !ok {
 		return false, err
 	}

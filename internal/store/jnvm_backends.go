@@ -54,15 +54,16 @@ func openRecordMap(h *core.Heap, rootName string) (recordMap, error) {
 }
 
 // table resolves ref, the value word of key's binding, to its record
-// table without resurrecting a proxy (no class lookup, factory or
+// table in o without resurrecting a proxy (no class lookup, factory or
 // resurrection count): ref must be a valid block object of the record
 // class whose field count fits it — tableBase's checks, widened to the
 // block chain of a table too wide for one block. Anything else bound to
 // a key (a pooled slot, another class, an invalid block) is an error
 // naming the key.
-func (rm *recordMap) table(key string, ref core.Ref) (pRecord, error) {
+func (rm *recordMap) table(key string, ref core.Ref, o *core.Object) (pRecord, error) {
 	if _, ok := tableHeader(rm.h.Mem(), rm.cls, ref); ok {
-		r := pRecord{rm.h.Inspect(ref)}
+		rm.h.InspectInto(o, ref)
+		r := pRecord{o}
 		if recordSize(r.fieldCount()) <= r.Size() {
 			return r, nil
 		}
@@ -70,14 +71,14 @@ func (rm *recordMap) table(key string, ref core.Ref) (pRecord, error) {
 	return pRecord{}, fmt.Errorf("store: key %q is bound to %#x, which is not a record table", key, ref)
 }
 
-// lookup resolves key through the map's raw path (GetRef) and table;
-// ok is false for an unbound key.
-func (rm *recordMap) lookup(key string) (r pRecord, ok bool, err error) {
+// lookup resolves key through the map's raw path (GetRef) and table into
+// the caller's o; ok is false for an unbound key.
+func (rm *recordMap) lookup(key string, o *core.Object) (r pRecord, ok bool, err error) {
 	ref := rm.m.GetRef(key)
 	if ref == 0 {
 		return pRecord{}, false, nil
 	}
-	r, err = rm.table(key, ref)
+	r, err = rm.table(key, ref, o)
 	return r, err == nil, err
 }
 
@@ -127,7 +128,7 @@ func (b *JPDTBackend) Insert(key string, rec *Record) error {
 
 // Read implements Backend.
 func (b *JPDTBackend) Read(key string, consume func(string, []byte)) (bool, error) {
-	r, ok, err := b.lookup(key)
+	r, ok, err := b.lookup(key, new(core.Object))
 	if !ok {
 		return false, err
 	}
@@ -142,7 +143,7 @@ func (b *JPDTBackend) Read(key string, consume func(string, []byte)) (bool, erro
 // representation (inline to reference, reference to inline, another
 // inline length) takes the rest of the update through replaceTable.
 func (b *JPDTBackend) Update(key string, fields []Field) (bool, error) {
-	r, ok, err := b.lookup(key)
+	r, ok, err := b.lookup(key, new(core.Object))
 	if !ok {
 		return false, err
 	}
@@ -192,7 +193,7 @@ func (b *JPDTBackend) replaceTable(key string, r *pRecord, fields []Field) error
 // Delete implements Backend: the record is unlinked (one fence inside
 // Remove), then the whole object graph is freed without further fences.
 func (b *JPDTBackend) Delete(key string) (bool, error) {
-	r, ok, err := b.lookup(key)
+	r, ok, err := b.lookup(key, new(core.Object))
 	if !ok {
 		return false, err
 	}
@@ -271,11 +272,11 @@ func (b *JPFABackend) Insert(key string, rec *Record) error {
 // name words, and settling its own key's ledger entry on every op would
 // leave nothing to fold. Outside async mode either settle is one atomic
 // load per block.
-func (b *JPFABackend) get(key string, deltas bool) (r pRecord, ok bool, err error) {
-	r, ok, err = b.lookup(key)
+func (b *JPFABackend) get(key string, deltas bool, o *core.Object) (r pRecord, ok bool, err error) {
+	r, ok, err = b.lookup(key, o)
 	if !ok && err == nil && b.mgr.CommitMode() == fa.CommitAsync {
 		b.mgr.DrainDurable()
-		r, ok, err = b.lookup(key)
+		r, ok, err = b.lookup(key, o)
 	}
 	if ok {
 		b.settle(&r, deltas)
@@ -297,7 +298,7 @@ func (b *JPFABackend) settle(r *pRecord, deltas bool) {
 
 // Read implements Backend (reads need no block, as in the paper).
 func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, error) {
-	r, ok, err := b.get(key, true)
+	r, ok, err := b.get(key, true, new(core.Object))
 	if !ok {
 		return false, err
 	}
@@ -306,7 +307,7 @@ func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, erro
 
 // Update implements Backend.
 func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
-	r, ok, err := b.get(key, true)
+	r, ok, err := b.get(key, true, new(core.Object))
 	if !ok {
 		return false, err
 	}
@@ -334,11 +335,10 @@ func (b *JPFABackend) setFieldTx(tx *fa.Tx, r *pRecord, i int, value []byte) err
 	interned := r.ReadUint64(fieldNameOff(i))&nameInterned != 0
 	rep, vw, inline := inlineValue(interned, value)
 	if !inline {
-		vb, err := pdt.NewBytesTx(tx, value)
-		if err != nil {
+		var err error
+		if vw, err = pdt.NewBytesRefTx(tx, value); err != nil {
 			return err
 		}
-		vw = vb.Ref()
 	}
 	old, err := tx.ReadUint64(r.Object, fieldValOff(i))
 	if err != nil {
@@ -368,7 +368,7 @@ func (b *JPFABackend) setFieldTx(tx *fa.Tx, r *pRecord, i int, value []byte) err
 func (b *JPFABackend) Delete(key string) (bool, error) {
 	found := false
 	err := b.mgr.Run(func(tx *fa.Tx) error {
-		r, ok, err := b.get(key, true)
+		r, ok, err := b.get(key, true, new(core.Object))
 		if !ok {
 			return err
 		}

@@ -164,13 +164,6 @@ type recordAlloc struct {
 	seal func(r *pRecord)
 }
 
-func refOf[T core.PObject](po T, err error) (core.Ref, error) {
-	if err != nil {
-		return 0, err
-	}
-	return po.Core().Ref(), nil
-}
-
 // plainObjects is J-PDT's discipline: every referenced object is
 // flushed and validated, the table flushed and left invalid, and nothing
 // is fenced — the map's Put validates the table and publishes the whole
@@ -197,8 +190,8 @@ func txObjects(tx *fa.Tx) recordAlloc {
 	h := tx.Heap()
 	return recordAlloc{
 		table: func(size uint64) (core.PObject, error) { return tx.Alloc(mustClass(h, ClassRecord), size) },
-		name:  func(s string) (core.Ref, error) { return refOf(pdt.NewStringTx(tx, s)) },
-		value: func(b []byte) (core.Ref, error) { return refOf(pdt.NewBytesTx(tx, b)) },
+		name:  func(s string) (core.Ref, error) { return pdt.NewStringRefTx(tx, s) },
+		value: func(b []byte) (core.Ref, error) { return pdt.NewBytesRefTx(tx, b) },
 		seal:  func(*pRecord) {},
 	}
 }

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Gate the allocation-free read paths (DESIGN.md §14): the zero-copy grid
 # read and the map GetRef/cached-Get fast paths must stay at 0 allocs/op,
-# and every other grid read regime must stay within a small ceiling; and
-# gate the wire server's per-request allocations and the wire client's
-# per-reply ones (DESIGN.md §16). Runs the
+# and every other grid read regime must stay within a small ceiling; gate
+# the wire server's per-request allocations and the wire client's
+# per-reply ones (DESIGN.md §16); and gate the J-PFA commit (DESIGN.md
+# §11) at none. Runs the
 # benchmarks once and parses the -benchmem column, so a stray allocation
 # in a hot loop fails CI instead of silently costing GC.
 #
@@ -23,6 +24,8 @@ if [ -z "$out" ]; then
     # of a connection's buffers rounds to nothing.
     go test -run '^$' -bench 'ServerWindow|ClientWindow' -benchtime 4000x -benchmem \
         ./internal/wire/ | tee -a "$out"
+    go test -run '^$' -bench 'CommitSingleField' -benchtime 20000x -benchmem \
+        ./internal/fa/ | tee -a "$out"
 fi
 
 # ceiling <pattern> <max allocs/op>: every matching benchmark row must
@@ -58,19 +61,18 @@ ceiling 'GridRead/cachehit' 4
 ceiling 'GridRead/cachemiss' 40
 
 # The server's pipeline window is a single pass with no per-field
-# allocation: a READ request costs the key string plus Grid.Read's own
-# few allocations however many fields the record has (the deep-copying
-# window it replaced cost 33), and an UPDATE request at most two more than
-# the same update through Grid.Update directly (the grid-update row),
-# which resolves the record to a bare proxy core (no class factory) and
-# frees the replaced value by reference: the new value's proxy (its core
-# and its pdt.PBytes) and the record's core are its three.
+# allocation: a READ or ADDDELTA request costs its key string however
+# many fields the record has (the deep-copying window it replaced cost
+# 33), and an UPDATE request one more than the same update through
+# Grid.Update directly (the grid-update row). That row allocates nothing:
+# the record resolves into a core on the caller's stack, and the new
+# value is allocated and the old one freed by reference, with no proxy.
 if grep -qE '^Benchmark.*ServerWindow/grid-update' "$out"; then
     base=$(grep -E '^Benchmark.*ServerWindow/grid-update' "$out" | awk '{ print $7; exit }')
-    ceiling 'ServerWindow/grid-update' 3
-    ceiling 'ServerWindow/read' 5
-    ceiling 'ServerWindow/update' $((base + 2))
-    ceiling 'ServerWindow/adddelta' 5
+    ceiling 'ServerWindow/grid-update' 0
+    ceiling 'ServerWindow/read' 1
+    ceiling 'ServerWindow/update' $((base + 1))
+    ceiling 'ServerWindow/adddelta' 1
 else
     echo "check_allocs: note: no ServerWindow rows (old bench output?); skipping" >&2
 fi
@@ -80,6 +82,10 @@ fi
 # one reused buffer, so a warm connection allocates nothing per request
 # or reply, a 10-field READ and a request over 64 KiB included.
 ceiling 'ClientWindow/(read|update|adddelta|bigupdate)' 0
+
+# A warm one-word J-PFA commit reuses its Tx's write set, log slot and
+# flush set, so it allocates nothing.
+ceiling 'CommitSingleField' 0
 
 if [ "$fail" -ne 0 ]; then
     exit 1
