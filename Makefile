@@ -21,7 +21,7 @@ RACE_MAP_TESTS = TestMapCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet|TestMa
 
 .PHONY: check vet build test race bench-read bench-e2e-smoke \
 	microbench lint fmt-check structure-check staticcheck crashmc-smoke crashmc-mutants \
-	coverage
+	coverage paper
 
 check: vet build test race
 
@@ -90,6 +90,19 @@ crashmc-smoke:
 # it.
 crashmc-mutants:
 	GO=$(GO) ./scripts/crashmc_mutants.sh
+
+# Every results/*.txt, regenerated through cmd/paper at default scale
+# (about 5 min on a 2-core host): file:experiments. The command is built,
+# not run with go run, so each file's header line names the commit.
+PAPER_RESULTS = gcsweep:fig1,fig2 ycsb:fig7,fig8,fig9a,fig9b,fig9c,fig9d,fig10 \
+	tpcb:fig11 datatypes:fig12 delsites:table1 blockbw:table3,frag
+
+paper:
+	$(GO) build -o .paper_build/paper ./cmd/paper
+	@set -e; for r in $(PAPER_RESULTS); do \
+		echo "results/$${r%%:*}.txt: $${r#*:}"; \
+		./.paper_build/paper -exp $${r#*:} > results/$${r%%:*}.txt; \
+	done
 
 # Coverage over the library packages, gated on results/coverage_floor.txt.
 coverage:

@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's tables and figures at library scale.
-// One Benchmark per exhibit; the cmd/ tools run the same experiments with
-// bigger, paper-like parameters and print the full tables.
+// One Benchmark per exhibit; cmd/paper runs the same experiments with
+// bigger, paper-like parameters and prints the full tables.
 //
 //	go test -bench=. -benchmem .
 package jnvm_test
@@ -266,7 +266,7 @@ func BenchmarkFig11Recovery(b *testing.B) {
 // BenchmarkFig12DataTypes is Figure 12: per-op cost of YCSB-A directly on
 // the data types, persistent vs volatile.
 func BenchmarkFig12DataTypes(b *testing.B) {
-	rows, err := bench.Fig12(2_000, 1, 100) // warm a tiny instance to reuse code paths
+	rows, err := bench.Fig12(bench.Scale{Records: 2_000, Operations: 1}) // warm a tiny instance to reuse code paths
 	_ = rows
 	if err != nil {
 		b.Fatal(err)
@@ -280,7 +280,7 @@ func BenchmarkFig12DataTypes(b *testing.B) {
 		{"SkipListMap", "Volatile"}, {"SkipListMap", "J-PDT"},
 	} {
 		b.Run(v.structure+"/"+v.impl, func(b *testing.B) {
-			rows, err := bench.Fig12(2_000, b.N, 100)
+			rows, err := bench.Fig12(bench.Scale{Records: 2_000, Operations: b.N})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -299,7 +299,7 @@ func BenchmarkFig1GCCacheRatio(b *testing.B) {
 	for _, ratio := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("cache=%d%%", ratio), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows, err := bench.Fig1(8_000, 16_000, []int{ratio}, 2)
+				rows, err := bench.Fig1(bench.Scale{Records: 8_000, Operations: 16_000}, []int{ratio}, 2)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -316,7 +316,7 @@ func BenchmarkFig2GoPmemGC(b *testing.B) {
 	for _, mb := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("dataset=%dMB", mb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows, err := bench.Fig2([]int{mb}, 20_000, 2)
+				rows, err := bench.Fig2(bench.Scale{Operations: 20_000}, []int{mb}, 2)
 				if err != nil {
 					b.Fatal(err)
 				}

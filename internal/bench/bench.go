@@ -1,6 +1,6 @@
 // Package bench wires the substrates together into the paper's
-// experiments: one function per figure/table of §5, shared by the cmd/
-// tools and by the root testing.B benchmarks. Each function returns
+// experiments: one function per figure/table of §5, shared by cmd/paper
+// and by the root testing.B benchmarks. Each function returns
 // structured rows so callers can print the same tables and series the
 // paper reports.
 package bench
@@ -146,7 +146,7 @@ func NewEnv(cfg GridConfig) (*Env, error) {
 			}
 			cleanup = func() { os.RemoveAll(dir) }
 		}
-		fsb, err := store.NewFSBackend(dir, false)
+		fsb, err := store.NewFSBackend(dir)
 		if err != nil {
 			return nil, err
 		}

@@ -113,7 +113,7 @@ func TestFig8Shape(t *testing.T) {
 func TestFig9Sweeps(t *testing.T) {
 	sc := tiny()
 	t.Run("a", func(t *testing.T) {
-		rows, err := Fig9a(sc, []int{0, 100})
+		rows, err := Fig9("a", sc, []int{0, 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,10 +121,10 @@ func TestFig9Sweeps(t *testing.T) {
 			t.Fatalf("rows = %d", len(rows))
 		}
 		var buf bytes.Buffer
-		PrintFig9(&buf, "Figure 9a", rows)
+		PrintFig9(&buf, "a", rows)
 	})
 	t.Run("b", func(t *testing.T) {
-		rows, err := Fig9b(sc, []int{100, 200})
+		rows, err := Fig9("b", sc, []int{100, 200})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestFig9Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("c", func(t *testing.T) {
-		rows, err := Fig9c(sc, []int{10, 40})
+		rows, err := Fig9("c", sc, []int{10, 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestFig9Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("d", func(t *testing.T) {
-		rows, err := Fig9d(sc, []int{1, 10})
+		rows, err := Fig9("d", sc, []int{1, 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestFig11Runs(t *testing.T) {
 }
 
 func TestFig1Fig2Run(t *testing.T) {
-	rows1, err := Fig1(4000, 8000, []int{1, 100}, 1)
+	rows1, err := Fig1(Scale{Records: 4000, Operations: 8000}, []int{1, 100}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFig1Fig2Run(t *testing.T) {
 	var buf bytes.Buffer
 	PrintFig1(&buf, rows1)
 
-	rows2, err := Fig2([]int{2, 8}, 6000, 1)
+	rows2, err := Fig2(Scale{Operations: 6000}, []int{2, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestFig12Runs(t *testing.T) {
 	times := map[string][]time.Duration{}
 	for i := 0; i < runs; i++ {
 		var err error
-		if rows, err = Fig12(500, 3000, 100); err != nil {
+		if rows, err = Fig12(Scale{Records: 500, Operations: 3000}); err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != 7 {

@@ -13,10 +13,10 @@ import (
 	"repro/internal/ycsb"
 )
 
-// Scale is the global dataset scale of the harness. The paper runs 3M
-// records and 100M operations on an 80-core Optane testbed; the default
-// scale targets a laptop while preserving every shape. Pass -scale to the
-// cmd tools to grow it.
+// Scale is the dataset scale of an experiment. The paper runs 3M records
+// and 100M operations on an 80-core Optane testbed; a zero field keeps
+// the experiment's own laptop-scaled default, which preserves every
+// shape. cmd/paper's -records, -ops, -threads, -commit and -run set it.
 type Scale struct {
 	Records    int
 	Operations int
@@ -24,10 +24,22 @@ type Scale struct {
 	// Commit is the J-NVM commit protocol ("", "per-tx", "async"); see
 	// GridConfig.Commit.
 	Commit string
+	// Run is Figure 11's injection time.
+	Run time.Duration
 }
 
-// DefaultScale runs the full suite in minutes on commodity hardware.
-func DefaultScale() Scale { return Scale{Records: 20_000, Operations: 60_000, Threads: 1} }
+// withDefaults fills the YCSB figures' default scale, which runs them in
+// minutes on commodity hardware (ycsb.Config.Defaults makes zero threads
+// one).
+func (sc Scale) withDefaults() Scale {
+	if sc.Records == 0 {
+		sc.Records = 20_000
+	}
+	if sc.Operations == 0 {
+		sc.Operations = 60_000
+	}
+	return sc
+}
 
 // ---- Figure 7: YCSB throughput across backends ----
 
@@ -50,6 +62,7 @@ type Fig7Row struct {
 // Fig7 runs workloads A,B,C,D,F over the four persistent backends of
 // Figure 7.
 func Fig7(sc Scale, backends []BackendKind) ([]Fig7Row, error) {
+	sc = sc.withDefaults()
 	if backends == nil {
 		backends = []BackendKind{JPDT, JPFA, FS, PCJ}
 	}
@@ -57,36 +70,14 @@ func Fig7(sc Scale, backends []BackendKind) ([]Fig7Row, error) {
 	for _, w := range []string{"A", "B", "C", "D", "F"} {
 		for _, bk := range backends {
 			cfg := ycsb.MustWorkload(w)
-			cfg.RecordCount = sc.Records
-			cfg.Operations = sc.Operations
-			cfg.Threads = sc.Threads
+			cfg.RecordCount, cfg.Operations, cfg.Threads = sc.Records, sc.Operations, sc.Threads
 			cfg = cfg.Defaults()
-			env, err := NewEnv(GridConfig{
-				Backend: bk, Records: cfg.RecordCount * 2,
-				FieldCount: cfg.FieldCount, FieldLen: cfg.FieldLen,
-				CacheEntries: fsCache(bk, cfg.RecordCount),
-				Commit:       sc.Commit,
-			})
+			res, err := runYCSB(GridConfig{Backend: bk, CacheEntries: fsCache(bk, cfg.RecordCount), Commit: sc.Commit}, cfg)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/%s: %w", w, bk, err)
 			}
-			if err := ycsb.Load(env.Grid, cfg); err != nil {
-				env.Close()
-				return nil, fmt.Errorf("load %s/%s: %w", w, bk, err)
-			}
-			before := env.Snapshot()
-			res, err := ycsb.Run(env.Grid, cfg)
-			// Async mode: charge the run's own epochs to the run interval
-			// before diffing snapshots.
-			env.DrainDurable()
-			stack := env.Snapshot().Sub(*before)
-			env.Close()
-			if err != nil {
-				return nil, fmt.Errorf("run %s/%s: %w", w, bk, err)
-			}
-			res.Stack = &stack
 			row := Fig7Row{Workload: w, Backend: bk, KopsSec: res.Throughput() / 1000, Errors: res.Errors,
-				PWBPerOp: stack.PWBPerOp, PFencePerOp: stack.PFencePerOp, Stack: &stack}
+				PWBPerOp: res.Stack.PWBPerOp, PFencePerOp: res.Stack.PFencePerOp, Stack: res.Stack}
 			if h := res.PerOp[ycsb.OpRead]; h != nil {
 				row.MeanRead = h.Mean()
 			}
@@ -94,6 +85,31 @@ func Fig7(sc Scale, backends []BackendKind) ([]Fig7Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// runYCSB loads cfg into a fresh grid of gc's backend and cache, runs it,
+// and returns the result with the run interval's stack metrics in Stack.
+func runYCSB(gc GridConfig, cfg ycsb.Config) (*ycsb.Result, error) {
+	gc.Records, gc.FieldCount, gc.FieldLen = cfg.RecordCount*2, cfg.FieldCount, cfg.FieldLen
+	env, err := NewEnv(gc)
+	if err != nil {
+		return nil, err
+	}
+	defer env.Close()
+	if err := ycsb.Load(env.Grid, cfg); err != nil {
+		return nil, fmt.Errorf("load: %w", err)
+	}
+	before := env.Snapshot()
+	res, err := ycsb.Run(env.Grid, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Async mode: charge the run's own epochs to the run interval before
+	// diffing snapshots.
+	env.DrainDurable()
+	stack := env.Snapshot().Sub(*before)
+	res.Stack = &stack
+	return res, nil
 }
 
 // fsCache gives the paper's 10% record cache to the file-system family and
@@ -119,6 +135,7 @@ type Fig8Row struct {
 // Fig8 runs YCSB-A with growing records over the no-persistence backends,
 // isolating marshalling cost.
 func Fig8(sc Scale, sizesKB []int) ([]Fig8Row, error) {
+	sc = sc.withDefaults()
 	if sizesKB == nil {
 		sizesKB = []int{1, 2, 4, 6, 8, 10}
 	}
@@ -132,20 +149,7 @@ func Fig8(sc Scale, sizesKB []int) ([]Fig8Row, error) {
 			cfg.Threads = sc.Threads
 			cfg.FieldLen = kb * 100 // 10 fields x (kb*100) = kb KB records
 			cfg = cfg.Defaults()
-			env, err := NewEnv(GridConfig{
-				Backend: bk, Records: cfg.RecordCount,
-				FieldCount: cfg.FieldCount, FieldLen: cfg.FieldLen,
-				CacheEntries: cfg.RecordCount / 10,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := ycsb.Load(env.Grid, cfg); err != nil {
-				env.Close()
-				return nil, err
-			}
-			res, err := ycsb.Run(env.Grid, cfg)
-			env.Close()
+			res, err := runYCSB(GridConfig{Backend: bk, CacheEntries: cfg.RecordCount / 10}, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -167,124 +171,73 @@ type Fig9Row struct {
 	Update  time.Duration
 }
 
-func runFig9Point(knob string, value int, bk BackendKind, cfg ycsb.Config, cacheEntries int) (Fig9Row, error) {
-	gc := GridConfig{
-		Backend: bk, Records: cfg.RecordCount * 2,
-		FieldCount: cfg.FieldCount, FieldLen: cfg.FieldLen,
-		CacheEntries: cacheEntries,
-	}
-	env, err := NewEnv(gc)
-	if err != nil {
-		return Fig9Row{}, err
-	}
-	defer env.Close()
-	if err := ycsb.Load(env.Grid, cfg); err != nil {
-		return Fig9Row{}, err
-	}
-	res, err := ycsb.Run(env.Grid, cfg)
-	if err != nil {
-		return Fig9Row{}, err
-	}
-	row := Fig9Row{Knob: knob, Value: value, Backend: bk}
-	if h := res.PerOp[ycsb.OpRead]; h != nil {
-		row.Read = h.Mean()
-	}
-	if h := res.PerOp[ycsb.OpUpdate]; h != nil {
-		row.Update = h.Mean()
-	}
-	return row, nil
+// fig9Panels are Figure 9's sensitivity sweeps, one per panel: the knob,
+// its values at a scale, and the YCSB-A shape at one value (shape returns
+// the FS record cache, which the cache-ratio knob sizes and which is a
+// tenth of the records otherwise). Panels c and d keep the dataset's
+// bytes constant as records widen: 16 MB and 32 MB at the default 20 000
+// records, in proportion to sc.Records at another scale.
+var fig9Panels = map[string]struct {
+	title  string
+	knob   string
+	values func(sc Scale) []int
+	shape  func(cfg *ycsb.Config, sc Scale, v int) (cacheEntries int)
+}{
+	// The ratio sizes FS's record cache; J-PDT has nothing to cache (its
+	// backend resolves records by reference and builds no proxy), so its
+	// point is the same path at every ratio.
+	"a": {"Figure 9a — impact of the cache ratio (YCSB-A)", "cache%",
+		func(Scale) []int { return []int{0, 20, 40, 60, 80, 100} },
+		func(_ *ycsb.Config, sc Scale, r int) int { return sc.Records * r / 100 }},
+	"b": {"Figure 9b — impact of the number of records (YCSB-A)", "records",
+		func(sc Scale) []int { return []int{sc.Records / 8, sc.Records / 4, sc.Records / 2, sc.Records} },
+		func(cfg *ycsb.Config, _ Scale, n int) int { cfg.RecordCount = n; return n / 10 }},
+	"c": {"Figure 9c — impact of the number of fields (YCSB-A)", "fields",
+		func(Scale) []int { return []int{10, 50, 100, 500} },
+		func(cfg *ycsb.Config, sc Scale, fc int) int {
+			cfg.FieldCount, cfg.FieldLen = fc, 100
+			cfg.RecordCount = max((1<<24)*sc.Records/20_000/(fc*100), 50)
+			cfg.Operations = max(sc.Operations/fc*10, 200)
+			return cfg.RecordCount / 10
+		}},
+	"d": {"Figure 9d — impact of the record size (YCSB-A)", "recordKB",
+		func(Scale) []int { return []int{1, 10, 100, 1000} },
+		func(cfg *ycsb.Config, sc Scale, kb int) int {
+			cfg.FieldCount, cfg.FieldLen = 10, kb*100
+			cfg.RecordCount = max((1<<25)*sc.Records/20_000/(kb*1024), 20)
+			cfg.Operations = max(sc.Operations/kb, 100)
+			return cfg.RecordCount / 10
+		}},
 }
 
-// Fig9a sweeps the cache ratio (Figure 9a). The ratio sizes FS's record
-// cache; J-PDT has nothing to cache (its backend resolves records by
-// reference and builds no proxy), so its point is the same path at every
-// ratio.
-func Fig9a(sc Scale, ratios []int) ([]Fig9Row, error) {
-	if ratios == nil {
-		ratios = []int{0, 20, 40, 60, 80, 100}
+// Fig9 sweeps one panel ("a" to "d") of Figure 9 over J-PDT and FS; nil
+// values take the panel's own.
+func Fig9(panel string, sc Scale, values []int) ([]Fig9Row, error) {
+	p, ok := fig9Panels[panel]
+	if !ok {
+		return nil, fmt.Errorf("bench: no Figure 9 panel %q", panel)
+	}
+	sc = sc.withDefaults()
+	if values == nil {
+		values = p.values(sc)
 	}
 	var rows []Fig9Row
-	for _, r := range ratios {
+	for _, v := range values {
 		cfg := ycsb.MustWorkload("A")
 		cfg.RecordCount, cfg.Operations, cfg.Threads = sc.Records, sc.Operations, sc.Threads
+		cacheEntries := p.shape(&cfg, sc, v)
 		cfg = cfg.Defaults()
 		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("cache%", r, bk, cfg, sc.Records*r/100)
+			res, err := runYCSB(GridConfig{Backend: bk, CacheEntries: cacheEntries}, cfg)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// Fig9b sweeps the record count (Figure 9b).
-func Fig9b(sc Scale, counts []int) ([]Fig9Row, error) {
-	if counts == nil {
-		counts = []int{sc.Records / 8, sc.Records / 4, sc.Records / 2, sc.Records}
-	}
-	var rows []Fig9Row
-	for _, n := range counts {
-		cfg := ycsb.MustWorkload("A")
-		cfg.RecordCount, cfg.Operations, cfg.Threads = n, sc.Operations, sc.Threads
-		cfg = cfg.Defaults()
-		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("records", n, bk, cfg, n/10)
-			if err != nil {
-				return nil, err
+			row := Fig9Row{Knob: p.knob, Value: v, Backend: bk}
+			if h := res.PerOp[ycsb.OpRead]; h != nil {
+				row.Read = h.Mean()
 			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// Fig9c sweeps the field count at constant dataset size (Figure 9c).
-func Fig9c(sc Scale, fieldCounts []int) ([]Fig9Row, error) {
-	if fieldCounts == nil {
-		fieldCounts = []int{10, 50, 100, 500}
-	}
-	const datasetBytes = 1 << 24
-	var rows []Fig9Row
-	for _, fc := range fieldCounts {
-		cfg := ycsb.MustWorkload("A")
-		cfg.FieldCount = fc
-		cfg.FieldLen = 100
-		cfg.RecordCount = max(datasetBytes/(fc*100), 50)
-		cfg.Operations = max(sc.Operations/fc*10, 200)
-		cfg.Threads = sc.Threads
-		cfg = cfg.Defaults()
-		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("fields", fc, bk, cfg, cfg.RecordCount/10)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// Fig9d sweeps the record size at constant dataset size (Figure 9d).
-func Fig9d(sc Scale, sizesKB []int) ([]Fig9Row, error) {
-	if sizesKB == nil {
-		sizesKB = []int{1, 10, 100, 1000}
-	}
-	const datasetBytes = 1 << 25
-	var rows []Fig9Row
-	for _, kb := range sizesKB {
-		cfg := ycsb.MustWorkload("A")
-		cfg.FieldCount = 10
-		cfg.FieldLen = kb * 100
-		cfg.RecordCount = max(datasetBytes/(kb*1024), 20)
-		cfg.Operations = max(sc.Operations/kb, 100)
-		cfg.Threads = sc.Threads
-		cfg = cfg.Defaults()
-		for _, bk := range []BackendKind{JPDT, FS} {
-			row, err := runFig9Point("recordKB", kb, bk, cfg, cfg.RecordCount/10)
-			if err != nil {
-				return nil, err
+			if h := res.PerOp[ycsb.OpUpdate]; h != nil {
+				row.Update = h.Mean()
 			}
 			rows = append(rows, row)
 		}
@@ -305,6 +258,7 @@ type Fig10Row struct {
 // Fig10 sweeps the thread count for YCSB-A and YCSB-C over J-PDT, FS and
 // Volatile.
 func Fig10(sc Scale, threads []int) ([]Fig10Row, error) {
+	sc = sc.withDefaults()
 	if threads == nil {
 		threads = []int{1, 2, 4, 8}
 	}
@@ -317,20 +271,7 @@ func Fig10(sc Scale, threads []int) ([]Fig10Row, error) {
 				cfg.Operations = sc.Operations * th // keep per-thread work constant
 				cfg.Threads = th
 				cfg = cfg.Defaults()
-				env, err := NewEnv(GridConfig{
-					Backend: bk, Records: cfg.RecordCount * 2,
-					FieldCount: cfg.FieldCount, FieldLen: cfg.FieldLen,
-					CacheEntries: fsCache(bk, cfg.RecordCount),
-				})
-				if err != nil {
-					return nil, err
-				}
-				if err := ycsb.Load(env.Grid, cfg); err != nil {
-					env.Close()
-					return nil, err
-				}
-				res, err := ycsb.Run(env.Grid, cfg)
-				env.Close()
+				res, err := runYCSB(GridConfig{Backend: bk, CacheEntries: fsCache(bk, cfg.RecordCount)}, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -366,7 +307,7 @@ func Fig11(cfg Fig11Config) ([]*tpcb.Timeline, error) {
 		cfg.Clients = 4
 	}
 	if cfg.RunFor == 0 {
-		cfg.RunFor = 3 * time.Second
+		cfg.RunFor = 4 * time.Second
 	}
 	if cfg.CrashAfter == 0 {
 		cfg.CrashAfter = cfg.RunFor / 2
@@ -472,18 +413,28 @@ type Fig2Row struct {
 }
 
 // Fig2 grows the persistent dataset of the RedisLike store while running a
-// fixed YCSB-F-like op count, reproducing the go-pmem GC blow-up.
-func Fig2(datasetsMB []int, ops int, gcEveryMB int) ([]Fig2Row, error) {
+// fixed YCSB-F-like op count (sc.Operations, default 150 000), reproducing
+// the go-pmem GC blow-up. Nil datasetsMB doubles the dataset from a
+// sixteenth of the largest, which holds sc.Records 1 KB values (default
+// and floor: 256 MB and 16 MB).
+func Fig2(sc Scale, datasetsMB []int, gcEveryMB int) ([]Fig2Row, error) {
+	const valSize = 1024
 	if datasetsMB == nil {
-		datasetsMB = []int{16, 32, 64, 128, 256}
+		largest := 256
+		if sc.Records > 0 {
+			largest = max(sc.Records*valSize>>20, 16)
+		}
+		for mb := largest / 16; mb <= largest; mb *= 2 {
+			datasetsMB = append(datasetsMB, mb)
+		}
 	}
+	ops := sc.Operations
 	if ops == 0 {
 		ops = 150_000
 	}
 	if gcEveryMB == 0 {
 		gcEveryMB = 8 // the paper forces a collection every 10 GB; scaled
 	}
-	const valSize = 1024
 	var rows []Fig2Row
 	for _, mb := range datasetsMB {
 		records := mb << 20 / valSize
@@ -550,10 +501,11 @@ type Fig1Row struct {
 // Fig1 runs YCSB-F over a TmpFS-backed grid whose volatile cache lives in
 // a managed (collected) heap, at cache ratios 1/10/100%: more cache means
 // more live managed objects, more GC time, and a worse tail.
-func Fig1(records, ops int, ratios []int, gcEveryMB int) ([]Fig1Row, error) {
+func Fig1(sc Scale, ratios []int, gcEveryMB int) ([]Fig1Row, error) {
 	if ratios == nil {
 		ratios = []int{1, 10, 100}
 	}
+	records, ops := sc.Records, sc.Operations
 	if records == 0 {
 		// Large enough that marking a 100% cache dominates compute, the
 		// crossover Figure 1 demonstrates.

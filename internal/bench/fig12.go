@@ -75,16 +75,16 @@ func (p *pdtKV) put(k string, v []byte) {
 // Fig12 runs YCSB-A (50% read, 50% update, zipfian) directly on the three
 // map structures, persistent (J-PDT) versus volatile, plus the Blackhole
 // injection baseline. The paper's finding to reproduce: J-PDT lands
-// 45-50% slower than its volatile counterpart.
-func Fig12(records, ops, valLen int) ([]Fig12Row, error) {
+// 45-50% slower than its volatile counterpart. Values are 100 bytes; the
+// scale defaults to 20 000 keys and 80 000 operations.
+func Fig12(sc Scale) ([]Fig12Row, error) {
+	const valLen = 100
+	records, ops := sc.Records, sc.Operations
 	if records == 0 {
 		records = 20_000
 	}
 	if ops == 0 {
 		ops = 80_000
-	}
-	if valLen == 0 {
-		valLen = 100
 	}
 	keys := make([]string, records)
 	for i := range keys {

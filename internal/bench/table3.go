@@ -108,3 +108,22 @@ func Table3(totalMB int) ([]Table3Row, error) {
 		measure(Table3Row{Path: "native", Sequential: false, Write: true}, rnd, nativeWrite),
 	}, nil
 }
+
+// FragRow is one record shape of §5.3.5's fragmentation accounting: the
+// user bytes of a 10-field record and the raw block bytes it occupies
+// stored contiguously as one chained object.
+type FragRow struct {
+	FieldLen  int
+	User, Raw uint64
+}
+
+// Fragmentation reproduces the §5.3.5 numbers: space lost to block
+// headers and rounding at 100 B, 1 KB and 10 KB fields.
+func Fragmentation() []FragRow {
+	var rows []FragRow
+	for _, fieldLen := range []int{100, 1_000, 10_240} {
+		user := uint64(10 * fieldLen)
+		rows = append(rows, FragRow{fieldLen, user, uint64(heap.BlocksFor(user)) * heap.BlockSize})
+	}
+	return rows
+}

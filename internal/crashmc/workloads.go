@@ -502,7 +502,7 @@ func gridGroupEntry() entry {
 					}
 				}
 				o.ack()
-				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
+				return mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true})
 			},
 			exec: func() error {
 				for e := 0; e < epochs+hotEpochs; e++ {
@@ -605,7 +605,7 @@ func gridDeltaEntry() entry {
 					o.issue(key, state(val[i]))
 				}
 				o.ack()
-				return mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true})
+				return mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true})
 			},
 			exec: func() error {
 				for e := 0; e < epochs; e++ {
@@ -774,7 +774,7 @@ func gridInlineEntry() entry {
 					}
 					o.ack() // per-Tx: durable on return
 				}
-				if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+				if err := mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true}); err != nil {
 					return err
 				}
 				for e := 0; e < epochs; e++ {

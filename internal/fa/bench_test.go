@@ -38,22 +38,22 @@ func BenchmarkCommitSingleField(b *testing.B) {
 // (EXPERIMENTS.md, "Commit protocols under concurrent committers").
 func BenchmarkCommitParallel(b *testing.B) {
 	protocols := []struct {
-		name string
-		opts GroupOptions
+		name  string
+		async bool
 	}{
-		{"per-tx", GroupOptions{Mode: CommitPerTx}},
-		{"async-await", GroupOptions{Mode: CommitAsync}},
+		{"per-tx", false},
+		{"async-await", true},
 	}
 	for _, proto := range protocols {
 		for _, committers := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/committers=%d", proto.name, committers), func(b *testing.B) {
-				benchCommitProtocol(b, proto.opts, committers)
+				benchCommitProtocol(b, proto.async, committers)
 			})
 		}
 	}
 }
 
-func benchCommitProtocol(b *testing.B, opts GroupOptions, committers int) {
+func benchCommitProtocol(b *testing.B, async bool, committers int) {
 	pool := nvm.New(1<<24, nvm.Options{FenceLatency: 120})
 	cls := accountClass()
 	mgr := NewManager()
@@ -65,8 +65,8 @@ func benchCommitProtocol(b *testing.B, opts GroupOptions, committers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if opts.Mode == CommitAsync {
-		if err := mgr.SetGroupCommit(opts); err != nil {
+	if async {
+		if err := mgr.SetGroupCommit(GroupOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func benchCommitProtocol(b *testing.B, opts GroupOptions, committers int) {
 func BenchmarkDeltaEpoch(b *testing.B) {
 	const folds = 16
 	h, mgr, pool, cls := openFA(b, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		b.Fatal(err)
 	}
 	words := deltaWords(b, h, cls, folds)

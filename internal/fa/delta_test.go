@@ -33,7 +33,7 @@ func TestDeltaUnsupportedOutsideAsync(t *testing.T) {
 // again.
 func TestDeltaRejectsMisalignedOffset(t *testing.T) {
 	h, mgr, pool, cls := openFA(t, true)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -57,7 +57,7 @@ func TestDeltaRejectsMisalignedOffset(t *testing.T) {
 // value is the net sum.
 func TestDeltaFoldsToOneEntry(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -105,7 +105,7 @@ func TestDeltaFoldsToOneEntry(t *testing.T) {
 // TestDeltaSignedFold pins that sub deltas fold as two's-complement adds.
 func TestDeltaSignedFold(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -136,7 +136,7 @@ func deltaPending(m *Manager, orig core.Ref) bool {
 // waitClear discipline queued commits get.
 func TestDeltaDrainOnMiss(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -172,7 +172,7 @@ func TestDeltaDrainOnMiss(t *testing.T) {
 // would be clobbered by the epoch apply.
 func TestDeltaAfterQueuedWrite(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -203,7 +203,7 @@ func TestDeltaAfterQueuedWrite(t *testing.T) {
 // would scribble on a recycled block in a later epoch.
 func TestDeltaThenFreeSettles(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -243,7 +243,7 @@ func TestDeltaThenFreeSettles(t *testing.T) {
 // the queued commit and the fold both land.
 func TestDeltaAbortAfterEnqueue(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	a := newAccount(t, h, cls, 100, 0, "a")
@@ -292,7 +292,7 @@ func TestDeltaAbortAfterEnqueue(t *testing.T) {
 // returns. Run under -race in CI.
 func TestDeltaAwaitRacesFold(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	accs := []*account{
@@ -337,7 +337,7 @@ func TestDeltaAwaitRacesFold(t *testing.T) {
 // keep every epoch's write sets disjoint and the final state exact.
 func TestDeltaMixedWithCommitsConcurrent(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 0, 0, "acc")
@@ -396,7 +396,7 @@ func TestDeltaMixedWithCommitsConcurrent(t *testing.T) {
 func TestDeltaRecoverDiscardsLedger(t *testing.T) {
 	pool := nvm.New(1<<21, nvm.Options{Tracked: true})
 	h, mgr, _, cls := reopenFA(t, pool)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -428,7 +428,7 @@ func TestDeltaRecoverDiscardsLedger(t *testing.T) {
 func TestDeltaCrashAfterEpochCommitPointReplays(t *testing.T) {
 	pool := nvm.New(1<<21, nvm.Options{Tracked: true})
 	h, mgr, _, cls := reopenFA(t, pool)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	a := newAccount(t, h, cls, 100, 0, "a")
@@ -524,7 +524,7 @@ func TestDeltaFreeWithAllSlotsHeld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Unrooted on purpose, as in TestDeltaThenFreeSettles.
@@ -620,7 +620,7 @@ func TestDeltaLedgerCapDrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+		if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 			t.Fatal(err)
 		}
 		accs := allocAccounts(t, h, cls, 2*c.cap+1)

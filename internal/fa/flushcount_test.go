@@ -77,7 +77,7 @@ func TestDeltaEpochFlushAccounting(t *testing.T) {
 	for _, n := range []int{1, 16, 256} {
 		t.Run(fmt.Sprintf("folds=%d", n), func(t *testing.T) {
 			h, mgr, pool, cls := openFA(t, false)
-			if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+			if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 				t.Fatal(err)
 			}
 			words := deltaWords(t, h, cls, n)

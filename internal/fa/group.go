@@ -60,7 +60,6 @@ const (
 
 // GroupOptions configures SetGroupCommit.
 type GroupOptions struct {
-	Mode CommitMode
 	// ManualDrain (async only) disables automatic batch-pressure drains;
 	// the caller drives every epoch with DrainDurable/AwaitDurable. This
 	// keeps a single-goroutine workload fully deterministic, which is
@@ -113,8 +112,6 @@ func (m *Manager) SetGroupCommit(opts GroupOptions) error {
 	switch {
 	case st == nil:
 		return fmt.Errorf("fa: manager not attached to a heap (switch to async after core.Open)")
-	case opts.Mode != CommitAsync:
-		return fmt.Errorf("fa: commit mode %d: the one switch is per-Tx to async", opts.Mode)
 	case m.group.Load() != nil:
 		return fmt.Errorf("fa: async commit is already on")
 	case st.total < 2:

@@ -71,7 +71,7 @@ func TestGroupCommitAsyncEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mode == CommitAsync {
-			if err := mgr.SetGroupCommit(GroupOptions{Mode: mode}); err != nil {
+			if err := mgr.SetGroupCommit(GroupOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,7 +125,7 @@ func TestGroupCommitAsyncConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 8
@@ -210,7 +210,7 @@ func TestGroupCommitAsyncConcurrent(t *testing.T) {
 // at the enqueue, before the drain runs the Defer follow-ups.
 func TestGroupCommitAsyncConflictDrains(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -362,7 +362,7 @@ func TestAbortThenReuseCrash(t *testing.T) {
 // line, W, mark and home line (TestCommitFlushAccounting).
 func TestGroupCommitSoloCost(t *testing.T) {
 	h, mgr, pool, cls := openFA(t, false)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	acc := newAccount(t, h, cls, 100, 0, "acc")
@@ -394,7 +394,7 @@ func TestGroupCommitSoloCost(t *testing.T) {
 // around it. A refused call leaves the mode as it was, and after is what
 // the row checks next.
 func TestSetGroupCommitGuards(t *testing.T) {
-	async := GroupOptions{Mode: CommitAsync}
+	async := GroupOptions{}
 	for _, c := range []struct {
 		name string
 		prep func(t *testing.T) (mgr *Manager, opts GroupOptions, after func())
@@ -403,16 +403,12 @@ func TestSetGroupCommitGuards(t *testing.T) {
 		{"unattached", func(*testing.T) (*Manager, GroupOptions, func()) {
 			return NewManager(), async, nil
 		}, CommitPerTx},
-		{"per-tx", func(t *testing.T) (*Manager, GroupOptions, func()) {
-			_, mgr, _, _ := openFA(t, false)
-			return mgr, GroupOptions{Mode: CommitPerTx}, nil
-		}, CommitPerTx},
 		{"second call", func(t *testing.T) (*Manager, GroupOptions, func()) {
 			_, mgr, _, _ := openFA(t, false)
 			if err := mgr.SetGroupCommit(async); err != nil {
 				t.Fatal(err)
 			}
-			return mgr, GroupOptions{Mode: CommitAsync, ManualDrain: true}, nil
+			return mgr, GroupOptions{ManualDrain: true}, nil
 		}, CommitAsync},
 		{"block in flight", func(t *testing.T) (*Manager, GroupOptions, func()) {
 			_, mgr, _, _ := openFA(t, false)
@@ -490,7 +486,7 @@ func TestManagerAttachesOnce(t *testing.T) {
 func TestAsyncBeginWaitsForDrains(t *testing.T) {
 	const committers, commits = 6, 3000
 	h, mgr, cls := openSlots(t, nvm.New(1<<22, nvm.Options{}), 8)
-	if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync}); err != nil {
+	if err := mgr.SetGroupCommit(GroupOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	accs := make([]*account, committers)

@@ -251,7 +251,7 @@ func TestWordAsyncQueuedBlockDrains(t *testing.T) {
 	for _, second := range []string{"Tx", "AddDelta"} {
 		t.Run(second, func(t *testing.T) {
 			h, mgr, _, cls := openFA(t, false)
-			if err := mgr.SetGroupCommit(GroupOptions{Mode: CommitAsync, ManualDrain: true}); err != nil {
+			if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
 				t.Fatal(err)
 			}
 			acc := newAccount(t, h, cls, 100, 5, "acc")

@@ -148,24 +148,24 @@ func (h *Heap) AllocObject(classID uint16, size uint64) (Ref, []Ref, error) {
 		return 0, nil, fmt.Errorf("heap: class id 0 is reserved")
 	}
 	n := BlocksFor(size)
-	idxs := make([]uint64, n)
-	for i := range idxs {
+	refs := make([]Ref, n)
+	for i := range refs {
 		idx, err := h.allocBlock()
 		if err != nil {
 			// Return what we took; nothing persistent changed yet.
-			h.free.pushAll(idxs[:i])
+			idxs := make([]uint64, i)
+			for j := range idxs {
+				idxs[j] = h.BlockIndex(refs[j])
+			}
+			h.free.pushAll(idxs)
 			return 0, nil, err
 		}
-		idxs[i] = idx
-	}
-	refs := make([]Ref, n)
-	for i, idx := range idxs {
 		refs[i] = h.BlockRef(idx)
 	}
 	for i := n - 1; i >= 0; i-- {
 		next := uint64(0)
 		if i+1 < n {
-			next = idxs[i+1] + 1
+			next = h.BlockIndex(refs[i+1]) + 1
 		}
 		id := uint16(0)
 		if i == 0 {

@@ -196,6 +196,39 @@ func TestAllocObjectChainsBlocks(t *testing.T) {
 	}
 }
 
+// TestAllocObjectAllocatesOnce: a block-object allocation makes one Go
+// allocation, the slice of its block refs, and one that runs out of
+// blocks part way gives the blocks it took back to the free queue.
+func TestAllocObjectAllocatesOnce(t *testing.T) {
+	h := newHeap(t, 1<<20)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := h.AllocObject(1, 3*Payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("%v Go allocations per AllocObject, want 1", n)
+	}
+
+	var held []Ref
+	for {
+		r, _, err := h.AllocObject(1, Payload)
+		if errors.Is(err, ErrOutOfMemory) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, r)
+	}
+	h.FreeObject(held[0])
+	h.FreeObject(held[1])
+	if _, _, err := h.AllocObject(1, 3*Payload); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("three blocks out of two free: %v", err)
+	}
+	if _, free, _ := h.Stats(); free != 2 {
+		t.Fatalf("%d blocks free after the failed allocation, want 2", free)
+	}
+}
+
 func TestAllocZeroesPayload(t *testing.T) {
 	h := newHeap(t, 1<<20)
 	master, blocks, err := h.AllocObject(1, Payload)

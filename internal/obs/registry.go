@@ -81,7 +81,7 @@ func Handler() http.Handler {
 }
 
 // Serve starts the metrics listener on addr in a background goroutine
-// (the -metrics-addr flag of cmd/ycsb and cmd/tpcb). Errors after startup
+// (the -metrics-addr flag of cmd/paper). Errors after startup
 // are reported through errFn (which may be nil).
 func Serve(addr string, errFn func(error)) {
 	go func() {

@@ -501,7 +501,7 @@ func TestMapOracleWithReopens(t *testing.T) {
 func TestMapAsyncGrowthKeepsQueuedBindings(t *testing.T) {
 	h, mgr, _ := openPDT(t, 1<<23, false)
 	m := newTestMap(t, h, MirrorHash, "m")
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync}); err != nil {
+	if err := mgr.SetGroupCommit(fa.GroupOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 100 // crosses two array growths (cap 32 -> 64 -> 128)
@@ -561,7 +561,7 @@ func structuralChurn(t *testing.T, mode fa.CommitMode) {
 		t.Fatal(err)
 	}
 	if mode == fa.CommitAsync {
-		if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
+		if err := mgr.SetGroupCommit(fa.GroupOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -123,7 +123,7 @@ func Open(pool *nvm.Pool, cfg Config) (st *Stack, err error) {
 	}
 	// After recovery, so the restart path is mode-independent.
 	if mode != fa.CommitPerTx {
-		if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: mode}); err != nil {
+		if err := mgr.SetGroupCommit(fa.GroupOptions{}); err != nil {
 			return nil, err
 		}
 	}

@@ -55,7 +55,7 @@ func TestGridAddDeltaAsyncFolds(t *testing.T) {
 	if err := g.Insert("hot", counterRecord(100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	mgr.AwaitDurable(mgr.IssuedTickets())
@@ -171,7 +171,7 @@ func TestGridAddDeltaConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync}); err != nil {
+	if err := mgr.SetGroupCommit(fa.GroupOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 4
@@ -229,7 +229,7 @@ func TestGridAddDeltaCrashRecovers(t *testing.T) {
 	if err := g.Insert("k", counterRecord(1000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
@@ -276,7 +276,7 @@ func TestAsyncReadViewSurvivesDrainAndReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -256,19 +256,18 @@ func (b *NullFSBackend) Delete(key string) (bool, error) {
 // (ext4 over NVMM in DAX mode; here, whatever filesystem hosts dir).
 type FSBackend struct {
 	dir   string
-	fsync bool
 	mu    sync.RWMutex
 	known map[string]bool // avoids stat storms on misses
 }
 
-// NewFSBackend creates the directory tree rooted at dir. With fsync, every
-// write is forced to the device (off by default: the page cache plays the
-// ADR role DAX ext4 gives the paper).
-func NewFSBackend(dir string, fsync bool) (*FSBackend, error) {
+// NewFSBackend creates the directory tree rooted at dir. Writes are not
+// forced to the device: the page cache plays the ADR role DAX ext4 gives
+// the paper.
+func NewFSBackend(dir string) (*FSBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	b := &FSBackend{dir: dir, fsync: fsync, known: make(map[string]bool)}
+	b := &FSBackend{dir: dir, known: make(map[string]bool)}
 	// Rebuild the key set on reopen.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -313,31 +312,13 @@ func (b *FSBackend) Insert(key string, rec *Record) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}
-	if err := b.writeFile(p, Marshal(rec)); err != nil {
+	if err := os.WriteFile(p, Marshal(rec), 0o644); err != nil {
 		return err
 	}
 	b.mu.Lock()
 	b.known[key] = true
 	b.mu.Unlock()
 	return nil
-}
-
-func (b *FSBackend) writeFile(p string, buf []byte) error {
-	f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if b.fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }
 
 // Read implements Backend.
@@ -388,7 +369,7 @@ func (b *FSBackend) Update(key string, fields []Field) (bool, error) {
 	for _, f := range fields {
 		rec.Set(f.Name, f.Value)
 	}
-	return true, b.writeFile(p, Marshal(rec))
+	return true, os.WriteFile(p, Marshal(rec), 0o644)
 }
 
 // Delete implements Backend.

@@ -26,7 +26,7 @@ func jnvmBackends(t *testing.T) map[string]func() (Backend, *core.Heap, *fa.Mana
 				t.Fatal(err)
 			}
 			if async {
-				if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync}); err != nil {
+				if err := mgr.SetGroupCommit(fa.GroupOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -349,7 +349,7 @@ func TestReadViewAsyncAcknowledgedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetGroupCommit(fa.GroupOptions{Mode: fa.CommitAsync, ManualDrain: true}); err != nil {
+	if err := mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true}); err != nil {
 		t.Fatal(err)
 	}
 	g := NewGrid(b)

@@ -176,14 +176,7 @@ func TestBackendConformance(t *testing.T) {
 	t.Run("volatile", func(t *testing.T) { backendConformance(t, NewVolatileBackend()) })
 	t.Run("tmpfs", func(t *testing.T) { backendConformance(t, NewTmpFSBackend()) })
 	t.Run("fs", func(t *testing.T) {
-		b, err := NewFSBackend(t.TempDir(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		backendConformance(t, b)
-	})
-	t.Run("fs-fsync", func(t *testing.T) {
-		b, err := NewFSBackend(t.TempDir(), true)
+		b, err := NewFSBackend(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -243,7 +243,7 @@ type FSBank struct {
 // OpenFSBank creates or reopens the bank under dir. cacheRatio is the
 // fraction of accounts kept in the volatile cache.
 func OpenFSBank(dir string, accounts int, cacheRatio float64) (*FSBank, error) {
-	backend, err := store.NewFSBackend(dir, false)
+	backend, err := store.NewFSBackend(dir)
 	if err != nil {
 		return nil, err
 	}

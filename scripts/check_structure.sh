@@ -26,7 +26,7 @@
 #     section cannot leave a citation pointing at its neighbour.
 #  6. Retired names. Each row of the table at the end is a file scope
 #     (go: Go files; all: Go, the Makefile, scripts and CI workflows; a
-#     directory: its Go files; or one file), an ERE and what a match
+#     directory: its Go files; one file; or dirs), an ERE and what a match
 #     brings back: the multi-pool heap (a heap is one pool), a third
 #     commit protocol (DESIGN.md §15), the lock-free map (pdt.Map is the
 #     map, DESIGN.md §3.2), the parallel recovery pipeline (DESIGN.md
@@ -35,7 +35,9 @@
 #     crashmc workload's own possible-state structure (one oracle type,
 #     DESIGN.md §13), and a second refusal of old pools (the heap format
 #     version is the one refusal), and crashmc replaying the workload per
-#     crash point. benchmarks/ and this file are exempt.
+#     crash point, and a command per figure (cmd/paper runs them all).
+#     benchmarks/ and this file are exempt. A dirs row matches the
+#     directories under cmd/ and internal/ instead of file contents.
 #  7. Documented counts. The "points (seed 1)" column of DESIGN.md §13's
 #     workload table is the map TestOrderingPointCounts pins
 #     (internal/crashmc/crashmc_test.go), row for row.
@@ -153,13 +155,17 @@ fi
 
 # Rule 6: one row per retired feature — scope, ERE, what a match brings back.
 while read -r scope pat what; do
-    case $scope in
-    go) set -- -r --include='*.go' . ;;
-    all) set -- -r --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' . ;;
-    *) if [ -d "$scope" ]; then set -- -r --include='*.go' "$scope"; else set -- -H "$scope"; fi ;;
-    esac
-    hits=$(grep -nE -e "$pat" "$@" |
-        grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
+    if [ "$scope" = dirs ]; then
+        hits=$(find cmd internal -type d | grep -E -e "$pat" || true)
+    else
+        case $scope in
+        go) set -- -r --include='*.go' . ;;
+        all) set -- -r --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' . ;;
+        *) if [ -d "$scope" ]; then set -- -r --include='*.go' "$scope"; else set -- -H "$scope"; fi ;;
+        esac
+        hits=$(grep -nE -e "$pat" "$@" |
+            grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
+    fi
     if [ -n "$hits" ]; then
         echo "$what is back:" >&2
         echo "$hits" >&2
@@ -184,6 +190,7 @@ go  \b(SetProxyCache|ProxyCache)\b  a proxy-cache knob on the grid path (the J-N
 go  \bCopyWithinAtomic\b|\bInvalidate\(|\bOpTypes\b|\bSetRef\b  an exported name nothing called (nvm.Pool.CopyWithinAtomic, core.Object.Invalidate, ycsb.Result.OpTypes, pdt.PRefArray.SetRef)
 go  \b(runTo|crashSignal)\b  crashmc replaying the workload per crash point (the check pass checks each point inside one run)
 internal/wire  func[[:space:]]+Dial\(  a second wire client constructor (wire.DialTimeout is the one)
+dirs  ^cmd/(ycsb|gcsweep|tpcb|datatypes|blockbw|delsites)$  a single-figure command (cmd/paper runs every table and figure)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
