@@ -44,6 +44,11 @@ func TestEnvBackends(t *testing.T) {
 }
 
 func TestFig7ShapeAndPrint(t *testing.T) {
+	// Each compared system's throughput is its median over five Fig7
+	// runs, which interleave the systems, so a burst of load on a shared
+	// host lands on one sample of each rather than deciding a comparison
+	// (as in TestFig12Runs). J-PFA, printed but not compared, runs once.
+	const runs = 5
 	rows, err := Fig7(tiny(), []BackendKind{JPDT, JPFA, FS, PCJ})
 	if err != nil {
 		t.Fatal(err)
@@ -51,15 +56,27 @@ func TestFig7ShapeAndPrint(t *testing.T) {
 	if len(rows) != 5*4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Shape assertions from the paper: J-PDT beats FS and PCJ on every
-	// workload; J-PDT >= J-PFA.
-	byKey := map[string]float64{}
-	for _, r := range rows {
-		if r.Errors != 0 {
-			t.Fatalf("%s/%s had %d errors", r.Workload, r.Backend, r.Errors)
+	kops := map[string][]float64{}
+	for i, run := 0, rows; i < runs; i++ {
+		if i > 0 {
+			if run, err = Fig7(tiny(), []BackendKind{JPDT, FS, PCJ}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		byKey[r.Workload+string(r.Backend)] = r.KopsSec
+		for _, r := range run {
+			if r.Errors != 0 {
+				t.Fatalf("%s/%s had %d errors", r.Workload, r.Backend, r.Errors)
+			}
+			kops[r.Workload+string(r.Backend)] = append(kops[r.Workload+string(r.Backend)], r.KopsSec)
+		}
 	}
+	byKey := map[string]float64{}
+	for k, xs := range kops {
+		slices.Sort(xs)
+		byKey[k] = xs[len(xs)/2]
+	}
+	// Shape assertions from the paper: J-PDT beats FS and PCJ on every
+	// workload.
 	for _, w := range []string{"A", "B", "C", "F"} {
 		if byKey[w+string(JPDT)] <= byKey[w+string(FS)] {
 			t.Errorf("workload %s: J-PDT (%f) not faster than FS (%f)",

@@ -3,11 +3,13 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 	"repro/internal/pdt"
 	"repro/internal/store"
 	"repro/internal/ycsb"
@@ -226,6 +228,14 @@ var layerSink byte
 // is handed, so the value misses a read takes are in the time, as they
 // are end to end. BenchmarkGridRead's 2 048 records stay cache-resident
 // and cannot show them. J-PFA runs the per-Tx commit.
+//
+// Each sub-benchmark also reports the program's own sampled stage timers
+// over its interval: a stage's mean (ns over the operations that were
+// sampled, one in obs.StageSample) and stage-ns, the sum of the means.
+// view-read and backend-update call the backend directly, as the repo
+// benchmark's backend rung does (its read takes the locked Read; this
+// one the view path the grid takes), so their ns/op is the figure
+// stage-ns decomposes.
 func BenchmarkGridLayer(b *testing.B) {
 	const (
 		records = 100_000
@@ -257,36 +267,92 @@ func BenchmarkGridLayer(b *testing.B) {
 			for i := range order {
 				order[i] = keys[zipf.Next(rng)]
 			}
-			b.Run("read", func(b *testing.B) {
-				var sum byte
-				consume := func(_ string, v []byte) {
-					for _, c := range v {
-						sum += c
-					}
+			var sum byte
+			consume := func(_ string, v []byte) {
+				for _, c := range v {
+					sum += c
 				}
+			}
+			value := make([]byte, 100)
+			update := make([][]store.Field, fields)
+			for f := range update {
+				update[f] = []store.Field{{Name: ycsb.FieldName(f), Value: value}}
+			}
+			// interval times op over b.N iterations and returns the stack
+			// counters of the timed interval.
+			interval := func(b *testing.B, op func(i int) error) obs.StackSnapshot {
+				before := env.Snapshot()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := env.Grid.Read(order[i%drawn], consume); err != nil {
+					if err := op(i); err != nil {
 						b.Fatal(err)
 					}
 				}
-				layerSink = sum
+				b.StopTimer()
+				return env.Snapshot().Sub(*before)
+			}
+			read := func(b *testing.B, d obs.StackSnapshot) {
+				g := d.Grid
+				reportStages(b, []stage{{"getref", g.GetRefNs}, {"touch", g.TouchNs}, {"collect", g.CollectNs}, {"deliver", g.DeliverNs}})
+			}
+			write := func(b *testing.B, d obs.StackSnapshot) {
+				if f := d.FA; f != nil {
+					reportStages(b, []stage{{"body", f.BodyNs}, {"stage1", f.Stage1Ns}, {"f0", f.F0Ns}, {"mark", f.MarkNs},
+						{"f1", f.F1Ns}, {"apply", f.ApplyNs}, {"park", f.ParkNs}})
+				}
+			}
+			b.Run("read", func(b *testing.B) {
+				read(b, interval(b, func(i int) error { return env.Grid.Read(order[i%drawn], consume) }))
+			})
+			b.Run("view-read", func(b *testing.B) {
+				vr, gen := env.Grid.Backend().Caps().View, new(atomic.Uint64)
+				read(b, interval(b, func(i int) error {
+					if found, _, ok := vr.ReadView(order[i%drawn], uint32(i), gen, 0, i%obs.StageSample == 0, consume); !found || !ok {
+						return fmt.Errorf("view read of %q: found %v, served %v", order[i%drawn], found, ok)
+					}
+					return nil
+				}))
 			})
 			b.Run("update", func(b *testing.B) {
-				value := make([]byte, 100)
-				update := make([][]store.Field, fields)
-				for f := range update {
-					update[f] = []store.Field{{Name: ycsb.FieldName(f), Value: value}}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := env.Grid.Update(order[i%drawn], update[i%fields]); err != nil {
-						b.Fatal(err)
-					}
-				}
+				d := interval(b, func(i int) error { return env.Grid.Update(order[i%drawn], update[i%fields]) })
+				write(b, d)
+				reportStages(b, []stage{{"stripe", d.Grid.StripeWaitNs}, {"backend", d.Grid.BackendNs}})
 			})
+			b.Run("backend-update", func(b *testing.B) {
+				write(b, interval(b, func(i int) error {
+					ok, err := env.Grid.Backend().Update(order[i%drawn], update[i%fields])
+					if err == nil && !ok {
+						err = fmt.Errorf("update of %q: not found", order[i%drawn])
+					}
+					return err
+				}))
+			})
+			layerSink = sum
 		})
+	}
+}
+
+// stage is one stage timer's interval histogram, by its metric name.
+type stage struct {
+	name string
+	h    obs.HistogramSnapshot
+}
+
+// reportStages reports each stage's mean, in ns, and stage-ns, the sum
+// of the means, when the interval sampled any.
+func reportStages(b *testing.B, stages []stage) {
+	total, sampled := 0.0, false
+	for _, s := range stages {
+		if s.h.Count == 0 {
+			continue
+		}
+		mean := float64(s.h.Sum) / float64(s.h.Count)
+		b.ReportMetric(mean, s.name+"-ns")
+		total += mean
+		sampled = true
+	}
+	if sampled {
+		b.ReportMetric(total, "stage-ns")
 	}
 }

@@ -429,7 +429,10 @@ func checkEntry(mem *heap.Heap, eoff uint64) error {
 // (idempotent: a crash mid-replay just replays again on the next open).
 // With a FlushSet the dirty lines are accumulated for a coalesced
 // write-back by the caller; with fs == nil each word flushes immediately.
-func applyEntries(pool *nvm.Pool, mem *heap.Heap, base, count uint64, fs *nvm.FlushSet) {
+// It returns the validity flips it wrote back, one per allocation and
+// free: a kindFree entry's is the freed object's one invalidation, which
+// the reclaim that recycles the object does not repeat.
+func applyEntries(pool *nvm.Pool, mem *heap.Heap, base, count uint64, fs *nvm.FlushSet) (flips uint64) {
 	for e := uint64(0); e < count; e++ {
 		eoff := base + slotEntries + e*entrySize
 		word := pool.ReadUint64(eoff)
@@ -438,8 +441,10 @@ func applyEntries(pool *nvm.Pool, mem *heap.Heap, base, count uint64, fs *nvm.Fl
 		switch word & kindMask {
 		case kindAlloc:
 			mem.SetValid(a, true)
+			flips++
 		case kindFree:
 			mem.SetValid(a, false)
+			flips++
 		case kindWord:
 			// Atomic because the block is live: lock-free probes
 			// (Object.ReadRefAtomic) may load the word while the apply
@@ -452,6 +457,7 @@ func applyEntries(pool *nvm.Pool, mem *heap.Heap, base, count uint64, fs *nvm.Fl
 			}
 		}
 	}
+	return flips
 }
 
 // Heap returns the attached heap (nil before recovery ran).
@@ -517,6 +523,11 @@ type Tx struct {
 	// transaction (delta.go): release parks it back on its group instead
 	// of the freelist, so its slot never rejoins the general pool.
 	reserved *groupState
+
+	// blocks counts the blocks this slot has run; every obs.StageSample-th
+	// one times its stages with lap (the zero Lap otherwise).
+	blocks uint64
+	lap    obs.Lap
 }
 
 // Defer registers a volatile follow-up (mirror updates, cache fills) that
@@ -574,6 +585,8 @@ func (m *Manager) begin(drain bool) (*Tx, error) {
 		parked := m.retire.parked.Load()
 		if slot, ok := m.slots.pop(); ok {
 			tx := st.txs[slot]
+			tx.blocks++
+			tx.lap = obs.StartLap(tx.blocks%obs.StageSample == 0)
 			tx.depth = 1
 			tx.grp = g
 			m.inUse.Add(1)
@@ -613,6 +626,7 @@ func (m *Manager) retireParked() bool {
 	if len(done) == 0 {
 		return false
 	}
+	m.stats.RetireLines.Inc()
 	pool.PFence()
 	m.recycle(done)
 	return true
@@ -859,11 +873,21 @@ func (tx *Tx) direct(o *core.Object) bool { return !o.Valid() }
 // marked during the block (allocated blocks, the log itself) is written
 // back once through the flush set. No fence was needed before this point
 // because the original data is untouched (§4.2).
+//
+// Each stage body below adds its write-backs to its stage counter and
+// ends its lap: the stages of a sampled block are timed by the same
+// helpers the protocols and the crash-staging hook share.
 func (tx *Tx) commitStage1Body() {
-	pool := tx.h.Pool()
+	pool, st := tx.h.Pool(), &tx.m.stats
 	pool.WriteUint64(tx.base+slotCount, tx.count)
 	tx.flush.AddRange(tx.base+slotCount, 8+tx.count*entrySize)
-	tx.noteFlush(tx.flush.Flush(pool))
+	st.Stage1Lines.Add(tx.noteFlush(tx.flush.Flush(pool)))
+	tx.lap.Lap(&st.Stage1Ns)
+	if tx.grp != nil {
+		// An async commit's later stages run in an epoch drain, which
+		// its laps do not time.
+		tx.lap = obs.Lap{}
+	}
 }
 
 // commitSeq runs between a commit's two barriers, once barrier number
@@ -873,7 +897,11 @@ func (tx *Tx) commitStage1Body() {
 // write-back of W rides on the mark's fence, after which commitRecycle
 // gives their resources back.
 func (tx *Tx) commitSeq(fence uint64) {
+	tx.lap.Lap(&tx.m.stats.F0Ns)
 	tx.retired = tx.m.retire.advance(tx.h.Mem(), fence, tx, tx.retired[:0])
+	if len(tx.retired) > 0 {
+		tx.m.stats.RetireLines.Inc()
+	}
 	for _, mate := range tx.mates {
 		mate.seq = tx.seq
 	}
@@ -885,11 +913,14 @@ func (tx *Tx) commitMarkBody() {
 	pool := tx.h.Pool()
 	pool.WriteUint64(tx.base+slotStatus, tx.seq)
 	pool.PWB(tx.base + slotStatus)
+	tx.m.stats.MarkLines.Inc()
+	tx.lap.Lap(&tx.m.stats.MarkNs)
 }
 
 // commitRecycle runs after the mark's barrier, which also covered the W
 // commitSeq wrote: what that W retired is reusable now.
 func (tx *Tx) commitRecycle() {
+	tx.lap.Lap(&tx.m.stats.F1Ns)
 	tx.m.recycle(tx.retired)
 	clear(tx.retired)
 }
@@ -898,9 +929,10 @@ func (tx *Tx) commitRecycle() {
 // validations, deletions — and writes the home lines back coalesced, with
 // no ordering of its own: a crash replays the live log.
 func (tx *Tx) commitApplyBody() {
-	pool := tx.h.Pool()
-	applyEntries(pool, tx.h.Mem(), tx.base, tx.count, tx.flush)
-	tx.noteFlush(tx.flush.Flush(pool))
+	pool, st := tx.h.Pool(), &tx.m.stats
+	st.ValidLines.Add(applyEntries(pool, tx.h.Mem(), tx.base, tx.count, tx.flush))
+	st.ApplyLines.Add(tx.noteFlush(tx.flush.Flush(pool)))
+	tx.lap.Lap(&st.ApplyNs)
 }
 
 // park is the volatile tail of a commit, run once the apply's write-backs
@@ -909,7 +941,7 @@ func (tx *Tx) commitApplyBody() {
 // on the retire queue until W covers it durably (recycle). For an epoch,
 // tx is its first Tx and speaks for its mates.
 func (tx *Tx) park() {
-	m := tx.m
+	m, lap := tx.m, tx.lap
 	n := 1 + len(tx.mates)
 	tx.detachFreed()
 	deferred := tx.deferred
@@ -931,6 +963,7 @@ func (tx *Tx) park() {
 	if parked > retireMax || held > retireBlocksMax {
 		m.retireParked()
 	}
+	lap.Lap(&m.stats.ParkNs)
 }
 
 // detachFreed neutralizes the proxies of the objects the block deleted:
@@ -946,9 +979,10 @@ func (tx *Tx) detachFreed() {
 
 // recycle gives back what a retired commit held: freed objects' blocks to
 // the free queue, the slot to the freelist. Their kindFree apply already
-// invalidated them and W's fence ordered that after the unlink, so with
-// unlocked readers in the heap they wait out the readers' grace period
-// without a fence of their own (heap.FreeInvalidated).
+// invalidated them and W's fence ordered that after the unlink, so the
+// heap recycles them without writing them again and, with unlocked
+// readers in the heap, after the readers' grace period without a fence
+// of their own (heap.FreeInvalidated).
 func (tx *Tx) recycle() {
 	mem := tx.h.Mem()
 	for _, ref := range tx.freed {
@@ -957,9 +991,13 @@ func (tx *Tx) recycle() {
 	tx.release()
 }
 
-func (tx *Tx) noteFlush(flushed, saved uint64) {
-	tx.m.stats.FlushedLines.Add(flushed)
-	tx.m.stats.SavedLines.Add(saved)
+// noteFlush counts the lines a flush-set write-back coalesced away and
+// returns the lines it wrote back, for the caller's stage counter.
+func (tx *Tx) noteFlush(flushed, saved uint64) uint64 {
+	if saved > 0 {
+		tx.m.stats.SavedLines.Add(saved)
+	}
+	return flushed
 }
 
 // commitPerTx is the solo redo protocol of §4.2 — the correctness oracle
@@ -1018,6 +1056,7 @@ func (tx *Tx) CommitTicket() (uint64, error) {
 		}
 		return 0, nil
 	}
+	tx.lap.Lap(&tx.m.stats.BodyNs)
 	if g := tx.grp; g != nil {
 		return g.enqueue(tx), nil
 	}

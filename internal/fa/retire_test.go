@@ -248,3 +248,86 @@ func TestCommittersOnAllSlots(t *testing.T) {
 		t.Fatalf("%d slots still in use", snap.SlotsInUse)
 	}
 }
+
+// TestFreedSlotStaysDeadAfterCrash: a free's kindFree apply writes back
+// the freed object's one invalidation, and reclaiming the object writes
+// nothing more. A pooled object freed by a committed block, retired by W
+// and reclaimed with EBR on keeps an invalid, non-zero mini-header; a
+// crash that drops every unflushed line must not bring it back, under the
+// graph traversal and the header scan alike. fsck accepts the image
+// before and after recovery, and the sweep of the slot's chunk, live
+// through a neighbour slot, zeroes the stale header.
+func TestFreedSlotStaysDeadAfterCrash(t *testing.T) {
+	for _, skipGraph := range []bool{false, true} {
+		pool := nvm.New(1<<21, nvm.Options{Tracked: true})
+		h, mgr, cls := openSlots(t, pool, 4)
+		h.Mem().EnableEBR()
+		acc := newAccount(t, h, cls, 0, 0, "acc")
+		var kept, freed core.Ref
+		if err := mgr.Run(func(tx *Tx) error {
+			var err error
+			if kept, err = tx.AllocRef(cls, accLen); err != nil {
+				return err
+			}
+			if freed, err = tx.AllocRef(cls, accLen); err != nil {
+				return err
+			}
+			if err := tx.WriteRef(acc.Core(), accRef, kept); err != nil {
+				return err
+			}
+			return tx.WriteRef(acc.Core(), accC, freed)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		mem := h.Mem()
+		if mem.IsBlockRef(freed) || mem.ContainingBlock(freed) != mem.ContainingBlock(kept) {
+			t.Fatalf("want two slots of one pool chunk, got %#x and %#x", kept, freed)
+		}
+		if err := mgr.Run(func(tx *Tx) error {
+			if err := tx.WriteUint64(acc.Core(), accC, 0); err != nil {
+				return err
+			}
+			return tx.FreeRef(freed)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		mgr.Retire()
+		mem.ReclaimBarrier()
+		if frees := mem.ObsSnapshot().SmallFrees; frees != 1 {
+			t.Fatalf("%d slots reclaimed, want the freed one", frees)
+		}
+		if hdr := pool.ReadUint64(freed); hdr == 0 || mem.Valid(freed) {
+			t.Fatalf("reclaimed slot header %#x, want the invalid header the apply wrote", hdr)
+		}
+
+		img := pool.CrashImage(nvm.CrashStrict, rand.New(rand.NewSource(1)))
+		attached, err := heap.Open(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr := img.ReadUint64(freed); hdr == 0 || attached.Valid(freed) {
+			t.Fatalf("skipGraph=%v: crash image slot header %#x, want the durable invalid header", skipGraph, hdr)
+		}
+		if n := attached.Fsck(func(msg string) { t.Log(msg) }); n != 0 {
+			t.Fatalf("skipGraph=%v: fsck found %d issues in the crash image", skipGraph, n)
+		}
+		h2, err := core.Open(img, core.Config{
+			HeapOptions: heap.Options{LogSlots: 4, LogSlotSize: 1 << 14},
+			Classes:     []*core.Class{cls},
+			LogHandler:  NewManager(),
+			SkipGraphGC: skipGraph,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h2.Mem().Valid(kept) || h2.Mem().Valid(freed) {
+			t.Fatalf("skipGraph=%v: after recovery kept valid %v, freed valid %v", skipGraph, h2.Mem().Valid(kept), h2.Mem().Valid(freed))
+		}
+		if hdr := img.ReadUint64(freed); hdr != 0 {
+			t.Fatalf("skipGraph=%v: the sweep left the freed slot's header %#x", skipGraph, hdr)
+		}
+		if n := h2.Fsck(func(msg string) { t.Log(msg) }); n != 0 {
+			t.Fatalf("skipGraph=%v: fsck found %d issues after recovery", skipGraph, n)
+		}
+	}
+}

@@ -209,19 +209,20 @@ func (h *Heap) FreeObject(r Ref) { h.freeObject(r, true) }
 // FreeInvalidated is FreeObject for an object whose invalidation is
 // already durable and ordered after its unlink — package fa's frees,
 // applied as kindFree log entries and covered by the retired watermark's
-// fence before fa recycles them. With EBR enabled it is retired without
-// charging the reclaim pass a fence.
+// fence before fa recycles them. It writes nothing: the blocks or the
+// slot go back to the allocator as the invalidation left them, and with
+// EBR enabled the reclaim pass pays no fence for it.
 func (h *Heap) FreeInvalidated(r Ref) { h.freeObject(r, false) }
 
-func (h *Heap) freeObject(r Ref, fence bool) {
+func (h *Heap) freeObject(r Ref, invalidate bool) {
 	if r == 0 {
 		return
 	}
 	if h.ebr.enabled.Load() {
-		h.retire(r, fence)
+		h.retire(r, invalidate)
 		return
 	}
-	h.reclaim(r)
+	h.reclaim(r, invalidate)
 }
 
 // Stats reports occupancy: blocks handed out from the arena top, blocks in

@@ -68,9 +68,10 @@ type ebrRetired struct {
 	// blocks is what the object occupies: its chain length, 1 for a
 	// pooled slot.
 	blocks int
-	// fence is false for an object whose invalidation is already ordered
-	// after its unlink (FreeInvalidated): reclaiming it needs no fence.
-	fence bool
+	// invalidate is false for an object whose invalidation is already
+	// durable and ordered after its unlink (FreeInvalidated): reclaiming
+	// it writes nothing and needs no fence.
+	invalidate bool
 }
 
 type ebrState struct {
@@ -118,12 +119,12 @@ func (h *Heap) UnpinReader(slot int) {
 }
 
 // retire queues r for reclamation after the current readers' grace period.
-// fence says whether the reclaim must fence before it invalidates r.
-func (h *Heap) retire(r Ref, fence bool) {
+// invalidate says whether the reclaim must invalidate r, after a fence.
+func (h *Heap) retire(r Ref, invalidate bool) {
 	e := &h.ebr
 	nb := h.objectBlocks(r)
 	e.mu.Lock()
-	e.retired = append(e.retired, ebrRetired{ref: r, epoch: e.epoch.Load(), blocks: nb, fence: fence})
+	e.retired = append(e.retired, ebrRetired{ref: r, epoch: e.epoch.Load(), blocks: nb, invalidate: invalidate})
 	e.blocks += nb
 	n := e.blocks
 	e.mu.Unlock()
@@ -180,7 +181,7 @@ func (h *Heap) tryReclaim() bool {
 	// period open.
 	n, fence := 0, false
 	for n < len(e.retired) && e.retired[n].epoch < minActive {
-		fence = fence || e.retired[n].fence
+		fence = fence || e.retired[n].invalidate
 		n++
 	}
 	if n == 0 {
@@ -195,7 +196,7 @@ func (h *Heap) tryReclaim() bool {
 		h.pool.PFence()
 	}
 	for _, t := range e.retired[:n] {
-		h.reclaim(t.ref)
+		h.reclaim(t.ref, t.invalidate)
 		e.blocks -= t.blocks
 	}
 	rest := copy(e.retired, e.retired[n:])
@@ -212,14 +213,20 @@ func (h *Heap) reclaimRetired() bool {
 }
 
 // reclaim performs the real free of a retired object (the pre-EBR
-// FreeObject body).
-func (h *Heap) reclaim(r Ref) {
+// FreeObject body). Only a FreeObject free invalidates the object here;
+// a FreeInvalidated one was invalidated durably by its commit, so its
+// blocks or slot are recycled with the header left as that wrote it
+// (recovery's sweep clears such a header, DESIGN.md §12).
+func (h *Heap) reclaim(r Ref, invalidate bool) {
 	if !h.IsBlockRef(r) {
-		h.small.free(r)
+		h.small.free(r, invalidate)
 		return
 	}
 	blocks := h.Blocks(r)
-	h.SetValid(r, false)
+	if invalidate {
+		h.SetValid(r, false)
+		h.stats.FreeLines.Inc()
+	}
 	for _, b := range blocks {
 		h.free.push(h.BlockIndex(b))
 	}
@@ -227,8 +234,9 @@ func (h *Heap) reclaim(r Ref) {
 }
 
 // ReclaimBarrier drains the retired list, waiting for in-flight readers
-// to unpin. Tests and shutdown paths use it to restore the eager-free
-// invariant before asserting on allocator state.
+// to unpin, restoring the eager-free invariant before a caller asserts on
+// allocator state. Only tests call it, in heap, store and bench; it stays
+// exported because an export_test.go reaches only its own package's tests.
 func (h *Heap) ReclaimBarrier() {
 	e := &h.ebr
 	if !e.enabled.Load() {

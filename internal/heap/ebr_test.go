@@ -134,26 +134,32 @@ func TestEBRBacklogServesAFullArena(t *testing.T) {
 }
 
 // TestEBRFreeInvalidatedSkipsTheFence: a reclaim pass over objects whose
-// unlink a commit already ordered (fa's recycled frees) issues no fence;
-// one FreeObject entry in the batch brings the batch fence back.
+// invalidation a commit already made durable (fa's recycled frees)
+// issues no fence and writes nothing, leaving each invalid header as it
+// was; one FreeObject entry in the batch brings back the batch fence and
+// that object's own invalidation, one line.
 func TestEBRFreeInvalidatedSkipsTheFence(t *testing.T) {
 	h := newHeap(t, 4<<20)
 	h.EnableEBR()
-	fences := func() uint64 { return h.Pool().Obs().Snapshot().Fences() }
-	alloc := func() Ref {
-		r, err := h.AllocSmall(2, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.SetValid(r, true)
-		return r
-	}
+	pool := h.Pool()
 	for _, fenced := range []bool{false, true} {
 		refs := make([]Ref, ebrBatch)
 		for i := range refs {
-			refs[i] = alloc()
+			r, err := h.AllocSmall(2, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.SetValid(r, true)
+			refs[i] = r
 		}
-		before := fences()
+		// What fa's kindFree apply and W's fence do before fa recycles.
+		for i, r := range refs {
+			if !fenced || i > 0 {
+				h.SetValid(r, false)
+			}
+		}
+		pool.PFence()
+		before, heapBefore := pool.Obs().Snapshot(), h.ObsSnapshot()
 		for i, r := range refs {
 			if fenced && i == 0 {
 				h.FreeObject(r)
@@ -161,17 +167,27 @@ func TestEBRFreeInvalidatedSkipsTheFence(t *testing.T) {
 				h.FreeInvalidated(r)
 			}
 		}
-		for _, r := range refs {
-			if h.Valid(r) {
-				t.Fatalf("fenced=%v: %#x not reclaimed by a full batch", fenced, r)
-			}
+		d, hd := pool.Obs().Snapshot().Sub(before), h.ObsSnapshot().Sub(heapBefore)
+		if hd.SmallFrees != ebrBatch {
+			t.Fatalf("fenced=%v: a full batch reclaimed %d slots, want %d", fenced, hd.SmallFrees, ebrBatch)
 		}
 		want := uint64(0)
 		if fenced {
 			want = 1
 		}
-		if got := fences() - before; got != want {
-			t.Fatalf("fenced=%v: the reclaim pass issued %d fences, want %d", fenced, got, want)
+		if d.Fences() != want || d.PWBs != want || hd.FreeLines != want {
+			t.Fatalf("fenced=%v: the reclaim pass issued %d fences, %d pwb (%d counted by the heap), want %d each",
+				fenced, d.Fences(), d.PWBs, hd.FreeLines, want)
+		}
+		for i, r := range refs {
+			hdr := pool.ReadUint64(r)
+			if fenced && i == 0 {
+				if hdr != 0 {
+					t.Fatalf("the FreeObject slot's header is %#x, want 0", hdr)
+				}
+			} else if hdr == 0 || h.Valid(r) {
+				t.Fatalf("fenced=%v: a FreeInvalidated slot's header is %#x, want its invalid header untouched", fenced, hdr)
+			}
 		}
 	}
 }

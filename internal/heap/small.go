@@ -150,14 +150,20 @@ func (s *smallAllocator) takeLocked(sc int) (Ref, error) {
 	return r, nil
 }
 
-func (s *smallAllocator) free(r Ref) {
+// free returns the slot at r to its size class. With invalidate it
+// zeroes and writes back the mini-header first; without, the header keeps
+// the invalid state the caller already made durable.
+func (s *smallAllocator) free(r Ref, invalidate bool) {
 	hdr := s.h.pool.ReadUint64(r)
 	sc := int(hdr>>slotSCShift) & 0xff
 	if sc >= len(SlotSizes) {
 		panic(fmt.Sprintf("heap: corrupt slot header %#x at %#x", hdr, r))
 	}
-	s.h.pool.WriteUint64(r, 0)
-	s.h.pool.PWB(r)
+	if invalidate {
+		s.h.pool.WriteUint64(r, 0)
+		s.h.pool.PWB(r)
+		s.h.stats.FreeLines.Inc()
+	}
 	c := &s.classes[sc]
 	c.mu.Lock()
 	c.free = append(c.free, r)

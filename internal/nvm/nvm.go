@@ -403,11 +403,3 @@ func (p *Pool) CrashImage(policy CrashPolicy, rng *rand.Rand) *Pool {
 	cs := p.CaptureCrashState()
 	return cs.Image(cs.Spec(policy, rng))
 }
-
-// DurableEqualsData reports whether every byte of the pool has been made
-// durable (no dirty or queued lines). Only meaningful in tracked mode.
-func (p *Pool) DurableEqualsData() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.lines) == 0
-}

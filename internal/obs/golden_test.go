@@ -74,7 +74,9 @@ func filled[S any](base uint64, samples int) S {
 // commit of the derive.go refactor, from the hand-written method bodies;
 // lines and keys have only been deleted from it since, with the methods
 // and fields they rendered, except for the fa.sub line, into which
-// word_entries was inserted. Leaves are filled by position, so deleting a
+// word_entries was inserted, and the keys appended at the end of the
+// grid.sub and fa.sub lines: the stage timers and the fa write-backs by
+// stage. Leaves are filled by position, so deleting a
 // key renumbers the values of the keys after it on its line. The grid is
 // filled on its own from the bases it had inside a StackSnapshot when the
 // file was written, so a metric added to an earlier layer does not
@@ -132,7 +134,7 @@ func TestStackSubIsPerLayer(t *testing.T) {
 	small, big := filled[StackSnapshot](0, 4), filled[StackSnapshot](1000, 9)
 	d := big.Sub(small)
 	if *d.NVM != big.NVM.Sub(*small.NVM) || *d.Heap != big.Heap.Sub(*small.Heap) ||
-		*d.FA != big.FA.Sub(*small.FA) || *d.Recovery != big.Recovery.Sub(*small.Recovery) ||
+		!reflect.DeepEqual(*d.FA, big.FA.Sub(*small.FA)) || *d.Recovery != big.Recovery.Sub(*small.Recovery) ||
 		!reflect.DeepEqual(*d.Grid, big.Grid.Sub(*small.Grid)) {
 		t.Fatalf("stack delta is not the per-layer deltas: %+v", d)
 	}

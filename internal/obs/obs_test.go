@@ -312,3 +312,24 @@ func TestNowIsMonotonic(t *testing.T) {
 		t.Fatalf("ObserveSince recorded count %d max %d", h.count.Load(), h.max.Load())
 	}
 }
+
+// TestLap: each lap of a sampled operation observes one span into its
+// stage's histogram, and the zero Lap records nothing.
+func TestLap(t *testing.T) {
+	var a, b Histogram
+	var off Lap
+	off.Lap(&a)
+	if a.Count() != 0 {
+		t.Fatal("the zero Lap recorded a sample")
+	}
+	on := StartLap(true)
+	time.Sleep(time.Millisecond)
+	on.Lap(&a)
+	on.Lap(&b)
+	if a.Count() != 1 || b.Count() != 1 {
+		t.Fatalf("%d and %d samples, want 1 each", a.Count(), b.Count())
+	}
+	if sa, sb := a.Snapshot(), b.Snapshot(); sa.Sum < uint64(time.Millisecond) || sb.Sum >= uint64(time.Millisecond) {
+		t.Fatalf("the stages span %d and %d ns, want the first across the 1 ms sleep only", sa.Sum, sb.Sum)
+	}
+}

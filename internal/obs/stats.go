@@ -53,6 +53,7 @@ type HeapStats struct {
 	Carves      Counter // pool chunks carved from fresh blocks
 	BumpAllocs  Counter // blocks taken from the bump pointer
 	ReuseAllocs Counter // blocks recycled from the volatile free queue
+	FreeLines   Counter // lines frees wrote back: a FreeObject free invalidates; a FreeInvalidated one writes none
 
 	// TransientReuse is never incremented (fa takes no raw blocks); it
 	// stays because benchmarks/harness reads its key.
@@ -69,6 +70,7 @@ type HeapSnapshot struct {
 	Carves      uint64 `json:"pool_chunk_carves"`
 	BumpAllocs  uint64 `json:"bump_allocs"`
 	ReuseAllocs uint64 `json:"reuse_allocs"`
+	FreeLines   uint64 `json:"free_lines"`
 
 	TransientReuse uint64 `json:"transient_reuse"`
 
@@ -99,9 +101,8 @@ type FAStats struct {
 
 	WordEntries Counter // kindWord entries appended: words of valid blocks stored to, and delta folds
 
-	TxReuse      Counter // Begin that ran its slot's warm Tx: every Begin, since a slot's Tx is built once
-	FlushedLines Counter // cache lines actually written back at commit
-	SavedLines   Counter // lines the flush set coalesced away (dedup hits)
+	TxReuse    Counter // Begin that ran its slot's warm Tx: every Begin, since a slot's Tx is built once
+	SavedLines Counter // lines the flush set coalesced away (dedup hits)
 
 	Epochs       Counter // async group-commit epochs drained
 	EpochTxs     Counter // commits made durable by an epoch drain
@@ -110,6 +111,26 @@ type FAStats struct {
 	DeltaOps     Counter // delta ops accepted by the async ledger (tickets issued)
 	DeltasFolded Counter // delta ops folded into an already-pending entry
 	DeltaEntries Counter // ledger entries materialized (one word entry + home-line flush each)
+
+	// Write-backs by commit stage (DESIGN.md §11), each added once per
+	// commit, which together are every line a commit writes back.
+	Stage1Lines Counter // stage 1: the log and the allocated objects
+	MarkLines   Counter // commit marks
+	ApplyLines  Counter // applied home lines of logged words
+	ValidLines  Counter // validity flips: an allocation validated or a free invalidated at apply
+	RetireLines Counter // W, once per advance over parked commits
+
+	// Stage timers of a sampled block (one of each log slot's blocks in
+	// StageSample): Begin to Commit (record resolution, allocation,
+	// word logging), then the per-Tx protocol's stages. An async commit
+	// times its body and stage 1; its drain's stages are not timed.
+	BodyNs   Histogram
+	Stage1Ns Histogram
+	F0Ns     Histogram
+	MarkNs   Histogram // sequence number and mark
+	F1Ns     Histogram
+	ApplyNs  Histogram // recycling what the mark's fence retired, then the apply
+	ParkNs   Histogram
 }
 
 // FASnapshot combines the counters with slot-occupancy gauges.
@@ -122,8 +143,10 @@ type FASnapshot struct {
 
 	WordEntries uint64 `json:"word_entries"`
 
-	TxReuse      uint64 `json:"tx_slot_reuse"`
-	FlushedLines uint64 `json:"flushed_lines"`
+	TxReuse uint64 `json:"tx_slot_reuse"`
+	// FlushedLines is the lines the flush set wrote back: stage 1 and the
+	// apply's home lines. Filled by Snapshot.
+	FlushedLines uint64 `json:"flushed_lines" obs:"filled"`
 	SavedLines   uint64 `json:"coalesced_lines_saved"`
 
 	Epochs       uint64 `json:"group_epochs"`
@@ -147,12 +170,27 @@ type FASnapshot struct {
 	// WatermarkLag is async commits acknowledged but not yet durable
 	// (tickets issued minus the durability watermark) at snapshot time.
 	WatermarkLag uint64 `json:"watermark_lag" obs:"gauge"`
+
+	Stage1Lines uint64 `json:"stage1_lines"`
+	MarkLines   uint64 `json:"mark_lines"`
+	ApplyLines  uint64 `json:"apply_lines"`
+	ValidLines  uint64 `json:"valid_lines"`
+	RetireLines uint64 `json:"retire_lines"`
+
+	BodyNs   HistogramSnapshot `json:"body_ns"`
+	Stage1Ns HistogramSnapshot `json:"stage1_ns"`
+	F0Ns     HistogramSnapshot `json:"f0_ns"`
+	MarkNs   HistogramSnapshot `json:"mark_ns"`
+	F1Ns     HistogramSnapshot `json:"f1_ns"`
+	ApplyNs  HistogramSnapshot `json:"apply_ns"`
+	ParkNs   HistogramSnapshot `json:"park_ns"`
 }
 
 // Snapshot captures the counters plus the supplied occupancy gauges.
 func (s *FAStats) Snapshot(slotsTotal, slotsInUse uint64) FASnapshot {
 	out := load[FASnapshot](s)
 	out.SlotsTotal, out.SlotsInUse = slotsTotal, slotsInUse
+	out.FlushedLines = out.Stage1Lines + out.ApplyLines
 	return out
 }
 
@@ -173,12 +211,30 @@ type ReadStats struct {
 	CopyFallbacks  Counter // zero-copy attempts diverted to the locked path
 	SeqlockRetries Counter // generation races detected after the consume callback
 	ShardLockWaits Counter // contended mirror-shard lock acquisitions
+
+	// Stage timers of a sampled view read (the attempt made while the hit
+	// count is a multiple of StageSample): pin and GetRef; settle and
+	// the touch pass; the field walk and the generation check; delivery
+	// to the consumer and unpin.
+	GetRefNs  Histogram
+	TouchNs   Histogram
+	CollectNs Histogram
+	DeliverNs Histogram
+}
+
+// WriteStages times a sampled grid update (an update that is one of its
+// stripe's writes in StageSample): the wait for the stripe lock, then the
+// backend call.
+type WriteStages struct {
+	StripeWaitNs Histogram
+	BackendNs    Histogram
 }
 
 // GridStats holds the per-operation latency histograms of the grid front
 // door plus the read-path counters.
 type GridStats struct {
 	ReadPath ReadStats
+	Writes   WriteStages
 
 	Insert Histogram
 	Read   Histogram
@@ -212,6 +268,13 @@ type GridSnapshot struct {
 	ShardLockWaits uint64 `json:"mirror_shard_lock_waits"`
 
 	PerOp map[string]HistogramSnapshot `json:"per_op"`
+
+	GetRefNs     HistogramSnapshot `json:"view_getref_ns"`
+	TouchNs      HistogramSnapshot `json:"view_touch_ns"`
+	CollectNs    HistogramSnapshot `json:"view_collect_ns"`
+	DeliverNs    HistogramSnapshot `json:"view_deliver_ns"`
+	StripeWaitNs HistogramSnapshot `json:"write_stripe_wait_ns"`
+	BackendNs    HistogramSnapshot `json:"write_backend_ns"`
 }
 
 // Snapshot captures the counters and every per-op histogram.

@@ -182,7 +182,10 @@ func (g *Grid) Read(key string, consume func(name string, value []byte)) error {
 			if g1&1 != 0 {
 				break // writer mid-flight on this stripe
 			}
-			ok, valid, served := g.vr.ReadView(key, h, gen, g1, consume)
+			// One view read in obs.StageSample times its stages, chosen
+			// by the hit count this path keeps.
+			sampled := g.stats.ReadPath.ZeroCopyHits.Load()%obs.StageSample == 0
+			ok, valid, served := g.vr.ReadView(key, h, gen, g1, sampled, consume)
 			if !served {
 				break
 			}
@@ -206,9 +209,24 @@ func (g *Grid) Read(key string, consume func(name string, value []byte)) error {
 func (g *Grid) Update(key string, fields []Field) error {
 	defer g.stats.Update.ObserveSince(obs.Now())
 	h := fnv32(key)
+	lap := g.updateLap(h)
 	mu := g.lockWrite(h)
 	defer g.unlockWrite(h, mu)
-	return found(g.backend.Update(key, fields))
+	lap.Lap(&g.stats.Writes.StripeWaitNs)
+	ok, err := g.backend.Update(key, fields)
+	lap.Lap(&g.stats.Writes.BackendNs)
+	return found(ok, err)
+}
+
+// updateLap starts the stage laps of a sampled update: one of each
+// stripe's writes in obs.StageSample, chosen by the stripe's seqlock
+// generation, which two steps per write advance. A grid without the view
+// path keeps no generations and times no update.
+func (g *Grid) updateLap(h uint32) obs.Lap {
+	if g.vr == nil {
+		return obs.Lap{}
+	}
+	return obs.StartLap(g.gens[h%gridStripes].v.Load()%(2*obs.StageSample) == 0)
 }
 
 // ReadModifyWrite runs YCSB's rmw: read all fields, then write back the

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fa"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 	"repro/internal/pdt"
 )
 
@@ -36,7 +37,8 @@ type recordMap struct {
 	h     *core.Heap
 	m     *pdt.Map
 	names *nameDict
-	cls   uint16 // ClassRecord's id in h
+	cls   uint16         // ClassRecord's id in h
+	rs    *obs.ReadStats // the view path's counters (EnableViewReads)
 }
 
 // openRecordMap opens the map bound under rootName (created hash-mirrored
@@ -305,13 +307,17 @@ func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, erro
 	return true, r.read(b.names, key, consume)
 }
 
-// Update implements Backend.
+// Update implements Backend. The record is resolved inside the block,
+// so a sampled block's body time (fa's stage timers) covers the whole
+// update; resolving reads only, and a missing key commits an empty block.
 func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
-	r, ok, err := b.get(key, true, new(core.Object))
-	if !ok {
-		return false, err
-	}
-	err = b.mgr.Run(func(tx *fa.Tx) error {
+	found := false
+	err := b.mgr.Run(func(tx *fa.Tx) error {
+		r, ok, err := b.get(key, true, new(core.Object))
+		if !ok {
+			return err
+		}
+		found = true
 		for _, f := range fields {
 			i := r.fieldIndex(b.names, f.Name)
 			if i < 0 {
@@ -323,7 +329,7 @@ func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
 		}
 		return nil
 	})
-	return err == nil, err
+	return found && err == nil, err
 }
 
 // setFieldTx stores value in field i of r inside the block. Both table

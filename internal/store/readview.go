@@ -38,7 +38,9 @@ type ViewReader interface {
 	// ok=false reports a record shape the unlocked reader cannot handle
 	// (caller falls back to the locked path). Field names and values
 	// passed to consume are views into NVMM, valid only during the call.
-	ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
+	// A sampled read times its stages into the ReadStats of
+	// EnableViewReads.
+	ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64, sampled bool,
 		consume func(name string, value []byte)) (found, valid, ok bool)
 }
 
@@ -119,20 +121,17 @@ func touchValues(pool *nvm.Pool, base uint64, n int) uint32 {
 	return sum
 }
 
-// appendRecordViews collects the record's fields into out. It mirrors
-// pRecord.read but is race-tolerant: the caller holds an EBR pin (memory
-// stability) rather than the stripe lock (quiescence), so every table
-// word is loaded atomically, an inline value is copied, and anything the
-// unlocked reader cannot prove safe — a chained record or blob, an id the
-// dictionary does not know — returns ok=false for the locked path to
-// handle. A touch pass (touchValues) runs before the per-field walk.
-func (rm *recordMap) appendRecordViews(ref core.Ref, out []fieldView) ([]fieldView, bool) {
-	base, n, ok := rm.tableBase(ref)
-	if !ok {
-		return out, false
-	}
+// appendRecordViews collects the fields of the record table at base, n
+// fields wide (tableBase), into out. It mirrors pRecord.read but is
+// race-tolerant: the caller holds an EBR pin (memory stability) rather
+// than the stripe lock (quiescence), so every table word is loaded
+// atomically, an inline value is copied, and anything the unlocked reader
+// cannot prove safe — a chained blob, an id the dictionary does not
+// know — returns ok=false for the locked path to handle. The caller runs
+// the touch pass (touchValues) first.
+func (rm *recordMap) appendRecordViews(base uint64, n int, out []fieldView) ([]fieldView, bool) {
 	d, pool := rm.names, rm.h.Pool()
-	touchValues(pool, base, n)
+	var ok bool
 	for i := 0; i < n; i++ {
 		nw := pool.ReadUint64Atomic(base + fieldNameOff(i))
 		vw := pool.ReadUint64Atomic(base + fieldValOff(i))
@@ -184,18 +183,19 @@ func viewString(b []byte) string {
 func (rm *recordMap) EnableViewReads(rs *obs.ReadStats) {
 	rm.h.Mem().EnableEBR()
 	rm.m.SetReadObs(rs)
+	rm.rs = rs
 }
 
 // ReadView implements ViewReader.
-func (b *JPDTBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
+func (b *JPDTBackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64, sampled bool,
 	consume func(name string, value []byte)) (found, valid, ok bool) {
-	return b.readView(nil, key, hint, gen, g1, consume)
+	return b.readView(nil, key, hint, gen, g1, sampled, consume)
 }
 
 // ReadView implements ViewReader.
-func (b *JPFABackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64,
+func (b *JPFABackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 uint64, sampled bool,
 	consume func(name string, value []byte)) (found, valid, ok bool) {
-	return b.readView(b.mgr, key, hint, gen, g1, consume)
+	return b.readView(b.mgr, key, hint, gen, g1, sampled, consume)
 }
 
 // readView is the one ViewReader of the J-NVM backends: pin, resolve the
@@ -211,10 +211,12 @@ func (b *JPFABackend) ReadView(key string, hint uint32, gen *atomic.Uint64, g1 u
 //     so every commit and ledger delta acknowledged before g1 has landed
 //     in it. A write acknowledged after g1 changed the generation.
 //
-// In per-Tx mode the settle is one atomic load.
+// In per-Tx mode the settle is one atomic load. A sampled read times
+// each of its four stages it completes (obs.ReadStats).
 func (rm *recordMap) readView(mgr *fa.Manager, key string, hint uint32,
-	gen *atomic.Uint64, g1 uint64, consume func(name string, value []byte)) (found, valid, ok bool) {
+	gen *atomic.Uint64, g1 uint64, sampled bool, consume func(name string, value []byte)) (found, valid, ok bool) {
 	mem := rm.h.Mem()
+	lap := obs.StartLap(sampled)
 	slot := mem.PinReader(hint)
 	if slot < 0 {
 		// Every reader slot is pinned: an unpinned read could dereference
@@ -231,11 +233,20 @@ func (rm *recordMap) readView(mgr *fa.Manager, key string, hint uint32,
 		// between the caller's generation load and the map lookup.
 		return false, gen.Load() == g1, true
 	}
+	lap.Lap(&rm.rs.GetRefNs)
 	if mgr != nil {
 		mgr.Settle(ref)
 	}
+	base, n, rok := rm.tableBase(ref)
+	if rok {
+		touchValues(rm.h.Pool(), base, n)
+	}
+	lap.Lap(&rm.rs.TouchNs)
 	sp := viewScratchPool.Get().(*[]fieldView)
-	fields, rok := rm.appendRecordViews(ref, (*sp)[:0])
+	fields := (*sp)[:0]
+	if rok {
+		fields, rok = rm.appendRecordViews(base, n, fields)
+	}
 	*sp = fields[:0]
 	if !rok {
 		mem.UnpinReader(slot)
@@ -247,6 +258,7 @@ func (rm *recordMap) readView(mgr *fa.Manager, key string, hint uint32,
 		viewScratchPool.Put(sp)
 		return true, false, true
 	}
+	lap.Lap(&rm.rs.CollectNs)
 	// The snapshot is write-free and, under the pin, every view is
 	// immutable: deliver.
 	for i := range fields {
@@ -254,5 +266,6 @@ func (rm *recordMap) readView(mgr *fa.Manager, key string, hint uint32,
 	}
 	mem.UnpinReader(slot)
 	viewScratchPool.Put(sp)
+	lap.Lap(&rm.rs.DeliverNs)
 	return true, true, true
 }
