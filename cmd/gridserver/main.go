@@ -12,14 +12,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
+	"repro/internal/stack"
 	"repro/internal/wire"
 )
 
@@ -36,28 +38,31 @@ type statsPayload struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
+	if err := run(os.Args[1:], os.Stdout, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "gridserver:", err)
 		os.Exit(1)
 	}
 }
 
-// run serves until the listener fails or a signal drains the server. The
-// environment is closed exactly once, on every return path, and a pool
-// that fails to close fails the process.
-func run() (err error) {
-	addr := flag.String("addr", "127.0.0.1:7420", "listen address")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
-	backend := flag.String("backend", "J-PFA", "grid backend: J-PFA, J-PDT, PCJ, Volatile, TmpFS, FS")
-	commit := flag.String("commit", "async", "J-NVM commit protocol: per-tx or async")
-	records := flag.Int("records", 8_000, "expected record count (pool sizing hint)")
-	fields := flag.Int("fields", 10, "expected fields per record (pool sizing hint)")
-	fieldLen := flag.Int("fieldlen", 100, "expected field value bytes (pool sizing hint)")
-	dataDir := flag.String("data", "", "directory for the file-backed pool (empty: volatile in-memory NVMM simulation)")
-	maxConns := flag.Int("max-conns", 256, "concurrent connection cap (accept-loop backpressure)")
-	maxBatch := flag.Int("max-batch", 128, "max requests folded into one pipeline window")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain bound on SIGTERM")
-	flag.Parse()
+// run serves until the listener fails or a signal on stop drains the
+// server. The stack is closed exactly once, on every return path, and a
+// pool that fails to close fails the process.
+func run(args []string, out io.Writer, stop <-chan os.Signal) (err error) {
+	fl := flag.NewFlagSet("gridserver", flag.ExitOnError)
+	addr := fl.String("addr", "127.0.0.1:7420", "listen address")
+	metricsAddr := fl.String("metrics-addr", "", "serve live metrics JSON + pprof on this address (e.g. :6060)")
+	backend := fl.String("backend", stack.JPFA, "grid backend: "+strings.Join(stack.Kinds, ", "))
+	commit := fl.String("commit", "async", "J-NVM commit protocol: per-tx or async")
+	records := fl.Int("records", 8_000, "expected record count (pool sizing hint)")
+	fields := fl.Int("fields", 10, "expected fields per record (pool sizing hint)")
+	fieldLen := fl.Int("fieldlen", 100, "expected field value bytes (pool sizing hint)")
+	dataDir := fl.String("data", "", "directory for the file-backed pool (empty: volatile in-memory NVMM simulation)")
+	maxConns := fl.Int("max-conns", 256, "concurrent connection cap (accept-loop backpressure)")
+	maxBatch := fl.Int("max-batch", 128, "max requests folded into one pipeline window")
+	drainTimeout := fl.Duration("drain-timeout", 10*time.Second, "graceful drain bound on SIGTERM")
+	_ = fl.Parse(args) // ExitOnError: a bad flag exits 2 and -h exits 0 before this returns
 
 	if *metricsAddr != "" {
 		obs.Serve(*metricsAddr, func(err error) {
@@ -65,8 +70,8 @@ func run() (err error) {
 		})
 	}
 
-	env, err := bench.NewEnv(bench.GridConfig{
-		Backend:    bench.BackendKind(*backend),
+	st, err := stack.OpenGrid(stack.GridConfig{
+		Backend:    *backend,
 		Records:    *records * 2,
 		FieldCount: *fields,
 		FieldLen:   *fieldLen,
@@ -77,19 +82,20 @@ func run() (err error) {
 		return err
 	}
 	defer func() {
-		if cerr := env.Close(); err == nil {
+		if cerr := st.Close(); err == nil {
 			err = cerr
 		}
 	}()
+	obs.Default.Publish("stack", func() any { return st.Snapshot() })
 
 	// Count touches the backend's root structure, forcing the mirror
 	// rebuild on a recovered heap, so "listening" below really means
 	// ready to serve: a client's restart-to-ready clock includes rebuild
 	// time.
 	openStart := time.Now()
-	recovered := env.Grid.Count()
+	recovered := st.Grid.Count()
 	if recovered > 0 {
-		fmt.Printf("gridserver: recovered %d records in %v\n", recovered, time.Since(openStart).Round(time.Millisecond))
+		fmt.Fprintf(out, "gridserver: recovered %d records in %v\n", recovered, time.Since(openStart).Round(time.Millisecond))
 	}
 
 	start := time.Now()
@@ -98,11 +104,11 @@ func run() (err error) {
 	// per-window wait is what makes an acknowledged write durable.
 	var await func()
 	if *commit == "async" {
-		await = env.AwaitDurable
+		await = st.AwaitDurable
 	}
 	var srv *wire.Server
 	srv = wire.NewServer(wire.ServerConfig{
-		Grid:         env.Grid,
+		Grid:         st.Grid,
 		AwaitDurable: await,
 		MaxConns:     *maxConns,
 		MaxBatch:     *maxBatch,
@@ -110,11 +116,11 @@ func run() (err error) {
 			p := statsPayload{
 				Backend:  *backend,
 				Commit:   *commit,
-				Records:  env.Grid.Count(),
+				Records:  st.Grid.Count(),
 				UptimeS:  time.Since(start).Seconds(),
 				Server:   srv.Stats().Snapshot(),
-				Stack:    env.Snapshot(),
-				Recovery: env.Recovery(),
+				Stack:    st.Snapshot(),
+				Recovery: st.Recovery(),
 			}
 			buf, err := json.Marshal(p)
 			if err != nil {
@@ -129,23 +135,21 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gridserver: listening on %s (backend=%s commit=%s max-conns=%d max-batch=%d)\n",
+	fmt.Fprintf(out, "gridserver: listening on %s (backend=%s commit=%s max-conns=%d max-batch=%d)\n",
 		l.Addr(), *backend, *commit, *maxConns, *maxBatch)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 
 	select {
-	case sig := <-sigCh:
-		fmt.Printf("gridserver: %v: draining (timeout %v)\n", sig, *drainTimeout)
+	case sig := <-stop:
+		fmt.Fprintf(out, "gridserver: %v: draining (timeout %v)\n", sig, *drainTimeout)
 		clean := srv.Shutdown(*drainTimeout)
 		<-done
 		if !clean {
 			return errors.New("drain timed out with connections still active")
 		}
-		fmt.Println("gridserver: drained")
+		fmt.Fprintln(out, "gridserver: drained")
 		return nil
 	case err := <-done:
 		return err

@@ -2,16 +2,12 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fa"
-	"repro/internal/heap"
-	"repro/internal/nvm"
 	"repro/internal/ycsb"
 )
 
@@ -273,17 +269,6 @@ func TestTable3Runs(t *testing.T) {
 	}
 }
 
-func TestEstimatePoolBytes(t *testing.T) {
-	small := EstimatePoolBytes(1000, 10, 100)
-	big := EstimatePoolBytes(10000, 10, 100)
-	if big <= small {
-		t.Fatal("estimate not monotonic in records")
-	}
-	if EstimatePoolBytes(1000, 10, 10_000) <= small {
-		t.Fatal("estimate not monotonic in field size")
-	}
-}
-
 func TestFig12Runs(t *testing.T) {
 	// Each system's completion time is its median over five Fig12 runs,
 	// which interleave the systems, so a burst of load on a shared host
@@ -446,7 +431,7 @@ func TestCapabilityTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := env.Backend.Caps()
+		c := env.Grid.Backend().Caps()
 		var offers []string
 		for _, f := range []struct {
 			name    string
@@ -463,44 +448,5 @@ func TestCapabilityTable(t *testing.T) {
 			t.Errorf("%s %s: grid read path %q, want %q", tc.kind, tc.commit, got, tc.path)
 		}
 		env.Close()
-	}
-}
-
-// TestNewEnvClosesPoolOnError: an environment whose stack cannot open —
-// here a pool file in a heap format every build refuses — must not leave
-// the pool's file descriptor and MAP_SHARED mapping behind.
-func TestNewEnvClosesPoolOnError(t *testing.T) {
-	if _, err := os.Stat("/proc/self/maps"); err != nil {
-		t.Skip("no /proc/self/maps:", err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pool-0.nvm")
-	cfg := GridConfig{Backend: JPFA, Records: 16, FieldCount: 1, FieldLen: 8, DataDir: dir}
-	pool, err := nvm.OpenFile(path, EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen), nvm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := heap.Format(pool, heap.Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	pool.WriteUint64(8, 1) // the superblock's format-version word: version 1
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	maps, err := os.ReadFile("/proc/self/maps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(maps), path) {
-		t.Fatal("pool still mapped before NewEnv ran")
-	}
-	if _, err := NewEnv(cfg); err == nil || !strings.Contains(err.Error(), "format version 1") {
-		t.Fatalf("NewEnv over a version-1 pool: %v", err)
-	}
-	if maps, err = os.ReadFile("/proc/self/maps"); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(maps), path) {
-		t.Fatalf("NewEnv failed but left %s mapped", path)
 	}
 }

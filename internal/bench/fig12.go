@@ -104,7 +104,7 @@ func Fig12(sc Scale) ([]Fig12Row, error) {
 	}
 
 	newPDT := func(kind pdt.MirrorKind) (kvType, error) {
-		pool := nvm.New(EstimatePoolBytes(records, 1, valLen)+records*512,
+		pool := nvm.New(stack.EstimatePoolBytes(records, 1, valLen)+records*512,
 			nvm.Options{FenceLatency: DefaultFenceNs})
 		st, err := stack.Open(pool, stack.Config{LogSlots: 4, LogSlotSize: 1 << 14})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/heap"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -16,7 +17,7 @@ import (
 // map's bindings in its array (§3.2). A change that puts a per-record
 // name, a block per counter or a block per binding back fails here, in
 // `go test ./...`, not in a 20 s benchmark run. The same loads hold
-// EstimatePoolBytes: its per-record budget must cover what is measured.
+// stack.EstimatePoolBytes: its per-record budget must cover what is measured.
 func TestSpacePerRecord(t *testing.T) {
 	shapes := []struct {
 		name             string
@@ -84,8 +85,8 @@ func TestSpacePerRecord(t *testing.T) {
 				if perRecord > sh.ceiling {
 					t.Errorf("%.3f heap blocks in use per record, ceiling %.1f", perRecord, sh.ceiling)
 				}
-				budget := float64(EstimatePoolBytes(2*records, sh.fields, sh.fieldLen)-
-					EstimatePoolBytes(records, sh.fields, sh.fieldLen)) / float64(records) / heap.BlockSize
+				budget := float64(stack.EstimatePoolBytes(2*records, sh.fields, sh.fieldLen)-
+					stack.EstimatePoolBytes(records, sh.fields, sh.fieldLen)) / float64(records) / heap.BlockSize
 				if budget < perRecord {
 					t.Errorf("EstimatePoolBytes budgets %.2f blocks per record, %.2f are in use", budget, perRecord)
 				}

@@ -404,7 +404,7 @@ func gridEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				g = store.NewGrid(st.Backend)
+				g = st.Grid
 				return nil
 			},
 			exec: func() error {
@@ -449,7 +449,7 @@ func gridEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g := store.NewGrid(st.Backend)
+				g := st.Grid
 				if err := o.checkRecords(g, keys); err != nil {
 					return err
 				}
@@ -491,7 +491,7 @@ func gridGroupEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend)
+				g = st.Grid
 				// Seed every key in the default per-Tx mode, then switch to
 				// the async pipeline for the explored phase.
 				for i, key := range keys {
@@ -525,7 +525,7 @@ func gridGroupEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend)
+				g2 := st.Grid
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -588,7 +588,7 @@ func gridDeltaEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend)
+				g = st.Grid
 				// Seed per-Tx: insert each counter and bump it once through
 				// the transactional path; the counter is the value word of
 				// its field, so the async phase folds in the ledger from
@@ -658,7 +658,7 @@ func gridDeltaEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend)
+				g2 := st.Grid
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -764,7 +764,7 @@ func gridInlineEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend)
+				g = st.Grid
 				return nil
 			},
 			exec: func() error {
@@ -791,7 +791,7 @@ func gridInlineEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend)
+				g2 := st.Grid
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -850,8 +850,8 @@ func gridReadEntry() entry {
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
-				// The grid adopts the zero-copy read path and turns on EBR.
-				g = store.NewGrid(st.Backend)
+				// Open's grid adopted the zero-copy read path and turned on EBR.
+				g = st.Grid
 				return nil
 			},
 			exec: func() error {
@@ -900,9 +900,9 @@ func gridReadEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				// The recovered grid adopts zero-copy again, so every
-				// crash image is re-read through the view path.
-				g2 := store.NewGrid(st.Backend)
+				// The recovered stack's grid adopted zero-copy again, so
+				// every crash image is re-read through the view path.
+				g2 := st.Grid
 				if err := o.checkRecords(g2, keys); err != nil {
 					return err
 				}
@@ -1285,7 +1285,7 @@ func retireEntry() entry {
 		return &scenario{
 			setup: func(st *stack.Stack) error {
 				mgr = st.Mgr
-				g = store.NewGrid(st.Backend)
+				g = st.Grid
 				for i := 0; i < 5; i++ {
 					if err := insert(100+10*i, keys[i]); err != nil {
 						return err
@@ -1304,7 +1304,7 @@ func retireEntry() entry {
 				return nil
 			},
 			check: func(st *stack.Stack) error {
-				g2 := store.NewGrid(st.Backend)
+				g2 := st.Grid
 				read := func() (string, error) {
 					recs := map[string]map[string]string{}
 					for _, key := range keys {

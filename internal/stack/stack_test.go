@@ -2,57 +2,144 @@ package stack
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/fa"
+	"repro/internal/heap"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-func newPool() *nvm.Pool { return nvm.New(4<<20, nvm.Options{}) }
+func memPool() *nvm.Pool { return nvm.New(4<<20, nvm.Options{}) }
 
-// TestOpenShapes pins what Open builds from the backend kind: a kind is
-// its backend over the pool, in the configured commit mode; no kind is a
-// bare heap; and the empty stack of a poolless backend is inert.
+// TestOpenShapes pins what Open and OpenGrid build from the backend kind:
+// a J-NVM kind is its backend over the pool, in the configured commit
+// mode, under a grid that reads through the view path; no kind is a bare
+// heap with no grid; an FS-family kind is a grid with no pool, inert like
+// the empty stack; and every name in Kinds opens.
 func TestOpenShapes(t *testing.T) {
-	st, err := Open(newPool(), Config{Backend: JPFA, Commit: "async"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend == nil || st.Backend.Name() != JPFA || st.Mgr.CommitMode() != fa.CommitAsync {
-		t.Fatalf("J-PFA stack: backend %v, manager in mode %v", st.Backend, st.Mgr.CommitMode())
-	}
-	if rs := st.Recovery(); len(rs) != 1 {
-		t.Fatalf("%d recovery snapshots for one pool", len(rs))
-	}
-	if sn := st.Snapshot(); sn.NVM == nil || sn.Heap == nil || sn.FA == nil {
-		t.Fatalf("snapshot lacks a layer: %+v", sn)
+	for _, kind := range []string{JPFA, JPDT} {
+		st, err := Open(memPool(), Config{Backend: kind, Commit: "async"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Grid == nil || st.Grid.Backend().Name() != kind || st.Grid.ReadPath() != "view" || st.Mgr.CommitMode() != fa.CommitAsync {
+			t.Fatalf("%s stack: grid %v, manager in mode %v", kind, st.Grid, st.Mgr.CommitMode())
+		}
+		if rs := st.Recovery(); len(rs) != 1 {
+			t.Fatalf("%d recovery snapshots for one pool", len(rs))
+		}
+		if sn := st.Snapshot(); sn.NVM == nil || sn.Heap == nil || sn.FA == nil || sn.Grid == nil {
+			t.Fatalf("snapshot lacks a layer: %+v", sn)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	bare, err := Open(newPool(), Config{})
+	bare, err := Open(memPool(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.Backend != nil || bare.Heap == nil || bare.Mgr == nil {
+	if bare.Grid != nil || bare.Heap == nil || bare.Mgr == nil {
 		t.Fatalf("bare stack: %+v", bare)
 	}
 
+	inert := func(name string, st *Stack) {
+		st.DrainDurable()
+		st.AwaitDurable()
+		sn := st.Snapshot()
+		if err := st.Close(); err != nil || st.Recovery() != nil || sn.NVM != nil || sn.Heap != nil || sn.FA != nil {
+			t.Errorf("%s is not inert", name)
+		}
+	}
 	var empty Stack
-	empty.DrainDurable()
-	empty.AwaitDurable()
-	if err := empty.Close(); err != nil || empty.Recovery() != nil || *empty.Snapshot() != (obs.StackSnapshot{}) {
-		t.Fatal("the empty stack is not inert")
+	inert("the empty stack", &empty)
+	if *empty.Snapshot() != (obs.StackSnapshot{}) {
+		t.Error("the empty stack's snapshot is not empty")
+	}
+	for _, kind := range Kinds {
+		st, err := OpenGrid(GridConfig{Backend: kind, Records: 16, FieldCount: 1, FieldLen: 8, FenceNs: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if st.Grid == nil || st.Snapshot().Grid == nil {
+			t.Fatalf("%s: no grid", kind)
+		}
+		if _, nvmKind := backends[kind]; nvmKind {
+			st.Close()
+			continue
+		}
+		if st.Pool != nil || st.Grid.ReadPath() != "locked" {
+			t.Fatalf("%s: pool %v, read path %s", kind, st.Pool, st.Grid.ReadPath())
+		}
+		inert(kind, st)
 	}
 
 	for name, open := range map[string]func() (*Stack, error){
-		"unknown backend": func() (*Stack, error) { return Open(newPool(), Config{Backend: "FS"}) },
-		"sync alias":      func() (*Stack, error) { return Open(newPool(), Config{Backend: JPFA, Commit: "sync"}) },
+		"FS over a pool":  func() (*Stack, error) { return Open(memPool(), Config{Backend: FS}) },
+		"sync alias":      func() (*Stack, error) { return Open(memPool(), Config{Backend: JPFA, Commit: "sync"}) },
+		"unknown backend": func() (*Stack, error) { return OpenGrid(GridConfig{Backend: "bogus"}) },
 	} {
 		if _, err := open(); err == nil {
-			t.Errorf("%s: Open succeeded", name)
+			t.Errorf("%s: opened", name)
 		}
+	}
+}
+
+// TestEstimatePoolBytes: the pool estimate grows with the record count
+// and with the field size.
+func TestEstimatePoolBytes(t *testing.T) {
+	small := EstimatePoolBytes(1000, 10, 100)
+	big := EstimatePoolBytes(10000, 10, 100)
+	if big <= small {
+		t.Fatal("estimate not monotonic in records")
+	}
+	if EstimatePoolBytes(1000, 10, 10_000) <= small {
+		t.Fatal("estimate not monotonic in field size")
+	}
+}
+
+// TestOpenGridClosesPoolOnError: a served stack that cannot open — here
+// over a pool file in a heap format every build refuses — must not leave
+// the pool's file descriptor and MAP_SHARED mapping behind.
+func TestOpenGridClosesPoolOnError(t *testing.T) {
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps:", err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pool-0.nvm")
+	cfg := GridConfig{Backend: JPFA, Records: 16, FieldCount: 1, FieldLen: 8, DataDir: dir}
+	pool, err := nvm.OpenFile(path, EstimatePoolBytes(cfg.Records, cfg.FieldCount, cfg.FieldLen), nvm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := heap.Format(pool, heap.Options{LogSlots: 2, LogSlotSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	pool.WriteUint64(8, 1) // the superblock's format-version word: version 1
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(maps), path) {
+		t.Fatal("pool still mapped before OpenGrid ran")
+	}
+	if _, err := OpenGrid(cfg); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("OpenGrid over a version-1 pool: %v", err)
+	}
+	if maps, err = os.ReadFile("/proc/self/maps"); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(maps), path) {
+		t.Fatalf("OpenGrid failed but left %s mapped", path)
 	}
 }
 
@@ -83,7 +170,7 @@ func TestParkedResourcesNeverStarveTheGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := store.NewGrid(st.Backend)
+		g := st.Grid
 		value := func(i int) []byte { return []byte(fmt.Sprintf("%0300d", i)) } // two blocks
 		const keys = 8
 		for k := 0; k < keys; k++ {

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -28,8 +28,8 @@ func BenchmarkServerWindow(b *testing.B) {
 		records = 512
 		depth   = 16
 	)
-	env, err := bench.NewEnv(bench.GridConfig{
-		Backend: bench.JPFA, Records: records, FieldCount: 10, FieldLen: 100, Commit: "async",
+	env, err := stack.OpenGrid(stack.GridConfig{
+		Backend: stack.JPFA, Records: records, FieldCount: 10, FieldLen: 100, Commit: "async",
 	})
 	if err != nil {
 		b.Fatal(err)

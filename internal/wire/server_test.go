@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/stack"
@@ -23,8 +22,8 @@ import (
 func startTestServer(t *testing.T, cfg ServerConfig) (string, *Server, func()) {
 	t.Helper()
 	if cfg.Grid == nil {
-		env, err := bench.NewEnv(bench.GridConfig{
-			Backend: bench.JPFA,
+		env, err := stack.OpenGrid(stack.GridConfig{
+			Backend: stack.JPFA,
 			Records: 4096,
 			Commit:  "async",
 		})
@@ -148,8 +147,8 @@ func TestServerPipelinedConcurrentConnections(t *testing.T) {
 // sees the exact folded sum, and the Stats blob carries the delta and
 // group-commit counters the benchmark diffs.
 func TestServerAddDeltaOverWire(t *testing.T) {
-	env, err := bench.NewEnv(bench.GridConfig{
-		Backend: bench.JPFA,
+	env, err := stack.OpenGrid(stack.GridConfig{
+		Backend: stack.JPFA,
 		Records: 4096,
 		Commit:  "async",
 	})
@@ -283,7 +282,7 @@ func TestServerDropsMalformedConn(t *testing.T) {
 func TestServerDrainAnswersInFlightWindow(t *testing.T) {
 	// Per-Tx commit: writes are durable when the grid returns, so the
 	// durability hook is free to be nothing but a delay.
-	env, err := bench.NewEnv(bench.GridConfig{Backend: bench.JPFA, Records: 4096})
+	env, err := stack.OpenGrid(stack.GridConfig{Backend: stack.JPFA, Records: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +526,7 @@ func serverPoolFull(t *testing.T, backend, commit string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	g := store.NewGrid(st.Backend)
+	g := st.Grid
 	if g.ReadPath() != "view" {
 		t.Fatalf("grid read path %q, want view", g.ReadPath())
 	}

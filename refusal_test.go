@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/nvm"
@@ -26,7 +25,7 @@ import (
 // (core recovery). A class table that only names such a class opens.
 func TestOpenRefusals(t *testing.T) {
 	const records, fields, fieldLen = 1, 1, 8
-	size := bench.EstimatePoolBytes(records, fields, fieldLen)
+	size := stack.EstimatePoolBytes(records, fields, fieldLen)
 	fsck := filepath.Join(t.TempDir(), "fsck")
 	if out, err := exec.Command("go", "build", "-o", fsck, "./cmd/fsck").CombinedOutput(); err != nil {
 		t.Fatalf("build fsck: %v\n%s", err, out)
@@ -39,7 +38,7 @@ func TestOpenRefusals(t *testing.T) {
 		}
 		return p
 	}
-	// newPool leaves at dir/pool-0.nvm, the file bench.NewEnv opens under
+	// newPool leaves at dir/pool-0.nvm, the file stack.OpenGrid opens under
 	// DataDir, a pool whose class table names the unregistered class and,
 	// with bind, holds an instance of it under the root "kv".
 	newPool := func(t *testing.T, dir string, bind bool) string {
@@ -131,8 +130,8 @@ func TestOpenRefusals(t *testing.T) {
 			}
 			_, err = OpenPool(open(t, path), Options{})
 			refused("jnvm.OpenPool", err)
-			_, err = bench.NewEnv(bench.GridConfig{Backend: bench.JPFA, Records: records, FieldCount: fields, FieldLen: fieldLen, DataDir: dir})
-			refused("bench.NewEnv", err)
+			_, err = stack.OpenGrid(stack.GridConfig{Backend: stack.JPFA, Records: records, FieldCount: fields, FieldLen: fieldLen, DataDir: dir})
+			refused("stack.OpenGrid", err)
 			out, err := exec.Command(fsck, path).CombinedOutput()
 			if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) {
 				t.Errorf("fsck: %v; want exit 1 naming %q\n%s", err, tc.want, out)
@@ -150,7 +149,7 @@ func TestOpenRefusals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open %d: %v", i, err)
 			}
-			g := store.NewGrid(st.Backend)
+			g := st.Grid
 			if i == 0 {
 				if err := g.Insert("k", &store.Record{Fields: []store.Field{{Name: "f", Value: []byte("v")}}}); err != nil {
 					t.Fatal(err)

@@ -41,6 +41,9 @@
 #  7. Documented counts. The "points (seed 1)" column of DESIGN.md §13's
 #     workload table is the map TestOrderingPointCounts pins
 #     (internal/crashmc/crashmc_test.go), row for row.
+#  8. The server links only what it serves. cmd/gridserver builds its
+#     stack with stack.OpenGrid; the paper harness (internal/bench, ycsb,
+#     tpcb, gcsim) and Table 1's go/parser are not among its dependencies.
 set -eu
 
 fail=0
@@ -191,7 +194,17 @@ go  \bCopyWithinAtomic\b|\bInvalidate\(|\bOpTypes\b|\bSetRef\b  an exported name
 go  \b(runTo|crashSignal)\b  crashmc replaying the workload per crash point (the check pass checks each point inside one run)
 internal/wire  func[[:space:]]+Dial\(  a second wire client constructor (wire.DialTimeout is the one)
 dirs  ^cmd/(ycsb|gcsweep|tpcb|datatypes|blockbw|delsites)$  a single-figure command (cmd/paper runs every table and figure)
+internal/bench  type[[:space:]]+Env[[:space:]]+struct  a second environment type (bench.Env is stack.Stack)
+go  NewGrid\([A-Za-z_.]*\.Backend\)  a grid built by hand over a stack's backend (stack.Open builds the one grid: st.Grid)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
+
+# Rule 8: the server's dependencies.
+hits=$(go list -deps ./cmd/gridserver | grep -xE 'repro/internal/(bench|ycsb|tpcb|gcsim)|go/parser' || true)
+if [ -n "$hits" ]; then
+    echo "cmd/gridserver links the paper harness (build its stack with stack.OpenGrid):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
 
 exit $fail
