@@ -470,16 +470,24 @@ func gridEntry() entry {
 // durable value or its queued update, never a torn mix and never a value
 // from a later epoch while an earlier one is missing (epochs touch every
 // key round-robin, so a skipped epoch would surface as a stale durable
-// read after an ack). Two single-update epochs on one hot key close
-// the run: the first is parked — applied, live, W not over it yet — while
-// the second's marks are written, so both logs write the key's record
-// block and a crash in between must replay them oldest first.
+// read after an ack). An epoch of commits that hold different words of
+// one block follows: updates of two fields of one record, and two inserts
+// whose bindings share a block of the map's array, then a third update
+// of the first field, whose held word drains that epoch before it
+// queues. Two single-update epochs on one hot key close the run: the
+// first is parked — applied, live, W not over it yet — while the
+// second's marks are written, so both logs write the key's record block
+// and a crash in between must replay them oldest first.
 func gridGroupEntry() entry {
 	const nkeys = 8
 	const epochs = 5
 	const hotEpochs = 2
 	const opsPerEpoch = 3 // < nkeys: round-robin keeps keys distinct per epoch
+	const wordAt = 3      // the epoch the word epoch precedes
 	keys := keyNames("g%02d", nkeys)
+	const two = "w00" // a record of two fields, v and w
+	fresh := keyNames("n%02d", 2)
+	all := append(append(append([]string(nil), keys...), two), fresh...)
 	return entry{name: "gridgroup", poolBytes: 1 << 21, cfg: stackCfg(stack.JPFA), auditSlots: true, new: func(seed int64) *scenario {
 		rng := rand.New(rand.NewSource(seed))
 		o := oracle{}
@@ -487,6 +495,49 @@ func gridGroupEntry() entry {
 		var mgr *fa.Manager
 		mkval := func(i int) string {
 			return string(letters(i, 8+rng.Intn(16)))
+		}
+		// rec is the state and the fields of the two-field record.
+		rec := map[string]string{}
+		update := func(key string, fields []store.Field) error {
+			if err := g.Update(key, fields); err != nil {
+				return fmt.Errorf("update %s: %w", key, err)
+			}
+			return nil
+		}
+		// wordEpoch's v updates flip the field's representation, a
+		// reference to an inline value and back, so the third update
+		// rewrites the name word the first one holds: based on the stale
+		// word, it would leave an inline name over a reference.
+		wordEpoch := func(e int) error {
+			// The epoch replays any subset of its commits, so the w
+			// update may land without the v update before it.
+			v0, v1, w1 := rec["v"], string(letters(200, 5)), mkval(201)
+			rec["v"] = v1
+			o.issue(two, render(rec))
+			rec["v"], rec["w"] = v0, w1
+			o.issue(two, render(rec))
+			rec["v"] = v1
+			o.issue(two, render(rec))
+			if err := update(two, []store.Field{{Name: "v", Value: []byte(v1)}}); err != nil {
+				return err
+			}
+			if err := update(two, []store.Field{{Name: "w", Value: []byte(w1)}}); err != nil {
+				return err
+			}
+			for i, key := range fresh {
+				v := mkval(210 + i)
+				o.issue(key, vState(v))
+				if err := g.Insert(key, &store.Record{Fields: vFields(v)}); err != nil {
+					return fmt.Errorf("insert %s: %w", key, err)
+				}
+			}
+			rec["v"] = string(letters(220, 16))
+			o.issue(two, render(rec))
+			if err := update(two, []store.Field{{Name: "v", Value: []byte(rec["v"])}}); err != nil {
+				return err
+			}
+			o.drain(mgr, e)
+			return nil
 		}
 		return &scenario{
 			setup: func(st *stack.Stack) error {
@@ -501,11 +552,31 @@ func gridGroupEntry() entry {
 						return err
 					}
 				}
+				rec["v"], rec["w"] = string(letters(nkeys, 16)), mkval(nkeys+1)
+				o.issue(two, render(rec))
+				if err := g.Insert(two, &store.Record{Fields: []store.Field{
+					{Name: "v", Value: []byte(rec["v"])}, {Name: "w", Value: []byte(rec["w"])},
+				}}); err != nil {
+					return err
+				}
 				o.ack()
 				return mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true})
 			},
 			exec: func() error {
 				for e := 0; e < epochs+hotEpochs; e++ {
+					switch e {
+					case wordAt:
+						if err := wordEpoch(e); err != nil {
+							return err
+						}
+					case wordAt + 1:
+						// Back to an inline value, in the next epoch.
+						rec["v"] = string(letters(230, 6))
+						o.issue(two, render(rec))
+						if err := update(two, []store.Field{{Name: "v", Value: []byte(rec["v"])}}); err != nil {
+							return err
+						}
+					}
 					for j := 0; j < opsPerEpoch; j++ {
 						key := keys[(e*opsPerEpoch+j)%nkeys]
 						if e >= epochs {
@@ -516,8 +587,8 @@ func gridGroupEntry() entry {
 						}
 						v := mkval(e*opsPerEpoch + j + 100)
 						o.issue(key, vState(v))
-						if err := g.Update(key, vFields(v)); err != nil {
-							return fmt.Errorf("epoch %d update %s: %w", e, key, err)
+						if err := update(key, vFields(v)); err != nil {
+							return fmt.Errorf("epoch %d: %w", e, err)
 						}
 					}
 					o.drain(mgr, e)
@@ -526,7 +597,7 @@ func gridGroupEntry() entry {
 			},
 			check: func(st *stack.Stack) error {
 				g2 := st.Grid
-				if err := o.checkRecords(g2, keys); err != nil {
+				if err := o.checkRecords(g2, all); err != nil {
 					return err
 				}
 				// Writability probe: the recovered heap commits per-Tx again.

@@ -3,7 +3,6 @@ package fa
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/heap"
@@ -31,6 +30,10 @@ import (
 //     rest of the block's payload at once;
 //   - a load of a block the Tx has stored to reads one word at a time: a
 //     logged word from its entry, any other from the original.
+//
+// In async mode an access to a word a queued commit holds drains first
+// (settleWords, waitWords); other words of the block are current and go
+// ahead.
 func (tx *Tx) locate(o *core.Object, off, n uint64, forWrite bool) (uint64, uint64, error) {
 	tx.active()
 	if off+n > o.Size() {
@@ -52,22 +55,21 @@ func (tx *Tx) locate(o *core.Object, off, n uint64, forWrite bool) (uint64, uint
 	if tx.direct(o) {
 		return p, n, nil
 	}
-	if !slices.Contains(tx.written, orig) {
+	b := tx.block(orig, forWrite)
+	if b == nil {
 		if tx.grp != nil {
-			// Async mode: a queued epoch may still hold this block's new
-			// words; reading the original now, or basing a store on it,
-			// could observe (and act on) pre-apply state — e.g. free an
-			// old value ref the drain also frees. Drain first.
-			tx.grp.waitClear(orig)
+			tx.grp.waitWords(orig, wordsOf(p-orig, n))
 		}
-		if !forWrite {
-			return p, n, nil
-		}
-		tx.written = append(tx.written, orig)
+		return p, n, nil
+	}
+	n = min(n, 8-p%8)
+	if tx.grp != nil {
+		tx.settleWords(b, wordsOf(p-orig, n))
 	}
 	w, in := p&^7, p%8
-	n = min(n, 8-in)
-	if q, ok := tx.logged(w); ok {
+	bit := wordsOf(w-orig, 8)
+	if b.logged&bit != 0 {
+		q, _ := tx.logged(w)
 		return q + in, n, nil
 	}
 	if !forWrite {
@@ -77,12 +79,64 @@ func (tx *Tx) locate(o *core.Object, off, n uint64, forWrite bool) (uint64, uint
 	if err != nil {
 		return 0, 0, err
 	}
+	b.logged |= bit
 	if n < 8 {
 		// A partial store: the word's other bytes keep their home value.
 		pool := tx.h.Pool()
 		pool.WriteUint64(q, pool.ReadUint64(w))
 	}
 	return q + in, n, nil
+}
+
+// txBlock is a valid block the Tx has stored to: the words it has logged,
+// and in async mode the words the group held at its first store there.
+// Bit i of a mask is the block's i-th aligned word, header included.
+type txBlock struct {
+	orig   core.Ref
+	logged uint32
+	held   uint32
+}
+
+// wordsOf is the mask of the words that bytes [at, at+n) of a block
+// touch; n > 0.
+func wordsOf(at, n uint64) uint32 {
+	lo, hi := at/8, (at+n-1)/8
+	return uint32(1)<<(hi+1) - uint32(1)<<lo
+}
+
+// block returns tx's entry for orig, adding it on the first store; a
+// load of a block the Tx has not stored to gets none (nil) and reads the
+// original. In async mode a new entry holds every word, so the first
+// store samples the words the group holds in the block (settleWords).
+// The application keeps other writers of what the Tx touches out until
+// it ends (Tx's contract), so no commit enqueued later holds a word the
+// Tx touches, and its later accesses to the block check the sample
+// without the group lock.
+func (tx *Tx) block(orig core.Ref, forWrite bool) *txBlock {
+	for i := range tx.written {
+		if tx.written[i].orig == orig {
+			return &tx.written[i]
+		}
+	}
+	if !forWrite {
+		return nil
+	}
+	b := txBlock{orig: orig}
+	if tx.grp != nil {
+		b.held = ^uint32(0)
+	}
+	tx.written = append(tx.written, b)
+	return &tx.written[len(tx.written)-1]
+}
+
+// settleWords drains while a queued commit, an epoch in flight or a
+// pending delta holds one of the words an access touches: the home word
+// is stale until it applies, and basing a store on it could lose the
+// queued update (or free an old value ref the drain also frees).
+func (tx *Tx) settleWords(b *txBlock, words uint32) {
+	if b.held&words != 0 {
+		b.held = tx.grp.waitWords(b.orig, words)
+	}
 }
 
 // logged returns the pool offset of the value of the block's kindWord

@@ -17,15 +17,15 @@
 // Correctness hangs on two rules:
 //
 //   - A delta and a transactional write to the same block never share an
-//     epoch with separate log entries: AddDelta drains while the block is
-//     held by a queued commit, and every transactional access (waitClear)
-//     or Free of a block drains while the block has a pending delta. So
-//     each epoch keeps the disjoint-write-set property replay relies
-//     on, and a materialized fold always reads the post-apply
-//     value of its word. While the epoch carrying a fold is in flight,
-//     the fold's block sits in the pending set like a queued commit's
-//     blocks, so no transactional snapshot forks it mid-apply. These
-//     two drains cover queued commits only:
+//     epoch with separate log entries: AddDelta drains while any word of
+//     the block is held by a queued commit, and every transactional access
+//     (settleWords) or Free of a block drains while the block has a
+//     pending delta. So each epoch keeps the disjoint-written-words
+//     property replay relies on, and a materialized fold always reads the
+//     post-apply value of its word. While the epoch carrying a fold is in
+//     flight, the fold's word is held in the pending set like a queued
+//     commit's words, so no transactional snapshot forks it mid-apply.
+//     These two drains cover queued commits only:
 //     an *open* transaction's write set is invisible to the manager, so
 //     a delta folded on a block between another Tx's first touch of it
 //     and that Tx's enqueue would be clobbered by the Tx's pre-fold
@@ -91,17 +91,18 @@ func (m *Manager) AddDelta(orig core.Ref, off uint64, delta int64) (uint64, erro
 	var folds bool
 	g.mu.Lock()
 	for {
-		// A queued commit holds a newer image of this block in its redo
-		// log; folding against the pre-apply original would be clobbered
-		// by the epoch apply. Drain first (mirror of waitClear). A new
-		// word on a full ledger drains too: the ledger never outgrows the
-		// one slot its drain lands in.
-		_, held := g.pending[orig]
+		// A queued commit holds newer words of this block in its redo
+		// log; the block is settled whole before a fold, as for Settle.
+		// A new word on a full ledger drains too: the ledger never
+		// outgrows the one slot its drain lands in.
 		_, folds = g.ledger[k]
-		if !held && (folds || len(g.ledger) < limit) {
+		if g.pending[orig] != 0 {
+			g.drainLocked(&m.stats.EpochsConflict)
+		} else if !folds && len(g.ledger) >= limit {
+			g.drainLocked(&m.stats.EpochsLedger)
+		} else {
 			break
 		}
-		g.drainLocked()
 	}
 	g.issued++
 	ticket := g.issued
@@ -165,13 +166,12 @@ func (g *groupState) materializeLocked() *Tx {
 		if tx == nil || tx.foldDelta(k.orig, k.off, g.ledger[k]) != nil {
 			panic("fa: delta drain without room for its ledger (the ledger is capped at one slot, and a drain always gets a slot)")
 		}
-		// The block leaves the ledger now but its fold is only applied
-		// when the epoch completes: park it in pending — exactly like a
-		// queued commit's blocks — so waitClear and AddDelta keep
-		// treating it as held until drainLocked clears the epoch's
-		// origs. Without this a transactional snapshot taken during the
+		// The word leaves the ledger now but its fold is only applied
+		// when the epoch completes: hold it in pending — exactly like a
+		// queued commit's words — until drainLocked clears the epoch's
+		// words. Without this a transactional snapshot taken during the
 		// drain would race the fold's apply and fork history.
-		g.pending[k.orig] = struct{}{}
+		g.pending[k.orig] |= wordsOf(k.off, 8)
 	}
 	// The durable entry count and the word entries must precede the
 	// epoch's marks, or recovery would replay the fold as an empty
@@ -197,9 +197,7 @@ func (tx *Tx) foldDelta(orig core.Ref, off uint64, sum int64) error {
 	if err != nil {
 		return err
 	}
-	// The ledger keys words, so two of them may share a block: the epoch
-	// clears the block from the pending set twice.
-	tx.written = append(tx.written, orig)
+	tx.block(orig, true).logged |= wordsOf(off, 8)
 	pool := tx.h.Pool()
 	pool.WriteUint64(q, pool.ReadUint64(p)+uint64(sum))
 	return nil

@@ -487,13 +487,13 @@ type Tx struct {
 	count      uint64
 	depth      int
 
-	// written is the write set: the valid blocks the Tx has stored to. A
-	// Tx writes few distinct blocks, so scanning a slice on each access
-	// costs less than a map's insert and clear (80–100 ns a commit in
-	// BenchmarkCommitSingleField on a 2-core Xeon); a delta
-	// materialization may list a block twice. proxies holds only those
-	// a caller received (Alloc, AllocSmall, Proxy) or passed in (Free).
-	written  []core.Ref
+	// written is the write set: the valid blocks the Tx has stored to,
+	// with the words it logged (access.go). A Tx writes few distinct
+	// blocks, so scanning a slice on each access costs less than a map's
+	// insert and clear (80–100 ns a commit in BenchmarkCommitSingleField
+	// on a 2-core Xeon). proxies holds only those a caller received
+	// (Alloc, AllocSmall, Proxy) or passed in (Free).
+	written  []txBlock
 	freed    []core.Ref // objects deleted at commit
 	proxies  map[core.Ref]core.PObject
 	deferred []func() // volatile follow-ups, run only after a commit
@@ -543,8 +543,8 @@ func (tx *Tx) OnAbort(fn func()) { tx.active(); tx.onAbort = append(tx.onAbort, 
 // OnOrdered registers a volatile hook that runs once the block's commit is
 // ordered before every later block's transactional access to what it
 // wrote: after the apply for a per-Tx commit (it is a Defer), after the
-// enqueue for an async one, whose queued write set then holds such an
-// access back until its epoch applies (waitClear). An abort drops it.
+// enqueue for an async one, whose queued words then hold such an access
+// back until its epoch applies (settleWords). An abort drops it.
 func (tx *Tx) OnOrdered(fn func()) {
 	if tx.grp == nil {
 		tx.Defer(fn)
@@ -704,7 +704,7 @@ func (tx *Tx) release() {
 	tx.flush.Reset()
 	tx.grp = nil
 	tx.ticket = 0
-	tx.mates = nil
+	tx.mates = tx.mates[:0]
 	if g := tx.reserved; g != nil {
 		g.deltaTx.Store(tx)
 		return

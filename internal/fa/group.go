@@ -21,17 +21,25 @@
 //     first, and every crash image recovers to a prefix of the epoch
 //     order (plus an all-or-nothing subset of the epoch whose marks were
 //     in flight). Within one sequence number RecoverLogs replays in slot
-//     order, which the disjoint-write-set property below makes
+//     order, which the disjoint-written-words property below makes
 //     irrelevant.
 //
-// Within an epoch the queued blocks must also have disjoint write sets.
-// The application's locking no longer guarantees that (an async Commit
-// returns before the app releases its locks' protection window), so the
-// manager tracks every queued block's originals and any transactional
-// access to one of them — read or write — first drains the queue (see
-// groupState.waitClear). Non-transactional readers are not blocked: they
-// observe the pre-epoch state until the drain applies, the documented
-// bounded staleness of async mode.
+// Within an epoch the queued commits must also write disjoint words:
+// word entries that share a sequence number then commute, whatever order
+// replay takes them in. The application's locking no longer guarantees
+// that (an async Commit returns before the app releases its locks'
+// protection window), so the manager keeps, per block, the mask of the
+// words queued commits and a delta materialization in flight hold
+// (groupState.pending), filled at enqueue from each commit's word entries
+// and cleared by the drain that applies them. A transactional access —
+// read or write — to a held word first drains the queue (Tx.settleWords);
+// another word of the same block is current and shares the epoch. The
+// block-level settles (Settle, SettleCommits, FreeRef of a block, and
+// AddDelta) still drain while any word of the block is held, and a
+// pending delta holds its whole block (delta.go).
+// Non-transactional readers are not blocked: they observe the pre-epoch
+// state until the drain applies, the documented bounded staleness of
+// async mode.
 package fa
 
 import (
@@ -73,12 +81,16 @@ type groupState struct {
 	m        *Manager
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []*Tx                 // enqueued commits, ticket order
-	pending  map[core.Ref]struct{} // originals held by queued commits
-	issued   uint64                // tickets handed out
-	durable  uint64                // watermark: last ticket fully durable
-	draining bool                  // an epoch drain is in flight
+	queue    []*Tx               // enqueued commits, ticket order
+	pending  map[core.Ref]uint32 // per block, the words queued commits and an epoch in flight hold
+	issued   uint64              // tickets handed out
+	durable  uint64              // watermark: last ticket fully durable
+	draining bool                // an epoch drain is in flight
 	manual   bool
+	// drained is the drain in flight's scratch list of the words its
+	// epoch holds, cleared from pending once it applies; drains are
+	// serialized, so one buffer serves them all.
+	drained []txBlock
 	// enqueuing counts commits inside enqueue that have not joined the
 	// queue yet: they hold slots no drain can give back before they do.
 	enqueuing atomic.Int64
@@ -86,7 +98,7 @@ type groupState struct {
 	// Delta ledger (delta.go): the net delta folded by AddDelta into each
 	// word, at most one log slot's worth, all materialized by the next
 	// drain. order preserves first-fold order; deltaBlocks is the set of
-	// blocks with a pending delta, for waitClear.
+	// blocks with a pending delta, which the ledger holds whole.
 	ledger      map[deltaKey]int64
 	order       []deltaKey
 	deltaBlocks map[core.Ref]struct{}
@@ -124,7 +136,7 @@ func (m *Manager) SetGroupCommit(opts GroupOptions) error {
 	}
 	g := &groupState{
 		m:           m,
-		pending:     make(map[core.Ref]struct{}),
+		pending:     make(map[core.Ref]uint32),
 		manual:      opts.ManualDrain,
 		ledger:      make(map[deltaKey]int64),
 		deltaBlocks: make(map[core.Ref]struct{}),
@@ -185,7 +197,7 @@ func (m *Manager) AwaitDurable(ticket uint64) {
 		if len(g.queue) == 0 && len(g.order) == 0 && !g.draining {
 			break // ticket never issued or already drained elsewhere
 		}
-		g.drainLocked()
+		g.drainLocked(&m.stats.EpochsWait)
 	}
 	g.mu.Unlock()
 }
@@ -200,7 +212,7 @@ func (m *Manager) DrainDurable() uint64 {
 	}
 	g.mu.Lock()
 	for len(g.queue) > 0 || len(g.order) > 0 || g.draining {
-		g.drainLocked()
+		g.drainLocked(&m.stats.EpochsWait)
 	}
 	w := g.durable
 	g.mu.Unlock()
@@ -221,8 +233,10 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 	g.issued++
 	tx.ticket = g.issued
 	g.queue = append(g.queue, tx)
-	for _, orig := range tx.written {
-		g.pending[orig] = struct{}{}
+	for _, b := range tx.written {
+		if b.logged != 0 {
+			g.pending[b.orig] |= b.logged
+		}
 	}
 	n := len(g.queue)
 	g.m.stats.AsyncCommits.Inc()
@@ -236,7 +250,7 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 	}
 	ticket := tx.ticket
 	if !g.manual && n >= limit {
-		g.drainLocked()
+		g.drainLocked(&g.m.stats.EpochsPressure)
 	}
 	g.mu.Unlock()
 	for _, fn := range ordered {
@@ -245,12 +259,31 @@ func (g *groupState) enqueue(tx *Tx) uint64 {
 	return ticket
 }
 
-// waitClear blocks until no queued commit holds the block orig and no
-// delta is pending on it, draining the queue if needed. Called on every
-// transactional access to an original block (reads included: a block
-// touched by a queued commit has a newer image in its redo log, and one
-// with a pending delta has a newer word in the ledger; basing a new
-// block on the stale original would lose the queued update).
+// heldWords returns the words of block orig whose home words are stale:
+// those queued commits and an epoch in flight hold, and every word of a
+// block with a pending delta. Caller holds g.mu.
+func (g *groupState) heldWords(orig core.Ref) uint32 {
+	if _, folded := g.deltaBlocks[orig]; folded {
+		return ^uint32(0)
+	}
+	return g.pending[orig]
+}
+
+// waitWords drains until none of the given words of block orig is held,
+// and returns the block's held words then: every transactional access
+// to a held word waits here (Tx.locate).
+func (g *groupState) waitWords(orig core.Ref, words uint32) uint32 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.heldWords(orig)&words != 0 {
+		g.drainLocked(&g.m.stats.EpochsConflict)
+	}
+	return g.heldWords(orig)
+}
+
+// waitClear blocks until no word of block orig is held by a queued
+// commit or a pending delta, draining the queue if needed: the block's
+// raw image is then current (Settle, and FreeRef of a block).
 func (g *groupState) waitClear(orig core.Ref) { g.waitFor(orig, true) }
 
 // waitFor is waitClear with the delta half optional: deltas false waits
@@ -259,14 +292,13 @@ func (g *groupState) waitClear(orig core.Ref) { g.waitFor(orig, true) }
 func (g *groupState) waitFor(orig core.Ref, deltas bool) {
 	g.mu.Lock()
 	for {
-		_, held := g.pending[orig]
 		_, folded := g.deltaBlocks[orig]
-		if !held && (!deltas || !folded) {
-			g.mu.Unlock()
-			return
+		if g.pending[orig] == 0 && (!deltas || !folded) {
+			break
 		}
-		g.drainLocked()
+		g.drainLocked(&g.m.stats.EpochsConflict)
 	}
+	g.mu.Unlock()
 }
 
 // awaitSlots is Begin's answer to a slot pool emptied by async commits:
@@ -283,7 +315,7 @@ func (g *groupState) awaitSlots() bool {
 			g.cond.Wait()
 		}
 	case len(g.queue) > 0 && !g.manual:
-		g.drainLocked()
+		g.drainLocked(&g.m.stats.EpochsSlots)
 	case g.enqueuing.Load() > 0:
 		g.mu.Unlock()
 		runtime.Gosched()
@@ -294,47 +326,67 @@ func (g *groupState) awaitSlots() bool {
 	return true
 }
 
-// drainLocked drains the current queue as one epoch. Caller holds g.mu;
-// it is released during the epoch and re-held on return. If another
-// drain is in flight, waits for it instead (the queue it took is a
-// superset decision made under the same lock, so waiting suffices for
-// waitClear/AwaitDurable to make progress on re-check).
-func (g *groupState) drainLocked() {
+// drainLocked drains the current queue as one epoch and counts it under
+// cause, what forced it. Caller holds g.mu; it is released during the
+// epoch and re-held on return. If another drain is in flight, waits for
+// it instead (the queue it took is a superset decision made under the
+// same lock, so waiting suffices for the wait loops and AwaitDurable to
+// make progress on re-check).
+//
+// The epoch is its first Tx (the delta materialization, if any) and that
+// Tx's mates. The mates, the queue and the drained words live in buffers
+// that drains reuse, so a warm drain allocates nothing.
+func (g *groupState) drainLocked(cause *obs.Counter) {
 	for g.draining {
 		g.cond.Wait()
 	}
-	batch, queued := g.queue, len(g.queue)
-	if dtx := g.materializeLocked(); dtx != nil {
-		batch = append([]*Tx{dtx}, batch...)
+	queued := len(g.queue)
+	lead, rest := g.materializeLocked(), g.queue
+	if lead == nil {
+		if queued == 0 {
+			return
+		}
+		lead, rest = rest[0], rest[1:]
 	}
-	if len(batch) == 0 {
-		return
-	}
-	g.queue = nil
-	// Every ticket issued so far is durable or in batch: the queue and
+	lead.mates = append(lead.mates[:0], rest...)
+	g.queue = g.queue[:0]
+	// Captured now: once parked, the epoch's Txs may be recycled.
+	g.drained = g.drained[:0]
+	lead.eachInEpoch(func(tx *Tx) {
+		for _, b := range tx.written {
+			if b.logged != 0 {
+				g.drained = append(g.drained, b)
+			}
+		}
+	})
+	// Every ticket issued so far is durable or in the epoch: the queue and
 	// the whole ledger.
 	last := g.issued
 	g.draining = true
 	g.mu.Unlock()
 
-	origs := g.drainEpoch(batch, queued)
+	g.drainEpoch(lead, queued, cause)
 
 	g.mu.Lock()
-	for _, orig := range origs {
-		delete(g.pending, orig)
+	for _, b := range g.drained {
+		if w := g.pending[b.orig] &^ b.logged; w != 0 {
+			g.pending[b.orig] = w
+		} else {
+			delete(g.pending, b.orig)
+		}
 	}
 	g.durable = last
 	g.draining = false
 	g.cond.Broadcast()
 }
 
-// drainEpoch runs the commit pipeline over the batch, queued of which
-// are async commits (the rest is the delta materialization): the two
-// fences of a commit, paid once for the whole epoch. Every Tx of the
-// batch has run stage 1, a queued commit at enqueue and the
+// drainEpoch runs the commit pipeline over the epoch of lead, queued of
+// whose Txs are async commits (the rest is the delta materialization):
+// the two fences of a commit, paid once for the whole epoch. Every Tx of
+// the epoch has run stage 1, a queued commit at enqueue and the
 // materialization in materializeLocked.
 //
-//	F0  pfence        — every log+write set of the batch durable
+//	F0  pfence        — every log+write set of the epoch durable
 //	    seq + marks   — one sequence number; all blocks' marks written back
 //	F1  pfence        — the epoch's durable commit point
 //	    apply + flush — redo logs applied, dirty originals written back
@@ -347,30 +399,27 @@ func (g *groupState) drainLocked() {
 // slots and freed objects are released only once W covers the epoch's
 // sequence number durably (retireQueue), so no slot collects fresh
 // entries under a mark recovery would still honour.
-func (g *groupState) drainEpoch(batch []*Tx, queued int) (origs []core.Ref) {
-	pool := batch[0].h.Pool()
-	// Capture the pending originals for removal after the epoch: recycling
-	// truncates tx.written and reuses the Tx objects.
-	for _, tx := range batch {
-		origs = append(origs, tx.written...)
-	}
-	lead := batch[0]
-	lead.mates = batch[1:]
+func (g *groupState) drainEpoch(lead *Tx, queued int, cause *obs.Counter) {
+	pool := lead.h.Pool()
 	fence := g.m.retire.beginFence()
 	pool.PFence() // F0
 	lead.commitSeq(fence)
-	for _, tx := range batch {
-		tx.commitMarkBody()
-	}
+	lead.eachInEpoch((*Tx).commitMarkBody)
 	pool.PFence() // F1: the epoch commit point
 	lead.commitRecycle()
-	for _, tx := range batch {
-		tx.commitApplyBody()
-	}
+	lead.eachInEpoch((*Tx).commitApplyBody)
 	g.m.stats.Epochs.Inc()
+	cause.Inc()
 	g.m.stats.EpochTxs.Add(uint64(queued))
 	lead.park()
-	return origs
+}
+
+// eachInEpoch calls fn on tx, the first Tx of an epoch, then on its mates.
+func (tx *Tx) eachInEpoch(fn func(*Tx)) {
+	fn(tx)
+	for _, mate := range tx.mates {
+		fn(mate)
+	}
 }
 
 // groupSnapshot folds the async gauges into an FASnapshot: the fences

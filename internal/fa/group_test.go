@@ -536,3 +536,90 @@ func TestAsyncBeginWaitsForDrains(t *testing.T) {
 		}
 	}
 }
+
+// TestAsyncWordEpochCrashStages crashes an epoch whose two async commits
+// hold different words of one block (accA and accB of shared), each with
+// a word of a block of its own, at every stage of the epoch: enqueued
+// (stage 1 written back, unfenced), past F0, past the marks and F1,
+// applied and parked, and retired. Under every crash policy each commit
+// recovers whole or absent — both of its words or neither — both are
+// there once F1 has passed, and the recovered heap is fsck-clean with no
+// live slot.
+func TestAsyncWordEpochCrashStages(t *testing.T) {
+	type word struct {
+		name     string
+		off      uint64
+		from, to uint64
+	}
+	commits := [][2]word{
+		{{"shared", accA, 100, 150}, {"x", accA, 0, 1}},
+		{{"shared", accB, 5, 6}, {"y", accA, 0, 2}},
+	}
+	stages := []string{"enqueued", "F0", "F1", "applied", "retired"}
+	policies := []nvm.CrashPolicy{nvm.CrashStrict, nvm.CrashAll, nvm.CrashRandom, nvm.CrashTorn}
+	for stage, name := range stages {
+		for seed := int64(0); seed < 12; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				h, mgr, pool, cls := openFA(t, true)
+				accs := map[string]*account{
+					"shared": newAccount(t, h, cls, 100, 5, "shared"),
+					"x":      newAccount(t, h, cls, 0, 0, "x"),
+					"y":      newAccount(t, h, cls, 0, 0, "y"),
+				}
+				if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range commits {
+					tx, err := mgr.Begin()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, w := range c {
+						if err := tx.WriteUint64(accs[w.name].Core(), w.off, w.to); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := tx.CommitTicket(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch stage {
+				case 1, 2:
+					mgr.drainEpochPrefix(stage)
+				case 3, 4:
+					if mgr.DrainDurable(); stage == 4 {
+						mgr.Retire()
+					}
+				}
+				if n := mgr.ObsSnapshot().Epochs; stage >= 3 && n != 1 {
+					t.Fatalf("the two commits drained in %d epochs, want 1", n)
+				}
+
+				rng := rand.New(rand.NewSource(seed))
+				img := pool.CrashImage(policies[seed%int64(len(policies))], rng)
+				h2, _, _, _ := reopenFA(t, img)
+				for i, c := range commits {
+					var got [2]uint64
+					for j, w := range c {
+						po, err := h2.Root().Get(w.name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got[j] = po.(*account).ReadUint64(w.off)
+					}
+					whole, absent := got == [2]uint64{c[0].to, c[1].to}, got == [2]uint64{c[0].from, c[1].from}
+					if !whole && (!absent || stage >= 2) {
+						t.Fatalf("commit %d recovered %v; want %d/%d, or %d/%d before F1",
+							i, got, c[0].to, c[1].to, c[0].from, c[1].from)
+					}
+				}
+				if n := h2.Fsck(func(msg string) { t.Log(msg) }); n != 0 {
+					t.Fatalf("fsck: %d errors", n)
+				}
+				if _, live := LiveSlots(h2.Mem()); len(live) != 0 {
+					t.Fatalf("%d live slots after recovery", len(live))
+				}
+			})
+		}
+	}
+}

@@ -60,11 +60,12 @@ func (tx *Tx) commitPrefix(stage int) {
 func (m *Manager) drainEpochPrefix(stage int) {
 	g := m.group.Load()
 	g.mu.Lock()
-	all := g.queue
-	if dtx := g.materializeLocked(); dtx != nil {
-		all = append([]*Tx{dtx}, all...)
+	lead, rest := g.materializeLocked(), g.queue
+	if lead == nil {
+		lead, rest = rest[0], rest[1:]
 	}
-	g.queue = nil
+	lead.mates = append(lead.mates[:0], rest...)
+	g.queue = g.queue[:0]
 	g.mu.Unlock()
 	pool := m.state.Load().h.Pool()
 	var fence uint64
@@ -73,12 +74,8 @@ func (m *Manager) drainEpochPrefix(stage int) {
 		pool.PFence() // F0
 	}
 	if stage >= 2 {
-		lead := all[0]
-		lead.mates = all[1:]
 		lead.commitSeq(fence)
-		for _, tx := range all {
-			tx.commitMarkBody()
-		}
+		lead.eachInEpoch((*Tx).commitMarkBody)
 		pool.PFence() // F1
 	}
 	// The crash happens here: no apply, no park.

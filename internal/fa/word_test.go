@@ -244,11 +244,13 @@ func TestWordCommitCrashAtEveryStage(t *testing.T) {
 	}
 }
 
-// TestWordAsyncQueuedBlockDrains: a block held only by a queued commit's
-// word entry is in the pending set, so another Tx's access to any word of
-// it, and an AddDelta on it, drain the queue first.
+// TestWordAsyncQueuedBlockDrains: a queued commit holds the words it
+// logged, not its block. Another Tx's access to another word of the block
+// shares the queued commit's epoch; a read or write of the queued word,
+// and a multi-word read that spans it, drain the queue first; and an
+// AddDelta on the block, a block-level settle, drains too.
 func TestWordAsyncQueuedBlockDrains(t *testing.T) {
-	for _, second := range []string{"Tx", "AddDelta"} {
+	for _, second := range []string{"Tx", "ReadQueued", "WriteQueued", "SpanQueued", "AddDelta"} {
 		t.Run(second, func(t *testing.T) {
 			h, mgr, _, cls := openFA(t, false)
 			if err := mgr.SetGroupCommit(GroupOptions{ManualDrain: true}); err != nil {
@@ -269,29 +271,67 @@ func TestWordAsyncQueuedBlockDrains(t *testing.T) {
 			if mgr.DurableWatermark() >= ticket {
 				t.Fatal("the commit drained at enqueue: test premise broken")
 			}
+			run := func(fn func(tx *Tx) error) {
+				t.Helper()
+				if err := mgr.Run(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantA, wantB, drains := uint64(150), uint64(6), true
 			switch second {
 			case "Tx":
-				// accB is not the queued word, but it is in the queued block.
-				if err := mgr.Run(func(tx *Tx) error {
+				// accB is not the queued word, only in the queued block.
+				run(func(tx *Tx) error {
 					v, err := tx.ReadUint64(acc.Core(), accB)
 					if err != nil {
 						return err
 					}
 					return tx.WriteUint64(acc.Core(), accB, v+1)
-				}); err != nil {
-					t.Fatal(err)
-				}
+				})
+				drains = false
+			case "ReadQueued":
+				run(func(tx *Tx) error {
+					v, err := tx.ReadUint64(acc.Core(), accA)
+					if err == nil && v != 150 {
+						t.Errorf("queued word reads %d, want 150", v)
+					}
+					return err
+				})
+				wantB = 5
+			case "WriteQueued":
+				run(func(tx *Tx) error { return tx.WriteUint64(acc.Core(), accA, 151) })
+				wantA, wantB = 151, 5
+			case "SpanQueued":
+				// accA+4..accB+4 covers half of each word: the read's first
+				// word is the queued one.
+				run(func(tx *Tx) error {
+					b, err := tx.ReadBytes(acc.Core(), accA+4, 8)
+					if err == nil && binary.LittleEndian.Uint64(b) != 5<<32 {
+						t.Errorf("span reads %x, want the queued word's high half and accB's low half", b)
+					}
+					return err
+				})
+				wantB = 5
 			case "AddDelta":
 				if _, err := mgr.AddDelta(acc.BlockRefs()[0], heap.HeaderSize+accB, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if mgr.DurableWatermark() < ticket {
-				t.Fatalf("%s on the queued block did not drain it first", second)
+			if drained := mgr.DurableWatermark() >= ticket; drained != drains {
+				t.Fatalf("%s after a queued commit to accA: drained %v, want %v", second, drained, drains)
 			}
+			if n := mgr.ObsSnapshot().EpochsConflict; drains != (n == 1) {
+				t.Fatalf("%d epochs counted as forced by a conflict, want 1 if the access drained", n)
+			}
+			before := mgr.ObsSnapshot().Epochs
 			mgr.DrainDurable()
-			if a, b := acc.ReadUint64(accA), acc.ReadUint64(accB); a != 150 || b != 6 {
-				t.Fatalf("after the drains: %d/%d, want 150/6", a, b)
+			if !drains {
+				if n := mgr.ObsSnapshot().Epochs - before; n != 1 {
+					t.Fatalf("the two commits drained in %d epochs, want 1", n)
+				}
+			}
+			if a, b := acc.ReadUint64(accA), acc.ReadUint64(accB); a != wantA || b != wantB {
+				t.Fatalf("after the drains: %d/%d, want %d/%d", a, b, wantA, wantB)
 			}
 		})
 	}

@@ -75,8 +75,8 @@ func filled[S any](base uint64, samples int) S {
 // lines and keys have only been deleted from it since, with the methods
 // and fields they rendered, except for the fa.sub line, into which
 // word_entries was inserted, and the keys appended at the end of the
-// grid.sub and fa.sub lines: the stage timers and the fa write-backs by
-// stage. Leaves are filled by position, so deleting a
+// grid.sub and fa.sub lines: the stage timers, the fa write-backs by
+// stage and the fa epochs by drain cause. Leaves are filled by position, so deleting a
 // key renumbers the values of the keys after it on its line. The grid is
 // filled on its own from the bases it had inside a StackSnapshot when the
 // file was written, so a metric added to an earlier layer does not

@@ -108,6 +108,13 @@ type FAStats struct {
 	EpochTxs     Counter // commits made durable by an epoch drain
 	AsyncCommits Counter // async commits enqueued (tickets issued)
 
+	// Epochs by what forced their drain; the five add up to Epochs.
+	EpochsWait     Counter // a durability wait: AwaitDurable, DrainDurable
+	EpochsConflict Counter // an access to a held word, or a settle, free or AddDelta of a held block
+	EpochsPressure Counter // the queue reached half the log slots
+	EpochsSlots    Counter // Begin found every free log slot queued
+	EpochsLedger   Counter // AddDelta found the ledger full
+
 	DeltaOps     Counter // delta ops accepted by the async ledger (tickets issued)
 	DeltasFolded Counter // delta ops folded into an already-pending entry
 	DeltaEntries Counter // ledger entries materialized (one word entry + home-line flush each)
@@ -184,6 +191,13 @@ type FASnapshot struct {
 	F1Ns     HistogramSnapshot `json:"f1_ns"`
 	ApplyNs  HistogramSnapshot `json:"apply_ns"`
 	ParkNs   HistogramSnapshot `json:"park_ns"`
+
+	// Epochs by what forced their drain (FAStats).
+	EpochsWait     uint64 `json:"group_epochs_wait"`
+	EpochsConflict uint64 `json:"group_epochs_conflict"`
+	EpochsPressure uint64 `json:"group_epochs_pressure"`
+	EpochsSlots    uint64 `json:"group_epochs_slots"`
+	EpochsLedger   uint64 `json:"group_epochs_ledger"`
 }
 
 // Snapshot captures the counters plus the supplied occupancy gauges.
@@ -442,6 +456,8 @@ func (s StackSnapshot) Report(w io.Writer) {
 			}
 			fmt.Fprintf(w, "fa group commit: %d epochs (avg %.1f tx), %d async commits, %d combined fences, watermark lag %d\n",
 				s.FA.Epochs, avg, s.FA.AsyncCommits, s.FA.CombinedFences, s.FA.WatermarkLag)
+			fmt.Fprintf(w, "fa epochs forced by: %d durability waits, %d conflicts, %d queue pressure, %d slot shortages, %d full ledgers\n",
+				s.FA.EpochsWait, s.FA.EpochsConflict, s.FA.EpochsPressure, s.FA.EpochsSlots, s.FA.EpochsLedger)
 		}
 		if s.FA.DeltaOps > 0 {
 			ratio := float64(s.FA.DeltaOps)

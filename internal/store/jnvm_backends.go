@@ -252,20 +252,32 @@ func (b *JPFABackend) Insert(key string, rec *Record) error {
 	})
 }
 
-// get resolves key to its record, ready for raw reads. In async commit
-// mode two things stand between the map and a trustworthy raw image:
-//
-//   - An acknowledged insert may still sit in the epoch queue — its map
-//     write and mirror update only land at drain — so a miss drains once
-//     and retries before reporting not-found (read-your-acknowledged-
-//     writes for existence).
-//   - A queued update of the record rewrites table words and frees the
-//     old value object when its epoch drains, and any goroutine's drain
-//     may run at any time: the grid's stripe lock keeps new writers of
-//     the key out, not the drain of one already queued. So the record's
-//     blocks are settled before anyone looks at them raw; afterwards the
-//     table is current and nothing queued can free what it points to for
-//     as long as the caller holds the stripe lock.
+// resolve resolves key to its record. In async commit mode an
+// acknowledged insert may still sit in the epoch queue — its map write
+// and mirror update only land at drain — so a miss drains once and
+// retries before reporting not-found (read-your-acknowledged-writes for
+// existence). What it reads raw, the binding and the table's header and
+// field count, no queued commit changes.
+func (b *JPFABackend) resolve(key string, o *core.Object) (r pRecord, ok bool, err error) {
+	r, ok, err = b.lookup(key, o)
+	if !ok && err == nil && b.mgr.CommitMode() == fa.CommitAsync {
+		b.mgr.DrainDurable()
+		r, ok, err = b.lookup(key, o)
+	}
+	return r, ok, err
+}
+
+// get is resolve for a caller that reads the record's words raw: a queued
+// update of the record rewrites table words and frees the old value
+// object when its epoch drains, and any goroutine's drain may run at any
+// time (the grid's stripe lock keeps new writers of the key out, not the
+// drain of one already queued). So the record's blocks are settled whole
+// before anyone looks at them raw; afterwards the table is current and
+// nothing queued can free what it points to for as long as the caller
+// holds the stripe lock. Update needs no settle: it reads raw only the
+// name words' ids and interned bits, which never change, and its value
+// and representation words go through the block, which drains only for
+// a word a queued commit holds.
 //
 // deltas selects the full settle, which also waits out the ledger deltas
 // on the record's counter words — pending, or being applied by an epoch
@@ -275,11 +287,7 @@ func (b *JPFABackend) Insert(key string, rec *Record) error {
 // leave nothing to fold. Outside async mode either settle is one atomic
 // load per block.
 func (b *JPFABackend) get(key string, deltas bool, o *core.Object) (r pRecord, ok bool, err error) {
-	r, ok, err = b.lookup(key, o)
-	if !ok && err == nil && b.mgr.CommitMode() == fa.CommitAsync {
-		b.mgr.DrainDurable()
-		r, ok, err = b.lookup(key, o)
-	}
+	r, ok, err = b.resolve(key, o)
 	if ok {
 		b.settle(&r, deltas)
 	}
@@ -310,10 +318,12 @@ func (b *JPFABackend) Read(key string, consume func(string, []byte)) (bool, erro
 // Update implements Backend. The record is resolved inside the block,
 // so a sampled block's body time (fa's stage timers) covers the whole
 // update; resolving reads only, and a missing key commits an empty block.
+// The record is not settled first (get): an update of one field shares
+// an epoch with a queued update of another.
 func (b *JPFABackend) Update(key string, fields []Field) (bool, error) {
 	found := false
 	err := b.mgr.Run(func(tx *fa.Tx) error {
-		r, ok, err := b.get(key, true, new(core.Object))
+		r, ok, err := b.resolve(key, new(core.Object))
 		if !ok {
 			return err
 		}

@@ -466,3 +466,59 @@ func TestGridConcurrentMixedOps(t *testing.T) {
 		t.Fatalf("Count = %d", g.Count())
 	}
 }
+
+// TestGridAsyncUpdatesShareEpoch: under manual drains, two updates of
+// different fields of one record hold different words of its table, so
+// they share one epoch and both land; two updates of the same field hold
+// the same value word, so the second drains the first before it runs.
+func TestGridAsyncUpdatesShareEpoch(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		second         string
+		epochs, forced uint64
+	}{
+		{"OtherField", "g", 1, 0},
+		{"SameField", "f", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, mgr, _ := openStoreHeap(t, 1<<23, false)
+			b, err := NewJPFABackend(h, mgr, "kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := NewGrid(b)
+			val := func(c byte) []byte { return bytes.Repeat([]byte{c}, 100) }
+			if err := g.Insert("k", &Record{Fields: []Field{{Name: "f", Value: val('a')}, {Name: "g", Value: val('a')}}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.SetGroupCommit(fa.GroupOptions{ManualDrain: true}); err != nil {
+				t.Fatal(err)
+			}
+			before := mgr.ObsSnapshot()
+			if err := g.Update("k", []Field{{Name: "f", Value: val('b')}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Update("k", []Field{{Name: tc.second, Value: val('c')}}); err != nil {
+				t.Fatal(err)
+			}
+			mgr.DrainDurable()
+			d := mgr.ObsSnapshot().Sub(before)
+			if d.Epochs != tc.epochs || d.EpochsConflict != tc.forced || d.EpochTxs != 2 {
+				t.Fatalf("two updates drained in %d epochs, %d forced by a conflict, %d commits; want %d, %d, 2",
+					d.Epochs, d.EpochsConflict, d.EpochTxs, tc.epochs, tc.forced)
+			}
+			want := map[string]string{"f": string(val('b')), "g": string(val('a'))}
+			want[tc.second] = string(val('c'))
+			got := map[string]string{}
+			if err := g.Read("k", func(name string, value []byte) { got[name] = string(value) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 2 || got["f"] != want["f"] || got["g"] != want["g"] {
+				t.Fatalf("after the drain: f=%.4q... g=%.4q..., want f=%.4q... g=%.4q...", got["f"], got["g"], want["f"], want["g"])
+			}
+			if n := FsckRecords(h, func(msg string) { t.Error(msg) }); n != 0 {
+				t.Fatalf("fsck: %d errors", n)
+			}
+		})
+	}
+}

@@ -4,7 +4,7 @@
 # and every other grid read regime must stay within a small ceiling; gate
 # the wire server's per-request allocations and the wire client's
 # per-reply ones (DESIGN.md §16); and gate the J-PFA commit (DESIGN.md
-# §11) at none. Runs the
+# §11) and the async epoch drain (DESIGN.md §15) at none. Runs the
 # benchmarks once and parses the -benchmem column, so a stray allocation
 # in a hot loop fails CI instead of silently costing GC.
 #
@@ -26,10 +26,15 @@ if [ -z "$out" ]; then
         ./internal/wire/ | tee -a "$out"
     go test -run '^$' -bench 'CommitSingleField' -benchtime 20000x -benchmem \
         ./internal/fa/ | tee -a "$out"
+    go test -run '^$' -bench 'CommitParallel/async-await/committers=1$' -benchtime 2000x -benchmem \
+        ./internal/fa/ | tee -a "$out"
+    go test -run '^$' -bench 'DeltaEpoch' -benchtime 2000x -benchmem \
+        ./internal/fa/ | tee -a "$out"
 fi
 
 # ceiling <pattern> <max allocs/op>: every matching benchmark row must
-# report at most max.
+# report at most max. The count is the field before "allocs/op", wherever
+# a benchmark's own metrics put it.
 fail=0
 ceiling() {
     pattern=$1
@@ -40,12 +45,12 @@ ceiling() {
         fail=1
         return
     fi
-    echo "$rows" | while read -r name _ _ _ _ _ allocs _; do
-        if [ "$allocs" -gt "$max" ]; then
-            echo "check_allocs: $name reports $allocs allocs/op (ceiling $max)" >&2
-            exit 1
-        fi
-    done || fail=1
+    echo "$rows" | awk -v max="$max" '{
+        allocs = ""
+        for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i - 1)
+        if (allocs == "") { printf "check_allocs: %s reports no allocs/op (run with -benchmem)\n", $1; bad = 1 }
+        else if (allocs + 0 > max + 0) { printf "check_allocs: %s reports %s allocs/op (ceiling %s)\n", $1, allocs, max; bad = 1 }
+    } END { exit bad }' >&2 || fail=1
 }
 
 # The tentpole invariants: the seqlock zero-copy read, the proxy-cached
@@ -86,6 +91,11 @@ ceiling 'ClientWindow/(read|update|adddelta|bigupdate)' 0
 # A warm one-word J-PFA commit reuses its Tx's write set, log slot and
 # flush set, so it allocates nothing.
 ceiling 'CommitSingleField' 0
+
+# A warm async drain reuses the queue, the epoch's mates and the drained
+# words: an awaited async commit, and a delta epoch, allocate nothing.
+ceiling 'CommitParallel/async-await/committers=1(-[0-9]+)?[[:space:]]' 0
+ceiling 'DeltaEpoch' 0
 
 if [ "$fail" -ne 0 ]; then
     exit 1

@@ -180,7 +180,7 @@ go  \b(FenceCombiner|CommitGroup|commitGrouped)\b  a third commit protocol (per-
 internal/stack/stack.go  case[^:]*"group"  a third commit protocol (per-Tx and async only)
 all  LFMap|LFSet|JPDTLF|J-PDT-LF|LockFreeBackend  the lock-free map (one persistent map: pdt.Map)
 all  traverseParallel|SweepParallel|sweepConcurrent|rebuildParallel|RecoverParallelism|RecoverOptions  the parallel recovery pipeline (one recovery procedure)
-all  Scanner|ErrNoScan|ExtE|OpScan|ScanDB|CacheHot|SetCacheHot|hotCache|gen\.For  an extension the paper does not run (YCSB-E scans, the hot-proxy cache, the layout binder)
+all  (^|[^.[:alnum:]_])Scanner\b|ErrNoScan|ExtE|OpScan|ScanDB|CacheHot|SetCacheHot|hotCache|gen\.For  an extension the paper does not run (YCSB-E scans, the hot-proxy cache, the layout binder)
 all  kindWrite|inflightFor|copyDirtyLines|TransientPool|wordsPerBlock|lineMask|InflightCopies|WriteAllFields  the in-flight block copy (a transactional store to a valid block logs words)
 all  deltaTxChunk|deltaLedgerMax|leftoverMin|deltaYield|epochStage1|minTicket  a drain that cannot land the whole ledger (the ledger is capped at one log slot)
 go  \bClassPair\b|pdt\.pair  the pair class (a binding is two words of the map's array)

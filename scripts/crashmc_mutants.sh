@@ -1,7 +1,7 @@
 #!/bin/sh
 # Ordering mutants: crashmc must notice a missing fence. Each mutant
-# deletes one fence (or one write-back) from a fresh copy of HEAD (git
-# archive), runs the bounded
+# deletes one fence (or one write-back, or one drain) from a fresh copy
+# of HEAD (git archive), runs the bounded
 # exploration with -max-failures 1 and compares the workloads that fail
 # with the ones that must. The script fails when any mutant is caught by
 # a different set of workloads, and when a patch no longer applies: then
@@ -76,12 +76,27 @@ EOF
 mutant epoch "gridgroup griddelta gridinline" <<'EOF'
 --- a/internal/fa/group.go
 +++ b/internal/fa/group.go
-@@ -368,5 +368,4 @@
- 	lead.mates = batch[1:]
+@@ -403,5 +403,4 @@
+ 	pool := lead.h.Pool()
  	fence := g.m.retire.beginFence()
 -	pool.PFence() // F0
  	lead.commitSeq(fence)
- 	for _, tx := range batch {
+ 	lead.eachInEpoch((*Tx).commitMarkBody)
+EOF
+
+# heldword: the word-granular drain of a transactional access, which
+# keeps two commits of one epoch off one word. Let through, a Tx bases
+# its store on a home word a queued commit is about to rewrite.
+mutant heldword "gridgroup griddelta gridinline" <<'EOF'
+--- a/internal/fa/group.go
++++ b/internal/fa/group.go
+@@ -276,5 +276,5 @@
+ 	g.mu.Lock()
+ 	defer g.mu.Unlock()
+-	for g.heldWords(orig)&words != 0 {
++	for false {
+ 		g.drainLocked(&g.m.stats.EpochsConflict)
+ 	}
 EOF
 
 # mapput: Map.Put's publication fence, which makes the key and the value
