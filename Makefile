@@ -20,7 +20,7 @@ RACE_ENV_TESTS = TestEnvCommitModes
 RACE_MAP_TESTS = TestMapCacheConcurrentChurn|TestMapReplaceVsGrowthAndGet|TestMapTxStructuralChurnConcurrent
 
 .PHONY: check vet build test race bench-read bench-e2e-smoke \
-	microbench lint fmt-check structure-check staticcheck crashmc-smoke crashmc-mutants \
+	lint fmt-check structure-check staticcheck crashmc-smoke crashmc-mutants \
 	coverage paper
 
 check: vet build test race
@@ -76,9 +76,6 @@ bench-e2e-smoke:
 	cd benchmarks && $(GO) test ./...
 	bash benchmarks/run.sh --workload net-a --quick
 
-microbench:
-	$(GO) test -bench=. -benchmem .
-
 # Crash-consistency exploration of every point of every workload, as
 # per-push CI runs it (the CI job adds -out for its report). The nightly
 # job takes 8 samples per point and a rotating seed.
@@ -95,7 +92,7 @@ crashmc-mutants:
 # (about 5 min on a 2-core host): file:experiments. The command is built,
 # not run with go run, so each file's header line names the commit.
 PAPER_RESULTS = gcsweep:fig1,fig2 ycsb:fig7,fig8,fig9a,fig9b,fig9c,fig9d,fig10 \
-	tpcb:fig11 datatypes:fig12 delsites:table1 blockbw:table3,frag
+	tpcb:fig11 datatypes:fig12 delsites:table1 blockbw:table3,frag ablation:ablation
 
 paper:
 	$(GO) build -o .paper_build/paper ./cmd/paper

@@ -1,8 +1,8 @@
 // Command paper regenerates the tables and figures of the paper's
 // evaluation: Figures 1 and 2 (the GC counter-examples of §2.2), Table 1
 // (deletion sites), Figures 7-10 (YCSB), Figure 11 (TPC-B recovery),
-// Figure 12 (data types), Table 3 (block bandwidth) and the internal
-// fragmentation of §5.3.5.
+// Figure 12 (data types), Table 3 (block bandwidth), the internal
+// fragmentation of §5.3.5 and the ablations of DESIGN.md §7.
 //
 // Usage:
 //
@@ -79,6 +79,28 @@ var experiments = []experiment{
 	{"frag", func(_ bench.Scale, w io.Writer) (any, error) {
 		return show(w, bench.PrintFragmentation)(bench.Fragmentation(), nil)
 	}},
+	{"ablation", func(sc bench.Scale, w io.Writer) (any, error) {
+		return show(w, bench.PrintAblation)(ablations(sc.Operations))
+	}},
+}
+
+// ablations runs the four ablations of DESIGN.md §7, each over ops
+// operations (per worker for log-slots; 0 keeps each one's default).
+func ablations(ops int) ([]bench.AblationRow, error) {
+	var rows []bench.AblationRow
+	for _, run := range []func(int) ([]bench.AblationRow, error){
+		func(n int) ([]bench.AblationRow, error) { return bench.AblationValidation(n, 0) },
+		func(n int) ([]bench.AblationRow, error) { return bench.AblationSmallPool(n, 0) },
+		func(n int) ([]bench.AblationRow, error) { return bench.AblationLogSlots(n, 0) },
+		bench.AblationFenceCost,
+	} {
+		r, err := run(ops)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r...)
+	}
+	return rows, nil
 }
 
 func fig9(panel string) func(bench.Scale, io.Writer) (any, error) {

@@ -20,6 +20,7 @@ func TestEveryExperimentPrintsItsTitle(t *testing.T) {
 		"fig9a": "Figure 9a —", "fig9b": "Figure 9b —", "fig9c": "Figure 9c —", "fig9d": "Figure 9d —",
 		"fig10": "Figure 10 —", "fig11": "Figure 11 —", "fig12": "Figure 12 —",
 		"table1": "Table 1 —", "table3": "Table 3 —", "frag": "Internal fragmentation",
+		"ablation": "Ablation —",
 	}
 	if len(titles) != len(experiments) {
 		t.Fatalf("%d titles for %d experiments", len(titles), len(experiments))

@@ -320,7 +320,7 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batched validation pays by issuing one fence per batch instead of
-	// one per object; the ns/op that follows is left to -bench.
+	// one per object; the ns/op that follows is left to `paper -exp ablation`.
 	for i, batch := range []uint64{1, 8, 64, 512} {
 		if want := (nV + batch - 1) / batch; rowsV[i].Fences != want {
 			t.Errorf("validation batch=%d issued %d fences, want %d", batch, rowsV[i].Fences, want)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/gcsim"
 	"repro/internal/nvm"
 	"repro/internal/obs"
-	"repro/internal/stack"
 	"repro/internal/tpcb"
 	"repro/internal/ycsb"
 )
@@ -316,18 +315,6 @@ func Fig11(cfg Fig11Config) ([]*tpcb.Timeline, error) {
 		cfg.Bucket = 100 * time.Millisecond
 	}
 	poolBytes := cfg.Accounts*512 + (32 << 20)
-	// openJNVM opens (or re-opens) a bank on pool under the configured
-	// commit protocol; recovery itself always runs before the mode takes
-	// effect, so the restart path is mode-independent.
-	openJNVM := func(pool *nvm.Pool, accounts int, nogc bool) (tpcb.Bank, error) {
-		sc := tpcb.StackConfig(nogc)
-		sc.Commit = cfg.Commit
-		st, err := stack.Open(pool, sc)
-		if err != nil {
-			return nil, err
-		}
-		return tpcb.NewJNVMBank(st, accounts)
-	}
 
 	var systems []tpcb.System
 	// Volatile: restart from a blank state.
@@ -336,25 +323,15 @@ func Fig11(cfg Fig11Config) ([]*tpcb.Timeline, error) {
 		Start:   func() (tpcb.Bank, error) { return tpcb.NewVolatileBank(cfg.Accounts), nil },
 		Restart: func() (tpcb.Bank, error) { return tpcb.NewVolatileBank(cfg.Accounts), nil },
 	})
-	// J-PFA: full recovery GC at restart.
-	{
+	// J-PFA recovers with its recovery GC, J-PFA-nogc with a header scan.
+	for _, j := range []struct {
+		name, metrics string
+		nogc          bool
+	}{{"J-PFA", "tpcb_jpfa_nvm", false}, {"J-PFA-nogc", "tpcb_jpfa_nogc_nvm", true}} {
 		pool := nvm.New(poolBytes, nvm.Options{FenceLatency: DefaultFenceNs})
-		obs.Default.Publish("tpcb_jpfa_nvm", func() any { return pool.Obs().Snapshot() })
-		systems = append(systems, tpcb.System{
-			Name:    "J-PFA",
-			Start:   func() (tpcb.Bank, error) { return openJNVM(pool, cfg.Accounts, false) },
-			Restart: func() (tpcb.Bank, error) { return openJNVM(pool, cfg.Accounts, false) },
-		})
-	}
-	// J-PFA-nogc: header-scan recovery.
-	{
-		pool := nvm.New(poolBytes, nvm.Options{FenceLatency: DefaultFenceNs})
-		obs.Default.Publish("tpcb_jpfa_nogc_nvm", func() any { return pool.Obs().Snapshot() })
-		systems = append(systems, tpcb.System{
-			Name:    "J-PFA-nogc",
-			Start:   func() (tpcb.Bank, error) { return openJNVM(pool, cfg.Accounts, true) },
-			Restart: func() (tpcb.Bank, error) { return openJNVM(pool, cfg.Accounts, true) },
-		})
+		obs.Default.Publish(j.metrics, func() any { return pool.Obs().Snapshot() })
+		open := func() (tpcb.Bank, error) { return tpcb.OpenJNVMBank(pool, cfg.Accounts, j.nogc, cfg.Commit) }
+		systems = append(systems, tpcb.System{Name: j.name, Start: open, Restart: open})
 	}
 	// FS: files survive; the restart eagerly rewarms the 10% cache.
 	{

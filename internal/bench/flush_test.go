@@ -109,7 +109,7 @@ func TestFlushRates(t *testing.T) {
 	// home lines.
 	const accounts, transfers = 1000, 1000
 	pool := nvm.New(accounts*512+(32<<20), nvm.Options{FenceLatency: 1})
-	bank, err := tpcb.OpenJNVMBank(pool, accounts, false)
+	bank, err := tpcb.OpenJNVMBank(pool, accounts, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,11 +356,6 @@ type RecoverySnapshot struct {
 // Snapshot captures the current counter values.
 func (s *RecoveryStats) Snapshot() RecoverySnapshot { return load[RecoverySnapshot](s) }
 
-// TotalNs returns the summed wall time of all recovery phases.
-func (s RecoverySnapshot) TotalNs() uint64 {
-	return s.ReplayNs + s.MarkNs + s.SweepNs + s.RebuildNs
-}
-
 // Sub returns the delta since prev.
 func (s RecoverySnapshot) Sub(prev RecoverySnapshot) RecoverySnapshot { return sub(s, prev) }
 
@@ -468,7 +463,7 @@ func (s StackSnapshot) Report(w io.Writer) {
 				s.FA.DeltaOps, s.FA.DeltasFolded, s.FA.DeltaEntries, ratio, s.FA.DeltaFlushesSaved)
 		}
 	}
-	if r := s.Recovery; r != nil && r.TotalNs() > 0 {
+	if r := s.Recovery; r != nil && r.ReplayNs+r.MarkNs+r.SweepNs+r.RebuildNs > 0 {
 		fmt.Fprintf(w, "recovery: %s replay, %s mark, %s sweep, %s rebuild; %d tx, %d live obj, %d marked, %d swept, %d nullified, %d rebuilt\n",
 			ns(r.ReplayNs), ns(r.MarkNs), ns(r.SweepNs), ns(r.RebuildNs),
 			r.ReplayedTx, r.LiveObjects, r.MarkedBlocks, r.SweptBlocks, r.NullifiedRefs, r.RebuildEntries)

@@ -201,7 +201,8 @@ func EstimatePoolBytes(records, fieldCount, fieldLen int) int {
 // pool sized for the dataset, freshly formatted or, under DataDir,
 // recovered. The paper disables record caching for the J-NVM backends
 // (§5.3.1: "caching brings almost no performance benefits"); the FS
-// family keeps its record cache and owns no pool.
+// family keeps its record cache and owns no pool. This is the one place
+// an FS-family backend is built; FS reopens the files under Dir.
 func OpenGrid(cfg GridConfig) (*Stack, error) {
 	if _, ok := backends[cfg.Backend]; ok {
 		if cfg.FenceNs == 0 {
@@ -215,6 +216,7 @@ func OpenGrid(cfg GridConfig) (*Stack, error) {
 	}
 	st := &Stack{}
 	var b store.Backend
+	var err error
 	switch cfg.Backend {
 	case Volatile:
 		b = store.NewVolatileBackend()
@@ -225,18 +227,15 @@ func OpenGrid(cfg GridConfig) (*Stack, error) {
 	case FS:
 		dir := cfg.Dir
 		if dir == "" {
-			var err error
 			if dir, err = os.MkdirTemp("", "jnvm-fs-*"); err != nil {
 				return nil, err
 			}
 			st.cleanup = func() { os.RemoveAll(dir) }
 		}
-		fsb, err := store.NewFSBackend(dir)
-		if err != nil {
+		if b, err = store.NewFSBackend(dir); err != nil {
 			st.Close()
 			return nil, err
 		}
-		b = fsb
 	default:
 		return nil, fmt.Errorf("stack: unknown backend %q", cfg.Backend)
 	}

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -87,6 +88,61 @@ func TestOpenShapes(t *testing.T) {
 	} {
 		if _, err := open(); err == nil {
 			t.Errorf("%s: opened", name)
+		}
+	}
+}
+
+// TestFSGridReopensItsDir: an FS grid written on a Dir, dropped and
+// opened again on that Dir rebuilds its key set from the files: it counts
+// every record and reads each back, the update and the delete included.
+// Close leaves a caller's Dir in place.
+func TestFSGridReopensItsDir(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Stack {
+		st, err := OpenGrid(GridConfig{Backend: FS, Dir: dir, CacheEntries: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	const n = 600 // more keys than shards
+	st := open()
+	for i := 0; i < n; i++ {
+		rec := &store.Record{Fields: []store.Field{{Name: "v", Value: []byte(fmt.Sprint(i))}}}
+		if err := st.Grid.Insert(fmt.Sprintf("k%03d", i), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Grid.Update("k007", []store.Field{{Name: "v", Value: []byte("seven")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Grid.Delete("k009"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = open()
+	defer st.Close()
+	if c := st.Grid.Count(); c != n-1 {
+		t.Fatalf("reopened grid counts %d records, want %d", c, n-1)
+	}
+	for i := 0; i < n; i++ {
+		want := fmt.Sprint(i)
+		if i == 7 {
+			want = "seven"
+		}
+		var got string
+		err := st.Grid.Read(fmt.Sprintf("k%03d", i), func(_ string, v []byte) { got = string(v) })
+		if i == 9 {
+			if !errors.Is(err, store.ErrNotFound) {
+				t.Fatalf("deleted k009 after reopen: %v", err)
+			}
+			continue
+		}
+		if err != nil || got != want {
+			t.Fatalf("k%03d after reopen: %q, %v; want %q", i, got, err, want)
 		}
 	}
 }

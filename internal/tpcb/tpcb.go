@@ -74,9 +74,13 @@ func StackConfig(skipGraphGC bool) stack.Config {
 }
 
 // OpenJNVMBank creates (first run) or reopens (after a crash) the bank on
-// the pool, with the default commit protocol.
-func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, error) {
-	st, err := stack.Open(pool, StackConfig(skipGraphGC))
+// the pool under a commit protocol (stack.Config.Commit). Recovery runs
+// before the protocol takes effect, so the restart path is the same for
+// every protocol.
+func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool, commit string) (*JNVMBank, error) {
+	cfg := StackConfig(skipGraphGC)
+	cfg.Commit = commit
+	st, err := stack.Open(pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -84,9 +88,8 @@ func OpenJNVMBank(pool *nvm.Pool, accounts int, skipGraphGC bool) (*JNVMBank, er
 }
 
 // NewJNVMBank creates or reattaches the bank over a stack opened with
-// StackConfig — the entry point for callers that open the stack
-// themselves: to set the commit protocol (Figure 11), or to recover a
-// crash image (the crash explorer).
+// StackConfig — the entry point for a caller that opens the stack itself
+// to recover a crash image (the crash explorer).
 func NewJNVMBank(st *stack.Stack, accounts int) (*JNVMBank, error) {
 	h, mgr := st.Heap, st.Mgr
 	b := &JNVMBank{h: h, mgr: mgr, n: accounts}
@@ -243,13 +246,13 @@ type FSBank struct {
 // OpenFSBank creates or reopens the bank under dir. cacheRatio is the
 // fraction of accounts kept in the volatile cache.
 func OpenFSBank(dir string, accounts int, cacheRatio float64) (*FSBank, error) {
-	backend, err := store.NewFSBackend(dir)
+	st, err := stack.OpenGrid(stack.GridConfig{Backend: stack.FS, Dir: dir, CacheEntries: int(cacheRatio * float64(accounts))})
 	if err != nil {
 		return nil, err
 	}
-	g := store.NewGrid(store.Cached(backend, int(cacheRatio*float64(accounts))))
+	g := st.Grid
 	b := &FSBank{g: g, n: accounts}
-	if backend.Count() == 0 {
+	if g.Count() == 0 {
 		pad := make([]byte, AccountSize-8)
 		for i := 0; i < accounts; i++ {
 			rec := &store.Record{Fields: []store.Field{

@@ -23,7 +23,7 @@ func sumBalances(t *testing.T, b Bank) int64 {
 
 func TestJNVMBankTransfers(t *testing.T) {
 	pool := nvm.New(1<<24, nvm.Options{})
-	b, err := OpenJNVMBank(pool, 100, false)
+	b, err := OpenJNVMBank(pool, 100, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestJNVMBankTransfers(t *testing.T) {
 
 func TestJNVMBankSurvivesRestart(t *testing.T) {
 	pool := nvm.New(1<<24, nvm.Options{})
-	b, err := OpenJNVMBank(pool, 50, false)
+	b, err := OpenJNVMBank(pool, 50, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestJNVMBankSurvivesRestart(t *testing.T) {
 	}
 
 	// Crash: drop all volatile state, reopen the pool.
-	b2, err := OpenJNVMBank(pool, 50, false)
+	b2, err := OpenJNVMBank(pool, 50, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,12 @@ func TestJNVMBankSurvivesRestart(t *testing.T) {
 
 func TestJNVMBankNoGCRestart(t *testing.T) {
 	pool := nvm.New(1<<24, nvm.Options{})
-	b, err := OpenJNVMBank(pool, 50, true)
+	b, err := OpenJNVMBank(pool, 50, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Transfer(1, 2, 10)
-	b2, err := OpenJNVMBank(pool, 50, true)
+	b2, err := OpenJNVMBank(pool, 50, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestJNVMBankCrashAtomicity(t *testing.T) {
 	// Tracked pool + strict crash right after Transfer returns: the
 	// committed failure-atomic block survives; conservation holds.
 	pool := nvm.New(1<<24, nvm.Options{Tracked: true})
-	b, err := OpenJNVMBank(pool, 20, false)
+	b, err := OpenJNVMBank(pool, 20, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestJNVMBankCrashAtomicity(t *testing.T) {
 	}
 	img := pool.CrashImage(nvm.CrashStrict, nil)
 	_ = img // CrashStrict ignores rng only for strict; pass through
-	b2, err := OpenJNVMBank(img, 20, false)
+	b2, err := OpenJNVMBank(img, 20, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestJNVMBankCrashAtomicity(t *testing.T) {
 
 func TestJNVMBankConcurrentTransfers(t *testing.T) {
 	pool := nvm.New(1<<25, nvm.Options{})
-	b, err := OpenJNVMBank(pool, 64, false)
+	b, err := OpenJNVMBank(pool, 64, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,9 @@ func TestHarnessTimeline(t *testing.T) {
 	pool := nvm.New(1<<25, nvm.Options{})
 	sys := System{
 		Name:  "J-PFA",
-		Start: func() (Bank, error) { return OpenJNVMBank(pool, 500, false) },
+		Start: func() (Bank, error) { return OpenJNVMBank(pool, 500, false, "") },
 		Restart: func() (Bank, error) {
-			return OpenJNVMBank(pool, 500, false)
+			return OpenJNVMBank(pool, 500, false, "")
 		},
 	}
 	tl, err := Run(sys, RunOptions{

@@ -37,7 +37,9 @@
 #     version is the one refusal), and crashmc replaying the workload per
 #     crash point, and a command per figure (cmd/paper runs them all).
 #     benchmarks/ and this file are exempt. A dirs row matches the
-#     directories under cmd/ and internal/ instead of file contents.
+#     directories under cmd/ and internal/ instead of file contents, a
+#     root row the Go files at the repository root, and a !dir row the Go
+#     files outside dir.
 #  7. Documented counts. The "points (seed 1)" column of DESIGN.md §13's
 #     workload table is the map TestOrderingPointCounts pins
 #     (internal/crashmc/crashmc_test.go), row for row.
@@ -161,13 +163,16 @@ while read -r scope pat what; do
     if [ "$scope" = dirs ]; then
         hits=$(find cmd internal -type d | grep -E -e "$pat" || true)
     else
+        outside='^$'
         case $scope in
         go) set -- -r --include='*.go' . ;;
         all) set -- -r --include='*.go' --include=Makefile --include='*.sh' --include='*.yml' . ;;
+        root) set -- -H ./*.go ;;
+        !*) outside="^\./${scope#!}/"; set -- -r --include='*.go' . ;;
         *) if [ -d "$scope" ]; then set -- -r --include='*.go' "$scope"; else set -- -H "$scope"; fi ;;
         esac
         hits=$(grep -nE -e "$pat" "$@" |
-            grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' || true)
+            grep -v -e '^\./benchmarks/' -e '^\./scripts/check_structure\.sh:' -e "$outside" || true)
     fi
     if [ -n "$hits" ]; then
         echo "$what is back:" >&2
@@ -196,6 +201,10 @@ internal/wire  func[[:space:]]+Dial\(  a second wire client constructor (wire.Di
 dirs  ^cmd/(ycsb|gcsweep|tpcb|datatypes|blockbw|delsites)$  a single-figure command (cmd/paper runs every table and figure)
 internal/bench  type[[:space:]]+Env[[:space:]]+struct  a second environment type (bench.Env is stack.Stack)
 go  NewGrid\([A-Za-z_.]*\.Backend\)  a grid built by hand over a stack's backend (stack.Open builds the one grid: st.Grid)
+go  \b(TmpFSBackend|NullFSBackend|FSBackend)\b  an FS-family backend type (TmpFS, NullFS and FS are one marshalling backend over its files)
+!internal/stack  store\.New(TmpFS|NullFS|FS)Backend\(  an FS-family backend built outside stack.OpenGrid (the one place one is built)
+root  ^func[[:space:]]+Benchmark  a benchmark at the repository root (cmd/paper runs every experiment)
+all  \bmicrobench\b  the microbench target (cmd/paper runs every experiment)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
