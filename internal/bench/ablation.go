@@ -31,6 +31,8 @@ type AblationRow struct {
 	// (validation-batching and fence-cost): the cause of the NsPerOp
 	// differences, and what the tests assert instead of wall clocks.
 	Fences uint64
+	// PWBs counts the cache-line write-backs of validation-batching's loop.
+	PWBs uint64
 }
 
 // ablationHeap opens a bare stack with logSlots redo-log slots of 16 KiB.
@@ -53,50 +55,53 @@ func AblationValidation(n int, fenceNs int) ([]AblationRow, error) {
 	if fenceNs == 0 {
 		fenceNs = DefaultFenceNs
 	}
-	run := func(batch int) (time.Duration, uint64, error) {
+	run := func(batch int) (AblationRow, error) {
+		row := AblationRow{Experiment: "validation-batching", Variant: fmt.Sprintf("batch=%d", batch), AuxName: "Kpub/s"}
 		h, _, err := ablationHeap(fenceNs, n*320+(16<<20), 64)
 		if err != nil {
-			return 0, 0, err
+			return row, err
 		}
 		arr, err := pdt.NewRefArray(h, n)
 		if err != nil {
-			return 0, 0, err
+			return row, err
 		}
 		arr.Validate()
 		h.PSync()
 		cls := h.MustClass(pdt.ClassBytes)
-		fences := h.Pool().Obs().Snapshot().Fences()
+		before := h.Pool().Obs().Snapshot()
 		start := time.Now()
 		for i := 0; i < n; i += batch {
-			for j := i; j < i+batch && j < n; j++ {
+			end := min(i+batch, n)
+			for j := i; j < end; j++ {
 				po, err := h.Alloc(cls, 64)
 				if err != nil {
-					return 0, 0, err
+					return row, err
 				}
 				po.Core().WriteUint32(0, 60)
 				po.Core().PWB()
 				po.Core().Validate() // flushed, unfenced
 				arr.Core().WriteRef(uint64(j)*8, po.Core().Ref())
 			}
-			arr.PWB()
-			h.PFence() // one fence publishes the whole batch (Figure 5)
+			// Write back the lines of the batch's slots; one fence
+			// publishes the whole batch (Figure 5).
+			arr.Core().PWBField(uint64(i)*8, uint64(end-i)*8)
+			h.PFence()
 		}
-		return time.Since(start), h.Pool().Obs().Snapshot().Fences() - fences, nil
+		d := time.Since(start)
+		after := h.Pool().Obs().Snapshot()
+		row.NsPerOp = float64(d.Nanoseconds()) / float64(n)
+		row.Aux = float64(n) / d.Seconds() / 1000
+		row.Fences = after.Fences() - before.Fences()
+		row.PWBs = after.PWBs - before.PWBs
+		return row, nil
 	}
 	var rows []AblationRow
 	for _, batch := range []int{1, 8, 64, 512} {
-		d, fences, err := run(batch)
+		row, err := run(batch)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Experiment: "validation-batching",
-			Variant:    fmt.Sprintf("batch=%d", batch),
-			NsPerOp:    float64(d.Nanoseconds()) / float64(n),
-			Aux:        float64(n) / d.Seconds() / 1000,
-			AuxName:    "Kpub/s",
-			Fences:     fences,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -319,11 +319,14 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batched validation pays by issuing one fence per batch instead of
-	// one per object; the ns/op that follows is left to `paper -exp ablation`.
+	// Batched validation issues one fence per batch instead of one per
+	// object, at the same few pwb per publish (`paper -exp ablation` times it).
 	for i, batch := range []uint64{1, 8, 64, 512} {
 		if want := (nV + batch - 1) / batch; rowsV[i].Fences != want {
 			t.Errorf("validation batch=%d issued %d fences, want %d", batch, rowsV[i].Fences, want)
+		}
+		if rowsV[i].PWBs > 6*nV {
+			t.Errorf("validation batch=%d issued %d pwb for %d publishes, want at most 6 each", batch, rowsV[i].PWBs, nV)
 		}
 	}
 	rowsP, err := AblationSmallPool(5000, 100)

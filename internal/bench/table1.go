@@ -27,15 +27,15 @@ var freeCalls = map[string]bool{
 }
 
 // Table1 counts the deletion sites for persistent objects in the non-test
-// Go of each tree (nil: this repository's store, bank, data types and
-// examples, relative to the working directory), supporting the paper's
-// argument that explicit deletion is rare in data stores ("a handful of
-// deletion sites", §2.2.2) and a runtime GC for NVMM therefore buys
-// little. A deletion site is a call that frees persistent storage:
-// Free(...), FreeObject(...), tx.Free(...) and so on.
+// Go of each tree (nil: this repository's store, bank and data types,
+// relative to the working directory), supporting the paper's argument
+// that explicit deletion is rare in data stores ("a handful of deletion
+// sites", §2.2.2) and a runtime GC for NVMM therefore buys little. A
+// deletion site is a call that frees persistent storage: Free(...),
+// FreeObject(...), tx.Free(...) and so on.
 func Table1(trees []string) ([]Table1Row, error) {
 	if trees == nil {
-		trees = []string{"./internal/store", "./internal/tpcb", "./internal/pdt", "./examples"}
+		trees = []string{"./internal/store", "./internal/tpcb", "./internal/pdt"}
 	}
 	var rows []Table1Row
 	for _, tree := range trees {

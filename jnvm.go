@@ -15,7 +15,7 @@
 //   - J-PDT: ready-made persistent data types (strings, arrays, maps,
 //     sets) that are crash-consistent without failure-atomic blocks.
 //   - Low level: explicit PWB/PFence/Validate for hand-tuned persistence
-//     (see Object's methods and the examples).
+//     (see Object's methods and the package's examples).
 //
 // Quick start:
 //
@@ -31,7 +31,6 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/pdt"
 	"repro/internal/stack"
-	"repro/internal/store"
 )
 
 // Re-exported core types: the programming model of §2/§3.
@@ -69,13 +68,6 @@ type (
 	MirrorKind = pdt.MirrorKind
 	// CacheMode selects a map's proxy-caching variant.
 	CacheMode = pdt.CacheMode
-
-	// Grid is the embedded data-grid substrate of the evaluation.
-	Grid = store.Grid
-	// Record is the grid's volatile record representation.
-	Record = store.Record
-	// Field is one named record field.
-	Field = store.Field
 )
 
 // Mirror kinds for NewMap.
@@ -99,19 +91,12 @@ type Options struct {
 	Path string
 	// Size is the pool size in bytes (defaults to 64 MiB).
 	Size int
-	// Tracked enables the crash-injectable cache-line model (in-memory
-	// pools only); see nvm.Pool.
-	Tracked bool
-	// FenceLatencyNs is the NVMM latency model: the busy-wait cost of
-	// each fence (a PWB is free).
-	FenceLatencyNs int
 	// Classes are the application's persistent classes (J-PDT, the store
 	// record class and the root classes register automatically).
 	Classes []*Class
 	// SkipGraphGC selects header-scan recovery (J-PFA-nogc, Figure 11).
 	SkipGraphGC bool
-	// LogSlots / LogSlotSize size the failure-atomic redo-log area.
-	LogSlots    int
+	// LogSlotSize sizes each redo-log slot of the failure-atomic blocks.
 	LogSlotSize int
 }
 
@@ -128,19 +113,12 @@ func Open(opts Options) (*DB, error) {
 	if opts.Size == 0 {
 		opts.Size = 64 << 20
 	}
-	nvmOpts := nvm.Options{
-		Tracked:      opts.Tracked,
-		FenceLatency: opts.FenceLatencyNs,
+	if opts.Path == "" {
+		return OpenPool(nvm.New(opts.Size, nvm.Options{}), opts)
 	}
-	var pool *nvm.Pool
-	var err error
-	if opts.Path != "" {
-		pool, err = nvm.OpenFile(opts.Path, opts.Size, nvmOpts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		pool = nvm.New(opts.Size, nvmOpts)
+	pool, err := nvm.OpenFile(opts.Path, opts.Size, nvm.Options{})
+	if err != nil {
+		return nil, err
 	}
 	return OpenPool(pool, opts)
 }
@@ -150,7 +128,6 @@ func Open(opts Options) (*DB, error) {
 func OpenPool(pool *nvm.Pool, opts Options) (*DB, error) {
 	st, err := stack.Open(pool, stack.Config{
 		Classes:     opts.Classes,
-		LogSlots:    opts.LogSlots,
 		LogSlotSize: opts.LogSlotSize,
 		SkipGraphGC: opts.SkipGraphGC,
 	})
@@ -172,12 +149,6 @@ func (db *DB) Close() error {
 // RunFA executes fn as a failure-atomic block: it takes effect entirely
 // or not at all, across errors, panics and power failures (§4.2).
 func (db *DB) RunFA(fn func(*Tx) error) error { return db.fam.Run(fn) }
-
-// FAManager exposes the failure-atomic block manager.
-func (db *DB) FAManager() *fa.Manager { return db.fam }
-
-// NVMPool exposes the underlying pool (crash testing, statistics).
-func (db *DB) NVMPool() *Pool { return db.pool }
 
 // ---- J-PDT constructors over the DB ----
 

@@ -164,7 +164,7 @@ func TestFacadeArraysAndSets(t *testing.T) {
 func TestFacadeCrashRecovery(t *testing.T) {
 	// End-to-end through the public API: tracked pool, committed FA work,
 	// strict crash, reopen via OpenPool, verify.
-	pool := nvmPoolForTest(t)
+	pool := NewTrackedPool(1 << 22)
 	db, err := OpenPool(pool, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestFacadeCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img := crashStrict(pool)
+	img := CrashImageStrict(pool)
 	db2, err := OpenPool(img, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -211,10 +211,3 @@ func TestFacadeCrashRecovery(t *testing.T) {
 		}
 	}
 }
-
-func nvmPoolForTest(t *testing.T) *Pool {
-	t.Helper()
-	return NewTrackedPool(1 << 22)
-}
-
-func crashStrict(p *Pool) *Pool { return CrashImageStrict(p) }

@@ -35,7 +35,8 @@
 #     crashmc workload's own possible-state structure (one oracle type,
 #     DESIGN.md §13), and a second refusal of old pools (the heap format
 #     version is the one refusal), and crashmc replaying the workload per
-#     crash point, and a command per figure (cmd/paper runs them all).
+#     crash point, and a command per figure (cmd/paper runs them all),
+#     and a main outside cmd/ or a facade name that nothing calls.
 #     benchmarks/ and this file are exempt. A dirs row matches the
 #     directories under cmd/ and internal/ instead of file contents, a
 #     root row the Go files at the repository root, and a !dir row the Go
@@ -204,6 +205,8 @@ go  NewGrid\([A-Za-z_.]*\.Backend\)  a grid built by hand over a stack's backend
 go  \b(TmpFSBackend|NullFSBackend|FSBackend)\b  an FS-family backend type (TmpFS, NullFS and FS are one marshalling backend over its files)
 !internal/stack  store\.New(TmpFS|NullFS|FS)Backend\(  an FS-family backend built outside stack.OpenGrid (the one place one is built)
 root  ^func[[:space:]]+Benchmark  a benchmark at the repository root (cmd/paper runs every experiment)
+!cmd  ^package[[:space:]]+main\b  a main outside cmd/ that nothing runs (commands live under cmd/, the examples are root Example functions)
+root  \b(FAManager|NVMPool|FenceLatencyNs)\b|Grid[[:space:]]*=[[:space:]]*store\.Grid  a facade name nothing calls (DB.FAManager, DB.NVMPool, Options.FenceLatencyNs, the Grid alias)
 all  \bmicrobench\b  the microbench target (cmd/paper runs every experiment)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
