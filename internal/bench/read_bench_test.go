@@ -251,12 +251,47 @@ func BenchmarkGridLayer(b *testing.B) {
 		{"jpfa", JPFA, "per-tx"},
 	} {
 		b.Run(bk.name, func(b *testing.B) {
-			env, err := NewEnv(GridConfig{Backend: bk.backend, Records: records, FieldCount: fields, FieldLen: 100, Commit: bk.commit})
-			if err != nil {
-				b.Fatal(err)
+			newEnv := func(b *testing.B, records int) *Env {
+				env, err := NewEnv(GridConfig{Backend: bk.backend, Records: records, FieldCount: fields, FieldLen: 100, Commit: bk.commit})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return env
 			}
-			defer env.Close()
+			// interval times op over b.N iterations and returns env's stack
+			// counters of the timed interval.
+			interval := func(b *testing.B, env *Env, op func(i int) error) obs.StackSnapshot {
+				before := env.Snapshot()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := op(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				return env.Snapshot().Sub(*before)
+			}
+			write := func(b *testing.B, d obs.StackSnapshot) {
+				if f := d.FA; f != nil {
+					reportStages(b, []stage{{"body", f.BodyNs}, {"stage1", f.Stage1Ns}, {"f0", f.F0Ns}, {"mark", f.MarkNs},
+						{"f1", f.F1Ns}, {"apply", f.ApplyNs}, {"park", f.ParkNs}})
+				}
+			}
 			cfg := ycsb.Config{RecordCount: records, FieldCount: fields, FieldLen: 100}.Defaults()
+			// insert adds b.N fresh records to an empty grid, so every block
+			// comes from the bump pointer as it does in a load; it runs
+			// before the loaded grid below exists.
+			b.Run("insert", func(b *testing.B) {
+				env := newEnv(b, b.N)
+				defer env.Close()
+				d := interval(b, env, func(i int) error { return env.Grid.Insert(ycsb.Key(i), cfg.BuildRecord(i)) })
+				write(b, d)
+				b.ReportMetric(float64(d.Heap.BumpAllocs)/float64(b.N), "bump/op")
+				b.ReportMetric(float64(d.Heap.ReuseAllocs)/float64(b.N), "reuse/op")
+			})
+			env := newEnv(b, records)
+			defer env.Close()
 			if err := ycsb.Load(env.Grid, cfg); err != nil {
 				b.Fatal(err)
 			}
@@ -278,36 +313,16 @@ func BenchmarkGridLayer(b *testing.B) {
 			for f := range update {
 				update[f] = []store.Field{{Name: ycsb.FieldName(f), Value: value}}
 			}
-			// interval times op over b.N iterations and returns the stack
-			// counters of the timed interval.
-			interval := func(b *testing.B, op func(i int) error) obs.StackSnapshot {
-				before := env.Snapshot()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := op(i); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				return env.Snapshot().Sub(*before)
-			}
 			read := func(b *testing.B, d obs.StackSnapshot) {
 				g := d.Grid
 				reportStages(b, []stage{{"getref", g.GetRefNs}, {"touch", g.TouchNs}, {"collect", g.CollectNs}, {"deliver", g.DeliverNs}})
 			}
-			write := func(b *testing.B, d obs.StackSnapshot) {
-				if f := d.FA; f != nil {
-					reportStages(b, []stage{{"body", f.BodyNs}, {"stage1", f.Stage1Ns}, {"f0", f.F0Ns}, {"mark", f.MarkNs},
-						{"f1", f.F1Ns}, {"apply", f.ApplyNs}, {"park", f.ParkNs}})
-				}
-			}
 			b.Run("read", func(b *testing.B) {
-				read(b, interval(b, func(i int) error { return env.Grid.Read(order[i%drawn], consume) }))
+				read(b, interval(b, env, func(i int) error { return env.Grid.Read(order[i%drawn], consume) }))
 			})
 			b.Run("view-read", func(b *testing.B) {
 				vr, gen := env.Grid.Backend().Caps().View, new(atomic.Uint64)
-				read(b, interval(b, func(i int) error {
+				read(b, interval(b, env, func(i int) error {
 					if found, _, ok := vr.ReadView(order[i%drawn], uint32(i), gen, 0, i%obs.StageSample == 0, consume); !found || !ok {
 						return fmt.Errorf("view read of %q: found %v, served %v", order[i%drawn], found, ok)
 					}
@@ -315,12 +330,12 @@ func BenchmarkGridLayer(b *testing.B) {
 				}))
 			})
 			b.Run("update", func(b *testing.B) {
-				d := interval(b, func(i int) error { return env.Grid.Update(order[i%drawn], update[i%fields]) })
+				d := interval(b, env, func(i int) error { return env.Grid.Update(order[i%drawn], update[i%fields]) })
 				write(b, d)
 				reportStages(b, []stage{{"stripe", d.Grid.StripeWaitNs}, {"backend", d.Grid.BackendNs}})
 			})
 			b.Run("backend-update", func(b *testing.B) {
-				write(b, interval(b, func(i int) error {
+				write(b, interval(b, env, func(i int) error {
 					ok, err := env.Grid.Backend().Update(order[i%drawn], update[i%fields])
 					if err == nil && !ok {
 						err = fmt.Errorf("update of %q: not found", order[i%drawn])

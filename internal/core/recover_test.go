@@ -69,7 +69,7 @@ func buildRandomGraph(t *testing.T, rng *rand.Rand, h *Heap, ncls, lcls *Class) 
 		}
 	}
 	var nodes []*node
-	var nodeRefsPublished []Ref
+	referenced := make(map[Ref]bool)
 	for i := 0; i < 150; i++ {
 		po, err := h.Alloc(ncls, nodeLen)
 		if err != nil {
@@ -81,7 +81,9 @@ func buildRandomGraph(t *testing.T, rng *rand.Rand, h *Heap, ncls, lcls *Class) 
 			switch rng.Intn(5) {
 			case 0: // share an earlier node
 				if len(nodes) > 0 {
-					n.WriteRef(uint64(slot*8), nodes[rng.Intn(len(nodes))].Ref())
+					target := nodes[rng.Intn(len(nodes))].Ref()
+					n.WriteRef(uint64(slot*8), target)
+					referenced[target] = true
 				}
 			case 1, 2: // share a pooled leaf
 				if len(leaves) > 0 {
@@ -100,7 +102,6 @@ func buildRandomGraph(t *testing.T, rng *rand.Rand, h *Heap, ncls, lcls *Class) 
 		}
 		n.Validate()
 		nodes = append(nodes, n)
-		nodeRefsPublished = append(nodeRefsPublished, n.Ref())
 	}
 	// Publish about a third of the valid nodes; the rest are garbage
 	// unless another published node reaches them.
@@ -110,6 +111,7 @@ func buildRandomGraph(t *testing.T, rng *rand.Rand, h *Heap, ncls, lcls *Class) 
 			if err := h.Root().Put(fmt.Sprintf("n%d", i), n); err != nil {
 				t.Fatal(err)
 			}
+			referenced[n.Ref()] = true
 			published++
 		}
 	}
@@ -117,12 +119,14 @@ func buildRandomGraph(t *testing.T, rng *rand.Rand, h *Heap, ncls, lcls *Class) 
 		if err := h.Root().Put("n0", nodes[0]); err != nil {
 			t.Fatal(err)
 		}
+		referenced[nodes[0].Ref()] = true
 	}
-	// Free a few valid unpublished objects outright: their blocks carry
-	// stale-but-invalid headers the sweep must scrub.
-	for i := 0; i < 10 && i < len(nodeRefsPublished); i++ {
-		if rng.Intn(4) == 0 {
-			h.Mem().FreeObject(nodeRefsPublished[i])
+	// Free a few valid objects that nothing publishes or references: their
+	// blocks carry stale-but-invalid headers the sweep must scrub. Freeing
+	// a referenced one would leave a live reference to a reusable block.
+	for i := 0; i < 10 && i < len(nodes); i++ {
+		if rng.Intn(4) == 0 && !referenced[nodes[i].Ref()] {
+			h.Mem().FreeObject(nodes[i].Ref())
 		}
 	}
 	h.PSync()
@@ -291,8 +295,8 @@ func TestRecoveryMatchesParentImage(t *testing.T) {
 // TestRecoveryRejectsForeignReferences crafts images whose reachable
 // objects hold a reference that names no object: past the arena, into
 // the payload of a plain block at a word whose valid bit is set, to an
-// object whose block chain loops, and into a pool chunk off a slot
-// boundary. Recovery must refuse each with an error naming the referring
+// object whose block chain loops, into a pool chunk off a slot boundary,
+// and to a pool chunk's header. Recovery must refuse each with an error naming the referring
 // object and the reference — not panic, loop or nullify it.
 func TestRecoveryRejectsForeignReferences(t *testing.T) {
 	cases := []struct {
@@ -338,6 +342,16 @@ func TestRecoveryRejectsForeignReferences(t *testing.T) {
 			l.PWB()
 			l.Validate()
 			return l.Ref() + 8
+		}},
+		{"chunk header", func(t *testing.T, h *Heap, _, lcls *Class) Ref {
+			po, err := h.AllocSmall(lcls, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := po.Core()
+			l.PWB()
+			l.Validate()
+			return h.Mem().ContainingBlock(l.Ref())
 		}},
 	}
 	for _, tc := range cases {

@@ -48,7 +48,8 @@ func finishes(t *testing.T, what string, f func()) (panicked any) {
 // a following block that allocates in the same size class must finish: a
 // lock held across the panic hangs it. The locks in reach are the size
 // class's (takeLocked: the abort's frees and the next allocation take
-// it), the bump mirror's (raiseBumpMirror: the next carve takes it) and
+// it), the free queue's (takeBlock, over the bump mirror's store: the
+// next carve takes it) and
 // the retire queue's (advance, over the W store: the next commit takes
 // it).
 func TestPanicAtEveryPointReleasesLocks(t *testing.T) {

@@ -3,74 +3,34 @@ package heap
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
-// freeList is the volatile free queue of §4.1.2. It is sharded to scale
-// with the number of threads: pushes round-robin across shards, pops try
-// the local shard then steal.
+// freeList is the volatile free queue of §4.1.2: one LIFO stack of block
+// indices. Its mutex also guards every store to the bump pointer, so
+// taking a block is one critical section whichever of the two serves it.
 type freeList struct {
-	shards [freeShards]struct {
-		mu   sync.Mutex
-		idxs []uint64
-		_pad [40]byte // keep shards on distinct cache lines
-	}
-	rr atomic.Uint64
+	mu   sync.Mutex
+	idxs []uint64
 }
-
-const freeShards = 16
-
-func (f *freeList) init() {}
 
 func (f *freeList) push(idx uint64) {
-	s := &f.shards[f.rr.Add(1)%freeShards]
-	s.mu.Lock()
-	s.idxs = append(s.idxs, idx)
-	s.mu.Unlock()
+	f.mu.Lock()
+	f.idxs = append(f.idxs, idx)
+	f.mu.Unlock()
 }
 
-// pushAll returns a batch of block indices to the queue. Elements are
-// striped round-robin across shards like push, but the shard lock is taken
-// once per shard rather than once per element.
+// pushAll returns a batch of block indices to the queue under one lock;
+// the batch's last index is the next one taken.
 func (f *freeList) pushAll(idxs []uint64) {
-	if len(idxs) == 0 {
-		return
-	}
-	base := f.rr.Add(uint64(len(idxs)))
-	for s := 0; s < freeShards && s < len(idxs); s++ {
-		shard := &f.shards[(base+uint64(s))%freeShards]
-		shard.mu.Lock()
-		for i := s; i < len(idxs); i += freeShards {
-			shard.idxs = append(shard.idxs, idxs[i])
-		}
-		shard.mu.Unlock()
-	}
-}
-
-func (f *freeList) pop() (uint64, bool) {
-	start := f.rr.Add(1)
-	for i := uint64(0); i < freeShards; i++ {
-		s := &f.shards[(start+i)%freeShards]
-		s.mu.Lock()
-		if n := len(s.idxs); n > 0 {
-			idx := s.idxs[n-1]
-			s.idxs = s.idxs[:n-1]
-			s.mu.Unlock()
-			return idx, true
-		}
-		s.mu.Unlock()
-	}
-	return 0, false
+	f.mu.Lock()
+	f.idxs = append(f.idxs, idxs...)
+	f.mu.Unlock()
 }
 
 func (f *freeList) len() int {
-	n := 0
-	for i := range f.shards {
-		f.shards[i].mu.Lock()
-		n += len(f.shards[i].idxs)
-		f.shards[i].mu.Unlock()
-	}
-	return n
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.idxs)
 }
 
 // FreeBlocks returns the number of blocks currently in the volatile free
@@ -96,37 +56,29 @@ func (h *Heap) allocBlock() (uint64, error) {
 
 // takeBlock is allocBlock without the reclaim: the small allocator's carve
 // calls it under its size-class lock, which the reclaim's slot frees take.
+// It pops the most recently freed block or bumps, and stores the bump's
+// persistent mirror inside the same critical section, so the mirror's
+// stores are ordered and monotonic. The unlock is deferred: that store
+// may panic (a fault plane may abandon the run there), and every later
+// allocation takes this lock.
 func (h *Heap) takeBlock() (uint64, error) {
-	if idx, ok := h.free.pop(); ok {
+	f := &h.free
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.idxs); n > 0 {
+		idx := f.idxs[n-1]
+		f.idxs = f.idxs[:n-1]
 		h.stats.ReuseAllocs.Inc()
 		return idx, nil
 	}
-	for {
-		cur := h.bump.Load()
-		if cur >= h.nBlocks {
-			return 0, fmt.Errorf("%w: arena of %d blocks exhausted", ErrOutOfMemory, h.nBlocks)
-		}
-		if h.bump.CompareAndSwap(cur, cur+1) {
-			h.raiseBumpMirror(cur + 1)
-			h.stats.BumpAllocs.Inc()
-			return cur, nil
-		}
+	cur := h.bump.Load()
+	if cur >= h.nBlocks {
+		return 0, fmt.Errorf("%w: arena of %d blocks exhausted", ErrOutOfMemory, h.nBlocks)
 	}
-}
-
-// raiseBumpMirror stores n to the persistent bump mirror unless a higher
-// value is there. The mirror is advisory (recovery recomputes the bump
-// from reachability), but the store itself must be synchronized and
-// monotonic: CAS winners can reach it out of order. The unlock is
-// deferred: the store may panic (a fault plane may abandon the run
-// there), and every later bump allocation takes bumpMu.
-func (h *Heap) raiseBumpMirror(n uint64) {
-	h.bumpMu.Lock()
-	defer h.bumpMu.Unlock()
-	if n > h.bumpMirror {
-		h.bumpMirror = n
-		h.pool.WriteUint64(sbBump, n)
-	}
+	h.bump.Store(cur + 1)
+	h.pool.WriteUint64(sbBump, cur+1)
+	h.stats.BumpAllocs.Inc()
+	return cur, nil
 }
 
 // BlocksFor returns how many blocks an object of size data bytes occupies.

@@ -150,11 +150,8 @@ type Heap struct {
 	logSlots    int
 	logSlotSize int
 
-	bump atomic.Uint64 // next never-allocated block index
+	bump atomic.Uint64 // next never-allocated block index; stored under free.mu
 	free freeList
-
-	bumpMu     sync.Mutex // serializes the persistent bump-mirror store
-	bumpMirror uint64     // highest value written to the mirror
 
 	classMu     sync.RWMutex
 	classByName map[string]uint16
@@ -229,8 +226,6 @@ func Open(pool *nvm.Pool) (*Heap, error) {
 		return nil, err
 	}
 	h.bump.Store(pool.ReadUint64(sbBump))
-	h.bumpMirror = pool.ReadUint64(sbBump)
-	h.free.init()
 	h.small.init(h)
 	h.loadClassTable()
 	return h, nil

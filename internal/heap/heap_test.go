@@ -648,9 +648,9 @@ func TestMarkSetDense(t *testing.T) {
 	if m.Marked() != 4 || m.maxIdx != max(cidx, h.BlockIndex(blocks[2])) {
 		t.Fatalf("Marked = %d, max index %d: want 4 and %d", m.Marked(), m.maxIdx, max(cidx, h.BlockIndex(blocks[2])))
 	}
-	for _, r := range []Ref{chunk + HeaderSize + uint64(n*SlotSizes[0]), chunk + HeaderSize + 8, chunk + 4, chain + HeaderSize} {
+	for _, r := range []Ref{chunk, chunk + HeaderSize + uint64(n*SlotSizes[0]), chunk + HeaderSize + 8, chunk + 4, chain + HeaderSize} {
 		if h.CheckRef(r) == nil {
-			t.Fatalf("CheckRef accepted %#x, which starts no slot", r)
+			t.Fatalf("CheckRef accepted %#x, which names no object", r)
 		}
 	}
 }
@@ -767,39 +767,49 @@ func TestInternalFragmentationAccounting(t *testing.T) {
 	fmt.Printf("fragmentation: 100B fields %.1f%%, 10KB fields %.1f%%\n", small*100, large*100)
 }
 
-// TestPushAllSharding returns a batch larger than the shard count through
-// pushAll and checks nothing is lost and everything pops back out.
-func TestPushAllSharding(t *testing.T) {
+// TestFreeQueueRoundTrip returns a batch through pushAll and single
+// blocks through FreeRaw, and checks that nothing is lost, that the queue
+// is LIFO (the last block freed is the next one allocated) and that the
+// bump pointer serves only once the queue is empty.
+func TestFreeQueueRoundTrip(t *testing.T) {
 	h, err := Format(nvm.New(1<<21, nvm.Options{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 3*freeShards + 5
-	want := make(map[Ref]bool, n)
+	const n = 53
 	idxs := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
 		r, err := h.AllocRaw()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[r] = true
 		idxs = append(idxs, h.BlockIndex(r))
 	}
-	h.free.pushAll(idxs)
+	bump := h.Bump()
+	h.free.pushAll(idxs[:n-2])
+	h.FreeRaw(h.BlockRef(idxs[n-2]))
+	h.FreeRaw(h.BlockRef(idxs[n-1]))
 	if got := h.FreeBlocks(); got != n {
-		t.Fatalf("free queue holds %d blocks after batched pushAll, want %d", got, n)
+		t.Fatalf("free queue holds %d blocks after the frees, want %d", got, n)
 	}
-	for i := 0; i < n; i++ {
+	for i := n - 1; i >= 0; i-- {
 		r, err := h.AllocRaw()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want[r] {
-			t.Fatalf("popped unexpected block %#x", r)
+		if got := h.BlockIndex(r); got != idxs[i] {
+			t.Fatalf("allocation %d took block %d, want %d (the last one freed)", n-1-i, got, idxs[i])
 		}
-		delete(want, r)
 	}
-	if len(want) != 0 {
-		t.Fatalf("%d pushed blocks never popped back", len(want))
+	if got := h.FreeBlocks(); got != 0 || h.Bump() != bump {
+		t.Fatalf("after the round trip: %d blocks queued, bump %d; want 0 and %d", got, h.Bump(), bump)
+	}
+	r, err := h.AllocRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.BlockIndex(r) != bump || h.Bump() != bump+1 || h.Pool().ReadUint64(sbBump) != bump+1 {
+		t.Fatalf("an empty queue bumped block %d to bump %d, mirror %d; want %d, %d, %d",
+			h.BlockIndex(r), h.Bump(), h.Pool().ReadUint64(sbBump), bump, bump+1, bump+1)
 	}
 }

@@ -72,12 +72,12 @@ func (m *MarkSet) MarkObject(r Ref) bool {
 
 // CheckRef reports an error unless r can name an object, without reading
 // anything outside the arena: r must lie inside the arena and be either
-// block-aligned, with a chain whose every link stays in the arena and
-// which ends within NBlocks links, or the start of a slot of a valid pool
-// chunk. Recovery runs it on every reference it follows before reading
-// the target, so a corrupt image yields an error instead of an
-// out-of-bounds panic, an endless chain walk, or a slot bit past the
-// mark set's mask.
+// block-aligned, not a pool chunk's header, with a chain whose every link
+// stays in the arena and which ends within NBlocks links, or the start of
+// a slot of a valid pool chunk. Recovery runs it on every reference it
+// follows before reading the target, so a corrupt image yields an error
+// instead of an out-of-bounds panic, an endless chain walk, a slot bit
+// past the mark set's mask, or a chunk taken for an unregistered class.
 func (h *Heap) CheckRef(r Ref) error {
 	end := h.arenaOff + h.nBlocks*BlockSize
 	if r < h.arenaOff || r >= end {
@@ -85,6 +85,9 @@ func (h *Heap) CheckRef(r Ref) error {
 	}
 	off := (r - h.arenaOff) % BlockSize
 	if off == 0 {
+		if id, _, _ := UnpackHeader(h.Header(r)); id == PoolChunkClass {
+			return fmt.Errorf("heap: ref %#x names a pool chunk's header, not an object", r)
+		}
 		for cur, n := r, uint64(0); n < h.nBlocks; n++ {
 			_, _, next := UnpackHeader(h.Header(cur))
 			if next == 0 {
@@ -127,9 +130,7 @@ func (h *Heap) Sweep(m *MarkSet) SweepStats {
 	h.small.reset()
 	// Recovery owns the heap exclusively until Open returns, so dropping
 	// the free list in place is safe.
-	for i := range h.free.shards {
-		h.free.shards[i].idxs = nil
-	}
+	h.free.idxs = nil
 	// The persistent bump mirror is advisory only (its stores are
 	// unfenced), so recovery must never trust it: a crash can lose the
 	// mirror while live blocks sit above the stale value, and honoring it
@@ -172,10 +173,7 @@ func (h *Heap) Sweep(m *MarkSet) SweepStats {
 		}
 	}
 	h.bump.Store(maxLive)
-	h.bumpMu.Lock()
-	h.bumpMirror = maxLive
 	h.pool.WriteUint64(sbBump, maxLive)
-	h.bumpMu.Unlock()
 	h.pool.PWB(sbBump)
 	h.pool.PFence()
 	return st

@@ -208,6 +208,7 @@ root  ^func[[:space:]]+Benchmark  a benchmark at the repository root (cmd/paper 
 !cmd  ^package[[:space:]]+main\b  a main outside cmd/ that nothing runs (commands live under cmd/, the examples are root Example functions)
 root  \b(FAManager|NVMPool|FenceLatencyNs)\b|Grid[[:space:]]*=[[:space:]]*store\.Grid  a facade name nothing calls (DB.FAManager, DB.NVMPool, Options.FenceLatencyNs, the Grid alias)
 all  \bmicrobench\b  the microbench target (cmd/paper runs every experiment)
+go  \b(freeShards|raiseBumpMirror|bumpMu|bumpMirror)\b  the sharded free queue or a second lock for the bump (one lock takes a block: heap.freeList's)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
