@@ -19,14 +19,6 @@ func (f *freeList) push(idx uint64) {
 	f.mu.Unlock()
 }
 
-// pushAll returns a batch of block indices to the queue under one lock;
-// the batch's last index is the next one taken.
-func (f *freeList) pushAll(idxs []uint64) {
-	f.mu.Lock()
-	f.idxs = append(f.idxs, idxs...)
-	f.mu.Unlock()
-}
-
 func (f *freeList) len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -105,11 +97,9 @@ func (h *Heap) AllocObject(classID uint16, size uint64) (Ref, []Ref, error) {
 		idx, err := h.allocBlock()
 		if err != nil {
 			// Return what we took; nothing persistent changed yet.
-			idxs := make([]uint64, i)
-			for j := range idxs {
-				idxs[j] = h.BlockIndex(refs[j])
+			for _, r := range refs[:i] {
+				h.free.push(h.BlockIndex(r))
 			}
-			h.free.pushAll(idxs)
 			return 0, nil, err
 		}
 		refs[i] = h.BlockRef(idx)

@@ -767,10 +767,10 @@ func TestInternalFragmentationAccounting(t *testing.T) {
 	fmt.Printf("fragmentation: 100B fields %.1f%%, 10KB fields %.1f%%\n", small*100, large*100)
 }
 
-// TestFreeQueueRoundTrip returns a batch through pushAll and single
-// blocks through FreeRaw, and checks that nothing is lost, that the queue
-// is LIFO (the last block freed is the next one allocated) and that the
-// bump pointer serves only once the queue is empty.
+// TestFreeQueueRoundTrip frees a run of blocks and checks that nothing is
+// lost, that the queue is LIFO (the last block freed is the next one
+// allocated) and that the bump pointer serves only once the queue is
+// empty.
 func TestFreeQueueRoundTrip(t *testing.T) {
 	h, err := Format(nvm.New(1<<21, nvm.Options{}), Options{})
 	if err != nil {
@@ -786,9 +786,9 @@ func TestFreeQueueRoundTrip(t *testing.T) {
 		idxs = append(idxs, h.BlockIndex(r))
 	}
 	bump := h.Bump()
-	h.free.pushAll(idxs[:n-2])
-	h.FreeRaw(h.BlockRef(idxs[n-2]))
-	h.FreeRaw(h.BlockRef(idxs[n-1]))
+	for _, idx := range idxs {
+		h.FreeRaw(h.BlockRef(idx))
+	}
 	if got := h.FreeBlocks(); got != n {
 		t.Fatalf("free queue holds %d blocks after the frees, want %d", got, n)
 	}

@@ -246,8 +246,7 @@ func TestFacadeHeaderScanRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var freed []Ref
-	freed = append(freed, deleted.Core().Ref())
+	freed := []Ref{deleted.Core().Ref()}
 	if err := db.RunFA(func(tx *Tx) error {
 		_, err := m.DeleteTx(tx, "k3")
 		return err
