@@ -31,8 +31,7 @@
 //
 //   - Slot affinity. Each log slot has one Tx, built at attach, whose
 //     slices and flush set stay warm across the blocks it runs; a free slot
-//     lives on one lock-free freelist, so Begin is one pop and release
-//     one push.
+//     lives on one freelist, so Begin is one pop and release one push.
 //   - Flush coalescing. Stores mark dirty cache lines in a per-Tx
 //     nvm.FlushSet; commit writes each line back once, merging adjacent
 //     lines into single PWBRange calls. A field written five times
@@ -109,50 +108,37 @@ type managerState struct {
 	txs   []*Tx // txs[i] runs every block of log slot i
 }
 
-// slotStack is a lock-free Treiber stack of log-slot indices. The head
-// word packs a modification tag in the high 32 bits with idx+1 in the low
-// 32 (0 = empty); the tag changes on every successful push or pop, which
-// defeats the ABA case where a slot is popped, recycled and pushed back
-// between a competitor's read and CAS.
-type slotStack struct {
-	head atomic.Uint64
-	next []atomic.Uint32 // next[idx] holds the successor's idx+1
+// slotFreelist holds the free log-slot indices: a LIFO stack under one
+// mutex. A fresh one pops slots 0, 1, 2, ... in order, and the last slot
+// pushed is the next one popped.
+type slotFreelist struct {
+	mu   sync.Mutex
+	free []int // the top is the last element
 }
 
-func (s *slotStack) init(n int) {
-	s.next = make([]atomic.Uint32, n)
-	for i := 0; i < n-1; i++ {
-		s.next[i].Store(uint32(i + 2))
-	}
-	var head uint64
-	if n > 0 {
-		head = 1
-	}
-	s.head.Store(head)
-}
-
-func (s *slotStack) pop() (int, bool) {
-	for {
-		h := s.head.Load()
-		top := uint32(h)
-		if top == 0 {
-			return 0, false
-		}
-		next := s.next[top-1].Load()
-		if s.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(next)) {
-			return int(top - 1), true
-		}
+func (s *slotFreelist) init(n int) {
+	s.free = make([]int, n)
+	for i := range s.free {
+		s.free[i] = n - 1 - i
 	}
 }
 
-func (s *slotStack) push(idx int) {
-	for {
-		h := s.head.Load()
-		s.next[idx].Store(uint32(h))
-		if s.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(idx+1)) {
-			return
-		}
+func (s *slotFreelist) pop() (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return 0, false
 	}
+	idx := s.free[n-1]
+	s.free = s.free[:n-1]
+	return idx, true
+}
+
+func (s *slotFreelist) push(idx int) {
+	s.mu.Lock()
+	s.free = append(s.free, idx)
+	s.mu.Unlock()
 }
 
 // retireQueue is the one retirement path of every commit protocol: the
@@ -234,13 +220,13 @@ func (q *retireQueue) headApplied() bool {
 
 // Manager owns the persistent log slots. It implements core.LogHandler so
 // that passing it in core.Config replays logs before the recovery GC; it
-// attaches to one heap, once. Begin, End and metrics scrapes share no
-// locks: a slot, with its Tx, comes from a lock-free freelist, and the
-// occupancy gauges from atomics. A commit takes the retire queue's lock
-// once, between its two fences.
+// attaches to one heap, once. A slot, with its Tx, comes from a freelist
+// under one mutex, held only for the pop or the push; metrics scrapes
+// read the occupancy gauges from atomics. A commit takes the retire
+// queue's lock once, between its two fences.
 type Manager struct {
 	state  atomic.Pointer[managerState]
-	slots  slotStack
+	slots  slotFreelist
 	inUse  atomic.Int64
 	stats  obs.FAStats
 	retire retireQueue
@@ -557,7 +543,7 @@ func (tx *Tx) OnOrdered(fn func()) {
 // Begin opens a failure-atomic block (faStart of Figure 3). Blocks nest:
 // inner Begin/Commit pairs on the same Tx only move the nesting counter,
 // as with the paper's per-thread counter. Begin pops a free slot and runs
-// its Tx, without a lock. When the freelist is empty while commits are
+// its Tx. When the freelist is empty while commits are
 // parked behind the retired watermark, Begin forces their retirement and
 // tries again: a slot that is merely awaiting retirement is not a missing
 // slot. Nor, in async mode, is a slot held by a queued or draining commit:

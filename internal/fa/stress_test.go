@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestConcurrentSlotFreelistStress hammers the lock-free slot freelist and
-// the warm-Tx cache: 16 goroutines compete for 4 log slots, retrying when
-// the slots are exhausted. Run it under -race to check the Treiber stack
-// and the CAS-based cache cells. Each worker owns its account, so the only
+// TestConcurrentSlotFreelistStress hammers the slot freelist and the
+// warm per-slot Txs: 16 goroutines compete for 4 log slots, retrying when
+// the slots are exhausted. Run it under -race to check the freelist and
+// the hand-over of a slot's Tx. Each worker owns its account, so the only
 // shared state is the manager's.
 func TestConcurrentSlotFreelistStress(t *testing.T) {
 	h, mgr, _, cls := openFA(t, false) // 4 log slots
@@ -65,4 +65,40 @@ func TestConcurrentSlotFreelistStress(t *testing.T) {
 	if snap.TxReuse == 0 {
 		t.Fatal("no Begin was served from the warm-Tx cache")
 	}
+}
+
+// TestSlotFreelistOrder pins which log slot a block takes, which crashmc's
+// ordering-point counts depend on: a fresh manager's Begins take slots 0,
+// 1, 2 in order, and a released slot is the next one taken.
+func TestSlotFreelistOrder(t *testing.T) {
+	_, mgr, _, _ := openFA(t, false) // 4 log slots
+	var txs []*Tx
+	for want := 0; want < 3; want++ {
+		tx, err := mgr.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx.slot != want {
+			t.Fatalf("Begin %d took slot %d, want %d", want, tx.slot, want)
+		}
+		txs = append(txs, tx)
+	}
+	txs[1].Abort()
+	tx, err := mgr.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tx.slot != 1 {
+		t.Fatalf("Begin after releasing slot 1 took slot %d", tx.slot)
+	}
+	tx.Abort()
+	txs[0].Abort()
+	if tx, err = mgr.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if tx.slot != 0 {
+		t.Fatalf("Begin after releasing slots 1 then 0 took slot %d, want 0", tx.slot)
+	}
+	tx.Abort()
+	txs[2].Abort()
 }

@@ -239,19 +239,6 @@ func (p *Pool) Zero(off, n uint64) {
 	p.endStore(tracked)
 }
 
-// CopyWithin copies n bytes from src to dst inside the pool, as a store to
-// the destination range.
-func (p *Pool) CopyWithin(dst, src, n uint64) {
-	p.check(src, n)
-	p.check(dst, n)
-	if n == 0 {
-		return
-	}
-	tracked := p.beginStore(dst, n)
-	copy(p.data[dst:dst+n], p.data[src:src+n])
-	p.endStore(tracked)
-}
-
 // ---- Ordering primitives (§3.2.2 of the paper) ----
 
 // PWB adds the cache line containing off to the write-pending queue. Like

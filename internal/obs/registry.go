@@ -36,13 +36,6 @@ func (r *Registry) Publish(name string, fn func() any) {
 	r.providers[name] = fn
 }
 
-// Unpublish removes a named provider.
-func (r *Registry) Unpublish(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.providers, name)
-}
-
 // Snapshot invokes every provider and returns the combined view.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.RLock()

@@ -219,12 +219,12 @@ var GridOps = []string{"insert", "read", "update", "rmw", "delete"}
 // ReadStats counts the zero-copy read path (DESIGN.md §14): how often a
 // read streamed NVMM views directly, how often it fell back to the locked
 // deep-copy path, how many generation races the seqlock validation caught,
-// and how contended the mirror shard locks are.
+// and how contended the J-PDT mirror lock is.
 type ReadStats struct {
 	ZeroCopyHits   Counter // reads served as views with a clean generation check
 	CopyFallbacks  Counter // zero-copy attempts diverted to the locked path
 	SeqlockRetries Counter // generation races detected after the consume callback
-	ShardLockWaits Counter // contended mirror-shard lock acquisitions
+	ShardLockWaits Counter // mirror read locks that had to wait for a writer
 
 	// Stage timers of a sampled view read (the attempt made while the hit
 	// count is a multiple of StageSample): pin and GetRef; settle and

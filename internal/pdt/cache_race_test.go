@@ -15,12 +15,12 @@ func setCached(t *testing.T, m *Map) {
 }
 
 // TestMapCacheDeleteRace pins the stale-reinsert race on the proxy
-// cache: Get used to insert into the cache after dropping the key's
-// shard lock, so a concurrent Delete could run its mirror removal AND its
+// cache: Get used to insert into the cache after dropping the mirror
+// read lock, so a concurrent Delete could run its mirror removal AND its
 // cache eviction inside that window — the late put then parked a proxy
 // to freed NVMM in the cache, and every later Get served the deleted
-// value. With the put held under the shard read lock, a cache hit after
-// Delete returns is impossible.
+// value. With the put held under the read lock, a cache hit after Delete
+// returns is impossible.
 func TestMapCacheDeleteRace(t *testing.T) {
 	h, _, _ := openPDT(t, 1<<23, false)
 	m := newTestMap(t, h, MirrorHash, "m")
@@ -55,7 +55,7 @@ func TestMapCacheDeleteRace(t *testing.T) {
 
 // TestMapCacheConcurrentChurn is the -race companion: writers churn
 // disjoint key ranges while readers hammer Get/Contains through the
-// cache, checking that cache updates under the shard lock are consistent
+// cache, checking that cache updates under the mirror lock are consistent
 // and data-race free.
 func TestMapCacheConcurrentChurn(t *testing.T) {
 	h, _, _ := openPDT(t, 1<<24, false)

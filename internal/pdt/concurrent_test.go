@@ -6,16 +6,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
 )
 
-// TestMapConcurrentReadersWriters is the sharded-mirror regression test
-// (DESIGN.md §14): with per-shard read locks, concurrent Gets must never
-// serialize against each other nor race writers. Readers hammer a stable
-// key set (whose values are never replaced, so dereferencing is safe
-// without EBR pins) and probe churning keys by ref only, while one
-// writer delete/re-inserts churn keys and another forces repeated array
-// growth — the lockAll path — under live readers. Run under -race this
-// covers every mirror lock transition.
+// TestMapConcurrentReadersWriters is the mirror-lock regression test
+// (DESIGN.md §14): concurrent Gets share the read lock and must never
+// race writers. Readers hammer a stable key set (whose values are never
+// replaced, so dereferencing is safe without EBR pins) and probe churning
+// keys by ref only, while one writer delete/re-inserts churn keys and
+// another forces repeated array growth — the array swap under the write
+// lock — under live readers. Run under -race this covers every mirror
+// lock transition.
 func TestMapConcurrentReadersWriters(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -77,8 +81,8 @@ func TestMapConcurrentReadersWriters(t *testing.T) {
 			}()
 
 			// Grower: inserts a fresh key per iteration, forcing the
-			// backing array through several growth cycles (mirror lockAll)
-			// while readers are live.
+			// backing array through several growth cycles (the array swap
+			// under the write lock) while readers are live.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -194,5 +198,50 @@ func TestSetConcurrentAddContains(t *testing.T) {
 	wg.Wait()
 	if n := s.Len(); n < stable {
 		t.Fatalf("set len %d < %d", n, stable)
+	}
+}
+
+// TestMirrorLockWaitCounted pins the counter behind the benchmark's
+// mirror-lock-wait key: a GetRef that finds the mirror write-locked
+// blocks, counts exactly one wait, and after the release returns the
+// bound value.
+func TestMirrorLockWaitCounted(t *testing.T) {
+	for _, kind := range allKinds {
+		t.Run(kindName(kind), func(t *testing.T) {
+			h, _, _ := openPDT(t, 1<<22, false)
+			m := newTestMap(t, h, kind, "m")
+			var rs obs.ReadStats
+			m.SetReadObs(&rs)
+			putStr(t, h, m, "k", "v")
+			want := m.GetRef("k")
+			if want == 0 || rs.ShardLockWaits.Load() != 0 {
+				t.Fatalf("uncontended GetRef: ref %#x, waits %d", want, rs.ShardLockWaits.Load())
+			}
+
+			m.mu.Lock()
+			got := make(chan core.Ref)
+			go func() { got <- m.GetRef("k") }()
+			deadline := time.Now().Add(10 * time.Second)
+			for rs.ShardLockWaits.Load() == 0 {
+				if time.Now().After(deadline) {
+					m.mu.Unlock()
+					t.Fatal("GetRef under the write lock counted no wait")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case ref := <-got:
+				m.mu.Unlock()
+				t.Fatalf("GetRef returned %#x while the write lock was held", ref)
+			case <-time.After(20 * time.Millisecond):
+			}
+			m.mu.Unlock()
+			if ref := <-got; ref != want {
+				t.Fatalf("GetRef after the release = %#x, want %#x", ref, want)
+			}
+			if n := rs.ShardLockWaits.Load(); n != 1 {
+				t.Fatalf("ShardLockWaits = %d, want 1", n)
+			}
+		})
 	}
 }

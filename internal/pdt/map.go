@@ -72,25 +72,28 @@ func (c *proxyCache) del(k string)                  { c.m.Delete(k) }
 // therefore never straddles a block (a failure-atomic insert logs two
 // words of one block) nor a cache line (a publication is one write-back).
 //
-// Concurrency (DESIGN.md §14): readers never take a map-global lock.
-// A lookup holds only its key's mirror shard in read mode (which, by the
-// mirror's locking protocol, also keeps the binding's words and the
-// objects they reference stable), and loads the value word atomically.
+// Concurrency (DESIGN.md §14): one RWMutex, mu, guards the mirror. A
+// lookup read-locks it, which also keeps the binding's words and the
+// objects they reference stable, and loads the value word atomically.
 // Writers — Put, Delete, Remove, array growth, the transactional paths —
-// serialize on wmu and additionally take the key's shard write lock for
-// the window that publishes a binding or retires a key or a value: a
+// serialize on wmu and additionally write-lock mu for the window that
+// publishes a binding, retires a key or a value, or swaps the array: a
 // replaced value is freed like a deleted one, so Put over an existing
-// binding excludes the key's readers too, and being under wmu it cannot
-// store into an array that growth is copying. A transactional writer's
-// commit outlives its wmu window, so the transactional paths additionally
-// gate on the predecessor's commit (gateWait/gateArm).
+// binding excludes readers too, and being under wmu it cannot store into
+// an array that growth is copying. A transactional writer's commit
+// outlives its wmu window, so the transactional paths additionally gate
+// on the predecessor's commit (gateWait/gateArm). No path takes the read
+// lock while it holds it: a waiting writer would deadlock the second
+// RLock.
 type Map struct {
 	*core.Object
 
 	wmu   sync.Mutex                // serializes writers
+	mu    sync.RWMutex              // guards mir, and pins bindings for readers
+	waits *obs.Counter              // read locks that had to wait (nil: uncounted)
 	arrp  atomic.Pointer[PRefArray] // current backing array, atomically swapped by growth
 	kind  MirrorKind
-	mir   mirror
+	mir   *mirror
 	gate  chan struct{} // closed when the last structural commit is ordered (guarded by wmu)
 	slots []int         // free binding indices (guarded by wmu)
 	cache *proxyCache   // nil in base mode
@@ -181,11 +184,22 @@ func NewMap(h *core.Heap, kind MirrorKind) (*Map, error) {
 	return m, nil
 }
 
-// SetReadObs wires the read-path counters (mirror shard-lock waits) into
-// the given stats block. Call before serving traffic.
+// SetReadObs wires the read-path counters (mirror lock waits) into the
+// given stats block. Call before serving traffic.
 func (m *Map) SetReadObs(rs *obs.ReadStats) {
 	if rs != nil {
-		m.mir.setWaits(&rs.ShardLockWaits)
+		m.waits = &rs.ShardLockWaits
+	}
+}
+
+// rlock read-locks the mirror, counting an acquisition that has to wait
+// for a writer.
+func (m *Map) rlock() {
+	if !m.mu.TryRLock() {
+		if m.waits != nil {
+			m.waits.Inc()
+		}
+		m.mu.RLock()
 	}
 }
 
@@ -247,8 +261,8 @@ func (m *Map) SetCacheMode(mode CacheMode) error {
 		return nil
 	}
 	var err error
-	m.mir.rlockAll()
-	defer m.mir.runlockAll()
+	m.rlock()
+	defer m.mu.RUnlock()
 	h := m.Heap()
 	arr := m.arrp.Load()
 	m.mir.forEach(func(key string, idx int) bool {
@@ -263,28 +277,24 @@ func (m *Map) SetCacheMode(mode CacheMode) error {
 	return err
 }
 
-// Kind returns the persisted mirror kind.
-func (m *Map) Kind() MirrorKind { return MirrorKind(m.ReadUint64(mapKind)) }
-
 // Len returns the number of bindings.
 func (m *Map) Len() int { return m.mir.len() }
 
 // Contains reports whether key is bound.
 func (m *Map) Contains(key string) bool {
-	m.mir.rlock(key)
+	m.rlock()
 	_, ok := m.mir.get(key)
-	m.mir.runlock(key)
+	m.mu.RUnlock()
 	return ok
 }
 
 // GetRef returns the value reference bound to key (0 if unbound), without
 // building a proxy. Allocation-free: the mirror lookup runs under the
-// key's shard read lock (which also pins the binding against Delete,
-// replacement and growth) and the binding's value word is one atomic load
-// from the array.
+// read lock (which also pins the binding against Delete, replacement and
+// growth) and the binding's value word is one atomic load from the array.
 func (m *Map) GetRef(key string) core.Ref {
-	m.mir.rlock(key)
-	defer m.mir.runlock(key)
+	m.rlock()
+	defer m.mu.RUnlock()
 	idx, ok := m.mir.get(key)
 	if !ok {
 		return 0
@@ -301,8 +311,8 @@ func (m *Map) Get(key string) (core.PObject, error) {
 			return po, nil
 		}
 	}
-	m.mir.rlock(key)
-	defer m.mir.runlock(key)
+	m.rlock()
+	defer m.mu.RUnlock()
 	idx, ok := m.mir.get(key)
 	if !ok {
 		return nil, nil
@@ -313,11 +323,11 @@ func (m *Map) Get(key string) (core.PObject, error) {
 	if err != nil || po == nil {
 		return nil, err
 	}
-	// The cache insert must stay under the shard read lock: Delete and a
-	// replacing Put hold the exclusive shard lock around their free and
-	// their cache update, so a racing one is ordered after this put. A
-	// put after runlock could overtake it and park a proxy to freed NVMM
-	// in the cache.
+	// The cache insert must stay under the read lock: Delete and a
+	// replacing Put hold the write lock around their free and their cache
+	// update, so a racing one is ordered after this put. A put after
+	// RUnlock could overtake it and park a proxy to freed NVMM in the
+	// cache.
 	if c := m.cache; c != nil {
 		c.put(strings.Clone(key), po)
 	}
@@ -339,14 +349,14 @@ func (m *Map) Put(key string, val core.PObject) error {
 		return m.insertLocked(key, val)
 	}
 	// The previous value is retired exactly as Delete retires one: the
-	// shard write lock keeps a reader from resurrecting it while it is
-	// freed and from caching its proxy after the new one.
-	m.mir.lock(key)
+	// write lock keeps a reader from resurrecting it while it is freed and
+	// from caching its proxy after the new one.
+	m.mu.Lock()
 	m.arrp.Load().AtomicReplaceRef(valOff(idx), val)
 	if m.cache != nil {
 		m.cache.put(strings.Clone(key), val)
 	}
-	m.mir.unlock(key)
+	m.mu.Unlock()
 	return nil
 }
 
@@ -374,10 +384,10 @@ func (m *Map) insertLocked(key string, val core.PObject) error {
 	}
 	h.PFence()
 	key = strings.Clone(key)
-	m.mir.lock(key)
+	m.mu.Lock()
 	bind(m.arrp.Load(), idx, ks.Ref(), vref)
 	m.mir.put(key, idx)
-	m.mir.unlock(key)
+	m.mu.Unlock()
 	if val != nil && m.cache != nil {
 		m.cache.put(key, val)
 	}
@@ -389,8 +399,8 @@ func (m *Map) insertLocked(key string, val core.PObject) error {
 // not bound (or bound to itself, a set member). Callers hold wmu.
 func (m *Map) unbind(key string) (vref core.Ref, ok bool) {
 	h := m.Heap()
-	m.mir.lock(key)
-	defer m.mir.unlock(key)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	idx, ok := m.mir.get(key)
 	if !ok {
 		return 0, false
@@ -407,8 +417,8 @@ func (m *Map) unbind(key string) (vref core.Ref, ok bool) {
 		vref = 0
 	}
 	m.mir.del(key)
-	// Cache eviction stays inside the exclusive shard section so a
-	// concurrent Get cannot reinsert the dying proxy after this del.
+	// Cache eviction stays inside the write lock so a concurrent Get
+	// cannot reinsert the dying proxy after this del.
 	if m.cache != nil {
 		m.cache.del(key)
 	}
@@ -440,14 +450,14 @@ func (m *Map) Remove(key string) core.Ref {
 // Keys returns all keys; sorted for ordered mirrors, unspecified order
 // otherwise.
 func (m *Map) Keys() []string {
-	m.mir.rlockAll()
+	m.rlock()
 	out := make([]string, 0, m.mir.len())
 	m.mir.forEach(func(k string, _ int) bool {
 		out = append(out, k)
 		return true
 	})
-	m.mir.runlockAll()
-	if !m.mir.ordered() {
+	m.mu.RUnlock()
+	if m.mir.tree == nil {
 		sort.Strings(out)
 	}
 	return out
@@ -462,29 +472,29 @@ type mirEntry struct {
 // ForEach calls fn for each binding until it returns false. The value
 // proxy is resurrected per call (base-variant cost model).
 func (m *Map) ForEach(fn func(key string, val core.PObject) bool) error {
-	m.mir.rlockAll()
+	m.rlock()
 	snapshot := make([]mirEntry, 0, m.mir.len())
 	m.mir.forEach(func(k string, idx int) bool {
 		snapshot = append(snapshot, mirEntry{k, idx})
 		return true
 	})
-	m.mir.runlockAll()
+	m.mu.RUnlock()
 	return m.visit(snapshot, fn)
 }
 
 // Ascend iterates bindings with key >= from in key order; it requires an
 // ordered mirror (tree or skip list).
 func (m *Map) Ascend(from string, fn func(key string, val core.PObject) bool) error {
-	if !m.mir.ordered() {
+	if m.mir.tree == nil {
 		return fmt.Errorf("pdt: Ascend requires an ordered mirror (kind %d is hash)", m.kind)
 	}
-	m.mir.rlockAll()
+	m.rlock()
 	var snapshot []mirEntry
-	m.mir.ascend(from, func(k string, idx int) bool {
+	m.mir.tree.Ascend(from, func(k string, idx int) bool {
 		snapshot = append(snapshot, mirEntry{k, idx})
 		return true
 	})
-	m.mir.runlockAll()
+	m.mu.RUnlock()
 	return m.visit(snapshot, fn)
 }
 
@@ -493,14 +503,14 @@ func (m *Map) Ascend(from string, fn func(key string, val core.PObject) bool) er
 func (m *Map) visit(snapshot []mirEntry, fn func(key string, val core.PObject) bool) error {
 	h := m.Heap()
 	for _, e := range snapshot {
-		// Re-read the binding under its shard lock: it may have been
+		// Re-read the binding under the read lock: it may have been
 		// deleted (and its slot reused) or replaced since the snapshot.
 		vref := core.Ref(0)
-		m.mir.rlock(e.key)
+		m.rlock()
 		if idx, ok := m.mir.get(e.key); ok && idx == e.idx {
 			vref = m.arrp.Load().ReadRefAtomic(valOff(idx))
 		}
-		m.mir.runlock(e.key)
+		m.mu.RUnlock()
 		if vref == 0 {
 			continue
 		}
@@ -517,10 +527,10 @@ func (m *Map) visit(snapshot []mirEntry, fn func(key string, val core.PObject) b
 
 // takeSlotLocked pops a free slot, growing the persistent array when none
 // remain (atomic swing, §4.1.6). Callers hold wmu, which keeps every
-// store into the old array out of the copy. Growth takes every mirror
-// shard lock for the swap window so no reader holds the old array while
-// it is freed; with EBR active the old array's blocks additionally wait
-// out the readers' grace period.
+// store into the old array out of the copy. Growth write-locks the
+// mirror for the swap window so no reader holds the old array while it
+// is freed; with EBR active the old array's blocks additionally wait out
+// the readers' grace period.
 // tx, when non-nil, makes the growth copy read the old array through the
 // transaction: with async group commit a queued epoch may still hold a
 // binding's write in its redo log, and a direct copy would take the stale
@@ -551,10 +561,10 @@ func (m *Map) takeSlotLocked(tx *fa.Tx) (int, error) {
 		bigger.WriteRef(off, ref)
 	}
 	bigger.PWB()
-	m.mir.lockAll()
+	m.mu.Lock()
 	m.AtomicReplaceRef(mapArrRef, bigger)
 	m.arrp.Store(bigger)
-	m.mir.unlockAll()
+	m.mu.Unlock()
 	for i := bindingCap(bigger) - 1; i > oldCap; i-- {
 		m.slots = append(m.slots, i)
 	}
@@ -625,18 +635,18 @@ func (m *Map) PutTx(tx *fa.Tx, key string, val core.PObject) error {
 }
 
 // cachePutTx caches val's proxy once the block's apply has landed. The
-// shard write lock orders the put after every Get that loaded the
-// previous value word: such a Get caches the old proxy under the shard
-// read lock, and unordered it could land after this put and stay.
+// write lock orders the put after every Get that loaded the previous
+// value word: such a Get caches the old proxy under the read lock, and
+// unordered it could land after this put and stay.
 func (m *Map) cachePutTx(tx *fa.Tx, key string, val core.PObject) {
 	if m.cache == nil {
 		return
 	}
 	key = strings.Clone(key)
 	tx.Defer(func() {
-		m.mir.lock(key)
+		m.mu.Lock()
 		m.cache.put(key, val)
-		m.mir.unlock(key)
+		m.mu.Unlock()
 	})
 }
 
@@ -666,14 +676,14 @@ func (m *Map) insertTxLocked(tx *fa.Tx, key string, val core.PObject) error {
 		return err
 	}
 	key = strings.Clone(key)
-	m.mir.lock(key)
+	m.mu.Lock()
 	m.mir.put(key, idx)
-	m.mir.unlock(key)
+	m.mu.Unlock()
 	tx.OnAbort(func() {
 		m.wmu.Lock()
-		m.mir.lock(key)
+		m.mu.Lock()
 		m.mir.del(key)
-		m.mir.unlock(key)
+		m.mu.Unlock()
 		m.slots = append(m.slots, idx)
 		m.wmu.Unlock()
 	})
@@ -721,15 +731,15 @@ func (m *Map) DeleteTx(tx *fa.Tx, key string) (bool, error) {
 		}
 	}
 	key = strings.Clone(key)
-	m.mir.lock(key)
+	m.mu.Lock()
 	m.mir.del(key)
-	m.mir.unlock(key)
+	m.mu.Unlock()
 	m.slots = append(m.slots, idx)
 	tx.OnAbort(func() {
 		m.wmu.Lock()
-		m.mir.lock(key)
+		m.mu.Lock()
 		m.mir.put(key, idx)
-		m.mir.unlock(key)
+		m.mu.Unlock()
 		for i, s := range m.slots {
 			if s == idx {
 				m.slots = append(m.slots[:i], m.slots[i+1:]...)

@@ -130,8 +130,8 @@ func TestMapReopenRebuildsMirror(t *testing.T) {
 				t.Fatal(err)
 			}
 			m2 := po.(*Map)
-			if m2.Kind() != kind {
-				t.Fatalf("kind lost: %d", m2.Kind())
+			if m2.kind != kind {
+				t.Fatalf("kind lost: %d", m2.kind)
 			}
 			if m2.Len() != 59 {
 				t.Fatalf("Len after reopen = %d", m2.Len())

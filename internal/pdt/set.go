@@ -63,9 +63,12 @@ func (s *Set) Delete(key string) bool { return s.m.Delete(key) }
 // Members returns the member keys (sorted for ordered mirrors).
 func (s *Set) Members() []string { return s.m.Keys() }
 
-// ForEach iterates members until fn returns false.
+// ForEach iterates a snapshot of the members, in Members order, until fn
+// returns false. fn runs without the mirror lock, so it may use the set.
 func (s *Set) ForEach(fn func(key string) bool) {
-	s.m.mir.rlockAll()
-	defer s.m.mir.runlockAll()
-	s.m.mir.forEach(func(k string, _ int) bool { return fn(k) })
+	for _, k := range s.m.Keys() {
+		if !fn(k) {
+			return
+		}
+	}
 }

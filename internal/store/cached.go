@@ -10,9 +10,8 @@ import (
 )
 
 // Cached puts the paper's volatile record cache (the cache-ratio knob of
-// §2.2.1/§5.3.1) in front of b: write-through, holding at least entries
-// records, sharded by key hash so reads of keys in different shards never
-// serialize on one mutex. Only the file-system family is built with one;
+// §2.2.1/§5.3.1) in front of b: write-through, one LRU of exactly entries
+// records under one mutex. Only the file-system family is built with one;
 // the J-NVM backends run without (§5.3.1: "caching brings almost no
 // performance benefits"). entries <= 0 returns b unchanged.
 //
@@ -25,32 +24,21 @@ func Cached(b Backend, entries int) Backend {
 	if entries <= 0 {
 		return b
 	}
-	c := &cached{Backend: b}
-	for i := range c.shards {
-		c.shards[i].lru = container.NewLRU[*Record]((entries + gridStripes - 1) / gridStripes)
-	}
-	return c
+	return &cached{Backend: b, lru: container.NewLRU[*Record](entries)}
 }
 
 type cached struct {
 	Backend
-	shards [gridStripes]lruShard
-}
-
-type lruShard struct {
 	mu  sync.Mutex
 	lru *container.LRU[*Record]
 }
 
-func (c *cached) shard(key string) *lruShard { return &c.shards[fnv32(key)%gridStripes] }
-
 // put caches rec under a copy of key: the caller's key may be a buffer it
 // reuses (the benchmark drivers' are), and the LRU retains it.
 func (c *cached) put(key string, rec *Record) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.lru.Put(strings.Clone(key), rec)
-	s.mu.Unlock()
+	c.mu.Lock()
+	c.lru.Put(strings.Clone(key), rec)
+	c.mu.Unlock()
 }
 
 // Caps implements Backend: the cache forwards no capability, since a view
@@ -68,10 +56,9 @@ func (c *cached) Insert(key string, rec *Record) error {
 
 // Read implements Backend, from the cache when the key is there.
 func (c *cached) Read(key string, consume func(name string, value []byte)) (bool, error) {
-	s := c.shard(key)
-	s.mu.Lock()
-	rec, hit := s.lru.Get(key)
-	s.mu.Unlock()
+	c.mu.Lock()
+	rec, hit := c.lru.Get(key)
+	c.mu.Unlock()
 	if hit {
 		for _, f := range rec.Fields {
 			consume(f.Name, f.Value)
@@ -93,22 +80,21 @@ func (c *cached) Read(key string, consume func(name string, value []byte)) (bool
 // Update implements Backend.
 func (c *cached) Update(key string, fields []Field) (bool, error) {
 	ok, err := c.Backend.Update(key, fields)
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, hit := s.lru.Get(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, hit := c.lru.Get(key)
 	switch {
 	case !hit:
 	case !ok || err != nil:
 		// The backend may have applied part of the update; drop the
 		// record rather than serve a stale mix.
-		s.lru.Remove(key)
+		c.lru.Remove(key)
 	default:
 		patched := &Record{Fields: slices.Clone(rec.Fields)}
 		for _, f := range fields {
 			patched.Set(f.Name, bytes.Clone(f.Value))
 		}
-		s.lru.Put(key, patched) // key is bound: the LRU keeps its own copy
+		c.lru.Put(key, patched) // key is bound: the LRU keeps its own copy
 	}
 	return ok, err
 }
@@ -116,9 +102,8 @@ func (c *cached) Update(key string, fields []Field) (bool, error) {
 // Delete implements Backend.
 func (c *cached) Delete(key string) (bool, error) {
 	ok, err := c.Backend.Delete(key)
-	s := c.shard(key)
-	s.mu.Lock()
-	s.lru.Remove(key)
-	s.mu.Unlock()
+	c.mu.Lock()
+	c.lru.Remove(key)
+	c.mu.Unlock()
 	return ok, err
 }

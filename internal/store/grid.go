@@ -104,8 +104,8 @@ func (g *Grid) Backend() Backend { return g.backend }
 func (g *Grid) ObsSnapshot() obs.GridSnapshot { return g.stats.Snapshot() }
 
 // fnv32 is an inlined FNV-1a: hash.Hash32 would cost two heap allocations
-// (digest + []byte(key)) per operation. The one hash selects the key's
-// lock stripe (and, in Cached, its cache shard).
+// (digest + []byte(key)) per operation. It selects the key's lock stripe
+// (and, in the FS family, its directory shard).
 func fnv32(key string) uint32 {
 	const (
 		offset32 = 2166136261

@@ -211,46 +211,62 @@ func TestGridCachedConcurrentReadersWriters(t *testing.T) {
 	}
 }
 
-// TestGridShardedCacheServesAllStripes fills more keys than there are
-// cache shards and re-reads each: with per-shard capacity rounded up from
-// the requested size, every read must be a hit whichever shard the key
-// hashed to, and the patch on a successful update must keep every shard
-// coherent.
-func TestGridShardedCacheServesAllStripes(t *testing.T) {
+// TestGridCacheExactCapacity holds the record cache to the capacity it
+// was asked for: N inserted records are all served from it, a successful
+// update keeps each cached copy coherent, and one more record evicts
+// exactly the least recently used one.
+func TestGridCacheExactCapacity(t *testing.T) {
 	h, _, _ := openStoreHeap(t, 1<<24, false)
 	jb, err := NewJPDTBackend(h, "kv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := &countingBackend{Backend: jb}
-	const keys = 4 * gridStripes // several keys per shard on average
-	g := NewGrid(Cached(b, 16*gridStripes))
-	for i := 0; i < keys; i++ {
-		if err := g.Insert(fmt.Sprintf("key%04d", i), testRecord(3, fmt.Sprintf("v%d", i))); err != nil {
+	const n = 200
+	key := func(i int) string { return fmt.Sprintf("key%04d", i) }
+	g := NewGrid(Cached(b, n))
+	for i := 0; i < n; i++ {
+		if err := g.Insert(key(i), testRecord(3, fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Insert cloned every record into its shard; all reads must hit.
-	for i := 0; i < keys; i++ {
-		captureRead(t, g, fmt.Sprintf("key%04d", i))
+	// Insert cloned every record into the cache; all reads must hit.
+	for i := 0; i < n; i++ {
+		captureRead(t, g, key(i))
 	}
-	if n := b.reads.Load(); n != 0 {
-		t.Fatalf("sharded cache: %d of %d reads reached the backend, want 0", n, keys)
+	if got := b.reads.Load(); got != 0 {
+		t.Fatalf("%d of %d reads reached the backend, want 0", got, n)
 	}
 	// Patch a field on every key and verify the cached copy follows.
-	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("key%04d", i)
+	for i := 0; i < n; i++ {
 		want := []byte(fmt.Sprintf("patched%d", i))
-		if err := g.Update(key, []Field{{Name: "field1", Value: want}}); err != nil {
+		if err := g.Update(key(i), []Field{{Name: "field1", Value: want}}); err != nil {
 			t.Fatal(err)
 		}
-		rec := captureRead(t, g, key)
-		got, ok := rec.Get("field1")
+		got, ok := captureRead(t, g, key(i)).Get("field1")
 		if !ok || !bytes.Equal(got, want) {
-			t.Fatalf("%s: cached field1 = %q, want %q", key, got, want)
+			t.Fatalf("%s: cached field1 = %q, want %q", key(i), got, want)
 		}
 	}
-	if n := b.reads.Load(); n != 0 {
-		t.Fatalf("%d reads after patches reached the backend, want 0", n)
+	if got := b.reads.Load(); got != 0 {
+		t.Fatalf("%d reads after patches reached the backend, want 0", got)
+	}
+	// key0 was used last of all; key1 is now the least recent, and the
+	// record after the N-th evicts it and nothing else.
+	captureRead(t, g, key(0))
+	if err := g.Insert(key(n), testRecord(3, "extra")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= n; i++ {
+		if i != 1 {
+			captureRead(t, g, key(i))
+		}
+	}
+	if got := b.reads.Load(); got != 0 {
+		t.Fatalf("%d reads reached the backend after one eviction, want 0", got)
+	}
+	captureRead(t, g, key(1))
+	if got := b.reads.Load(); got != 1 {
+		t.Fatalf("reading the evicted key reached the backend %d times, want 1", got)
 	}
 }

@@ -196,7 +196,7 @@ go  \bstructMu\b  a second lock for structural grid ops (the backend serializes 
 internal/nvm  \bnoteStore\b|p\.durable\b|p\.queued\b|p\.dirty\b  the full-pool durable mirror (a tracked pool records only its non-durable lines)
 all  store\.Options|CacheStats|cacheShard|cachePatch|cache_hits|FlushLatency  a record cache inside the grid or a PWB latency knob (one record cache: store.Cached; pwb is free)
 go  \b(SetProxyCache|ProxyCache)\b  a proxy-cache knob on the grid path (the J-NVM backends resolve records by reference; pdt.Map's cache modes serve its own callers)
-go  \bCopyWithinAtomic\b|\bInvalidate\(|\bOpTypes\b|\bSetRef\b  an exported name nothing called (nvm.Pool.CopyWithinAtomic, core.Object.Invalidate, ycsb.Result.OpTypes, pdt.PRefArray.SetRef)
+go  \bCopyWithin(Atomic)?\b|\bInvalidate\(|\bOpTypes\b|\bSetRef\b|\bUnpublish\b|func[[:space:]]+\([^)]*\*Map\)[[:space:]]+Kind\(  an exported name nothing called (nvm.Pool.CopyWithinAtomic, nvm.Pool.CopyWithin, core.Object.Invalidate, ycsb.Result.OpTypes, pdt.PRefArray.SetRef, obs.Registry.Unpublish, pdt.Map.Kind)
 go  \b(runTo|crashSignal)\b  crashmc replaying the workload per crash point (the check pass checks each point inside one run)
 internal/wire  func[[:space:]]+Dial\(  a second wire client constructor (wire.DialTimeout is the one)
 dirs  ^cmd/(ycsb|gcsweep|tpcb|datatypes|blockbw|delsites)$  a single-figure command (cmd/paper runs every table and figure)
@@ -209,6 +209,7 @@ root  ^func[[:space:]]+Benchmark  a benchmark at the repository root (cmd/paper 
 root  \b(FAManager|NVMPool|FenceLatencyNs)\b|Grid[[:space:]]*=[[:space:]]*store\.Grid  a facade name nothing calls (DB.FAManager, DB.NVMPool, Options.FenceLatencyNs, the Grid alias)
 all  \bmicrobench\b  the microbench target (cmd/paper runs every experiment)
 go  \b(freeShards|raiseBumpMirror|bumpMu|bumpMirror)\b  the sharded free queue or a second lock for the bump (one lock takes a block: heap.freeList's)
+go  \b(hashShards|orderedStripes|slotStack|lruShard|rlockAll|lockAll)\b  multi-core striping of a volatile structure (one lock each: pdt.Map.mu, fa's slot freelist, store.Cached's LRU)
 internal/crashmc  \b(absentState|stateNames|int64Keys|gridOp|poolOp|poolVal|sameVal|readVal|recPending|mapPoss|setPoss|arrPoss|recordReader|gridReader)\b|reflect\.DeepEqual  a workload's own possible-state oracle (crashmc has one oracle type)
 EOF
 
