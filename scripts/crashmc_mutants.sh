@@ -104,12 +104,12 @@ EOF
 mutant mapput "gridread pdt" <<'EOF'
 --- a/internal/pdt/map.go
 +++ b/internal/pdt/map.go
-@@ -379,5 +379,4 @@
+@@ -383,5 +383,4 @@
  		vref = val.Core().Ref()
  	}
 -	h.PFence()
  	key = strings.Clone(key)
- 	m.mir.lock(key)
+ 	m.mu.Lock()
 EOF
 
 # freeflip: the write-back of a free's invalidation at apply, which is a
